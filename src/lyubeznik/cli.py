@@ -34,6 +34,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1; argparse names
+    the offending flag in the error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _parse_field(text: str) -> int | None:
     if text == "q":
         return None
@@ -281,10 +293,10 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--search", choices=("exhaustive", "courts-first"),
                            default=None if name == "analyze" else "exhaustive",
                            help="order search mode")
-            p.add_argument("--max-exhaustive", type=int,
+            p.add_argument("--max-exhaustive", type=_positive_int,
                            default=DEFAULT_MAX_EXHAUSTIVE, metavar="MU",
                            help="largest generator count searched exhaustively")
-            p.add_argument("--jobs", type=int, default=1,
+            p.add_argument("--jobs", type=_positive_int, default=1,
                            help="parallel worker processes")
         if field:
             p.add_argument("--field", default="q", metavar="q|p:<prime>",
@@ -312,9 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="emit the edge ideal in ideal-file syntax")
     graph_p.add_argument("--check-props", action="store_true",
                          help="evaluate the graph-family statements")
-    graph_p.add_argument("--max-exhaustive", type=int,
+    graph_p.add_argument("--max-exhaustive", type=_positive_int,
                          default=DEFAULT_MAX_EXHAUSTIVE, metavar="MU")
-    graph_p.add_argument("--jobs", type=int, default=1)
+    graph_p.add_argument("--jobs", type=_positive_int, default=1)
     return parser
 
 

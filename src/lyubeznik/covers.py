@@ -15,8 +15,8 @@ minimal resolution exactly when none of these edges is preserved.
 
 Enumeration walks all 2^mu subsets via the shared bitmask tables, which
 is exact and fast at the sizes this package targets; it refuses above
-``MAX_ENUMERATION_GENERATORS`` (pass ``max_generators`` to lift, up to
-the table bound).
+``MAX_ENUMERATION_GENERATORS`` (library callers pass ``max_generators``
+to lift it, up to the table bound; the command line has no such option).
 """
 
 from __future__ import annotations
@@ -54,7 +54,8 @@ def _check_enumeration_bound(ideal: MonomialIdeal, max_generators: int) -> None:
     if ideal.mu > max_generators:
         raise BoundExceededError(
             f"cover enumeration over 2^{ideal.mu} subsets exceeds the bound "
-            f"mu <= {max_generators}; pass max_generators to lift it")
+            f"mu <= {max_generators}; no command-line option lifts it (the "
+            "library functions take a max_generators argument)")
 
 
 def _cover_at(mask: int, ideal: MonomialIdeal) -> Cover:

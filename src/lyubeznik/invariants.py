@@ -15,8 +15,15 @@ either side:
 Order searches (total obstruction, minimal length, Lyubeznik /
 almost / totally Lyubeznik classification) scan permutation words in
 lexicographic order so witnesses are reproducible, optionally in
-parallel; a vectorized scanner processes orders in batches and repeats
-the dual-route length computation per order.
+parallel.  The scanner packs the words into int8 blocks of
+``DEFAULT_CHUNK`` orders and evaluates a whole block with array
+operations over one row per subset mask: minimum ranks by doubling
+over the bits, broken sets by one gather against the outside masks,
+and then both length routes per order.  Route one is the face DP run
+level by level over subset size, each set checked against its
+one-smaller subsets; route two up-closes the broken sets bit by bit
+(the zeta transform over the subset lattice).  The two lengths are
+compared on every block.
 """
 
 from __future__ import annotations
@@ -25,7 +32,8 @@ from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
+from math import comb
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -252,73 +260,151 @@ class SearchResult:
     nonminimal_witness: tuple[int, ...] | None
 
 
-def _scan_words(ideal: MonomialIdeal,
-                words: Sequence[tuple[int, ...]]
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized per-order invariants for a batch of permutation words.
+class _ScanPlan:
+    """Order-free index arrays that drive ``_BlockScanner`` for one ideal.
 
-    Returns (obstruction, length, minimal) arrays indexed like
-    ``words``.  The length is computed by both the face DP and the
-    subset-sum closure; a mismatch raises.
+    ``outside[mask]`` is the tables' ``outside_mask``.  The face DP keeps
+    its rows in level order (by popcount, then by value) so that each
+    level is one contiguous slice: ``natural[r]`` is the mask at row r,
+    ``levels[k]`` the slice of the k-element masks, and ``subsets[k]``
+    the rows of their one-smaller subsets, one column per member.  The
+    cover clutter is grouped by edge size, as level-order rows.
     """
-    tables = tables_for(ideal)
-    mu, size = tables.mu, tables.size
-    count = len(words)
-    outside = tables.outside_mask
-    sizes = np.array([bin(m).count("1") for m in range(size)], np.int8)
 
-    word_arr = np.array(words, np.int8)
-    pos = np.argsort(word_arr, axis=1).astype(np.int8)
-    post = np.ascontiguousarray(pos.T)  # post[g-1][j] = rank of g in order j
+    __slots__ = ("mu", "outside", "natural", "levels", "subsets", "clutter")
 
-    minpos = np.empty((size, count), np.int8)
-    minpos[0] = mu
-    for mask in range(1, size):
-        low = mask & -mask
-        rest = mask ^ low
-        row = post[low.bit_length() - 1]
-        if rest:
-            np.minimum(row, minpos[rest], out=minpos[mask])
-        else:
-            minpos[mask] = row
+    def __init__(self, ideal: MonomialIdeal) -> None:
+        tables = tables_for(ideal)
+        mu, size = tables.mu, tables.size
+        sizes = [bin(m).count("1") for m in range(size)]
+        natural = sorted(range(size), key=lambda m: (sizes[m], m))
+        position = [0] * size
+        for row, mask in enumerate(natural):
+            position[mask] = row
+        self.mu = mu
+        self.outside = np.array(tables.outside_mask, np.intp)
+        self.natural = np.array(natural, np.intp)
+        self.levels = []
+        self.subsets = []
+        start = 0
+        for k in range(mu + 1):
+            stop = start + comb(mu, k)
+            self.levels.append(slice(start, stop))
+            self.subsets.append(np.array(
+                [[position[m ^ (1 << b)] for b in iter_bits(m)]
+                 for m in natural[start:stop]], np.intp).reshape(stop - start, k))
+            start = stop
+        by_size: dict[int, list[int]] = {}
+        for m in _clutter_masks(ideal):
+            by_size.setdefault(sizes[m], []).append(position[m])
+        self.clutter = [(k, np.array(rows, np.intp))
+                        for k, rows in sorted(by_size.items())]
 
-    broken = np.zeros((size, count), bool)
-    for mask in range(1, size):
-        out = outside[mask]
-        if out:
-            np.less(minpos[out], minpos[mask], out=broken[mask])
 
-    # route one: a set is preserved iff it is unbroken and all its
-    # one-smaller subsets are preserved
-    pres = np.empty((size, count), bool)
-    pres[0] = True
-    for mask in range(1, size):
-        acc = ~broken[mask]
-        rest = mask
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            acc &= pres[mask ^ low]
-        pres[mask] = acc
+@lru_cache(maxsize=64)
+def _scan_plan(ideal: MonomialIdeal) -> _ScanPlan:
+    return _ScanPlan(ideal)
 
-    # route two: up-close the broken sets, then take complements
-    bad = broken.copy()
-    idx = np.arange(size)
-    for b in range(mu):
-        bit = 1 << b
-        has = (idx & bit) != 0
-        bad[has] |= bad[idx[has] ^ bit]
 
-    l_arr = np.where(pres, sizes[:, None], -1).max(axis=0)
-    ps_arr = np.where(~bad, sizes[:, None], -1).max(axis=0)
-    if not np.array_equal(l_arr, ps_arr):
-        raise RuntimeError("internal disagreement: face DP length and "
-                           "subset-closure preserved size differ")
+class _BlockScanner:
+    """Vectorized per-order invariants of blocks of words for one ideal.
 
-    obs = np.zeros(count, np.int8)
-    for m in _clutter_masks(ideal):
-        np.maximum(obs, np.where(pres[m], sizes[m], 0), out=obs)
-    return obs, l_arr.astype(np.int8), obs == 0
+    Scratch arrays are kept from one block to the next of the same size:
+    multi-megabyte arrays allocated afresh for every block are mapped
+    and page-faulted in by the allocator each time, which costs about as
+    much as the arithmetic on them.
+    """
+
+    def __init__(self, ideal: MonomialIdeal) -> None:
+        self.plan = _scan_plan(ideal)
+        self._scratch: tuple[np.ndarray, ...] = ()
+
+    def _workspace(self, count: int) -> tuple[np.ndarray, ...]:
+        if not self._scratch or self._scratch[0].shape[1] != count:
+            mu = self.plan.mu
+            full = (1 << mu, count)
+            self._scratch = (np.empty(full, np.int8), np.empty(full, np.int8),
+                             np.empty(full, bool), np.empty(full, bool),
+                             np.empty((comb(mu, mu // 2), count), bool))
+        return self._scratch
+
+    def __call__(self, words: Sequence[tuple[int, ...]] | np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(obstruction, length, minimal) arrays indexed like ``words``.
+
+        ``words`` is a sequence of permutation words or an int8 array of
+        shape (count, mu).  Every step is a whole-array operation over
+        all orders of the block at once, with one row per subset mask;
+        the length is computed both by the face DP and by the subset-sum
+        closure, and a mismatch raises.
+        """
+        plan = self.plan
+        mu = plan.mu
+        size = 1 << mu
+        word_arr = np.asarray(words, np.int8).reshape(-1, mu)
+        count = len(word_arr)
+        minpos, gathered, broken, pres, rows = self._workspace(count)
+
+        # rank[g][j]: rank of generator g + 1 in order j
+        rank = np.empty((mu, count), np.int8)
+        ranks = np.arange(mu, dtype=np.int8)[:, None]
+        rank[word_arr.T - 1, np.arange(count)] = ranks
+
+        # minpos[mask][j]: least rank in the mask, built by doubling over
+        # bits (masks 2^b .. 2^(b+1)-1 extend masks 0 .. 2^b-1 by bit b)
+        minpos[0] = mu
+        for b in range(mu):
+            np.minimum(minpos[:1 << b], rank[b], out=minpos[1 << b:2 << b])
+
+        # broken[mask]: some outside divisor precedes every member (never
+        # for an empty outside set, whose minpos is the sentinel mu).
+        # Gathers use mode="clip" (indices are in range) so that numpy
+        # writes straight into the workspace instead of a buffer.
+        np.take(minpos, plan.outside, axis=0, out=gathered, mode="clip")
+        np.less(gathered, minpos, out=broken)
+        # minpos is spent; its buffer takes broken in level order
+        broken_lv = np.take(broken, plan.natural, axis=0,
+                            out=minpos.view(bool), mode="clip")
+
+        # route one: a set is preserved iff it is unbroken and all its
+        # one-smaller subsets are preserved, one level at a time
+        pres[0] = True
+        for k in range(1, mu + 1):
+            level = plan.levels[k]
+            acc = np.logical_not(broken_lv[level], out=pres[level])
+            below = rows[:len(acc)]
+            for column in plan.subsets[k].T:
+                acc &= np.take(pres, column, axis=0, out=below, mode="clip")
+
+        # route two: up-close the broken sets in place, one OR per bit
+        for b in range(mu):
+            halves = broken.reshape(size >> (b + 1), 2, 1 << b, count)
+            halves[:, 1] |= halves[:, 0]
+        bad_lv = np.take(broken, plan.natural, axis=0, out=gathered.view(bool),
+                         mode="clip")
+
+        l_arr = np.zeros(count, np.int8)
+        ps_arr = np.zeros(count, np.int8)
+        for k in range(1, mu + 1):
+            level = plan.levels[k]
+            l_arr[pres[level].any(axis=0)] = k
+            ps_arr[~bad_lv[level].all(axis=0)] = k
+        if not np.array_equal(l_arr, ps_arr):
+            raise RuntimeError("internal disagreement: face DP length and "
+                               "subset-closure preserved size differ")
+
+        obs = np.zeros(count, np.int8)
+        for k, edges in plan.clutter:
+            hit = np.take(pres, edges, axis=0, out=rows[:len(edges)],
+                          mode="clip")
+            obs[hit.any(axis=0)] = k
+        return obs, l_arr, obs == 0
+
+
+def _scan_words(ideal: MonomialIdeal, words: Sequence[tuple[int, ...]] | np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-order invariants of one block of words: see ``_BlockScanner``."""
+    return _BlockScanner(ideal)(words)
 
 
 class _Agg:
@@ -338,7 +424,7 @@ class _Agg:
         self.nonminimal_witness = None
 
 
-def _merge(agg: _Agg, words: Sequence[tuple[int, ...]],
+def _merge(agg: _Agg, words: np.ndarray,
            result: tuple[np.ndarray, np.ndarray, np.ndarray],
            stop_when: str | None) -> bool:
     obs, lengths, minimal = result
@@ -348,15 +434,15 @@ def _merge(agg: _Agg, words: Sequence[tuple[int, ...]],
     j = int(np.argmin(obs))
     if agg.tobsl is None or int(obs[j]) < agg.tobsl:
         agg.tobsl = int(obs[j])
-        agg.tobsl_witness = words[j]
+        agg.tobsl_witness = tuple(words[j].tolist())
     j = int(np.argmin(lengths))
     if agg.min_l is None or int(lengths[j]) < agg.min_l:
         agg.min_l = int(lengths[j])
-        agg.min_l_witness = words[j]
+        agg.min_l_witness = tuple(words[j].tolist())
         agg.min_ps = agg.min_l
         agg.min_ps_witness = agg.min_l_witness
     if agg.nonminimal_witness is None and not minimal.all():
-        agg.nonminimal_witness = words[int(np.argmin(minimal))]
+        agg.nonminimal_witness = tuple(words[int(np.argmin(minimal))].tolist())
 
     if stop_when == "zero-obstruction":
         return agg.tobsl == 0
@@ -365,13 +451,15 @@ def _merge(agg: _Agg, words: Sequence[tuple[int, ...]],
     return False
 
 
-def _word_chunks(stream: Iterator[OrderedIdeal],
-                 chunk_size: int) -> Iterator[list[tuple[int, ...]]]:
+def _word_blocks(words: Iterator[tuple[int, ...]], mu: int,
+                 chunk_size: int) -> Iterator[np.ndarray]:
+    """Consecutive chunks of a word stream as int8 (count, mu) arrays."""
     while True:
-        block = [o.order for o in islice(stream, chunk_size)]
-        if not block:
+        block = np.fromiter(chain.from_iterable(islice(words, chunk_size)),
+                            np.int8)
+        if not block.size:
             return
-        yield block
+        yield block.reshape(-1, mu)
 
 
 def search_scan(ideal: MonomialIdeal, mode: str = "exhaustive", *,
@@ -389,16 +477,20 @@ def search_scan(ideal: MonomialIdeal, mode: str = "exhaustive", *,
     """
     if stop_when not in (None, "zero-obstruction", "nonzero-obstruction"):
         raise ValueError(f"unknown stop policy {stop_when!r}")
+    if jobs < 1 or chunk_size < 1:
+        raise ValueError(f"jobs and chunk_size must be at least 1, got "
+                         f"jobs={jobs}, chunk_size={chunk_size}")
     stream, exact = orders_for_search(ideal, mode,
                                       max_exhaustive=max_exhaustive,
                                       force=force)
-    chunks = _word_chunks(stream, chunk_size)
+    chunks = _word_blocks(stream, ideal.mu, chunk_size)
     agg = _Agg()
     stopped = False
 
-    if jobs <= 1:
+    if jobs == 1:
+        scanner = _BlockScanner(ideal)
         for words in chunks:
-            if _merge(agg, words, _scan_words(ideal, words), stop_when):
+            if _merge(agg, words, scanner(words), stop_when):
                 stopped = True
                 break
     else:
@@ -598,7 +690,9 @@ def analyze(ordered: OrderedIdeal, *, search_mode: str | None = None,
 
     Without a search mode, the arithmetical-rank upper bound falls back
     to this order's resolution length (still valid, possibly loose),
-    and the classification flags stay ``None``.
+    and the classification flags stay ``None``.  With one, the bounds
+    equal ``ara_bounds`` for that mode, read off the same single scan
+    that decides the classification flags.
     """
     ideal = ordered.ideal
     minimal = is_minimal_resolution(ordered)
@@ -614,31 +708,35 @@ def analyze(ordered: OrderedIdeal, *, search_mode: str | None = None,
     betti = betti_from_preserved(ordered) if minimal else None
     ht = height(ideal)
 
+    # one scan and at most one homology computation per call; the
+    # squarefree oracle call comes first, as it does in ara_bounds
+    squarefree = ideal.is_squarefree()
+    projdim = (taylor_betti(ideal, prime=prime).projective_dimension
+               if squarefree else None)
+    best = length
     lyub = almost = totally = None
-    if search_mode is None:
-        if ideal.is_squarefree():
-            lower = taylor_betti(ideal, prime=prime).projective_dimension
-        else:
-            lower = ht
-        upper = min(length, ideal.mu)
-        ara = AraBounds(lower, upper, lower == upper)
-    else:
-        ara = ara_bounds(ideal, search_mode, max_exhaustive=max_exhaustive,
-                         force=force, jobs=jobs, prime=prime)
+    if search_mode is not None:
         scan = search_scan(ideal, search_mode, max_exhaustive=max_exhaustive,
                            force=force, jobs=jobs)
+        best = scan.min_l
         if scan.tobsl == 0:
             lyub = True
         elif scan.exact:
             lyub = False
         if scan.exact:
-            almost = scan.min_l == taylor_betti(
-                ideal, prime=prime).projective_dimension
+            if projdim is None:
+                projdim = taylor_betti(ideal,
+                                       prime=prime).projective_dimension
+            almost = scan.min_l == projdim
             totally = scan.minimal_count == scan.scanned
+    lower = projdim if squarefree else ht
+    upper = min(best, ideal.mu)
     return InvariantReport(order=ordered.order, minimal=minimal,
                            obstruction=obs, l_length=length, ps=ps,
-                           betti=betti, height=ht, ara=ara, lyubeznik=lyub,
-                           almost_lyubeznik=almost, totally_lyubeznik=totally)
+                           betti=betti, height=ht,
+                           ara=AraBounds(lower, upper, lower == upper),
+                           lyubeznik=lyub, almost_lyubeznik=almost,
+                           totally_lyubeznik=totally)
 
 
 def audit_courts_first(ideal: MonomialIdeal, *,

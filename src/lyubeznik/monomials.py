@@ -52,7 +52,8 @@ class BoundExceededError(RuntimeError):
     """A computation was refused because it exceeds a configured size bound.
 
     This is a refusal, not an input error; the command line maps it to
-    exit code 2.  The message always names the flag that lifts the bound.
+    exit code 2.  The message names the command-line flag that lifts
+    the bound when there is one, and never a flag that does not exist.
     """
 
 

@@ -68,7 +68,8 @@ def _check_bound(ideal: MonomialIdeal, max_generators: int) -> None:
     if ideal.mu > max_generators:
         raise BoundExceededError(
             f"the homology oracle enumerates 2^{ideal.mu} subsets, above its "
-            f"bound mu <= {max_generators}; pass max_generators to lift it")
+            f"bound mu <= {max_generators}; no command-line option lifts it "
+            "(the library functions take a max_generators argument)")
 
 
 def _boundary_levels(faces_by_size: dict[int, list[tuple[int, ...]]]

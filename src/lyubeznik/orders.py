@@ -79,6 +79,18 @@ def order_count(ideal: MonomialIdeal) -> int:
     return factorial(ideal.mu)
 
 
+def _exhaustive_words(ideal: MonomialIdeal, *, max_exhaustive: int,
+                     force: bool) -> Iterator[tuple[int, ...]]:
+    """All mu! permutation words in lexicographic order, bound-checked."""
+    mu = ideal.mu
+    if mu > max_exhaustive and not force:
+        raise BoundExceededError(
+            f"exhaustive search over {mu}! = {factorial(mu)} orders exceeds "
+            f"the threshold mu <= {max_exhaustive}; raise --max-exhaustive "
+            "(or force=True), or use the courts-first heuristic search")
+    return permutations(range(1, mu + 1))
+
+
 def all_orders(ideal: MonomialIdeal, *,
                max_exhaustive: int = DEFAULT_MAX_EXHAUSTIVE,
                force: bool = False) -> Iterator[OrderedIdeal]:
@@ -87,14 +99,9 @@ def all_orders(ideal: MonomialIdeal, *,
     Refuses when mu exceeds ``max_exhaustive`` unless ``force`` is set;
     the error names the courts-first heuristic as the alternative.
     """
-    mu = ideal.mu
-    if mu > max_exhaustive and not force:
-        raise BoundExceededError(
-            f"exhaustive search over {mu}! = {factorial(mu)} orders exceeds "
-            f"the threshold mu <= {max_exhaustive}; raise --max-exhaustive "
-            "(or force=True), or use the courts-first heuristic search")
-    return (OrderedIdeal(ideal, word)
-            for word in permutations(range(1, mu + 1)))
+    words = _exhaustive_words(ideal, max_exhaustive=max_exhaustive,
+                              force=force)
+    return (OrderedIdeal(ideal, word) for word in words)
 
 
 def possible_courts(ideal: MonomialIdeal) -> frozenset[int]:
@@ -116,20 +123,21 @@ def possible_courts(ideal: MonomialIdeal) -> frozenset[int]:
     return frozenset(courts)
 
 
+def _courts_first_words(ideal: MonomialIdeal) -> Iterator[tuple[int, ...]]:
+    courts = sorted(possible_courts(ideal))
+    rest = sorted(set(ideal.indices()) - set(courts))
+    for head in permutations(courts):
+        for tail in permutations(rest):
+            yield head + tail
+
+
 def courts_first_orders(ideal: MonomialIdeal) -> Iterator[OrderedIdeal]:
     """Orders in which every possible court precedes every non-court.
 
     Yields |P|! * (mu - |P|)! orders, lexicographic on the word.  With
     P empty or P = G(I) this degenerates to the full order stream.
     """
-    courts = sorted(possible_courts(ideal))
-    rest = sorted(set(ideal.indices()) - set(courts))
-
-    def stream() -> Iterator[OrderedIdeal]:
-        for head in permutations(courts):
-            for tail in permutations(rest):
-                yield OrderedIdeal(ideal, head + tail)
-    return stream()
+    return (OrderedIdeal(ideal, word) for word in _courts_first_words(ideal))
 
 
 def parse_order(text: str, ideal: MonomialIdeal) -> OrderedIdeal:
@@ -144,17 +152,22 @@ def parse_order(text: str, ideal: MonomialIdeal) -> OrderedIdeal:
 
 def orders_for_search(ideal: MonomialIdeal, mode: str, *,
                       max_exhaustive: int = DEFAULT_MAX_EXHAUSTIVE,
-                      force: bool = False) -> tuple[Iterator[OrderedIdeal], bool]:
-    """The order stream for a search mode, plus whether it is exhaustive.
+                      force: bool = False
+                      ) -> tuple[Iterator[tuple[int, ...]], bool]:
+    """The permutation words a search mode scans, plus whether they are
+    all mu! orders.
 
-    The courts-first stream is flagged exact when it coincides with the
+    Words come in the same lexicographic order as ``all_orders`` and
+    ``courts_first_orders``, without an ``OrderedIdeal`` per word.  The
+    courts-first stream is flagged exact when it coincides with the
     full stream (P empty or P = G(I)).
     """
     if mode == "exhaustive":
-        return all_orders(ideal, max_exhaustive=max_exhaustive, force=force), True
+        return _exhaustive_words(ideal, max_exhaustive=max_exhaustive,
+                                 force=force), True
     if mode == "courts-first":
         p = len(possible_courts(ideal))
-        return courts_first_orders(ideal), p in (0, ideal.mu)
+        return _courts_first_words(ideal), p in (0, ideal.mu)
     raise ValueError(f"unknown search mode {mode!r}")
 
 

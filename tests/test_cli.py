@@ -1,13 +1,15 @@
 """Command-line interface: exit codes, output shapes, determinism."""
 
+import argparse
 import json
+import re
 import subprocess
 import sys
 
 import pytest
 
 from lyubeznik import parse_ideal
-from lyubeznik.cli import main
+from lyubeznik.cli import build_parser, main
 
 MIXED = "vars x y z\ngen x^2*y\ngen y^2*z\ngen x^3\ngen y^3\ngen z^3\n"
 KOSZUL = "vars x y\ngen x\ngen y\n"
@@ -190,6 +192,52 @@ def test_search_refusal_is_exit_two(capsys, tmp_path):
     code, _, err = run_cli(capsys, "search", str(path))
     assert code == 2
     assert "refused" in err and "--max-exhaustive" in err
+
+
+def wide_ideal_path(tmp_path, mu):
+    path = tmp_path / f"wide{mu}.ideal"
+    lines = ["vars " + " ".join(f"x{i}" for i in range(1, mu + 1))]
+    lines += [f"gen x{i}" for i in range(1, mu + 1)]
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def parser_flags():
+    """Every option string of every subcommand."""
+    flags = set()
+    for action in build_parser()._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                flags.update(sub._option_string_actions)
+    return flags
+
+
+@pytest.mark.parametrize("command", [
+    ("search",), ("analyze", "--search", "exhaustive"),
+    ("graph", "--check-props")])
+@pytest.mark.parametrize("flag", ["--jobs", "--max-exhaustive"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_bad_search_flags_are_exit_one(capsys, mixed_path, square_path,
+                                       command, flag, value):
+    path = square_path if command[0] == "graph" else mixed_path
+    code, out, err = run_cli(capsys, *command, flag, value, path)
+    assert code == 1 and out == ""
+    assert flag in err and "at least 1" in err
+
+
+def test_refusals_name_only_real_flags(capsys, tmp_path):
+    flags = parser_flags()
+    assert {"--jobs", "--max-exhaustive", "--order"} <= flags
+    refusals = [("covers", wide_ideal_path(tmp_path, 13)),
+                ("oracle-betti", wide_ideal_path(tmp_path, 13)),
+                ("complex", wide_ideal_path(tmp_path, 17)),
+                ("search", wide_ideal_path(tmp_path, 9))]
+    for command, path in refusals:
+        code, _, err = run_cli(capsys, command, path)
+        assert code == 2 and err.startswith("lyubeznik: refused:"), command
+        named = set(re.findall(r"--[A-Za-z][\w-]*", err))
+        assert named <= flags, (command, named - flags)
+        assert "pass max_generators" not in err, command
 
 
 def test_console_script_smoke(tmp_path):

@@ -260,3 +260,32 @@ def test_report_is_frozen():
     report = analyze(identity_order(KOSZUL2))
     with pytest.raises(dataclasses.FrozenInstanceError):
         report.minimal = False
+
+
+@pytest.mark.parametrize("name", ["five_gen_squarefree", "mixed_powers_xyz"])
+@pytest.mark.parametrize("mode", ["exhaustive", "courts-first"])
+def test_analyze_scans_once_and_matches_ara_bounds(monkeypatch, name, mode):
+    ideal = load_ideal(name)
+    expected = ara_bounds(ideal, mode)
+    calls = {"search_scan": 0, "taylor_betti": 0}
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    import lyubeznik.invariants as inv
+    monkeypatch.setattr(inv, "search_scan", counted(inv.search_scan))
+    monkeypatch.setattr(inv, "taylor_betti", counted(inv.taylor_betti))
+    report = analyze(identity_order(ideal), search_mode=mode)
+    assert calls["search_scan"] == 1
+    assert calls["taylor_betti"] <= 1
+    assert report.ara == expected
+
+
+def test_search_rejects_non_positive_jobs_and_chunks():
+    ideal = load_ideal("chain_three_squares")
+    for kwargs in ({"jobs": 0}, {"jobs": -3}, {"chunk_size": 0}):
+        with pytest.raises(ValueError, match="at least 1"):
+            search_scan(ideal, **kwargs)
