@@ -215,8 +215,10 @@ def _cmd_oracle_betti(args):
 def _cmd_verify(args):
     ideal = read_ideal(args.path)
     ordered = _ordered(args, ideal)
-    chain_ok = verify_chain_complex(ordered)
+    # the report raises the oracle's generator bound, so it runs first:
+    # an ideal above the bound is refused before the d^2 = 0 check
     report = verify_resolution_report(ordered, prime=_parse_field(args.field))
+    chain_ok = verify_chain_complex(ordered)
     resolves = chain_ok and all(ok for _, ok in report)
     payload = {"ideal": _ideal_payload(ideal), "order": list(ordered.order),
                "chain_complex": chain_ok,

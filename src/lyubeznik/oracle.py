@@ -15,6 +15,13 @@ complex of the induced subcomplex on V_a = {i : m_i | a} has vanishing
 reduced homology in all degrees >= 0.  Distinct multidegrees with the
 same V_a give the same subcomplex, so the work is deduplicated by V_a.
 
+Both homology computations hand ``linalg`` sparse columns: each face,
+a bitmask of generator indices, becomes a map {smaller face: +-1} over
+the deletions that stay in the family, so no dense matrix is built.
+``boundary_matrices`` keeps dense sign matrices for the d^2 = 0 check
+of the Lyubeznik complex, and ``BoundaryMatrix.compose_is_zero``
+multiplies them over their nonzero entries only.
+
 The parenthetical sign convention throughout: deleting the j-th member
 (in increasing position, 1-based) contributes (-1)^(j+1).  Matrix
 entries store only that sign; the monomial part of a boundary
@@ -32,7 +39,7 @@ from .complexes import lyubeznik_complex
 from .linalg import exact_rank, rank_mod_p
 from .monomials import BoundExceededError, Monomial, MonomialIdeal
 from .orders import OrderedIdeal
-from .subsets import indices_of, iter_bits, tables_for
+from .subsets import tables_for
 
 DEFAULT_MAX_ORACLE_GENERATORS = 12
 
@@ -54,13 +61,17 @@ class BoundaryMatrix:
         """True iff self @ next_matrix vanishes identically."""
         if self.cols != next_matrix.rows:
             raise ValueError("boundary matrices do not chain")
-        for r in range(len(self.rows)):
-            row = self.entries[r]
-            for c in range(len(next_matrix.cols)):
-                total = sum(row[k] * next_matrix.entries[k][c]
-                            for k in range(len(self.cols)))
-                if total:
-                    return False
+        # column k of self as its nonzero (row, entry) pairs
+        self_cols = [[(r, a) for r, a in enumerate(col) if a]
+                     for col in zip(*self.entries)]
+        for col in zip(*next_matrix.entries):
+            total: dict[int, int] = {}
+            for k, b in enumerate(col):
+                if b:
+                    for r, a in self_cols[k]:
+                        total[r] = total.get(r, 0) + a * b
+            if any(total.values()):
+                return False
         return True
 
 
@@ -78,8 +89,8 @@ def _boundary_levels(faces_by_size: dict[int, list[tuple[int, ...]]]
 
     ``faces_by_size[t]`` lists faces as sorted index tuples; level t maps
     to level t-1.  Deletions landing outside the family contribute no
-    entry (used for lcm-preserving strand differentials, where the
-    family is the strand basis itself).
+    entry, as in ``_strand_homology``, whose sparse columns are the
+    nonzero entries of these matrices' columns.
     """
     out = []
     sizes = sorted(faces_by_size)
@@ -101,14 +112,35 @@ def _boundary_levels(faces_by_size: dict[int, list[tuple[int, ...]]]
     return out
 
 
-def _strand_homology(faces_by_size: dict[int, list[tuple[int, ...]]],
+def _strand_homology(masks_by_size: dict[int, list[int]],
                      rank) -> dict[int, int]:
-    """Homology rank at each level: dim - rank(out) - rank(in)."""
-    matrices = {len(m.cols[0]): m for m in _boundary_levels(faces_by_size)}
-    ranks = {t: rank(m.entries) if m.rows and m.cols else 0
-             for t, m in matrices.items()}
+    """Homology rank at each level: dim - rank(out) - rank(in).
+
+    ``masks_by_size[t]`` lists the faces of size t as bitmasks.  The
+    differential out of level t is handed to ``rank`` as one sparse
+    column per face, {smaller face: sign}, keeping only the deletions
+    that land in level t-1 of the family.
+    """
+    ranks = {}
+    for t, masks in masks_by_size.items():
+        if t - 1 not in masks_by_size:
+            continue
+        below = set(masks_by_size[t - 1])
+        columns = []
+        for mask in masks:
+            column = {}
+            sign = 1
+            rest = mask
+            while rest:
+                bit = rest & -rest
+                if mask ^ bit in below:
+                    column[mask ^ bit] = sign
+                sign = -sign
+                rest ^= bit
+            columns.append(column)
+        ranks[t] = rank(columns)
     hom = {}
-    for t, basis in faces_by_size.items():
+    for t, basis in masks_by_size.items():
         h = len(basis) - ranks.get(t, 0) - ranks.get(t + 1, 0)
         if h:
             hom[t] = h
@@ -118,7 +150,7 @@ def _strand_homology(faces_by_size: dict[int, list[tuple[int, ...]]],
 def _rank_function(prime: int | None):
     if prime is None:
         return exact_rank
-    return lambda entries: rank_mod_p(entries, prime)
+    return lambda vectors: rank_mod_p(vectors, prime)
 
 
 def taylor_betti(ideal: MonomialIdeal, *,
@@ -133,17 +165,15 @@ def taylor_betti(ideal: MonomialIdeal, *,
     tables = tables_for(ideal)
     rank = _rank_function(prime)
 
-    strands: dict[tuple[int, ...], dict[int, list[tuple[int, ...]]]] = {}
+    strands: dict[tuple[int, ...], dict[int, list[int]]] = {}
     for mask in range(1, tables.size):
         exps = tables.lcm_exps[mask]
         strands.setdefault(exps, {}).setdefault(
-            bin(mask).count("1"), []).append(indices_of(mask))
+            mask.bit_count(), []).append(mask)
 
     counts: dict[tuple[int, tuple[int, ...]], int] = {
         (0, (0,) * len(ideal.context)): 1}
     for exps, by_size in strands.items():
-        for faces in by_size.values():
-            faces.sort()
         for t, h in _strand_homology(by_size, rank).items():
             counts[(t, exps)] = h
     return BettiTable.from_multigraded(QUOTIENT, ideal.context, counts)
@@ -184,11 +214,9 @@ def _acyclic(face_masks: list[int], rank) -> bool:
     Level s=0 is the empty face; homology there is H~_{-1} shifted, and
     it vanishes exactly when the complex has a vertex.
     """
-    by_size: dict[int, list[tuple[int, ...]]] = {}
+    by_size: dict[int, list[int]] = {}
     for m in face_masks:
-        by_size.setdefault(bin(m).count("1"), []).append(indices_of(m))
-    for faces in by_size.values():
-        faces.sort()
+        by_size.setdefault(m.bit_count(), []).append(m)
     return not _strand_homology(by_size, rank)
 
 

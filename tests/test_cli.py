@@ -240,6 +240,16 @@ def test_refusals_name_only_real_flags(capsys, tmp_path):
         assert "pass max_generators" not in err, command
 
 
+def test_verify_refuses_before_the_chain_check(capsys, tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr("lyubeznik.cli.verify_chain_complex",
+                        lambda ordered: calls.append(ordered) or True)
+    code, out, err = run_cli(capsys, "verify", wide_ideal_path(tmp_path, 13))
+    assert code == 2 and out == ""
+    assert err.startswith("lyubeznik: refused:")
+    assert calls == []
+
+
 def test_console_script_smoke(tmp_path):
     path = tmp_path / "koszul.ideal"
     path.write_text(KOSZUL)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from lyubeznik.linalg import exact_rank, naive_rank, rank_mod_p
+from lyubeznik.linalg import exact_rank, rank_mod_p
 
 
 def test_frozen_ranks():
@@ -59,7 +59,6 @@ matrices = st.integers(1, 4).flatmap(
 def test_rank_routes_agree(rows):
     reference = fraction_rank(rows)
     assert exact_rank(rows) == reference
-    assert naive_rank(rows) == reference
 
 
 @given(matrices, st.sampled_from([2, 3, 5, 7, 101]))
@@ -76,3 +75,62 @@ def test_rank_bounded_by_shape(rows):
 def test_large_prime_preserves_rank(rows):
     # entries stay below the prime, so no pivot can vanish mod p
     assert rank_mod_p(rows, 1_000_003) == exact_rank(rows)
+
+
+def dense_rank_mod_p(rows, p):
+    """Straight Gaussian elimination over GF(p) on dense rows."""
+    m = [[x % p for x in row] for row in rows]
+    rank = 0
+    cols = len(m[0]) if m else 0
+    for col in range(cols):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = pow(m[rank][col], -1, p)
+        for r in range(len(m)):
+            if r != rank and m[r][col]:
+                factor = m[r][col] * inv % p
+                m[r] = [(a - factor * b) % p for a, b in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+# Mostly-zero matrices up to 12x12 with small entries, so that non-unit
+# pivots (and pivots that vanish mod 2 or 3) occur.
+sparse_matrices = st.tuples(st.integers(1, 12), st.integers(1, 12)).flatmap(
+    lambda shape: st.lists(
+        st.lists(st.one_of(st.just(0), st.just(0), st.integers(-3, 3)),
+                 min_size=shape[1], max_size=shape[1]),
+        min_size=shape[0], max_size=shape[0]))
+
+
+def as_sparse_columns(rows):
+    """The columns of a dense matrix as {row: entry} maps."""
+    return [{r: row[c] for r, row in enumerate(rows) if row[c]}
+            for c in range(len(rows[0]))]
+
+
+@given(sparse_matrices)
+def test_sparse_exact_rank_matches_fractions(rows):
+    reference = fraction_rank(rows)
+    assert exact_rank(rows) == reference
+    assert exact_rank(as_sparse_columns(rows)) == reference
+
+
+@given(sparse_matrices, st.sampled_from([2, 3, 32003]))
+def test_sparse_modular_rank_matches_dense(rows, p):
+    reference = dense_rank_mod_p(rows, p)
+    assert rank_mod_p(rows, p) == reference
+    assert rank_mod_p(as_sparse_columns(rows), p) == reference
+
+
+def test_non_unit_pivots_do_not_lose_rank():
+    # every pivot is 2 or 3 and the last column needs a fraction-free
+    # combination of non-unit pivots to clear
+    columns = [{0: 2, 1: 3}, {1: 2, 2: 3}, {0: 4, 1: 12, 2: 9}]
+    assert exact_rank(columns) == 2
+    assert rank_mod_p(columns, 3) == 2
+    independent = columns[:2] + [{0: 4, 1: 12, 2: 8}]
+    assert exact_rank(independent) == 3
+    assert rank_mod_p(independent, 2) == 2

@@ -94,6 +94,22 @@ def test_compose_requires_chaining_shapes():
         a.compose_is_zero(a)
 
 
+def test_compose_detects_a_nonzero_product():
+    # same shapes as the Koszul d1, d2, but with d2's signs equal: the
+    # product is 1*1 + 1*1 = 2 in its only entry
+    d1 = BoundaryMatrix(((),), ((1,), (2,)), ((1, 1),))
+    d2 = BoundaryMatrix(((1,), (2,)), ((1, 2),), ((1,), (1,)))
+    assert not d1.compose_is_zero(d2)
+    # a cancelling pair in one column, a lone nonzero in the other
+    e1 = BoundaryMatrix(((), (9,)), ((1,), (2,), (3,)),
+                        ((1, 1, 0), (0, 0, 1)))
+    e2 = BoundaryMatrix(((1,), (2,), (3,)), ((1, 2), (1, 3)),
+                        ((-1, 0), (1, 0), (0, 1)))
+    assert not e1.compose_is_zero(e2)
+    e3 = BoundaryMatrix(e2.rows, e2.cols, ((-1, 0), (1, 0), (0, 0)))
+    assert e1.compose_is_zero(e3)
+
+
 def test_chain_complex_for_every_order_of_small_ideals():
     for name in ["triangle_edges", "chain_three_squares"]:
         ideal = load_ideal(name)

@@ -1,0 +1,97 @@
+"""Differential test of the oracle's sparse homology route.
+
+``taylor_betti`` and ``verify_resolution_report`` hand sparse columns to
+the column-reduction loop in ``linalg``.  Here both are recomputed the
+slow way: strands and induced subcomplexes are grouped from scratch,
+turned into dense sign matrices by ``oracle._boundary_levels`` and
+ranked by plain Gaussian elimination over Q or GF(p).
+"""
+
+from itertools import combinations
+
+from hypothesis import given, settings, strategies as st
+
+from lyubeznik import (OrderedIdeal, identity_order, lyubeznik_complex,
+                       taylor_betti, verify_resolution_report)
+from lyubeznik.betti import QUOTIENT, BettiTable
+from lyubeznik.corpus import all_ideals
+from lyubeznik.oracle import _boundary_levels
+
+from test_linalg import dense_rank_mod_p, fraction_rank
+from test_scan_kernel import exponent_rows, small_ideal
+
+FIELDS = (None, 2, 32003)
+
+
+def dense_rank(prime):
+    if prime is None:
+        return fraction_rank
+    return lambda rows: dense_rank_mod_p(rows, prime)
+
+
+def dense_homology(faces_by_size, rank):
+    """Homology rank per level from dense boundary matrices."""
+    ranks = {len(m.cols[0]): rank([list(r) for r in m.entries])
+             for m in _boundary_levels(faces_by_size)}
+    hom = {}
+    for t, basis in faces_by_size.items():
+        h = len(basis) - ranks.get(t, 0) - ranks.get(t + 1, 0)
+        if h:
+            hom[t] = h
+    return hom
+
+
+def dense_taylor_betti(ideal, prime):
+    strands = {}
+    for t in range(1, ideal.mu + 1):
+        for face in combinations(ideal.indices(), t):
+            exps = ideal.lcm(face).exponents
+            strands.setdefault(exps, {}).setdefault(t, []).append(face)
+    counts = {(0, (0,) * len(ideal.context)): 1}
+    for exps, by_size in strands.items():
+        for t, h in dense_homology(by_size, dense_rank(prime)).items():
+            counts[(t, exps)] = h
+    return BettiTable.from_multigraded(QUOTIENT, ideal.context, counts)
+
+
+def dense_report(ordered):
+    """(exponents, acyclic) per lcm-lattice multidegree, over Q."""
+    ideal = ordered.ideal
+    faces = [tuple(sorted(f)) for f in lyubeznik_complex(ordered).faces]
+    lattice = {ideal.lcm(face).exponents
+               for t in range(1, ideal.mu + 1)
+               for face in combinations(ideal.indices(), t)}
+    report = []
+    for exps in sorted(lattice, key=lambda e: (sum(e), e)):
+        vset = {i for i in ideal.indices()
+                if all(a <= b for a, b in zip(ideal.gen(i).exponents, exps))}
+        by_size = {}
+        for face in sorted(faces):
+            if set(face) <= vset:
+                by_size.setdefault(len(face), []).append(face)
+        report.append((exps, not dense_homology(by_size, fraction_rank)))
+    return report
+
+
+def check_against_dense(ideal):
+    for prime in FIELDS:
+        assert taylor_betti(ideal, prime=prime) == \
+            dense_taylor_betti(ideal, prime), prime
+    orders = [identity_order(ideal),
+              OrderedIdeal(ideal, tuple(reversed(ideal.indices())))]
+    for ordered in orders:
+        report = [(m.exponents, ok)
+                  for m, ok in verify_resolution_report(ordered)]
+        assert report == dense_report(ordered), ordered.order
+
+
+def test_corpus_matches_dense_route():
+    for name, ideal in all_ideals():
+        if ideal.mu <= 12:
+            check_against_dense(ideal)
+
+
+@settings(max_examples=30)
+@given(st.integers(2, 4).flatmap(exponent_rows))
+def test_random_ideals_match_dense_route(rows):
+    check_against_dense(small_ideal(rows, max_mu=7))
