@@ -22,7 +22,7 @@ from .invariants import (AraBounds, EquivalenceAudit, InvariantReport,
                          betti_from_preserved, equivalence_audit, height,
                          is_almost_lyubeznik, is_lyubeznik,
                          is_minimal_resolution, is_totally_lyubeznik,
-                         l_length, min_l_length, min_ps, obstruction,
+                         l_length, min_l_length, obstruction,
                          preserved_size, search_scan, total_obstruction)
 from .monomials import (BoundExceededError, MinimizationWarning, Monomial,
                         MonomialIdeal, ParseError, VariableContext, divides,
@@ -56,7 +56,7 @@ __all__ = [
     "is_cover_of", "is_lyubeznik", "is_minimal_resolution", "is_preserved",
     "is_stable_symbol", "is_totally_lyubeznik", "l_length", "lcm_of",
     "load_graph", "load_ideal", "longest_path_edges", "lyubeznik_complex",
-    "m_minimal_covers", "min_l_length", "min_ps", "minimize_generators",
+    "m_minimal_covers", "min_l_length", "minimize_generators",
     "obstruction", "order_count", "orders_for_search", "parse_graph",
     "parse_ideal", "parse_order", "possible_courts", "preserved_size",
     "projdim_oracle", "radical_generators", "radical_ideal", "read_graph",

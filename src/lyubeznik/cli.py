@@ -185,7 +185,7 @@ def _cmd_search(args):
     lyubeznik = True if scan.tobsl == 0 else (False if scan.exact else None)
     payload = {"ideal": _ideal_payload(ideal), "mode": scan.mode,
                "exact": scan.exact, "scanned": scan.scanned,
-               "tobsL": scan.tobsl, "L": scan.min_l, "ps_min": scan.min_ps,
+               "tobsL": scan.tobsl, "L": scan.min_l, "ps_min": scan.min_l,
                "lyubeznik": lyubeznik, "witness": list(scan.tobsl_witness),
                "minimal_orders": scan.minimal_count}
     lines = [f"ideal: {ideal}",
@@ -193,7 +193,7 @@ def _cmd_search(args):
              f"{scan.scanned} orders)",
              f"total obstruction: {scan.tobsl}",
              f"min resolution length: {scan.min_l}",
-             f"min preserved size: {scan.min_ps}",
+             f"min preserved size: {scan.min_l}",
              f"lyubeznik: {_verdict_text(lyubeznik)}",
              "witness order: (" + ",".join(map(str, scan.tobsl_witness)) + ")",
              f"minimal orders: {scan.minimal_count}/{scan.scanned}"]

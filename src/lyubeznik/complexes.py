@@ -38,9 +38,14 @@ from .subsets import indices_of, iter_bits, mask_of, tables_for
 
 
 class _OrderAnalysis:
-    """Per-order tables: min rank, court, and the preserved-set DP."""
+    """Per-order tables: the court of every subset and the preserved-set DP.
 
-    __slots__ = ("tables", "minrank", "court", "preserved")
+    ``court`` is the order's one broken-set table: ``court[mask]`` is
+    nonzero exactly when the subset is broken.  Every per-order consumer
+    reads it rather than recomputing minimum ranks.
+    """
+
+    __slots__ = ("tables", "court", "preserved")
 
     def __init__(self, ordered: OrderedIdeal) -> None:
         tables = tables_for(ordered.ideal)
@@ -54,7 +59,6 @@ class _OrderAnalysis:
             r = rank[low.bit_length() - 1]
             rest_min = minrank[mask ^ low]
             minrank[mask] = r if r < rest_min else rest_min
-        self.minrank = minrank
 
         # court[mask]: the least court of the subset, 0 if not broken
         court = [0] * size
@@ -224,17 +228,19 @@ class SubsetClass(Enum):
     UNPRESERVED_NONCOVER = "UnpreservedNonCover"
 
 
+def _subset_class(analysis: _OrderAnalysis, mask: int) -> SubsetClass:
+    cover = analysis.tables.covered_mask[mask] != 0
+    if analysis.preserved[mask]:
+        return SubsetClass.PRESERVED_COVER if cover else SubsetClass.PRESERVED_NONCOVER
+    return SubsetClass.UNPRESERVED_COVER if cover else SubsetClass.UNPRESERVED_NONCOVER
+
+
 def classify_subset(subset: Iterable[int], ordered: OrderedIdeal) -> SubsetClass:
     """The unique class of a non-empty subset."""
     mask = mask_of(subset)
     if mask == 0:
         raise ValueError("classification applies to non-empty subsets")
-    analysis = order_analysis(ordered)
-    preserved = analysis.preserved[mask]
-    cover = analysis.tables.covered_mask[mask] != 0
-    if preserved:
-        return SubsetClass.PRESERVED_COVER if cover else SubsetClass.PRESERVED_NONCOVER
-    return SubsetClass.UNPRESERVED_COVER if cover else SubsetClass.UNPRESERVED_NONCOVER
+    return _subset_class(order_analysis(ordered), mask)
 
 
 def classification_census(ordered: OrderedIdeal) -> dict[int, dict[SubsetClass, int]]:
@@ -244,14 +250,7 @@ def classification_census(ordered: OrderedIdeal) -> dict[int, dict[SubsetClass, 
     census: dict[int, dict[SubsetClass, int]] = {
         t: {cls: 0 for cls in SubsetClass} for t in range(1, mu + 1)}
     for mask in range(1, analysis.tables.size):
-        size = bin(mask).count("1")
-        preserved = analysis.preserved[mask]
-        cover = analysis.tables.covered_mask[mask] != 0
-        if preserved:
-            cls = SubsetClass.PRESERVED_COVER if cover else SubsetClass.PRESERVED_NONCOVER
-        else:
-            cls = SubsetClass.UNPRESERVED_COVER if cover else SubsetClass.UNPRESERVED_NONCOVER
-        census[size][cls] += 1
+        census[mask.bit_count()][_subset_class(analysis, mask)] += 1
     return census
 
 

@@ -8,10 +8,15 @@ any C collects every generator dividing lcm(C).  Two refinements:
 * M-minimal: no cover of anything has an lcm properly dividing lcm(C)
   (minimal in multidegree).
 
-The E-minimal covers, collected over all generators and deduplicated by
-member set, form the edge set of a clutter (an antichain of subsets);
-an order on the generators orients it.  Downstream, an order gives a
-minimal resolution exactly when none of these edges is preserved.
+The E-minimal covers of every generator are found together, in one
+pass over the subset masks, and kept in one lru-cached table per ideal
+(``cover_table``): the covers of each generator, their union, and the
+inclusion-minimal members of the union.  Those minimal sets form the
+edge set of a clutter (an antichain of subsets); an order on the
+generators orients it.  ``e_minimal_covers_of``, ``cover_clutter`` and
+the minimality tests, obstruction and order scanner of ``invariants``
+all read this one table.  Downstream, an order gives a minimal
+resolution exactly when none of these sets is preserved.
 
 Enumeration walks all 2^mu subsets via the shared bitmask tables, which
 is exact and fast at the sizes this package targets; it refuses above
@@ -22,6 +27,8 @@ to lift it, up to the table bound; the command line has no such option).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import Iterable
 
 from .monomials import BoundExceededError, MonomialIdeal
 from .orders import OrderedIdeal
@@ -84,7 +91,7 @@ def complete_cover(members, ideal: MonomialIdeal) -> frozenset[int]:
     return frozenset(indices_of(tables_for(ideal).divisor_mask[mask]))
 
 
-def _canonical(covers: list[int], ideal: MonomialIdeal) -> tuple[Cover, ...]:
+def _canonical(covers: Iterable[int], ideal: MonomialIdeal) -> tuple[Cover, ...]:
     ordered = sorted(covers, key=lambda m: (bin(m).count("1"), indices_of(m)))
     return tuple(_cover_at(m, ideal) for m in ordered)
 
@@ -100,29 +107,68 @@ def covers_of(u: int, ideal: MonomialIdeal, *,
     return _canonical(found, ideal)
 
 
-def _e_minimal_masks_of(u: int, ideal: MonomialIdeal) -> list[int]:
-    tables = tables_for(ideal)
-    bit = 1 << (u - 1)
-    out = []
-    for mask in range(tables.size):
-        if not (mask & bit and tables.covered_mask[mask] & bit):
-            continue
-        # covers of u are upward closed, so dropping one element at a
-        # time detects any covering proper subset
-        for b in iter_bits(mask ^ bit):
-            if tables.covered_mask[mask ^ (1 << b)] & bit:
-                break
-        else:
-            out.append(mask)
-    return out
+class _CoverTable:
+    """The E-minimal covers of one ideal, found in one pass over the masks.
+
+    ``by_generator[u - 1]`` holds the masks of the E-minimal covers of
+    generator u, ``eminimal`` their union, and ``clutter`` the
+    inclusion-minimal members of the union; all ascend by mask.
+    Obstruction sizes are measured on the clutter; whether some member
+    is preserved is the same question on either, because subsets of
+    preserved sets are preserved.
+    """
+
+    __slots__ = ("by_generator", "eminimal", "clutter")
+
+    def __init__(self, ideal: MonomialIdeal) -> None:
+        tables = tables_for(ideal)
+        covered = tables.covered_mask
+        by_generator: list[list[int]] = [[] for _ in range(tables.mu)]
+        eminimal = []
+        for mask in range(1, tables.size):
+            left = covered[mask]
+            # covers of u are upward closed, so u stays E-minimal in the
+            # mask unless a one-smaller subset still covers it
+            for b in iter_bits(mask):
+                if not left:
+                    break
+                left &= ~covered[mask ^ (1 << b)]
+            if left:
+                eminimal.append(mask)
+                for b in iter_bits(left):
+                    by_generator[b].append(mask)
+        # an E-minimal cover of one generator may strictly contain one of
+        # another; by size, each set need only be tested against the
+        # minimal sets kept so far
+        clutter: list[int] = []
+        for mask in sorted(eminimal, key=int.bit_count):
+            if not any(k & mask == k for k in clutter):
+                clutter.append(mask)
+        self.by_generator = tuple(map(tuple, by_generator))
+        self.eminimal = tuple(eminimal)
+        self.clutter = tuple(sorted(clutter))
+
+
+@lru_cache(maxsize=128)
+def _cover_table(ideal: MonomialIdeal) -> _CoverTable:
+    return _CoverTable(ideal)
+
+
+def cover_table(ideal: MonomialIdeal, *,
+                max_generators: int = MAX_ENUMERATION_GENERATORS) -> _CoverTable:
+    """The ideal's E-minimal cover table, refused above ``max_generators``."""
+    _check_enumeration_bound(ideal, max_generators)
+    return _cover_table(ideal)
 
 
 def e_minimal_covers_of(u: int, ideal: MonomialIdeal, *,
                         max_generators: int = MAX_ENUMERATION_GENERATORS
                         ) -> tuple[Cover, ...]:
     """Covers of u with no proper subset covering u."""
-    _check_enumeration_bound(ideal, max_generators)
-    return _canonical(_e_minimal_masks_of(u, ideal), ideal)
+    table = cover_table(ideal, max_generators=max_generators)
+    if not 1 <= u <= ideal.mu:
+        raise ValueError(f"generator {u} is not in 1..{ideal.mu}")
+    return _canonical(table.by_generator[u - 1], ideal)
 
 
 def m_minimal_covers(ideal: MonomialIdeal, *,
@@ -172,15 +218,6 @@ def cover_clutter(ordered: OrderedIdeal, *,
                   max_generators: int = MAX_ENUMERATION_GENERATORS
                   ) -> OrientedClutter:
     """The oriented clutter of all E-minimal covers of the ideal."""
-    ideal = ordered.ideal
-    _check_enumeration_bound(ideal, max_generators)
-    masks: set[int] = set()
-    for u in ideal.indices():
-        masks.update(_e_minimal_masks_of(u, ideal))
-    # deduplicated by member set; drop any set containing another so the
-    # clutter invariant holds even if E-minimality alone did not give an
-    # antichain
-    kept = [m for m in masks
-            if not any(other != m and other & m == other for other in masks)]
-    edges = frozenset(frozenset(indices_of(m)) for m in kept)
-    return OrientedClutter(ordered, edges)
+    table = cover_table(ordered.ideal, max_generators=max_generators)
+    return OrientedClutter(
+        ordered, frozenset(frozenset(indices_of(m)) for m in table.clutter))

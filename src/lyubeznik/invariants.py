@@ -7,10 +7,13 @@ disagreement raises ``RuntimeError`` rather than silently trusting
 either side:
 
 * minimality: every facet of the complex is stable, versus no
-  E-minimal cover is preserved;
+  E-minimal cover (read from the ideal's cover table in ``covers``) is
+  preserved;
 * length: largest face of the complex (downward-closed DP), versus the
   largest preserved set found by up-closing the broken sets with a
-  subset-sum transform.
+  subset-sum transform.  Both routes read the order's one broken-set
+  table, ``order_analysis(ordered).court``, as the scanner's two routes
+  share one broken array.
 
 Order searches (total obstruction, minimal length, Lyubeznik /
 almost / totally Lyubeznik classification) scan permutation words in
@@ -40,43 +43,17 @@ import numpy as np
 
 from .betti import QUOTIENT, BettiTable
 from .complexes import is_stable_symbol, lyubeznik_complex, order_analysis, symbol_of
-from .covers import e_minimal_covers_of
+from .covers import cover_table
 from .monomials import MonomialIdeal, radical_ideal, support
 from .oracle import taylor_betti
 from .orders import (DEFAULT_MAX_EXHAUSTIVE, OrderedIdeal, orders_for_search)
-from .subsets import iter_bits, mask_of, tables_for
+from .subsets import iter_bits, tables_for
 
 DEFAULT_CHUNK = 4096
 
 
 class NotMinimalError(ValueError):
     """Preserved-set counts were requested for a non-minimal resolution."""
-
-
-@lru_cache(maxsize=128)
-def _eminimal_cover_masks(ideal: MonomialIdeal) -> tuple[int, ...]:
-    """Bitmasks of all E-minimal covers (of any covered generator)."""
-    masks = set()
-    for u in ideal.indices():
-        for cover in e_minimal_covers_of(u, ideal):
-            masks.add(mask_of(cover.members))
-    return tuple(sorted(masks))
-
-
-@lru_cache(maxsize=128)
-def _clutter_masks(ideal: MonomialIdeal) -> tuple[int, ...]:
-    """Bitmasks of the E-minimal cover clutter: inclusion-minimal covers.
-
-    An E-minimal cover of one generator may strictly contain an
-    E-minimal cover of another; the clutter keeps only the minimal
-    sets.  Obstruction sizes are measured on the clutter, while the
-    yes/no question "is some cover preserved" is insensitive to the
-    difference because subsets of preserved sets are preserved.
-    """
-    masks = _eminimal_cover_masks(ideal)
-    return tuple(m for m in masks
-                 if not any(other != m and other & m == other
-                            for other in masks))
 
 
 # ---------------------------------------------------------------------------
@@ -91,12 +68,12 @@ def is_minimal_resolution(ordered: OrderedIdeal) -> bool:
     Both are computed and must agree.
     """
     ideal = ordered.ideal
+    eminimal = cover_table(ideal).eminimal
+    analysis = order_analysis(ordered)
+    via_covers = not any(analysis.preserved[m] for m in eminimal)
     complex_ = lyubeznik_complex(ordered)
     via_facets = all(is_stable_symbol(symbol_of(f, ordered), ideal)
                      for f in complex_.facets)
-    analysis = order_analysis(ordered)
-    via_covers = not any(analysis.preserved[m]
-                         for m in _eminimal_cover_masks(ideal))
     if via_facets != via_covers:
         raise RuntimeError(
             "internal disagreement: facet stability says "
@@ -106,44 +83,35 @@ def is_minimal_resolution(ordered: OrderedIdeal) -> bool:
 
 def obstruction(ordered: OrderedIdeal) -> int:
     """Largest preserved element of the E-minimal cover clutter, else 0."""
-    analysis = order_analysis(ordered)
-    sizes = [bin(m).count("1") for m in _clutter_masks(ordered.ideal)
-             if analysis.preserved[m]]
-    return max(sizes, default=0)
+    clutter = cover_table(ordered.ideal).clutter
+    preserved = order_analysis(ordered).preserved
+    return max((m.bit_count() for m in clutter if preserved[m]), default=0)
 
 
 def l_length(ordered: OrderedIdeal) -> int:
     """Length of the Lyubeznik resolution: the largest face size."""
-    return max(len(f) for f in lyubeznik_complex(ordered).faces)
+    preserved = order_analysis(ordered).preserved
+    return max(m.bit_count() for m, face in enumerate(preserved) if face)
 
 
 def preserved_size(ordered: OrderedIdeal) -> int:
     """Largest preserved subset, computed without the face machinery.
 
-    Broken sets are found directly from the subset tables, then closed
-    upward with a bitwise subset-sum transform; the answer is the
-    largest subset that never lands in the closure.  Must equal
-    ``l_length`` (checked wholesale by the test suite and per order by
-    the search scanner).
+    The broken sets (the order's court table) are closed upward with a
+    bitwise subset-sum transform; the answer is the largest subset that
+    never lands in the closure.  Must equal ``l_length``, which reads
+    the face DP over the same court table (checked wholesale by the
+    test suite and per order by the search scanner).
     """
-    tables = tables_for(ordered.ideal)
-    mu = tables.mu
-    rank = ordered.rank
-
-    def minrank(mask: int) -> int:
-        return min(rank(b + 1) for b in iter_bits(mask))
-
-    bad = bytearray(tables.size)
-    for mask in range(1, tables.size):
-        out = tables.outside_mask[mask]
-        if out and minrank(out) < minrank(mask):
-            bad[mask] = 1
-    for b in range(mu):
+    analysis = order_analysis(ordered)
+    size = analysis.tables.size
+    bad = bytearray(map(bool, analysis.court))
+    for b in range(analysis.tables.mu):
         bit = 1 << b
-        for mask in range(tables.size):
+        for mask in range(size):
             if mask & bit and bad[mask ^ bit]:
                 bad[mask] = 1
-    return max(bin(m).count("1") for m in range(tables.size) if not bad[m])
+    return max(m.bit_count() for m in range(size) if not bad[m])
 
 
 def betti_from_preserved(ordered: OrderedIdeal) -> BettiTable:
@@ -196,25 +164,20 @@ def equivalence_audit(ordered: OrderedIdeal) -> EquivalenceAudit:
     reaches below min(D) — for the E-minimal variant, additionally via
     some v for which D plus v is an E-minimal cover of v.
     """
-    ideal = ordered.ideal
-    tables = tables_for(ideal)
+    emin_masks = cover_table(ordered.ideal).eminimal
     analysis = order_analysis(ordered)
-    rank = ordered.rank
-
-    def minrank(mask: int) -> int:
-        return min(rank(b + 1) for b in iter_bits(mask))
-
+    tables = analysis.tables
     cover_masks = [m for m in range(1, tables.size) if tables.covered_mask[m]]
-    emin_masks = _eminimal_cover_masks(ideal)
     emin_set = frozenset(emin_masks)
 
     def has_low_subset(cover: int, eminimal: bool) -> bool:
         sub = cover
         while sub:
-            out = tables.outside_mask[sub]
-            if out and minrank(out) < minrank(sub):
+            # a court of sub is an outside divisor ranked below min(sub)
+            if analysis.court[sub]:
                 if not eminimal:
                     return True
+                out = tables.outside_mask[sub]
                 if any(sub | (1 << v) in emin_set for v in iter_bits(out)):
                     return True
             sub = (sub - 1) & cover
@@ -254,8 +217,6 @@ class SearchResult:
     tobsl_witness: tuple[int, ...]
     min_l: int
     min_l_witness: tuple[int, ...]
-    min_ps: int
-    min_ps_witness: tuple[int, ...]
     minimal_count: int
     nonminimal_witness: tuple[int, ...] | None
 
@@ -295,7 +256,7 @@ class _ScanPlan:
                  for m in natural[start:stop]], np.intp).reshape(stop - start, k))
             start = stop
         by_size: dict[int, list[int]] = {}
-        for m in _clutter_masks(ideal):
+        for m in cover_table(ideal).clutter:
             by_size.setdefault(sizes[m], []).append(position[m])
         self.clutter = [(k, np.array(rows, np.intp))
                         for k, rows in sorted(by_size.items())]
@@ -409,8 +370,7 @@ def _scan_words(ideal: MonomialIdeal, words: Sequence[tuple[int, ...]] | np.ndar
 
 class _Agg:
     __slots__ = ("scanned", "tobsl", "tobsl_witness", "min_l", "min_l_witness",
-                 "min_ps", "min_ps_witness", "minimal_count",
-                 "nonminimal_witness")
+                 "minimal_count", "nonminimal_witness")
 
     def __init__(self) -> None:
         self.scanned = 0
@@ -418,8 +378,6 @@ class _Agg:
         self.tobsl_witness = None
         self.min_l = None
         self.min_l_witness = None
-        self.min_ps = None
-        self.min_ps_witness = None
         self.minimal_count = 0
         self.nonminimal_witness = None
 
@@ -439,8 +397,6 @@ def _merge(agg: _Agg, words: np.ndarray,
     if agg.min_l is None or int(lengths[j]) < agg.min_l:
         agg.min_l = int(lengths[j])
         agg.min_l_witness = tuple(words[j].tolist())
-        agg.min_ps = agg.min_l
-        agg.min_ps_witness = agg.min_l_witness
     if agg.nonminimal_witness is None and not minimal.all():
         agg.nonminimal_witness = tuple(words[int(np.argmin(minimal))].tolist())
 
@@ -518,7 +474,6 @@ def search_scan(ideal: MonomialIdeal, mode: str = "exhaustive", *,
         mode=mode, exact=exact, scanned=agg.scanned, stopped_early=stopped,
         tobsl=agg.tobsl, tobsl_witness=agg.tobsl_witness,
         min_l=agg.min_l, min_l_witness=agg.min_l_witness,
-        min_ps=agg.min_ps, min_ps_witness=agg.min_ps_witness,
         minimal_count=agg.minimal_count,
         nonminimal_witness=agg.nonminimal_witness)
 
@@ -546,15 +501,6 @@ def min_l_length(ideal: MonomialIdeal, search_mode: str = "exhaustive", *,
     scan = search_scan(ideal, search_mode, max_exhaustive=max_exhaustive,
                        force=force, jobs=jobs)
     return scan.min_l, OrderedIdeal(ideal, scan.min_l_witness)
-
-
-def min_ps(ideal: MonomialIdeal, search_mode: str = "exhaustive", *,
-           max_exhaustive: int = DEFAULT_MAX_EXHAUSTIVE,
-           force: bool = False, jobs: int = 1) -> tuple[int, OrderedIdeal]:
-    """Minimum preserved size over the searched orders, with witness."""
-    scan = search_scan(ideal, search_mode, max_exhaustive=max_exhaustive,
-                       force=force, jobs=jobs)
-    return scan.min_ps, OrderedIdeal(ideal, scan.min_ps_witness)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
 """Independent homology oracle for Betti numbers and resolution checks.
 
-Nothing in this module trusts the preserved-set machinery.  Betti
-numbers of R/I are read off the Taylor complex: for a multidegree a in
-the lcm-lattice, the degree-a strand of (Taylor ⊗ K) has basis
+The Betti numbers trust nothing of the preserved-set machinery.  Those
+of R/I are read off the Taylor complex: for a multidegree a in the
+lcm-lattice, the degree-a strand of (Taylor ⊗ K) has basis
 {S ⊆ G(I) : lcm(S) = a} graded by |S|, and the differential keeps
 exactly the deletions that do not change the lcm (all other
 coefficients land in the maximal ideal and die in K).  beta_{i,a}(R/I)
@@ -14,6 +14,8 @@ modules indexed by faces is exact in degree a iff the simplicial chain
 complex of the induced subcomplex on V_a = {i : m_i | a} has vanishing
 reduced homology in all degrees >= 0.  Distinct multidegrees with the
 same V_a give the same subcomplex, so the work is deduplicated by V_a.
+The faces under test are read as masks straight from the order's
+preserved-set table (``complexes.order_analysis``).
 
 Both homology computations hand ``linalg`` sparse columns: each face,
 a bitmask of generator indices, becomes a map {smaller face: +-1} over
@@ -35,11 +37,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .betti import QUOTIENT, BettiTable
-from .complexes import lyubeznik_complex
+from .complexes import order_analysis
 from .linalg import exact_rank, rank_mod_p
 from .monomials import BoundExceededError, Monomial, MonomialIdeal
 from .orders import OrderedIdeal
-from .subsets import tables_for
+from .subsets import indices_of, tables_for
 
 DEFAULT_MAX_ORACLE_GENERATORS = 12
 
@@ -187,16 +189,22 @@ def projdim_oracle(ideal: MonomialIdeal, *,
                         prime=prime).projective_dimension
 
 
+def _face_masks(ordered: OrderedIdeal) -> list[int]:
+    """The faces of the Lyubeznik complex as ascending subset masks."""
+    return [m for m, face in enumerate(order_analysis(ordered).preserved)
+            if face]
+
+
 def boundary_matrices(ordered: OrderedIdeal) -> list[BoundaryMatrix]:
     """Differentials of the Lyubeznik complex, one per face size.
 
     Faces are written with members in increasing rank, matching the sign
     convention of the resolution differential.
     """
-    complex_ = lyubeznik_complex(ordered)
     by_size: dict[int, list[tuple[int, ...]]] = {}
-    for face in complex_.faces:
-        by_size.setdefault(len(face), []).append(ordered.sorted_by_rank(face))
+    for mask in _face_masks(ordered):
+        by_size.setdefault(mask.bit_count(), []).append(
+            ordered.sorted_by_rank(indices_of(mask)))
     for faces in by_size.values():
         faces.sort(key=lambda f: tuple(ordered.rank(i) for i in f))
     return _boundary_levels(by_size)
@@ -242,9 +250,7 @@ def verify_resolution_report(ordered: OrderedIdeal, *,
     _check_bound(ideal, max_generators)
     tables = tables_for(ideal)
     rank = _rank_function(prime)
-    complex_ = lyubeznik_complex(ordered)
-    face_masks = sorted(
-        sum(1 << (i - 1) for i in face) for face in complex_.faces)
+    face_masks = _face_masks(ordered)
 
     lattice: dict[tuple[int, ...], int] = {}
     for mask in range(1, tables.size):

@@ -9,14 +9,15 @@ witness orders are reproducible and searches can be partitioned into
 disjoint prefix blocks.  Exhaustive enumeration is refused above a
 threshold (mu! grows fast); the courts-first stream is the documented
 heuristic alternative: it yields only the orders in which every
-"possible court" precedes every non-court.
+"possible court" precedes every non-court.  A search refuses that
+stream too when it is longer than the exhaustive threshold allows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice, permutations
+from itertools import permutations
 from math import factorial
 from typing import Iterable, Iterator
 
@@ -160,17 +161,24 @@ def orders_for_search(ideal: MonomialIdeal, mode: str, *,
     Words come in the same lexicographic order as ``all_orders`` and
     ``courts_first_orders``, without an ``OrderedIdeal`` per word.  The
     courts-first stream is flagged exact when it coincides with the
-    full stream (P empty or P = G(I)).
+    full stream (P empty or P = G(I)).  Either stream is refused when it
+    is longer than ``max_exhaustive``! orders, unless ``force`` is set.
     """
     if mode == "exhaustive":
         return _exhaustive_words(ideal, max_exhaustive=max_exhaustive,
                                  force=force), True
     if mode == "courts-first":
+        mu = ideal.mu
         p = len(possible_courts(ideal))
-        return _courts_first_words(ideal), p in (0, ideal.mu)
+        count = factorial(p) * factorial(mu - p)
+        # no stream is longer than mu!, so only mu > max_exhaustive can refuse
+        if mu > max_exhaustive and count > factorial(max_exhaustive) \
+                and not force:
+            raise BoundExceededError(
+                f"courts-first search over {p}! * {mu - p}! = {count} orders "
+                f"exceeds the threshold of {max_exhaustive}! = "
+                f"{factorial(max_exhaustive)} orders; raise --max-exhaustive "
+                "(or force=True)")
+        return _courts_first_words(ideal), p in (0, mu)
     raise ValueError(f"unknown search mode {mode!r}")
 
-
-def order_block(ideal: MonomialIdeal, start: int, stop: int) -> list[tuple[int, ...]]:
-    """Permutation words [start, stop) in lexicographic position order."""
-    return list(islice(permutations(range(1, ideal.mu + 1)), start, stop))

@@ -194,6 +194,25 @@ def test_search_refusal_is_exit_two(capsys, tmp_path):
     assert "refused" in err and "--max-exhaustive" in err
 
 
+def cycle_ideal_path(tmp_path, n):
+    path = tmp_path / f"cycle{n}.ideal"
+    lines = ["vars " + " ".join(f"x{i}" for i in range(1, n + 1))]
+    lines += [f"gen x{i}*x{i % n + 1}" for i in range(1, n + 1)]
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("n,flags", [(5, ("--max-exhaustive", "4")), (10, ())])
+def test_courts_first_search_refuses_long_streams(capsys, tmp_path, n, flags):
+    # every edge of a cycle is a possible court, so the courts-first
+    # stream is all n! orders; C10 must be refused before any scan
+    code, out, err = run_cli(capsys, "search", "--search", "courts-first",
+                             *flags, cycle_ideal_path(tmp_path, n))
+    assert code == 2 and out == ""
+    assert err.startswith("lyubeznik: refused:")
+    assert "--max-exhaustive" in err
+
+
 def wide_ideal_path(tmp_path, mu):
     path = tmp_path / f"wide{mu}.ideal"
     lines = ["vars " + " ".join(f"x{i}" for i in range(1, mu + 1))]

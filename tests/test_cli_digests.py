@@ -1,0 +1,82 @@
+"""Golden outputs: every subcommand's JSON on every corpus ideal and graph.
+
+Each case runs ``lyubeznik.cli.main`` with ``--format json`` and compares
+the exit code and the sha256 of stdout with ``data/cli_digests.json``.
+The digests pin output bytes, so a refactor that keeps behaviour leaves
+them untouched.  After an intended change of output, rewrite the file
+with ``PYTHONPATH=src python tests/test_cli_digests.py`` and review the
+diff.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import warnings
+from pathlib import Path
+
+import pytest
+
+from lyubeznik.cli import main
+from lyubeznik.corpus import _data_dir, graph_names, ideal_names
+
+DIGESTS = Path(__file__).parent / "data" / "cli_digests.json"
+
+IDEAL_COMMANDS = (
+    ("covers",),
+    ("complex",),
+    ("analyze",),
+    ("analyze", "--search", "exhaustive"),
+    ("search",),
+    ("search", "--search", "courts-first"),
+    ("oracle-betti",),
+    ("verify",),
+    ("radical-gens",),
+)
+GRAPH_COMMANDS = (("graph", "--edge-ideal", "--check-props"),)
+
+
+def cases() -> list[tuple[str, tuple[str, ...], str]]:
+    """(key, subcommand words, corpus file name) of every golden case."""
+    out = []
+    for words in IDEAL_COMMANDS:
+        out += [(" ".join(words + (name,)), words, f"{name}.ideal")
+                for name in ideal_names()]
+    for words in GRAPH_COMMANDS:
+        out += [(" ".join(words + (name,)), words, f"{name}.graph")
+                for name in graph_names()]
+    return out
+
+
+def run_case(words: tuple[str, ...], filename: str) -> str:
+    """'<exit code> <sha256 of stdout>' of one JSON run."""
+    path = str(_data_dir() / filename)
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = main([words[0], "--format", "json", *words[1:], path])
+    digest = hashlib.sha256(stdout.getvalue().encode()).hexdigest()
+    return f"{code} {digest}"
+
+
+@pytest.fixture(scope="module")
+def recorded():
+    return json.loads(DIGESTS.read_text())
+
+
+def test_every_case_is_recorded(recorded):
+    assert sorted(recorded) == sorted(key for key, _, _ in cases())
+
+
+@pytest.mark.parametrize("key,words,filename", cases(),
+                         ids=[key for key, _, _ in cases()])
+def test_json_output_matches_recorded_digest(recorded, key, words, filename):
+    assert run_case(words, filename) == recorded[key]
+
+
+if __name__ == "__main__":
+    table = {key: run_case(words, filename) for key, words, filename in cases()}
+    DIGESTS.parent.mkdir(exist_ok=True)
+    DIGESTS.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(table)} digests to {DIGESTS}", file=sys.stderr)

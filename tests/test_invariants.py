@@ -32,7 +32,6 @@ from lyubeznik import (
     load_graph,
     load_ideal,
     min_l_length,
-    min_ps,
     obstruction,
     parse_ideal,
     preserved_size,
@@ -80,7 +79,6 @@ def test_search_aggregates():
         assert (scan.tobsl, scan.min_l, scan.minimal_count,
                 scan.scanned, scan.nonminimal_witness) == (
                     tobsl, min_l, count, scanned, nonmin), name
-        assert scan.min_ps == scan.min_l
 
 
 def test_witnesses_are_lex_least():
@@ -125,13 +123,28 @@ def test_search_respects_generator_bound():
     assert search_scan(ideal, max_exhaustive=4, force=True).scanned == 120
 
 
+def test_courts_first_search_respects_the_same_bound():
+    # every edge of the 5-cycle is a possible court, so the courts-first
+    # stream is all 5! = 120 orders
+    ideal = load_ideal("pentagon_edges")
+    with pytest.raises(BoundExceededError, match="--max-exhaustive"):
+        search_scan(ideal, "courts-first", max_exhaustive=4)
+    scan = search_scan(ideal, "courts-first", max_exhaustive=4, force=True)
+    assert scan.exact and scan.scanned == 120
+    assert search_scan(ideal, "courts-first", max_exhaustive=5).scanned == 120
+    # a short courts-first stream passes a bound that exhaustive fails:
+    # mixed_powers_xyz has 2 possible courts, so 2! * 3! = 12 <= 4! orders
+    scan = search_scan(load_ideal("mixed_powers_xyz"), "courts-first",
+                       max_exhaustive=4)
+    assert not scan.exact and scan.scanned == 12
+
+
 def test_convenience_searches():
     ideal = load_ideal("mixed_powers_xyz")
     tobsl, witness = total_obstruction(ideal)
     assert tobsl == 0 and obstruction(witness) == 0
     best, at = min_l_length(ideal)
     assert best == 3 and l_length(at) == 3
-    assert min_ps(ideal)[0] == 3
 
 
 def test_betti_from_preserved_requires_minimality():

@@ -6,7 +6,7 @@ from lyubeznik import (BoundExceededError, OrderedIdeal, all_orders,
                        courts_first_orders, divides, identity_order, lcm_of,
                        load_ideal, order_count, orders_for_search, parse_order,
                        possible_courts)
-from lyubeznik.orders import min_of, order_block
+from lyubeznik.orders import min_of
 
 
 def test_ordered_ideal_validates_permutation():
@@ -117,10 +117,3 @@ def test_orders_for_search_modes():
     assert not exact and sum(1 for _ in stream) == 12
     with pytest.raises(ValueError):
         orders_for_search(ideal, "simulated-annealing")
-
-
-def test_order_block():
-    ideal = load_ideal("powers_chain")
-    block = order_block(ideal, 6, 9)
-    full = sorted(permutations(range(1, 5)))
-    assert block == full[6:9]

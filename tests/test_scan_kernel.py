@@ -68,7 +68,6 @@ def check_both_modes(ideal):
             scan = search_scan(ideal, mode, force=True, chunk_size=chunk)
             assert not scan.stopped_early
             assert scan_aggregates(scan) == expected, (mode, chunk)
-            assert scan.min_ps == scan.min_l
 
 
 def test_scanner_matches_brute_force_on_the_corpus():

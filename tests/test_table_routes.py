@@ -1,0 +1,80 @@
+"""The per-ideal cover table and the per-order court table, checked
+against literal routes that share neither table.
+
+* Covers: the E-minimal covers of each generator and the clutter edges
+  from ``covers`` are compared with a definition built here from
+  ``is_cover_of`` over every subset.
+* Lengths: ``preserved_size`` and ``l_length`` both read the order's
+  court table; they are compared with the largest admissible symbol,
+  which ``is_admissible_symbol`` decides on the monomials themselves.
+"""
+
+from itertools import combinations
+
+from hypothesis import given, settings, strategies as st
+
+from lyubeznik import (OrderedIdeal, Symbol, all_ideals, cover_clutter,
+                       e_minimal_covers_of, identity_order,
+                       is_admissible_symbol, is_cover_of, l_length,
+                       preserved_size)
+
+from test_scan_kernel import exponent_rows, small_ideal
+
+
+def literal_covers(ideal):
+    """generator -> the E-minimal covers, and the clutter, by definition."""
+    subsets = [frozenset(c) for k in range(2, ideal.mu + 1)
+               for c in combinations(ideal.indices(), k)]
+    per_generator = {}
+    for u in ideal.indices():
+        covers = [s for s in subsets if u in s and is_cover_of(s, u, ideal)]
+        per_generator[u] = {c for c in covers
+                            if not any(d < c for d in covers)}
+    union = set().union(*per_generator.values())
+    clutter = {c for c in union if not any(d < c for d in union)}
+    return per_generator, clutter
+
+
+def check_cover_table(ideal):
+    per_generator, clutter = literal_covers(ideal)
+    for u, expected in per_generator.items():
+        listed = [c.members for c in e_minimal_covers_of(u, ideal)]
+        assert set(listed) == expected, u
+        assert len(listed) == len(expected), u
+    assert cover_clutter(identity_order(ideal)).edges == clutter
+
+
+def largest_admissible_symbol(ordered):
+    return max(t for t in range(1, ordered.ideal.mu + 1)
+               for word in combinations(ordered.order, t)
+               if is_admissible_symbol(Symbol(word), ordered))
+
+
+def check_lengths(ideal):
+    identity = identity_order(ideal).order
+    for word in (identity, identity[::-1], identity[1:] + identity[:1]):
+        ordered = OrderedIdeal(ideal, word)
+        assert (preserved_size(ordered) == l_length(ordered)
+                == largest_admissible_symbol(ordered)), word
+
+
+def test_cover_table_matches_the_definition_on_the_corpus():
+    for _, ideal in all_ideals():
+        check_cover_table(ideal)
+
+
+@settings(max_examples=40)
+@given(st.integers(2, 4).flatmap(exponent_rows))
+def test_cover_table_matches_the_definition_on_random_ideals(rows):
+    check_cover_table(small_ideal(rows))
+
+
+def test_lengths_match_the_largest_admissible_symbol_on_the_corpus():
+    for _, ideal in all_ideals():
+        check_lengths(ideal)
+
+
+@settings(max_examples=40)
+@given(st.integers(2, 4).flatmap(exponent_rows))
+def test_lengths_match_the_largest_admissible_symbol_on_random_ideals(rows):
+    check_lengths(small_ideal(rows))
