@@ -65,12 +65,6 @@ def _check_enumeration_bound(ideal: MonomialIdeal, max_generators: int) -> None:
             "library functions take a max_generators argument)")
 
 
-def _cover_at(mask: int, ideal: MonomialIdeal) -> Cover:
-    tables = tables_for(ideal)
-    covered = tables.covered_mask[mask]
-    return Cover(frozenset(indices_of(mask)), frozenset(indices_of(covered)))
-
-
 def is_cover_of(members, u: int, ideal: MonomialIdeal) -> bool:
     """True iff the set covers u, i.e. m_u | lcm(members minus u)."""
     mask = mask_of(members)
@@ -92,8 +86,11 @@ def complete_cover(members, ideal: MonomialIdeal) -> frozenset[int]:
 
 
 def _canonical(covers: Iterable[int], ideal: MonomialIdeal) -> tuple[Cover, ...]:
-    ordered = sorted(covers, key=lambda m: (bin(m).count("1"), indices_of(m)))
-    return tuple(_cover_at(m, ideal) for m in ordered)
+    covered = tables_for(ideal).covered_mask
+    # (size, members) is distinct for distinct masks, so no tie reaches m
+    keyed = sorted((m.bit_count(), indices_of(m), m) for m in covers)
+    return tuple(Cover(frozenset(members), frozenset(indices_of(covered[m])))
+                 for _, members, m in keyed)
 
 
 def covers_of(u: int, ideal: MonomialIdeal, *,

@@ -125,6 +125,11 @@ def betti_from_preserved(ordered: OrderedIdeal) -> BettiTable:
             "the Lyubeznik resolution is not minimal for this order, so "
             "preserved-set counts are not Betti numbers; use the homology "
             "oracle (taylor_betti) instead")
+    return _preserved_betti(ordered)
+
+
+def _preserved_betti(ordered: OrderedIdeal) -> BettiTable:
+    """Preserved-set counts by size and lcm, for an order known minimal."""
     ideal = ordered.ideal
     tables = tables_for(ideal)
     analysis = order_analysis(ordered)
@@ -133,7 +138,7 @@ def betti_from_preserved(ordered: OrderedIdeal) -> BettiTable:
     for mask in range(tables.size):
         if analysis.preserved[mask]:
             exps = tables.lcm_exps[mask] if mask else zero
-            key = (bin(mask).count("1"), exps)
+            key = (mask.bit_count(), exps)
             counts[key] = counts.get(key, 0) + 1
     return BettiTable.from_multigraded(QUOTIENT, ideal.context, counts)
 
@@ -651,7 +656,7 @@ def analyze(ordered: OrderedIdeal, *, search_mode: str | None = None,
     if length != ps:
         raise RuntimeError("internal disagreement: resolution length and "
                            "preserved size differ")
-    betti = betti_from_preserved(ordered) if minimal else None
+    betti = _preserved_betti(ordered) if minimal else None
     ht = height(ideal)
 
     # one scan and at most one homology computation per call; the

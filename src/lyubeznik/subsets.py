@@ -6,6 +6,14 @@ ideal (lcms, divisor sets, cover membership) is tabulated once here and
 shared by every total order: per-order work then reduces to rank
 comparisons against these masks.
 
+The tables are built by whole-array numpy passes over the 2^mu masks,
+a constant number per generator: the lcm exponents by doubling over
+the bits (int64, exact up to ``EXPONENT_LIMIT``), the divisor masks by
+one divisibility test per generator, the cover masks by one gather per
+bit.  They are then handed out as plain Python lists (tuples of ints
+for the lcms, ints for the masks), the types that JSON output, dict
+keys and ``int.bit_count`` in the consumers expect.
+
 Tables cost O(2^mu) memory, so construction refuses ideals with more
 than MAX_TABLE_GENERATORS generators.
 """
@@ -14,6 +22,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from .monomials import BoundExceededError, Monomial, MonomialIdeal
 
@@ -67,47 +77,34 @@ class SubsetTables:
         self.ideal = ideal
         self.mu = mu
         self.size = 1 << mu
-        exps = [m.exponents for m in ideal.gens]
+        exps = np.array([m.exponents for m in ideal.gens], np.int64)
+        masks = np.arange(self.size)
 
-        lcm_exps: list[tuple[int, ...] | None] = [None] * self.size
-        for mask in range(1, self.size):
-            low = mask & -mask
-            rest = mask ^ low
-            e = exps[low.bit_length() - 1]
-            if rest == 0:
-                lcm_exps[mask] = e
-            else:
-                prev = lcm_exps[rest]
-                lcm_exps[mask] = tuple(a if a >= b else b for a, b in zip(prev, e))
-        self.lcm_exps = lcm_exps
+        # lcm by doubling: the masks with top bit b are those below 2^b
+        # joined with generator b+1, and mask 0 stays the zero vector.
+        # Rows are variables, so the divisibility tests reduce over the
+        # short leading axis.
+        lcm = np.zeros((exps.shape[1], self.size), np.int64)
+        for b in range(mu):
+            low = 1 << b
+            np.maximum(lcm[:, :low], exps[b, :, None], out=lcm[:, low:2 * low])
 
-        divisor_mask = [0] * self.size
-        for mask in range(1, self.size):
-            lm = lcm_exps[mask]
-            dm = 0
-            for g in range(mu):
-                eg = exps[g]
-                for a, b in zip(eg, lm):
-                    if a > b:
-                        break
-                else:
-                    dm |= 1 << g
-            divisor_mask[mask] = dm
-        self.divisor_mask = divisor_mask
-        self.outside_mask = [divisor_mask[m] & ~m for m in range(self.size)]
+        div = np.zeros(self.size, np.int64)
+        for g in range(mu):
+            div[(lcm >= exps[g, :, None]).all(axis=0)] |= 1 << g
 
-        covered_mask = [0] * self.size
-        for mask in range(1, self.size):
-            cm = 0
-            sub = mask
-            while sub:
-                low = sub & -sub
-                sub ^= low
-                rest = mask ^ low
-                if rest and divisor_mask[rest] & low:
-                    cm |= low
-            covered_mask[mask] = cm
-        self.covered_mask = covered_mask
+        # u is covered in m when m minus u is non-empty and its divisor
+        # mask holds u
+        cov = np.zeros(self.size, np.int64)
+        for b in range(mu):
+            bit = 1 << b
+            sel = (masks & bit != 0) & (masks != bit)
+            cov[sel] |= div[masks[sel] ^ bit] & bit
+
+        self.lcm_exps = [None, *zip(*(row.tolist() for row in lcm[:, 1:]))]
+        self.divisor_mask = div.tolist()
+        self.outside_mask = (div & ~masks).tolist()
+        self.covered_mask = cov.tolist()
 
     def lcm_monomial(self, mask: int) -> Monomial:
         exps = self.lcm_exps[mask]

@@ -302,3 +302,21 @@ def test_search_rejects_non_positive_jobs_and_chunks():
     for kwargs in ({"jobs": 0}, {"jobs": -3}, {"chunk_size": 0}):
         with pytest.raises(ValueError, match="at least 1"):
             search_scan(ideal, **kwargs)
+
+
+def test_analyze_builds_the_complex_once(monkeypatch, capsys):
+    from lyubeznik.cli import main
+    from lyubeznik.corpus import _data_dir
+    import lyubeznik.invariants as inv
+    calls = []
+    original = inv.lyubeznik_complex
+
+    def counted(ordered):
+        calls.append(ordered.order)
+        return original(ordered)
+
+    monkeypatch.setattr(inv, "lyubeznik_complex", counted)
+    path = _data_dir() / "mixed_powers_xyz.ideal"
+    assert main(["analyze", str(path)]) == 0
+    assert "minimal resolution: yes" in capsys.readouterr().out
+    assert len(calls) == 1

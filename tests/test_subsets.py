@@ -1,10 +1,16 @@
+import random
+from itertools import product
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lyubeznik import BoundExceededError, divides, lcm_of
+from lyubeznik.corpus import ideal_names, load_ideal
+from lyubeznik.monomials import EXPONENT_LIMIT
 from lyubeznik.subsets import (indices_of, iter_bits, mask_of, tables_for)
 
 from conftest import exponent_ideal, xyz_ideal
+from test_scan_kernel import exponent_rows, small_ideal
 
 
 def test_mask_helpers_round_trip():
@@ -16,10 +22,9 @@ def test_mask_helpers_round_trip():
         mask_of([0])
 
 
-def brute_tables(ideal):
-    """Recompute every table entry from the definitions, one subset at a time."""
-    mu = ideal.mu
-    for mask in range(1, 2 ** mu):
+def brute_tables(ideal, masks=None):
+    """Recompute table entries from the definitions, one subset at a time."""
+    for mask in masks or range(1, 2 ** ideal.mu):
         members = indices_of(mask)
         lcm = ideal.lcm(members)
         divisors = [u for u in ideal.indices() if divides(ideal.gen(u), lcm)]
@@ -32,25 +37,60 @@ def brute_tables(ideal):
         yield mask, lcm, divisors, outside, covered
 
 
-@pytest.mark.parametrize("gens", [
-    ("x^2*y", "y^2*z", "x^3", "y^3", "z^3"),
-    ("x*y", "y*z", "z*t", "x*t"),
-    ("x", "y"),
-    ("x^4", "x^2*y^2", "y^3"),
-])
-def test_tables_match_definitions(gens):
-    ideal = xyz_ideal(*gens)
+def check_tables(ideal, masks=None):
+    """The tables equal ``brute_tables`` and hold plain Python values."""
     tables = tables_for(ideal)
     assert tables.size == 2 ** ideal.mu
+    assert tables.lcm_exps[0] is None
     assert tables.divisor_mask[0] == 0
     assert tables.outside_mask[0] == 0
     assert tables.covered_mask[0] == 0
-    for mask, lcm, divisors, outside, covered in brute_tables(ideal):
+    for table in (tables.lcm_exps, tables.divisor_mask, tables.outside_mask,
+                  tables.covered_mask):
+        assert type(table) is list and len(table) == tables.size
+    for table in (tables.divisor_mask, tables.outside_mask,
+                  tables.covered_mask):
+        assert all(type(v) is int for v in table)
+    assert all(type(e) is tuple and all(type(a) is int for a in e)
+               for e in tables.lcm_exps[1:])
+    for mask, lcm, divisors, outside, covered in brute_tables(ideal, masks):
         assert tables.lcm_exps[mask] == lcm.exponents
         assert tables.divisor_mask[mask] == mask_of(divisors)
         assert tables.outside_mask[mask] == mask_of(outside)
         assert tables.covered_mask[mask] == mask_of(covered)
         assert str(tables.lcm_monomial(mask)) == str(lcm)
+
+
+INLINE_IDEALS = {
+    "mixed_powers": xyz_ideal("x^2*y", "y^2*z", "x^3", "y^3", "z^3"),
+    "four_cycle": xyz_ideal("x*y", "y*z", "z*t", "x*t"),
+    "koszul": xyz_ideal("x", "y"),
+    "two_var_staircase": xyz_ideal("x^4", "x^2*y^2", "y^3"),
+    "single_generator": xyz_ideal("x^2*y*t"),
+    # exponents at the parser's limit catch a narrowed or wrapping dtype
+    "exponent_limit": exponent_ideal([
+        (EXPONENT_LIMIT, 0, 0), (EXPONENT_LIMIT - 1, 1, 0),
+        (0, EXPONENT_LIMIT, 0), (1, 0, 2), (0, 1, 1)]),
+}
+
+
+@pytest.mark.parametrize("name", [*INLINE_IDEALS, *ideal_names()])
+def test_tables_match_definitions(name):
+    check_tables(INLINE_IDEALS.get(name) or load_ideal(name))
+
+
+@settings(max_examples=40)
+@given(st.integers(2, 4).flatmap(exponent_rows))
+def test_tables_match_definitions_on_random_ideals(rows):
+    check_tables(small_ideal(rows, max_mu=7))
+
+
+def test_tables_at_fourteen_generators_match_on_sampled_masks():
+    rng = random.Random(14)
+    degree_four = [e for e in product(range(5), repeat=4) if sum(e) == 4]
+    ideal = exponent_ideal(rng.sample(degree_four, 14))
+    masks = sorted(rng.sample(range(1, 2 ** 14), 2000)) + [2 ** 14 - 1]
+    check_tables(ideal, masks)
 
 
 def test_is_cover_flag():
