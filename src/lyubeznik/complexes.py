@@ -86,7 +86,9 @@ class _OrderAnalysis:
         self.tables = tables
 
 
-@lru_cache(maxsize=128)
+# one entry: a command reads one order of one ideal, and more entries
+# would hold 2^mu tables for every order a process has seen
+@lru_cache(maxsize=1)
 def order_analysis(ordered: OrderedIdeal) -> _OrderAnalysis:
     return _OrderAnalysis(ordered)
 

@@ -18,6 +18,10 @@ the minimality tests, obstruction and order scanner of ``invariants``
 all read this one table.  Downstream, an order gives a minimal
 resolution exactly when none of these sets is preserved.
 
+``cover_listing`` sorts the masks that cover anything once, by size
+then lexicographically, and filters them per generator; ``covers_of``
+and the ``covers`` command both read it.
+
 Enumeration walks all 2^mu subsets via the shared bitmask tables, which
 is exact and fast at the sizes this package targets; it refuses above
 ``MAX_ENUMERATION_GENERATORS`` (library callers pass ``max_generators``
@@ -85,23 +89,45 @@ def complete_cover(members, ideal: MonomialIdeal) -> frozenset[int]:
     return frozenset(indices_of(tables_for(ideal).divisor_mask[mask]))
 
 
-def _canonical(covers: Iterable[int], ideal: MonomialIdeal) -> tuple[Cover, ...]:
+def _by_size_then_members(mask: int) -> tuple[int, tuple[int, ...]]:
+    # (size, members) is distinct for distinct masks
+    return mask.bit_count(), indices_of(mask)
+
+
+def _wrap(masks: Iterable[int], ideal: MonomialIdeal) -> tuple[Cover, ...]:
     covered = tables_for(ideal).covered_mask
-    # (size, members) is distinct for distinct masks, so no tie reaches m
-    keyed = sorted((m.bit_count(), indices_of(m), m) for m in covers)
-    return tuple(Cover(frozenset(members), frozenset(indices_of(covered[m])))
-                 for _, members, m in keyed)
+    return tuple(Cover(frozenset(indices_of(m)),
+                       frozenset(indices_of(covered[m]))) for m in masks)
+
+
+def _canonical(masks: Iterable[int], ideal: MonomialIdeal) -> tuple[Cover, ...]:
+    return _wrap(sorted(masks, key=_by_size_then_members), ideal)
+
+
+def cover_listing(ideal: MonomialIdeal, *,
+                  max_generators: int = MAX_ENUMERATION_GENERATORS
+                  ) -> tuple[tuple[int, ...], ...]:
+    """The masks that cover each generator, by size then lexicographically.
+
+    Entry ``u - 1`` lists the covers of generator u.  The masks that
+    cover anything are sorted once and filtered per generator.
+    """
+    _check_enumeration_bound(ideal, max_generators)
+    tables = tables_for(ideal)
+    covered = tables.covered_mask
+    ordered = sorted(filter(covered.__getitem__, range(tables.size)),
+                     key=_by_size_then_members)
+    return tuple(tuple(m for m in ordered if covered[m] & bit)
+                 for bit in (1 << b for b in range(tables.mu)))
 
 
 def covers_of(u: int, ideal: MonomialIdeal, *,
               max_generators: int = MAX_ENUMERATION_GENERATORS) -> tuple[Cover, ...]:
     """Every subset that covers u, by size then lexicographically."""
-    _check_enumeration_bound(ideal, max_generators)
-    tables = tables_for(ideal)
-    bit = 1 << (u - 1)
-    found = [mask for mask in range(tables.size)
-             if mask & bit and tables.covered_mask[mask] & bit]
-    return _canonical(found, ideal)
+    listing = cover_listing(ideal, max_generators=max_generators)
+    if not 1 <= u <= ideal.mu:
+        raise ValueError(f"generator {u} is not in 1..{ideal.mu}")
+    return _wrap(listing[u - 1], ideal)
 
 
 class _CoverTable:
@@ -146,7 +172,9 @@ class _CoverTable:
         self.clutter = tuple(sorted(clutter))
 
 
-@lru_cache(maxsize=128)
+# one entry: a command reads one ideal, and more entries would hold
+# 2^mu tables for every ideal a process has seen
+@lru_cache(maxsize=1)
 def _cover_table(ideal: MonomialIdeal) -> _CoverTable:
     return _CoverTable(ideal)
 

@@ -19,11 +19,13 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import reduce
+from operator import mul
 
-from .complexes import lyubeznik_complex
-from .invariants import is_minimal_resolution, l_length
+from .complexes import order_analysis
+from .invariants import is_minimal_resolution
 from .monomials import Monomial, total_degree
 from .orders import OrderedIdeal
+from .subsets import indices_of, mask_of
 
 
 class NonMinimalWarning(UserWarning):
@@ -62,22 +64,34 @@ def radical_generators(ordered: OrderedIdeal) -> tuple[FormalPolynomial, ...]:
     Meaningful when the resolution is minimal; otherwise the same
     assembly runs anyway, under a ``NonMinimalWarning``.
     """
-    if not is_minimal_resolution(ordered):
+    return _radical_generators(ordered, is_minimal_resolution(ordered))
+
+
+def _radical_generators(ordered: OrderedIdeal, minimal: bool
+                        ) -> tuple[FormalPolynomial, ...]:
+    """The construction, for an order whose minimality is known.
+
+    Faces are read as masks from the order's preserved-set table.
+    """
+    if not minimal:
         warnings.warn(
             "the resolution of this order is not minimal; the radical "
             "generator construction is stated for minimal resolutions",
-            NonMinimalWarning, stacklevel=2)
+            NonMinimalWarning, stacklevel=3)
     ideal = ordered.ideal
-    lam = l_length(ordered)
-    complex_ = lyubeznik_complex(ordered)
+    faces_by_size: dict[int, list[int]] = {}
+    for mask, face in enumerate(order_analysis(ordered).preserved):
+        if face:
+            faces_by_size.setdefault(mask.bit_count(), []).append(mask)
+    lam = max(faces_by_size)
 
     out = []
     for s in range(1, lam + 1):
         terms = {ideal.gen(ordered.order[s - 1])}
-        for face in complex_.faces_of_size(lam - s + 1):
-            # rank position >= s + 1 (1-based) means 0-based rank >= s
-            if min(ordered.rank(i) for i in face) >= s:
-                terms.add(reduce(lambda a, b: a * b,
-                                 (ideal.gen(i) for i in face)))
+        # rank position >= s + 1 (1-based): the generators after the s-th
+        late = mask_of(ordered.order[s:])
+        for face in faces_by_size[lam - s + 1]:
+            if not face & ~late:
+                terms.add(reduce(mul, map(ideal.gen, indices_of(face))))
         out.append(FormalPolynomial(tuple(terms)))
     return tuple(out)

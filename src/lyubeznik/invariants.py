@@ -267,7 +267,9 @@ class _ScanPlan:
                         for k, rows in sorted(by_size.items())]
 
 
-@lru_cache(maxsize=64)
+# one entry: a command reads one ideal, and more entries would hold
+# 2^mu tables for every ideal a process has seen
+@lru_cache(maxsize=1)
 def _scan_plan(ideal: MonomialIdeal) -> _ScanPlan:
     return _ScanPlan(ideal)
 

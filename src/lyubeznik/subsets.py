@@ -116,6 +116,8 @@ class SubsetTables:
         return self.covered_mask[mask] != 0
 
 
-@lru_cache(maxsize=64)
+# one entry: a command reads one ideal, and more entries would hold
+# 2^mu tables for every ideal a process has seen
+@lru_cache(maxsize=1)
 def tables_for(ideal: MonomialIdeal) -> SubsetTables:
     return SubsetTables(ideal)

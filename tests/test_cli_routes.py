@@ -1,0 +1,151 @@
+"""The CLI's JSON writer and its covers listing, checked against the
+routes they replaced.
+
+* JSON: ``cli._json_text`` against ``json.dumps(..., sort_keys=True,
+  indent=2)`` on every subcommand's payload for the corpus, and on
+  hypothesis-generated nested payloads.
+* Covers: the ``lyubeznik covers`` output, built from the mask tables,
+  against a payload built from the ``Cover`` objects of ``covers_of``
+  and ``e_minimal_covers_of``; and the listing order against the
+  subsets of each size in lexicographic order, tested with
+  ``is_cover_of``.
+"""
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+import warnings
+from itertools import combinations
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from lyubeznik import (all_ideals, covers_of, e_minimal_covers_of,
+                       identity_order, is_cover_of)
+from lyubeznik.cli import _json_text, build_parser, main
+from lyubeznik.corpus import _data_dir
+
+from test_cli_digests import cases
+from test_scan_kernel import exponent_rows, small_ideal
+
+
+def reference_text(payload) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2)
+
+
+# -- the writer ---------------------------------------------------------------
+
+@pytest.mark.parametrize("key,words,filename", cases(),
+                         ids=[key for key, _, _ in cases()])
+def test_writer_matches_json_dumps_on_every_cli_payload(key, words, filename):
+    args = build_parser().parse_args(
+        [words[0], "--format", "json", *words[1:],
+         str(_data_dir() / filename)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        payload, _ = args.handler(args)
+    payload = {"schema": 1, "command": args.command, **payload}
+    assert _json_text(payload) == reference_text(payload)
+
+
+TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8) | \
+    st.sampled_from(["", "é", "☃", "\U0001f600", '"', "\\", "\n\t\x00",
+                     "\x1f\x7f", "</script>"])
+INTS = st.integers() | st.integers(-10**30, 10**30) | \
+    st.sampled_from([0, -1, 2**63, -2**63 - 1])
+LEAVES = TEXT | INTS | st.booleans() | st.none()
+PAYLOADS = st.recursive(
+    LEAVES,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(TEXT, inner, max_size=4)),
+    max_leaves=30)
+
+
+@settings(max_examples=300)
+@given(PAYLOADS)
+def test_writer_matches_json_dumps_on_random_payloads(payload):
+    assert _json_text(payload) == reference_text(payload)
+
+
+@settings(max_examples=100)
+@given(st.lists(INTS | st.booleans(), max_size=5).map(tuple), PAYLOADS)
+def test_writer_reuses_a_tuple_at_two_depths(shared, other):
+    # the same tuple object at depths 1, 2 and 3, twice at one depth,
+    # and next to a tuple equal to it that holds a bool in place of 1
+    payload = {"a": shared, "b": [shared, {"c": shared}], "d": [shared, shared],
+               "e": other, "f": [(1, 1), (1, True), (1, 1)]}
+    assert _json_text(payload) == reference_text(payload)
+
+
+@pytest.mark.parametrize("payload", [
+    1.0, {"x": 0.5}, [1, 2.0], (1, 2.0), {"x": (3, float("nan"))},
+    {1: "x"}, {"x": {2: 3}}, {"x": 1, 2: 3}, {None: 1}, {"x": {1, 2}},
+    {"x": b"bytes"}])
+def test_writer_refuses_other_types(payload):
+    with pytest.raises(TypeError):
+        _json_text(payload)
+
+
+# -- the covers listing -------------------------------------------------------
+
+def reference_covers_payload(ideal):
+    """The per-generator cover entries, from the Cover objects."""
+    per_gen = []
+    for u in ideal.indices():
+        eminimal = {c.members for c in e_minimal_covers_of(u, ideal)}
+        entries = [{"members": sorted(c.members), "covered": sorted(c.covered),
+                    "eminimal": c.members in eminimal}
+                   for c in covers_of(u, ideal)]
+        per_gen.append({"generator": u, "covers": entries})
+    return per_gen
+
+
+def literal_listing(ideal, u):
+    """Covers of u by size then lexicographically, with their covered sets."""
+    return [(combo, tuple(v for v in combo if is_cover_of(combo, v, ideal)))
+            for k in range(2, ideal.mu + 1)
+            for combo in combinations(ideal.indices(), k)
+            if u in combo and is_cover_of(combo, u, ideal)]
+
+
+def cli_covers_output(path) -> str:
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(["covers", "--format", "json", str(path)]) == 0
+    return stdout.getvalue()
+
+
+def check_covers(ideal, path):
+    out = cli_covers_output(path)
+    payload = json.loads(out)
+    assert payload["covers"] == reference_covers_payload(ideal)
+    assert out == reference_text(payload) + "\n"
+    for block in payload["covers"]:
+        listed = [(tuple(e["members"]), tuple(e["covered"]))
+                  for e in block["covers"]]
+        assert listed == literal_listing(ideal, block["generator"])
+    assert payload["order"] == list(identity_order(ideal).order)
+
+
+def test_covers_payload_matches_the_cover_objects_on_the_corpus():
+    for name, ideal in all_ideals():
+        check_covers(ideal, _data_dir() / f"{name}.ideal")
+
+
+def ideal_file_text(ideal) -> str:
+    return "\n".join(["vars " + " ".join(ideal.context.names)]
+                     + [f"gen {m}" for m in ideal.gens]) + "\n"
+
+
+@settings(max_examples=40)
+@given(st.integers(2, 4).flatmap(exponent_rows))
+def test_covers_payload_matches_the_cover_objects_on_random_ideals(rows):
+    ideal = small_ideal(rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "random.ideal")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(ideal_file_text(ideal))
+        check_covers(ideal, path)

@@ -100,6 +100,13 @@ def test_e_minimal_covers_of_rejects_unknown_generators():
             e_minimal_covers_of(u, ideal)
 
 
+def test_covers_of_rejects_unknown_generators():
+    ideal = load_ideal("mixed_powers_xyz")
+    for u in (0, -1, ideal.mu + 1):
+        with pytest.raises(ValueError, match="not in 1..5"):
+            covers_of(u, ideal)
+
+
 def test_is_cover_of_requires_membership():
     ideal = load_ideal("mixed_powers_xyz")
     with pytest.raises(ValueError):

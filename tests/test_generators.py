@@ -1,8 +1,12 @@
 """The up-to-radical generator construction and its formal polynomials."""
 
+import sys
 import warnings
+from functools import reduce
+from operator import mul
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lyubeznik import (
     FormalPolynomial,
@@ -10,14 +14,18 @@ from lyubeznik import (
     NonMinimalWarning,
     OrderedIdeal,
     VariableContext,
+    all_ideals,
     all_orders,
     identity_order,
     is_minimal_resolution,
     l_length,
     load_ideal,
+    lyubeznik_complex,
     parse_ideal,
     radical_generators,
 )
+
+from test_scan_kernel import exponent_rows, small_ideal
 
 XY = VariableContext(("x", "y"))
 
@@ -89,3 +97,66 @@ def test_structural_invariants_on_all_minimal_orders():
 def test_koszul_generators():
     gens = radical_generators(identity_order(parse_ideal("vars x y\ngen x\ngen y")))
     assert [str(g) for g in gens] == ["x", "y"]
+
+
+def faces_route(ordered):
+    """The construction read off the frozenset complex's faces."""
+    ideal = ordered.ideal
+    lam = l_length(ordered)
+    complex_ = lyubeznik_complex(ordered)
+    out = []
+    for s in range(1, lam + 1):
+        terms = {ideal.gen(ordered.order[s - 1])}
+        for face in complex_.faces_of_size(lam - s + 1):
+            if min(ordered.rank(i) for i in face) >= s:
+                terms.add(reduce(mul, (ideal.gen(i) for i in face)))
+        out.append(FormalPolynomial(tuple(terms)))
+    return tuple(out)
+
+
+def check_against_faces(ideal):
+    identity = identity_order(ideal).order
+    for word in (identity, identity[::-1], identity[1:] + identity[:1]):
+        ordered = OrderedIdeal(ideal, word)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NonMinimalWarning)
+            assert radical_generators(ordered) == faces_route(ordered), word
+
+
+def test_generators_match_the_faces_route_on_the_corpus():
+    for _, ideal in all_ideals():
+        check_against_faces(ideal)
+    for ordered in all_orders(load_ideal("chain_five_mixed")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NonMinimalWarning)
+            assert radical_generators(ordered) == faces_route(ordered)
+
+
+@settings(max_examples=40)
+@given(st.integers(2, 4).flatmap(exponent_rows))
+def test_generators_match_the_faces_route_on_random_ideals(rows):
+    check_against_faces(small_ideal(rows))
+
+
+def test_radical_gens_checks_once_and_builds_the_complex_once(monkeypatch,
+                                                              capsys):
+    from lyubeznik.cli import main
+    from lyubeznik.corpus import _data_dir
+    calls = {"lyubeznik_complex": 0, "is_minimal_resolution": 0}
+    for name in calls:
+        for module in list(sys.modules.values()):
+            if not (module.__name__ or "").startswith("lyubeznik"):
+                continue
+            original = vars(module).get(name)
+            if original is None:
+                continue
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+    path = _data_dir() / "mixed_powers_xyz.ideal"
+    assert main(["radical-gens", "--format", "json", str(path)]) == 0
+    assert '"minimal": true' in capsys.readouterr().out
+    assert calls == {"lyubeznik_complex": 1, "is_minimal_resolution": 1}
