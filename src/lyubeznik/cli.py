@@ -23,6 +23,7 @@ from .covers import cover_clutter, cover_listing, cover_table
 from .generators import _radical_generators
 from .graphs import check_graph_propositions, edge_ideal, read_graph
 from .invariants import analyze, is_minimal_resolution, search_scan
+from .linalg import check_prime
 from .monomials import BoundExceededError, MonomialIdeal, ParseError, read_ideal
 from .oracle import (taylor_betti, verify_chain_complex,
                      verify_resolution_report)
@@ -51,16 +52,25 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _parse_field(text: str) -> int | None:
+def _field(text: str) -> int | None:
+    """argparse type for --field: None for Q, else the prime p of GF(p).
+
+    The prime is checked here, once, so a bad value is refused before
+    any work and whether or not a rank is ever taken."""
     if text == "q":
         return None
-    if text.startswith("p:"):
-        try:
-            prime = int(text[2:])
-        except ValueError:
-            raise ValueError(f"bad field spec {text!r}") from None
-        return prime
-    raise ValueError(f"bad field spec {text!r}; expected 'q' or 'p:<prime>'")
+    try:
+        if not text.startswith("p:"):
+            raise ValueError
+        prime = int(text[2:])
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"bad field spec {text!r}; expected 'q' or 'p:<prime>'") from None
+    try:
+        check_prime(prime)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return prime
 
 
 def _ordered(args, ideal: MonomialIdeal) -> OrderedIdeal:
@@ -153,7 +163,8 @@ def _json_text(payload: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (payload, text lines)
+# subcommand handlers: each returns the payload and a zero-argument
+# callable that builds the text lines, called only for --format text
 
 
 def _cmd_covers(args):
@@ -176,17 +187,19 @@ def _cmd_covers(args):
     payload = {"ideal": _ideal_payload(ideal), "order": list(ordered.order),
                "covers": per_gen, "clutter": clutter}
 
-    lines = [f"ideal: {ideal}", f"order: {ordered}"]
-    for block in per_gen:
-        u = block["generator"]
-        lines.append(f"covers of generator {u} ({len(block['covers'])}):")
-        for entry in block["covers"]:
-            tag = "  E-minimal" if entry["eminimal"] else ""
-            lines.append("  {" + ",".join(map(str, entry["members"])) + "}" + tag)
-    lines.append("clutter edges: " +
-                 (", ".join("{" + ",".join(map(str, e)) + "}" for e in clutter)
-                  or "(none)"))
-    return payload, lines
+    def text() -> list[str]:
+        lines = [f"ideal: {ideal}", f"order: {ordered}"]
+        for block in per_gen:
+            u = block["generator"]
+            lines.append(f"covers of generator {u} ({len(block['covers'])}):")
+            for entry in block["covers"]:
+                tag = "  E-minimal" if entry["eminimal"] else ""
+                lines.append("  {" + ",".join(map(str, entry["members"])) + "}" + tag)
+        lines.append("clutter edges: " +
+                     (", ".join("{" + ",".join(map(str, e)) + "}" for e in clutter)
+                      or "(none)"))
+        return lines
+    return payload, text
 
 
 def _cmd_complex(args):
@@ -201,17 +214,19 @@ def _cmd_complex(args):
                "dim": complex_.dim, "f_vector": list(complex_.f_vector),
                "faces": faces, "facets": facets, "census": census}
 
-    lines = [f"ideal: {ideal}", f"order: {ordered}",
-             f"dim: {complex_.dim}",
-             "f-vector: (" + ", ".join(map(str, complex_.f_vector)) + ")",
-             "facets: " + ", ".join("{" + ",".join(map(str, f)) + "}"
-                                    for f in facets)]
-    for size in sorted(census, key=int):
-        row = census[size]
-        cells = ", ".join(f"{name}={count}" for name, count in
-                          sorted(row.items()) if count)
-        lines.append(f"size {size}: {cells or '(empty)'}")
-    return payload, lines
+    def text() -> list[str]:
+        lines = [f"ideal: {ideal}", f"order: {ordered}",
+                 f"dim: {complex_.dim}",
+                 "f-vector: (" + ", ".join(map(str, complex_.f_vector)) + ")",
+                 "facets: " + ", ".join("{" + ",".join(map(str, f)) + "}"
+                                        for f in facets)]
+        for size in sorted(census, key=int):
+            row = census[size]
+            cells = ", ".join(f"{name}={count}" for name, count in
+                              sorted(row.items()) if count)
+            lines.append(f"size {size}: {cells or '(empty)'}")
+        return lines
+    return payload, text
 
 
 def _cmd_analyze(args):
@@ -219,7 +234,7 @@ def _cmd_analyze(args):
     ordered = _ordered(args, ideal)
     report = analyze(ordered, search_mode=args.search,
                      max_exhaustive=args.max_exhaustive, jobs=args.jobs,
-                     prime=_parse_field(args.field))
+                     prime=args.field)
     payload = {"ideal": _ideal_payload(ideal), "order": list(report.order),
                "minimal": report.minimal, "obsL": report.obstruction,
                "l_length": report.l_length, "ps": report.ps,
@@ -232,26 +247,28 @@ def _cmd_analyze(args):
         payload["almost_lyubeznik"] = report.almost_lyubeznik
         payload["totally_lyubeznik"] = report.totally_lyubeznik
 
-    lines = [f"ideal: {ideal}", f"order: {ordered}",
-             f"minimal resolution: {'yes' if report.minimal else 'no'}",
-             f"obstruction: {report.obstruction}",
-             f"resolution length: {report.l_length}",
-             f"preserved size: {report.ps}",
-             f"height: {report.height}",
-             f"ara bounds: [{report.ara.lower}, {report.ara.upper}]"
-             + (" (exact)" if report.ara.equality else "")]
-    if report.betti is not None:
-        rows = ", ".join(f"b[{i},{j}]={c}" for i, j, c
-                         in report.betti.graded_rows())
-        lines.append(f"betti (graded, quotient): {rows}")
-    else:
-        lines.append("betti: not available from preserved sets "
-                     "(resolution not minimal); see oracle-betti")
-    if args.search is not None:
-        lines.append(f"lyubeznik: {_verdict_text(report.lyubeznik)}")
-        lines.append(f"almost lyubeznik: {_verdict_text(report.almost_lyubeznik)}")
-        lines.append(f"totally lyubeznik: {_verdict_text(report.totally_lyubeznik)}")
-    return payload, lines
+    def text() -> list[str]:
+        lines = [f"ideal: {ideal}", f"order: {ordered}",
+                 f"minimal resolution: {'yes' if report.minimal else 'no'}",
+                 f"obstruction: {report.obstruction}",
+                 f"resolution length: {report.l_length}",
+                 f"preserved size: {report.ps}",
+                 f"height: {report.height}",
+                 f"ara bounds: [{report.ara.lower}, {report.ara.upper}]"
+                 + (" (exact)" if report.ara.equality else "")]
+        if report.betti is not None:
+            rows = ", ".join(f"b[{i},{j}]={c}" for i, j, c
+                             in report.betti.graded_rows())
+            lines.append(f"betti (graded, quotient): {rows}")
+        else:
+            lines.append("betti: not available from preserved sets "
+                         "(resolution not minimal); see oracle-betti")
+        if args.search is not None:
+            lines.append(f"lyubeznik: {_verdict_text(report.lyubeznik)}")
+            lines.append(f"almost lyubeznik: {_verdict_text(report.almost_lyubeznik)}")
+            lines.append(f"totally lyubeznik: {_verdict_text(report.totally_lyubeznik)}")
+        return lines
+    return payload, text
 
 
 def _verdict_text(value: bool | None) -> str:
@@ -270,28 +287,34 @@ def _cmd_search(args):
                "tobsL": scan.tobsl, "L": scan.min_l, "ps_min": scan.min_l,
                "lyubeznik": lyubeznik, "witness": list(scan.tobsl_witness),
                "minimal_orders": scan.minimal_count}
-    lines = [f"ideal: {ideal}",
-             f"mode: {scan.mode} ({'exact' if scan.exact else 'heuristic'}, "
-             f"{scan.scanned} orders)",
-             f"total obstruction: {scan.tobsl}",
-             f"min resolution length: {scan.min_l}",
-             f"min preserved size: {scan.min_l}",
-             f"lyubeznik: {_verdict_text(lyubeznik)}",
-             "witness order: (" + ",".join(map(str, scan.tobsl_witness)) + ")",
-             f"minimal orders: {scan.minimal_count}/{scan.scanned}"]
-    return payload, lines
+
+    def text() -> list[str]:
+        lines = [f"ideal: {ideal}",
+                 f"mode: {scan.mode} ({'exact' if scan.exact else 'heuristic'}, "
+                 f"{scan.scanned} orders)",
+                 f"total obstruction: {scan.tobsl}",
+                 f"min resolution length: {scan.min_l}",
+                 f"min preserved size: {scan.min_l}",
+                 f"lyubeznik: {_verdict_text(lyubeznik)}",
+                 "witness order: (" + ",".join(map(str, scan.tobsl_witness)) + ")",
+                 f"minimal orders: {scan.minimal_count}/{scan.scanned}"]
+        return lines
+    return payload, text
 
 
 def _cmd_oracle_betti(args):
     ideal = read_ideal(args.path)
-    table = taylor_betti(ideal, prime=_parse_field(args.field))
+    table = taylor_betti(ideal, prime=args.field)
     payload = {"ideal": _ideal_payload(ideal), **_betti_payload(table),
                "projdim": table.projective_dimension}
-    lines = [f"ideal: {ideal}", f"subject: {table.subject}"]
-    lines += [f"b[{i},{j}] = {c}" for i, j, c in table.graded_rows()]
-    lines += [f"b[{i}, {mono}] = {c}" for i, mono, c in table.multigraded_rows()]
-    lines.append(f"projective dimension: {table.projective_dimension}")
-    return payload, lines
+
+    def text() -> list[str]:
+        lines = [f"ideal: {ideal}", f"subject: {table.subject}"]
+        lines += [f"b[{i},{j}] = {c}" for i, j, c in table.graded_rows()]
+        lines += [f"b[{i}, {mono}] = {c}" for i, mono, c in table.multigraded_rows()]
+        lines.append(f"projective dimension: {table.projective_dimension}")
+        return lines
+    return payload, text
 
 
 def _cmd_verify(args):
@@ -299,21 +322,24 @@ def _cmd_verify(args):
     ordered = _ordered(args, ideal)
     # the report raises the oracle's generator bound, so it runs first:
     # an ideal above the bound is refused before the d^2 = 0 check
-    report = verify_resolution_report(ordered, prime=_parse_field(args.field))
+    report = verify_resolution_report(ordered, prime=args.field)
     chain_ok = verify_chain_complex(ordered)
     resolves = chain_ok and all(ok for _, ok in report)
     payload = {"ideal": _ideal_payload(ideal), "order": list(ordered.order),
                "chain_complex": chain_ok,
                "multidegrees": [[str(m), ok] for m, ok in report],
                "resolves": resolves}
-    lines = [f"ideal: {ideal}", f"order: {ordered}",
-             f"differential composes to zero: {'yes' if chain_ok else 'no'}"]
-    bad = [str(m) for m, ok in report if not ok]
-    lines.append(f"multidegrees checked: {len(report)}, failing: {len(bad)}")
-    if bad:
-        lines.append("homology persists at: " + ", ".join(bad))
-    lines.append(f"resolves the quotient: {'yes' if resolves else 'no'}")
-    return payload, lines
+
+    def text() -> list[str]:
+        lines = [f"ideal: {ideal}", f"order: {ordered}",
+                 f"differential composes to zero: {'yes' if chain_ok else 'no'}"]
+        bad = [str(m) for m, ok in report if not ok]
+        lines.append(f"multidegrees checked: {len(report)}, failing: {len(bad)}")
+        if bad:
+            lines.append("homology persists at: " + ", ".join(bad))
+        lines.append(f"resolves the quotient: {'yes' if resolves else 'no'}")
+        return lines
+    return payload, text
 
 
 def _cmd_radical_gens(args):
@@ -324,9 +350,12 @@ def _cmd_radical_gens(args):
     payload = {"ideal": _ideal_payload(ideal), "order": list(ordered.order),
                "minimal": minimal,
                "generators": [str(g) for g in gens]}
-    lines = [f"ideal: {ideal}", f"order: {ordered}"]
-    lines += [f"g{k} = {g}" for k, g in enumerate(gens, 1)]
-    return payload, lines
+
+    def text() -> list[str]:
+        lines = [f"ideal: {ideal}", f"order: {ordered}"]
+        lines += [f"g{k} = {g}" for k, g in enumerate(gens, 1)]
+        return lines
+    return payload, text
 
 
 def _cmd_graph(args):
@@ -335,12 +364,10 @@ def _cmd_graph(args):
         raise ValueError("nothing to do: pass --edge-ideal and/or --check-props")
     payload: dict = {"vertices": list(graph.vertices),
                      "edges": [list(e) for e in graph.edges]}
-    lines: list[str] = []
+    ideal = checks = None
     if args.edge_ideal:
         ideal = edge_ideal(graph)
         payload["edge_ideal"] = _ideal_payload(ideal)
-        lines.append("vars " + " ".join(ideal.context.names))
-        lines += [f"gen {m}" for m in ideal.gens]
     if args.check_props:
         checks = check_graph_propositions(graph,
                                           max_exhaustive=args.max_exhaustive,
@@ -349,12 +376,19 @@ def _cmd_graph(args):
             {"name": c.name, "hypothesis": c.hypothesis,
              "conclusion": c.conclusion, "finding": c.finding}
             for c in checks]
-        for c in checks:
+
+    def text() -> list[str]:
+        lines: list[str] = []
+        if ideal is not None:
+            lines.append("vars " + " ".join(ideal.context.names))
+            lines += [f"gen {m}" for m in ideal.gens]
+        for c in checks or ():
             mark = "  << FINDING: hypothesis holds, conclusion fails" \
                 if c.finding else ""
             lines.append(f"{c.name}: hypothesis={'yes' if c.hypothesis else 'no'}"
                          f" conclusion={'yes' if c.conclusion else 'no'}{mark}")
-    return payload, lines
+        return lines
+    return payload, text
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--jobs", type=_positive_int, default=1,
                            help="parallel worker processes")
         if field:
-            p.add_argument("--field", default="q", metavar="q|p:<prime>",
+            p.add_argument("--field", type=_field, default="q",
+                           metavar="q|p:<prime>",
                            help="coefficient field for homology ranks")
         p.set_defaults(handler=handler)
         return p
@@ -423,7 +458,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # instead so callers of main() always get a plain int back
         return exc.code if isinstance(exc.code, int) else 1
     try:
-        payload, lines = args.handler(args)
+        payload, text = args.handler(args)
     except BoundExceededError as exc:
         print(f"lyubeznik: refused: {exc}", file=sys.stderr)
         return 2
@@ -437,7 +472,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         payload = {"schema": 1, "command": args.command, **payload}
         print(_json_text(payload))
     else:
-        print("\n".join(lines))
+        print("\n".join(text()))
     return 0
 
 

@@ -7,12 +7,13 @@ none of its subsets is broken.  The preserved sets are closed under
 taking subsets, so they form a simplicial complex: the Lyubeznik
 complex of the ordered ideal.
 
-Two predicates are deliberately implemented along independent routes
-and compared by tests:
+The broken and preserved sets of every subset are computed by one
+numpy kernel, ``PreservedKernel``, which the order search also runs on
+blocks of orders.  Two predicates are deliberately implemented along
+independent routes and compared by tests:
 
-* ``is_preserved`` runs a memoized dynamic program over the subset
-  lattice (a set is preserved iff it has no court and all its maximal
-  proper subsets are preserved);
+* ``is_preserved`` reads the kernel's table (a set is preserved iff no
+  broken set lies below it, the up-closure of the broken sets);
 * ``is_admissible_symbol`` transcribes the resolution-side definition
   literally (for every member except the last, no strictly earlier
   generator divides the lcm of the tail), touching monomials directly.
@@ -30,59 +31,100 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from .monomials import MonomialIdeal, divides, lcm_of
 from .orders import OrderedIdeal
 from .subsets import indices_of, iter_bits, mask_of, tables_for
 
 
-class _OrderAnalysis:
-    """Per-order tables: the court of every subset and the preserved-set DP.
+class PreservedKernel:
+    """Least ranks, broken sets and unpreserved sets of blocks of orders.
 
-    ``court`` is the order's one broken-set table: ``court[mask]`` is
-    nonzero exactly when the subset is broken.  Every per-order consumer
-    reads it rather than recomputing minimum ranks.
+    The kernel takes an ideal's ``outside_mask`` table and evaluates a
+    block of permutation words, an int8 array of shape (count, mu),
+    with whole-array numpy passes over one row per subset mask:
+
+    * ``least[mask][j]``: the least rank in the mask under order j (mu
+      for the empty mask), by doubling over the bits;
+    * ``court_rank[mask][j]``: ``least`` of the mask's outside divisors,
+      by one gather; the mask is broken iff this is below ``least``;
+    * ``unpreserved[mask][j]``: some subset of the mask is broken, by
+      up-closing the broken sets in place, one OR per bit (the zeta
+      transform over the subset lattice).
+
+    The three arrays are scratch kept from one block to the next of the
+    same size, so they are valid until the next call: multi-megabyte
+    arrays allocated afresh for every block are mapped and page-faulted
+    in by the allocator each time, which costs about as much as the
+    arithmetic on them.
     """
 
-    __slots__ = ("tables", "court", "preserved")
+    def __init__(self, outside_mask: Sequence[int]) -> None:
+        self.outside = np.array(outside_mask, np.intp)
+        self.mu = len(outside_mask).bit_length() - 1
+        self._scratch: tuple[np.ndarray, ...] = ()
+
+    def __call__(self, words: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(least, court_rank, unpreserved), each of shape (2^mu, count)."""
+        mu = self.mu
+        count = len(words)
+        if not self._scratch or self._scratch[0].shape[1] != count:
+            shape = (1 << mu, count)
+            self._scratch = (np.empty(shape, np.int8), np.empty(shape, np.int8),
+                             np.empty(shape, bool))
+        least, court_rank, unpreserved = self._scratch
+
+        # rank[g][j]: rank of generator g + 1 in order j
+        rank = np.empty((mu, count), np.int8)
+        rank[words.T - 1, np.arange(count)] = np.arange(mu, dtype=np.int8)[:, None]
+
+        # masks 2^b .. 2^(b+1)-1 extend masks 0 .. 2^b-1 by bit b
+        least[0] = mu
+        for b in range(mu):
+            np.minimum(least[:1 << b], rank[b], out=least[1 << b:2 << b])
+
+        # broken: some outside divisor precedes every member (never for
+        # an empty outside set, whose least rank is the sentinel mu).
+        # The gather uses mode="clip" (indices are in range) so that
+        # numpy writes straight into the scratch instead of a buffer.
+        np.take(least, self.outside, axis=0, out=court_rank, mode="clip")
+        np.less(court_rank, least, out=unpreserved)
+        for b in range(mu):
+            halves = unpreserved.reshape(-1, 2, 1 << b, count)
+            halves[:, 1] |= halves[:, 0]
+        return least, court_rank, unpreserved
+
+
+class _OrderAnalysis:
+    """Per-order tables, from ``PreservedKernel`` on a one-word block.
+
+    ``court`` is the order's one broken-set table: ``court[mask]`` is the
+    least court of the subset, nonzero exactly when it is broken.
+    ``preserved[mask]`` says whether no subset of the mask is broken, and
+    ``length`` is the size of the largest preserved set.  Both tables are
+    plain Python lists, as the subset tables are.
+    """
+
+    __slots__ = ("tables", "court", "preserved", "length")
 
     def __init__(self, ordered: OrderedIdeal) -> None:
         tables = tables_for(ordered.ideal)
-        mu = tables.mu
-        size = tables.size
-        rank = [ordered.rank(b + 1) for b in range(mu)]
-
-        minrank = [mu] * size
-        for mask in range(1, size):
-            low = mask & -mask
-            r = rank[low.bit_length() - 1]
-            rest_min = minrank[mask ^ low]
-            minrank[mask] = r if r < rest_min else rest_min
-
-        # court[mask]: the least court of the subset, 0 if not broken
-        court = [0] * size
-        outside = tables.outside_mask
-        word = ordered.order
-        for mask in range(1, size):
-            out = outside[mask]
-            if out:
-                r = minrank[out]
-                if r < minrank[mask]:
-                    court[mask] = word[r]
-        self.court = court
-
-        preserved = [False] * size
-        preserved[0] = True
-        for mask in range(1, size):
-            if court[mask]:
-                continue
-            for b in iter_bits(mask):
-                if not preserved[mask ^ (1 << b)]:
-                    break
-            else:
-                preserved[mask] = True
-        self.preserved = preserved
+        word = np.array(ordered.order, np.int8)
+        least, court_rank, unpreserved = PreservedKernel(tables.outside_mask)(
+            word[None])
+        least, court_rank = least[:, 0], court_rank[:, 0]
+        preserved = ~unpreserved[:, 0]
+        # an empty outside set has court rank mu: pad the word to index it
+        court = np.append(word, np.int8(0))[court_rank]
+        court[court_rank >= least] = 0
+        self.court = court.tolist()
+        self.preserved = preserved.tolist()
+        self.length = max(m.bit_count() for m in
+                          np.flatnonzero(preserved).tolist())
         self.tables = tables
 
 

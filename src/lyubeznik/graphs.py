@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 from itertools import combinations
 
-from .invariants import is_lyubeznik, is_totally_lyubeznik
+from .invariants import search_scan
 from .monomials import BoundExceededError, MonomialIdeal, ParseError, VariableContext
 from .orders import DEFAULT_MAX_EXHAUSTIVE
 
@@ -173,11 +173,12 @@ def check_graph_propositions(graph: SimpleGraph, *,
     """
     ideal = edge_ideal(graph)
     path_edges = longest_path_edges(graph)
-    totally = is_totally_lyubeznik(ideal, max_exhaustive=max_exhaustive,
-                                   jobs=jobs)
-    lyubeznik = is_lyubeznik(ideal, "exhaustive",
-                             max_exhaustive=max_exhaustive,
-                             jobs=jobs).verdict is True
+    # one scan settles both verdicts: it stops once it has seen a
+    # minimal and a non-minimal order, or else runs to the end
+    scan = search_scan(ideal, "exhaustive", max_exhaustive=max_exhaustive,
+                       jobs=jobs, stop_when="both-verdicts")
+    totally = scan.nonminimal_witness is None
+    lyubeznik = scan.tobsl == 0
     return (
         PropositionCheck("no-path-of-3-edges-implies-totally-lyubeznik",
                          path_edges < 3, totally),

@@ -1,32 +1,20 @@
 """Minimality tests, Betti tables from preserved sets, and order searches.
 
 Per-order quantities (is the Lyubeznik resolution minimal, its length,
-the largest preserved set, the obstruction) are computed by two
-independent routes wherever the theory promises an identity, and a
-disagreement raises ``RuntimeError`` rather than silently trusting
-either side:
-
-* minimality: every facet of the complex is stable, versus no
-  E-minimal cover (read from the ideal's cover table in ``covers``) is
-  preserved;
-* length: largest face of the complex (downward-closed DP), versus the
-  largest preserved set found by up-closing the broken sets with a
-  subset-sum transform.  Both routes read the order's one broken-set
-  table, ``order_analysis(ordered).court``, as the scanner's two routes
-  share one broken array.
+the obstruction) are read off the order's preserved-set table,
+``order_analysis(ordered)``, and the ideal's cover table in ``covers``:
+the resolution is minimal iff no E-minimal cover is preserved.  The
+checking routes (facet stability, the Python preserved-set DP, the
+subset-sum closure) live in the tests.
 
 Order searches (total obstruction, minimal length, Lyubeznik /
 almost / totally Lyubeznik classification) scan permutation words in
 lexicographic order so witnesses are reproducible, optionally in
 parallel.  The scanner packs the words into int8 blocks of
-``DEFAULT_CHUNK`` orders and evaluates a whole block with array
-operations over one row per subset mask: minimum ranks by doubling
-over the bits, broken sets by one gather against the outside masks,
-and then both length routes per order.  Route one is the face DP run
-level by level over subset size, each set checked against its
-one-smaller subsets; route two up-closes the broken sets bit by bit
-(the zeta transform over the subset lattice).  The two lengths are
-compared on every block.
+``DEFAULT_CHUNK`` orders and runs ``complexes.PreservedKernel`` on each
+block (``order_analysis`` runs the same kernel on one word).  The
+length and the obstruction of every order are read straight off the
+unpreserved sets it returns.
 """
 
 from __future__ import annotations
@@ -34,15 +22,13 @@ from __future__ import annotations
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain, combinations, islice
-from math import comb
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .betti import QUOTIENT, BettiTable
-from .complexes import is_stable_symbol, lyubeznik_complex, order_analysis, symbol_of
+from .complexes import PreservedKernel, order_analysis
 from .covers import cover_table
 from .monomials import MonomialIdeal, radical_ideal, support
 from .oracle import taylor_betti
@@ -61,24 +47,10 @@ class NotMinimalError(ValueError):
 
 
 def is_minimal_resolution(ordered: OrderedIdeal) -> bool:
-    """Whether the Lyubeznik resolution of this order is minimal.
-
-    Route one checks that every facet of the complex is a stable
-    symbol; route two checks that no E-minimal cover is preserved.
-    Both are computed and must agree.
-    """
-    ideal = ordered.ideal
-    eminimal = cover_table(ideal).eminimal
-    analysis = order_analysis(ordered)
-    via_covers = not any(analysis.preserved[m] for m in eminimal)
-    complex_ = lyubeznik_complex(ordered)
-    via_facets = all(is_stable_symbol(symbol_of(f, ordered), ideal)
-                     for f in complex_.facets)
-    if via_facets != via_covers:
-        raise RuntimeError(
-            "internal disagreement: facet stability says "
-            f"{via_facets}, preserved E-minimal covers say {via_covers}")
-    return via_facets
+    """Whether the Lyubeznik resolution of this order is minimal: no
+    E-minimal cover is preserved."""
+    preserved = order_analysis(ordered).preserved
+    return not any(preserved[m] for m in cover_table(ordered.ideal).eminimal)
 
 
 def obstruction(ordered: OrderedIdeal) -> int:
@@ -90,28 +62,12 @@ def obstruction(ordered: OrderedIdeal) -> int:
 
 def l_length(ordered: OrderedIdeal) -> int:
     """Length of the Lyubeznik resolution: the largest face size."""
-    preserved = order_analysis(ordered).preserved
-    return max(m.bit_count() for m, face in enumerate(preserved) if face)
+    return order_analysis(ordered).length
 
 
 def preserved_size(ordered: OrderedIdeal) -> int:
-    """Largest preserved subset, computed without the face machinery.
-
-    The broken sets (the order's court table) are closed upward with a
-    bitwise subset-sum transform; the answer is the largest subset that
-    never lands in the closure.  Must equal ``l_length``, which reads
-    the face DP over the same court table (checked wholesale by the
-    test suite and per order by the search scanner).
-    """
-    analysis = order_analysis(ordered)
-    size = analysis.tables.size
-    bad = bytearray(map(bool, analysis.court))
-    for b in range(analysis.tables.mu):
-        bit = 1 << b
-        for mask in range(size):
-            if mask & bit and bad[mask ^ bit]:
-                bad[mask] = 1
-    return max(m.bit_count() for m in range(size) if not bad[m])
+    """Largest preserved subset; by definition the resolution length."""
+    return order_analysis(ordered).length
 
 
 def betti_from_preserved(ordered: OrderedIdeal) -> BettiTable:
@@ -226,147 +182,41 @@ class SearchResult:
     nonminimal_witness: tuple[int, ...] | None
 
 
-class _ScanPlan:
-    """Order-free index arrays that drive ``_BlockScanner`` for one ideal.
+class _BlockScanner:
+    """Per-order invariants of blocks of words for one ideal.
 
-    ``outside[mask]`` is the tables' ``outside_mask``.  The face DP keeps
-    its rows in level order (by popcount, then by value) so that each
-    level is one contiguous slice: ``natural[r]`` is the mask at row r,
-    ``levels[k]`` the slice of the k-element masks, and ``subsets[k]``
-    the rows of their one-smaller subsets, one column per member.  The
-    cover clutter is grouped by edge size, as level-order rows.
+    The unpreserved sets come from ``PreservedKernel``; the length and
+    the obstruction are read straight off them.  The cover clutter is
+    grouped by edge size.
     """
-
-    __slots__ = ("mu", "outside", "natural", "levels", "subsets", "clutter")
 
     def __init__(self, ideal: MonomialIdeal) -> None:
         tables = tables_for(ideal)
-        mu, size = tables.mu, tables.size
-        sizes = [bin(m).count("1") for m in range(size)]
-        natural = sorted(range(size), key=lambda m: (sizes[m], m))
-        position = [0] * size
-        for row, mask in enumerate(natural):
-            position[mask] = row
-        self.mu = mu
-        self.outside = np.array(tables.outside_mask, np.intp)
-        self.natural = np.array(natural, np.intp)
-        self.levels = []
-        self.subsets = []
-        start = 0
-        for k in range(mu + 1):
-            stop = start + comb(mu, k)
-            self.levels.append(slice(start, stop))
-            self.subsets.append(np.array(
-                [[position[m ^ (1 << b)] for b in iter_bits(m)]
-                 for m in natural[start:stop]], np.intp).reshape(stop - start, k))
-            start = stop
+        self.kernel = PreservedKernel(tables.outside_mask)
+        self.popcount = np.array([m.bit_count() for m in range(tables.size)],
+                                 np.int8)[:, None]
         by_size: dict[int, list[int]] = {}
         for m in cover_table(ideal).clutter:
-            by_size.setdefault(sizes[m], []).append(position[m])
-        self.clutter = [(k, np.array(rows, np.intp))
-                        for k, rows in sorted(by_size.items())]
-
-
-# one entry: a command reads one ideal, and more entries would hold
-# 2^mu tables for every ideal a process has seen
-@lru_cache(maxsize=1)
-def _scan_plan(ideal: MonomialIdeal) -> _ScanPlan:
-    return _ScanPlan(ideal)
-
-
-class _BlockScanner:
-    """Vectorized per-order invariants of blocks of words for one ideal.
-
-    Scratch arrays are kept from one block to the next of the same size:
-    multi-megabyte arrays allocated afresh for every block are mapped
-    and page-faulted in by the allocator each time, which costs about as
-    much as the arithmetic on them.
-    """
-
-    def __init__(self, ideal: MonomialIdeal) -> None:
-        self.plan = _scan_plan(ideal)
-        self._scratch: tuple[np.ndarray, ...] = ()
-
-    def _workspace(self, count: int) -> tuple[np.ndarray, ...]:
-        if not self._scratch or self._scratch[0].shape[1] != count:
-            mu = self.plan.mu
-            full = (1 << mu, count)
-            self._scratch = (np.empty(full, np.int8), np.empty(full, np.int8),
-                             np.empty(full, bool), np.empty(full, bool),
-                             np.empty((comb(mu, mu // 2), count), bool))
-        return self._scratch
+            by_size.setdefault(m.bit_count(), []).append(m)
+        self.clutter = [(k, np.array(edges, np.intp))
+                        for k, edges in sorted(by_size.items())]
 
     def __call__(self, words: Sequence[tuple[int, ...]] | np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(obstruction, length, minimal) arrays indexed like ``words``.
 
         ``words`` is a sequence of permutation words or an int8 array of
-        shape (count, mu).  Every step is a whole-array operation over
-        all orders of the block at once, with one row per subset mask;
-        the length is computed both by the face DP and by the subset-sum
-        closure, and a mismatch raises.
+        shape (count, mu).
         """
-        plan = self.plan
-        mu = plan.mu
-        size = 1 << mu
-        word_arr = np.asarray(words, np.int8).reshape(-1, mu)
-        count = len(word_arr)
-        minpos, gathered, broken, pres, rows = self._workspace(count)
-
-        # rank[g][j]: rank of generator g + 1 in order j
-        rank = np.empty((mu, count), np.int8)
-        ranks = np.arange(mu, dtype=np.int8)[:, None]
-        rank[word_arr.T - 1, np.arange(count)] = ranks
-
-        # minpos[mask][j]: least rank in the mask, built by doubling over
-        # bits (masks 2^b .. 2^(b+1)-1 extend masks 0 .. 2^b-1 by bit b)
-        minpos[0] = mu
-        for b in range(mu):
-            np.minimum(minpos[:1 << b], rank[b], out=minpos[1 << b:2 << b])
-
-        # broken[mask]: some outside divisor precedes every member (never
-        # for an empty outside set, whose minpos is the sentinel mu).
-        # Gathers use mode="clip" (indices are in range) so that numpy
-        # writes straight into the workspace instead of a buffer.
-        np.take(minpos, plan.outside, axis=0, out=gathered, mode="clip")
-        np.less(gathered, minpos, out=broken)
-        # minpos is spent; its buffer takes broken in level order
-        broken_lv = np.take(broken, plan.natural, axis=0,
-                            out=minpos.view(bool), mode="clip")
-
-        # route one: a set is preserved iff it is unbroken and all its
-        # one-smaller subsets are preserved, one level at a time
-        pres[0] = True
-        for k in range(1, mu + 1):
-            level = plan.levels[k]
-            acc = np.logical_not(broken_lv[level], out=pres[level])
-            below = rows[:len(acc)]
-            for column in plan.subsets[k].T:
-                acc &= np.take(pres, column, axis=0, out=below, mode="clip")
-
-        # route two: up-close the broken sets in place, one OR per bit
-        for b in range(mu):
-            halves = broken.reshape(size >> (b + 1), 2, 1 << b, count)
-            halves[:, 1] |= halves[:, 0]
-        bad_lv = np.take(broken, plan.natural, axis=0, out=gathered.view(bool),
-                         mode="clip")
-
-        l_arr = np.zeros(count, np.int8)
-        ps_arr = np.zeros(count, np.int8)
-        for k in range(1, mu + 1):
-            level = plan.levels[k]
-            l_arr[pres[level].any(axis=0)] = k
-            ps_arr[~bad_lv[level].all(axis=0)] = k
-        if not np.array_equal(l_arr, ps_arr):
-            raise RuntimeError("internal disagreement: face DP length and "
-                               "subset-closure preserved size differ")
-
-        obs = np.zeros(count, np.int8)
-        for k, edges in plan.clutter:
-            hit = np.take(pres, edges, axis=0, out=rows[:len(edges)],
-                          mode="clip")
-            obs[hit.any(axis=0)] = k
-        return obs, l_arr, obs == 0
+        word_arr = np.asarray(words, np.int8).reshape(-1, self.kernel.mu)
+        least, _, unpreserved = self.kernel(word_arr)
+        # least is spent; its buffer takes the preserved sets' sizes
+        sizes = np.multiply(self.popcount, ~unpreserved, out=least)
+        lengths = sizes.max(axis=0)
+        obs = np.zeros(len(word_arr), np.int8)
+        for k, edges in self.clutter:
+            obs[~unpreserved[edges].all(axis=0)] = k
+        return obs, lengths, obs == 0
 
 
 def _scan_words(ideal: MonomialIdeal, words: Sequence[tuple[int, ...]] | np.ndarray
@@ -411,6 +261,8 @@ def _merge(agg: _Agg, words: np.ndarray,
         return agg.tobsl == 0
     if stop_when == "nonzero-obstruction":
         return agg.nonminimal_witness is not None
+    if stop_when == "both-verdicts":
+        return agg.tobsl == 0 and agg.nonminimal_witness is not None
     return False
 
 
@@ -434,11 +286,14 @@ def search_scan(ideal: MonomialIdeal, mode: str = "exhaustive", *,
 
     ``stop_when`` may be ``"zero-obstruction"`` (stop once a minimal
     order is found; its witness is then exact) or
-    ``"nonzero-obstruction"`` (stop once a non-minimal order is found).
+    ``"nonzero-obstruction"`` (stop once a non-minimal order is found)
+    or ``"both-verdicts"`` (stop once both have been found, which
+    settles whether some order and whether every order is minimal).
     Chunks are merged in stream order regardless of ``jobs``, so every
     output is deterministic.
     """
-    if stop_when not in (None, "zero-obstruction", "nonzero-obstruction"):
+    if stop_when not in (None, "zero-obstruction", "nonzero-obstruction",
+                         "both-verdicts"):
         raise ValueError(f"unknown stop policy {stop_when!r}")
     if jobs < 1 or chunk_size < 1:
         raise ValueError(f"jobs and chunk_size must be at least 1, got "
@@ -650,14 +505,7 @@ def analyze(ordered: OrderedIdeal, *, search_mode: str | None = None,
     ideal = ordered.ideal
     minimal = is_minimal_resolution(ordered)
     obs = obstruction(ordered)
-    if minimal != (obs == 0):
-        raise RuntimeError("internal disagreement: minimality and "
-                           "obstruction routes differ")
     length = l_length(ordered)
-    ps = preserved_size(ordered)
-    if length != ps:
-        raise RuntimeError("internal disagreement: resolution length and "
-                           "preserved size differ")
     betti = _preserved_betti(ordered) if minimal else None
     ht = height(ideal)
 
@@ -685,7 +533,7 @@ def analyze(ordered: OrderedIdeal, *, search_mode: str | None = None,
     lower = projdim if squarefree else ht
     upper = min(best, ideal.mu)
     return InvariantReport(order=ordered.order, minimal=minimal,
-                           obstruction=obs, l_length=length, ps=ps,
+                           obstruction=obs, l_length=length, ps=length,
                            betti=betti, height=ht,
                            ara=AraBounds(lower, upper, lower == upper),
                            lyubeznik=lyub, almost_lyubeznik=almost,

@@ -22,7 +22,7 @@ against plain Fraction elimination.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd
 from typing import Mapping, Sequence, Union
 
 _Vector = Union[Mapping[int, int], Sequence[int]]
@@ -79,13 +79,41 @@ def exact_rank(vectors: Sequence[_Vector]) -> int:
     return _reduced_rank(vectors, 0)
 
 
+# Miller-Rabin with the primes up to 41 as bases is exact below this
+# bound (Sorenson and Webster 2015)
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 @lru_cache(maxsize=None)
-def _check_prime(p: int) -> None:
-    if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+def check_prime(p: int) -> None:
+    """Raise ValueError unless p is a prime below ``PRIME_LIMIT``.
+
+    Deterministic Miller-Rabin: its cost grows with the digits of p,
+    not with sqrt(p) as trial division does.
+    """
+    if p >= PRIME_LIMIT:
+        raise ValueError(f"primes must be below {PRIME_LIMIT}, got {p}")
+    if p < 2 or any(p % q == 0 for q in _WITNESSES if q < p):
         raise ValueError(f"{p} is not a prime")
+    odd, twos = p - 1, 0
+    while odd % 2 == 0:
+        odd, twos = odd // 2, twos + 1
+    for a in _WITNESSES:
+        if a >= p:
+            break
+        x = pow(a, odd, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(twos - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            raise ValueError(f"{p} is not a prime")
 
 
 def rank_mod_p(vectors: Sequence[_Vector], p: int) -> int:
     """Rank over the prime field GF(p) of integer vectors, as in exact_rank."""
-    _check_prime(p)
+    check_prime(p)
     return _reduced_rank(vectors, p)

@@ -1,0 +1,76 @@
+"""Plain-Python checking routes for the per-order tables.
+
+The library computes an order's broken and preserved sets with one
+numpy kernel (``complexes.PreservedKernel``).  These are the routes it
+replaced, kept as the references that differential tests compare it
+with.  They share no code with the kernel, only the ideal's subset
+tables (``outside_mask``), which ``tests/test_subsets.py`` checks
+against the monomials.
+
+* ``court_table`` and ``preserved_table``: least ranks by a loop over
+  the masks, then the preserved-set DP (a set is preserved iff it has
+  no court and all its one-smaller subsets are preserved);
+* ``closure_length``: the largest set outside the up-closure of the
+  broken sets, by a bitwise subset-sum transform;
+* ``facets_stable``: minimality as "every facet of the complex is a
+  stable symbol", read off the monomials.
+"""
+
+from lyubeznik import is_stable_symbol, symbol_of
+from lyubeznik.subsets import indices_of, iter_bits, tables_for
+
+
+def court_table(ordered):
+    """court[mask]: the least court of the subset, 0 if it is not broken."""
+    tables = tables_for(ordered.ideal)
+    mu, size = tables.mu, tables.size
+    rank = [ordered.rank(b + 1) for b in range(mu)]
+    minrank = [mu] * size
+    for mask in range(1, size):
+        low = mask & -mask
+        minrank[mask] = min(rank[low.bit_length() - 1], minrank[mask ^ low])
+    court = [0] * size
+    for mask in range(1, size):
+        out = tables.outside_mask[mask]
+        if out and minrank[out] < minrank[mask]:
+            court[mask] = ordered.order[minrank[out]]
+    return court
+
+
+def preserved_table(ordered, court=None):
+    """preserved[mask], by the DP over one-smaller subsets."""
+    court = court_table(ordered) if court is None else court
+    preserved = [False] * len(court)
+    preserved[0] = True
+    for mask in range(1, len(court)):
+        if not court[mask]:
+            preserved[mask] = all(preserved[mask ^ (1 << b)]
+                                  for b in iter_bits(mask))
+    return preserved
+
+
+def closure_length(ordered, court=None):
+    """The largest preserved set's size, by up-closing the broken sets."""
+    court = court_table(ordered) if court is None else court
+    bad = bytearray(map(bool, court))
+    for b in range(ordered.ideal.mu):
+        bit = 1 << b
+        for mask in range(len(bad)):
+            if mask & bit and bad[mask ^ bit]:
+                bad[mask] = 1
+    return max(m.bit_count() for m in range(len(bad)) if not bad[m])
+
+
+def facets(preserved):
+    """The maximal preserved masks."""
+    full = len(preserved) - 1
+    return [m for m, face in enumerate(preserved) if face and
+            not any(preserved[m | (1 << b)] for b in iter_bits(full & ~m))]
+
+
+def facets_stable(ordered, preserved=None):
+    """Minimality by facet stability: deleting any member of any facet
+    strictly drops its lcm."""
+    preserved = preserved_table(ordered) if preserved is None else preserved
+    return all(is_stable_symbol(symbol_of(indices_of(f), ordered), ordered.ideal)
+               for f in facets(preserved))

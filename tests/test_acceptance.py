@@ -46,6 +46,8 @@ from lyubeznik import (
 )
 from lyubeznik.subsets import indices_of, mask_of, tables_for
 
+from reference_routes import closure_length
+
 
 def criterion(number, description, limit=None):
     """Wrap a criterion body with the printed verdict and time budget."""
@@ -219,7 +221,8 @@ def test_acceptance_7_theorem_identities():
     for name, ideal in sweep_ideals():
         tables = tables_for(ideal)
         for ordered in all_orders(ideal):
-            assert l_length(ordered) == preserved_size(ordered)
+            assert (l_length(ordered) == preserved_size(ordered)
+                    == closure_length(ordered))
             assert equivalence_audit(ordered).consistent
             assert verify_chain_complex(ordered)
 

@@ -130,6 +130,58 @@ def test_verify_with_prime_field(capsys, koszul_path):
     assert code == 1 and "not a prime" in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "oracle-betti", "verify"])
+@pytest.mark.parametrize("spec, fragment", [
+    ("p:4", "4 is not a prime"),
+    ("p:1", "1 is not a prime"),
+    ("p:-7", "-7 is not a prime"),
+    ("p:abc", "bad field spec"),
+    ("r:5", "bad field spec"),
+    # a strong pseudoprime to the bases 2, 3, 5 and 7
+    ("p:3215031751", "3215031751 is not a prime"),
+    ("p:" + str(10**30 + 57), "primes must be below"),
+])
+def test_bad_field_is_refused_before_any_work(capsys, koszul_path, command,
+                                             spec, fragment):
+    code, out, err = run_cli(capsys, command, "--field", spec, koszul_path)
+    assert code == 1 and out == ""
+    assert "argument --field" in err and fragment in err
+
+
+def test_large_prime_field_is_checked_without_trial_division(capsys, mixed_path):
+    # 2^61 - 1 is prime; trial division up to its square root would
+    # take about 1.5e9 steps
+    code, out, _ = run_cli(capsys, "oracle-betti", "--format", "json",
+                           "--field", "p:2305843009213693951", mixed_path)
+    assert code == 0
+    code, exact, _ = run_cli(capsys, "oracle-betti", "--format", "json",
+                             mixed_path)
+    assert json.loads(out)["graded"] == json.loads(exact)["graded"]
+
+
+def test_json_output_never_formats_the_text_lines(capsys, mixed_path,
+                                                  monkeypatch):
+    import lyubeznik.cli as cli
+    built = []
+    original = cli._cmd_covers
+
+    def handler(args):
+        payload, text = original(args)
+
+        def counted():
+            built.append(args.format)
+            return text()
+        return payload, counted
+
+    monkeypatch.setattr(cli, "_cmd_covers", handler)
+    code, out, _ = run_cli(capsys, "covers", "--format", "json", mixed_path)
+    assert code == 0 and json.loads(out)["command"] == "covers"
+    assert built == []
+    code, out, _ = run_cli(capsys, "covers", mixed_path)
+    assert code == 0 and out.startswith("ideal: ")
+    assert built == ["text"]
+
+
 def test_radical_gens_output(capsys, mixed_path):
     code, out, _ = run_cli(capsys, "radical-gens", mixed_path)
     assert code == 0

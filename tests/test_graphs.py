@@ -1,16 +1,21 @@
 """Graphs, edge ideals, and the edge-ideal proposition checks."""
 
+from functools import partial
+
 import pytest
 
 from lyubeznik import (
     BoundExceededError,
     ParseError,
+    PropositionCheck,
     SimpleGraph,
     all_graphs,
     check_graph_propositions,
     complete_graph,
     edge_ideal,
     graph_names,
+    is_lyubeznik,
+    is_totally_lyubeznik,
     load_graph,
     load_ideal,
     longest_path_edges,
@@ -140,3 +145,46 @@ def test_four_cycle_proposition():
     # The same row on a five-cycle has a false hypothesis.
     rows5 = {r.name: r for r in check_graph_propositions(load_graph("cycle5"))}
     assert not rows5["four-cycle-implies-not-lyubeznik"].hypothesis
+
+
+def two_scan_propositions(graph):
+    """The propositions with one scan per verdict, as the reference."""
+    ideal = edge_ideal(graph)
+    totally = is_totally_lyubeznik(ideal)
+    lyubeznik = is_lyubeznik(ideal, "exhaustive").verdict is True
+    rows = check_graph_propositions(graph)
+    conclusions = [totally] * 3 + [lyubeznik] * 2 + [not lyubeznik]
+    return tuple(PropositionCheck(r.name, r.hypothesis, c)
+                 for r, c in zip(rows, conclusions))
+
+
+def test_propositions_match_two_scans_on_every_corpus_graph(monkeypatch):
+    import lyubeznik.graphs as graphs
+    expected = {name: two_scan_propositions(graph)
+                for name, graph in all_graphs()}
+    for chunk in (1, None):
+        if chunk:
+            # one order per block, so the stop policy decides where the
+            # scan ends (a corpus graph's orders fit in one default block)
+            monkeypatch.setattr(graphs, "search_scan",
+                                partial(graphs.search_scan, chunk_size=chunk))
+        for name, graph in all_graphs():
+            assert check_graph_propositions(graph) == expected[name], name
+        monkeypatch.undo()
+
+
+def test_check_props_scans_once_per_request(monkeypatch):
+    import lyubeznik.graphs as graphs
+    calls = []
+    original = graphs.search_scan
+
+    def counted(*args, **kwargs):
+        result = original(*args, **kwargs)
+        calls.append(result.stopped_early)
+        return result
+
+    monkeypatch.setattr(graphs, "search_scan", counted)
+    for name, graph in all_graphs():
+        calls.clear()
+        check_graph_propositions(graph)
+        assert len(calls) == 1, name

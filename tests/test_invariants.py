@@ -1,9 +1,11 @@
 """Per-order invariants, the vectorized scanner, and order searches.
 
-The scanner in ``_scan_words`` recomputes obstruction, length, and
-minimality for whole batches of orders with numpy; the heart of this
-file is the exhaustive cross-check of those arrays against the plain
-per-order functions, which are themselves internally double-routed.
+The scanner in ``_scan_words`` computes obstruction, length, and
+minimality for whole batches of orders with numpy.  Here its arrays are
+checked, order by order, against the per-order functions, which read
+the same kernel one word at a time; ``tests/test_scan_kernel.py`` and
+``tests/test_preserved_kernel.py`` compare both with the plain-Python
+reference routes.
 """
 
 import dataclasses
@@ -297,6 +299,22 @@ def test_analyze_scans_once_and_matches_ara_bounds(monkeypatch, name, mode):
     assert report.ara == expected
 
 
+def test_both_verdicts_stop_when_the_later_verdict_settles():
+    # one order per block, so scanned counts orders up to the stop
+    for name in SCAN_NAMES:
+        ideal = load_ideal(name)
+        some = search_scan(ideal, chunk_size=1, stop_when="zero-obstruction")
+        every = search_scan(ideal, chunk_size=1,
+                            stop_when="nonzero-obstruction")
+        both = search_scan(ideal, chunk_size=1, stop_when="both-verdicts")
+        assert both.scanned == max(some.scanned, every.scanned), name
+        assert (both.tobsl == 0) == (some.tobsl == 0), name
+        assert both.nonminimal_witness == every.nonminimal_witness, name
+    mixed = search_scan(load_ideal("mixed_powers_xyz"), chunk_size=1,
+                        stop_when="both-verdicts")
+    assert mixed.stopped_early and mixed.scanned < 120
+
+
 def test_search_rejects_non_positive_jobs_and_chunks():
     ideal = load_ideal("chain_three_squares")
     for kwargs in ({"jobs": 0}, {"jobs": -3}, {"chunk_size": 0}):
@@ -305,18 +323,24 @@ def test_search_rejects_non_positive_jobs_and_chunks():
 
 
 def test_analyze_builds_the_complex_once(monkeypatch, capsys):
+    # the report reads the order's tables only: no frozenset complex
+    import sys
     from lyubeznik.cli import main
     from lyubeznik.corpus import _data_dir
-    import lyubeznik.invariants as inv
     calls = []
-    original = inv.lyubeznik_complex
+    for module in list(sys.modules.values()):
+        if not (module.__name__ or "").startswith("lyubeznik"):
+            continue
+        original = vars(module).get("lyubeznik_complex")
+        if original is None:
+            continue
 
-    def counted(ordered):
-        calls.append(ordered.order)
-        return original(ordered)
+        def counted(ordered, _original=original):
+            calls.append(ordered.order)
+            return _original(ordered)
 
-    monkeypatch.setattr(inv, "lyubeznik_complex", counted)
+        monkeypatch.setattr(module, "lyubeznik_complex", counted)
     path = _data_dir() / "mixed_powers_xyz.ideal"
     assert main(["analyze", str(path)]) == 0
     assert "minimal resolution: yes" in capsys.readouterr().out
-    assert len(calls) == 1
+    assert calls == []

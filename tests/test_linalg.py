@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from lyubeznik.linalg import exact_rank, rank_mod_p
+from lyubeznik.linalg import PRIME_LIMIT, check_prime, exact_rank, rank_mod_p
 
 
 def test_frozen_ranks():
@@ -21,6 +21,34 @@ def test_rank_mod_p_can_drop():
     assert rank_mod_p([[2]], 3) == 1
     assert rank_mod_p([[6, 3], [2, 1]], 3) == 1
     assert rank_mod_p([[6, 3], [2, 1]], 5) == 1
+
+
+def is_prime_by_trial_division(n):
+    return n > 1 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+def passes_check(n):
+    try:
+        check_prime(n)
+    except ValueError:
+        return False
+    return True
+
+
+def test_check_prime_matches_trial_division():
+    assert [n for n in range(-10, 20_000)
+            if passes_check(n) != is_prime_by_trial_division(n)] == []
+
+
+def test_check_prime_on_large_values():
+    # strong pseudoprimes: 3215031751 to the bases 2-7, and
+    # 3825123056546413051 to the bases 2-23
+    for composite in (3215031751, 3825123056546413051, (2**31 - 1) ** 2):
+        assert not passes_check(composite), composite
+    for prime in (2**31 - 1, 2**61 - 1, 2**64 - 59):
+        assert passes_check(prime), prime
+    with pytest.raises(ValueError, match="below"):
+        check_prime(PRIME_LIMIT + 2)
 
 
 def test_rank_mod_p_rejects_composites():

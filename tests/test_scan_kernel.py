@@ -2,8 +2,9 @@
 
 The scanner evaluates whole int8 blocks of permutation words with array
 operations.  Here its aggregates are compared with a plain loop over
-``all_orders`` (or ``courts_first_orders``) that calls the per-order
-functions ``obstruction``, ``l_length`` and ``is_minimal_resolution``,
+``all_orders`` (or ``courts_first_orders``) that reads each order's
+obstruction, length and minimality off the plain-Python routes in
+``reference_routes``, which share no code with the scanner's kernel:
 values and lexicographically least witnesses alike, for several chunk
 sizes and for a two-worker scan.
 """
@@ -14,11 +15,13 @@ from itertools import product
 from hypothesis import given, settings, strategies as st
 
 from lyubeznik import (MinimizationWarning, MonomialIdeal, all_orders,
-                       courts_first_orders, is_minimal_resolution, l_length,
-                       load_ideal, obstruction, search_scan)
+                       courts_first_orders, load_ideal, search_scan)
+from lyubeznik.covers import cover_table
 from lyubeznik.invariants import DEFAULT_CHUNK
 
 from conftest import exponent_ideal
+from reference_routes import (closure_length, court_table, facets_stable,
+                              preserved_table)
 
 SCAN_NAMES = ["chain_three_squares", "square_edges", "chain_five_mixed",
               "mixed_powers_xyz", "five_gen_squarefree"]
@@ -26,10 +29,16 @@ CHUNKS = (1, 7, DEFAULT_CHUNK)
 
 
 def per_order_values(ideal):
-    """word -> (obstruction, length, minimal), from the per-order routes."""
-    return {ordered.order: (obstruction(ordered), l_length(ordered),
-                            is_minimal_resolution(ordered))
-            for ordered in all_orders(ideal, force=True)}
+    """word -> (obstruction, length, minimal), from the reference routes."""
+    clutter = cover_table(ideal).clutter
+    values = {}
+    for ordered in all_orders(ideal, force=True):
+        court = court_table(ordered)
+        preserved = preserved_table(ordered, court)
+        obs = max((m.bit_count() for m in clutter if preserved[m]), default=0)
+        values[ordered.order] = (obs, closure_length(ordered, court),
+                                 facets_stable(ordered, preserved))
+    return values
 
 
 def brute_aggregates(values, words):

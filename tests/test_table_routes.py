@@ -5,8 +5,9 @@ against literal routes that share neither table.
   from ``covers`` are compared with a definition built here from
   ``is_cover_of`` over every subset.
 * Lengths: ``preserved_size`` and ``l_length`` both read the order's
-  court table; they are compared with the largest admissible symbol,
-  which ``is_admissible_symbol`` decides on the monomials themselves.
+  preserved-set table; they are compared with the largest admissible
+  symbol, which ``is_admissible_symbol`` decides on the monomials
+  themselves.
 """
 
 from itertools import combinations
