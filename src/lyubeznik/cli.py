@@ -13,6 +13,7 @@ two thirds of a ``covers`` call on a 12-generator ideal.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 from typing import Sequence
@@ -469,10 +470,17 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"lyubeznik: error: {exc}", file=sys.stderr)
         return 1
     if args.format == "json":
-        payload = {"schema": 1, "command": args.command, **payload}
-        print(_json_text(payload))
+        out = _json_text({"schema": 1, "command": args.command, **payload})
     else:
-        print("\n".join(text()))
+        out = "\n".join(text())
+    try:
+        print(out)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away (``... | head``): send what is still
+        # buffered to devnull, so that the flush at exit cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

@@ -37,7 +37,7 @@ import numpy as np
 
 from .monomials import MonomialIdeal, divides, lcm_of
 from .orders import OrderedIdeal
-from .subsets import indices_of, iter_bits, mask_of, tables_for
+from .subsets import indices_of, mask_of, popcounts, tables_for
 
 
 class PreservedKernel:
@@ -51,15 +51,22 @@ class PreservedKernel:
       for the empty mask), by doubling over the bits;
     * ``court_rank[mask][j]``: ``least`` of the mask's outside divisors,
       by one gather; the mask is broken iff this is below ``least``;
-    * ``unpreserved[mask][j]``: some subset of the mask is broken, by
+    * ``unpreserved[mask]``: some subset of the mask is broken, by
       up-closing the broken sets in place, one OR per bit (the zeta
-      transform over the subset lattice).
+      transform over the subset lattice).  This table is bit packed
+      along the order axis: each row is ``np.packbits`` of the orders
+      (order j is bit 7 - j % 8 of byte j // 8), viewed as uint64 when
+      the row is a whole number of 64-bit words (blocks of a multiple
+      of 64 orders), so the closure and its readers move one
+      sixty-fourth of the elements a bool table would.  Read it back
+      with ``np.unpackbits(unpreserved.view(np.uint8), axis=1,
+      count=count)``.
 
-    The three arrays are scratch kept from one block to the next of the
-    same size, so they are valid until the next call: multi-megabyte
-    arrays allocated afresh for every block are mapped and page-faulted
-    in by the allocator each time, which costs about as much as the
-    arithmetic on them.
+    ``least``, ``court_rank`` and the unpacked broken sets are scratch
+    kept from one block to the next of the same size, so they are valid
+    until the next call: multi-megabyte arrays allocated afresh for
+    every block are mapped and page-faulted in by the allocator each
+    time, which costs about as much as the arithmetic on them.
     """
 
     def __init__(self, outside_mask: Sequence[int]) -> None:
@@ -69,14 +76,15 @@ class PreservedKernel:
 
     def __call__(self, words: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(least, court_rank, unpreserved), each of shape (2^mu, count)."""
+        """(least, court_rank, unpreserved): the first two of shape
+        (2^mu, count), the third packed to ceil(count / 8) bytes a row."""
         mu = self.mu
         count = len(words)
         if not self._scratch or self._scratch[0].shape[1] != count:
             shape = (1 << mu, count)
             self._scratch = (np.empty(shape, np.int8), np.empty(shape, np.int8),
                              np.empty(shape, bool))
-        least, court_rank, unpreserved = self._scratch
+        least, court_rank, broken = self._scratch
 
         # rank[g][j]: rank of generator g + 1 in order j
         rank = np.empty((mu, count), np.int8)
@@ -92,9 +100,12 @@ class PreservedKernel:
         # The gather uses mode="clip" (indices are in range) so that
         # numpy writes straight into the scratch instead of a buffer.
         np.take(least, self.outside, axis=0, out=court_rank, mode="clip")
-        np.less(court_rank, least, out=unpreserved)
+        np.less(court_rank, least, out=broken)
+        unpreserved = np.packbits(broken, axis=1)
+        if unpreserved.shape[1] % 8 == 0:
+            unpreserved = unpreserved.view(np.uint64)
         for b in range(mu):
-            halves = unpreserved.reshape(-1, 2, 1 << b, count)
+            halves = unpreserved.reshape(-1, 2, 1 << b, unpreserved.shape[1])
             halves[:, 1] |= halves[:, 0]
         return least, court_rank, unpreserved
 
@@ -106,10 +117,11 @@ class _OrderAnalysis:
     least court of the subset, nonzero exactly when it is broken.
     ``preserved[mask]`` says whether no subset of the mask is broken, and
     ``length`` is the size of the largest preserved set.  Both tables are
-    plain Python lists, as the subset tables are.
+    plain Python lists, as the subset tables are; ``preserved_array`` is
+    the same table as a numpy bool array, for whole-array readers.
     """
 
-    __slots__ = ("tables", "court", "preserved", "length")
+    __slots__ = ("tables", "court", "preserved", "preserved_array", "length")
 
     def __init__(self, ordered: OrderedIdeal) -> None:
         tables = tables_for(ordered.ideal)
@@ -117,14 +129,15 @@ class _OrderAnalysis:
         least, court_rank, unpreserved = PreservedKernel(tables.outside_mask)(
             word[None])
         least, court_rank = least[:, 0], court_rank[:, 0]
-        preserved = ~unpreserved[:, 0]
+        preserved = np.unpackbits(unpreserved.view(np.uint8), axis=1,
+                                  count=1)[:, 0] == 0
         # an empty outside set has court rank mu: pad the word to index it
         court = np.append(word, np.int8(0))[court_rank]
         court[court_rank >= least] = 0
         self.court = court.tolist()
         self.preserved = preserved.tolist()
-        self.length = max(m.bit_count() for m in
-                          np.flatnonzero(preserved).tolist())
+        self.preserved_array = preserved
+        self.length = int(popcounts(tables.mu)[preserved].max())
         self.tables = tables
 
 
@@ -177,15 +190,16 @@ class LyubeznikComplex:
 
 def lyubeznik_complex(ordered: OrderedIdeal) -> LyubeznikComplex:
     analysis = order_analysis(ordered)
-    masks = [m for m in range(analysis.tables.size) if analysis.preserved[m]]
-    mask_set = set(masks)
-    mu = analysis.tables.mu
-    full = (1 << mu) - 1
-    facet_masks = []
-    for m in masks:
-        # downward closure makes maximality a one-bit test
-        if all(m | (1 << b) not in mask_set for b in iter_bits(full & ~m)):
-            facet_masks.append(m)
+    preserved = analysis.preserved_array
+    # downward closure makes maximality a one-bit test: a face is a facet
+    # iff no face one larger contains it.  larger[m] collects, one bit b
+    # at a time, whether m | 2^b is a face for some b outside m.
+    larger = np.zeros_like(preserved)
+    for b in range(analysis.tables.mu):
+        halves = larger.reshape(-1, 2, 1 << b)
+        halves[:, 0] |= preserved.reshape(-1, 2, 1 << b)[:, 1]
+    masks = np.flatnonzero(preserved).tolist()
+    facet_masks = np.flatnonzero(preserved & ~larger).tolist()
     faces = frozenset(frozenset(indices_of(m)) for m in masks)
     facets = frozenset(frozenset(indices_of(m)) for m in facet_masks)
     return LyubeznikComplex(ordered, faces, facets)
@@ -291,11 +305,15 @@ def classification_census(ordered: OrderedIdeal) -> dict[int, dict[SubsetClass, 
     """Counts of each class among the subsets of each size 1..mu."""
     analysis = order_analysis(ordered)
     mu = analysis.tables.mu
-    census: dict[int, dict[SubsetClass, int]] = {
-        t: {cls: 0 for cls in SubsetClass} for t in range(1, mu + 1)}
-    for mask in range(1, analysis.tables.size):
-        census[mask.bit_count()][_subset_class(analysis, mask)] += 1
-    return census
+    covered = np.array(analysis.tables.covered_mask) != 0
+    keys = (popcounts(mu).astype(np.intp) * 4
+            + analysis.preserved_array * 2 + covered)
+    counts = np.bincount(keys, minlength=4 * (mu + 1)).reshape(-1, 2, 2)
+    return {t: {SubsetClass.PRESERVED_COVER: int(counts[t, 1, 1]),
+                SubsetClass.UNPRESERVED_COVER: int(counts[t, 0, 1]),
+                SubsetClass.PRESERVED_NONCOVER: int(counts[t, 1, 0]),
+                SubsetClass.UNPRESERVED_NONCOVER: int(counts[t, 0, 0])}
+            for t in range(1, mu + 1)}
 
 
 def _rank_word_subsets(ordered: OrderedIdeal, size: int) -> Iterable[tuple[int, ...]]:

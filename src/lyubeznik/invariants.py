@@ -10,11 +10,12 @@ subset-sum closure) live in the tests.
 Order searches (total obstruction, minimal length, Lyubeznik /
 almost / totally Lyubeznik classification) scan permutation words in
 lexicographic order so witnesses are reproducible, optionally in
-parallel.  The scanner packs the words into int8 blocks of
-``DEFAULT_CHUNK`` orders and runs ``complexes.PreservedKernel`` on each
-block (``order_analysis`` runs the same kernel on one word).  The
-length and the obstruction of every order are read straight off the
-unpreserved sets it returns.
+parallel.  ``orders.orders_for_search`` hands the scanner the words as
+int8 blocks of ``DEFAULT_CHUNK`` orders, and the scanner runs
+``complexes.PreservedKernel`` on each block (``order_analysis`` runs
+the same kernel on one word).  The length and the obstruction of every
+order are read off the bit-packed unpreserved sets it returns, by ANDs
+over the packed words; only one bit per (size, order) is unpacked.
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ from __future__ import annotations
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import chain, combinations, islice
-from typing import Iterator, Sequence
+from functools import lru_cache
+from itertools import combinations
+from typing import Sequence
 
 import numpy as np
 
@@ -32,10 +34,9 @@ from .complexes import PreservedKernel, order_analysis
 from .covers import cover_table
 from .monomials import MonomialIdeal, radical_ideal, support
 from .oracle import taylor_betti
-from .orders import (DEFAULT_MAX_EXHAUSTIVE, OrderedIdeal, orders_for_search)
-from .subsets import iter_bits, tables_for
-
-DEFAULT_CHUNK = 4096
+from .orders import (DEFAULT_CHUNK, DEFAULT_MAX_EXHAUSTIVE, OrderedIdeal,
+                     orders_for_search)
+from .subsets import iter_bits, popcounts, tables_for
 
 
 class NotMinimalError(ValueError):
@@ -185,21 +186,33 @@ class SearchResult:
 class _BlockScanner:
     """Per-order invariants of blocks of words for one ideal.
 
-    The unpreserved sets come from ``PreservedKernel``; the length and
-    the obstruction are read straight off them.  The cover clutter is
-    grouped by edge size.
+    The unpreserved sets come bit packed from ``PreservedKernel``, and
+    both invariants are ANDs over them that are unpacked only at the
+    end, one bit per (row, order):
+
+    * length: the preserved sets are closed under taking subsets, so an
+      order's length is the number of sizes k >= 1 at which some k-set
+      is preserved.  The masks are gathered sorted by popcount and one
+      ``np.bitwise_and.reduceat`` over the size levels says, per order,
+      whether every k-set is unpreserved;
+    * obstruction: the largest edge size k of the cover clutter at which
+      not every k-edge is unpreserved, by one AND over each size's edges.
     """
 
     def __init__(self, ideal: MonomialIdeal) -> None:
         tables = tables_for(ideal)
         self.kernel = PreservedKernel(tables.outside_mask)
-        self.popcount = np.array([m.bit_count() for m in range(tables.size)],
-                                 np.int8)[:, None]
+        mu = self.kernel.mu
+        popcount = popcounts(mu)
+        self.by_size = np.argsort(popcount, kind="stable")
+        self.level_starts = np.searchsorted(popcount[self.by_size],
+                                            np.arange(1, mu + 1))
         by_size: dict[int, list[int]] = {}
         for m in cover_table(ideal).clutter:
             by_size.setdefault(m.bit_count(), []).append(m)
-        self.clutter = [(k, np.array(edges, np.intp))
-                        for k, edges in sorted(by_size.items())]
+        self.clutter = [np.array(edges, np.intp)
+                        for _, edges in sorted(by_size.items())]
+        self.clutter_sizes = np.array(sorted(by_size), np.int8)[:, None]
 
     def __call__(self, words: Sequence[tuple[int, ...]] | np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -209,20 +222,40 @@ class _BlockScanner:
         shape (count, mu).
         """
         word_arr = np.asarray(words, np.int8).reshape(-1, self.kernel.mu)
-        least, _, unpreserved = self.kernel(word_arr)
-        # least is spent; its buffer takes the preserved sets' sizes
-        sizes = np.multiply(self.popcount, ~unpreserved, out=least)
-        lengths = sizes.max(axis=0)
-        obs = np.zeros(len(word_arr), np.int8)
-        for k, edges in self.clutter:
-            obs[~unpreserved[edges].all(axis=0)] = k
+        mu, count = self.kernel.mu, len(word_arr)
+        _, _, unpreserved = self.kernel(word_arr)
+        # bit rows 0 .. mu-1: every set of size 1 .. mu is unpreserved;
+        # then one row per clutter edge size: every such edge is
+        levels = np.bitwise_and.reduceat(unpreserved[self.by_size],
+                                         self.level_starts, axis=0)
+        rows = [levels] + [np.bitwise_and.reduce(unpreserved[edges], axis=0,
+                                                 keepdims=True)
+                           for edges in self.clutter]
+        bits = np.unpackbits(np.concatenate(rows).view(np.uint8), axis=1,
+                             count=count)
+        lengths = mu - bits[:mu].sum(axis=0, dtype=np.int8)
+        if self.clutter:
+            obs = (self.clutter_sizes * (bits[mu:] == 0)).max(axis=0)
+        else:
+            obs = np.zeros(count, np.int8)
         return obs, lengths, obs == 0
+
+
+# one entry, like the per-ideal tables: a worker process scans blocks
+# of one ideal, and the scanner holds that ideal's kernel scratch
+@lru_cache(maxsize=1)
+def _scanner_for(ideal: MonomialIdeal) -> _BlockScanner:
+    return _BlockScanner(ideal)
 
 
 def _scan_words(ideal: MonomialIdeal, words: Sequence[tuple[int, ...]] | np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-order invariants of one block of words: see ``_BlockScanner``."""
-    return _BlockScanner(ideal)(words)
+    """Per-order invariants of one block of words: see ``_BlockScanner``.
+
+    The ``--jobs`` workers run this on every block they receive, so the
+    scanner is built once per worker and ideal.
+    """
+    return _scanner_for(ideal)(words)
 
 
 class _Agg:
@@ -266,17 +299,6 @@ def _merge(agg: _Agg, words: np.ndarray,
     return False
 
 
-def _word_blocks(words: Iterator[tuple[int, ...]], mu: int,
-                 chunk_size: int) -> Iterator[np.ndarray]:
-    """Consecutive chunks of a word stream as int8 (count, mu) arrays."""
-    while True:
-        block = np.fromiter(chain.from_iterable(islice(words, chunk_size)),
-                            np.int8)
-        if not block.size:
-            return
-        yield block.reshape(-1, mu)
-
-
 def search_scan(ideal: MonomialIdeal, mode: str = "exhaustive", *,
                 max_exhaustive: int = DEFAULT_MAX_EXHAUSTIVE,
                 force: bool = False, jobs: int = 1,
@@ -298,10 +320,9 @@ def search_scan(ideal: MonomialIdeal, mode: str = "exhaustive", *,
     if jobs < 1 or chunk_size < 1:
         raise ValueError(f"jobs and chunk_size must be at least 1, got "
                          f"jobs={jobs}, chunk_size={chunk_size}")
-    stream, exact = orders_for_search(ideal, mode,
+    chunks, exact = orders_for_search(ideal, mode,
                                       max_exhaustive=max_exhaustive,
-                                      force=force)
-    chunks = _word_blocks(stream, ideal.mu, chunk_size)
+                                      force=force, chunk_size=chunk_size)
     agg = _Agg()
     stopped = False
 

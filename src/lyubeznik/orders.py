@@ -11,19 +11,32 @@ threshold (mu! grows fast); the courts-first stream is the documented
 heuristic alternative: it yields only the orders in which every
 "possible court" precedes every non-court.  A search refuses that
 stream too when it is longer than the exhaustive threshold allows.
+
+Both streams are built in numpy by one builder: a head (empty, or a
+permutation of the possible courts), then a middle from
+``itertools.permutations``, then the last min(mu, TAIL) positions by
+indexing the remaining generators through one cached table of
+lexicographic permutations.  Searches read the rows re-cut into int8
+blocks of a fixed number of orders; ``all_orders`` and
+``courts_first_orders`` flatten them into ``OrderedIdeal`` objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import permutations
 from math import factorial
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .monomials import BoundExceededError, MonomialIdeal, divides, lcm_of
 
 DEFAULT_MAX_EXHAUSTIVE = 8
+DEFAULT_CHUNK = 4096
+# the last TAIL positions of every word come from one table of TAIL! rows
+TAIL = 7
 
 
 @dataclass(frozen=True)
@@ -80,16 +93,77 @@ def order_count(ideal: MonomialIdeal) -> int:
     return factorial(ideal.mu)
 
 
-def _exhaustive_words(ideal: MonomialIdeal, *, max_exhaustive: int,
-                     force: bool) -> Iterator[tuple[int, ...]]:
-    """All mu! permutation words in lexicographic order, bound-checked."""
+def _check_exhaustive(ideal: MonomialIdeal, max_exhaustive: int,
+                      force: bool) -> None:
     mu = ideal.mu
     if mu > max_exhaustive and not force:
         raise BoundExceededError(
             f"exhaustive search over {mu}! = {factorial(mu)} orders exceeds "
             f"the threshold mu <= {max_exhaustive}; raise --max-exhaustive "
             "(or force=True), or use the courts-first heuristic search")
-    return permutations(range(1, mu + 1))
+
+
+@lru_cache(maxsize=None)
+def _tail_table(t: int) -> np.ndarray:
+    """The t! permutations of range(t), lexicographic, as int8 rows.
+
+    Built on first use for t <= TAIL, so at most TAIL + 1 small tables.
+    """
+    return np.array(list(permutations(range(t))), np.int8).reshape(
+        factorial(t), t)
+
+
+def _word_rows(heads: Iterable[tuple[int, ...]], pool: Sequence[int]
+               ) -> Iterator[np.ndarray]:
+    """Each head followed by every arrangement of ``pool``, lexicographic.
+
+    The last t = min(|pool|, TAIL) positions come from one index of the
+    remaining generators through ``_tail_table(t)``; the positions
+    before them range over ``permutations(pool, |pool| - t)``.  Yields
+    one int8 array of t! rows per (head, middle) pair.
+    """
+    pool = sorted(pool)
+    t = min(len(pool), TAIL)
+    table = _tail_table(t)
+    for head in heads:
+        for middle in permutations(pool, len(pool) - t):
+            fixed = head + middle
+            rest = np.array(sorted(set(pool).difference(middle)), np.int8)
+            rows = np.empty((len(table), len(fixed) + t), np.int8)
+            rows[:, :len(fixed)] = fixed
+            rows[:, len(fixed):] = rest[table]
+            yield rows
+
+
+def _blocks(rows: Iterator[np.ndarray], chunk_size: int
+            ) -> Iterator[np.ndarray]:
+    """The rows of a stream of arrays re-cut into blocks of exactly
+    ``chunk_size`` rows (the last block may be shorter)."""
+    held: list[np.ndarray] = []
+    count = 0
+    for piece in rows:
+        start = 0
+        if held:
+            start = min(chunk_size - count, len(piece))
+            held.append(piece[:start])
+            count += start
+            if count < chunk_size:
+                continue
+            yield np.concatenate(held)
+            held, count = [], 0
+        while len(piece) - start >= chunk_size:
+            yield piece[start:start + chunk_size]
+            start += chunk_size
+        if start < len(piece):
+            held, count = [piece[start:]], len(piece) - start
+    if held:
+        yield np.concatenate(held)
+
+
+def _flatten(ideal: MonomialIdeal, blocks: Iterator[np.ndarray]
+             ) -> Iterator[OrderedIdeal]:
+    return (OrderedIdeal(ideal, tuple(word))
+            for block in blocks for word in block.tolist())
 
 
 def all_orders(ideal: MonomialIdeal, *,
@@ -100,9 +174,8 @@ def all_orders(ideal: MonomialIdeal, *,
     Refuses when mu exceeds ``max_exhaustive`` unless ``force`` is set;
     the error names the courts-first heuristic as the alternative.
     """
-    words = _exhaustive_words(ideal, max_exhaustive=max_exhaustive,
-                              force=force)
-    return (OrderedIdeal(ideal, word) for word in words)
+    _check_exhaustive(ideal, max_exhaustive, force)
+    return _flatten(ideal, _word_rows([()], ideal.indices()))
 
 
 def possible_courts(ideal: MonomialIdeal) -> frozenset[int]:
@@ -124,12 +197,10 @@ def possible_courts(ideal: MonomialIdeal) -> frozenset[int]:
     return frozenset(courts)
 
 
-def _courts_first_words(ideal: MonomialIdeal) -> Iterator[tuple[int, ...]]:
-    courts = sorted(possible_courts(ideal))
-    rest = sorted(set(ideal.indices()) - set(courts))
-    for head in permutations(courts):
-        for tail in permutations(rest):
-            yield head + tail
+def _courts_first_rows(ideal: MonomialIdeal, courts: frozenset[int]
+                       ) -> Iterator[np.ndarray]:
+    return _word_rows(permutations(sorted(courts)),
+                      set(ideal.indices()) - courts)
 
 
 def courts_first_orders(ideal: MonomialIdeal) -> Iterator[OrderedIdeal]:
@@ -138,7 +209,7 @@ def courts_first_orders(ideal: MonomialIdeal) -> Iterator[OrderedIdeal]:
     Yields |P|! * (mu - |P|)! orders, lexicographic on the word.  With
     P empty or P = G(I) this degenerates to the full order stream.
     """
-    return (OrderedIdeal(ideal, word) for word in _courts_first_words(ideal))
+    return _flatten(ideal, _courts_first_rows(ideal, possible_courts(ideal)))
 
 
 def parse_order(text: str, ideal: MonomialIdeal) -> OrderedIdeal:
@@ -153,23 +224,26 @@ def parse_order(text: str, ideal: MonomialIdeal) -> OrderedIdeal:
 
 def orders_for_search(ideal: MonomialIdeal, mode: str, *,
                       max_exhaustive: int = DEFAULT_MAX_EXHAUSTIVE,
-                      force: bool = False
-                      ) -> tuple[Iterator[tuple[int, ...]], bool]:
-    """The permutation words a search mode scans, plus whether they are
-    all mu! orders.
+                      force: bool = False, chunk_size: int = DEFAULT_CHUNK
+                      ) -> tuple[Iterator[np.ndarray], bool]:
+    """The orders a search mode scans, as blocks of permutation words,
+    plus whether they are all mu! orders.
 
-    Words come in the same lexicographic order as ``all_orders`` and
-    ``courts_first_orders``, without an ``OrderedIdeal`` per word.  The
-    courts-first stream is flagged exact when it coincides with the
-    full stream (P empty or P = G(I)).  Either stream is refused when it
-    is longer than ``max_exhaustive``! orders, unless ``force`` is set.
+    Each block is an int8 array of shape (chunk_size, mu), the last one
+    possibly shorter, and the words come in the same lexicographic
+    order as ``all_orders`` and ``courts_first_orders``, without an
+    ``OrderedIdeal`` per word.  The courts-first stream is flagged
+    exact when it coincides with the full stream (P empty or P = G(I)).
+    Either stream is refused when it is longer than
+    ``max_exhaustive``! orders, unless ``force`` is set.
     """
     if mode == "exhaustive":
-        return _exhaustive_words(ideal, max_exhaustive=max_exhaustive,
-                                 force=force), True
+        _check_exhaustive(ideal, max_exhaustive, force)
+        return _blocks(_word_rows([()], ideal.indices()), chunk_size), True
     if mode == "courts-first":
         mu = ideal.mu
-        p = len(possible_courts(ideal))
+        courts = possible_courts(ideal)
+        p = len(courts)
         count = factorial(p) * factorial(mu - p)
         # no stream is longer than mu!, so only mu > max_exhaustive can refuse
         if mu > max_exhaustive and count > factorial(max_exhaustive) \
@@ -179,6 +253,6 @@ def orders_for_search(ideal: MonomialIdeal, mode: str, *,
                 f"exceeds the threshold of {max_exhaustive}! = "
                 f"{factorial(max_exhaustive)} orders; raise --max-exhaustive "
                 "(or force=True)")
-        return _courts_first_words(ideal), p in (0, mu)
+        return (_blocks(_courts_first_rows(ideal, courts), chunk_size),
+                p in (0, mu))
     raise ValueError(f"unknown search mode {mode!r}")
-

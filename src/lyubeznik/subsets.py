@@ -56,6 +56,15 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def popcounts(mu: int) -> np.ndarray:
+    """int8 array of the popcounts of the masks 0 .. 2^mu - 1."""
+    counts = np.zeros(1, np.int8)
+    for _ in range(mu):
+        # masks with the next bit set repeat the lower half plus one
+        counts = np.concatenate([counts, counts + 1])
+    return counts
+
+
 class SubsetTables:
     """Order-free per-ideal tables indexed by subset mask.
 

@@ -13,10 +13,17 @@ against the monomials.
 * ``closure_length``: the largest set outside the up-closure of the
   broken sets, by a bitwise subset-sum transform;
 * ``facets_stable``: minimality as "every facet of the complex is a
-  stable symbol", read off the monomials.
+  stable symbol", read off the monomials;
+* ``unpacked_readout``: a block of orders' obstruction, length and
+  minimality from the kernel's least and court ranks, up-closed and
+  read as one bool per (mask, order), the route the bit-packed
+  closure and readout of the order scanner replaced.
 """
 
+import numpy as np
+
 from lyubeznik import is_stable_symbol, symbol_of
+from lyubeznik.covers import cover_table
 from lyubeznik.subsets import indices_of, iter_bits, tables_for
 
 
@@ -74,3 +81,22 @@ def facets_stable(ordered, preserved=None):
     preserved = preserved_table(ordered) if preserved is None else preserved
     return all(is_stable_symbol(symbol_of(indices_of(f), ordered), ordered.ideal)
                for f in facets(preserved))
+
+
+def unpacked_readout(ideal, least, court_rank):
+    """(obstruction, length, minimal) arrays of a block of orders, from
+    ``PreservedKernel``'s (2^mu, count) least and court rank arrays."""
+    size, count = least.shape
+    unpreserved = court_rank < least
+    for b in range(ideal.mu):
+        halves = unpreserved.reshape(-1, 2, 1 << b, count)
+        halves[:, 1] |= halves[:, 0]
+    popcount = np.array([m.bit_count() for m in range(size)], np.int8)[:, None]
+    lengths = (popcount * ~unpreserved).max(axis=0)
+    by_size = {}
+    for m in cover_table(ideal).clutter:
+        by_size.setdefault(m.bit_count(), []).append(m)
+    obs = np.zeros(count, np.int8)
+    for k, edges in sorted(by_size.items()):
+        obs[~unpreserved[edges].all(axis=0)] = k
+    return obs, lengths, obs == 0

@@ -329,3 +329,17 @@ def test_console_script_smoke(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["minimal"] is True
+
+
+def test_closed_pipe_exits_one_without_a_traceback(tmp_path):
+    path = tmp_path / "mixed.ideal"
+    path.write_text(MIXED)
+    # the reader closes its end before the command has started up, so
+    # the write that prints the result finds no reader
+    proc = subprocess.Popen([sys.executable, "-m", "lyubeznik.cli", "search",
+                             "--search", "courts-first", str(path)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait() == 1
+    assert "Traceback" not in err and "Exception ignored" not in err, err

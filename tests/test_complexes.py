@@ -8,6 +8,9 @@ from lyubeznik import (OrderedIdeal, SubsetClass, Symbol, admissible_symbols,
                        inadmissible_symbols, is_admissible_symbol, is_broken,
                        is_cover_of, is_preserved, is_stable_symbol, load_ideal,
                        lyubeznik_complex, symbol_of, sweep_ideals)
+from lyubeznik.subsets import mask_of
+
+from reference_routes import facets as reference_facets, preserved_table
 
 
 def symbol_sets(symbols):
@@ -100,6 +103,16 @@ def test_faces_are_downward_closed_and_facets_maximal():
             for extra in universe:
                 if extra not in facet:
                     assert facet | {extra} not in complex_.faces
+
+
+def test_facets_match_the_maximal_face_scan():
+    for _, ideal in sweep_ideals():
+        word = identity_order(ideal).order
+        for order in (word, word[::-1]):
+            ordered = OrderedIdeal(ideal, order)
+            facets = lyubeznik_complex(ordered).facets
+            assert {mask_of(f) for f in facets} == \
+                set(reference_facets(preserved_table(ordered))), (ideal, order)
 
 
 def test_f_vector_counts_faces():
@@ -219,9 +232,12 @@ def test_classification_is_a_partition():
         census = classification_census(ordered)
         for size, row in census.items():
             assert sum(row.values()) == comb(ideal.mu, size)
+        tally = {size: {cls: 0 for cls in SubsetClass}
+                 for size in range(1, ideal.mu + 1)}
         for size in range(1, ideal.mu + 1):
             for members in combinations(ideal.indices(), size):
                 cls = classify_subset(members, ordered)
+                tally[size][cls] += 1
                 preserved = is_preserved(members, ordered)
                 covering = any(is_cover_of(members, u, ideal)
                                for u in members)
@@ -232,6 +248,10 @@ def test_classification_is_a_partition():
                     (False, False): SubsetClass.UNPRESERVED_NONCOVER,
                 }[(preserved, covering)]
                 assert cls is expected
+        # the census counts the same classes, keys in the same order
+        assert census == tally
+        assert [list(row) for row in census.values()] == \
+            [list(SubsetClass)] * ideal.mu
 
 
 def test_census_of_five_gen_squarefree():

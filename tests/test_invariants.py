@@ -9,6 +9,7 @@ reference routes.
 """
 
 import dataclasses
+from itertools import islice
 
 import pytest
 
@@ -42,7 +43,8 @@ from lyubeznik import (
     taylor_betti,
     total_obstruction,
 )
-from lyubeznik.invariants import _scan_words
+from lyubeznik.invariants import _BlockScanner, _scan_words, _scanner_for
+from lyubeznik.orders import orders_for_search
 
 KOSZUL2 = parse_ideal("vars x y\ngen x\ngen y")
 
@@ -63,6 +65,25 @@ def test_scanner_matches_per_order_functions():
             assert length[k] == l_length(ordered), (name, word)
             assert length[k] == preserved_size(ordered), (name, word)
             assert bool(minimal[k]) == is_minimal_resolution(ordered), (name, word)
+
+
+def test_workers_build_one_scanner_per_ideal(monkeypatch):
+    built = []
+    init = _BlockScanner.__init__
+
+    def counting_init(self, ideal):
+        built.append(ideal)
+        init(self, ideal)
+
+    monkeypatch.setattr(_BlockScanner, "__init__", counting_init)
+    _scanner_for.cache_clear()
+    ideal = load_ideal("mixed_powers_xyz")
+    blocks, _ = orders_for_search(ideal, "exhaustive", chunk_size=64)
+    first, second = islice(blocks, 2)
+    _scan_words(ideal, first)
+    _scan_words(ideal, second)
+    # the --jobs workers call this once per block
+    assert built == [ideal]
 
 
 def test_search_aggregates():

@@ -1,12 +1,14 @@
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations, product
+from math import factorial
 
+import numpy as np
 import pytest
 
 from lyubeznik import (BoundExceededError, OrderedIdeal, all_orders,
                        courts_first_orders, divides, identity_order, lcm_of,
-                       load_ideal, order_count, orders_for_search, parse_order,
-                       possible_courts)
-from lyubeznik.orders import min_of
+                       load_ideal, order_count, orders_for_search, parse_ideal,
+                       parse_order, possible_courts)
+from lyubeznik.orders import DEFAULT_CHUNK, min_of
 
 
 def test_ordered_ideal_validates_permutation():
@@ -106,14 +108,74 @@ def test_courts_first_is_exhaustive_when_all_are_courts():
     ideal = load_ideal("chain_five_mixed")
     stream, exact = orders_for_search(ideal, "courts-first")
     assert exact
-    assert sum(1 for _ in stream) == 120
+    assert sum(len(block) for block in stream) == 120
 
 
 def test_orders_for_search_modes():
     ideal = load_ideal("mixed_powers_xyz")
     stream, exact = orders_for_search(ideal, "exhaustive")
-    assert exact and sum(1 for _ in stream) == 120
+    assert exact and sum(len(block) for block in stream) == 120
     stream, exact = orders_for_search(ideal, "courts-first")
-    assert not exact and sum(1 for _ in stream) == 12
+    assert not exact and sum(len(block) for block in stream) == 12
     with pytest.raises(ValueError):
         orders_for_search(ideal, "simulated-annealing")
+
+
+# The block stream against itertools: every word in order, and block
+# boundaries at exact multiples of the chunk size.  5040 = 7! is the
+# length of one tail table, so 5040 and 5041 put the cuts on and just
+# past its seams.
+STREAM_CHUNKS = (1, 7, DEFAULT_CHUNK, 5040, 5041)
+
+
+def word_array(words, mu, count):
+    return np.fromiter(chain.from_iterable(words), np.int8,
+                       count * mu).reshape(count, mu)
+
+
+def check_blocks(stream, expected, chunk):
+    blocks = list(stream)
+    full, last = divmod(len(expected), chunk)
+    assert [len(b) for b in blocks] == [chunk] * full + ([last] if last else [])
+    assert all(b.dtype == np.int8 for b in blocks)
+    assert np.array_equal(np.concatenate(blocks), expected)
+
+
+def koszul(mu):
+    names = [f"x{i}" for i in range(1, mu + 1)]
+    return parse_ideal("vars " + " ".join(names) + "\n"
+                       + "\n".join(f"gen {v}" for v in names))
+
+
+@pytest.mark.parametrize("mu", [1, 2, 7, 8, 9])
+def test_exhaustive_blocks_match_itertools(mu):
+    ideal = koszul(mu)
+    expected = word_array(permutations(range(1, mu + 1)), mu, factorial(mu))
+    for chunk in STREAM_CHUNKS:
+        stream, exact = orders_for_search(ideal, "exhaustive", force=True,
+                                          chunk_size=chunk)
+        assert exact
+        check_blocks(stream, expected, chunk)
+
+
+def test_courts_first_blocks_match_itertools_past_the_tail_table():
+    # two court triangles (yz | lcm(y^2, z^2), likewise uv) and four
+    # private variables: 2 courts, 8 non-courts, so the non-court part
+    # needs a middle position in front of the 7-position tail table
+    ideal = parse_ideal("vars a b c d y z u v\n" + "\n".join(
+        f"gen {g}" for g in ("a", "b", "c", "d", "y^2", "z^2", "y*z",
+                             "u^2", "v^2", "u*v")))
+    courts = sorted(possible_courts(ideal))
+    rest = sorted(set(ideal.indices()) - set(courts))
+    assert len(courts) == 2 and len(rest) == 8
+    count = factorial(2) * factorial(8)
+    expected = word_array((h + t for h, t in product(permutations(courts),
+                                                     permutations(rest))),
+                          ideal.mu, count)
+    for chunk in STREAM_CHUNKS:
+        stream, exact = orders_for_search(ideal, "courts-first", force=True,
+                                          chunk_size=chunk)
+        assert not exact
+        check_blocks(stream, expected, chunk)
+    words = [o.order for o in courts_first_orders(ideal)]
+    assert np.array_equal(word_array(words, ideal.mu, count), expected)
