@@ -82,8 +82,11 @@ class PreservedKernel:
         count = len(words)
         if not self._scratch or self._scratch[0].shape[1] != count:
             shape = (1 << mu, count)
+            # broken rows are padded with False to whole bytes, so that
+            # they pack as one flat run: np.packbits along axis 1 pays
+            # per row, which dominates the kernel for a single order
             self._scratch = (np.empty(shape, np.int8), np.empty(shape, np.int8),
-                             np.empty(shape, bool))
+                             np.zeros((1 << mu, -(-count // 8) * 8), bool))
         least, court_rank, broken = self._scratch
 
         # rank[g][j]: rank of generator g + 1 in order j
@@ -100,8 +103,8 @@ class PreservedKernel:
         # The gather uses mode="clip" (indices are in range) so that
         # numpy writes straight into the scratch instead of a buffer.
         np.take(least, self.outside, axis=0, out=court_rank, mode="clip")
-        np.less(court_rank, least, out=broken)
-        unpreserved = np.packbits(broken, axis=1)
+        np.less(court_rank, least, out=broken[:, :count])
+        unpreserved = np.packbits(broken.reshape(-1)).reshape(1 << mu, -1)
         if unpreserved.shape[1] % 8 == 0:
             unpreserved = unpreserved.view(np.uint64)
         for b in range(mu):
@@ -129,8 +132,8 @@ class _OrderAnalysis:
         least, court_rank, unpreserved = PreservedKernel(tables.outside_mask)(
             word[None])
         least, court_rank = least[:, 0], court_rank[:, 0]
-        preserved = np.unpackbits(unpreserved.view(np.uint8), axis=1,
-                                  count=1)[:, 0] == 0
+        # one order: its bit is the only one a packed row can hold
+        preserved = unpreserved[:, 0] == 0
         # an empty outside set has court rank mu: pad the word to index it
         court = np.append(word, np.int8(0))[court_rank]
         court[court_rank >= least] = 0

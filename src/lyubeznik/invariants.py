@@ -10,7 +10,7 @@ subset-sum closure) live in the tests.
 Order searches (total obstruction, minimal length, Lyubeznik /
 almost / totally Lyubeznik classification) scan permutation words in
 lexicographic order so witnesses are reproducible, optionally in
-parallel.  ``orders.orders_for_search`` hands the scanner the words as
+parallel.  The words of ``orders.orders_for_search`` are joined into
 int8 blocks of ``DEFAULT_CHUNK`` orders, and the scanner runs
 ``complexes.PreservedKernel`` on each block (``order_analysis`` runs
 the same kernel on one word).  The length and the obstruction of every
@@ -24,8 +24,8 @@ from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
-from typing import Sequence
+from itertools import combinations, islice
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -34,9 +34,10 @@ from .complexes import PreservedKernel, order_analysis
 from .covers import cover_table
 from .monomials import MonomialIdeal, radical_ideal, support
 from .oracle import taylor_betti
-from .orders import (DEFAULT_CHUNK, DEFAULT_MAX_EXHAUSTIVE, OrderedIdeal,
-                     orders_for_search)
+from .orders import DEFAULT_MAX_EXHAUSTIVE, OrderedIdeal, orders_for_search
 from .subsets import iter_bits, popcounts, tables_for
+
+DEFAULT_CHUNK = 4096
 
 
 class NotMinimalError(ValueError):
@@ -299,6 +300,16 @@ def _merge(agg: _Agg, words: np.ndarray,
     return False
 
 
+def _word_blocks(words: Iterator[bytes], mu: int,
+                 chunk_size: int) -> Iterator[np.ndarray]:
+    """Consecutive chunks of a word stream as int8 (count, mu) arrays."""
+    while True:
+        data = b"".join(islice(words, chunk_size))
+        if not data:
+            return
+        yield np.frombuffer(data, np.int8).reshape(-1, mu)
+
+
 def search_scan(ideal: MonomialIdeal, mode: str = "exhaustive", *,
                 max_exhaustive: int = DEFAULT_MAX_EXHAUSTIVE,
                 force: bool = False, jobs: int = 1,
@@ -320,9 +331,10 @@ def search_scan(ideal: MonomialIdeal, mode: str = "exhaustive", *,
     if jobs < 1 or chunk_size < 1:
         raise ValueError(f"jobs and chunk_size must be at least 1, got "
                          f"jobs={jobs}, chunk_size={chunk_size}")
-    chunks, exact = orders_for_search(ideal, mode,
+    stream, exact = orders_for_search(ideal, mode,
                                       max_exhaustive=max_exhaustive,
-                                      force=force, chunk_size=chunk_size)
+                                      force=force)
+    chunks = _word_blocks(stream, ideal.mu, chunk_size)
     agg = _Agg()
     stopped = False
 

@@ -12,20 +12,23 @@ heuristic alternative: it yields only the orders in which every
 "possible court" precedes every non-court.  A search refuses that
 stream too when it is longer than the exhaustive threshold allows.
 
-Both streams are built in numpy by one builder: a head (empty, or a
-permutation of the possible courts), then a middle from
-``itertools.permutations``, then the last min(mu, TAIL) positions by
-indexing the remaining generators through one cached table of
-lexicographic permutations.  Searches read the rows re-cut into int8
-blocks of a fixed number of orders; ``all_orders`` and
-``courts_first_orders`` flatten them into ``OrderedIdeal`` objects.
+Both streams are built in numpy as int8 arrays of rows: the last
+min(n, TAIL) positions of an arrangement of n generators come from
+indexing them through one cached table of lexicographic permutations,
+the positions before those from ``itertools.permutations``.  The
+courts-first stream pairs the courts' arrangements with the
+non-courts' by ``np.repeat`` and ``np.tile``.  ``orders_for_search``
+yields the rows as one ``bytes`` word per order, which a search joins
+back into int8 blocks (the split and the join cost about 0.02 s for
+the 9! words at mu = 9); ``all_orders`` and ``courts_first_orders``
+turn each word into an ``OrderedIdeal``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import permutations
+from itertools import chain, permutations
 from math import factorial
 from typing import Iterable, Iterator, Sequence
 
@@ -34,7 +37,6 @@ import numpy as np
 from .monomials import BoundExceededError, MonomialIdeal, divides, lcm_of
 
 DEFAULT_MAX_EXHAUSTIVE = 8
-DEFAULT_CHUNK = 4096
 # the last TAIL positions of every word come from one table of TAIL! rows
 TAIL = 7
 
@@ -113,57 +115,61 @@ def _tail_table(t: int) -> np.ndarray:
         factorial(t), t)
 
 
-def _word_rows(heads: Iterable[tuple[int, ...]], pool: Sequence[int]
-               ) -> Iterator[np.ndarray]:
-    """Each head followed by every arrangement of ``pool``, lexicographic.
+def _arrangements(pool: Sequence[int], head: tuple[int, ...] = ()
+                  ) -> Iterator[np.ndarray]:
+    """``head`` followed by every arrangement of ``pool``, lexicographic.
 
     The last t = min(|pool|, TAIL) positions come from one index of the
     remaining generators through ``_tail_table(t)``; the positions
     before them range over ``permutations(pool, |pool| - t)``.  Yields
-    one int8 array of t! rows per (head, middle) pair.
+    one int8 array of t! rows per middle.
     """
     pool = sorted(pool)
     t = min(len(pool), TAIL)
     table = _tail_table(t)
-    for head in heads:
-        for middle in permutations(pool, len(pool) - t):
-            fixed = head + middle
-            rest = np.array(sorted(set(pool).difference(middle)), np.int8)
-            rows = np.empty((len(table), len(fixed) + t), np.int8)
-            rows[:, :len(fixed)] = fixed
-            rows[:, len(fixed):] = rest[table]
+    for middle in permutations(pool, len(pool) - t):
+        fixed = head + middle
+        rest = np.array(sorted(set(pool).difference(middle)), np.int8)
+        rows = np.empty((len(table), len(fixed) + t), np.int8)
+        rows[:, :len(fixed)] = fixed
+        rows[:, len(fixed):] = rest[table]
+        yield rows
+
+
+def _courts_first_rows(ideal: MonomialIdeal, courts: frozenset[int]
+                       ) -> Iterator[np.ndarray]:
+    """Every arrangement of the courts, each followed by every
+    arrangement of the non-courts, lexicographic, as int8 arrays."""
+    others = set(ideal.indices()) - courts
+    if not courts or not others:
+        yield from _arrangements(ideal.indices())
+        return
+    if len(others) > TAIL:
+        # each head is followed by arrays of TAIL! rows
+        for heads in _arrangements(courts):
+            for head in heads.tolist():
+                yield from _arrangements(others, tuple(head))
+        return
+    # few non-court arrangements: pair whole runs of heads with their
+    # table, so that each array still holds about TAIL! rows
+    tails = np.array(sorted(others), np.int8)[_tail_table(len(others))]
+    per = max(1, factorial(TAIL) // len(tails))
+    tiled = np.tile(tails, (per, 1))
+    for heads in _arrangements(courts):
+        for start in range(0, len(heads), per):
+            run = heads[start:start + per]
+            rows = np.empty((len(run) * len(tails), ideal.mu), np.int8)
+            rows[:, :len(courts)] = np.repeat(run, len(tails), axis=0)
+            rows[:, len(courts):] = tiled[:len(rows)]
             yield rows
 
 
-def _blocks(rows: Iterator[np.ndarray], chunk_size: int
-            ) -> Iterator[np.ndarray]:
-    """The rows of a stream of arrays re-cut into blocks of exactly
-    ``chunk_size`` rows (the last block may be shorter)."""
-    held: list[np.ndarray] = []
-    count = 0
-    for piece in rows:
-        start = 0
-        if held:
-            start = min(chunk_size - count, len(piece))
-            held.append(piece[:start])
-            count += start
-            if count < chunk_size:
-                continue
-            yield np.concatenate(held)
-            held, count = [], 0
-        while len(piece) - start >= chunk_size:
-            yield piece[start:start + chunk_size]
-            start += chunk_size
-        if start < len(piece):
-            held, count = [piece[start:]], len(piece) - start
-    if held:
-        yield np.concatenate(held)
-
-
-def _flatten(ideal: MonomialIdeal, blocks: Iterator[np.ndarray]
-             ) -> Iterator[OrderedIdeal]:
-    return (OrderedIdeal(ideal, tuple(word))
-            for block in blocks for word in block.tolist())
+def _words(rows: Iterator[np.ndarray], mu: int) -> Iterator[bytes]:
+    """The rows of a stream of int8 (count, mu) arrays, one ``bytes``
+    word each.  (Generator indices are at least 1, so no word has the
+    trailing zero bytes that numpy's ``S`` type would drop.)"""
+    return chain.from_iterable(piece.view(f"S{mu}").ravel().tolist()
+                               for piece in rows)
 
 
 def all_orders(ideal: MonomialIdeal, *,
@@ -175,7 +181,8 @@ def all_orders(ideal: MonomialIdeal, *,
     the error names the courts-first heuristic as the alternative.
     """
     _check_exhaustive(ideal, max_exhaustive, force)
-    return _flatten(ideal, _word_rows([()], ideal.indices()))
+    return (OrderedIdeal(ideal, tuple(word))
+            for word in _words(_arrangements(ideal.indices()), ideal.mu))
 
 
 def possible_courts(ideal: MonomialIdeal) -> frozenset[int]:
@@ -197,19 +204,15 @@ def possible_courts(ideal: MonomialIdeal) -> frozenset[int]:
     return frozenset(courts)
 
 
-def _courts_first_rows(ideal: MonomialIdeal, courts: frozenset[int]
-                       ) -> Iterator[np.ndarray]:
-    return _word_rows(permutations(sorted(courts)),
-                      set(ideal.indices()) - courts)
-
-
 def courts_first_orders(ideal: MonomialIdeal) -> Iterator[OrderedIdeal]:
     """Orders in which every possible court precedes every non-court.
 
     Yields |P|! * (mu - |P|)! orders, lexicographic on the word.  With
     P empty or P = G(I) this degenerates to the full order stream.
     """
-    return _flatten(ideal, _courts_first_rows(ideal, possible_courts(ideal)))
+    rows = _courts_first_rows(ideal, possible_courts(ideal))
+    return (OrderedIdeal(ideal, tuple(word))
+            for word in _words(rows, ideal.mu))
 
 
 def parse_order(text: str, ideal: MonomialIdeal) -> OrderedIdeal:
@@ -224,14 +227,14 @@ def parse_order(text: str, ideal: MonomialIdeal) -> OrderedIdeal:
 
 def orders_for_search(ideal: MonomialIdeal, mode: str, *,
                       max_exhaustive: int = DEFAULT_MAX_EXHAUSTIVE,
-                      force: bool = False, chunk_size: int = DEFAULT_CHUNK
-                      ) -> tuple[Iterator[np.ndarray], bool]:
-    """The orders a search mode scans, as blocks of permutation words,
-    plus whether they are all mu! orders.
+                      force: bool = False) -> tuple[Iterator[bytes], bool]:
+    """The permutation words a search mode scans, plus whether they are
+    all mu! orders.
 
-    Each block is an int8 array of shape (chunk_size, mu), the last one
-    possibly shorter, and the words come in the same lexicographic
-    order as ``all_orders`` and ``courts_first_orders``, without an
+    Each word is a ``bytes`` object whose byte k is the generator at
+    rank k, so ``np.frombuffer(b"".join(words), np.int8)`` reads a run
+    of them as one array.  Words come in the same lexicographic order
+    as ``all_orders`` and ``courts_first_orders``, without an
     ``OrderedIdeal`` per word.  The courts-first stream is flagged
     exact when it coincides with the full stream (P empty or P = G(I)).
     Either stream is refused when it is longer than
@@ -239,7 +242,7 @@ def orders_for_search(ideal: MonomialIdeal, mode: str, *,
     """
     if mode == "exhaustive":
         _check_exhaustive(ideal, max_exhaustive, force)
-        return _blocks(_word_rows([()], ideal.indices()), chunk_size), True
+        return _words(_arrangements(ideal.indices()), ideal.mu), True
     if mode == "courts-first":
         mu = ideal.mu
         courts = possible_courts(ideal)
@@ -253,6 +256,5 @@ def orders_for_search(ideal: MonomialIdeal, mode: str, *,
                 f"exceeds the threshold of {max_exhaustive}! = "
                 f"{factorial(max_exhaustive)} orders; raise --max-exhaustive "
                 "(or force=True)")
-        return (_blocks(_courts_first_rows(ideal, courts), chunk_size),
-                p in (0, mu))
+        return _words(_courts_first_rows(ideal, courts), mu), p in (0, mu)
     raise ValueError(f"unknown search mode {mode!r}")

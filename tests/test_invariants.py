@@ -43,7 +43,8 @@ from lyubeznik import (
     taylor_betti,
     total_obstruction,
 )
-from lyubeznik.invariants import _BlockScanner, _scan_words, _scanner_for
+from lyubeznik.invariants import (_BlockScanner, _scan_words, _scanner_for,
+                                  _word_blocks)
 from lyubeznik.orders import orders_for_search
 
 KOSZUL2 = parse_ideal("vars x y\ngen x\ngen y")
@@ -78,8 +79,8 @@ def test_workers_build_one_scanner_per_ideal(monkeypatch):
     monkeypatch.setattr(_BlockScanner, "__init__", counting_init)
     _scanner_for.cache_clear()
     ideal = load_ideal("mixed_powers_xyz")
-    blocks, _ = orders_for_search(ideal, "exhaustive", chunk_size=64)
-    first, second = islice(blocks, 2)
+    words, _ = orders_for_search(ideal, "exhaustive")
+    first, second = islice(_word_blocks(words, ideal.mu, 64), 2)
     _scan_words(ideal, first)
     _scan_words(ideal, second)
     # the --jobs workers call this once per block

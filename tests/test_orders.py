@@ -8,7 +8,8 @@ from lyubeznik import (BoundExceededError, OrderedIdeal, all_orders,
                        courts_first_orders, divides, identity_order, lcm_of,
                        load_ideal, order_count, orders_for_search, parse_ideal,
                        parse_order, possible_courts)
-from lyubeznik.orders import DEFAULT_CHUNK, min_of
+from lyubeznik.invariants import DEFAULT_CHUNK, _word_blocks
+from lyubeznik.orders import min_of
 
 
 def test_ordered_ideal_validates_permutation():
@@ -108,23 +109,23 @@ def test_courts_first_is_exhaustive_when_all_are_courts():
     ideal = load_ideal("chain_five_mixed")
     stream, exact = orders_for_search(ideal, "courts-first")
     assert exact
-    assert sum(len(block) for block in stream) == 120
+    assert sum(1 for _ in stream) == 120
 
 
 def test_orders_for_search_modes():
     ideal = load_ideal("mixed_powers_xyz")
     stream, exact = orders_for_search(ideal, "exhaustive")
-    assert exact and sum(len(block) for block in stream) == 120
+    assert exact and sum(1 for _ in stream) == 120
     stream, exact = orders_for_search(ideal, "courts-first")
-    assert not exact and sum(len(block) for block in stream) == 12
+    assert not exact and sum(1 for _ in stream) == 12
     with pytest.raises(ValueError):
         orders_for_search(ideal, "simulated-annealing")
 
 
-# The block stream against itertools: every word in order, and block
-# boundaries at exact multiples of the chunk size.  5040 = 7! is the
-# length of one tail table, so 5040 and 5041 put the cuts on and just
-# past its seams.
+# The word stream against itertools: every word in order, and the
+# scan's blocks cut at exact multiples of the chunk size.  5040 = 7! is
+# the length of one tail table, so 5040 and 5041 put the cuts on and
+# just past its seams.
 STREAM_CHUNKS = (1, 7, DEFAULT_CHUNK, 5040, 5041)
 
 
@@ -133,12 +134,21 @@ def word_array(words, mu, count):
                        count * mu).reshape(count, mu)
 
 
-def check_blocks(stream, expected, chunk):
-    blocks = list(stream)
-    full, last = divmod(len(expected), chunk)
-    assert [len(b) for b in blocks] == [chunk] * full + ([last] if last else [])
-    assert all(b.dtype == np.int8 for b in blocks)
-    assert np.array_equal(np.concatenate(blocks), expected)
+def check_stream(search, expected):
+    """``search(...)`` opens the stream afresh for every chunk size."""
+    stream, _ = search()
+    words = list(stream)
+    assert all(type(w) is bytes for w in words)
+    assert np.array_equal(word_array(words, expected.shape[1], len(expected)),
+                          expected)
+    for chunk in STREAM_CHUNKS:
+        stream, _ = search()
+        blocks = list(_word_blocks(stream, expected.shape[1], chunk))
+        full, last = divmod(len(expected), chunk)
+        assert [len(b) for b in blocks] == \
+            [chunk] * full + ([last] if last else [])
+        assert all(b.dtype == np.int8 for b in blocks)
+        assert np.array_equal(np.concatenate(blocks), expected)
 
 
 def koszul(mu):
@@ -148,34 +158,57 @@ def koszul(mu):
 
 
 @pytest.mark.parametrize("mu", [1, 2, 7, 8, 9])
-def test_exhaustive_blocks_match_itertools(mu):
+def test_exhaustive_words_match_itertools(mu):
     ideal = koszul(mu)
     expected = word_array(permutations(range(1, mu + 1)), mu, factorial(mu))
-    for chunk in STREAM_CHUNKS:
-        stream, exact = orders_for_search(ideal, "exhaustive", force=True,
-                                          chunk_size=chunk)
-        assert exact
-        check_blocks(stream, expected, chunk)
+    check_stream(lambda: orders_for_search(ideal, "exhaustive", force=True),
+                 expected)
+    assert orders_for_search(ideal, "exhaustive", force=True)[1]
 
 
-def test_courts_first_blocks_match_itertools_past_the_tail_table():
+def courts_first_expected(ideal):
+    courts = sorted(possible_courts(ideal))
+    rest = sorted(set(ideal.indices()) - set(courts))
+    count = factorial(len(courts)) * factorial(len(rest))
+    words = (h + t for h, t in product(permutations(courts),
+                                       permutations(rest)))
+    return courts, rest, word_array(words, ideal.mu, count)
+
+
+def test_courts_first_words_match_itertools_past_the_tail_table():
     # two court triangles (yz | lcm(y^2, z^2), likewise uv) and four
     # private variables: 2 courts, 8 non-courts, so the non-court part
     # needs a middle position in front of the 7-position tail table
     ideal = parse_ideal("vars a b c d y z u v\n" + "\n".join(
         f"gen {g}" for g in ("a", "b", "c", "d", "y^2", "z^2", "y*z",
                              "u^2", "v^2", "u*v")))
-    courts = sorted(possible_courts(ideal))
-    rest = sorted(set(ideal.indices()) - set(courts))
+    courts, rest, expected = courts_first_expected(ideal)
     assert len(courts) == 2 and len(rest) == 8
-    count = factorial(2) * factorial(8)
-    expected = word_array((h + t for h, t in product(permutations(courts),
-                                                     permutations(rest))),
-                          ideal.mu, count)
-    for chunk in STREAM_CHUNKS:
-        stream, exact = orders_for_search(ideal, "courts-first", force=True,
-                                          chunk_size=chunk)
-        assert not exact
-        check_blocks(stream, expected, chunk)
+    check_stream(lambda: orders_for_search(ideal, "courts-first", force=True),
+                 expected)
+    assert not orders_for_search(ideal, "courts-first", force=True)[1]
     words = [o.order for o in courts_first_orders(ideal)]
-    assert np.array_equal(word_array(words, ideal.mu, count), expected)
+    assert np.array_equal(word_array(words, ideal.mu, len(expected)),
+                          expected)
+
+
+def clique_and_private(n, others):
+    """The edges of the complete graph on n >= 3 vertices, each of them
+    a court (ab divides lcm(ac, bc)), and ``others`` private variables,
+    none of them a court."""
+    xs = [f"x{i}" for i in range(n)]
+    zs = [f"z{i}" for i in range(others)]
+    gens = [f"{a}*{b}" for a, b in combinations(xs, 2)] + zs
+    return parse_ideal("vars " + " ".join(xs + zs) + "\n"
+                       + "\n".join(f"gen {g}" for g in gens))
+
+
+@pytest.mark.parametrize("n,others", [(3, 1), (3, 7), (4, 1), (4, 4)])
+def test_courts_first_words_match_itertools_with_few_non_courts(n, others):
+    # at most 7 non-courts: runs of heads share one array with the
+    # non-courts' table (4 non-courts: 720 heads in runs of 210)
+    ideal = clique_and_private(n, others)
+    courts, rest, expected = courts_first_expected(ideal)
+    assert (len(courts), len(rest)) == (n * (n - 1) // 2, others)
+    check_stream(lambda: orders_for_search(ideal, "courts-first",
+                                           force=True), expected)

@@ -15,7 +15,7 @@ import numpy as np
 
 from lyubeznik import load_ideal, orders_for_search
 from lyubeznik.complexes import PreservedKernel
-from lyubeznik.invariants import _BlockScanner
+from lyubeznik.invariants import _BlockScanner, _word_blocks
 from lyubeznik.subsets import tables_for
 
 from reference_routes import unpacked_readout
@@ -36,8 +36,8 @@ def check_blocks(ideal, blocks):
 def test_packed_readout_on_every_block_of_a_mu_9_scan():
     ideal = seeded_ideal(9, seed=9)
     assert ideal.mu == 9
-    blocks, _ = orders_for_search(ideal, "exhaustive", force=True)
-    check_blocks(ideal, blocks)
+    words, _ = orders_for_search(ideal, "exhaustive", force=True)
+    check_blocks(ideal, _word_blocks(words, ideal.mu, 4096))
 
 
 def test_packed_readout_on_ragged_blocks():
@@ -46,7 +46,7 @@ def test_packed_readout_on_ragged_blocks():
     ideals = [load_ideal(name) for name in names] + [seeded_ideal(9, 9)]
     for ideal in ideals:
         for chunk in (1, 7, 13, 63, 65, 4097):
-            blocks, _ = orders_for_search(ideal, "exhaustive", force=True,
-                                          chunk_size=chunk)
-            check_blocks(ideal, islice(blocks, 3))
+            words, _ = orders_for_search(ideal, "exhaustive", force=True)
+            check_blocks(ideal, islice(_word_blocks(words, ideal.mu, chunk),
+                                       3))
 
