@@ -10,58 +10,51 @@ from .complexes import (LyubeznikComplex, SubsetClass, Symbol,
 from .corpus import (all_graphs, all_ideals, graph_names, ideal_names,
                      load_graph, load_ideal, sweep_ideals)
 from .covers import (Cover, OrientedClutter, complete_cover, cover_clutter,
-                     covers_of, e_minimal_covers_of, is_cover_of,
-                     m_minimal_covers)
+                     covers_of, e_minimal_covers_of, is_cover_of)
 from .generators import FormalPolynomial, NonMinimalWarning, radical_generators
 from .graphs import (PropositionCheck, SimpleGraph, check_graph_propositions,
-                     complete_graph, edge_ideal, longest_path_edges,
-                     parse_graph, read_graph)
+                     edge_ideal, longest_path_edges, parse_graph, read_graph)
 from .invariants import (AraBounds, EquivalenceAudit, InvariantReport,
                          LyubeznikVerdict, NotMinimalError, SearchResult,
-                         analyze, ara_bounds, audit_courts_first,
-                         betti_from_preserved, equivalence_audit, height,
-                         is_almost_lyubeznik, is_lyubeznik,
-                         is_minimal_resolution, is_totally_lyubeznik,
-                         l_length, min_l_length, obstruction,
-                         preserved_size, search_scan, total_obstruction)
+                         analyze, ara_bounds, betti_from_preserved,
+                         equivalence_audit, height, is_almost_lyubeznik,
+                         is_lyubeznik, is_minimal_resolution,
+                         is_totally_lyubeznik, l_length, min_l_length,
+                         obstruction, preserved_size, search_scan,
+                         total_obstruction)
 from .monomials import (BoundExceededError, MinimizationWarning, Monomial,
                         MonomialIdeal, ParseError, VariableContext, divides,
                         lcm_of, minimize_generators, parse_ideal,
                         radical_ideal, read_ideal, support, total_degree)
-from .oracle import (BoundaryMatrix, boundary_matrices, projdim_oracle,
-                     taylor_betti, verify_chain_complex, verify_resolution,
+from .oracle import (taylor_betti, verify_chain_complex, verify_resolution,
                      verify_resolution_report)
 from .orders import (OrderedIdeal, all_orders, courts_first_orders,
-                     identity_order, order_count, orders_for_search,
-                     parse_order, possible_courts)
+                     identity_order, orders_for_search, parse_order,
+                     possible_courts)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AraBounds", "BettiTable", "BoundExceededError", "BoundaryMatrix",
-    "Cover", "EquivalenceAudit", "FormalPolynomial", "IDEAL",
-    "InvariantReport", "LyubeznikComplex", "LyubeznikVerdict",
-    "MinimizationWarning", "Monomial", "MonomialIdeal", "NonMinimalWarning",
-    "NotMinimalError", "OrderedIdeal", "OrientedClutter", "ParseError",
-    "PropositionCheck", "QUOTIENT", "SearchResult", "SimpleGraph",
-    "SubsetClass", "Symbol", "VariableContext",
-    "admissible_symbols", "all_graphs", "all_ideals", "all_orders",
-    "analyze", "ara_bounds", "audit_courts_first", "betti_from_preserved",
-    "boundary_matrices", "check_graph_propositions", "classification_census",
-    "classify_subset", "complete_cover", "complete_graph",
-    "cover_clutter", "courts_first_orders", "covers_of",
+    "AraBounds", "BettiTable", "BoundExceededError", "Cover",
+    "EquivalenceAudit", "FormalPolynomial", "IDEAL", "InvariantReport",
+    "LyubeznikComplex", "LyubeznikVerdict", "MinimizationWarning", "Monomial",
+    "MonomialIdeal", "NonMinimalWarning", "NotMinimalError", "OrderedIdeal",
+    "OrientedClutter", "ParseError", "PropositionCheck", "QUOTIENT",
+    "SearchResult", "SimpleGraph", "SubsetClass", "Symbol", "VariableContext",
+    "admissible_symbols", "all_graphs", "all_ideals", "all_orders", "analyze",
+    "ara_bounds", "betti_from_preserved", "check_graph_propositions",
+    "classification_census", "classify_subset", "complete_cover",
+    "courts_first_orders", "cover_clutter", "covers_of", "divides",
     "e_minimal_covers_of", "edge_ideal", "equivalence_audit", "graph_names",
     "height", "ideal_names", "identity_order", "inadmissible_symbols",
-    "is_admissible_symbol", "is_almost_lyubeznik", "is_broken",
-    "is_cover_of", "is_lyubeznik", "is_minimal_resolution", "is_preserved",
+    "is_admissible_symbol", "is_almost_lyubeznik", "is_broken", "is_cover_of",
+    "is_lyubeznik", "is_minimal_resolution", "is_preserved",
     "is_stable_symbol", "is_totally_lyubeznik", "l_length", "lcm_of",
     "load_graph", "load_ideal", "longest_path_edges", "lyubeznik_complex",
-    "m_minimal_covers", "min_l_length", "minimize_generators",
-    "obstruction", "order_count", "orders_for_search", "parse_graph",
-    "parse_ideal", "parse_order", "possible_courts", "preserved_size",
-    "projdim_oracle", "radical_generators", "radical_ideal", "read_graph",
+    "min_l_length", "minimize_generators", "obstruction", "orders_for_search",
+    "parse_graph", "parse_ideal", "parse_order", "possible_courts",
+    "preserved_size", "radical_generators", "radical_ideal", "read_graph",
     "read_ideal", "search_scan", "support", "sweep_ideals", "symbol_of",
     "taylor_betti", "total_degree", "total_obstruction",
     "verify_chain_complex", "verify_resolution", "verify_resolution_report",
-    "divides",
 ]

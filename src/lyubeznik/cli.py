@@ -75,7 +75,7 @@ def _field(text: str) -> int | None:
 
 
 def _ordered(args, ideal: MonomialIdeal) -> OrderedIdeal:
-    if getattr(args, "order", None):
+    if args.order is not None:
         return parse_order(args.order, ideal)
     return identity_order(ideal)
 

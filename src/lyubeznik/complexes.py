@@ -122,9 +122,13 @@ class _OrderAnalysis:
     ``length`` is the size of the largest preserved set.  Both tables are
     plain Python lists, as the subset tables are; ``preserved_array`` is
     the same table as a numpy bool array, for whole-array readers.
+    ``faces`` lists the preserved masks in ascending order: the faces of
+    the Lyubeznik complex, which the complex, the Betti counts, the
+    radical generators and the homology checks all read.
     """
 
-    __slots__ = ("tables", "court", "preserved", "preserved_array", "length")
+    __slots__ = ("tables", "court", "preserved", "preserved_array", "faces",
+                 "length")
 
     def __init__(self, ordered: OrderedIdeal) -> None:
         tables = tables_for(ordered.ideal)
@@ -140,6 +144,7 @@ class _OrderAnalysis:
         self.court = court.tolist()
         self.preserved = preserved.tolist()
         self.preserved_array = preserved
+        self.faces = np.flatnonzero(preserved).tolist()
         self.length = int(popcounts(tables.mu)[preserved].max())
         self.tables = tables
 
@@ -153,7 +158,7 @@ def order_analysis(ordered: OrderedIdeal) -> _OrderAnalysis:
 
 def is_broken(subset: Iterable[int], ordered: OrderedIdeal) -> int | None:
     """The least court of the subset, or None when it is not broken."""
-    mask = mask_of(subset)
+    mask = mask_of(subset, ordered.ideal.mu)
     if mask == 0:
         raise ValueError("the empty set cannot be broken")
     court = order_analysis(ordered).court[mask]
@@ -162,7 +167,7 @@ def is_broken(subset: Iterable[int], ordered: OrderedIdeal) -> int | None:
 
 def is_preserved(subset: Iterable[int], ordered: OrderedIdeal) -> bool:
     """True iff no subset of the set is broken (the empty set is preserved)."""
-    return order_analysis(ordered).preserved[mask_of(subset)]
+    return order_analysis(ordered).preserved[mask_of(subset, ordered.ideal.mu)]
 
 
 @dataclass(frozen=True)
@@ -201,9 +206,8 @@ def lyubeznik_complex(ordered: OrderedIdeal) -> LyubeznikComplex:
     for b in range(analysis.tables.mu):
         halves = larger.reshape(-1, 2, 1 << b)
         halves[:, 0] |= preserved.reshape(-1, 2, 1 << b)[:, 1]
-    masks = np.flatnonzero(preserved).tolist()
     facet_masks = np.flatnonzero(preserved & ~larger).tolist()
-    faces = frozenset(frozenset(indices_of(m)) for m in masks)
+    faces = frozenset(frozenset(indices_of(m)) for m in analysis.faces)
     facets = frozenset(frozenset(indices_of(m)) for m in facet_masks)
     return LyubeznikComplex(ordered, faces, facets)
 
@@ -298,7 +302,7 @@ def _subset_class(analysis: _OrderAnalysis, mask: int) -> SubsetClass:
 
 def classify_subset(subset: Iterable[int], ordered: OrderedIdeal) -> SubsetClass:
     """The unique class of a non-empty subset."""
-    mask = mask_of(subset)
+    mask = mask_of(subset, ordered.ideal.mu)
     if mask == 0:
         raise ValueError("classification applies to non-empty subsets")
     return _subset_class(order_analysis(ordered), mask)

@@ -2,11 +2,8 @@
 
 A set C of generators *covers* a member u when m_u divides
 lcm(C minus {u}); u is then redundant inside C.  The complete cover of
-any C collects every generator dividing lcm(C).  Two refinements:
-
-* E-minimal: no proper subset of C covers u (minimal as a set);
-* M-minimal: no cover of anything has an lcm properly dividing lcm(C)
-  (minimal in multidegree).
+any C collects every generator dividing lcm(C).  A cover of u is
+E-minimal when no proper subset of it covers u (minimal as a set).
 
 The E-minimal covers of every generator are found together, in one
 pass over the subset masks, and kept in one lru-cached table per ideal
@@ -71,8 +68,8 @@ def _check_enumeration_bound(ideal: MonomialIdeal, max_generators: int) -> None:
 
 def is_cover_of(members, u: int, ideal: MonomialIdeal) -> bool:
     """True iff the set covers u, i.e. m_u | lcm(members minus u)."""
-    mask = mask_of(members)
-    bit = 1 << (u - 1)
+    mask = mask_of(members, ideal.mu)
+    bit = mask_of((u,), ideal.mu)
     if not mask & bit:
         raise ValueError(f"generator {u} is not a member of the set")
     rest = mask ^ bit
@@ -83,7 +80,7 @@ def is_cover_of(members, u: int, ideal: MonomialIdeal) -> bool:
 
 def complete_cover(members, ideal: MonomialIdeal) -> frozenset[int]:
     """All generators dividing lcm(members).  Always contains the members."""
-    mask = mask_of(members)
+    mask = mask_of(members, ideal.mu)
     if mask == 0:
         raise ValueError("complete cover of the empty set is undefined")
     return frozenset(indices_of(tables_for(ideal).divisor_mask[mask]))
@@ -98,10 +95,6 @@ def _wrap(masks: Iterable[int], ideal: MonomialIdeal) -> tuple[Cover, ...]:
     covered = tables_for(ideal).covered_mask
     return tuple(Cover(frozenset(indices_of(m)),
                        frozenset(indices_of(covered[m]))) for m in masks)
-
-
-def _canonical(masks: Iterable[int], ideal: MonomialIdeal) -> tuple[Cover, ...]:
-    return _wrap(sorted(masks, key=_by_size_then_members), ideal)
 
 
 def cover_listing(ideal: MonomialIdeal, *,
@@ -193,30 +186,8 @@ def e_minimal_covers_of(u: int, ideal: MonomialIdeal, *,
     table = cover_table(ideal, max_generators=max_generators)
     if not 1 <= u <= ideal.mu:
         raise ValueError(f"generator {u} is not in 1..{ideal.mu}")
-    return _canonical(table.by_generator[u - 1], ideal)
-
-
-def m_minimal_covers(ideal: MonomialIdeal, *,
-                     max_generators: int = MAX_ENUMERATION_GENERATORS
-                     ) -> tuple[Cover, ...]:
-    """Covers whose lcm no other cover's lcm properly divides.
-
-    A standalone query: nothing downstream consumes it.
-    """
-    _check_enumeration_bound(ideal, max_generators)
-    tables = tables_for(ideal)
-    cover_masks = [m for m in range(tables.size) if tables.covered_mask[m]]
-    lcms = [tables.lcm_exps[m] for m in cover_masks]
-    out = []
-    for mask, lm in zip(cover_masks, lcms):
-        dominated = False
-        for other in lcms:
-            if other != lm and all(a <= b for a, b in zip(other, lm)):
-                dominated = True
-                break
-        if not dominated:
-            out.append(mask)
-    return _canonical(out, ideal)
+    return _wrap(sorted(table.by_generator[u - 1], key=_by_size_then_members),
+                 ideal)
 
 
 @dataclass(frozen=True)

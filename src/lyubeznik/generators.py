@@ -71,7 +71,7 @@ def _radical_generators(ordered: OrderedIdeal, minimal: bool
                         ) -> tuple[FormalPolynomial, ...]:
     """The construction, for an order whose minimality is known.
 
-    Faces are read as masks from the order's preserved-set table.
+    Faces are read as masks from the order's face list.
     """
     if not minimal:
         warnings.warn(
@@ -80,9 +80,8 @@ def _radical_generators(ordered: OrderedIdeal, minimal: bool
             NonMinimalWarning, stacklevel=3)
     ideal = ordered.ideal
     faces_by_size: dict[int, list[int]] = {}
-    for mask, face in enumerate(order_analysis(ordered).preserved):
-        if face:
-            faces_by_size.setdefault(mask.bit_count(), []).append(mask)
+    for mask in order_analysis(ordered).faces:
+        faces_by_size.setdefault(mask.bit_count(), []).append(mask)
     lam = max(faces_by_size)
 
     out = []

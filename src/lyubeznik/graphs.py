@@ -14,12 +14,11 @@ finding for the caller to inspect, not raised.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
-from itertools import combinations
 
 from .invariants import search_scan
-from .monomials import BoundExceededError, MonomialIdeal, ParseError, VariableContext
+from .monomials import (BoundExceededError, MonomialIdeal, ParseError,
+                        VariableContext, _directive_lines)
 from .orders import DEFAULT_MAX_EXHAUSTIVE
 
 MAX_PATH_VERTICES = 12
@@ -64,28 +63,18 @@ def parse_graph(text: str) -> SimpleGraph:
     """Parse ``vertex``/``edge`` lines; comments and blank lines skipped."""
     vertices: list[str] = []
     edges: list[tuple[str, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        head = re.match(r"\s*([A-Za-z_]\w*)", raw)
-        if head is None:
-            raise ParseError(f"unexpected {stripped[0]!r}", lineno,
-                             len(raw) - len(raw.lstrip()) + 1)
-        word = head.group(1)
-        column = head.start(1) + 1
-        names = raw[head.end(1):].split()
+    for lineno, word, column, rest, _ in _directive_lines(
+            text, ("vertex", "edge")):
+        names = rest.split()
         if word == "vertex":
             if not names:
                 raise ParseError("vertex line lists no vertices", lineno, column)
             vertices.extend(names)
-        elif word == "edge":
+        else:
             if len(names) != 2:
                 raise ParseError("edge line needs exactly two endpoints",
                                  lineno, column)
             edges.append((names[0], names[1]))
-        else:
-            raise ParseError(f"unknown directive {word!r}", lineno, column)
     if not vertices:
         raise ParseError("no vertex line")
     try:
@@ -193,8 +182,3 @@ def check_graph_propositions(graph: SimpleGraph, *,
         PropositionCheck("four-cycle-implies-not-lyubeznik",
                          _is_cycle(graph, 4), not lyubeznik),
     )
-
-
-def complete_graph(names: tuple[str, ...]) -> SimpleGraph:
-    """All pairs among the named vertices, in lexicographic pair order."""
-    return SimpleGraph(tuple(names), tuple(combinations(names, 2)))

@@ -89,15 +89,13 @@ def betti_from_preserved(ordered: OrderedIdeal) -> BettiTable:
 def _preserved_betti(ordered: OrderedIdeal) -> BettiTable:
     """Preserved-set counts by size and lcm, for an order known minimal."""
     ideal = ordered.ideal
-    tables = tables_for(ideal)
     analysis = order_analysis(ordered)
+    lcm_exps = analysis.tables.lcm_exps
     zero = (0,) * len(ideal.context)
     counts: dict[tuple[int, tuple[int, ...]], int] = {}
-    for mask in range(tables.size):
-        if analysis.preserved[mask]:
-            exps = tables.lcm_exps[mask] if mask else zero
-            key = (mask.bit_count(), exps)
-            counts[key] = counts.get(key, 0) + 1
+    for mask in analysis.faces:
+        key = (mask.bit_count(), lcm_exps[mask] if mask else zero)
+        counts[key] = counts.get(key, 0) + 1
     return BettiTable.from_multigraded(QUOTIENT, ideal.context, counts)
 
 
@@ -571,23 +569,3 @@ def analyze(ordered: OrderedIdeal, *, search_mode: str | None = None,
                            ara=AraBounds(lower, upper, lower == upper),
                            lyubeznik=lyub, almost_lyubeznik=almost,
                            totally_lyubeznik=totally)
-
-
-def audit_courts_first(ideal: MonomialIdeal, *,
-                       max_exhaustive: int = DEFAULT_MAX_EXHAUSTIVE,
-                       force: bool = False, jobs: int = 1
-                       ) -> tuple[bool, OrderedIdeal | None]:
-    """Empirically test the courts-first heuristic on one ideal.
-
-    The heuristic claims that any order putting every possible court
-    before every non-court yields a minimal resolution.  Returns
-    (claim holds, first counterexample order or None).  The claim is
-    known to fail for some ideals, which is why courts-first search
-    results are flagged as inexact.
-    """
-    scan = search_scan(ideal, "courts-first", max_exhaustive=max_exhaustive,
-                       force=force, jobs=jobs,
-                       stop_when="nonzero-obstruction")
-    if scan.nonminimal_witness is None:
-        return True, None
-    return False, OrderedIdeal(ideal, scan.nonminimal_witness)

@@ -38,6 +38,7 @@ EXPONENT_LIMIT = 2**63 - 1
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 _TOKEN_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*|\^|\*|-?\d+|\S")
+_DIRECTIVE_RE = re.compile(r"\s*([A-Za-z_]\w*)")
 
 
 class ContextMismatchError(ValueError):
@@ -365,6 +366,30 @@ def _parse_monomial(text: str, context: VariableContext,
     return Monomial(context, tuple(exps))
 
 
+def _directive_lines(text: str, directives: tuple[str, ...]
+                     ) -> Iterator[tuple[int, str, int, str, int]]:
+    """The directive lines of a file, shared by the ideal and graph formats.
+
+    Blank lines and comment lines (first non-blank character ``#``) are
+    skipped.  Every other line must start with one of ``directives``;
+    yields (line number, directive, its 1-based column, the rest of the
+    line, the rest's 0-based offset in the line).
+    """
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        stripped = raw.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        head = _DIRECTIVE_RE.match(raw)
+        if head is None:
+            raise ParseError(f"unexpected {stripped[0]!r}", lineno,
+                             len(raw) - len(raw.lstrip()) + 1)
+        word = head.group(1)
+        column = head.start(1) + 1
+        if word not in directives:
+            raise ParseError(f"unknown directive {word!r}", lineno, column)
+        yield lineno, word, column, raw[head.end(1):], head.end(1)
+
+
 def parse_ideal(text: str) -> MonomialIdeal:
     """Parse the ideal file format.
 
@@ -376,17 +401,8 @@ def parse_ideal(text: str) -> MonomialIdeal:
     """
     context: VariableContext | None = None
     gens: list[tuple[Monomial, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        head = re.match(r"\s*([A-Za-z_]\w*)", raw)
-        if head is None:
-            raise ParseError(f"unexpected {stripped[0]!r}", lineno,
-                             len(raw) - len(raw.lstrip()) + 1)
-        word = head.group(1)
-        column = head.start(1) + 1
-        rest, offset = raw[head.end(1):], head.end(1)
+    for lineno, word, column, rest, offset in _directive_lines(
+            text, ("vars", "gen")):
         if word == "vars":
             if context is not None:
                 raise ParseError("duplicate vars line", lineno, column)
@@ -397,15 +413,13 @@ def parse_ideal(text: str) -> MonomialIdeal:
                 context = VariableContext(tuple(names))
             except ValueError as exc:
                 raise ParseError(str(exc), lineno, column) from None
-        elif word == "gen":
+        else:
             if context is None:
                 raise ParseError("gen line before vars line", lineno, column)
             mono = _parse_monomial(rest, context, lineno, offset)
             if mono.is_one():
                 raise ParseError("generator equals 1", lineno, column)
             gens.append((mono, lineno))
-        else:
-            raise ParseError(f"unknown directive {word!r}", lineno, column)
     if context is None:
         raise ParseError("missing vars line")
     if not gens:

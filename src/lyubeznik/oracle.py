@@ -14,67 +14,37 @@ modules indexed by faces is exact in degree a iff the simplicial chain
 complex of the induced subcomplex on V_a = {i : m_i | a} has vanishing
 reduced homology in all degrees >= 0.  Distinct multidegrees with the
 same V_a give the same subcomplex, so the work is deduplicated by V_a.
-The faces under test are read as masks straight from the order's
-preserved-set table (``complexes.order_analysis``).
+The faces under test are the order's face list
+(``complexes.order_analysis(ordered).faces``), read as masks.
 
-Both homology computations hand ``linalg`` sparse columns: each face,
-a bitmask of generator indices, becomes a map {smaller face: +-1} over
-the deletions that stay in the family, so no dense matrix is built.
-``boundary_matrices`` keeps dense sign matrices for the d^2 = 0 check
-of the Lyubeznik complex, and ``BoundaryMatrix.compose_is_zero``
-multiplies them over their nonzero entries only.
+Every differential is handed around as sparse columns: each face, a
+bitmask, becomes a map {smaller face: +-1} over the deletions that stay
+in the family (``_boundary_columns``), so no dense matrix is built.
+The homology computations give these columns to ``linalg``; the
+d^2 = 0 check of the Lyubeznik complex composes them, face by face.
 
 The parenthetical sign convention throughout: deleting the j-th member
-(in increasing position, 1-based) contributes (-1)^(j+1).  Matrix
-entries store only that sign; the monomial part of a boundary
-coefficient is lcm(col)/lcm(row) and telescopes along two-step paths,
-so checking that the sign matrices compose to zero checks the real
-composition too.
+(in increasing bit position, 1-based) contributes (-1)^(j+1).  For the
+d^2 = 0 check the faces are first relabelled into rank positions, so
+that the members count in increasing rank under the order.  Columns
+store only that sign; the monomial part of a boundary coefficient is
+lcm(face)/lcm(smaller face) and telescopes along two-step paths, so
+checking that the signs compose to zero checks the real composition
+too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numpy as np
 
 from .betti import QUOTIENT, BettiTable
 from .complexes import order_analysis
 from .linalg import exact_rank, rank_mod_p
 from .monomials import BoundExceededError, Monomial, MonomialIdeal
 from .orders import OrderedIdeal
-from .subsets import indices_of, tables_for
+from .subsets import tables_for
 
 DEFAULT_MAX_ORACLE_GENERATORS = 12
-
-
-@dataclass(frozen=True)
-class BoundaryMatrix:
-    """A differential between consecutive face levels.
-
-    Entries are the integer signs; the full scalar on (row, col) is
-    entry * lcm(col)/lcm(row), and the monomial factors cancel along
-    two-step compositions.
-    """
-
-    rows: tuple[tuple[int, ...], ...]
-    cols: tuple[tuple[int, ...], ...]
-    entries: tuple[tuple[int, ...], ...]
-
-    def compose_is_zero(self, next_matrix: "BoundaryMatrix") -> bool:
-        """True iff self @ next_matrix vanishes identically."""
-        if self.cols != next_matrix.rows:
-            raise ValueError("boundary matrices do not chain")
-        # column k of self as its nonzero (row, entry) pairs
-        self_cols = [[(r, a) for r, a in enumerate(col) if a]
-                     for col in zip(*self.entries)]
-        for col in zip(*next_matrix.entries):
-            total: dict[int, int] = {}
-            for k, b in enumerate(col):
-                if b:
-                    for r, a in self_cols[k]:
-                        total[r] = total.get(r, 0) + a * b
-            if any(total.values()):
-                return False
-        return True
 
 
 def _check_bound(ideal: MonomialIdeal, max_generators: int) -> None:
@@ -85,33 +55,26 @@ def _check_bound(ideal: MonomialIdeal, max_generators: int) -> None:
             "(the library functions take a max_generators argument)")
 
 
-def _boundary_levels(faces_by_size: dict[int, list[tuple[int, ...]]]
-                     ) -> list[BoundaryMatrix]:
-    """Sign matrices between consecutive levels of a face family.
+def _boundary_columns(masks: list[int], below: set[int]
+                      ) -> list[dict[int, int]]:
+    """One sparse column per face: {smaller face: sign}.
 
-    ``faces_by_size[t]`` lists faces as sorted index tuples; level t maps
-    to level t-1.  Deletions landing outside the family contribute no
-    entry, as in ``_strand_homology``, whose sparse columns are the
-    nonzero entries of these matrices' columns.
+    Only the deletions that land in ``below`` are kept; deleting the
+    j-th lowest bit of a face has sign (-1)^(j+1).
     """
-    out = []
-    sizes = sorted(faces_by_size)
-    for t in sizes:
-        if t == 0 or t - 1 not in faces_by_size:
-            continue
-        rows = faces_by_size[t - 1]
-        cols = faces_by_size[t]
-        row_index = {f: k for k, f in enumerate(rows)}
-        entries = [[0] * len(cols) for _ in rows]
-        for c, face in enumerate(cols):
-            for j, dropped in enumerate(face, start=1):
-                smaller = tuple(i for i in face if i != dropped)
-                r = row_index.get(smaller)
-                if r is not None:
-                    entries[r][c] = 1 if j % 2 else -1
-        out.append(BoundaryMatrix(tuple(rows), tuple(cols),
-                                  tuple(tuple(r) for r in entries)))
-    return out
+    columns = []
+    for mask in masks:
+        column = {}
+        sign = 1
+        rest = mask
+        while rest:
+            bit = rest & -rest
+            if mask ^ bit in below:
+                column[mask ^ bit] = sign
+            sign = -sign
+            rest ^= bit
+        columns.append(column)
+    return columns
 
 
 def _strand_homology(masks_by_size: dict[int, list[int]],
@@ -119,28 +82,13 @@ def _strand_homology(masks_by_size: dict[int, list[int]],
     """Homology rank at each level: dim - rank(out) - rank(in).
 
     ``masks_by_size[t]`` lists the faces of size t as bitmasks.  The
-    differential out of level t is handed to ``rank`` as one sparse
-    column per face, {smaller face: sign}, keeping only the deletions
-    that land in level t-1 of the family.
+    differential out of level t is handed to ``rank`` as the
+    ``_boundary_columns`` of its faces against level t-1.
     """
     ranks = {}
     for t, masks in masks_by_size.items():
-        if t - 1 not in masks_by_size:
-            continue
-        below = set(masks_by_size[t - 1])
-        columns = []
-        for mask in masks:
-            column = {}
-            sign = 1
-            rest = mask
-            while rest:
-                bit = rest & -rest
-                if mask ^ bit in below:
-                    column[mask ^ bit] = sign
-                sign = -sign
-                rest ^= bit
-            columns.append(column)
-        ranks[t] = rank(columns)
+        if t - 1 in masks_by_size:
+            ranks[t] = rank(_boundary_columns(masks, set(masks_by_size[t - 1])))
     hom = {}
     for t, basis in masks_by_size.items():
         h = len(basis) - ranks.get(t, 0) - ranks.get(t + 1, 0)
@@ -181,39 +129,36 @@ def taylor_betti(ideal: MonomialIdeal, *,
     return BettiTable.from_multigraded(QUOTIENT, ideal.context, counts)
 
 
-def projdim_oracle(ideal: MonomialIdeal, *,
-                   max_generators: int = DEFAULT_MAX_ORACLE_GENERATORS,
-                   prime: int | None = None) -> int:
-    """Projective dimension of R/I (largest i with beta_i nonzero)."""
-    return taylor_betti(ideal, max_generators=max_generators,
-                        prime=prime).projective_dimension
+def _composes_to_zero(masks: list[int]) -> bool:
+    """True iff d . d vanishes on a face family given as masks.
 
-
-def _face_masks(ordered: OrderedIdeal) -> list[int]:
-    """The faces of the Lyubeznik complex as ascending subset masks."""
-    return [m for m, face in enumerate(order_analysis(ordered).preserved)
-            if face]
-
-
-def boundary_matrices(ordered: OrderedIdeal) -> list[BoundaryMatrix]:
-    """Differentials of the Lyubeznik complex, one per face size.
-
-    Faces are written with members in increasing rank, matching the sign
-    convention of the resolution differential.
+    The columns of all levels are built at once (a deletion of a face
+    lands one level down, so the whole family stands in for the level
+    below); each face's column is composed with its smaller faces'
+    columns, and any nonzero sum fails the check.
     """
-    by_size: dict[int, list[tuple[int, ...]]] = {}
-    for mask in _face_masks(ordered):
-        by_size.setdefault(mask.bit_count(), []).append(
-            ordered.sorted_by_rank(indices_of(mask)))
-    for faces in by_size.values():
-        faces.sort(key=lambda f: tuple(ordered.rank(i) for i in f))
-    return _boundary_levels(by_size)
+    columns = dict(zip(masks, _boundary_columns(masks, set(masks))))
+    for column in columns.values():
+        total: dict[int, int] = {}
+        for smaller, a in column.items():
+            for lower, b in columns[smaller].items():
+                total[lower] = total.get(lower, 0) + a * b
+        if any(total.values()):
+            return False
+    return True
 
 
 def verify_chain_complex(ordered: OrderedIdeal) -> bool:
-    """Check d_{t-1} . d_t = 0 across the Lyubeznik complex."""
-    mats = boundary_matrices(ordered)
-    return all(a.compose_is_zero(b) for a, b in zip(mats, mats[1:]))
+    """Check d_{t-1} . d_t = 0 across the Lyubeznik complex.
+
+    Each face is relabelled into rank positions (bit k is the generator
+    at rank k), so the deletion signs count members in increasing rank.
+    """
+    faces = np.array(order_analysis(ordered).faces, np.int64)
+    ranked = np.zeros_like(faces)
+    for rank, g in enumerate(ordered.order):
+        ranked |= ((faces >> (g - 1)) & 1) << rank
+    return _composes_to_zero(ranked.tolist())
 
 
 def _acyclic(face_masks: list[int], rank) -> bool:
@@ -250,7 +195,7 @@ def verify_resolution_report(ordered: OrderedIdeal, *,
     _check_bound(ideal, max_generators)
     tables = tables_for(ideal)
     rank = _rank_function(prime)
-    face_masks = _face_masks(ordered)
+    face_masks = order_analysis(ordered).faces
 
     lattice: dict[tuple[int, ...], int] = {}
     for mask in range(1, tables.size):

@@ -80,21 +80,6 @@ def identity_order(ideal: MonomialIdeal) -> OrderedIdeal:
     return OrderedIdeal(ideal, tuple(range(1, ideal.mu + 1)))
 
 
-def min_of(subset: Iterable[int], ordered: OrderedIdeal) -> int:
-    """The least generator index of a non-empty subset under the order."""
-    best = None
-    for i in subset:
-        if best is None or ordered.precedes(i, best):
-            best = i
-    if best is None:
-        raise ValueError("min of an empty subset is undefined")
-    return best
-
-
-def order_count(ideal: MonomialIdeal) -> int:
-    return factorial(ideal.mu)
-
-
 def _check_exhaustive(ideal: MonomialIdeal, max_exhaustive: int,
                       force: bool) -> None:
     mu = ideal.mu

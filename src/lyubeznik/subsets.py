@@ -30,10 +30,16 @@ from .monomials import BoundExceededError, Monomial, MonomialIdeal
 MAX_TABLE_GENERATORS = 16
 
 
-def mask_of(indices: Iterable[int]) -> int:
-    """Bitmask for a collection of 1-based generator indices."""
+def mask_of(indices: Iterable[int], mu: int | None = None) -> int:
+    """Bitmask for a collection of 1-based generator indices.
+
+    With ``mu`` given, every index is first checked to lie in 1..mu, as
+    the entry points that take a caller's subset do.
+    """
     mask = 0
     for i in indices:
+        if mu is not None and not 1 <= i <= mu:
+            raise ValueError(f"generator index {i} is not in 1..{mu}")
         mask |= 1 << (i - 1)
     return mask
 

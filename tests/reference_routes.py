@@ -17,8 +17,17 @@ against the monomials.
 * ``unpacked_readout``: a block of orders' obstruction, length and
   minimality from the kernel's least and court ranks, up-closed and
   read as one bool per (mask, order), the route the bit-packed
-  closure and readout of the order scanner replaced.
+  closure and readout of the order scanner replaced;
+* ``BoundaryMatrix`` and ``boundary_levels``: dense sign matrices
+  between consecutive levels of a face family, faces written as index
+  tuples, the route the oracle's sparse columns
+  (``oracle._boundary_columns``) replaced; ``boundary_matrices`` writes
+  the Lyubeznik complex's faces in increasing rank, and
+  ``dense_chain_complex`` and ``dense_composes_to_zero`` check d^2 = 0
+  with these matrices.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,3 +109,86 @@ def unpacked_readout(ideal, least, court_rank):
     for k, edges in sorted(by_size.items()):
         obs[~unpreserved[edges].all(axis=0)] = k
     return obs, lengths, obs == 0
+
+
+@dataclass(frozen=True)
+class BoundaryMatrix:
+    """A differential between consecutive face levels.
+
+    Entries are the integer signs; the full scalar on (row, col) is
+    entry * lcm(col)/lcm(row), and the monomial factors cancel along
+    two-step compositions.
+    """
+
+    rows: tuple
+    cols: tuple
+    entries: tuple
+
+    def compose_is_zero(self, next_matrix):
+        """True iff self @ next_matrix vanishes identically."""
+        if self.cols != next_matrix.rows:
+            raise ValueError("boundary matrices do not chain")
+        for col in zip(*next_matrix.entries):
+            for row in self.entries:
+                if sum(a * b for a, b in zip(row, col)):
+                    return False
+        return True
+
+
+def boundary_levels(faces_by_size):
+    """Sign matrices between consecutive levels of a face family, by size.
+
+    ``faces_by_size[t]`` lists faces as index tuples; level t maps to
+    level t-1, and deleting the j-th member of a face (1-based) has sign
+    (-1)^(j+1).  Deletions landing outside the family contribute no
+    entry.  Returns {t: matrix} for every t >= 1 with a level t-1.
+    """
+    out = {}
+    for t, cols in faces_by_size.items():
+        if t == 0 or t - 1 not in faces_by_size:
+            continue
+        rows = faces_by_size[t - 1]
+        row_index = {f: k for k, f in enumerate(rows)}
+        entries = [[0] * len(cols) for _ in rows]
+        for c, face in enumerate(cols):
+            for j, dropped in enumerate(face, start=1):
+                smaller = tuple(i for i in face if i != dropped)
+                r = row_index.get(smaller)
+                if r is not None:
+                    entries[r][c] = 1 if j % 2 else -1
+        out[t] = BoundaryMatrix(tuple(rows), tuple(cols),
+                                tuple(tuple(r) for r in entries))
+    return out
+
+
+def dense_composes_to_zero(faces_by_size):
+    """d_{t-1} . d_t = 0 for every t at which both matrices exist."""
+    mats = boundary_levels(faces_by_size)
+    return all(mats[t - 1].compose_is_zero(mats[t])
+               for t in mats if t - 1 in mats)
+
+
+def rank_faces(ordered, preserved=None):
+    """The faces of the Lyubeznik complex by size, from the Python DP's
+    preserved sets, written in increasing rank and listed by their rank
+    tuples."""
+    preserved = preserved_table(ordered) if preserved is None else preserved
+    by_size = {}
+    for mask, face in enumerate(preserved):
+        if face:
+            by_size.setdefault(mask.bit_count(), []).append(
+                ordered.sorted_by_rank(indices_of(mask)))
+    for faces in by_size.values():
+        faces.sort(key=lambda f: tuple(ordered.rank(i) for i in f))
+    return by_size
+
+
+def boundary_matrices(ordered):
+    """Dense differentials of the Lyubeznik complex, one per face size."""
+    mats = boundary_levels(rank_faces(ordered))
+    return [mats[t] for t in sorted(mats)]
+
+
+def dense_chain_complex(ordered, preserved=None):
+    """d^2 = 0 across the Lyubeznik complex, by dense sign matrices."""
+    return dense_composes_to_zero(rank_faces(ordered, preserved))

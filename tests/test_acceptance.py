@@ -36,7 +36,6 @@ from lyubeznik import (
     lyubeznik_complex,
     parse_ideal,
     preserved_size,
-    projdim_oracle,
     search_scan,
     sweep_ideals,
     symbol_of,
@@ -258,6 +257,6 @@ def test_acceptance_8_koszul():
     expected = {(0, 0): 1, (1, 1): 2, (2, 2): 1}
     assert betti_from_preserved(ordered).graded == expected
     assert taylor_betti(ideal).graded == expected
-    assert projdim_oracle(ideal) == 2
+    assert taylor_betti(ideal).projective_dimension == 2
     assert l_length(ordered) == preserved_size(ordered) == 2
     assert tuple(ara_bounds(ideal)) == (2, 2)

@@ -231,6 +231,15 @@ def test_bad_order_is_exit_one(capsys, mixed_path):
     assert code == 1 and "lyubeznik:" in err
 
 
+@pytest.mark.parametrize("command", ["covers", "complex", "analyze", "verify",
+                                     "radical-gens"])
+def test_empty_order_is_exit_one(capsys, mixed_path, command):
+    # an empty override is refused, not read as "no override"
+    code, out, err = run_cli(capsys, command, "--order", "", mixed_path)
+    assert code == 1 and out == ""
+    assert err.startswith("lyubeznik: error: order override ''")
+
+
 def test_usage_error_is_exit_one(capsys, mixed_path):
     code, _, err = run_cli(capsys, "analyze", "--format", "yaml", mixed_path)
     assert code == 1

@@ -4,7 +4,8 @@ from math import comb
 import pytest
 
 from lyubeznik import (OrderedIdeal, SubsetClass, Symbol, admissible_symbols,
-                       classification_census, classify_subset, identity_order,
+                       classification_census, classify_subset, complete_cover,
+                       identity_order,
                        inadmissible_symbols, is_admissible_symbol, is_broken,
                        is_cover_of, is_preserved, is_stable_symbol, load_ideal,
                        lyubeznik_complex, symbol_of, sweep_ideals)
@@ -32,6 +33,32 @@ def test_broken_subsets_of_mixed_powers():
     }
     for subset, court in court_of.items():
         assert is_broken(subset, ordered) == court
+
+
+SUBSET_ENTRY_POINTS = {
+    "is_preserved": lambda subset, o: is_preserved(subset, o),
+    "is_broken": lambda subset, o: is_broken(subset, o),
+    "classify_subset": lambda subset, o: classify_subset(subset, o),
+    "complete_cover": lambda subset, o: complete_cover(subset, o.ideal),
+    "is_cover_of": lambda subset, o: is_cover_of([1, *subset], 1, o.ideal),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(SUBSET_ENTRY_POINTS))
+@pytest.mark.parametrize("index", [0, 5])
+def test_out_of_range_indices_are_refused(entry, index):
+    ordered = identity_order(load_ideal("square_edges"))
+    assert ordered.ideal.mu == 4
+    with pytest.raises(ValueError,
+                       match=rf"^generator index {index} is not in 1\.\.4$"):
+        SUBSET_ENTRY_POINTS[entry]([index], ordered)
+
+
+@pytest.mark.parametrize("u", [0, 5])
+def test_out_of_range_covered_member_is_refused(u):
+    ideal = load_ideal("square_edges")
+    with pytest.raises(ValueError, match=rf"^generator index {u} is not in"):
+        is_cover_of([1, 2], u, ideal)
 
 
 def test_unbroken_sets_report_none():

@@ -4,8 +4,7 @@ import pytest
 
 from lyubeznik import (BoundExceededError, complete_cover, cover_clutter,
                        covers_of, divides, e_minimal_covers_of, identity_order,
-                       is_cover_of, lcm_of, load_ideal, m_minimal_covers,
-                       sweep_ideals)
+                       is_cover_of, lcm_of, load_ideal, sweep_ideals)
 
 from conftest import exponent_ideal
 
@@ -127,12 +126,6 @@ def test_complete_cover_contains_members_everywhere():
         for size in (1, 2):
             for members in combinations(ideal.indices(), size):
                 assert set(members) <= complete_cover(members, ideal)
-
-
-def test_m_minimal_covers_mixed_powers():
-    ideal = load_ideal("mixed_powers_xyz")
-    assert cover_sets(m_minimal_covers(ideal)) == {fs(1, 2, 3), fs(1, 3, 4),
-                                                   fs(2, 4, 5)}
 
 
 def test_e_minimal_covers_have_no_covering_subset():

@@ -1,6 +1,7 @@
 """Graphs, edge ideals, and the edge-ideal proposition checks."""
 
 from functools import partial
+from itertools import combinations
 
 import pytest
 
@@ -11,7 +12,6 @@ from lyubeznik import (
     SimpleGraph,
     all_graphs,
     check_graph_propositions,
-    complete_graph,
     edge_ideal,
     graph_names,
     is_lyubeznik,
@@ -98,7 +98,8 @@ def test_edge_ideal_agrees_with_ideal_corpus():
 
 
 def test_complete_graph():
-    k4 = complete_graph(("a", "b", "c", "d"))
+    names = ("a", "b", "c", "d")
+    k4 = SimpleGraph(names, tuple(combinations(names, 2)))
     assert k4 == load_graph("complete4")
     assert all(len(k4.neighbors(v)) == 3 for v in k4.vertices)
 

@@ -21,7 +21,6 @@ from lyubeznik import (
     all_orders,
     analyze,
     ara_bounds,
-    audit_courts_first,
     betti_from_preserved,
     edge_ideal,
     equivalence_audit,
@@ -38,7 +37,6 @@ from lyubeznik import (
     obstruction,
     parse_ideal,
     preserved_size,
-    projdim_oracle,
     search_scan,
     taylor_betti,
     total_obstruction,
@@ -227,13 +225,20 @@ def test_totally_and_almost():
     assert is_almost_lyubeznik(load_ideal("chain_four_squares"))
 
 
+def courts_first_counterexample(ideal):
+    """The first courts-first order whose resolution is not minimal."""
+    scan = search_scan(ideal, "courts-first", stop_when="nonzero-obstruction")
+    return scan.nonminimal_witness
+
+
 def test_courts_first_claim_fails_in_the_corpus():
-    holds, counterexample = audit_courts_first(load_ideal("chain_five_mixed"))
-    assert not holds and counterexample.order == (1, 2, 3, 4, 5)
-    assert obstruction(counterexample) > 0
+    ideal = load_ideal("chain_five_mixed")
+    counterexample = courts_first_counterexample(ideal)
+    assert counterexample == (1, 2, 3, 4, 5)
+    assert obstruction(OrderedIdeal(ideal, counterexample)) > 0
     # Even with only two possible courts the claim can fail.
-    holds, counterexample = audit_courts_first(load_ideal("mixed_powers_xyz"))
-    assert not holds and counterexample.order == (2, 1, 3, 4, 5)
+    counterexample = courts_first_counterexample(load_ideal("mixed_powers_xyz"))
+    assert counterexample == (2, 1, 3, 4, 5)
 
 
 def test_heights():

@@ -1,22 +1,28 @@
-"""Differential test of the oracle's sparse homology route.
+"""Differential tests of the oracle's sparse routes.
 
 ``taylor_betti`` and ``verify_resolution_report`` hand sparse columns to
 the column-reduction loop in ``linalg``.  Here both are recomputed the
 slow way: strands and induced subcomplexes are grouped from scratch,
-turned into dense sign matrices by ``oracle._boundary_levels`` and
-ranked by plain Gaussian elimination over Q or GF(p).
+turned into dense sign matrices by ``reference_routes.boundary_levels``
+and ranked by plain Gaussian elimination over Q or GF(p).  The d^2 = 0
+check, which composes the same sparse columns, is compared with the
+dense matrices' products on every order of the sweep ideals, on
+hypothesis ideals and on random face families.
 """
 
 from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
-from lyubeznik import (OrderedIdeal, identity_order, lyubeznik_complex,
-                       taylor_betti, verify_resolution_report)
+from lyubeznik import (OrderedIdeal, all_orders, identity_order,
+                       lyubeznik_complex, sweep_ideals, taylor_betti,
+                       verify_chain_complex, verify_resolution_report)
 from lyubeznik.betti import QUOTIENT, BettiTable
 from lyubeznik.corpus import all_ideals
-from lyubeznik.oracle import _boundary_levels
+from lyubeznik.oracle import _composes_to_zero
 
+from reference_routes import (boundary_levels, dense_chain_complex,
+                              dense_composes_to_zero)
 from test_linalg import dense_rank_mod_p, fraction_rank
 from test_scan_kernel import exponent_rows, small_ideal
 
@@ -31,8 +37,8 @@ def dense_rank(prime):
 
 def dense_homology(faces_by_size, rank):
     """Homology rank per level from dense boundary matrices."""
-    ranks = {len(m.cols[0]): rank([list(r) for r in m.entries])
-             for m in _boundary_levels(faces_by_size)}
+    ranks = {t: rank([list(r) for r in m.entries])
+             for t, m in boundary_levels(faces_by_size).items()}
     hom = {}
     for t, basis in faces_by_size.items():
         h = len(basis) - ranks.get(t, 0) - ranks.get(t + 1, 0)
@@ -95,3 +101,33 @@ def test_corpus_matches_dense_route():
 @given(st.integers(2, 4).flatmap(exponent_rows))
 def test_random_ideals_match_dense_route(rows):
     check_against_dense(small_ideal(rows, max_mu=7))
+
+
+def test_sparse_d_squared_matches_dense_on_every_sweep_order():
+    for name, ideal in sweep_ideals():
+        for ordered in all_orders(ideal, force=True):
+            assert verify_chain_complex(ordered) == \
+                dense_chain_complex(ordered), (name, ordered.order)
+
+
+@settings(max_examples=30)
+@given(st.integers(2, 4).flatmap(exponent_rows), st.randoms())
+def test_sparse_d_squared_matches_dense_on_random_ideals(rows, rng):
+    ideal = small_ideal(rows, max_mu=7)
+    word = list(ideal.indices())
+    rng.shuffle(word)
+    for ordered in (identity_order(ideal), OrderedIdeal(ideal, tuple(word))):
+        assert verify_chain_complex(ordered) == dense_chain_complex(ordered)
+
+
+@settings(max_examples=200)
+@given(st.sets(st.integers(0, 31), max_size=20))
+def test_sparse_d_squared_matches_dense_on_random_families(family):
+    # families of subsets of five generators, closed or not; bit i-1 of
+    # a mask is index i, so both routes count members in the same order
+    faces_by_size = {}
+    for mask in sorted(family):
+        face = tuple(b + 1 for b in range(5) if mask >> b & 1)
+        faces_by_size.setdefault(len(face), []).append(face)
+    assert _composes_to_zero(sorted(family)) == \
+        dense_composes_to_zero(faces_by_size)

@@ -2,7 +2,8 @@
 
 ``order_analysis`` runs ``complexes.PreservedKernel`` on a one-word
 block; its court and preserved lists must equal, entry for entry, those
-of the Python DP in ``reference_routes``.  The resolution length must
+of the Python DP in ``reference_routes``, and its face list must be the
+DP's preserved masks in ascending order.  The resolution length must
 equal the subset-sum closure's, and ``is_minimal_resolution`` (no
 E-minimal cover is preserved) must agree with facet stability.  The
 inputs are the corpus (every order when mu <= 5, three otherwise),
@@ -42,6 +43,8 @@ def check_tables(ordered):
     analysis = order_analysis(ordered)
     assert analysis.court == court, ordered.order
     assert analysis.preserved == preserved, ordered.order
+    assert analysis.faces == [m for m, p in enumerate(preserved) if p], \
+        ordered.order
     assert (l_length(ordered) == preserved_size(ordered)
             == closure_length(ordered, court)), ordered.order
     return preserved
