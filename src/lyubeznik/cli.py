@@ -282,11 +282,10 @@ def _cmd_search(args):
     ideal = read_ideal(args.path)
     scan = search_scan(ideal, args.search, max_exhaustive=args.max_exhaustive,
                        jobs=args.jobs)
-    lyubeznik = True if scan.tobsl == 0 else (False if scan.exact else None)
     payload = {"ideal": _ideal_payload(ideal), "mode": scan.mode,
                "exact": scan.exact, "scanned": scan.scanned,
                "tobsL": scan.tobsl, "L": scan.min_l, "ps_min": scan.min_l,
-               "lyubeznik": lyubeznik, "witness": list(scan.tobsl_witness),
+               "lyubeznik": scan.lyubeznik, "witness": list(scan.tobsl_witness),
                "minimal_orders": scan.minimal_count}
 
     def text() -> list[str]:
@@ -296,7 +295,7 @@ def _cmd_search(args):
                  f"total obstruction: {scan.tobsl}",
                  f"min resolution length: {scan.min_l}",
                  f"min preserved size: {scan.min_l}",
-                 f"lyubeznik: {_verdict_text(lyubeznik)}",
+                 f"lyubeznik: {_verdict_text(scan.lyubeznik)}",
                  "witness order: (" + ",".join(map(str, scan.tobsl_witness)) + ")",
                  f"minimal orders: {scan.minimal_count}/{scan.scanned}"]
         return lines

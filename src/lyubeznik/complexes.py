@@ -238,14 +238,9 @@ class Symbol:
 
 def symbol_of(subset: Iterable[int], ordered: OrderedIdeal) -> Symbol:
     """The symbol of a non-empty subset: members sorted by rank."""
+    subset = tuple(subset)
+    mask_of(subset, ordered.ideal.mu)
     return Symbol(ordered.sorted_by_rank(subset))
-
-
-def _check_increasing(symbol: Symbol, ordered: OrderedIdeal) -> None:
-    ranks = [ordered.rank(i) for i in symbol.indices]
-    if any(a >= b for a, b in zip(ranks, ranks[1:])):
-        raise ValueError(
-            f"symbol {symbol} is not strictly increasing under order {ordered}")
 
 
 def is_admissible_symbol(symbol: Symbol, ordered: OrderedIdeal) -> bool:
@@ -255,7 +250,11 @@ def is_admissible_symbol(symbol: Symbol, ordered: OrderedIdeal) -> bool:
 
     Independent of the preserved-set machinery by construction.
     """
-    _check_increasing(symbol, ordered)
+    mask_of(symbol.indices, ordered.ideal.mu)
+    ranks = [ordered.rank(i) for i in symbol.indices]
+    if any(a >= b for a, b in zip(ranks, ranks[1:])):
+        raise ValueError(
+            f"symbol {symbol} is not strictly increasing under order {ordered}")
     ideal = ordered.ideal
     idx = symbol.indices
     t = len(idx)
@@ -276,6 +275,7 @@ def is_stable_symbol(symbol: Symbol, ideal: MonomialIdeal) -> bool:
     on the order, only on the member set.
     """
     idx = symbol.indices
+    mask_of(idx, ideal.mu)
     if len(idx) == 1:
         return True
     full = lcm_of(ideal.gen(i) for i in idx)
@@ -323,22 +323,21 @@ def classification_census(ordered: OrderedIdeal) -> dict[int, dict[SubsetClass, 
             for t in range(1, mu + 1)}
 
 
-def _rank_word_subsets(ordered: OrderedIdeal, size: int) -> Iterable[tuple[int, ...]]:
-    # order.order is the rank-sorted generator word, so combinations come
-    # out lexicographic in rank and already rank-increasing
-    return combinations(ordered.order, size)
+def _symbols(ordered: OrderedIdeal, size: int, admissible: bool
+             ) -> tuple[Symbol, ...]:
+    """The symbols of one dimension whose sets are (not) preserved.
+    ``ordered.order`` is the rank-sorted generator word, so combinations
+    come out lexicographic in rank and already rank-increasing."""
+    preserved = order_analysis(ordered).preserved
+    return tuple(Symbol(word) for word in combinations(ordered.order, size)
+                 if preserved[mask_of(word)] == admissible)
 
 
 def admissible_symbols(ordered: OrderedIdeal, size: int) -> tuple[Symbol, ...]:
-    """All admissible symbols of the given dimension, via the complex."""
-    complex_ = lyubeznik_complex(ordered)
-    face_sets = {f for f in complex_.faces if len(f) == size}
-    return tuple(Symbol(word) for word in _rank_word_subsets(ordered, size)
-                 if frozenset(word) in face_sets)
+    """All admissible symbols of the given dimension, via the order's
+    preserved-set table."""
+    return _symbols(ordered, size, True)
 
 
 def inadmissible_symbols(ordered: OrderedIdeal, size: int) -> tuple[Symbol, ...]:
-    complex_ = lyubeznik_complex(ordered)
-    face_sets = {f for f in complex_.faces if len(f) == size}
-    return tuple(Symbol(word) for word in _rank_word_subsets(ordered, size)
-                 if frozenset(word) not in face_sets)
+    return _symbols(ordered, size, False)

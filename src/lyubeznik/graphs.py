@@ -166,8 +166,7 @@ def check_graph_propositions(graph: SimpleGraph, *,
     # minimal and a non-minimal order, or else runs to the end
     scan = search_scan(ideal, "exhaustive", max_exhaustive=max_exhaustive,
                        jobs=jobs, stop_when="both-verdicts")
-    totally = scan.nonminimal_witness is None
-    lyubeznik = scan.tobsl == 0
+    totally, lyubeznik = scan.totally_lyubeznik, scan.lyubeznik
     return (
         PropositionCheck("no-path-of-3-edges-implies-totally-lyubeznik",
                          path_edges < 3, totally),

@@ -7,8 +7,9 @@ the resolution is minimal iff no E-minimal cover is preserved.  The
 checking routes (facet stability, the Python preserved-set DP, the
 subset-sum closure) live in the tests.
 
-Order searches (total obstruction, minimal length, Lyubeznik /
-almost / totally Lyubeznik classification) scan permutation words in
+Every order search is one ``search_scan``, whose ``SearchResult``
+holds the total obstruction, the minimal length and the Lyubeznik /
+almost / totally Lyubeznik verdicts.  It scans permutation words in
 lexicographic order so witnesses are reproducible, optionally in
 parallel.  The words of ``orders.orders_for_search`` are joined into
 int8 blocks of ``DEFAULT_CHUNK`` orders, and the scanner runs
@@ -21,8 +22,9 @@ over the packed words; only one bit per (size, order) is unpacked.
 from __future__ import annotations
 
 from collections import deque
+from contextlib import closing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations, islice
 from typing import Iterator, Sequence
@@ -162,12 +164,14 @@ def equivalence_audit(ordered: OrderedIdeal) -> EquivalenceAudit:
 
 @dataclass(frozen=True)
 class SearchResult:
-    """Aggregates of a scan over a stream of orders.
+    """Aggregates of a scan over a stream of orders, and the verdicts
+    they settle.
 
     ``exact`` records whether the stream covered all orders;
     ``stopped_early`` whether an early-exit policy cut the scan short.
     Witnesses are permutation words, always the lexicographically least
-    achieving their value among the scanned prefix.
+    achieving their value among the scanned prefix.  Each verdict is
+    True or False where the scan settles it and None where it cannot.
     """
 
     mode: str
@@ -180,6 +184,30 @@ class SearchResult:
     min_l_witness: tuple[int, ...]
     minimal_count: int
     nonminimal_witness: tuple[int, ...] | None
+
+    @property
+    def lyubeznik(self) -> bool | None:
+        """Some order gives a minimal resolution; refuting it takes a
+        scan of every order (a heuristic cannot certify failure)."""
+        if self.tobsl == 0:
+            return True
+        return False if self.exact and not self.stopped_early else None
+
+    @property
+    def totally_lyubeznik(self) -> bool | None:
+        """Every order gives a minimal resolution; None on a heuristic
+        stream, even when it holds a non-minimal order."""
+        if not self.exact or (self.stopped_early
+                              and self.nonminimal_witness is None):
+            return None
+        return self.nonminimal_witness is None
+
+    def almost_lyubeznik(self, projdim: int) -> bool | None:
+        """The least resolution length meets ``projdim``, the projective
+        dimension of R/I; None unless every order was scanned."""
+        if self.exact and not self.stopped_early:
+            return self.min_l == projdim
+        return None
 
 
 class _BlockScanner:
@@ -257,45 +285,33 @@ def _scan_words(ideal: MonomialIdeal, words: Sequence[tuple[int, ...]] | np.ndar
     return _scanner_for(ideal)(words)
 
 
-class _Agg:
-    __slots__ = ("scanned", "tobsl", "tobsl_witness", "min_l", "min_l_witness",
-                 "minimal_count", "nonminimal_witness")
-
-    def __init__(self) -> None:
-        self.scanned = 0
-        self.tobsl = None
-        self.tobsl_witness = None
-        self.min_l = None
-        self.min_l_witness = None
-        self.minimal_count = 0
-        self.nonminimal_witness = None
+# stop policies of search_scan: whether the scan so far settles its question
+_STOPS = {
+    None: lambda scan: False,
+    "zero-obstruction": lambda scan: scan.tobsl == 0,
+    "nonzero-obstruction": lambda scan: scan.nonminimal_witness is not None,
+    "both-verdicts": lambda scan: (scan.tobsl == 0
+                                   and scan.nonminimal_witness is not None),
+}
 
 
-def _merge(agg: _Agg, words: np.ndarray,
-           result: tuple[np.ndarray, np.ndarray, np.ndarray],
-           stop_when: str | None) -> bool:
+def _merge(scan: SearchResult, words: np.ndarray,
+           result: tuple[np.ndarray, np.ndarray, np.ndarray]) -> SearchResult:
+    """``scan`` extended by the next block of words and their invariants;
+    a witness changes only when the block holds a strictly lower value."""
     obs, lengths, minimal = result
-    agg.scanned += len(words)
-    agg.minimal_count += int(minimal.sum())
-
-    j = int(np.argmin(obs))
-    if agg.tobsl is None or int(obs[j]) < agg.tobsl:
-        agg.tobsl = int(obs[j])
-        agg.tobsl_witness = tuple(words[j].tolist())
-    j = int(np.argmin(lengths))
-    if agg.min_l is None or int(lengths[j]) < agg.min_l:
-        agg.min_l = int(lengths[j])
-        agg.min_l_witness = tuple(words[j].tolist())
-    if agg.nonminimal_witness is None and not minimal.all():
-        agg.nonminimal_witness = tuple(words[int(np.argmin(minimal))].tolist())
-
-    if stop_when == "zero-obstruction":
-        return agg.tobsl == 0
-    if stop_when == "nonzero-obstruction":
-        return agg.nonminimal_witness is not None
-    if stop_when == "both-verdicts":
-        return agg.tobsl == 0 and agg.nonminimal_witness is not None
-    return False
+    j, k = int(np.argmin(obs)), int(np.argmin(lengths))
+    changes = {"scanned": scan.scanned + len(words),
+               "minimal_count": scan.minimal_count + int(minimal.sum())}
+    if obs[j] < scan.tobsl:
+        changes.update(tobsl=int(obs[j]), tobsl_witness=tuple(words[j].tolist()))
+    if lengths[k] < scan.min_l:
+        changes.update(min_l=int(lengths[k]),
+                       min_l_witness=tuple(words[k].tolist()))
+    if scan.nonminimal_witness is None and not minimal.all():
+        changes["nonminimal_witness"] = tuple(
+            words[int(np.argmin(minimal))].tolist())
+    return replace(scan, **changes)
 
 
 def _word_blocks(words: Iterator[bytes], mu: int,
@@ -308,9 +324,34 @@ def _word_blocks(words: Iterator[bytes], mu: int,
         yield np.frombuffer(data, np.int8).reshape(-1, mu)
 
 
+def _scanned_blocks(ideal: MonomialIdeal, blocks: Iterator[np.ndarray],
+                    jobs: int) -> Iterator[tuple[np.ndarray, tuple]]:
+    """(block, per-order invariants) pairs in stream order, scanned here
+    or by a pool of ``jobs`` workers with ``jobs + 2`` blocks in flight;
+    closing the generator cancels the blocks not yet read."""
+    if jobs == 1:
+        scanner = _BlockScanner(ideal)
+        for words in blocks:
+            yield words, scanner(words)
+        return
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        pending: deque = deque()
+        try:
+            for words in blocks:
+                pending.append((words, pool.submit(_scan_words, ideal, words)))
+                if len(pending) >= jobs + 2:
+                    words, future = pending.popleft()
+                    yield words, future.result()
+            while pending:
+                words, future = pending.popleft()
+                yield words, future.result()
+        finally:
+            for _, future in pending:
+                future.cancel()
+
+
 def search_scan(ideal: MonomialIdeal, mode: str = "exhaustive", *,
-                max_exhaustive: int = DEFAULT_MAX_EXHAUSTIVE,
-                force: bool = False, jobs: int = 1,
+                max_exhaustive: int = DEFAULT_MAX_EXHAUSTIVE, jobs: int = 1,
                 chunk_size: int = DEFAULT_CHUNK,
                 stop_when: str | None = None) -> SearchResult:
     """Scan an order stream and aggregate per-order invariants.
@@ -321,60 +362,37 @@ def search_scan(ideal: MonomialIdeal, mode: str = "exhaustive", *,
     or ``"both-verdicts"`` (stop once both have been found, which
     settles whether some order and whether every order is minimal).
     Chunks are merged in stream order regardless of ``jobs``, so every
-    output is deterministic.
+    output is deterministic.  Pass ``max_exhaustive=ideal.mu`` to scan
+    every order of any ideal.
     """
-    if stop_when not in (None, "zero-obstruction", "nonzero-obstruction",
-                         "both-verdicts"):
+    if stop_when not in _STOPS:
         raise ValueError(f"unknown stop policy {stop_when!r}")
     if jobs < 1 or chunk_size < 1:
         raise ValueError(f"jobs and chunk_size must be at least 1, got "
                          f"jobs={jobs}, chunk_size={chunk_size}")
     stream, exact = orders_for_search(ideal, mode,
-                                      max_exhaustive=max_exhaustive,
-                                      force=force)
-    chunks = _word_blocks(stream, ideal.mu, chunk_size)
-    agg = _Agg()
-    stopped = False
-
-    if jobs == 1:
-        scanner = _BlockScanner(ideal)
-        for words in chunks:
-            if _merge(agg, words, scanner(words), stop_when):
-                stopped = True
+                                      max_exhaustive=max_exhaustive)
+    settled = _STOPS[stop_when]
+    # no obstruction or length exceeds mu: mu + 1 is above every value
+    scan = SearchResult(mode=mode, exact=exact, scanned=0, stopped_early=False,
+                        tobsl=ideal.mu + 1, tobsl_witness=(),
+                        min_l=ideal.mu + 1, min_l_witness=(), minimal_count=0,
+                        nonminimal_witness=None)
+    blocks = _word_blocks(stream, ideal.mu, chunk_size)
+    with closing(_scanned_blocks(ideal, blocks, jobs)) as pairs:
+        for words, result in pairs:
+            scan = _merge(scan, words, result)
+            if settled(scan):
+                scan = replace(scan, stopped_early=True)
                 break
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            pending: deque = deque()
-            try:
-                for words in chunks:
-                    pending.append((words, pool.submit(_scan_words, ideal, words)))
-                    if len(pending) >= jobs + 2:
-                        head_words, fut = pending.popleft()
-                        if _merge(agg, head_words, fut.result(), stop_when):
-                            stopped = True
-                            break
-                while not stopped and pending:
-                    head_words, fut = pending.popleft()
-                    if _merge(agg, head_words, fut.result(), stop_when):
-                        stopped = True
-            finally:
-                while pending:
-                    pending.popleft()[1].cancel()
-
-    if agg.scanned == 0:
+    if scan.scanned == 0:
         raise RuntimeError("order stream was empty")
-    return SearchResult(
-        mode=mode, exact=exact, scanned=agg.scanned, stopped_early=stopped,
-        tobsl=agg.tobsl, tobsl_witness=agg.tobsl_witness,
-        min_l=agg.min_l, min_l_witness=agg.min_l_witness,
-        minimal_count=agg.minimal_count,
-        nonminimal_witness=agg.nonminimal_witness)
+    return scan
 
 
 def total_obstruction(ideal: MonomialIdeal, search_mode: str = "exhaustive", *,
                       max_exhaustive: int = DEFAULT_MAX_EXHAUSTIVE,
-                      force: bool = False, jobs: int = 1
-                      ) -> tuple[int, OrderedIdeal]:
+                      jobs: int = 1) -> tuple[int, OrderedIdeal]:
     """Minimum obstruction over the searched orders, with its witness.
 
     Exact under exhaustive search; under the courts-first heuristic the
@@ -382,17 +400,16 @@ def total_obstruction(ideal: MonomialIdeal, search_mode: str = "exhaustive", *,
     witness is the lexicographically least minimizing order.
     """
     scan = search_scan(ideal, search_mode, max_exhaustive=max_exhaustive,
-                       force=force, jobs=jobs, stop_when="zero-obstruction")
+                       jobs=jobs, stop_when="zero-obstruction")
     return scan.tobsl, OrderedIdeal(ideal, scan.tobsl_witness)
 
 
 def min_l_length(ideal: MonomialIdeal, search_mode: str = "exhaustive", *,
-                 max_exhaustive: int = DEFAULT_MAX_EXHAUSTIVE,
-                 force: bool = False, jobs: int = 1
+                 max_exhaustive: int = DEFAULT_MAX_EXHAUSTIVE, jobs: int = 1
                  ) -> tuple[int, OrderedIdeal]:
     """Minimum resolution length over the searched orders, with witness."""
     scan = search_scan(ideal, search_mode, max_exhaustive=max_exhaustive,
-                       force=force, jobs=jobs)
+                       jobs=jobs)
     return scan.min_l, OrderedIdeal(ideal, scan.min_l_witness)
 
 
@@ -417,34 +434,36 @@ class LyubeznikVerdict:
 
 def is_lyubeznik(ideal: MonomialIdeal, search_mode: str = "exhaustive", *,
                  max_exhaustive: int = DEFAULT_MAX_EXHAUSTIVE,
-                 force: bool = False, jobs: int = 1) -> LyubeznikVerdict:
+                 jobs: int = 1) -> LyubeznikVerdict:
     """Whether some order makes the Lyubeznik resolution minimal."""
     scan = search_scan(ideal, search_mode, max_exhaustive=max_exhaustive,
-                       force=force, jobs=jobs, stop_when="zero-obstruction")
-    if scan.tobsl == 0:
-        return LyubeznikVerdict(True, OrderedIdeal(ideal, scan.tobsl_witness),
-                                scan.mode, scan.exact, scan.scanned)
-    verdict = False if scan.exact else None
-    return LyubeznikVerdict(verdict, None, scan.mode, scan.exact, scan.scanned)
+                       jobs=jobs, stop_when="zero-obstruction")
+    witness = (OrderedIdeal(ideal, scan.tobsl_witness) if scan.lyubeznik
+               else None)
+    return LyubeznikVerdict(scan.lyubeznik, witness, scan.mode, scan.exact,
+                            scan.scanned)
 
 
 def is_totally_lyubeznik(ideal: MonomialIdeal, *,
                          max_exhaustive: int = DEFAULT_MAX_EXHAUSTIVE,
-                         force: bool = False, jobs: int = 1) -> bool:
+                         jobs: int = 1) -> bool:
     """Whether every order makes the Lyubeznik resolution minimal."""
-    scan = search_scan(ideal, "exhaustive", max_exhaustive=max_exhaustive,
-                       force=force, jobs=jobs, stop_when="nonzero-obstruction")
-    return scan.nonminimal_witness is None
+    return search_scan(ideal, "exhaustive", max_exhaustive=max_exhaustive,
+                       jobs=jobs, stop_when="nonzero-obstruction"
+                       ).totally_lyubeznik
+
+
+def _projdim(ideal: MonomialIdeal, prime: int | None) -> int:
+    return taylor_betti(ideal, prime=prime).projective_dimension
 
 
 def is_almost_lyubeznik(ideal: MonomialIdeal, *,
                         max_exhaustive: int = DEFAULT_MAX_EXHAUSTIVE,
-                        force: bool = False, jobs: int = 1,
-                        prime: int | None = None) -> bool:
+                        jobs: int = 1, prime: int | None = None) -> bool:
     """Whether the best resolution length meets the projective dimension."""
-    best, _ = min_l_length(ideal, "exhaustive", max_exhaustive=max_exhaustive,
-                           force=force, jobs=jobs)
-    return best == taylor_betti(ideal, prime=prime).projective_dimension
+    scan = search_scan(ideal, "exhaustive", max_exhaustive=max_exhaustive,
+                       jobs=jobs)
+    return scan.almost_lyubeznik(_projdim(ideal, prime))
 
 
 # ---------------------------------------------------------------------------
@@ -479,9 +498,15 @@ class AraBounds:
         return iter((self.lower, self.upper))
 
 
+def _ara(ideal: MonomialIdeal, lower: int, best: int) -> AraBounds:
+    """Ara bounds from a lower bound and the least resolution length
+    found; the upper bound is min(best, number of generators)."""
+    upper = min(best, ideal.mu)
+    return AraBounds(lower, upper, lower == upper)
+
+
 def ara_bounds(ideal: MonomialIdeal, search_mode: str = "exhaustive", *,
-               max_exhaustive: int = DEFAULT_MAX_EXHAUSTIVE,
-               force: bool = False, jobs: int = 1,
+               max_exhaustive: int = DEFAULT_MAX_EXHAUSTIVE, jobs: int = 1,
                prime: int | None = None) -> AraBounds:
     """Lower and upper bounds on the arithmetical rank.
 
@@ -491,14 +516,11 @@ def ara_bounds(ideal: MonomialIdeal, search_mode: str = "exhaustive", *,
     dimension), and the height otherwise.  ``equality`` flags bounds
     that pin the value exactly.
     """
-    if ideal.is_squarefree():
-        lower = taylor_betti(ideal, prime=prime).projective_dimension
-    else:
-        lower = height(ideal)
-    best, _ = min_l_length(ideal, search_mode, max_exhaustive=max_exhaustive,
-                           force=force, jobs=jobs)
-    upper = min(best, ideal.mu)
-    return AraBounds(lower, upper, lower == upper)
+    # the lower bound first: the oracle refuses before a long scan
+    lower = _projdim(ideal, prime) if ideal.is_squarefree() else height(ideal)
+    scan = search_scan(ideal, search_mode, max_exhaustive=max_exhaustive,
+                       jobs=jobs)
+    return _ara(ideal, lower, scan.min_l)
 
 
 # ---------------------------------------------------------------------------
@@ -523,8 +545,8 @@ class InvariantReport:
 
 
 def analyze(ordered: OrderedIdeal, *, search_mode: str | None = None,
-            max_exhaustive: int = DEFAULT_MAX_EXHAUSTIVE, force: bool = False,
-            jobs: int = 1, prime: int | None = None) -> InvariantReport:
+            max_exhaustive: int = DEFAULT_MAX_EXHAUSTIVE, jobs: int = 1,
+            prime: int | None = None) -> InvariantReport:
     """Full per-order report, optionally with an order search on top.
 
     Without a search mode, the arithmetical-rank upper bound falls back
@@ -543,29 +565,21 @@ def analyze(ordered: OrderedIdeal, *, search_mode: str | None = None,
     # one scan and at most one homology computation per call; the
     # squarefree oracle call comes first, as it does in ara_bounds
     squarefree = ideal.is_squarefree()
-    projdim = (taylor_betti(ideal, prime=prime).projective_dimension
-               if squarefree else None)
+    projdim = _projdim(ideal, prime) if squarefree else None
     best = length
     lyub = almost = totally = None
     if search_mode is not None:
         scan = search_scan(ideal, search_mode, max_exhaustive=max_exhaustive,
-                           force=force, jobs=jobs)
-        best = scan.min_l
-        if scan.tobsl == 0:
-            lyub = True
-        elif scan.exact:
-            lyub = False
+                           jobs=jobs)
+        best, lyub, totally = scan.min_l, scan.lyubeznik, scan.totally_lyubeznik
         if scan.exact:
             if projdim is None:
-                projdim = taylor_betti(ideal,
-                                       prime=prime).projective_dimension
-            almost = scan.min_l == projdim
-            totally = scan.minimal_count == scan.scanned
-    lower = projdim if squarefree else ht
-    upper = min(best, ideal.mu)
+                projdim = _projdim(ideal, prime)
+            almost = scan.almost_lyubeznik(projdim)
     return InvariantReport(order=ordered.order, minimal=minimal,
                            obstruction=obs, l_length=length, ps=length,
                            betti=betti, height=ht,
-                           ara=AraBounds(lower, upper, lower == upper),
+                           ara=_ara(ideal, projdim if squarefree else ht,
+                                    best),
                            lyubeznik=lyub, almost_lyubeznik=almost,
                            totally_lyubeznik=totally)

@@ -6,11 +6,11 @@ order is the listing order of the generators.
 
 Order enumeration is always lexicographic on the permutation word, so
 witness orders are reproducible and searches can be partitioned into
-disjoint prefix blocks.  Exhaustive enumeration is refused above a
-threshold (mu! grows fast); the courts-first stream is the documented
-heuristic alternative: it yields only the orders in which every
-"possible court" precedes every non-court.  A search refuses that
-stream too when it is longer than the exhaustive threshold allows.
+disjoint prefix blocks.  The courts-first stream is the documented
+heuristic alternative to all mu! orders: it yields only the orders in
+which every "possible court" precedes every non-court.  Both streams
+follow one bound (mu! grows fast): a stream longer than
+``max_exhaustive``! orders is refused.
 
 Both streams are built in numpy as int8 arrays of rows: the last
 min(n, TAIL) positions of an arrangement of n generators come from
@@ -78,16 +78,6 @@ class OrderedIdeal:
 
 def identity_order(ideal: MonomialIdeal) -> OrderedIdeal:
     return OrderedIdeal(ideal, tuple(range(1, ideal.mu + 1)))
-
-
-def _check_exhaustive(ideal: MonomialIdeal, max_exhaustive: int,
-                      force: bool) -> None:
-    mu = ideal.mu
-    if mu > max_exhaustive and not force:
-        raise BoundExceededError(
-            f"exhaustive search over {mu}! = {factorial(mu)} orders exceeds "
-            f"the threshold mu <= {max_exhaustive}; raise --max-exhaustive "
-            "(or force=True), or use the courts-first heuristic search")
 
 
 @lru_cache(maxsize=None)
@@ -158,16 +148,16 @@ def _words(rows: Iterator[np.ndarray], mu: int) -> Iterator[bytes]:
 
 
 def all_orders(ideal: MonomialIdeal, *,
-               max_exhaustive: int = DEFAULT_MAX_EXHAUSTIVE,
-               force: bool = False) -> Iterator[OrderedIdeal]:
+               max_exhaustive: int = DEFAULT_MAX_EXHAUSTIVE
+               ) -> Iterator[OrderedIdeal]:
     """All mu! orders, lexicographic on the permutation word.
 
-    Refuses when mu exceeds ``max_exhaustive`` unless ``force`` is set;
-    the error names the courts-first heuristic as the alternative.
+    Refuses when mu exceeds ``max_exhaustive``; pass
+    ``max_exhaustive=ideal.mu`` to lift the bound.
     """
-    _check_exhaustive(ideal, max_exhaustive, force)
-    return (OrderedIdeal(ideal, tuple(word))
-            for word in _words(_arrangements(ideal.indices()), ideal.mu))
+    words, _ = orders_for_search(ideal, "exhaustive",
+                                 max_exhaustive=max_exhaustive)
+    return (OrderedIdeal(ideal, tuple(word)) for word in words)
 
 
 def possible_courts(ideal: MonomialIdeal) -> frozenset[int]:
@@ -211,8 +201,8 @@ def parse_order(text: str, ideal: MonomialIdeal) -> OrderedIdeal:
 
 
 def orders_for_search(ideal: MonomialIdeal, mode: str, *,
-                      max_exhaustive: int = DEFAULT_MAX_EXHAUSTIVE,
-                      force: bool = False) -> tuple[Iterator[bytes], bool]:
+                      max_exhaustive: int = DEFAULT_MAX_EXHAUSTIVE
+                      ) -> tuple[Iterator[bytes], bool]:
     """The permutation words a search mode scans, plus whether they are
     all mu! orders.
 
@@ -220,26 +210,23 @@ def orders_for_search(ideal: MonomialIdeal, mode: str, *,
     rank k, so ``np.frombuffer(b"".join(words), np.int8)`` reads a run
     of them as one array.  Words come in the same lexicographic order
     as ``all_orders`` and ``courts_first_orders``, without an
-    ``OrderedIdeal`` per word.  The courts-first stream is flagged
-    exact when it coincides with the full stream (P empty or P = G(I)).
+    ``OrderedIdeal`` per word.  The exhaustive stream is the
+    courts-first stream with no courts; the courts-first stream is
+    flagged exact when it coincides with it (P empty or P = G(I)).
     Either stream is refused when it is longer than
-    ``max_exhaustive``! orders, unless ``force`` is set.
+    ``max_exhaustive``! orders.
     """
-    if mode == "exhaustive":
-        _check_exhaustive(ideal, max_exhaustive, force)
-        return _words(_arrangements(ideal.indices()), ideal.mu), True
-    if mode == "courts-first":
-        mu = ideal.mu
-        courts = possible_courts(ideal)
-        p = len(courts)
-        count = factorial(p) * factorial(mu - p)
-        # no stream is longer than mu!, so only mu > max_exhaustive can refuse
-        if mu > max_exhaustive and count > factorial(max_exhaustive) \
-                and not force:
-            raise BoundExceededError(
-                f"courts-first search over {p}! * {mu - p}! = {count} orders "
-                f"exceeds the threshold of {max_exhaustive}! = "
-                f"{factorial(max_exhaustive)} orders; raise --max-exhaustive "
-                "(or force=True)")
-        return _words(_courts_first_rows(ideal, courts), mu), p in (0, mu)
-    raise ValueError(f"unknown search mode {mode!r}")
+    if mode not in ("exhaustive", "courts-first"):
+        raise ValueError(f"unknown search mode {mode!r}")
+    courts = possible_courts(ideal) if mode == "courts-first" else frozenset()
+    mu, p = ideal.mu, len(courts)
+    count = factorial(p) * factorial(mu - p)
+    # no stream is longer than mu!, so only mu > max_exhaustive can refuse
+    if mu > max_exhaustive and count > factorial(max_exhaustive):
+        size = f"{mu}!" if p in (0, mu) else f"{p}! * {mu - p}!"
+        raise BoundExceededError(
+            f"{mode} search over {size} = {count} orders exceeds the "
+            f"threshold of {max_exhaustive}! = {factorial(max_exhaustive)} "
+            "orders; raise --max-exhaustive (max_exhaustive= in the "
+            "library)")
+    return _words(_courts_first_rows(ideal, courts), mu), p in (0, mu)

@@ -4,10 +4,10 @@ from math import comb
 import pytest
 
 from lyubeznik import (OrderedIdeal, SubsetClass, Symbol, admissible_symbols,
-                       classification_census, classify_subset, complete_cover,
-                       identity_order,
-                       inadmissible_symbols, is_admissible_symbol, is_broken,
-                       is_cover_of, is_preserved, is_stable_symbol, load_ideal,
+                       all_orders, classification_census, classify_subset,
+                       complete_cover, identity_order, inadmissible_symbols,
+                       is_admissible_symbol, is_broken, is_cover_of,
+                       is_preserved, is_stable_symbol, load_ideal,
                        lyubeznik_complex, symbol_of, sweep_ideals)
 from lyubeznik.subsets import mask_of
 
@@ -41,6 +41,7 @@ SUBSET_ENTRY_POINTS = {
     "classify_subset": lambda subset, o: classify_subset(subset, o),
     "complete_cover": lambda subset, o: complete_cover(subset, o.ideal),
     "is_cover_of": lambda subset, o: is_cover_of([1, *subset], 1, o.ideal),
+    "symbol_of": lambda subset, o: symbol_of(subset, o),
 }
 
 
@@ -52,6 +53,20 @@ def test_out_of_range_indices_are_refused(entry, index):
     with pytest.raises(ValueError,
                        match=rf"^generator index {index} is not in 1\.\.4$"):
         SUBSET_ENTRY_POINTS[entry]([index], ordered)
+
+
+# the symbol predicates take a Symbol, which refuses index 0 itself
+SYMBOL_ENTRY_POINTS = {
+    "is_admissible_symbol": lambda o: is_admissible_symbol(Symbol((5,)), o),
+    "is_stable_symbol": lambda o: is_stable_symbol(Symbol((1, 5)), o.ideal),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(SYMBOL_ENTRY_POINTS))
+def test_out_of_range_symbol_members_are_refused(entry):
+    ordered = identity_order(load_ideal("square_edges"))
+    with pytest.raises(ValueError, match=r"^generator index 5 is not in 1\.\.4$"):
+        SYMBOL_ENTRY_POINTS[entry](ordered)
 
 
 @pytest.mark.parametrize("u", [0, 5])
@@ -237,6 +252,25 @@ def test_admissible_iff_preserved_iff_face():
                 admissible = is_admissible_symbol(symbol, ordered)
                 assert admissible == is_preserved(members, ordered)
                 assert admissible == (frozenset(members) in faces)
+
+
+def test_symbol_lists_split_the_words_and_match_the_literal_route():
+    # every order up to mu = 5; identity and reversed at mu = 6
+    for name, ideal in sweep_ideals():
+        if ideal.mu <= 5:
+            orders = list(all_orders(ideal))
+        else:
+            word = tuple(ideal.indices())
+            orders = [OrderedIdeal(ideal, word), OrderedIdeal(ideal, word[::-1])]
+        for ordered in orders:
+            for size in range(1, ideal.mu + 1):
+                good = admissible_symbols(ordered, size)
+                bad = inadmissible_symbols(ordered, size)
+                words = sorted(s.indices for s in good + bad)
+                assert words == sorted(combinations(ordered.order, size)), \
+                    (name, ordered.order, size)
+                assert all(is_admissible_symbol(s, ordered) for s in good)
+                assert not any(is_admissible_symbol(s, ordered) for s in bad)
 
 
 def test_stable_iff_not_cover():

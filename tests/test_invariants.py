@@ -41,8 +41,8 @@ from lyubeznik import (
     taylor_betti,
     total_obstruction,
 )
-from lyubeznik.invariants import (_BlockScanner, _scan_words, _scanner_for,
-                                  _word_blocks)
+from lyubeznik.invariants import (DEFAULT_CHUNK, _BlockScanner, _scan_words,
+                                  _scanner_for, _word_blocks)
 from lyubeznik.orders import orders_for_search
 
 KOSZUL2 = parse_ideal("vars x y\ngen x\ngen y")
@@ -142,7 +142,7 @@ def test_search_respects_generator_bound():
     ideal = load_ideal("mixed_powers_xyz")
     with pytest.raises(BoundExceededError):
         search_scan(ideal, max_exhaustive=4)
-    assert search_scan(ideal, max_exhaustive=4, force=True).scanned == 120
+    assert search_scan(ideal, max_exhaustive=ideal.mu).scanned == 120
 
 
 def test_courts_first_search_respects_the_same_bound():
@@ -151,9 +151,8 @@ def test_courts_first_search_respects_the_same_bound():
     ideal = load_ideal("pentagon_edges")
     with pytest.raises(BoundExceededError, match="--max-exhaustive"):
         search_scan(ideal, "courts-first", max_exhaustive=4)
-    scan = search_scan(ideal, "courts-first", max_exhaustive=4, force=True)
+    scan = search_scan(ideal, "courts-first", max_exhaustive=ideal.mu)
     assert scan.exact and scan.scanned == 120
-    assert search_scan(ideal, "courts-first", max_exhaustive=5).scanned == 120
     # a short courts-first stream passes a bound that exhaustive fails:
     # mixed_powers_xyz has 2 possible courts, so 2! * 3! = 12 <= 4! orders
     scan = search_scan(load_ideal("mixed_powers_xyz"), "courts-first",
@@ -371,3 +370,73 @@ def test_analyze_builds_the_complex_once(monkeypatch, capsys):
     assert main(["analyze", str(path)]) == 0
     assert "minimal resolution: yes" in capsys.readouterr().out
     assert calls == []
+
+
+# -- verdicts on SearchResult against the callers' former inline formulas ----
+
+STOPS = [None, "zero-obstruction", "nonzero-obstruction", "both-verdicts"]
+
+
+def old_lyubeznik(scan):
+    # the search command, is_lyubeznik and analyze
+    return True if scan.tobsl == 0 else (False if scan.exact else None)
+
+
+def old_totally_from_count(scan):
+    # analyze, on an unstopped scan
+    return scan.minimal_count == scan.scanned if scan.exact else None
+
+
+def old_totally_from_witness(scan):
+    # is_totally_lyubeznik and the graph checks, on exhaustive streams
+    return scan.nonminimal_witness is None
+
+
+def old_almost(scan, projdim):
+    # analyze and is_almost_lyubeznik, on unstopped scans
+    return scan.min_l == projdim if scan.exact else None
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("name", SCAN_NAMES)
+def test_search_verdicts_match_the_former_formulas(name, jobs):
+    ideal = load_ideal(name)
+    truth = search_scan(ideal)
+    assert truth.exact and not truth.stopped_early
+    projdim = taylor_betti(ideal).projective_dimension
+    for mode in ("exhaustive", "courts-first"):
+        for stop_when in STOPS:
+            for chunk in (1, DEFAULT_CHUNK):
+                scan = search_scan(ideal, mode, jobs=jobs, chunk_size=chunk,
+                                   stop_when=stop_when)
+                where = (mode, stop_when, chunk)
+                if stop_when != "nonzero-obstruction":
+                    # these stops never cut a scan short while tobsl > 0
+                    assert scan.lyubeznik == old_lyubeznik(scan), where
+                if stop_when is None:
+                    assert (scan.totally_lyubeznik
+                            == old_totally_from_count(scan)), where
+                    assert (scan.almost_lyubeznik(projdim)
+                            == old_almost(scan, projdim)), where
+                if mode == "exhaustive" and stop_when in (
+                        "nonzero-obstruction", "both-verdicts"):
+                    assert (scan.totally_lyubeznik
+                            == old_totally_from_witness(scan)), where
+                # whatever a scan settles agrees with the full scan
+                for verdict in ("lyubeznik", "totally_lyubeznik"):
+                    value = getattr(scan, verdict)
+                    assert value in (None, getattr(truth, verdict)), \
+                        (where, verdict)
+                almost = scan.almost_lyubeznik(projdim)
+                assert almost in (None, truth.almost_lyubeznik(projdim)), where
+
+
+def test_inexact_stream_with_a_non_minimal_order_leaves_totally_open():
+    # mixed_powers_xyz has 2 possible courts: 12 of its 120 orders are
+    # courts first, and (2,1,3,4,5) among them is not minimal
+    scan = search_scan(load_ideal("mixed_powers_xyz"), "courts-first")
+    assert not scan.exact and scan.scanned == 12
+    assert scan.nonminimal_witness == (2, 1, 3, 4, 5)
+    assert scan.totally_lyubeznik is None
+    assert scan.totally_lyubeznik == old_totally_from_count(scan)
+    assert scan.lyubeznik is True and scan.almost_lyubeznik(3) is None

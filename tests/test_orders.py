@@ -49,8 +49,8 @@ def test_all_orders_bound():
     ideal = load_ideal("seven_gen_squarefree")
     with pytest.raises(BoundExceededError):
         list(all_orders(ideal, max_exhaustive=6))
-    # force bypasses the guard
-    stream = all_orders(ideal, max_exhaustive=6, force=True)
+    # a bound of mu lifts the guard
+    stream = all_orders(ideal, max_exhaustive=ideal.mu)
     assert next(stream).order == (1, 2, 3, 4, 5, 6, 7)
 
 
@@ -160,9 +160,9 @@ def koszul(mu):
 def test_exhaustive_words_match_itertools(mu):
     ideal = koszul(mu)
     expected = word_array(permutations(range(1, mu + 1)), mu, factorial(mu))
-    check_stream(lambda: orders_for_search(ideal, "exhaustive", force=True),
+    check_stream(lambda: orders_for_search(ideal, "exhaustive", max_exhaustive=ideal.mu),
                  expected)
-    assert orders_for_search(ideal, "exhaustive", force=True)[1]
+    assert orders_for_search(ideal, "exhaustive", max_exhaustive=ideal.mu)[1]
 
 
 def courts_first_expected(ideal):
@@ -183,9 +183,9 @@ def test_courts_first_words_match_itertools_past_the_tail_table():
                              "u^2", "v^2", "u*v")))
     courts, rest, expected = courts_first_expected(ideal)
     assert len(courts) == 2 and len(rest) == 8
-    check_stream(lambda: orders_for_search(ideal, "courts-first", force=True),
+    check_stream(lambda: orders_for_search(ideal, "courts-first", max_exhaustive=ideal.mu),
                  expected)
-    assert not orders_for_search(ideal, "courts-first", force=True)[1]
+    assert not orders_for_search(ideal, "courts-first", max_exhaustive=ideal.mu)[1]
     words = [o.order for o in courts_first_orders(ideal)]
     assert np.array_equal(word_array(words, ideal.mu, len(expected)),
                           expected)
@@ -210,4 +210,4 @@ def test_courts_first_words_match_itertools_with_few_non_courts(n, others):
     courts, rest, expected = courts_first_expected(ideal)
     assert (len(courts), len(rest)) == (n * (n - 1) // 2, others)
     check_stream(lambda: orders_for_search(ideal, "courts-first",
-                                           force=True), expected)
+                                           max_exhaustive=ideal.mu), expected)

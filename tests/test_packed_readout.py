@@ -36,7 +36,7 @@ def check_blocks(ideal, blocks):
 def test_packed_readout_on_every_block_of_a_mu_9_scan():
     ideal = seeded_ideal(9, seed=9)
     assert ideal.mu == 9
-    words, _ = orders_for_search(ideal, "exhaustive", force=True)
+    words, _ = orders_for_search(ideal, "exhaustive", max_exhaustive=ideal.mu)
     check_blocks(ideal, _word_blocks(words, ideal.mu, 4096))
 
 
@@ -46,7 +46,7 @@ def test_packed_readout_on_ragged_blocks():
     ideals = [load_ideal(name) for name in names] + [seeded_ideal(9, 9)]
     for ideal in ideals:
         for chunk in (1, 7, 13, 63, 65, 4097):
-            words, _ = orders_for_search(ideal, "exhaustive", force=True)
+            words, _ = orders_for_search(ideal, "exhaustive", max_exhaustive=ideal.mu)
             check_blocks(ideal, islice(_word_blocks(words, ideal.mu, chunk),
                                        3))
 

@@ -30,7 +30,7 @@ from test_scan_kernel import exponent_rows, small_ideal
 def some_orders(ideal, seed=0):
     """Every order when mu <= 5; else identity, reversed and one shuffle."""
     if ideal.mu <= 5:
-        return list(all_orders(ideal, force=True))
+        return list(all_orders(ideal, max_exhaustive=ideal.mu))
     word = list(identity_order(ideal).order)
     shuffled = word[:]
     random.Random(seed).shuffle(shuffled)

@@ -32,7 +32,7 @@ def per_order_values(ideal):
     """word -> (obstruction, length, minimal), from the reference routes."""
     clutter = cover_table(ideal).clutter
     values = {}
-    for ordered in all_orders(ideal, force=True):
+    for ordered in all_orders(ideal, max_exhaustive=ideal.mu):
         court = court_table(ordered)
         preserved = preserved_table(ordered, court)
         obs = max((m.bit_count() for m in clutter if preserved[m]), default=0)
@@ -74,7 +74,7 @@ def check_both_modes(ideal):
     for mode, words in streams.items():
         expected = brute_aggregates(values, words)
         for chunk in CHUNKS:
-            scan = search_scan(ideal, mode, force=True, chunk_size=chunk)
+            scan = search_scan(ideal, mode, max_exhaustive=ideal.mu, chunk_size=chunk)
             assert not scan.stopped_early
             assert scan_aggregates(scan) == expected, (mode, chunk)
 
