@@ -282,11 +282,13 @@ def _cmd_search(args):
     ideal = read_ideal(args.path)
     scan = search_scan(ideal, args.search, max_exhaustive=args.max_exhaustive,
                        jobs=args.jobs)
+    # the count first: an exhaustive search's witness then reads its memo
+    count = scan.minimal_count
     payload = {"ideal": _ideal_payload(ideal), "mode": scan.mode,
                "exact": scan.exact, "scanned": scan.scanned,
                "tobsL": scan.tobsl, "L": scan.min_l, "ps_min": scan.min_l,
                "lyubeznik": scan.lyubeznik, "witness": list(scan.tobsl_witness),
-               "minimal_orders": scan.minimal_count}
+               "minimal_orders": count}
 
     def text() -> list[str]:
         lines = [f"ideal: {ideal}",
@@ -297,7 +299,7 @@ def _cmd_search(args):
                  f"min preserved size: {scan.min_l}",
                  f"lyubeznik: {_verdict_text(scan.lyubeznik)}",
                  "witness order: (" + ",".join(map(str, scan.tobsl_witness)) + ")",
-                 f"minimal orders: {scan.minimal_count}/{scan.scanned}"]
+                 f"minimal orders: {count}/{scan.scanned}"]
         return lines
     return payload, text
 
@@ -416,7 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
                            default=DEFAULT_MAX_EXHAUSTIVE, metavar="MU",
                            help="largest generator count searched exhaustively")
             p.add_argument("--jobs", type=_positive_int, default=1,
-                           help="parallel worker processes")
+                           help="parallel worker processes for courts-first "
+                                "scans (the exhaustive search runs in one)")
         if field:
             p.add_argument("--field", type=_field, default="q",
                            metavar="q|p:<prime>",
@@ -446,7 +449,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="evaluate the graph-family statements")
     graph_p.add_argument("--max-exhaustive", type=_positive_int,
                          default=DEFAULT_MAX_EXHAUSTIVE, metavar="MU")
-    graph_p.add_argument("--jobs", type=_positive_int, default=1)
+    graph_p.add_argument("--jobs", type=_positive_int, default=1,
+                         help="accepted for symmetry with search; the "
+                              "checks' exhaustive search runs in one process")
     return parser
 
 

@@ -162,10 +162,9 @@ def check_graph_propositions(graph: SimpleGraph, *,
     """
     ideal = edge_ideal(graph)
     path_edges = longest_path_edges(graph)
-    # one scan settles both verdicts: it stops once it has seen a
-    # minimal and a non-minimal order, or else runs to the end
+    # one search, which looks for a minimal and for a non-minimal order
     scan = search_scan(ideal, "exhaustive", max_exhaustive=max_exhaustive,
-                       jobs=jobs, stop_when="both-verdicts")
+                       jobs=jobs)
     totally, lyubeznik = scan.totally_lyubeznik, scan.lyubeznik
     return (
         PropositionCheck("no-path-of-3-edges-implies-totally-lyubeznik",

@@ -7,16 +7,27 @@ the resolution is minimal iff no E-minimal cover is preserved.  The
 checking routes (facet stability, the Python preserved-set DP, the
 subset-sum closure) live in the tests.
 
-Every order search is one ``search_scan``, whose ``SearchResult``
-holds the total obstruction, the minimal length and the Lyubeznik /
-almost / totally Lyubeznik verdicts.  It scans permutation words in
-lexicographic order so witnesses are reproducible, optionally in
-parallel.  The words of ``orders.orders_for_search`` are joined into
-int8 blocks of ``DEFAULT_CHUNK`` orders, and the scanner runs
-``complexes.PreservedKernel`` on each block (``order_analysis`` runs
-the same kernel on one word).  The length and the obstruction of every
-order are read off the bit-packed unpreserved sets it returns, by ANDs
-over the packed words; only one bit per (size, order) is unpacked.
+An order search, ``search_scan``, yields the total obstruction, the
+minimal length, the number of minimal orders and the Lyubeznik /
+almost / totally Lyubeznik verdicts, each witness the lexicographically
+least order achieving its value, as one ``SearchResult``.  There are
+two routes:
+
+* the exhaustive search never lists the mu! orders.  Its result is a
+  ``_PrefixSearch``, which answers each question by walks over prefix
+  sets (``prefix``) when the question is first read, so that a caller
+  pays only for what it reads.  It is exact, never stopped early, and
+  counts all mu! orders as scanned;
+* the courts-first heuristic scans its stream of orders.  The words of
+  ``orders.orders_for_search`` are joined into int8 blocks of
+  ``DEFAULT_CHUNK`` orders, optionally scanned by ``--jobs`` worker
+  processes and merged in stream order, and ``_BlockScanner`` runs
+  ``complexes.PreservedKernel`` on each block.  The length and the
+  obstruction of every order are read off the bit-packed unpreserved
+  sets it returns, by ANDs over the packed words; only one bit per
+  (size, order) is unpacked.  A stop policy may end the scan early.
+  The same scan over all mu! orders is the checking route of the
+  prefix search in the tests.
 """
 
 from __future__ import annotations
@@ -24,9 +35,10 @@ from __future__ import annotations
 from collections import deque
 from contextlib import closing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass, fields, replace
+from functools import cached_property, lru_cache
 from itertools import combinations, islice
+from math import factorial
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -36,8 +48,10 @@ from .complexes import PreservedKernel, order_analysis
 from .covers import cover_table
 from .monomials import MonomialIdeal, radical_ideal, support
 from .oracle import taylor_betti
-from .orders import DEFAULT_MAX_EXHAUSTIVE, OrderedIdeal, orders_for_search
-from .subsets import iter_bits, popcounts, tables_for
+from .orders import (DEFAULT_MAX_EXHAUSTIVE, OrderedIdeal, identity_order,
+                     orders_for_search, search_courts)
+from .prefix import PrefixWalk
+from .subsets import iter_bits, mask_of, popcounts, tables_for
 
 DEFAULT_CHUNK = 4096
 
@@ -164,14 +178,16 @@ def equivalence_audit(ordered: OrderedIdeal) -> EquivalenceAudit:
 
 @dataclass(frozen=True)
 class SearchResult:
-    """Aggregates of a scan over a stream of orders, and the verdicts
+    """Aggregates of a search over a stream of orders, and the verdicts
     they settle.
 
     ``exact`` records whether the stream covered all orders;
-    ``stopped_early`` whether an early-exit policy cut the scan short.
+    ``stopped_early`` whether an early-exit policy cut the scan short;
+    ``scanned`` how many orders the aggregates cover.  An exhaustive
+    search is exact, never stopped early, and covers all mu! orders.
     Witnesses are permutation words, always the lexicographically least
     achieving their value among the scanned prefix.  Each verdict is
-    True or False where the scan settles it and None where it cannot.
+    True or False where the search settles it and None where it cannot.
     """
 
     mode: str
@@ -350,26 +366,151 @@ def _scanned_blocks(ideal: MonomialIdeal, blocks: Iterator[np.ndarray],
                 future.cancel()
 
 
+class _PrefixSearch(SearchResult):
+    """The ``SearchResult`` of all mu! orders, each aggregate computed
+    when first read, by ``prefix.PrefixWalk`` searches.
+
+    The fields are properties here, so a caller pays only for what it
+    reads: ``graph`` reads the two verdicts, ``analyze`` no count.
+
+    * the clutter walk's count is ``minimal_count``; its least avoiding
+      order is the zero-obstruction witness, and its least preserving
+      order ``nonminimal_witness``;
+    * a positive ``tobsl`` is the least edge size k at which some order
+      preserves no clutter edge larger than k, tried k ascending;
+    * an order's length is at most k exactly when it preserves no
+      (k + 1)-set.  No order is shorter than the projective dimension
+      of R/I, and minimal orders reach it, so a Lyubeznik ideal's
+      ``min_l`` is its minimal witness's length.  Otherwise ``min_l``
+      is the projective dimension if some order reaches it, which
+      settles most ideals with one search, and else the search
+      descends one length at a time from the identity order's while
+      some order is shorter.
+    """
+
+    mode = "exhaustive"
+    exact = True
+    stopped_early = False
+
+    def __init__(self, ideal: MonomialIdeal) -> None:
+        self.ideal = ideal
+        self._short: dict[int, tuple[int, ...] | None] = {}
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SearchResult):
+            return NotImplemented
+        return all(getattr(self, f.name) == getattr(other, f.name)
+                   for f in fields(SearchResult))
+
+    @cached_property
+    def scanned(self) -> int:
+        return factorial(self.ideal.mu)
+
+    @cached_property
+    def _clutter(self) -> tuple[int, ...]:
+        return cover_table(self.ideal).clutter
+
+    @cached_property
+    def _edges(self) -> PrefixWalk:
+        return PrefixWalk(self.ideal, self._clutter)
+
+    @cached_property
+    def minimal_count(self) -> int:
+        return self._edges.count()
+
+    @cached_property
+    def _minimal(self) -> tuple[int, ...] | None:
+        return self._edges.first()
+
+    @property
+    def lyubeznik(self) -> bool:
+        return self._minimal is not None
+
+    @cached_property
+    def nonminimal_witness(self) -> tuple[int, ...] | None:
+        return self._edges.first(avoid=False)
+
+    @cached_property
+    def _tobsl(self) -> tuple[int, tuple[int, ...]]:
+        if self._minimal is not None:
+            return 0, self._minimal
+        sizes = sorted({m.bit_count() for m in self._clutter})
+        for k in sizes[:-1]:
+            above = [m for m in self._clutter if m.bit_count() > k]
+            word = PrefixWalk(self.ideal, above).first()
+            if word is not None:
+                return k, word
+        # every order preserves an edge of the largest size
+        return sizes[-1], identity_order(self.ideal).order
+
+    @property
+    def tobsl(self) -> int:
+        return self._tobsl[0]
+
+    @property
+    def tobsl_witness(self) -> tuple[int, ...]:
+        return self._tobsl[1]
+
+    def _at_most(self, k: int) -> tuple[int, ...] | None:
+        """The least order of length at most k: one preserving no
+        (k + 1)-set."""
+        if k not in self._short:
+            sets = [mask_of(c) for c in combinations(self.ideal.indices(),
+                                                     k + 1)]
+            self._short[k] = PrefixWalk(self.ideal, sets).first()
+        return self._short[k]
+
+    @cached_property
+    def min_l(self) -> int:
+        if self._minimal is not None:
+            return l_length(OrderedIdeal(self.ideal, self._minimal))
+        floor = _projdim(self.ideal, None)
+        if self._at_most(floor) is not None:
+            return floor
+        best = l_length(identity_order(self.ideal))
+        while best - 1 > floor and self._at_most(best - 1) is not None:
+            best -= 1
+        return best
+
+    @property
+    def min_l_witness(self) -> tuple[int, ...]:
+        return self._at_most(self.min_l)
+
+
 def search_scan(ideal: MonomialIdeal, mode: str = "exhaustive", *,
                 max_exhaustive: int = DEFAULT_MAX_EXHAUSTIVE, jobs: int = 1,
                 chunk_size: int = DEFAULT_CHUNK,
                 stop_when: str | None = None) -> SearchResult:
-    """Scan an order stream and aggregate per-order invariants.
+    """The aggregates of the orders a search mode covers.
 
-    ``stop_when`` may be ``"zero-obstruction"`` (stop once a minimal
-    order is found; its witness is then exact) or
-    ``"nonzero-obstruction"`` (stop once a non-minimal order is found)
-    or ``"both-verdicts"`` (stop once both have been found, which
-    settles whether some order and whether every order is minimal).
-    Chunks are merged in stream order regardless of ``jobs``, so every
-    output is deterministic.  Pass ``max_exhaustive=ideal.mu`` to scan
-    every order of any ideal.
+    The exhaustive search answers for all mu! orders by prefix-set
+    search, each aggregate when first read: it is exact, never stopped
+    early, and ``scanned`` is mu!.  The courts-first stream is scanned
+    in blocks of ``chunk_size`` orders, by ``jobs`` worker processes
+    when more than one, and ``stop_when`` may end that scan early:
+    ``"zero-obstruction"`` (stop once a minimal order is found; its
+    witness is then exact), ``"nonzero-obstruction"`` (stop once a
+    non-minimal order is found) or ``"both-verdicts"`` (stop once both
+    have been found).  Blocks are merged in stream order regardless of
+    ``jobs``, so every output is deterministic.  Pass
+    ``max_exhaustive=ideal.mu`` to search every order of any ideal.
     """
     if stop_when not in _STOPS:
         raise ValueError(f"unknown stop policy {stop_when!r}")
     if jobs < 1 or chunk_size < 1:
         raise ValueError(f"jobs and chunk_size must be at least 1, got "
                          f"jobs={jobs}, chunk_size={chunk_size}")
+    if mode == "exhaustive":
+        search_courts(ideal, mode, max_exhaustive=max_exhaustive)
+        return _PrefixSearch(ideal)
+    return _scan(ideal, mode, max_exhaustive=max_exhaustive, jobs=jobs,
+                 chunk_size=chunk_size, stop_when=stop_when)
+
+
+def _scan(ideal: MonomialIdeal, mode: str, *, max_exhaustive: int, jobs: int,
+          chunk_size: int, stop_when: str | None) -> SearchResult:
+    """Scan a mode's stream block by block and aggregate per-order
+    invariants."""
     stream, exact = orders_for_search(ideal, mode,
                                       max_exhaustive=max_exhaustive)
     settled = _STOPS[stop_when]
@@ -449,10 +590,12 @@ def is_totally_lyubeznik(ideal: MonomialIdeal, *,
                          jobs: int = 1) -> bool:
     """Whether every order makes the Lyubeznik resolution minimal."""
     return search_scan(ideal, "exhaustive", max_exhaustive=max_exhaustive,
-                       jobs=jobs, stop_when="nonzero-obstruction"
-                       ).totally_lyubeznik
+                       jobs=jobs).totally_lyubeznik
 
 
+# one entry: a call reads one ideal's projective dimension, both as a
+# bound and as the floor of an exhaustive search's least length
+@lru_cache(maxsize=1)
 def _projdim(ideal: MonomialIdeal, prime: int | None) -> int:
     return taylor_betti(ideal, prime=prime).projective_dimension
 
@@ -571,11 +714,12 @@ def analyze(ordered: OrderedIdeal, *, search_mode: str | None = None,
     if search_mode is not None:
         scan = search_scan(ideal, search_mode, max_exhaustive=max_exhaustive,
                            jobs=jobs)
-        best, lyub, totally = scan.min_l, scan.lyubeznik, scan.totally_lyubeznik
+        lyub, totally = scan.lyubeznik, scan.totally_lyubeznik
         if scan.exact:
             if projdim is None:
                 projdim = _projdim(ideal, prime)
             almost = scan.almost_lyubeznik(projdim)
+        best = scan.min_l
     return InvariantReport(order=ordered.order, minimal=minimal,
                            obstruction=obs, l_length=length, ps=length,
                            betti=betti, height=ht,

@@ -6,11 +6,15 @@ order is the listing order of the generators.
 
 Order enumeration is always lexicographic on the permutation word, so
 witness orders are reproducible and searches can be partitioned into
-disjoint prefix blocks.  The courts-first stream is the documented
-heuristic alternative to all mu! orders: it yields only the orders in
-which every "possible court" precedes every non-court.  Both streams
-follow one bound (mu! grows fast): a stream longer than
-``max_exhaustive``! orders is refused.
+disjoint prefix blocks.  Two streams are listed here: all mu! orders,
+and the courts-first stream, the documented heuristic alternative that
+yields only the orders in which every "possible court" precedes every
+non-court.  The exhaustive search of ``invariants`` answers for all
+mu! orders without listing them (``prefix``); it still follows the
+same bound as the streams, ``search_courts``: a search mode whose
+stream is longer than ``max_exhaustive``! orders is refused.  The
+courts-first scan, ``all_orders`` and the tests' checking scan read
+the streams.
 
 Both streams are built in numpy as int8 arrays of rows: the last
 min(n, TAIL) positions of an arrangement of n generators come from
@@ -18,7 +22,7 @@ indexing them through one cached table of lexicographic permutations,
 the positions before those from ``itertools.permutations``.  The
 courts-first stream pairs the courts' arrangements with the
 non-courts' by ``np.repeat`` and ``np.tile``.  ``orders_for_search``
-yields the rows as one ``bytes`` word per order, which a search joins
+yields the rows as one ``bytes`` word per order, which a scan joins
 back into int8 blocks (the split and the join cost about 0.02 s for
 the 9! words at mu = 9); ``all_orders`` and ``courts_first_orders``
 turn each word into an ``OrderedIdeal``.
@@ -200,21 +204,14 @@ def parse_order(text: str, ideal: MonomialIdeal) -> OrderedIdeal:
     return OrderedIdeal(ideal, word)
 
 
-def orders_for_search(ideal: MonomialIdeal, mode: str, *,
-                      max_exhaustive: int = DEFAULT_MAX_EXHAUSTIVE
-                      ) -> tuple[Iterator[bytes], bool]:
-    """The permutation words a search mode scans, plus whether they are
-    all mu! orders.
+def search_courts(ideal: MonomialIdeal, mode: str, *,
+                  max_exhaustive: int = DEFAULT_MAX_EXHAUSTIVE
+                  ) -> frozenset[int]:
+    """The generators a search mode places first: the possible courts
+    under courts-first, none under the exhaustive search.
 
-    Each word is a ``bytes`` object whose byte k is the generator at
-    rank k, so ``np.frombuffer(b"".join(words), np.int8)`` reads a run
-    of them as one array.  Words come in the same lexicographic order
-    as ``all_orders`` and ``courts_first_orders``, without an
-    ``OrderedIdeal`` per word.  The exhaustive stream is the
-    courts-first stream with no courts; the courts-first stream is
-    flagged exact when it coincides with it (P empty or P = G(I)).
-    Either stream is refused when it is longer than
-    ``max_exhaustive``! orders.
+    Refuses a mode whose stream is longer than ``max_exhaustive``!
+    orders, whether the search lists the stream or not.
     """
     if mode not in ("exhaustive", "courts-first"):
         raise ValueError(f"unknown search mode {mode!r}")
@@ -229,4 +226,24 @@ def orders_for_search(ideal: MonomialIdeal, mode: str, *,
             f"threshold of {max_exhaustive}! = {factorial(max_exhaustive)} "
             "orders; raise --max-exhaustive (max_exhaustive= in the "
             "library)")
-    return _words(_courts_first_rows(ideal, courts), mu), p in (0, mu)
+    return courts
+
+
+def orders_for_search(ideal: MonomialIdeal, mode: str, *,
+                      max_exhaustive: int = DEFAULT_MAX_EXHAUSTIVE
+                      ) -> tuple[Iterator[bytes], bool]:
+    """The permutation words a search mode scans, plus whether they are
+    all mu! orders.
+
+    Each word is a ``bytes`` object whose byte k is the generator at
+    rank k, so ``np.frombuffer(b"".join(words), np.int8)`` reads a run
+    of them as one array.  Words come in the same lexicographic order
+    as ``all_orders`` and ``courts_first_orders``, without an
+    ``OrderedIdeal`` per word.  The exhaustive stream is the
+    courts-first stream with no courts; the courts-first stream is
+    flagged exact when it coincides with it (P empty or P = G(I)).
+    Either stream is refused by ``search_courts``'s bound.
+    """
+    courts = search_courts(ideal, mode, max_exhaustive=max_exhaustive)
+    return (_words(_courts_first_rows(ideal, courts), ideal.mu),
+            len(courts) in (0, ideal.mu))

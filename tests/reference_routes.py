@@ -18,6 +18,9 @@ against the monomials.
   minimality from the kernel's least and court ranks, up-closed and
   read as one bool per (mask, order), the route the bit-packed
   closure and readout of the order scanner replaced;
+* ``exhaustive_scan``: the block scan of all mu! orders, the route the
+  prefix-set search replaced for exhaustive searches; the scan itself
+  still serves the courts-first stream;
 * ``BoundaryMatrix`` and ``boundary_levels``: dense sign matrices
   between consecutive levels of a face family, faces written as index
   tuples, the route the oracle's sparse columns
@@ -33,6 +36,7 @@ import numpy as np
 
 from lyubeznik import is_stable_symbol, symbol_of
 from lyubeznik.covers import cover_table
+from lyubeznik.invariants import DEFAULT_CHUNK, _scan
 from lyubeznik.subsets import indices_of, iter_bits, tables_for
 
 
@@ -109,6 +113,14 @@ def unpacked_readout(ideal, least, court_rank):
     for k, edges in sorted(by_size.items()):
         obs[~unpreserved[edges].all(axis=0)] = k
     return obs, lengths, obs == 0
+
+
+def exhaustive_scan(ideal, *, chunk_size=DEFAULT_CHUNK, stop_when=None,
+                    jobs=1):
+    """The ``SearchResult`` of the block scan over every order, in
+    lexicographic order, ``chunk_size`` orders a block."""
+    return _scan(ideal, "exhaustive", max_exhaustive=ideal.mu, jobs=jobs,
+                 chunk_size=chunk_size, stop_when=stop_when)
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,9 @@ import sys
 
 import pytest
 
-from lyubeznik import parse_ideal
+from lyubeznik import parse_ideal, read_ideal, search_scan
 from lyubeznik.cli import build_parser, main
+from lyubeznik.corpus import _data_dir
 
 MIXED = "vars x y z\ngen x^2*y\ngen y^2*z\ngen x^3\ngen y^3\ngen z^3\n"
 KOSZUL = "vars x y\ngen x\ngen y\n"
@@ -75,11 +76,28 @@ def test_analyze_with_search_adds_classification(capsys, mixed_path):
     assert payload["totally_lyubeznik"] is False
 
 
-def test_json_outputs_are_byte_deterministic(capsys, mixed_path):
+def test_courts_first_analyze_leaves_totally_open(capsys):
+    # The courts-first stream of mixed_powers_xyz is 12 of its 120
+    # orders and holds the non-minimal order (2,1,3,4,5), which alone
+    # shows that not every order is minimal; the heuristic's verdict
+    # still reads null.  This pins that output: printing false there
+    # would change the analyze JSON.
+    path = _data_dir() / "mixed_powers_xyz.ideal"
+    scan = search_scan(read_ideal(path), "courts-first")
+    assert not scan.exact and scan.nonminimal_witness == (2, 1, 3, 4, 5)
+    code, out, _ = run_cli(capsys, "analyze", "--format", "json",
+                           "--search", "courts-first", str(path))
+    assert code == 0
+    assert '"totally_lyubeznik": null' in out
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "courts-first"])
+def test_json_outputs_are_byte_deterministic(capsys, mixed_path, mode):
+    # only the courts-first scan starts workers
     outputs = set()
     for jobs in ("1", "2", "1"):
         code, out, _ = run_cli(capsys, "search", "--format", "json",
-                               "--jobs", jobs, mixed_path)
+                               "--search", mode, "--jobs", jobs, mixed_path)
         assert code == 0
         outputs.add(out)
     assert len(outputs) == 1

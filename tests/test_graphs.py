@@ -1,6 +1,5 @@
 """Graphs, edge ideals, and the edge-ideal proposition checks."""
 
-from functools import partial
 from itertools import combinations
 
 import pytest
@@ -21,6 +20,9 @@ from lyubeznik import (
     longest_path_edges,
     parse_graph,
 )
+from lyubeznik.invariants import DEFAULT_CHUNK
+
+from reference_routes import exhaustive_scan
 
 PATH3 = parse_graph("vertex a b c\nedge a b\nedge b c")
 
@@ -159,19 +161,27 @@ def two_scan_propositions(graph):
                  for r, c in zip(rows, conclusions))
 
 
-def test_propositions_match_two_scans_on_every_corpus_graph(monkeypatch):
-    import lyubeznik.graphs as graphs
-    expected = {name: two_scan_propositions(graph)
-                for name, graph in all_graphs()}
-    for chunk in (1, None):
-        if chunk:
-            # one order per block, so the stop policy decides where the
-            # scan ends (a corpus graph's orders fit in one default block)
-            monkeypatch.setattr(graphs, "search_scan",
-                                partial(graphs.search_scan, chunk_size=chunk))
-        for name, graph in all_graphs():
-            assert check_graph_propositions(graph) == expected[name], name
-        monkeypatch.undo()
+def scanned_propositions(graph, chunk_size):
+    """The propositions with both verdicts from one block scan of every
+    order that stops once it has seen a minimal and a non-minimal one."""
+    scan = exhaustive_scan(edge_ideal(graph), chunk_size=chunk_size,
+                           stop_when="both-verdicts")
+    rows = check_graph_propositions(graph)
+    conclusions = ([scan.totally_lyubeznik] * 3 + [scan.lyubeznik] * 2
+                   + [not scan.lyubeznik])
+    return tuple(PropositionCheck(r.name, r.hypothesis, c)
+                 for r, c in zip(rows, conclusions))
+
+
+def test_propositions_match_two_scans_on_every_corpus_graph():
+    for name, graph in all_graphs():
+        expected = two_scan_propositions(graph)
+        assert check_graph_propositions(graph) == expected, name
+        # one order per block, so the stop policy decides where the scan
+        # ends (a corpus graph's orders fit in one default block)
+        for chunk in (1, DEFAULT_CHUNK):
+            assert scanned_propositions(graph, chunk) == expected, (name,
+                                                                    chunk)
 
 
 def test_check_props_scans_once_per_request(monkeypatch):

@@ -45,6 +45,8 @@ from lyubeznik.invariants import (DEFAULT_CHUNK, _BlockScanner, _scan_words,
                                   _scanner_for, _word_blocks)
 from lyubeznik.orders import orders_for_search
 
+from reference_routes import exhaustive_scan
+
 KOSZUL2 = parse_ideal("vars x y\ngen x\ngen y")
 
 SCAN_NAMES = ["chain_three_squares", "square_edges", "chain_five_mixed",
@@ -114,25 +116,34 @@ def test_witnesses_are_lex_least():
 
 def test_parallel_scan_is_deterministic():
     ideal = load_ideal("mixed_powers_xyz")
-    serial = search_scan(ideal)
-    assert search_scan(ideal, jobs=2, chunk_size=7) == serial
-    assert search_scan(ideal, jobs=3, chunk_size=1) == serial
+    serial = exhaustive_scan(ideal)
+    assert exhaustive_scan(ideal, jobs=2, chunk_size=7) == serial
+    assert exhaustive_scan(ideal, jobs=3, chunk_size=1) == serial
+    assert search_scan(ideal) == serial
 
 
 def test_stop_policies():
+    # the block scan, one order per block, stops where the policy is met
     ideal = load_ideal("mixed_powers_xyz")
-    scan = search_scan(ideal, stop_when="zero-obstruction", chunk_size=1)
+    scan = exhaustive_scan(ideal, stop_when="zero-obstruction", chunk_size=1)
     assert scan.stopped_early and scan.scanned == 1
     assert scan.tobsl == 0 and scan.tobsl_witness == (1, 2, 3, 4, 5)
 
-    scan = search_scan(ideal, stop_when="nonzero-obstruction", chunk_size=1)
+    scan = exhaustive_scan(ideal, stop_when="nonzero-obstruction",
+                           chunk_size=1)
     assert scan.stopped_early and scan.scanned < 120
     assert scan.nonminimal_witness == (1, 3, 4, 2, 5)
 
     # Policies that never trigger leave the scan exhaustive.
-    scan = search_scan(load_ideal("five_gen_squarefree"),
-                       stop_when="zero-obstruction")
+    scan = exhaustive_scan(load_ideal("five_gen_squarefree"),
+                           stop_when="zero-obstruction")
     assert not scan.stopped_early and scan.scanned == 120
+
+    # The exhaustive search answers for every order whatever the policy.
+    for stop_when in STOPS:
+        scan = search_scan(ideal, stop_when=stop_when, chunk_size=1)
+        assert scan == exhaustive_scan(ideal), stop_when
+        assert scan.exact and not scan.stopped_early and scan.scanned == 120
 
     with pytest.raises(ValueError, match="stop policy"):
         search_scan(ideal, stop_when="sometimes")
@@ -326,18 +337,20 @@ def test_analyze_scans_once_and_matches_ara_bounds(monkeypatch, name, mode):
 
 
 def test_both_verdicts_stop_when_the_later_verdict_settles():
-    # one order per block, so scanned counts orders up to the stop
+    # the block scan, one order per block, so scanned counts orders up
+    # to the stop
     for name in SCAN_NAMES:
         ideal = load_ideal(name)
-        some = search_scan(ideal, chunk_size=1, stop_when="zero-obstruction")
-        every = search_scan(ideal, chunk_size=1,
-                            stop_when="nonzero-obstruction")
-        both = search_scan(ideal, chunk_size=1, stop_when="both-verdicts")
+        some = exhaustive_scan(ideal, chunk_size=1,
+                               stop_when="zero-obstruction")
+        every = exhaustive_scan(ideal, chunk_size=1,
+                                stop_when="nonzero-obstruction")
+        both = exhaustive_scan(ideal, chunk_size=1, stop_when="both-verdicts")
         assert both.scanned == max(some.scanned, every.scanned), name
         assert (both.tobsl == 0) == (some.tobsl == 0), name
         assert both.nonminimal_witness == every.nonminimal_witness, name
-    mixed = search_scan(load_ideal("mixed_powers_xyz"), chunk_size=1,
-                        stop_when="both-verdicts")
+    mixed = exhaustive_scan(load_ideal("mixed_powers_xyz"), chunk_size=1,
+                            stop_when="both-verdicts")
     assert mixed.stopped_early and mixed.scanned < 120
 
 

@@ -1,0 +1,186 @@
+"""Differential test of the prefix-set search behind exhaustive searches.
+
+``search_scan(ideal, "exhaustive")`` and every exhaustive consumer
+answer by walks over prefix sets (``lyubeznik.prefix``).  Here their
+aggregates, witnesses and verdicts are compared with the block scan of
+all mu! orders (``reference_routes.exhaustive_scan``) on the corpus,
+its graphs, seeded mu 8 ideals and hypothesis ideals.  Each aggregate
+is also read first on a fresh search, so the depth-first searches are
+checked without the count's memo as well as with it.  Past the scan's
+reach, the tests pin what the search finds on graphs up to mu 12.
+"""
+
+import random
+from itertools import combinations, permutations
+from math import factorial
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from lyubeznik import (PropositionCheck, SimpleGraph, all_graphs, analyze,
+                       check_graph_propositions, edge_ideal, identity_order,
+                       is_totally_lyubeznik, load_ideal, longest_path_edges,
+                       parse_ideal, search_scan, taylor_betti)
+from lyubeznik.corpus import ideal_names
+
+from reference_routes import exhaustive_scan
+from test_scan_kernel import exponent_rows, small_ideal
+
+FIELDS = ("tobsl", "tobsl_witness", "min_l", "min_l_witness",
+          "minimal_count", "nonminimal_witness", "lyubeznik",
+          "totally_lyubeznik")
+
+
+def fresh(ideal):
+    return search_scan(ideal, max_exhaustive=ideal.mu)
+
+
+def check(ideal, projdim=None):
+    """The prefix search agrees with the block scan on every field, read
+    all together or each one first."""
+    reference = exhaustive_scan(ideal)
+    assert fresh(ideal) == reference
+    assert reference == fresh(ideal)
+    for field in FIELDS:
+        assert getattr(fresh(ideal), field) == getattr(reference, field), \
+            field
+    if projdim is not None:
+        # analyze's reading order: the verdicts, almost, then min_l
+        search = fresh(ideal)
+        assert search.lyubeznik == reference.lyubeznik
+        assert search.totally_lyubeznik == reference.totally_lyubeznik
+        assert (search.almost_lyubeznik(projdim)
+                == reference.almost_lyubeznik(projdim))
+        assert search.min_l == reference.min_l
+    return reference
+
+
+def test_corpus_ideals():
+    for name in ideal_names():
+        ideal = load_ideal(name)
+        projdim = taylor_betti(ideal).projective_dimension
+        check(ideal, projdim)
+
+
+def test_corpus_graphs_and_their_propositions():
+    for name, graph in all_graphs():
+        scan = check(edge_ideal(graph))
+        rows = check_graph_propositions(graph)
+        conclusions = ([scan.totally_lyubeznik] * 3 + [scan.lyubeznik] * 2
+                       + [not scan.lyubeznik])
+        assert rows == tuple(PropositionCheck(r.name, r.hypothesis, c)
+                             for r, c in zip(rows, conclusions)), name
+
+
+def seeded_ideal(seed, mu, nvars=6):
+    """A seeded ideal with mu minimal generators, exponents at most 3."""
+    rng = random.Random(seed)
+    gens = set()
+    while True:
+        gens.add(tuple(rng.randint(0, 3) for _ in range(nvars)))
+        ideal = small_ideal(sorted(gens), max_mu=mu)
+        if ideal.mu == mu:
+            return ideal
+
+
+def test_seeded_mu_8_ideals():
+    for seed in range(3):
+        check(seeded_ideal(seed, 8))
+
+
+@settings(max_examples=60)
+@given(st.integers(2, 4).flatmap(exponent_rows))
+def test_hypothesis_ideals(rows):
+    check(small_ideal(rows, max_mu=7))
+
+
+def test_edge_cases():
+    # one generator: one order, minimal, of length 1
+    scan = check(load_ideal("principal_power"))
+    assert (scan.minimal_count, scan.min_l, scan.nonminimal_witness) == (
+        1, 1, None)
+    # an empty clutter: every order is minimal
+    scan = check(parse_ideal("vars x y z\ngen x\ngen y\ngen z"))
+    assert scan.minimal_count == 6 and scan.totally_lyubeznik
+    # totally Lyubeznik with a non-empty clutter
+    scan = check(load_ideal("triangle_edges"))
+    assert scan.minimal_count == 6 and scan.totally_lyubeznik
+    # no order is minimal: the non-minimal witness is the identity
+    scan = check(load_ideal("square_edges"))
+    assert scan.minimal_count == 0
+    assert scan.nonminimal_witness == (1, 2, 3, 4)
+
+
+def test_analyze_reads_the_same_verdicts():
+    for name in ("mixed_powers_xyz", "five_gen_squarefree", "square_edges",
+                 "chain_four_squares"):
+        ideal = load_ideal(name)
+        scan = exhaustive_scan(ideal)
+        projdim = taylor_betti(ideal).projective_dimension
+        report = analyze(identity_order(ideal), search_mode="exhaustive")
+        assert (report.lyubeznik, report.totally_lyubeznik,
+                report.almost_lyubeznik) == (
+                    scan.lyubeznik, scan.totally_lyubeznik,
+                    scan.almost_lyubeznik(projdim)), name
+        assert report.ara.upper == min(scan.min_l, ideal.mu), name
+
+
+# -- beyond the scan's reach --------------------------------------------------
+
+
+def disjoint_triangles(count):
+    names = [f"v{i}" for i in range(3 * count)]
+    edges = []
+    for a, b, c in zip(names[::3], names[1::3], names[2::3]):
+        edges += [(a, b), (b, c), (a, c)]
+    return SimpleGraph(tuple(names), tuple(edges))
+
+
+def test_four_disjoint_triangles_are_totally_lyubeznik():
+    ideal = edge_ideal(disjoint_triangles(4))
+    assert ideal.mu == 12
+    search = fresh(ideal)
+    assert search.minimal_count == factorial(12)
+    assert search.totally_lyubeznik and search.nonminimal_witness is None
+    assert search.tobsl == 0 and search.tobsl_witness == tuple(range(1, 13))
+
+
+def graph_classes(n, max_edges):
+    """One graph per isomorphism class of graphs on n vertices with 1 to
+    max_edges edges, isolated vertices dropped.  Each edge set is a mask
+    over the pairs; a class is named by its least mask under the n!
+    relabellings."""
+    pairs = list(combinations(range(n), 2))
+    index = {pair: i for i, pair in enumerate(pairs)}
+    masks = np.arange(1 << len(pairs), dtype=np.int32)
+    least = masks.copy()
+    for perm in permutations(range(n)):
+        image = np.zeros_like(masks)
+        for e, (a, b) in enumerate(pairs):
+            moved = index[tuple(sorted((perm[a], perm[b])))]
+            image |= (masks >> e & 1) << moved
+        np.minimum(least, image, out=least)
+    graphs = []
+    for mask in np.unique(least).tolist():
+        edges = [pairs[e] for e in range(len(pairs)) if mask >> e & 1]
+        if 1 <= len(edges) <= max_edges:
+            vertices = sorted({v for edge in edges for v in edge})
+            graphs.append(SimpleGraph(
+                tuple(f"v{v}" for v in vertices),
+                tuple((f"v{a}", f"v{b}") for a, b in edges)))
+    return graphs
+
+
+def test_graph_census_on_six_vertices():
+    # An observation on this range, not a theorem: among the graphs
+    # without isolated vertices on at most 6 vertices and at most 12
+    # edges, the totally Lyubeznik ones are exactly those without a
+    # path of 3 edges (disjoint stars and triangles).
+    graphs = graph_classes(6, 12)
+    assert len(graphs) == 151
+    totally = [g for g in graphs
+               if is_totally_lyubeznik(edge_ideal(g), max_exhaustive=12)]
+    assert all(longest_path_edges(g) < 3 for g in totally)
+    assert all(longest_path_edges(g) >= 3 for g in graphs
+               if g not in totally)
+    assert len(totally) == 14

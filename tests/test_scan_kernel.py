@@ -1,4 +1,4 @@
-"""Differential test of the block scanner behind ``search_scan``.
+"""Differential test of the block scanner and of ``search_scan``.
 
 The scanner evaluates whole int8 blocks of permutation words with array
 operations.  Here its aggregates are compared with a plain loop over
@@ -6,7 +6,8 @@ operations.  Here its aggregates are compared with a plain loop over
 obstruction, length and minimality off the plain-Python routes in
 ``reference_routes``, which share no code with the scanner's kernel:
 values and lexicographically least witnesses alike, for several chunk
-sizes and for a two-worker scan.
+sizes and for a two-worker scan.  The same loop checks the exhaustive
+``search_scan``, which answers by prefix-set search instead.
 """
 
 import warnings
@@ -20,8 +21,8 @@ from lyubeznik.covers import cover_table
 from lyubeznik.invariants import DEFAULT_CHUNK
 
 from conftest import exponent_ideal
-from reference_routes import (closure_length, court_table, facets_stable,
-                              preserved_table)
+from reference_routes import (closure_length, court_table, exhaustive_scan,
+                              facets_stable, preserved_table)
 
 SCAN_NAMES = ["chain_three_squares", "square_edges", "chain_five_mixed",
               "mixed_powers_xyz", "five_gen_squarefree"]
@@ -77,6 +78,10 @@ def check_both_modes(ideal):
             scan = search_scan(ideal, mode, max_exhaustive=ideal.mu, chunk_size=chunk)
             assert not scan.stopped_early
             assert scan_aggregates(scan) == expected, (mode, chunk)
+            if mode == "exhaustive":
+                scan = exhaustive_scan(ideal, chunk_size=chunk)
+                assert scan_aggregates(scan) == expected, ("block scan",
+                                                           chunk)
 
 
 def test_scanner_matches_brute_force_on_the_corpus():
@@ -112,5 +117,5 @@ def test_two_workers_match_brute_force():
     values = per_order_values(ideal)
     expected = brute_aggregates(values, list(values))
     for chunk in (7, DEFAULT_CHUNK):
-        scan = search_scan(ideal, jobs=2, chunk_size=chunk)
+        scan = exhaustive_scan(ideal, jobs=2, chunk_size=chunk)
         assert scan_aggregates(scan) == expected, chunk
