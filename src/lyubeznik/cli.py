@@ -282,7 +282,6 @@ def _cmd_search(args):
     ideal = read_ideal(args.path)
     scan = search_scan(ideal, args.search, max_exhaustive=args.max_exhaustive,
                        jobs=args.jobs)
-    # the count first: an exhaustive search's witness then reads its memo
     count = scan.minimal_count
     payload = {"ideal": _ideal_payload(ideal), "mode": scan.mode,
                "exact": scan.exact, "scanned": scan.scanned,
@@ -372,8 +371,7 @@ def _cmd_graph(args):
         payload["edge_ideal"] = _ideal_payload(ideal)
     if args.check_props:
         checks = check_graph_propositions(graph,
-                                          max_exhaustive=args.max_exhaustive,
-                                          jobs=args.jobs)
+                                          max_exhaustive=args.max_exhaustive)
         payload["propositions"] = [
             {"name": c.name, "hypothesis": c.hypothesis,
              "conclusion": c.conclusion, "finding": c.finding}
@@ -450,8 +448,9 @@ def build_parser() -> argparse.ArgumentParser:
     graph_p.add_argument("--max-exhaustive", type=_positive_int,
                          default=DEFAULT_MAX_EXHAUSTIVE, metavar="MU")
     graph_p.add_argument("--jobs", type=_positive_int, default=1,
-                         help="accepted for symmetry with search; the "
-                              "checks' exhaustive search runs in one process")
+                         help="has no effect: the checks search every "
+                              "order in one process; kept so that command "
+                              "lines written for search still parse")
     return parser
 
 

@@ -151,8 +151,8 @@ class PropositionCheck:
 
 
 def check_graph_propositions(graph: SimpleGraph, *,
-                             max_exhaustive: int = DEFAULT_MAX_EXHAUSTIVE,
-                             jobs: int = 1) -> tuple[PropositionCheck, ...]:
+                             max_exhaustive: int = DEFAULT_MAX_EXHAUSTIVE
+                             ) -> tuple[PropositionCheck, ...]:
     """Evaluate the edge-ideal statements on one graph.
 
     Path lengths are reported under both the edge-counting and the
@@ -163,8 +163,7 @@ def check_graph_propositions(graph: SimpleGraph, *,
     ideal = edge_ideal(graph)
     path_edges = longest_path_edges(graph)
     # one search, which looks for a minimal and for a non-minimal order
-    scan = search_scan(ideal, "exhaustive", max_exhaustive=max_exhaustive,
-                       jobs=jobs)
+    scan = search_scan(ideal, "exhaustive", max_exhaustive=max_exhaustive)
     totally, lyubeznik = scan.totally_lyubeznik, scan.lyubeznik
     return (
         PropositionCheck("no-path-of-3-edges-implies-totally-lyubeznik",

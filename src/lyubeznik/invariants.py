@@ -305,9 +305,6 @@ def _scan_words(ideal: MonomialIdeal, words: Sequence[tuple[int, ...]] | np.ndar
 _STOPS = {
     None: lambda scan: False,
     "zero-obstruction": lambda scan: scan.tobsl == 0,
-    "nonzero-obstruction": lambda scan: scan.nonminimal_witness is not None,
-    "both-verdicts": lambda scan: (scan.tobsl == 0
-                                   and scan.nonminimal_witness is not None),
 }
 
 
@@ -371,11 +368,14 @@ class _PrefixSearch(SearchResult):
     when first read, by ``prefix.PrefixWalk`` searches.
 
     The fields are properties here, so a caller pays only for what it
-    reads: ``graph`` reads the two verdicts, ``analyze`` no count.
+    reads: ``graph`` the two verdicts, ``analyze`` no positive total
+    obstruction.
 
     * the clutter walk's count is ``minimal_count``; its least avoiding
       order is the zero-obstruction witness, and its least preserving
-      order ``nonminimal_witness``;
+      order ``nonminimal_witness``.  Both witnesses descend along the
+      count's memo, which is quicker than searching without it, so the
+      clutter walk is counted as soon as it is built;
     * a positive ``tobsl`` is the least edge size k at which some order
       preserves no clutter edge larger than k, tried k ascending;
     * an order's length is at most k exactly when it preserves no
@@ -412,9 +412,11 @@ class _PrefixSearch(SearchResult):
 
     @cached_property
     def _edges(self) -> PrefixWalk:
-        return PrefixWalk(self.ideal, self._clutter)
+        walk = PrefixWalk(self.ideal, self._clutter)
+        walk.count()
+        return walk
 
-    @cached_property
+    @property
     def minimal_count(self) -> int:
         return self._edges.count()
 
@@ -487,11 +489,9 @@ def search_scan(ideal: MonomialIdeal, mode: str = "exhaustive", *,
     search, each aggregate when first read: it is exact, never stopped
     early, and ``scanned`` is mu!.  The courts-first stream is scanned
     in blocks of ``chunk_size`` orders, by ``jobs`` worker processes
-    when more than one, and ``stop_when`` may end that scan early:
-    ``"zero-obstruction"`` (stop once a minimal order is found; its
-    witness is then exact), ``"nonzero-obstruction"`` (stop once a
-    non-minimal order is found) or ``"both-verdicts"`` (stop once both
-    have been found).  Blocks are merged in stream order regardless of
+    when more than one, and ``stop_when="zero-obstruction"`` ends that
+    scan once a minimal order is found (its witness is then exact).
+    Blocks are merged in stream order regardless of
     ``jobs``, so every output is deterministic.  Pass
     ``max_exhaustive=ideal.mu`` to search every order of any ideal.
     """
@@ -586,11 +586,11 @@ def is_lyubeznik(ideal: MonomialIdeal, search_mode: str = "exhaustive", *,
 
 
 def is_totally_lyubeznik(ideal: MonomialIdeal, *,
-                         max_exhaustive: int = DEFAULT_MAX_EXHAUSTIVE,
-                         jobs: int = 1) -> bool:
+                         max_exhaustive: int = DEFAULT_MAX_EXHAUSTIVE
+                         ) -> bool:
     """Whether every order makes the Lyubeznik resolution minimal."""
-    return search_scan(ideal, "exhaustive", max_exhaustive=max_exhaustive,
-                       jobs=jobs).totally_lyubeznik
+    return search_scan(ideal, "exhaustive",
+                       max_exhaustive=max_exhaustive).totally_lyubeznik
 
 
 # one entry: a call reads one ideal's projective dimension, both as a
@@ -602,10 +602,9 @@ def _projdim(ideal: MonomialIdeal, prime: int | None) -> int:
 
 def is_almost_lyubeznik(ideal: MonomialIdeal, *,
                         max_exhaustive: int = DEFAULT_MAX_EXHAUSTIVE,
-                        jobs: int = 1, prime: int | None = None) -> bool:
+                        prime: int | None = None) -> bool:
     """Whether the best resolution length meets the projective dimension."""
-    scan = search_scan(ideal, "exhaustive", max_exhaustive=max_exhaustive,
-                       jobs=jobs)
+    scan = search_scan(ideal, "exhaustive", max_exhaustive=max_exhaustive)
     return scan.almost_lyubeznik(_projdim(ideal, prime))
 
 

@@ -20,7 +20,6 @@ from lyubeznik import (
     longest_path_edges,
     parse_graph,
 )
-from lyubeznik.invariants import DEFAULT_CHUNK
 
 from reference_routes import exhaustive_scan
 
@@ -161,11 +160,10 @@ def two_scan_propositions(graph):
                  for r, c in zip(rows, conclusions))
 
 
-def scanned_propositions(graph, chunk_size):
+def scanned_propositions(graph):
     """The propositions with both verdicts from one block scan of every
-    order that stops once it has seen a minimal and a non-minimal one."""
-    scan = exhaustive_scan(edge_ideal(graph), chunk_size=chunk_size,
-                           stop_when="both-verdicts")
+    order."""
+    scan = exhaustive_scan(edge_ideal(graph))
     rows = check_graph_propositions(graph)
     conclusions = ([scan.totally_lyubeznik] * 3 + [scan.lyubeznik] * 2
                    + [not scan.lyubeznik])
@@ -177,11 +175,7 @@ def test_propositions_match_two_scans_on_every_corpus_graph():
     for name, graph in all_graphs():
         expected = two_scan_propositions(graph)
         assert check_graph_propositions(graph) == expected, name
-        # one order per block, so the stop policy decides where the scan
-        # ends (a corpus graph's orders fit in one default block)
-        for chunk in (1, DEFAULT_CHUNK):
-            assert scanned_propositions(graph, chunk) == expected, (name,
-                                                                    chunk)
+        assert scanned_propositions(graph) == expected, name
 
 
 def test_check_props_scans_once_per_request(monkeypatch):

@@ -129,11 +129,6 @@ def test_stop_policies():
     assert scan.stopped_early and scan.scanned == 1
     assert scan.tobsl == 0 and scan.tobsl_witness == (1, 2, 3, 4, 5)
 
-    scan = exhaustive_scan(ideal, stop_when="nonzero-obstruction",
-                           chunk_size=1)
-    assert scan.stopped_early and scan.scanned < 120
-    assert scan.nonminimal_witness == (1, 3, 4, 2, 5)
-
     # Policies that never trigger leave the scan exhaustive.
     scan = exhaustive_scan(load_ideal("five_gen_squarefree"),
                            stop_when="zero-obstruction")
@@ -237,8 +232,7 @@ def test_totally_and_almost():
 
 def courts_first_counterexample(ideal):
     """The first courts-first order whose resolution is not minimal."""
-    scan = search_scan(ideal, "courts-first", stop_when="nonzero-obstruction")
-    return scan.nonminimal_witness
+    return search_scan(ideal, "courts-first").nonminimal_witness
 
 
 def test_courts_first_claim_fails_in_the_corpus():
@@ -336,24 +330,6 @@ def test_analyze_scans_once_and_matches_ara_bounds(monkeypatch, name, mode):
     assert report.ara == expected
 
 
-def test_both_verdicts_stop_when_the_later_verdict_settles():
-    # the block scan, one order per block, so scanned counts orders up
-    # to the stop
-    for name in SCAN_NAMES:
-        ideal = load_ideal(name)
-        some = exhaustive_scan(ideal, chunk_size=1,
-                               stop_when="zero-obstruction")
-        every = exhaustive_scan(ideal, chunk_size=1,
-                                stop_when="nonzero-obstruction")
-        both = exhaustive_scan(ideal, chunk_size=1, stop_when="both-verdicts")
-        assert both.scanned == max(some.scanned, every.scanned), name
-        assert (both.tobsl == 0) == (some.tobsl == 0), name
-        assert both.nonminimal_witness == every.nonminimal_witness, name
-    mixed = exhaustive_scan(load_ideal("mixed_powers_xyz"), chunk_size=1,
-                            stop_when="both-verdicts")
-    assert mixed.stopped_early and mixed.scanned < 120
-
-
 def test_search_rejects_non_positive_jobs_and_chunks():
     ideal = load_ideal("chain_three_squares")
     for kwargs in ({"jobs": 0}, {"jobs": -3}, {"chunk_size": 0}):
@@ -387,7 +363,7 @@ def test_analyze_builds_the_complex_once(monkeypatch, capsys):
 
 # -- verdicts on SearchResult against the callers' former inline formulas ----
 
-STOPS = [None, "zero-obstruction", "nonzero-obstruction", "both-verdicts"]
+STOPS = [None, "zero-obstruction"]
 
 
 def old_lyubeznik(scan):
@@ -423,16 +399,14 @@ def test_search_verdicts_match_the_former_formulas(name, jobs):
                 scan = search_scan(ideal, mode, jobs=jobs, chunk_size=chunk,
                                    stop_when=stop_when)
                 where = (mode, stop_when, chunk)
-                if stop_when != "nonzero-obstruction":
-                    # these stops never cut a scan short while tobsl > 0
-                    assert scan.lyubeznik == old_lyubeznik(scan), where
+                # the stop never cuts a scan short while tobsl > 0
+                assert scan.lyubeznik == old_lyubeznik(scan), where
                 if stop_when is None:
                     assert (scan.totally_lyubeznik
                             == old_totally_from_count(scan)), where
                     assert (scan.almost_lyubeznik(projdim)
                             == old_almost(scan, projdim)), where
-                if mode == "exhaustive" and stop_when in (
-                        "nonzero-obstruction", "both-verdicts"):
+                if mode == "exhaustive":
                     assert (scan.totally_lyubeznik
                             == old_totally_from_witness(scan)), where
                 # whatever a scan settles agrees with the full scan
