@@ -6,16 +6,45 @@ lcm-lattice, the degree-a strand of (Taylor ⊗ K) has basis
 {S ⊆ G(I) : lcm(S) = a} graded by |S|, and the differential keeps
 exactly the deletions that do not change the lcm (all other
 coefficients land in the maximal ideal and die in K).  beta_{i,a}(R/I)
-is the homology rank of that strand at index i, obtained from two
-matrix ranks, computed exactly.
+is the homology rank of that strand at index i.
+
+Before any rank, each strand is cut down by algebraic discrete Morse
+theory (Sköldberg 2006; Jöllenbeck & Welker 2009), the route by which
+Batzies & Welker (2002) obtain the Lyubeznik resolution from Taylor's.
+Let V_a = {j : m_j | a}, the strand's vertex set, and pick a generator
+i in V_a.  If lcm(S) = a and i is not in S, then lcm(S + i) = a too, so
+S <-> S + i matches every set of the strand that lacks i.  The matched
+pairs carry the coefficient +-1 and each pair is toggled by one fixed
+element, so the matching is acyclic.  The critical sets are the S that
+hold i with lcm(S - i) != a.  A gradient path from a critical c goes
+down to some c - j, j != i, and then up along the matching; but c - j
+still holds i, so it is either critical or matched with the smaller
+c - j - i, and the path ends after one step.  The Morse differential is
+therefore the Taylor differential restricted to the critical sets,
+which ``_boundary_columns`` builds unchanged (c - i leaves the strand
+and drops out).  Its homology is the strand's, so only the critical
+sets reach ``linalg``: i is chosen per strand to leave the fewest of
+them, and a level with no neighbouring level needs no rank at all.
 
 The resolution checks work per multidegree as well.  A complex of free
 modules indexed by faces is exact in degree a iff the simplicial chain
-complex of the induced subcomplex on V_a = {i : m_i | a} has vanishing
-reduced homology in all degrees >= 0.  Distinct multidegrees with the
-same V_a give the same subcomplex, so the work is deduplicated by V_a.
-The faces under test are the order's face list
-(``complexes.order_analysis(ordered).faces``), read as masks.
+complex of the induced subcomplex on V_a has vanishing reduced homology
+in all degrees >= 0.  The faces under test are the order's face list
+(``complexes.order_analysis(ordered).faces``), read as masks.  Let g be
+the member of V_a ranked first under the order.  If every face F ⊆ V_a
+has F △ {g} among the faces, the induced complex (downward closed, as
+every face list is) is a cone with apex g and is acyclic: F <-> F △ {g}
+pairs every face, the empty one included, with a +-1 coefficient.  On
+Lyubeznik faces the cone always holds, because g precedes everything
+else in V_a and every divisor of a lies in V_a, so adding g to a face
+inside V_a creates no court; that is Lyubeznik's own argument, and
+production runs no rank here.  Any other family falls back to ranks,
+the exact verdict.
+
+A nonempty subset S lies in the class of lcm(S), which is named by its
+vertex set: every member of V_a divides a, so lcm(V_a) = a and distinct
+multidegrees have distinct vertex sets.  Both the Betti numbers and the
+resolution check read this one grouping of the masks (``_lcm_classes``).
 
 Every differential is handed around as sparse columns: each face, a
 bitmask, becomes a map {smaller face: +-1} over the deletions that stay
@@ -35,6 +64,8 @@ too.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .betti import QUOTIENT, BettiTable
@@ -42,7 +73,7 @@ from .complexes import order_analysis
 from .linalg import exact_rank, rank_mod_p
 from .monomials import BoundExceededError, Monomial, MonomialIdeal
 from .orders import OrderedIdeal
-from .subsets import tables_for
+from .subsets import popcounts, tables_for
 
 DEFAULT_MAX_ORACLE_GENERATORS = 12
 
@@ -53,6 +84,79 @@ def _check_bound(ideal: MonomialIdeal, max_generators: int) -> None:
             f"the homology oracle enumerates 2^{ideal.mu} subsets, above its "
             f"bound mu <= {max_generators}; no command-line option lifts it "
             "(the library functions take a max_generators argument)")
+
+
+class _LcmClasses:
+    """The ideal's lcm lattice, as classes of subset masks.
+
+    vertex_sets  int64 array: the distinct vertex sets V_a, ascending,
+                 one per lattice point a
+    exponents    the exponent tuple of each class's a = lcm(V_a)
+    class_of     int64 array over the masks 0 .. 2^mu - 1: the index of
+                 each nonempty mask's class, -1 for the empty mask
+    """
+
+    __slots__ = ("vertex_sets", "exponents", "class_of")
+
+    def __init__(self, ideal: MonomialIdeal) -> None:
+        tables = tables_for(ideal)
+        divisors = np.array(tables.divisor_mask, np.int64)
+        # vertex sets are masks themselves, so a table over the masks
+        # groups them without a sort; the empty mask's divisor set is
+        # empty, and no nonempty mask's is
+        index = np.full(tables.size, -1)
+        index[divisors[1:]] = 0
+        self.vertex_sets = np.flatnonzero(index == 0)
+        index[self.vertex_sets] = np.arange(len(self.vertex_sets))
+        self.exponents = [tables.lcm_exps[v] for v in self.vertex_sets.tolist()]
+        self.class_of = index[divisors]
+
+
+# one entry, as for the subset tables: a command reads one ideal
+@lru_cache(maxsize=1)
+def _lcm_classes(ideal: MonomialIdeal) -> _LcmClasses:
+    return _LcmClasses(ideal)
+
+
+def _critical_strands(ideal: MonomialIdeal
+                      ) -> dict[tuple[int, ...], dict[int, list[int]]]:
+    """Each strand's critical masks by size, under its best matching.
+
+    For every class a and generator i in V_a, count the masks of the
+    class that hold i and lose the lcm without it; the generator with
+    the fewest (the lowest on a tie) is the class's pivot, and its
+    critical masks are listed in ascending order.  Classes with no
+    critical mask are left out: their strands are acyclic.
+    """
+    classes = _lcm_classes(ideal)
+    class_of = classes.class_of
+    mu = ideal.mu
+    masks = np.arange(1, len(class_of))
+    cls = class_of[1:]
+    n = len(classes.vertex_sets)
+
+    def critical(bit):
+        return (masks & bit != 0) & (class_of[masks ^ bit] != cls)
+
+    fewest = np.full(n, len(masks) + 1)
+    pivot = np.zeros(n, np.int64)
+    for b in range(mu):
+        bit = 1 << b
+        count = np.bincount(cls[critical(bit)], minlength=n)
+        # no mask of a class holds a generator outside its V_a, so that
+        # generator's count reads 0; it matches nothing and is never a
+        # pivot
+        better = (count < fewest) & (classes.vertex_sets & bit != 0)
+        fewest[better] = count[better]
+        pivot[better] = bit
+    chosen = masks[critical(pivot[cls])]
+
+    strands: dict[tuple[int, ...], dict[int, list[int]]] = {}
+    for mask, c, t in zip(chosen.tolist(), class_of[chosen].tolist(),
+                          popcounts(mu)[chosen].tolist()):
+        strands.setdefault(classes.exponents[c], {}).setdefault(
+            t, []).append(mask)
+    return strands
 
 
 def _boundary_columns(masks: list[int], below: set[int]
@@ -106,24 +210,16 @@ def _rank_function(prime: int | None):
 def taylor_betti(ideal: MonomialIdeal, *,
                  max_generators: int = DEFAULT_MAX_ORACLE_GENERATORS,
                  prime: int | None = None) -> BettiTable:
-    """Multigraded Betti numbers of R/I from Taylor-strand homology.
+    """Multigraded Betti numbers of R/I from Morse-reduced Taylor strands.
 
     Characteristic zero by default (exact integer elimination); pass a
     prime to compute over GF(p) instead.
     """
     _check_bound(ideal, max_generators)
-    tables = tables_for(ideal)
     rank = _rank_function(prime)
-
-    strands: dict[tuple[int, ...], dict[int, list[int]]] = {}
-    for mask in range(1, tables.size):
-        exps = tables.lcm_exps[mask]
-        strands.setdefault(exps, {}).setdefault(
-            mask.bit_count(), []).append(mask)
-
     counts: dict[tuple[int, tuple[int, ...]], int] = {
         (0, (0,) * len(ideal.context)): 1}
-    for exps, by_size in strands.items():
+    for exps, by_size in _critical_strands(ideal).items():
         for t, h in _strand_homology(by_size, rank).items():
             counts[(t, exps)] = h
     return BettiTable.from_multigraded(QUOTIENT, ideal.context, counts)
@@ -173,13 +269,54 @@ def _acyclic(face_masks: list[int], rank) -> bool:
     return not _strand_homology(by_size, rank)
 
 
+def _cones(face_masks: list[int], mu: int, vertex_sets: np.ndarray,
+           apexes: np.ndarray) -> np.ndarray:
+    """Whether each vertex set's faces form a cone over its apex bit.
+
+    The faces inside V form a cone over g when every such face F has
+    F ^ g among the faces.  Per apex, the faces whose partner is missing
+    are marked and up-closed over the subset lattice; a vertex set is a
+    cone exactly when no marked face lies inside it.
+    """
+    size = 1 << mu
+    masks = np.arange(size)
+    face = np.zeros(size, bool)
+    face[face_masks] = True
+    cones = np.empty(len(vertex_sets), bool)
+    for bit in set(apexes.tolist()):
+        lone = face & ~face[masks ^ bit]
+        for b in range(mu):
+            halves = lone.reshape(-1, 2, 1 << b)
+            halves[:, 1] |= halves[:, 0]
+        at = apexes == bit
+        cones[at] = ~lone[vertex_sets[at]]
+    return cones
+
+
+def _acyclic_verdicts(face_masks: list[int], mu: int,
+                      vertex_sets: np.ndarray, apexes: np.ndarray,
+                      rank) -> list[bool]:
+    """Acyclicity of the faces inside each vertex set.
+
+    The faces must be downward closed, as an order's face list is; then
+    a cone over the set's apex is acyclic, and any other family is
+    decided by ``_acyclic``'s ranks.
+    """
+    verdicts = _cones(face_masks, mu, vertex_sets, apexes).tolist()
+    for k, cone in enumerate(verdicts):
+        if not cone:
+            vset = int(vertex_sets[k])
+            verdicts[k] = _acyclic([m for m in face_masks if m & vset == m],
+                                   rank)
+    return verdicts
+
+
 def verify_resolution(ordered: OrderedIdeal, *,
                       max_generators: int = DEFAULT_MAX_ORACLE_GENERATORS,
                       prime: int | None = None) -> bool:
     """True iff the Lyubeznik complex resolves R/I.
 
-    Exactness in every multidegree of the lcm-lattice; multidegrees
-    sharing a vertex set share one homology computation.
+    Exactness in every multidegree of the lcm-lattice.
     """
     return all(ok for _, ok in
                verify_resolution_report(ordered, max_generators=max_generators,
@@ -193,21 +330,15 @@ def verify_resolution_report(ordered: OrderedIdeal, *,
     """Per-multidegree acyclicity verdicts, sorted by (degree, exponents)."""
     ideal = ordered.ideal
     _check_bound(ideal, max_generators)
-    tables = tables_for(ideal)
-    rank = _rank_function(prime)
-    face_masks = order_analysis(ordered).faces
-
-    lattice: dict[tuple[int, ...], int] = {}
-    for mask in range(1, tables.size):
-        exps = tables.lcm_exps[mask]
-        lattice.setdefault(exps, tables.divisor_mask[mask])
-
-    verdict_by_vertexset: dict[int, bool] = {}
-    report = []
-    for exps in sorted(lattice, key=lambda e: (sum(e), e)):
-        vset = lattice[exps]
-        if vset not in verdict_by_vertexset:
-            members = [m for m in face_masks if m & vset == m]
-            verdict_by_vertexset[vset] = _acyclic(members, rank)
-        report.append((Monomial(ideal.context, exps), verdict_by_vertexset[vset]))
-    return tuple(report)
+    classes = _lcm_classes(ideal)
+    # each vertex set's apex: its member ranked first
+    apexes = np.zeros_like(classes.vertex_sets)
+    for g in reversed(ordered.order):
+        bit = 1 << (g - 1)
+        apexes[classes.vertex_sets & bit != 0] = bit
+    verdicts = _acyclic_verdicts(order_analysis(ordered).faces, ideal.mu,
+                                 classes.vertex_sets, apexes,
+                                 _rank_function(prime))
+    report = sorted(zip(classes.exponents, verdicts),
+                    key=lambda e: (sum(e[0]), e[0]))
+    return tuple((Monomial(ideal.context, exps), ok) for exps, ok in report)

@@ -27,7 +27,11 @@ against the monomials.
   (``oracle._boundary_columns``) replaced; ``boundary_matrices`` writes
   the Lyubeznik complex's faces in increasing rank, and
   ``dense_chain_complex`` and ``dense_composes_to_zero`` check d^2 = 0
-  with these matrices.
+  with these matrices;
+* ``full_strands`` and ``full_strand_betti``: every nonempty mask
+  grouped by lcm and then by size, and the Betti numbers from the
+  homology of these whole Taylor strands, the route the Morse-reduced
+  strands (``oracle._critical_strands``) replaced.
 """
 
 from dataclasses import dataclass
@@ -35,8 +39,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from lyubeznik import is_stable_symbol, symbol_of
+from lyubeznik.betti import QUOTIENT, BettiTable
 from lyubeznik.covers import cover_table
 from lyubeznik.invariants import DEFAULT_CHUNK, _scan
+from lyubeznik.oracle import _rank_function, _strand_homology
 from lyubeznik.subsets import indices_of, iter_bits, tables_for
 
 
@@ -204,3 +210,23 @@ def boundary_matrices(ordered):
 def dense_chain_complex(ordered, preserved=None):
     """d^2 = 0 across the Lyubeznik complex, by dense sign matrices."""
     return dense_composes_to_zero(rank_faces(ordered, preserved))
+
+
+def full_strands(ideal):
+    """{lcm exponents: {size: masks}} over every nonempty mask."""
+    tables = tables_for(ideal)
+    strands = {}
+    for mask in range(1, tables.size):
+        strands.setdefault(tables.lcm_exps[mask], {}).setdefault(
+            mask.bit_count(), []).append(mask)
+    return strands
+
+
+def full_strand_betti(ideal, prime=None):
+    """Multigraded Betti numbers of R/I from whole Taylor strands."""
+    rank = _rank_function(prime)
+    counts = {(0, (0,) * len(ideal.context)): 1}
+    for exps, by_size in full_strands(ideal).items():
+        for t, h in _strand_homology(by_size, rank).items():
+            counts[(t, exps)] = h
+    return BettiTable.from_multigraded(QUOTIENT, ideal.context, counts)

@@ -1,0 +1,198 @@
+"""The oracle's reductions against the unreduced routes.
+
+``taylor_betti`` ranks only the critical sets of an acyclic matching on
+each Taylor strand; ``reference_routes.full_strand_betti`` ranks whole
+strands.  Both must give the same Betti table over Q, GF(2) and
+GF(32003), on seeded squarefree ideals at mu 10-12 and on seeded
+six-variable ideals at mu 14, above the oracle's default bound.  Each
+critical family lies inside its strand and keeps the strand's Euler
+characteristic.
+
+``verify_resolution_report`` certifies a vertex set's faces acyclic
+when they form a cone over the set's first-ranked member, and ranks
+them otherwise.  On Lyubeznik faces the certificate always holds, so no
+rank is taken; on other families the ranks must give the dense route's
+verdict, and on random simplicial complexes a cone must be acyclic.
+"""
+
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import lyubeznik.oracle as oracle
+from lyubeznik import (all_orders, sweep_ideals, taylor_betti,
+                       verify_resolution_report)
+from lyubeznik.oracle import (_acyclic_verdicts, _cones, _critical_strands,
+                              _rank_function)
+from lyubeznik.subsets import tables_for
+
+from conftest import exponent_ideal
+from reference_routes import full_strand_betti, full_strands
+from test_linalg import fraction_rank
+from test_oracle_routes import FIELDS, dense_homology
+from test_preserved_kernel import seeded_ideal
+
+
+def seeded_squarefree(mu, seed, nvars=10):
+    """mu squarefree generators of degree 2-3, none dividing another."""
+    rng = random.Random(seed)
+    supports = []
+    while len(supports) < mu:
+        s = frozenset(rng.sample(range(nvars), rng.choice((2, 3))))
+        if not any(s <= t or t <= s for t in supports):
+            supports.append(s)
+    return exponent_ideal([tuple(int(v in s) for v in range(nvars))
+                           for s in supports])
+
+
+def euler(by_size):
+    return sum((-1) ** t * len(masks) for t, masks in by_size.items())
+
+
+def check_critical_families(ideal):
+    full = full_strands(ideal)
+    critical = _critical_strands(ideal)
+    for exps, by_size in critical.items():
+        strand = full[exps]
+        assert sum(map(len, by_size.values())) <= \
+            sum(map(len, strand.values())), exps
+        for t, masks in by_size.items():
+            assert set(masks) <= set(strand[t]), (exps, t)
+        assert euler(by_size) == euler(strand), exps
+    for exps in full.keys() - critical.keys():
+        assert euler(full[exps]) == 0, exps
+
+
+@pytest.mark.parametrize("mu", [10, 11, 12])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_reduced_strands_match_full_strands(mu, seed):
+    ideal = seeded_squarefree(mu, seed)
+    for prime in FIELDS:
+        assert taylor_betti(ideal, prime=prime) == \
+            full_strand_betti(ideal, prime), prime
+    check_critical_families(ideal)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_reduced_strands_match_full_strands_above_the_bound(seed):
+    ideal = seeded_ideal(14, seed)
+    for prime in FIELDS:
+        assert taylor_betti(ideal, prime=prime, max_generators=14) == \
+            full_strand_betti(ideal, prime), prime
+    check_critical_families(ideal)
+
+
+def taylor_euler(ideal):
+    """{a: sum over lcm S = a of (-1)^|S|}, nonzero entries only."""
+    tables = tables_for(ideal)
+    chi = {}
+    for mask in range(1, tables.size):
+        exps = tables.lcm_exps[mask]
+        chi[exps] = chi.get(exps, 0) + (-1) ** mask.bit_count()
+    return {a: c for a, c in chi.items() if c}
+
+
+def betti_euler(table):
+    """{a: sum over i > 0 of (-1)^i beta_{i,a}}, nonzero entries only."""
+    chi = {}
+    for (i, exps), b in table.multigraded_raw.items():
+        if i:
+            chi[exps] = chi.get(exps, 0) + (-1) ** i * b
+    return {a: c for a, c in chi.items() if c}
+
+
+def test_betti_table_keeps_the_taylor_euler_characteristic_at_mu_14():
+    ideal = seeded_ideal(14, 2)
+    table = taylor_betti(ideal, max_generators=14)
+    assert betti_euler(table) == taylor_euler(ideal)
+
+
+def refuse_ranks(*args):
+    raise AssertionError("a vertex set reached the rank fallback")
+
+
+def test_lyubeznik_faces_never_reach_the_rank_fallback(monkeypatch):
+    monkeypatch.setattr(oracle, "_acyclic", refuse_ranks)
+    for name, ideal in sweep_ideals():
+        for ordered in all_orders(ideal, max_exhaustive=ideal.mu):
+            assert all(ok for _, ok in verify_resolution_report(ordered)), \
+                (name, ordered.order)
+
+
+def masks(*faces):
+    return [sum(1 << (i - 1) for i in face) for face in faces]
+
+
+def dense_acyclic(face_masks, vset):
+    by_size = {}
+    for m in sorted(face_masks):
+        if m & vset == m:
+            face = tuple(b + 1 for b in range(vset.bit_length()) if m >> b & 1)
+            by_size.setdefault(len(face), []).append(face)
+    return not dense_homology(by_size, fraction_rank)
+
+
+HAND_BUILT = [
+    # the hollow triangle: {2,3} has no partner {1,2,3}, and H~_1 = 1
+    (masks((), (1,), (2,), (3,), (1, 2), (1, 3), (2, 3)), 0b111, 1, False),
+    # a vertex beside an edge: {3} has no partner {1,3}, and H~_0 = 1
+    (masks((), (1,), (2,), (3,), (1, 2)), 0b111, 1, False),
+    # the path 1-2-3 over its end: {3} has no partner {1,3}, yet the
+    # path is contractible
+    (masks((), (1,), (2,), (3,), (1, 2), (2, 3)), 0b111, 1, True),
+]
+
+
+@pytest.mark.parametrize("family,vset,apex,acyclic", HAND_BUILT)
+def test_non_cones_reach_the_rank_fallback(monkeypatch, family, vset, apex,
+                                           acyclic):
+    calls = []
+    ranked = oracle._acyclic
+    monkeypatch.setattr(oracle, "_acyclic",
+                        lambda *args: calls.append(args) or ranked(*args))
+    vertex_sets, apexes = np.array([vset]), np.array([apex])
+    assert not _cones(family, 3, vertex_sets, apexes)[0]
+    verdicts = _acyclic_verdicts(family, 3, vertex_sets, apexes,
+                                 _rank_function(None))
+    assert len(calls) == 1
+    assert verdicts == [acyclic] == [dense_acyclic(family, vset)]
+
+
+def test_a_cone_takes_no_rank(monkeypatch):
+    # the path 1-2-3 is a cone over its middle vertex
+    monkeypatch.setattr(oracle, "_acyclic", refuse_ranks)
+    path = masks((), (1,), (2,), (3,), (1, 2), (2, 3))
+    assert _acyclic_verdicts(path, 3, np.array([0b111]), np.array([0b010]),
+                             _rank_function(None)) == [True]
+
+
+@st.composite
+def complexes_with_vertex_sets(draw):
+    """A simplicial complex on at most six vertices, as face masks, and
+    a vertex set with one of its members as the apex."""
+    n = draw(st.integers(1, 6))
+    tops = draw(st.sets(st.integers(0, (1 << n) - 1), max_size=8))
+    family = {0}
+    for top in tops:
+        sub = top
+        while sub:
+            family.add(sub)
+            sub = (sub - 1) & top
+    vset = draw(st.integers(1, (1 << n) - 1))
+    apex = 1 << draw(st.sampled_from(
+        [b for b in range(n) if vset >> b & 1]))
+    return n, sorted(family), vset, apex
+
+
+@settings(max_examples=300)
+@given(complexes_with_vertex_sets())
+def test_a_cone_is_acyclic_on_random_complexes(case):
+    n, family, vset, apex = case
+    vertex_sets, apexes = np.array([vset]), np.array([apex])
+    acyclic = dense_acyclic(family, vset)
+    if _cones(family, n, vertex_sets, apexes)[0]:
+        assert acyclic
+    assert _acyclic_verdicts(family, n, vertex_sets, apexes,
+                             _rank_function(None)) == [acyclic]
