@@ -6,8 +6,11 @@ and no content that depends on hashing or scheduling.  It comes from
 this module's own writer, ``_json_text``, whose bytes are identical to
 ``json.dumps(payload, sort_keys=True, indent=2)``; with an indent,
 ``json.dumps`` runs CPython's pure-Python encoder, which took about
-two thirds of a ``covers`` call on a 12-generator ideal.  Exit codes:
-0 success, 1 bad input, 2 a size threshold refused the computation.
+two thirds of a ``covers`` call on a 12-generator ideal.  The writer
+reuses the text of any tuple or dict met again at the same depth, and
+``covers`` shares one entry per distinct cover among the generators it
+covers, so each distinct cover is written once.  Exit codes: 0 success,
+1 bad input, 2 a size threshold refused the computation.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .oracle import (taylor_betti, verify_chain_complex,
                      verify_resolution_report)
 from .orders import (DEFAULT_MAX_EXHAUSTIVE, OrderedIdeal, identity_order,
                      parse_order)
-from .subsets import indices_of, tables_for
+from .subsets import tables_for
 
 
 class _Parser(argparse.ArgumentParser):
@@ -96,33 +99,37 @@ def _json_text(payload: dict) -> str:
 
     With an indent, CPython encodes in pure Python.  This writer appends
     parts to one list and joins it once; a list or tuple of ints is one
-    join, and the text of an int tuple met again at the same depth is
-    reused.  Only dicts with str keys, lists, tuples, str, int, bool and
-    None are written; any other type raises ``TypeError``, so the output
-    can never silently differ from ``json.dumps``.
+    join, and the text of a non-empty tuple or dict met again at the
+    same depth is reused, so a payload that shares a container among
+    its entries has it written once.  Only dicts with str keys, lists,
+    tuples, str, int, bool and None are written; any other type raises
+    ``TypeError``, so the output can never silently differ from
+    ``json.dumps``.
     """
     parts: list[str] = []
     append = parts.append
-    # keyed by id, not value: (1, True) == (1, 1), but their texts differ;
-    # the payload keeps every tuple alive, so no id is reused meanwhile
-    seen: dict[tuple[int, int], str] = {}
-
-    def ints(value, depth: int) -> str | None:
-        """The text of a list or tuple of ints; None if it holds others."""
-        key = (depth, id(value)) if type(value) is tuple else None
-        text = seen.get(key)
-        if text is None:
-            if not all(type(v) is int for v in value):
-                return None
-            inner = "\n" + "  " * (depth + 1)
-            text = ("[" + inner + ("," + inner).join(map(int.__repr__, value))
-                    + "\n" + "  " * depth + "]")
-            if key is not None:
-                seen[key] = text
-        return text
+    # (depth, id) of a tuple or dict -> the slice of parts its text
+    # filled when first met, replaced by the joined text once it is met
+    # again; a text written once is never copied.  Keyed by id, not
+    # value: (1, True) == (1, 1), but their texts differ; the payload
+    # keeps every container alive, so no id is reused meanwhile.
+    seen: dict[tuple[int, int], tuple[int, int] | str] = {}
 
     def write(value, depth: int) -> None:
-        if isinstance(value, str):
+        # containers that may be shared first: a large payload is mostly
+        # entries met again
+        if isinstance(value, (tuple, dict)) and value:
+            key = (depth, id(value))
+            known = seen.get(key)
+            if known is None:
+                start = len(parts)
+                write_container(value, depth)
+                seen[key] = (start, len(parts))
+            else:
+                if type(known) is tuple:
+                    known = seen[key] = "".join(parts[known[0]:known[1]])
+                append(known)
+        elif isinstance(value, str):
             append(encode_basestring_ascii(value))
         elif value is None:
             append("null")
@@ -132,23 +139,16 @@ def _json_text(payload: dict) -> str:
             append("false")
         elif isinstance(value, int):
             append(int.__repr__(value))
-        elif isinstance(value, (list, tuple)):
-            text = ints(value, depth) if value else "[]"
-            if text is not None:
-                append(text)
-            else:
-                inner = "\n" + "  " * (depth + 1)
-                sep = "[" + inner
-                for item in value:
-                    append(sep)
-                    write(item, depth + 1)
-                    sep = "," + inner
-                append("\n" + "  " * depth + "]")
-        elif isinstance(value, dict):
-            if not value:
-                append("{}")
-                return
-            inner = "\n" + "  " * (depth + 1)
+        elif isinstance(value, list) and value:
+            write_container(value, depth)
+        elif isinstance(value, (list, tuple, dict)):
+            append("{}" if isinstance(value, dict) else "[]")
+        else:
+            raise TypeError(f"cannot write {type(value).__name__} as JSON")
+
+    def write_container(value, depth: int) -> None:
+        inner = "\n" + "  " * (depth + 1)
+        if isinstance(value, dict):
             sep = "{" + inner
             for key in sorted(value):
                 # raises TypeError on a key that is not a str
@@ -156,8 +156,16 @@ def _json_text(payload: dict) -> str:
                 write(value[key], depth + 1)
                 sep = "," + inner
             append("\n" + "  " * depth + "}")
+        elif all(type(v) is int for v in value):
+            append("[" + inner + ("," + inner).join(map(int.__repr__, value))
+                   + "\n" + "  " * depth + "]")
         else:
-            raise TypeError(f"cannot write {type(value).__name__} as JSON")
+            sep = "[" + inner
+            for item in value:
+                append(sep)
+                write(item, depth + 1)
+                sep = "," + inner
+            append("\n" + "  " * depth + "]")
 
     write(payload, 0)
     return "".join(parts)
@@ -171,19 +179,27 @@ def _json_text(payload: dict) -> str:
 def _cmd_covers(args):
     ideal = read_ideal(args.path)
     ordered = _ordered(args, ideal)
-    eminimal = cover_table(ideal).by_generator
+    table = cover_table(ideal)
     listing = cover_listing(ideal)
     covered = tables_for(ideal).covered_mask
-    # each mask's (members, covered) tuples are made once and shared by
-    # every generator the mask covers
-    tuples = {m: (indices_of(m), indices_of(covered[m]))
-              for m in set().union(*listing)}
+    # the index tuple of every mask, by doubling over the bits
+    tuples = [()]
+    for b in range(1, ideal.mu + 1):
+        tuples += [t + (b,) for t in tuples]
+
+    # one entry per (mask, E-minimal flag), shared by every generator
+    # the mask covers, so that the writer writes it once
+    def entries(masks, flag: bool) -> dict[int, dict]:
+        return {m: {"members": tuples[m], "covered": tuples[covered[m]],
+                    "eminimal": flag} for m in masks}
+
+    plain = entries(set().union(*listing), False)
+    marked = entries(table.eminimal, True)
     per_gen = []
     for u, masks in enumerate(listing, 1):
-        flagged = set(eminimal[u - 1])
-        entries = [{"members": tuples[m][0], "covered": tuples[m][1],
-                    "eminimal": m in flagged} for m in masks]
-        per_gen.append({"generator": u, "covers": entries})
+        flagged = set(table.by_generator[u - 1])
+        per_gen.append({"generator": u, "covers": [
+            marked[m] if m in flagged else plain[m] for m in masks]})
     clutter = [list(edge) for edge in cover_clutter(ordered).canonical_edges()]
     payload = {"ideal": _ideal_payload(ideal), "order": list(ordered.order),
                "covers": per_gen, "clutter": clutter}

@@ -15,9 +15,11 @@ the minimality tests, obstruction and order scanner of ``invariants``
 all read this one table.  Downstream, an order gives a minimal
 resolution exactly when none of these sets is preserved.
 
-``cover_listing`` sorts the masks that cover anything once, by size
-then lexicographically, and filters them per generator; ``covers_of``
-and the ``covers`` command both read it.
+``cover_listing`` orders the masks that cover anything once, by size
+then lexicographically, with one numpy ``lexsort``, and filters them
+per generator with one boolean array per bit; ``covers_of`` and the
+``covers`` command read it, and ``e_minimal_covers_of`` orders its
+covers the same way.
 
 Enumeration walks all 2^mu subsets via the shared bitmask tables, which
 is exact and fast at the sizes this package targets; it refuses above
@@ -31,9 +33,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
+import numpy as np
+
 from .monomials import BoundExceededError, MonomialIdeal
 from .orders import OrderedIdeal
-from .subsets import indices_of, iter_bits, mask_of, tables_for
+from .subsets import indices_of, iter_bits, mask_of, popcounts, tables_for
 
 MAX_ENUMERATION_GENERATORS = 12
 
@@ -86,9 +90,15 @@ def complete_cover(members, ideal: MonomialIdeal) -> frozenset[int]:
     return frozenset(indices_of(tables_for(ideal).divisor_mask[mask]))
 
 
-def _by_size_then_members(mask: int) -> tuple[int, tuple[int, ...]]:
-    # (size, members) is distinct for distinct masks
-    return mask.bit_count(), indices_of(mask)
+def _by_size_then_members(masks: np.ndarray, mu: int) -> np.ndarray:
+    """The distinct masks by size, then lexicographically by members."""
+    # read with generator 1 as the most significant bit, the members
+    # ascend lexicographically exactly when that number descends
+    reversed_bits = np.zeros_like(masks)
+    for b in range(mu):
+        reversed_bits |= (masks >> b & 1) << (mu - 1 - b)
+    # lexsort's last key is the primary one
+    return masks[np.lexsort((-reversed_bits, popcounts(mu)[masks]))]
 
 
 def _wrap(masks: Iterable[int], ideal: MonomialIdeal) -> tuple[Cover, ...]:
@@ -103,15 +113,16 @@ def cover_listing(ideal: MonomialIdeal, *,
     """The masks that cover each generator, by size then lexicographically.
 
     Entry ``u - 1`` lists the covers of generator u.  The masks that
-    cover anything are sorted once and filtered per generator.
+    cover anything are ordered once and filtered per generator, all in
+    numpy.
     """
     _check_enumeration_bound(ideal, max_generators)
     tables = tables_for(ideal)
-    covered = tables.covered_mask
-    ordered = sorted(filter(covered.__getitem__, range(tables.size)),
-                     key=_by_size_then_members)
-    return tuple(tuple(m for m in ordered if covered[m] & bit)
-                 for bit in (1 << b for b in range(tables.mu)))
+    covered = np.array(tables.covered_mask, np.int64)
+    masks = _by_size_then_members(np.flatnonzero(covered), tables.mu)
+    covered = covered[masks]
+    return tuple(tuple(masks[covered & (1 << b) != 0].tolist())
+                 for b in range(tables.mu))
 
 
 def covers_of(u: int, ideal: MonomialIdeal, *,
@@ -186,8 +197,8 @@ def e_minimal_covers_of(u: int, ideal: MonomialIdeal, *,
     table = cover_table(ideal, max_generators=max_generators)
     if not 1 <= u <= ideal.mu:
         raise ValueError(f"generator {u} is not in 1..{ideal.mu}")
-    return _wrap(sorted(table.by_generator[u - 1], key=_by_size_then_members),
-                 ideal)
+    masks = np.array(table.by_generator[u - 1], np.int64)
+    return _wrap(_by_size_then_members(masks, ideal.mu).tolist(), ideal)
 
 
 @dataclass(frozen=True)

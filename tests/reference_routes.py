@@ -31,7 +31,10 @@ against the monomials.
 * ``full_strands`` and ``full_strand_betti``: every nonempty mask
   grouped by lcm and then by size, and the Betti numbers from the
   homology of these whole Taylor strands, the route the Morse-reduced
-  strands (``oracle._critical_strands``) replaced.
+  strands (``oracle._critical_strands``) replaced;
+* ``cover_listing``: the masks that cover anything, sorted by a Python
+  key (size, then member tuple) and filtered per generator, the route
+  the numpy listing (``covers.cover_listing``) replaced.
 """
 
 from dataclasses import dataclass
@@ -230,3 +233,13 @@ def full_strand_betti(ideal, prime=None):
         for t, h in _strand_homology(by_size, rank).items():
             counts[(t, exps)] = h
     return BettiTable.from_multigraded(QUOTIENT, ideal.context, counts)
+
+
+def cover_listing(ideal):
+    """Entry u - 1: the masks that cover generator u, by size then members."""
+    tables = tables_for(ideal)
+    covered = tables.covered_mask
+    ordered = sorted((m for m in range(tables.size) if covered[m]),
+                     key=lambda m: (m.bit_count(), indices_of(m)))
+    return tuple(tuple(m for m in ordered if covered[m] >> b & 1)
+                 for b in range(tables.mu))

@@ -4,11 +4,16 @@ routes they replaced.
 * JSON: ``cli._json_text`` against ``json.dumps(..., sort_keys=True,
   indent=2)`` on every subcommand's payload for the corpus, and on
   hypothesis-generated nested payloads.
+  The writer reuses the text of a tuple or dict met again at one
+  depth, so shared containers are checked by hand cases and by
+  hypothesis, and a seeded 12-generator ``covers`` payload, whose
+  generators share most of their entries, is checked whole.
 * Covers: the ``lyubeznik covers`` output, built from the mask tables,
   against a payload built from the ``Cover`` objects of ``covers_of``
-  and ``e_minimal_covers_of``; and the listing order against the
-  subsets of each size in lexicographic order, tested with
-  ``is_cover_of``.
+  and ``e_minimal_covers_of``; the listing order against the subsets
+  of each size in lexicographic order, tested with ``is_cover_of``;
+  and the numpy ``cover_listing`` against the Python sort it replaced
+  (``reference_routes.cover_listing``).
 """
 
 import contextlib
@@ -26,8 +31,12 @@ from lyubeznik import (all_ideals, covers_of, e_minimal_covers_of,
                        identity_order, is_cover_of)
 from lyubeznik.cli import _json_text, build_parser, main
 from lyubeznik.corpus import _data_dir
+from lyubeznik.covers import cover_listing
+from lyubeznik.subsets import mask_of
 
+from reference_routes import cover_listing as python_cover_listing
 from test_cli_digests import cases
+from test_preserved_kernel import seeded_ideal
 from test_scan_kernel import exponent_rows, small_ideal
 
 
@@ -77,6 +86,56 @@ def test_writer_reuses_a_tuple_at_two_depths(shared, other):
     # and next to a tuple equal to it that holds a bool in place of 1
     payload = {"a": shared, "b": [shared, {"c": shared}], "d": [shared, shared],
                "e": other, "f": [(1, 1), (1, True), (1, 1)]}
+    assert _json_text(payload) == reference_text(payload)
+
+
+@settings(max_examples=100)
+@given(st.dictionaries(TEXT, PAYLOADS, min_size=1, max_size=3),
+       st.lists(INTS | st.booleans(), min_size=1, max_size=4).map(tuple),
+       PAYLOADS)
+def test_writer_reuses_a_dict_at_every_depth(shared, inner, other):
+    # one dict object at depths 1, 2 and 3 and twice at one depth, and a
+    # shared dict that holds a shared tuple
+    holder = {"t": inner, "u": [inner, shared]}
+    payload = {"a": shared, "b": [shared, {"c": shared}], "d": [shared, shared],
+               "e": holder, "f": [holder, (inner, holder)], "g": other}
+    assert _json_text(payload) == reference_text(payload)
+
+
+ONE_DICT = {"k": [1, "x"], "m": (2, 3)}
+INT_TUPLE = (1, 2)
+HOLDER = {"t": INT_TUPLE, "u": [INT_TUPLE]}
+MIXED_TUPLE = ("a", None, (1, True), {"x": "y"}, [2])
+ONE, TRUE = {"x": 1}, {"x": True}
+
+
+@pytest.mark.parametrize("payload", [
+    {"a": ONE_DICT, "b": [ONE_DICT, {"c": ONE_DICT}], "d": [ONE_DICT, ONE_DICT]},
+    {"a": [HOLDER, HOLDER], "b": INT_TUPLE, "c": {"d": HOLDER}},
+    {"a": MIXED_TUPLE, "b": [MIXED_TUPLE, MIXED_TUPLE],
+     "c": (MIXED_TUPLE, MIXED_TUPLE)},
+    {"p": [ONE, TRUE, ONE, TRUE, ONE, TRUE], "q": {"r": ONE, "s": TRUE}},
+    {"a": [(), (), {}, {}], "b": {"c": (), "d": {}}, "e": ((), {}, (), {})},
+], ids=["one-dict", "dict-holding-tuple", "non-int-tuple", "int-next-to-bool",
+        "empty-containers"])
+def test_writer_reuses_shared_containers(payload):
+    assert _json_text(payload) == reference_text(payload)
+
+
+def covers_payload(ideal, directory):
+    path = os.path.join(directory, "seeded.ideal")
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(ideal_file_text(ideal))
+    args = build_parser().parse_args(["covers", "--format", "json", path])
+    payload, _ = args.handler(args)
+    return {"schema": 1, "command": args.command, **payload}
+
+
+def test_writer_matches_json_dumps_on_a_mu_12_covers_payload(tmp_path):
+    payload = covers_payload(seeded_ideal(12, 0), tmp_path)
+    entries = [e for block in payload["covers"] for e in block["covers"]]
+    # the generators share most entries, so the writer reuses most texts
+    assert 2 * len({id(e) for e in entries}) < len(entries)
     assert _json_text(payload) == reference_text(payload)
 
 
@@ -149,3 +208,29 @@ def test_covers_payload_matches_the_cover_objects_on_random_ideals(rows):
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(ideal_file_text(ideal))
         check_covers(ideal, path)
+
+
+# -- the listing against the Python sort --------------------------------------
+
+def test_cover_listing_matches_the_python_sort_on_the_corpus():
+    for name, ideal in all_ideals():
+        listing = python_cover_listing(ideal)
+        assert cover_listing(ideal) == listing, name
+        # the E-minimal covers come in the listing's order too
+        for u, masks in enumerate(listing, 1):
+            eminimal = [mask_of(c.members) for c in e_minimal_covers_of(u, ideal)]
+            assert eminimal == [m for m in masks if m in set(eminimal)], (name, u)
+
+
+@settings(max_examples=60)
+@given(st.integers(2, 4).flatmap(exponent_rows))
+def test_cover_listing_matches_the_python_sort_on_random_ideals(rows):
+    ideal = small_ideal(rows, max_mu=9)
+    assert cover_listing(ideal) == python_cover_listing(ideal)
+
+
+@pytest.mark.parametrize("mu,seed", [(11, 0), (11, 1), (12, 0), (12, 1)])
+def test_cover_listing_matches_the_python_sort_at_mu_11_and_12(mu, seed):
+    ideal = seeded_ideal(mu, seed)
+    assert (cover_listing(ideal, max_generators=12)
+            == python_cover_listing(ideal))
