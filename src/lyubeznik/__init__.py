@@ -28,9 +28,8 @@ from .monomials import (BoundExceededError, MinimizationWarning, Monomial,
                         radical_ideal, read_ideal, support, total_degree)
 from .oracle import (taylor_betti, verify_chain_complex, verify_resolution,
                      verify_resolution_report)
-from .orders import (OrderedIdeal, all_orders, courts_first_orders,
-                     identity_order, orders_for_search, parse_order,
-                     possible_courts)
+from .orders import (OrderedIdeal, all_orders, identity_order,
+                     orders_for_search, parse_order)
 
 __version__ = "0.1.0"
 
@@ -44,17 +43,17 @@ __all__ = [
     "admissible_symbols", "all_graphs", "all_ideals", "all_orders", "analyze",
     "ara_bounds", "betti_from_preserved", "check_graph_propositions",
     "classification_census", "classify_subset", "complete_cover",
-    "courts_first_orders", "cover_clutter", "covers_of", "divides",
-    "e_minimal_covers_of", "edge_ideal", "equivalence_audit", "graph_names",
-    "height", "ideal_names", "identity_order", "inadmissible_symbols",
-    "is_admissible_symbol", "is_almost_lyubeznik", "is_broken", "is_cover_of",
-    "is_lyubeznik", "is_minimal_resolution", "is_preserved",
-    "is_stable_symbol", "is_totally_lyubeznik", "l_length", "lcm_of",
-    "load_graph", "load_ideal", "longest_path_edges", "lyubeznik_complex",
-    "min_l_length", "minimize_generators", "obstruction", "orders_for_search",
-    "parse_graph", "parse_ideal", "parse_order", "possible_courts",
-    "preserved_size", "radical_generators", "radical_ideal", "read_graph",
-    "read_ideal", "search_scan", "support", "sweep_ideals", "symbol_of",
-    "taylor_betti", "total_degree", "total_obstruction",
-    "verify_chain_complex", "verify_resolution", "verify_resolution_report",
+    "cover_clutter", "covers_of", "divides", "e_minimal_covers_of",
+    "edge_ideal", "equivalence_audit", "graph_names", "height", "ideal_names",
+    "identity_order", "inadmissible_symbols", "is_admissible_symbol",
+    "is_almost_lyubeznik", "is_broken", "is_cover_of", "is_lyubeznik",
+    "is_minimal_resolution", "is_preserved", "is_stable_symbol",
+    "is_totally_lyubeznik", "l_length", "lcm_of", "load_graph", "load_ideal",
+    "longest_path_edges", "lyubeznik_complex", "min_l_length",
+    "minimize_generators", "obstruction", "orders_for_search", "parse_graph",
+    "parse_ideal", "parse_order", "preserved_size", "radical_generators",
+    "radical_ideal", "read_graph", "read_ideal", "search_scan", "support",
+    "sweep_ideals", "symbol_of", "taylor_betti", "total_degree",
+    "total_obstruction", "verify_chain_complex", "verify_resolution",
+    "verify_resolution_report",
 ]

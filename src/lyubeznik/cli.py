@@ -249,9 +249,8 @@ def _cmd_complex(args):
 def _cmd_analyze(args):
     ideal = read_ideal(args.path)
     ordered = _ordered(args, ideal)
-    report = analyze(ordered, search_mode=args.search,
-                     max_exhaustive=args.max_exhaustive, jobs=args.jobs,
-                     prime=args.field)
+    report = analyze(ordered, search=args.search is not None,
+                     max_exhaustive=args.max_exhaustive, prime=args.field)
     payload = {"ideal": _ideal_payload(ideal), "order": list(report.order),
                "minimal": report.minimal, "obsL": report.obstruction,
                "l_length": report.l_length, "ps": report.ps,
@@ -288,18 +287,15 @@ def _cmd_analyze(args):
     return payload, text
 
 
-def _verdict_text(value: bool | None) -> str:
-    if value is None:
-        return "undetermined"
+def _verdict_text(value: bool) -> str:
     return "yes" if value else "no"
 
 
 def _cmd_search(args):
     ideal = read_ideal(args.path)
-    scan = search_scan(ideal, args.search, max_exhaustive=args.max_exhaustive,
-                       jobs=args.jobs)
+    scan = search_scan(ideal, max_exhaustive=args.max_exhaustive)
     count = scan.minimal_count
-    payload = {"ideal": _ideal_payload(ideal), "mode": scan.mode,
+    payload = {"ideal": _ideal_payload(ideal), "mode": args.search,
                "exact": scan.exact, "scanned": scan.scanned,
                "tobsL": scan.tobsl, "L": scan.min_l, "ps_min": scan.min_l,
                "lyubeznik": scan.lyubeznik, "witness": list(scan.tobsl_witness),
@@ -307,8 +303,7 @@ def _cmd_search(args):
 
     def text() -> list[str]:
         lines = [f"ideal: {ideal}",
-                 f"mode: {scan.mode} ({'exact' if scan.exact else 'heuristic'}, "
-                 f"{scan.scanned} orders)",
+                 f"mode: {args.search} (exact, {scan.scanned} orders)",
                  f"total obstruction: {scan.tobsl}",
                  f"min resolution length: {scan.min_l}",
                  f"min preserved size: {scan.min_l}",
@@ -424,16 +419,18 @@ def build_parser() -> argparse.ArgumentParser:
         if order:
             p.add_argument("--order", metavar="i1,i2,...",
                            help="generator order override (1-based indices)")
-        if search:
-            p.add_argument("--search", choices=("exhaustive", "courts-first"),
+        if search and not graph:
+            p.add_argument("--search", choices=("exhaustive",),
                            default=None if name == "analyze" else "exhaustive",
                            help="order search mode")
+        if search:
             p.add_argument("--max-exhaustive", type=_positive_int,
                            default=DEFAULT_MAX_EXHAUSTIVE, metavar="MU",
                            help="largest generator count searched exhaustively")
             p.add_argument("--jobs", type=_positive_int, default=1,
-                           help="parallel worker processes for courts-first "
-                                "scans (the exhaustive search runs in one)")
+                           help="has no effect: every search runs in one "
+                                "process; kept so that command lines that "
+                                "pass it still parse")
         if field:
             p.add_argument("--field", type=_field, default="q",
                            metavar="q|p:<prime>",
@@ -456,17 +453,11 @@ def build_parser() -> argparse.ArgumentParser:
     add("radical-gens", _cmd_radical_gens,
         "polynomials generating the ideal up to radical", order=True)
     graph_p = add("graph", _cmd_graph, "edge-ideal tools for simple graphs",
-                  graph=True)
+                  search=True, graph=True)
     graph_p.add_argument("--edge-ideal", action="store_true",
                          help="emit the edge ideal in ideal-file syntax")
     graph_p.add_argument("--check-props", action="store_true",
                          help="evaluate the graph-family statements")
-    graph_p.add_argument("--max-exhaustive", type=_positive_int,
-                         default=DEFAULT_MAX_EXHAUSTIVE, metavar="MU")
-    graph_p.add_argument("--jobs", type=_positive_int, default=1,
-                         help="has no effect: the checks search every "
-                              "order in one process; kept so that command "
-                              "lines written for search still parse")
     return parser
 
 

@@ -8,8 +8,8 @@ taking subsets, so they form a simplicial complex: the Lyubeznik
 complex of the ordered ideal.
 
 The broken and preserved sets of every subset are computed by one
-numpy kernel, ``PreservedKernel``, which the order search also runs on
-blocks of orders.  Two predicates are deliberately implemented along
+numpy kernel, ``PreservedKernel``, which the tests' checking scan of
+all orders also runs on blocks of orders.  Two predicates are deliberately implemented along
 independent routes and compared by tests:
 
 * ``is_preserved`` reads the kernel's table (a set is preserved iff no

@@ -163,7 +163,7 @@ def check_graph_propositions(graph: SimpleGraph, *,
     ideal = edge_ideal(graph)
     path_edges = longest_path_edges(graph)
     # one search, which looks for a minimal and for a non-minimal order
-    scan = search_scan(ideal, "exhaustive", max_exhaustive=max_exhaustive)
+    scan = search_scan(ideal, max_exhaustive=max_exhaustive)
     totally, lyubeznik = scan.totally_lyubeznik, scan.lyubeznik
     return (
         PropositionCheck("no-path-of-3-edges-implies-totally-lyubeznik",

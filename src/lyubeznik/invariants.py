@@ -9,51 +9,30 @@ subset-sum closure) live in the tests.
 
 An order search, ``search_scan``, yields the total obstruction, the
 minimal length, the number of minimal orders and the Lyubeznik /
-almost / totally Lyubeznik verdicts, each witness the lexicographically
-least order achieving its value, as one ``SearchResult``.  There are
-two routes:
-
-* the exhaustive search never lists the mu! orders.  Its result is a
-  ``_PrefixSearch``, which answers each question by walks over prefix
-  sets (``prefix``) when the question is first read, so that a caller
-  pays only for what it reads.  It is exact, never stopped early, and
-  counts all mu! orders as scanned;
-* the courts-first heuristic scans its stream of orders.  The words of
-  ``orders.orders_for_search`` are joined into int8 blocks of
-  ``DEFAULT_CHUNK`` orders, optionally scanned by ``--jobs`` worker
-  processes and merged in stream order, and ``_BlockScanner`` runs
-  ``complexes.PreservedKernel`` on each block.  The length and the
-  obstruction of every order are read off the bit-packed unpreserved
-  sets it returns, by ANDs over the packed words; only one bit per
-  (size, order) is unpacked.  A stop policy may end the scan early.
-  The same scan over all mu! orders is the checking route of the
-  prefix search in the tests.
+almost / totally Lyubeznik verdicts over all mu! orders, each witness
+the lexicographically least order achieving its value, as one
+``SearchResult``.  It never lists the orders: it answers each question
+by walks over prefix sets (``prefix``) when the question is first read,
+so that a caller pays only for what it reads.  Its checking route in
+the tests scans every order with ``complexes.PreservedKernel``.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from contextlib import closing
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations, islice
+from itertools import combinations
 from math import factorial
-from typing import Iterator, Sequence
-
-import numpy as np
 
 from .betti import QUOTIENT, BettiTable
-from .complexes import PreservedKernel, order_analysis
+from .complexes import order_analysis
 from .covers import cover_table
 from .monomials import MonomialIdeal, radical_ideal, support
 from .oracle import taylor_betti
-from .orders import (DEFAULT_MAX_EXHAUSTIVE, OrderedIdeal, identity_order,
-                     orders_for_search, search_courts)
+from .orders import (DEFAULT_MAX_EXHAUSTIVE, OrderedIdeal, check_search_bound,
+                     identity_order)
 from .prefix import PrefixWalk
-from .subsets import iter_bits, mask_of, popcounts, tables_for
-
-DEFAULT_CHUNK = 4096
+from .subsets import iter_bits, mask_of
 
 
 class NotMinimalError(ValueError):
@@ -176,206 +155,23 @@ def equivalence_audit(ordered: OrderedIdeal) -> EquivalenceAudit:
 # order searches
 
 
-@dataclass(frozen=True)
 class SearchResult:
-    """Aggregates of a search over a stream of orders, and the verdicts
-    they settle.
+    """The aggregates of all mu! orders of an ideal and the verdicts they
+    settle, each computed when first read by ``prefix.PrefixWalk``
+    searches, so that a caller pays only for what it reads: ``graph``
+    the two verdicts, ``analyze`` no positive total obstruction.
 
-    ``exact`` records whether the stream covered all orders;
-    ``stopped_early`` whether an early-exit policy cut the scan short;
-    ``scanned`` how many orders the aggregates cover.  An exhaustive
-    search is exact, never stopped early, and covers all mu! orders.
-    Witnesses are permutation words, always the lexicographically least
-    achieving their value among the scanned prefix.  Each verdict is
-    True or False where the search settles it and None where it cannot.
-    """
-
-    mode: str
-    exact: bool
-    scanned: int
-    stopped_early: bool
-    tobsl: int
-    tobsl_witness: tuple[int, ...]
-    min_l: int
-    min_l_witness: tuple[int, ...]
-    minimal_count: int
-    nonminimal_witness: tuple[int, ...] | None
-
-    @property
-    def lyubeznik(self) -> bool | None:
-        """Some order gives a minimal resolution; refuting it takes a
-        scan of every order (a heuristic cannot certify failure)."""
-        if self.tobsl == 0:
-            return True
-        return False if self.exact and not self.stopped_early else None
-
-    @property
-    def totally_lyubeznik(self) -> bool | None:
-        """Every order gives a minimal resolution; None on a heuristic
-        stream, even when it holds a non-minimal order."""
-        if not self.exact or (self.stopped_early
-                              and self.nonminimal_witness is None):
-            return None
-        return self.nonminimal_witness is None
-
-    def almost_lyubeznik(self, projdim: int) -> bool | None:
-        """The least resolution length meets ``projdim``, the projective
-        dimension of R/I; None unless every order was scanned."""
-        if self.exact and not self.stopped_early:
-            return self.min_l == projdim
-        return None
-
-
-class _BlockScanner:
-    """Per-order invariants of blocks of words for one ideal.
-
-    The unpreserved sets come bit packed from ``PreservedKernel``, and
-    both invariants are ANDs over them that are unpacked only at the
-    end, one bit per (row, order):
-
-    * length: the preserved sets are closed under taking subsets, so an
-      order's length is the number of sizes k >= 1 at which some k-set
-      is preserved.  The masks are gathered sorted by popcount and one
-      ``np.bitwise_and.reduceat`` over the size levels says, per order,
-      whether every k-set is unpreserved;
-    * obstruction: the largest edge size k of the cover clutter at which
-      not every k-edge is unpreserved, by one AND over each size's edges.
-    """
-
-    def __init__(self, ideal: MonomialIdeal) -> None:
-        tables = tables_for(ideal)
-        self.kernel = PreservedKernel(tables.outside_mask)
-        mu = self.kernel.mu
-        popcount = popcounts(mu)
-        self.by_size = np.argsort(popcount, kind="stable")
-        self.level_starts = np.searchsorted(popcount[self.by_size],
-                                            np.arange(1, mu + 1))
-        by_size: dict[int, list[int]] = {}
-        for m in cover_table(ideal).clutter:
-            by_size.setdefault(m.bit_count(), []).append(m)
-        self.clutter = [np.array(edges, np.intp)
-                        for _, edges in sorted(by_size.items())]
-        self.clutter_sizes = np.array(sorted(by_size), np.int8)[:, None]
-
-    def __call__(self, words: Sequence[tuple[int, ...]] | np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(obstruction, length, minimal) arrays indexed like ``words``.
-
-        ``words`` is a sequence of permutation words or an int8 array of
-        shape (count, mu).
-        """
-        word_arr = np.asarray(words, np.int8).reshape(-1, self.kernel.mu)
-        mu, count = self.kernel.mu, len(word_arr)
-        _, _, unpreserved = self.kernel(word_arr)
-        # bit rows 0 .. mu-1: every set of size 1 .. mu is unpreserved;
-        # then one row per clutter edge size: every such edge is
-        levels = np.bitwise_and.reduceat(unpreserved[self.by_size],
-                                         self.level_starts, axis=0)
-        rows = [levels] + [np.bitwise_and.reduce(unpreserved[edges], axis=0,
-                                                 keepdims=True)
-                           for edges in self.clutter]
-        bits = np.unpackbits(np.concatenate(rows).view(np.uint8), axis=1,
-                             count=count)
-        lengths = mu - bits[:mu].sum(axis=0, dtype=np.int8)
-        if self.clutter:
-            obs = (self.clutter_sizes * (bits[mu:] == 0)).max(axis=0)
-        else:
-            obs = np.zeros(count, np.int8)
-        return obs, lengths, obs == 0
-
-
-# one entry, like the per-ideal tables: a worker process scans blocks
-# of one ideal, and the scanner holds that ideal's kernel scratch
-@lru_cache(maxsize=1)
-def _scanner_for(ideal: MonomialIdeal) -> _BlockScanner:
-    return _BlockScanner(ideal)
-
-
-def _scan_words(ideal: MonomialIdeal, words: Sequence[tuple[int, ...]] | np.ndarray
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-order invariants of one block of words: see ``_BlockScanner``.
-
-    The ``--jobs`` workers run this on every block they receive, so the
-    scanner is built once per worker and ideal.
-    """
-    return _scanner_for(ideal)(words)
-
-
-# stop policies of search_scan: whether the scan so far settles its question
-_STOPS = {
-    None: lambda scan: False,
-    "zero-obstruction": lambda scan: scan.tobsl == 0,
-}
-
-
-def _merge(scan: SearchResult, words: np.ndarray,
-           result: tuple[np.ndarray, np.ndarray, np.ndarray]) -> SearchResult:
-    """``scan`` extended by the next block of words and their invariants;
-    a witness changes only when the block holds a strictly lower value."""
-    obs, lengths, minimal = result
-    j, k = int(np.argmin(obs)), int(np.argmin(lengths))
-    changes = {"scanned": scan.scanned + len(words),
-               "minimal_count": scan.minimal_count + int(minimal.sum())}
-    if obs[j] < scan.tobsl:
-        changes.update(tobsl=int(obs[j]), tobsl_witness=tuple(words[j].tolist()))
-    if lengths[k] < scan.min_l:
-        changes.update(min_l=int(lengths[k]),
-                       min_l_witness=tuple(words[k].tolist()))
-    if scan.nonminimal_witness is None and not minimal.all():
-        changes["nonminimal_witness"] = tuple(
-            words[int(np.argmin(minimal))].tolist())
-    return replace(scan, **changes)
-
-
-def _word_blocks(words: Iterator[bytes], mu: int,
-                 chunk_size: int) -> Iterator[np.ndarray]:
-    """Consecutive chunks of a word stream as int8 (count, mu) arrays."""
-    while True:
-        data = b"".join(islice(words, chunk_size))
-        if not data:
-            return
-        yield np.frombuffer(data, np.int8).reshape(-1, mu)
-
-
-def _scanned_blocks(ideal: MonomialIdeal, blocks: Iterator[np.ndarray],
-                    jobs: int) -> Iterator[tuple[np.ndarray, tuple]]:
-    """(block, per-order invariants) pairs in stream order, scanned here
-    or by a pool of ``jobs`` workers with ``jobs + 2`` blocks in flight;
-    closing the generator cancels the blocks not yet read."""
-    if jobs == 1:
-        scanner = _BlockScanner(ideal)
-        for words in blocks:
-            yield words, scanner(words)
-        return
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        pending: deque = deque()
-        try:
-            for words in blocks:
-                pending.append((words, pool.submit(_scan_words, ideal, words)))
-                if len(pending) >= jobs + 2:
-                    words, future = pending.popleft()
-                    yield words, future.result()
-            while pending:
-                words, future = pending.popleft()
-                yield words, future.result()
-        finally:
-            for _, future in pending:
-                future.cancel()
-
-
-class _PrefixSearch(SearchResult):
-    """The ``SearchResult`` of all mu! orders, each aggregate computed
-    when first read, by ``prefix.PrefixWalk`` searches.
-
-    The fields are properties here, so a caller pays only for what it
-    reads: ``graph`` the two verdicts, ``analyze`` no positive total
-    obstruction.
+    The search answers for every order without listing them: it is
+    ``exact``, never ``stopped_early``, and ``scanned`` is mu!.
+    Witnesses are permutation words, each the lexicographically least
+    order achieving its value.
 
     * the clutter walk's count is ``minimal_count``; its least avoiding
       order is the zero-obstruction witness, and its least preserving
-      order ``nonminimal_witness``.  Both witnesses descend along the
-      count's memo, which is quicker than searching without it, so the
-      clutter walk is counted as soon as it is built;
+      order ``nonminimal_witness`` (None when every order is minimal).
+      Both witnesses descend along the count's memo, which is quicker
+      than searching without it, so the clutter walk is counted as soon
+      as it is built;
     * a positive ``tobsl`` is the least edge size k at which some order
       preserves no clutter edge larger than k, tried k ascending;
     * an order's length is at most k exactly when it preserves no
@@ -388,19 +184,12 @@ class _PrefixSearch(SearchResult):
       some order is shorter.
     """
 
-    mode = "exhaustive"
     exact = True
     stopped_early = False
 
     def __init__(self, ideal: MonomialIdeal) -> None:
         self.ideal = ideal
         self._short: dict[int, tuple[int, ...] | None] = {}
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SearchResult):
-            return NotImplemented
-        return all(getattr(self, f.name) == getattr(other, f.name)
-                   for f in fields(SearchResult))
 
     @cached_property
     def scanned(self) -> int:
@@ -426,11 +215,22 @@ class _PrefixSearch(SearchResult):
 
     @property
     def lyubeznik(self) -> bool:
+        """Some order gives a minimal resolution."""
         return self._minimal is not None
 
     @cached_property
     def nonminimal_witness(self) -> tuple[int, ...] | None:
         return self._edges.first(avoid=False)
+
+    @property
+    def totally_lyubeznik(self) -> bool:
+        """Every order gives a minimal resolution."""
+        return self.nonminimal_witness is None
+
+    def almost_lyubeznik(self, projdim: int) -> bool:
+        """The least resolution length meets ``projdim``, the projective
+        dimension of R/I."""
+        return self.min_l == projdim
 
     @cached_property
     def _tobsl(self) -> tuple[int, tuple[int, ...]]:
@@ -479,93 +279,43 @@ class _PrefixSearch(SearchResult):
         return self._at_most(self.min_l)
 
 
-def search_scan(ideal: MonomialIdeal, mode: str = "exhaustive", *,
-                max_exhaustive: int = DEFAULT_MAX_EXHAUSTIVE, jobs: int = 1,
-                chunk_size: int = DEFAULT_CHUNK,
-                stop_when: str | None = None) -> SearchResult:
-    """The aggregates of the orders a search mode covers.
+def search_scan(ideal: MonomialIdeal, *,
+                max_exhaustive: int = DEFAULT_MAX_EXHAUSTIVE) -> SearchResult:
+    """The aggregates of all mu! orders, each computed when first read.
 
-    The exhaustive search answers for all mu! orders by prefix-set
-    search, each aggregate when first read: it is exact, never stopped
-    early, and ``scanned`` is mu!.  The courts-first stream is scanned
-    in blocks of ``chunk_size`` orders, by ``jobs`` worker processes
-    when more than one, and ``stop_when="zero-obstruction"`` ends that
-    scan once a minimal order is found (its witness is then exact).
-    Blocks are merged in stream order regardless of
-    ``jobs``, so every output is deterministic.  Pass
+    Refuses when mu exceeds ``max_exhaustive``; pass
     ``max_exhaustive=ideal.mu`` to search every order of any ideal.
     """
-    if stop_when not in _STOPS:
-        raise ValueError(f"unknown stop policy {stop_when!r}")
-    if jobs < 1 or chunk_size < 1:
-        raise ValueError(f"jobs and chunk_size must be at least 1, got "
-                         f"jobs={jobs}, chunk_size={chunk_size}")
-    if mode == "exhaustive":
-        search_courts(ideal, mode, max_exhaustive=max_exhaustive)
-        return _PrefixSearch(ideal)
-    return _scan(ideal, mode, max_exhaustive=max_exhaustive, jobs=jobs,
-                 chunk_size=chunk_size, stop_when=stop_when)
+    check_search_bound(ideal, max_exhaustive=max_exhaustive)
+    return SearchResult(ideal)
 
 
-def _scan(ideal: MonomialIdeal, mode: str, *, max_exhaustive: int, jobs: int,
-          chunk_size: int, stop_when: str | None) -> SearchResult:
-    """Scan a mode's stream block by block and aggregate per-order
-    invariants."""
-    stream, exact = orders_for_search(ideal, mode,
-                                      max_exhaustive=max_exhaustive)
-    settled = _STOPS[stop_when]
-    # no obstruction or length exceeds mu: mu + 1 is above every value
-    scan = SearchResult(mode=mode, exact=exact, scanned=0, stopped_early=False,
-                        tobsl=ideal.mu + 1, tobsl_witness=(),
-                        min_l=ideal.mu + 1, min_l_witness=(), minimal_count=0,
-                        nonminimal_witness=None)
-    blocks = _word_blocks(stream, ideal.mu, chunk_size)
-    with closing(_scanned_blocks(ideal, blocks, jobs)) as pairs:
-        for words, result in pairs:
-            scan = _merge(scan, words, result)
-            if settled(scan):
-                scan = replace(scan, stopped_early=True)
-                break
-    if scan.scanned == 0:
-        raise RuntimeError("order stream was empty")
-    return scan
-
-
-def total_obstruction(ideal: MonomialIdeal, search_mode: str = "exhaustive", *,
-                      max_exhaustive: int = DEFAULT_MAX_EXHAUSTIVE,
-                      jobs: int = 1) -> tuple[int, OrderedIdeal]:
-    """Minimum obstruction over the searched orders, with its witness.
-
-    Exact under exhaustive search; under the courts-first heuristic the
-    value is only an upper bound (unless the stream was complete).  The
-    witness is the lexicographically least minimizing order.
-    """
-    scan = search_scan(ideal, search_mode, max_exhaustive=max_exhaustive,
-                       jobs=jobs, stop_when="zero-obstruction")
+def total_obstruction(ideal: MonomialIdeal, *,
+                      max_exhaustive: int = DEFAULT_MAX_EXHAUSTIVE
+                      ) -> tuple[int, OrderedIdeal]:
+    """Minimum obstruction over all orders, with its lexicographically
+    least witness."""
+    scan = search_scan(ideal, max_exhaustive=max_exhaustive)
     return scan.tobsl, OrderedIdeal(ideal, scan.tobsl_witness)
 
 
-def min_l_length(ideal: MonomialIdeal, search_mode: str = "exhaustive", *,
-                 max_exhaustive: int = DEFAULT_MAX_EXHAUSTIVE, jobs: int = 1
+def min_l_length(ideal: MonomialIdeal, *,
+                 max_exhaustive: int = DEFAULT_MAX_EXHAUSTIVE
                  ) -> tuple[int, OrderedIdeal]:
-    """Minimum resolution length over the searched orders, with witness."""
-    scan = search_scan(ideal, search_mode, max_exhaustive=max_exhaustive,
-                       jobs=jobs)
+    """Minimum resolution length over all orders, with witness."""
+    scan = search_scan(ideal, max_exhaustive=max_exhaustive)
     return scan.min_l, OrderedIdeal(ideal, scan.min_l_witness)
 
 
 @dataclass(frozen=True)
 class LyubeznikVerdict:
-    """Outcome of the Lyubeznik-ideal test.
+    """Outcome of the Lyubeznik-ideal test over all ``scanned`` orders.
 
-    ``verdict`` is ``None`` when a heuristic scan found no minimal
-    order: the heuristic can certify success but not failure.
     Iterating yields ``(verdict, witness)``.
     """
 
-    verdict: bool | None
+    verdict: bool
     witness: OrderedIdeal | None
-    mode: str
     exact: bool
     scanned: int
 
@@ -573,24 +323,21 @@ class LyubeznikVerdict:
         return iter((self.verdict, self.witness))
 
 
-def is_lyubeznik(ideal: MonomialIdeal, search_mode: str = "exhaustive", *,
-                 max_exhaustive: int = DEFAULT_MAX_EXHAUSTIVE,
-                 jobs: int = 1) -> LyubeznikVerdict:
+def is_lyubeznik(ideal: MonomialIdeal, *,
+                 max_exhaustive: int = DEFAULT_MAX_EXHAUSTIVE
+                 ) -> LyubeznikVerdict:
     """Whether some order makes the Lyubeznik resolution minimal."""
-    scan = search_scan(ideal, search_mode, max_exhaustive=max_exhaustive,
-                       jobs=jobs, stop_when="zero-obstruction")
+    scan = search_scan(ideal, max_exhaustive=max_exhaustive)
     witness = (OrderedIdeal(ideal, scan.tobsl_witness) if scan.lyubeznik
                else None)
-    return LyubeznikVerdict(scan.lyubeznik, witness, scan.mode, scan.exact,
-                            scan.scanned)
+    return LyubeznikVerdict(scan.lyubeznik, witness, scan.exact, scan.scanned)
 
 
 def is_totally_lyubeznik(ideal: MonomialIdeal, *,
                          max_exhaustive: int = DEFAULT_MAX_EXHAUSTIVE
                          ) -> bool:
     """Whether every order makes the Lyubeznik resolution minimal."""
-    return search_scan(ideal, "exhaustive",
-                       max_exhaustive=max_exhaustive).totally_lyubeznik
+    return search_scan(ideal, max_exhaustive=max_exhaustive).totally_lyubeznik
 
 
 # one entry: a call reads one ideal's projective dimension, both as a
@@ -604,7 +351,7 @@ def is_almost_lyubeznik(ideal: MonomialIdeal, *,
                         max_exhaustive: int = DEFAULT_MAX_EXHAUSTIVE,
                         prime: int | None = None) -> bool:
     """Whether the best resolution length meets the projective dimension."""
-    scan = search_scan(ideal, "exhaustive", max_exhaustive=max_exhaustive)
+    scan = search_scan(ideal, max_exhaustive=max_exhaustive)
     return scan.almost_lyubeznik(_projdim(ideal, prime))
 
 
@@ -647,8 +394,8 @@ def _ara(ideal: MonomialIdeal, lower: int, best: int) -> AraBounds:
     return AraBounds(lower, upper, lower == upper)
 
 
-def ara_bounds(ideal: MonomialIdeal, search_mode: str = "exhaustive", *,
-               max_exhaustive: int = DEFAULT_MAX_EXHAUSTIVE, jobs: int = 1,
+def ara_bounds(ideal: MonomialIdeal, *,
+               max_exhaustive: int = DEFAULT_MAX_EXHAUSTIVE,
                prime: int | None = None) -> AraBounds:
     """Lower and upper bounds on the arithmetical rank.
 
@@ -658,10 +405,9 @@ def ara_bounds(ideal: MonomialIdeal, search_mode: str = "exhaustive", *,
     dimension), and the height otherwise.  ``equality`` flags bounds
     that pin the value exactly.
     """
-    # the lower bound first: the oracle refuses before a long scan
+    # the lower bound first: the oracle refuses before a long search
     lower = _projdim(ideal, prime) if ideal.is_squarefree() else height(ideal)
-    scan = search_scan(ideal, search_mode, max_exhaustive=max_exhaustive,
-                       jobs=jobs)
+    scan = search_scan(ideal, max_exhaustive=max_exhaustive)
     return _ara(ideal, lower, scan.min_l)
 
 
@@ -686,16 +432,16 @@ class InvariantReport:
     totally_lyubeznik: bool | None = None
 
 
-def analyze(ordered: OrderedIdeal, *, search_mode: str | None = None,
-            max_exhaustive: int = DEFAULT_MAX_EXHAUSTIVE, jobs: int = 1,
+def analyze(ordered: OrderedIdeal, *, search: bool = False,
+            max_exhaustive: int = DEFAULT_MAX_EXHAUSTIVE,
             prime: int | None = None) -> InvariantReport:
     """Full per-order report, optionally with an order search on top.
 
-    Without a search mode, the arithmetical-rank upper bound falls back
-    to this order's resolution length (still valid, possibly loose),
-    and the classification flags stay ``None``.  With one, the bounds
-    equal ``ara_bounds`` for that mode, read off the same single scan
-    that decides the classification flags.
+    Without the search, the arithmetical-rank upper bound falls back to
+    this order's resolution length (still valid, possibly loose), and
+    the classification flags stay ``None``.  With it, the bounds equal
+    ``ara_bounds``, read off the same single search that decides the
+    classification flags.
     """
     ideal = ordered.ideal
     minimal = is_minimal_resolution(ordered)
@@ -704,20 +450,18 @@ def analyze(ordered: OrderedIdeal, *, search_mode: str | None = None,
     betti = _preserved_betti(ordered) if minimal else None
     ht = height(ideal)
 
-    # one scan and at most one homology computation per call; the
+    # one search and at most one homology computation per call; the
     # squarefree oracle call comes first, as it does in ara_bounds
     squarefree = ideal.is_squarefree()
     projdim = _projdim(ideal, prime) if squarefree else None
     best = length
     lyub = almost = totally = None
-    if search_mode is not None:
-        scan = search_scan(ideal, search_mode, max_exhaustive=max_exhaustive,
-                           jobs=jobs)
+    if search:
+        scan = search_scan(ideal, max_exhaustive=max_exhaustive)
         lyub, totally = scan.lyubeznik, scan.totally_lyubeznik
-        if scan.exact:
-            if projdim is None:
-                projdim = _projdim(ideal, prime)
-            almost = scan.almost_lyubeznik(projdim)
+        if projdim is None:
+            projdim = _projdim(ideal, prime)
+        almost = scan.almost_lyubeznik(projdim)
         best = scan.min_l
     return InvariantReport(order=ordered.order, minimal=minimal,
                            obstruction=obs, l_length=length, ps=length,

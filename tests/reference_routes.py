@@ -16,11 +16,11 @@ against the monomials.
   stable symbol", read off the monomials;
 * ``unpacked_readout``: a block of orders' obstruction, length and
   minimality from the kernel's least and court ranks, up-closed and
-  read as one bool per (mask, order), the route the bit-packed
-  closure and readout of the order scanner replaced;
-* ``exhaustive_scan``: the block scan of all mu! orders, the route the
-  prefix-set search replaced for exhaustive searches; the scan itself
-  still serves the courts-first stream;
+  read as one bool per (mask, order);
+* ``exhaustive_scan``: the aggregates of all mu! orders, by the kernel
+  and ``unpacked_readout`` on every block of ``orders_for_search`` and
+  a first-strictly-better merge in lexicographic order, the route the
+  prefix-set search (``search_scan``) replaced;
 * ``BoundaryMatrix`` and ``boundary_levels``: dense sign matrices
   between consecutive levels of a face family, faces written as index
   tuples, the route the oracle's sparse columns
@@ -41,10 +41,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from lyubeznik import is_stable_symbol, symbol_of
+from lyubeznik import is_stable_symbol, orders_for_search, symbol_of
 from lyubeznik.betti import QUOTIENT, BettiTable
+from lyubeznik.complexes import PreservedKernel
 from lyubeznik.covers import cover_table
-from lyubeznik.invariants import DEFAULT_CHUNK, _scan
 from lyubeznik.oracle import _rank_function, _strand_homology
 from lyubeznik.subsets import indices_of, iter_bits, tables_for
 
@@ -124,12 +124,55 @@ def unpacked_readout(ideal, least, court_rank):
     return obs, lengths, obs == 0
 
 
-def exhaustive_scan(ideal, *, chunk_size=DEFAULT_CHUNK, stop_when=None,
-                    jobs=1):
-    """The ``SearchResult`` of the block scan over every order, in
-    lexicographic order, ``chunk_size`` orders a block."""
-    return _scan(ideal, "exhaustive", max_exhaustive=ideal.mu, jobs=jobs,
-                 chunk_size=chunk_size, stop_when=stop_when)
+@dataclass(frozen=True)
+class Scan:
+    """The aggregates of a scan of every order, and the verdicts they
+    settle; the fields are those of ``SearchResult``."""
+
+    scanned: int
+    tobsl: int
+    tobsl_witness: tuple
+    min_l: int
+    min_l_witness: tuple
+    minimal_count: int
+    nonminimal_witness: tuple | None
+
+    @property
+    def lyubeznik(self):
+        return self.tobsl == 0
+
+    @property
+    def totally_lyubeznik(self):
+        return self.nonminimal_witness is None
+
+    def almost_lyubeznik(self, projdim):
+        return self.min_l == projdim
+
+
+def exhaustive_scan(ideal):
+    """The ``Scan`` of all mu! orders, block by block in lexicographic
+    order; a witness changes only when a block holds a strictly lower
+    value, so each is the least order that reaches its value."""
+    kernel = PreservedKernel(tables_for(ideal).outside_mask)
+    blocks, _ = orders_for_search(ideal, max_exhaustive=ideal.mu)
+    # no obstruction or length exceeds mu: mu + 1 is above every value
+    tobsl = min_l = ideal.mu + 1
+    tobsl_witness = min_l_witness = nonminimal_witness = None
+    scanned = minimal_count = 0
+    for words in blocks:
+        least, court_rank, _ = kernel(words)
+        obs, lengths, minimal = unpacked_readout(ideal, least, court_rank)
+        j, k = int(np.argmin(obs)), int(np.argmin(lengths))
+        if obs[j] < tobsl:
+            tobsl, tobsl_witness = int(obs[j]), tuple(words[j].tolist())
+        if lengths[k] < min_l:
+            min_l, min_l_witness = int(lengths[k]), tuple(words[k].tolist())
+        if nonminimal_witness is None and not minimal.all():
+            nonminimal_witness = tuple(words[int(np.argmin(minimal))].tolist())
+        scanned += len(words)
+        minimal_count += int(minimal.sum())
+    return Scan(scanned, tobsl, tobsl_witness, min_l, min_l_witness,
+                minimal_count, nonminimal_witness)
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,8 @@ import sys
 
 import pytest
 
-from lyubeznik import parse_ideal, read_ideal, search_scan
+from lyubeznik import parse_ideal
 from lyubeznik.cli import build_parser, main
-from lyubeznik.corpus import _data_dir
 
 MIXED = "vars x y z\ngen x^2*y\ngen y^2*z\ngen x^3\ngen y^3\ngen z^3\n"
 KOSZUL = "vars x y\ngen x\ngen y\n"
@@ -76,28 +75,20 @@ def test_analyze_with_search_adds_classification(capsys, mixed_path):
     assert payload["totally_lyubeznik"] is False
 
 
-def test_courts_first_analyze_leaves_totally_open(capsys):
-    # The courts-first stream of mixed_powers_xyz is 12 of its 120
-    # orders and holds the non-minimal order (2,1,3,4,5), which alone
-    # shows that not every order is minimal; the heuristic's verdict
-    # still reads null.  This pins that output: printing false there
-    # would change the analyze JSON.
-    path = _data_dir() / "mixed_powers_xyz.ideal"
-    scan = search_scan(read_ideal(path), "courts-first")
-    assert not scan.exact and scan.nonminimal_witness == (2, 1, 3, 4, 5)
-    code, out, _ = run_cli(capsys, "analyze", "--format", "json",
-                           "--search", "courts-first", str(path))
-    assert code == 0
-    assert '"totally_lyubeznik": null' in out
+def test_courts_first_is_refused_as_an_unknown_mode(capsys, mixed_path):
+    for command in ("search", "analyze"):
+        code, out, err = run_cli(capsys, command, "--search", "courts-first",
+                                 mixed_path)
+        assert code == 1 and out == "", command
+        assert "--search" in err and "exhaustive" in err, command
 
 
-@pytest.mark.parametrize("mode", ["exhaustive", "courts-first"])
-def test_json_outputs_are_byte_deterministic(capsys, mixed_path, mode):
-    # only the courts-first scan starts workers
+def test_json_outputs_are_byte_deterministic(capsys, mixed_path):
+    # --jobs is accepted and has no effect
     outputs = set()
     for jobs in ("1", "2", "1"):
         code, out, _ = run_cli(capsys, "search", "--format", "json",
-                               "--search", mode, "--jobs", jobs, mixed_path)
+                               "--jobs", jobs, mixed_path)
         assert code == 0
         outputs.add(out)
     assert len(outputs) == 1
@@ -268,28 +259,11 @@ def test_search_refusal_is_exit_two(capsys, tmp_path):
     lines += [f"gen x{i}" for i in range(1, 10)]
     path = tmp_path / "wide.ideal"
     path.write_text("\n".join(lines) + "\n")
-    code, _, err = run_cli(capsys, "search", str(path))
-    assert code == 2
-    assert "refused" in err and "--max-exhaustive" in err
-
-
-def cycle_ideal_path(tmp_path, n):
-    path = tmp_path / f"cycle{n}.ideal"
-    lines = ["vars " + " ".join(f"x{i}" for i in range(1, n + 1))]
-    lines += [f"gen x{i}*x{i % n + 1}" for i in range(1, n + 1)]
-    path.write_text("\n".join(lines) + "\n")
-    return str(path)
-
-
-@pytest.mark.parametrize("n,flags", [(5, ("--max-exhaustive", "4")), (10, ())])
-def test_courts_first_search_refuses_long_streams(capsys, tmp_path, n, flags):
-    # every edge of a cycle is a possible court, so the courts-first
-    # stream is all n! orders; C10 must be refused before any scan
-    code, out, err = run_cli(capsys, "search", "--search", "courts-first",
-                             *flags, cycle_ideal_path(tmp_path, n))
+    code, out, err = run_cli(capsys, "search", str(path))
     assert code == 2 and out == ""
-    assert err.startswith("lyubeznik: refused:")
-    assert "--max-exhaustive" in err
+    assert err == ("lyubeznik: refused: exhaustive search over 9! = 362880 "
+                   "orders exceeds the threshold of 8! = 40320 orders; raise "
+                   "--max-exhaustive (max_exhaustive= in the library)\n")
 
 
 def wide_ideal_path(tmp_path, mu):
@@ -364,7 +338,7 @@ def test_closed_pipe_exits_one_without_a_traceback(tmp_path):
     # the reader closes its end before the command has started up, so
     # the write that prints the result finds no reader
     proc = subprocess.Popen([sys.executable, "-m", "lyubeznik.cli", "search",
-                             "--search", "courts-first", str(path)],
+                             "--search", "exhaustive", str(path)],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     proc.stdout.close()
     err = proc.stderr.read().decode()

@@ -29,7 +29,6 @@ IDEAL_COMMANDS = (
     ("analyze",),
     ("analyze", "--search", "exhaustive"),
     ("search",),
-    ("search", "--search", "courts-first"),
     ("oracle-betti",),
     ("verify",),
     ("radical-gens",),

@@ -153,7 +153,7 @@ def two_scan_propositions(graph):
     """The propositions with one scan per verdict, as the reference."""
     ideal = edge_ideal(graph)
     totally = is_totally_lyubeznik(ideal)
-    lyubeznik = is_lyubeznik(ideal, "exhaustive").verdict is True
+    lyubeznik = is_lyubeznik(ideal).verdict
     rows = check_graph_propositions(graph)
     conclusions = [totally] * 3 + [lyubeznik] * 2 + [not lyubeznik]
     return tuple(PropositionCheck(r.name, r.hypothesis, c)

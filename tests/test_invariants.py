@@ -1,16 +1,18 @@
-"""Per-order invariants, the vectorized scanner, and order searches.
+"""Per-order invariants, the checking scan's readout, and order searches.
 
-The scanner in ``_scan_words`` computes obstruction, length, and
-minimality for whole batches of orders with numpy.  Here its arrays are
-checked, order by order, against the per-order functions, which read
-the same kernel one word at a time; ``tests/test_scan_kernel.py`` and
+The checking scan (``reference_routes.exhaustive_scan``) reads
+obstruction, length, and minimality for whole blocks of orders off
+``PreservedKernel``.  Here its arrays are checked, order by order,
+against the per-order functions, which read the same kernel one word at
+a time; ``tests/test_scan_kernel.py`` and
 ``tests/test_preserved_kernel.py`` compare both with the plain-Python
 reference routes.
 """
 
 import dataclasses
-from itertools import islice
+from itertools import combinations, permutations, product
 
+import numpy as np
 import pytest
 
 from lyubeznik import (
@@ -22,6 +24,7 @@ from lyubeznik import (
     analyze,
     ara_bounds,
     betti_from_preserved,
+    divides,
     edge_ideal,
     equivalence_audit,
     height,
@@ -31,6 +34,7 @@ from lyubeznik import (
     is_minimal_resolution,
     is_totally_lyubeznik,
     l_length,
+    lcm_of,
     load_graph,
     load_ideal,
     min_l_length,
@@ -41,11 +45,10 @@ from lyubeznik import (
     taylor_betti,
     total_obstruction,
 )
-from lyubeznik.invariants import (DEFAULT_CHUNK, _BlockScanner, _scan_words,
-                                  _scanner_for, _word_blocks)
-from lyubeznik.orders import orders_for_search
+from lyubeznik.complexes import PreservedKernel
+from lyubeznik.subsets import tables_for
 
-from reference_routes import exhaustive_scan
+from reference_routes import unpacked_readout
 
 KOSZUL2 = parse_ideal("vars x y\ngen x\ngen y")
 
@@ -59,32 +62,15 @@ def test_scanner_matches_per_order_functions():
     for name in SCAN_NAMES:
         ideal = load_ideal(name)
         words = [o.order for o in all_orders(ideal)]
-        obs, length, minimal = _scan_words(ideal, words)
+        kernel = PreservedKernel(tables_for(ideal).outside_mask)
+        least, court_rank, _ = kernel(np.array(words, np.int8))
+        obs, length, minimal = unpacked_readout(ideal, least, court_rank)
         for k, word in enumerate(words):
             ordered = OrderedIdeal(ideal, word)
             assert obs[k] == obstruction(ordered), (name, word)
             assert length[k] == l_length(ordered), (name, word)
             assert length[k] == preserved_size(ordered), (name, word)
             assert bool(minimal[k]) == is_minimal_resolution(ordered), (name, word)
-
-
-def test_workers_build_one_scanner_per_ideal(monkeypatch):
-    built = []
-    init = _BlockScanner.__init__
-
-    def counting_init(self, ideal):
-        built.append(ideal)
-        init(self, ideal)
-
-    monkeypatch.setattr(_BlockScanner, "__init__", counting_init)
-    _scanner_for.cache_clear()
-    ideal = load_ideal("mixed_powers_xyz")
-    words, _ = orders_for_search(ideal, "exhaustive")
-    first, second = islice(_word_blocks(words, ideal.mu, 64), 2)
-    _scan_words(ideal, first)
-    _scan_words(ideal, second)
-    # the --jobs workers call this once per block
-    assert built == [ideal]
 
 
 def test_search_aggregates():
@@ -114,56 +100,11 @@ def test_witnesses_are_lex_least():
     assert scan.tobsl_witness == (5, 1, 2, 3, 4)
 
 
-def test_parallel_scan_is_deterministic():
-    ideal = load_ideal("mixed_powers_xyz")
-    serial = exhaustive_scan(ideal)
-    assert exhaustive_scan(ideal, jobs=2, chunk_size=7) == serial
-    assert exhaustive_scan(ideal, jobs=3, chunk_size=1) == serial
-    assert search_scan(ideal) == serial
-
-
-def test_stop_policies():
-    # the block scan, one order per block, stops where the policy is met
-    ideal = load_ideal("mixed_powers_xyz")
-    scan = exhaustive_scan(ideal, stop_when="zero-obstruction", chunk_size=1)
-    assert scan.stopped_early and scan.scanned == 1
-    assert scan.tobsl == 0 and scan.tobsl_witness == (1, 2, 3, 4, 5)
-
-    # Policies that never trigger leave the scan exhaustive.
-    scan = exhaustive_scan(load_ideal("five_gen_squarefree"),
-                           stop_when="zero-obstruction")
-    assert not scan.stopped_early and scan.scanned == 120
-
-    # The exhaustive search answers for every order whatever the policy.
-    for stop_when in STOPS:
-        scan = search_scan(ideal, stop_when=stop_when, chunk_size=1)
-        assert scan == exhaustive_scan(ideal), stop_when
-        assert scan.exact and not scan.stopped_early and scan.scanned == 120
-
-    with pytest.raises(ValueError, match="stop policy"):
-        search_scan(ideal, stop_when="sometimes")
-
-
 def test_search_respects_generator_bound():
     ideal = load_ideal("mixed_powers_xyz")
     with pytest.raises(BoundExceededError):
         search_scan(ideal, max_exhaustive=4)
     assert search_scan(ideal, max_exhaustive=ideal.mu).scanned == 120
-
-
-def test_courts_first_search_respects_the_same_bound():
-    # every edge of the 5-cycle is a possible court, so the courts-first
-    # stream is all 5! = 120 orders
-    ideal = load_ideal("pentagon_edges")
-    with pytest.raises(BoundExceededError, match="--max-exhaustive"):
-        search_scan(ideal, "courts-first", max_exhaustive=4)
-    scan = search_scan(ideal, "courts-first", max_exhaustive=ideal.mu)
-    assert scan.exact and scan.scanned == 120
-    # a short courts-first stream passes a bound that exhaustive fails:
-    # mixed_powers_xyz has 2 possible courts, so 2! * 3! = 12 <= 4! orders
-    scan = search_scan(load_ideal("mixed_powers_xyz"), "courts-first",
-                       max_exhaustive=4)
-    assert not scan.exact and scan.scanned == 12
 
 
 def test_convenience_searches():
@@ -214,13 +155,6 @@ def test_lyubeznik_verdicts():
     assert verdict and is_minimal_resolution(witness)
 
 
-def test_heuristic_cannot_certify_failure():
-    # Courts-first on an ideal whose courts are a proper subset scans an
-    # incomplete stream; finding no minimal order there proves nothing.
-    v = is_lyubeznik(load_ideal("five_gen_squarefree"), "courts-first")
-    assert v.verdict is None and not v.exact and v.scanned == 24
-
-
 def test_totally_and_almost():
     assert is_totally_lyubeznik(load_ideal("triangle_edges"))
     assert not is_totally_lyubeznik(load_ideal("mixed_powers_xyz"))
@@ -230,19 +164,48 @@ def test_totally_and_almost():
     assert is_almost_lyubeznik(load_ideal("chain_four_squares"))
 
 
+def brute_possible_courts(ideal):
+    """A generator is a possible court iff it divides the lcm of some
+    other subset; checked here over every nonempty subset."""
+    found = set()
+    others = list(ideal.indices())
+    for u in ideal.indices():
+        rest = [v for v in others if v != u]
+        for size in range(1, len(rest) + 1):
+            for d in combinations(rest, size):
+                if divides(ideal.gen(u), lcm_of([ideal.gen(v) for v in d])):
+                    found.add(u)
+                    break
+            if u in found:
+                break
+    return found
+
+
 def courts_first_counterexample(ideal):
-    """The first courts-first order whose resolution is not minimal."""
-    return search_scan(ideal, "courts-first").nonminimal_witness
+    """The first order, lexicographic, that places every possible court
+    (a generator dividing the lcm of other generators) before every
+    other generator and whose resolution is not minimal."""
+    courts = sorted(brute_possible_courts(ideal))
+    others = sorted(set(ideal.indices()) - set(courts))
+    for head, tail in product(permutations(courts), permutations(others)):
+        if obstruction(OrderedIdeal(ideal, head + tail)) > 0:
+            return head + tail
+    return None
 
 
 def test_courts_first_claim_fails_in_the_corpus():
+    # The claim: an order that puts the possible courts first gives a
+    # minimal resolution.  Every generator of chain_five_mixed is a
+    # possible court, so its courts-first orders are all 120.
     ideal = load_ideal("chain_five_mixed")
+    assert brute_possible_courts(ideal) == {1, 2, 3, 4, 5}
     counterexample = courts_first_counterexample(ideal)
     assert counterexample == (1, 2, 3, 4, 5)
     assert obstruction(OrderedIdeal(ideal, counterexample)) > 0
     # Even with only two possible courts the claim can fail.
-    counterexample = courts_first_counterexample(load_ideal("mixed_powers_xyz"))
-    assert counterexample == (2, 1, 3, 4, 5)
+    ideal = load_ideal("mixed_powers_xyz")
+    assert brute_possible_courts(ideal) == {1, 2}
+    assert courts_first_counterexample(ideal) == (2, 1, 3, 4, 5)
 
 
 def test_heights():
@@ -282,7 +245,7 @@ def test_analyze_without_search():
 
 def test_analyze_with_search():
     report = analyze(identity_order(load_ideal("mixed_powers_xyz")),
-                     search_mode="exhaustive")
+                     search=True)
     assert report.minimal and report.obstruction == 0
     assert report.l_length == report.ps == 3
     assert report.betti is not None
@@ -294,14 +257,6 @@ def test_analyze_with_search():
     assert report.totally_lyubeznik is False
 
 
-def test_analyze_with_heuristic_search_leaves_unknowns():
-    report = analyze(identity_order(load_ideal("five_gen_squarefree")),
-                     search_mode="courts-first")
-    assert report.lyubeznik is None
-    assert report.almost_lyubeznik is None
-    assert report.totally_lyubeznik is None
-
-
 def test_report_is_frozen():
     report = analyze(identity_order(KOSZUL2))
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -309,10 +264,9 @@ def test_report_is_frozen():
 
 
 @pytest.mark.parametrize("name", ["five_gen_squarefree", "mixed_powers_xyz"])
-@pytest.mark.parametrize("mode", ["exhaustive", "courts-first"])
-def test_analyze_scans_once_and_matches_ara_bounds(monkeypatch, name, mode):
+def test_analyze_scans_once_and_matches_ara_bounds(monkeypatch, name):
     ideal = load_ideal(name)
-    expected = ara_bounds(ideal, mode)
+    expected = ara_bounds(ideal)
     calls = {"search_scan": 0, "taylor_betti": 0}
 
     def counted(fn):
@@ -324,17 +278,10 @@ def test_analyze_scans_once_and_matches_ara_bounds(monkeypatch, name, mode):
     import lyubeznik.invariants as inv
     monkeypatch.setattr(inv, "search_scan", counted(inv.search_scan))
     monkeypatch.setattr(inv, "taylor_betti", counted(inv.taylor_betti))
-    report = analyze(identity_order(ideal), search_mode=mode)
+    report = analyze(identity_order(ideal), search=True)
     assert calls["search_scan"] == 1
     assert calls["taylor_betti"] <= 1
     assert report.ara == expected
-
-
-def test_search_rejects_non_positive_jobs_and_chunks():
-    ideal = load_ideal("chain_three_squares")
-    for kwargs in ({"jobs": 0}, {"jobs": -3}, {"chunk_size": 0}):
-        with pytest.raises(ValueError, match="at least 1"):
-            search_scan(ideal, **kwargs)
 
 
 def test_analyze_builds_the_complex_once(monkeypatch, capsys):
@@ -363,67 +310,18 @@ def test_analyze_builds_the_complex_once(monkeypatch, capsys):
 
 # -- verdicts on SearchResult against the callers' former inline formulas ----
 
-STOPS = [None, "zero-obstruction"]
 
-
-def old_lyubeznik(scan):
-    # the search command, is_lyubeznik and analyze
-    return True if scan.tobsl == 0 else (False if scan.exact else None)
-
-
-def old_totally_from_count(scan):
-    # analyze, on an unstopped scan
-    return scan.minimal_count == scan.scanned if scan.exact else None
-
-
-def old_totally_from_witness(scan):
-    # is_totally_lyubeznik and the graph checks, on exhaustive streams
-    return scan.nonminimal_witness is None
-
-
-def old_almost(scan, projdim):
-    # analyze and is_almost_lyubeznik, on unstopped scans
-    return scan.min_l == projdim if scan.exact else None
-
-
-@pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("name", SCAN_NAMES)
-def test_search_verdicts_match_the_former_formulas(name, jobs):
+def test_search_verdicts_match_the_former_formulas(name):
     ideal = load_ideal(name)
-    truth = search_scan(ideal)
-    assert truth.exact and not truth.stopped_early
+    scan = search_scan(ideal)
+    assert scan.exact and not scan.stopped_early
     projdim = taylor_betti(ideal).projective_dimension
-    for mode in ("exhaustive", "courts-first"):
-        for stop_when in STOPS:
-            for chunk in (1, DEFAULT_CHUNK):
-                scan = search_scan(ideal, mode, jobs=jobs, chunk_size=chunk,
-                                   stop_when=stop_when)
-                where = (mode, stop_when, chunk)
-                # the stop never cuts a scan short while tobsl > 0
-                assert scan.lyubeznik == old_lyubeznik(scan), where
-                if stop_when is None:
-                    assert (scan.totally_lyubeznik
-                            == old_totally_from_count(scan)), where
-                    assert (scan.almost_lyubeznik(projdim)
-                            == old_almost(scan, projdim)), where
-                if mode == "exhaustive":
-                    assert (scan.totally_lyubeznik
-                            == old_totally_from_witness(scan)), where
-                # whatever a scan settles agrees with the full scan
-                for verdict in ("lyubeznik", "totally_lyubeznik"):
-                    value = getattr(scan, verdict)
-                    assert value in (None, getattr(truth, verdict)), \
-                        (where, verdict)
-                almost = scan.almost_lyubeznik(projdim)
-                assert almost in (None, truth.almost_lyubeznik(projdim)), where
-
-
-def test_inexact_stream_with_a_non_minimal_order_leaves_totally_open():
-    # mixed_powers_xyz has 2 possible courts: 12 of its 120 orders are
-    # courts first, and (2,1,3,4,5) among them is not minimal
-    scan = search_scan(load_ideal("mixed_powers_xyz"), "courts-first")
-    assert not scan.exact and scan.scanned == 12
-    assert scan.nonminimal_witness == (2, 1, 3, 4, 5)
-    assert scan.totally_lyubeznik is None
-    assert scan.totally_lyubeznik == old_totally_from_count(scan)
-    assert scan.lyubeznik is True and scan.almost_lyubeznik(3) is None
+    # the search command, is_lyubeznik and analyze
+    assert scan.lyubeznik == (scan.tobsl == 0)
+    # analyze, from the count of minimal orders
+    assert scan.totally_lyubeznik == (scan.minimal_count == scan.scanned)
+    # is_totally_lyubeznik and the graph checks
+    assert scan.totally_lyubeznik == (scan.nonminimal_witness is None)
+    # analyze and is_almost_lyubeznik
+    assert scan.almost_lyubeznik(projdim) == (scan.min_l == projdim)

@@ -1,13 +1,12 @@
-"""Differential test of the block scanner and of ``search_scan``.
+"""Differential test of the checking scan and of ``search_scan``.
 
-The scanner evaluates whole int8 blocks of permutation words with array
-operations.  Here its aggregates are compared with a plain loop over
-``all_orders`` (or ``courts_first_orders``) that reads each order's
-obstruction, length and minimality off the plain-Python routes in
-``reference_routes``, which share no code with the scanner's kernel:
-values and lexicographically least witnesses alike, for several chunk
-sizes and for a two-worker scan.  The same loop checks the exhaustive
-``search_scan``, which answers by prefix-set search instead.
+The checking scan (``reference_routes.exhaustive_scan``) evaluates whole
+int8 blocks of permutation words with ``PreservedKernel``.  Here its
+aggregates are compared with a plain loop over ``all_orders`` that reads
+each order's obstruction, length and minimality off the plain-Python
+routes in ``reference_routes``, which share no code with the kernel:
+values and lexicographically least witnesses alike.  The same loop
+checks ``search_scan``, which answers by prefix-set search instead.
 """
 
 import warnings
@@ -16,9 +15,8 @@ from itertools import product
 from hypothesis import given, settings, strategies as st
 
 from lyubeznik import (MinimizationWarning, MonomialIdeal, all_orders,
-                       courts_first_orders, load_ideal, search_scan)
+                       load_ideal, search_scan)
 from lyubeznik.covers import cover_table
-from lyubeznik.invariants import DEFAULT_CHUNK
 
 from conftest import exponent_ideal
 from reference_routes import (closure_length, court_table, exhaustive_scan,
@@ -26,7 +24,6 @@ from reference_routes import (closure_length, court_table, exhaustive_scan,
 
 SCAN_NAMES = ["chain_three_squares", "square_edges", "chain_five_mixed",
               "mixed_powers_xyz", "five_gen_squarefree"]
-CHUNKS = (1, 7, DEFAULT_CHUNK)
 
 
 def per_order_values(ideal):
@@ -43,7 +40,8 @@ def per_order_values(ideal):
 
 
 def brute_aggregates(values, words):
-    """The scan's aggregates, by a first-strictly-better loop in stream order."""
+    """The scan's aggregates, by a first-strictly-better loop in
+    lexicographic order."""
     tobsl = min_l = None
     tobsl_witness = min_l_witness = nonminimal_witness = None
     minimal_count = 0
@@ -66,27 +64,18 @@ def scan_aggregates(scan):
             scan.min_l_witness, scan.minimal_count, scan.nonminimal_witness)
 
 
-def check_both_modes(ideal):
+def check_both_routes(ideal):
     values = per_order_values(ideal)
-    streams = {
-        "exhaustive": list(values),
-        "courts-first": [o.order for o in courts_first_orders(ideal)],
-    }
-    for mode, words in streams.items():
-        expected = brute_aggregates(values, words)
-        for chunk in CHUNKS:
-            scan = search_scan(ideal, mode, max_exhaustive=ideal.mu, chunk_size=chunk)
-            assert not scan.stopped_early
-            assert scan_aggregates(scan) == expected, (mode, chunk)
-            if mode == "exhaustive":
-                scan = exhaustive_scan(ideal, chunk_size=chunk)
-                assert scan_aggregates(scan) == expected, ("block scan",
-                                                           chunk)
+    expected = brute_aggregates(values, list(values))
+    scan = search_scan(ideal, max_exhaustive=ideal.mu)
+    assert scan.exact and not scan.stopped_early
+    assert scan_aggregates(scan) == expected, "prefix search"
+    assert scan_aggregates(exhaustive_scan(ideal)) == expected, "block scan"
 
 
 def test_scanner_matches_brute_force_on_the_corpus():
     for name in SCAN_NAMES:
-        check_both_modes(load_ideal(name))
+        check_both_routes(load_ideal(name))
 
 
 def exponent_rows(nvars):
@@ -109,13 +98,4 @@ def small_ideal(rows, max_mu=6):
 @settings(max_examples=40)
 @given(st.integers(2, 4).flatmap(exponent_rows))
 def test_scanner_matches_brute_force_on_random_ideals(rows):
-    check_both_modes(small_ideal(rows))
-
-
-def test_two_workers_match_brute_force():
-    ideal = load_ideal("mixed_powers_xyz")
-    values = per_order_values(ideal)
-    expected = brute_aggregates(values, list(values))
-    for chunk in (7, DEFAULT_CHUNK):
-        scan = exhaustive_scan(ideal, jobs=2, chunk_size=chunk)
-        assert scan_aggregates(scan) == expected, chunk
+    check_both_routes(small_ideal(rows))
