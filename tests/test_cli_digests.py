@@ -2,6 +2,8 @@
 
 Each case runs ``lyubeznik.cli.main`` with ``--format json`` and compares
 the exit code and the sha256 of stdout with ``data/cli_digests.json``.
+Every searching case is run a second time with ``--jobs 2``, which must
+print the same bytes.
 The digests pin output bytes, so a refactor that keeps behaviour leaves
 them untouched.  After an intended change of output, rewrite the file
 with ``PYTHONPATH=src python tests/test_cli_digests.py`` and review the
@@ -72,6 +74,17 @@ def test_every_case_is_recorded(recorded):
                          ids=[key for key, _, _ in cases()])
 def test_json_output_matches_recorded_digest(recorded, key, words, filename):
     assert run_case(words, filename) == recorded[key]
+
+
+SEARCHING = [(key, words, filename) for key, words, filename in cases()
+             if words[0] in ("search", "graph") or "--search" in words]
+
+
+@pytest.mark.parametrize("key,words,filename", SEARCHING,
+                         ids=[key for key, _, _ in SEARCHING])
+def test_jobs_leaves_the_recorded_digest(recorded, key, words, filename):
+    # --jobs still parses on every searching command and changes no byte
+    assert run_case(words + ("--jobs", "2"), filename) == recorded[key]
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ from itertools import combinations, permutations
 from math import factorial
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from lyubeznik import (PropositionCheck, SimpleGraph, all_graphs, analyze,
@@ -56,21 +57,22 @@ def check(ideal, projdim=None):
     return reference
 
 
-def test_corpus_ideals():
-    for name in ideal_names():
-        ideal = load_ideal(name)
-        projdim = taylor_betti(ideal).projective_dimension
-        check(ideal, projdim)
+@pytest.mark.parametrize("name", ideal_names())
+def test_corpus_ideals(name):
+    ideal = load_ideal(name)
+    projdim = taylor_betti(ideal).projective_dimension
+    check(ideal, projdim)
 
 
-def test_corpus_graphs_and_their_propositions():
-    for name, graph in all_graphs():
-        scan = check(edge_ideal(graph))
-        rows = check_graph_propositions(graph)
-        conclusions = ([scan.totally_lyubeznik] * 3 + [scan.lyubeznik] * 2
-                       + [not scan.lyubeznik])
-        assert rows == tuple(PropositionCheck(r.name, r.hypothesis, c)
-                             for r, c in zip(rows, conclusions)), name
+@pytest.mark.parametrize("name,graph", all_graphs(),
+                         ids=[name for name, _ in all_graphs()])
+def test_corpus_graphs_and_their_propositions(name, graph):
+    scan = check(edge_ideal(graph))
+    rows = check_graph_propositions(graph)
+    conclusions = ([scan.totally_lyubeznik] * 3 + [scan.lyubeznik] * 2
+                   + [not scan.lyubeznik])
+    assert rows == tuple(PropositionCheck(r.name, r.hypothesis, c)
+                         for r, c in zip(rows, conclusions)), name
 
 
 def seeded_ideal(seed, mu, nvars=6):
