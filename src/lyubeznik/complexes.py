@@ -7,13 +7,14 @@ none of its subsets is broken.  The preserved sets are closed under
 taking subsets, so they form a simplicial complex: the Lyubeznik
 complex of the ordered ideal.
 
-The broken and preserved sets of every subset are computed by one
-numpy kernel, ``PreservedKernel``, which the tests' checking scan of
-all orders also runs on blocks of orders.  Two predicates are deliberately implemented along
-independent routes and compared by tests:
+The broken and preserved sets of every subset under one order are
+computed once, by a few 1-D numpy passes over the subset masks
+(``order_analysis``).  Two predicates are deliberately implemented
+along independent routes and compared by tests:
 
-* ``is_preserved`` reads the kernel's table (a set is preserved iff no
-  broken set lies below it, the up-closure of the broken sets);
+* ``is_preserved`` reads the order's preserved table (a set is
+  preserved iff no broken set lies below it, the up-closure of the
+  broken sets);
 * ``is_admissible_symbol`` transcribes the resolution-side definition
   literally (for every member except the last, no strictly earlier
   generator divides the lcm of the tail), touching monomials directly.
@@ -31,121 +32,62 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .monomials import MonomialIdeal, divides, lcm_of
 from .orders import OrderedIdeal
-from .subsets import indices_of, mask_of, popcounts, tables_for
-
-
-class PreservedKernel:
-    """Least ranks, broken sets and unpreserved sets of blocks of orders.
-
-    The kernel takes an ideal's ``outside_mask`` table and evaluates a
-    block of permutation words, an int8 array of shape (count, mu),
-    with whole-array numpy passes over one row per subset mask:
-
-    * ``least[mask][j]``: the least rank in the mask under order j (mu
-      for the empty mask), by doubling over the bits;
-    * ``court_rank[mask][j]``: ``least`` of the mask's outside divisors,
-      by one gather; the mask is broken iff this is below ``least``;
-    * ``unpreserved[mask]``: some subset of the mask is broken, by
-      up-closing the broken sets in place, one OR per bit (the zeta
-      transform over the subset lattice).  This table is bit packed
-      along the order axis: each row is ``np.packbits`` of the orders
-      (order j is bit 7 - j % 8 of byte j // 8), viewed as uint64 when
-      the row is a whole number of 64-bit words (blocks of a multiple
-      of 64 orders), so the closure and its readers move one
-      sixty-fourth of the elements a bool table would.  Read it back
-      with ``np.unpackbits(unpreserved.view(np.uint8), axis=1,
-      count=count)``.
-
-    ``least``, ``court_rank`` and the unpacked broken sets are scratch
-    kept from one block to the next of the same size, so they are valid
-    until the next call: multi-megabyte arrays allocated afresh for
-    every block are mapped and page-faulted in by the allocator each
-    time, which costs about as much as the arithmetic on them.
-    """
-
-    def __init__(self, outside_mask: Sequence[int]) -> None:
-        self.outside = np.array(outside_mask, np.intp)
-        self.mu = len(outside_mask).bit_length() - 1
-        self._scratch: tuple[np.ndarray, ...] = ()
-
-    def __call__(self, words: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(least, court_rank, unpreserved): the first two of shape
-        (2^mu, count), the third packed to ceil(count / 8) bytes a row."""
-        mu = self.mu
-        count = len(words)
-        if not self._scratch or self._scratch[0].shape[1] != count:
-            shape = (1 << mu, count)
-            # broken rows are padded with False to whole bytes, so that
-            # they pack as one flat run: np.packbits along axis 1 pays
-            # per row, which dominates the kernel for a single order
-            self._scratch = (np.empty(shape, np.int8), np.empty(shape, np.int8),
-                             np.zeros((1 << mu, -(-count // 8) * 8), bool))
-        least, court_rank, broken = self._scratch
-
-        # rank[g][j]: rank of generator g + 1 in order j
-        rank = np.empty((mu, count), np.int8)
-        rank[words.T - 1, np.arange(count)] = np.arange(mu, dtype=np.int8)[:, None]
-
-        # masks 2^b .. 2^(b+1)-1 extend masks 0 .. 2^b-1 by bit b
-        least[0] = mu
-        for b in range(mu):
-            np.minimum(least[:1 << b], rank[b], out=least[1 << b:2 << b])
-
-        # broken: some outside divisor precedes every member (never for
-        # an empty outside set, whose least rank is the sentinel mu).
-        # The gather uses mode="clip" (indices are in range) so that
-        # numpy writes straight into the scratch instead of a buffer.
-        np.take(least, self.outside, axis=0, out=court_rank, mode="clip")
-        np.less(court_rank, least, out=broken[:, :count])
-        unpreserved = np.packbits(broken.reshape(-1)).reshape(1 << mu, -1)
-        if unpreserved.shape[1] % 8 == 0:
-            unpreserved = unpreserved.view(np.uint64)
-        for b in range(mu):
-            halves = unpreserved.reshape(-1, 2, 1 << b, unpreserved.shape[1])
-            halves[:, 1] |= halves[:, 0]
-        return least, court_rank, unpreserved
+from .subsets import indices_of, mask_of, popcounts, tables_for, up_closure
 
 
 class _OrderAnalysis:
-    """Per-order tables, from ``PreservedKernel`` on a one-word block.
+    """Per-order tables, by 1-D numpy passes over the subset masks.
+
+    With ``rank[g]`` the rank of generator g + 1 under the order:
+
+    * ``least[mask]`` is the least rank in the mask (mu for the empty
+      mask), by doubling over the bits;
+    * ``court_rank[mask]`` is ``least`` of the mask's outside divisors,
+      by one gather against ``outside_mask``; the mask is broken iff
+      this is below ``least`` (never for an empty outside set, whose
+      least rank is the sentinel mu);
+    * a mask is preserved iff it is outside the up-closure of the
+      broken sets (``subsets.up_closure``).
 
     ``court`` is the order's one broken-set table: ``court[mask]`` is the
-    least court of the subset, nonzero exactly when it is broken.
-    ``preserved[mask]`` says whether no subset of the mask is broken, and
-    ``length`` is the size of the largest preserved set.  Both tables are
-    plain Python lists, as the subset tables are; ``preserved_array`` is
-    the same table as a numpy bool array, for whole-array readers.
+    least court of the subset, nonzero exactly when it is broken, as a
+    plain Python list, as the subset tables are.  ``preserved`` is a
+    numpy bool array over the masks: whether no subset of the mask is
+    broken.  ``length`` is the size of the largest preserved set.
     ``faces`` lists the preserved masks in ascending order: the faces of
     the Lyubeznik complex, which the complex, the Betti counts, the
     radical generators and the homology checks all read.
     """
 
-    __slots__ = ("tables", "court", "preserved", "preserved_array", "faces",
-                 "length")
+    __slots__ = ("tables", "court", "preserved", "faces", "length")
 
     def __init__(self, ordered: OrderedIdeal) -> None:
         tables = tables_for(ordered.ideal)
+        mu = tables.mu
         word = np.array(ordered.order, np.int8)
-        least, court_rank, unpreserved = PreservedKernel(tables.outside_mask)(
-            word[None])
-        least, court_rank = least[:, 0], court_rank[:, 0]
-        # one order: its bit is the only one a packed row can hold
-        preserved = unpreserved[:, 0] == 0
+        rank = np.empty(mu, np.int8)
+        rank[word - 1] = np.arange(mu, dtype=np.int8)
+        # masks 2^b .. 2^(b+1)-1 extend masks 0 .. 2^b-1 by bit b
+        least = np.empty(tables.size, np.int8)
+        least[0] = mu
+        for b in range(mu):
+            np.minimum(least[:1 << b], rank[b], out=least[1 << b:2 << b])
+        court_rank = least[np.array(tables.outside_mask, np.intp)]
+        broken = court_rank < least
         # an empty outside set has court rank mu: pad the word to index it
         court = np.append(word, np.int8(0))[court_rank]
-        court[court_rank >= least] = 0
+        court[~broken] = 0
+        preserved = ~up_closure(broken)
         self.court = court.tolist()
-        self.preserved = preserved.tolist()
-        self.preserved_array = preserved
+        self.preserved = preserved
         self.faces = np.flatnonzero(preserved).tolist()
-        self.length = int(popcounts(tables.mu)[preserved].max())
+        self.length = int(popcounts(mu)[preserved].max())
         self.tables = tables
 
 
@@ -167,7 +109,8 @@ def is_broken(subset: Iterable[int], ordered: OrderedIdeal) -> int | None:
 
 def is_preserved(subset: Iterable[int], ordered: OrderedIdeal) -> bool:
     """True iff no subset of the set is broken (the empty set is preserved)."""
-    return order_analysis(ordered).preserved[mask_of(subset, ordered.ideal.mu)]
+    mask = mask_of(subset, ordered.ideal.mu)
+    return bool(order_analysis(ordered).preserved[mask])
 
 
 @dataclass(frozen=True)
@@ -198,7 +141,7 @@ class LyubeznikComplex:
 
 def lyubeznik_complex(ordered: OrderedIdeal) -> LyubeznikComplex:
     analysis = order_analysis(ordered)
-    preserved = analysis.preserved_array
+    preserved = analysis.preserved
     # downward closure makes maximality a one-bit test: a face is a facet
     # iff no face one larger contains it.  larger[m] collects, one bit b
     # at a time, whether m | 2^b is a face for some b outside m.
@@ -314,7 +257,7 @@ def classification_census(ordered: OrderedIdeal) -> dict[int, dict[SubsetClass, 
     mu = analysis.tables.mu
     covered = np.array(analysis.tables.covered_mask) != 0
     keys = (popcounts(mu).astype(np.intp) * 4
-            + analysis.preserved_array * 2 + covered)
+            + analysis.preserved * 2 + covered)
     counts = np.bincount(keys, minlength=4 * (mu + 1)).reshape(-1, 2, 2)
     return {t: {SubsetClass.PRESERVED_COVER: int(counts[t, 1, 1]),
                 SubsetClass.UNPRESERVED_COVER: int(counts[t, 0, 1]),

@@ -11,7 +11,7 @@ pass over the subset masks, and kept in one lru-cached table per ideal
 inclusion-minimal members of the union.  Those minimal sets form the
 edge set of a clutter (an antichain of subsets); an order on the
 generators orients it.  ``e_minimal_covers_of``, ``cover_clutter`` and
-the minimality tests, obstruction and order scanner of ``invariants``
+the minimality tests, obstruction and order search of ``invariants``
 all read this one table.  Downstream, an order gives a minimal
 resolution exactly when none of these sets is preserved.
 

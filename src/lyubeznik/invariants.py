@@ -14,7 +14,7 @@ the lexicographically least order achieving its value, as one
 ``SearchResult``.  It never lists the orders: it answers each question
 by walks over prefix sets (``prefix``) when the question is first read,
 so that a caller pays only for what it reads.  Its checking route in
-the tests scans every order with ``complexes.PreservedKernel``.
+the tests scans every order, a block of orders at a time.
 """
 
 from __future__ import annotations

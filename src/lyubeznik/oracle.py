@@ -73,7 +73,7 @@ from .complexes import order_analysis
 from .linalg import exact_rank, rank_mod_p
 from .monomials import BoundExceededError, Monomial, MonomialIdeal
 from .orders import OrderedIdeal
-from .subsets import popcounts, tables_for
+from .subsets import popcounts, tables_for, up_closure
 
 DEFAULT_MAX_ORACLE_GENERATORS = 12
 
@@ -284,10 +284,7 @@ def _cones(face_masks: list[int], mu: int, vertex_sets: np.ndarray,
     face[face_masks] = True
     cones = np.empty(len(vertex_sets), bool)
     for bit in set(apexes.tolist()):
-        lone = face & ~face[masks ^ bit]
-        for b in range(mu):
-            halves = lone.reshape(-1, 2, 1 << b)
-            halves[:, 1] |= halves[:, 0]
+        lone = up_closure(face & ~face[masks ^ bit])
         at = apexes == bit
         cones[at] = ~lone[vertex_sets[at]]
     return cones

@@ -9,32 +9,30 @@ witness orders are reproducible.  The exhaustive search of
 ``invariants`` answers for all mu! orders without listing them
 (``prefix``); it still follows the bound of the order stream,
 ``check_search_bound``: a search of more than ``max_exhaustive``
-generators is refused.  ``all_orders`` and the tests' checking scan
-read the stream.
+generators is refused.
 
-The stream is built in numpy as int8 arrays of rows: the last
-min(mu, TAIL) positions of each word come from indexing the generators
-through one cached table of lexicographic permutations, the positions
-before those from ``itertools.permutations``.  ``orders_for_search``
-yields these arrays as they are, one per arrangement of the leading
-positions; ``all_orders`` turns each row into an ``OrderedIdeal``.
+``all_orders`` and ``orders_for_search`` both read
+``itertools.permutations``: the first yields one ``OrderedIdeal`` per
+word, the second int8 blocks of ``BLOCK`` words for the tests' checking
+scan of all orders.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from itertools import permutations
+from functools import cached_property
+from itertools import islice, permutations
 from math import factorial
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .monomials import BoundExceededError, MonomialIdeal
 
 DEFAULT_MAX_EXHAUSTIVE = 8
-# the last TAIL positions of every word come from one table of TAIL! rows
-TAIL = 7
+# words per block of orders_for_search: 7!, so that each block from
+# mu = 7 on is full
+BLOCK = 5040
 
 
 @dataclass(frozen=True)
@@ -76,35 +74,6 @@ def identity_order(ideal: MonomialIdeal) -> OrderedIdeal:
     return OrderedIdeal(ideal, tuple(range(1, ideal.mu + 1)))
 
 
-@lru_cache(maxsize=None)
-def _tail_table(t: int) -> np.ndarray:
-    """The t! permutations of range(t), lexicographic, as int8 rows.
-
-    Built on first use for t <= TAIL, so at most TAIL + 1 small tables.
-    """
-    return np.array(list(permutations(range(t))), np.int8).reshape(
-        factorial(t), t)
-
-
-def _arrangements(pool: Sequence[int]) -> Iterator[np.ndarray]:
-    """Every arrangement of ``pool``, lexicographic.
-
-    The last t = min(|pool|, TAIL) positions come from one index of the
-    remaining generators through ``_tail_table(t)``; the positions
-    before them range over ``permutations(pool, |pool| - t)``.  Yields
-    one int8 array of t! rows per middle.
-    """
-    pool = sorted(pool)
-    t = min(len(pool), TAIL)
-    table = _tail_table(t)
-    for middle in permutations(pool, len(pool) - t):
-        rest = np.array(sorted(set(pool).difference(middle)), np.int8)
-        rows = np.empty((len(table), len(pool)), np.int8)
-        rows[:, :len(middle)] = middle
-        rows[:, len(middle):] = rest[table]
-        yield rows
-
-
 def all_orders(ideal: MonomialIdeal, *,
                max_exhaustive: int = DEFAULT_MAX_EXHAUSTIVE
                ) -> Iterator[OrderedIdeal]:
@@ -113,9 +82,8 @@ def all_orders(ideal: MonomialIdeal, *,
     Refuses when mu exceeds ``max_exhaustive``; pass
     ``max_exhaustive=ideal.mu`` to lift the bound.
     """
-    blocks, _ = orders_for_search(ideal, max_exhaustive=max_exhaustive)
-    return (OrderedIdeal(ideal, tuple(word))
-            for block in blocks for word in block.tolist())
+    check_search_bound(ideal, max_exhaustive=max_exhaustive)
+    return (OrderedIdeal(ideal, word) for word in permutations(ideal.indices()))
 
 
 def parse_order(text: str, ideal: MonomialIdeal) -> OrderedIdeal:
@@ -126,8 +94,6 @@ def parse_order(text: str, ideal: MonomialIdeal) -> OrderedIdeal:
         raise ValueError(f"order override {text!r} is not a comma-separated "
                          "list of integers") from None
     return OrderedIdeal(ideal, word)
-
-
 
 
 def check_search_bound(ideal: MonomialIdeal, *,
@@ -147,10 +113,15 @@ def orders_for_search(ideal: MonomialIdeal, *,
                       max_exhaustive: int = DEFAULT_MAX_EXHAUSTIVE
                       ) -> tuple[Iterator[np.ndarray], bool]:
     """The mu! permutation words, lexicographic, as int8 arrays of shape
-    (count, mu) whose row k is one word, plus ``True``: the stream
-    covers every order.
+    (count, mu) whose row k is one word, ``BLOCK`` words to an array but
+    the last, plus ``True``: the stream covers every order.
 
     Refused by ``check_search_bound``.
     """
     check_search_bound(ideal, max_exhaustive=max_exhaustive)
-    return _arrangements(ideal.indices()), True
+    return _blocks(permutations(ideal.indices())), True
+
+
+def _blocks(words: Iterator[tuple[int, ...]]) -> Iterator[np.ndarray]:
+    while block := list(islice(words, BLOCK)):
+        yield np.array(block, np.int8)

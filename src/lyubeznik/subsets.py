@@ -71,6 +71,17 @@ def popcounts(mu: int) -> np.ndarray:
     return counts
 
 
+def up_closure(marked: np.ndarray) -> np.ndarray:
+    """Mark, in place, every mask that has a marked subset, and return
+    ``marked``: a bool array over the 2^mu masks, closed by one OR per
+    bit (the zeta transform over the subset lattice)."""
+    for b in range(len(marked).bit_length() - 1):
+        # masks with bit b set take the mark of the mask without it
+        halves = marked.reshape(-1, 2, 1 << b)
+        halves[:, 1] |= halves[:, 0]
+    return marked
+
+
 class SubsetTables:
     """Order-free per-ideal tables indexed by subset mask.
 

@@ -1,11 +1,11 @@
 """Plain-Python checking routes for the per-order tables.
 
-The library computes an order's broken and preserved sets with one
-numpy kernel (``complexes.PreservedKernel``).  These are the routes it
-replaced, kept as the references that differential tests compare it
-with.  They share no code with the kernel, only the ideal's subset
-tables (``outside_mask``), which ``tests/test_subsets.py`` checks
-against the monomials.
+The library computes an order's broken and preserved sets by 1-D numpy
+passes over the subset masks (``complexes.order_analysis``).  These
+are the routes it replaced, kept as the references that differential
+tests compare it with.  They share no code with it, only the ideal's
+subset tables (``outside_mask``), which ``tests/test_subsets.py``
+checks against the monomials.
 
 * ``court_table`` and ``preserved_table``: least ranks by a loop over
   the masks, then the preserved-set DP (a set is preserved iff it has
@@ -14,13 +14,16 @@ against the monomials.
   broken sets, by a bitwise subset-sum transform;
 * ``facets_stable``: minimality as "every facet of the complex is a
   stable symbol", read off the monomials;
+* ``block_ranks``: the least and court ranks of every mask under each
+  order of a block, by whole-array passes over the (mask, order) plane;
 * ``unpacked_readout``: a block of orders' obstruction, length and
-  minimality from the kernel's least and court ranks, up-closed and
-  read as one bool per (mask, order);
-* ``exhaustive_scan``: the aggregates of all mu! orders, by the kernel
-  and ``unpacked_readout`` on every block of ``orders_for_search`` and
-  a first-strictly-better merge in lexicographic order, the route the
-  prefix-set search (``search_scan``) replaced;
+  minimality from those ranks, up-closed and read as one bool per
+  (mask, order);
+* ``exhaustive_scan``: the aggregates of all mu! orders, by
+  ``block_ranks`` and ``unpacked_readout`` on every block of
+  ``orders_for_search`` and a first-strictly-better merge in
+  lexicographic order, the route the prefix-set search
+  (``search_scan``) replaced;
 * ``BoundaryMatrix`` and ``boundary_levels``: dense sign matrices
   between consecutive levels of a face family, faces written as index
   tuples, the route the oracle's sparse columns
@@ -43,7 +46,6 @@ import numpy as np
 
 from lyubeznik import is_stable_symbol, orders_for_search, symbol_of
 from lyubeznik.betti import QUOTIENT, BettiTable
-from lyubeznik.complexes import PreservedKernel
 from lyubeznik.covers import cover_table
 from lyubeznik.oracle import _rank_function, _strand_homology
 from lyubeznik.subsets import indices_of, iter_bits, tables_for
@@ -105,9 +107,24 @@ def facets_stable(ordered, preserved=None):
                for f in facets(preserved))
 
 
+def block_ranks(ideal, words):
+    """(least, court_rank), int8 arrays of shape (2^mu, count), for a
+    block of permutation words of shape (count, mu): the least rank in
+    each mask under each order (mu for the empty mask), and that of the
+    mask's outside divisors."""
+    mu, count = ideal.mu, len(words)
+    rank = np.empty((mu, count), np.int8)
+    rank[words.T - 1, np.arange(count)] = np.arange(mu, dtype=np.int8)[:, None]
+    least = np.empty((1 << mu, count), np.int8)
+    least[0] = mu
+    for b in range(mu):
+        np.minimum(least[:1 << b], rank[b], out=least[1 << b:2 << b])
+    return least, least[tables_for(ideal).outside_mask]
+
+
 def unpacked_readout(ideal, least, court_rank):
     """(obstruction, length, minimal) arrays of a block of orders, from
-    ``PreservedKernel``'s (2^mu, count) least and court rank arrays."""
+    ``block_ranks``."""
     size, count = least.shape
     unpreserved = court_rank < least
     for b in range(ideal.mu):
@@ -153,15 +170,14 @@ def exhaustive_scan(ideal):
     """The ``Scan`` of all mu! orders, block by block in lexicographic
     order; a witness changes only when a block holds a strictly lower
     value, so each is the least order that reaches its value."""
-    kernel = PreservedKernel(tables_for(ideal).outside_mask)
     blocks, _ = orders_for_search(ideal, max_exhaustive=ideal.mu)
     # no obstruction or length exceeds mu: mu + 1 is above every value
     tobsl = min_l = ideal.mu + 1
     tobsl_witness = min_l_witness = nonminimal_witness = None
     scanned = minimal_count = 0
     for words in blocks:
-        least, court_rank, _ = kernel(words)
-        obs, lengths, minimal = unpacked_readout(ideal, least, court_rank)
+        obs, lengths, minimal = unpacked_readout(ideal,
+                                                 *block_ranks(ideal, words))
         j, k = int(np.argmin(obs)), int(np.argmin(lengths))
         if obs[j] < tobsl:
             tobsl, tobsl_witness = int(obs[j]), tuple(words[j].tolist())

@@ -9,7 +9,6 @@ import time
 from itertools import combinations
 
 from lyubeznik import (
-    OrderedIdeal,
     SubsetClass,
     admissible_symbols,
     all_orders,
@@ -43,7 +42,7 @@ from lyubeznik import (
     verify_chain_complex,
     verify_resolution,
 )
-from lyubeznik.subsets import indices_of, mask_of, tables_for
+from lyubeznik.subsets import mask_of, tables_for
 
 from reference_routes import closure_length
 

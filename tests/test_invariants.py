@@ -2,11 +2,11 @@
 
 The checking scan (``reference_routes.exhaustive_scan``) reads
 obstruction, length, and minimality for whole blocks of orders off
-``PreservedKernel``.  Here its arrays are checked, order by order,
-against the per-order functions, which read the same kernel one word at
-a time; ``tests/test_scan_kernel.py`` and
-``tests/test_preserved_kernel.py`` compare both with the plain-Python
-reference routes.
+``reference_routes.block_ranks``.  Here its arrays are checked, order
+by order, against the per-order functions, which read
+``complexes.order_analysis`` one order at a time;
+``tests/test_scan_kernel.py`` and ``tests/test_preserved_kernel.py``
+compare both with the plain-Python reference routes.
 """
 
 import dataclasses
@@ -45,10 +45,7 @@ from lyubeznik import (
     taylor_betti,
     total_obstruction,
 )
-from lyubeznik.complexes import PreservedKernel
-from lyubeznik.subsets import tables_for
-
-from reference_routes import unpacked_readout
+from reference_routes import block_ranks, unpacked_readout
 
 KOSZUL2 = parse_ideal("vars x y\ngen x\ngen y")
 
@@ -62,9 +59,8 @@ def test_scanner_matches_per_order_functions():
     for name in SCAN_NAMES:
         ideal = load_ideal(name)
         words = [o.order for o in all_orders(ideal)]
-        kernel = PreservedKernel(tables_for(ideal).outside_mask)
-        least, court_rank, _ = kernel(np.array(words, np.int8))
-        obs, length, minimal = unpacked_readout(ideal, least, court_rank)
+        obs, length, minimal = unpacked_readout(
+            ideal, *block_ranks(ideal, np.array(words, np.int8)))
         for k, word in enumerate(words):
             ordered = OrderedIdeal(ideal, word)
             assert obs[k] == obstruction(ordered), (name, word)

@@ -70,7 +70,7 @@ def test_orders_for_search_lists_every_order():
 
 
 # The block stream against itertools: every word in order, in int8
-# blocks of one tail table each (7! = 5040 rows from mu = 7 on).
+# blocks of 7! = 5040 rows (one block of mu! rows below mu = 7).
 
 
 def word_array(words, mu, count):

@@ -1,9 +1,9 @@
-"""The broken/preserved kernel against the plain-Python routes it replaced.
+"""The per-order tables against the plain-Python routes they replaced.
 
-``order_analysis`` runs ``complexes.PreservedKernel`` on a one-word
-block; its court and preserved lists must equal, entry for entry, those
-of the Python DP in ``reference_routes``, and its face list must be the
-DP's preserved masks in ascending order.  The resolution length must
+``order_analysis`` builds an order's tables by 1-D numpy passes over
+the subset masks; its court list and preserved array must equal, entry
+for entry, those of the Python DP in ``reference_routes``, and its face
+list must be the DP's preserved masks in ascending order.  The resolution length must
 equal the subset-sum closure's, and ``is_minimal_resolution`` (no
 E-minimal cover is preserved) must agree with facet stability.  The
 inputs are the corpus (every order when mu <= 5, three otherwise),
@@ -17,9 +17,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lyubeznik import (OrderedIdeal, all_ideals, all_orders,
-                       identity_order, is_minimal_resolution, l_length,
-                       preserved_size)
+                       identity_order, is_broken, is_minimal_resolution,
+                       is_preserved, l_length, obstruction, preserved_size)
 from lyubeznik.complexes import order_analysis
+from lyubeznik.subsets import indices_of
 
 from conftest import exponent_ideal
 from reference_routes import (closure_length, court_table, facets_stable,
@@ -42,7 +43,7 @@ def check_tables(ordered):
     preserved = preserved_table(ordered, court)
     analysis = order_analysis(ordered)
     assert analysis.court == court, ordered.order
-    assert analysis.preserved == preserved, ordered.order
+    assert analysis.preserved.tolist() == preserved, ordered.order
     assert analysis.faces == [m for m, p in enumerate(preserved) if p], \
         ordered.order
     assert (l_length(ordered) == preserved_size(ordered)
@@ -90,3 +91,25 @@ def test_kernel_matches_the_python_dp_at_the_table_bound(mu):
     for _ in range(2):
         rng.shuffle(word)
         check_tables(OrderedIdeal(ideal, tuple(word)))
+
+
+def test_per_order_answers_are_plain_python_types():
+    # the tables are numpy arrays; no numpy scalar may reach a caller
+    seen = set()
+    for name, ideal in all_ideals():
+        word = identity_order(ideal).order
+        for ordered in (OrderedIdeal(ideal, w) for w in (word, word[::-1])):
+            minimal = is_minimal_resolution(ordered)
+            assert type(minimal) is bool, name
+            assert type(obstruction(ordered)) is int, name
+            assert type(l_length(ordered)) is int, name
+            seen.add(("minimal", minimal))
+            for mask in range(1, 1 << ideal.mu):
+                subset = indices_of(mask)
+                preserved = is_preserved(subset, ordered)
+                court = is_broken(subset, ordered)
+                assert type(preserved) is bool, (name, subset)
+                assert court is None or type(court) is int, (name, subset)
+                seen |= {("preserved", preserved), ("broken", court is None)}
+    # every kind of answer occurred
+    assert len(seen) == 6

@@ -1,11 +1,12 @@
 """Differential test of the checking scan and of ``search_scan``.
 
 The checking scan (``reference_routes.exhaustive_scan``) evaluates whole
-int8 blocks of permutation words with ``PreservedKernel``.  Here its
-aggregates are compared with a plain loop over ``all_orders`` that reads
-each order's obstruction, length and minimality off the plain-Python
-routes in ``reference_routes``, which share no code with the kernel:
-values and lexicographically least witnesses alike.  The same loop
+int8 blocks of permutation words with ``reference_routes.block_ranks``.
+Here its aggregates are compared with a plain loop over ``all_orders``
+that reads each order's obstruction, length and minimality off the
+plain-Python per-order routes in ``reference_routes``, which share no
+code with the block routes: values and lexicographically least
+witnesses alike.  The same loop
 checks ``search_scan``, which answers by prefix-set search instead.
 """
 

@@ -1,13 +1,15 @@
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lyubeznik import BoundExceededError, divides, lcm_of
 from lyubeznik.corpus import ideal_names, load_ideal
 from lyubeznik.monomials import EXPONENT_LIMIT
-from lyubeznik.subsets import (indices_of, iter_bits, mask_of, tables_for)
+from lyubeznik.subsets import (indices_of, iter_bits, mask_of, tables_for,
+                               up_closure)
 
 from conftest import exponent_ideal, xyz_ideal
 from test_scan_kernel import exponent_rows, small_ideal
@@ -20,6 +22,16 @@ def test_mask_helpers_round_trip():
     assert mask_of([]) == 0
     with pytest.raises(ValueError):
         mask_of([0])
+
+
+@settings(max_examples=40)
+@given(st.integers(0, 6).flatmap(
+    lambda mu: st.lists(st.booleans(), min_size=1 << mu, max_size=1 << mu)))
+def test_up_closure_marks_the_masks_above_a_marked_one(marks):
+    closed = up_closure(np.array(marks))
+    for mask in range(len(marks)):
+        assert closed[mask] == any(marks[sub] for sub in range(len(marks))
+                                   if sub & mask == sub), mask
 
 
 def brute_tables(ideal, masks=None):
