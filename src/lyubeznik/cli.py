@@ -9,8 +9,16 @@ this module's own writer, ``_json_text``, whose bytes are identical to
 two thirds of a ``covers`` call on a 12-generator ideal.  The writer
 reuses the text of any tuple or dict met again at the same depth, and
 ``covers`` shares one entry per distinct cover among the generators it
-covers, so each distinct cover is written once.  Exit codes: 0 success,
-1 bad input, 2 a size threshold refused the computation.
+covers, so each distinct cover is written once.
+
+The parser is built once per process, on the first ``main`` call, and
+each call parses into a fresh namespace; a subcommand's handler is
+looked up when the call runs it.  A warning raised while a command runs
+(a dropped non-minimal generator, a radical-generator construction on a
+non-minimal order) is printed as one line, ``lyubeznik: warning:
+<message>``, on stderr, and stdout is unchanged.  Exit codes: 0
+success, 1 bad input, 2 a size threshold refused the computation, 130
+interrupted (Ctrl-C), with ``lyubeznik: interrupted`` on stderr.
 """
 
 from __future__ import annotations
@@ -18,6 +26,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
@@ -405,13 +415,22 @@ def _cmd_graph(args):
 # ---------------------------------------------------------------------------
 
 
+def _handler(name: str):
+    """The module's handler ``name``, looked up each time it runs, so
+    that the parser built once per process runs the function the module
+    holds under that name at the time."""
+    def run(args):
+        return globals()[name](args)
+    return run
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="lyubeznik",
                      description="Covers, preserved sets, and minimality of "
                                  "Lyubeznik resolutions of monomial ideals.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, handler, help_: str, *, order=False, search=False,
+    def add(name: str, help_: str, *, order=False, search=False,
             field=False, graph=False):
         p = sub.add_parser(name, help=help_)
         p.add_argument("path", help="graph file" if graph else "ideal file")
@@ -435,24 +454,22 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--field", type=_field, default="q",
                            metavar="q|p:<prime>",
                            help="coefficient field for homology ranks")
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=_handler("_cmd_" + name.replace("-", "_")))
         return p
 
-    add("covers", _cmd_covers, "covers and the E-minimal cover clutter",
-        order=True)
-    add("complex", _cmd_complex, "faces, facets, and the subset census",
-        order=True)
-    add("analyze", _cmd_analyze, "per-order invariant report",
+    add("covers", "covers and the E-minimal cover clutter", order=True)
+    add("complex", "faces, facets, and the subset census", order=True)
+    add("analyze", "per-order invariant report",
         order=True, search=True, field=True)
-    add("search", _cmd_search, "scan orders for obstruction and length minima",
+    add("search", "scan orders for obstruction and length minima",
         search=True)
-    add("oracle-betti", _cmd_oracle_betti,
-        "Betti numbers from Taylor-strand homology", field=True)
-    add("verify", _cmd_verify, "check the resolution homologically",
+    add("oracle-betti", "Betti numbers from Taylor-strand homology",
+        field=True)
+    add("verify", "check the resolution homologically",
         order=True, field=True)
-    add("radical-gens", _cmd_radical_gens,
-        "polynomials generating the ideal up to radical", order=True)
-    graph_p = add("graph", _cmd_graph, "edge-ideal tools for simple graphs",
+    add("radical-gens", "polynomials generating the ideal up to radical",
+        order=True)
+    graph_p = add("graph", "edge-ideal tools for simple graphs",
                   search=True, graph=True)
     graph_p.add_argument("--edge-ideal", action="store_true",
                          help="emit the edge ideal in ideal-file syntax")
@@ -461,15 +478,41 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser per process: building it (and looking up the translation
+# of every help string) costs more than parsing a request with it
+@lru_cache(maxsize=1)
+def _shared_parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
+def _show_warning(message, category, filename, lineno, file=None,
+                  line=None) -> None:
+    """``warnings.showwarning`` for the CLI: one line, no source line."""
+    print(f"lyubeznik: warning: {message}", file=sys.stderr)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits on usage errors and --help; report the code
         # instead so callers of main() always get a plain int back
         return exc.code if isinstance(exc.code, int) else 1
     try:
-        payload, text = args.handler(args)
+        return _run(args)
+    except KeyboardInterrupt:
+        print("lyubeznik: interrupted", file=sys.stderr)
+        return 130
+
+
+def _run(args) -> int:
+    """Run the parsed request, print its output, return the exit code."""
+    try:
+        # entering the block also resets the warnings already shown, so
+        # a repeated call in one process warns again
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            payload, text = args.handler(args)
     except BoundExceededError as exc:
         print(f"lyubeznik: refused: {exc}", file=sys.stderr)
         return 2

@@ -5,12 +5,13 @@ lcm(C minus {u}); u is then redundant inside C.  The complete cover of
 any C collects every generator dividing lcm(C).  A cover of u is
 E-minimal when no proper subset of it covers u (minimal as a set).
 
-The E-minimal covers of every generator are found together, in one
-pass over the subset masks, and kept in one lru-cached table per ideal
-(``cover_table``): the covers of each generator, their union, and the
-inclusion-minimal members of the union.  Those minimal sets form the
-edge set of a clutter (an antichain of subsets); an order on the
-generators orients it.  ``e_minimal_covers_of``, ``cover_clutter`` and
+The E-minimal covers of every generator are found together, by
+whole-array numpy passes over the subset masks (one AND per bit; for
+the clutter, an up-closure and one shifted OR per bit), and kept in one
+lru-cached table per ideal (``cover_table``): the covers of each
+generator, their union, and the inclusion-minimal members of the union.
+Those minimal sets form the edge set of a clutter (an antichain of
+subsets); an order on the generators orients it.  ``e_minimal_covers_of``, ``cover_clutter`` and
 the minimality tests, obstruction and order search of ``invariants``
 all read this one table.  Downstream, an order gives a minimal
 resolution exactly when none of these sets is preserved.
@@ -37,7 +38,7 @@ import numpy as np
 
 from .monomials import BoundExceededError, MonomialIdeal
 from .orders import OrderedIdeal
-from .subsets import indices_of, iter_bits, mask_of, popcounts, tables_for
+from .subsets import indices_of, mask_of, popcounts, tables_for, up_closure
 
 MAX_ENUMERATION_GENERATORS = 12
 
@@ -135,45 +136,50 @@ def covers_of(u: int, ideal: MonomialIdeal, *,
 
 
 class _CoverTable:
-    """The E-minimal covers of one ideal, found in one pass over the masks.
+    """The E-minimal covers of one ideal, found by whole-array passes.
 
     ``by_generator[u - 1]`` holds the masks of the E-minimal covers of
     generator u, ``eminimal`` their union, and ``clutter`` the
-    inclusion-minimal members of the union; all ascend by mask.
-    Obstruction sizes are measured on the clutter; whether some member
-    is preserved is the same question on either, because subsets of
-    preserved sets are preserved.
+    inclusion-minimal members of the union; all ascend by mask and hold
+    Python ints.  Each is a constant number of numpy passes per bit over
+    the 2^mu masks: one AND per bit for the E-minimal test, and for the
+    clutter an up-closure of the E-minimal marks and one shifted OR per
+    bit.  Obstruction sizes are measured on the clutter; whether some
+    member is preserved is the same question on either, because subsets
+    of preserved sets are preserved.
     """
 
     __slots__ = ("by_generator", "eminimal", "clutter")
 
     def __init__(self, ideal: MonomialIdeal) -> None:
         tables = tables_for(ideal)
-        covered = tables.covered_mask
-        by_generator: list[list[int]] = [[] for _ in range(tables.mu)]
-        eminimal = []
-        for mask in range(1, tables.size):
-            left = covered[mask]
-            # covers of u are upward closed, so u stays E-minimal in the
-            # mask unless a one-smaller subset still covers it
-            for b in iter_bits(mask):
-                if not left:
-                    break
-                left &= ~covered[mask ^ (1 << b)]
-            if left:
-                eminimal.append(mask)
-                for b in iter_bits(left):
-                    by_generator[b].append(mask)
+        mu = tables.mu
+        covered = np.array(tables.covered_mask, np.int64)
+        # covers of u are upward closed, so u stays E-minimal in a mask
+        # unless a one-smaller subset still covers it: per bit b, the
+        # masks with b set lose what the mask without b covers
+        left = covered.copy()
+        for b in range(mu):
+            halves = left.reshape(-1, 2, 1 << b)
+            halves[:, 1] &= ~covered.reshape(-1, 2, 1 << b)[:, 0]
+        eminimal = np.flatnonzero(left)
+        # the generators each E-minimal mask is an E-minimal cover of
+        minimal_for = left[eminimal]
         # an E-minimal cover of one generator may strictly contain one of
-        # another; by size, each set need only be tested against the
-        # minimal sets kept so far
-        clutter: list[int] = []
-        for mask in sorted(eminimal, key=int.bit_count):
-            if not any(k & mask == k for k in clutter):
-                clutter.append(mask)
-        self.by_generator = tuple(map(tuple, by_generator))
-        self.eminimal = tuple(eminimal)
-        self.clutter = tuple(sorted(clutter))
+        # another: a mark is in the clutter unless a one-smaller subset
+        # lies in the up-closure of the marks
+        above = np.zeros(tables.size, bool)
+        above[eminimal] = True
+        up_closure(above)
+        strict = np.zeros(tables.size, bool)
+        for b in range(mu):
+            halves = strict.reshape(-1, 2, 1 << b)
+            halves[:, 1] |= above.reshape(-1, 2, 1 << b)[:, 0]
+        self.by_generator = tuple(
+            tuple(eminimal[minimal_for >> b & 1 != 0].tolist())
+            for b in range(mu))
+        self.eminimal = tuple(eminimal.tolist())
+        self.clutter = tuple(eminimal[~strict[eminimal]].tolist())
 
 
 # one entry: a command reads one ideal, and more entries would hold

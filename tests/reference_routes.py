@@ -37,7 +37,11 @@ checks against the monomials.
   strands (``oracle._critical_strands``) replaced;
 * ``cover_listing``: the masks that cover anything, sorted by a Python
   key (size, then member tuple) and filtered per generator, the route
-  the numpy listing (``covers.cover_listing``) replaced.
+  the numpy listing (``covers.cover_listing``) replaced;
+* ``CoverWalk``: the E-minimal covers of each generator, their union
+  and its inclusion-minimal members, by a walk over every mask and its
+  one-smaller subsets, the route the numpy passes of
+  ``covers._CoverTable`` replaced.
 """
 
 from dataclasses import dataclass
@@ -302,3 +306,34 @@ def cover_listing(ideal):
                      key=lambda m: (m.bit_count(), indices_of(m)))
     return tuple(tuple(m for m in ordered if covered[m] >> b & 1)
                  for b in range(tables.mu))
+
+
+class CoverWalk:
+    """The fields of ``covers._CoverTable``, by a walk over the masks."""
+
+    def __init__(self, ideal):
+        tables = tables_for(ideal)
+        covered = tables.covered_mask
+        by_generator = [[] for _ in range(tables.mu)]
+        eminimal = []
+        for mask in range(1, tables.size):
+            left = covered[mask]
+            # covers of u are upward closed, so u stays E-minimal in the
+            # mask unless a one-smaller subset still covers it
+            for b in iter_bits(mask):
+                if not left:
+                    break
+                left &= ~covered[mask ^ (1 << b)]
+            if left:
+                eminimal.append(mask)
+                for b in iter_bits(left):
+                    by_generator[b].append(mask)
+        # by size, each set need only be tested against the minimal sets
+        # kept so far
+        clutter = []
+        for mask in sorted(eminimal, key=int.bit_count):
+            if not any(k & mask == k for k in clutter):
+                clutter.append(mask)
+        self.by_generator = tuple(map(tuple, by_generator))
+        self.eminimal = tuple(eminimal)
+        self.clutter = tuple(sorted(clutter))

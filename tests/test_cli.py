@@ -344,3 +344,121 @@ def test_closed_pipe_exits_one_without_a_traceback(tmp_path):
     err = proc.stderr.read().decode()
     assert proc.wait() == 1
     assert "Traceback" not in err and "Exception ignored" not in err, err
+
+
+# -- one parser per process ---------------------------------------------------
+# main() builds its parser on the first call and reuses it; each call
+# must still parse into a fresh namespace, and a usage error or --help
+# (both end in SystemExit inside argparse) must leave it usable
+
+def fresh_process(argv):
+    """(exit code, stdout, stderr) of the command in a new interpreter."""
+    proc = subprocess.run([sys.executable, "-m", "lyubeznik.cli", *argv],
+                          capture_output=True, text=True)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_the_shared_parser_serves_call_after_call(capsys, monkeypatch):
+    import hashlib
+    from lyubeznik.corpus import _data_dir
+    from test_cli_digests import DIGESTS
+    # the help text wraps at the terminal width; fix it for both sides
+    monkeypatch.setenv("COLUMNS", "80")
+    recorded = json.loads(DIGESTS.read_text())
+    name = "mixed_powers_xyz"
+    path = str(_data_dir() / f"{name}.ideal")
+    calls = [
+        (("analyze", "--format", "yaml", path), 1, None),
+        (("--help",), 0, None),
+        (("covers", "--format", "json", "--order", "5,3,1,4,2", path), 0,
+         None),
+        (("covers", "--format", "json", path), 0, f"covers {name}"),
+        (("analyze", "--format", "json", "--field", "p:32003", path), 0, None),
+        (("analyze", "--format", "json", path), 0, f"analyze {name}"),
+    ]
+    for argv, code, key in calls:
+        got = run_cli(capsys, *argv)
+        assert got[0] == code, argv
+        if key is None:
+            assert got == fresh_process(argv), argv
+        else:
+            digest = hashlib.sha256(got[1].encode()).hexdigest()
+            assert f"{got[0]} {digest}" == recorded[key], argv
+
+    built = []
+    original = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        original(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert run_cli(capsys, "covers", "--format", "json", path)[0] == 0
+    assert built == []
+
+
+def test_importing_the_cli_builds_no_parser():
+    probe = ("import argparse\n"
+             "built = []\n"
+             "original = argparse.ArgumentParser.__init__\n"
+             "def counted(self, *args, **kwargs):\n"
+             "    built.append(self)\n"
+             "    original(self, *args, **kwargs)\n"
+             "argparse.ArgumentParser.__init__ = counted\n"
+             "import lyubeznik.cli\n"
+             "print(len(built))\n")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"
+
+
+# -- warnings and interrupts --------------------------------------------------
+
+NOT_MINIMAL = ("lyubeznik: warning: the resolution of this order is not "
+               "minimal; the radical generator construction is stated for "
+               "minimal resolutions\n")
+
+
+def test_a_warning_is_one_line_on_every_call(capsys):
+    from lyubeznik.corpus import _data_dir
+    path = str(_data_dir() / "chain_five_mixed.ideal")
+    outputs = set()
+    for _ in range(2):
+        code, out, err = run_cli(capsys, "radical-gens", path)
+        assert code == 0 and err == NOT_MINIMAL
+        outputs.add(out)
+    assert len(outputs) == 1 and out.startswith("ideal: ")
+    assert fresh_process(["radical-gens", path]) == (0, out, NOT_MINIMAL)
+
+
+def test_a_dropped_generator_warns_in_one_line(capsys, tmp_path):
+    path = tmp_path / "redundant.ideal"
+    path.write_text("vars x y\ngen x\ngen x*y\ngen y^2\n")
+    expected = ("lyubeznik: warning: generating set was not minimal; dropped "
+                "1 redundant generator(s): x*y (line 3)\n")
+    for _ in range(2):
+        code, out, err = run_cli(capsys, "analyze", "--format", "json",
+                                 str(path))
+        assert code == 0 and err == expected
+        assert json.loads(out)["ideal"]["generators"] == ["x", "y^2"]
+    assert fresh_process(["analyze", "--format", "json", str(path)]) == (
+        0, out, expected)
+
+
+def test_ctrl_c_in_a_handler_exits_130_without_a_traceback(capsys, mixed_path,
+                                                          monkeypatch):
+    import lyubeznik.cli as cli
+
+    def interrupted(args):
+        raise KeyboardInterrupt
+    monkeypatch.setattr(cli, "_cmd_search", interrupted)
+    try:
+        code, out, err = run_cli(capsys, "search", "--format", "json",
+                                 mixed_path)
+    except KeyboardInterrupt:
+        # let it not end the whole test session
+        pytest.fail("the interrupt escaped main()")
+    assert (code, out, err) == (130, "", "lyubeznik: interrupted\n")
+    monkeypatch.undo()
+    code, out, _ = run_cli(capsys, "search", "--format", "json", mixed_path)
+    assert code == 0 and json.loads(out)["command"] == "search"

@@ -3,7 +3,10 @@ against literal routes that share neither table.
 
 * Covers: the E-minimal covers of each generator and the clutter edges
   from ``covers`` are compared with a definition built here from
-  ``is_cover_of`` over every subset.
+  ``is_cover_of`` over every subset.  The numpy passes of
+  ``cover_table`` are also compared, field by field, with the walk over
+  the masks they replaced (``reference_routes.CoverWalk``), up to the
+  table bound.
 * Lengths: ``preserved_size`` and ``l_length`` both read the order's
   preserved-set table; they are compared with the largest admissible
   symbol, which ``is_admissible_symbol`` decides on the monomials
@@ -12,13 +15,17 @@ against literal routes that share neither table.
 
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from lyubeznik import (OrderedIdeal, Symbol, all_ideals, cover_clutter,
                        e_minimal_covers_of, identity_order,
                        is_admissible_symbol, is_cover_of, l_length,
                        preserved_size)
+from lyubeznik.covers import cover_table
 
+from reference_routes import CoverWalk
+from test_preserved_kernel import seeded_ideal
 from test_scan_kernel import exponent_rows, small_ideal
 
 
@@ -45,6 +52,17 @@ def check_cover_table(ideal):
     assert cover_clutter(identity_order(ideal)).edges == clutter
 
 
+def check_cover_table_against_the_walk(ideal):
+    table = cover_table(ideal, max_generators=ideal.mu)
+    walk = CoverWalk(ideal)
+    for field in ("by_generator", "eminimal", "clutter"):
+        assert getattr(table, field) == getattr(walk, field), field
+    masks = [*table.eminimal, *table.clutter]
+    for masks_of_u in table.by_generator:
+        masks += masks_of_u
+    assert all(type(m) is int for m in masks)
+
+
 def largest_admissible_symbol(ordered):
     return max(t for t in range(1, ordered.ideal.mu + 1)
                for word in combinations(ordered.order, t)
@@ -68,6 +86,25 @@ def test_cover_table_matches_the_definition_on_the_corpus():
 @given(st.integers(2, 4).flatmap(exponent_rows))
 def test_cover_table_matches_the_definition_on_random_ideals(rows):
     check_cover_table(small_ideal(rows))
+
+
+def test_cover_table_matches_the_walk_on_the_corpus():
+    for _, ideal in all_ideals():
+        check_cover_table_against_the_walk(ideal)
+
+
+@settings(max_examples=60)
+@given(st.integers(2, 5).flatmap(exponent_rows))
+def test_cover_table_matches_the_walk_on_random_ideals(rows):
+    check_cover_table_against_the_walk(small_ideal(rows, max_mu=10))
+
+
+@pytest.mark.parametrize("mu,seed", [(13, 0), (13, 1), (14, 0), (14, 1),
+                                     (16, 0)])
+def test_cover_table_matches_the_walk_up_to_the_table_bound(mu, seed):
+    ideal = seeded_ideal(mu, seed)
+    assert ideal.mu == mu
+    check_cover_table_against_the_walk(ideal)
 
 
 def test_lengths_match_the_largest_admissible_symbol_on_the_corpus():
