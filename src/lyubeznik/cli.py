@@ -200,8 +200,10 @@ def _cmd_covers(args):
     # one entry per (mask, E-minimal flag), shared by every generator
     # the mask covers, so that the writer writes it once
     def entries(masks, flag: bool) -> dict[int, dict]:
-        return {m: {"members": tuples[m], "covered": tuples[covered[m]],
-                    "eminimal": flag} for m in masks}
+        masks = list(masks)
+        return {m: {"members": tuples[m], "covered": tuples[c],
+                    "eminimal": flag}
+                for m, c in zip(masks, covered[masks].tolist())}
 
     plain = entries(set().union(*listing), False)
     marked = entries(table.eminimal, True)

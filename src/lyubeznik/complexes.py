@@ -56,10 +56,12 @@ class _OrderAnalysis:
       broken sets (``subsets.up_closure``).
 
     ``court`` is the order's one broken-set table: ``court[mask]`` is the
-    least court of the subset, nonzero exactly when it is broken, as a
-    plain Python list, as the subset tables are.  ``preserved`` is a
-    numpy bool array over the masks: whether no subset of the mask is
-    broken.  ``length`` is the size of the largest preserved set.
+    least court of the subset, nonzero exactly when it is broken, as an
+    int8 array over the masks.  ``preserved`` is a bool array over the
+    masks: whether no subset of the mask is broken.  Both are read-only,
+    as the subset tables are, and a public function that hands back one
+    entry converts it to a Python value.  ``length`` is the size of the
+    largest preserved set.
     ``faces`` lists the preserved masks in ascending order: the faces of
     the Lyubeznik complex, which the complex, the Betti counts, the
     radical generators and the homology checks all read.
@@ -78,13 +80,15 @@ class _OrderAnalysis:
         least[0] = mu
         for b in range(mu):
             np.minimum(least[:1 << b], rank[b], out=least[1 << b:2 << b])
-        court_rank = least[np.array(tables.outside_mask, np.intp)]
+        court_rank = least[tables.outside_mask]
         broken = court_rank < least
         # an empty outside set has court rank mu: pad the word to index it
         court = np.append(word, np.int8(0))[court_rank]
         court[~broken] = 0
         preserved = ~up_closure(broken)
-        self.court = court.tolist()
+        # the tables are cached and shared: an in-place write must raise
+        court.flags.writeable = preserved.flags.writeable = False
+        self.court = court
         self.preserved = preserved
         self.faces = np.flatnonzero(preserved).tolist()
         self.length = int(popcounts(mu)[preserved].max())
@@ -103,7 +107,7 @@ def is_broken(subset: Iterable[int], ordered: OrderedIdeal) -> int | None:
     mask = mask_of(subset, ordered.ideal.mu)
     if mask == 0:
         raise ValueError("the empty set cannot be broken")
-    court = order_analysis(ordered).court[mask]
+    court = int(order_analysis(ordered).court[mask])
     return court if court else None
 
 
@@ -255,7 +259,7 @@ def classification_census(ordered: OrderedIdeal) -> dict[int, dict[SubsetClass, 
     """Counts of each class among the subsets of each size 1..mu."""
     analysis = order_analysis(ordered)
     mu = analysis.tables.mu
-    covered = np.array(analysis.tables.covered_mask) != 0
+    covered = analysis.tables.covered_mask != 0
     keys = (popcounts(mu).astype(np.intp) * 4
             + analysis.preserved * 2 + covered)
     counts = np.bincount(keys, minlength=4 * (mu + 1)).reshape(-1, 2, 2)

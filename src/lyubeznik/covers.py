@@ -22,17 +22,23 @@ per generator with one boolean array per bit; ``covers_of`` and the
 ``covers`` command read it, and ``e_minimal_covers_of`` orders its
 covers the same way.
 
+All of it reads the subset tables' ``covered_mask`` and
+``divisor_mask`` as the int64 arrays they are; Python ints appear only
+in what a function hands back (one ``tolist`` per listing, one ``int``
+per lookup).
+
 Enumeration walks all 2^mu subsets via the shared bitmask tables, which
 is exact and fast at the sizes this package targets; it refuses above
-``MAX_ENUMERATION_GENERATORS`` (library callers pass ``max_generators``
-to lift it, up to the table bound; the command line has no such option).
+``MAX_ENUMERATION_GENERATORS``.  The functions of this module take
+``max_generators`` to lift it, up to the table bound; the order
+searches and per-order minimality tests, which read the cover table at
+the default bound, and the command line have no such option.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
 
 import numpy as np
 
@@ -67,8 +73,9 @@ def _check_enumeration_bound(ideal: MonomialIdeal, max_generators: int) -> None:
     if ideal.mu > max_generators:
         raise BoundExceededError(
             f"cover enumeration over 2^{ideal.mu} subsets exceeds the bound "
-            f"mu <= {max_generators}; no command-line option lifts it (the "
-            "library functions take a max_generators argument)")
+            f"mu <= {max_generators}; no command-line option lifts it, and "
+            "in the library only the functions of the covers module take a "
+            "max_generators argument")
 
 
 def is_cover_of(members, u: int, ideal: MonomialIdeal) -> bool:
@@ -88,7 +95,7 @@ def complete_cover(members, ideal: MonomialIdeal) -> frozenset[int]:
     mask = mask_of(members, ideal.mu)
     if mask == 0:
         raise ValueError("complete cover of the empty set is undefined")
-    return frozenset(indices_of(tables_for(ideal).divisor_mask[mask]))
+    return frozenset(indices_of(int(tables_for(ideal).divisor_mask[mask])))
 
 
 def _by_size_then_members(masks: np.ndarray, mu: int) -> np.ndarray:
@@ -102,10 +109,10 @@ def _by_size_then_members(masks: np.ndarray, mu: int) -> np.ndarray:
     return masks[np.lexsort((-reversed_bits, popcounts(mu)[masks]))]
 
 
-def _wrap(masks: Iterable[int], ideal: MonomialIdeal) -> tuple[Cover, ...]:
-    covered = tables_for(ideal).covered_mask
-    return tuple(Cover(frozenset(indices_of(m)),
-                       frozenset(indices_of(covered[m]))) for m in masks)
+def _wrap(masks: list[int], ideal: MonomialIdeal) -> tuple[Cover, ...]:
+    covered = tables_for(ideal).covered_mask[masks].tolist()
+    return tuple(Cover(frozenset(indices_of(m)), frozenset(indices_of(c)))
+                 for m, c in zip(masks, covered))
 
 
 def cover_listing(ideal: MonomialIdeal, *,
@@ -119,9 +126,9 @@ def cover_listing(ideal: MonomialIdeal, *,
     """
     _check_enumeration_bound(ideal, max_generators)
     tables = tables_for(ideal)
-    covered = np.array(tables.covered_mask, np.int64)
-    masks = _by_size_then_members(np.flatnonzero(covered), tables.mu)
-    covered = covered[masks]
+    masks = _by_size_then_members(np.flatnonzero(tables.covered_mask),
+                                  tables.mu)
+    covered = tables.covered_mask[masks]
     return tuple(tuple(masks[covered & (1 << b) != 0].tolist())
                  for b in range(tables.mu))
 
@@ -132,7 +139,7 @@ def covers_of(u: int, ideal: MonomialIdeal, *,
     listing = cover_listing(ideal, max_generators=max_generators)
     if not 1 <= u <= ideal.mu:
         raise ValueError(f"generator {u} is not in 1..{ideal.mu}")
-    return _wrap(listing[u - 1], ideal)
+    return _wrap(list(listing[u - 1]), ideal)
 
 
 class _CoverTable:
@@ -154,7 +161,7 @@ class _CoverTable:
     def __init__(self, ideal: MonomialIdeal) -> None:
         tables = tables_for(ideal)
         mu = tables.mu
-        covered = np.array(tables.covered_mask, np.int64)
+        covered = tables.covered_mask
         # covers of u are upward closed, so u stays E-minimal in a mask
         # unless a one-smaller subset still covers it: per bit b, the
         # masks with b set lose what the mask without b covers

@@ -24,6 +24,8 @@ from functools import cached_property, lru_cache
 from itertools import combinations
 from math import factorial
 
+import numpy as np
+
 from .betti import QUOTIENT, BettiTable
 from .complexes import order_analysis
 from .covers import cover_table
@@ -123,7 +125,7 @@ def equivalence_audit(ordered: OrderedIdeal) -> EquivalenceAudit:
     emin_masks = cover_table(ordered.ideal).eminimal
     analysis = order_analysis(ordered)
     tables = analysis.tables
-    cover_masks = [m for m in range(1, tables.size) if tables.covered_mask[m]]
+    cover_masks = np.flatnonzero(tables.covered_mask).tolist()
     emin_set = frozenset(emin_masks)
 
     def has_low_subset(cover: int, eminimal: bool) -> bool:
@@ -133,7 +135,7 @@ def equivalence_audit(ordered: OrderedIdeal) -> EquivalenceAudit:
             if analysis.court[sub]:
                 if not eminimal:
                     return True
-                out = tables.outside_mask[sub]
+                out = int(tables.outside_mask[sub])
                 if any(sub | (1 << v) in emin_set for v in iter_bits(out)):
                     return True
             sub = (sub - 1) & cover
@@ -187,17 +189,14 @@ class SearchResult:
     exact = True
     stopped_early = False
 
-    def __init__(self, ideal: MonomialIdeal) -> None:
+    def __init__(self, ideal: MonomialIdeal, clutter: tuple[int, ...]) -> None:
         self.ideal = ideal
+        self._clutter = clutter
         self._short: dict[int, tuple[int, ...] | None] = {}
 
     @cached_property
     def scanned(self) -> int:
         return factorial(self.ideal.mu)
-
-    @cached_property
-    def _clutter(self) -> tuple[int, ...]:
-        return cover_table(self.ideal).clutter
 
     @cached_property
     def _edges(self) -> PrefixWalk:
@@ -285,9 +284,12 @@ def search_scan(ideal: MonomialIdeal, *,
 
     Refuses when mu exceeds ``max_exhaustive``; pass
     ``max_exhaustive=ideal.mu`` to search every order of any ideal.
+    The walks read the E-minimal cover clutter, so the search also
+    refuses, here and not when a field is read, above the cover table's
+    bound ``covers.MAX_ENUMERATION_GENERATORS``, which no argument lifts.
     """
     check_search_bound(ideal, max_exhaustive=max_exhaustive)
-    return SearchResult(ideal)
+    return SearchResult(ideal, cover_table(ideal).clutter)
 
 
 def total_obstruction(ideal: MonomialIdeal, *,

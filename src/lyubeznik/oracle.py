@@ -100,7 +100,7 @@ class _LcmClasses:
 
     def __init__(self, ideal: MonomialIdeal) -> None:
         tables = tables_for(ideal)
-        divisors = np.array(tables.divisor_mask, np.int64)
+        divisors = tables.divisor_mask
         # vertex sets are masks themselves, so a table over the masks
         # groups them without a sort; the empty mask's divisor set is
         # empty, and no nonempty mask's is

@@ -75,7 +75,7 @@ class PrefixWalk:
         # the root state: no generator placed, every family set alive
         self.alive = (1 << len(sets)) - 1
         prefixes = np.arange(1 << mu, dtype=np.int64)
-        divisor = np.array(tables_for(ideal).divisor_mask, np.int64)
+        divisor = tables_for(ideal).divisor_mask
         masks = np.array(sets, np.int64).reshape(-1, 1)
         width = 8 * max(1, -(-len(sets) // 64))
         keep = np.zeros((1 << mu, width), np.uint8)

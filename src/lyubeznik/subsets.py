@@ -10,9 +10,13 @@ The tables are built by whole-array numpy passes over the 2^mu masks,
 a constant number per generator: the lcm exponents by doubling over
 the bits (int64, exact up to ``EXPONENT_LIMIT``), the divisor masks by
 one divisibility test per generator, the cover masks by one gather per
-bit.  They are then handed out as plain Python lists (tuples of ints
-for the lcms, ints for the masks), the types that JSON output, dict
-keys and ``int.bit_count`` in the consumers expect.
+bit.  The three mask tables stay the read-only int64 arrays those
+passes build, so the consumers' numpy passes read them as they are; a
+public function that hands back one entry converts it to a Python int.
+The lcms alone become a list of exponent tuples of Python ints: the
+Betti counts from preserved sets (``invariants``) and the lcm classes
+of the oracle hash them as dict keys, and the benchmark's generator
+and tracer and CI's Euler-characteristic step read them as tuples.
 
 Tables cost O(2^mu) memory, so construction refuses ideals with more
 than MAX_TABLE_GENERATORS generators.
@@ -89,6 +93,9 @@ class SubsetTables:
     divisor_mask[m]  generators dividing lcm(m) (the complete cover of m)
     outside_mask[m]  divisor_mask[m] with the members removed (possible courts)
     covered_mask[m]  members u of m with m_u | lcm(m minus u)
+
+    The three mask tables are read-only int64 arrays of shape (2^mu,);
+    ``lcm_exps`` is a list of tuples of Python ints, hashable as keys.
     """
 
     __slots__ = ("ideal", "mu", "size", "lcm_exps", "divisor_mask",
@@ -128,9 +135,12 @@ class SubsetTables:
             cov[sel] |= div[masks[sel] ^ bit] & bit
 
         self.lcm_exps = [None, *zip(*(row.tolist() for row in lcm[:, 1:]))]
-        self.divisor_mask = div.tolist()
-        self.outside_mask = (div & ~masks).tolist()
-        self.covered_mask = cov.tolist()
+        self.divisor_mask = div
+        self.outside_mask = div & ~masks
+        self.covered_mask = cov
+        # the tables are cached and shared: an in-place write must raise
+        for table in (self.divisor_mask, self.outside_mask, self.covered_mask):
+            table.flags.writeable = False
 
     def lcm_monomial(self, mask: int) -> Monomial:
         exps = self.lcm_exps[mask]
@@ -139,7 +149,7 @@ class SubsetTables:
         return Monomial(self.ideal.context, exps)
 
     def is_cover(self, mask: int) -> bool:
-        return self.covered_mask[mask] != 0
+        return bool(self.covered_mask[mask])
 
 
 # one entry: a command reads one ideal, and more entries would hold

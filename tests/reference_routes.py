@@ -301,7 +301,7 @@ def full_strand_betti(ideal, prime=None):
 def cover_listing(ideal):
     """Entry u - 1: the masks that cover generator u, by size then members."""
     tables = tables_for(ideal)
-    covered = tables.covered_mask
+    covered = tables.covered_mask.tolist()
     ordered = sorted((m for m in range(tables.size) if covered[m]),
                      key=lambda m: (m.bit_count(), indices_of(m)))
     return tuple(tuple(m for m in ordered if covered[m] >> b & 1)
@@ -313,7 +313,7 @@ class CoverWalk:
 
     def __init__(self, ideal):
         tables = tables_for(ideal)
-        covered = tables.covered_mask
+        covered = tables.covered_mask.tolist()
         by_generator = [[] for _ in range(tables.mu)]
         eminimal = []
         for mask in range(1, tables.size):

@@ -266,6 +266,13 @@ def test_search_refusal_is_exit_two(capsys, tmp_path):
                    "--max-exhaustive (max_exhaustive= in the library)\n")
 
 
+def test_search_past_the_cover_bound_is_exit_two(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "search", "--max-exhaustive", "13",
+                             wide_ideal_path(tmp_path, 13))
+    assert code == 2 and out == ""
+    assert err.startswith("lyubeznik: refused: cover enumeration over 2^13 ")
+
+
 def wide_ideal_path(tmp_path, mu):
     path = tmp_path / f"wide{mu}.ideal"
     lines = ["vars " + " ".join(f"x{i}" for i in range(1, mu + 1))]

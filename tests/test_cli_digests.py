@@ -5,7 +5,8 @@ the exit code and the sha256 of stdout with ``data/cli_digests.json``.
 Every searching case is run a second time with ``--jobs 2``, which must
 print the same bytes.
 The digests pin output bytes, so a refactor that keeps behaviour leaves
-them untouched.  After an intended change of output, rewrite the file
+them untouched.  The cached tables that runs on one ideal share are
+read-only, so that no run can change what the next one reads.  After an intended change of output, rewrite the file
 with ``PYTHONPATH=src python tests/test_cli_digests.py`` and review the
 diff.
 """
@@ -20,8 +21,11 @@ from pathlib import Path
 
 import pytest
 
+from lyubeznik import identity_order, read_ideal
 from lyubeznik.cli import main
+from lyubeznik.complexes import order_analysis
 from lyubeznik.corpus import _data_dir, graph_names, ideal_names
+from lyubeznik.subsets import tables_for
 
 DIGESTS = Path(__file__).parent / "data" / "cli_digests.json"
 
@@ -85,6 +89,28 @@ SEARCHING = [(key, words, filename) for key, words, filename in cases()
 def test_jobs_leaves_the_recorded_digest(recorded, key, words, filename):
     # --jobs still parses on every searching command and changes no byte
     assert run_case(words + ("--jobs", "2"), filename) == recorded[key]
+
+
+def test_shared_tables_are_read_only(recorded):
+    # the subset and order tables are cached and shared by every command
+    # on the same ideal and order: a write raises, and the next command
+    # reads what the first one did
+    filename = "mixed_powers_xyz.ideal"
+    assert run_case(("covers",), filename) == recorded["covers mixed_powers_xyz"]
+    ideal = read_ideal(str(_data_dir() / filename))
+    tables = tables_for(ideal)
+    analysis = order_analysis(identity_order(ideal))
+    for table in (tables.divisor_mask, tables.outside_mask,
+                  tables.covered_mask, analysis.court, analysis.preserved):
+        with pytest.raises(ValueError, match="read-only"):
+            table[1] = table[0]
+        with pytest.raises(ValueError, match="read-only"):
+            table |= table
+    for words in (("analyze",), ("covers",)):
+        key = " ".join(words) + " mixed_powers_xyz"
+        assert run_case(words, filename) == recorded[key], key
+    assert tables_for(ideal) is tables
+    assert order_analysis(identity_order(ideal)) is analysis
 
 
 if __name__ == "__main__":

@@ -103,6 +103,18 @@ def test_search_respects_generator_bound():
     assert search_scan(ideal, max_exhaustive=ideal.mu).scanned == 120
 
 
+def test_search_refuses_past_the_cover_bound_when_called():
+    # the walks read the cover table, so the call itself refuses a
+    # mu-13 search, before any field is read, and the message points at
+    # no argument that the search takes
+    names = [f"x{i}" for i in range(1, 14)]
+    ideal = parse_ideal("vars " + " ".join(names) + "\n"
+                        + "\n".join(f"gen {x}" for x in names))
+    with pytest.raises(BoundExceededError, match=r"2\^13 subsets") as refusal:
+        search_scan(ideal, max_exhaustive=13)
+    assert "only the functions of the covers module" in str(refusal.value)
+
+
 def test_convenience_searches():
     ideal = load_ideal("mixed_powers_xyz")
     tobsl, witness = total_obstruction(ideal)

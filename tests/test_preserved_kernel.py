@@ -11,16 +11,20 @@ hypothesis ideals, and seeded six-variable ideals at mu 14 and 16,
 the largest the subset tables allow.
 """
 
+import dataclasses
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lyubeznik import (OrderedIdeal, all_ideals, all_orders,
-                       identity_order, is_broken, is_minimal_resolution,
-                       is_preserved, l_length, obstruction, preserved_size)
+from lyubeznik import (OrderedIdeal, SubsetClass, all_ideals, all_orders,
+                       classification_census, classify_subset, complete_cover,
+                       cover_clutter, covers_of, e_minimal_covers_of,
+                       equivalence_audit, identity_order, is_broken,
+                       is_cover_of, is_minimal_resolution, is_preserved,
+                       l_length, obstruction, preserved_size)
 from lyubeznik.complexes import order_analysis
-from lyubeznik.subsets import indices_of
+from lyubeznik.subsets import indices_of, tables_for
 
 from conftest import exponent_ideal
 from reference_routes import (closure_length, court_table, facets_stable,
@@ -42,7 +46,7 @@ def check_tables(ordered):
     court = court_table(ordered)
     preserved = preserved_table(ordered, court)
     analysis = order_analysis(ordered)
-    assert analysis.court == court, ordered.order
+    assert analysis.court.tolist() == court, ordered.order
     assert analysis.preserved.tolist() == preserved, ordered.order
     assert analysis.faces == [m for m, p in enumerate(preserved) if p], \
         ordered.order
@@ -113,3 +117,43 @@ def test_per_order_answers_are_plain_python_types():
                 seen |= {("preserved", preserved), ("broken", court is None)}
     # every kind of answer occurred
     assert len(seen) == 6
+
+
+def ints(values):
+    return all(type(v) is int for v in values)
+
+
+def test_cover_and_class_answers_are_plain_python_types():
+    # the mask tables are numpy arrays; the covers, the classes and the
+    # audit hand back Python values only
+    seen = set()
+    for name, ideal in all_ideals():
+        tables = tables_for(ideal)
+        ordered = identity_order(ideal)
+        for mask in range(1, 1 << ideal.mu):
+            subset = indices_of(mask)
+            cover = tables.is_cover(mask)
+            assert type(cover) is bool, (name, subset)
+            assert ints(complete_cover(subset, ideal)), (name, subset)
+            assert type(classify_subset(subset, ordered)) is SubsetClass
+            for u in subset:
+                covers_u = is_cover_of(subset, u, ideal)
+                assert type(covers_u) is bool, (name, subset, u)
+                seen.add(("covers u", covers_u))
+            seen.add(("cover", cover))
+        for u in ideal.indices():
+            for c in covers_of(u, ideal) + e_minimal_covers_of(u, ideal):
+                assert ints(c.members) and ints(c.covered), (name, u, c)
+                seen.add("cover listed")
+        for edge in cover_clutter(ordered).edges:
+            assert ints(edge), (name, edge)
+        for size, row in classification_census(ordered).items():
+            assert type(size) is int and ints(row.values()), (name, size)
+            assert all(type(c) is SubsetClass for c in row), (name, size)
+        audit = equivalence_audit(ordered)
+        for field in dataclasses.fields(audit):
+            answer = getattr(audit, field.name)
+            assert type(answer) is bool, (name, field.name)
+            seen.add((field.name, answer))
+    # every kind of answer occurred
+    assert len(seen) == 15

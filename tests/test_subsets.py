@@ -50,19 +50,20 @@ def brute_tables(ideal, masks=None):
 
 
 def check_tables(ideal, masks=None):
-    """The tables equal ``brute_tables`` and hold plain Python values."""
+    """The tables equal ``brute_tables``: the masks as int64 arrays over
+    the 2^mu subsets, the lcms as tuples of Python ints."""
     tables = tables_for(ideal)
     assert tables.size == 2 ** ideal.mu
     assert tables.lcm_exps[0] is None
     assert tables.divisor_mask[0] == 0
     assert tables.outside_mask[0] == 0
     assert tables.covered_mask[0] == 0
-    for table in (tables.lcm_exps, tables.divisor_mask, tables.outside_mask,
-                  tables.covered_mask):
-        assert type(table) is list and len(table) == tables.size
+    assert type(tables.lcm_exps) is list
+    assert len(tables.lcm_exps) == tables.size
     for table in (tables.divisor_mask, tables.outside_mask,
                   tables.covered_mask):
-        assert all(type(v) is int for v in table)
+        assert type(table) is np.ndarray and table.dtype == np.int64
+        assert table.shape == (tables.size,)
     assert all(type(e) is tuple and all(type(a) is int for a in e)
                for e in tables.lcm_exps[1:])
     for mask, lcm, divisors, outside, covered in brute_tables(ideal, masks):
