@@ -6,10 +6,10 @@ and no content that depends on hashing or scheduling.  It comes from
 this module's own writer, ``_json_text``, whose bytes are identical to
 ``json.dumps(payload, sort_keys=True, indent=2)``; with an indent,
 ``json.dumps`` runs CPython's pure-Python encoder, which took about
-two thirds of a ``covers`` call on a 12-generator ideal.  The writer
-reuses the text of any tuple or dict met again at the same depth, and
-``covers`` shares one entry per distinct cover among the generators it
-covers, so each distinct cover is written once.
+two thirds of a ``covers`` call on a 12-generator ideal.  ``covers``
+hands the writer each generator's list of covers as one fragment of
+text rendered ahead for its depth, built from per-mask texts made once
+per distinct cover, so the writer walks no cover entry.
 
 The parser is built once per process, on the first ``main`` call, and
 each call parses into a fresh namespace; a subcommand's handler is
@@ -104,42 +104,34 @@ def _betti_payload(table: BettiTable) -> dict:
             "multigraded": [list(row) for row in table.multigraded_rows()]}
 
 
+class _Fragment:
+    """The JSON text of one value, rendered ahead as ``parts`` for the
+    depth ``depth``; the writer appends the parts as they are, and
+    refuses the fragment at any other depth."""
+
+    __slots__ = ("parts", "depth")
+
+    def __init__(self, parts: list[str], depth: int) -> None:
+        self.parts = parts
+        self.depth = depth
+
+
 def _json_text(payload: dict) -> str:
     """``json.dumps(payload, sort_keys=True, indent=2)``, byte for byte.
 
     With an indent, CPython encodes in pure Python.  This writer appends
     parts to one list and joins it once; a list or tuple of ints is one
-    join, and the text of a non-empty tuple or dict met again at the
-    same depth is reused, so a payload that shares a container among
-    its entries has it written once.  Only dicts with str keys, lists,
-    tuples, str, int, bool and None are written; any other type raises
-    ``TypeError``, so the output can never silently differ from
-    ``json.dumps``.
+    join, and a ``_Fragment`` adds its parts as they are.  Only dicts
+    with str keys, lists, tuples, str, int, bool, None and fragments met
+    at the depth they were rendered for are written; any other type
+    raises ``TypeError`` and a fragment at another depth ``ValueError``,
+    so the output can never silently differ from ``json.dumps``.
     """
     parts: list[str] = []
     append = parts.append
-    # (depth, id) of a tuple or dict -> the slice of parts its text
-    # filled when first met, replaced by the joined text once it is met
-    # again; a text written once is never copied.  Keyed by id, not
-    # value: (1, True) == (1, 1), but their texts differ; the payload
-    # keeps every container alive, so no id is reused meanwhile.
-    seen: dict[tuple[int, int], tuple[int, int] | str] = {}
 
     def write(value, depth: int) -> None:
-        # containers that may be shared first: a large payload is mostly
-        # entries met again
-        if isinstance(value, (tuple, dict)) and value:
-            key = (depth, id(value))
-            known = seen.get(key)
-            if known is None:
-                start = len(parts)
-                write_container(value, depth)
-                seen[key] = (start, len(parts))
-            else:
-                if type(known) is tuple:
-                    known = seen[key] = "".join(parts[known[0]:known[1]])
-                append(known)
-        elif isinstance(value, str):
+        if isinstance(value, str):
             append(encode_basestring_ascii(value))
         elif value is None:
             append("null")
@@ -149,10 +141,16 @@ def _json_text(payload: dict) -> str:
             append("false")
         elif isinstance(value, int):
             append(int.__repr__(value))
-        elif isinstance(value, list) and value:
-            write_container(value, depth)
         elif isinstance(value, (list, tuple, dict)):
-            append("{}" if isinstance(value, dict) else "[]")
+            if value:
+                write_container(value, depth)
+            else:
+                append("{}" if isinstance(value, dict) else "[]")
+        elif type(value) is _Fragment:
+            if value.depth != depth:
+                raise ValueError(f"a fragment rendered for depth {value.depth}"
+                                 f" met at depth {depth}")
+            parts.extend(value.parts)
         else:
             raise TypeError(f"cannot write {type(value).__name__} as JSON")
 
@@ -191,44 +189,61 @@ def _cmd_covers(args):
     ordered = _ordered(args, ideal)
     table = cover_table(ideal)
     listing = cover_listing(ideal)
-    covered = tables_for(ideal).covered_mask
-    # the index tuple of every mask, by doubling over the bits
-    tuples = [()]
+    # the members text of every mask, "1,5,6", by doubling over the bits
+    members = [""]
     for b in range(1, ideal.mu + 1):
-        tuples += [t + (b,) for t in tuples]
-
-    # one entry per (mask, E-minimal flag), shared by every generator
-    # the mask covers, so that the writer writes it once
-    def entries(masks, flag: bool) -> dict[int, dict]:
-        masks = list(masks)
-        return {m: {"members": tuples[m], "covered": tuples[c],
-                    "eminimal": flag}
-                for m, c in zip(masks, covered[masks].tolist())}
-
-    plain = entries(set().union(*listing), False)
-    marked = entries(table.eminimal, True)
-    per_gen = []
-    for u, masks in enumerate(listing, 1):
-        flagged = set(table.by_generator[u - 1])
-        per_gen.append({"generator": u, "covers": [
-            marked[m] if m in flagged else plain[m] for m in masks]})
+        members += [f"{t},{b}" if t else str(b) for t in members]
+    # each generator's covers as keys 2 * mask + E-minimal flag, and one
+    # text per distinct key
+    keys = []
+    for masks, eminimal in zip(listing, table.by_generator):
+        flagged = set(eminimal)
+        keys.append([2 * m + (m in flagged) for m in masks])
+    distinct = list(set().union(*keys))
     clutter = [list(edge) for edge in cover_clutter(ordered).canonical_edges()]
     payload = {"ideal": _ideal_payload(ideal), "order": list(ordered.order),
-               "covers": per_gen, "clutter": clutter}
+               "clutter": clutter}
+    if args.format == "json":
+        # rendered for JSON output only: the text lines need none of it
+        payload["covers"] = _covers_fragments(
+            keys, distinct, members, tables_for(ideal).covered_mask)
 
     def text() -> list[str]:
+        line = {k: "  {" + members[k >> 1] + "}"
+                + ("  E-minimal" if k & 1 else "") for k in distinct}
         lines = [f"ideal: {ideal}", f"order: {ordered}"]
-        for block in per_gen:
-            u = block["generator"]
-            lines.append(f"covers of generator {u} ({len(block['covers'])}):")
-            for entry in block["covers"]:
-                tag = "  E-minimal" if entry["eminimal"] else ""
-                lines.append("  {" + ",".join(map(str, entry["members"])) + "}" + tag)
+        for u, gen_keys in enumerate(keys, 1):
+            lines.append(f"covers of generator {u} ({len(gen_keys)}):")
+            lines += [line[k] for k in gen_keys]
         lines.append("clutter edges: " +
                      (", ".join("{" + ",".join(map(str, e)) + "}" for e in clutter)
                       or "(none)"))
         return lines
     return payload, text
+
+
+def _covers_fragments(keys, distinct, members, covered) -> list[dict]:
+    """The ``"covers"`` value of the covers payload: per generator, its
+    cover entries as one fragment for depth 3, where the payload holds
+    them, each entry a dict at depth 4 with int lists at depth 5."""
+    ind3, ind4, ind5, ind6 = ("\n" + "  " * d for d in range(3, 7))
+    sep6 = "," + ind6
+    entry = {key: f'{{{ind5}"covered": [{ind6}{members[c].replace(",", sep6)}'
+                  f'{ind5}],{ind5}"eminimal": {"true" if key & 1 else "false"}'
+                  f',{ind5}"members": [{ind6}'
+                  f'{members[key >> 1].replace(",", sep6)}{ind5}]{ind4}}}'
+             for key, c in zip(distinct,
+                               covered[[k >> 1 for k in distinct]].tolist())}
+    blocks = []
+    for u, gen_keys in enumerate(keys, 1):
+        if gen_keys:
+            parts = ["," + ind4] * (2 * len(gen_keys) + 1)
+            parts[0], parts[-1] = "[" + ind4, ind3 + "]"
+            parts[1::2] = [entry[k] for k in gen_keys]
+        else:
+            parts = ["[]"]
+        blocks.append({"generator": u, "covers": _Fragment(parts, 3)})
+    return blocks
 
 
 def _cmd_complex(args):

@@ -20,7 +20,9 @@ resolution exactly when none of these sets is preserved.
 then lexicographically, with one numpy ``lexsort``, and filters them
 per generator with one boolean array per bit; ``covers_of`` and the
 ``covers`` command read it, and ``e_minimal_covers_of`` orders its
-covers the same way.
+covers the same way.  The command renders the text of each distinct
+cover once, from per-mask member texts, and lists it for every
+generator the cover covers.
 
 All of it reads the subset tables' ``covered_mask`` and
 ``divisor_mask`` as the int64 arrays they are; Python ints appear only

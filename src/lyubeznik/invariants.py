@@ -48,8 +48,11 @@ class NotMinimalError(ValueError):
 def is_minimal_resolution(ordered: OrderedIdeal) -> bool:
     """Whether the Lyubeznik resolution of this order is minimal: no
     E-minimal cover is preserved."""
+    # the cover table first: it refuses above its bound before the
+    # order analysis builds 2^mu tables
+    eminimal = cover_table(ordered.ideal).eminimal
     preserved = order_analysis(ordered).preserved
-    return not any(preserved[m] for m in cover_table(ordered.ideal).eminimal)
+    return not any(preserved[m] for m in eminimal)
 
 
 def obstruction(ordered: OrderedIdeal) -> int:

@@ -13,10 +13,13 @@ one divisibility test per generator, the cover masks by one gather per
 bit.  The three mask tables stay the read-only int64 arrays those
 passes build, so the consumers' numpy passes read them as they are; a
 public function that hands back one entry converts it to a Python int.
-The lcms alone become a list of exponent tuples of Python ints: the
-Betti counts from preserved sets (``invariants``) and the lcm classes
-of the oracle hash them as dict keys, and the benchmark's generator
-and tracer and CI's Euler-characteristic step read them as tuples.
+The lcm array is kept as it is too, and becomes a list of exponent
+tuples of Python ints only when ``lcm_exps`` (or ``lcm_monomial``) is
+first read: the Betti counts from preserved sets (``invariants``) and
+the lcm classes of the oracle hash them as dict keys, and the
+benchmark's generator and tracer and CI's Euler-characteristic step
+read them as tuples, while the complex, the covers and the order
+searches never do.
 
 Tables cost O(2^mu) memory, so construction refuses ideals with more
 than MAX_TABLE_GENERATORS generators.
@@ -95,10 +98,11 @@ class SubsetTables:
     covered_mask[m]  members u of m with m_u | lcm(m minus u)
 
     The three mask tables are read-only int64 arrays of shape (2^mu,);
-    ``lcm_exps`` is a list of tuples of Python ints, hashable as keys.
+    ``lcm_exps`` is a list of tuples of Python ints, hashable as keys,
+    built from the int64 lcm array on its first read.
     """
 
-    __slots__ = ("ideal", "mu", "size", "lcm_exps", "divisor_mask",
+    __slots__ = ("ideal", "mu", "size", "_lcm", "_lcm_exps", "divisor_mask",
                  "outside_mask", "covered_mask")
 
     def __init__(self, ideal: MonomialIdeal) -> None:
@@ -134,13 +138,24 @@ class SubsetTables:
             sel = (masks & bit != 0) & (masks != bit)
             cov[sel] |= div[masks[sel] ^ bit] & bit
 
-        self.lcm_exps = [None, *zip(*(row.tolist() for row in lcm[:, 1:]))]
+        self._lcm = lcm
+        self._lcm_exps = None
         self.divisor_mask = div
         self.outside_mask = div & ~masks
         self.covered_mask = cov
         # the tables are cached and shared: an in-place write must raise
-        for table in (self.divisor_mask, self.outside_mask, self.covered_mask):
+        for table in (lcm, self.divisor_mask, self.outside_mask,
+                      self.covered_mask):
             table.flags.writeable = False
+
+    @property
+    def lcm_exps(self) -> list:
+        if self._lcm_exps is None:
+            self._lcm_exps = [None, *zip(*(row.tolist()
+                                           for row in self._lcm[:, 1:]))]
+            # the tuples hold the same values: keep one copy
+            self._lcm = None
+        return self._lcm_exps
 
     def lcm_monomial(self, mask: int) -> Monomial:
         exps = self.lcm_exps[mask]

@@ -10,6 +10,7 @@ import pytest
 
 from lyubeznik import parse_ideal
 from lyubeznik.cli import build_parser, main
+from lyubeznik.subsets import tables_for
 
 MIXED = "vars x y z\ngen x^2*y\ngen y^2*z\ngen x^3\ngen y^3\ngen z^3\n"
 KOSZUL = "vars x y\ngen x\ngen y\n"
@@ -317,6 +318,17 @@ def test_refusals_name_only_real_flags(capsys, tmp_path):
         named = set(re.findall(r"--[A-Za-z][\w-]*", err))
         assert named <= flags, (command, named - flags)
         assert "pass max_generators" not in err, command
+
+
+def test_analyze_refuses_before_building_tables(capsys, tmp_path):
+    # above the cover bound, analyze refuses as covers does, before the
+    # subset tables of the order analysis are built
+    path = wide_ideal_path(tmp_path, 13)
+    code, out, err = run_cli(capsys, "covers", path)
+    assert code == 2 and out == ""
+    misses = tables_for.cache_info().misses
+    assert run_cli(capsys, "analyze", path) == (2, "", err)
+    assert tables_for.cache_info().misses == misses
 
 
 def test_verify_refuses_before_the_chain_check(capsys, tmp_path, monkeypatch):

@@ -4,22 +4,25 @@ routes they replaced.
 * JSON: ``cli._json_text`` against ``json.dumps(..., sort_keys=True,
   indent=2)`` on every subcommand's payload for the corpus, and on
   hypothesis-generated nested payloads.
-  The writer reuses the text of a tuple or dict met again at one
-  depth, so shared containers are checked by hand cases and by
-  hypothesis, and a seeded 12-generator ``covers`` payload, whose
-  generators share most of their entries, is checked whole.
-* Covers: the ``lyubeznik covers`` output, built from the mask tables,
-  against a payload built from the ``Cover`` objects of ``covers_of``
-  and ``e_minimal_covers_of``; the listing order against the subsets
-  of each size in lexicographic order, tested with ``is_cover_of``;
-  and the numpy ``cover_listing`` against the Python sort it replaced
-  (``reference_routes.cover_listing``).
+  ``covers`` hands the writer each generator's covers as a fragment of
+  text rendered ahead for one depth, so those payloads are compared
+  with ``json.dumps`` of the payload with every fragment expanded by
+  ``json.loads``; fragments shared in one payload, empty cover lists
+  and a seeded 12-generator ``covers`` payload are checked whole, and a
+  fragment met at another depth must raise.
+* Covers: the ``lyubeznik covers`` output in both formats, built from
+  the mask tables, against output built from the ``Cover`` objects of
+  ``covers_of`` and ``e_minimal_covers_of``; the listing order against
+  the subsets of each size in lexicographic order, tested with
+  ``is_cover_of``; and the numpy ``cover_listing`` against the Python
+  sort it replaced (``reference_routes.cover_listing``).
 """
 
 import contextlib
 import io
 import json
 import os
+import random
 import tempfile
 import warnings
 from itertools import combinations
@@ -27,12 +30,15 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lyubeznik import (all_ideals, covers_of, e_minimal_covers_of,
-                       identity_order, is_cover_of)
-from lyubeznik.cli import _json_text, build_parser, main
+from lyubeznik import (all_ideals, cover_clutter, covers_of,
+                       e_minimal_covers_of, identity_order, is_cover_of,
+                       parse_order)
+from lyubeznik.cli import _Fragment, _json_text, build_parser, main
 from lyubeznik.corpus import _data_dir
 from lyubeznik.covers import cover_listing
 from lyubeznik.subsets import mask_of
+
+from conftest import xyz_ideal
 
 from reference_routes import cover_listing as python_cover_listing
 from test_cli_digests import cases
@@ -42,6 +48,18 @@ from test_scan_kernel import exponent_rows, small_ideal
 
 def reference_text(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2)
+
+
+def expanded(value):
+    """The payload with every fragment replaced by the value its text
+    encodes; tuples become lists, which ``json.dumps`` writes alike."""
+    if isinstance(value, _Fragment):
+        return json.loads("".join(value.parts))
+    if isinstance(value, dict):
+        return {key: expanded(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [expanded(item) for item in value]
+    return value
 
 
 # -- the writer ---------------------------------------------------------------
@@ -56,7 +74,7 @@ def test_writer_matches_json_dumps_on_every_cli_payload(key, words, filename):
         warnings.simplefilter("ignore")
         payload, _ = args.handler(args)
     payload = {"schema": 1, "command": args.command, **payload}
-    assert _json_text(payload) == reference_text(payload)
+    assert _json_text(payload) == reference_text(expanded(payload))
 
 
 TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8) | \
@@ -133,10 +151,45 @@ def covers_payload(ideal, directory):
 
 def test_writer_matches_json_dumps_on_a_mu_12_covers_payload(tmp_path):
     payload = covers_payload(seeded_ideal(12, 0), tmp_path)
-    entries = [e for block in payload["covers"] for e in block["covers"]]
-    # the generators share most entries, so the writer reuses most texts
-    assert 2 * len({id(e) for e in entries}) < len(entries)
-    assert _json_text(payload) == reference_text(payload)
+    assert _json_text(payload) == reference_text(expanded(payload))
+
+
+def fragment_of(value, depth: int, pieces: int = 3) -> _Fragment:
+    """``value``'s text at ``depth``, from ``json.dumps``, cut in parts."""
+    text = reference_text(value).replace("\n", "\n" + "  " * depth)
+    cuts = sorted(random.Random(len(text)).choices(range(len(text) + 1),
+                                                   k=pieces - 1))
+    bounds = [0, *cuts, len(text)]
+    return _Fragment([text[a:b] for a, b in zip(bounds, bounds[1:])], depth)
+
+
+@settings(max_examples=100)
+@given(PAYLOADS, PAYLOADS)
+def test_writer_matches_json_dumps_on_shared_fragments(value, other):
+    # one fragment object three times at depth 2, next to plain values
+    shared = fragment_of(value, 2)
+    payload = {"a": [shared, other, shared], "b": {"c": shared},
+               "d": fragment_of(other, 1), "e": [[fragment_of(value, 3)]]}
+    assert _json_text(payload) == reference_text(expanded(payload))
+
+
+@pytest.mark.parametrize("rendered,met", [(2, 1), (2, 3), (1, 0), (0, 1)])
+def test_writer_refuses_a_fragment_at_another_depth(rendered, met):
+    fragment = fragment_of({"x": [1, 2]}, rendered)
+    payload = fragment
+    for _ in range(met):
+        payload = [payload]
+    with pytest.raises(ValueError, match=f"depth {rendered} met at depth {met}"):
+        _json_text(payload)
+
+
+def test_writer_matches_json_dumps_on_empty_cover_lists(tmp_path):
+    # generator 4 shares no variable with the others, so nothing covers it
+    ideal = xyz_ideal("x*y", "y*z", "x*z", "t")
+    payload = covers_payload(ideal, tmp_path)
+    lists = [block["covers"] for block in expanded(payload)["covers"]]
+    assert [len(covers) > 0 for covers in lists] == [True, True, True, False]
+    assert _json_text(payload) == reference_text(expanded(payload))
 
 
 @pytest.mark.parametrize("payload", [
@@ -170,15 +223,34 @@ def literal_listing(ideal, u):
             if u in combo and is_cover_of(combo, u, ideal)]
 
 
-def cli_covers_output(path) -> str:
+def reference_covers_lines(ordered) -> list[str]:
+    """The ``covers --format text`` lines, from the Cover objects."""
+    ideal = ordered.ideal
+    lines = [f"ideal: {ideal}", f"order: {ordered}"]
+    for u in ideal.indices():
+        covers = covers_of(u, ideal, max_generators=ideal.mu)
+        eminimal = {c.members for c in
+                    e_minimal_covers_of(u, ideal, max_generators=ideal.mu)}
+        lines.append(f"covers of generator {u} ({len(covers)}):")
+        lines += ["  " + str(c) + ("  E-minimal" if c.members in eminimal
+                                   else "") for c in covers]
+    edges = cover_clutter(ordered).canonical_edges()
+    lines.append("clutter edges: " + (", ".join(
+        "{" + ",".join(map(str, e)) + "}" for e in edges) or "(none)"))
+    return lines
+
+
+def cli_covers_output(path, *flags) -> str:
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
-        assert main(["covers", "--format", "json", str(path)]) == 0
+        assert main(["covers", *flags, str(path)]) == 0
     return stdout.getvalue()
 
 
-def check_covers(ideal, path):
-    out = cli_covers_output(path)
+def check_covers(ideal, path, order=None):
+    flags = ("--order", order) if order else ()
+    ordered = parse_order(order, ideal) if order else identity_order(ideal)
+    out = cli_covers_output(path, "--format", "json", *flags)
     payload = json.loads(out)
     assert payload["covers"] == reference_covers_payload(ideal)
     assert out == reference_text(payload) + "\n"
@@ -186,7 +258,9 @@ def check_covers(ideal, path):
         listed = [(tuple(e["members"]), tuple(e["covered"]))
                   for e in block["covers"]]
         assert listed == literal_listing(ideal, block["generator"])
-    assert payload["order"] == list(identity_order(ideal).order)
+    assert payload["order"] == list(ordered.order)
+    text = cli_covers_output(path, "--format", "text", *flags)
+    assert text == "\n".join(reference_covers_lines(ordered)) + "\n"
 
 
 def test_covers_payload_matches_the_cover_objects_on_the_corpus():
@@ -208,6 +282,17 @@ def test_covers_payload_matches_the_cover_objects_on_random_ideals(rows):
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(ideal_file_text(ideal))
         check_covers(ideal, path)
+
+
+@pytest.mark.parametrize("mu,seed", [(11, 0), (12, 0), (12, 1)])
+def test_covers_output_matches_the_cover_objects_at_mu_11_and_12(
+        mu, seed, tmp_path):
+    ideal = seeded_ideal(mu, seed)
+    path = tmp_path / "seeded.ideal"
+    path.write_text(ideal_file_text(ideal), encoding="utf-8")
+    order = list(ideal.indices())
+    random.Random(seed).shuffle(order)
+    check_covers(ideal, path, ",".join(map(str, order)))
 
 
 # -- the listing against the Python sort --------------------------------------

@@ -5,13 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lyubeznik import BoundExceededError, divides, lcm_of
+from lyubeznik import BoundExceededError, divides, lcm_of, read_ideal
+from lyubeznik.cli import main
 from lyubeznik.corpus import ideal_names, load_ideal
 from lyubeznik.monomials import EXPONENT_LIMIT
 from lyubeznik.subsets import (indices_of, iter_bits, mask_of, tables_for,
                                up_closure)
 
 from conftest import exponent_ideal, xyz_ideal
+from test_cli_routes import ideal_file_text
+from test_preserved_kernel import seeded_ideal
 from test_scan_kernel import exponent_rows, small_ideal
 
 
@@ -104,6 +107,25 @@ def test_tables_at_fourteen_generators_match_on_sampled_masks():
     ideal = exponent_ideal(rng.sample(degree_four, 14))
     masks = sorted(rng.sample(range(1, 2 ** 14), 2000)) + [2 ** 14 - 1]
     check_tables(ideal, masks)
+
+
+def test_complex_never_builds_the_lcm_tuples(tmp_path, capsys):
+    # the lcms become tuples on their first read, and complex reads none
+    ideal = seeded_ideal(14, 0)
+    path = tmp_path / "seeded.ideal"
+    path.write_text(ideal_file_text(ideal), encoding="utf-8")
+    assert main(["complex", "--format", "json", str(path)]) == 0
+    capsys.readouterr()
+    misses = tables_for.cache_info().misses
+    tables = tables_for(read_ideal(path))
+    assert tables_for.cache_info().misses == misses
+    assert tables._lcm_exps is None
+    # a later read builds them on these tables, equal to the definitions
+    assert tables_for(ideal) is tables
+    rng = random.Random(14)
+    masks = sorted(rng.sample(range(1, 2 ** 14), 500)) + [2 ** 14 - 1]
+    check_tables(ideal, masks)
+    assert tables._lcm_exps is not None
 
 
 def test_is_cover_flag():
