@@ -19,6 +19,13 @@ non-minimal order) is printed as one line, ``lyubeznik: warning:
 <message>``, on stderr, and stdout is unchanged.  Exit codes: 0
 success, 1 bad input, 2 a size threshold refused the computation, 130
 interrupted (Ctrl-C), with ``lyubeznik: interrupted`` on stderr.
+
+Every command but ``complex`` refuses, in ``_check_size``, more than
+``covers.MAX_ENUMERATION_GENERATORS`` generators (edges, for ``graph
+--check-props``), after the order is parsed, so that a bad order is
+still exit code 1; no option lifts it.  Below it, ``--max-exhaustive``
+bounds the order searches.  ``complex`` reaches the library's own
+bound, that of the subset tables (``subsets.MAX_TABLE_GENERATORS``).
 """
 
 from __future__ import annotations
@@ -31,9 +38,12 @@ from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
+import numpy as np
+
 from .betti import BettiTable
 from .complexes import classification_census, lyubeznik_complex
-from .covers import cover_clutter, cover_listing, cover_table
+from .covers import (MAX_ENUMERATION_GENERATORS, _by_size_then_members,
+                     cover_listing, cover_table)
 from .generators import _radical_generators
 from .graphs import check_graph_propositions, edge_ideal, read_graph
 from .invariants import analyze, is_minimal_resolution, search_scan
@@ -43,7 +53,7 @@ from .oracle import (taylor_betti, verify_chain_complex,
                      verify_resolution_report)
 from .orders import (DEFAULT_MAX_EXHAUSTIVE, OrderedIdeal, identity_order,
                      parse_order)
-from .subsets import tables_for
+from .subsets import MAX_TABLE_GENERATORS, indices_of, tables_for
 
 
 class _Parser(argparse.ArgumentParser):
@@ -85,6 +95,15 @@ def _field(text: str) -> int | None:
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     return prime
+
+
+def _check_size(mu: int) -> None:
+    """Refuse more than ``MAX_ENUMERATION_GENERATORS`` generators."""
+    if mu > MAX_ENUMERATION_GENERATORS:
+        raise BoundExceededError(
+            f"{mu} generators exceed the command line's bound mu <= "
+            f"{MAX_ENUMERATION_GENERATORS}; no option lifts it (the library "
+            f"functions reach mu <= {MAX_TABLE_GENERATORS})")
 
 
 def _ordered(args, ideal: MonomialIdeal) -> OrderedIdeal:
@@ -187,6 +206,7 @@ def _json_text(payload: dict) -> str:
 def _cmd_covers(args):
     ideal = read_ideal(args.path)
     ordered = _ordered(args, ideal)
+    _check_size(ideal.mu)
     table = cover_table(ideal)
     listing = cover_listing(ideal)
     # the members text of every mask, "1,5,6", by doubling over the bits
@@ -200,7 +220,8 @@ def _cmd_covers(args):
         flagged = set(eminimal)
         keys.append([2 * m + (m in flagged) for m in masks])
     distinct = list(set().union(*keys))
-    clutter = [list(edge) for edge in cover_clutter(ordered).canonical_edges()]
+    clutter = [list(indices_of(m)) for m in _by_size_then_members(
+        np.array(table.clutter, np.int64), ideal.mu).tolist()]
     payload = {"ideal": _ideal_payload(ideal), "order": list(ordered.order),
                "clutter": clutter}
     if args.format == "json":
@@ -276,6 +297,7 @@ def _cmd_complex(args):
 def _cmd_analyze(args):
     ideal = read_ideal(args.path)
     ordered = _ordered(args, ideal)
+    _check_size(ideal.mu)
     report = analyze(ordered, search=args.search is not None,
                      max_exhaustive=args.max_exhaustive, prime=args.field)
     payload = {"ideal": _ideal_payload(ideal), "order": list(report.order),
@@ -320,6 +342,7 @@ def _verdict_text(value: bool) -> str:
 
 def _cmd_search(args):
     ideal = read_ideal(args.path)
+    _check_size(ideal.mu)
     scan = search_scan(ideal, max_exhaustive=args.max_exhaustive)
     count = scan.minimal_count
     payload = {"ideal": _ideal_payload(ideal), "mode": args.search,
@@ -343,6 +366,7 @@ def _cmd_search(args):
 
 def _cmd_oracle_betti(args):
     ideal = read_ideal(args.path)
+    _check_size(ideal.mu)
     table = taylor_betti(ideal, prime=args.field)
     payload = {"ideal": _ideal_payload(ideal), **_betti_payload(table),
                "projdim": table.projective_dimension}
@@ -359,8 +383,7 @@ def _cmd_oracle_betti(args):
 def _cmd_verify(args):
     ideal = read_ideal(args.path)
     ordered = _ordered(args, ideal)
-    # the report raises the oracle's generator bound, so it runs first:
-    # an ideal above the bound is refused before the d^2 = 0 check
+    _check_size(ideal.mu)
     report = verify_resolution_report(ordered, prime=args.field)
     chain_ok = verify_chain_complex(ordered)
     resolves = chain_ok and all(ok for _, ok in report)
@@ -384,6 +407,7 @@ def _cmd_verify(args):
 def _cmd_radical_gens(args):
     ideal = read_ideal(args.path)
     ordered = _ordered(args, ideal)
+    _check_size(ideal.mu)
     minimal = is_minimal_resolution(ordered)
     gens = _radical_generators(ordered, minimal)
     payload = {"ideal": _ideal_payload(ideal), "order": list(ordered.order),
@@ -408,6 +432,7 @@ def _cmd_graph(args):
         ideal = edge_ideal(graph)
         payload["edge_ideal"] = _ideal_payload(ideal)
     if args.check_props:
+        _check_size(graph.edge_count)
         checks = check_graph_propositions(graph,
                                           max_exhaustive=args.max_exhaustive)
         payload["propositions"] = [

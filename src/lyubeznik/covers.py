@@ -22,19 +22,18 @@ per generator with one boolean array per bit; ``covers_of`` and the
 ``covers`` command read it, and ``e_minimal_covers_of`` orders its
 covers the same way.  The command renders the text of each distinct
 cover once, from per-mask member texts, and lists it for every
-generator the cover covers.
+generator the cover covers; its clutter edges are the table's, in the
+listing's order.
 
 All of it reads the subset tables' ``covered_mask`` and
 ``divisor_mask`` as the int64 arrays they are; Python ints appear only
 in what a function hands back (one ``tolist`` per listing, one ``int``
 per lookup).
 
-Enumeration walks all 2^mu subsets via the shared bitmask tables, which
-is exact and fast at the sizes this package targets; it refuses above
-``MAX_ENUMERATION_GENERATORS``.  The functions of this module take
-``max_generators`` to lift it, up to the table bound; the order
-searches and per-order minimality tests, which read the cover table at
-the default bound, and the command line have no such option.
+Enumeration walks all 2^mu subsets via the shared bitmask tables, so
+every function here answers up to the tables' bound and refuses above
+it, where ``tables_for`` does (``subsets.MAX_TABLE_GENERATORS``),
+before anything is allocated.
 """
 
 from __future__ import annotations
@@ -44,10 +43,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .monomials import BoundExceededError, MonomialIdeal
+from .monomials import MonomialIdeal
 from .orders import OrderedIdeal
 from .subsets import indices_of, mask_of, popcounts, tables_for, up_closure
 
+#: the command line's bound on the generator count; in the package
+#: ``cli`` is its only reader (the benchmark's input generator reads it
+#: too), and the functions here stop only at the subset tables' bound
 MAX_ENUMERATION_GENERATORS = 12
 
 
@@ -69,15 +71,6 @@ class Cover:
 
     def __str__(self) -> str:
         return "{" + ",".join(str(i) for i in sorted(self.members)) + "}"
-
-
-def _check_enumeration_bound(ideal: MonomialIdeal, max_generators: int) -> None:
-    if ideal.mu > max_generators:
-        raise BoundExceededError(
-            f"cover enumeration over 2^{ideal.mu} subsets exceeds the bound "
-            f"mu <= {max_generators}; no command-line option lifts it, and "
-            "in the library only the functions of the covers module take a "
-            "max_generators argument")
 
 
 def is_cover_of(members, u: int, ideal: MonomialIdeal) -> bool:
@@ -117,16 +110,13 @@ def _wrap(masks: list[int], ideal: MonomialIdeal) -> tuple[Cover, ...]:
                  for m, c in zip(masks, covered))
 
 
-def cover_listing(ideal: MonomialIdeal, *,
-                  max_generators: int = MAX_ENUMERATION_GENERATORS
-                  ) -> tuple[tuple[int, ...], ...]:
+def cover_listing(ideal: MonomialIdeal) -> tuple[tuple[int, ...], ...]:
     """The masks that cover each generator, by size then lexicographically.
 
     Entry ``u - 1`` lists the covers of generator u.  The masks that
     cover anything are ordered once and filtered per generator, all in
     numpy.
     """
-    _check_enumeration_bound(ideal, max_generators)
     tables = tables_for(ideal)
     masks = _by_size_then_members(np.flatnonzero(tables.covered_mask),
                                   tables.mu)
@@ -135,10 +125,9 @@ def cover_listing(ideal: MonomialIdeal, *,
                  for b in range(tables.mu))
 
 
-def covers_of(u: int, ideal: MonomialIdeal, *,
-              max_generators: int = MAX_ENUMERATION_GENERATORS) -> tuple[Cover, ...]:
+def covers_of(u: int, ideal: MonomialIdeal) -> tuple[Cover, ...]:
     """Every subset that covers u, by size then lexicographically."""
-    listing = cover_listing(ideal, max_generators=max_generators)
+    listing = cover_listing(ideal)
     if not 1 <= u <= ideal.mu:
         raise ValueError(f"generator {u} is not in 1..{ideal.mu}")
     return _wrap(list(listing[u - 1]), ideal)
@@ -194,22 +183,14 @@ class _CoverTable:
 # one entry: a command reads one ideal, and more entries would hold
 # 2^mu tables for every ideal a process has seen
 @lru_cache(maxsize=1)
-def _cover_table(ideal: MonomialIdeal) -> _CoverTable:
+def cover_table(ideal: MonomialIdeal) -> _CoverTable:
+    """The ideal's E-minimal cover table."""
     return _CoverTable(ideal)
 
 
-def cover_table(ideal: MonomialIdeal, *,
-                max_generators: int = MAX_ENUMERATION_GENERATORS) -> _CoverTable:
-    """The ideal's E-minimal cover table, refused above ``max_generators``."""
-    _check_enumeration_bound(ideal, max_generators)
-    return _cover_table(ideal)
-
-
-def e_minimal_covers_of(u: int, ideal: MonomialIdeal, *,
-                        max_generators: int = MAX_ENUMERATION_GENERATORS
-                        ) -> tuple[Cover, ...]:
+def e_minimal_covers_of(u: int, ideal: MonomialIdeal) -> tuple[Cover, ...]:
     """Covers of u with no proper subset covering u."""
-    table = cover_table(ideal, max_generators=max_generators)
+    table = cover_table(ideal)
     if not 1 <= u <= ideal.mu:
         raise ValueError(f"generator {u} is not in 1..{ideal.mu}")
     masks = np.array(table.by_generator[u - 1], np.int64)
@@ -236,10 +217,8 @@ class OrientedClutter:
                             key=lambda t: (len(t), t)))
 
 
-def cover_clutter(ordered: OrderedIdeal, *,
-                  max_generators: int = MAX_ENUMERATION_GENERATORS
-                  ) -> OrientedClutter:
+def cover_clutter(ordered: OrderedIdeal) -> OrientedClutter:
     """The oriented clutter of all E-minimal covers of the ideal."""
-    table = cover_table(ordered.ideal, max_generators=max_generators)
+    table = cover_table(ordered.ideal)
     return OrientedClutter(
         ordered, frozenset(frozenset(indices_of(m)) for m in table.clutter))

@@ -60,6 +60,9 @@ store only that sign; the monomial part of a boundary coefficient is
 lcm(face)/lcm(smaller face) and telescopes along two-step paths, so
 checking that the signs compose to zero checks the real composition
 too.
+
+Every function here reads the subset tables first, so it answers up to
+their bound and refuses above it, where ``tables_for`` does.
 """
 
 from __future__ import annotations
@@ -71,20 +74,9 @@ import numpy as np
 from .betti import QUOTIENT, BettiTable
 from .complexes import order_analysis
 from .linalg import exact_rank, rank_mod_p
-from .monomials import BoundExceededError, Monomial, MonomialIdeal
+from .monomials import Monomial, MonomialIdeal
 from .orders import OrderedIdeal
 from .subsets import popcounts, tables_for, up_closure
-
-DEFAULT_MAX_ORACLE_GENERATORS = 12
-
-
-def _check_bound(ideal: MonomialIdeal, max_generators: int) -> None:
-    if ideal.mu > max_generators:
-        raise BoundExceededError(
-            f"the homology oracle enumerates 2^{ideal.mu} subsets, above its "
-            f"bound mu <= {max_generators}; no command-line option lifts it "
-            "(the library functions take a max_generators argument)")
-
 
 class _LcmClasses:
     """The ideal's lcm lattice, as classes of subset masks.
@@ -208,14 +200,12 @@ def _rank_function(prime: int | None):
 
 
 def taylor_betti(ideal: MonomialIdeal, *,
-                 max_generators: int = DEFAULT_MAX_ORACLE_GENERATORS,
                  prime: int | None = None) -> BettiTable:
     """Multigraded Betti numbers of R/I from Morse-reduced Taylor strands.
 
     Characteristic zero by default (exact integer elimination); pass a
     prime to compute over GF(p) instead.
     """
-    _check_bound(ideal, max_generators)
     rank = _rank_function(prime)
     counts: dict[tuple[int, tuple[int, ...]], int] = {
         (0, (0,) * len(ideal.context)): 1}
@@ -309,24 +299,19 @@ def _acyclic_verdicts(face_masks: list[int], mu: int,
 
 
 def verify_resolution(ordered: OrderedIdeal, *,
-                      max_generators: int = DEFAULT_MAX_ORACLE_GENERATORS,
                       prime: int | None = None) -> bool:
     """True iff the Lyubeznik complex resolves R/I.
 
     Exactness in every multidegree of the lcm-lattice.
     """
-    return all(ok for _, ok in
-               verify_resolution_report(ordered, max_generators=max_generators,
-                                        prime=prime))
+    return all(ok for _, ok in verify_resolution_report(ordered, prime=prime))
 
 
 def verify_resolution_report(ordered: OrderedIdeal, *,
-                             max_generators: int = DEFAULT_MAX_ORACLE_GENERATORS,
                              prime: int | None = None
                              ) -> tuple[tuple[Monomial, bool], ...]:
     """Per-multidegree acyclicity verdicts, sorted by (degree, exponents)."""
     ideal = ordered.ideal
-    _check_bound(ideal, max_generators)
     classes = _lcm_classes(ideal)
     # each vertex set's apex: its member ranked first
     apexes = np.zeros_like(classes.vertex_sets)

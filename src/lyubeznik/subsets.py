@@ -22,7 +22,11 @@ read them as tuples, while the complex, the covers and the order
 searches never do.
 
 Tables cost O(2^mu) memory, so construction refuses ideals with more
-than MAX_TABLE_GENERATORS generators.
+than MAX_TABLE_GENERATORS generators, before it allocates anything.
+That is the library's one bound on the generator count: the covers,
+the per-order tables, the order searches and the homology oracle all
+read these tables and refuse where they do.  The command line keeps a
+lower bound of its own (``cli``).
 """
 
 from __future__ import annotations

@@ -1,5 +1,7 @@
 """Shared helpers for the test suite."""
 
+from itertools import combinations
+
 from hypothesis import HealthCheck, settings
 
 from lyubeznik import MonomialIdeal, VariableContext, parse_ideal
@@ -28,3 +30,14 @@ def exponent_ideal(rows) -> MonomialIdeal:
     from lyubeznik import Monomial
     return MonomialIdeal.from_generators(
         [Monomial(context, tuple(row)) for row in rows])
+
+
+def triangles_graph(triangles: int, edges: int) -> str:
+    """Graph file text of disjoint triangles, then disjoint edges: one
+    of the paper's totally Lyubeznik families."""
+    groups = [[f"t{k}{c}" for c in "abc"] for k in range(triangles)]
+    groups += [[f"e{k}{c}" for c in "ab"] for k in range(edges)]
+    lines = ["vertex " + " ".join(v for group in groups for v in group)]
+    lines += [f"edge {a} {b}" for group in groups
+              for a, b in combinations(group, 2)]
+    return "\n".join(lines) + "\n"

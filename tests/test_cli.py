@@ -12,6 +12,8 @@ from lyubeznik import parse_ideal
 from lyubeznik.cli import build_parser, main
 from lyubeznik.subsets import tables_for
 
+from conftest import triangles_graph
+
 MIXED = "vars x y z\ngen x^2*y\ngen y^2*z\ngen x^3\ngen y^3\ngen z^3\n"
 KOSZUL = "vars x y\ngen x\ngen y\n"
 SQUARE_GRAPH = "vertex a b c d\nedge a b\nedge b c\nedge c d\nedge a d\n"
@@ -267,11 +269,15 @@ def test_search_refusal_is_exit_two(capsys, tmp_path):
                    "--max-exhaustive (max_exhaustive= in the library)\n")
 
 
+CLI_BOUND = ("lyubeznik: refused: 13 generators exceed the command line's "
+             "bound mu <= 12; no option lifts it")
+
+
 def test_search_past_the_cover_bound_is_exit_two(capsys, tmp_path):
     code, out, err = run_cli(capsys, "search", "--max-exhaustive", "13",
                              wide_ideal_path(tmp_path, 13))
     assert code == 2 and out == ""
-    assert err.startswith("lyubeznik: refused: cover enumeration over 2^13 ")
+    assert err.startswith(CLI_BOUND)
 
 
 def wide_ideal_path(tmp_path, mu):
@@ -280,6 +286,61 @@ def wide_ideal_path(tmp_path, mu):
     lines += [f"gen x{i}" for i in range(1, mu + 1)]
     path.write_text("\n".join(lines) + "\n")
     return str(path)
+
+
+def triangles_graph_path(tmp_path, triangles, edges):
+    path = tmp_path / f"triangles{triangles}-{edges}.graph"
+    path.write_text(triangles_graph(triangles, edges))
+    return str(path)
+
+
+def bounded_requests(tmp_path):
+    """Every command the command line's generator bound applies to, at
+    one past it: mu 13, or 13 edges."""
+    wide = wide_ideal_path(tmp_path, 13)
+    return [("covers", wide), ("analyze", wide),
+            ("analyze", "--search", "exhaustive", "--max-exhaustive", "13",
+             wide),
+            ("search", wide), ("search", "--max-exhaustive", "13", wide),
+            ("oracle-betti", wide), ("verify", wide), ("radical-gens", wide),
+            ("graph", "--check-props", triangles_graph_path(tmp_path, 4, 1)),
+            ("graph", "--check-props", "--max-exhaustive", "13",
+             triangles_graph_path(tmp_path, 4, 1))]
+
+
+def test_one_generator_bound_for_every_command_but_complex(capsys,
+                                                           tmp_path):
+    for argv in bounded_requests(tmp_path):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith(CLI_BOUND), argv
+    wide = wide_ideal_path(tmp_path, 13)
+    code, out, err = run_cli(capsys, "complex", "--format", "json", wide)
+    assert code == 0 and err == ""
+    assert json.loads(out)["dim"] == 12
+    # 12 edges pass the bound and stop at the search's own; the edge
+    # ideal alone is never refused
+    code, _, err = run_cli(capsys, "graph", "--check-props",
+                           triangles_graph_path(tmp_path, 4, 0))
+    assert code == 2 and "raise --max-exhaustive" in err
+    code, _, _ = run_cli(capsys, "graph", "--edge-ideal",
+                         triangles_graph_path(tmp_path, 4, 1))
+    assert code == 0
+
+
+def test_a_bad_order_past_the_bound_is_still_exit_one(capsys, tmp_path):
+    wide = wide_ideal_path(tmp_path, 13)
+    for command in ("covers", "analyze", "verify", "radical-gens"):
+        code, out, err = run_cli(capsys, command, "--order", "1,1", wide)
+        assert (code, out) == (1, ""), command
+        assert err.startswith("lyubeznik: error:"), command
+
+
+def test_search_past_the_bound_does_not_point_at_max_exhaustive(capsys,
+                                                               tmp_path):
+    # raising --max-exhaustive would only meet the generator bound
+    code, _, err = run_cli(capsys, "search", wide_ideal_path(tmp_path, 13))
+    assert code == 2 and "--max-exhaustive" not in err
 
 
 def parser_flags():
@@ -308,16 +369,15 @@ def test_bad_search_flags_are_exit_one(capsys, mixed_path, square_path,
 def test_refusals_name_only_real_flags(capsys, tmp_path):
     flags = parser_flags()
     assert {"--jobs", "--max-exhaustive", "--order"} <= flags
-    refusals = [("covers", wide_ideal_path(tmp_path, 13)),
-                ("oracle-betti", wide_ideal_path(tmp_path, 13)),
+    refusals = [*bounded_requests(tmp_path),
                 ("complex", wide_ideal_path(tmp_path, 17)),
                 ("search", wide_ideal_path(tmp_path, 9))]
-    for command, path in refusals:
-        code, _, err = run_cli(capsys, command, path)
-        assert code == 2 and err.startswith("lyubeznik: refused:"), command
+    for argv in refusals:
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2 and err.startswith("lyubeznik: refused:"), argv
         named = set(re.findall(r"--[A-Za-z][\w-]*", err))
-        assert named <= flags, (command, named - flags)
-        assert "pass max_generators" not in err, command
+        assert named <= flags, (argv, named - flags)
+        assert "max_generators" not in err, argv
 
 
 def test_analyze_refuses_before_building_tables(capsys, tmp_path):

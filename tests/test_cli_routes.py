@@ -228,9 +228,8 @@ def reference_covers_lines(ordered) -> list[str]:
     ideal = ordered.ideal
     lines = [f"ideal: {ideal}", f"order: {ordered}"]
     for u in ideal.indices():
-        covers = covers_of(u, ideal, max_generators=ideal.mu)
-        eminimal = {c.members for c in
-                    e_minimal_covers_of(u, ideal, max_generators=ideal.mu)}
+        covers = covers_of(u, ideal)
+        eminimal = {c.members for c in e_minimal_covers_of(u, ideal)}
         lines.append(f"covers of generator {u} ({len(covers)}):")
         lines += ["  " + str(c) + ("  E-minimal" if c.members in eminimal
                                    else "") for c in covers]
@@ -317,5 +316,4 @@ def test_cover_listing_matches_the_python_sort_on_random_ideals(rows):
 @pytest.mark.parametrize("mu,seed", [(11, 0), (11, 1), (12, 0), (12, 1)])
 def test_cover_listing_matches_the_python_sort_at_mu_11_and_12(mu, seed):
     ideal = seeded_ideal(mu, seed)
-    assert (cover_listing(ideal, max_generators=12)
-            == python_cover_listing(ideal))
+    assert cover_listing(ideal) == python_cover_listing(ideal)

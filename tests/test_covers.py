@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -5,8 +6,12 @@ import pytest
 from lyubeznik import (BoundExceededError, complete_cover, cover_clutter,
                        covers_of, divides, e_minimal_covers_of, identity_order,
                        is_cover_of, lcm_of, load_ideal, sweep_ideals)
+from lyubeznik.covers import cover_listing, cover_table
+from lyubeznik.subsets import indices_of, mask_of
 
 from conftest import exponent_ideal
+from reference_routes import cover_listing as reference_cover_listing
+from test_preserved_kernel import seeded_ideal
 
 
 def cover_sets(covers):
@@ -168,9 +173,45 @@ def test_clutter_mixed_powers():
     assert clutter.canonical_edges() == ((1, 2, 3), (1, 3, 4), (2, 4, 5))
 
 
-def test_enumeration_bound():
-    rows = [[1 if i == j else 0 for j in range(13)] for i in range(13)]
-    ideal = exponent_ideal(rows)
-    with pytest.raises(BoundExceededError):
-        covers_of(1, ideal)
-    assert covers_of(1, ideal, max_generators=13) == ()
+def test_the_covers_functions_reach_the_table_bound():
+    # nothing caps the covers below the subset tables: at mu 13 every
+    # function answers, and agrees with the checking routes
+    ideal = seeded_ideal(13, 0)
+    listing = cover_listing(ideal)
+    assert listing == reference_cover_listing(ideal)
+    table = cover_table(ideal)
+    for u in (1, 7, 13):
+        assert tuple(mask_of(c.members) for c in covers_of(u, ideal)) == \
+            listing[u - 1]
+        assert sorted(mask_of(c.members)
+                      for c in e_minimal_covers_of(u, ideal)) == \
+            list(table.by_generator[u - 1])
+    assert cover_clutter(identity_order(ideal)).edges == {
+        frozenset(indices_of(m)) for m in table.clutter}
+    assert covers_of(1, exponent_ideal(unit_rows(13))) == ()
+
+
+def unit_rows(mu):
+    return [[1 if i == j else 0 for j in range(mu)] for i in range(mu)]
+
+
+def refuses_before_allocating(call, ideal):
+    """Whether ``call(ideal)`` raises the subset tables' refusal while
+    allocating less than one bool per subset."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(BoundExceededError,
+                           match="subset tables support at most 16"):
+            call(ideal)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak < 1 << ideal.mu
+
+
+@pytest.mark.parametrize("call", [
+    cover_listing, cover_table, lambda i: covers_of(1, i),
+    lambda i: e_minimal_covers_of(1, i),
+    lambda i: cover_clutter(identity_order(i))])
+def test_the_covers_functions_refuse_above_the_table_bound(call):
+    assert refuses_before_allocating(call, exponent_ideal(unit_rows(17)))

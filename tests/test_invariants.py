@@ -11,6 +11,7 @@ compare both with the plain-Python reference routes.
 
 import dataclasses
 from itertools import combinations, permutations, product
+from math import factorial
 
 import numpy as np
 import pytest
@@ -39,13 +40,17 @@ from lyubeznik import (
     load_ideal,
     min_l_length,
     obstruction,
+    parse_graph,
     parse_ideal,
     preserved_size,
     search_scan,
     taylor_betti,
     total_obstruction,
 )
-from reference_routes import block_ranks, unpacked_readout
+from conftest import triangles_graph
+from reference_routes import (block_ranks, closure_length, facets_stable,
+                              unpacked_readout)
+from test_preserved_kernel import seeded_ideal
 
 KOSZUL2 = parse_ideal("vars x y\ngen x\ngen y")
 
@@ -103,16 +108,34 @@ def test_search_respects_generator_bound():
     assert search_scan(ideal, max_exhaustive=ideal.mu).scanned == 120
 
 
-def test_search_refuses_past_the_cover_bound_when_called():
-    # the walks read the cover table, so the call itself refuses a
-    # mu-13 search, before any field is read, and the message points at
-    # no argument that the search takes
-    names = [f"x{i}" for i in range(1, 14)]
-    ideal = parse_ideal("vars " + " ".join(names) + "\n"
-                        + "\n".join(f"gen {x}" for x in names))
-    with pytest.raises(BoundExceededError, match=r"2\^13 subsets") as refusal:
-        search_scan(ideal, max_exhaustive=13)
-    assert "only the functions of the covers module" in str(refusal.value)
+@pytest.mark.parametrize("triangles,edges", [(3, 4), (4, 2), (5, 0)])
+def test_search_reaches_the_table_bound_when_asked(triangles, edges):
+    # past mu 12 the library searches once max_exhaustive allows it
+    ideal = edge_ideal(parse_graph(triangles_graph(triangles, edges)))
+    mu = ideal.mu
+    assert mu == 3 * triangles + edges
+    scan = search_scan(ideal, max_exhaustive=mu)
+    assert scan.minimal_count == factorial(mu) == scan.scanned
+    assert scan.lyubeznik and scan.totally_lyubeznik
+    assert scan.tobsl == 0 and scan.nonminimal_witness is None
+    # every order is minimal, so every order has the least length
+    assert scan.min_l == l_length(identity_order(ideal))
+    report = analyze(identity_order(ideal), search=True, max_exhaustive=mu)
+    assert report.minimal and report.totally_lyubeznik
+    assert report.almost_lyubeznik and report.ara.upper == scan.min_l
+
+
+@pytest.mark.parametrize("mu,seed", [(13, 0), (14, 1)])
+def test_analyze_reaches_the_table_bound(mu, seed):
+    # without a search: min_l of an ideal that is not Lyubeznik walks
+    # every (k+1)-set, which is the wall above mu 12
+    ideal = seeded_ideal(mu, seed)
+    for word in (ideal.indices(), ideal.indices()[::-1]):
+        ordered = OrderedIdeal(ideal, word)
+        report = analyze(ordered)
+        assert report.minimal == facets_stable(ordered)
+        assert report.l_length == report.ps == closure_length(ordered)
+        assert (report.betti is not None) == report.minimal
 
 
 def test_convenience_searches():

@@ -5,10 +5,11 @@ so these tests pin it to hand-computed values on ideals small enough
 to work out on paper.
 """
 
+from math import comb
+
 import pytest
 
 from lyubeznik import (
-    BoundExceededError,
     OrderedIdeal,
     all_orders,
     identity_order,
@@ -23,6 +24,9 @@ from lyubeznik.oracle import _boundary_columns, _composes_to_zero
 
 from conftest import exponent_ideal
 from reference_routes import BoundaryMatrix, boundary_matrices
+from test_covers import refuses_before_allocating, unit_rows
+from test_oracle_reductions import betti_euler, taylor_euler
+from test_preserved_kernel import seeded_ideal
 
 KOSZUL2 = parse_ideal("vars x y\ngen x\ngen y")
 KOSZUL3 = parse_ideal("vars x y z\ngen x\ngen y\ngen z")
@@ -154,14 +158,25 @@ def test_resolution_holds_for_arbitrary_orders():
         assert verify_resolution(ordered)
 
 
-def test_generator_bound():
+def test_the_oracle_reaches_the_table_bound():
     wide = exponent_ideal([tuple(2 if j == i else 0 for j in range(13))
                            for i in range(13)])
-    with pytest.raises(BoundExceededError, match="max_generators"):
-        taylor_betti(wide)
-    table = taylor_betti(wide, max_generators=13)
+    table = taylor_betti(wide)
     assert table.projective_dimension == 13
-    assert table.betti(13) == 1
+    assert [table.betti(i) for i in range(14)] == [comb(13, i)
+                                                   for i in range(14)]
+    report = verify_resolution_report(identity_order(wide))
+    assert len(report) == 2 ** 13 - 1 and all(ok for _, ok in report)
+    ideal = seeded_ideal(13, 0)
+    assert betti_euler(taylor_betti(ideal)) == taylor_euler(ideal)
+    assert verify_resolution(OrderedIdeal(ideal, tuple(range(13, 0, -1))))
+
+
+@pytest.mark.parametrize("call", [
+    taylor_betti, lambda i: verify_resolution(identity_order(i)),
+    lambda i: verify_resolution_report(identity_order(i))])
+def test_the_oracle_refuses_above_the_table_bound(call):
+    assert refuses_before_allocating(call, exponent_ideal(unit_rows(17)))
 
 
 def test_prime_field_agrees_with_exact():

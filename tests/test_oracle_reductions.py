@@ -79,7 +79,7 @@ def test_reduced_strands_match_full_strands(mu, seed):
 def test_reduced_strands_match_full_strands_above_the_bound(seed):
     ideal = seeded_ideal(14, seed)
     for prime in FIELDS:
-        assert taylor_betti(ideal, prime=prime, max_generators=14) == \
+        assert taylor_betti(ideal, prime=prime) == \
             full_strand_betti(ideal, prime), prime
     check_critical_families(ideal)
 
@@ -105,7 +105,7 @@ def betti_euler(table):
 
 def test_betti_table_keeps_the_taylor_euler_characteristic_at_mu_14():
     ideal = seeded_ideal(14, 2)
-    table = taylor_betti(ideal, max_generators=14)
+    table = taylor_betti(ideal)
     assert betti_euler(table) == taylor_euler(ideal)
 
 

@@ -53,7 +53,7 @@ def check_cover_table(ideal):
 
 
 def check_cover_table_against_the_walk(ideal):
-    table = cover_table(ideal, max_generators=ideal.mu)
+    table = cover_table(ideal)
     walk = CoverWalk(ideal)
     for field in ("by_generator", "eminimal", "clutter"):
         assert getattr(table, field) == getattr(walk, field), field
