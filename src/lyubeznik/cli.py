@@ -20,12 +20,16 @@ non-minimal order) is printed as one line, ``lyubeznik: warning:
 success, 1 bad input, 2 a size threshold refused the computation, 130
 interrupted (Ctrl-C), with ``lyubeznik: interrupted`` on stderr.
 
-Every command but ``complex`` refuses, in ``_check_size``, more than
+Every refusal but the subset tables' is made in ``_check_size``, after
+the order is parsed, so that a bad order is still exit code 1.  Every
+command but ``complex`` refuses more than
 ``covers.MAX_ENUMERATION_GENERATORS`` generators (edges, for ``graph
---check-props``), after the order is parsed, so that a bad order is
-still exit code 1; no option lifts it.  Below it, ``--max-exhaustive``
-bounds the order searches.  ``complex`` reaches the library's own
-bound, that of the subset tables (``subsets.MAX_TABLE_GENERATORS``).
+--check-props``); no option lifts it.  Below it, the order searches
+(``search``, ``analyze --search``, ``graph --check-props``) refuse
+more than ``--max-exhaustive`` generators, an option of the command
+line only: the library's searches have no such bound.  ``complex``
+reaches the library's one bound, that of the subset tables
+(``subsets.MAX_TABLE_GENERATORS``).
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ import sys
 import warnings
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
+from math import factorial
 from typing import Sequence
 
 import numpy as np
@@ -51,9 +56,11 @@ from .linalg import check_prime
 from .monomials import BoundExceededError, MonomialIdeal, ParseError, read_ideal
 from .oracle import (taylor_betti, verify_chain_complex,
                      verify_resolution_report)
-from .orders import (DEFAULT_MAX_EXHAUSTIVE, OrderedIdeal, identity_order,
-                     parse_order)
+from .orders import OrderedIdeal, identity_order, parse_order
 from .subsets import MAX_TABLE_GENERATORS, indices_of, tables_for
+
+# the default of --max-exhaustive
+DEFAULT_MAX_EXHAUSTIVE = 8
 
 
 class _Parser(argparse.ArgumentParser):
@@ -97,13 +104,19 @@ def _field(text: str) -> int | None:
     return prime
 
 
-def _check_size(mu: int) -> None:
-    """Refuse more than ``MAX_ENUMERATION_GENERATORS`` generators."""
+def _check_size(mu: int, max_exhaustive: int | None = None) -> None:
+    """Refuse more than ``MAX_ENUMERATION_GENERATORS`` generators and,
+    for an order search, more than ``max_exhaustive``."""
     if mu > MAX_ENUMERATION_GENERATORS:
         raise BoundExceededError(
             f"{mu} generators exceed the command line's bound mu <= "
             f"{MAX_ENUMERATION_GENERATORS}; no option lifts it (the library "
             f"functions reach mu <= {MAX_TABLE_GENERATORS})")
+    if max_exhaustive is not None and mu > max_exhaustive:
+        raise BoundExceededError(
+            f"exhaustive search over {mu}! = {factorial(mu)} orders exceeds "
+            f"the threshold of {max_exhaustive}! = "
+            f"{factorial(max_exhaustive)} orders; raise --max-exhaustive")
 
 
 def _ordered(args, ideal: MonomialIdeal) -> OrderedIdeal:
@@ -297,9 +310,9 @@ def _cmd_complex(args):
 def _cmd_analyze(args):
     ideal = read_ideal(args.path)
     ordered = _ordered(args, ideal)
-    _check_size(ideal.mu)
-    report = analyze(ordered, search=args.search is not None,
-                     max_exhaustive=args.max_exhaustive, prime=args.field)
+    search = args.search is not None
+    _check_size(ideal.mu, args.max_exhaustive if search else None)
+    report = analyze(ordered, search=search, prime=args.field)
     payload = {"ideal": _ideal_payload(ideal), "order": list(report.order),
                "minimal": report.minimal, "obsL": report.obstruction,
                "l_length": report.l_length, "ps": report.ps,
@@ -307,7 +320,7 @@ def _cmd_analyze(args):
                "height": report.height,
                "ara": {"lower": report.ara.lower, "upper": report.ara.upper,
                        "equality": report.ara.equality}}
-    if args.search is not None:
+    if search:
         payload["lyubeznik"] = report.lyubeznik
         payload["almost_lyubeznik"] = report.almost_lyubeznik
         payload["totally_lyubeznik"] = report.totally_lyubeznik
@@ -328,7 +341,7 @@ def _cmd_analyze(args):
         else:
             lines.append("betti: not available from preserved sets "
                          "(resolution not minimal); see oracle-betti")
-        if args.search is not None:
+        if search:
             lines.append(f"lyubeznik: {_verdict_text(report.lyubeznik)}")
             lines.append(f"almost lyubeznik: {_verdict_text(report.almost_lyubeznik)}")
             lines.append(f"totally lyubeznik: {_verdict_text(report.totally_lyubeznik)}")
@@ -342,8 +355,8 @@ def _verdict_text(value: bool) -> str:
 
 def _cmd_search(args):
     ideal = read_ideal(args.path)
-    _check_size(ideal.mu)
-    scan = search_scan(ideal, max_exhaustive=args.max_exhaustive)
+    _check_size(ideal.mu, args.max_exhaustive)
+    scan = search_scan(ideal)
     count = scan.minimal_count
     payload = {"ideal": _ideal_payload(ideal), "mode": args.search,
                "exact": scan.exact, "scanned": scan.scanned,
@@ -432,9 +445,8 @@ def _cmd_graph(args):
         ideal = edge_ideal(graph)
         payload["edge_ideal"] = _ideal_payload(ideal)
     if args.check_props:
-        _check_size(graph.edge_count)
-        checks = check_graph_propositions(graph,
-                                          max_exhaustive=args.max_exhaustive)
+        _check_size(graph.edge_count, args.max_exhaustive)
+        checks = check_graph_propositions(graph)
         payload["propositions"] = [
             {"name": c.name, "hypothesis": c.hypothesis,
              "conclusion": c.conclusion, "finding": c.finding}

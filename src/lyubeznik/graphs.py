@@ -19,9 +19,7 @@ from dataclasses import dataclass
 from .invariants import search_scan
 from .monomials import (BoundExceededError, MonomialIdeal, ParseError,
                         VariableContext, _directive_lines)
-from .orders import DEFAULT_MAX_EXHAUSTIVE
-
-MAX_PATH_VERTICES = 12
+from .subsets import MAX_TABLE_GENERATORS
 
 
 @dataclass(frozen=True)
@@ -99,13 +97,17 @@ def edge_ideal(graph: SimpleGraph) -> MonomialIdeal:
     return MonomialIdeal(context, tuple(gens))
 
 
-def longest_path_edges(graph: SimpleGraph, *,
-                       max_vertices: int = MAX_PATH_VERTICES) -> int:
-    """Edge count of the longest simple path, by exhaustive extension."""
-    if len(graph.vertices) > max_vertices:
+def longest_path_edges(graph: SimpleGraph) -> int:
+    """Edge count of the longest simple path, by exhaustive extension.
+
+    The extension walks simple paths, whose number grows with the edges,
+    not the vertices, so it refuses more edges than the subset tables
+    hold generators, ``subsets.MAX_TABLE_GENERATORS``.
+    """
+    if graph.edge_count > MAX_TABLE_GENERATORS:
         raise BoundExceededError(
-            f"path search supports at most {max_vertices} vertices, "
-            f"got {len(graph.vertices)}")
+            f"path search supports at most {MAX_TABLE_GENERATORS} edges, "
+            f"got {graph.edge_count}")
     adjacency = {v: graph.neighbors(v) for v in graph.vertices}
 
     def extend(tail: str, used: set[str]) -> int:
@@ -150,21 +152,20 @@ class PropositionCheck:
         return self.hypothesis and not self.conclusion
 
 
-def check_graph_propositions(graph: SimpleGraph, *,
-                             max_exhaustive: int = DEFAULT_MAX_EXHAUSTIVE
+def check_graph_propositions(graph: SimpleGraph
                              ) -> tuple[PropositionCheck, ...]:
     """Evaluate the edge-ideal statements on one graph.
 
     Path lengths are reported under both the edge-counting and the
     vertex-counting convention.  Each check pairs the hypothesis with
     the independently computed conclusion; consumers decide what a
-    finding means.
+    finding means.  More than ``subsets.MAX_TABLE_GENERATORS`` edges
+    are refused by the search, before the path search runs.
     """
-    ideal = edge_ideal(graph)
-    path_edges = longest_path_edges(graph)
     # one search, which looks for a minimal and for a non-minimal order
-    scan = search_scan(ideal, max_exhaustive=max_exhaustive)
+    scan = search_scan(edge_ideal(graph))
     totally, lyubeznik = scan.totally_lyubeznik, scan.lyubeznik
+    path_edges = longest_path_edges(graph)
     return (
         PropositionCheck("no-path-of-3-edges-implies-totally-lyubeznik",
                          path_edges < 3, totally),

@@ -31,8 +31,7 @@ from .complexes import order_analysis
 from .covers import cover_table
 from .monomials import MonomialIdeal, radical_ideal, support
 from .oracle import taylor_betti
-from .orders import (DEFAULT_MAX_EXHAUSTIVE, OrderedIdeal, check_search_bound,
-                     identity_order)
+from .orders import OrderedIdeal, identity_order
 from .prefix import PrefixWalk
 from .subsets import iter_bits, mask_of
 
@@ -279,35 +278,29 @@ class SearchResult:
         return self._at_most(self.min_l)
 
 
-def search_scan(ideal: MonomialIdeal, *,
-                max_exhaustive: int = DEFAULT_MAX_EXHAUSTIVE) -> SearchResult:
+def search_scan(ideal: MonomialIdeal) -> SearchResult:
     """The aggregates of all mu! orders, each computed when first read.
 
-    Refuses when mu exceeds ``max_exhaustive``; pass
-    ``max_exhaustive=ideal.mu`` to search every order of an ideal up to
-    the subset tables' bound.  The clutter walk and its verdicts stay
-    quick there, but ``min_l`` of an ideal that is not Lyubeznik walks
-    every (k+1)-set for each length k it tries: at mu 14 one such read
-    has taken 92 s and 5.8 GiB.
+    Answers up to the subset tables' bound, mu <= 16, and refuses above
+    it with ``BoundExceededError`` before any table is built.  The
+    clutter walk and its verdicts stay quick there, but ``min_l`` of an
+    ideal that is not Lyubeznik walks every (k+1)-set for each length k
+    it tries: at mu 13-16 that can take minutes and gigabytes (at mu 14
+    one such read has taken 92 s and 5.8 GiB).
     """
-    check_search_bound(ideal, max_exhaustive=max_exhaustive)
     return SearchResult(ideal, cover_table(ideal).clutter)
 
 
-def total_obstruction(ideal: MonomialIdeal, *,
-                      max_exhaustive: int = DEFAULT_MAX_EXHAUSTIVE
-                      ) -> tuple[int, OrderedIdeal]:
+def total_obstruction(ideal: MonomialIdeal) -> tuple[int, OrderedIdeal]:
     """Minimum obstruction over all orders, with its lexicographically
     least witness."""
-    scan = search_scan(ideal, max_exhaustive=max_exhaustive)
+    scan = search_scan(ideal)
     return scan.tobsl, OrderedIdeal(ideal, scan.tobsl_witness)
 
 
-def min_l_length(ideal: MonomialIdeal, *,
-                 max_exhaustive: int = DEFAULT_MAX_EXHAUSTIVE
-                 ) -> tuple[int, OrderedIdeal]:
+def min_l_length(ideal: MonomialIdeal) -> tuple[int, OrderedIdeal]:
     """Minimum resolution length over all orders, with witness."""
-    scan = search_scan(ideal, max_exhaustive=max_exhaustive)
+    scan = search_scan(ideal)
     return scan.min_l, OrderedIdeal(ideal, scan.min_l_witness)
 
 
@@ -327,21 +320,17 @@ class LyubeznikVerdict:
         return iter((self.verdict, self.witness))
 
 
-def is_lyubeznik(ideal: MonomialIdeal, *,
-                 max_exhaustive: int = DEFAULT_MAX_EXHAUSTIVE
-                 ) -> LyubeznikVerdict:
+def is_lyubeznik(ideal: MonomialIdeal) -> LyubeznikVerdict:
     """Whether some order makes the Lyubeznik resolution minimal."""
-    scan = search_scan(ideal, max_exhaustive=max_exhaustive)
+    scan = search_scan(ideal)
     witness = (OrderedIdeal(ideal, scan.tobsl_witness) if scan.lyubeznik
                else None)
     return LyubeznikVerdict(scan.lyubeznik, witness, scan.exact, scan.scanned)
 
 
-def is_totally_lyubeznik(ideal: MonomialIdeal, *,
-                         max_exhaustive: int = DEFAULT_MAX_EXHAUSTIVE
-                         ) -> bool:
+def is_totally_lyubeznik(ideal: MonomialIdeal) -> bool:
     """Whether every order makes the Lyubeznik resolution minimal."""
-    return search_scan(ideal, max_exhaustive=max_exhaustive).totally_lyubeznik
+    return search_scan(ideal).totally_lyubeznik
 
 
 # one entry: a call reads one ideal's projective dimension, both as a
@@ -352,10 +341,9 @@ def _projdim(ideal: MonomialIdeal, prime: int | None) -> int:
 
 
 def is_almost_lyubeznik(ideal: MonomialIdeal, *,
-                        max_exhaustive: int = DEFAULT_MAX_EXHAUSTIVE,
                         prime: int | None = None) -> bool:
     """Whether the best resolution length meets the projective dimension."""
-    scan = search_scan(ideal, max_exhaustive=max_exhaustive)
+    scan = search_scan(ideal)
     return scan.almost_lyubeznik(_projdim(ideal, prime))
 
 
@@ -399,7 +387,6 @@ def _ara(ideal: MonomialIdeal, lower: int, best: int) -> AraBounds:
 
 
 def ara_bounds(ideal: MonomialIdeal, *,
-               max_exhaustive: int = DEFAULT_MAX_EXHAUSTIVE,
                prime: int | None = None) -> AraBounds:
     """Lower and upper bounds on the arithmetical rank.
 
@@ -410,7 +397,7 @@ def ara_bounds(ideal: MonomialIdeal, *,
     that pin the value exactly.
     """
     lower = _projdim(ideal, prime) if ideal.is_squarefree() else height(ideal)
-    scan = search_scan(ideal, max_exhaustive=max_exhaustive)
+    scan = search_scan(ideal)
     return _ara(ideal, lower, scan.min_l)
 
 
@@ -436,7 +423,6 @@ class InvariantReport:
 
 
 def analyze(ordered: OrderedIdeal, *, search: bool = False,
-            max_exhaustive: int = DEFAULT_MAX_EXHAUSTIVE,
             prime: int | None = None) -> InvariantReport:
     """Full per-order report, optionally with an order search on top.
 
@@ -459,7 +445,7 @@ def analyze(ordered: OrderedIdeal, *, search: bool = False,
     best = length
     lyub = almost = totally = None
     if search:
-        scan = search_scan(ideal, max_exhaustive=max_exhaustive)
+        scan = search_scan(ideal)
         lyub, totally = scan.lyubeznik, scan.totally_lyubeznik
         if projdim is None:
             projdim = _projdim(ideal, prime)

@@ -7,14 +7,12 @@ order is the listing order of the generators.
 Order enumeration is always lexicographic on the permutation word, so
 witness orders are reproducible.  The exhaustive search of
 ``invariants`` answers for all mu! orders without listing them
-(``prefix``); it still follows the bound of the order stream,
-``check_search_bound``: a search of more than ``max_exhaustive``
-generators is refused.
+(``prefix``).
 
 ``all_orders`` and ``orders_for_search`` both read
 ``itertools.permutations``: the first yields one ``OrderedIdeal`` per
 word, the second int8 blocks of ``BLOCK`` words for the tests' checking
-scan of all orders.
+scan of all orders.  Both are lazy and refuse no mu.
 """
 
 from __future__ import annotations
@@ -22,14 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice, permutations
-from math import factorial
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .monomials import BoundExceededError, MonomialIdeal
+from .monomials import MonomialIdeal
 
-DEFAULT_MAX_EXHAUSTIVE = 8
 # words per block of orders_for_search: 7!, so that each block from
 # mu = 7 on is full
 BLOCK = 5040
@@ -74,15 +70,8 @@ def identity_order(ideal: MonomialIdeal) -> OrderedIdeal:
     return OrderedIdeal(ideal, tuple(range(1, ideal.mu + 1)))
 
 
-def all_orders(ideal: MonomialIdeal, *,
-               max_exhaustive: int = DEFAULT_MAX_EXHAUSTIVE
-               ) -> Iterator[OrderedIdeal]:
-    """All mu! orders, lexicographic on the permutation word.
-
-    Refuses when mu exceeds ``max_exhaustive``; pass
-    ``max_exhaustive=ideal.mu`` to lift the bound.
-    """
-    check_search_bound(ideal, max_exhaustive=max_exhaustive)
+def all_orders(ideal: MonomialIdeal) -> Iterator[OrderedIdeal]:
+    """All mu! orders, lexicographic on the permutation word."""
     return (OrderedIdeal(ideal, word) for word in permutations(ideal.indices()))
 
 
@@ -96,29 +85,11 @@ def parse_order(text: str, ideal: MonomialIdeal) -> OrderedIdeal:
     return OrderedIdeal(ideal, word)
 
 
-def check_search_bound(ideal: MonomialIdeal, *,
-                       max_exhaustive: int = DEFAULT_MAX_EXHAUSTIVE) -> None:
-    """Refuse a search of the mu! orders when mu exceeds
-    ``max_exhaustive``, whether the search lists the orders or not."""
-    mu = ideal.mu
-    if mu > max_exhaustive:
-        raise BoundExceededError(
-            f"exhaustive search over {mu}! = {factorial(mu)} orders exceeds "
-            f"the threshold of {max_exhaustive}! = "
-            f"{factorial(max_exhaustive)} orders; raise --max-exhaustive "
-            "(max_exhaustive= in the library)")
-
-
-def orders_for_search(ideal: MonomialIdeal, *,
-                      max_exhaustive: int = DEFAULT_MAX_EXHAUSTIVE
+def orders_for_search(ideal: MonomialIdeal
                       ) -> tuple[Iterator[np.ndarray], bool]:
     """The mu! permutation words, lexicographic, as int8 arrays of shape
     (count, mu) whose row k is one word, ``BLOCK`` words to an array but
-    the last, plus ``True``: the stream covers every order.
-
-    Refused by ``check_search_bound``.
-    """
-    check_search_bound(ideal, max_exhaustive=max_exhaustive)
+    the last, plus ``True``: the stream covers every order."""
     return _blocks(permutations(ideal.indices())), True
 
 

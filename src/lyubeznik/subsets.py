@@ -23,10 +23,11 @@ searches never do.
 
 Tables cost O(2^mu) memory, so construction refuses ideals with more
 than MAX_TABLE_GENERATORS generators, before it allocates anything.
-That is the library's one bound on the generator count: the covers,
-the per-order tables, the order searches and the homology oracle all
-read these tables and refuse where they do.  The command line keeps a
-lower bound of its own (``cli``).
+That is the library's one bound: the covers, the per-order tables,
+the order searches and the homology oracle all read these tables and
+refuse where they do, and the path search of ``graphs`` refuses more
+edges than this.  The command line keeps lower bounds of its own
+(``cli``): mu <= 12 and ``--max-exhaustive``.
 """
 
 from __future__ import annotations

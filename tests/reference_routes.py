@@ -174,7 +174,7 @@ def exhaustive_scan(ideal):
     """The ``Scan`` of all mu! orders, block by block in lexicographic
     order; a witness changes only when a block holds a strictly lower
     value, so each is the least order that reaches its value."""
-    blocks, _ = orders_for_search(ideal, max_exhaustive=ideal.mu)
+    blocks, _ = orders_for_search(ideal)
     # no obstruction or length exceeds mu: mu + 1 is above every value
     tobsl = min_l = ideal.mu + 1
     tobsl_witness = min_l_witness = nonminimal_witness = None

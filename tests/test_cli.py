@@ -8,8 +8,9 @@ import sys
 
 import pytest
 
-from lyubeznik import parse_ideal
+from lyubeznik import parse_ideal, taylor_betti
 from lyubeznik.cli import build_parser, main
+from lyubeznik.invariants import _projdim
 from lyubeznik.subsets import tables_for
 
 from conftest import triangles_graph
@@ -266,7 +267,7 @@ def test_search_refusal_is_exit_two(capsys, tmp_path):
     assert code == 2 and out == ""
     assert err == ("lyubeznik: refused: exhaustive search over 9! = 362880 "
                    "orders exceeds the threshold of 8! = 40320 orders; raise "
-                   "--max-exhaustive (max_exhaustive= in the library)\n")
+                   "--max-exhaustive\n")
 
 
 CLI_BOUND = ("lyubeznik: refused: 13 generators exceed the command line's "
@@ -371,7 +372,11 @@ def test_refusals_name_only_real_flags(capsys, tmp_path):
     assert {"--jobs", "--max-exhaustive", "--order"} <= flags
     refusals = [*bounded_requests(tmp_path),
                 ("complex", wide_ideal_path(tmp_path, 17)),
-                ("search", wide_ideal_path(tmp_path, 9))]
+                ("search", wide_ideal_path(tmp_path, 9)),
+                ("analyze", "--search", "exhaustive",
+                 wide_ideal_path(tmp_path, 9)),
+                ("graph", "--check-props",
+                 triangles_graph_path(tmp_path, 3, 0))]
     for argv in refusals:
         code, _, err = run_cli(capsys, *argv)
         assert code == 2 and err.startswith("lyubeznik: refused:"), argv
@@ -389,6 +394,51 @@ def test_analyze_refuses_before_building_tables(capsys, tmp_path):
     misses = tables_for.cache_info().misses
     assert run_cli(capsys, "analyze", path) == (2, "", err)
     assert tables_for.cache_info().misses == misses
+
+
+def test_every_search_refusal_is_one_check(capsys, tmp_path):
+    # mu 9 generators, or 9 edges, under the default --max-exhaustive 8
+    wide = wide_ideal_path(tmp_path, 9)
+    results = [run_cli(capsys, *argv) for argv in (
+        ("search", wide), ("analyze", "--search", "exhaustive", wide),
+        ("graph", "--check-props", triangles_graph_path(tmp_path, 3, 0)))]
+    assert results == [(2, "", results[0][2])] * 3
+    assert results[0][2].endswith("raise --max-exhaustive\n")
+    # a bound of mu lifts it, and analyze without --search never had it
+    code, _, _ = run_cli(capsys, "search", "--max-exhaustive", "9", wide)
+    assert code == 0
+    code, _, _ = run_cli(capsys, "analyze", wide)
+    assert code == 0
+
+
+def test_analyze_search_refuses_before_the_oracle(capsys, tmp_path,
+                                                  monkeypatch):
+    # the refusal comes before the per-order report, whose squarefree
+    # ara bound reads the homology oracle
+    calls = []
+    monkeypatch.setattr("lyubeznik.invariants.taylor_betti",
+                        lambda ideal, prime=None: calls.append(ideal)
+                        or taylor_betti(ideal, prime=prime))
+    _projdim.cache_clear()
+    code, out, err = run_cli(capsys, "analyze", "--search", "exhaustive",
+                             wide_ideal_path(tmp_path, 9))
+    assert code == 2 and out == ""
+    assert err.startswith("lyubeznik: refused: exhaustive search over 9!")
+    assert calls == []
+
+
+def test_check_props_reads_graphs_with_many_vertices(capsys, tmp_path):
+    # the path search is bounded by the edges: a 2-edge path plus 11
+    # isolated vertices is 13 vertices and is answered
+    path = tmp_path / "sparse.graph"
+    names = [f"v{i}" for i in range(13)]
+    path.write_text("vertex " + " ".join(names)
+                    + "\nedge v0 v1\nedge v1 v2\n")
+    code, out, err = run_cli(capsys, "graph", "--check-props", "--format",
+                             "json", str(path))
+    assert code == 0 and err == ""
+    rows = json.loads(out)["propositions"]
+    assert len(rows) == 6 and not any(row["finding"] for row in rows)
 
 
 def test_verify_refuses_before_the_chain_check(capsys, tmp_path, monkeypatch):

@@ -77,11 +77,29 @@ def test_longest_path_edges():
 
 
 def test_path_search_bound():
+    # the bound is on the edges, the subset tables' 16, not the vertices
     names = tuple(f"v{i}" for i in range(13))
     long_path = SimpleGraph(names, tuple(zip(names, names[1:])))
-    with pytest.raises(BoundExceededError, match="12"):
-        longest_path_edges(long_path)
-    assert longest_path_edges(long_path, max_vertices=13) == 12
+    assert longest_path_edges(long_path) == 12
+    names = tuple(f"v{i}" for i in range(18))
+    longer_path = SimpleGraph(names, tuple(zip(names, names[1:])))
+    with pytest.raises(BoundExceededError, match="at most 16 edges, got 17"):
+        longest_path_edges(longer_path)
+
+
+def test_propositions_refuse_before_the_path_search(monkeypatch):
+    # K_12 has 66 edges: the search refuses before the exponential DFS
+    names = tuple(f"v{i}" for i in range(12))
+    k12 = SimpleGraph(names, tuple(combinations(names, 2)))
+    calls = []
+    monkeypatch.setattr("lyubeznik.graphs.longest_path_edges",
+                        lambda graph: calls.append(graph) or 0)
+    with pytest.raises(BoundExceededError, match="66"):
+        check_graph_propositions(k12)
+    assert calls == []
+    # and the path search itself refuses on the edge count
+    with pytest.raises(BoundExceededError, match="got 66"):
+        longest_path_edges(k12)
 
 
 def test_edge_ideal_matches_edge_listing():

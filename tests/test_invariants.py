@@ -18,7 +18,6 @@ import pytest
 
 from lyubeznik import (
     AraBounds,
-    BoundExceededError,
     NotMinimalError,
     OrderedIdeal,
     all_orders,
@@ -48,8 +47,8 @@ from lyubeznik import (
     total_obstruction,
 )
 from conftest import triangles_graph
-from reference_routes import (block_ranks, closure_length, facets_stable,
-                              unpacked_readout)
+from reference_routes import (block_ranks, closure_length, exhaustive_scan,
+                              facets_stable, unpacked_readout)
 from test_preserved_kernel import seeded_ideal
 
 KOSZUL2 = parse_ideal("vars x y\ngen x\ngen y")
@@ -101,26 +100,47 @@ def test_witnesses_are_lex_least():
     assert scan.tobsl_witness == (5, 1, 2, 3, 4)
 
 
-def test_search_respects_generator_bound():
-    ideal = load_ideal("mixed_powers_xyz")
-    with pytest.raises(BoundExceededError):
-        search_scan(ideal, max_exhaustive=4)
-    assert search_scan(ideal, max_exhaustive=ideal.mu).scanned == 120
+@pytest.mark.parametrize("mu", [9, 10])
+def test_search_answers_past_the_command_line_default(mu):
+    # the library takes no search bound: past the command line's default
+    # --max-exhaustive of 8, every searching function answers as it is
+    ideal = seeded_ideal(mu, 0)
+    scan = search_scan(ideal)
+    assert scan.exact and scan.scanned == factorial(mu)
+    assert not scan.stopped_early
+    if mu == 9:
+        reference = exhaustive_scan(ideal)
+        for field in ("tobsl", "tobsl_witness", "min_l", "min_l_witness",
+                      "minimal_count", "nonminimal_witness", "lyubeznik",
+                      "totally_lyubeznik"):
+            assert getattr(scan, field) == getattr(reference, field), field
+    tobsl, witness = total_obstruction(ideal)
+    assert (tobsl, witness.order) == (scan.tobsl, scan.tobsl_witness)
+    assert obstruction(witness) == tobsl
+    best, at = min_l_length(ideal)
+    assert best == scan.min_l == l_length(at)
+    assert is_lyubeznik(ideal).verdict == scan.lyubeznik
+    assert is_totally_lyubeznik(ideal) == scan.totally_lyubeznik
+    projdim = taylor_betti(ideal).projective_dimension
+    assert is_almost_lyubeznik(ideal) == scan.almost_lyubeznik(projdim)
+    report = analyze(identity_order(ideal), search=True)
+    assert report.lyubeznik == scan.lyubeznik
+    assert tuple(report.ara) == tuple(ara_bounds(ideal))
 
 
 @pytest.mark.parametrize("triangles,edges", [(3, 4), (4, 2), (5, 0)])
 def test_search_reaches_the_table_bound_when_asked(triangles, edges):
-    # past mu 12 the library searches once max_exhaustive allows it
+    # past mu 12 the library searches with no keyword
     ideal = edge_ideal(parse_graph(triangles_graph(triangles, edges)))
     mu = ideal.mu
     assert mu == 3 * triangles + edges
-    scan = search_scan(ideal, max_exhaustive=mu)
+    scan = search_scan(ideal)
     assert scan.minimal_count == factorial(mu) == scan.scanned
     assert scan.lyubeznik and scan.totally_lyubeznik
     assert scan.tobsl == 0 and scan.nonminimal_witness is None
     # every order is minimal, so every order has the least length
     assert scan.min_l == l_length(identity_order(ideal))
-    report = analyze(identity_order(ideal), search=True, max_exhaustive=mu)
+    report = analyze(identity_order(ideal), search=True)
     assert report.minimal and report.totally_lyubeznik
     assert report.almost_lyubeznik and report.ara.upper == scan.min_l
 

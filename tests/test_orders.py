@@ -1,12 +1,11 @@
-from itertools import chain, permutations
+from itertools import chain, islice, permutations
 from math import factorial
 
 import numpy as np
 import pytest
 
-from lyubeznik import (BoundExceededError, OrderedIdeal, all_orders,
-                       identity_order, load_ideal, orders_for_search,
-                       parse_ideal, parse_order)
+from lyubeznik import (OrderedIdeal, all_orders, identity_order, load_ideal,
+                       orders_for_search, parse_ideal, parse_order)
 
 
 def test_ordered_ideal_validates_permutation():
@@ -43,13 +42,12 @@ def test_all_orders_is_the_lexicographic_stream():
     assert factorial(ideal.mu) == 24 == len(words)
 
 
-def test_all_orders_bound():
-    ideal = load_ideal("seven_gen_squarefree")
-    with pytest.raises(BoundExceededError):
-        list(all_orders(ideal, max_exhaustive=6))
-    # a bound of mu lifts the guard
-    stream = all_orders(ideal, max_exhaustive=ideal.mu)
-    assert next(stream).order == (1, 2, 3, 4, 5, 6, 7)
+def test_all_orders_streams_past_the_command_line_default():
+    # no bound: a mu 10 stream starts lazily at the identity word
+    stream = all_orders(koszul(10))
+    assert [o.order for o in islice(stream, 3)] == [
+        (1, 2, 3, 4, 5, 6, 7, 8, 9, 10), (1, 2, 3, 4, 5, 6, 7, 8, 10, 9),
+        (1, 2, 3, 4, 5, 6, 7, 9, 8, 10)]
 
 
 def test_parse_order():
@@ -65,12 +63,11 @@ def test_orders_for_search_lists_every_order():
     ideal = load_ideal("mixed_powers_xyz")
     stream, exact = orders_for_search(ideal)
     assert exact and sum(len(block) for block in stream) == 120
-    with pytest.raises(BoundExceededError, match="--max-exhaustive"):
-        orders_for_search(ideal, max_exhaustive=4)
 
 
 # The block stream against itertools: every word in order, in int8
-# blocks of 7! = 5040 rows (one block of mu! rows below mu = 7).
+# blocks of 7! = 5040 rows (one block of mu! rows below mu = 7), with
+# no bound at mu 9, past the command line's --max-exhaustive default.
 
 
 def word_array(words, mu, count):
@@ -88,7 +85,7 @@ def koszul(mu):
 def test_exhaustive_words_match_itertools(mu):
     ideal = koszul(mu)
     expected = word_array(permutations(range(1, mu + 1)), mu, factorial(mu))
-    blocks, exact = orders_for_search(ideal, max_exhaustive=ideal.mu)
+    blocks, exact = orders_for_search(ideal)
     blocks = list(blocks)
     assert exact
     assert all(b.dtype == np.int8 and b.shape == (factorial(min(mu, 7)), mu)

@@ -33,7 +33,7 @@ FIELDS = ("scanned", "tobsl", "tobsl_witness", "min_l", "min_l_witness",
 
 
 def fresh(ideal):
-    return search_scan(ideal, max_exhaustive=ideal.mu)
+    return search_scan(ideal)
 
 
 def check(ideal, projdim=None):
@@ -182,7 +182,7 @@ def test_graph_census_on_six_vertices():
     graphs = graph_classes(6, 12)
     assert len(graphs) == 151
     totally = [g for g in graphs
-               if is_totally_lyubeznik(edge_ideal(g), max_exhaustive=12)]
+               if is_totally_lyubeznik(edge_ideal(g))]
     assert all(longest_path_edges(g) < 3 for g in totally)
     assert all(longest_path_edges(g) >= 3 for g in graphs
                if g not in totally)

@@ -9,6 +9,7 @@ imported, so this test depends on nothing else in ``bench/``.
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -46,3 +47,16 @@ def test_exported_names_resolve_once():
     assert len(names) == len(set(names))
     missing = [name for name in names if not hasattr(lyubeznik, name)]
     assert missing == []
+
+
+def test_no_library_function_takes_a_bound():
+    # the library's one bound is the subset tables'; the lower ones are
+    # the command line's (--max-exhaustive and its mu <= 12)
+    functions = [getattr(lyubeznik, name) for name in lyubeznik.__all__]
+    functions = [f for f in functions if inspect.isfunction(f)]
+    assert {lyubeznik.search_scan, lyubeznik.longest_path_edges,
+            lyubeznik.all_orders} <= set(functions)
+    taking = [(f.__name__, p) for f in functions
+              for p in inspect.signature(f).parameters
+              if p in ("max_exhaustive", "max_generators", "max_vertices")]
+    assert taking == []

@@ -31,7 +31,7 @@ def per_order_values(ideal):
     """word -> (obstruction, length, minimal), from the reference routes."""
     clutter = cover_table(ideal).clutter
     values = {}
-    for ordered in all_orders(ideal, max_exhaustive=ideal.mu):
+    for ordered in all_orders(ideal):
         court = court_table(ordered)
         preserved = preserved_table(ordered, court)
         obs = max((m.bit_count() for m in clutter if preserved[m]), default=0)
@@ -68,7 +68,7 @@ def scan_aggregates(scan):
 def check_both_routes(ideal):
     values = per_order_values(ideal)
     expected = brute_aggregates(values, list(values))
-    scan = search_scan(ideal, max_exhaustive=ideal.mu)
+    scan = search_scan(ideal)
     assert scan.exact and not scan.stopped_early
     assert scan_aggregates(scan) == expected, "prefix search"
     assert scan_aggregates(exhaustive_scan(ideal)) == expected, "block scan"
