@@ -9,7 +9,10 @@ this module's own writer, ``_json_text``, whose bytes are identical to
 two thirds of a ``covers`` call on a 12-generator ideal.  ``covers``
 hands the writer each generator's list of covers as one fragment of
 text rendered ahead for its depth, built from per-mask texts made once
-per distinct cover, so the writer walks no cover entry.
+per distinct cover, so the writer walks no cover entry.  ``complex``
+reads its faces and facets off the order's masks and hands the writer
+each list as one fragment, built from a members text made once per
+face, so the writer walks no face either.
 
 The parser is built once per process, on the first ``main`` call, and
 each call parses into a fresh namespace; a subcommand's handler is
@@ -46,7 +49,7 @@ from typing import Sequence
 import numpy as np
 
 from .betti import BettiTable
-from .complexes import classification_census, lyubeznik_complex
+from .complexes import classification_census, order_analysis
 from .covers import (MAX_ENUMERATION_GENERATORS, _by_size_then_members,
                      cover_listing, cover_table)
 from .generators import _radical_generators
@@ -57,7 +60,7 @@ from .monomials import BoundExceededError, MonomialIdeal, ParseError, read_ideal
 from .oracle import (taylor_betti, verify_chain_complex,
                      verify_resolution_report)
 from .orders import OrderedIdeal, identity_order, parse_order
-from .subsets import MAX_TABLE_GENERATORS, indices_of, tables_for
+from .subsets import MAX_TABLE_GENERATORS, indices_of, popcounts, tables_for
 
 # the default of --max-exhaustive
 DEFAULT_MAX_EXHAUSTIVE = 8
@@ -283,20 +286,35 @@ def _covers_fragments(keys, distinct, members, covered) -> list[dict]:
 def _cmd_complex(args):
     ideal = read_ideal(args.path)
     ordered = _ordered(args, ideal)
-    complex_ = lyubeznik_complex(ordered)
-    faces = sorted(sorted(f) for f in complex_.faces)
-    facets = sorted(sorted(f) for f in complex_.facets)
+    analysis = order_analysis(ordered)
+    # the members text of every face, "1,5,6", and a key whose order is
+    # the members' lexicographic order; the faces are closed under
+    # subsets and ascend, so a face's text extends that of the face
+    # without its largest member, met before it
+    members, keys = {0: ""}, {0: ""}
+    for m in analysis.faces[1:]:
+        top = m.bit_length()
+        rest = m ^ 1 << (top - 1)
+        members[m] = f"{members[rest]},{top}" if rest else str(top)
+        keys[m] = keys[rest] + chr(top)
+    faces = sorted(analysis.faces, key=keys.__getitem__)
+    facets = sorted(analysis.facets, key=keys.__getitem__)
+    f_vector = np.bincount(popcounts(ideal.mu)[analysis.faces]).tolist()
     census = {str(size): {cls.value: count for cls, count in row.items()}
               for size, row in classification_census(ordered).items()}
     payload = {"ideal": _ideal_payload(ideal), "order": list(ordered.order),
-               "dim": complex_.dim, "f_vector": list(complex_.f_vector),
-               "faces": faces, "facets": facets, "census": census}
+               "dim": analysis.length - 1, "f_vector": f_vector,
+               "census": census}
+    if args.format == "json":
+        # rendered for JSON output only: the text lines list the facets
+        payload["faces"] = _lists_fragment(faces, members)
+        payload["facets"] = _lists_fragment(facets, members)
 
     def text() -> list[str]:
         lines = [f"ideal: {ideal}", f"order: {ordered}",
-                 f"dim: {complex_.dim}",
-                 "f-vector: (" + ", ".join(map(str, complex_.f_vector)) + ")",
-                 "facets: " + ", ".join("{" + ",".join(map(str, f)) + "}"
+                 f"dim: {analysis.length - 1}",
+                 "f-vector: (" + ", ".join(map(str, f_vector)) + ")",
+                 "facets: " + ", ".join("{" + members[f] + "}"
                                         for f in facets)]
         for size in sorted(census, key=int):
             row = census[size]
@@ -305,6 +323,17 @@ def _cmd_complex(args):
             lines.append(f"size {size}: {cells or '(empty)'}")
         return lines
     return payload, text
+
+
+def _lists_fragment(masks: list[int], members: dict) -> _Fragment:
+    """A non-empty list of masks, each written as the list of its
+    members, as one fragment for depth 1, where the payload holds it."""
+    ind1, ind2, ind3 = ("\n" + "  " * d for d in range(1, 4))
+    sep3 = "," + ind3
+    entries = [f"[{ind3}{members[m].replace(',', sep3)}{ind2}]" if m
+               else "[]" for m in masks]
+    return _Fragment(["[" + ind2 + ("," + ind2).join(entries) + ind1 + "]"],
+                     1)
 
 
 def _cmd_analyze(args):
@@ -446,7 +475,8 @@ def _cmd_graph(args):
         payload["edge_ideal"] = _ideal_payload(ideal)
     if args.check_props:
         _check_size(graph.edge_count, args.max_exhaustive)
-        checks = check_graph_propositions(graph)
+        # the edge ideal that --edge-ideal built, if it did
+        checks = check_graph_propositions(graph, ideal)
         payload["propositions"] = [
             {"name": c.name, "hypothesis": c.hypothesis,
              "conclusion": c.conclusion, "finding": c.finding}

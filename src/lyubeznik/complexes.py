@@ -64,10 +64,11 @@ class _OrderAnalysis:
     largest preserved set.
     ``faces`` lists the preserved masks in ascending order: the faces of
     the Lyubeznik complex, which the complex, the Betti counts, the
-    radical generators and the homology checks all read.
+    radical generators and the homology checks all read.  ``facets``
+    lists the maximal ones in ascending order.
     """
 
-    __slots__ = ("tables", "court", "preserved", "faces", "length")
+    __slots__ = ("tables", "court", "preserved", "faces", "facets", "length")
 
     def __init__(self, ordered: OrderedIdeal) -> None:
         tables = tables_for(ordered.ideal)
@@ -91,6 +92,15 @@ class _OrderAnalysis:
         self.court = court
         self.preserved = preserved
         self.faces = np.flatnonzero(preserved).tolist()
+        # downward closure makes maximality a one-bit test: a face is a
+        # facet iff no face one larger contains it.  larger[m] collects,
+        # one bit b at a time, whether m | 2^b is a face for some b
+        # outside m.
+        larger = np.zeros_like(preserved)
+        for b in range(mu):
+            halves = larger.reshape(-1, 2, 1 << b)
+            halves[:, 0] |= preserved.reshape(-1, 2, 1 << b)[:, 1]
+        self.facets = np.flatnonzero(preserved & ~larger).tolist()
         self.length = int(popcounts(mu)[preserved].max())
         self.tables = tables
 
@@ -145,17 +155,8 @@ class LyubeznikComplex:
 
 def lyubeznik_complex(ordered: OrderedIdeal) -> LyubeznikComplex:
     analysis = order_analysis(ordered)
-    preserved = analysis.preserved
-    # downward closure makes maximality a one-bit test: a face is a facet
-    # iff no face one larger contains it.  larger[m] collects, one bit b
-    # at a time, whether m | 2^b is a face for some b outside m.
-    larger = np.zeros_like(preserved)
-    for b in range(analysis.tables.mu):
-        halves = larger.reshape(-1, 2, 1 << b)
-        halves[:, 0] |= preserved.reshape(-1, 2, 1 << b)[:, 1]
-    facet_masks = np.flatnonzero(preserved & ~larger).tolist()
     faces = frozenset(frozenset(indices_of(m)) for m in analysis.faces)
-    facets = frozenset(frozenset(indices_of(m)) for m in facet_masks)
+    facets = frozenset(frozenset(indices_of(m)) for m in analysis.facets)
     return LyubeznikComplex(ordered, faces, facets)
 
 

@@ -152,7 +152,8 @@ class PropositionCheck:
         return self.hypothesis and not self.conclusion
 
 
-def check_graph_propositions(graph: SimpleGraph
+def check_graph_propositions(graph: SimpleGraph,
+                             ideal: MonomialIdeal | None = None
                              ) -> tuple[PropositionCheck, ...]:
     """Evaluate the edge-ideal statements on one graph.
 
@@ -160,10 +161,14 @@ def check_graph_propositions(graph: SimpleGraph
     vertex-counting convention.  Each check pairs the hypothesis with
     the independently computed conclusion; consumers decide what a
     finding means.  More than ``subsets.MAX_TABLE_GENERATORS`` edges
-    are refused by the search, before the path search runs.
+    are refused by the search, before the path search runs.  A caller
+    that has built the graph's edge ideal already passes it as
+    ``ideal``, so that it is not built again.
     """
+    if ideal is None:
+        ideal = edge_ideal(graph)
     # one search, which looks for a minimal and for a non-minimal order
-    scan = search_scan(edge_ideal(graph))
+    scan = search_scan(ideal)
     totally, lyubeznik = scan.totally_lyubeznik, scan.lyubeznik
     path_edges = longest_path_edges(graph)
     return (

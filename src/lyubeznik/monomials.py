@@ -21,8 +21,13 @@ The plain-text ideal format::
 Each ``gen`` line is one monomial: identifiers with optional ``^e``
 powers, joined by optional ``*``.  Identifier matching is greedy, so
 with variables ``a`` and ``ab`` the string ``ab`` always means the
-variable ``ab``; write ``a*b`` to multiply.  Exponents must be
-non-negative and repeated factors multiply (``x*x`` is ``x^2``).
+variable ``ab``; write ``a*b`` to multiply.  Exponents are written in
+ASCII digits and must be non-negative, and repeated factors multiply
+(``x*x`` is ``x^2``).
+
+A ``gen`` line is read in one pass over its tokens, and a generating
+set is tested for divisibility with one numpy matrix over its exponent
+rows, which holds every pair.
 """
 
 from __future__ import annotations
@@ -32,12 +37,18 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 #: Exponents are arbitrary-precision in principle, but anything near this
 #: bound signals a bug in the caller, so we refuse instead of grinding on.
 EXPONENT_LIMIT = 2**63 - 1
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
-_TOKEN_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*|\^|\*|-?\d+|\S")
+# a factor's name, an exponent's digits (ASCII only: a superscript or a
+# digit of another script is a token of its own, and so a parse error),
+# or any other single character; whitespace separates tokens
+_TOKEN_RE = re.compile(
+    r"(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<digits>-?[0-9]+)|\S")
 _DIRECTIVE_RE = re.compile(r"\s*([A-Za-z_]\w*)")
 
 
@@ -200,6 +211,20 @@ def support(m: Monomial) -> frozenset[int]:
     return frozenset(i for i, e in enumerate(m.exponents) if e > 0)
 
 
+def _divisibility(gens: Sequence[Monomial]) -> np.ndarray:
+    """bool matrix over a generating set of one context: entry [i, j]
+    tells whether gens[i] divides gens[j].  Exponents are at most
+    ``EXPONENT_LIMIT``, so the int64 rows compare them exactly."""
+    rows = np.array([m.exponents for m in gens], np.int64)
+    div = np.empty((len(rows), len(rows)), bool)
+    # blocks of rows keep the comparison temporary near 2^22 entries
+    step = max(1, (1 << 22) // rows.size)
+    for start in range(0, len(rows), step):
+        block = rows[start:start + step, None, :]
+        div[start:start + step] = (block <= rows).all(axis=2)
+    return div
+
+
 def minimize_generators(gens: Sequence[Monomial]) -> tuple[Monomial, ...]:
     """Drop every generator divisible by another, keeping first occurrences.
 
@@ -208,18 +233,18 @@ def minimize_generators(gens: Sequence[Monomial]) -> tuple[Monomial, ...]:
     emit a ``MinimizationWarning`` when anything is dropped.
     """
     gens = list(gens)
-    kept: list[Monomial] = []
-    for i, m in enumerate(gens):
-        redundant = False
-        for j, other in enumerate(gens):
-            if j == i:
-                continue
-            if divides(other, m) and (other != m or j < i):
-                redundant = True
-                break
-        if not redundant:
-            kept.append(m)
-    return tuple(kept)
+    if not gens:
+        return ()
+    for m in gens:
+        # mixed contexts raise, naming the first generator of another
+        # context before the first generator's
+        _same_context(m, gens[0])
+    div = _divisibility(gens)
+    # gens[j] makes gens[i] redundant when it divides gens[i] and is
+    # either not equal to it or listed before it
+    earlier = np.triu(np.ones(div.shape, bool), 1)
+    redundant = (div & (~div.T | earlier)).any(axis=0)
+    return tuple(m for m, r in zip(gens, redundant.tolist()) if not r)
 
 
 @dataclass(frozen=True)
@@ -245,12 +270,15 @@ class MonomialIdeal:
                     "generator context differs from the ideal's context")
             if m.is_one():
                 raise ValueError("the unit monomial cannot be a minimal generator")
-        for i, a in enumerate(self.gens):
-            for j, b in enumerate(self.gens):
-                if i != j and divides(a, b):
-                    raise ValueError(
-                        f"generating set is not minimal: {a} divides {b}; "
-                        "call minimize_generators or from_generators first")
+        div = _divisibility(self.gens)
+        np.fill_diagonal(div, False)
+        if div.any():
+            # the first pair in listing order, as a scan by rows finds it
+            i, j = divmod(int(div.argmax()), len(self.gens))
+            raise ValueError(
+                f"generating set is not minimal: {self.gens[i]} divides "
+                f"{self.gens[j]}; call minimize_generators or "
+                "from_generators first")
 
     @classmethod
     def from_generators(cls, gens: Sequence[Monomial]) -> "MonomialIdeal":
@@ -302,68 +330,66 @@ def radical_ideal(ideal: MonomialIdeal) -> MonomialIdeal:
 # ideal file format
 # ---------------------------------------------------------------------------
 
-def _tokenize(text: str) -> Iterator[tuple[str, int]]:
-    """Yield (token, 1-based column) pairs, skipping whitespace."""
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        match = _TOKEN_RE.match(text, pos)
-        assert match is not None
-        yield match.group(), pos + 1
-        pos = match.end()
-
-
 def _parse_monomial(text: str, context: VariableContext,
                     line: int | None, offset: int) -> Monomial:
+    """One monomial, read in one pass over its tokens.
+
+    A factor is a variable with an optional ``^`` and exponent; it is
+    added to the exponents once its exponent is known, that is at the
+    next token that is not its ``^`` (or the end).  A ``*`` between
+    factors is optional.
+    """
     exps = [0] * len(context)
-    tokens = list(_tokenize(text))
-    if not tokens:
-        raise ParseError("expected a monomial", line, offset + 1)
-    pos = 0
-    expect_factor = True
-    while pos < len(tokens):
-        tok, col = tokens[pos]
-        col += offset
-        if not expect_factor:
-            # between factors a '*' is optional
-            if tok == "*":
-                pos += 1
-                expect_factor = True
-                continue
-            expect_factor = True
+    factor = None      # (variable, name) of a factor whose '^' may follow
+    caret = None       # column of a '^' waiting for its exponent
+    after = False      # a factor was read and no '*' since
+    col = None         # column of the last token
+    for match in _TOKEN_RE.finditer(text):
+        tok, col = match.group(), match.start() + offset + 1
+        if caret is not None:
+            if tok[0] == "-":
+                raise ParseError(f"negative exponent {tok}", line, col)
+            if match.lastgroup != "digits":
+                raise ParseError(f"expected an exponent, got {tok!r}",
+                                 line, col)
+            _add_factor(exps, factor, int(tok), line)
+            factor = caret = None
             continue
-        if not _NAME_RE.match(tok):
+        if factor is not None:
+            if tok == "^":
+                caret = col
+                continue
+            _add_factor(exps, factor, 1, line)
+            factor = None
+        if after and tok == "*":
+            after = False
+            continue
+        if match.lastgroup != "name":
             raise ParseError(f"expected a variable, got {tok!r}", line, col)
         try:
-            var = context.index(tok)
+            factor = (context.index(tok), tok)
         except ValueError:
             raise ParseError(f"unknown variable {tok!r}", line, col) from None
-        exponent = 1
-        pos += 1
-        if pos < len(tokens) and tokens[pos][0] == "^":
-            pos += 1
-            if pos >= len(tokens):
-                raise ParseError("expected an exponent after '^'", line,
-                                 tokens[pos - 1][1] + offset)
-            etok, ecol = tokens[pos]
-            ecol += offset
-            if etok.startswith("-"):
-                raise ParseError(f"negative exponent {etok}", line, ecol)
-            if not etok.isdigit():
-                raise ParseError(f"expected an exponent, got {etok!r}", line, ecol)
-            exponent = int(etok)
-            pos += 1
-        exps[var] += exponent
-        if exps[var] > EXPONENT_LIMIT:
-            raise ExponentLimitError(
-                f"exponent of {tok!r} exceeds {EXPONENT_LIMIT}" +
-                (f" (line {line})" if line is not None else ""))
-        expect_factor = False
-    if expect_factor:
-        raise ParseError("dangling '*'", line, tokens[-1][1] + offset)
+        after = True
+    if col is None:
+        raise ParseError("expected a monomial", line, offset + 1)
+    if caret is not None:
+        raise ParseError("expected an exponent after '^'", line, caret)
+    if factor is not None:
+        _add_factor(exps, factor, 1, line)
+    if not after:
+        raise ParseError("dangling '*'", line, col)
     return Monomial(context, tuple(exps))
+
+
+def _add_factor(exps: list[int], factor: tuple[int, str], exponent: int,
+                line: int | None) -> None:
+    var, name = factor
+    exps[var] += exponent
+    if exps[var] > EXPONENT_LIMIT:
+        raise ExponentLimitError(
+            f"exponent of {name!r} exceeds {EXPONENT_LIMIT}" +
+            (f" (line {line})" if line is not None else ""))
 
 
 def _directive_lines(text: str, directives: tuple[str, ...]

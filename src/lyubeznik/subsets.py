@@ -6,15 +6,22 @@ ideal (lcms, divisor sets, cover membership) is tabulated once here and
 shared by every total order: per-order work then reduces to rank
 comparisons against these masks.
 
-The tables are built by whole-array numpy passes over the 2^mu masks,
-a constant number per generator: the lcm exponents by doubling over
-the bits (int64, exact up to ``EXPONENT_LIMIT``), the divisor masks by
-one divisibility test per generator, the cover masks by one gather per
-bit.  The three mask tables stay the read-only int64 arrays those
-passes build, so the consumers' numpy passes read them as they are; a
-public function that hands back one entry converts it to a Python int.
-The lcm array is kept as it is too, and becomes a list of exponent
-tuples of Python ints only when ``lcm_exps`` (or ``lcm_monomial``) is
+The tables are built in rank space, by whole-array numpy passes over
+the 2^mu masks, a constant number per generator or variable.  Each
+variable's exponents are first replaced by their rank among that
+variable's distinct exponents, 0 included (one argsort); divisibility
+and lcms only compare exponents, so ranks answer them exactly.  The
+lcm ranks are taken by doubling over the bits, as an int8 array of
+shape (variables, 2^mu); the divisor masks are the AND over the
+variables of a small per-rank table, "the generators whose exponent is
+at most this rank", gathered at the lcm ranks, one gather per
+variable; the cover masks take one OR per bit over reshaped views.
+The three mask tables stay the read-only int64 arrays those passes
+build, so the consumers' numpy passes read them as they are; a public
+function that hands back one entry converts it to a Python int.  The
+lcm ranks are kept with each variable's rank-to-exponent array, and
+become a list of exponent tuples of Python ints, exact up to
+``EXPONENT_LIMIT``, only when ``lcm_exps`` (or ``lcm_monomial``) is
 first read: the Betti counts from preserved sets (``invariants``) and
 the lcm classes of the oracle hash them as dict keys, and the
 benchmark's generator and tracer and CI's Euler-characteristic step
@@ -94,6 +101,27 @@ def up_closure(marked: np.ndarray) -> np.ndarray:
     return marked
 
 
+def _exponent_ranks(ideal: MonomialIdeal) -> tuple[np.ndarray, np.ndarray]:
+    """(rank, values): ``rank[g, v]``, an int8 array of shape (mu, n), is
+    the rank of generator g+1's exponent of variable v among that
+    variable's distinct exponents, 0 included; ``values[v, r]``, an int64
+    array of shape (n, mu + 1), is the exponent of rank r (0 past the
+    largest rank).  One argsort over the exponents with a zero row."""
+    exps = np.zeros((ideal.mu + 1, len(ideal.context)), np.int64)
+    exps[1:] = [m.exponents for m in ideal.gens]
+    columns = np.arange(exps.shape[1])
+    order = np.argsort(exps, axis=0)
+    ascending = exps[order, columns]
+    steps = np.zeros(exps.shape, np.int8)
+    steps[1:] = ascending[1:] != ascending[:-1]
+    ascending_rank = steps.cumsum(axis=0, dtype=np.int8)
+    rank = np.empty_like(steps)
+    rank[order, columns] = ascending_rank
+    values = np.zeros(exps.shape[::-1], np.int64)
+    values[columns, ascending_rank] = ascending
+    return rank[1:], values
+
+
 class SubsetTables:
     """Order-free per-ideal tables indexed by subset mask.
 
@@ -104,11 +132,11 @@ class SubsetTables:
 
     The three mask tables are read-only int64 arrays of shape (2^mu,);
     ``lcm_exps`` is a list of tuples of Python ints, hashable as keys,
-    built from the int64 lcm array on its first read.
+    built from the int8 lcm ranks on its first read.
     """
 
-    __slots__ = ("ideal", "mu", "size", "_lcm", "_lcm_exps", "divisor_mask",
-                 "outside_mask", "covered_mask")
+    __slots__ = ("ideal", "mu", "size", "_lcm", "_values", "_lcm_exps",
+                 "divisor_mask", "outside_mask", "covered_mask")
 
     def __init__(self, ideal: MonomialIdeal) -> None:
         mu = ideal.mu
@@ -119,34 +147,40 @@ class SubsetTables:
         self.ideal = ideal
         self.mu = mu
         self.size = 1 << mu
-        exps = np.array([m.exponents for m in ideal.gens], np.int64)
-        masks = np.arange(self.size)
+        rank, values = _exponent_ranks(ideal)
+        nvars = rank.shape[1]
 
-        # lcm by doubling: the masks with top bit b are those below 2^b
-        # joined with generator b+1, and mask 0 stays the zero vector.
-        # Rows are variables, so the divisibility tests reduce over the
-        # short leading axis.
-        lcm = np.zeros((exps.shape[1], self.size), np.int64)
+        # lcm ranks by doubling: the masks with top bit b are those below
+        # 2^b joined with generator b+1, and mask 0 stays rank 0 (the
+        # exponent 0).  Rows are variables.
+        lcm = np.zeros((nvars, self.size), np.int8)
         for b in range(mu):
             low = 1 << b
-            np.maximum(lcm[:, :low], exps[b, :, None], out=lcm[:, low:2 * low])
+            np.maximum(lcm[:, :low], rank[b, :, None], out=lcm[:, low:2 * low])
 
-        div = np.zeros(self.size, np.int64)
-        for g in range(mu):
-            div[(lcm >= exps[g, :, None]).all(axis=0)] |= 1 << g
+        # below[v, r]: the generators whose exponent of variable v has
+        # rank at most r; g divides lcm(m) iff it is in below[v, lcm[v, m]]
+        # for every v
+        bits = np.int64(1) << np.arange(mu, dtype=np.int64)
+        below = ((rank[:, :, None] <= np.arange(mu + 1, dtype=np.int8))
+                 * bits[:, None, None]).sum(axis=0)
+        div = below[0].take(lcm[0])
+        for v in range(1, nvars):
+            div &= below[v].take(lcm[v])
 
-        # u is covered in m when m minus u is non-empty and its divisor
-        # mask holds u
+        # u is covered in m when divisor_mask[m minus u] holds u; for
+        # m = u that is the empty mask, whose divisor mask is 0
         cov = np.zeros(self.size, np.int64)
         for b in range(mu):
             bit = 1 << b
-            sel = (masks & bit != 0) & (masks != bit)
-            cov[sel] |= div[masks[sel] ^ bit] & bit
+            halves = cov.reshape(-1, 2, bit)
+            halves[:, 1] |= div.reshape(-1, 2, bit)[:, 0] & bit
 
         self._lcm = lcm
+        self._values = values
         self._lcm_exps = None
         self.divisor_mask = div
-        self.outside_mask = div & ~masks
+        self.outside_mask = div & ~np.arange(self.size)
         self.covered_mask = cov
         # the tables are cached and shared: an in-place write must raise
         for table in (lcm, self.divisor_mask, self.outside_mask,
@@ -156,10 +190,10 @@ class SubsetTables:
     @property
     def lcm_exps(self) -> list:
         if self._lcm_exps is None:
-            self._lcm_exps = [None, *zip(*(row.tolist()
-                                           for row in self._lcm[:, 1:]))]
+            exps = np.take_along_axis(self._values, self._lcm[:, 1:], axis=1)
+            self._lcm_exps = [None, *zip(*exps.tolist())]
             # the tuples hold the same values: keep one copy
-            self._lcm = None
+            self._lcm = self._values = None
         return self._lcm_exps
 
     def lcm_monomial(self, mask: int) -> Monomial:

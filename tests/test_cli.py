@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from lyubeznik import parse_ideal, taylor_betti
+from lyubeznik import edge_ideal, parse_ideal, taylor_betti
 from lyubeznik.cli import build_parser, main
 from lyubeznik.invariants import _projdim
 from lyubeznik.subsets import tables_for
@@ -218,6 +218,27 @@ def test_graph_check_props(capsys, square_path):
     assert "four-cycle-implies-not-lyubeznik: hypothesis=yes conclusion=yes" in out
     assert "no-path-of-4-edges-implies-lyubeznik: hypothesis=yes conclusion=no" in out
     assert "FINDING" in out
+
+
+@pytest.mark.parametrize("modes", [("--edge-ideal", "--check-props"),
+                                   ("--check-props",)])
+def test_graph_builds_the_edge_ideal_once(capsys, square_path, monkeypatch,
+                                          modes):
+    import lyubeznik.cli
+    import lyubeznik.graphs
+
+    calls = []
+
+    def counted(graph):
+        calls.append(graph)
+        return edge_ideal(graph)
+
+    monkeypatch.setattr(lyubeznik.cli, "edge_ideal", counted)
+    monkeypatch.setattr(lyubeznik.graphs, "edge_ideal", counted)
+    code, out, _ = run_cli(capsys, "graph", *modes, square_path)
+    assert code == 0
+    assert "four-cycle-implies-not-lyubeznik: hypothesis=yes" in out
+    assert len(calls) == 1
 
 
 def test_graph_requires_a_mode(capsys, square_path):

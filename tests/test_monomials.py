@@ -136,6 +136,18 @@ def test_parse_error_location():
     assert "(line 2, column 7)" in str(err)
 
 
+@pytest.mark.parametrize("exponent", ["\u00b2", "\u0663"])
+def test_a_non_ascii_digit_exponent_is_a_parse_error(exponent):
+    # a superscript two is no decimal digit, and an Arabic-Indic three
+    # is one that int() reads; both are a token of their own, not digits
+    with pytest.raises(ParseError) as info:
+        parse_ideal(f"vars x y\ngen y*x^{exponent}\n")
+    err = info.value
+    assert (err.line, err.column) == (2, 9)
+    assert str(err) == (f"expected an exponent, got {exponent!r} "
+                        "(line 2, column 9)")
+
+
 def test_parse_minimization_warning_names_dropped_line():
     text = "vars x y\ngen x\ngen x*y\n"
     with pytest.warns(MinimizationWarning, match=r"x\*y \(line 3\)"):

@@ -3,7 +3,8 @@
 ``order_analysis`` builds an order's tables by 1-D numpy passes over
 the subset masks; its court list and preserved array must equal, entry
 for entry, those of the Python DP in ``reference_routes``, and its face
-list must be the DP's preserved masks in ascending order.  The resolution length must
+list must be the DP's preserved masks in ascending order, and its facet
+list the maximal ones.  The resolution length must
 equal the subset-sum closure's, and ``is_minimal_resolution`` (no
 E-minimal cover is preserved) must agree with facet stability.  The
 inputs are the corpus (every order when mu <= 5, three otherwise),
@@ -27,8 +28,8 @@ from lyubeznik.complexes import order_analysis
 from lyubeznik.subsets import indices_of, tables_for
 
 from conftest import exponent_ideal
-from reference_routes import (closure_length, court_table, facets_stable,
-                              preserved_table)
+from reference_routes import (closure_length, court_table, facets,
+                              facets_stable, preserved_table)
 from test_scan_kernel import exponent_rows, small_ideal
 
 
@@ -50,6 +51,7 @@ def check_tables(ordered):
     assert analysis.preserved.tolist() == preserved, ordered.order
     assert analysis.faces == [m for m, p in enumerate(preserved) if p], \
         ordered.order
+    assert analysis.facets == facets(preserved), ordered.order
     assert (l_length(ordered) == preserved_size(ordered)
             == closure_length(ordered, court)), ordered.order
     return preserved

@@ -82,11 +82,24 @@ INLINE_IDEALS = {
     "four_cycle": xyz_ideal("x*y", "y*z", "z*t", "x*t"),
     "koszul": xyz_ideal("x", "y"),
     "two_var_staircase": xyz_ideal("x^4", "x^2*y^2", "y^3"),
+    # mu = 1: one mask besides the empty one
     "single_generator": xyz_ideal("x^2*y*t"),
     # exponents at the parser's limit catch a narrowed or wrapping dtype
     "exponent_limit": exponent_ideal([
         (EXPONENT_LIMIT, 0, 0), (EXPONENT_LIMIT - 1, 1, 0),
         (0, EXPONENT_LIMIT, 0), (1, 0, 2), (0, 1, 1)]),
+    # the tables work on each variable's ranks among its distinct
+    # exponents: ties, a variable no generator holds (all rank 0), and
+    # ranks that map back to exponents at the limit
+    "tied_exponents": exponent_ideal([
+        (2, 1, 0, 1), (2, 0, 1, 1), (1, 2, 1, 0), (0, 2, 2, 1),
+        (1, 1, 2, 0), (2, 2, 0, 0), (0, 0, 2, 2)]),
+    "absent_variable": exponent_ideal([
+        (2, 0, 1), (1, 0, 2), (0, 0, 3), (3, 0, 0)]),
+    "ties_at_the_limit": exponent_ideal([
+        (EXPONENT_LIMIT, EXPONENT_LIMIT, 0), (EXPONENT_LIMIT, 0, 1),
+        (EXPONENT_LIMIT - 1, 1, 1), (0, EXPONENT_LIMIT, EXPONENT_LIMIT),
+        (1, EXPONENT_LIMIT - 1, EXPONENT_LIMIT)]),
 }
 
 
@@ -107,6 +120,24 @@ def test_tables_at_fourteen_generators_match_on_sampled_masks():
     ideal = exponent_ideal(rng.sample(degree_four, 14))
     masks = sorted(rng.sample(range(1, 2 ** 14), 2000)) + [2 ** 14 - 1]
     check_tables(ideal, masks)
+
+
+def test_tables_at_sixteen_generators_match_on_sampled_masks():
+    ideal = seeded_ideal(16, 0)
+    assert ideal.mu == 16
+    rng = random.Random(16)
+    masks = sorted(rng.sample(range(1, 2 ** 16), 1500)) + [2 ** 16 - 1]
+    check_tables(ideal, masks)
+
+
+def test_tables_keep_the_lcms_as_int8_ranks_until_read():
+    ideal = seeded_ideal(16, 1)
+    tables = tables_for(ideal)
+    assert tables._lcm.dtype == np.int8
+    assert tables._lcm.shape == (len(ideal.context), 2 ** 16)
+    assert tables.lcm_exps[-1] == ideal.lcm(ideal.indices()).exponents
+    # the tuples hold the lcms: the rank arrays are released
+    assert tables._lcm is None
 
 
 def test_complex_never_builds_the_lcm_tuples(tmp_path, capsys):
