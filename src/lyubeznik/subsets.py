@@ -8,12 +8,12 @@ comparisons against these masks.
 
 The tables are built in rank space, by whole-array numpy passes over
 the 2^mu masks, a constant number per generator or variable.  Each
-variable's exponents are first replaced by their rank among that
-variable's distinct exponents, 0 included, counted by comparing the
-generators pairwise; divisibility and lcms only compare exponents, so
-ranks answer them exactly.  The
-lcm ranks are taken by doubling over the bits, as an int8 array of
-shape (variables, 2^mu); the divisor masks are the AND over the
+variable's exponents are first replaced by their rank, the number of
+smaller exponents of that variable among the generators and 0, counted
+by comparing the generators pairwise; divisibility and lcms only
+compare exponents, and the ranks keep their order, so ranks answer them
+exactly.  The lcm ranks are taken by doubling over the bits, as an int8
+array of shape (variables, 2^mu); the divisor masks are the AND over the
 variables of a small per-rank table, "the generators whose exponent is
 at most this rank", gathered at the lcm ranks, one gather per
 variable; the cover masks take one OR per bit over reshaped views.
@@ -104,26 +104,21 @@ def up_closure(marked: np.ndarray) -> np.ndarray:
 
 def _exponent_ranks(ideal: MonomialIdeal) -> tuple[np.ndarray, np.ndarray]:
     """(rank, values): ``rank[g, v]``, an int8 array of shape (mu, n), is
-    the rank of generator g+1's exponent of variable v among that
-    variable's distinct exponents, 0 included; ``values[v, r]``, an int64
-    array of shape (n, mu + 1), is the exponent of rank r (0 past the
-    largest rank).
+    the rank of generator g+1's exponent of variable v: the number of
+    smaller exponents of v among the generators and 0, so that equal
+    exponents share a rank and the order is kept.  ``values[v, r]``, an
+    int64 array of shape (n, mu + 1), is the exponent of rank r (0 at a
+    rank no exponent takes).
 
-    The rank of an exponent is the number of distinct exponents below
-    it: over the (mu + 1)^2 pairs of exponent rows, a zero row first,
-    it counts the rows below it that are the first to hold their
-    exponent.  Sorting the columns would do the same; at mu <= 16 the
-    pairs are as cheap, and numpy's sort kernels add about 0.3 MiB of
-    peak resident memory to a process that sorts nothing else.
+    The ranks come from comparing the (mu + 1)^2 pairs of exponent rows,
+    a zero row first.  Sorting the columns would do the same; at
+    mu <= 16 the pairs are as cheap, and numpy's sort kernels add about
+    0.3 MiB of peak resident memory to a process that sorts nothing
+    else.
     """
     exps = np.zeros((ideal.mu + 1, len(ideal.context)), np.int64)
     exps[1:] = [m.exponents for m in ideal.gens]
-    # [g, h, v]: row h's exponent is below row g's; [h, k, v]: an
-    # earlier row k holds row h's exponent
-    lower = exps[None, :, :] < exps[:, None, :]
-    repeat = (exps[None, :, :] == exps[:, None, :]) & np.tri(
-        len(exps), k=-1, dtype=bool)[:, :, None]
-    rank = (lower & ~repeat.any(axis=1)).sum(axis=1, dtype=np.int8)
+    rank = (exps[None, :, :] < exps[:, None, :]).sum(axis=1, dtype=np.int8)
     values = np.zeros(exps.shape[::-1], np.int64)
     values[np.arange(exps.shape[1]), rank] = exps
     return rank[1:], values
