@@ -224,17 +224,14 @@ def test_graph_check_props(capsys, square_path):
                                    ("--check-props",)])
 def test_graph_builds_the_edge_ideal_once(capsys, square_path, monkeypatch,
                                           modes):
-    import lyubeznik.cli
-    import lyubeznik.graphs
-
     calls = []
 
     def counted(graph):
         calls.append(graph)
         return edge_ideal(graph)
 
-    monkeypatch.setattr(lyubeznik.cli, "edge_ideal", counted)
-    monkeypatch.setattr(lyubeznik.graphs, "edge_ideal", counted)
+    monkeypatch.setattr("lyubeznik.cli.edge_ideal", counted)
+    monkeypatch.setattr("lyubeznik.graphs.edge_ideal", counted)
     code, out, _ = run_cli(capsys, "graph", *modes, square_path)
     assert code == 0
     assert "four-cycle-implies-not-lyubeznik: hypothesis=yes" in out

@@ -88,9 +88,9 @@ INLINE_IDEALS = {
     "exponent_limit": exponent_ideal([
         (EXPONENT_LIMIT, 0, 0), (EXPONENT_LIMIT - 1, 1, 0),
         (0, EXPONENT_LIMIT, 0), (1, 0, 2), (0, 1, 1)]),
-    # the tables work on each variable's ranks among its distinct
-    # exponents: ties, a variable no generator holds (all rank 0), and
-    # ranks that map back to exponents at the limit
+    # the tables work on each variable's exponent ranks: ties, a
+    # variable no generator holds (all rank 0), and ranks that map back
+    # to exponents at the limit
     "tied_exponents": exponent_ideal([
         (2, 1, 0, 1), (2, 0, 1, 1), (1, 2, 1, 0), (0, 2, 2, 1),
         (1, 1, 2, 0), (2, 2, 0, 0), (0, 0, 2, 2)]),
