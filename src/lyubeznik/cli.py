@@ -3,16 +3,10 @@
 One subcommand per task, all reading the ideal (or graph) file format.
 JSON output is deterministic: top-level ``"schema": 1``, sorted keys,
 and no content that depends on hashing or scheduling.  It comes from
-this module's own writer, ``_json_text``, whose bytes are identical to
-``json.dumps(payload, sort_keys=True, indent=2)``; with an indent,
-``json.dumps`` runs CPython's pure-Python encoder, which took about
-two thirds of a ``covers`` call on a 12-generator ideal.  ``covers``
-hands the writer each generator's list of covers as one fragment of
-text rendered ahead for its depth, built from per-mask texts made once
-per distinct cover, so the writer walks no cover entry.  ``complex``
-reads its faces and facets off the order's masks and hands the writer
-each list as one fragment, built from a members text made once per
-face, so the writer walks no face either.
+the package's own writer, ``jsontext._json_text``, whose bytes are
+identical to ``json.dumps(payload, sort_keys=True, indent=2)``.
+``covers`` and ``complex`` hand it their long lists as fragments of
+text rendered ahead, so the writer walks no cover entry and no face.
 
 The parser is built once per process, on the first ``main`` call, and
 each call parses into a fresh namespace; a subcommand's handler is
@@ -42,7 +36,6 @@ import os
 import sys
 import warnings
 from functools import lru_cache
-from json.encoder import encode_basestring_ascii
 from math import factorial
 from typing import Sequence
 
@@ -55,12 +48,13 @@ from .covers import (MAX_ENUMERATION_GENERATORS, _by_size_then_members,
 from .generators import _radical_generators
 from .graphs import check_graph_propositions, edge_ideal, read_graph
 from .invariants import analyze, is_minimal_resolution, search_scan
+from .jsontext import _covers_fragments, _json_text, _lists_fragment
 from .linalg import check_prime
 from .monomials import BoundExceededError, MonomialIdeal, ParseError, read_ideal
 from .oracle import (taylor_betti, verify_chain_complex,
                      verify_resolution_report)
 from .orders import OrderedIdeal, identity_order, parse_order
-from .subsets import MAX_TABLE_GENERATORS, indices_of, popcounts, tables_for
+from .subsets import MAX_TABLE_GENERATORS, indices_of, tables_for
 
 # the default of --max-exhaustive
 DEFAULT_MAX_EXHAUSTIVE = 8
@@ -139,81 +133,6 @@ def _betti_payload(table: BettiTable) -> dict:
             "multigraded": [list(row) for row in table.multigraded_rows()]}
 
 
-class _Fragment:
-    """The JSON text of one value, rendered ahead as ``parts`` for the
-    depth ``depth``; the writer appends the parts as they are, and
-    refuses the fragment at any other depth."""
-
-    __slots__ = ("parts", "depth")
-
-    def __init__(self, parts: list[str], depth: int) -> None:
-        self.parts = parts
-        self.depth = depth
-
-
-def _json_text(payload: dict) -> str:
-    """``json.dumps(payload, sort_keys=True, indent=2)``, byte for byte.
-
-    With an indent, CPython encodes in pure Python.  This writer appends
-    parts to one list and joins it once; a list or tuple of ints is one
-    join, and a ``_Fragment`` adds its parts as they are.  Only dicts
-    with str keys, lists, tuples, str, int, bool, None and fragments met
-    at the depth they were rendered for are written; any other type
-    raises ``TypeError`` and a fragment at another depth ``ValueError``,
-    so the output can never silently differ from ``json.dumps``.
-    """
-    parts: list[str] = []
-    append = parts.append
-
-    def write(value, depth: int) -> None:
-        if isinstance(value, str):
-            append(encode_basestring_ascii(value))
-        elif value is None:
-            append("null")
-        elif value is True:
-            append("true")
-        elif value is False:
-            append("false")
-        elif isinstance(value, int):
-            append(int.__repr__(value))
-        elif isinstance(value, (list, tuple, dict)):
-            if value:
-                write_container(value, depth)
-            else:
-                append("{}" if isinstance(value, dict) else "[]")
-        elif type(value) is _Fragment:
-            if value.depth != depth:
-                raise ValueError(f"a fragment rendered for depth {value.depth}"
-                                 f" met at depth {depth}")
-            parts.extend(value.parts)
-        else:
-            raise TypeError(f"cannot write {type(value).__name__} as JSON")
-
-    def write_container(value, depth: int) -> None:
-        inner = "\n" + "  " * (depth + 1)
-        if isinstance(value, dict):
-            sep = "{" + inner
-            for key in sorted(value):
-                # raises TypeError on a key that is not a str
-                append(sep + encode_basestring_ascii(key) + ": ")
-                write(value[key], depth + 1)
-                sep = "," + inner
-            append("\n" + "  " * depth + "}")
-        elif all(type(v) is int for v in value):
-            append("[" + inner + ("," + inner).join(map(int.__repr__, value))
-                   + "\n" + "  " * depth + "]")
-        else:
-            sep = "[" + inner
-            for item in value:
-                append(sep)
-                write(item, depth + 1)
-                sep = "," + inner
-            append("\n" + "  " * depth + "]")
-
-    write(payload, 0)
-    return "".join(parts)
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers: each returns the payload and a zero-argument
 # callable that builds the text lines, called only for --format text
@@ -259,30 +178,6 @@ def _cmd_covers(args):
     return payload, text
 
 
-def _covers_fragments(keys, distinct, members, covered) -> list[dict]:
-    """The ``"covers"`` value of the covers payload: per generator, its
-    cover entries as one fragment for depth 3, where the payload holds
-    them, each entry a dict at depth 4 with int lists at depth 5."""
-    ind3, ind4, ind5, ind6 = ("\n" + "  " * d for d in range(3, 7))
-    sep6 = "," + ind6
-    entry = {key: f'{{{ind5}"covered": [{ind6}{members[c].replace(",", sep6)}'
-                  f'{ind5}],{ind5}"eminimal": {"true" if key & 1 else "false"}'
-                  f',{ind5}"members": [{ind6}'
-                  f'{members[key >> 1].replace(",", sep6)}{ind5}]{ind4}}}'
-             for key, c in zip(distinct,
-                               covered[[k >> 1 for k in distinct]].tolist())}
-    blocks = []
-    for u, gen_keys in enumerate(keys, 1):
-        if gen_keys:
-            parts = ["," + ind4] * (2 * len(gen_keys) + 1)
-            parts[0], parts[-1] = "[" + ind4, ind3 + "]"
-            parts[1::2] = [entry[k] for k in gen_keys]
-        else:
-            parts = ["[]"]
-        blocks.append({"generator": u, "covers": _Fragment(parts, 3)})
-    return blocks
-
-
 def _cmd_complex(args):
     ideal = read_ideal(args.path)
     ordered = _ordered(args, ideal)
@@ -297,23 +192,22 @@ def _cmd_complex(args):
         rest = m ^ 1 << (top - 1)
         members[m] = f"{members[rest]},{top}" if rest else str(top)
         keys[m] = keys[rest] + chr(top)
-    faces = sorted(analysis.faces, key=keys.__getitem__)
     facets = sorted(analysis.facets, key=keys.__getitem__)
-    f_vector = np.bincount(popcounts(ideal.mu)[analysis.faces]).tolist()
     census = {str(size): {cls.value: count for cls, count in row.items()}
               for size, row in classification_census(ordered).items()}
     payload = {"ideal": _ideal_payload(ideal), "order": list(ordered.order),
-               "dim": analysis.length - 1, "f_vector": f_vector,
+               "dim": analysis.dim, "f_vector": list(analysis.f_vector),
                "census": census}
     if args.format == "json":
         # rendered for JSON output only: the text lines list the facets
-        payload["faces"] = _lists_fragment(faces, members)
+        payload["faces"] = _lists_fragment(
+            sorted(analysis.faces, key=keys.__getitem__), members)
         payload["facets"] = _lists_fragment(facets, members)
 
     def text() -> list[str]:
         lines = [f"ideal: {ideal}", f"order: {ordered}",
-                 f"dim: {analysis.length - 1}",
-                 "f-vector: (" + ", ".join(map(str, f_vector)) + ")",
+                 f"dim: {analysis.dim}",
+                 "f-vector: (" + ", ".join(map(str, analysis.f_vector)) + ")",
                  "facets: " + ", ".join("{" + members[f] + "}"
                                         for f in facets)]
         for size in sorted(census, key=int):
@@ -323,17 +217,6 @@ def _cmd_complex(args):
             lines.append(f"size {size}: {cells or '(empty)'}")
         return lines
     return payload, text
-
-
-def _lists_fragment(masks: list[int], members: dict) -> _Fragment:
-    """A non-empty list of masks, each written as the list of its
-    members, as one fragment for depth 1, where the payload holds it."""
-    ind1, ind2, ind3 = ("\n" + "  " * d for d in range(1, 4))
-    sep3 = "," + ind3
-    entries = [f"[{ind3}{members[m].replace(',', sep3)}{ind2}]" if m
-               else "[]" for m in masks]
-    return _Fragment(["[" + ind2 + ("," + ind2).join(entries) + ind1 + "]"],
-                     1)
 
 
 def _cmd_analyze(args):
@@ -475,8 +358,7 @@ def _cmd_graph(args):
         payload["edge_ideal"] = _ideal_payload(ideal)
     if args.check_props:
         _check_size(graph.edge_count, args.max_exhaustive)
-        # the edge ideal that --edge-ideal built, if it did
-        checks = check_graph_propositions(graph, ideal)
+        checks = check_graph_propositions(graph)
         payload["propositions"] = [
             {"name": c.name, "hypothesis": c.hypothesis,
              "conclusion": c.conclusion, "finding": c.finding}

@@ -60,15 +60,17 @@ class _OrderAnalysis:
     int8 array over the masks.  ``preserved`` is a bool array over the
     masks: whether no subset of the mask is broken.  Both are read-only,
     as the subset tables are, and a public function that hands back one
-    entry converts it to a Python value.  ``length`` is the size of the
-    largest preserved set.
+    entry converts it to a Python value.  ``f_vector[t]`` counts the
+    preserved sets of size t; ``length``, the size of the largest one,
+    is its last index, and ``dim`` is one less.
     ``faces`` lists the preserved masks in ascending order: the faces of
     the Lyubeznik complex, which the complex, the Betti counts, the
     radical generators and the homology checks all read.  ``facets``
     lists the maximal ones in ascending order.
     """
 
-    __slots__ = ("tables", "court", "preserved", "faces", "facets", "length")
+    __slots__ = ("tables", "court", "preserved", "faces", "facets",
+                 "f_vector", "length")
 
     def __init__(self, ordered: OrderedIdeal) -> None:
         tables = tables_for(ordered.ideal)
@@ -101,8 +103,14 @@ class _OrderAnalysis:
             halves = larger.reshape(-1, 2, 1 << b)
             halves[:, 0] |= preserved.reshape(-1, 2, 1 << b)[:, 1]
         self.facets = np.flatnonzero(preserved & ~larger).tolist()
-        self.length = int(popcounts(mu)[preserved].max())
+        self.f_vector = tuple(
+            np.bincount(popcounts(mu)[preserved]).tolist())
+        self.length = len(self.f_vector) - 1
         self.tables = tables
+
+    @property
+    def dim(self) -> int:
+        return self.length - 1
 
 
 # one entry: a command reads one order of one ideal, and more entries
@@ -138,15 +146,12 @@ class LyubeznikComplex:
     @cached_property
     def dim(self) -> int:
         """max |F| - 1; the empty complex {∅} has dimension -1."""
-        return max(len(f) for f in self.faces) - 1
+        return order_analysis(self.order).dim
 
     @cached_property
     def f_vector(self) -> tuple[int, ...]:
         """Entry t counts faces with t vertices (entry 0 is the empty face)."""
-        counts = [0] * (self.dim + 2)
-        for f in self.faces:
-            counts[len(f)] += 1
-        return tuple(counts)
+        return order_analysis(self.order).f_vector
 
     def faces_of_size(self, t: int) -> tuple[frozenset[int], ...]:
         return tuple(sorted((f for f in self.faces if len(f) == t),

@@ -15,6 +15,7 @@ finding for the caller to inspect, not raised.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .invariants import search_scan
 from .monomials import (BoundExceededError, MonomialIdeal, ParseError,
@@ -86,6 +87,9 @@ def read_graph(path) -> SimpleGraph:
         return parse_graph(handle.read())
 
 
+# one entry: ``graph --edge-ideal --check-props`` prints the graph's
+# edge ideal and searches it, and both read this one build
+@lru_cache(maxsize=1)
 def edge_ideal(graph: SimpleGraph) -> MonomialIdeal:
     """The squarefree quadratic ideal with one generator per edge."""
     if not graph.edges:
@@ -119,7 +123,12 @@ def longest_path_edges(graph: SimpleGraph) -> int:
                 used.remove(nxt)
         return best
 
-    return max((extend(v, {v}) for v in graph.vertices), default=0)
+    try:
+        return max((extend(v, {v}) for v in graph.vertices), default=0)
+    finally:
+        # extend refers to itself through its closure: unbind it, so
+        # that it is freed now and not at some later garbage collection
+        del extend
 
 
 def _is_cycle(graph: SimpleGraph, length: int) -> bool:
@@ -152,8 +161,7 @@ class PropositionCheck:
         return self.hypothesis and not self.conclusion
 
 
-def check_graph_propositions(graph: SimpleGraph,
-                             ideal: MonomialIdeal | None = None
+def check_graph_propositions(graph: SimpleGraph
                              ) -> tuple[PropositionCheck, ...]:
     """Evaluate the edge-ideal statements on one graph.
 
@@ -161,14 +169,10 @@ def check_graph_propositions(graph: SimpleGraph,
     vertex-counting convention.  Each check pairs the hypothesis with
     the independently computed conclusion; consumers decide what a
     finding means.  More than ``subsets.MAX_TABLE_GENERATORS`` edges
-    are refused by the search, before the path search runs.  A caller
-    that has built the graph's edge ideal already passes it as
-    ``ideal``, so that it is not built again.
+    are refused by the search, before the path search runs.
     """
-    if ideal is None:
-        ideal = edge_ideal(graph)
     # one search, which looks for a minimal and for a non-minimal order
-    scan = search_scan(ideal)
+    scan = search_scan(edge_ideal(graph))
     totally, lyubeznik = scan.totally_lyubeznik, scan.lyubeznik
     path_edges = longest_path_edges(graph)
     return (

@@ -1,0 +1,138 @@
+"""The JSON text of the command line's payloads.
+
+``_json_text`` writes a payload as
+``json.dumps(payload, sort_keys=True, indent=2)`` does, byte for byte;
+with an indent, ``json.dumps`` runs CPython's pure-Python encoder, which
+took about two thirds of a ``covers`` call on a 12-generator ideal.  A
+``_Fragment`` is the text of one value rendered ahead for the depth it
+is written at, which the writer appends as it is: ``covers`` hands it
+each generator's list of covers as one fragment (``_covers_fragments``),
+built from per-mask texts made once per distinct cover, and ``complex``
+its faces and facets (``_lists_fragment``), built from a members text
+made once per face, so the writer walks no cover entry and no face.
+
+The writer lives apart from ``cli``, which imports it: ``cli`` is
+compiled last when the package is imported from source, on top of
+every other module, and the size of its source sets the resident peak
+of that import.
+"""
+
+from __future__ import annotations
+
+from json.encoder import encode_basestring_ascii
+
+
+class _Fragment:
+    """The JSON text of one value, rendered ahead as ``parts`` for the
+    depth ``depth``; the writer appends the parts as they are, and
+    refuses the fragment at any other depth."""
+
+    __slots__ = ("parts", "depth")
+
+    def __init__(self, parts: list[str], depth: int) -> None:
+        self.parts = parts
+        self.depth = depth
+
+
+def _json_text(payload: dict) -> str:
+    """``json.dumps(payload, sort_keys=True, indent=2)``, byte for byte.
+
+    With an indent, CPython encodes in pure Python.  This writer appends
+    parts to one list and joins it once; a list or tuple of ints is one
+    join, and a ``_Fragment`` adds its parts as they are.  Only dicts
+    with str keys, lists, tuples, str, int, bool, None and fragments met
+    at the depth they were rendered for are written; any other type
+    raises ``TypeError`` and a fragment at another depth ``ValueError``,
+    so the output can never silently differ from ``json.dumps``.
+    """
+    parts: list[str] = []
+    append = parts.append
+
+    def write(value, depth: int) -> None:
+        if isinstance(value, str):
+            append(encode_basestring_ascii(value))
+        elif value is None:
+            append("null")
+        elif value is True:
+            append("true")
+        elif value is False:
+            append("false")
+        elif isinstance(value, int):
+            append(int.__repr__(value))
+        elif isinstance(value, (list, tuple, dict)):
+            if value:
+                write_container(value, depth)
+            else:
+                append("{}" if isinstance(value, dict) else "[]")
+        elif type(value) is _Fragment:
+            if value.depth != depth:
+                raise ValueError(f"a fragment rendered for depth {value.depth}"
+                                 f" met at depth {depth}")
+            parts.extend(value.parts)
+        else:
+            raise TypeError(f"cannot write {type(value).__name__} as JSON")
+
+    def write_container(value, depth: int) -> None:
+        inner = "\n" + "  " * (depth + 1)
+        if isinstance(value, dict):
+            sep = "{" + inner
+            for key in sorted(value):
+                # raises TypeError on a key that is not a str
+                append(sep + encode_basestring_ascii(key) + ": ")
+                write(value[key], depth + 1)
+                sep = "," + inner
+            append("\n" + "  " * depth + "}")
+        elif all(type(v) is int for v in value):
+            append("[" + inner + ("," + inner).join(map(int.__repr__, value))
+                   + "\n" + "  " * depth + "]")
+        else:
+            sep = "[" + inner
+            for item in value:
+                append(sep)
+                write(item, depth + 1)
+                sep = "," + inner
+            append("\n" + "  " * depth + "]")
+
+    try:
+        write(payload, 0)
+        return "".join(parts)
+    finally:
+        # write and write_container refer to each other through their
+        # closures: unbind them, so that the parts are freed now and not
+        # at some later garbage collection
+        del write, write_container
+
+
+def _covers_fragments(keys, distinct, members, covered) -> list[dict]:
+    """The ``"covers"`` value of the covers payload: per generator, its
+    cover entries as one fragment for depth 3, where the payload holds
+    them, each entry a dict at depth 4 with int lists at depth 5."""
+    ind3, ind4, ind5, ind6 = ("\n" + "  " * d for d in range(3, 7))
+    sep6 = "," + ind6
+    entry = {key: f'{{{ind5}"covered": [{ind6}{members[c].replace(",", sep6)}'
+                  f'{ind5}],{ind5}"eminimal": {"true" if key & 1 else "false"}'
+                  f',{ind5}"members": [{ind6}'
+                  f'{members[key >> 1].replace(",", sep6)}{ind5}]{ind4}}}'
+             for key, c in zip(distinct,
+                               covered[[k >> 1 for k in distinct]].tolist())}
+    blocks = []
+    for u, gen_keys in enumerate(keys, 1):
+        if gen_keys:
+            parts = ["," + ind4] * (2 * len(gen_keys) + 1)
+            parts[0], parts[-1] = "[" + ind4, ind3 + "]"
+            parts[1::2] = [entry[k] for k in gen_keys]
+        else:
+            parts = ["[]"]
+        blocks.append({"generator": u, "covers": _Fragment(parts, 3)})
+    return blocks
+
+
+def _lists_fragment(masks: list[int], members: dict) -> _Fragment:
+    """A non-empty list of masks, each written as the list of its
+    members, as one fragment for depth 1, where the payload holds it."""
+    ind1, ind2, ind3 = ("\n" + "  " * d for d in range(1, 4))
+    sep3 = "," + ind3
+    entries = [f"[{ind3}{members[m].replace(',', sep3)}{ind2}]" if m
+               else "[]" for m in masks]
+    return _Fragment(["[" + ind2 + ("," + ind2).join(entries) + ind1 + "]"],
+                     1)

@@ -25,9 +25,9 @@ variable ``ab``; write ``a*b`` to multiply.  Exponents are written in
 ASCII digits and must be non-negative, and repeated factors multiply
 (``x*x`` is ``x^2``).
 
-A ``gen`` line is read in one pass over its tokens, and a generating
-set is tested for divisibility with one numpy matrix over its exponent
-rows, which holds every pair.
+A ``gen`` line is split into tokens by one pass of a regular
+expression, and a generating set is tested for divisibility with one
+numpy matrix over its exponent rows, which holds every pair.
 """
 
 from __future__ import annotations
@@ -44,11 +44,9 @@ import numpy as np
 EXPONENT_LIMIT = 2**63 - 1
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
-# a factor's name, an exponent's digits (ASCII only: a superscript or a
-# digit of another script is a token of its own, and so a parse error),
-# or any other single character; whitespace separates tokens
-_TOKEN_RE = re.compile(
-    r"(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<digits>-?[0-9]+)|\S")
+# exponents are ASCII digits: a superscript or a digit of another script
+# is a token of its own, and so a parse error
+_TOKEN_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*|\^|\*|-?[0-9]+|\S")
 _DIRECTIVE_RE = re.compile(r"\s*([A-Za-z_]\w*)")
 
 
@@ -216,13 +214,7 @@ def _divisibility(gens: Sequence[Monomial]) -> np.ndarray:
     tells whether gens[i] divides gens[j].  Exponents are at most
     ``EXPONENT_LIMIT``, so the int64 rows compare them exactly."""
     rows = np.array([m.exponents for m in gens], np.int64)
-    div = np.empty((len(rows), len(rows)), bool)
-    # blocks of rows keep the comparison temporary near 2^22 entries
-    step = max(1, (1 << 22) // rows.size)
-    for start in range(0, len(rows), step):
-        block = rows[start:start + step, None, :]
-        div[start:start + step] = (block <= rows).all(axis=2)
-    return div
+    return (rows[:, None, :] <= rows).all(axis=2)
 
 
 def minimize_generators(gens: Sequence[Monomial]) -> tuple[Monomial, ...]:
@@ -330,66 +322,61 @@ def radical_ideal(ideal: MonomialIdeal) -> MonomialIdeal:
 # ideal file format
 # ---------------------------------------------------------------------------
 
+def _tokenize(text: str) -> Iterator[tuple[str, int]]:
+    """Yield (token, 1-based column) pairs, skipping whitespace."""
+    for match in _TOKEN_RE.finditer(text):
+        yield match.group(), match.start() + 1
+
+
 def _parse_monomial(text: str, context: VariableContext,
                     line: int | None, offset: int) -> Monomial:
-    """One monomial, read in one pass over its tokens.
-
-    A factor is a variable with an optional ``^`` and exponent; it is
-    added to the exponents once its exponent is known, that is at the
-    next token that is not its ``^`` (or the end).  A ``*`` between
-    factors is optional.
-    """
     exps = [0] * len(context)
-    factor = None      # (variable, name) of a factor whose '^' may follow
-    caret = None       # column of a '^' waiting for its exponent
-    after = False      # a factor was read and no '*' since
-    col = None         # column of the last token
-    for match in _TOKEN_RE.finditer(text):
-        tok, col = match.group(), match.start() + offset + 1
-        if caret is not None:
-            if tok[0] == "-":
-                raise ParseError(f"negative exponent {tok}", line, col)
-            if match.lastgroup != "digits":
-                raise ParseError(f"expected an exponent, got {tok!r}",
-                                 line, col)
-            _add_factor(exps, factor, int(tok), line)
-            factor = caret = None
-            continue
-        if factor is not None:
-            if tok == "^":
-                caret = col
+    tokens = list(_tokenize(text))
+    if not tokens:
+        raise ParseError("expected a monomial", line, offset + 1)
+    pos = 0
+    expect_factor = True
+    while pos < len(tokens):
+        tok, col = tokens[pos]
+        col += offset
+        if not expect_factor:
+            # between factors a '*' is optional
+            if tok == "*":
+                pos += 1
+                expect_factor = True
                 continue
-            _add_factor(exps, factor, 1, line)
-            factor = None
-        if after and tok == "*":
-            after = False
+            expect_factor = True
             continue
-        if match.lastgroup != "name":
+        if not _NAME_RE.match(tok):
             raise ParseError(f"expected a variable, got {tok!r}", line, col)
         try:
-            factor = (context.index(tok), tok)
+            var = context.index(tok)
         except ValueError:
             raise ParseError(f"unknown variable {tok!r}", line, col) from None
-        after = True
-    if col is None:
-        raise ParseError("expected a monomial", line, offset + 1)
-    if caret is not None:
-        raise ParseError("expected an exponent after '^'", line, caret)
-    if factor is not None:
-        _add_factor(exps, factor, 1, line)
-    if not after:
-        raise ParseError("dangling '*'", line, col)
+        exponent = 1
+        pos += 1
+        if pos < len(tokens) and tokens[pos][0] == "^":
+            pos += 1
+            if pos >= len(tokens):
+                raise ParseError("expected an exponent after '^'", line,
+                                 tokens[pos - 1][1] + offset)
+            etok, ecol = tokens[pos]
+            ecol += offset
+            if etok.startswith("-"):
+                raise ParseError(f"negative exponent {etok}", line, ecol)
+            if not (etok.isascii() and etok.isdigit()):
+                raise ParseError(f"expected an exponent, got {etok!r}", line, ecol)
+            exponent = int(etok)
+            pos += 1
+        exps[var] += exponent
+        if exps[var] > EXPONENT_LIMIT:
+            raise ExponentLimitError(
+                f"exponent of {tok!r} exceeds {EXPONENT_LIMIT}" +
+                (f" (line {line})" if line is not None else ""))
+        expect_factor = False
+    if expect_factor:
+        raise ParseError("dangling '*'", line, tokens[-1][1] + offset)
     return Monomial(context, tuple(exps))
-
-
-def _add_factor(exps: list[int], factor: tuple[int, str], exponent: int,
-                line: int | None) -> None:
-    var, name = factor
-    exps[var] += exponent
-    if exps[var] > EXPONENT_LIMIT:
-        raise ExponentLimitError(
-            f"exponent of {name!r} exceeds {EXPONENT_LIMIT}" +
-            (f" (line {line})" if line is not None else ""))
 
 
 def _directive_lines(text: str, directives: tuple[str, ...]

@@ -115,7 +115,13 @@ class PrefixWalk:
             counts[key] = total
             return total
 
-        return walk(0, self.alive)
+        try:
+            return walk(0, self.alive)
+        finally:
+            # walk refers to itself through its closure: unbind it, so
+            # that the memo it holds is freed by reference counting, not
+            # at some later garbage collection
+            del walk
 
     def first(self, avoid: bool = True) -> tuple[int, ...] | None:
         """The lexicographically least order that preserves no family
@@ -150,18 +156,22 @@ class PrefixWalk:
             return hit
 
         prefix, alive, word = 0, self.alive, []
-        while prefix != full:
-            free = full & ~prefix
-            while free:
-                low = free & -free
-                free ^= low
-                if sought(prefix | low, alive):
-                    break
-            else:
-                return None
-            # once a set is preserved it stays alive, so every later
-            # placement is sought and the rest come in generator order
-            word.append(low.bit_length())
-            prefix |= low
-            alive &= keep[prefix]
-        return tuple(word)
+        try:
+            while prefix != full:
+                free = full & ~prefix
+                while free:
+                    low = free & -free
+                    free ^= low
+                    if sought(prefix | low, alive):
+                        break
+                else:
+                    return None
+                # once a set is preserved it stays alive, so every later
+                # placement is sought and the rest come in generator order
+                word.append(low.bit_length())
+                prefix |= low
+                alive &= keep[prefix]
+            return tuple(word)
+        finally:
+            # as in count: free the seen memo now, not at a collection
+            del sought

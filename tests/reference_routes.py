@@ -42,29 +42,25 @@ checks against the monomials.
   and its inclusion-minimal members, by a walk over every mask and its
   one-smaller subsets, the route the numpy passes of
   ``covers._CoverTable`` replaced;
-* ``tokenize``, ``parse_monomial``, ``minimize_generators``,
-  ``first_division`` and ``parse_ideal``: the ideal reader that steps
-  through a line one character at a time and tests divisibility one
-  pair of generators at a time, comparing their contexts for every
-  pair, the route the one-pass reader and the divisibility matrix of
-  ``monomials`` replaced.  Its exponents are what ``\\d`` and
-  ``str.isdigit`` accept, so it is compared with the reader on ASCII
-  text only.
+* ``tokenize``, ``minimize_generators`` and ``first_division``: the
+  tokenizer that steps through a line one character at a time, and the
+  divisibility tests one pair of generators at a time, comparing their
+  contexts for every pair, the routes that the one ``finditer`` pass
+  and the divisibility matrix of ``monomials`` replaced;
+  ``parse_ideal`` is ``monomials.parse_ideal`` with these in place of
+  its own.
 """
 
-import re
-import warnings
 from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 
-from lyubeznik import is_stable_symbol, orders_for_search, symbol_of
+from lyubeznik import (is_stable_symbol, monomials, orders_for_search,
+                       symbol_of)
 from lyubeznik.betti import QUOTIENT, BettiTable
 from lyubeznik.covers import cover_table
-from lyubeznik.monomials import (EXPONENT_LIMIT, ExponentLimitError,
-                                 MinimizationWarning, Monomial, MonomialIdeal,
-                                 ParseError, VariableContext,
-                                 _directive_lines, divides)
+from lyubeznik.monomials import divides
 from lyubeznik.oracle import _rank_function, _strand_homology
 from lyubeznik.subsets import indices_of, iter_bits, tables_for
 
@@ -353,10 +349,6 @@ class CoverWalk:
         self.clutter = tuple(sorted(clutter))
 
 
-_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
-_TOKEN_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*|\^|\*|-?\d+|\S")
-
-
 def tokenize(text):
     """Yield (token, 1-based column) pairs, skipping whitespace."""
     pos = 0
@@ -364,60 +356,10 @@ def tokenize(text):
         if text[pos].isspace():
             pos += 1
             continue
-        match = _TOKEN_RE.match(text, pos)
+        match = monomials._TOKEN_RE.match(text, pos)
         assert match is not None
         yield match.group(), pos + 1
         pos = match.end()
-
-
-def parse_monomial(text, context, line, offset):
-    exps = [0] * len(context)
-    tokens = list(tokenize(text))
-    if not tokens:
-        raise ParseError("expected a monomial", line, offset + 1)
-    pos = 0
-    expect_factor = True
-    while pos < len(tokens):
-        tok, col = tokens[pos]
-        col += offset
-        if not expect_factor:
-            # between factors a '*' is optional
-            if tok == "*":
-                pos += 1
-                expect_factor = True
-                continue
-            expect_factor = True
-            continue
-        if not _NAME_RE.match(tok):
-            raise ParseError(f"expected a variable, got {tok!r}", line, col)
-        try:
-            var = context.index(tok)
-        except ValueError:
-            raise ParseError(f"unknown variable {tok!r}", line, col) from None
-        exponent = 1
-        pos += 1
-        if pos < len(tokens) and tokens[pos][0] == "^":
-            pos += 1
-            if pos >= len(tokens):
-                raise ParseError("expected an exponent after '^'", line,
-                                 tokens[pos - 1][1] + offset)
-            etok, ecol = tokens[pos]
-            ecol += offset
-            if etok.startswith("-"):
-                raise ParseError(f"negative exponent {etok}", line, ecol)
-            if not etok.isdigit():
-                raise ParseError(f"expected an exponent, got {etok!r}", line, ecol)
-            exponent = int(etok)
-            pos += 1
-        exps[var] += exponent
-        if exps[var] > EXPONENT_LIMIT:
-            raise ExponentLimitError(
-                f"exponent of {tok!r} exceeds {EXPONENT_LIMIT}" +
-                (f" (line {line})" if line is not None else ""))
-        expect_factor = False
-    if expect_factor:
-        raise ParseError("dangling '*'", line, tokens[-1][1] + offset)
-    return Monomial(context, tuple(exps))
 
 
 def minimize_generators(gens):
@@ -451,37 +393,7 @@ def first_division(gens):
 
 def parse_ideal(text):
     """The ideal file format, read with the routes above."""
-    context = None
-    gens = []
-    for lineno, word, column, rest, offset in _directive_lines(
-            text, ("vars", "gen")):
-        if word == "vars":
-            if context is not None:
-                raise ParseError("duplicate vars line", lineno, column)
-            names = rest.split()
-            if not names:
-                raise ParseError("vars line lists no variables", lineno, column)
-            try:
-                context = VariableContext(tuple(names))
-            except ValueError as exc:
-                raise ParseError(str(exc), lineno, column) from None
-        else:
-            if context is None:
-                raise ParseError("gen line before vars line", lineno, column)
-            mono = parse_monomial(rest, context, lineno, offset)
-            if mono.is_one():
-                raise ParseError("generator equals 1", lineno, column)
-            gens.append((mono, lineno))
-    if context is None:
-        raise ParseError("missing vars line")
-    if not gens:
-        raise ParseError("no generators")
-    listed = [m for m, _ in gens]
-    kept = minimize_generators(listed)
-    if len(kept) < len(listed):
-        dropped = [f"{m} (line {ln})" for m, ln in gens if m not in kept]
-        warnings.warn(
-            f"generating set was not minimal; dropped {len(listed) - len(kept)} "
-            f"redundant generator(s): {', '.join(dropped)}",
-            MinimizationWarning, stacklevel=2)
-    return MonomialIdeal(context, kept)
+    with mock.patch.object(monomials, "_tokenize", tokenize), \
+            mock.patch.object(monomials, "minimize_generators",
+                              minimize_generators):
+        return monomials.parse_ideal(text)

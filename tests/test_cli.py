@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output shapes, determinism."""
 
 import argparse
+import gc
 import json
 import re
 import subprocess
@@ -222,20 +223,36 @@ def test_graph_check_props(capsys, square_path):
 
 @pytest.mark.parametrize("modes", [("--edge-ideal", "--check-props"),
                                    ("--check-props",)])
-def test_graph_builds_the_edge_ideal_once(capsys, square_path, monkeypatch,
-                                          modes):
-    calls = []
-
-    def counted(graph):
-        calls.append(graph)
-        return edge_ideal(graph)
-
-    monkeypatch.setattr("lyubeznik.cli.edge_ideal", counted)
-    monkeypatch.setattr("lyubeznik.graphs.edge_ideal", counted)
+def test_graph_builds_the_edge_ideal_once(capsys, square_path, modes):
+    edge_ideal.cache_clear()
     code, out, _ = run_cli(capsys, "graph", *modes, square_path)
     assert code == 0
     assert "four-cycle-implies-not-lyubeznik: hypothesis=yes" in out
-    assert len(calls) == 1
+    # a miss is one build; the search and the payload read the same one
+    assert edge_ideal.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("covers",), ("complex",), ("analyze", "--search", "exhaustive"),
+    ("search",), ("oracle-betti",), ("verify",), ("radical-gens",),
+    ("graph", "--edge-ideal", "--check-props"), ("complex", "--order", "9")])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_commands_leave_no_garbage_cycles(capsys, mixed_path, square_path,
+                                          argv, fmt):
+    # a recursive closure refers to itself; unless it is unbound, what it
+    # holds (a search's memo, the JSON parts) waits for the cyclic
+    # collector, and a process's peak memory depends on when that runs
+    path = square_path if argv[0] == "graph" else mixed_path
+    command = [*argv, "--format", fmt, path]
+    main(command)
+    gc.collect()
+    gc.disable()
+    try:
+        main(command)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    capsys.readouterr()
 
 
 def test_graph_requires_a_mode(capsys, square_path):

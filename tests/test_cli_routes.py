@@ -1,7 +1,7 @@
 """The CLI's JSON writer and its covers listing, checked against the
 routes they replaced.
 
-* JSON: ``cli._json_text`` against ``json.dumps(..., sort_keys=True,
+* JSON: ``jsontext._json_text`` against ``json.dumps(..., sort_keys=True,
   indent=2)`` on every subcommand's payload for the corpus, and on
   hypothesis-generated nested payloads.
   ``covers`` hands the writer each generator's covers as a fragment of
@@ -33,9 +33,10 @@ from hypothesis import given, settings, strategies as st
 from lyubeznik import (all_ideals, cover_clutter, covers_of,
                        e_minimal_covers_of, identity_order, is_cover_of,
                        parse_order)
-from lyubeznik.cli import _Fragment, _json_text, build_parser, main
+from lyubeznik.cli import build_parser, main
 from lyubeznik.corpus import _data_dir
 from lyubeznik.covers import cover_listing
+from lyubeznik.jsontext import _Fragment, _json_text
 from lyubeznik.subsets import mask_of
 
 from conftest import xyz_ideal
