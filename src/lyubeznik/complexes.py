@@ -38,7 +38,8 @@ import numpy as np
 
 from .monomials import MonomialIdeal, divides, lcm_of
 from .orders import OrderedIdeal
-from .subsets import indices_of, mask_of, popcounts, tables_for, up_closure
+from .subsets import (indices_of, mask_of, one_larger, popcounts, tables_for,
+                      up_closure)
 
 
 class _OrderAnalysis:
@@ -48,61 +49,46 @@ class _OrderAnalysis:
 
     * ``least[mask]`` is the least rank in the mask (mu for the empty
       mask), by doubling over the bits;
-    * ``court_rank[mask]`` is ``least`` of the mask's outside divisors,
-      by one gather against ``outside_mask``; the mask is broken iff
-      this is below ``least`` (never for an empty outside set, whose
-      least rank is the sentinel mu);
+    * a mask is broken iff ``least`` of its complete cover
+      (``divisor_mask``, its members and outside divisors) is below its
+      own: ranks are distinct, so only a court can lower it;
     * a mask is preserved iff it is outside the up-closure of the
       broken sets (``subsets.up_closure``).
 
-    ``court`` is the order's one broken-set table: ``court[mask]`` is the
-    least court of the subset, nonzero exactly when it is broken, as an
-    int8 array over the masks.  ``preserved`` is a bool array over the
-    masks: whether no subset of the mask is broken.  Both are read-only,
-    as the subset tables are, and a public function that hands back one
-    entry converts it to a Python value.  ``f_vector[t]`` counts the
-    preserved sets of size t; ``length``, the size of the largest one,
-    is its last index, and ``dim`` is one less.
+    ``least`` is an int8 array and ``preserved`` a bool array over the
+    masks, whether no subset of the mask is broken; both are read-only,
+    as the subset tables are.  ``court(mask)`` reads the mask's least
+    court off ``least``, as a Python int, 0 when it is not broken.
+    ``f_vector[t]`` counts the preserved sets of size t; ``length``, the
+    size of the largest one, is its last index, and ``dim`` is one less.
     ``faces`` lists the preserved masks in ascending order: the faces of
-    the Lyubeznik complex, which the complex, the Betti counts, the
-    radical generators and the homology checks all read.  ``facets``
-    lists the maximal ones in ascending order.
+    the Lyubeznik complex, which the complex, the Betti counts and the
+    radical generators read.  ``facets`` lists the maximal ones in
+    ascending order.
     """
 
-    __slots__ = ("tables", "court", "preserved", "faces", "facets",
+    __slots__ = ("tables", "order", "least", "preserved", "faces", "facets",
                  "f_vector", "length")
 
     def __init__(self, ordered: OrderedIdeal) -> None:
         tables = tables_for(ordered.ideal)
         mu = tables.mu
-        word = np.array(ordered.order, np.int8)
         rank = np.empty(mu, np.int8)
-        rank[word - 1] = np.arange(mu, dtype=np.int8)
+        rank[np.array(ordered.order) - 1] = np.arange(mu, dtype=np.int8)
         # masks 2^b .. 2^(b+1)-1 extend masks 0 .. 2^b-1 by bit b
         least = np.empty(tables.size, np.int8)
         least[0] = mu
         for b in range(mu):
             np.minimum(least[:1 << b], rank[b], out=least[1 << b:2 << b])
-        court_rank = least[tables.outside_mask]
-        broken = court_rank < least
-        # an empty outside set has court rank mu: pad the word to index it
-        court = np.append(word, np.int8(0))[court_rank]
-        court[~broken] = 0
-        preserved = ~up_closure(broken)
+        preserved = ~up_closure(least[tables.divisor_mask] < least)
         # the tables are cached and shared: an in-place write must raise
-        court.flags.writeable = preserved.flags.writeable = False
-        self.court = court
+        least.flags.writeable = preserved.flags.writeable = False
+        self.order = ordered.order
+        self.least = least
         self.preserved = preserved
         self.faces = np.flatnonzero(preserved).tolist()
-        # downward closure makes maximality a one-bit test: a face is a
-        # facet iff no face one larger contains it.  larger[m] collects,
-        # one bit b at a time, whether m | 2^b is a face for some b
-        # outside m.
-        larger = np.zeros_like(preserved)
-        for b in range(mu):
-            halves = larger.reshape(-1, 2, 1 << b)
-            halves[:, 0] |= preserved.reshape(-1, 2, 1 << b)[:, 1]
-        self.facets = np.flatnonzero(preserved & ~larger).tolist()
+        # faces are downward closed: a facet has no face one larger
+        self.facets = np.flatnonzero(preserved & ~one_larger(preserved)).tolist()
         self.f_vector = tuple(
             np.bincount(popcounts(mu)[preserved]).tolist())
         self.length = len(self.f_vector) - 1
@@ -111,6 +97,11 @@ class _OrderAnalysis:
     @property
     def dim(self) -> int:
         return self.length - 1
+
+    def court(self, mask: int) -> int:
+        """The least court of the mask, 0 when it is not broken."""
+        low = int(self.least[self.tables.divisor_mask[mask]])
+        return self.order[low] if low < self.least[mask] else 0
 
 
 # one entry: a command reads one order of one ideal, and more entries
@@ -125,8 +116,7 @@ def is_broken(subset: Iterable[int], ordered: OrderedIdeal) -> int | None:
     mask = mask_of(subset, ordered.ideal.mu)
     if mask == 0:
         raise ValueError("the empty set cannot be broken")
-    court = int(order_analysis(ordered).court[mask])
-    return court if court else None
+    return order_analysis(ordered).court(mask) or None
 
 
 def is_preserved(subset: Iterable[int], ordered: OrderedIdeal) -> bool:

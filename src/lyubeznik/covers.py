@@ -6,12 +6,13 @@ any C collects every generator dividing lcm(C).  A cover of u is
 E-minimal when no proper subset of it covers u (minimal as a set).
 
 The E-minimal covers of every generator are found together, by
-whole-array numpy passes over the subset masks (one AND per bit; for
-the clutter, an up-closure and one shifted OR per bit), and kept in one
-lru-cached table per ideal (``cover_table``): the covers of each
-generator, their union, and the inclusion-minimal members of the union.
-Those minimal sets form the edge set of a clutter (an antichain of
-subsets); an order on the generators orients it.  ``e_minimal_covers_of``, ``cover_clutter`` and
+whole-array numpy passes over the subset masks (the lattice passes of
+``subsets``: an OR over one-smaller subsets; for the clutter, an
+up-closure and another such OR), and kept in one lru-cached table per
+ideal (``cover_table``): the covers of each generator, and the
+inclusion-minimal members of their union.  Those minimal sets form the
+edge set of a clutter (an antichain of subsets); an order on the
+generators orients it.  ``e_minimal_covers_of``, ``cover_clutter`` and
 the minimality tests, obstruction and order search of ``invariants``
 all read this one table.  Downstream, an order gives a minimal
 resolution exactly when none of these sets is preserved.
@@ -45,7 +46,8 @@ import numpy as np
 
 from .monomials import MonomialIdeal
 from .orders import OrderedIdeal
-from .subsets import indices_of, mask_of, popcounts, tables_for, up_closure
+from .subsets import (indices_of, mask_of, one_smaller, popcounts, tables_for,
+                      up_closure)
 
 #: the command line's bound on the generator count; in the package
 #: ``cli`` is its only reader (the benchmark's input generator reads it
@@ -137,29 +139,22 @@ class _CoverTable:
     """The E-minimal covers of one ideal, found by whole-array passes.
 
     ``by_generator[u - 1]`` holds the masks of the E-minimal covers of
-    generator u, ``eminimal`` their union, and ``clutter`` the
-    inclusion-minimal members of the union; all ascend by mask and hold
-    Python ints.  Each is a constant number of numpy passes per bit over
-    the 2^mu masks: one AND per bit for the E-minimal test, and for the
-    clutter an up-closure of the E-minimal marks and one shifted OR per
-    bit.  Obstruction sizes are measured on the clutter; whether some
-    member is preserved is the same question on either, because subsets
-    of preserved sets are preserved.
+    generator u, and ``clutter`` the inclusion-minimal members of their
+    union; both ascend by mask and hold Python ints.  Minimality and
+    obstruction sizes are read on the clutter: whether some E-minimal
+    cover is preserved is the same question on it, because subsets of
+    preserved sets are preserved.
     """
 
-    __slots__ = ("by_generator", "eminimal", "clutter")
+    __slots__ = ("by_generator", "clutter")
 
     def __init__(self, ideal: MonomialIdeal) -> None:
         tables = tables_for(ideal)
-        mu = tables.mu
         covered = tables.covered_mask
         # covers of u are upward closed, so u stays E-minimal in a mask
-        # unless a one-smaller subset still covers it: per bit b, the
-        # masks with b set lose what the mask without b covers
-        left = covered.copy()
-        for b in range(mu):
-            halves = left.reshape(-1, 2, 1 << b)
-            halves[:, 1] &= ~covered.reshape(-1, 2, 1 << b)[:, 0]
+        # unless a one-smaller subset still covers it
+        left = ~one_smaller(covered)
+        left &= covered
         eminimal = np.flatnonzero(left)
         # the generators each E-minimal mask is an E-minimal cover of
         minimal_for = left[eminimal]
@@ -168,15 +163,10 @@ class _CoverTable:
         # lies in the up-closure of the marks
         above = np.zeros(tables.size, bool)
         above[eminimal] = True
-        up_closure(above)
-        strict = np.zeros(tables.size, bool)
-        for b in range(mu):
-            halves = strict.reshape(-1, 2, 1 << b)
-            halves[:, 1] |= above.reshape(-1, 2, 1 << b)[:, 0]
+        strict = one_smaller(up_closure(above))
         self.by_generator = tuple(
             tuple(eminimal[minimal_for >> b & 1 != 0].tolist())
-            for b in range(mu))
-        self.eminimal = tuple(eminimal.tolist())
+            for b in range(tables.mu))
         self.clutter = tuple(eminimal[~strict[eminimal]].tolist())
 
 

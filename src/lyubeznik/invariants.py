@@ -46,10 +46,8 @@ class NotMinimalError(ValueError):
 
 def is_minimal_resolution(ordered: OrderedIdeal) -> bool:
     """Whether the Lyubeznik resolution of this order is minimal: no
-    E-minimal cover is preserved."""
-    eminimal = cover_table(ordered.ideal).eminimal
-    preserved = order_analysis(ordered).preserved
-    return not any(preserved[m] for m in eminimal)
+    E-minimal cover is preserved, that is, no edge of the clutter."""
+    return obstruction(ordered) == 0
 
 
 def obstruction(ordered: OrderedIdeal) -> int:
@@ -122,20 +120,19 @@ def equivalence_audit(ordered: OrderedIdeal) -> EquivalenceAudit:
     reaches below min(D) — for the E-minimal variant, additionally via
     some v for which D plus v is an E-minimal cover of v.
     """
-    emin_masks = cover_table(ordered.ideal).eminimal
+    emin_set = frozenset().union(*cover_table(ordered.ideal).by_generator)
     analysis = order_analysis(ordered)
     tables = analysis.tables
     cover_masks = np.flatnonzero(tables.covered_mask).tolist()
-    emin_set = frozenset(emin_masks)
 
     def has_low_subset(cover: int, eminimal: bool) -> bool:
         sub = cover
         while sub:
             # a court of sub is an outside divisor ranked below min(sub)
-            if analysis.court[sub]:
+            if analysis.court(sub):
                 if not eminimal:
                     return True
-                out = int(tables.outside_mask[sub])
+                out = int(tables.divisor_mask[sub]) & ~sub
                 if any(sub | (1 << v) in emin_set for v in iter_bits(out)):
                     return True
             sub = (sub - 1) & cover
@@ -147,9 +144,9 @@ def equivalence_audit(ordered: OrderedIdeal) -> EquivalenceAudit:
         cover_witness_condition=all(has_low_subset(m, False)
                                     for m in cover_masks),
         eminimal_covers_unpreserved=not any(analysis.preserved[m]
-                                            for m in emin_masks),
+                                            for m in emin_set),
         eminimal_witness_condition=all(has_low_subset(m, True)
-                                       for m in emin_masks),
+                                       for m in emin_set),
     )
 
 
@@ -433,8 +430,8 @@ def analyze(ordered: OrderedIdeal, *, search: bool = False,
     classification flags.
     """
     ideal = ordered.ideal
-    minimal = is_minimal_resolution(ordered)
     obs = obstruction(ordered)
+    minimal = obs == 0
     length = l_length(ordered)
     betti = _preserved_betti(ordered) if minimal else None
     ht = height(ideal)

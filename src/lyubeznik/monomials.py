@@ -217,6 +217,19 @@ def _divisibility(gens: Sequence[Monomial]) -> np.ndarray:
     return (rows[:, None, :] <= rows).all(axis=2)
 
 
+def _redundant(gens: list[Monomial]) -> list[bool]:
+    """Per position: is the generator divisible by an unequal or earlier one?"""
+    if not gens:
+        return []
+    for m in gens:
+        # mixed contexts raise, naming the first generator of another
+        # context before the first generator's
+        _same_context(m, gens[0])
+    div = _divisibility(gens)
+    earlier = np.triu(np.ones(div.shape, bool), 1)
+    return (div & (~div.T | earlier)).any(axis=0).tolist()
+
+
 def minimize_generators(gens: Sequence[Monomial]) -> tuple[Monomial, ...]:
     """Drop every generator divisible by another, keeping first occurrences.
 
@@ -225,18 +238,22 @@ def minimize_generators(gens: Sequence[Monomial]) -> tuple[Monomial, ...]:
     emit a ``MinimizationWarning`` when anything is dropped.
     """
     gens = list(gens)
-    if not gens:
-        return ()
-    for m in gens:
-        # mixed contexts raise, naming the first generator of another
-        # context before the first generator's
-        _same_context(m, gens[0])
-    div = _divisibility(gens)
-    # gens[j] makes gens[i] redundant when it divides gens[i] and is
-    # either not equal to it or listed before it
-    earlier = np.triu(np.ones(div.shape, bool), 1)
-    redundant = (div & (~div.T | earlier)).any(axis=0)
-    return tuple(m for m, r in zip(gens, redundant.tolist()) if not r)
+    return tuple(m for m, r in zip(gens, _redundant(gens)) if not r)
+
+
+def _minimized(gens: list[Monomial], lines: list[int] | None = None
+               ) -> tuple[Monomial, ...]:
+    """``minimize_generators``, warning with each dropped generator named
+    by position: its text, and its line when ``lines`` are given."""
+    redundant = _redundant(gens)
+    dropped = [f"{gens[k]} (line {lines[k]})" if lines else str(gens[k])
+               for k, r in enumerate(redundant) if r]
+    if dropped:
+        warnings.warn(
+            f"generating set was not minimal; dropped {len(dropped)} "
+            f"redundant generator(s): {', '.join(dropped)}",
+            MinimizationWarning, stacklevel=3)
+    return tuple(m for m, r in zip(gens, redundant) if not r)
 
 
 @dataclass(frozen=True)
@@ -278,13 +295,7 @@ class MonomialIdeal:
         gens = list(gens)
         if not gens:
             raise ValueError("a monomial ideal needs at least one generator")
-        kept = minimize_generators(gens)
-        if len(kept) < len(gens):
-            dropped = [str(m) for m in gens if m not in kept]
-            warnings.warn(
-                f"generating set was not minimal; dropped {len(gens) - len(kept)} "
-                f"redundant generator(s): {', '.join(dropped)}",
-                MinimizationWarning, stacklevel=2)
+        kept = _minimized(gens)
         return cls(kept[0].context, kept)
 
     @property
@@ -413,7 +424,8 @@ def parse_ideal(text: str) -> MonomialIdeal:
     with a ``MinimizationWarning`` rather than rejected.
     """
     context: VariableContext | None = None
-    gens: list[tuple[Monomial, int]] = []
+    gens: list[Monomial] = []
+    lines: list[int] = []
     for lineno, word, column, rest, offset in _directive_lines(
             text, ("vars", "gen")):
         if word == "vars":
@@ -432,20 +444,13 @@ def parse_ideal(text: str) -> MonomialIdeal:
             mono = _parse_monomial(rest, context, lineno, offset)
             if mono.is_one():
                 raise ParseError("generator equals 1", lineno, column)
-            gens.append((mono, lineno))
+            gens.append(mono)
+            lines.append(lineno)
     if context is None:
         raise ParseError("missing vars line")
     if not gens:
         raise ParseError("no generators")
-    listed = [m for m, _ in gens]
-    kept = minimize_generators(listed)
-    if len(kept) < len(listed):
-        dropped = [f"{m} (line {ln})" for m, ln in gens if m not in kept]
-        warnings.warn(
-            f"generating set was not minimal; dropped {len(listed) - len(kept)} "
-            f"redundant generator(s): {', '.join(dropped)}",
-            MinimizationWarning, stacklevel=2)
-    return MonomialIdeal(context, kept)
+    return MonomialIdeal(context, _minimized(gens, lines))
 
 
 def read_ideal(path) -> MonomialIdeal:

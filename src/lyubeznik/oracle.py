@@ -29,17 +29,16 @@ them, and a level with no neighbouring level needs no rank at all.
 The resolution checks work per multidegree as well.  A complex of free
 modules indexed by faces is exact in degree a iff the simplicial chain
 complex of the induced subcomplex on V_a has vanishing reduced homology
-in all degrees >= 0.  The faces under test are the order's face list
-(``complexes.order_analysis(ordered).faces``), read as masks.  Let g be
-the member of V_a ranked first under the order.  If every face F ⊆ V_a
-has F △ {g} among the faces, the induced complex (downward closed, as
-every face list is) is a cone with apex g and is acyclic: F <-> F △ {g}
-pairs every face, the empty one included, with a +-1 coefficient.  On
-Lyubeznik faces the cone always holds, because g precedes everything
-else in V_a and every divisor of a lies in V_a, so adding g to a face
-inside V_a creates no court; that is Lyubeznik's own argument, and
-production runs no rank here.  Any other family falls back to ranks,
-the exact verdict.
+in all degrees >= 0.  The faces are the order's preserved masks, read
+as the bool array ``order_analysis(ordered).preserved``.  Let g be the
+member of V_a ranked first under the order.  If every face F ⊆ V_a has
+F △ {g} among the faces, the induced complex (downward closed) is a
+cone with apex g and is acyclic: F <-> F △ {g} pairs every face, the
+empty one included, with a +-1 coefficient.  On Lyubeznik faces the
+cone always holds, because g precedes everything else in V_a and every
+divisor of a lies in V_a, so adding g to a face inside V_a creates no
+court; that is Lyubeznik's own argument, and production runs no rank
+here.  Any other family falls back to ranks, the exact verdict.
 
 A nonempty subset S lies in the class of lcm(S), which is named by its
 vertex set: every member of V_a divides a, so lcm(V_a) = a and distinct
@@ -240,7 +239,7 @@ def verify_chain_complex(ordered: OrderedIdeal) -> bool:
     Each face is relabelled into rank positions (bit k is the generator
     at rank k), so the deletion signs count members in increasing rank.
     """
-    faces = np.array(order_analysis(ordered).faces, np.int64)
+    faces = np.flatnonzero(order_analysis(ordered).preserved)
     ranked = np.zeros_like(faces)
     for rank, g in enumerate(ordered.order):
         ranked |= ((faces >> (g - 1)) & 1) << rank
@@ -259,42 +258,37 @@ def _acyclic(face_masks: list[int], rank) -> bool:
     return not _strand_homology(by_size, rank)
 
 
-def _cones(face_masks: list[int], mu: int, vertex_sets: np.ndarray,
+def _cones(preserved: np.ndarray, vertex_sets: np.ndarray,
            apexes: np.ndarray) -> np.ndarray:
-    """Whether each vertex set's faces form a cone over its apex bit.
-
-    The faces inside V form a cone over g when every such face F has
-    F ^ g among the faces.  Per apex, the faces whose partner is missing
-    are marked and up-closed over the subset lattice; a vertex set is a
-    cone exactly when no marked face lies inside it.
+    """Whether the faces (``preserved``'s marks) inside each vertex set
+    form a cone over its apex bit: every such face F has F ^ g among the
+    faces.  Per apex, the faces whose partner is missing are marked and
+    up-closed over the subset lattice; a vertex set is a cone exactly
+    when no marked face lies inside it.
     """
-    size = 1 << mu
-    masks = np.arange(size)
-    face = np.zeros(size, bool)
-    face[face_masks] = True
+    masks = np.arange(len(preserved))
     cones = np.empty(len(vertex_sets), bool)
     for bit in set(apexes.tolist()):
-        lone = up_closure(face & ~face[masks ^ bit])
+        lone = up_closure(preserved & ~preserved[masks ^ bit])
         at = apexes == bit
         cones[at] = ~lone[vertex_sets[at]]
     return cones
 
 
-def _acyclic_verdicts(face_masks: list[int], mu: int,
-                      vertex_sets: np.ndarray, apexes: np.ndarray,
-                      rank) -> list[bool]:
+def _acyclic_verdicts(preserved: np.ndarray, vertex_sets: np.ndarray,
+                      apexes: np.ndarray, rank) -> list[bool]:
     """Acyclicity of the faces inside each vertex set.
 
-    The faces must be downward closed, as an order's face list is; then
-    a cone over the set's apex is acyclic, and any other family is
-    decided by ``_acyclic``'s ranks.
+    The faces, marked by ``preserved``, must be downward closed, as an
+    order's are; then a cone over the set's apex is acyclic, and any
+    other family is decided by ``_acyclic``'s ranks.
     """
-    verdicts = _cones(face_masks, mu, vertex_sets, apexes).tolist()
+    verdicts = _cones(preserved, vertex_sets, apexes).tolist()
     for k, cone in enumerate(verdicts):
         if not cone:
-            vset = int(vertex_sets[k])
-            verdicts[k] = _acyclic([m for m in face_masks if m & vset == m],
-                                   rank)
+            faces = np.flatnonzero(preserved)
+            inside = faces[faces & ~vertex_sets[k] == 0]
+            verdicts[k] = _acyclic(inside.tolist(), rank)
     return verdicts
 
 
@@ -318,7 +312,7 @@ def verify_resolution_report(ordered: OrderedIdeal, *,
     for g in reversed(ordered.order):
         bit = 1 << (g - 1)
         apexes[classes.vertex_sets & bit != 0] = bit
-    verdicts = _acyclic_verdicts(order_analysis(ordered).faces, ideal.mu,
+    verdicts = _acyclic_verdicts(order_analysis(ordered).preserved,
                                  classes.vertex_sets, apexes,
                                  _rank_function(prime))
     report = sorted(zip(classes.exponents, verdicts),

@@ -17,9 +17,10 @@ array of shape (variables, 2^mu); the divisor masks are the AND over the
 variables of a small per-rank table, "the generators whose exponent is
 at most this rank", gathered at the lcm ranks, one gather per
 variable; the cover masks take one OR per bit over reshaped views.
-The three mask tables stay the read-only int64 arrays those passes
+The two mask tables stay the read-only int64 arrays those passes
 build, so the consumers' numpy passes read them as they are; a public
-function that hands back one entry converts it to a Python int.  The
+function that hands back one entry converts it to a Python int.  A
+set's possible courts are its divisor mask less its members.  The
 lcm ranks are kept with each variable's rank-to-exponent array, and
 become a list of exponent tuples of Python ints, exact up to
 ``EXPONENT_LIMIT``, only when ``lcm_exps`` (or ``lcm_monomial``) is
@@ -27,7 +28,9 @@ first read: the Betti counts from preserved sets (``invariants``) and
 the lcm classes of the oracle hash them as dict keys, and the
 benchmark's generator and tracer and CI's Euler-characteristic step
 read them as tuples, while the complex, the covers and the order
-searches never do.
+searches never do.  The lattice passes other modules need are here
+too, one OR per bit each (``up_closure``, ``one_smaller`` and
+``one_larger``): no other module splits a mask array into halves.
 
 Tables cost O(2^mu) memory, so construction refuses ideals with more
 than MAX_TABLE_GENERATORS generators, before it allocates anything.
@@ -102,6 +105,26 @@ def up_closure(marked: np.ndarray) -> np.ndarray:
     return marked
 
 
+def one_smaller(values: np.ndarray) -> np.ndarray:
+    """A new array of ``values``' dtype over the 2^mu masks: entry m is
+    the OR of ``values`` over m's one-smaller subsets, 0 for m = 0."""
+    out = np.zeros_like(values)
+    for b in range(len(values).bit_length() - 1):
+        halves = out.reshape(-1, 2, 1 << b)
+        halves[:, 1] |= values.reshape(-1, 2, 1 << b)[:, 0]
+    return out
+
+
+def one_larger(values: np.ndarray) -> np.ndarray:
+    """A new array of ``values``' dtype over the 2^mu masks: entry m is
+    the OR of ``values`` over m's one-larger supersets, 0 for the full m."""
+    out = np.zeros_like(values)
+    for b in range(len(values).bit_length() - 1):
+        halves = out.reshape(-1, 2, 1 << b)
+        halves[:, 0] |= values.reshape(-1, 2, 1 << b)[:, 1]
+    return out
+
+
 def _exponent_ranks(ideal: MonomialIdeal) -> tuple[np.ndarray, np.ndarray]:
     """(rank, values): ``rank[g, v]``, an int8 array of shape (mu, n), is
     the rank of generator g+1's exponent of variable v: the number of
@@ -128,17 +151,17 @@ class SubsetTables:
     """Order-free per-ideal tables indexed by subset mask.
 
     lcm_exps[mask]   exponent tuple of lcm of the subset (None for mask 0)
-    divisor_mask[m]  generators dividing lcm(m) (the complete cover of m)
-    outside_mask[m]  divisor_mask[m] with the members removed (possible courts)
+    divisor_mask[m]  generators dividing lcm(m) (the complete cover of m):
+                     its members and the possible courts of m
     covered_mask[m]  members u of m with m_u | lcm(m minus u)
 
-    The three mask tables are read-only int64 arrays of shape (2^mu,);
+    The two mask tables are read-only int64 arrays of shape (2^mu,);
     ``lcm_exps`` is a list of tuples of Python ints, hashable as keys,
     built from the int8 lcm ranks on its first read.
     """
 
     __slots__ = ("ideal", "mu", "size", "_lcm", "_values", "_lcm_exps",
-                 "divisor_mask", "outside_mask", "covered_mask")
+                 "divisor_mask", "covered_mask")
 
     def __init__(self, ideal: MonomialIdeal) -> None:
         mu = ideal.mu
@@ -182,11 +205,9 @@ class SubsetTables:
         self._values = values
         self._lcm_exps = None
         self.divisor_mask = div
-        self.outside_mask = div & ~np.arange(self.size)
         self.covered_mask = cov
         # the tables are cached and shared: an in-place write must raise
-        for table in (lcm, self.divisor_mask, self.outside_mask,
-                      self.covered_mask):
+        for table in (lcm, div, cov):
             table.flags.writeable = False
 
     @property

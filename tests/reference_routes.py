@@ -4,8 +4,9 @@ The library computes an order's broken and preserved sets by 1-D numpy
 passes over the subset masks (``complexes.order_analysis``).  These
 are the routes it replaced, kept as the references that differential
 tests compare it with.  They share no code with it, only the ideal's
-subset tables (``outside_mask``), which ``tests/test_subsets.py``
-checks against the monomials.
+subset tables (``divisor_mask``, with the members removed: the outside
+divisors), which ``tests/test_subsets.py`` checks against the
+monomials.
 
 * ``court_table`` and ``preserved_table``: least ranks by a loop over
   the masks, then the preserved-set DP (a set is preserved iff it has
@@ -42,13 +43,13 @@ checks against the monomials.
   and its inclusion-minimal members, by a walk over every mask and its
   one-smaller subsets, the route the numpy passes of
   ``covers._CoverTable`` replaced;
-* ``tokenize``, ``minimize_generators`` and ``first_division``: the
-  tokenizer that steps through a line one character at a time, and the
-  divisibility tests one pair of generators at a time, comparing their
-  contexts for every pair, the routes that the one ``finditer`` pass
-  and the divisibility matrix of ``monomials`` replaced;
-  ``parse_ideal`` is ``monomials.parse_ideal`` with these in place of
-  its own.
+* ``tokenize``, ``redundant``, ``minimize_generators`` and
+  ``first_division``: the tokenizer that steps through a line one
+  character at a time, and the divisibility tests one pair of
+  generators at a time, comparing their contexts for every pair, the
+  routes that the one ``finditer`` pass and the divisibility matrix of
+  ``monomials`` replaced; ``parse_ideal`` is ``monomials.parse_ideal``
+  with ``tokenize`` and ``redundant`` in place of its own.
 """
 
 from dataclasses import dataclass
@@ -76,7 +77,7 @@ def court_table(ordered):
         minrank[mask] = min(rank[low.bit_length() - 1], minrank[mask ^ low])
     court = [0] * size
     for mask in range(1, size):
-        out = tables.outside_mask[mask]
+        out = int(tables.divisor_mask[mask]) & ~mask
         if out and minrank[out] < minrank[mask]:
             court[mask] = ordered.order[minrank[out]]
     return court
@@ -133,7 +134,8 @@ def block_ranks(ideal, words):
     least[0] = mu
     for b in range(mu):
         np.minimum(least[:1 << b], rank[b], out=least[1 << b:2 << b])
-    return least, least[tables_for(ideal).outside_mask]
+    outside = tables_for(ideal).divisor_mask & ~np.arange(1 << mu)
+    return least, least[outside]
 
 
 def unpacked_readout(ideal, least, court_rank):
@@ -319,7 +321,8 @@ def cover_listing(ideal):
 
 
 class CoverWalk:
-    """The fields of ``covers._CoverTable``, by a walk over the masks."""
+    """The fields of ``covers._CoverTable``, by a walk over the masks,
+    and ``eminimal``, the union of the E-minimal covers."""
 
     def __init__(self, ideal):
         tables = tables_for(ideal)
@@ -362,22 +365,26 @@ def tokenize(text):
         pos = match.end()
 
 
-def minimize_generators(gens):
-    """Drop every generator divisible by another, keeping first
-    occurrences, one pair at a time."""
-    gens = list(gens)
-    kept = []
+def redundant(gens):
+    """Whether each generator is divisible by another that is either not
+    equal to it or listed before it, one pair at a time."""
+    flags = []
     for i, m in enumerate(gens):
-        redundant = False
+        flags.append(False)
         for j, other in enumerate(gens):
             if j == i:
                 continue
             if divides(other, m) and (other != m or j < i):
-                redundant = True
+                flags[i] = True
                 break
-        if not redundant:
-            kept.append(m)
-    return tuple(kept)
+    return flags
+
+
+def minimize_generators(gens):
+    """Drop every generator divisible by another, keeping first
+    occurrences, one pair at a time."""
+    gens = list(gens)
+    return tuple(m for m, r in zip(gens, redundant(gens)) if not r)
 
 
 def first_division(gens):
@@ -394,6 +401,5 @@ def first_division(gens):
 def parse_ideal(text):
     """The ideal file format, read with the routes above."""
     with mock.patch.object(monomials, "_tokenize", tokenize), \
-            mock.patch.object(monomials, "minimize_generators",
-                              minimize_generators):
+            mock.patch.object(monomials, "_redundant", redundant):
         return monomials.parse_ideal(text)

@@ -100,8 +100,8 @@ def test_shared_tables_are_read_only(recorded):
     ideal = read_ideal(str(_data_dir() / filename))
     tables = tables_for(ideal)
     analysis = order_analysis(identity_order(ideal))
-    for table in (tables.divisor_mask, tables.outside_mask,
-                  tables.covered_mask, analysis.court, analysis.preserved):
+    for table in (tables.divisor_mask, tables.covered_mask, analysis.least,
+                  analysis.preserved):
         with pytest.raises(ValueError, match="read-only"):
             table[1] = table[0]
         with pytest.raises(ValueError, match="read-only"):

@@ -155,6 +155,29 @@ def test_parse_minimization_warning_names_dropped_line():
     assert [str(m) for m in ideal.gens] == ["x"]
 
 
+def warning_texts(read, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = read(*args)
+    return value, [str(w.message) for w in caught]
+
+
+def test_a_repeated_generator_is_named_where_it_is_dropped():
+    # the second x is dropped as well as x*y, and both are named, the
+    # repeat by its own line
+    ideal, texts = warning_texts(parse_ideal,
+                                 "vars x y\ngen x\ngen x\ngen x*y\n")
+    assert [str(m) for m in ideal.gens] == ["x"]
+    assert texts == ["generating set was not minimal; dropped 2 redundant "
+                     "generator(s): x (line 3), x*y (line 4)"]
+    x, xy = mono(1, 0, 0), mono(1, 1, 0)
+    ideal, texts = warning_texts(MonomialIdeal.from_generators,
+                                 [xy, x, x, xy, mono(0, 1, 0)])
+    assert ideal.gens == (x, mono(0, 1, 0))
+    assert texts == ["generating set was not minimal; dropped 3 redundant "
+                     "generator(s): x*y, x, x*y"]
+
+
 # -- property tests ---------------------------------------------------------
 
 exponents = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4))

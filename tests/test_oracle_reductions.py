@@ -125,6 +125,14 @@ def masks(*faces):
     return [sum(1 << (i - 1) for i in face) for face in faces]
 
 
+def marked(face_masks, n):
+    """The faces as the oracle takes them: a bool array over the 2^n
+    masks."""
+    faces = np.zeros(1 << n, bool)
+    faces[face_masks] = True
+    return faces
+
+
 def dense_acyclic(face_masks, vset):
     by_size = {}
     for m in sorted(face_masks):
@@ -153,10 +161,12 @@ def test_non_cones_reach_the_rank_fallback(monkeypatch, family, vset, apex,
     monkeypatch.setattr(oracle, "_acyclic",
                         lambda *args: calls.append(args) or ranked(*args))
     vertex_sets, apexes = np.array([vset]), np.array([apex])
-    assert not _cones(family, 3, vertex_sets, apexes)[0]
-    verdicts = _acyclic_verdicts(family, 3, vertex_sets, apexes,
+    assert not _cones(marked(family, 3), vertex_sets, apexes)[0]
+    verdicts = _acyclic_verdicts(marked(family, 3), vertex_sets, apexes,
                                  _rank_function(None))
     assert len(calls) == 1
+    # the fallback ranks the faces inside the vertex set, ascending
+    assert calls[0][0] == sorted(m for m in family if m & vset == m)
     assert verdicts == [acyclic] == [dense_acyclic(family, vset)]
 
 
@@ -164,8 +174,8 @@ def test_a_cone_takes_no_rank(monkeypatch):
     # the path 1-2-3 is a cone over its middle vertex
     monkeypatch.setattr(oracle, "_acyclic", refuse_ranks)
     path = masks((), (1,), (2,), (3,), (1, 2), (2, 3))
-    assert _acyclic_verdicts(path, 3, np.array([0b111]), np.array([0b010]),
-                             _rank_function(None)) == [True]
+    assert _acyclic_verdicts(marked(path, 3), np.array([0b111]),
+                             np.array([0b010]), _rank_function(None)) == [True]
 
 
 @st.composite
@@ -192,7 +202,7 @@ def test_a_cone_is_acyclic_on_random_complexes(case):
     n, family, vset, apex = case
     vertex_sets, apexes = np.array([vset]), np.array([apex])
     acyclic = dense_acyclic(family, vset)
-    if _cones(family, n, vertex_sets, apexes)[0]:
+    if _cones(marked(family, n), vertex_sets, apexes)[0]:
         assert acyclic
-    assert _acyclic_verdicts(family, n, vertex_sets, apexes,
+    assert _acyclic_verdicts(marked(family, n), vertex_sets, apexes,
                              _rank_function(None)) == [acyclic]

@@ -1,11 +1,12 @@
 """The per-order tables against the plain-Python routes they replaced.
 
 ``order_analysis`` builds an order's tables by 1-D numpy passes over
-the subset masks; its court list and preserved array must equal, entry
-for entry, those of the Python DP in ``reference_routes``, and its face
-list must be the DP's preserved masks in ascending order, and its facet
-list the maximal ones.  The resolution length must
-equal the subset-sum closure's, and ``is_minimal_resolution`` (no
+the subset masks; its courts, read one mask at a time off the least
+ranks, and its preserved array must equal, entry for entry, those of
+the Python DP in ``reference_routes``, and its face list must be the
+DP's preserved masks in ascending order, and its facet list the
+maximal ones.  The resolution length must equal the subset-sum
+closure's, and ``is_minimal_resolution`` (no
 E-minimal cover is preserved) must agree with facet stability.  The
 inputs are the corpus (every order when mu <= 5, three otherwise),
 hypothesis ideals, and seeded six-variable ideals at mu 14 and 16,
@@ -47,7 +48,8 @@ def check_tables(ordered):
     court = court_table(ordered)
     preserved = preserved_table(ordered, court)
     analysis = order_analysis(ordered)
-    assert analysis.court.tolist() == court, ordered.order
+    assert [analysis.court(m) for m in range(len(court))] == court, \
+        ordered.order
     assert analysis.preserved.tolist() == preserved, ordered.order
     assert analysis.faces == [m for m, p in enumerate(preserved) if p], \
         ordered.order

@@ -9,8 +9,8 @@ from lyubeznik import BoundExceededError, divides, lcm_of, read_ideal
 from lyubeznik.cli import main
 from lyubeznik.corpus import ideal_names, load_ideal
 from lyubeznik.monomials import EXPONENT_LIMIT
-from lyubeznik.subsets import (indices_of, iter_bits, mask_of, tables_for,
-                               up_closure)
+from lyubeznik.subsets import (indices_of, iter_bits, mask_of, one_larger,
+                               one_smaller, tables_for, up_closure)
 
 from conftest import exponent_ideal, xyz_ideal
 from test_cli_routes import ideal_file_text
@@ -37,6 +37,36 @@ def test_up_closure_marks_the_masks_above_a_marked_one(marks):
                                    if sub & mask == sub), mask
 
 
+def neighbour_or(values, neighbours):
+    """The OR of ``values`` over the given masks, one at a time."""
+    total = values.dtype.type(0)
+    for other in neighbours:
+        total |= values[other]
+    return total
+
+
+@pytest.mark.parametrize("dtype", [bool, np.int64])
+@pytest.mark.parametrize("mu", range(9))
+def test_one_smaller_and_one_larger_match_the_neighbours(mu, dtype):
+    rng = np.random.default_rng(mu)
+    size = 1 << mu
+    if dtype is bool:
+        values = rng.random(size) < 0.3
+    else:
+        values = rng.integers(0, 1 << 62, size, dtype=np.int64)
+    values.flags.writeable = False
+    full = size - 1
+    smaller, larger = one_smaller(values), one_larger(values)
+    for out in (smaller, larger):
+        assert out.dtype == values.dtype and out.shape == (size,)
+    for mask in range(size):
+        assert smaller[mask] == neighbour_or(
+            values, [mask ^ (1 << b) for b in iter_bits(mask)]), mask
+        assert larger[mask] == neighbour_or(
+            values, [mask | (1 << b) for b in iter_bits(full & ~mask)]), \
+            mask
+
+
 def brute_tables(ideal, masks=None):
     """Recompute table entries from the definitions, one subset at a time."""
     for mask in masks or range(1, 2 ** ideal.mu):
@@ -59,12 +89,10 @@ def check_tables(ideal, masks=None):
     assert tables.size == 2 ** ideal.mu
     assert tables.lcm_exps[0] is None
     assert tables.divisor_mask[0] == 0
-    assert tables.outside_mask[0] == 0
     assert tables.covered_mask[0] == 0
     assert type(tables.lcm_exps) is list
     assert len(tables.lcm_exps) == tables.size
-    for table in (tables.divisor_mask, tables.outside_mask,
-                  tables.covered_mask):
+    for table in (tables.divisor_mask, tables.covered_mask):
         assert type(table) is np.ndarray and table.dtype == np.int64
         assert table.shape == (tables.size,)
     assert all(type(e) is tuple and all(type(a) is int for a in e)
@@ -72,7 +100,8 @@ def check_tables(ideal, masks=None):
     for mask, lcm, divisors, outside, covered in brute_tables(ideal, masks):
         assert tables.lcm_exps[mask] == lcm.exponents
         assert tables.divisor_mask[mask] == mask_of(divisors)
-        assert tables.outside_mask[mask] == mask_of(outside)
+        # the members and the outside divisors, the possible courts
+        assert int(tables.divisor_mask[mask]) & ~mask == mask_of(outside)
         assert tables.covered_mask[mask] == mask_of(covered)
         assert str(tables.lcm_monomial(mask)) == str(lcm)
 

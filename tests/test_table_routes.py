@@ -7,6 +7,10 @@ against literal routes that share neither table.
   ``cover_table`` are also compared, field by field, with the walk over
   the masks they replaced (``reference_routes.CoverWalk``), up to the
   table bound.
+* Minimality: ``is_minimal_resolution`` asks whether a clutter edge is
+  preserved; it is compared with the rule it replaced, whether any
+  E-minimal cover of the walk's union is, on every order of the sweep
+  corpus and of hypothesis ideals.
 * Lengths: ``preserved_size`` and ``l_length`` both read the order's
   preserved-set table; they are compared with the largest admissible
   symbol, which ``is_admissible_symbol`` decides on the monomials
@@ -18,10 +22,12 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lyubeznik import (OrderedIdeal, Symbol, all_ideals, cover_clutter,
-                       e_minimal_covers_of, identity_order,
-                       is_admissible_symbol, is_cover_of, l_length,
-                       preserved_size)
+from lyubeznik import (OrderedIdeal, Symbol, all_ideals, all_orders,
+                       cover_clutter, e_minimal_covers_of, identity_order,
+                       is_admissible_symbol, is_cover_of,
+                       is_minimal_resolution, l_length, preserved_size,
+                       sweep_ideals)
+from lyubeznik.complexes import order_analysis
 from lyubeznik.covers import cover_table
 
 from reference_routes import CoverWalk
@@ -55,12 +61,24 @@ def check_cover_table(ideal):
 def check_cover_table_against_the_walk(ideal):
     table = cover_table(ideal)
     walk = CoverWalk(ideal)
-    for field in ("by_generator", "eminimal", "clutter"):
+    for field in ("by_generator", "clutter"):
         assert getattr(table, field) == getattr(walk, field), field
-    masks = [*table.eminimal, *table.clutter]
+    # the union the audit takes itself
+    assert set().union(*table.by_generator) == set(walk.eminimal)
+    masks = list(table.clutter)
     for masks_of_u in table.by_generator:
         masks += masks_of_u
     assert all(type(m) is int for m in masks)
+
+
+def check_minimality_rules(ideal, orders):
+    """``is_minimal_resolution`` reads the clutter; the rule it replaced
+    read the whole union of the E-minimal covers."""
+    union = CoverWalk(ideal).eminimal
+    for ordered in orders:
+        preserved = order_analysis(ordered).preserved
+        assert is_minimal_resolution(ordered) == \
+            (not any(preserved[m] for m in union)), ordered.order
 
 
 def largest_admissible_symbol(ordered):
@@ -105,6 +123,23 @@ def test_cover_table_matches_the_walk_up_to_the_table_bound(mu, seed):
     ideal = seeded_ideal(mu, seed)
     assert ideal.mu == mu
     check_cover_table_against_the_walk(ideal)
+
+
+def test_minimality_on_the_clutter_matches_the_union_on_the_sweep():
+    seen = set()
+    for _, ideal in sweep_ideals():
+        orders = list(all_orders(ideal))
+        check_minimality_rules(ideal, orders)
+        seen |= {is_minimal_resolution(o) for o in orders}
+    # both verdicts occurred
+    assert seen == {True, False}
+
+
+@settings(max_examples=60)
+@given(st.integers(2, 5).flatmap(exponent_rows))
+def test_minimality_on_the_clutter_matches_the_union_on_random_ideals(rows):
+    ideal = small_ideal(rows, max_mu=5)
+    check_minimality_rules(ideal, all_orders(ideal))
 
 
 def test_lengths_match_the_largest_admissible_symbol_on_the_corpus():
