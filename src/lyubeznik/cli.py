@@ -17,16 +17,19 @@ non-minimal order) is printed as one line, ``lyubeznik: warning:
 success, 1 bad input, 2 a size threshold refused the computation, 130
 interrupted (Ctrl-C), with ``lyubeznik: interrupted`` on stderr.
 
-Every refusal but the subset tables' is made in ``_check_size``, after
-the order is parsed, so that a bad order is still exit code 1.  Every
-command but ``complex`` refuses more than
-``covers.MAX_ENUMERATION_GENERATORS`` generators (edges, for ``graph
---check-props``); no option lifts it.  Below it, the order searches
-(``search``, ``analyze --search``, ``graph --check-props``) refuse
-more than ``--max-exhaustive`` generators, an option of the command
-line only: the library's searches have no such bound.  ``complex``
-reaches the library's one bound, that of the subset tables
-(``subsets.MAX_TABLE_GENERATORS``).
+One function, ``_request``, fixes the order of checks for every ideal
+command: it reads the ideal, parses ``--order``, makes every refusal
+but the subset tables' in ``_check_size``, and only then calls the
+handler with ``(args, ideal, ordered)``, so that a bad file or order is
+exit code 1 even past a bound.  It puts the ``ideal`` and ``order``
+fields and lines in front of the handler's own.  Every command but
+``complex`` refuses more than ``covers.MAX_ENUMERATION_GENERATORS``
+generators (edges, for ``graph --check-props``); no option lifts it.
+Below it, the order searches (``search``, ``analyze --search``, ``graph
+--check-props``) refuse more than ``--max-exhaustive`` generators, an
+option of the command line only: the library's searches have no such
+bound.  ``complex`` reaches the library's one bound, that of the subset
+tables (``subsets.MAX_TABLE_GENERATORS``).
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from .linalg import check_prime
 from .monomials import BoundExceededError, MonomialIdeal, ParseError, read_ideal
 from .oracle import (taylor_betti, verify_chain_complex,
                      verify_resolution_report)
-from .orders import OrderedIdeal, identity_order, parse_order
+from .orders import identity_order, parse_order
 from .subsets import MAX_TABLE_GENERATORS, indices_of, tables_for
 
 # the default of --max-exhaustive
@@ -116,12 +119,6 @@ def _check_size(mu: int, max_exhaustive: int | None = None) -> None:
             f"{factorial(max_exhaustive)} orders; raise --max-exhaustive")
 
 
-def _ordered(args, ideal: MonomialIdeal) -> OrderedIdeal:
-    if args.order is not None:
-        return parse_order(args.order, ideal)
-    return identity_order(ideal)
-
-
 def _ideal_payload(ideal: MonomialIdeal) -> dict:
     return {"variables": list(ideal.context.names),
             "generators": [str(m) for m in ideal.gens]}
@@ -134,14 +131,12 @@ def _betti_payload(table: BettiTable) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns the payload and a zero-argument
-# callable that builds the text lines, called only for --format text
+# subcommand handlers: each returns its payload fields and a zero-argument
+# callable that builds its text lines, called only for --format text; an
+# ideal command's takes (args, ideal, ordered), ordered None without --order
 
 
-def _cmd_covers(args):
-    ideal = read_ideal(args.path)
-    ordered = _ordered(args, ideal)
-    _check_size(ideal.mu)
+def _cmd_covers(args, ideal, ordered):
     table = cover_table(ideal)
     listing = cover_listing(ideal)
     # the members text of every mask, "1,5,6", by doubling over the bits
@@ -157,8 +152,7 @@ def _cmd_covers(args):
     distinct = list(set().union(*keys))
     clutter = [list(indices_of(m)) for m in _by_size_then_members(
         np.array(table.clutter, np.int64), ideal.mu).tolist()]
-    payload = {"ideal": _ideal_payload(ideal), "order": list(ordered.order),
-               "clutter": clutter}
+    payload = {"clutter": clutter}
     if args.format == "json":
         # rendered for JSON output only: the text lines need none of it
         payload["covers"] = _covers_fragments(
@@ -167,7 +161,7 @@ def _cmd_covers(args):
     def text() -> list[str]:
         line = {k: "  {" + members[k >> 1] + "}"
                 + ("  E-minimal" if k & 1 else "") for k in distinct}
-        lines = [f"ideal: {ideal}", f"order: {ordered}"]
+        lines = []
         for u, gen_keys in enumerate(keys, 1):
             lines.append(f"covers of generator {u} ({len(gen_keys)}):")
             lines += [line[k] for k in gen_keys]
@@ -178,9 +172,7 @@ def _cmd_covers(args):
     return payload, text
 
 
-def _cmd_complex(args):
-    ideal = read_ideal(args.path)
-    ordered = _ordered(args, ideal)
+def _cmd_complex(args, ideal, ordered):
     analysis = order_analysis(ordered)
     # the members text of every face, "1,5,6", and a key whose order is
     # the members' lexicographic order; the faces are closed under
@@ -195,8 +187,7 @@ def _cmd_complex(args):
     facets = sorted(analysis.facets, key=keys.__getitem__)
     census = {str(size): {cls.value: count for cls, count in row.items()}
               for size, row in classification_census(ordered).items()}
-    payload = {"ideal": _ideal_payload(ideal), "order": list(ordered.order),
-               "dim": analysis.dim, "f_vector": list(analysis.f_vector),
+    payload = {"dim": analysis.dim, "f_vector": list(analysis.f_vector),
                "census": census}
     if args.format == "json":
         # rendered for JSON output only: the text lines list the facets
@@ -205,8 +196,7 @@ def _cmd_complex(args):
         payload["facets"] = _lists_fragment(facets, members)
 
     def text() -> list[str]:
-        lines = [f"ideal: {ideal}", f"order: {ordered}",
-                 f"dim: {analysis.dim}",
+        lines = [f"dim: {analysis.dim}",
                  "f-vector: (" + ", ".join(map(str, analysis.f_vector)) + ")",
                  "facets: " + ", ".join("{" + members[f] + "}"
                                         for f in facets)]
@@ -219,14 +209,10 @@ def _cmd_complex(args):
     return payload, text
 
 
-def _cmd_analyze(args):
-    ideal = read_ideal(args.path)
-    ordered = _ordered(args, ideal)
+def _cmd_analyze(args, ideal, ordered):
     search = args.search is not None
-    _check_size(ideal.mu, args.max_exhaustive if search else None)
     report = analyze(ordered, search=search, prime=args.field)
-    payload = {"ideal": _ideal_payload(ideal), "order": list(report.order),
-               "minimal": report.minimal, "obsL": report.obstruction,
+    payload = {"minimal": report.minimal, "obsL": report.obstruction,
                "l_length": report.l_length, "ps": report.ps,
                "betti": _betti_payload(report.betti) if report.betti else None,
                "height": report.height,
@@ -238,8 +224,7 @@ def _cmd_analyze(args):
         payload["totally_lyubeznik"] = report.totally_lyubeznik
 
     def text() -> list[str]:
-        lines = [f"ideal: {ideal}", f"order: {ordered}",
-                 f"minimal resolution: {'yes' if report.minimal else 'no'}",
+        lines = [f"minimal resolution: {'yes' if report.minimal else 'no'}",
                  f"obstruction: {report.obstruction}",
                  f"resolution length: {report.l_length}",
                  f"preserved size: {report.ps}",
@@ -265,39 +250,32 @@ def _verdict_text(value: bool) -> str:
     return "yes" if value else "no"
 
 
-def _cmd_search(args):
-    ideal = read_ideal(args.path)
-    _check_size(ideal.mu, args.max_exhaustive)
+def _cmd_search(args, ideal, ordered):
     scan = search_scan(ideal)
     count = scan.minimal_count
-    payload = {"ideal": _ideal_payload(ideal), "mode": args.search,
+    payload = {"mode": args.search,
                "exact": scan.exact, "scanned": scan.scanned,
                "tobsL": scan.tobsl, "L": scan.min_l, "ps_min": scan.min_l,
                "lyubeznik": scan.lyubeznik, "witness": list(scan.tobsl_witness),
                "minimal_orders": count}
 
     def text() -> list[str]:
-        lines = [f"ideal: {ideal}",
-                 f"mode: {args.search} (exact, {scan.scanned} orders)",
-                 f"total obstruction: {scan.tobsl}",
-                 f"min resolution length: {scan.min_l}",
-                 f"min preserved size: {scan.min_l}",
-                 f"lyubeznik: {_verdict_text(scan.lyubeznik)}",
-                 "witness order: (" + ",".join(map(str, scan.tobsl_witness)) + ")",
-                 f"minimal orders: {count}/{scan.scanned}"]
-        return lines
+        return [f"mode: {args.search} (exact, {scan.scanned} orders)",
+                f"total obstruction: {scan.tobsl}",
+                f"min resolution length: {scan.min_l}",
+                f"min preserved size: {scan.min_l}",
+                f"lyubeznik: {_verdict_text(scan.lyubeznik)}",
+                "witness order: (" + ",".join(map(str, scan.tobsl_witness)) + ")",
+                f"minimal orders: {count}/{scan.scanned}"]
     return payload, text
 
 
-def _cmd_oracle_betti(args):
-    ideal = read_ideal(args.path)
-    _check_size(ideal.mu)
+def _cmd_oracle_betti(args, ideal, ordered):
     table = taylor_betti(ideal, prime=args.field)
-    payload = {"ideal": _ideal_payload(ideal), **_betti_payload(table),
-               "projdim": table.projective_dimension}
+    payload = {**_betti_payload(table), "projdim": table.projective_dimension}
 
     def text() -> list[str]:
-        lines = [f"ideal: {ideal}", f"subject: {table.subject}"]
+        lines = [f"subject: {table.subject}"]
         lines += [f"b[{i},{j}] = {c}" for i, j, c in table.graded_rows()]
         lines += [f"b[{i}, {mono}] = {c}" for i, mono, c in table.multigraded_rows()]
         lines.append(f"projective dimension: {table.projective_dimension}")
@@ -305,21 +283,16 @@ def _cmd_oracle_betti(args):
     return payload, text
 
 
-def _cmd_verify(args):
-    ideal = read_ideal(args.path)
-    ordered = _ordered(args, ideal)
-    _check_size(ideal.mu)
+def _cmd_verify(args, ideal, ordered):
     report = verify_resolution_report(ordered, prime=args.field)
     chain_ok = verify_chain_complex(ordered)
     resolves = chain_ok and all(ok for _, ok in report)
-    payload = {"ideal": _ideal_payload(ideal), "order": list(ordered.order),
-               "chain_complex": chain_ok,
+    payload = {"chain_complex": chain_ok,
                "multidegrees": [[str(m), ok] for m, ok in report],
                "resolves": resolves}
 
     def text() -> list[str]:
-        lines = [f"ideal: {ideal}", f"order: {ordered}",
-                 f"differential composes to zero: {'yes' if chain_ok else 'no'}"]
+        lines = [f"differential composes to zero: {_verdict_text(chain_ok)}"]
         bad = [str(m) for m, ok in report if not ok]
         lines.append(f"multidegrees checked: {len(report)}, failing: {len(bad)}")
         if bad:
@@ -329,20 +302,13 @@ def _cmd_verify(args):
     return payload, text
 
 
-def _cmd_radical_gens(args):
-    ideal = read_ideal(args.path)
-    ordered = _ordered(args, ideal)
-    _check_size(ideal.mu)
+def _cmd_radical_gens(args, ideal, ordered):
     minimal = is_minimal_resolution(ordered)
     gens = _radical_generators(ordered, minimal)
-    payload = {"ideal": _ideal_payload(ideal), "order": list(ordered.order),
-               "minimal": minimal,
-               "generators": [str(g) for g in gens]}
+    payload = {"minimal": minimal, "generators": [str(g) for g in gens]}
 
     def text() -> list[str]:
-        lines = [f"ideal: {ideal}", f"order: {ordered}"]
-        lines += [f"g{k} = {g}" for k, g in enumerate(gens, 1)]
-        return lines
+        return [f"g{k} = {g}" for k, g in enumerate(gens, 1)]
     return payload, text
 
 
@@ -381,13 +347,38 @@ def _cmd_graph(args):
 # ---------------------------------------------------------------------------
 
 
-def _handler(name: str):
-    """The module's handler ``name``, looked up each time it runs, so
-    that the parser built once per process runs the function the module
-    holds under that name at the time."""
-    def run(args):
-        return globals()[name](args)
-    return run
+def _request(args):
+    """The payload and text callable of the request's handler,
+    ``_cmd_<command>``, looked up by name as the request runs.
+
+    ``graph`` reads a graph, and its handler takes the request alone.
+    For the others: read the ideal, parse ``--order`` where the command
+    has one, make the command line's refusal (``complex`` makes none
+    here), run the handler, and head its fields and lines.
+    """
+    handler = globals()["_cmd_" + args.command.replace("-", "_")]
+    if args.command == "graph":
+        return handler(args)
+    ideal = read_ideal(args.path)
+    ordered = None
+    if "order" in args:
+        ordered = (identity_order(ideal) if args.order is None
+                   else parse_order(args.order, ideal))
+    if args.command != "complex":
+        searches = getattr(args, "search", None) is not None
+        _check_size(ideal.mu, args.max_exhaustive if searches else None)
+    fields, text = handler(args, ideal, ordered)
+    payload = {"ideal": _ideal_payload(ideal)}
+    if ordered is not None:
+        payload["order"] = list(ordered.order)
+    payload.update(fields)
+
+    def lines() -> list[str]:
+        head = [f"ideal: {ideal}"]
+        if ordered is not None:
+            head.append(f"order: {ordered}")
+        return head + text()
+    return payload, lines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -420,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--field", type=_field, default="q",
                            metavar="q|p:<prime>",
                            help="coefficient field for homology ranks")
-        p.set_defaults(handler=_handler("_cmd_" + name.replace("-", "_")))
         return p
 
     add("covers", "covers and the E-minimal cover clutter", order=True)
@@ -478,7 +468,7 @@ def _run(args) -> int:
         # a repeated call in one process warns again
         with warnings.catch_warnings():
             warnings.showwarning = _show_warning
-            payload, text = args.handler(args)
+            payload, text = _request(args)
     except BoundExceededError as exc:
         print(f"lyubeznik: refused: {exc}", file=sys.stderr)
         return 2

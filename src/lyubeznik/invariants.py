@@ -13,8 +13,10 @@ almost / totally Lyubeznik verdicts over all mu! orders, each witness
 the lexicographically least order achieving its value, as one
 ``SearchResult``.  It never lists the orders: it answers each question
 by walks over prefix sets (``prefix``) when the question is first read,
-so that a caller pays only for what it reads.  Its checking route in
-the tests scans every order, a block of orders at a time.
+so that a caller pays only for what it reads.  The floor of its least
+length is the projective dimension of R/I over the caller's field, so
+that one call computes one.  Its checking route in the tests scans
+every order, a block of orders at a time.
 """
 
 from __future__ import annotations
@@ -180,11 +182,14 @@ class SearchResult:
       is the projective dimension if some order reaches it, which
       settles most ideals with one search, and else the search
       descends one length at a time from the identity order's while
-      some order is shorter.
+      some order is shorter.  A Lyubeznik resolution is free over every
+      field, so the floor may be the projective dimension over any: it
+      is taken over GF(``_prime``), or Q while ``_prime`` is None.
     """
 
     exact = True
     stopped_early = False
+    _prime: int | None = None
 
     def __init__(self, ideal: MonomialIdeal, clutter: tuple[int, ...]) -> None:
         self.ideal = ideal
@@ -262,7 +267,7 @@ class SearchResult:
     def min_l(self) -> int:
         if self._minimal is not None:
             return l_length(OrderedIdeal(self.ideal, self._minimal))
-        floor = _projdim(self.ideal, None)
+        floor = _projdim(self.ideal, self._prime)
         if self._at_most(floor) is not None:
             return floor
         best = l_length(identity_order(self.ideal))
@@ -341,6 +346,7 @@ def is_almost_lyubeznik(ideal: MonomialIdeal, *,
                         prime: int | None = None) -> bool:
     """Whether the best resolution length meets the projective dimension."""
     scan = search_scan(ideal)
+    scan._prime = prime
     return scan.almost_lyubeznik(_projdim(ideal, prime))
 
 
@@ -395,6 +401,7 @@ def ara_bounds(ideal: MonomialIdeal, *,
     """
     lower = _projdim(ideal, prime) if ideal.is_squarefree() else height(ideal)
     scan = search_scan(ideal)
+    scan._prime = prime
     return _ara(ideal, lower, scan.min_l)
 
 
@@ -443,6 +450,7 @@ def analyze(ordered: OrderedIdeal, *, search: bool = False,
     lyub = almost = totally = None
     if search:
         scan = search_scan(ideal)
+        scan._prime = prime
         lyub, totally = scan.lyubeznik, scan.totally_lyubeznik
         if projdim is None:
             projdim = _projdim(ideal, prime)

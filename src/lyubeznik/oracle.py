@@ -307,14 +307,12 @@ def verify_resolution_report(ordered: OrderedIdeal, *,
     """Per-multidegree acyclicity verdicts, sorted by (degree, exponents)."""
     ideal = ordered.ideal
     classes = _lcm_classes(ideal)
-    # each vertex set's apex: its member ranked first
-    apexes = np.zeros_like(classes.vertex_sets)
-    for g in reversed(ordered.order):
-        bit = 1 << (g - 1)
-        apexes[classes.vertex_sets & bit != 0] = bit
-    verdicts = _acyclic_verdicts(order_analysis(ordered).preserved,
-                                 classes.vertex_sets, apexes,
-                                 _rank_function(prime))
+    analysis = order_analysis(ordered)
+    # each vertex set's apex: its member ranked first, by its least rank
+    word = np.array(ordered.order)
+    apexes = 1 << (word[analysis.least[classes.vertex_sets]] - 1)
+    verdicts = _acyclic_verdicts(analysis.preserved, classes.vertex_sets,
+                                 apexes, _rank_function(prime))
     report = sorted(zip(classes.exponents, verdicts),
                     key=lambda e: (sum(e[0]), e[0]))
     return tuple((Monomial(ideal.context, exps), ok) for exps, ok in report)

@@ -9,7 +9,8 @@ import sys
 
 import pytest
 
-from lyubeznik import edge_ideal, parse_ideal, taylor_betti
+from lyubeznik import (MonomialIdeal, OrderedIdeal, edge_ideal, parse_ideal,
+                       taylor_betti)
 from lyubeznik.cli import build_parser, main
 from lyubeznik.invariants import _projdim
 from lyubeznik.subsets import tables_for
@@ -179,8 +180,8 @@ def test_json_output_never_formats_the_text_lines(capsys, mixed_path,
     built = []
     original = cli._cmd_covers
 
-    def handler(args):
-        payload, text = original(args)
+    def handler(args, ideal, ordered):
+        payload, text = original(args, ideal, ordered)
 
         def counted():
             built.append(args.format)
@@ -188,12 +189,16 @@ def test_json_output_never_formats_the_text_lines(capsys, mixed_path,
         return payload, counted
 
     monkeypatch.setattr(cli, "_cmd_covers", handler)
+    # nor the ideal and order lines put in front of the handler's
+    for cls in (MonomialIdeal, OrderedIdeal):
+        monkeypatch.setattr(cls, "__str__", lambda self, _str=cls.__str__:
+                            built.append(type(self).__name__) or _str(self))
     code, out, _ = run_cli(capsys, "covers", "--format", "json", mixed_path)
     assert code == 0 and json.loads(out)["command"] == "covers"
     assert built == []
     code, out, _ = run_cli(capsys, "covers", mixed_path)
     assert code == 0 and out.startswith("ideal: ")
-    assert built == ["text"]
+    assert built == ["MonomialIdeal", "OrderedIdeal", "text"]
 
 
 def test_radical_gens_output(capsys, mixed_path):
@@ -365,11 +370,20 @@ def test_one_generator_bound_for_every_command_but_complex(capsys,
 
 
 def test_a_bad_order_past_the_bound_is_still_exit_one(capsys, tmp_path):
-    wide = wide_ideal_path(tmp_path, 13)
-    for command in ("covers", "analyze", "verify", "radical-gens"):
-        code, out, err = run_cli(capsys, command, "--order", "1,1", wide)
+    # complex meets no bound of the command line's, only the subset
+    # tables' past mu 16; a good order reaches each bound's refusal
+    requests = [(command, 13, "13 generators exceed") for command in
+                ("covers", "analyze", "verify", "radical-gens")]
+    requests.append(("complex", 17, "subset tables support"))
+    for command, mu, refusal in requests:
+        path = wide_ideal_path(tmp_path, mu)
+        code, out, err = run_cli(capsys, command, "--order", "1,1", path)
         assert (code, out) == (1, ""), command
         assert err.startswith("lyubeznik: error:"), command
+        good = ",".join(map(str, range(mu, 0, -1)))
+        code, out, err = run_cli(capsys, command, "--order", good, path)
+        assert (code, out) == (2, ""), command
+        assert err.startswith("lyubeznik: refused: " + refusal), command
 
 
 def test_search_past_the_bound_does_not_point_at_max_exhaustive(capsys,
@@ -613,7 +627,7 @@ def test_ctrl_c_in_a_handler_exits_130_without_a_traceback(capsys, mixed_path,
                                                           monkeypatch):
     import lyubeznik.cli as cli
 
-    def interrupted(args):
+    def interrupted(args, ideal, ordered):
         raise KeyboardInterrupt
     monkeypatch.setattr(cli, "_cmd_search", interrupted)
     try:

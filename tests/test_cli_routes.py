@@ -2,7 +2,8 @@
 routes they replaced.
 
 * JSON: ``jsontext._json_text`` against ``json.dumps(..., sort_keys=True,
-  indent=2)`` on every subcommand's payload for the corpus, and on
+  indent=2)`` on every subcommand's payload for the corpus, as
+  ``cli._request`` returns it, and on
   hypothesis-generated nested payloads.
   ``covers`` hands the writer each generator's covers as a fragment of
   text rendered ahead for one depth, so those payloads are compared
@@ -33,7 +34,7 @@ from hypothesis import given, settings, strategies as st
 from lyubeznik import (all_ideals, cover_clutter, covers_of,
                        e_minimal_covers_of, identity_order, is_cover_of,
                        parse_order)
-from lyubeznik.cli import build_parser, main
+from lyubeznik.cli import _request, build_parser, main
 from lyubeznik.corpus import _data_dir
 from lyubeznik.covers import cover_listing
 from lyubeznik.jsontext import _Fragment, _json_text
@@ -73,7 +74,7 @@ def test_writer_matches_json_dumps_on_every_cli_payload(key, words, filename):
          str(_data_dir() / filename)])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        payload, _ = args.handler(args)
+        payload, _ = _request(args)
     payload = {"schema": 1, "command": args.command, **payload}
     assert _json_text(payload) == reference_text(expanded(payload))
 
@@ -146,7 +147,7 @@ def covers_payload(ideal, directory):
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(ideal_file_text(ideal))
     args = build_parser().parse_args(["covers", "--format", "json", path])
-    payload, _ = args.handler(args)
+    payload, _ = _request(args)
     return {"schema": 1, "command": args.command, **payload}
 
 

@@ -9,7 +9,8 @@ frozensets of ``lyubeznik_complex`` (``dim``, ``f_vector``, the faces
 and facets sorted as lists) and ``json.dumps``.  The inputs are the
 corpus under three orders, the benchmark's seed-1 pool ideals ``p10``
 to ``c16`` with their ``--order`` words (written by ``bench/gen.py``),
-and hypothesis ideals.
+and hypothesis ideals.  The pool ideals are also run without
+``--order``, against the identity order.
 """
 
 import contextlib
@@ -63,18 +64,20 @@ def frozenset_route(ordered, fmt):
     return "\n".join(lines) + "\n"
 
 
-def cli_output(path, ordered, fmt):
+def cli_output(path, ordered, fmt, flag):
+    """``complex``'s stdout under ``ordered``, passed as ``--order``, or
+    with no ``--order`` at all when ``flag`` is false."""
+    words = ["--order", ",".join(map(str, ordered.order))] if flag else []
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(["complex", "--format", fmt, "--order",
-                     ",".join(map(str, ordered.order)), str(path)])
+        code = main(["complex", "--format", fmt, *words, str(path)])
     assert code == 0
     return out.getvalue()
 
 
-def check_complex(path, ordered):
+def check_complex(path, ordered, flag=True):
     for fmt in ("json", "text"):
-        assert cli_output(path, ordered, fmt) == \
+        assert cli_output(path, ordered, fmt, flag) == \
             frozenset_route(ordered, fmt), (str(path), ordered.order, fmt)
 
 
@@ -112,6 +115,8 @@ def test_complex_matches_the_frozenset_route_on_the_pool(pool, stratum):
         assert ideal.mu == inputs[name]["mu"]
         for word in inputs[name]["orders"]:
             check_complex(path, parse_order(word, ideal))
+        # and the identity order the command takes without --order
+        check_complex(path, identity_order(ideal), flag=False)
 
 
 @settings(max_examples=40)

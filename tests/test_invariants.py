@@ -15,6 +15,7 @@ from math import factorial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lyubeznik import (
     AraBounds,
@@ -43,13 +44,16 @@ from lyubeznik import (
     parse_ideal,
     preserved_size,
     search_scan,
+    sweep_ideals,
     taylor_betti,
     total_obstruction,
 )
+from lyubeznik.invariants import _projdim
 from conftest import triangles_graph
 from reference_routes import (block_ranks, closure_length, exhaustive_scan,
                               facets_stable, unpacked_readout)
 from test_preserved_kernel import seeded_ideal
+from test_scan_kernel import exponent_rows, small_ideal
 
 KOSZUL2 = parse_ideal("vars x y\ngen x\ngen y")
 
@@ -333,6 +337,50 @@ def test_analyze_scans_once_and_matches_ara_bounds(monkeypatch, name):
     assert calls["search_scan"] == 1
     assert calls["taylor_betti"] <= 1
     assert report.ara == expected
+
+
+def test_one_call_computes_one_projective_dimension(monkeypatch):
+    # square_edges is not Lyubeznik, so min_l reads its floor, the
+    # projective dimension the caller already holds over GF(32003)
+    ideal = load_ideal("square_edges")
+    assert not search_scan(ideal).lyubeznik
+    fields = []
+    monkeypatch.setattr("lyubeznik.invariants.taylor_betti",
+                        lambda ideal, prime=None: fields.append(prime)
+                        or taylor_betti(ideal, prime=prime))
+    calls = {
+        "analyze": lambda: analyze(identity_order(ideal), search=True,
+                                   prime=32003),
+        "ara_bounds": lambda: ara_bounds(ideal, prime=32003),
+        "is_almost_lyubeznik": lambda: is_almost_lyubeznik(ideal,
+                                                           prime=32003)}
+    for name, call in calls.items():
+        _projdim.cache_clear()
+        fields.clear()
+        call()
+        assert fields == [32003], name
+
+
+def check_floors_agree(ideal):
+    """min_l and its witness are the same with the projective dimension
+    over Q, GF(2) and GF(32003) as the floor."""
+    readings = set()
+    for prime in (None, 2, 32003):
+        scan = search_scan(ideal)
+        scan._prime = prime
+        readings.add((scan.min_l, scan.min_l_witness))
+    assert len(readings) == 1, readings
+
+
+def test_min_l_is_the_same_over_every_field_on_the_sweep_corpus():
+    for _, ideal in sweep_ideals():
+        check_floors_agree(ideal)
+
+
+@settings(max_examples=40)
+@given(st.integers(2, 4).flatmap(exponent_rows))
+def test_min_l_is_the_same_over_every_field_on_random_ideals(rows):
+    check_floors_agree(small_ideal(rows, max_mu=7))
 
 
 def test_analyze_builds_the_complex_once(monkeypatch, capsys):
