@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
 
-from .monomials import Monomial, VariableContext
+from .monomials import Monomial, VariableContext, monomial_text
 
 QUOTIENT = "quotient"
 IDEAL = "ideal"
@@ -101,5 +101,6 @@ class BettiTable:
 
     def multigraded_rows(self) -> tuple[tuple[int, str, int], ...]:
         """(i, multidegree string, count) rows in entry order."""
-        return tuple((i, str(Monomial(self.context, exps)), c)
+        names = self.context.names
+        return tuple((i, monomial_text(names, exps), c)
                      for i, exps, c in self.entries)

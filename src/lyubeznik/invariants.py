@@ -15,8 +15,10 @@ the lexicographically least order achieving its value, as one
 by walks over prefix sets (``prefix``) when the question is first read,
 so that a caller pays only for what it reads.  The floor of its least
 length is the projective dimension of R/I over the caller's field, so
-that one call computes one.  Its checking route in the tests scans
-every order, a block of orders at a time.
+that one call computes one, and it is the oracle's walk down the
+Morse-reduced strands (``oracle._projective_dimension``), which builds
+no Betti table.  Its checking route in the tests scans every order, a
+block of orders at a time.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ import numpy as np
 from .betti import QUOTIENT, BettiTable
 from .complexes import order_analysis
 from .covers import cover_table
-from .monomials import MonomialIdeal, radical_ideal, support
-from .oracle import taylor_betti
+from .monomials import MonomialIdeal
+from .oracle import _projective_dimension
 from .orders import OrderedIdeal, identity_order
 from .prefix import PrefixWalk
 from .subsets import iter_bits, mask_of
@@ -87,11 +89,11 @@ def _preserved_betti(ordered: OrderedIdeal) -> BettiTable:
     """Preserved-set counts by size and lcm, for an order known minimal."""
     ideal = ordered.ideal
     analysis = order_analysis(ordered)
-    lcm_exps = analysis.tables.lcm_exps
-    zero = (0,) * len(ideal.context)
+    faces = analysis.faces
     counts: dict[tuple[int, tuple[int, ...]], int] = {}
-    for mask in analysis.faces:
-        key = (mask.bit_count(), lcm_exps[mask] if mask else zero)
+    # the empty face's lcm tuple is the zero tuple, the unit's degree
+    for mask, exps in zip(faces, analysis.tables.lcm_tuples(faces)):
+        key = (mask.bit_count(), exps)
         counts[key] = counts.get(key, 0) + 1
     return BettiTable.from_multigraded(QUOTIENT, ideal.context, counts)
 
@@ -184,7 +186,10 @@ class SearchResult:
       descends one length at a time from the identity order's while
       some order is shorter.  A Lyubeznik resolution is free over every
       field, so the floor may be the projective dimension over any: it
-      is taken over GF(``_prime``), or Q while ``_prime`` is None.
+      is taken over GF(``_prime``), or Q while ``_prime`` is None, from
+      the homology oracle's strands walked from the top level down
+      (``oracle._projective_dimension``, through ``_projdim``), which
+      ranks only what the counts leave open and builds no Betti table.
     """
 
     exact = True
@@ -339,7 +344,7 @@ def is_totally_lyubeznik(ideal: MonomialIdeal) -> bool:
 # bound and as the floor of an exhaustive search's least length
 @lru_cache(maxsize=1)
 def _projdim(ideal: MonomialIdeal, prime: int | None) -> int:
-    return taylor_betti(ideal, prime=prime).projective_dimension
+    return _projective_dimension(ideal, prime=prime)
 
 
 def is_almost_lyubeznik(ideal: MonomialIdeal, *,
@@ -357,14 +362,18 @@ def is_almost_lyubeznik(ideal: MonomialIdeal, *,
 def height(ideal: MonomialIdeal) -> int:
     """Height: smallest variable set meeting every generator's support.
 
-    Computed on the radical (the support hypergraph is the same) by
-    increasing-size exhaustive search.
+    The supports are bitmasks over the variables, read off the
+    generators as they are: the radical's generators have the minimal
+    ones among them, and a set meeting those meets the rest, so the
+    radical is not formed.  Searched by increasing size.
     """
-    supports = [support(m) for m in radical_ideal(ideal).gens]
-    universe = sorted(set().union(*supports))
+    supports = {sum(1 << v for v, e in enumerate(m.exponents) if e)
+                for m in ideal.gens}
+    universe = [1 << v for v in range(len(ideal.context))
+                if any(s >> v & 1 for s in supports)]
     for k in range(1, len(universe) + 1):
         for combo in combinations(universe, k):
-            chosen = set(combo)
+            chosen = sum(combo)
             if all(chosen & s for s in supports):
                 return k
     return len(universe)

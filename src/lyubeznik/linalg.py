@@ -30,7 +30,9 @@ _Vector = Union[Mapping[int, int], Sequence[int]]
 
 def _nonzeros(vec: _Vector, p: int) -> dict[int, int]:
     """A fresh {index: value} copy of the nonzero entries (mod p if p)."""
-    items = vec.items() if isinstance(vec, Mapping) else enumerate(vec)
+    # the oracle's columns are dicts: test for one before the ABC check
+    mapping = isinstance(vec, dict) or isinstance(vec, Mapping)
+    items = vec.items() if mapping else enumerate(vec)
     if p:
         return {i: x % p for i, x in items if x % p}
     return {i: x for i, x in items if x}

@@ -151,13 +151,7 @@ class Monomial:
                         tuple(a + b for a, b in zip(self.exponents, other.exponents)))
 
     def __str__(self) -> str:
-        parts = []
-        for name, e in zip(self.context.names, self.exponents):
-            if e == 1:
-                parts.append(name)
-            elif e > 1:
-                parts.append(f"{name}^{e}")
-        return "*".join(parts) if parts else "1"
+        return monomial_text(self.context.names, self.exponents)
 
     @property
     def degree(self) -> int:
@@ -171,6 +165,16 @@ class Monomial:
 
     def squarefree_part(self) -> "Monomial":
         return Monomial(self.context, tuple(min(e, 1) for e in self.exponents))
+
+
+def monomial_text(names: Sequence[str], exponents: Iterable[int]) -> str:
+    """The text of the monomial with these exponents of these variables,
+    ``x^2*y``, or ``1`` for the zero tuple; the exponents are taken as
+    they are, unchecked, so that tuples read off the subset tables are
+    written without building a ``Monomial``."""
+    parts = [name if e == 1 else f"{name}^{e}"
+             for name, e in zip(names, exponents) if e]
+    return "*".join(parts) if parts else "1"
 
 
 def _same_context(a: Monomial, b: Monomial) -> None:

@@ -22,15 +22,20 @@ build, so the consumers' numpy passes read them as they are; a public
 function that hands back one entry converts it to a Python int.  A
 set's possible courts are its divisor mask less its members.  The
 lcm ranks are kept with each variable's rank-to-exponent array, and
-become a list of exponent tuples of Python ints, exact up to
-``EXPONENT_LIMIT``, only when ``lcm_exps`` (or ``lcm_monomial``) is
-first read: the Betti counts from preserved sets (``invariants``) and
-the lcm classes of the oracle hash them as dict keys, and the
-benchmark's generator and tracer and CI's Euler-characteristic step
-read them as tuples, while the complex, the covers and the order
-searches never do.  The lattice passes other modules need are here
-too, one OR per bit each (``up_closure``, ``one_smaller`` and
-``one_larger``): no other module splits a mask array into halves.
+become exponent tuples of Python ints, exact up to ``EXPONENT_LIMIT``,
+only for the masks a caller names, by one gather of the ranks
+(``lcm_tuples``): the Betti counts from preserved sets (``invariants``)
+gather their faces' tuples and the oracle its lattice points', and hash
+them as dict keys.  ``lcm_exps``, the tuples of all 2^mu masks from the
+same gather, is built on its first read (or ``lcm_monomial``'s), and
+nothing in the library reads it: the benchmark's generator, tracer and
+output checks and CI's Euler-characteristic step do.  The complex, the
+covers and the order searches read no lcm tuples at all.  The lattice
+passes other modules need are here too, one OR per bit each
+(``up_closure``, ``one_smaller`` and ``one_larger``), and the split
+they make of a mask array into the masks without and with a bit
+(``bit_halves``), which the oracle's matchings read as well: no other
+module reshapes a mask array.
 
 Tables cost O(2^mu) memory, so construction refuses ideals with more
 than MAX_TABLE_GENERATORS generators, before it allocates anything.
@@ -94,14 +99,22 @@ def popcounts(mu: int) -> np.ndarray:
     return counts
 
 
+def bit_halves(values: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """(low, high): two views of an array over the 2^mu masks, its
+    entries at the masks without bit b and at the same masks with bit b,
+    in the same order and shape; writes through them write ``values``."""
+    halves = values.reshape(-1, 2, 1 << b)
+    return halves[:, 0], halves[:, 1]
+
+
 def up_closure(marked: np.ndarray) -> np.ndarray:
     """Mark, in place, every mask that has a marked subset, and return
     ``marked``: a bool array over the 2^mu masks, closed by one OR per
     bit (the zeta transform over the subset lattice)."""
     for b in range(len(marked).bit_length() - 1):
         # masks with bit b set take the mark of the mask without it
-        halves = marked.reshape(-1, 2, 1 << b)
-        halves[:, 1] |= halves[:, 0]
+        low, high = bit_halves(marked, b)
+        high |= low
     return marked
 
 
@@ -110,8 +123,8 @@ def one_smaller(values: np.ndarray) -> np.ndarray:
     the OR of ``values`` over m's one-smaller subsets, 0 for m = 0."""
     out = np.zeros_like(values)
     for b in range(len(values).bit_length() - 1):
-        halves = out.reshape(-1, 2, 1 << b)
-        halves[:, 1] |= values.reshape(-1, 2, 1 << b)[:, 0]
+        high = bit_halves(out, b)[1]
+        high |= bit_halves(values, b)[0]
     return out
 
 
@@ -120,8 +133,8 @@ def one_larger(values: np.ndarray) -> np.ndarray:
     the OR of ``values`` over m's one-larger supersets, 0 for the full m."""
     out = np.zeros_like(values)
     for b in range(len(values).bit_length() - 1):
-        halves = out.reshape(-1, 2, 1 << b)
-        halves[:, 0] |= values.reshape(-1, 2, 1 << b)[:, 1]
+        low = bit_halves(out, b)[0]
+        low |= bit_halves(values, b)[1]
     return out
 
 
@@ -157,7 +170,9 @@ class SubsetTables:
 
     The two mask tables are read-only int64 arrays of shape (2^mu,);
     ``lcm_exps`` is a list of tuples of Python ints, hashable as keys,
-    built from the int8 lcm ranks on its first read.
+    built from the int8 lcm ranks on its first read.  ``lcm_tuples``
+    gathers the tuples of the named masks only, from the same ranks,
+    which stay: the library reads the lcms that way.
     """
 
     __slots__ = ("ideal", "mu", "size", "_lcm", "_values", "_lcm_exps",
@@ -198,8 +213,8 @@ class SubsetTables:
         cov = np.zeros(self.size, np.int64)
         for b in range(mu):
             bit = 1 << b
-            halves = cov.reshape(-1, 2, bit)
-            halves[:, 1] |= div.reshape(-1, 2, bit)[:, 0] & bit
+            high = bit_halves(cov, b)[1]
+            high |= bit_halves(div, b)[0] & bit
 
         self._lcm = lcm
         self._values = values
@@ -210,13 +225,18 @@ class SubsetTables:
         for table in (lcm, div, cov):
             table.flags.writeable = False
 
+    def lcm_tuples(self, masks) -> list[tuple[int, ...]]:
+        """The exponent tuples of the lcms of ``masks`` (an int sequence
+        or array), by one gather of the lcm ranks; the empty mask's is
+        the zero tuple."""
+        exps = np.take_along_axis(self._values, self._lcm[:, masks], axis=1)
+        return list(zip(*exps.tolist()))
+
     @property
     def lcm_exps(self) -> list:
         if self._lcm_exps is None:
-            exps = np.take_along_axis(self._values, self._lcm[:, 1:], axis=1)
-            self._lcm_exps = [None, *zip(*exps.tolist())]
-            # the tuples hold the same values: keep one copy
-            self._lcm = self._values = None
+            self._lcm_exps = [None,
+                              *self.lcm_tuples(np.arange(1, self.size))]
         return self._lcm_exps
 
     def lcm_monomial(self, mask: int) -> Monomial:

@@ -1,7 +1,12 @@
 """Shared helpers for the test suite."""
 
+import json
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, settings
 
 from lyubeznik import MonomialIdeal, VariableContext, parse_ideal
@@ -10,6 +15,20 @@ settings.register_profile(
     "suite", deadline=None,
     suppress_health_check=[HealthCheck.too_slow])
 settings.load_profile("suite")
+
+
+GEN = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
+
+
+@pytest.fixture(scope="session")
+def pool(tmp_path_factory):
+    """The benchmark's seed-1 input pool, written by ``bench/gen.py``:
+    (its directory, its manifest's inputs by file name)."""
+    out = tmp_path_factory.mktemp("pool")
+    subprocess.run([sys.executable, str(GEN), "--seed", "1", "--out",
+                    str(out)], check=True, capture_output=True)
+    with open(out / "manifest.json", encoding="utf-8") as handle:
+        return out, json.load(handle)["inputs"]
 
 
 def ideal(text: str) -> MonomialIdeal:

@@ -36,6 +36,17 @@ monomials.
   grouped by lcm and then by size, and the Betti numbers from the
   homology of these whole Taylor strands, the route the Morse-reduced
   strands (``oracle._critical_strands``) replaced;
+* ``table_projective_dimension``: pd(R/I) read off the whole Betti
+  table of ``taylor_betti``, the route the top-down walk
+  (``oracle._projective_dimension``) replaced;
+* ``preserved_betti``: the preserved-set counts keyed by the lcm tuples
+  of ``lcm_exps``, which holds one tuple for every mask, the route the
+  gather over the faces only (``SubsetTables.lcm_tuples``) replaced;
+* ``height``: the fewest variables meeting every support, searched over
+  the supports of the re-minimised radical as sets, the route the
+  bitmask search (``invariants.height``) replaced;
+* ``monomial_text``: a monomial's text, built as ``Monomial.__str__``
+  built it before the tuple formatter (``monomials.monomial_text``);
 * ``cover_listing``: the masks that cover anything, sorted by a Python
   key (size, then member tuple) and filtered per generator, the route
   the numpy listing (``covers.cover_listing``) replaced;
@@ -53,15 +64,17 @@ monomials.
 """
 
 from dataclasses import dataclass
+from itertools import combinations
 from unittest import mock
 
 import numpy as np
 
 from lyubeznik import (is_stable_symbol, monomials, orders_for_search,
-                       symbol_of)
+                       symbol_of, taylor_betti)
 from lyubeznik.betti import QUOTIENT, BettiTable
+from lyubeznik.complexes import order_analysis
 from lyubeznik.covers import cover_table
-from lyubeznik.monomials import divides
+from lyubeznik.monomials import divides, radical_ideal, support
 from lyubeznik.oracle import _rank_function, _strand_homology
 from lyubeznik.subsets import indices_of, iter_bits, tables_for
 
@@ -308,6 +321,48 @@ def full_strand_betti(ideal, prime=None):
         for t, h in _strand_homology(by_size, rank).items():
             counts[(t, exps)] = h
     return BettiTable.from_multigraded(QUOTIENT, ideal.context, counts)
+
+
+def table_projective_dimension(ideal, prime=None):
+    """pd(R/I), the top index of the whole multigraded Betti table."""
+    return taylor_betti(ideal, prime=prime).projective_dimension
+
+
+def preserved_betti(ordered):
+    """Preserved-set counts by size and lcm, read off ``lcm_exps``."""
+    ideal = ordered.ideal
+    analysis = order_analysis(ordered)
+    lcm_exps = analysis.tables.lcm_exps
+    zero = (0,) * len(ideal.context)
+    counts = {}
+    for mask in analysis.faces:
+        key = (mask.bit_count(), lcm_exps[mask] if mask else zero)
+        counts[key] = counts.get(key, 0) + 1
+    return BettiTable.from_multigraded(QUOTIENT, ideal.context, counts)
+
+
+def height(ideal):
+    """The fewest variables meeting every support of the radical's
+    generators, by increasing-size search over sets of variables."""
+    supports = [support(m) for m in radical_ideal(ideal).gens]
+    universe = sorted(set().union(*supports))
+    for k in range(1, len(universe) + 1):
+        for combo in combinations(universe, k):
+            chosen = set(combo)
+            if all(chosen & s for s in supports):
+                return k
+    return len(universe)
+
+
+def monomial_text(names, exponents):
+    """``x^2*y`` text of an exponent tuple, ``1`` for the zero tuple."""
+    parts = []
+    for name, e in zip(names, exponents):
+        if e == 1:
+            parts.append(name)
+        elif e > 1:
+            parts.append(f"{name}^{e}")
+    return "*".join(parts) if parts else "1"
 
 
 def cover_listing(ideal):

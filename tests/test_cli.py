@@ -9,10 +9,10 @@ import sys
 
 import pytest
 
-from lyubeznik import (MonomialIdeal, OrderedIdeal, edge_ideal, parse_ideal,
-                       taylor_betti)
+from lyubeznik import MonomialIdeal, OrderedIdeal, edge_ideal, parse_ideal
 from lyubeznik.cli import build_parser, main
 from lyubeznik.invariants import _projdim
+from lyubeznik.oracle import _projective_dimension
 from lyubeznik.subsets import tables_for
 
 from conftest import triangles_graph
@@ -465,9 +465,9 @@ def test_analyze_search_refuses_before_the_oracle(capsys, tmp_path,
     # the refusal comes before the per-order report, whose squarefree
     # ara bound reads the homology oracle
     calls = []
-    monkeypatch.setattr("lyubeznik.invariants.taylor_betti",
+    monkeypatch.setattr("lyubeznik.invariants._projective_dimension",
                         lambda ideal, prime=None: calls.append(ideal)
-                        or taylor_betti(ideal, prime=prime))
+                        or _projective_dimension(ideal, prime=prime))
     _projdim.cache_clear()
     code, out, err = run_cli(capsys, "analyze", "--search", "exhaustive",
                              wide_ideal_path(tmp_path, 9))

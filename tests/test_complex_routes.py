@@ -17,8 +17,6 @@ import contextlib
 import io
 import json
 import os
-import subprocess
-import sys
 import tempfile
 from pathlib import Path
 
@@ -33,7 +31,6 @@ from lyubeznik.cli import main
 from test_cli_routes import ideal_file_text
 from test_scan_kernel import exponent_rows, small_ideal
 
-GEN = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
 POOL_STRATA = ("p10", "p11", "p12", "c14", "c16")
 
 
@@ -93,15 +90,6 @@ def test_complex_matches_the_frozenset_route_on_the_corpus(tmp_path):
         path.write_text(ideal_file_text(ideal), encoding="utf-8")
         for ordered in three_orders(ideal):
             check_complex(path, ordered)
-
-
-@pytest.fixture(scope="module")
-def pool(tmp_path_factory):
-    out = tmp_path_factory.mktemp("pool")
-    subprocess.run([sys.executable, str(GEN), "--seed", "1", "--out",
-                    str(out)], check=True, capture_output=True)
-    with open(out / "manifest.json", encoding="utf-8") as handle:
-        return out, json.load(handle)["inputs"]
 
 
 @pytest.mark.parametrize("stratum", POOL_STRATA)

@@ -49,6 +49,7 @@ from lyubeznik import (
     total_obstruction,
 )
 from lyubeznik.invariants import _projdim
+from lyubeznik.oracle import _projective_dimension
 from conftest import triangles_graph
 from reference_routes import (block_ranks, closure_length, exhaustive_scan,
                               facets_stable, unpacked_readout)
@@ -322,7 +323,7 @@ def test_report_is_frozen():
 def test_analyze_scans_once_and_matches_ara_bounds(monkeypatch, name):
     ideal = load_ideal(name)
     expected = ara_bounds(ideal)
-    calls = {"search_scan": 0, "taylor_betti": 0}
+    calls = {"search_scan": 0, "_projective_dimension": 0}
 
     def counted(fn):
         def wrapper(*args, **kwargs):
@@ -332,10 +333,11 @@ def test_analyze_scans_once_and_matches_ara_bounds(monkeypatch, name):
 
     import lyubeznik.invariants as inv
     monkeypatch.setattr(inv, "search_scan", counted(inv.search_scan))
-    monkeypatch.setattr(inv, "taylor_betti", counted(inv.taylor_betti))
+    monkeypatch.setattr(inv, "_projective_dimension",
+                        counted(inv._projective_dimension))
     report = analyze(identity_order(ideal), search=True)
     assert calls["search_scan"] == 1
-    assert calls["taylor_betti"] <= 1
+    assert calls["_projective_dimension"] <= 1
     assert report.ara == expected
 
 
@@ -345,9 +347,9 @@ def test_one_call_computes_one_projective_dimension(monkeypatch):
     ideal = load_ideal("square_edges")
     assert not search_scan(ideal).lyubeznik
     fields = []
-    monkeypatch.setattr("lyubeznik.invariants.taylor_betti",
+    monkeypatch.setattr("lyubeznik.invariants._projective_dimension",
                         lambda ideal, prime=None: fields.append(prime)
-                        or taylor_betti(ideal, prime=prime))
+                        or _projective_dimension(ideal, prime=prime))
     calls = {
         "analyze": lambda: analyze(identity_order(ideal), search=True,
                                    prime=32003),

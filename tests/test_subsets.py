@@ -97,13 +97,18 @@ def check_tables(ideal, masks=None):
         assert table.shape == (tables.size,)
     assert all(type(e) is tuple and all(type(a) is int for a in e)
                for e in tables.lcm_exps[1:])
+    checked, lcms = [0], [(0,) * len(ideal.context)]
     for mask, lcm, divisors, outside, covered in brute_tables(ideal, masks):
+        checked.append(mask)
+        lcms.append(lcm.exponents)
         assert tables.lcm_exps[mask] == lcm.exponents
         assert tables.divisor_mask[mask] == mask_of(divisors)
         # the members and the outside divisors, the possible courts
         assert int(tables.divisor_mask[mask]) & ~mask == mask_of(outside)
         assert tables.covered_mask[mask] == mask_of(covered)
         assert str(tables.lcm_monomial(mask)) == str(lcm)
+    # the one gather names the empty mask's lcm by the zero tuple
+    assert tables.lcm_tuples(checked) == lcms
 
 
 INLINE_IDEALS = {
@@ -161,12 +166,17 @@ def test_tables_at_sixteen_generators_match_on_sampled_masks():
 
 def test_tables_keep_the_lcms_as_int8_ranks_until_read():
     ideal = seeded_ideal(16, 1)
+    tables_for.cache_clear()
     tables = tables_for(ideal)
     assert tables._lcm.dtype == np.int8
     assert tables._lcm.shape == (len(ideal.context), 2 ** 16)
+    assert tables._lcm_exps is None
     assert tables.lcm_exps[-1] == ideal.lcm(ideal.indices()).exponents
-    # the tuples hold the lcms: the rank arrays are released
-    assert tables._lcm is None
+    # the tuples are one gather of the ranks, which the oracle and the
+    # preserved-set counts read gather by gather: the ranks stay
+    assert tables._lcm.dtype == np.int8
+    masks = [1, 12345, 2 ** 16 - 1]
+    assert tables.lcm_tuples(masks) == [tables.lcm_exps[m] for m in masks]
 
 
 def test_complex_never_builds_the_lcm_tuples(tmp_path, capsys):
