@@ -30,6 +30,11 @@ Below it, the order searches (``search``, ``analyze --search``, ``graph
 option of the command line only: the library's searches have no such
 bound.  ``complex`` reaches the library's one bound, that of the subset
 tables (``subsets.MAX_TABLE_GENERATORS``).
+
+``--field`` (``q`` or ``p:<prime>``) picks the field of the homology
+ranks, and only the commands that take ranks have it: ``analyze`` and
+``oracle-betti``.  ``verify`` takes none: it reads each multidegree's
+verdict off the cone of faces that every order gives (``oracle``).
 """
 
 from __future__ import annotations
@@ -53,7 +58,8 @@ from .graphs import check_graph_propositions, edge_ideal, read_graph
 from .invariants import analyze, is_minimal_resolution, search_scan
 from .jsontext import _covers_fragments, _json_text, _lists_fragment
 from .linalg import check_prime
-from .monomials import BoundExceededError, MonomialIdeal, ParseError, read_ideal
+from .monomials import (BoundExceededError, ExponentLimitError,
+                        MonomialIdeal, ParseError, read_ideal)
 from .oracle import (taylor_betti, verify_chain_complex,
                      verify_resolution_report)
 from .orders import identity_order, parse_order
@@ -284,7 +290,7 @@ def _cmd_oracle_betti(args, ideal, ordered):
 
 
 def _cmd_verify(args, ideal, ordered):
-    report = verify_resolution_report(ordered, prime=args.field)
+    report = verify_resolution_report(ordered)
     chain_ok = verify_chain_complex(ordered)
     resolves = chain_ok and all(ok for _, ok in report)
     payload = {"chain_complex": chain_ok,
@@ -421,8 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
         search=True)
     add("oracle-betti", "Betti numbers from Taylor-strand homology",
         field=True)
-    add("verify", "check the resolution homologically",
-        order=True, field=True)
+    add("verify", "check d^2 = 0 and, per multidegree, Lyubeznik's "
+                  "cone of faces", order=True)
     add("radical-gens", "polynomials generating the ideal up to radical",
         order=True)
     graph_p = add("graph", "edge-ideal tools for simple graphs",
@@ -475,7 +481,7 @@ def _run(args) -> int:
     except ParseError as exc:
         print(f"lyubeznik: parse error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, ExponentLimitError) as exc:
         print(f"lyubeznik: error: {exc}", file=sys.stderr)
         return 1
     if args.format == "json":

@@ -42,7 +42,7 @@ out of t has the rank dim_t less that sum.  The counts decide this
 alone when that rank is 0 or exceeds dim_{t-1}; only the other strands
 are ranked, and the walk stops at the first level with homology.
 
-The resolution checks work per multidegree as well.  A complex of free
+The resolution check works per multidegree as well.  A complex of free
 modules indexed by faces is exact in degree a iff the simplicial chain
 complex of the induced subcomplex on V_a has vanishing reduced homology
 in all degrees >= 0.  The faces are the order's preserved masks, read
@@ -50,11 +50,13 @@ as the bool array ``order_analysis(ordered).preserved``.  Let g be the
 member of V_a ranked first under the order.  If every face F ⊆ V_a has
 F △ {g} among the faces, the induced complex (downward closed) is a
 cone with apex g and is acyclic: F <-> F △ {g} pairs every face, the
-empty one included, with a +-1 coefficient.  On Lyubeznik faces the
-cone always holds, because g precedes everything else in V_a and every
-divisor of a lies in V_a, so adding g to a face inside V_a creates no
-court; that is Lyubeznik's own argument, and production runs no rank
-here.  Any other family falls back to ranks, the exact verdict.
+empty one included, with a +-1 coefficient.  On an order's faces the
+cone always holds; that is Lyubeznik's own argument.  Any D ⊆ F ∪ {g}
+that holds g has min(D) = g, and a court of D would divide lcm(D), so
+it would lie in V_a and precede g; none does, so F ∪ {g} is preserved.
+The cone is therefore the verdict, and the check takes no rank and no
+field.  A family that is not such a cone reads false: no order makes
+one, so that verdict would mean a wrong preserved table.
 
 A nonempty subset S lies in the class of lcm(S), which is named by its
 vertex set: every member of V_a divides a, so lcm(V_a) = a and distinct
@@ -72,13 +74,16 @@ The homology computations give these columns to ``linalg``; the
 d^2 = 0 check of the Lyubeznik complex composes them, face by face.
 
 The parenthetical sign convention throughout: deleting the j-th member
-(in increasing bit position, 1-based) contributes (-1)^(j+1).  For the
-d^2 = 0 check the faces are first relabelled into rank positions, so
-that the members count in increasing rank under the order.  Columns
-store only that sign; the monomial part of a boundary coefficient is
-lcm(face)/lcm(smaller face) and telescopes along two-step paths, so
-checking that the signs compose to zero checks the real composition
-too.
+(in increasing bit position, 1-based) contributes (-1)^(j+1).  The
+d^2 = 0 check reads the faces in these generator positions, not in
+rank positions: whether d . d vanishes does not depend on how the
+vertices are numbered, because under any numbering the two paths from
+a face F to F - {j, k} carry opposite signs, so the coefficient there
+is +-([F - j is a face] - [F - k is a face]) * [F - {j, k} is a face].
+Columns store only that sign; the monomial part of a boundary
+coefficient is lcm(face)/lcm(smaller face) and telescopes along
+two-step paths, so checking that the signs compose to zero checks the
+real composition too.
 
 Every function here reads the subset tables first, so it answers up to
 their bound and refuses above it, where ``tables_for`` does.
@@ -301,26 +306,10 @@ def _composes_to_zero(masks: list[int]) -> bool:
 def verify_chain_complex(ordered: OrderedIdeal) -> bool:
     """Check d_{t-1} . d_t = 0 across the Lyubeznik complex.
 
-    Each face is relabelled into rank positions (bit k is the generator
-    at rank k), so the deletion signs count members in increasing rank.
+    The faces are the order's preserved masks as they stand, bit k - 1
+    for generator k; the verdict does not depend on that numbering.
     """
-    faces = np.flatnonzero(order_analysis(ordered).preserved)
-    ranked = np.zeros_like(faces)
-    for rank, g in enumerate(ordered.order):
-        ranked |= ((faces >> (g - 1)) & 1) << rank
-    return _composes_to_zero(ranked.tolist())
-
-
-def _acyclic(face_masks: list[int], rank) -> bool:
-    """Vanishing reduced homology in degrees >= 0 for a face-mask family.
-
-    Level s=0 is the empty face; homology there is H~_{-1} shifted, and
-    it vanishes exactly when the complex has a vertex.
-    """
-    by_size: dict[int, list[int]] = {}
-    for m in face_masks:
-        by_size.setdefault(m.bit_count(), []).append(m)
-    return not _strand_homology(by_size, rank)
+    return _composes_to_zero(order_analysis(ordered).faces)
 
 
 def _cones(preserved: np.ndarray, vertex_sets: np.ndarray,
@@ -340,44 +329,30 @@ def _cones(preserved: np.ndarray, vertex_sets: np.ndarray,
     return cones
 
 
-def _acyclic_verdicts(preserved: np.ndarray, vertex_sets: np.ndarray,
-                      apexes: np.ndarray, rank) -> list[bool]:
-    """Acyclicity of the faces inside each vertex set.
-
-    The faces, marked by ``preserved``, must be downward closed, as an
-    order's are; then a cone over the set's apex is acyclic, and any
-    other family is decided by ``_acyclic``'s ranks.
-    """
-    verdicts = _cones(preserved, vertex_sets, apexes).tolist()
-    for k, cone in enumerate(verdicts):
-        if not cone:
-            faces = np.flatnonzero(preserved)
-            inside = faces[faces & ~vertex_sets[k] == 0]
-            verdicts[k] = _acyclic(inside.tolist(), rank)
-    return verdicts
-
-
-def verify_resolution(ordered: OrderedIdeal, *,
-                      prime: int | None = None) -> bool:
+def verify_resolution(ordered: OrderedIdeal) -> bool:
     """True iff the Lyubeznik complex resolves R/I.
 
     Exactness in every multidegree of the lcm-lattice.
     """
-    return all(ok for _, ok in verify_resolution_report(ordered, prime=prime))
+    return all(ok for _, ok in verify_resolution_report(ordered))
 
 
-def verify_resolution_report(ordered: OrderedIdeal, *,
-                             prime: int | None = None
+def verify_resolution_report(ordered: OrderedIdeal
                              ) -> tuple[tuple[Monomial, bool], ...]:
-    """Per-multidegree acyclicity verdicts, sorted by (degree, exponents)."""
+    """Per-multidegree exactness verdicts, sorted by (degree, exponents).
+
+    The verdict at a is whether the faces inside V_a form a cone over
+    its member ranked first, which makes them acyclic; every order's
+    faces do, so a false verdict marks a wrong preserved table.
+    """
     ideal = ordered.ideal
     classes = _lcm_classes(ideal)
     analysis = order_analysis(ordered)
     # each vertex set's apex: its member ranked first, by its least rank
     word = np.array(ordered.order)
     apexes = 1 << (word[analysis.least[classes.vertex_sets]] - 1)
-    verdicts = _acyclic_verdicts(analysis.preserved, classes.vertex_sets,
-                                 apexes, _rank_function(prime))
+    verdicts = _cones(analysis.preserved, classes.vertex_sets,
+                      apexes).tolist()
     report = sorted(zip(classes.exponents, verdicts),
                     key=lambda e: (sum(e[0]), e[0]))
     return tuple((Monomial(ideal.context, exps), ok) for exps, ok in report)

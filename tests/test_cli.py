@@ -12,6 +12,7 @@ import pytest
 from lyubeznik import MonomialIdeal, OrderedIdeal, edge_ideal, parse_ideal
 from lyubeznik.cli import build_parser, main
 from lyubeznik.invariants import _projdim
+from lyubeznik.monomials import EXPONENT_LIMIT
 from lyubeznik.oracle import _projective_dimension
 from lyubeznik.subsets import tables_for
 
@@ -139,13 +140,16 @@ def test_oracle_betti_and_verify(capsys, koszul_path):
 
 
 def test_verify_with_prime_field(capsys, koszul_path):
-    code, out, _ = run_cli(capsys, "verify", "--field", "p:2", koszul_path)
-    assert code == 0 and "resolves the quotient: yes" in out
-    code, out, err = run_cli(capsys, "verify", "--field", "p:6", koszul_path)
-    assert code == 1 and "not a prime" in err
+    # verify takes no rank, so it has no field to choose: --field is an
+    # unknown argument there, refused as bad input before any work
+    for spec in ("q", "p:2", "p:6"):
+        code, out, err = run_cli(capsys, "verify", "--field", spec,
+                                 koszul_path)
+        assert code == 1 and out == ""
+        assert "unrecognized arguments" in err and "--field" in err
 
 
-@pytest.mark.parametrize("command", ["analyze", "oracle-betti", "verify"])
+@pytest.mark.parametrize("command", ["analyze", "oracle-betti"])
 @pytest.mark.parametrize("spec, fragment", [
     ("p:4", "4 is not a prime"),
     ("p:1", "1 is not a prime"),
@@ -277,6 +281,19 @@ def test_parse_error_is_exit_one(capsys, tmp_path):
     code, _, err = run_cli(capsys, "analyze", str(path))
     assert code == 1
     assert "parse error" in err
+
+
+@pytest.mark.parametrize("gen", ["x^99999999999999999999",
+                                 f"x^{EXPONENT_LIMIT}*x"])
+def test_exponent_past_the_limit_is_exit_one(capsys, tmp_path, gen):
+    # the reader's ExponentLimitError is an OverflowError, not a
+    # ValueError; it is still one line of bad input, not a traceback
+    path = tmp_path / "huge.ideal"
+    path.write_text(f"vars x y\ngen {gen}\ngen y\n")
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert (code, out) == (1, "")
+    assert err == ("lyubeznik: error: exponent of 'x' exceeds "
+                   f"{EXPONENT_LIMIT} (line 2)\n")
 
 
 def test_bad_order_is_exit_one(capsys, mixed_path):

@@ -1,13 +1,17 @@
-"""Golden outputs: every subcommand's JSON on every corpus ideal and graph.
+"""Golden outputs: every subcommand's JSON and text on every corpus ideal
+and graph.
 
 Each case runs ``lyubeznik.cli.main`` with ``--format json`` and compares
-the exit code and the sha256 of stdout with ``data/cli_digests.json``.
+the exit code and the sha256 of stdout with ``data/cli_digests.json``;
+the same case run with ``--format text`` is compared with
+``data/cli_text_digests.json``.
 Every searching case is run a second time with ``--jobs 2``, which must
 print the same bytes.
 The digests pin output bytes, so a refactor that keeps behaviour leaves
 them untouched.  The cached tables that runs on one ideal share are
-read-only, so that no run can change what the next one reads.  After an intended change of output, rewrite the file
-with ``PYTHONPATH=src python tests/test_cli_digests.py`` and review the
+read-only, so that no run can change what the next one reads.  After
+an intended change of output, rewrite both files with
+``PYTHONPATH=src python tests/test_cli_digests.py`` and review the
 diff.
 """
 
@@ -28,6 +32,7 @@ from lyubeznik.corpus import _data_dir, graph_names, ideal_names
 from lyubeznik.subsets import tables_for
 
 DIGESTS = Path(__file__).parent / "data" / "cli_digests.json"
+TEXT_DIGESTS = Path(__file__).parent / "data" / "cli_text_digests.json"
 
 IDEAL_COMMANDS = (
     ("covers",),
@@ -54,13 +59,14 @@ def cases() -> list[tuple[str, tuple[str, ...], str]]:
     return out
 
 
-def run_case(words: tuple[str, ...], filename: str) -> str:
-    """'<exit code> <sha256 of stdout>' of one JSON run."""
+def run_case(words: tuple[str, ...], filename: str,
+             fmt: str = "json") -> str:
+    """'<exit code> <sha256 of stdout>' of one run in format ``fmt``."""
     path = str(_data_dir() / filename)
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout), warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        code = main([words[0], "--format", "json", *words[1:], path])
+        code = main([words[0], "--format", fmt, *words[1:], path])
     digest = hashlib.sha256(stdout.getvalue().encode()).hexdigest()
     return f"{code} {digest}"
 
@@ -70,14 +76,28 @@ def recorded():
     return json.loads(DIGESTS.read_text())
 
 
-def test_every_case_is_recorded(recorded):
-    assert sorted(recorded) == sorted(key for key, _, _ in cases())
+@pytest.fixture(scope="module")
+def recorded_text():
+    return json.loads(TEXT_DIGESTS.read_text())
+
+
+def test_every_case_is_recorded(recorded, recorded_text):
+    keys = sorted(key for key, _, _ in cases())
+    assert sorted(recorded) == keys
+    assert sorted(recorded_text) == keys
 
 
 @pytest.mark.parametrize("key,words,filename", cases(),
                          ids=[key for key, _, _ in cases()])
 def test_json_output_matches_recorded_digest(recorded, key, words, filename):
     assert run_case(words, filename) == recorded[key]
+
+
+@pytest.mark.parametrize("key,words,filename", cases(),
+                         ids=[key for key, _, _ in cases()])
+def test_text_output_matches_recorded_digest(recorded_text, key, words,
+                                             filename):
+    assert run_case(words, filename, "text") == recorded_text[key]
 
 
 SEARCHING = [(key, words, filename) for key, words, filename in cases()
@@ -114,7 +134,9 @@ def test_shared_tables_are_read_only(recorded):
 
 
 if __name__ == "__main__":
-    table = {key: run_case(words, filename) for key, words, filename in cases()}
-    DIGESTS.parent.mkdir(exist_ok=True)
-    DIGESTS.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(table)} digests to {DIGESTS}", file=sys.stderr)
+    for fmt, target in (("json", DIGESTS), ("text", TEXT_DIGESTS)):
+        table = {key: run_case(words, filename, fmt)
+                 for key, words, filename in cases()}
+        target.parent.mkdir(exist_ok=True)
+        target.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
+        print(f"wrote {len(table)} digests to {target}", file=sys.stderr)

@@ -8,11 +8,12 @@ six-variable ideals at mu 14, above the oracle's default bound.  Each
 critical family lies inside its strand and keeps the strand's Euler
 characteristic.
 
-``verify_resolution_report`` certifies a vertex set's faces acyclic
-when they form a cone over the set's first-ranked member, and ranks
-them otherwise.  On Lyubeznik faces the certificate always holds, so no
-rank is taken; on other families the ranks must give the dense route's
-verdict, and on random simplicial complexes a cone must be acyclic.
+``verify_resolution_report`` reads a vertex set's verdict off one
+certificate: the faces inside it form a cone over the set's
+first-ranked member.  On every order's faces the certificate holds; the
+hand-built families that are not such cones read false, whatever their
+homology; and on random simplicial complexes a cone must be acyclic by
+the dense route.
 """
 
 import random
@@ -21,11 +22,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import lyubeznik.oracle as oracle
 from lyubeznik import (all_orders, sweep_ideals, taylor_betti,
                        verify_resolution_report)
-from lyubeznik.oracle import (_acyclic_verdicts, _cones, _critical_strands,
-                              _rank_function)
+from lyubeznik.oracle import _cones, _critical_strands
 from lyubeznik.subsets import tables_for
 
 from conftest import exponent_ideal
@@ -109,15 +108,11 @@ def test_betti_table_keeps_the_taylor_euler_characteristic_at_mu_14():
     assert betti_euler(table) == taylor_euler(ideal)
 
 
-def refuse_ranks(*args):
-    raise AssertionError("a vertex set reached the rank fallback")
-
-
-def test_lyubeznik_faces_never_reach_the_rank_fallback(monkeypatch):
-    monkeypatch.setattr(oracle, "_acyclic", refuse_ranks)
+def test_every_sweep_orders_certificate_holds():
     for name, ideal in sweep_ideals():
         for ordered in all_orders(ideal):
-            assert all(ok for _, ok in verify_resolution_report(ordered)), \
+            report = verify_resolution_report(ordered)
+            assert report and all(ok for _, ok in report), \
                 (name, ordered.order)
 
 
@@ -154,28 +149,19 @@ HAND_BUILT = [
 
 
 @pytest.mark.parametrize("family,vset,apex,acyclic", HAND_BUILT)
-def test_non_cones_reach_the_rank_fallback(monkeypatch, family, vset, apex,
-                                           acyclic):
-    calls = []
-    ranked = oracle._acyclic
-    monkeypatch.setattr(oracle, "_acyclic",
-                        lambda *args: calls.append(args) or ranked(*args))
+def test_hand_built_non_cones_read_false(family, vset, apex, acyclic):
+    # the certificate is sufficient, not necessary: the contractible path
+    # reads false as well, and no order's faces are such a family
     vertex_sets, apexes = np.array([vset]), np.array([apex])
     assert not _cones(marked(family, 3), vertex_sets, apexes)[0]
-    verdicts = _acyclic_verdicts(marked(family, 3), vertex_sets, apexes,
-                                 _rank_function(None))
-    assert len(calls) == 1
-    # the fallback ranks the faces inside the vertex set, ascending
-    assert calls[0][0] == sorted(m for m in family if m & vset == m)
-    assert verdicts == [acyclic] == [dense_acyclic(family, vset)]
+    assert dense_acyclic(family, vset) == acyclic
 
 
-def test_a_cone_takes_no_rank(monkeypatch):
+def test_a_cone_reads_true():
     # the path 1-2-3 is a cone over its middle vertex
-    monkeypatch.setattr(oracle, "_acyclic", refuse_ranks)
     path = masks((), (1,), (2,), (3,), (1, 2), (2, 3))
-    assert _acyclic_verdicts(marked(path, 3), np.array([0b111]),
-                             np.array([0b010]), _rank_function(None)) == [True]
+    assert _cones(marked(path, 3), np.array([0b111]),
+                  np.array([0b010])).tolist() == [True]
 
 
 @st.composite
@@ -201,8 +187,9 @@ def complexes_with_vertex_sets(draw):
 def test_a_cone_is_acyclic_on_random_complexes(case):
     n, family, vset, apex = case
     vertex_sets, apexes = np.array([vset]), np.array([apex])
-    acyclic = dense_acyclic(family, vset)
-    if _cones(marked(family, n), vertex_sets, apexes)[0]:
-        assert acyclic
-    assert _acyclic_verdicts(marked(family, n), vertex_sets, apexes,
-                             _rank_function(None)) == [acyclic]
+    cone = _cones(marked(family, n), vertex_sets, apexes)[0]
+    # the up-closure route against the definition, face by face
+    inside = [m for m in family if m & vset == m]
+    assert cone == all(m ^ apex in family for m in inside)
+    if cone:
+        assert dense_acyclic(family, vset)
