@@ -20,13 +20,12 @@ from .invariants import (AraBounds, EquivalenceAudit, InvariantReport,
                          equivalence_audit, height, is_almost_lyubeznik,
                          is_lyubeznik, is_minimal_resolution,
                          is_totally_lyubeznik, l_length, min_l_length,
-                         obstruction, preserved_size, search_scan,
-                         total_obstruction)
+                         obstruction, preserved_size, search_scan)
 from .monomials import (BoundExceededError, MinimizationWarning, Monomial,
                         MonomialIdeal, ParseError, VariableContext, divides,
                         lcm_of, minimize_generators, parse_ideal,
                         radical_ideal, read_ideal, support, total_degree)
-from .oracle import (taylor_betti, verify_chain_complex, verify_resolution,
+from .oracle import (taylor_betti, verify_chain_complex,
                      verify_resolution_report)
 from .orders import (OrderedIdeal, all_orders, identity_order,
                      orders_for_search, parse_order)
@@ -54,6 +53,5 @@ __all__ = [
     "parse_ideal", "parse_order", "preserved_size", "radical_generators",
     "radical_ideal", "read_graph", "read_ideal", "search_scan", "support",
     "sweep_ideals", "symbol_of", "taylor_betti", "total_degree",
-    "total_obstruction", "verify_chain_complex", "verify_resolution",
-    "verify_resolution_report",
+    "verify_chain_complex", "verify_resolution_report",
 ]

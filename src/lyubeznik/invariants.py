@@ -13,18 +13,20 @@ almost / totally Lyubeznik verdicts over all mu! orders, each witness
 the lexicographically least order achieving its value, as one
 ``SearchResult``.  It never lists the orders: it answers each question
 by walks over prefix sets (``prefix``) when the question is first read,
-so that a caller pays only for what it reads.  The floor of its least
-length is the projective dimension of R/I over the caller's field, so
-that one call computes one, and it is the oracle's walk down the
-Morse-reduced strands (``oracle._projective_dimension``), which builds
-no Betti table.  Its checking route in the tests scans every order, a
-block of orders at a time.
+so that a caller pays only for what it reads.  A search is built with
+its field, ``search_scan(ideal, prime=...)``, and holds the projective
+dimension of R/I over it as ``projdim``: the floor of its least length
+and what ``almost_lyubeznik`` compares with, so that a call that reads
+one search computes one projective dimension.  It is the oracle's walk
+down the Morse-reduced strands (``oracle._projective_dimension``),
+which builds no Betti table.  Its checking route in the tests scans
+every order, a block of orders at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import combinations
 from math import factorial
 
@@ -186,19 +188,22 @@ class SearchResult:
       descends one length at a time from the identity order's while
       some order is shorter.  A Lyubeznik resolution is free over every
       field, so the floor may be the projective dimension over any: it
-      is taken over GF(``_prime``), or Q while ``_prime`` is None, from
-      the homology oracle's strands walked from the top level down
-      (``oracle._projective_dimension``, through ``_projdim``), which
-      ranks only what the counts leave open and builds no Betti table.
+      is ``projdim``, taken over the field the search was built with;
+    * ``projdim`` is the projective dimension of R/I over GF(prime), or
+      Q when the prime is None, from the homology oracle's strands
+      walked from the top level down (``oracle._projective_dimension``),
+      which ranks only what the counts leave open and builds no Betti
+      table.  ``almost_lyubeznik`` compares ``min_l`` with it.
     """
 
     exact = True
     stopped_early = False
-    _prime: int | None = None
 
-    def __init__(self, ideal: MonomialIdeal, clutter: tuple[int, ...]) -> None:
+    def __init__(self, ideal: MonomialIdeal, clutter: tuple[int, ...],
+                 prime: int | None) -> None:
         self.ideal = ideal
         self._clutter = clutter
+        self._field = prime
         self._short: dict[int, tuple[int, ...] | None] = {}
 
     @cached_property
@@ -233,10 +238,14 @@ class SearchResult:
         """Every order gives a minimal resolution."""
         return self.nonminimal_witness is None
 
-    def almost_lyubeznik(self, projdim: int) -> bool:
-        """The least resolution length meets ``projdim``, the projective
-        dimension of R/I."""
-        return self.min_l == projdim
+    @cached_property
+    def projdim(self) -> int:
+        return _projective_dimension(self.ideal, prime=self._field)
+
+    @property
+    def almost_lyubeznik(self) -> bool:
+        """The least resolution length meets the projective dimension."""
+        return self.min_l == self.projdim
 
     @cached_property
     def _tobsl(self) -> tuple[int, tuple[int, ...]]:
@@ -272,7 +281,7 @@ class SearchResult:
     def min_l(self) -> int:
         if self._minimal is not None:
             return l_length(OrderedIdeal(self.ideal, self._minimal))
-        floor = _projdim(self.ideal, self._prime)
+        floor = self.projdim
         if self._at_most(floor) is not None:
             return floor
         best = l_length(identity_order(self.ideal))
@@ -285,8 +294,12 @@ class SearchResult:
         return self._at_most(self.min_l)
 
 
-def search_scan(ideal: MonomialIdeal) -> SearchResult:
+def search_scan(ideal: MonomialIdeal, *,
+                prime: int | None = None) -> SearchResult:
     """The aggregates of all mu! orders, each computed when first read.
+
+    ``prime`` names the field of the search's ``projdim``: GF(prime),
+    or Q when it is None.
 
     Answers up to the subset tables' bound, mu <= 16, and refuses above
     it with ``BoundExceededError`` before any table is built.  The
@@ -295,14 +308,7 @@ def search_scan(ideal: MonomialIdeal) -> SearchResult:
     it tries: at mu 13-16 that can take minutes and gigabytes (at mu 14
     one such read has taken 92 s and 5.8 GiB).
     """
-    return SearchResult(ideal, cover_table(ideal).clutter)
-
-
-def total_obstruction(ideal: MonomialIdeal) -> tuple[int, OrderedIdeal]:
-    """Minimum obstruction over all orders, with its lexicographically
-    least witness."""
-    scan = search_scan(ideal)
-    return scan.tobsl, OrderedIdeal(ideal, scan.tobsl_witness)
+    return SearchResult(ideal, cover_table(ideal).clutter, prime)
 
 
 def min_l_length(ideal: MonomialIdeal) -> tuple[int, OrderedIdeal]:
@@ -340,19 +346,10 @@ def is_totally_lyubeznik(ideal: MonomialIdeal) -> bool:
     return search_scan(ideal).totally_lyubeznik
 
 
-# one entry: a call reads one ideal's projective dimension, both as a
-# bound and as the floor of an exhaustive search's least length
-@lru_cache(maxsize=1)
-def _projdim(ideal: MonomialIdeal, prime: int | None) -> int:
-    return _projective_dimension(ideal, prime=prime)
-
-
 def is_almost_lyubeznik(ideal: MonomialIdeal, *,
                         prime: int | None = None) -> bool:
     """Whether the best resolution length meets the projective dimension."""
-    scan = search_scan(ideal)
-    scan._prime = prime
-    return scan.almost_lyubeznik(_projdim(ideal, prime))
+    return search_scan(ideal, prime=prime).almost_lyubeznik
 
 
 # ---------------------------------------------------------------------------
@@ -391,27 +388,20 @@ class AraBounds:
         return iter((self.lower, self.upper))
 
 
-def _ara(ideal: MonomialIdeal, lower: int, best: int) -> AraBounds:
-    """Ara bounds from a lower bound and the least resolution length
-    found; the upper bound is min(best, number of generators)."""
-    upper = min(best, ideal.mu)
-    return AraBounds(lower, upper, lower == upper)
-
-
 def ara_bounds(ideal: MonomialIdeal, *,
                prime: int | None = None) -> AraBounds:
     """Lower and upper bounds on the arithmetical rank.
 
-    The upper bound is min(best resolution length, number of
-    generators).  The lower bound is the projective dimension of R/I
-    for squarefree ideals (where it equals the cohomological
-    dimension), and the height otherwise.  ``equality`` flags bounds
-    that pin the value exactly.
+    The upper bound is the least resolution length over all orders (no
+    face has more members than the generators, so it never exceeds
+    their number).  The lower bound is the search's projective
+    dimension of R/I for squarefree ideals (where it equals the
+    cohomological dimension), and the height otherwise.  ``equality``
+    flags bounds that pin the value exactly.
     """
-    lower = _projdim(ideal, prime) if ideal.is_squarefree() else height(ideal)
-    scan = search_scan(ideal)
-    scan._prime = prime
-    return _ara(ideal, lower, scan.min_l)
+    scan = search_scan(ideal, prime=prime)
+    lower = scan.projdim if ideal.is_squarefree() else height(ideal)
+    return AraBounds(lower, scan.min_l, lower == scan.min_l)
 
 
 # ---------------------------------------------------------------------------
@@ -442,8 +432,9 @@ def analyze(ordered: OrderedIdeal, *, search: bool = False,
     Without the search, the arithmetical-rank upper bound falls back to
     this order's resolution length (still valid, possibly loose), and
     the classification flags stay ``None``.  With it, the bounds equal
-    ``ara_bounds``, read off the same single search that decides the
-    classification flags.
+    ``ara_bounds``: the upper bound is the least length, read off the
+    same single search that decides the classification flags, and a
+    squarefree ideal's lower bound is that search's ``projdim``.
     """
     ideal = ordered.ideal
     obs = obstruction(ordered)
@@ -452,23 +443,22 @@ def analyze(ordered: OrderedIdeal, *, search: bool = False,
     betti = _preserved_betti(ordered) if minimal else None
     ht = height(ideal)
 
-    # one search and at most one homology computation per call
+    # one search and at most one projective dimension per call
     squarefree = ideal.is_squarefree()
-    projdim = _projdim(ideal, prime) if squarefree else None
-    best = length
     lyub = almost = totally = None
     if search:
-        scan = search_scan(ideal)
-        scan._prime = prime
-        lyub, totally = scan.lyubeznik, scan.totally_lyubeznik
-        if projdim is None:
-            projdim = _projdim(ideal, prime)
-        almost = scan.almost_lyubeznik(projdim)
-        best = scan.min_l
+        scan = search_scan(ideal, prime=prime)
+        lyub, almost, totally = (scan.lyubeznik, scan.almost_lyubeznik,
+                                 scan.totally_lyubeznik)
+        best, projdim = scan.min_l, scan.projdim
+    else:
+        best = length
+        projdim = (_projective_dimension(ideal, prime=prime) if squarefree
+                   else None)
+    lower = projdim if squarefree else ht
     return InvariantReport(order=ordered.order, minimal=minimal,
                            obstruction=obs, l_length=length, ps=length,
                            betti=betti, height=ht,
-                           ara=_ara(ideal, projdim if squarefree else ht,
-                                    best),
+                           ara=AraBounds(lower, best, lower == best),
                            lyubeznik=lyub, almost_lyubeznik=almost,
                            totally_lyubeznik=totally)

@@ -31,9 +31,9 @@ critical sets is its homology without entering the rank path.  The
 strands do not depend on the field and are cached per ideal, so the
 tables over each field and the projective dimension share them.
 
-The projective dimension, which ``analyze``, ``ara_bounds``,
-``is_almost_lyubeznik`` and the floor of a search's least length read,
-is the top level with homology in any strand, and no Betti table is
+The projective dimension, which a search holds as ``projdim`` (the
+floor of its least length) and ``analyze`` reads for its ara bound, is
+the top level with homology in any strand, and no Betti table is
 built for it (``_projective_dimension``).  The levels are walked from
 the top down.  While every strand is exact above level t, the rank of
 the differential into level t is the alternating sum of the dimensions
@@ -42,48 +42,53 @@ out of t has the rank dim_t less that sum.  The counts decide this
 alone when that rank is 0 or exceeds dim_{t-1}; only the other strands
 are ranked, and the walk stops at the first level with homology.
 
-The resolution check works per multidegree as well.  A complex of free
-modules indexed by faces is exact in degree a iff the simplicial chain
-complex of the induced subcomplex on V_a has vanishing reduced homology
-in all degrees >= 0.  The faces are the order's preserved masks, read
-as the bool array ``order_analysis(ordered).preserved``.  Let g be the
-member of V_a ranked first under the order.  If every face F ⊆ V_a has
-F △ {g} among the faces, the induced complex (downward closed) is a
-cone with apex g and is acyclic: F <-> F △ {g} pairs every face, the
-empty one included, with a +-1 coefficient.  On an order's faces the
-cone always holds; that is Lyubeznik's own argument.  Any D ⊆ F ∪ {g}
-that holds g has min(D) = g, and a court of D would divide lcm(D), so
-it would lie in V_a and precede g; none does, so F ∪ {g} is preserved.
-The cone is therefore the verdict, and the check takes no rank and no
-field.  A family that is not such a cone reads false: no order makes
-one, so that verdict would mean a wrong preserved table.
+The resolution check reads two certificates off the order's preserved
+masks, the bool array ``order_analysis(ordered).preserved``, and takes
+no rank and no field.  Both are Lyubeznik's own arguments, and neither
+depends on how the generators are numbered.
+
+d^2 = 0 (``verify_chain_complex``) is read from closure under subsets.
+If every one-smaller subset of a face is a face, every deletion in a
+face's Taylor boundary lands in the family, so the faces span a
+subcomplex of the Taylor resolution and inherit its d^2 = 0.  An
+order's faces are closed by definition (a set is preserved when none of
+its subsets is broken), so the check is one ``subsets.one_smaller``
+pass: no face may have a one-smaller subset outside the family.  A
+family that is not closed reads false even where its restricted
+differential squares to zero, as on {}, {1,2}, whose two levels are not
+adjacent: the certificate is the stronger statement.  No order makes
+such a family, so that verdict would mean a wrong preserved table.
+
+Exactness (``verify_resolution_report``) works per multidegree.  A
+complex of free modules indexed by faces is exact in degree a iff the
+simplicial chain complex of the induced subcomplex on V_a has vanishing
+reduced homology in all degrees >= 0.  Let g be the member of V_a
+ranked first under the order.  If every face F ⊆ V_a has F △ {g} among
+the faces, the induced complex (downward closed) is a cone with apex g
+and is acyclic: F <-> F △ {g} pairs every face, the empty one included,
+with a +-1 coefficient.  On an order's faces the cone always holds.
+Any D ⊆ F ∪ {g} that holds g has min(D) = g, and a court of D would
+divide lcm(D), so it would lie in V_a and precede g; none does, so
+F ∪ {g} is preserved.  The cone is therefore the verdict.  A family
+that is not such a cone reads false: no order makes one, so that
+verdict would mean a wrong preserved table.
 
 A nonempty subset S lies in the class of lcm(S), which is named by its
 vertex set: every member of V_a divides a, so lcm(V_a) = a and distinct
 multidegrees have distinct vertex sets.  Both the Betti numbers and the
-resolution check read this one grouping of the masks (``_lcm_classes``).
+exactness check read this one grouping of the masks (``_lcm_classes``).
 It names each lattice point by the exponent tuple of its vertex set
 alone, gathered from the subset tables' lcm ranks in one pass
 (``SubsetTables.lcm_tuples``): the oracle never builds the tuples of
 all 2^mu masks (``lcm_exps``).
 
-Every differential is handed around as sparse columns: each face, a
-bitmask, becomes a map {smaller face: +-1} over the deletions that stay
-in the family (``_boundary_columns``), so no dense matrix is built.
-The homology computations give these columns to ``linalg``; the
-d^2 = 0 check of the Lyubeznik complex composes them, face by face.
-
-The parenthetical sign convention throughout: deleting the j-th member
-(in increasing bit position, 1-based) contributes (-1)^(j+1).  The
-d^2 = 0 check reads the faces in these generator positions, not in
-rank positions: whether d . d vanishes does not depend on how the
-vertices are numbered, because under any numbering the two paths from
-a face F to F - {j, k} carry opposite signs, so the coefficient there
-is +-([F - j is a face] - [F - k is a face]) * [F - {j, k} is a face].
-Columns store only that sign; the monomial part of a boundary
-coefficient is lcm(face)/lcm(smaller face) and telescopes along
-two-step paths, so checking that the signs compose to zero checks the
-real composition too.
+Every differential the homology computations rank is handed to
+``linalg`` as sparse columns: each face, a bitmask, becomes a map
+{smaller face: +-1} over the deletions that stay in the family
+(``_boundary_columns``), so no dense matrix is built.  Deleting the
+j-th member (in increasing bit position, 1-based) contributes
+(-1)^(j+1).  A kept deletion keeps the lcm, so the monomial part of its
+coefficient is 1 and the sign is the whole coefficient.
 
 Every function here reads the subset tables first, so it answers up to
 their bound and refuses above it, where ``tables_for`` does.
@@ -100,7 +105,8 @@ from .complexes import order_analysis
 from .linalg import exact_rank, rank_mod_p
 from .monomials import Monomial, MonomialIdeal
 from .orders import OrderedIdeal
-from .subsets import bit_halves, popcounts, tables_for, up_closure
+from .subsets import (bit_halves, one_smaller, popcounts, tables_for,
+                      up_closure)
 
 class _LcmClasses:
     """The ideal's lcm lattice, as classes of subset masks.
@@ -284,32 +290,21 @@ def _projective_dimension(ideal: MonomialIdeal, *,
     return 0
 
 
-def _composes_to_zero(masks: list[int]) -> bool:
-    """True iff d . d vanishes on a face family given as masks.
-
-    The columns of all levels are built at once (a deletion of a face
-    lands one level down, so the whole family stands in for the level
-    below); each face's column is composed with its smaller faces'
-    columns, and any nonzero sum fails the check.
-    """
-    columns = dict(zip(masks, _boundary_columns(masks, set(masks))))
-    for column in columns.values():
-        total: dict[int, int] = {}
-        for smaller, a in column.items():
-            for lower, b in columns[smaller].items():
-                total[lower] = total.get(lower, 0) + a * b
-        if any(total.values()):
-            return False
-    return True
+def _closed(preserved: np.ndarray) -> bool:
+    """Whether the masks marked in ``preserved``, a bool array over the
+    2^mu masks, are closed under taking subsets: no marked mask has an
+    unmarked one-smaller subset."""
+    return not np.any(preserved & one_smaller(~preserved))
 
 
 def verify_chain_complex(ordered: OrderedIdeal) -> bool:
     """Check d_{t-1} . d_t = 0 across the Lyubeznik complex.
 
-    The faces are the order's preserved masks as they stand, bit k - 1
-    for generator k; the verdict does not depend on that numbering.
+    Faces closed under taking subsets span a subcomplex of the Taylor
+    resolution and inherit its d^2 = 0; an order's faces always are, so
+    a false verdict marks a wrong preserved table.
     """
-    return _composes_to_zero(order_analysis(ordered).faces)
+    return _closed(order_analysis(ordered).preserved)
 
 
 def _cones(preserved: np.ndarray, vertex_sets: np.ndarray,
@@ -327,14 +322,6 @@ def _cones(preserved: np.ndarray, vertex_sets: np.ndarray,
         at = apexes == bit
         cones[at] = ~lone[vertex_sets[at]]
     return cones
-
-
-def verify_resolution(ordered: OrderedIdeal) -> bool:
-    """True iff the Lyubeznik complex resolves R/I.
-
-    Exactness in every multidegree of the lcm-lattice.
-    """
-    return all(ok for _, ok in verify_resolution_report(ordered))
 
 
 def verify_resolution_report(ordered: OrderedIdeal

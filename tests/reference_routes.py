@@ -31,7 +31,8 @@ monomials.
   (``oracle._boundary_columns``) replaced; ``boundary_matrices`` writes
   the Lyubeznik complex's faces in increasing rank, and
   ``dense_chain_complex`` and ``dense_composes_to_zero`` check d^2 = 0
-  with these matrices;
+  with these matrices, the route the closure certificate
+  (``oracle._closed``) is compared with;
 * ``full_strands`` and ``full_strand_betti``: every nonempty mask
   grouped by lcm and then by size, and the Betti numbers from the
   homology of these whole Taylor strands, the route the Morse-reduced

@@ -11,7 +11,6 @@ import pytest
 
 from lyubeznik import MonomialIdeal, OrderedIdeal, edge_ideal, parse_ideal
 from lyubeznik.cli import build_parser, main
-from lyubeznik.invariants import _projdim
 from lyubeznik.monomials import EXPONENT_LIMIT
 from lyubeznik.oracle import _projective_dimension
 from lyubeznik.subsets import tables_for
@@ -485,7 +484,6 @@ def test_analyze_search_refuses_before_the_oracle(capsys, tmp_path,
     monkeypatch.setattr("lyubeznik.invariants._projective_dimension",
                         lambda ideal, prime=None: calls.append(ideal)
                         or _projective_dimension(ideal, prime=prime))
-    _projdim.cache_clear()
     code, out, err = run_cli(capsys, "analyze", "--search", "exhaustive",
                              wide_ideal_path(tmp_path, 9))
     assert code == 2 and out == ""

@@ -46,9 +46,7 @@ from lyubeznik import (
     search_scan,
     sweep_ideals,
     taylor_betti,
-    total_obstruction,
 )
-from lyubeznik.invariants import _projdim
 from lyubeznik.oracle import _projective_dimension
 from conftest import triangles_graph
 from reference_routes import (block_ranks, closure_length, exhaustive_scan,
@@ -119,15 +117,13 @@ def test_search_answers_past_the_command_line_default(mu):
                       "minimal_count", "nonminimal_witness", "lyubeznik",
                       "totally_lyubeznik"):
             assert getattr(scan, field) == getattr(reference, field), field
-    tobsl, witness = total_obstruction(ideal)
-    assert (tobsl, witness.order) == (scan.tobsl, scan.tobsl_witness)
-    assert obstruction(witness) == tobsl
+    assert obstruction(OrderedIdeal(ideal, scan.tobsl_witness)) == scan.tobsl
     best, at = min_l_length(ideal)
     assert best == scan.min_l == l_length(at)
     assert is_lyubeznik(ideal).verdict == scan.lyubeznik
     assert is_totally_lyubeznik(ideal) == scan.totally_lyubeznik
-    projdim = taylor_betti(ideal).projective_dimension
-    assert is_almost_lyubeznik(ideal) == scan.almost_lyubeznik(projdim)
+    assert scan.projdim == taylor_betti(ideal).projective_dimension
+    assert is_almost_lyubeznik(ideal) == scan.almost_lyubeznik
     report = analyze(identity_order(ideal), search=True)
     assert report.lyubeznik == scan.lyubeznik
     assert tuple(report.ara) == tuple(ara_bounds(ideal))
@@ -165,8 +161,9 @@ def test_analyze_reaches_the_table_bound(mu, seed):
 
 def test_convenience_searches():
     ideal = load_ideal("mixed_powers_xyz")
-    tobsl, witness = total_obstruction(ideal)
-    assert tobsl == 0 and obstruction(witness) == 0
+    scan = search_scan(ideal)
+    assert scan.tobsl == 0
+    assert obstruction(OrderedIdeal(ideal, scan.tobsl_witness)) == 0
     best, at = min_l_length(ideal)
     assert best == 3 and l_length(at) == 3
 
@@ -357,7 +354,6 @@ def test_one_call_computes_one_projective_dimension(monkeypatch):
         "is_almost_lyubeznik": lambda: is_almost_lyubeznik(ideal,
                                                            prime=32003)}
     for name, call in calls.items():
-        _projdim.cache_clear()
         fields.clear()
         call()
         assert fields == [32003], name
@@ -368,8 +364,7 @@ def check_floors_agree(ideal):
     over Q, GF(2) and GF(32003) as the floor."""
     readings = set()
     for prime in (None, 2, 32003):
-        scan = search_scan(ideal)
-        scan._prime = prime
+        scan = search_scan(ideal, prime=prime)
         readings.add((scan.min_l, scan.min_l_witness))
     assert len(readings) == 1, readings
 
@@ -418,6 +413,7 @@ def test_search_verdicts_match_the_former_formulas(name):
     scan = search_scan(ideal)
     assert scan.exact and not scan.stopped_early
     projdim = taylor_betti(ideal).projective_dimension
+    assert scan.projdim == projdim
     # the search command, is_lyubeznik and analyze
     assert scan.lyubeznik == (scan.tobsl == 0)
     # analyze, from the count of minimal orders
@@ -425,4 +421,4 @@ def test_search_verdicts_match_the_former_formulas(name):
     # is_totally_lyubeznik and the graph checks
     assert scan.totally_lyubeznik == (scan.nonminimal_witness is None)
     # analyze and is_almost_lyubeznik
-    assert scan.almost_lyubeznik(projdim) == (scan.min_l == projdim)
+    assert scan.almost_lyubeznik == (scan.min_l == projdim)

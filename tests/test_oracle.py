@@ -17,15 +17,16 @@ from lyubeznik import (
     parse_ideal,
     taylor_betti,
     verify_chain_complex,
-    verify_resolution,
     verify_resolution_report,
 )
-from lyubeznik.oracle import _boundary_columns, _composes_to_zero
+from lyubeznik.oracle import _boundary_columns, _closed
 
 from conftest import exponent_ideal
-from reference_routes import BoundaryMatrix, boundary_matrices
+from reference_routes import (BoundaryMatrix, boundary_matrices,
+                              dense_composes_to_zero)
 from test_covers import refuses_before_allocating, unit_rows
 from test_oracle_reductions import betti_euler, taylor_euler
+from test_oracle_routes import family_table, mask_faces
 from test_preserved_kernel import seeded_ideal
 
 KOSZUL2 = parse_ideal("vars x y\ngen x\ngen y")
@@ -120,22 +121,25 @@ def masks(*faces):
     return [sum(1 << (i - 1) for i in face) for face in faces]
 
 
-def test_sparse_composition_detects_non_closed_families():
+@pytest.mark.parametrize("family,certificate,dense", [
     # {1,2} without {2}: d{1,2} = -{1} and d{1} = {}, so d.d = -{}
-    assert not _composes_to_zero(masks((), (1,), (1, 2)))
+    (masks((), (1,), (1, 2)), False, False),
     # a cancelling column, {1,2}, and a lone nonzero one, {1,3}, whose
     # {3} is missing; adding {3} closes the family
-    family = masks((), (1,), (2,), (1, 2), (1, 3))
-    assert not _composes_to_zero(family)
-    assert _composes_to_zero(family + masks((3,)))
+    (masks((), (1,), (2,), (1, 2), (1, 3)), False, False),
+    (masks((), (1,), (2,), (3,), (1, 2), (1, 3)), True, True),
     # a missing middle level: {1,2,3} keeps only {1,2} of its deletions
-    assert not _composes_to_zero(masks((), (1,), (2,), (3,), (1, 2),
-                                       (1, 2, 3)))
-    # closed families compose to zero, and so does a family with no
-    # two consecutive levels
-    assert _composes_to_zero(masks((), (1,), (2,), (1, 2)))
-    assert _composes_to_zero(masks((), (1, 2)))
-    assert _composes_to_zero([])
+    (masks((), (1,), (2,), (3,), (1, 2), (1, 2, 3)), False, False),
+    (masks((), (1,), (2,), (1, 2)), True, True),
+    # no two consecutive levels: the dense d.d vanishes, but the family
+    # is not closed, and the certificate is the stronger statement
+    (masks((), (1, 2)), False, True),
+    ([], True, True),
+])
+def test_the_closure_certificate_on_hand_built_families(family, certificate,
+                                                         dense):
+    assert _closed(family_table(family, 3)) is certificate
+    assert dense_composes_to_zero(mask_faces(family)) is dense
 
 
 def test_chain_complex_for_every_order_of_small_ideals():
@@ -149,13 +153,13 @@ def test_resolution_report_koszul():
     report = verify_resolution_report(identity_order(KOSZUL2))
     assert [(str(m), ok) for m, ok in report] == [
         ("y", True), ("x", True), ("x*y", True)]
-    assert verify_resolution(identity_order(KOSZUL2))
+    assert all(ok for _, ok in report)
 
 
 def test_resolution_holds_for_arbitrary_orders():
     ideal = load_ideal("mixed_powers_xyz")
     for ordered in list(all_orders(ideal))[::24]:
-        assert verify_resolution(ordered)
+        assert all(ok for _, ok in verify_resolution_report(ordered))
 
 
 def test_the_oracle_reaches_the_table_bound():
@@ -169,11 +173,13 @@ def test_the_oracle_reaches_the_table_bound():
     assert len(report) == 2 ** 13 - 1 and all(ok for _, ok in report)
     ideal = seeded_ideal(13, 0)
     assert betti_euler(taylor_betti(ideal)) == taylor_euler(ideal)
-    assert verify_resolution(OrderedIdeal(ideal, tuple(range(13, 0, -1))))
+    report = verify_resolution_report(
+        OrderedIdeal(ideal, tuple(range(13, 0, -1))))
+    assert all(ok for _, ok in report)
 
 
 @pytest.mark.parametrize("call", [
-    taylor_betti, lambda i: verify_resolution(identity_order(i)),
+    taylor_betti, lambda i: verify_chain_complex(identity_order(i)),
     lambda i: verify_resolution_report(identity_order(i))])
 def test_the_oracle_refuses_above_the_table_bound(call):
     assert refuses_before_allocating(call, exponent_ideal(unit_rows(17)))

@@ -1,6 +1,6 @@
 """The oracle's callers against the routes they replaced.
 
-``invariants._projdim`` reads pd(R/I) off the Morse-reduced strands,
+A search's ``projdim`` reads pd(R/I) off the Morse-reduced strands,
 from the top level down (``oracle._projective_dimension``), without a
 Betti table.  It must equal the top index of the whole table
 (``reference_routes.table_projective_dimension``) over Q, GF(2) and
@@ -27,7 +27,7 @@ from lyubeznik import (Monomial, OrderedIdeal, VariableContext, all_ideals,
                        sweep_ideals, taylor_betti, verify_chain_complex,
                        verify_resolution_report)
 from lyubeznik.complexes import order_analysis
-from lyubeznik.invariants import _preserved_betti, _projdim, height
+from lyubeznik.invariants import _preserved_betti, height
 from lyubeznik.monomials import (EXPONENT_LIMIT, MinimizationWarning,
                                  monomial_text)
 from lyubeznik.oracle import _projective_dimension
@@ -159,7 +159,7 @@ def test_the_oracle_and_the_counts_never_build_lcm_exps(monkeypatch):
 
     monkeypatch.setattr(SubsetTables, "lcm_exps", property(refuse))
     for cached in (tables_for, order_analysis, oracle._lcm_classes,
-                   oracle._critical_strands, _projdim):
+                   oracle._critical_strands):
         cached.cache_clear()
     for ideal, ordered, counts, betti in cases:
         assert taylor_betti(ideal) == betti

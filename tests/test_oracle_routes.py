@@ -6,15 +6,17 @@ verdict off a cone of faces.  Here both are recomputed the slow way:
 strands and induced subcomplexes are grouped from scratch,
 turned into dense sign matrices by ``reference_routes.boundary_levels``
 and ranked by plain Gaussian elimination over Q or GF(p).  The d^2 = 0
-check, which composes the same sparse columns, is compared with the
-dense matrices' products on every order of the sweep ideals, on
-hypothesis ideals and on random face families.  The sparse check reads
-the faces in generator positions and the dense one in rank positions;
-on random families its verdict must not change under a relabelling.
+check, which reads closure under subsets off the preserved table, is
+compared with the dense matrices' products on every order of the sweep
+ideals and on hypothesis ideals.  On random face families of at most
+six generators the certificate must read closure exactly, and every
+closed family must compose to zero the dense way too.
 """
 
 import random
 from itertools import combinations
+
+import numpy as np
 
 from hypothesis import given, settings, strategies as st
 
@@ -23,7 +25,7 @@ from lyubeznik import (OrderedIdeal, all_orders, identity_order,
                        verify_chain_complex, verify_resolution_report)
 from lyubeznik.betti import QUOTIENT, BettiTable
 from lyubeznik.corpus import all_ideals
-from lyubeznik.oracle import _composes_to_zero
+from lyubeznik.oracle import _closed
 
 from reference_routes import (boundary_levels, dense_chain_complex,
                               dense_composes_to_zero)
@@ -132,26 +134,60 @@ def test_sparse_d_squared_matches_dense_on_random_ideals(rows, rng):
         assert verify_chain_complex(ordered) == dense_chain_complex(ordered)
 
 
-@settings(max_examples=200)
-@given(st.sets(st.integers(0, 31), max_size=20))
-def test_sparse_d_squared_matches_dense_on_random_families(family):
-    # families of subsets of five generators, closed or not; bit i-1 of
-    # a mask is index i, so both routes count members in the same order
+def mask_faces(family):
+    """A family of masks as index tuples by size, bit i-1 for index i:
+    the dense route counts members in the same order as the columns."""
     faces_by_size = {}
     for mask in sorted(family):
-        face = tuple(b + 1 for b in range(5) if mask >> b & 1)
+        face = tuple(b + 1 for b in range(mask.bit_length()) if mask >> b & 1)
         faces_by_size.setdefault(len(face), []).append(face)
-    assert _composes_to_zero(sorted(family)) == \
-        dense_composes_to_zero(faces_by_size)
+    return faces_by_size
+
+
+def family_table(family, mu):
+    """The family as a bool array over the 2^mu masks."""
+    table = np.zeros(1 << mu, bool)
+    table[sorted(family)] = True
+    return table
+
+
+def down_closure(masks):
+    family = set()
+    for mask in masks:
+        sub = mask
+        while True:
+            family.add(sub)
+            if not sub:
+                break
+            sub = (sub - 1) & mask
+    return family
+
+
+families = st.integers(1, 6).flatmap(lambda mu: st.tuples(
+    st.just(mu), st.sets(st.integers(0, (1 << mu) - 1), max_size=24)))
 
 
 @settings(max_examples=300)
-@given(st.sets(st.integers(0, 63), max_size=24), st.permutations(range(6)))
-def test_d_squared_verdict_survives_a_relabelling(family, perm):
-    # families of subsets of six generators, closed or not: the sign of
-    # each path to F - {j, k} depends on the numbering, but the two paths'
-    # signs are opposite under every numbering
-    relabelled = [sum(1 << perm[b] for b in range(6) if mask >> b & 1)
-                  for mask in family]
-    assert _composes_to_zero(sorted(family)) == \
-        _composes_to_zero(sorted(relabelled))
+@given(families)
+def test_the_closure_certificate_reads_closure_on_random_families(case):
+    mu, family = case
+    closed = all(mask ^ (1 << b) in family
+                 for mask in family for b in range(mu) if mask >> b & 1)
+    assert _closed(family_table(family, mu)) == closed
+    if closed:
+        assert dense_composes_to_zero(mask_faces(family))
+
+
+@settings(max_examples=200)
+@given(families, st.randoms())
+def test_closed_families_compose_to_zero_and_lose_closure_inside(case, rng):
+    mu, tops = case
+    family = down_closure(tops)
+    assert _closed(family_table(family, mu))
+    assert dense_composes_to_zero(mask_faces(family))
+    # a face below another face taken out leaves a family not closed
+    inner = sorted(m for m in family
+                   if any(m != f and m & f == m for f in family))
+    if inner:
+        family.discard(rng.choice(inner))
+        assert not _closed(family_table(family, mu))

@@ -51,8 +51,9 @@ def check(ideal, projdim=None):
         search = fresh(ideal)
         assert search.lyubeznik == reference.lyubeznik
         assert search.totally_lyubeznik == reference.totally_lyubeznik
-        assert (search.almost_lyubeznik(projdim)
-                == reference.almost_lyubeznik(projdim))
+        assert (search.almost_lyubeznik
+                == reference.almost_lyubeznik(search.projdim))
+        assert search.projdim == projdim
         assert search.min_l == reference.min_l
     return reference
 
