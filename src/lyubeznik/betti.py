@@ -30,28 +30,43 @@ class BettiTable:
     def __post_init__(self) -> None:
         if self.subject not in (QUOTIENT, IDEAL):
             raise ValueError(f"subject must be {QUOTIENT!r} or {IDEAL!r}")
-        canon = tuple(sorted(self.entries))
-        if canon != self.entries:
-            object.__setattr__(self, "entries", canon)
-        seen = set()
+        if self._first_unordered() is not None:
+            # sorted only when given out of order; a key that still does
+            # not ascend then is a duplicate
+            object.__setattr__(self, "entries", tuple(sorted(self.entries)))
+            duplicate = self._first_unordered()
+            if duplicate is not None:
+                raise ValueError(f"duplicate entry for {duplicate}")
+        if self.subject == QUOTIENT:
+            # sorted, the entries at i = 0 come first, the zero tuple
+            # first among them
+            zero = (0,) * len(self.context)
+            if not self.entries or self.entries[0] != (0, zero, 1) or (
+                    len(self.entries) > 1 and self.entries[1][0] == 0):
+                raise ValueError("a quotient table must have exactly beta_{0,0} = 1")
+
+    def _first_unordered(self) -> tuple[int, tuple[int, ...]] | None:
+        """Check every entry, and return the first key (i, multidegree)
+        not above the key before it, or None when the keys ascend."""
+        nvars = len(self.context)
+        before = None
+        unordered = None
         for i, exps, count in self.entries:
             if i < 0 or count <= 0:
                 raise ValueError("entries need i >= 0 and positive counts")
-            if len(exps) != len(self.context):
+            if len(exps) != nvars:
                 raise ValueError("multidegree length does not match the context")
-            if (i, exps) in seen:
-                raise ValueError(f"duplicate entry for {(i, exps)}")
-            seen.add((i, exps))
-        if self.subject == QUOTIENT:
-            zero = (0,) * len(self.context)
-            if self.multigraded_raw.get((0, zero)) != 1 or any(
-                    i == 0 and exps != zero for i, exps, _ in self.entries):
-                raise ValueError("a quotient table must have exactly beta_{0,0} = 1")
+            key = (i, exps)
+            if unordered is None and before is not None and key <= before:
+                unordered = key
+            before = key
+        return unordered
 
     @classmethod
     def from_multigraded(cls, subject: str, context: VariableContext,
                          counts: Mapping[tuple[int, tuple[int, ...]], int]
                          ) -> "BettiTable":
+        # the keys are distinct, so this one sort leaves them ascending
         entries = tuple(sorted((i, exps, c) for (i, exps), c in counts.items() if c))
         return cls(subject, context, entries)
 

@@ -76,6 +76,18 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
+    def parse_args(self, args=None, namespace=None):
+        """argparse's ``parse_args``, naming only the unknown options
+        when there are any: an unknown option leaves its value to fill
+        a positional, which moves a later word among the unrecognized
+        (``verify --field q <path>`` would name ``<path>``)."""
+        args, extras = self.parse_known_args(args, namespace)
+        if extras:
+            options = [word for word in extras if word.startswith("-")]
+            self.error("unrecognized arguments: "
+                       + " ".join(options or extras))
+        return args
+
 
 def _positive_int(text: str) -> int:
     """argparse type for counts that must be at least 1; argparse names
@@ -131,9 +143,9 @@ def _ideal_payload(ideal: MonomialIdeal) -> dict:
 
 
 def _betti_payload(table: BettiTable) -> dict:
-    return {"subject": table.subject,
-            "graded": [list(row) for row in table.graded_rows()],
-            "multigraded": [list(row) for row in table.multigraded_rows()]}
+    # the writer takes the rows as the tuples they are
+    return {"subject": table.subject, "graded": table.graded_rows(),
+            "multigraded": table.multigraded_rows()}
 
 
 # ---------------------------------------------------------------------------

@@ -64,11 +64,11 @@ class _OrderAnalysis:
     ``faces`` lists the preserved masks in ascending order: the faces of
     the Lyubeznik complex, which the complex, the Betti counts and the
     radical generators read.  ``facets`` lists the maximal ones in
-    ascending order.
+    ascending order, built on its first read: only the complex reads it.
     """
 
-    __slots__ = ("tables", "order", "least", "preserved", "faces", "facets",
-                 "f_vector", "length")
+    __slots__ = ("tables", "order", "least", "preserved", "faces",
+                 "_facets", "f_vector", "length")
 
     def __init__(self, ordered: OrderedIdeal) -> None:
         tables = tables_for(ordered.ideal)
@@ -87,12 +87,20 @@ class _OrderAnalysis:
         self.least = least
         self.preserved = preserved
         self.faces = np.flatnonzero(preserved).tolist()
-        # faces are downward closed: a facet has no face one larger
-        self.facets = np.flatnonzero(preserved & ~one_larger(preserved)).tolist()
+        self._facets = None
         self.f_vector = tuple(
             np.bincount(popcounts(mu)[preserved]).tolist())
         self.length = len(self.f_vector) - 1
         self.tables = tables
+
+    @property
+    def facets(self) -> list[int]:
+        if self._facets is None:
+            # faces are downward closed: a facet has no face one larger
+            preserved = self.preserved
+            self._facets = np.flatnonzero(
+                preserved & ~one_larger(preserved)).tolist()
+        return self._facets
 
     @property
     def dim(self) -> int:

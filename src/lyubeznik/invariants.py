@@ -186,7 +186,11 @@ class SearchResult:
       is the projective dimension if some order reaches it, which
       settles most ideals with one search, and else the search
       descends one length at a time from the identity order's while
-      some order is shorter.  A Lyubeznik resolution is free over every
+      some order is shorter.  The identity is the lexicographically
+      least word, so a length the identity order already meets needs
+      no walk: its witness is the identity (on K_{4,4}, mu 16, that
+      skips the C(16, 8) = 12,870-set tables of the floor's walk).  A
+      Lyubeznik resolution is free over every
       field, so the floor may be the projective dimension over any: it
       is ``projdim``, taken over the field the search was built with;
     * ``projdim`` is the projective dimension of R/I over GF(prime), or
@@ -268,13 +272,21 @@ class SearchResult:
     def tobsl_witness(self) -> tuple[int, ...]:
         return self._tobsl[1]
 
+    @cached_property
+    def _identity_length(self) -> int:
+        return l_length(identity_order(self.ideal))
+
     def _at_most(self, k: int) -> tuple[int, ...] | None:
         """The least order of length at most k: one preserving no
-        (k + 1)-set."""
+        (k + 1)-set.  The identity is the least word of all, so when its
+        own length is at most k it is the answer, and no walk is built."""
         if k not in self._short:
-            sets = [mask_of(c) for c in combinations(self.ideal.indices(),
-                                                     k + 1)]
-            self._short[k] = PrefixWalk(self.ideal, sets).first()
+            if self._identity_length <= k:
+                self._short[k] = identity_order(self.ideal).order
+            else:
+                sets = [mask_of(c) for c in combinations(
+                    self.ideal.indices(), k + 1)]
+                self._short[k] = PrefixWalk(self.ideal, sets).first()
         return self._short[k]
 
     @cached_property
@@ -284,7 +296,7 @@ class SearchResult:
         floor = self.projdim
         if self._at_most(floor) is not None:
             return floor
-        best = l_length(identity_order(self.ideal))
+        best = self._identity_length
         while best - 1 > floor and self._at_most(best - 1) is not None:
             best -= 1
         return best

@@ -10,6 +10,12 @@ each generator's list of covers as one fragment (``_covers_fragments``),
 built from per-mask texts made once per distinct cover, and ``complex``
 its faces and facets (``_lists_fragment``), built from a members text
 made once per face, so the writer walks no cover entry and no face.
+A non-empty list whose items are all non-empty flat rows, lists or
+tuples holding only str, int, bool and None (the Betti tables' graded
+and multigraded rows, ``verify``'s multidegrees), is written one join
+per row, each cell's text looked up by its exact type; a list with any
+other item, a subclass or a type ``json.dumps`` refuses among them, is
+written item by item, so every type refused before is refused still.
 
 The writer lives apart from ``cli``, which imports it: ``cli`` is
 compiled last when the package is imported from source, on top of
@@ -20,6 +26,14 @@ of that import.
 from __future__ import annotations
 
 from json.encoder import encode_basestring_ascii
+
+
+# the text of each cell type a flat row may hold, keyed by exact type:
+# subclasses (an int enum, a str subclass) take the general path
+_CELLS = {str: encode_basestring_ascii, int: int.__repr__,
+          bool: lambda v: "true" if v else "false",
+          type(None): lambda v: "null"}
+_ROWS = (list, tuple)
 
 
 class _Fragment:
@@ -39,7 +53,8 @@ def _json_text(payload: dict) -> str:
 
     With an indent, CPython encodes in pure Python.  This writer appends
     parts to one list and joins it once; a list or tuple of ints is one
-    join, and a ``_Fragment`` adds its parts as they are.  Only dicts
+    join, a list of flat rows one join per row (``_flat_rows``), and a
+    ``_Fragment`` adds its parts as they are.  Only dicts
     with str keys, lists, tuples, str, int, bool, None and fragments met
     at the depth they were rendered for are written; any other type
     raises ``TypeError`` and a fragment at another depth ``ValueError``,
@@ -85,6 +100,9 @@ def _json_text(payload: dict) -> str:
         elif all(type(v) is int for v in value):
             append("[" + inner + ("," + inner).join(map(int.__repr__, value))
                    + "\n" + "  " * depth + "]")
+        elif (rows := _flat_rows(value, depth + 1)) is not None:
+            append("[" + inner + ("," + inner).join(rows)
+                   + "\n" + "  " * depth + "]")
         else:
             sep = "[" + inner
             for item in value:
@@ -101,6 +119,25 @@ def _json_text(payload: dict) -> str:
         # closures: unbind them, so that the parts are freed now and not
         # at some later garbage collection
         del write, write_container
+
+
+def _flat_rows(value, depth: int) -> list[str] | None:
+    """The text of each item of ``value`` for the depth ``depth``,
+    when every item is a non-empty list or tuple of str, int, bool
+    and None only (exact types); else None, and ``write`` takes
+    the items one by one."""
+    inner = "\n" + "  " * (depth + 1)
+    sep, close = "," + inner, "\n" + "  " * depth + "]"
+    rows = []
+    for row in value:
+        if type(row) not in _ROWS or not row:
+            return None
+        try:
+            cells = [_CELLS[type(v)](v) for v in row]
+        except KeyError:
+            return None
+        rows.append("[" + inner + sep.join(cells) + close)
+    return rows
 
 
 def _covers_fragments(keys, distinct, members, covered) -> list[dict]:

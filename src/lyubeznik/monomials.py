@@ -145,6 +145,16 @@ class Monomial:
             if e > EXPONENT_LIMIT:
                 raise ExponentLimitError(f"exponent {e} exceeds {EXPONENT_LIMIT}")
 
+    @classmethod
+    def _unchecked(cls, context: VariableContext,
+                   exponents: tuple[int, ...]) -> "Monomial":
+        """The monomial of an exponent tuple that was checked before (an
+        lcm of an ideal's generators), built without ``__post_init__``."""
+        monomial = object.__new__(cls)
+        object.__setattr__(monomial, "context", context)
+        object.__setattr__(monomial, "exponents", exponents)
+        return monomial
+
     def __mul__(self, other: "Monomial") -> "Monomial":
         _same_context(self, other)
         return Monomial(self.context,

@@ -90,12 +90,16 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+# one entry per generator count, at most 2^16 bytes each: every
+# per-order analysis and oracle call reads it
+@lru_cache(maxsize=None)
 def popcounts(mu: int) -> np.ndarray:
-    """int8 array of the popcounts of the masks 0 .. 2^mu - 1."""
+    """Read-only int8 array of the popcounts of the masks 0 .. 2^mu - 1."""
     counts = np.zeros(1, np.int8)
     for _ in range(mu):
         # masks with the next bit set repeat the lower half plus one
         counts = np.concatenate([counts, counts + 1])
+    counts.flags.writeable = False
     return counts
 
 
@@ -108,9 +112,10 @@ def bit_halves(values: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def up_closure(marked: np.ndarray) -> np.ndarray:
-    """Mark, in place, every mask that has a marked subset, and return
-    ``marked``: a bool array over the 2^mu masks, closed by one OR per
-    bit (the zeta transform over the subset lattice)."""
+    """OR into every mask, in place, the marks of all its subsets, and
+    return ``marked``: a bool array over the 2^mu masks, or an unsigned
+    int array whose bits are separate marks, closed by one OR per bit
+    (the zeta transform over the subset lattice)."""
     for b in range(len(marked).bit_length() - 1):
         # masks with bit b set take the mark of the mask without it
         low, high = bit_halves(marked, b)

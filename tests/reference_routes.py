@@ -40,6 +40,10 @@ monomials.
 * ``table_projective_dimension``: pd(R/I) read off the whole Betti
   table of ``taylor_betti``, the route the top-down walk
   (``oracle._projective_dimension``) replaced;
+* ``cones_per_apex``: whether the faces inside each vertex set form a
+  cone over its apex, by one marking of the faces without a partner
+  and one up-closure per distinct apex, the route the one-pass apex
+  bitmasks (``oracle._cones``) replaced;
 * ``preserved_betti``: the preserved-set counts keyed by the lcm tuples
   of ``lcm_exps``, which holds one tuple for every mask, the route the
   gather over the faces only (``SubsetTables.lcm_tuples``) replaced;
@@ -77,7 +81,8 @@ from lyubeznik.complexes import order_analysis
 from lyubeznik.covers import cover_table
 from lyubeznik.monomials import divides, radical_ideal, support
 from lyubeznik.oracle import _rank_function, _strand_homology
-from lyubeznik.subsets import indices_of, iter_bits, tables_for
+from lyubeznik.subsets import (indices_of, iter_bits, tables_for,
+                              up_closure)
 
 
 def court_table(ordered):
@@ -327,6 +332,21 @@ def full_strand_betti(ideal, prime=None):
 def table_projective_dimension(ideal, prime=None):
     """pd(R/I), the top index of the whole multigraded Betti table."""
     return taylor_betti(ideal, prime=prime).projective_dimension
+
+
+def cones_per_apex(preserved, vertex_sets, apexes):
+    """Whether the faces (``preserved``'s marks) inside each vertex set
+    form a cone over its apex bit.  Per distinct apex g, the faces F
+    with F ^ g not a face are marked and up-closed over the subset
+    lattice; a vertex set is a cone exactly when no mark lies inside
+    it."""
+    masks = np.arange(len(preserved))
+    cones = np.empty(len(vertex_sets), bool)
+    for bit in set(apexes.tolist()):
+        lone = up_closure(preserved & ~preserved[masks ^ bit])
+        at = apexes == bit
+        cones[at] = ~lone[vertex_sets[at]]
+    return cones
 
 
 def preserved_betti(ordered):

@@ -34,6 +34,26 @@ def test_entries_are_canonicalized():
     assert scrambled.entries == ((0, (1, 0), 1), (1, (1, 1), 1))
 
 
+ENTRY = st.tuples(st.integers(0, 3), st.tuples(st.integers(0, 2),
+                                               st.integers(0, 2)),
+                  st.integers(1, 3))
+
+
+@given(st.lists(ENTRY, max_size=12), st.randoms())
+def test_entries_in_any_order_are_sorted_or_rejected_as_duplicates(entries,
+                                                                  rng):
+    # entries given in any order come out sorted; a key (i, multidegree)
+    # given twice is refused in any order and with any counts
+    rng.shuffle(entries)
+    keys = [(i, exps) for i, exps, _ in entries]
+    if len(set(keys)) < len(keys):
+        with pytest.raises(ValueError, match="duplicate"):
+            BettiTable(IDEAL, XY, tuple(entries))
+    else:
+        table = BettiTable(IDEAL, XY, tuple(entries))
+        assert table.entries == tuple(sorted(entries))
+
+
 def test_bad_entries_rejected():
     with pytest.raises(ValueError, match="positive"):
         BettiTable(IDEAL, XY, ((0, (1, 0), 0),))
@@ -52,6 +72,13 @@ def test_quotient_needs_exactly_one_unit():
         quotient_table({(0, ZERO2): 1, (0, (1, 0)): 1})
     with pytest.raises(ValueError, match="beta"):
         quotient_table({(0, ZERO2): 2})
+    with pytest.raises(ValueError, match="beta"):
+        quotient_table({})
+    with pytest.raises(ValueError, match="beta"):
+        BettiTable(QUOTIENT, XY, ((1, (1, 0), 1), (0, (0, 1), 1),
+                                  (0, ZERO2, 1)))
+    table = BettiTable(QUOTIENT, XY, ((1, (1, 0), 1), (0, ZERO2, 1)))
+    assert table.entries == ((0, ZERO2, 1), (1, (1, 0), 1))
 
 
 def test_from_multigraded_drops_zero_counts():

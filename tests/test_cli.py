@@ -148,6 +148,20 @@ def test_verify_with_prime_field(capsys, koszul_path):
         assert "unrecognized arguments" in err and "--field" in err
 
 
+def test_an_unknown_option_is_named_alone(capsys, koszul_path):
+    # the unknown option's value fills the path, which leaves the path
+    # among the unrecognized words; the message names the option only
+    for argv, option in ((("verify", "--field", "q", koszul_path), "--field"),
+                         (("verify", koszul_path, "--field", "q"), "--field"),
+                         (("covers", "--bogus", "1", koszul_path), "--bogus")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.strip().endswith(f"unrecognized arguments: {option}")
+    # with no unknown option, every stray word is named
+    code, out, err = run_cli(capsys, "verify", koszul_path, "extra")
+    assert code == 1 and err.strip().endswith("unrecognized arguments: extra")
+
+
 @pytest.mark.parametrize("command", ["analyze", "oracle-betti"])
 @pytest.mark.parametrize("spec, fragment", [
     ("p:4", "4 is not a prime"),

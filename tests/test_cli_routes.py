@@ -10,7 +10,11 @@ routes they replaced.
   with ``json.dumps`` of the payload with every fragment expanded by
   ``json.loads``; fragments shared in one payload, empty cover lists
   and a seeded 12-generator ``covers`` payload are checked whole, and a
-  fragment met at another depth must raise.
+  fragment met at another depth must raise.  Lists of flat rows,
+  written one join per row, are compared on hypothesis rows (bool next
+  to int, None, tuples, mixed cells, rows nested in dicts), among other
+  items, which send the list item by item, and with floats and numpy
+  scalars among their cells, which must still raise.
 * Covers: the ``lyubeznik covers`` output in both formats, built from
   the mask tables, against output built from the ``Cover`` objects of
   ``covers_of`` and ``e_minimal_covers_of``; the listing order against
@@ -28,8 +32,9 @@ import tempfile
 import warnings
 from itertools import combinations
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lyubeznik import (all_ideals, cover_clutter, covers_of,
                        e_minimal_covers_of, identity_order, is_cover_of,
@@ -201,6 +206,55 @@ def test_writer_matches_json_dumps_on_empty_cover_lists(tmp_path):
 def test_writer_refuses_other_types(payload):
     with pytest.raises(TypeError):
         _json_text(payload)
+
+
+# -- flat rows: one join per row ----------------------------------------------
+
+CELLS = TEXT | INTS | st.booleans() | st.none()
+ROW = st.lists(CELLS, min_size=1, max_size=5)
+ROW = ROW | ROW.map(tuple)
+ROWS = st.lists(ROW, min_size=1, max_size=6)
+ROWS = ROWS | ROWS.map(tuple)
+NOT_A_ROW = st.sampled_from([[], (), [[1]], [(1, "a")], [{"x": 1}],
+                             [1, [2]], {"x": [1]}, 0, "row", None, True])
+
+
+@settings(max_examples=300)
+@given(ROWS, ROWS)
+@example([(1, True), (True, 1), (0, False, None)], [["", 1]])
+def test_rows_match_json_dumps(rows, other):
+    # bool against int, None, tuples and lists, mixed cells, and row
+    # lists at several depths inside dicts and lists
+    payload = {"rows": rows, "d": {"e": other, "f": [rows, {"g": other}]},
+               "h": [rows, rows]}
+    assert _json_text(payload) == reference_text(payload)
+
+
+@settings(max_examples=200)
+@given(ROWS, NOT_A_ROW, st.integers(0, 6))
+def test_rows_with_any_other_item_match_json_dumps(rows, item, at):
+    # an empty row, a nested container or a scalar among the rows: the
+    # list is written item by item
+    rows = list(rows)
+    rows.insert(at % (len(rows) + 1), item)
+    payload = {"rows": rows, "d": {"e": [rows]}}
+    assert _json_text(payload) == reference_text(payload)
+
+
+@settings(max_examples=100)
+@given(ROWS, st.sampled_from([1.5, float("nan"), np.int64(3), np.int8(-1),
+                              np.bool_(True), np.float64(2.0), b"x",
+                              {1, 2}]),
+       st.integers(0, 30))
+def test_rows_still_refuse_floats_numpy_scalars_and_other_types(rows, cell,
+                                                                at):
+    # a cell the rows path does not take sends the list item by item,
+    # where every type refused before is refused still
+    rows = [list(row) for row in rows]
+    row = rows[at % len(rows)]
+    row.insert(at % (len(row) + 1), cell)
+    with pytest.raises(TypeError):
+        _json_text({"rows": rows})
 
 
 # -- the covers listing -------------------------------------------------------

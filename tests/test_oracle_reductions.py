@@ -13,7 +13,11 @@ certificate: the faces inside it form a cone over the set's
 first-ranked member.  On every order's faces the certificate holds; the
 hand-built families that are not such cones read false, whatever their
 homology; and on random simplicial complexes a cone must be acyclic by
-the dense route.
+the dense route.  The verdicts come from one marking pass per bit and
+one up-closure (``oracle._cones``); they must equal those of one
+up-closure per apex (``reference_routes.cones_per_apex``) on every
+corpus ideal under its orders, on the seed-1 pool up to mu 14, and on
+random face families, closed or not, at every vertex set and apex.
 """
 
 import random
@@ -22,13 +26,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lyubeznik import (all_orders, sweep_ideals, taylor_betti,
+from lyubeznik import (all_ideals, all_orders, identity_order, parse_order,
+                       read_ideal, sweep_ideals, taylor_betti,
                        verify_resolution_report)
-from lyubeznik.oracle import _cones, _critical_strands
+from lyubeznik.complexes import order_analysis
+from lyubeznik.oracle import _cones, _critical_strands, _lcm_classes
+from lyubeznik.orders import OrderedIdeal
 from lyubeznik.subsets import tables_for
 
 from conftest import exponent_ideal
-from reference_routes import full_strand_betti, full_strands
+from reference_routes import cones_per_apex, full_strand_betti, full_strands
 from test_linalg import fraction_rank
 from test_oracle_routes import FIELDS, dense_homology
 from test_preserved_kernel import seeded_ideal
@@ -193,3 +200,79 @@ def test_a_cone_is_acyclic_on_random_complexes(case):
     assert cone == all(m ^ apex in family for m in inside)
     if cone:
         assert dense_acyclic(family, vset)
+
+
+# -- one marking pass against one up-closure per apex -------------------------
+
+
+def check_cones_routes(ordered, rng):
+    """The one-pass verdicts equal the per-apex route's on the order's
+    faces, all true, and on two families that are not an order's: one
+    face taken out and one set put in, and a face {g} taken out, which
+    leaves the empty face without its partner {g}, so that every vertex
+    set with apex g reads false.  Returns how many verdicts read false."""
+    classes = _lcm_classes(ordered.ideal)
+    analysis = order_analysis(ordered)
+    word = np.array(ordered.order)
+    apexes = 1 << (word[analysis.least[classes.vertex_sets]] - 1)
+    vertex_sets = classes.vertex_sets
+    faces = analysis.preserved
+    swapped = faces.copy()
+    swapped[rng.choice(np.flatnonzero(faces).tolist())] = False
+    swapped[rng.randrange(len(faces))] = True
+    no_apex = faces.copy()
+    no_apex[rng.choice(apexes.tolist())] = False
+    verdicts = []
+    for family in (faces, swapped, no_apex):
+        cones = _cones(family, vertex_sets, apexes)
+        assert (cones == cones_per_apex(family, vertex_sets, apexes)).all()
+        verdicts.append(cones)
+    assert verdicts[0].all()
+    return int((~verdicts[1]).sum() + (~verdicts[2]).sum())
+
+
+def test_one_pass_cones_match_the_per_apex_route_on_the_corpus():
+    rng = random.Random(27)
+    sweep = {name for name, _ in sweep_ideals()}
+    for name, ideal in all_ideals():
+        if name in sweep:
+            orders = list(all_orders(ideal))
+        else:
+            words = [list(ideal.indices()) for _ in range(4)]
+            for w in words[1:]:
+                rng.shuffle(w)
+            orders = [OrderedIdeal(ideal, tuple(w)) for w in words]
+        false = sum(check_cones_routes(ordered, rng) for ordered in orders)
+        assert false, name
+
+
+def test_one_pass_cones_match_the_per_apex_route_on_the_pool(pool):
+    out, inputs = pool
+    rng = random.Random(2714)
+    names = [n for n, e in inputs.items()
+             if n.endswith(".ideal") and e["mu"] <= 14]
+    assert len(names) > 100
+    for name in sorted(names):
+        ideal = read_ideal(out / name)
+        orders = [identity_order(ideal)] + [
+            parse_order(w, ideal) for w in inputs[name]["orders"]]
+        assert sum(check_cones_routes(o, rng) for o in orders), name
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+    st.just(n), st.sets(st.integers(0, (1 << n) - 1), max_size=40))))
+def test_one_pass_cones_match_the_per_apex_route_on_random_families(case):
+    # any family, closed under subsets or not, at every nonempty vertex
+    # set with each of its members as the apex
+    n, family = case
+    pairs = [(v, 1 << b) for v in range(1, 1 << n)
+             for b in range(n) if v >> b & 1]
+    vertex_sets = np.array([v for v, _ in pairs])
+    apexes = np.array([g for _, g in pairs])
+    faces = marked(sorted(family), n)
+    cones = _cones(faces, vertex_sets, apexes)
+    assert (cones == cones_per_apex(faces, vertex_sets, apexes)).all()
+    # and both read the definition, face by face
+    assert cones.tolist() == [all(m ^ g in family for m in family
+                                  if m & v == m) for v, g in pairs]

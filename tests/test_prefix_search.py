@@ -11,6 +11,7 @@ reach, the tests pin what the search finds on graphs up to mu 12.
 """
 
 import random
+import time
 from itertools import combinations, permutations
 from math import factorial
 
@@ -21,8 +22,12 @@ from hypothesis import given, settings, strategies as st
 from lyubeznik import (PropositionCheck, SimpleGraph, all_graphs, analyze,
                        check_graph_propositions, edge_ideal, identity_order,
                        is_totally_lyubeznik, load_ideal, longest_path_edges,
-                       parse_ideal, search_scan, taylor_betti)
+                       parse_ideal, read_graph, read_ideal, search_scan,
+                       taylor_betti)
+from lyubeznik import invariants
 from lyubeznik.corpus import ideal_names
+from lyubeznik.prefix import PrefixWalk
+from lyubeznik.subsets import mask_of
 
 from reference_routes import exhaustive_scan
 from test_scan_kernel import exponent_rows, small_ideal
@@ -188,3 +193,67 @@ def test_graph_census_on_six_vertices():
     assert all(longest_path_edges(g) >= 3 for g in graphs
                if g not in totally)
     assert len(totally) == 14
+
+
+# -- the identity order as min_l's witness ------------------------------------
+
+
+def walked(ideal, k):
+    """The least order of length at most k, by a walk over every
+    (k + 1)-set: the route ``SearchResult._at_most`` skips when the
+    identity order is already that short."""
+    sets = [mask_of(c) for c in combinations(ideal.indices(), k + 1)]
+    return PrefixWalk(ideal, sets).first()
+
+
+def check_at_most(ideal):
+    scan = fresh(ideal)
+    for k in range(scan.projdim, ideal.mu + 1):
+        assert scan._at_most(k) == walked(ideal, k), k
+
+
+@pytest.mark.parametrize("name", ideal_names())
+def test_at_most_matches_the_walk_on_the_corpus(name):
+    check_at_most(load_ideal(name))
+
+
+def test_at_most_matches_the_walk_on_the_pool(pool):
+    out, inputs = pool
+    names = [n for n, e in inputs.items() if e["mu"] <= 12]
+    assert len(names) > 100
+    for name in sorted(names):
+        path = out / name
+        ideal = (edge_ideal(read_graph(path)) if name.endswith(".graph")
+                 else read_ideal(path))
+        check_at_most(ideal)
+
+
+@settings(max_examples=60)
+@given(st.integers(2, 4).flatmap(exponent_rows))
+def test_at_most_matches_the_walk_on_hypothesis_ideals(rows):
+    check_at_most(small_ideal(rows, max_mu=8))
+
+
+def complete_bipartite(a, b):
+    left = [f"u{i}" for i in range(a)]
+    right = [f"w{j}" for j in range(b)]
+    return SimpleGraph(tuple(left + right),
+                       tuple((u, w) for u in left for w in right))
+
+
+def test_min_l_of_k44_is_the_identity_without_a_walk(monkeypatch):
+    # min_l = pd = 7 and the identity order has length 7, so no walk
+    # over the C(16, 8) = 12,870 8-sets is built; that walk's tables
+    # alone took 17-23 s
+    ideal = edge_ideal(complete_bipartite(4, 4))
+    assert ideal.mu == 16
+    start = time.perf_counter()
+    scan = fresh(ideal)
+    assert not scan.lyubeznik
+    built = []
+    monkeypatch.setattr(invariants, "PrefixWalk",
+                        lambda *args: built.append(args) or PrefixWalk(*args))
+    assert (scan.min_l, scan.projdim) == (7, 7)
+    assert scan.min_l_witness == tuple(range(1, 17))
+    assert built == []
+    assert time.perf_counter() - start < 10
