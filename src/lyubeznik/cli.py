@@ -5,8 +5,9 @@ JSON output is deterministic: top-level ``"schema": 1``, sorted keys,
 and no content that depends on hashing or scheduling.  It comes from
 the package's own writer, ``jsontext._json_text``, whose bytes are
 identical to ``json.dumps(payload, sort_keys=True, indent=2)``.
-``covers`` and ``complex`` hand it their long lists as fragments of
-text rendered ahead, so the writer walks no cover entry and no face.
+``covers`` and ``complex`` hand it their long lists, and ``oracle-betti``,
+``analyze`` and ``verify`` their rows, as fragments of text rendered
+ahead, so the writer walks no cover entry, no face and no row.
 
 The parser is built once per process, on the first ``main`` call, and
 each call parses into a fresh namespace; a subcommand's handler is
@@ -49,14 +50,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .betti import BettiTable
 from .complexes import classification_census, order_analysis
 from .covers import (MAX_ENUMERATION_GENERATORS, _by_size_then_members,
                      cover_listing, cover_table)
 from .generators import _radical_generators
 from .graphs import check_graph_propositions, edge_ideal, read_graph
 from .invariants import analyze, is_minimal_resolution, search_scan
-from .jsontext import _covers_fragments, _json_text, _lists_fragment
+from .jsontext import (_betti_fields, _covers_fragments, _json_text,
+                       _lists_fragment, _multidegrees_fragment)
 from .linalg import check_prime
 from .monomials import (BoundExceededError, ExponentLimitError,
                         MonomialIdeal, ParseError, read_ideal)
@@ -140,12 +141,6 @@ def _check_size(mu: int, max_exhaustive: int | None = None) -> None:
 def _ideal_payload(ideal: MonomialIdeal) -> dict:
     return {"variables": list(ideal.context.names),
             "generators": [str(m) for m in ideal.gens]}
-
-
-def _betti_payload(table: BettiTable) -> dict:
-    # the writer takes the rows as the tuples they are
-    return {"subject": table.subject, "graded": table.graded_rows(),
-            "multigraded": table.multigraded_rows()}
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +227,7 @@ def _cmd_analyze(args, ideal, ordered):
     report = analyze(ordered, search=search, prime=args.field)
     payload = {"minimal": report.minimal, "obsL": report.obstruction,
                "l_length": report.l_length, "ps": report.ps,
-               "betti": _betti_payload(report.betti) if report.betti else None,
+               "betti": _betti_fields(report.betti, 2) if report.betti else None,
                "height": report.height,
                "ara": {"lower": report.ara.lower, "upper": report.ara.upper,
                        "equality": report.ara.equality}}
@@ -290,7 +285,7 @@ def _cmd_search(args, ideal, ordered):
 
 def _cmd_oracle_betti(args, ideal, ordered):
     table = taylor_betti(ideal, prime=args.field)
-    payload = {**_betti_payload(table), "projdim": table.projective_dimension}
+    payload = {**_betti_fields(table, 1), "projdim": table.projective_dimension}
 
     def text() -> list[str]:
         lines = [f"subject: {table.subject}"]
@@ -306,7 +301,8 @@ def _cmd_verify(args, ideal, ordered):
     chain_ok = verify_chain_complex(ordered)
     resolves = chain_ok and all(ok for _, ok in report)
     payload = {"chain_complex": chain_ok,
-               "multidegrees": [[str(m), ok] for m, ok in report],
+               "multidegrees": _multidegrees_fragment(report,
+                                                      ideal.context.names),
                "resolves": resolves}
 
     def text() -> list[str]:

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .invariants import search_scan
-from .monomials import (BoundExceededError, MonomialIdeal, ParseError,
-                        VariableContext, _directive_lines)
+from .monomials import (BoundExceededError, Monomial, MonomialIdeal,
+                        ParseError, VariableContext, _directive_lines)
 from .subsets import MAX_TABLE_GENERATORS
 
 
@@ -95,9 +95,14 @@ def edge_ideal(graph: SimpleGraph) -> MonomialIdeal:
     if not graph.edges:
         raise ValueError("the edge ideal of an edgeless graph is undefined")
     context = VariableContext(graph.vertices)
+    index = context.index
     gens = []
     for a, b in graph.edges:
-        gens.append(context.variable(a) * context.variable(b))
+        # a simple graph's edge joins two declared vertices, so each
+        # generator is a squarefree product of two variables
+        exps = [0] * len(context)
+        exps[index(a)] = exps[index(b)] = 1
+        gens.append(Monomial._unchecked(context, tuple(exps)))
     return MonomialIdeal(context, tuple(gens))
 
 

@@ -374,18 +374,35 @@ def height(ideal: MonomialIdeal) -> int:
     The supports are bitmasks over the variables, read off the
     generators as they are: the radical's generators have the minimal
     ones among them, and a set meeting those meets the rest, so the
-    radical is not formed.  Searched by increasing size.
+    radical is not formed.  Searched by branch and bound, depth first:
+    a partial set branches on each variable of the smallest support it
+    does not meet, since one of them must be chosen, and a branch stops
+    once it cannot beat the smallest set found so far.  The variables of
+    all supports together meet every support, which bounds the search
+    at the start.  At worst it visits d^h partial sets, for supports of
+    at most d variables and height h, each scanned against the supports.
     """
-    supports = {sum(1 << v for v, e in enumerate(m.exponents) if e)
-                for m in ideal.gens}
-    universe = [1 << v for v in range(len(ideal.context))
-                if any(s >> v & 1 for s in supports)]
-    for k in range(1, len(universe) + 1):
-        for combo in combinations(universe, k):
-            chosen = sum(combo)
-            if all(chosen & s for s in supports):
-                return k
-    return len(universe)
+    supports = sorted({sum(1 << v for v, e in enumerate(m.exponents) if e)
+                       for m in ideal.gens}, key=int.bit_count)
+    best = 0
+    for s in supports:
+        best |= s
+    best = best.bit_count()
+    stack = [(0, 0)]
+    while stack:
+        chosen, size = stack.pop()
+        if size >= best:
+            continue
+        # the smallest support the set does not meet yet
+        unmet = next((s for s in supports if not s & chosen), 0)
+        if not unmet:
+            best = size
+        elif size + 1 < best:
+            while unmet:
+                low = unmet & -unmet
+                stack.append((chosen | low, size + 1))
+                unmet ^= low
+    return best
 
 
 @dataclass(frozen=True)

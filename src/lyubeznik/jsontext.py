@@ -7,13 +7,16 @@ took about two thirds of a ``covers`` call on a 12-generator ideal.  A
 ``_Fragment`` is the text of one value rendered ahead for the depth it
 is written at, which the writer appends as it is: ``covers`` hands it
 each generator's list of covers as one fragment (``_covers_fragments``),
-built from per-mask texts made once per distinct cover, and ``complex``
-its faces and facets (``_lists_fragment``), built from a members text
-made once per face, so the writer walks no cover entry and no face.
-A non-empty list whose items are all non-empty flat rows, lists or
-tuples holding only str, int, bool and None (the Betti tables' graded
-and multigraded rows, ``verify``'s multidegrees), is written one join
-per row, each cell's text looked up by its exact type; a list with any
+built from per-mask texts made once per distinct cover; ``complex`` its
+faces and facets (``_lists_fragment``), built from a members text made
+once per face; ``oracle-betti`` and ``analyze`` a Betti table's graded
+and multigraded rows (``_betti_fields``), and ``verify`` its
+multidegrees (``_multidegrees_fragment``), each row one f-string with
+the multidegree's ``monomial_text``.  So the writer walks no cover
+entry, no face and no row.  A non-empty list whose items are all
+non-empty flat rows, lists or tuples holding only str, int, bool and
+None (``covers``' clutter, ``graph``'s edges), is written one join per
+row, each cell's text looked up by its exact type; a list with any
 other item, a subclass or a type ``json.dumps`` refuses among them, is
 written item by item, so every type refused before is refused still.
 
@@ -26,6 +29,8 @@ of that import.
 from __future__ import annotations
 
 from json.encoder import encode_basestring_ascii
+
+from .monomials import monomial_text
 
 
 # the text of each cell type a flat row may hold, keyed by exact type:
@@ -164,12 +169,51 @@ def _covers_fragments(keys, distinct, members, covered) -> list[dict]:
     return blocks
 
 
+def _rows_fragment(rows: list[str], depth: int) -> _Fragment:
+    """A list of rows, each already the text of one list for the depth
+    ``depth + 1``, as one fragment for the depth ``depth``."""
+    if not rows:
+        return _Fragment(["[]"], depth)
+    ind0, ind1 = ("\n" + "  " * d for d in (depth, depth + 1))
+    return _Fragment(["[" + ind1 + ("," + ind1).join(rows) + ind0 + "]"],
+                     depth)
+
+
 def _lists_fragment(masks: list[int], members: dict) -> _Fragment:
     """A non-empty list of masks, each written as the list of its
     members, as one fragment for depth 1, where the payload holds it."""
-    ind1, ind2, ind3 = ("\n" + "  " * d for d in range(1, 4))
+    ind2, ind3 = ("\n" + "  " * d for d in range(2, 4))
     sep3 = "," + ind3
     entries = [f"[{ind3}{members[m].replace(',', sep3)}{ind2}]" if m
                else "[]" for m in masks]
-    return _Fragment(["[" + ind2 + ("," + ind2).join(entries) + ind1 + "]"],
-                     1)
+    return _rows_fragment(entries, 1)
+
+
+def _betti_fields(table, depth: int) -> dict:
+    """A Betti table's payload fields, held at the depth ``depth``: its
+    subject, its graded rows ``[i, j, count]`` sorted, and its
+    multigraded rows ``[i, "multidegree", count]`` in entry order, the
+    two lists as fragments.  A multidegree's text is the quoted
+    ``monomial_text``: variable names are ASCII letters, digits and
+    ``_``, which JSON writes as they are."""
+    ind1, ind2 = ("\n" + "  " * d for d in (depth + 1, depth + 2))
+    sep = "," + ind2
+    names = table.context.names
+    graded = [f"[{ind2}{i}{sep}{j}{sep}{c}{ind1}]"
+              for (i, j), c in sorted(table.graded.items())]
+    multigraded = [
+        f'[{ind2}{i}{sep}"{monomial_text(names, exps)}"{sep}{c}{ind1}]'
+        for i, exps, c in table.entries]
+    return {"subject": table.subject,
+            "graded": _rows_fragment(graded, depth),
+            "multigraded": _rows_fragment(multigraded, depth)}
+
+
+def _multidegrees_fragment(report, names) -> _Fragment:
+    """``verify``'s multidegrees, rows ``["multidegree", verdict]`` of
+    its (monomial, verdict) pairs, as one fragment for depth 1, where
+    the payload holds them."""
+    ind1, ind2 = "\n    ", "\n      "
+    return _rows_fragment(
+        [f'[{ind2}"{monomial_text(names, m.exponents)}",{ind2}'
+         f'{"true" if ok else "false"}{ind1}]' for m, ok in report], 1)

@@ -25,9 +25,15 @@ variable ``ab``; write ``a*b`` to multiply.  Exponents are written in
 ASCII digits and must be non-negative, and repeated factors multiply
 (``x*x`` is ``x^2``).
 
-A ``gen`` line is split into tokens by one pass of a regular
-expression, and a generating set is tested for divisibility with one
-numpy matrix over its exponent rows, which holds every pair.
+A canonical ``gen`` line, factors ``name`` or ``name^digits`` joined
+by ``*``, is read by splitting it at its stars and carets; any other
+line is split into tokens by one ``findall`` of a regular expression,
+the single source of parse errors, whose columns are found only for
+the error.  Names are looked up in a dict built once per context, and
+the exponent rows are checked as they are read, so the generators are
+built unchecked.  The distinct rows of a generating set are tested for
+divisibility with one numpy matrix, which holds every pair, and the
+ideal is built from the survivors without testing them again.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from __future__ import annotations
 import re
 import warnings
 from dataclasses import dataclass
+from itertools import chain, compress
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -96,11 +103,14 @@ class VariableContext:
             object.__setattr__(self, "names", tuple(self.names))
         if not self.names:
             raise ValueError("a variable context needs at least one variable")
-        if len(set(self.names)) != len(self.names):
+        # each name's position, read by ``index`` and the ideal reader
+        positions = {name: i for i, name in enumerate(self.names)}
+        if len(positions) != len(self.names):
             raise ValueError(f"duplicate variable names in {self.names!r}")
-        for name in self.names:
-            if not _NAME_RE.match(name):
-                raise ValueError(f"invalid variable name {name!r}")
+        if not all(map(_NAME_RE.match, self.names)):
+            bad = next(n for n in self.names if not _NAME_RE.match(n))
+            raise ValueError(f"invalid variable name {bad!r}")
+        object.__setattr__(self, "_positions", positions)
 
     def __len__(self) -> int:
         return len(self.names)
@@ -108,8 +118,8 @@ class VariableContext:
     def index(self, name: str) -> int:
         """0-based position of ``name``; raises ValueError if unknown."""
         try:
-            return self.names.index(name)
-        except ValueError:
+            return self._positions[name]
+        except (KeyError, TypeError):
             raise ValueError(f"unknown variable {name!r}") from None
 
     def one(self) -> "Monomial":
@@ -122,7 +132,7 @@ class VariableContext:
 
     def parse(self, text: str) -> "Monomial":
         """Parse a single monomial string, e.g. ``"x^2*y"``."""
-        return _parse_monomial(text, self, line=None, offset=0)
+        return Monomial._unchecked(self, _read_monomial(text, self, None, 0))
 
 
 @dataclass(frozen=True)
@@ -177,11 +187,15 @@ class Monomial:
         return Monomial(self.context, tuple(min(e, 1) for e in self.exponents))
 
 
-def monomial_text(names: Sequence[str], exponents: Iterable[int]) -> str:
+def monomial_text(names: Sequence[str], exponents: Sequence[int]) -> str:
     """The text of the monomial with these exponents of these variables,
     ``x^2*y``, or ``1`` for the zero tuple; the exponents are taken as
     they are, unchecked, so that tuples read off the subset tables are
-    written without building a ``Monomial``."""
+    written without building a ``Monomial``.  Squarefree exponents, all
+    0 or 1 (every lattice point of a squarefree ideal), select their
+    names in one ``compress``."""
+    if exponents.count(0) + exponents.count(1) == len(exponents):
+        return "*".join(compress(names, exponents)) or "1"
     parts = [name if e == 1 else f"{name}^{e}"
              for name, e in zip(names, exponents) if e]
     return "*".join(parts) if parts else "1"
@@ -231,17 +245,35 @@ def _divisibility(gens: Sequence[Monomial]) -> np.ndarray:
     return (rows[:, None, :] <= rows).all(axis=2)
 
 
-def _redundant(gens: list[Monomial]) -> list[bool]:
-    """Per position: is the generator divisible by an unequal or earlier one?"""
-    if not gens:
-        return []
+def _rows_of(gens: list[Monomial]) -> list[tuple[int, ...]]:
+    """The exponent rows of generators of one context."""
     for m in gens:
         # mixed contexts raise, naming the first generator of another
         # context before the first generator's
         _same_context(m, gens[0])
-    div = _divisibility(gens)
-    earlier = np.triu(np.ones(div.shape, bool), 1)
-    return (div & (~div.T | earlier)).any(axis=0).tolist()
+    return [m.exponents for m in gens]
+
+
+def _redundant(rows: list[tuple[int, ...]]) -> list[bool]:
+    """Per exponent row: is it divisible by an unequal row, or equal to
+    an earlier one?  Equal rows are told by a dict of first positions,
+    so the one numpy matrix compares distinct rows only, where a row
+    with a divisor other than itself is divisible by an unequal one."""
+    first: dict[tuple[int, ...], int] = {}
+    for k, row in enumerate(rows):
+        first.setdefault(row, k)
+    if len(first) > 1:
+        # one column per distinct row, so that the matrix reduces over
+        # its first axis, the variables
+        columns = np.fromiter(chain.from_iterable(zip(*first)), np.int64,
+                              len(first) * len(rows[0])).reshape(-1, len(first))
+        # per distinct row, how many distinct rows divide it, itself too
+        divisors = dict(zip(first, (columns[:, :, None] <= columns[:, None])
+                            .all(axis=0).sum(axis=0).tolist()))
+    else:
+        divisors = dict.fromkeys(first, 1)
+    return [first[row] != k or divisors[row] > 1
+            for k, row in enumerate(rows)]
 
 
 def minimize_generators(gens: Sequence[Monomial]) -> tuple[Monomial, ...]:
@@ -252,22 +284,28 @@ def minimize_generators(gens: Sequence[Monomial]) -> tuple[Monomial, ...]:
     emit a ``MinimizationWarning`` when anything is dropped.
     """
     gens = list(gens)
-    return tuple(m for m, r in zip(gens, _redundant(gens)) if not r)
+    return tuple(m for m, r in zip(gens, _redundant(_rows_of(gens))) if not r)
 
 
-def _minimized(gens: list[Monomial], lines: list[int] | None = None
-               ) -> tuple[Monomial, ...]:
-    """``minimize_generators``, warning with each dropped generator named
-    by position: its text, and its line when ``lines`` are given."""
-    redundant = _redundant(gens)
-    dropped = [f"{gens[k]} (line {lines[k]})" if lines else str(gens[k])
-               for k, r in enumerate(redundant) if r]
-    if dropped:
+def _minimized(context: VariableContext, rows: list[tuple[int, ...]],
+               lines: list[int] | None = None) -> tuple[Monomial, ...]:
+    """The monomials of the rows that ``minimize_generators`` keeps,
+    warning with each dropped row named by position: its text, and its
+    line when ``lines`` are given.  The rows were checked before (read
+    by the parser, or a ``Monomial``'s), so the survivors are built
+    unchecked."""
+    redundant = _redundant(rows)
+    if any(redundant):
+        names = context.names
+        dropped = [monomial_text(names, rows[k])
+                   + (f" (line {lines[k]})" if lines else "")
+                   for k, r in enumerate(redundant) if r]
         warnings.warn(
             f"generating set was not minimal; dropped {len(dropped)} "
             f"redundant generator(s): {', '.join(dropped)}",
             MinimizationWarning, stacklevel=3)
-    return tuple(m for m, r in zip(gens, redundant) if not r)
+    return tuple(Monomial._unchecked(context, row)
+                 for row, r in zip(rows, redundant) if not r)
 
 
 @dataclass(frozen=True)
@@ -309,8 +347,23 @@ class MonomialIdeal:
         gens = list(gens)
         if not gens:
             raise ValueError("a monomial ideal needs at least one generator")
-        kept = _minimized(gens)
-        return cls(kept[0].context, kept)
+        context = gens[0].context
+        kept = _minimized(context, _rows_of(gens))
+        # the unit divides every generator, so it survives only alone
+        if kept[0].is_one():
+            raise ValueError("the unit monomial cannot be a minimal generator")
+        return cls._minimal(context, kept)
+
+    @classmethod
+    def _minimal(cls, context: VariableContext,
+                 gens: tuple[Monomial, ...]) -> "MonomialIdeal":
+        """The ideal of a minimal generating set of ``context`` without
+        the unit, ``_minimized``'s survivors, built without the
+        divisibility matrix of ``__post_init__``."""
+        ideal = object.__new__(cls)
+        object.__setattr__(ideal, "context", context)
+        object.__setattr__(ideal, "gens", gens)
+        return ideal
 
     @property
     def mu(self) -> int:
@@ -340,7 +393,7 @@ class MonomialIdeal:
 def radical_ideal(ideal: MonomialIdeal) -> MonomialIdeal:
     """Generator-wise squarefree part, re-minimized (quietly)."""
     parts = [m.squarefree_part() for m in ideal.gens]
-    return MonomialIdeal(ideal.context, minimize_generators(parts))
+    return MonomialIdeal._minimal(ideal.context, minimize_generators(parts))
 
 
 # ---------------------------------------------------------------------------
@@ -353,55 +406,88 @@ def _tokenize(text: str) -> Iterator[tuple[str, int]]:
         yield match.group(), match.start() + 1
 
 
-def _parse_monomial(text: str, context: VariableContext,
-                    line: int | None, offset: int) -> Monomial:
-    exps = [0] * len(context)
-    tokens = list(_tokenize(text))
+def _column(text: str, k: int, offset: int) -> int:
+    """The column of token ``k`` of ``text``, which starts at ``offset``
+    in its line; found again only for the error that names it."""
+    return list(_tokenize(text))[k][1] + offset
+
+
+def _read_monomial(text: str, context: VariableContext,
+                   line: int | None, offset: int) -> tuple[int, ...]:
+    """The exponent tuple of one monomial's text, checked: its names
+    are the context's and its exponents ASCII digits, non-negative and
+    at most ``EXPONENT_LIMIT``.
+
+    A canonical text, factors ``name`` or ``name^digits`` joined by
+    ``*`` with no blank inside, is read by splitting it; its tokens
+    would be exactly its names, carets, digits and stars.  Any other
+    text, every error among them, is read from its tokens
+    (``_read_tokens``).
+    """
+    positions = context._positions
+    exps = [0] * len(positions)
+    for factor in text.strip().split("*"):
+        name, caret, digits = factor.partition("^")
+        var = positions.get(name)
+        # fewer than 19 digits is below EXPONENT_LIMIT, and int() takes it
+        if var is None or caret and not (
+                digits.isdigit() and digits.isascii() and len(digits) < 19):
+            break
+        exps[var] += int(digits) if caret else 1
+    else:
+        if max(exps) <= EXPONENT_LIMIT:
+            return tuple(exps)
+    return _read_tokens(text, context, line, offset)
+
+
+def _read_tokens(text: str, context: VariableContext,
+                 line: int | None, offset: int) -> tuple[int, ...]:
+    """``_read_monomial`` on any text: the tokens are read by one
+    ``findall`` and walked as strings, and the column of a token is
+    found only for the error that names it."""
+    tokens = _TOKEN_RE.findall(text)
     if not tokens:
         raise ParseError("expected a monomial", line, offset + 1)
-    pos = 0
-    expect_factor = True
-    while pos < len(tokens):
-        tok, col = tokens[pos]
-        col += offset
-        if not expect_factor:
-            # between factors a '*' is optional
-            if tok == "*":
-                pos += 1
-                expect_factor = True
-                continue
-            expect_factor = True
-            continue
-        if not _NAME_RE.match(tok):
-            raise ParseError(f"expected a variable, got {tok!r}", line, col)
-        try:
-            var = context.index(tok)
-        except ValueError:
-            raise ParseError(f"unknown variable {tok!r}", line, col) from None
-        exponent = 1
-        pos += 1
-        if pos < len(tokens) and tokens[pos][0] == "^":
-            pos += 1
-            if pos >= len(tokens):
+    positions = context._positions
+    exps = [0] * len(positions)
+    end = len(tokens)
+    k = 0
+    while True:
+        tok = tokens[k]
+        var = positions.get(tok)
+        if var is None:
+            raise ParseError(
+                f"unknown variable {tok!r}" if _NAME_RE.match(tok)
+                else f"expected a variable, got {tok!r}",
+                line, _column(text, k, offset))
+        k += 1
+        if k < end and tokens[k] == "^":
+            k += 1
+            if k == end:
                 raise ParseError("expected an exponent after '^'", line,
-                                 tokens[pos - 1][1] + offset)
-            etok, ecol = tokens[pos]
-            ecol += offset
-            if etok.startswith("-"):
-                raise ParseError(f"negative exponent {etok}", line, ecol)
+                                 _column(text, k - 1, offset))
+            etok = tokens[k]
             if not (etok.isascii() and etok.isdigit()):
-                raise ParseError(f"expected an exponent, got {etok!r}", line, ecol)
-            exponent = int(etok)
-            pos += 1
-        exps[var] += exponent
+                raise ParseError(
+                    f"negative exponent {etok}" if etok.startswith("-")
+                    else f"expected an exponent, got {etok!r}",
+                    line, _column(text, k, offset))
+            exps[var] += int(etok)
+            k += 1
+        else:
+            exps[var] += 1
         if exps[var] > EXPONENT_LIMIT:
             raise ExponentLimitError(
                 f"exponent of {tok!r} exceeds {EXPONENT_LIMIT}" +
                 (f" (line {line})" if line is not None else ""))
-        expect_factor = False
-    if expect_factor:
-        raise ParseError("dangling '*'", line, tokens[-1][1] + offset)
-    return Monomial(context, tuple(exps))
+        if k == end:
+            return tuple(exps)
+        # between factors a '*' is optional
+        if tokens[k] == "*":
+            k += 1
+            if k == end:
+                raise ParseError("dangling '*'", line,
+                                 _column(text, k - 1, offset))
 
 
 def _directive_lines(text: str, directives: tuple[str, ...]
@@ -414,6 +500,12 @@ def _directive_lines(text: str, directives: tuple[str, ...]
     line, the rest's 0-based offset in the line).
     """
     for lineno, raw in enumerate(text.splitlines(), 1):
+        word = raw.partition(" ")[0]
+        if word in directives:
+            # the common shape: a directive at column 1, then a space or
+            # the end of the line
+            yield lineno, word, 1, raw[len(word):], len(word)
+            continue
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -438,7 +530,7 @@ def parse_ideal(text: str) -> MonomialIdeal:
     with a ``MinimizationWarning`` rather than rejected.
     """
     context: VariableContext | None = None
-    gens: list[Monomial] = []
+    rows: list[tuple[int, ...]] = []
     lines: list[int] = []
     for lineno, word, column, rest, offset in _directive_lines(
             text, ("vars", "gen")):
@@ -455,19 +547,23 @@ def parse_ideal(text: str) -> MonomialIdeal:
         else:
             if context is None:
                 raise ParseError("gen line before vars line", lineno, column)
-            mono = _parse_monomial(rest, context, lineno, offset)
-            if mono.is_one():
+            row = _read_monomial(rest, context, lineno, offset)
+            if not any(row):
                 raise ParseError("generator equals 1", lineno, column)
-            gens.append(mono)
+            rows.append(row)
             lines.append(lineno)
     if context is None:
         raise ParseError("missing vars line")
-    if not gens:
+    if not rows:
         raise ParseError("no generators")
-    return MonomialIdeal(context, _minimized(gens, lines))
+    return MonomialIdeal._minimal(context, _minimized(context, rows, lines))
 
 
 def read_ideal(path) -> MonomialIdeal:
-    """parse_ideal on the contents of a file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_ideal(handle.read())
+    """parse_ideal on the contents of a file, decoded as UTF-8.
+
+    The bytes are decoded whole, without a text layer: ``splitlines``
+    breaks lines at ``\\r``, ``\\n`` and ``\\r\\n`` as universal newlines
+    would, and a decoding error is the same ``UnicodeDecodeError``."""
+    with open(path, "rb") as handle:
+        return parse_ideal(handle.read().decode("utf-8"))

@@ -64,13 +64,17 @@ monomials.
   character at a time, and the divisibility tests one pair of
   generators at a time, comparing their contexts for every pair, the
   routes that the one ``finditer`` pass and the divisibility matrix of
-  ``monomials`` replaced; ``parse_ideal`` is ``monomials.parse_ideal``
-  with ``tokenize`` and ``redundant`` in place of its own.
+  ``monomials`` replaced; ``parse_ideal`` reads a file with them: every
+  line through the directive expression (``directive_lines``), every
+  ``gen`` line a ``tokenize`` token at a time (``parse_monomial``), and
+  the ideal built by the checking constructor, the route that the
+  canonical-line split, the ``findall`` walk and the minimal ideal of
+  ``_minimized``'s survivors replaced.
 """
 
+import warnings
 from dataclasses import dataclass
 from itertools import combinations
-from unittest import mock
 
 import numpy as np
 
@@ -79,7 +83,11 @@ from lyubeznik import (is_stable_symbol, monomials, orders_for_search,
 from lyubeznik.betti import QUOTIENT, BettiTable
 from lyubeznik.complexes import order_analysis
 from lyubeznik.covers import cover_table
-from lyubeznik.monomials import divides, radical_ideal, support
+from lyubeznik.monomials import (EXPONENT_LIMIT, ExponentLimitError,
+                                 MinimizationWarning, Monomial,
+                                 MonomialIdeal, ParseError,
+                                 VariableContext, divides, radical_ideal,
+                                 support)
 from lyubeznik.oracle import _rank_function, _strand_homology
 from lyubeznik.subsets import (indices_of, iter_bits, tables_for,
                               up_closure)
@@ -474,8 +482,111 @@ def first_division(gens):
     return None
 
 
+def directive_lines(text, directives):
+    """(line number, directive, its column, the rest of the line, the
+    rest's offset) per directive line, every line matched by the
+    directive expression."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        stripped = raw.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        head = monomials._DIRECTIVE_RE.match(raw)
+        if head is None:
+            raise ParseError(f"unexpected {stripped[0]!r}", lineno,
+                             len(raw) - len(raw.lstrip()) + 1)
+        word = head.group(1)
+        column = head.start(1) + 1
+        if word not in directives:
+            raise ParseError(f"unknown directive {word!r}", lineno, column)
+        yield lineno, word, column, raw[head.end(1):], head.end(1)
+
+
+def parse_monomial(text, context, line, offset):
+    """One monomial's text, read a token of ``tokenize`` at a time."""
+    exps = [0] * len(context)
+    tokens = list(tokenize(text))
+    if not tokens:
+        raise ParseError("expected a monomial", line, offset + 1)
+    pos = 0
+    expect_factor = True
+    while pos < len(tokens):
+        tok, col = tokens[pos]
+        col += offset
+        if not expect_factor:
+            # between factors a '*' is optional
+            if tok == "*":
+                pos += 1
+            expect_factor = True
+            continue
+        if not monomials._NAME_RE.match(tok):
+            raise ParseError(f"expected a variable, got {tok!r}", line, col)
+        if tok not in context.names:
+            raise ParseError(f"unknown variable {tok!r}", line, col)
+        var = context.names.index(tok)
+        exponent = 1
+        pos += 1
+        if pos < len(tokens) and tokens[pos][0] == "^":
+            pos += 1
+            if pos >= len(tokens):
+                raise ParseError("expected an exponent after '^'", line,
+                                 tokens[pos - 1][1] + offset)
+            etok, ecol = tokens[pos]
+            ecol += offset
+            if etok.startswith("-"):
+                raise ParseError(f"negative exponent {etok}", line, ecol)
+            if not (etok.isascii() and etok.isdigit()):
+                raise ParseError(f"expected an exponent, got {etok!r}",
+                                 line, ecol)
+            exponent = int(etok)
+            pos += 1
+        exps[var] += exponent
+        if exps[var] > EXPONENT_LIMIT:
+            raise ExponentLimitError(
+                f"exponent of {tok!r} exceeds {EXPONENT_LIMIT}" +
+                (f" (line {line})" if line is not None else ""))
+        expect_factor = False
+    if expect_factor:
+        raise ParseError("dangling '*'", line, tokens[-1][1] + offset)
+    return Monomial(context, tuple(exps))
+
+
 def parse_ideal(text):
-    """The ideal file format, read with the routes above."""
-    with mock.patch.object(monomials, "_tokenize", tokenize), \
-            mock.patch.object(monomials, "_redundant", redundant):
-        return monomials.parse_ideal(text)
+    """The ideal file format, read a line and a token at a time, the
+    generators minimized one pair at a time and the ideal built by the
+    checking constructor."""
+    context = None
+    gens, lines = [], []
+    for lineno, word, column, rest, offset in directive_lines(
+            text, ("vars", "gen")):
+        if word == "vars":
+            if context is not None:
+                raise ParseError("duplicate vars line", lineno, column)
+            names = rest.split()
+            if not names:
+                raise ParseError("vars line lists no variables", lineno,
+                                 column)
+            try:
+                context = VariableContext(tuple(names))
+            except ValueError as exc:
+                raise ParseError(str(exc), lineno, column) from None
+        else:
+            if context is None:
+                raise ParseError("gen line before vars line", lineno, column)
+            mono = parse_monomial(rest, context, lineno, offset)
+            if mono.is_one():
+                raise ParseError("generator equals 1", lineno, column)
+            gens.append(mono)
+            lines.append(lineno)
+    if context is None:
+        raise ParseError("missing vars line")
+    if not gens:
+        raise ParseError("no generators")
+    flags = redundant(gens)
+    dropped = [f"{m} (line {n})" for m, n, r in zip(gens, lines, flags) if r]
+    if dropped:
+        warnings.warn(
+            f"generating set was not minimal; dropped {len(dropped)} "
+            f"redundant generator(s): {', '.join(dropped)}",
+            MinimizationWarning)
+    return MonomialIdeal(context, tuple(
+        m for m, r in zip(gens, flags) if not r))

@@ -36,13 +36,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lyubeznik import (all_ideals, cover_clutter, covers_of,
+from lyubeznik import (all_ideals, analyze, cover_clutter, covers_of,
                        e_minimal_covers_of, identity_order, is_cover_of,
-                       parse_order)
+                       parse_order, read_ideal, taylor_betti,
+                       verify_resolution_report)
 from lyubeznik.cli import _request, build_parser, main
 from lyubeznik.corpus import _data_dir
 from lyubeznik.covers import cover_listing
-from lyubeznik.jsontext import _Fragment, _json_text
+from lyubeznik.jsontext import (_Fragment, _betti_fields, _json_text,
+                                _multidegrees_fragment)
 from lyubeznik.subsets import mask_of
 
 from conftest import xyz_ideal
@@ -255,6 +257,98 @@ def test_rows_still_refuse_floats_numpy_scalars_and_other_types(rows, cell,
     row.insert(at % (len(row) + 1), cell)
     with pytest.raises(TypeError):
         _json_text({"rows": rows})
+
+
+# -- Betti and verify rows: fragments -----------------------------------------
+
+ROW_COMMANDS = (("oracle-betti",), ("oracle-betti", "--field", "p:2"),
+                ("oracle-betti", "--field", "p:32003"), ("verify",),
+                ("analyze",))
+
+
+def plain_rows(words, ideal):
+    """The payload's row lists as the library's tables give them, built
+    as the writer was handed them before the fragments: (the dict that
+    holds them, its row lists by key)."""
+    if words[0] == "verify":
+        report = verify_resolution_report(identity_order(ideal))
+        return (), {"multidegrees": [[str(m), ok] for m, ok in report]}
+    if words[0] == "analyze":
+        table = analyze(identity_order(ideal)).betti
+        holder = ("betti",)
+    else:
+        prime = int(words[2][2:]) if len(words) > 1 else None
+        table = taylor_betti(ideal, prime=prime)
+        holder = ()
+    if table is None:
+        return None, {}
+    return holder, {"graded": [list(r) for r in table.graded_rows()],
+                    "multigraded": [list(r) for r in table.multigraded_rows()]}
+
+
+def check_rows(words, path):
+    args = build_parser().parse_args(
+        [words[0], "--format", "json", *words[1:], str(path)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        payload, _ = _request(args)
+        ideal = read_ideal(path)
+        holder, rows = plain_rows(words, ideal)
+    payload = {"schema": 1, "command": args.command, **payload}
+    assert _json_text(payload) == reference_text(expanded(payload))
+    if holder is None:
+        assert payload["betti"] is None
+        return
+    fields = payload
+    for key in holder:
+        fields = fields[key]
+    for key, plain in rows.items():
+        # a fragment for the depth where the payload holds it: the Betti
+        # rows of analyze at depth 2, the others at depth 1
+        assert type(fields[key]) is _Fragment
+        assert fields[key].depth == len(holder) + 1
+        assert expanded(fields[key]) == plain
+
+
+@pytest.mark.parametrize("words", ROW_COMMANDS, ids=" ".join)
+def test_row_fragments_match_json_dumps_on_the_corpus(words):
+    for path in sorted(_data_dir().glob("*.ideal")):
+        check_rows(words, path)
+
+
+@pytest.mark.parametrize("words", ROW_COMMANDS, ids=" ".join)
+def test_row_fragments_match_json_dumps_on_the_pool(pool, words):
+    out, inputs = pool
+    names = sorted(name for name, entry in inputs.items()
+                   if name.endswith(".ideal") and entry["mu"] <= 12)
+    assert len(names) > 100
+    for name in names:
+        check_rows(words, out / name)
+
+
+def test_multidegree_rows_write_both_verdicts():
+    # every order's faces are cones, so the payloads above read true
+    # only: a report with false verdicts, the unit among them
+    ideal = xyz_ideal("x*y", "y*z^2", "t")
+    report = [(m, k % 2 == 0) for k, m in enumerate(ideal.gens)]
+    report.append((ideal.context.one(), False))
+    payload = {"multidegrees": _multidegrees_fragment(report,
+                                                      ideal.context.names)}
+    assert _json_text(payload) == reference_text(
+        {"multidegrees": [[str(m), ok] for m, ok in report]})
+
+
+def test_row_fragments_refuse_another_depth():
+    table = taylor_betti(xyz_ideal("x*y", "y*z", "x^2"))
+    fields = _betti_fields(table, 2)
+    with pytest.raises(ValueError, match="depth 2 met at depth 1"):
+        _json_text(fields)
+    assert _json_text({"betti": fields}) == reference_text(
+        {"betti": expanded(fields)})
+    report = verify_resolution_report(identity_order(xyz_ideal("x", "y")))
+    rows = _multidegrees_fragment(report, ("x", "y", "z", "t"))
+    with pytest.raises(ValueError, match="depth 1 met at depth 2"):
+        _json_text({"a": {"b": rows}})
 
 
 # -- the covers listing -------------------------------------------------------

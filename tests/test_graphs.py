@@ -6,9 +6,11 @@ import pytest
 
 from lyubeznik import (
     BoundExceededError,
+    MonomialIdeal,
     ParseError,
     PropositionCheck,
     SimpleGraph,
+    VariableContext,
     all_graphs,
     check_graph_propositions,
     edge_ideal,
@@ -19,6 +21,7 @@ from lyubeznik import (
     load_ideal,
     longest_path_edges,
     parse_graph,
+    read_graph,
 )
 
 from reference_routes import exhaustive_scan
@@ -108,6 +111,26 @@ def test_edge_ideal_matches_edge_listing():
     assert ideal.is_squarefree()
     with pytest.raises(ValueError, match="edgeless"):
         edge_ideal(SimpleGraph(("a", "b"), ()))
+
+
+def product_ideal(graph):
+    """The edge ideal with each edge's generator the product of its two
+    variables, ``Monomial.__mul__`` of checked monomials."""
+    context = VariableContext(graph.vertices)
+    return MonomialIdeal(context, tuple(
+        context.variable(a) * context.variable(b) for a, b in graph.edges))
+
+
+def test_edge_ideal_matches_the_products_of_variables(pool):
+    out, inputs = pool
+    graphs = [graph for _, graph in all_graphs()]
+    graphs += [read_graph(out / name) for name in sorted(inputs)
+               if name.endswith(".graph")]
+    assert len(graphs) > 30
+    for graph in graphs:
+        ideal = edge_ideal(graph)
+        assert ideal == product_ideal(graph)
+        assert all(type(e) is int for m in ideal.gens for e in m.exponents)
 
 
 def test_edge_ideal_agrees_with_ideal_corpus():

@@ -8,8 +8,10 @@ GF(32003) on every corpus ideal, on the benchmark's seed-1 pool up to
 mu 14 and on hypothesis ideals.  ``taylor_betti`` reads a one-level
 strand's count as its homology, and no rank is taken for it.
 
-``height`` searches the generators' support bitmasks; the checking
-route searches the supports of the re-minimised radical as sets.  The
+``height`` searches the generators' support bitmasks by branch and
+bound; the checking route searches the supports of the re-minimised
+radical as sets by increasing size, on the corpus, the seed-1 pool and
+hypothesis ideals.  The
 Betti rows are written by ``monomials.monomial_text`` from exponent
 tuples; the checking route is ``Monomial.__str__`` as it was.  And
 with ``lcm_exps`` made to raise, the oracle and the preserved-set
@@ -27,6 +29,7 @@ from lyubeznik import (Monomial, OrderedIdeal, VariableContext, all_ideals,
                        sweep_ideals, taylor_betti, verify_chain_complex,
                        verify_resolution_report)
 from lyubeznik.complexes import order_analysis
+from lyubeznik.graphs import edge_ideal, read_graph
 from lyubeznik.invariants import _preserved_betti, height
 from lyubeznik.monomials import (EXPONENT_LIMIT, MinimizationWarning,
                                  monomial_text)
@@ -107,6 +110,16 @@ def test_height_matches_the_radical_route_on_the_corpus():
         check_height(ideal)
 
 
+def test_height_matches_the_radical_route_on_the_pool(pool):
+    # every seed-1 ideal file and graph's edge ideal
+    out, inputs = pool
+    for name in sorted(inputs):
+        if name.endswith(".graph"):
+            check_height(edge_ideal(read_graph(out / name)))
+        else:
+            check_height(read_ideal(out / name))
+
+
 def test_height_with_powers_and_unused_variables():
     # t divides no generator; the supports of x^2*y and x*y^3 coincide
     check_height(xyz_ideal("x^2*y", "x*y^3", "z^2"))
@@ -127,8 +140,10 @@ def test_height_matches_the_radical_route_on_random_ideals(rows, unused):
 
 @settings(max_examples=100)
 @given(st.lists(st.integers(0, EXPONENT_LIMIT) | st.integers(0, 3),
-                min_size=1, max_size=6))
+                min_size=1, max_size=6)
+       | st.lists(st.integers(0, 1) | st.booleans(), min_size=1, max_size=6))
 def test_monomial_text_matches_the_old_str(exps):
+    # squarefree rows, bools among them, take the names in one pass
     names = tuple(f"x{i}" for i in range(1, len(exps) + 1))
     text = reference.monomial_text(names, exps)
     assert monomial_text(names, exps) == text
