@@ -44,7 +44,7 @@ import argparse
 import os
 import sys
 import warnings
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import factorial
 from typing import Sequence
 
@@ -60,8 +60,8 @@ from .jsontext import (_betti_fields, _covers_fragments, _json_text,
                        _lists_fragment, _multidegrees_fragment)
 from .linalg import check_prime
 from .monomials import (BoundExceededError, ExponentLimitError,
-                        MonomialIdeal, ParseError, read_ideal)
-from .oracle import (taylor_betti, verify_chain_complex,
+                        MonomialIdeal, ParseError, monomial_text, read_ideal)
+from .oracle import (_lcm_classes, taylor_betti, verify_chain_complex,
                      verify_resolution_report)
 from .orders import identity_order, parse_order
 from .subsets import MAX_TABLE_GENERATORS, indices_of, tables_for
@@ -225,9 +225,12 @@ def _cmd_complex(args, ideal, ordered):
 def _cmd_analyze(args, ideal, ordered):
     search = args.search is not None
     report = analyze(ordered, search=search, prime=args.field)
+    # the preserved-set rows are written without the lattice's classes
+    betti = report.betti and _betti_fields(
+        report.betti, 2, partial(monomial_text, ideal.context.names))
     payload = {"minimal": report.minimal, "obsL": report.obstruction,
                "l_length": report.l_length, "ps": report.ps,
-               "betti": _betti_fields(report.betti, 2) if report.betti else None,
+               "betti": betti,
                "height": report.height,
                "ara": {"lower": report.ara.lower, "upper": report.ara.upper,
                        "equality": report.ara.equality}}
@@ -285,12 +288,15 @@ def _cmd_search(args, ideal, ordered):
 
 def _cmd_oracle_betti(args, ideal, ordered):
     table = taylor_betti(ideal, prime=args.field)
-    payload = {**_betti_fields(table, 1), "projdim": table.projective_dimension}
+    # every multidegree is a lattice point (or 1), written once per ideal
+    mono = _lcm_classes(ideal).texts.__getitem__
+    payload = {**_betti_fields(table, 1, mono),
+               "projdim": table.projective_dimension}
 
     def text() -> list[str]:
         lines = [f"subject: {table.subject}"]
         lines += [f"b[{i},{j}] = {c}" for i, j, c in table.graded_rows()]
-        lines += [f"b[{i}, {mono}] = {c}" for i, mono, c in table.multigraded_rows()]
+        lines += [f"b[{i}, {mono(exps)}] = {c}" for i, exps, c in table.entries]
         lines.append(f"projective dimension: {table.projective_dimension}")
         return lines
     return payload, text
@@ -301,8 +307,8 @@ def _cmd_verify(args, ideal, ordered):
     chain_ok = verify_chain_complex(ordered)
     resolves = chain_ok and all(ok for _, ok in report)
     payload = {"chain_complex": chain_ok,
-               "multidegrees": _multidegrees_fragment(report,
-                                                      ideal.context.names),
+               "multidegrees": _multidegrees_fragment(
+                   report, _lcm_classes(ideal).texts.__getitem__),
                "resolves": resolves}
 
     def text() -> list[str]:

@@ -143,10 +143,13 @@ class _CoverTable:
     union; both ascend by mask and hold Python ints.  Minimality and
     obstruction sizes are read on the clutter: whether some E-minimal
     cover is preserved is the same question on it, because subsets of
-    preserved sets are preserved.
+    preserved sets are preserved.  So ``analyze``, ``radical-gens`` and
+    the searches read only the clutter, and ``by_generator`` is built
+    on its first read (by ``covers`` and ``equivalence_audit``).
     """
 
-    __slots__ = ("by_generator", "clutter")
+    __slots__ = ("clutter", "_mu", "_eminimal", "_minimal_for",
+                 "_by_generator")
 
     def __init__(self, ideal: MonomialIdeal) -> None:
         tables = tables_for(ideal)
@@ -164,10 +167,19 @@ class _CoverTable:
         above = np.zeros(tables.size, bool)
         above[eminimal] = True
         strict = one_smaller(up_closure(above))
-        self.by_generator = tuple(
-            tuple(eminimal[minimal_for >> b & 1 != 0].tolist())
-            for b in range(tables.mu))
         self.clutter = tuple(eminimal[~strict[eminimal]].tolist())
+        self._mu, self._eminimal, self._minimal_for = (tables.mu, eminimal,
+                                                       minimal_for)
+        self._by_generator = None
+
+    @property
+    def by_generator(self) -> tuple[tuple[int, ...], ...]:
+        if self._by_generator is None:
+            eminimal, minimal_for = self._eminimal, self._minimal_for
+            self._by_generator = tuple(
+                tuple(eminimal[minimal_for >> b & 1 != 0].tolist())
+                for b in range(self._mu))
+        return self._by_generator
 
 
 # one entry: a command reads one ideal, and more entries would hold

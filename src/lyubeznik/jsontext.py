@@ -12,8 +12,11 @@ faces and facets (``_lists_fragment``), built from a members text made
 once per face; ``oracle-betti`` and ``analyze`` a Betti table's graded
 and multigraded rows (``_betti_fields``), and ``verify`` its
 multidegrees (``_multidegrees_fragment``), each row one f-string with
-the multidegree's ``monomial_text``.  So the writer walks no cover
-entry, no face and no row.  A non-empty list whose items are all
+the multidegree's text, which the caller supplies: ``oracle-betti`` and
+``verify`` read the lattice's texts (``oracle._LcmClasses.texts``),
+written once per lattice point for every request on the ideal, and
+``analyze`` writes its preserved-set rows with ``monomial_text``.  So
+the writer walks no cover entry, no face and no row.  A non-empty list whose items are all
 non-empty flat rows, lists or tuples holding only str, int, bool and
 None (``covers``' clutter, ``graph``'s edges), is written one join per
 row, each cell's text looked up by its exact type; a list with any
@@ -29,8 +32,7 @@ of that import.
 from __future__ import annotations
 
 from json.encoder import encode_basestring_ascii
-
-from .monomials import monomial_text
+from typing import Callable
 
 
 # the text of each cell type a flat row may hold, keyed by exact type:
@@ -189,31 +191,32 @@ def _lists_fragment(masks: list[int], members: dict) -> _Fragment:
     return _rows_fragment(entries, 1)
 
 
-def _betti_fields(table, depth: int) -> dict:
+def _betti_fields(table, depth: int,
+                  text: Callable[[tuple[int, ...]], str]) -> dict:
     """A Betti table's payload fields, held at the depth ``depth``: its
     subject, its graded rows ``[i, j, count]`` sorted, and its
     multigraded rows ``[i, "multidegree", count]`` in entry order, the
     two lists as fragments.  A multidegree's text is the quoted
-    ``monomial_text``: variable names are ASCII letters, digits and
-    ``_``, which JSON writes as they are."""
+    ``text(exponents)``, a ``monomial_text``: variable names are ASCII
+    letters, digits and ``_``, which JSON writes as they are."""
     ind1, ind2 = ("\n" + "  " * d for d in (depth + 1, depth + 2))
     sep = "," + ind2
-    names = table.context.names
     graded = [f"[{ind2}{i}{sep}{j}{sep}{c}{ind1}]"
               for (i, j), c in sorted(table.graded.items())]
-    multigraded = [
-        f'[{ind2}{i}{sep}"{monomial_text(names, exps)}"{sep}{c}{ind1}]'
-        for i, exps, c in table.entries]
+    multigraded = [f'[{ind2}{i}{sep}"{text(exps)}"{sep}{c}{ind1}]'
+                   for i, exps, c in table.entries]
     return {"subject": table.subject,
             "graded": _rows_fragment(graded, depth),
             "multigraded": _rows_fragment(multigraded, depth)}
 
 
-def _multidegrees_fragment(report, names) -> _Fragment:
+def _multidegrees_fragment(report, text: Callable[[tuple[int, ...]], str]
+                           ) -> _Fragment:
     """``verify``'s multidegrees, rows ``["multidegree", verdict]`` of
-    its (monomial, verdict) pairs, as one fragment for depth 1, where
-    the payload holds them."""
+    its (monomial, verdict) pairs, each monomial written as
+    ``text(exponents)``, as one fragment for depth 1, where the payload
+    holds them."""
     ind1, ind2 = "\n    ", "\n      "
     return _rows_fragment(
-        [f'[{ind2}"{monomial_text(names, m.exponents)}",{ind2}'
+        [f'[{ind2}"{text(m.exponents)}",{ind2}'
          f'{"true" if ok else "false"}{ind1}]' for m, ok in report], 1)

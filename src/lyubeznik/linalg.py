@@ -13,6 +13,24 @@ stored pivot vector is divided by the gcd of its entries, so +-1 pivots
 never grow the numbers.  Over GF(p) the same loop scales each pivot to
 a leading 1 with a modular inverse.  No floating point anywhere.
 
+The run over Q also certifies the ranks over prime fields
+(``certified_rank``).  Its certificate holds, for each pivot, the gcd
+its landing vector was divided by and the leading coefficient it is
+stored with, each kept when it is not +-1.  If the prime p divides none
+of these integers, the rank over GF(p) is the rank over Q: read mod p,
+the run over Q is a valid run over GF(p).  A vector is rescaled only
+when its leading entry is not a multiple of the pivot's, and then by
+w[low] / gcd(c, w[low]), a divisor of a stored leading coefficient and
+so a unit mod p; every other step subtracts a multiple of a pivot.  A
+vector that vanishes over Q vanishes mod p.  A landing vector is g
+times the stored pivot, whose leading coefficient is a unit mod p, as
+g is, and nothing lies above its leading index; so it lands mod p at
+the same index.  The pivots mod p thus have the same distinct leading
+indices and span the same space as the input read mod p, and there
+are as many of them.  Where the certificate names p, the rank over
+GF(p) may be lower (it is on [[2]] and on [[1, 1], [1, -1]] at p = 2),
+and ``rank_mod_p`` must be asked.
+
 A matrix may be given as dense rows (sequences of ints) or as sparse
 vectors (mappings); rank of the rows equals rank of the columns, so
 either orientation gives the same answer.  The tests check this loop
@@ -38,8 +56,13 @@ def _nonzeros(vec: _Vector, p: int) -> dict[int, int]:
     return {i: x for i, x in items if x}
 
 
-def _reduced_rank(vectors: Sequence[_Vector], p: int) -> int:
-    """Rank of a vector family over Q (p = 0) or GF(p)."""
+def _pivots(vectors: Sequence[_Vector], p: int,
+            gcds: set[int] | None = None) -> dict[int, dict[int, int]]:
+    """The stored pivot vectors, by leading index, of a vector family
+    reduced over Q (p = 0) or GF(p); their number is its rank.
+
+    Over Q, a ``gcds`` set receives each landing gcd that is not 1.
+    """
     pivots: dict[int, dict[int, int]] = {}
     for vec in vectors:
         v = _nonzeros(vec, p)
@@ -54,6 +77,8 @@ def _reduced_rank(vectors: Sequence[_Vector], p: int) -> int:
                     g = gcd(*v.values())
                     if g != 1:
                         v = {i: x // g for i, x in v.items()}
+                        if gcds is not None:
+                            gcds.add(g)
                 pivots[low] = v
                 break
             c = v[low]
@@ -73,12 +98,23 @@ def _reduced_rank(vectors: Sequence[_Vector], p: int) -> int:
                     v[i] = y
                 else:
                     del v[i]
-    return len(pivots)
+    return pivots
 
 
 def exact_rank(vectors: Sequence[_Vector]) -> int:
     """Rank over Q of integer vectors (dense rows or {index: value} maps)."""
-    return _reduced_rank(vectors, 0)
+    return len(_pivots(vectors, 0))
+
+
+def certified_rank(vectors: Sequence[_Vector]) -> tuple[int, frozenset[int]]:
+    """The rank over Q of integer vectors, as ``exact_rank``, and its
+    certificate: integers above 1 such that the rank over GF(p) is the
+    same for every prime p that divides none of them."""
+    certificate: set[int] = set()
+    pivots = _pivots(vectors, 0, certificate)
+    certificate.update(abs(w[low]) for low, w in pivots.items())
+    certificate.discard(1)
+    return len(pivots), frozenset(certificate)
 
 
 # Miller-Rabin with the primes up to 41 as bases is exact below this
@@ -118,4 +154,4 @@ def check_prime(p: int) -> None:
 def rank_mod_p(vectors: Sequence[_Vector], p: int) -> int:
     """Rank over the prime field GF(p) of integer vectors, as in exact_rank."""
     check_prime(p)
-    return _reduced_rank(vectors, p)
+    return len(_pivots(vectors, p))

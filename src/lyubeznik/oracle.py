@@ -31,11 +31,29 @@ critical sets is its homology without entering the rank path.  The
 strands do not depend on the field and are cached per ideal, so the
 tables over each field and the projective dimension share them.
 
+Fields.  The strands' homology is ranked once per ideal, over Z, by the
+fraction-free loop of ``linalg.certified_rank``, and kept with the
+strands (``_Strands.homology``).  The table over Q reads it as it is.
+Each strand also keeps its certificate: the landing gcds and stored
+leading coefficients of its pivots that are not +-1.  Its ranks, and
+so its homology, are the same over GF(p) for every prime p that
+divides none of them (the ``linalg`` docstring says why), so a table
+over GF(p) re-ranks with ``rank_mod_p`` only the strands whose
+certificate p divides.  On the benchmark's squarefree ideals at
+mu <= 14 every certificate is empty, and no strand is ranked twice.
+The certificate cannot be skipped: the Stanley-Reisner ideal of the
+six-vertex real projective plane has beta_{3,6} = beta_{4,6} = 1 over
+GF(2) only, since by Hochster's formula its strand at x1*...*x6
+carries the reduced homology of RP^2 (Miller & Sturmfels 2005,
+Cor. 5.12), and its certificate there names 2.
+
 The projective dimension, which a search holds as ``projdim`` (the
 floor of its least length) and ``analyze`` reads for its ara bound, is
 the top level with homology in any strand, and no Betti table is
-built for it (``_projective_dimension``).  The levels are walked from
-the top down.  While every strand is exact above level t, the rank of
+built for it (``_projective_dimension``).  Once a table has ranked the
+strands, it is read off their homology over the field, by the rule
+above; before that, the levels are walked from the top down, so that a
+search, which builds no table, ranks no more than it needs.  While every strand is exact above level t, the rank of
 the differential into level t is the alternating sum of the dimensions
 above it, so the homology at t vanishes exactly when the differential
 out of t has the rank dim_t less that sum.  The counts decide this
@@ -87,7 +105,12 @@ exactness check read this one grouping of the masks (``_lcm_classes``).
 It names each lattice point by the exponent tuple of its vertex set
 alone, gathered from the subset tables' lcm ranks in one pass
 (``SubsetTables.lcm_tuples``): the oracle never builds the tuples of
-all 2^mu masks (``lcm_exps``).
+all 2^mu masks (``lcm_exps``).  The classes also keep what the command
+line's rows read, each built on first read and shared by every request
+on the ideal: each lattice point's ``monomial_text`` (``texts``), which
+``oracle-betti``'s multigraded rows over every field and ``verify``'s
+rows write, and the lattice's (degree, exponents) order with its
+monomials, in which ``verify_resolution_report`` lists its verdicts.
 
 Every differential the homology computations rank is handed to
 ``linalg`` as sparse columns: each face, a bitmask, becomes a map
@@ -109,11 +132,26 @@ import numpy as np
 
 from .betti import QUOTIENT, BettiTable
 from .complexes import order_analysis
-from .linalg import exact_rank, rank_mod_p
-from .monomials import Monomial, MonomialIdeal
+from .linalg import certified_rank, check_prime, exact_rank, rank_mod_p
+from .monomials import Monomial, MonomialIdeal, monomial_text
 from .orders import OrderedIdeal
 from .subsets import (bit_halves, one_smaller, popcounts, tables_for,
                       up_closure)
+
+class _Texts(dict):
+    """Each lattice point's ``monomial_text``, keyed by its exponent
+    tuple and written on its first read."""
+
+    __slots__ = ("names",)
+
+    def __init__(self, names: tuple[str, ...]) -> None:
+        super().__init__()
+        self.names = names
+
+    def __missing__(self, exps: tuple[int, ...]) -> str:
+        text = self[exps] = monomial_text(self.names, exps)
+        return text
+
 
 class _LcmClasses:
     """The ideal's lcm lattice, as classes of subset masks.
@@ -123,11 +161,24 @@ class _LcmClasses:
     exponents    the exponent tuple of each class's a = lcm(V_a)
     class_of     int64 array over the masks 0 .. 2^mu - 1: the index of
                  each nonempty mask's class, -1 for the empty mask
+
+    texts        the ``monomial_text`` of each lattice point (and of
+                 the zero tuple), by exponent tuple, each written on its
+                 first read
+
+    Built on first read too, and kept with the classes so that every
+    request on the ideal shares them: ``order()`` and ``monomials()``,
+    the classes in (degree, exponents) order and their monomials in
+    that order.
     """
 
-    __slots__ = ("vertex_sets", "exponents", "class_of")
+    __slots__ = ("vertex_sets", "exponents", "class_of", "texts",
+                 "_context", "_order", "_monomials")
 
     def __init__(self, ideal: MonomialIdeal) -> None:
+        self.texts = _Texts(ideal.context.names)
+        self._context = ideal.context
+        self._order = self._monomials = None
         tables = tables_for(ideal)
         divisors = tables.divisor_mask
         # vertex sets are masks themselves, so a table over the masks
@@ -140,6 +191,25 @@ class _LcmClasses:
         self.exponents = tables.lcm_tuples(self.vertex_sets)
         self.class_of = index[divisors]
 
+    def order(self) -> np.ndarray:
+        """The class indices sorted by (degree, exponents)."""
+        if self._order is None:
+            exponents = self.exponents
+            self._order = np.array(sorted(
+                range(len(exponents)),
+                key=lambda k: (sum(exponents[k]), exponents[k])), np.int64)
+        return self._order
+
+    def monomials(self) -> tuple[Monomial, ...]:
+        """The lattice points' monomials, in ``order()``."""
+        if self._monomials is None:
+            # the lcms' exponents were checked when the ideal was read
+            context, exponents = self._context, self.exponents
+            self._monomials = tuple(
+                Monomial._unchecked(context, exponents[k])
+                for k in self.order().tolist())
+        return self._monomials
+
 
 # one entry, as for the subset tables: a command reads one ideal
 @lru_cache(maxsize=1)
@@ -147,50 +217,110 @@ def _lcm_classes(ideal: MonomialIdeal) -> _LcmClasses:
     return _LcmClasses(ideal)
 
 
-# one entry, as for the classes: the strands do not depend on the field,
-# so the Betti tables over each field and the projective dimension of
-# one ideal share them; callers only read them
-@lru_cache(maxsize=1)
-def _critical_strands(ideal: MonomialIdeal
-                      ) -> dict[tuple[int, ...], dict[int, list[int]]]:
-    """Each strand's critical masks by size, under its best matching.
+class _Strands:
+    """The Morse-reduced strands of one ideal, and their homology.
+
+    critical  {exponents of a: {size: critical masks, ascending}}, for
+              every lattice point a whose strand keeps a critical mask
 
     For every class a and generator i in V_a, count the masks of the
     class that hold i and lose the lcm without it; the generator with
     the fewest (the lowest on a tie) is the class's pivot, and its
     critical masks are listed in ascending order.  Classes with no
     critical mask are left out: their strands are acyclic.
+
+    The homology is ranked once, over Z, on first read (``homology``):
+    each strand's rank certificates are kept where they are not all
+    +-1, and a prime field re-ranks only the strands whose certificate
+    the prime divides.  ``ranked`` says whether it has been read.
     """
-    classes = _lcm_classes(ideal)
-    class_of = classes.class_of
-    mu = ideal.mu
-    n = len(classes.vertex_sets)
 
-    fewest = np.full(n, len(class_of))
-    pivot = np.zeros(n, np.int64)
-    for b in range(mu):
-        bit = 1 << b
-        # the masks that hold the bit, against the same masks without it
-        low, high = bit_halves(class_of, b)
-        count = np.bincount(high[high != low], minlength=n)
-        # no mask of a class holds a generator outside its V_a, so that
-        # generator's count reads 0; it matches nothing and is never a
-        # pivot
-        better = (count < fewest) & (classes.vertex_sets & bit != 0)
-        fewest[better] = count[better]
-        pivot[better] = bit
-    # a mask without its class's pivot keeps its class with it, so only
-    # the masks that hold the pivot can change class without it
-    masks = np.arange(1, len(class_of))
-    cls = class_of[1:]
-    chosen = masks[class_of[masks ^ pivot[cls]] != cls]
+    __slots__ = ("critical", "_homology", "_certificates")
 
-    strands: dict[tuple[int, ...], dict[int, list[int]]] = {}
-    for mask, c, t in zip(chosen.tolist(), class_of[chosen].tolist(),
-                          popcounts(mu)[chosen].tolist()):
-        strands.setdefault(classes.exponents[c], {}).setdefault(
-            t, []).append(mask)
-    return strands
+    def __init__(self, ideal: MonomialIdeal) -> None:
+        classes = _lcm_classes(ideal)
+        class_of = classes.class_of
+        mu = ideal.mu
+        n = len(classes.vertex_sets)
+
+        fewest = np.full(n, len(class_of))
+        pivot = np.zeros(n, np.int64)
+        for b in range(mu):
+            bit = 1 << b
+            # the masks that hold the bit, against the same masks without it
+            low, high = bit_halves(class_of, b)
+            count = np.bincount(high[high != low], minlength=n)
+            # no mask of a class holds a generator outside its V_a, so that
+            # generator's count reads 0; it matches nothing and is never a
+            # pivot
+            better = (count < fewest) & (classes.vertex_sets & bit != 0)
+            fewest[better] = count[better]
+            pivot[better] = bit
+        # a mask without its class's pivot keeps its class with it, so only
+        # the masks that hold the pivot can change class without it
+        masks = np.arange(1, len(class_of))
+        cls = class_of[1:]
+        chosen = masks[class_of[masks ^ pivot[cls]] != cls]
+
+        critical: dict[tuple[int, ...], dict[int, list[int]]] = {}
+        for mask, c, t in zip(chosen.tolist(), class_of[chosen].tolist(),
+                              popcounts(mu)[chosen].tolist()):
+            critical.setdefault(classes.exponents[c], {}).setdefault(
+                t, []).append(mask)
+        self.critical = critical
+        self._homology = None
+        self._certificates: dict[tuple[int, ...], frozenset[int]] = {}
+
+    @property
+    def ranked(self) -> bool:
+        return self._homology is not None
+
+    def homology(self, prime: int | None = None
+                 ) -> dict[tuple[int, tuple[int, ...]], int]:
+        """{(level, exponents of a): homology rank}, the nonzero ranks
+        over Q, or over GF(prime); callers only read it."""
+        if self._homology is None:
+            self._homology = homology = {}
+            for exps, by_size in self.critical.items():
+                if len(by_size) == 1:
+                    # one level, no differential: its critical sets are
+                    # homology
+                    (t, masks), = by_size.items()
+                    homology[(t, exps)] = len(masks)
+                    continue
+                certificate: set[int] = set()
+
+                def rank(vectors):
+                    r, integers = certified_rank(vectors)
+                    certificate.update(integers)
+                    return r
+                for t, h in _strand_homology(by_size, rank).items():
+                    homology[(t, exps)] = h
+                if certificate:
+                    self._certificates[exps] = frozenset(certificate)
+        if prime is None:
+            return self._homology
+        torsion = [exps for exps, certificate in self._certificates.items()
+                   if any(n % prime == 0 for n in certificate)]
+        if not torsion:
+            return self._homology
+        homology = dict(self._homology)
+        rank = _rank_function(prime)
+        for exps in torsion:
+            by_size = self.critical[exps]
+            for t in by_size:
+                homology.pop((t, exps), None)
+            for t, h in _strand_homology(by_size, rank).items():
+                homology[(t, exps)] = h
+        return homology
+
+
+# one entry, as for the classes: the strands and their homology over Z
+# do not depend on the field, so the Betti tables over each field and
+# the projective dimension of one ideal share them
+@lru_cache(maxsize=1)
+def _critical_strands(ideal: MonomialIdeal) -> _Strands:
+    return _Strands(ideal)
 
 
 def _boundary_columns(masks: list[int], below: set[int]
@@ -246,42 +376,43 @@ def taylor_betti(ideal: MonomialIdeal, *,
     """Multigraded Betti numbers of R/I from Morse-reduced Taylor strands.
 
     Characteristic zero by default (exact integer elimination); pass a
-    prime to compute over GF(p) instead.
+    prime to compute over GF(p) instead.  Both read the strands'
+    homology over Z, ranked once per ideal.
     """
-    rank = _rank_function(prime)
-    counts: dict[tuple[int, tuple[int, ...]], int] = {
-        (0, (0,) * len(ideal.context)): 1}
-    for exps, by_size in _critical_strands(ideal).items():
-        if len(by_size) == 1:
-            # one level, no differential: its critical sets are homology
-            (t, masks), = by_size.items()
-            counts[(t, exps)] = len(masks)
-            continue
-        for t, h in _strand_homology(by_size, rank).items():
-            counts[(t, exps)] = h
+    if prime is not None:
+        check_prime(prime)
+    counts = {(0, (0,) * len(ideal.context)): 1}
+    counts.update(_critical_strands(ideal).homology(prime))
     return BettiTable.from_multigraded(QUOTIENT, ideal.context, counts)
 
 
 def _projective_dimension(ideal: MonomialIdeal, *,
                           prime: int | None = None) -> int:
     """pd(R/I): the highest level at which some Morse-reduced strand has
-    homology, found from the top level down without a Betti table.
+    homology.
 
-    While every strand is exact above level t, the differential into
-    level t has rank ``into``, the alternating sum of the dimensions
-    above it, and H_t vanishes exactly when the differential out of
-    level t has rank dim_t - into.  The counts settle that alone when
-    this rank is 0 (exact) or exceeds dim_{t-1} (homology); only the
-    strands left over are ranked, after every strand of the level has
-    been counted.
+    Strands whose homology was ranked (a Betti table read them) give it
+    at once.  Otherwise it is found from the top level down without
+    ranking every strand.  While every strand is exact above level t,
+    the differential into level t has rank ``into``, the alternating
+    sum of the dimensions above it, and H_t vanishes exactly when the
+    differential out of level t has rank dim_t - into.  The counts
+    settle that alone when this rank is 0 (exact) or exceeds dim_{t-1}
+    (homology); only the strands left over are ranked, after every
+    strand of the level has been counted.
     """
+    if prime is not None:
+        check_prime(prime)
+    strands = _critical_strands(ideal)
+    if strands.ranked:
+        return max((t for t, _ in strands.homology(prime)), default=0)
     rank = _rank_function(prime)
-    strands = list(_critical_strands(ideal).values())
-    into = [0] * len(strands)
-    top = max((t for by_size in strands for t in by_size), default=0)
+    critical = list(strands.critical.values())
+    into = [0] * len(critical)
+    top = max((t for by_size in critical for t in by_size), default=0)
     for t in range(top, 0, -1):
         unsettled = []
-        for k, by_size in enumerate(strands):
+        for k, by_size in enumerate(critical):
             masks = by_size.get(t, ())
             below = by_size.get(t - 1, ())
             out = len(masks) - into[k]
@@ -348,17 +479,11 @@ def verify_resolution_report(ordered: OrderedIdeal
     its member ranked first, which makes them acyclic; every order's
     faces do, so a false verdict marks a wrong preserved table.
     """
-    ideal = ordered.ideal
-    classes = _lcm_classes(ideal)
+    classes = _lcm_classes(ordered.ideal)
     analysis = order_analysis(ordered)
     # each vertex set's apex: its member ranked first, by its least rank
     word = np.array(ordered.order)
     apexes = 1 << (word[analysis.least[classes.vertex_sets]] - 1)
-    verdicts = _cones(analysis.preserved, classes.vertex_sets,
-                      apexes).tolist()
-    report = sorted(zip(classes.exponents, verdicts),
-                    key=lambda e: (sum(e[0]), e[0]))
-    # the lcms' exponents were checked when the ideal was read
-    context = ideal.context
-    return tuple((Monomial._unchecked(context, exps), ok)
-                 for exps, ok in report)
+    verdicts = _cones(analysis.preserved, classes.vertex_sets, apexes)
+    return tuple(zip(classes.monomials(),
+                     verdicts[classes.order()].tolist()))

@@ -40,6 +40,10 @@ monomials.
 * ``table_projective_dimension``: pd(R/I) read off the whole Betti
   table of ``taylor_betti``, the route the top-down walk
   (``oracle._projective_dimension``) replaced;
+* ``per_field_betti``: the Betti numbers from the Morse-reduced strands
+  with every multi-level strand ranked by the field's own kernel, the
+  route the homology ranked once over Z with its certificates
+  (``oracle._Strands.homology``) replaced;
 * ``cones_per_apex``: whether the faces inside each vertex set form a
   cone over its apex, by one marking of the faces without a partner
   and one up-closure per distinct apex, the route the one-pass apex
@@ -88,7 +92,8 @@ from lyubeznik.monomials import (EXPONENT_LIMIT, ExponentLimitError,
                                  MonomialIdeal, ParseError,
                                  VariableContext, divides, radical_ideal,
                                  support)
-from lyubeznik.oracle import _rank_function, _strand_homology
+from lyubeznik.oracle import (_critical_strands, _rank_function,
+                              _strand_homology)
 from lyubeznik.subsets import (indices_of, iter_bits, tables_for,
                               up_closure)
 
@@ -332,6 +337,17 @@ def full_strand_betti(ideal, prime=None):
     rank = _rank_function(prime)
     counts = {(0, (0,) * len(ideal.context)): 1}
     for exps, by_size in full_strands(ideal).items():
+        for t, h in _strand_homology(by_size, rank).items():
+            counts[(t, exps)] = h
+    return BettiTable.from_multigraded(QUOTIENT, ideal.context, counts)
+
+
+def per_field_betti(ideal, prime=None):
+    """Multigraded Betti numbers of R/I over Q or GF(prime), every
+    multi-level Morse-reduced strand ranked over that field."""
+    rank = _rank_function(prime)
+    counts = {(0, (0,) * len(ideal.context)): 1}
+    for exps, by_size in _critical_strands(ideal).critical.items():
         for t, h in _strand_homology(by_size, rank).items():
             counts[(t, exps)] = h
     return BettiTable.from_multigraded(QUOTIENT, ideal.context, counts)

@@ -30,6 +30,7 @@ import os
 import random
 import tempfile
 import warnings
+from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -45,6 +46,7 @@ from lyubeznik.corpus import _data_dir
 from lyubeznik.covers import cover_listing
 from lyubeznik.jsontext import (_Fragment, _betti_fields, _json_text,
                                 _multidegrees_fragment)
+from lyubeznik.monomials import monomial_text
 from lyubeznik.subsets import mask_of
 
 from conftest import xyz_ideal
@@ -332,21 +334,21 @@ def test_multidegree_rows_write_both_verdicts():
     ideal = xyz_ideal("x*y", "y*z^2", "t")
     report = [(m, k % 2 == 0) for k, m in enumerate(ideal.gens)]
     report.append((ideal.context.one(), False))
-    payload = {"multidegrees": _multidegrees_fragment(report,
-                                                      ideal.context.names)}
+    payload = {"multidegrees": _multidegrees_fragment(
+        report, partial(monomial_text, ideal.context.names))}
     assert _json_text(payload) == reference_text(
         {"multidegrees": [[str(m), ok] for m, ok in report]})
 
 
 def test_row_fragments_refuse_another_depth():
     table = taylor_betti(xyz_ideal("x*y", "y*z", "x^2"))
-    fields = _betti_fields(table, 2)
+    fields = _betti_fields(table, 2, partial(monomial_text, ("x", "y", "z", "t")))
     with pytest.raises(ValueError, match="depth 2 met at depth 1"):
         _json_text(fields)
     assert _json_text({"betti": fields}) == reference_text(
         {"betti": expanded(fields)})
     report = verify_resolution_report(identity_order(xyz_ideal("x", "y")))
-    rows = _multidegrees_fragment(report, ("x", "y", "z", "t"))
+    rows = _multidegrees_fragment(report, partial(monomial_text, ("x", "y", "z", "t")))
     with pytest.raises(ValueError, match="depth 1 met at depth 2"):
         _json_text({"a": {"b": rows}})
 

@@ -47,6 +47,7 @@ from lyubeznik import (
     sweep_ideals,
     taylor_betti,
 )
+from lyubeznik.covers import cover_table
 from lyubeznik.oracle import _projective_dimension
 from conftest import triangles_graph
 from reference_routes import (block_ranks, closure_length, exhaustive_scan,
@@ -422,3 +423,16 @@ def test_search_verdicts_match_the_former_formulas(name):
     assert scan.totally_lyubeznik == (scan.nonminimal_witness is None)
     # analyze and is_almost_lyubeznik
     assert scan.almost_lyubeznik == (scan.min_l == projdim)
+
+
+def test_analyze_never_builds_the_covers_by_generator():
+    # the minimality and obstruction read the clutter alone; the covers
+    # of each generator are built on their first read
+    for name, ideal in sweep_ideals():
+        cover_table.cache_clear()
+        analyze(identity_order(ideal), search=True)
+        assert cover_table.cache_info().currsize == 1, name
+        table = cover_table(ideal)
+        assert cover_table.cache_info().hits >= 1, name
+        assert table._by_generator is None, name
+        assert set().union(*table.by_generator) >= set(table.clutter), name

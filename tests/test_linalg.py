@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from lyubeznik.linalg import PRIME_LIMIT, check_prime, exact_rank, rank_mod_p
+from lyubeznik.linalg import (PRIME_LIMIT, certified_rank, check_prime,
+                              exact_rank, rank_mod_p)
 
 
 def test_frozen_ranks():
@@ -162,3 +163,46 @@ def test_non_unit_pivots_do_not_lose_rank():
     independent = columns[:2] + [{0: 4, 1: 12, 2: 8}]
     assert exact_rank(independent) == 3
     assert rank_mod_p(independent, 2) == 2
+
+
+# -- the certificate of the rank over Q ---------------------------------------
+
+CHECKED_PRIMES = (2, 3, 5, 7, 11, 13, 32003)
+
+
+def check_certificate(vectors):
+    """The rank over Q, and the rank over GF(p) for each checked prime
+    that divides no certificate integer, which must be the same."""
+    rank, certificate = certified_rank(vectors)
+    assert rank == exact_rank(vectors)
+    assert all(isinstance(n, int) and n > 1 for n in certificate)
+    for p in CHECKED_PRIMES:
+        if all(n % p for n in certificate):
+            assert rank_mod_p(vectors, p) == rank, (p, certificate)
+    return rank, certificate
+
+
+@given(matrices)
+def test_certificate_clears_primes_on_dense_rows(rows):
+    assert check_certificate(rows)[0] == fraction_rank(rows)
+
+
+@given(sparse_matrices)
+def test_certificate_clears_primes_on_sparse_columns(rows):
+    reference = fraction_rank(rows)
+    assert check_certificate(rows)[0] == reference
+    assert check_certificate(as_sparse_columns(rows))[0] == reference
+
+
+@pytest.mark.parametrize("vectors", [[[2]], [[1, 1], [1, -1]],
+                                     [{0: 1, 1: 1}, {0: 1, 1: -1}]])
+def test_torsion_is_named_by_the_certificate(vectors):
+    rank, certificate = check_certificate(vectors)
+    assert any(n % 2 == 0 for n in certificate)
+    assert rank_mod_p(vectors, 2) < rank
+
+
+def test_unit_pivots_name_no_prime():
+    assert certified_rank([[1, 0], [0, -1], [1, 1]]) == (2, frozenset())
+    assert certified_rank([]) == (0, frozenset())
+

@@ -3,31 +3,54 @@
 The oracle is the reference the rest of the package is judged against,
 so these tests pin it to hand-computed values on ideals small enough
 to work out on paper.
+
+The Betti numbers over GF(p) are read off the strands' homology over
+Z, ranked once per ideal; a strand is ranked again over GF(p) only
+where its rank certificate names p.  The Stanley-Reisner ideal of the
+six-vertex real projective plane is the worked case where the field
+matters: by Hochster's formula (Miller & Sturmfels 2005, Cor. 5.12)
+its strand at x1*...*x6 carries the reduced homology of RP^2, which
+vanishes over Q and GF(3) and is one-dimensional in degrees 1 and 2
+over GF(2), so beta_{3,6} = beta_{4,6} = 1 over GF(2) only.  Its rows
+are pinned over each field, in either call order and from cleared
+caches, and the cached route is compared with the per-field route
+(``reference_routes.per_field_betti``) for p = 2, 3, 5 and 32003 on the
+corpus, the seed-1 pool up to mu 12 and hypothesis ideals.
 """
 
+from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import lyubeznik.oracle as oracle
 from lyubeznik import (
     OrderedIdeal,
+    all_ideals,
     all_orders,
     identity_order,
     load_ideal,
     parse_ideal,
+    read_ideal,
     taylor_betti,
     verify_chain_complex,
     verify_resolution_report,
 )
-from lyubeznik.oracle import _boundary_columns, _closed
+from lyubeznik.linalg import rank_mod_p
+from lyubeznik.oracle import (_boundary_columns, _closed,
+                              _projective_dimension)
+from lyubeznik.subsets import tables_for
 
 from conftest import exponent_ideal
 from reference_routes import (BoundaryMatrix, boundary_matrices,
-                              dense_composes_to_zero)
+                              dense_composes_to_zero, per_field_betti)
 from test_covers import refuses_before_allocating, unit_rows
+from test_linalg import check_certificate
 from test_oracle_reductions import betti_euler, taylor_euler
 from test_oracle_routes import family_table, mask_faces
 from test_preserved_kernel import seeded_ideal
+from test_scan_kernel import exponent_rows, small_ideal
 
 KOSZUL2 = parse_ideal("vars x y\ngen x\ngen y")
 KOSZUL3 = parse_ideal("vars x y z\ngen x\ngen y\ngen z")
@@ -192,3 +215,136 @@ def test_prime_field_agrees_with_exact():
         exact = taylor_betti(ideal)
         assert taylor_betti(ideal, prime=1_000_003) == exact
         assert taylor_betti(ideal, prime=2) == exact
+
+
+# -- fields: the homology over Z and its certificates -------------------------
+
+RP2_FACETS = ("123", "134", "145", "156", "126",
+              "235", "245", "246", "346", "356")
+# the triangles of K6 outside the facets; every edge is a face
+RP2 = parse_ideal("""vars x1 x2 x3 x4 x5 x6
+gen x1*x2*x4
+gen x1*x2*x5
+gen x1*x3*x5
+gen x1*x3*x6
+gen x1*x4*x6
+gen x2*x3*x4
+gen x2*x3*x6
+gen x2*x5*x6
+gen x3*x4*x5
+gen x4*x5*x6
+""")
+RP2_Q_ROWS = ((0, 0, 1), (1, 3, 10), (2, 4, 15), (3, 5, 6))
+RP2_ROWS = {None: RP2_Q_ROWS, 2: RP2_Q_ROWS + ((3, 6, 1), (4, 6, 1)),
+            3: RP2_Q_ROWS}
+RP2_PROJDIM = {None: 3, 2: 4, 3: 3}
+CERTIFIED_FIELDS = (2, 3, 5, 32003)
+
+
+def clear_oracle_caches():
+    for cached in (tables_for, oracle._lcm_classes, oracle._critical_strands):
+        cached.cache_clear()
+
+
+def test_rp2_ideal_is_the_non_facet_triangles():
+    facets = {frozenset(map(int, f)) for f in RP2_FACETS}
+    assert {frozenset(t) for t in combinations(range(1, 7), 3)} - facets == {
+        frozenset(i for i, e in enumerate(m.exponents, 1) if e)
+        for m in RP2.gens}
+
+
+@pytest.mark.parametrize("fields", [(None, 2, 3), (2, None, 3), (3, 2, None)])
+def test_rp2_betti_rows_depend_on_the_field(fields):
+    clear_oracle_caches()
+    for prime in fields:
+        assert taylor_betti(RP2, prime=prime).graded_rows() == RP2_ROWS[prime]
+    for prime in fields:
+        clear_oracle_caches()
+        table = taylor_betti(RP2, prime=prime)
+        assert table.graded_rows() == RP2_ROWS[prime], prime
+        top = {(i, exps): c for i, exps, c in table.entries if sum(exps) == 6}
+        assert top == ({(3, (1,) * 6): 1, (4, (1,) * 6): 1} if prime == 2
+                       else {}), prime
+
+
+def test_a_field_that_is_not_prime_is_refused():
+    # the Koszul strands have one level each, so no rank is ever taken:
+    # the prime is checked before the homology is read
+    for call in (taylor_betti, _projective_dimension):
+        for prime in (4, 1):
+            with pytest.raises(ValueError, match="not a prime"):
+                call(KOSZUL2, prime=prime)
+
+
+def test_rp2_projective_dimension_depends_on_the_field():
+    for prime, projdim in RP2_PROJDIM.items():
+        clear_oracle_caches()
+        # walked down the strands, before any table ranked them
+        assert _projective_dimension(RP2, prime=prime) == projdim, prime
+        assert not oracle._critical_strands(RP2).ranked
+    taylor_betti(RP2)
+    assert oracle._critical_strands(RP2).ranked
+    for prime, projdim in RP2_PROJDIM.items():
+        # read off the homology over Z, re-ranked where 2 is named
+        assert _projective_dimension(RP2, prime=prime) == projdim, prime
+
+
+def check_fields(ideal):
+    clear_oracle_caches()
+    exact = taylor_betti(ideal)
+    assert exact == per_field_betti(ideal)
+    for prime in CERTIFIED_FIELDS:
+        table = taylor_betti(ideal, prime=prime)
+        assert table == per_field_betti(ideal, prime), prime
+        assert _projective_dimension(ideal, prime=prime) == \
+            table.projective_dimension, prime
+
+
+def test_cached_fields_match_the_per_field_route_on_the_corpus():
+    for name, ideal in all_ideals():
+        check_fields(ideal)
+    check_fields(RP2)
+
+
+def test_cached_fields_match_the_per_field_route_on_the_pool(pool):
+    out, inputs = pool
+    names = [n for n, e in inputs.items()
+             if n.endswith(".ideal") and e["mu"] <= 12]
+    assert len(names) > 100
+    for name in sorted(names):
+        check_fields(read_ideal(out / name))
+
+
+@settings(max_examples=40)
+@given(st.integers(2, 5).flatmap(exponent_rows))
+def test_cached_fields_match_the_per_field_route_on_random_ideals(rows):
+    check_fields(small_ideal(rows, max_mu=10))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.permutations(range(6)),
+       st.lists(st.sets(st.integers(0, 7), min_size=1, max_size=3),
+                max_size=2))
+def test_cached_fields_match_the_per_field_route_around_rp2(relabel, extra):
+    # RP^2's cubics with relabelled vertices, in eight variables, with up
+    # to two more squarefree generators: the torsion may stay or go
+    rows = [tuple(int(any(relabel[v] == k for v, e in
+                          enumerate(m.exponents) if e)) for k in range(8))
+            for m in RP2.gens]
+    rows += [tuple(int(k in support) for k in range(8)) for support in extra]
+    check_fields(small_ideal(rows, max_mu=12))
+
+
+def test_rp2_strand_names_two():
+    # the top strand of RP^2's Stanley-Reisner ideal, Morse-reduced: its
+    # ranks drop over GF(2), and its certificate names 2 (and only 2)
+    by_size = oracle._critical_strands(RP2).critical[(1,) * 6]
+    named, dropped = set(), False
+    for t, masks in by_size.items():
+        if t - 1 in by_size:
+            columns = _boundary_columns(masks, set(by_size[t - 1]))
+            rank, certificate = check_certificate(columns)
+            named |= certificate
+            dropped |= rank_mod_p(columns, 2) < rank
+    assert dropped and named and all(n % 2 == 0 for n in named)
+    assert all(n % p for n in named for p in (3, 5, 32003))

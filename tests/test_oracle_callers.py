@@ -15,14 +15,22 @@ hypothesis ideals.  The
 Betti rows are written by ``monomials.monomial_text`` from exponent
 tuples; the checking route is ``Monomial.__str__`` as it was.  And
 with ``lcm_exps`` made to raise, the oracle and the preserved-set
-counts still answer: they gather the lcm tuples they read.
+counts still answer: they gather the lcm tuples they read.  On the
+seed-1 o10-o12 ideals the benchmark's four oracle requests take every
+rank in the table over Q, and write each lattice point's text at most
+once.
 """
 
+import io
 import warnings
+from collections import Counter
+from contextlib import redirect_stdout
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lyubeznik.betti as betti
+import lyubeznik.cli as cli
 import lyubeznik.oracle as oracle
 from lyubeznik import (Monomial, OrderedIdeal, VariableContext, all_ideals,
                        analyze, identity_order, is_lyubeznik, read_ideal,
@@ -90,13 +98,15 @@ def test_one_level_strands_never_reach_the_rank_path(monkeypatch):
         strands = oracle._critical_strands(ideal)
         levels.clear()
         assert taylor_betti(ideal) == reference.full_strand_betti(ideal)
-        assert levels == [len(s) for s in strands.values() if len(s) > 1]
+        assert levels == [len(s) for s in strands.critical.values()
+                          if len(s) > 1]
 
     # a complete intersection's strands each have one level: no rank
     def refuse(vectors):
         raise AssertionError("a one-level strand was ranked")
 
     monkeypatch.setattr(oracle, "_rank_function", lambda prime: refuse)
+    monkeypatch.setattr(oracle, "certified_rank", refuse)
     koszul = xyz_ideal("x", "y", "z")
     assert taylor_betti(koszul).projective_dimension == 3
 
@@ -193,3 +203,53 @@ def test_preserved_counts_match_the_lcm_exps_route(order):
         if order == "reversed":
             ordered = OrderedIdeal(ideal, ordered.order[::-1])
         assert _preserved_betti(ordered) == reference.preserved_betti(ordered)
+
+
+def test_oracle_requests_rank_and_write_each_lattice_point_once(pool,
+                                                                monkeypatch):
+    # the benchmark's oracle requests on each seed-1 o10-o12 ideal: the
+    # table over Q ranks every strand once, over Z; the table over
+    # GF(32003), analyze's projective dimension and verify's report read
+    # that homology and rank nothing; and the Betti and verify rows write
+    # each lattice point's text at most once over the four requests (the
+    # ideal's own generators, written by every request, are not rows)
+    out, inputs = pool
+    names = sorted(n for n in inputs if n.startswith("o1"))
+    assert len(names) == 10
+    ranks, texts = [], Counter()
+
+    def counted(rank):
+        def call(*args):
+            ranks.append(rank.__name__)
+            return rank(*args)
+        return call
+
+    def counted_text(variables, exps):
+        texts[tuple(exps)] += 1
+        return monomial_text(variables, exps)
+
+    for rank in ("certified_rank", "exact_rank", "rank_mod_p"):
+        monkeypatch.setattr(oracle, rank, counted(getattr(oracle, rank)))
+    for module in (oracle, betti, cli):
+        monkeypatch.setattr(module, "monomial_text", counted_text)
+    requests = (["oracle-betti"], ["oracle-betti", "--field", "p:32003"],
+                ["analyze"], ["verify"])
+    for name in names:
+        for cached in (tables_for, order_analysis, oracle._lcm_classes,
+                       oracle._critical_strands):
+            cached.cache_clear()
+        ranks.clear()
+        texts.clear()
+        after = []
+        for words in requests:
+            with redirect_stdout(io.StringIO()):
+                code = cli.main([words[0], str(out / name), *words[1:],
+                                 "--format", "json"])
+            assert code == 0, (name, words)
+            after.append(len(ranks))
+        assert after[0] > 0 and after == after[:1] * 4, (name, after)
+        assert set(ranks) == {"certified_rank"}, name
+        ideal = read_ideal(out / name)
+        points = set(oracle._lcm_classes(ideal).exponents)
+        assert set(texts) <= points | {(0,) * len(ideal.context)}, name
+        assert max(texts.values()) == 1, name

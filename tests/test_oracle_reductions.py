@@ -59,7 +59,7 @@ def euler(by_size):
 
 def check_critical_families(ideal):
     full = full_strands(ideal)
-    critical = _critical_strands(ideal)
+    critical = _critical_strands(ideal).critical
     for exps, by_size in critical.items():
         strand = full[exps]
         assert sum(map(len, by_size.values())) <= \
