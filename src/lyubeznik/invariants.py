@@ -314,11 +314,11 @@ def search_scan(ideal: MonomialIdeal, *,
     or Q when it is None.
 
     Answers up to the subset tables' bound, mu <= 16, and refuses above
-    it with ``BoundExceededError`` before any table is built.  The
-    clutter walk and its verdicts stay quick there, but ``min_l`` of an
-    ideal that is not Lyubeznik walks every (k+1)-set for each length k
-    it tries: at mu 13-16 that can take minutes and gigabytes (at mu 14
-    one such read has taken 92 s and 5.8 GiB).
+    it with ``BoundExceededError`` before any table is built.  ``min_l``
+    of an ideal that is not Lyubeznik walks every (k+1)-set for each
+    length k it tries; the walks settle a state as soon as an alive set
+    is sure to be preserved (``prefix``), so at mu 13-16 most of its
+    cost is building their tables over the 2^mu prefix sets.
     """
     return SearchResult(ideal, cover_table(ideal).clutter, prime)
 

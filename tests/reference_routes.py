@@ -25,6 +25,9 @@ monomials.
   ``orders_for_search`` and a first-strictly-better merge in
   lexicographic order, the route the prefix-set search
   (``search_scan``) replaced;
+* ``InsideWalk``: the prefix walk that settles a state only once an
+  alive family set lies inside the prefix, the route the ``sure``
+  table of ``prefix.PrefixWalk`` replaced;
 * ``BoundaryMatrix`` and ``boundary_levels``: dense sign matrices
   between consecutive levels of a face family, faces written as index
   tuples, the route the oracle's sparse columns
@@ -79,6 +82,7 @@ monomials.
 import warnings
 from dataclasses import dataclass
 from itertools import combinations
+from math import factorial
 
 import numpy as np
 
@@ -237,6 +241,86 @@ def exhaustive_scan(ideal):
         minimal_count += int(minimal.sum())
     return Scan(scanned, tobsl, tobsl_witness, min_l, min_l_witness,
                 minimal_count, nonminimal_witness)
+
+
+def packed_rows(marks):
+    """Each column of a bool array of shape (family sets, prefixes) as
+    one int, bit i for row i."""
+    packed = np.packbits(marks, axis=0, bitorder="little").T
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+class InsideWalk:
+    """The prefix walk that settles a state only once an alive family
+    set lies inside the prefix (``inside[P]``), with no other shortcut:
+    the route the ``sure`` table of ``prefix.PrefixWalk`` replaced.
+    Both tables are built for all family sets at once."""
+
+    def __init__(self, ideal, sets):
+        mu = ideal.mu
+        self.mu = mu
+        self.full = (1 << mu) - 1
+        self.alive = (1 << len(sets)) - 1
+        prefixes = np.arange(1 << mu, dtype=np.int64)
+        rest = np.array(sets, np.int64).reshape(-1, 1) & ~prefixes
+        divisor = tables_for(ideal).divisor_mask
+        self.keep = packed_rows(divisor[rest] & prefixes == 0)
+        self.inside = packed_rows(rest == 0)
+        self.counts = {}
+
+    def count(self):
+        """The number of orders that preserve no family set."""
+        full, mu, counts = self.full, self.mu, self.counts
+        keep, inside = self.keep, self.inside
+
+        def walk(prefix, alive):
+            key = alive << mu | prefix
+            if key not in counts:
+                total = 0
+                for b in iter_bits(full & ~prefix):
+                    nxt = prefix | 1 << b
+                    if not alive & inside[nxt]:
+                        total += (1 if nxt == full
+                                  else walk(nxt, alive & keep[nxt]))
+                counts[key] = total
+            return counts[key]
+
+        return walk(0, self.alive)
+
+    def first(self, avoid=True):
+        """The least order preserving no family set (``avoid``) or some
+        family set (not ``avoid``), or None."""
+        full, mu, counts = self.full, self.mu, self.counts
+        keep, inside = self.keep, self.inside
+        seen = {}
+
+        def sought(nxt, alive):
+            if alive & inside[nxt]:
+                return not avoid
+            if nxt == full:
+                return avoid
+            alive &= keep[nxt]
+            key = alive << mu | nxt
+            if key in counts:
+                left = counts[key]
+                return left > 0 if avoid else left < factorial(
+                    mu - nxt.bit_count())
+            if key not in seen:
+                seen[key] = any(sought(nxt | 1 << b, alive)
+                                for b in iter_bits(full & ~nxt))
+            return seen[key]
+
+        prefix, alive, word = 0, self.alive, []
+        while prefix != full:
+            for b in iter_bits(full & ~prefix):
+                if sought(prefix | 1 << b, alive):
+                    break
+            else:
+                return None
+            word.append(b + 1)
+            prefix |= 1 << b
+            alive &= keep[prefix]
+        return tuple(word)
 
 
 @dataclass(frozen=True)

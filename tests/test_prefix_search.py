@@ -19,17 +19,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lyubeznik import (PropositionCheck, SimpleGraph, all_graphs, analyze,
-                       check_graph_propositions, edge_ideal, identity_order,
-                       is_totally_lyubeznik, load_ideal, longest_path_edges,
-                       parse_ideal, read_graph, read_ideal, search_scan,
-                       taylor_betti)
+from lyubeznik import (OrderedIdeal, PropositionCheck, SimpleGraph,
+                       all_graphs, analyze, check_graph_propositions,
+                       edge_ideal, identity_order, is_totally_lyubeznik,
+                       l_length, load_ideal, longest_path_edges, parse_ideal,
+                       read_graph, read_ideal, search_scan, taylor_betti)
 from lyubeznik import invariants
 from lyubeznik.corpus import ideal_names
+from lyubeznik.covers import cover_table
+from lyubeznik.monomials import divides
 from lyubeznik.prefix import PrefixWalk
-from lyubeznik.subsets import mask_of
+from lyubeznik.subsets import indices_of, mask_of, tables_for
 
-from reference_routes import exhaustive_scan
+from reference_routes import InsideWalk, exhaustive_scan
 from test_scan_kernel import exponent_rows, small_ideal
 
 FIELDS = ("scanned", "tobsl", "tobsl_witness", "min_l", "min_l_witness",
@@ -257,3 +259,173 @@ def test_min_l_of_k44_is_the_identity_without_a_walk(monkeypatch):
     assert scan.min_l_witness == tuple(range(1, 17))
     assert built == []
     assert time.perf_counter() - start < 10
+
+
+# -- the sure table against the walk it replaced ------------------------------
+
+
+def families(ideal, rng):
+    """The families the searches walk, and random ones: the empty
+    family, the clutter, its edges above each size k, every (k + 1)-set,
+    and three random subfamilies of the 2^mu masks."""
+    clutter = list(cover_table(ideal).clutter)
+    out = [[], clutter]
+    out += [[m for m in clutter if m.bit_count() > k]
+            for k in sorted({m.bit_count() for m in clutter})]
+    out += [[mask_of(c) for c in combinations(ideal.indices(), k + 1)]
+            for k in range(ideal.mu)]
+    size = 1 << ideal.mu
+    out += [rng.sample(range(size), rng.randint(1, min(64, size)))
+            for _ in range(3)]
+    return out
+
+
+def check_walks(ideal, seed=0):
+    """``PrefixWalk`` agrees with ``InsideWalk`` on every family: the
+    count, and both least orders read on a fresh walk and after the
+    count has filled the memo."""
+    for sets in families(ideal, random.Random(seed)):
+        reference = InsideWalk(ideal, sets)
+        count = reference.count()
+        expected = (reference.first(), reference.first(avoid=False))
+        walk = PrefixWalk(ideal, sets)
+        assert (walk.first(), walk.first(avoid=False)) == expected, sets
+        assert walk.count() == count, sets
+        walk = PrefixWalk(ideal, sets)
+        assert walk.count() == count, sets
+        assert (walk.first(), walk.first(avoid=False)) == expected, sets
+
+
+@pytest.mark.parametrize("name", ideal_names())
+def test_walks_match_the_inside_walk_on_the_corpus(name):
+    check_walks(load_ideal(name))
+
+
+def test_walks_match_the_inside_walk_on_the_pool(pool):
+    out, inputs = pool
+    names = sorted(n for n, e in inputs.items() if e["mu"] <= 10)
+    assert len(names) > 100
+    for seed, name in enumerate(names):
+        path = out / name
+        check_walks(edge_ideal(read_graph(path)) if name.endswith(".graph")
+                    else read_ideal(path), seed)
+
+
+@settings(max_examples=40)
+@given(st.integers(2, 4).flatmap(exponent_rows), st.integers(0, 2 ** 32))
+def test_walks_match_the_inside_walk_on_hypothesis_ideals(rows, seed):
+    check_walks(small_ideal(rows, max_mu=8), seed)
+
+
+def broken_sets(ideal, orders):
+    """broken[o, D]: under the o-th order some generator outside D that
+    divides lcm(D) comes before every member of D; read off the
+    monomials, not the subset tables."""
+    mu = ideal.mu
+    rank = np.argsort(orders, axis=1)
+    broken = np.zeros((len(orders), 1 << mu), bool)
+    for d in range(1, 1 << mu):
+        members = [i - 1 for i in indices_of(d)]
+        top = ideal.lcm(indices_of(d))
+        outside = [g for g in range(mu)
+                   if g not in members and divides(ideal.gens[g], top)]
+        if outside:
+            broken[:, d] = (rank[:, outside].min(axis=1)
+                            < rank[:, members].min(axis=1))
+    return broken
+
+
+def closed_up(marked):
+    """Each row of a bool array over the 2^mu masks OR-ed over the
+    subsets of each mask, by a loop over the bits."""
+    marked = marked.copy()
+    for b in range(marked.shape[-1].bit_length() - 1):
+        for mask in range(marked.shape[-1]):
+            if mask >> b & 1:
+                marked[..., mask] |= marked[..., mask ^ 1 << b]
+    return marked
+
+
+def sure_rule_cases(ideal):
+    """(rule, every) over each prefix word w of each order and each set
+    S that no placement in w kills: whether every nonempty R inside
+    S minus w's set has ``divisor_mask[R] == R``, and whether every
+    order beginning with w preserves S, found by listing those orders."""
+    mu, size = ideal.mu, 1 << ideal.mu
+    orders = np.array(list(permutations(range(1, mu + 1))), np.int64)
+    broken = broken_sets(ideal, orders)
+    unpreserved = closed_up(broken)
+    divisor = tables_for(ideal).divisor_mask
+    all_closed = np.array([all(divisor[r] == r for r in range(1, size)
+                               if r & ~t == 0) for t in range(size)])
+    masks = np.arange(size)
+    rule, every = [], []
+    for j in range(mu + 1):
+        # the orders are listed lexicographically, so those beginning
+        # with one word of length j are a block of (mu - j)!
+        block = factorial(mu - j)
+        prefix = np.zeros(len(orders) // block, np.int64)
+        for column in orders[::block, :j].T:
+            prefix |= 1 << (column - 1)
+        # S is killed by a placement in w when a subset meeting w's
+        # set is broken, its least member placed in w
+        killed = closed_up(broken[::block] & (masks & prefix[:, None] != 0))
+        preserved = ~unpreserved.reshape(-1, block, size).any(axis=1)
+        rule.append(all_closed[masks & ~prefix[:, None]][~killed])
+        every.append(preserved[~killed])
+    return np.concatenate(rule), np.concatenate(every)
+
+
+def test_the_sure_rule_by_listing_completions():
+    # both directions: sets sure by the rule that every completion
+    # preserves, and sets with an open subset that some completion kills
+    held = set()
+    for name in ideal_names():
+        ideal = load_ideal(name)
+        if ideal.mu <= 6:
+            rule, every = sure_rule_cases(ideal)
+            assert np.array_equal(rule, every), name
+            held |= {(bool(r), bool(e)) for r, e in zip(rule, every)}
+    assert held == {(True, True), (False, False)}
+
+
+@settings(max_examples=40)
+@given(st.integers(2, 4).flatmap(exponent_rows))
+def test_the_sure_rule_on_hypothesis_ideals(rows):
+    rule, every = sure_rule_cases(small_ideal(rows, max_mu=6))
+    assert np.array_equal(rule, every)
+
+
+# -- past the CLI bound ---------------------------------------------------------
+
+
+def cycle(n):
+    names = tuple(f"v{i}" for i in range(n))
+    return SimpleGraph(names, tuple((names[i], names[(i + 1) % n])
+                                    for i in range(n)))
+
+
+def test_a_pool_search_at_mu_14(pool):
+    # c14-03 is not Lyubeznik and min_l's witness needs a walk over all
+    # 6-sets: 15 s and 560 MiB before the sure table
+    out, _ = pool
+    ideal = read_ideal(out / "c14-03.ideal")
+    assert ideal.mu == 14
+    scan = fresh(ideal)
+    assert scan.minimal_count == 0
+    assert (scan.tobsl, scan.tobsl_witness) == (4, tuple(range(1, 15)))
+    assert scan.min_l == scan.projdim == 5
+    assert scan.min_l_witness == (3, 1, 4, 6, 7, 5, 8, 11, 13, 10, 9, 2, 12,
+                                  14)
+    assert l_length(OrderedIdeal(ideal, scan.min_l_witness)) == 5
+
+
+def test_the_fourteen_cycle():
+    # 14 = 3 * 4 + 2: no order reaches the projective dimension
+    ideal = edge_ideal(cycle(14))
+    assert ideal.mu == 14
+    scan = fresh(ideal)
+    assert (scan.tobsl, scan.projdim, scan.min_l) == (3, 9, 10)
+    assert scan.min_l_witness == (1, 2, 3, 4, 6, 5, 7, 9, 8, 10, 12, 11, 13,
+                                  14)
+    assert l_length(OrderedIdeal(ideal, scan.min_l_witness)) == 10
