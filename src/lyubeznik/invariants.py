@@ -178,7 +178,10 @@ class SearchResult:
       than searching without it, so the clutter walk is counted as soon
       as it is built;
     * a positive ``tobsl`` is the least edge size k at which some order
-      preserves no clutter edge larger than k, tried k ascending;
+      preserves no clutter edge larger than k, tried k ascending, each k
+      by the clutter walk started from the root of the edges above k
+      (``first(alive=...)``), so every k reads the rows and the count's
+      memo of that one walk;
     * an order's length is at most k exactly when it preserves no
       (k + 1)-set.  No order is shorter than the projective dimension
       of R/I, and minimal orders reach it, so a Lyubeznik ideal's
@@ -189,7 +192,7 @@ class SearchResult:
       some order is shorter.  The identity is the lexicographically
       least word, so a length the identity order already meets needs
       no walk: its witness is the identity (on K_{4,4}, mu 16, that
-      skips the C(16, 8) = 12,870-set tables of the floor's walk).  A
+      skips the floor's walk over the C(16, 8) = 12,870 8-sets).  A
       Lyubeznik resolution is free over every
       field, so the floor may be the projective dimension over any: it
       is ``projdim``, taken over the field the search was built with;
@@ -257,8 +260,9 @@ class SearchResult:
             return 0, self._minimal
         sizes = sorted({m.bit_count() for m in self._clutter})
         for k in sizes[:-1]:
-            above = [m for m in self._clutter if m.bit_count() > k]
-            word = PrefixWalk(self.ideal, above).first()
+            above = sum(1 << i for i, m in enumerate(self._clutter)
+                        if m.bit_count() > k)
+            word = self._edges.first(alive=above)
             if word is not None:
                 return k, word
         # every order preserves an edge of the largest size
@@ -317,8 +321,8 @@ def search_scan(ideal: MonomialIdeal, *,
     it with ``BoundExceededError`` before any table is built.  ``min_l``
     of an ideal that is not Lyubeznik walks every (k+1)-set for each
     length k it tries; the walks settle a state as soon as an alive set
-    is sure to be preserved (``prefix``), so at mu 13-16 most of its
-    cost is building their tables over the 2^mu prefix sets.
+    is sure to be preserved, and build the rows of the prefix sets they
+    read only (``prefix``).
     """
     return SearchResult(ideal, cover_table(ideal).clutter, prime)
 

@@ -35,20 +35,40 @@ far, a Held-Karp style subset search (Held & Karp 1962).  A state is
 settled once an alive set is sure, for then every completion preserves
 a family set, or once no set is left alive, for then each of the
 (mu - |P|)! completions preserves none.  Short of that, (P, alive) is
-the whole state, and the walk memoises it.  Two tables per family,
-built by whole-array numpy passes over the 2^mu prefix sets and packed
-into Python ints with one bit per family set, drive every step:
+the whole state, and the walk memoises it.  Two rows per prefix set,
+each a Python int with one bit per family set, drive every step:
 
 * ``keep[P]``: the family sets not doomed at P;
 * ``sure[P]``: the sets of ``keep[P]`` with no open subset inside
-  S minus P, read off one up-closure of the open masks per walk.
+  S minus P.
+
+A walk reads the rows of few of the 2^mu prefix sets, since most
+states settle early: a whole search of the benchmark's mu 16 ideal
+reads about 8,400 of the 65,536, and its mu 14 ones some dozens to a
+few thousand of the 16,384.  So a prefix set's pair is built the first
+time a walk reads it and kept for every later read (``_Rows``).  A
+pair is built one of two ways, for neither is quick at every width.  A
+narrow family loops in Python over its sets, indexing lists of the
+divisor masks and of the closed masks: it makes no numpy call, whose
+fixed cost (about 5 microseconds) would be most of a row of a few sets.
+A family of ``_WIDE_FAMILY`` sets or more takes one numpy pass over its
+mask array (gather, compare, pack into bytes, one int), whose cost
+grows slowly with the width while the loop's grows by a Python step a
+set: at 1,024 sets the pass takes about 9 microseconds and the loop
+about 90.  Whether a mask has only closed subsets depends on the ideal
+alone: one up-closure of the open masks answers it for all 2^mu, built
+once per ideal and shared by its walks (``_masks``).
 
 Children are tried in generator order, so the first order a descent
 finds is the lexicographically least.  ``count`` counts the orders that
 preserve no family set; ``first(avoid=True)`` finds the least such
 order and ``first(avoid=False)`` the least order that preserves one,
 each by a memoised depth-first search (which reads the count's memo
-when the count has run).  A settled state answers each of them as the
+when the count has run).  ``first`` may start from a subfamily root,
+the state (no prefix, the family sets named by ``alive``), so one walk
+over a family answers for each of its subfamilies on the same rows.
+The count's memo is keyed by (alive, P) and holds the same whatever
+root reached the state.  A settled state answers each of them as the
 walk to the end of every completion would, so the counts and the
 witnesses are those of a walk that stops only once a set lies inside
 the prefix.
@@ -56,36 +76,94 @@ the prefix.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import factorial
 from typing import Sequence
 
 import numpy as np
 
 from .monomials import MonomialIdeal
-from .subsets import tables_for, up_closure
+from .subsets import SubsetTables, tables_for, up_closure
+
+# the family width from which a numpy pass builds a row quicker than a
+# Python loop over the sets: both take about 5.5 microseconds at 64 sets
+# (mu 9, 14 and 16; README, "Cost of an exhaustive search")
+_WIDE_FAMILY = 64
 
 
-def _ints(packed: np.ndarray) -> list[int]:
-    """Each row of a uint8 array, whole 64-bit words wide, as one
-    little-endian int."""
-    if packed.shape[1] == 8:
-        return packed.view("<u8")[:, 0].tolist()
-    data, width = packed.tobytes(), packed.shape[1]
-    return [int.from_bytes(data[i:i + width], "little")
-            for i in range(0, len(data), width)]
+# one entry, as tables_for keeps one ideal's tables
+@lru_cache(maxsize=1)
+def _masks(tables: SubsetTables) -> tuple[np.ndarray, np.ndarray,
+                                          list[int], list[bool]]:
+    """(divisor, closed, the two as lists): the ideal's divisor masks,
+    and whether each mask has only closed subsets, as the arrays a wide
+    row gathers from and the lists a narrow row indexes."""
+    divisor = tables.divisor_mask
+    prefixes = np.arange(tables.size, dtype=np.int64)
+    # the masks whose subsets are all closed: up-close the open ones
+    closed = ~up_closure(divisor != prefixes)
+    return divisor, closed, divisor.tolist(), closed.tolist()
 
 
-# elements of the int64 temporaries of one block of family sets
-_BLOCK = 1 << 20
+class _Rows(dict):
+    """The (keep, sure) pair of each prefix set read so far, built on
+    its first read by the route for the family's width."""
+
+    def __init__(self, ideal: MonomialIdeal, sets: Sequence[int]) -> None:
+        super().__init__()
+        divisor, closed, divisor_list, closed_list = _masks(tables_for(ideal))
+        self.wide = len(sets) >= _WIDE_FAMILY
+        if self.wide:
+            self.divisor, self.closed = divisor, closed
+            self.masks = np.array(sets, np.int64)
+        else:
+            self.divisor, self.closed = divisor_list, closed_list
+            self.bits = [(1 << i, s) for i, s in enumerate(sets)]
+
+    def __missing__(self, prefix: int) -> tuple[int, int]:
+        row = self[prefix] = (self._wide(prefix) if self.wide
+                              else self._narrow(prefix))
+        return row
+
+    def _narrow(self, prefix: int) -> tuple[int, int]:
+        divisor, closed, out = self.divisor, self.closed, ~prefix
+        keep = sure = 0
+        for bit, s in self.bits:
+            rest = s & out
+            if not divisor[rest] & prefix:
+                keep |= bit
+                if closed[rest]:
+                    sure |= bit
+        return keep, sure
+
+    def _wide(self, prefix: int) -> tuple[int, int]:
+        rest = self.masks & ~prefix
+        kept = self.divisor[rest] & prefix == 0
+        keep = _packed(kept)
+        kept &= self.closed[rest]
+        return keep, _packed(kept)
+
+
+def _packed(marks: np.ndarray) -> int:
+    """A bool array as one int, bit i for entry i."""
+    return int.from_bytes(np.packbits(marks, bitorder="little").tobytes(),
+                          "little")
 
 
 class PrefixWalk:
     """Orders that preserve (or avoid) the sets of one family.
 
     ``sets`` are generator masks; a walk over an empty family finds
-    every order avoiding it.  The tables are built a block of family
-    sets at a time, so that the numpy temporaries stay near ``_BLOCK``
-    elements whatever the family's size.
+    every order avoiding it.  Building a walk builds no row: ``rows``
+    maps each prefix set the walk has read to its (keep, sure) pair,
+    built on that first read, and ``count`` and ``first`` read one pair
+    per child they try.  A family narrower than ``_WIDE_FAMILY`` builds
+    a pair by a Python loop over its sets, which beats numpy's fixed
+    cost per call; a wider one by one numpy pass over its mask array,
+    which beats a loop's cost per set.  Both read the ideal's closed
+    masks, built once per ideal, not once per walk.  Bit i of an alive
+    set names ``sets[i]``, and ``first(alive=...)`` starts the walk
+    from the root of that subfamily, on the same rows and count memo.
     """
 
     def __init__(self, ideal: MonomialIdeal, sets: Sequence[int]) -> None:
@@ -94,32 +172,14 @@ class PrefixWalk:
         self.full = (1 << mu) - 1
         # the root state: no generator placed, every family set alive
         self.alive = (1 << len(sets)) - 1
-        prefixes = np.arange(1 << mu, dtype=np.int64)
-        divisor = tables_for(ideal).divisor_mask
-        # the masks whose subsets are all closed: up-close the open ones
-        closed = ~up_closure(divisor != prefixes)
-        masks = np.array(sets, np.int64).reshape(-1, 1)
-        width = 8 * max(1, -(-len(sets) // 64))
-        keep = np.zeros((1 << mu, width), np.uint8)
-        sure = np.zeros_like(keep)
-        step = max(8, (_BLOCK >> mu) // 8 * 8)
-        for start in range(0, len(sets), step):
-            rest = masks[start:start + step] & ~prefixes
-            cols = slice(start // 8, start // 8 + -(-len(rest) // 8))
-            kept = divisor[rest] & prefixes == 0
-            keep[:, cols] = np.packbits(kept, axis=0, bitorder="little").T
-            kept &= closed[rest]
-            sure[:, cols] = np.packbits(kept, axis=0, bitorder="little").T
-        self.keep = _ints(keep)
-        self.sure = _ints(sure)
+        self.rows = _Rows(ideal, sets)
         # orders completing each state without preserving a family set,
         # keyed by alive << mu | P; only the full walk fills it
         self.counts: dict[int, int] = {}
 
     def count(self) -> int:
         """The number of orders that preserve no family set."""
-        full, mu, counts = self.full, self.mu, self.counts
-        keep, sure = self.keep, self.sure
+        full, mu, counts, rows = self.full, self.mu, self.counts, self.rows
 
         def walk(prefix: int, alive: int) -> int:
             key = alive << mu | prefix
@@ -132,8 +192,9 @@ class PrefixWalk:
                 low = free & -free
                 free ^= low
                 nxt = prefix | low
-                if not alive & sure[nxt]:
-                    left = alive & keep[nxt]
+                keep, sure = rows[nxt]
+                if not alive & sure:
+                    left = alive & keep
                     total += (walk(nxt, left) if left
                               else factorial(mu - nxt.bit_count()))
             counts[key] = total
@@ -147,20 +208,22 @@ class PrefixWalk:
             # at some later garbage collection
             del walk
 
-    def first(self, avoid: bool = True) -> tuple[int, ...] | None:
+    def first(self, avoid: bool = True,
+              alive: int | None = None) -> tuple[int, ...] | None:
         """The lexicographically least order that preserves no family
         set (``avoid``) or some family set (not ``avoid``), as a
-        permutation word; None when there is none."""
-        full, mu, counts = self.full, self.mu, self.counts
-        keep, sure = self.keep, self.sure
+        permutation word; None when there is none.  ``alive``, bits of
+        ``sets``, walks that subfamily in place of the whole family."""
+        full, mu, counts, rows = self.full, self.mu, self.counts, self.rows
         seen: dict[int, bool] = {}
 
         def sought(nxt: int, alive: int) -> bool:
             """Whether placing a generator to make prefix set ``nxt``
             can lead to an order of the kind sought."""
-            if alive & sure[nxt]:
+            keep, sure = rows[nxt]
+            if alive & sure:
                 return not avoid
-            alive &= keep[nxt]
+            alive &= keep
             if not alive:
                 return avoid
             key = alive << mu | nxt
@@ -179,7 +242,9 @@ class PrefixWalk:
                 seen[key] = hit
             return hit
 
-        prefix, alive, word = 0, self.alive, []
+        prefix, word = 0, []
+        if alive is None:
+            alive = self.alive
         try:
             while prefix != full:
                 free = full & ~prefix
@@ -195,7 +260,7 @@ class PrefixWalk:
                 # and the rest come in generator order
                 word.append(low.bit_length())
                 prefix |= low
-                alive &= keep[prefix]
+                alive &= rows[prefix][0]
             return tuple(word)
         finally:
             # as in count: free the seen memo now, not at a collection

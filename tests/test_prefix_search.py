@@ -245,8 +245,8 @@ def complete_bipartite(a, b):
 
 def test_min_l_of_k44_is_the_identity_without_a_walk(monkeypatch):
     # min_l = pd = 7 and the identity order has length 7, so no walk
-    # over the C(16, 8) = 12,870 8-sets is built; that walk's tables
-    # alone took 17-23 s
+    # over the C(16, 8) = 12,870 8-sets is built; before the walks built
+    # their rows on first read, that walk's tables took 17-23 s
     ideal = edge_ideal(complete_bipartite(4, 4))
     assert ideal.mu == 16
     start = time.perf_counter()
@@ -261,7 +261,7 @@ def test_min_l_of_k44_is_the_identity_without_a_walk(monkeypatch):
     assert time.perf_counter() - start < 10
 
 
-# -- the sure table against the walk it replaced ------------------------------
+# -- the sure rows against the walk they replaced ----------------------------
 
 
 def families(ideal, rng):
@@ -283,8 +283,12 @@ def families(ideal, rng):
 def check_walks(ideal, seed=0):
     """``PrefixWalk`` agrees with ``InsideWalk`` on every family: the
     count, and both least orders read on a fresh walk and after the
-    count has filled the memo."""
-    for sets in families(ideal, random.Random(seed)):
+    count has filled the memo; and so does the clutter's walk started
+    from the root of each clutter subfamily, before and after its own
+    count.  Returns the row routes the walks took (``rows.wide``)."""
+    rng = random.Random(seed)
+    routes = set()
+    for sets in families(ideal, rng):
         reference = InsideWalk(ideal, sets)
         count = reference.count()
         expected = (reference.first(), reference.first(avoid=False))
@@ -294,6 +298,26 @@ def check_walks(ideal, seed=0):
         walk = PrefixWalk(ideal, sets)
         assert walk.count() == count, sets
         assert (walk.first(), walk.first(avoid=False)) == expected, sets
+        if walk.rows:
+            routes.add(walk.rows.wide)
+    clutter = list(cover_table(ideal).clutter)
+    roots = [[i for i, m in enumerate(clutter) if m.bit_count() > k]
+             for k in sorted({m.bit_count() for m in clutter})]
+    roots.append([i for i in range(len(clutter)) if rng.random() < 0.5])
+    expected = []
+    for members in roots:
+        reference = InsideWalk(ideal, [clutter[i] for i in members])
+        expected.append((reference.first(), reference.first(avoid=False)))
+    walk = PrefixWalk(ideal, clutter)
+    for counted in (False, True):
+        if counted:
+            walk.count()
+        for members, pair in zip(roots, expected):
+            alive = sum(1 << i for i in members)
+            assert (walk.first(alive=alive),
+                    walk.first(avoid=False, alive=alive)) == pair, (
+                        members, counted)
+    return routes
 
 
 @pytest.mark.parametrize("name", ideal_names())
@@ -305,10 +329,15 @@ def test_walks_match_the_inside_walk_on_the_pool(pool):
     out, inputs = pool
     names = sorted(n for n, e in inputs.items() if e["mu"] <= 10)
     assert len(names) > 100
+    routes = set()
     for seed, name in enumerate(names):
         path = out / name
-        check_walks(edge_ideal(read_graph(path)) if name.endswith(".graph")
-                    else read_ideal(path), seed)
+        routes |= check_walks(
+            edge_ideal(read_graph(path)) if name.endswith(".graph")
+            else read_ideal(path), seed)
+    # rows were built on both sides of _WIDE_FAMILY: by the Python loop
+    # and by the numpy pass (the (k + 1)-sets reach 126-252 at mu 9-10)
+    assert routes == {False, True}
 
 
 @settings(max_examples=40)
@@ -418,6 +447,24 @@ def test_a_pool_search_at_mu_14(pool):
     assert scan.min_l_witness == (3, 1, 4, 6, 7, 5, 8, 11, 13, 10, 9, 2, 12,
                                   14)
     assert l_length(OrderedIdeal(ideal, scan.min_l_witness)) == 5
+
+
+def test_walks_build_rows_for_few_prefix_sets(pool, monkeypatch):
+    # every field of c14-06's search: its five walks build rows for
+    # 16-107 of the 2^14 prefix sets each, where building both tables
+    # for all of them took 2.7 s
+    out, _ = pool
+    ideal = read_ideal(out / "c14-06.ideal")
+    walks = []
+    monkeypatch.setattr(invariants, "PrefixWalk",
+                        lambda *args: walks.append(PrefixWalk(*args))
+                        or walks[-1])
+    scan = fresh(ideal)
+    for field in FIELDS:
+        getattr(scan, field)
+    assert walks
+    assert all(len(walk.rows) < (1 << 14) // 10 for walk in walks), [
+        len(walk.rows) for walk in walks]
 
 
 def test_the_fourteen_cycle():
