@@ -3,20 +3,35 @@
 One subcommand per task, all reading the ideal (or graph) file format.
 JSON output is deterministic: top-level ``"schema": 1``, sorted keys,
 and no content that depends on hashing or scheduling.  It comes from
-the package's own writer, ``jsontext._json_text``, whose bytes are
+the package's own writer, ``jsontext._write_json``, whose bytes are
 identical to ``json.dumps(payload, sort_keys=True, indent=2)``.
 ``covers`` and ``complex`` hand it their long lists, and ``oracle-betti``,
-``analyze`` and ``verify`` their rows, as fragments of text rendered
-ahead, so the writer walks no cover entry, no face and no row.
+``analyze`` and ``verify`` their rows, as fragments of text, so the
+writer walks no cover entry, no face and no row; ``covers`` renders
+each generator's block only when the writer reaches it.
+
+Output is written as it is made: the writer sends its text to stdout
+at each fragment, and the text format is written block by block (for
+``covers``, a block per generator), so no request holds the whole of
+its output.  So a Ctrl-C, a closed pipe or running out of memory while
+the output is written leaves part of it on stdout.  Every check that
+can refuse a request is made before the first byte.
 
 The parser is built once per process, on the first ``main`` call, and
 each call parses into a fresh namespace; a subcommand's handler is
 looked up when the call runs it.  A warning raised while a command runs
 (a dropped non-minimal generator, a radical-generator construction on a
 non-minimal order) is printed as one line, ``lyubeznik: warning:
-<message>``, on stderr, and stdout is unchanged.  Exit codes: 0
-success, 1 bad input, 2 a size threshold refused the computation, 130
-interrupted (Ctrl-C), with ``lyubeznik: interrupted`` on stderr.
+<message>``, on stderr, and stdout is unchanged.  Exit codes:
+
+====  ===============================================================
+0     success
+1     bad input (file, order, flag value, usage), or stdout's reader
+      went away
+2     a size threshold refused the computation
+3     out of memory: ``lyubeznik: error: out of memory`` on stderr
+130   interrupted (Ctrl-C): ``lyubeznik: interrupted`` on stderr
+====  ===============================================================
 
 One function, ``_request``, fixes the order of checks for every ideal
 command: it reads the ideal, parses ``--order``, makes every refusal
@@ -52,19 +67,19 @@ import numpy as np
 
 from .complexes import classification_census, order_analysis
 from .covers import (MAX_ENUMERATION_GENERATORS, _by_size_then_members,
-                     cover_listing, cover_table)
+                     _listing_rows, cover_table)
 from .generators import _radical_generators
 from .graphs import check_graph_propositions, edge_ideal, read_graph
 from .invariants import analyze, is_minimal_resolution, search_scan
-from .jsontext import (_betti_fields, _covers_fragments, _json_text,
-                       _lists_fragment, _multidegrees_fragment)
+from .jsontext import (_betti_fields, _covers_fragments, _lists_fragment,
+                       _members_texts, _multidegrees_fragment, _write_json)
 from .linalg import check_prime
 from .monomials import (BoundExceededError, ExponentLimitError,
                         MonomialIdeal, ParseError, monomial_text, read_ideal)
 from .oracle import (_lcm_classes, taylor_betti, verify_chain_complex,
                      verify_resolution_report)
 from .orders import identity_order, parse_order
-from .subsets import MAX_TABLE_GENERATORS, indices_of, tables_for
+from .subsets import MAX_TABLE_GENERATORS, indices_of
 
 # the default of --max-exhaustive
 DEFAULT_MAX_EXHAUSTIVE = 8
@@ -145,43 +160,34 @@ def _ideal_payload(ideal: MonomialIdeal) -> dict:
 
 # ---------------------------------------------------------------------------
 # subcommand handlers: each returns its payload fields and a zero-argument
-# callable that builds its text lines, called only for --format text; an
-# ideal command's takes (args, ideal, ordered), ordered None without --order
+# callable that builds its text lines as an iterable of blocks (lists of
+# lines), called only for --format text; an ideal command's takes
+# (args, ideal, ordered), ordered None without --order
 
 
 def _cmd_covers(args, ideal, ordered):
     table = cover_table(ideal)
-    listing = cover_listing(ideal)
-    # the members text of every mask, "1,5,6", by doubling over the bits
-    members = [""]
-    for b in range(1, ideal.mu + 1):
-        members += [f"{t},{b}" if t else str(b) for t in members]
-    # each generator's covers as keys 2 * mask + E-minimal flag, and one
-    # text per distinct key
-    keys = []
-    for masks, eminimal in zip(listing, table.by_generator):
-        flagged = set(eminimal)
-        keys.append([2 * m + (m in flagged) for m in masks])
-    distinct = list(set().union(*keys))
+    rows = _listing_rows(ideal)
     clutter = [list(indices_of(m)) for m in _by_size_then_members(
         np.array(table.clutter, np.int64), ideal.mu).tolist()]
     payload = {"clutter": clutter}
     if args.format == "json":
-        # rendered for JSON output only: the text lines need none of it
-        payload["covers"] = _covers_fragments(
-            keys, distinct, members, tables_for(ideal).covered_mask)
+        # each generator's block is rendered as the writer reaches it
+        payload["covers"] = _covers_fragments(rows, ideal.mu)
 
-    def text() -> list[str]:
-        line = {k: "  {" + members[k >> 1] + "}"
-                + ("  E-minimal" if k & 1 else "") for k in distinct}
-        lines = []
-        for u, gen_keys in enumerate(keys, 1):
-            lines.append(f"covers of generator {u} ({len(gen_keys)}):")
-            lines += [line[k] for k in gen_keys]
-        lines.append("clutter edges: " +
-                     (", ".join("{" + ",".join(map(str, e)) + "}" for e in clutter)
-                      or "(none)"))
-        return lines
+    def text():
+        # each mask's line is made once; a block tags its E-minimal lines
+        lines = ["  {" + t + "}" for t in _members_texts(ideal.mu, ",")]
+        for u in range(1, ideal.mu + 1):
+            masks, eminimal, _ = rows(u)
+            block = [f"covers of generator {u} ({len(masks)}):",
+                     *map(lines.__getitem__, masks.tolist())]
+            for i in np.flatnonzero(eminimal).tolist():
+                block[i + 1] += "  E-minimal"
+            yield block
+        yield ["clutter edges: " +
+               (", ".join("{" + ",".join(map(str, e)) + "}" for e in clutter)
+                or "(none)")]
     return payload, text
 
 
@@ -208,7 +214,7 @@ def _cmd_complex(args, ideal, ordered):
             sorted(analysis.faces, key=keys.__getitem__), members)
         payload["facets"] = _lists_fragment(facets, members)
 
-    def text() -> list[str]:
+    def text() -> list[list[str]]:
         lines = [f"dim: {analysis.dim}",
                  "f-vector: (" + ", ".join(map(str, analysis.f_vector)) + ")",
                  "facets: " + ", ".join("{" + members[f] + "}"
@@ -218,7 +224,7 @@ def _cmd_complex(args, ideal, ordered):
             cells = ", ".join(f"{name}={count}" for name, count in
                               sorted(row.items()) if count)
             lines.append(f"size {size}: {cells or '(empty)'}")
-        return lines
+        return [lines]
     return payload, text
 
 
@@ -239,7 +245,7 @@ def _cmd_analyze(args, ideal, ordered):
         payload["almost_lyubeznik"] = report.almost_lyubeznik
         payload["totally_lyubeznik"] = report.totally_lyubeznik
 
-    def text() -> list[str]:
+    def text() -> list[list[str]]:
         lines = [f"minimal resolution: {'yes' if report.minimal else 'no'}",
                  f"obstruction: {report.obstruction}",
                  f"resolution length: {report.l_length}",
@@ -258,7 +264,7 @@ def _cmd_analyze(args, ideal, ordered):
             lines.append(f"lyubeznik: {_verdict_text(report.lyubeznik)}")
             lines.append(f"almost lyubeznik: {_verdict_text(report.almost_lyubeznik)}")
             lines.append(f"totally lyubeznik: {_verdict_text(report.totally_lyubeznik)}")
-        return lines
+        return [lines]
     return payload, text
 
 
@@ -275,14 +281,15 @@ def _cmd_search(args, ideal, ordered):
                "lyubeznik": scan.lyubeznik, "witness": list(scan.tobsl_witness),
                "minimal_orders": count}
 
-    def text() -> list[str]:
-        return [f"mode: {args.search} (exact, {scan.scanned} orders)",
-                f"total obstruction: {scan.tobsl}",
-                f"min resolution length: {scan.min_l}",
-                f"min preserved size: {scan.min_l}",
-                f"lyubeznik: {_verdict_text(scan.lyubeznik)}",
-                "witness order: (" + ",".join(map(str, scan.tobsl_witness)) + ")",
-                f"minimal orders: {count}/{scan.scanned}"]
+    def text() -> list[list[str]]:
+        return [[f"mode: {args.search} (exact, {scan.scanned} orders)",
+                 f"total obstruction: {scan.tobsl}",
+                 f"min resolution length: {scan.min_l}",
+                 f"min preserved size: {scan.min_l}",
+                 f"lyubeznik: {_verdict_text(scan.lyubeznik)}",
+                 "witness order: (" + ",".join(map(str, scan.tobsl_witness))
+                 + ")",
+                 f"minimal orders: {count}/{scan.scanned}"]]
     return payload, text
 
 
@@ -293,12 +300,12 @@ def _cmd_oracle_betti(args, ideal, ordered):
     payload = {**_betti_fields(table, 1, mono),
                "projdim": table.projective_dimension}
 
-    def text() -> list[str]:
+    def text() -> list[list[str]]:
         lines = [f"subject: {table.subject}"]
         lines += [f"b[{i},{j}] = {c}" for i, j, c in table.graded_rows()]
         lines += [f"b[{i}, {mono(exps)}] = {c}" for i, exps, c in table.entries]
         lines.append(f"projective dimension: {table.projective_dimension}")
-        return lines
+        return [lines]
     return payload, text
 
 
@@ -311,14 +318,14 @@ def _cmd_verify(args, ideal, ordered):
                    report, _lcm_classes(ideal).texts.__getitem__),
                "resolves": resolves}
 
-    def text() -> list[str]:
+    def text() -> list[list[str]]:
         lines = [f"differential composes to zero: {_verdict_text(chain_ok)}"]
         bad = [str(m) for m, ok in report if not ok]
         lines.append(f"multidegrees checked: {len(report)}, failing: {len(bad)}")
         if bad:
             lines.append("homology persists at: " + ", ".join(bad))
         lines.append(f"resolves the quotient: {'yes' if resolves else 'no'}")
-        return lines
+        return [lines]
     return payload, text
 
 
@@ -327,8 +334,8 @@ def _cmd_radical_gens(args, ideal, ordered):
     gens = _radical_generators(ordered, minimal)
     payload = {"minimal": minimal, "generators": [str(g) for g in gens]}
 
-    def text() -> list[str]:
-        return [f"g{k} = {g}" for k, g in enumerate(gens, 1)]
+    def text() -> list[list[str]]:
+        return [[f"g{k} = {g}" for k, g in enumerate(gens, 1)]]
     return payload, text
 
 
@@ -350,7 +357,7 @@ def _cmd_graph(args):
              "conclusion": c.conclusion, "finding": c.finding}
             for c in checks]
 
-    def text() -> list[str]:
+    def text() -> list[list[str]]:
         lines: list[str] = []
         if ideal is not None:
             lines.append("vars " + " ".join(ideal.context.names))
@@ -360,7 +367,7 @@ def _cmd_graph(args):
                 if c.finding else ""
             lines.append(f"{c.name}: hypothesis={'yes' if c.hypothesis else 'no'}"
                          f" conclusion={'yes' if c.conclusion else 'no'}{mark}")
-        return lines
+        return [lines]
     return payload, text
 
 
@@ -393,11 +400,12 @@ def _request(args):
         payload["order"] = list(ordered.order)
     payload.update(fields)
 
-    def lines() -> list[str]:
+    def lines():
         head = [f"ideal: {ideal}"]
         if ordered is not None:
             head.append(f"order: {ordered}")
-        return head + text()
+        yield head
+        yield from text()
     return payload, lines
 
 
@@ -479,10 +487,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     except KeyboardInterrupt:
         print("lyubeznik: interrupted", file=sys.stderr)
         return 130
+    except MemoryError:
+        print("lyubeznik: error: out of memory", file=sys.stderr)
+        return 3
 
 
 def _run(args) -> int:
-    """Run the parsed request, print its output, return the exit code."""
+    """Run the parsed request, write its output as it is made, return
+    the exit code."""
     try:
         # entering the block also resets the warnings already shown, so
         # a repeated call in one process warns again
@@ -498,17 +510,21 @@ def _run(args) -> int:
     except (ValueError, KeyError, OSError, ExponentLimitError) as exc:
         print(f"lyubeznik: error: {exc}", file=sys.stderr)
         return 1
-    if args.format == "json":
-        out = _json_text({"schema": 1, "command": args.command, **payload})
-    else:
-        out = "\n".join(text())
+    stdout = sys.stdout
     try:
-        print(out)
-        sys.stdout.flush()
+        if args.format == "json":
+            _write_json({"schema": 1, "command": args.command, **payload},
+                        stdout.write)
+            stdout.write("\n")
+        else:
+            # "\n".join(lines) + "\n", one block at a time: no block is empty
+            for block in text():
+                stdout.write("\n".join(block) + "\n")
+        stdout.flush()
     except BrokenPipeError:
         # the reader went away (``... | head``): send what is still
         # buffered to devnull, so that the flush at exit cannot raise
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stdout.fileno())
         return 1
     return 0
 

@@ -19,12 +19,14 @@ resolution exactly when none of these sets is preserved.
 
 ``cover_listing`` orders the masks that cover anything once, by size
 then lexicographically, with one numpy ``lexsort``, and filters them
-per generator with one boolean array per bit; ``covers_of`` and the
-``covers`` command read it, and ``e_minimal_covers_of`` orders its
-covers the same way.  The command renders the text of each distinct
-cover once, from per-mask member texts, and lists it for every
-generator the cover covers; its clutter edges are the table's, in the
-listing's order.
+per generator with one boolean array per bit; ``covers_of`` reads it,
+and ``e_minimal_covers_of`` orders its covers the same way.  The
+``covers`` command reads the same listing one generator at a time, as
+arrays (``_listing_rows``: the masks, their E-minimal flags from the
+cover table and their covered masks), when its output reaches that
+generator, so it never holds the listing as Python ints; it writes each
+entry from per-mask member texts, and its clutter edges are the
+table's, in the listing's order.
 
 All of it reads the subset tables' ``covered_mask`` and
 ``divisor_mask`` as the int64 arrays they are; Python ints appear only
@@ -41,6 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -112,6 +115,15 @@ def _wrap(masks: list[int], ideal: MonomialIdeal) -> tuple[Cover, ...]:
                  for m, c in zip(masks, covered))
 
 
+def _listed(ideal: MonomialIdeal) -> tuple[np.ndarray, np.ndarray]:
+    """The masks that cover anything, by size then lexicographically,
+    and the generators each covers, as int64 arrays."""
+    tables = tables_for(ideal)
+    masks = _by_size_then_members(np.flatnonzero(tables.covered_mask),
+                                  tables.mu)
+    return masks, tables.covered_mask[masks]
+
+
 def cover_listing(ideal: MonomialIdeal) -> tuple[tuple[int, ...], ...]:
     """The masks that cover each generator, by size then lexicographically.
 
@@ -119,12 +131,25 @@ def cover_listing(ideal: MonomialIdeal) -> tuple[tuple[int, ...], ...]:
     cover anything are ordered once and filtered per generator, all in
     numpy.
     """
-    tables = tables_for(ideal)
-    masks = _by_size_then_members(np.flatnonzero(tables.covered_mask),
-                                  tables.mu)
-    covered = tables.covered_mask[masks]
+    masks, covered = _listed(ideal)
     return tuple(tuple(masks[covered & (1 << b) != 0].tolist())
-                 for b in range(tables.mu))
+                 for b in range(ideal.mu))
+
+
+def _listing_rows(ideal: MonomialIdeal) -> Callable[
+        [int], tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """``rows(u)``: generator u's entries of the listing as arrays, made
+    when asked for: the masks that cover u, by size then
+    lexicographically, whether each is an E-minimal cover of u, and the
+    generators each covers.  The masks are ordered once, here."""
+    masks, covered = _listed(ideal)
+    table = cover_table(ideal)
+
+    def rows(u: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        mine = covered & (1 << (u - 1)) != 0
+        own = masks[mine]
+        return own, np.isin(own, table.eminimal_of(u)), covered[mine]
+    return rows
 
 
 def covers_of(u: int, ideal: MonomialIdeal) -> tuple[Cover, ...]:
@@ -145,7 +170,10 @@ class _CoverTable:
     cover is preserved is the same question on it, because subsets of
     preserved sets are preserved.  So ``analyze``, ``radical-gens`` and
     the searches read only the clutter, and ``by_generator`` is built
-    on its first read (by ``covers`` and ``equivalence_audit``).
+    on its first read (by ``e_minimal_covers_of`` and
+    ``equivalence_audit``); the ``covers`` command reads one
+    generator's E-minimal covers at a time as an array
+    (``eminimal_of``).
     """
 
     __slots__ = ("clutter", "_mu", "_eminimal", "_minimal_for",
@@ -172,13 +200,16 @@ class _CoverTable:
                                                        minimal_for)
         self._by_generator = None
 
+    def eminimal_of(self, u: int) -> np.ndarray:
+        """The masks of the E-minimal covers of generator u, ascending."""
+        return self._eminimal[self._minimal_for >> (u - 1) & 1 != 0]
+
     @property
     def by_generator(self) -> tuple[tuple[int, ...], ...]:
         if self._by_generator is None:
-            eminimal, minimal_for = self._eminimal, self._minimal_for
             self._by_generator = tuple(
-                tuple(eminimal[minimal_for >> b & 1 != 0].tolist())
-                for b in range(self._mu))
+                tuple(self.eminimal_of(u).tolist())
+                for u in range(1, self._mu + 1))
         return self._by_generator
 
 

@@ -1,27 +1,33 @@
 """The JSON text of the command line's payloads.
 
-``_json_text`` writes a payload as
-``json.dumps(payload, sort_keys=True, indent=2)`` does, byte for byte;
-with an indent, ``json.dumps`` runs CPython's pure-Python encoder, which
+``_write_json(payload, write)`` sends
+``json.dumps(payload, sort_keys=True, indent=2)``, byte for byte, to the
+callable ``write`` (the CLI's is ``sys.stdout.write``) as it goes; with
+an indent, ``json.dumps`` runs CPython's pure-Python encoder, which
 took about two thirds of a ``covers`` call on a 12-generator ideal.  A
-``_Fragment`` is the text of one value rendered ahead for the depth it
-is written at, which the writer appends as it is: ``covers`` hands it
-each generator's list of covers as one fragment (``_covers_fragments``),
-built from per-mask texts made once per distinct cover; ``complex`` its
-faces and facets (``_lists_fragment``), built from a members text made
-once per face; ``oracle-betti`` and ``analyze`` a Betti table's graded
-and multigraded rows (``_betti_fields``), and ``verify`` its
-multidegrees (``_multidegrees_fragment``), each row one f-string with
-the multidegree's text, which the caller supplies: ``oracle-betti`` and
+``_Fragment`` is the text of one value for the depth it is written at,
+which the writer sends as it is, after the text it has gathered before
+it; so the writer holds no more than the text between two fragments.
+A fragment's parts are rendered ahead, or rendered on demand, each time
+the fragment is written and the same each time: ``covers`` hands the
+writer each generator's list of covers as a fragment rendered when the
+writer reaches it (``_covers_fragments``), one join of per-mask list
+texts made once per ideal; ``complex`` its faces and facets
+(``_lists_fragment``), built from a members text made once per face;
+``oracle-betti`` and ``analyze`` a Betti table's graded and multigraded
+rows (``_betti_fields``), and ``verify`` its multidegrees
+(``_multidegrees_fragment``), each row one f-string with the
+multidegree's text, which the caller supplies: ``oracle-betti`` and
 ``verify`` read the lattice's texts (``oracle._LcmClasses.texts``),
 written once per lattice point for every request on the ideal, and
 ``analyze`` writes its preserved-set rows with ``monomial_text``.  So
-the writer walks no cover entry, no face and no row.  A non-empty list whose items are all
-non-empty flat rows, lists or tuples holding only str, int, bool and
-None (``covers``' clutter, ``graph``'s edges), is written one join per
-row, each cell's text looked up by its exact type; a list with any
-other item, a subclass or a type ``json.dumps`` refuses among them, is
-written item by item, so every type refused before is refused still.
+the writer walks no cover entry, no face and no row.  A non-empty list
+whose items are all non-empty flat rows, lists or tuples holding only
+str, int, bool and None (``covers``' clutter, ``graph``'s edges), is
+written one join per row, each cell's text looked up by its exact type;
+a list with any other item, a subclass or a type ``json.dumps`` refuses
+among them, is written item by item, so every type refused before is
+refused still.
 
 The writer lives apart from ``cli``, which imports it: ``cli`` is
 compiled last when the package is imported from source, on top of
@@ -31,6 +37,7 @@ of that import.
 
 from __future__ import annotations
 
+from functools import partial
 from json.encoder import encode_basestring_ascii
 from typing import Callable
 
@@ -44,33 +51,44 @@ _ROWS = (list, tuple)
 
 
 class _Fragment:
-    """The JSON text of one value, rendered ahead as ``parts`` for the
-    depth ``depth``; the writer appends the parts as they are, and
-    refuses the fragment at any other depth."""
+    """The JSON text of one value for the depth ``depth``, as parts that
+    the writer sends as they are, refusing the fragment at any other
+    depth.  ``parts`` is a list of the parts, rendered ahead, or a
+    zero-argument callable that renders them each time the fragment is
+    written, the same text each time."""
 
     __slots__ = ("parts", "depth")
 
-    def __init__(self, parts: list[str], depth: int) -> None:
+    def __init__(self, parts: list[str] | Callable[[], list[str]],
+                 depth: int) -> None:
         self.parts = parts
         self.depth = depth
 
+    def __iter__(self):
+        parts = self.parts
+        return iter(parts() if callable(parts) else parts)
 
-def _json_text(payload: dict) -> str:
-    """``json.dumps(payload, sort_keys=True, indent=2)``, byte for byte.
 
-    With an indent, CPython encodes in pure Python.  This writer appends
-    parts to one list and joins it once; a list or tuple of ints is one
-    join, a list of flat rows one join per row (``_flat_rows``), and a
-    ``_Fragment`` adds its parts as they are.  Only dicts
-    with str keys, lists, tuples, str, int, bool, None and fragments met
-    at the depth they were rendered for are written; any other type
-    raises ``TypeError`` and a fragment at another depth ``ValueError``,
-    so the output can never silently differ from ``json.dumps``.
+def _write_json(payload: dict, write: Callable[[str], object]) -> None:
+    """Send ``json.dumps(payload, sort_keys=True, indent=2)``, byte for
+    byte, to ``write``.
+
+    With an indent, CPython encodes in pure Python.  This writer gathers
+    parts in one list; a list or tuple of ints is one join, a list of
+    flat rows one join per row (``_flat_rows``).  At each ``_Fragment``
+    it sends what it has gathered, as one string, and then the
+    fragment's parts, and at the end the rest; so it holds no more than
+    the text between two fragments.  Only dicts with str keys, lists,
+    tuples, str, int, bool, None and fragments met at the depth they
+    were rendered for are written; any other type raises ``TypeError``
+    and a fragment at another depth ``ValueError``, so the output can
+    never silently differ from ``json.dumps`` (though what came before
+    the error has been sent).
     """
     parts: list[str] = []
     append = parts.append
 
-    def write(value, depth: int) -> None:
+    def put(value, depth: int) -> None:
         if isinstance(value, str):
             append(encode_basestring_ascii(value))
         elif value is None:
@@ -83,25 +101,29 @@ def _json_text(payload: dict) -> str:
             append(int.__repr__(value))
         elif isinstance(value, (list, tuple, dict)):
             if value:
-                write_container(value, depth)
+                put_container(value, depth)
             else:
                 append("{}" if isinstance(value, dict) else "[]")
         elif type(value) is _Fragment:
             if value.depth != depth:
                 raise ValueError(f"a fragment rendered for depth {value.depth}"
                                  f" met at depth {depth}")
-            parts.extend(value.parts)
+            if parts:
+                write("".join(parts))
+                parts.clear()
+            for part in value:
+                write(part)
         else:
             raise TypeError(f"cannot write {type(value).__name__} as JSON")
 
-    def write_container(value, depth: int) -> None:
+    def put_container(value, depth: int) -> None:
         inner = "\n" + "  " * (depth + 1)
         if isinstance(value, dict):
             sep = "{" + inner
             for key in sorted(value):
                 # raises TypeError on a key that is not a str
                 append(sep + encode_basestring_ascii(key) + ": ")
-                write(value[key], depth + 1)
+                put(value[key], depth + 1)
                 sep = "," + inner
             append("\n" + "  " * depth + "}")
         elif all(type(v) is int for v in value):
@@ -114,18 +136,19 @@ def _json_text(payload: dict) -> str:
             sep = "[" + inner
             for item in value:
                 append(sep)
-                write(item, depth + 1)
+                put(item, depth + 1)
                 sep = "," + inner
             append("\n" + "  " * depth + "]")
 
     try:
-        write(payload, 0)
-        return "".join(parts)
+        put(payload, 0)
+        if parts:
+            write("".join(parts))
     finally:
-        # write and write_container refer to each other through their
+        # put and put_container refer to each other through their
         # closures: unbind them, so that the parts are freed now and not
         # at some later garbage collection
-        del write, write_container
+        del put, put_container
 
 
 def _flat_rows(value, depth: int) -> list[str] | None:
@@ -147,28 +170,46 @@ def _flat_rows(value, depth: int) -> list[str] | None:
     return rows
 
 
-def _covers_fragments(keys, distinct, members, covered) -> list[dict]:
-    """The ``"covers"`` value of the covers payload: per generator, its
-    cover entries as one fragment for depth 3, where the payload holds
-    them, each entry a dict at depth 4 with int lists at depth 5."""
+def _members_texts(mu: int, sep: str) -> list[str]:
+    """The members text of every mask below 2^mu, ``"1" + sep + "5" +
+    sep + "6"`` for ``{1,5,6}``, by doubling over the bits."""
+    members = [""]
+    for b in range(1, mu + 1):
+        members += [f"{t}{sep}{b}" if t else str(b) for t in members]
+    return members
+
+
+def _covers_fragments(rows, mu: int) -> list[dict]:
+    """The ``"covers"`` value of the covers payload: per generator u,
+    its cover entries as one fragment for depth 3, where the payload
+    holds them, rendered each time it is written from ``rows(u)``
+    (``covers._listing_rows``: the masks, E-minimal flags and covered
+    masks of u's covers).  Each entry is a dict at depth 4 with int
+    lists at depth 5; the text of every mask's list is made once, and a
+    block is one join of those texts and the constant text between
+    them, so no entry is made as a string of its own."""
     ind3, ind4, ind5, ind6 = ("\n" + "  " * d for d in range(3, 7))
-    sep6 = "," + ind6
-    entry = {key: f'{{{ind5}"covered": [{ind6}{members[c].replace(",", sep6)}'
-                  f'{ind5}],{ind5}"eminimal": {"true" if key & 1 else "false"}'
-                  f',{ind5}"members": [{ind6}'
-                  f'{members[key >> 1].replace(",", sep6)}{ind5}]{ind4}}}'
-             for key, c in zip(distinct,
-                               covered[[k >> 1 for k in distinct]].tolist())}
-    blocks = []
-    for u, gen_keys in enumerate(keys, 1):
-        if gen_keys:
-            parts = ["," + ind4] * (2 * len(gen_keys) + 1)
-            parts[0], parts[-1] = "[" + ind4, ind3 + "]"
-            parts[1::2] = [entry[k] for k in gen_keys]
-        else:
-            parts = ["[]"]
-        blocks.append({"generator": u, "covers": _Fragment(parts, 3)})
-    return blocks
+    lists = [f"[{ind6}{t}{ind5}]"
+             for t in _members_texts(mu, "," + ind6)]
+    # an entry is {"covered": <list>, "eminimal": <flag>, "members": <list>}
+    first = f'[{ind4}{{{ind5}"covered": '
+    flag = tuple(f',{ind5}"eminimal": {v},{ind5}"members": '
+                 for v in ("false", "true"))
+    between = f'{ind4}}},{ind4}{{{ind5}"covered": '
+    last = f"{ind4}}}{ind3}]"
+
+    def block(u: int) -> list[str]:
+        masks, eminimal, covered = rows(u)
+        if not len(masks):
+            return ["[]"]
+        parts = [between] * (4 * len(masks) + 1)
+        parts[0], parts[-1] = first, last
+        parts[1::4] = map(lists.__getitem__, covered.tolist())
+        parts[2::4] = map(flag.__getitem__, eminimal.tolist())
+        parts[3::4] = map(lists.__getitem__, masks.tolist())
+        return ["".join(parts)]
+    return [{"generator": u, "covers": _Fragment(partial(block, u), 3)}
+            for u in range(1, mu + 1)]
 
 
 def _rows_fragment(rows: list[str], depth: int) -> _Fragment:

@@ -1,12 +1,14 @@
 """The CLI's JSON writer and its covers listing, checked against the
 routes they replaced.
 
-* JSON: ``jsontext._json_text`` against ``json.dumps(..., sort_keys=True,
-  indent=2)`` on every subcommand's payload for the corpus, as
-  ``cli._request`` returns it, and on
+* JSON: ``jsontext._write_json``, sending its text to a list, against
+  ``json.dumps(..., sort_keys=True, indent=2)`` on every subcommand's
+  payload for the corpus, as ``cli._request`` returns it, and on
   hypothesis-generated nested payloads.
   ``covers`` hands the writer each generator's covers as a fragment of
-  text rendered ahead for one depth, so those payloads are compared
+  text for one depth, rendered each time it is written (so a payload
+  that is expanded and then written renders it twice), and those
+  payloads are compared
   with ``json.dumps`` of the payload with every fragment expanded by
   ``json.loads``; fragments shared in one payload, empty cover lists
   and a seeded 12-generator ``covers`` payload are checked whole, and a
@@ -44,8 +46,8 @@ from lyubeznik import (all_ideals, analyze, cover_clutter, covers_of,
 from lyubeznik.cli import _request, build_parser, main
 from lyubeznik.corpus import _data_dir
 from lyubeznik.covers import cover_listing
-from lyubeznik.jsontext import (_Fragment, _betti_fields, _json_text,
-                                _multidegrees_fragment)
+from lyubeznik.jsontext import (_Fragment, _betti_fields,
+                                _multidegrees_fragment, _write_json)
 from lyubeznik.monomials import monomial_text
 from lyubeznik.subsets import mask_of
 
@@ -61,11 +63,18 @@ def reference_text(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2)
 
 
+def json_text(payload) -> str:
+    """The writer's text of ``payload``, sent to a list."""
+    sink: list[str] = []
+    _write_json(payload, sink.append)
+    return "".join(sink)
+
+
 def expanded(value):
     """The payload with every fragment replaced by the value its text
     encodes; tuples become lists, which ``json.dumps`` writes alike."""
     if isinstance(value, _Fragment):
-        return json.loads("".join(value.parts))
+        return json.loads("".join(value))
     if isinstance(value, dict):
         return {key: expanded(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
@@ -85,7 +94,7 @@ def test_writer_matches_json_dumps_on_every_cli_payload(key, words, filename):
         warnings.simplefilter("ignore")
         payload, _ = _request(args)
     payload = {"schema": 1, "command": args.command, **payload}
-    assert _json_text(payload) == reference_text(expanded(payload))
+    assert json_text(payload) == reference_text(expanded(payload))
 
 
 TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8) | \
@@ -105,7 +114,7 @@ PAYLOADS = st.recursive(
 @settings(max_examples=300)
 @given(PAYLOADS)
 def test_writer_matches_json_dumps_on_random_payloads(payload):
-    assert _json_text(payload) == reference_text(payload)
+    assert json_text(payload) == reference_text(payload)
 
 
 @settings(max_examples=100)
@@ -115,7 +124,7 @@ def test_writer_reuses_a_tuple_at_two_depths(shared, other):
     # and next to a tuple equal to it that holds a bool in place of 1
     payload = {"a": shared, "b": [shared, {"c": shared}], "d": [shared, shared],
                "e": other, "f": [(1, 1), (1, True), (1, 1)]}
-    assert _json_text(payload) == reference_text(payload)
+    assert json_text(payload) == reference_text(payload)
 
 
 @settings(max_examples=100)
@@ -128,7 +137,7 @@ def test_writer_reuses_a_dict_at_every_depth(shared, inner, other):
     holder = {"t": inner, "u": [inner, shared]}
     payload = {"a": shared, "b": [shared, {"c": shared}], "d": [shared, shared],
                "e": holder, "f": [holder, (inner, holder)], "g": other}
-    assert _json_text(payload) == reference_text(payload)
+    assert json_text(payload) == reference_text(payload)
 
 
 ONE_DICT = {"k": [1, "x"], "m": (2, 3)}
@@ -148,7 +157,7 @@ ONE, TRUE = {"x": 1}, {"x": True}
 ], ids=["one-dict", "dict-holding-tuple", "non-int-tuple", "int-next-to-bool",
         "empty-containers"])
 def test_writer_reuses_shared_containers(payload):
-    assert _json_text(payload) == reference_text(payload)
+    assert json_text(payload) == reference_text(payload)
 
 
 def covers_payload(ideal, directory):
@@ -162,26 +171,32 @@ def covers_payload(ideal, directory):
 
 def test_writer_matches_json_dumps_on_a_mu_12_covers_payload(tmp_path):
     payload = covers_payload(seeded_ideal(12, 0), tmp_path)
-    assert _json_text(payload) == reference_text(expanded(payload))
+    assert json_text(payload) == reference_text(expanded(payload))
 
 
-def fragment_of(value, depth: int, pieces: int = 3) -> _Fragment:
-    """``value``'s text at ``depth``, from ``json.dumps``, cut in parts."""
+def fragment_of(value, depth: int, pieces: int = 3,
+                on_demand: bool = False) -> _Fragment:
+    """``value``'s text at ``depth``, from ``json.dumps``, cut in parts,
+    which the fragment holds or, ``on_demand``, renders when written."""
     text = reference_text(value).replace("\n", "\n" + "  " * depth)
     cuts = sorted(random.Random(len(text)).choices(range(len(text) + 1),
                                                    k=pieces - 1))
     bounds = [0, *cuts, len(text)]
-    return _Fragment([text[a:b] for a, b in zip(bounds, bounds[1:])], depth)
+    parts = [text[a:b] for a, b in zip(bounds, bounds[1:])]
+    return _Fragment((lambda: list(parts)) if on_demand else parts, depth)
 
 
 @settings(max_examples=100)
 @given(PAYLOADS, PAYLOADS)
 def test_writer_matches_json_dumps_on_shared_fragments(value, other):
-    # one fragment object three times at depth 2, next to plain values
+    # one fragment object three times at depth 2, next to plain values,
+    # and one that renders its parts each time it is written
     shared = fragment_of(value, 2)
+    rendered = fragment_of(other, 2, on_demand=True)
     payload = {"a": [shared, other, shared], "b": {"c": shared},
-               "d": fragment_of(other, 1), "e": [[fragment_of(value, 3)]]}
-    assert _json_text(payload) == reference_text(expanded(payload))
+               "d": fragment_of(other, 1), "e": [[fragment_of(value, 3)]],
+               "f": [rendered, value, rendered], "g": {"h": rendered}}
+    assert json_text(payload) == reference_text(expanded(payload))
 
 
 @pytest.mark.parametrize("rendered,met", [(2, 1), (2, 3), (1, 0), (0, 1)])
@@ -191,7 +206,7 @@ def test_writer_refuses_a_fragment_at_another_depth(rendered, met):
     for _ in range(met):
         payload = [payload]
     with pytest.raises(ValueError, match=f"depth {rendered} met at depth {met}"):
-        _json_text(payload)
+        json_text(payload)
 
 
 def test_writer_matches_json_dumps_on_empty_cover_lists(tmp_path):
@@ -200,7 +215,7 @@ def test_writer_matches_json_dumps_on_empty_cover_lists(tmp_path):
     payload = covers_payload(ideal, tmp_path)
     lists = [block["covers"] for block in expanded(payload)["covers"]]
     assert [len(covers) > 0 for covers in lists] == [True, True, True, False]
-    assert _json_text(payload) == reference_text(expanded(payload))
+    assert json_text(payload) == reference_text(expanded(payload))
 
 
 @pytest.mark.parametrize("payload", [
@@ -209,7 +224,7 @@ def test_writer_matches_json_dumps_on_empty_cover_lists(tmp_path):
     {"x": b"bytes"}])
 def test_writer_refuses_other_types(payload):
     with pytest.raises(TypeError):
-        _json_text(payload)
+        json_text(payload)
 
 
 # -- flat rows: one join per row ----------------------------------------------
@@ -231,7 +246,7 @@ def test_rows_match_json_dumps(rows, other):
     # lists at several depths inside dicts and lists
     payload = {"rows": rows, "d": {"e": other, "f": [rows, {"g": other}]},
                "h": [rows, rows]}
-    assert _json_text(payload) == reference_text(payload)
+    assert json_text(payload) == reference_text(payload)
 
 
 @settings(max_examples=200)
@@ -242,7 +257,7 @@ def test_rows_with_any_other_item_match_json_dumps(rows, item, at):
     rows = list(rows)
     rows.insert(at % (len(rows) + 1), item)
     payload = {"rows": rows, "d": {"e": [rows]}}
-    assert _json_text(payload) == reference_text(payload)
+    assert json_text(payload) == reference_text(payload)
 
 
 @settings(max_examples=100)
@@ -258,7 +273,7 @@ def test_rows_still_refuse_floats_numpy_scalars_and_other_types(rows, cell,
     row = rows[at % len(rows)]
     row.insert(at % (len(row) + 1), cell)
     with pytest.raises(TypeError):
-        _json_text({"rows": rows})
+        json_text({"rows": rows})
 
 
 # -- Betti and verify rows: fragments -----------------------------------------
@@ -297,7 +312,7 @@ def check_rows(words, path):
         ideal = read_ideal(path)
         holder, rows = plain_rows(words, ideal)
     payload = {"schema": 1, "command": args.command, **payload}
-    assert _json_text(payload) == reference_text(expanded(payload))
+    assert json_text(payload) == reference_text(expanded(payload))
     if holder is None:
         assert payload["betti"] is None
         return
@@ -336,7 +351,7 @@ def test_multidegree_rows_write_both_verdicts():
     report.append((ideal.context.one(), False))
     payload = {"multidegrees": _multidegrees_fragment(
         report, partial(monomial_text, ideal.context.names))}
-    assert _json_text(payload) == reference_text(
+    assert json_text(payload) == reference_text(
         {"multidegrees": [[str(m), ok] for m, ok in report]})
 
 
@@ -344,13 +359,13 @@ def test_row_fragments_refuse_another_depth():
     table = taylor_betti(xyz_ideal("x*y", "y*z", "x^2"))
     fields = _betti_fields(table, 2, partial(monomial_text, ("x", "y", "z", "t")))
     with pytest.raises(ValueError, match="depth 2 met at depth 1"):
-        _json_text(fields)
-    assert _json_text({"betti": fields}) == reference_text(
+        json_text(fields)
+    assert json_text({"betti": fields}) == reference_text(
         {"betti": expanded(fields)})
     report = verify_resolution_report(identity_order(xyz_ideal("x", "y")))
     rows = _multidegrees_fragment(report, partial(monomial_text, ("x", "y", "z", "t")))
     with pytest.raises(ValueError, match="depth 1 met at depth 2"):
-        _json_text({"a": {"b": rows}})
+        json_text({"a": {"b": rows}})
 
 
 # -- the covers listing -------------------------------------------------------
