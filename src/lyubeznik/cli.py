@@ -5,10 +5,12 @@ JSON output is deterministic: top-level ``"schema": 1``, sorted keys,
 and no content that depends on hashing or scheduling.  It comes from
 the package's own writer, ``jsontext._write_json``, whose bytes are
 identical to ``json.dumps(payload, sort_keys=True, indent=2)``.
-``covers`` and ``complex`` hand it their long lists, and ``oracle-betti``,
+``covers`` (its clutter and each generator's covers) and ``complex``
+(its faces and facets) hand it their long lists, and ``oracle-betti``,
 ``analyze`` and ``verify`` their rows, as fragments of text, so the
-writer walks no cover entry, no face and no row; ``covers`` renders
-each generator's block only when the writer reaches it.
+writer walks no cover entry, no clutter edge, no face and no row;
+``covers`` renders each generator's block only when the writer reaches
+it.
 
 Output is written as it is made: the writer sends its text to stdout
 at each fragment, and the text format is written block by block (for
@@ -166,12 +168,14 @@ def _ideal_payload(ideal: MonomialIdeal) -> dict:
 
 
 def _cmd_covers(args, ideal, ordered):
-    table = cover_table(ideal)
     rows = _listing_rows(ideal)
-    clutter = [list(indices_of(m)) for m in _by_size_then_members(
-        np.array(table.clutter, np.int64), ideal.mu).tolist()]
-    payload = {"clutter": clutter}
+    clutter = _by_size_then_members(
+        np.array(cover_table(ideal).clutter, np.int64), ideal.mu).tolist()
+    # the members text of each clutter edge, "1,5,6", read by both formats
+    edges = {m: ",".join(map(str, indices_of(m))) for m in clutter}
+    payload = {}
     if args.format == "json":
+        payload["clutter"] = _lists_fragment(clutter, edges)
         # each generator's block is rendered as the writer reaches it
         payload["covers"] = _covers_fragments(rows, ideal.mu)
 
@@ -186,8 +190,7 @@ def _cmd_covers(args, ideal, ordered):
                 block[i + 1] += "  E-minimal"
             yield block
         yield ["clutter edges: " +
-               (", ".join("{" + ",".join(map(str, e)) + "}" for e in clutter)
-                or "(none)")]
+               (", ".join("{" + edges[m] + "}" for m in clutter) or "(none)")]
     return payload, text
 
 

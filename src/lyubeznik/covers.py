@@ -9,29 +9,32 @@ The E-minimal covers of every generator are found together, by
 whole-array numpy passes over the subset masks (the lattice passes of
 ``subsets``: an OR over one-smaller subsets; for the clutter, an
 up-closure and another such OR), and kept in one lru-cached table per
-ideal (``cover_table``): the covers of each generator, and the
-inclusion-minimal members of their union.  Those minimal sets form the
+ideal (``cover_table``): the union of the E-minimal covers, each mask
+with the generators it is an E-minimal cover of, and the
+inclusion-minimal members of that union.  Those minimal sets form the
 edge set of a clutter (an antichain of subsets); an order on the
 generators orients it.  ``e_minimal_covers_of``, ``cover_clutter`` and
 the minimality tests, obstruction and order search of ``invariants``
 all read this one table.  Downstream, an order gives a minimal
 resolution exactly when none of these sets is preserved.
 
-``cover_listing`` orders the masks that cover anything once, by size
-then lexicographically, with one numpy ``lexsort``, and filters them
-per generator with one boolean array per bit; ``covers_of`` reads it,
-and ``e_minimal_covers_of`` orders its covers the same way.  The
-``covers`` command reads the same listing one generator at a time, as
-arrays (``_listing_rows``: the masks, their E-minimal flags from the
-cover table and their covered masks), when its output reaches that
+The covers listing has one route, ``_listing_rows``: it orders the
+masks that cover anything once, by size then lexicographically, with
+one numpy ``lexsort``, and hands out one generator's entries at a time
+as arrays (the masks, their E-minimal flags from the cover table and
+their covered masks), filtered with one boolean array.  The ``covers``
+command reads a generator's entries when its output reaches that
 generator, so it never holds the listing as Python ints; it writes each
 entry from per-mask member texts, and its clutter edges are the
-table's, in the listing's order.
+table's, in the listing's order.  ``covers_of`` wraps the entries of
+the one generator it is asked for, and ``e_minimal_covers_of`` orders
+that generator's E-minimal covers the same way.
 
 All of it reads the subset tables' ``covered_mask`` and
 ``divisor_mask`` as the int64 arrays they are; Python ints appear only
-in what a function hands back (one ``tolist`` per listing, one ``int``
-per lookup).
+in what a function hands back (one ``tolist`` per generator's covers,
+one ``int`` per lookup).  A function given a generator index checks it
+before it builds any table.
 
 Enumeration walks all 2^mu subsets via the shared bitmask tables, so
 every function here answers up to the tables' bound and refuses above
@@ -109,31 +112,9 @@ def _by_size_then_members(masks: np.ndarray, mu: int) -> np.ndarray:
     return masks[np.lexsort((-reversed_bits, popcounts(mu)[masks]))]
 
 
-def _wrap(masks: list[int], ideal: MonomialIdeal) -> tuple[Cover, ...]:
-    covered = tables_for(ideal).covered_mask[masks].tolist()
+def _wrap(masks: np.ndarray, covered: np.ndarray) -> tuple[Cover, ...]:
     return tuple(Cover(frozenset(indices_of(m)), frozenset(indices_of(c)))
-                 for m, c in zip(masks, covered))
-
-
-def _listed(ideal: MonomialIdeal) -> tuple[np.ndarray, np.ndarray]:
-    """The masks that cover anything, by size then lexicographically,
-    and the generators each covers, as int64 arrays."""
-    tables = tables_for(ideal)
-    masks = _by_size_then_members(np.flatnonzero(tables.covered_mask),
-                                  tables.mu)
-    return masks, tables.covered_mask[masks]
-
-
-def cover_listing(ideal: MonomialIdeal) -> tuple[tuple[int, ...], ...]:
-    """The masks that cover each generator, by size then lexicographically.
-
-    Entry ``u - 1`` lists the covers of generator u.  The masks that
-    cover anything are ordered once and filtered per generator, all in
-    numpy.
-    """
-    masks, covered = _listed(ideal)
-    return tuple(tuple(masks[covered & (1 << b) != 0].tolist())
-                 for b in range(ideal.mu))
+                 for m, c in zip(masks.tolist(), covered.tolist()))
 
 
 def _listing_rows(ideal: MonomialIdeal) -> Callable[
@@ -141,8 +122,12 @@ def _listing_rows(ideal: MonomialIdeal) -> Callable[
     """``rows(u)``: generator u's entries of the listing as arrays, made
     when asked for: the masks that cover u, by size then
     lexicographically, whether each is an E-minimal cover of u, and the
-    generators each covers.  The masks are ordered once, here."""
-    masks, covered = _listed(ideal)
+    generators each covers.  The masks that cover anything are ordered
+    once, here."""
+    tables = tables_for(ideal)
+    masks = _by_size_then_members(np.flatnonzero(tables.covered_mask),
+                                  tables.mu)
+    covered = tables.covered_mask[masks]
     table = cover_table(ideal)
 
     def rows(u: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -154,30 +139,28 @@ def _listing_rows(ideal: MonomialIdeal) -> Callable[
 
 def covers_of(u: int, ideal: MonomialIdeal) -> tuple[Cover, ...]:
     """Every subset that covers u, by size then lexicographically."""
-    listing = cover_listing(ideal)
     if not 1 <= u <= ideal.mu:
         raise ValueError(f"generator {u} is not in 1..{ideal.mu}")
-    return _wrap(list(listing[u - 1]), ideal)
+    masks, _, covered = _listing_rows(ideal)(u)
+    return _wrap(masks, covered)
 
 
 class _CoverTable:
     """The E-minimal covers of one ideal, found by whole-array passes.
 
-    ``by_generator[u - 1]`` holds the masks of the E-minimal covers of
-    generator u, and ``clutter`` the inclusion-minimal members of their
-    union; both ascend by mask and hold Python ints.  Minimality and
-    obstruction sizes are read on the clutter: whether some E-minimal
-    cover is preserved is the same question on it, because subsets of
-    preserved sets are preserved.  So ``analyze``, ``radical-gens`` and
-    the searches read only the clutter, and ``by_generator`` is built
-    on its first read (by ``e_minimal_covers_of`` and
-    ``equivalence_audit``); the ``covers`` command reads one
-    generator's E-minimal covers at a time as an array
-    (``eminimal_of``).
+    ``eminimal`` holds the masks that are an E-minimal cover of some
+    generator, ascending, as a read-only int64 array, and ``clutter`` its
+    inclusion-minimal members, ascending, as Python ints.  Minimality
+    and obstruction sizes are read on the clutter: whether some
+    E-minimal cover is preserved is the same question on it, because
+    subsets of preserved sets are preserved.  So ``analyze``,
+    ``radical-gens`` and the searches read only the clutter; the
+    ``covers`` command and ``e_minimal_covers_of`` read one generator's
+    E-minimal covers at a time as an array (``eminimal_of``), and
+    ``equivalence_audit`` reads ``eminimal``.
     """
 
-    __slots__ = ("clutter", "_mu", "_eminimal", "_minimal_for",
-                 "_by_generator")
+    __slots__ = ("clutter", "eminimal", "_minimal_for")
 
     def __init__(self, ideal: MonomialIdeal) -> None:
         tables = tables_for(ideal)
@@ -187,8 +170,6 @@ class _CoverTable:
         left = ~one_smaller(covered)
         left &= covered
         eminimal = np.flatnonzero(left)
-        # the generators each E-minimal mask is an E-minimal cover of
-        minimal_for = left[eminimal]
         # an E-minimal cover of one generator may strictly contain one of
         # another: a mark is in the clutter unless a one-smaller subset
         # lies in the up-closure of the marks
@@ -196,21 +177,13 @@ class _CoverTable:
         above[eminimal] = True
         strict = one_smaller(up_closure(above))
         self.clutter = tuple(eminimal[~strict[eminimal]].tolist())
-        self._mu, self._eminimal, self._minimal_for = (tables.mu, eminimal,
-                                                       minimal_for)
-        self._by_generator = None
+        # the generators each E-minimal mask is an E-minimal cover of
+        self.eminimal, self._minimal_for = eminimal, left[eminimal]
+        eminimal.flags.writeable = False
 
     def eminimal_of(self, u: int) -> np.ndarray:
         """The masks of the E-minimal covers of generator u, ascending."""
-        return self._eminimal[self._minimal_for >> (u - 1) & 1 != 0]
-
-    @property
-    def by_generator(self) -> tuple[tuple[int, ...], ...]:
-        if self._by_generator is None:
-            self._by_generator = tuple(
-                tuple(self.eminimal_of(u).tolist())
-                for u in range(1, self._mu + 1))
-        return self._by_generator
+        return self.eminimal[self._minimal_for >> (u - 1) & 1 != 0]
 
 
 # one entry: a command reads one ideal, and more entries would hold
@@ -223,11 +196,10 @@ def cover_table(ideal: MonomialIdeal) -> _CoverTable:
 
 def e_minimal_covers_of(u: int, ideal: MonomialIdeal) -> tuple[Cover, ...]:
     """Covers of u with no proper subset covering u."""
-    table = cover_table(ideal)
     if not 1 <= u <= ideal.mu:
         raise ValueError(f"generator {u} is not in 1..{ideal.mu}")
-    masks = np.array(table.by_generator[u - 1], np.int64)
-    return _wrap(_by_size_then_members(masks, ideal.mu).tolist(), ideal)
+    masks = _by_size_then_members(cover_table(ideal).eminimal_of(u), ideal.mu)
+    return _wrap(masks, tables_for(ideal).covered_mask[masks])
 
 
 @dataclass(frozen=True)

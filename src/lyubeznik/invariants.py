@@ -126,7 +126,7 @@ def equivalence_audit(ordered: OrderedIdeal) -> EquivalenceAudit:
     reaches below min(D) — for the E-minimal variant, additionally via
     some v for which D plus v is an E-minimal cover of v.
     """
-    emin_set = frozenset().union(*cover_table(ordered.ideal).by_generator)
+    emin_set = frozenset(cover_table(ordered.ideal).eminimal.tolist())
     analysis = order_analysis(ordered)
     tables = analysis.tables
     cover_masks = np.flatnonzero(tables.covered_mask).tolist()

@@ -12,7 +12,9 @@ A fragment's parts are rendered ahead, or rendered on demand, each time
 the fragment is written and the same each time: ``covers`` hands the
 writer each generator's list of covers as a fragment rendered when the
 writer reaches it (``_covers_fragments``), one join of per-mask list
-texts made once per ideal; ``complex`` its faces and facets
+texts made once per ideal, and its clutter as one fragment
+(``_lists_fragment``), built from each edge's members text, which its
+text format reads too; ``complex`` its faces and facets
 (``_lists_fragment``), built from a members text made once per face;
 ``oracle-betti`` and ``analyze`` a Betti table's graded and multigraded
 rows (``_betti_fields``), and ``verify`` its multidegrees
@@ -21,13 +23,12 @@ multidegree's text, which the caller supplies: ``oracle-betti`` and
 ``verify`` read the lattice's texts (``oracle._LcmClasses.texts``),
 written once per lattice point for every request on the ideal, and
 ``analyze`` writes its preserved-set rows with ``monomial_text``.  So
-the writer walks no cover entry, no face and no row.  A non-empty list
-whose items are all non-empty flat rows, lists or tuples holding only
-str, int, bool and None (``covers``' clutter, ``graph``'s edges), is
-written one join per row, each cell's text looked up by its exact type;
-a list with any other item, a subclass or a type ``json.dumps`` refuses
-among them, is written item by item, so every type refused before is
-refused still.
+the writer walks no cover entry, no clutter edge, no face and no row.
+Every other list is written item by item, one path for any list: an
+order, a witness, an f-vector, variable and generator names, and
+``graph``'s vertices and edges (at most 12 edges under
+``--check-props``).  Each item goes through the same type checks, so
+every type ``json.dumps`` refuses is refused.
 
 The writer lives apart from ``cli``, which imports it: ``cli`` is
 compiled last when the package is imported from source, on top of
@@ -40,14 +41,6 @@ from __future__ import annotations
 from functools import partial
 from json.encoder import encode_basestring_ascii
 from typing import Callable
-
-
-# the text of each cell type a flat row may hold, keyed by exact type:
-# subclasses (an int enum, a str subclass) take the general path
-_CELLS = {str: encode_basestring_ascii, int: int.__repr__,
-          bool: lambda v: "true" if v else "false",
-          type(None): lambda v: "null"}
-_ROWS = (list, tuple)
 
 
 class _Fragment:
@@ -74,8 +67,8 @@ def _write_json(payload: dict, write: Callable[[str], object]) -> None:
     byte, to ``write``.
 
     With an indent, CPython encodes in pure Python.  This writer gathers
-    parts in one list; a list or tuple of ints is one join, a list of
-    flat rows one join per row (``_flat_rows``).  At each ``_Fragment``
+    parts in one list, item by item; the long lists of the command
+    line's payloads reach it as fragments.  At each ``_Fragment``
     it sends what it has gathered, as one string, and then the
     fragment's parts, and at the end the rest; so it holds no more than
     the text between two fragments.  Only dicts with str keys, lists,
@@ -126,12 +119,6 @@ def _write_json(payload: dict, write: Callable[[str], object]) -> None:
                 put(value[key], depth + 1)
                 sep = "," + inner
             append("\n" + "  " * depth + "}")
-        elif all(type(v) is int for v in value):
-            append("[" + inner + ("," + inner).join(map(int.__repr__, value))
-                   + "\n" + "  " * depth + "]")
-        elif (rows := _flat_rows(value, depth + 1)) is not None:
-            append("[" + inner + ("," + inner).join(rows)
-                   + "\n" + "  " * depth + "]")
         else:
             sep = "[" + inner
             for item in value:
@@ -149,25 +136,6 @@ def _write_json(payload: dict, write: Callable[[str], object]) -> None:
         # closures: unbind them, so that the parts are freed now and not
         # at some later garbage collection
         del put, put_container
-
-
-def _flat_rows(value, depth: int) -> list[str] | None:
-    """The text of each item of ``value`` for the depth ``depth``,
-    when every item is a non-empty list or tuple of str, int, bool
-    and None only (exact types); else None, and ``write`` takes
-    the items one by one."""
-    inner = "\n" + "  " * (depth + 1)
-    sep, close = "," + inner, "\n" + "  " * depth + "]"
-    rows = []
-    for row in value:
-        if type(row) not in _ROWS or not row:
-            return None
-        try:
-            cells = [_CELLS[type(v)](v) for v in row]
-        except KeyError:
-            return None
-        rows.append("[" + inner + sep.join(cells) + close)
-    return rows
 
 
 def _members_texts(mu: int, sep: str) -> list[str]:
@@ -223,8 +191,9 @@ def _rows_fragment(rows: list[str], depth: int) -> _Fragment:
 
 
 def _lists_fragment(masks: list[int], members: dict) -> _Fragment:
-    """A non-empty list of masks, each written as the list of its
-    members, as one fragment for depth 1, where the payload holds it."""
+    """A list of masks, each written as the list of its members, as one
+    fragment for depth 1, where the payload holds it; ``members[m]`` is
+    the members text of mask m, ``"1,5,6"``."""
     ind2, ind3 = ("\n" + "  " * d for d in range(2, 4))
     sep3 = "," + ind3
     entries = [f"[{ind3}{members[m].replace(',', sep3)}{ind2}]" if m

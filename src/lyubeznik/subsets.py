@@ -250,9 +250,6 @@ class SubsetTables:
             raise ValueError("lcm of the empty subset is undefined")
         return Monomial(self.ideal.context, exps)
 
-    def is_cover(self, mask: int) -> bool:
-        return bool(self.covered_mask[mask])
-
 
 # one entry: a command reads one ideal, and more entries would hold
 # 2^mu tables for every ideal a process has seen

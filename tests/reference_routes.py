@@ -61,7 +61,7 @@ monomials.
   built it before the tuple formatter (``monomials.monomial_text``);
 * ``cover_listing``: the masks that cover anything, sorted by a Python
   key (size, then member tuple) and filtered per generator, the route
-  the numpy listing (``covers.cover_listing``) replaced;
+  the numpy listing (``covers._listing_rows``) replaced;
 * ``CoverWalk``: the E-minimal covers of each generator, their union
   and its inclusion-minimal members, by a walk over every mask and its
   one-smaller subsets, the route the numpy passes of
@@ -505,8 +505,10 @@ def cover_listing(ideal):
 
 
 class CoverWalk:
-    """The fields of ``covers._CoverTable``, by a walk over the masks,
-    and ``eminimal``, the union of the E-minimal covers."""
+    """What ``covers._CoverTable`` holds, by a walk over the masks:
+    ``by_generator[u - 1]``, the E-minimal covers of generator u (its
+    ``eminimal_of(u)``), ``eminimal``, their union, and ``clutter``,
+    its inclusion-minimal members, each ascending."""
 
     def __init__(self, ideal):
         tables = tables_for(ideal)

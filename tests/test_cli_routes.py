@@ -12,17 +12,23 @@ routes they replaced.
   with ``json.dumps`` of the payload with every fragment expanded by
   ``json.loads``; fragments shared in one payload, empty cover lists
   and a seeded 12-generator ``covers`` payload are checked whole, and a
-  fragment met at another depth must raise.  Lists of flat rows,
-  written one join per row, are compared on hypothesis rows (bool next
-  to int, None, tuples, mixed cells, rows nested in dicts), among other
-  items, which send the list item by item, and with floats and numpy
-  scalars among their cells, which must still raise.
-* Covers: the ``lyubeznik covers`` output in both formats, built from
-  the mask tables, against output built from the ``Cover`` objects of
-  ``covers_of`` and ``e_minimal_covers_of``; the listing order against
-  the subsets of each size in lexicographic order, tested with
-  ``is_cover_of``; and the numpy ``cover_listing`` against the Python
-  sort it replaced (``reference_routes.cover_listing``).
+  fragment met at another depth must raise.  Every other list is
+  written item by item; lists of flat rows are compared on hypothesis
+  rows (bool next to int, None, tuples, mixed cells, rows nested in
+  dicts), among other items, on fixed lists of 1,000 rows (ints, str,
+  tuples, ``True`` next to ``1``, int-enum and str-subclass cells), and
+  with floats and numpy scalars among their cells, which must raise;
+  and ``graph --edge-ideal`` on K_25 (300 edges) end to end.
+* Covers: the ``lyubeznik covers`` output in both formats against
+  output built from the ``Cover`` objects of ``covers_of`` and
+  ``e_minimal_covers_of``, which read the same listing
+  (``covers._listing_rows``), and against the subsets of each size in
+  lexicographic order, tested with ``is_cover_of``; and each
+  generator's rows of that listing against routes that share none of
+  it: the masks against the Python sort
+  (``reference_routes.cover_listing``), the covered masks against the
+  subset tables' ``covered_mask``, and the E-minimal flags against the
+  walk over the masks (``reference_routes.CoverWalk``).
 """
 
 import contextlib
@@ -32,6 +38,7 @@ import os
 import random
 import tempfile
 import warnings
+from enum import IntEnum
 from functools import partial
 from itertools import combinations
 
@@ -45,14 +52,15 @@ from lyubeznik import (all_ideals, analyze, cover_clutter, covers_of,
                        verify_resolution_report)
 from lyubeznik.cli import _request, build_parser, main
 from lyubeznik.corpus import _data_dir
-from lyubeznik.covers import cover_listing
+from lyubeznik.covers import _listing_rows
 from lyubeznik.jsontext import (_Fragment, _betti_fields,
                                 _multidegrees_fragment, _write_json)
 from lyubeznik.monomials import monomial_text
-from lyubeznik.subsets import mask_of
+from lyubeznik.subsets import mask_of, tables_for
 
 from conftest import xyz_ideal
 
+from reference_routes import CoverWalk
 from reference_routes import cover_listing as python_cover_listing
 from test_cli_digests import cases
 from test_preserved_kernel import seeded_ideal
@@ -227,7 +235,7 @@ def test_writer_refuses_other_types(payload):
         json_text(payload)
 
 
-# -- flat rows: one join per row ----------------------------------------------
+# -- flat rows: item by item --------------------------------------------------
 
 CELLS = TEXT | INTS | st.booleans() | st.none()
 ROW = st.lists(CELLS, min_size=1, max_size=5)
@@ -267,13 +275,68 @@ def test_rows_with_any_other_item_match_json_dumps(rows, item, at):
        st.integers(0, 30))
 def test_rows_still_refuse_floats_numpy_scalars_and_other_types(rows, cell,
                                                                 at):
-    # a cell the rows path does not take sends the list item by item,
-    # where every type refused before is refused still
+    # a cell json.dumps refuses is refused wherever it sits in the rows
     rows = [list(row) for row in rows]
     row = rows[at % len(rows)]
     row.insert(at % (len(row) + 1), cell)
     with pytest.raises(TypeError):
         json_text({"rows": rows})
+
+
+class Level(IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class Name(str):
+    pass
+
+
+def thousand(row):
+    return [row(k) for k in range(1000)]
+
+
+# lists of 1,000 flat rows, each list one kind of row
+FLAT_ROWS = {
+    "ints": thousand(lambda k: [k, -k, k * 10**20]),
+    "strs": thousand(lambda k: [f"v{k}", "\u00e9\n\"", ""]),
+    "tuples": thousand(lambda k: (k, f"v{k}", None)),
+    "bool-next-to-int": thousand(lambda k: [True, 1, False, 0, k % 2 == 0]),
+    "subclasses": thousand(lambda k: [Level(k % 2 + 1), Name(f"n{k}"), k]),
+}
+
+
+@pytest.mark.parametrize("key", sorted(FLAT_ROWS))
+def test_writer_matches_json_dumps_on_a_thousand_flat_rows(key):
+    rows = FLAT_ROWS[key]
+    payload = {"rows": rows, "d": {"e": rows}, "t": tuple(rows)}
+    assert json_text(payload) == reference_text(payload)
+
+
+@pytest.mark.parametrize("cell", [1.5, float("nan"), np.int64(3),
+                                  np.bool_(True), np.float64(2.0)])
+def test_writer_refuses_floats_and_numpy_scalars_in_a_thousand_rows(cell):
+    for at in (0, 999):
+        rows = [list(row) for row in FLAT_ROWS["ints"]]
+        rows[at].insert(1, cell)
+        with pytest.raises(TypeError):
+            json_text({"rows": rows})
+
+
+def test_graph_edge_ideal_json_on_k25(tmp_path):
+    names = [f"v{i:02}" for i in range(25)]
+    path = tmp_path / "k25.graph"
+    path.write_text("vertex " + " ".join(names) + "\n" + "".join(
+        f"edge {a} {b}\n" for a, b in combinations(names, 2)),
+        encoding="utf-8")
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(["graph", "--edge-ideal", "--format", "json",
+                     str(path)]) == 0
+    out = stdout.getvalue()
+    payload = json.loads(out)
+    assert len(payload["edges"]) == 300
+    assert out == reference_text(payload) + "\n"
 
 
 # -- Betti and verify rows: fragments -----------------------------------------
@@ -461,12 +524,28 @@ def test_covers_output_matches_the_cover_objects_at_mu_11_and_12(
     check_covers(ideal, path, ",".join(map(str, order)))
 
 
-# -- the listing against the Python sort --------------------------------------
+# -- the listing against the Python sort and the walk -------------------------
 
-def test_cover_listing_matches_the_python_sort_on_the_corpus():
+def check_listing_rows(ideal):
+    """Each generator's rows, from ``_listing_rows``: its masks against
+    the Python sort, its covered masks against the subset tables', and
+    its E-minimal flags against the walk over the masks."""
+    rows = _listing_rows(ideal)
+    covered_mask = tables_for(ideal).covered_mask
+    walk = CoverWalk(ideal)
+    listing = python_cover_listing(ideal)
+    for u, listed in enumerate(listing, 1):
+        masks, eminimal, covered = rows(u)
+        assert masks.tolist() == list(listed), u
+        assert covered.tolist() == [int(covered_mask[m]) for m in listed], u
+        own = set(walk.by_generator[u - 1])
+        assert eminimal.tolist() == [m in own for m in listed], u
+    return listing
+
+
+def test_listing_rows_match_the_python_sort_and_the_walk_on_the_corpus():
     for name, ideal in all_ideals():
-        listing = python_cover_listing(ideal)
-        assert cover_listing(ideal) == listing, name
+        listing = check_listing_rows(ideal)
         # the E-minimal covers come in the listing's order too
         for u, masks in enumerate(listing, 1):
             eminimal = [mask_of(c.members) for c in e_minimal_covers_of(u, ideal)]
@@ -475,12 +554,13 @@ def test_cover_listing_matches_the_python_sort_on_the_corpus():
 
 @settings(max_examples=60)
 @given(st.integers(2, 4).flatmap(exponent_rows))
-def test_cover_listing_matches_the_python_sort_on_random_ideals(rows):
-    ideal = small_ideal(rows, max_mu=9)
-    assert cover_listing(ideal) == python_cover_listing(ideal)
+def test_listing_rows_match_the_python_sort_and_the_walk_on_random_ideals(
+        rows):
+    check_listing_rows(small_ideal(rows, max_mu=9))
 
 
-@pytest.mark.parametrize("mu,seed", [(11, 0), (11, 1), (12, 0), (12, 1)])
-def test_cover_listing_matches_the_python_sort_at_mu_11_and_12(mu, seed):
-    ideal = seeded_ideal(mu, seed)
-    assert cover_listing(ideal) == python_cover_listing(ideal)
+@pytest.mark.parametrize("mu,seed", [(11, 0), (11, 1), (12, 0), (12, 1),
+                                     (13, 0)])
+def test_listing_rows_match_the_python_sort_and_the_walk_at_mu_11_to_13(
+        mu, seed):
+    check_listing_rows(seeded_ideal(mu, seed))

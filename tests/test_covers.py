@@ -6,8 +6,8 @@ import pytest
 from lyubeznik import (BoundExceededError, complete_cover, cover_clutter,
                        covers_of, divides, e_minimal_covers_of, identity_order,
                        is_cover_of, lcm_of, load_ideal, sweep_ideals)
-from lyubeznik.covers import cover_listing, cover_table
-from lyubeznik.subsets import indices_of, mask_of
+from lyubeznik.covers import _listing_rows, cover_table
+from lyubeznik.subsets import indices_of, mask_of, tables_for
 
 from conftest import exponent_ideal
 from reference_routes import cover_listing as reference_cover_listing
@@ -111,6 +111,21 @@ def test_covers_of_rejects_unknown_generators():
             covers_of(u, ideal)
 
 
+@pytest.mark.parametrize("call", [covers_of, e_minimal_covers_of])
+def test_an_unknown_generator_is_refused_before_any_table(call):
+    # past the subset tables' bound the bad argument is reported, not
+    # the tables' refusal
+    with pytest.raises(ValueError, match="generator 0 is not in 1..17"):
+        call(0, exponent_ideal(unit_rows(17)))
+    ideal = load_ideal("mixed_powers_xyz")
+    tables_for.cache_clear()
+    cover_table.cache_clear()
+    with pytest.raises(ValueError, match="generator 99 is not in 1..5"):
+        call(99, ideal)
+    assert tables_for.cache_info().misses == 0
+    assert cover_table.cache_info().misses == 0
+
+
 def test_is_cover_of_requires_membership():
     ideal = load_ideal("mixed_powers_xyz")
     with pytest.raises(ValueError):
@@ -177,15 +192,19 @@ def test_the_covers_functions_reach_the_table_bound():
     # nothing caps the covers below the subset tables: at mu 13 every
     # function answers, and agrees with the checking routes
     ideal = seeded_ideal(13, 0)
-    listing = cover_listing(ideal)
-    assert listing == reference_cover_listing(ideal)
+    listing = reference_cover_listing(ideal)
+    rows = _listing_rows(ideal)
+    covered_mask = tables_for(ideal).covered_mask
     table = cover_table(ideal)
     for u in (1, 7, 13):
+        masks, _, covered = rows(u)
+        assert masks.tolist() == list(listing[u - 1])
+        assert covered.tolist() == covered_mask[masks].tolist()
         assert tuple(mask_of(c.members) for c in covers_of(u, ideal)) == \
             listing[u - 1]
         assert sorted(mask_of(c.members)
                       for c in e_minimal_covers_of(u, ideal)) == \
-            list(table.by_generator[u - 1])
+            table.eminimal_of(u).tolist()
     assert cover_clutter(identity_order(ideal)).edges == {
         frozenset(indices_of(m)) for m in table.clutter}
     assert covers_of(1, exponent_ideal(unit_rows(13))) == ()
@@ -210,7 +229,7 @@ def refuses_before_allocating(call, ideal):
 
 
 @pytest.mark.parametrize("call", [
-    cover_listing, cover_table, lambda i: covers_of(1, i),
+    _listing_rows, cover_table, lambda i: covers_of(1, i),
     lambda i: e_minimal_covers_of(1, i),
     lambda i: cover_clutter(identity_order(i))])
 def test_the_covers_functions_refuse_above_the_table_bound(call):

@@ -1,0 +1,108 @@
+"""The ``covers`` output against transforms of the ideal that keep its
+lcm lattice with generator labels.
+
+Whether a set covers a generator depends only on divisibility among
+the lcms of generators, and so do the E-minimal covers and the
+clutter.  Polarizing an ideal (each x^a becomes x_1*...*x_a, one new
+variable per power) and permuting its variables keep that
+divisibility, generator by generator.  So the ``covers --format json``
+payload, but for its ``ideal`` field, must be the same for the ideal,
+its polarization and the ideal with its variables permuted.  The
+inputs are the corpus ideals that are not squarefree, seeded ideals at
+mu 8 to 11 and hypothesis ideals.
+"""
+
+import contextlib
+import io
+import json
+import os
+import random
+import tempfile
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from lyubeznik import Monomial, MonomialIdeal, VariableContext, all_ideals
+from lyubeznik.cli import main
+
+from test_cli_routes import ideal_file_text
+from test_preserved_kernel import seeded_ideal
+from test_scan_kernel import exponent_rows, small_ideal
+
+
+def rebuilt(names, rows) -> MonomialIdeal:
+    context = VariableContext(tuple(names))
+    return MonomialIdeal.from_generators(
+        [Monomial(context, tuple(row)) for row in rows])
+
+
+def polarized(ideal) -> MonomialIdeal:
+    """Each power x^a of a generator becomes x_1*...*x_a."""
+    tops = [max(column) for column in
+            zip(*(m.exponents for m in ideal.gens))]
+    names = [f"{name}_{k}" for name, top in zip(ideal.context.names, tops)
+             for k in range(1, top + 1)]
+    return rebuilt(names, [[int(k <= e)
+                            for e, top in zip(m.exponents, tops)
+                            for k in range(1, top + 1)]
+                           for m in ideal.gens])
+
+
+def permuted(ideal, perm) -> MonomialIdeal:
+    """The ideal with variable ``perm[i]`` in place ``i``."""
+    return rebuilt([ideal.context.names[i] for i in perm],
+                   [[m.exponents[i] for i in perm] for m in ideal.gens])
+
+
+def covers_payload(ideal, directory) -> dict:
+    """The ``covers --format json`` payload of the ideal, but for its
+    ``ideal`` field."""
+    path = os.path.join(directory, "transformed.ideal")
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(ideal_file_text(ideal))
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(["covers", "--format", "json", path]) == 0
+    payload = json.loads(stdout.getvalue())
+    del payload["ideal"]
+    return payload
+
+
+def check_invariance(ideal, seed):
+    n = len(ideal.context)
+    # a shuffle that moves the first variable (when there are two), and
+    # the reversal
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    if perm[0] == 0:
+        perm = perm[1:] + perm[:1]
+    with tempfile.TemporaryDirectory() as tmp:
+        payload = covers_payload(ideal, tmp)
+        assert covers_payload(polarized(ideal), tmp) == payload
+        for order in (perm, list(reversed(range(n)))):
+            assert covers_payload(permuted(ideal, order), tmp) == payload
+
+
+NOT_SQUAREFREE = [(name, ideal) for name, ideal in all_ideals()
+                  if any(e > 1 for m in ideal.gens for e in m.exponents)]
+
+
+def test_the_corpus_has_ideals_that_are_not_squarefree():
+    assert len(NOT_SQUAREFREE) >= 5
+
+
+@pytest.mark.parametrize("name,ideal", NOT_SQUAREFREE,
+                         ids=[name for name, _ in NOT_SQUAREFREE])
+def test_covers_are_invariant_on_the_corpus(name, ideal):
+    check_invariance(ideal, 0)
+
+
+@pytest.mark.parametrize("mu,seed", [(8, 0), (9, 1), (10, 2), (11, 3)])
+def test_covers_are_invariant_on_seeded_ideals(mu, seed):
+    check_invariance(seeded_ideal(mu, seed), seed)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 4).flatmap(exponent_rows), st.integers(0, 2**16))
+def test_covers_are_invariant_on_random_ideals(rows, seed):
+    check_invariance(small_ideal(rows), seed)

@@ -47,6 +47,7 @@ from lyubeznik import (
     sweep_ideals,
     taylor_betti,
 )
+from lyubeznik import covers
 from lyubeznik.covers import cover_table
 from lyubeznik.oracle import _projective_dimension
 from conftest import triangles_graph
@@ -425,14 +426,21 @@ def test_search_verdicts_match_the_former_formulas(name):
     assert scan.almost_lyubeznik == (scan.min_l == projdim)
 
 
-def test_analyze_never_builds_the_covers_by_generator():
-    # the minimality and obstruction read the clutter alone; the covers
-    # of each generator are built on their first read
+def test_analyze_reads_no_generator_s_covers(monkeypatch):
+    # the minimality and obstruction read the clutter alone, never the
+    # covers listing or one generator's E-minimal covers
+    def refuse(*args):
+        raise AssertionError("a generator's covers were read")
+    monkeypatch.setattr(covers, "_listing_rows", refuse)
+    monkeypatch.setattr(covers._CoverTable, "eminimal_of", refuse)
+    ideal = load_ideal("mixed_powers_xyz")
+    for call in (covers.covers_of, covers.e_minimal_covers_of):
+        with pytest.raises(AssertionError, match="were read"):
+            call(1, ideal)
     for name, ideal in sweep_ideals():
         cover_table.cache_clear()
         analyze(identity_order(ideal), search=True)
         assert cover_table.cache_info().currsize == 1, name
         table = cover_table(ideal)
         assert cover_table.cache_info().hits >= 1, name
-        assert table._by_generator is None, name
-        assert set().union(*table.by_generator) >= set(table.clutter), name
+        assert set(table.eminimal.tolist()) >= set(table.clutter), name

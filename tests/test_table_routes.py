@@ -61,14 +61,12 @@ def check_cover_table(ideal):
 def check_cover_table_against_the_walk(ideal):
     table = cover_table(ideal)
     walk = CoverWalk(ideal)
-    for field in ("by_generator", "clutter"):
-        assert getattr(table, field) == getattr(walk, field), field
-    # the union the audit takes itself
-    assert set().union(*table.by_generator) == set(walk.eminimal)
-    masks = list(table.clutter)
-    for masks_of_u in table.by_generator:
-        masks += masks_of_u
-    assert all(type(m) is int for m in masks)
+    assert table.clutter == walk.clutter
+    assert all(type(m) is int for m in table.clutter)
+    for u, masks_of_u in enumerate(walk.by_generator, 1):
+        assert table.eminimal_of(u).tolist() == list(masks_of_u), u
+    # the union the audit reads
+    assert table.eminimal.tolist() == list(walk.eminimal)
 
 
 def check_minimality_rules(ideal, orders):
