@@ -186,14 +186,16 @@ class SearchResult:
       (k + 1)-set.  No order is shorter than the projective dimension
       of R/I, and minimal orders reach it, so a Lyubeznik ideal's
       ``min_l`` is its minimal witness's length.  Otherwise ``min_l``
-      is the projective dimension if some order reaches it, which
-      settles most ideals with one search, and else the search
-      descends one length at a time from the identity order's while
-      some order is shorter.  The identity is the lexicographically
-      least word, so a length the identity order already meets needs
-      no walk: its witness is the identity (on K_{4,4}, mu 16, that
-      skips the floor's walk over the C(16, 8) = 12,870 8-sets).  A
-      Lyubeznik resolution is free over every
+      is the least k, tried upward from the projective dimension, at
+      which the walk over the (k + 1)-sets finds an order; having one
+      is monotone in k, and most ideals are settled at the floor or
+      one above it.  The identity is the lexicographically least
+      word, so a length the identity order already meets needs no
+      walk: its witness is the identity, and the climb ends by the
+      identity order's length (on K_{4,4}, mu 16, that skips the
+      floor's walk over the C(16, 8) = 12,870 8-sets).  So ``tobsl``
+      and ``min_l`` are both the first k, tried upward, at which a
+      walk finds an order.  A Lyubeznik resolution is free over every
       field, so the floor may be the projective dimension over any: it
       is ``projdim``, taken over the field the search was built with;
     * ``projdim`` is the projective dimension of R/I over GF(prime), or
@@ -297,13 +299,10 @@ class SearchResult:
     def min_l(self) -> int:
         if self._minimal is not None:
             return l_length(OrderedIdeal(self.ideal, self._minimal))
-        floor = self.projdim
-        if self._at_most(floor) is not None:
-            return floor
-        best = self._identity_length
-        while best - 1 > floor and self._at_most(best - 1) is not None:
-            best -= 1
-        return best
+        k = self.projdim
+        while self._at_most(k) is None:
+            k += 1
+        return k
 
     @property
     def min_l_witness(self) -> tuple[int, ...]:
@@ -320,9 +319,12 @@ def search_scan(ideal: MonomialIdeal, *,
     Answers up to the subset tables' bound, mu <= 16, and refuses above
     it with ``BoundExceededError`` before any table is built.  ``min_l``
     of an ideal that is not Lyubeznik walks every (k+1)-set for each
-    length k it tries; the walks settle a state as soon as an alive set
-    is sure to be preserved, and build the rows of the prefix sets they
-    read only (``prefix``).
+    length k it tries, climbing from the projective dimension and
+    capped by the identity order's length, which needs no walk; the
+    walks settle a state as soon as an alive set is sure to be
+    preserved, and build the rows of the prefix sets they read only
+    (``prefix``).  ``tobsl`` climbs the clutter's edge sizes the same
+    way.
     """
     return SearchResult(ideal, cover_table(ideal).clutter, prime)
 

@@ -237,14 +237,6 @@ def support(m: Monomial) -> frozenset[int]:
     return frozenset(i for i, e in enumerate(m.exponents) if e > 0)
 
 
-def _divisibility(gens: Sequence[Monomial]) -> np.ndarray:
-    """bool matrix over a generating set of one context: entry [i, j]
-    tells whether gens[i] divides gens[j].  Exponents are at most
-    ``EXPONENT_LIMIT``, so the int64 rows compare them exactly."""
-    rows = np.array([m.exponents for m in gens], np.int64)
-    return (rows[:, None, :] <= rows).all(axis=2)
-
-
 def _rows_of(gens: list[Monomial]) -> list[tuple[int, ...]]:
     """The exponent rows of generators of one context."""
     for m in gens:
@@ -331,15 +323,14 @@ class MonomialIdeal:
                     "generator context differs from the ideal's context")
             if m.is_one():
                 raise ValueError("the unit monomial cannot be a minimal generator")
-        div = _divisibility(self.gens)
-        np.fill_diagonal(div, False)
-        if div.any():
+        if any(_redundant([m.exponents for m in self.gens])):
             # the first pair in listing order, as a scan by rows finds it
-            i, j = divmod(int(div.argmax()), len(self.gens))
+            a, b = next((a, b) for i, a in enumerate(self.gens)
+                        for j, b in enumerate(self.gens)
+                        if i != j and divides(a, b))
             raise ValueError(
-                f"generating set is not minimal: {self.gens[i]} divides "
-                f"{self.gens[j]}; call minimize_generators or "
-                "from_generators first")
+                f"generating set is not minimal: {a} divides {b}; "
+                "call minimize_generators or from_generators first")
 
     @classmethod
     def from_generators(cls, gens: Sequence[Monomial]) -> "MonomialIdeal":

@@ -13,11 +13,13 @@ routes they replaced.
   ``json.loads``; fragments shared in one payload, empty cover lists
   and a seeded 12-generator ``covers`` payload are checked whole, and a
   fragment met at another depth must raise.  Every other list is
-  written item by item; lists of flat rows are compared on hypothesis
-  rows (bool next to int, None, tuples, mixed cells, rows nested in
-  dicts), among other items, on fixed lists of 1,000 rows (ints, str,
-  tuples, ``True`` next to ``1``, int-enum and str-subclass cells), and
-  with floats and numpy scalars among their cells, which must raise;
+  written item by item; lists of flat rows are compared on one fixed
+  list per shape (bool next to int, None, tuples, escaped text, mixed
+  cells, rows nested in dicts), with each other item first, among or
+  last, on fixed lists of 1,000 rows (ints, str, tuples, ``True`` next
+  to ``1``, int-enum and str-subclass cells), and with floats, numpy
+  scalars, bytes and sets first or last among their cells, which must
+  raise;
   and ``graph --edge-ideal`` on K_25 (300 edges) end to end.
 * Covers: the ``lyubeznik covers`` output in both formats against
   output built from the ``Cover`` objects of ``covers_of`` and
@@ -44,7 +46,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lyubeznik import (all_ideals, analyze, cover_clutter, covers_of,
                        e_minimal_covers_of, identity_order, is_cover_of,
@@ -237,48 +239,56 @@ def test_writer_refuses_other_types(payload):
 
 # -- flat rows: item by item --------------------------------------------------
 
-CELLS = TEXT | INTS | st.booleans() | st.none()
-ROW = st.lists(CELLS, min_size=1, max_size=5)
-ROW = ROW | ROW.map(tuple)
-ROWS = st.lists(ROW, min_size=1, max_size=6)
-ROWS = ROWS | ROWS.map(tuple)
-NOT_A_ROW = st.sampled_from([[], (), [[1]], [(1, "a")], [{"x": 1}],
-                             [1, [2]], {"x": [1]}, 0, "row", None, True])
+# one list of rows per shape: bool next to int, None, lists and tuples
+# (as rows and as the list), text cells json.dumps escapes, ints past
+# 64 bits, one cell, and mixed cells
+ROW_LISTS = {
+    "bool-next-to-int": [(1, True), (True, 1), (0, False, None)],
+    "none": [[None], [None, 1, None]],
+    "lists-and-tuples": ([1, "a"], (2, "b"), [3, "c"]),
+    "text": [["", "\u00e9", "\u2603"], ["\U0001f600", '"', "\\"],
+             ["\n\t\x00", "\x1f\x7f", "</script>"]],
+    "big-ints": [[2**63, -2**63 - 1, 10**30], (0, -1, -10**30)],
+    "one-cell": [[0]],
+    "mixed-cells": [[1, "a", None, True], ("b", 2, False, None, -3)],
+}
+NOT_A_ROW = [[], (), [[1]], [(1, "a")], [{"x": 1}], [1, [2]], {"x": [1]}, 0,
+             "row", None, True]
+REFUSED_CELLS = [1.5, float("nan"), np.int64(3), np.int8(-1), np.bool_(True),
+                 np.float64(2.0), b"x", {1, 2}]
 
 
-@settings(max_examples=300)
-@given(ROWS, ROWS)
-@example([(1, True), (True, 1), (0, False, None)], [["", 1]])
-def test_rows_match_json_dumps(rows, other):
-    # bool against int, None, tuples and lists, mixed cells, and row
-    # lists at several depths inside dicts and lists
+@pytest.mark.parametrize("key", sorted(ROW_LISTS))
+def test_rows_match_json_dumps(key):
+    # each shape as the rows, next to other rows, in row lists at
+    # several depths inside dicts and lists
+    rows, other = ROW_LISTS[key], [["", 1]]
     payload = {"rows": rows, "d": {"e": other, "f": [rows, {"g": other}]},
                "h": [rows, rows]}
     assert json_text(payload) == reference_text(payload)
 
 
-@settings(max_examples=200)
-@given(ROWS, NOT_A_ROW, st.integers(0, 6))
-def test_rows_with_any_other_item_match_json_dumps(rows, item, at):
-    # an empty row, a nested container or a scalar among the rows: the
-    # list is written item by item
-    rows = list(rows)
-    rows.insert(at % (len(rows) + 1), item)
+@pytest.mark.parametrize("at", [0, 1, 2])
+@pytest.mark.parametrize("item", NOT_A_ROW, ids=repr)
+def test_rows_with_any_other_item_match_json_dumps(item, at):
+    # an empty row, a nested container or a scalar first, among or
+    # last in the rows: the list is written item by item
+    rows = list(ROW_LISTS["mixed-cells"])
+    rows.insert(at, item)
     payload = {"rows": rows, "d": {"e": [rows]}}
     assert json_text(payload) == reference_text(payload)
 
 
-@settings(max_examples=100)
-@given(ROWS, st.sampled_from([1.5, float("nan"), np.int64(3), np.int8(-1),
-                              np.bool_(True), np.float64(2.0), b"x",
-                              {1, 2}]),
-       st.integers(0, 30))
-def test_rows_still_refuse_floats_numpy_scalars_and_other_types(rows, cell,
-                                                                at):
-    # a cell json.dumps refuses is refused wherever it sits in the rows
-    rows = [list(row) for row in rows]
-    row = rows[at % len(rows)]
-    row.insert(at % (len(row) + 1), cell)
+@pytest.mark.parametrize("last", [False, True], ids=["first", "last"])
+@pytest.mark.parametrize("cell", REFUSED_CELLS, ids=repr)
+def test_rows_still_refuse_floats_numpy_scalars_and_other_types(cell, last):
+    # a cell json.dumps refuses is refused first in the first row and
+    # last in the last
+    rows = [list(row) for row in ROW_LISTS["mixed-cells"]]
+    if last:
+        rows[-1].append(cell)
+    else:
+        rows[0].insert(0, cell)
     with pytest.raises(TypeError):
         json_text({"rows": rows})
 

@@ -10,6 +10,15 @@ payload, but for its ``ideal`` field, must be the same for the ideal,
 its polarization and the ideal with its variables permuted.  The
 inputs are the corpus ideals that are not squarefree, seeded ideals at
 mu 8 to 11 and hypothesis ideals.
+
+The order search's answers are checked from outside the same way:
+renumbering the generators permutes the mu! orders, so every search
+aggregate is the same for the ideal with its generators permuted, and
+each witness, renumbered, has the same length and obstruction under
+the permuted ideal.  The words themselves are compared only under the
+identity permutation, since the lexicographically least witness
+depends on the numbering.  The inputs are the sweep corpus, seeded
+ideals at mu 8 to 10 and hypothesis ideals.
 """
 
 import contextlib
@@ -22,7 +31,9 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lyubeznik import Monomial, MonomialIdeal, VariableContext, all_ideals
+from lyubeznik import (Monomial, MonomialIdeal, OrderedIdeal, VariableContext,
+                       all_ideals, l_length, obstruction, search_scan,
+                       sweep_ideals)
 from lyubeznik.cli import main
 
 from test_cli_routes import ideal_file_text
@@ -106,3 +117,57 @@ def test_covers_are_invariant_on_seeded_ideals(mu, seed):
 @given(st.integers(2, 4).flatmap(exponent_rows), st.integers(0, 2**16))
 def test_covers_are_invariant_on_random_ideals(rows, seed):
     check_invariance(small_ideal(rows), seed)
+
+
+SEARCH_FIELDS = ("minimal_count", "lyubeznik", "totally_lyubeznik", "tobsl",
+                 "projdim", "min_l")
+
+
+def measures(ideal, word):
+    ordered = OrderedIdeal(ideal, word)
+    return l_length(ordered), obstruction(ordered)
+
+
+def check_search_invariance(ideal, seed):
+    mu = ideal.mu
+    # the identity, a shuffle that moves the first generator (when there
+    # are two), and the reversal
+    shuffle = list(range(mu))
+    random.Random(seed).shuffle(shuffle)
+    if shuffle[0] == 0:
+        shuffle = shuffle[1:] + shuffle[:1]
+    scan = search_scan(ideal)
+    witnesses = (scan.min_l_witness, scan.tobsl_witness)
+    for perm in (list(range(mu)), shuffle, list(reversed(range(mu)))):
+        # generator perm[i] + 1 of the ideal is generator i + 1 of moved
+        moved = MonomialIdeal(ideal.context,
+                              tuple(ideal.gens[i] for i in perm))
+        found = search_scan(moved)
+        for field in SEARCH_FIELDS:
+            assert getattr(found, field) == getattr(scan, field), (perm,
+                                                                   field)
+        place = {old + 1: new + 1 for new, old in enumerate(perm)}
+        for word in witnesses:
+            assert measures(moved, tuple(place[g] for g in word)) == \
+                measures(ideal, word), perm
+        if perm == sorted(perm):
+            assert (found.min_l_witness, found.tobsl_witness) == witnesses
+
+
+SWEEP = sweep_ideals()
+
+
+@pytest.mark.parametrize("name,ideal", SWEEP, ids=[name for name, _ in SWEEP])
+def test_search_is_invariant_on_the_corpus(name, ideal):
+    check_search_invariance(ideal, 0)
+
+
+@pytest.mark.parametrize("mu,seed", [(8, 0), (9, 1), (10, 2)])
+def test_search_is_invariant_on_seeded_ideals(mu, seed):
+    check_search_invariance(seeded_ideal(mu, seed), seed)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 4).flatmap(exponent_rows), st.integers(0, 2**16))
+def test_search_is_invariant_on_random_ideals(rows, seed):
+    check_search_invariance(small_ideal(rows), seed)

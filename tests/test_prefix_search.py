@@ -450,9 +450,11 @@ def test_a_pool_search_at_mu_14(pool):
 
 
 def test_walks_build_rows_for_few_prefix_sets(pool, monkeypatch):
-    # every field of c14-06's search: its five walks build rows for
-    # 16-107 of the 2^14 prefix sets each, where building both tables
-    # for all of them took 2.7 s
+    # every field of c14-06's search: its three walks (the clutter's,
+    # then the 4-set walk that finds no order at the floor and the
+    # 5-set walk that finds min_l's witness) build rows for few of the
+    # 2^14 prefix sets each, where building both tables for all of
+    # them took 2.7 s
     out, _ = pool
     ideal = read_ideal(out / "c14-06.ideal")
     walks = []
@@ -462,7 +464,7 @@ def test_walks_build_rows_for_few_prefix_sets(pool, monkeypatch):
     scan = fresh(ideal)
     for field in FIELDS:
         getattr(scan, field)
-    assert walks
+    assert len(walks) == 3
     assert all(len(walk.rows) < (1 << 14) // 10 for walk in walks), [
         len(walk.rows) for walk in walks]
 
@@ -473,6 +475,8 @@ def test_the_fourteen_cycle():
     assert ideal.mu == 14
     scan = fresh(ideal)
     assert (scan.tobsl, scan.projdim, scan.min_l) == (3, 9, 10)
+    # the climb walks the floor and the length above it, no more
+    assert sorted(scan._short) == [9, 10]
     assert scan.min_l_witness == (1, 2, 3, 4, 6, 5, 7, 9, 8, 10, 12, 11, 13,
                                   14)
     assert l_length(OrderedIdeal(ideal, scan.min_l_witness)) == 10
