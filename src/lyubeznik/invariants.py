@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 from math import factorial
 
 import numpy as np
@@ -37,9 +36,9 @@ from .complexes import order_analysis
 from .covers import cover_table
 from .monomials import MonomialIdeal
 from .oracle import _projective_dimension
-from .orders import OrderedIdeal, identity_order
+from .orders import OrderedIdeal
 from .prefix import PrefixWalk
-from .subsets import iter_bits, mask_of
+from .subsets import iter_bits, popcounts
 
 
 class NotMinimalError(ValueError):
@@ -181,7 +180,8 @@ class SearchResult:
       preserves no clutter edge larger than k, tried k ascending, each k
       by the clutter walk started from the root of the edges above k
       (``first(alive=...)``), so every k reads the rows and the count's
-      memo of that one walk;
+      memo of that one walk.  Above the largest size no edge is left
+      alive, and the walk settles at its root with the identity order;
     * an order's length is at most k exactly when it preserves no
       (k + 1)-set.  No order is shorter than the projective dimension
       of R/I, and minimal orders reach it, so a Lyubeznik ideal's
@@ -189,13 +189,13 @@ class SearchResult:
       is the least k, tried upward from the projective dimension, at
       which the walk over the (k + 1)-sets finds an order; having one
       is monotone in k, and most ideals are settled at the floor or
-      one above it.  The identity is the lexicographically least
-      word, so a length the identity order already meets needs no
-      walk: its witness is the identity, and the climb ends by the
-      identity order's length (on K_{4,4}, mu 16, that skips the
-      floor's walk over the C(16, 8) = 12,870 8-sets).  So ``tobsl``
-      and ``min_l`` are both the first k, tried upward, at which a
-      walk finds an order.  A Lyubeznik resolution is free over every
+      one above it.  Each k is one walk, even where the identity order
+      is short enough: the identity is the lexicographically least
+      word, so the walk then goes straight down its path, reading one
+      row per prefix of it until a state settles (on K_{4,4}, mu 16,
+      12 rows of the floor's walk over the C(16, 8) = 12,870 8-sets).
+      So ``tobsl`` and ``min_l`` are both the first k, tried upward, at
+      which a walk finds an order.  A Lyubeznik resolution is free over every
       field, so the floor may be the projective dimension over any: it
       is ``projdim``, taken over the field the search was built with;
     * ``projdim`` is the projective dimension of R/I over GF(prime), or
@@ -260,15 +260,14 @@ class SearchResult:
     def _tobsl(self) -> tuple[int, tuple[int, ...]]:
         if self._minimal is not None:
             return 0, self._minimal
-        sizes = sorted({m.bit_count() for m in self._clutter})
-        for k in sizes[:-1]:
+        # above the largest size no edge is left alive, so the climb
+        # ends there at the latest, with the identity order
+        for k in sorted({m.bit_count() for m in self._clutter}):
             above = sum(1 << i for i, m in enumerate(self._clutter)
                         if m.bit_count() > k)
             word = self._edges.first(alive=above)
             if word is not None:
                 return k, word
-        # every order preserves an edge of the largest size
-        return sizes[-1], identity_order(self.ideal).order
 
     @property
     def tobsl(self) -> int:
@@ -278,21 +277,12 @@ class SearchResult:
     def tobsl_witness(self) -> tuple[int, ...]:
         return self._tobsl[1]
 
-    @cached_property
-    def _identity_length(self) -> int:
-        return l_length(identity_order(self.ideal))
-
     def _at_most(self, k: int) -> tuple[int, ...] | None:
         """The least order of length at most k: one preserving no
-        (k + 1)-set.  The identity is the least word of all, so when its
-        own length is at most k it is the answer, and no walk is built."""
+        (k + 1)-set, found by a walk over every (k + 1)-set."""
         if k not in self._short:
-            if self._identity_length <= k:
-                self._short[k] = identity_order(self.ideal).order
-            else:
-                sets = [mask_of(c) for c in combinations(
-                    self.ideal.indices(), k + 1)]
-                self._short[k] = PrefixWalk(self.ideal, sets).first()
+            sets = np.flatnonzero(popcounts(self.ideal.mu) == k + 1)
+            self._short[k] = PrefixWalk(self.ideal, sets.tolist()).first()
         return self._short[k]
 
     @cached_property
@@ -319,12 +309,11 @@ def search_scan(ideal: MonomialIdeal, *,
     Answers up to the subset tables' bound, mu <= 16, and refuses above
     it with ``BoundExceededError`` before any table is built.  ``min_l``
     of an ideal that is not Lyubeznik walks every (k+1)-set for each
-    length k it tries, climbing from the projective dimension and
-    capped by the identity order's length, which needs no walk; the
+    length k it tries, climbing from the projective dimension; the
     walks settle a state as soon as an alive set is sure to be
     preserved, and build the rows of the prefix sets they read only
     (``prefix``).  ``tobsl`` climbs the clutter's edge sizes the same
-    way.
+    way, up to the largest, where no edge is left alive.
     """
     return SearchResult(ideal, cover_table(ideal).clutter, prime)
 

@@ -105,12 +105,13 @@ exactness check read this one grouping of the masks (``_lcm_classes``).
 It names each lattice point by the exponent tuple of its vertex set
 alone, gathered from the subset tables' lcm ranks in one pass
 (``SubsetTables.lcm_tuples``): the oracle never builds the tuples of
-all 2^mu masks (``lcm_exps``).  The classes also keep what the command
-line's rows read, each built on first read and shared by every request
-on the ideal: each lattice point's ``monomial_text`` (``texts``), which
-``oracle-betti``'s multigraded rows over every field and ``verify``'s
-rows write, and the lattice's (degree, exponents) order with its
-monomials, in which ``verify_resolution_report`` lists its verdicts.
+all 2^mu masks (``lcm_exps``).  The classes also keep each lattice
+point's ``monomial_text`` (``texts``), written on first read and shared
+by every request on the ideal, which ``oracle-betti``'s multigraded
+rows over every field and ``verify``'s rows write.
+``verify_resolution_report`` sorts the lattice points by (degree,
+exponents) itself: ``verify`` runs once per ideal, so nothing would
+read a kept order twice.
 
 Every differential the homology computations rank is handed to
 ``linalg`` as sparse columns: each face, a bitmask, becomes a map
@@ -165,20 +166,12 @@ class _LcmClasses:
     texts        the ``monomial_text`` of each lattice point (and of
                  the zero tuple), by exponent tuple, each written on its
                  first read
-
-    Built on first read too, and kept with the classes so that every
-    request on the ideal shares them: ``order()`` and ``monomials()``,
-    the classes in (degree, exponents) order and their monomials in
-    that order.
     """
 
-    __slots__ = ("vertex_sets", "exponents", "class_of", "texts",
-                 "_context", "_order", "_monomials")
+    __slots__ = ("vertex_sets", "exponents", "class_of", "texts")
 
     def __init__(self, ideal: MonomialIdeal) -> None:
         self.texts = _Texts(ideal.context.names)
-        self._context = ideal.context
-        self._order = self._monomials = None
         tables = tables_for(ideal)
         divisors = tables.divisor_mask
         # vertex sets are masks themselves, so a table over the masks
@@ -190,25 +183,6 @@ class _LcmClasses:
         index[self.vertex_sets] = np.arange(len(self.vertex_sets))
         self.exponents = tables.lcm_tuples(self.vertex_sets)
         self.class_of = index[divisors]
-
-    def order(self) -> np.ndarray:
-        """The class indices sorted by (degree, exponents)."""
-        if self._order is None:
-            exponents = self.exponents
-            self._order = np.array(sorted(
-                range(len(exponents)),
-                key=lambda k: (sum(exponents[k]), exponents[k])), np.int64)
-        return self._order
-
-    def monomials(self) -> tuple[Monomial, ...]:
-        """The lattice points' monomials, in ``order()``."""
-        if self._monomials is None:
-            # the lcms' exponents were checked when the ideal was read
-            context, exponents = self._context, self.exponents
-            self._monomials = tuple(
-                Monomial._unchecked(context, exponents[k])
-                for k in self.order().tolist())
-        return self._monomials
 
 
 # one entry, as for the subset tables: a command reads one ideal
@@ -484,6 +458,11 @@ def verify_resolution_report(ordered: OrderedIdeal
     # each vertex set's apex: its member ranked first, by its least rank
     word = np.array(ordered.order)
     apexes = 1 << (word[analysis.least[classes.vertex_sets]] - 1)
-    verdicts = _cones(analysis.preserved, classes.vertex_sets, apexes)
-    return tuple(zip(classes.monomials(),
-                     verdicts[classes.order()].tolist()))
+    verdicts = _cones(analysis.preserved, classes.vertex_sets,
+                      apexes).tolist()
+    # the lcms' exponents were checked when the ideal was read
+    context, exponents = ordered.ideal.context, classes.exponents
+    ranked = sorted(range(len(exponents)),
+                    key=lambda k: (sum(exponents[k]), exponents[k]))
+    return tuple((Monomial._unchecked(context, exponents[k]), verdicts[k])
+                 for k in ranked)

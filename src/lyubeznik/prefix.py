@@ -62,11 +62,18 @@ once per ideal and shared by its walks (``_masks``).
 Children are tried in generator order, so the first order a descent
 finds is the lexicographically least.  ``count`` counts the orders that
 preserve no family set; ``first(avoid=True)`` finds the least such
-order and ``first(avoid=False)`` the least order that preserves one,
-each by a memoised depth-first search (which reads the count's memo
-when the count has run).  ``first`` may start from a subfamily root,
-the state (no prefix, the family sets named by ``alive``), so one walk
-over a family answers for each of its subfamilies on the same rows.
+order and ``first(avoid=False)`` the least order that preserves one.
+``first`` is one depth-first recursion that returns a state's least
+completion: a settled state's places the rest in generator order, and
+an unsettled state's is that of its first child that has one.  So a
+state with a completion is entered once, on the path to the answer,
+and the memo keeps only the states that have none (the count's memo,
+when the count has run, names more of them without a descent).  When
+the identity order is of the kind asked for, the walk goes straight
+down its path and reads one row per prefix until a state settles.
+``first`` may start from a subfamily root, the state (no prefix, the
+family sets named by ``alive``), so one walk over a family answers for
+each of its subfamilies on the same rows.
 The count's memo is keyed by (alive, P) and holds the same whatever
 root reached the state.  A settled state answers each of them as the
 walk to the end of every completion would, so the counts and the
@@ -83,7 +90,7 @@ from typing import Sequence
 import numpy as np
 
 from .monomials import MonomialIdeal
-from .subsets import SubsetTables, tables_for, up_closure
+from .subsets import SubsetTables, iter_bits, tables_for, up_closure
 
 # the family width from which a numpy pass builds a row quicker than a
 # Python loop over the sets: both take about 5.5 microseconds at 64 sets
@@ -156,14 +163,15 @@ class PrefixWalk:
     ``sets`` are generator masks; a walk over an empty family finds
     every order avoiding it.  Building a walk builds no row: ``rows``
     maps each prefix set the walk has read to its (keep, sure) pair,
-    built on that first read, and ``count`` and ``first`` read one pair
-    per child they try.  A family narrower than ``_WIDE_FAMILY`` builds
-    a pair by a Python loop over its sets, which beats numpy's fixed
-    cost per call; a wider one by one numpy pass over its mask array,
-    which beats a loop's cost per set.  Both read the ideal's closed
-    masks, built once per ideal, not once per walk.  Bit i of an alive
-    set names ``sets[i]``, and ``first(alive=...)`` starts the walk
-    from the root of that subfamily, on the same rows and count memo.
+    built on that first read; ``count`` reads one pair per child it
+    tries, and ``first`` one per state it enters.  A family narrower
+    than ``_WIDE_FAMILY`` builds a pair by a Python loop over its sets,
+    which beats numpy's fixed cost per call; a wider one by one numpy
+    pass over its mask array, which beats a loop's cost per set.  Both
+    read the ideal's closed masks, built once per ideal, not once per
+    walk.  Bit i of an alive set names ``sets[i]``, and
+    ``first(alive=...)`` starts the walk from the root of that
+    subfamily, on the same rows and count memo.
     """
 
     def __init__(self, ideal: MonomialIdeal, sets: Sequence[int]) -> None:
@@ -215,53 +223,43 @@ class PrefixWalk:
         permutation word; None when there is none.  ``alive``, bits of
         ``sets``, walks that subfamily in place of the whole family."""
         full, mu, counts, rows = self.full, self.mu, self.counts, self.rows
-        seen: dict[int, bool] = {}
+        # the unsettled states with no completion of the kind asked
+        # for; one with a completion is entered once, on the answer's path
+        barren: set[int] = set()
 
-        def sought(nxt: int, alive: int) -> bool:
-            """Whether placing a generator to make prefix set ``nxt``
-            can lead to an order of the kind sought."""
-            keep, sure = rows[nxt]
-            if alive & sure:
-                return not avoid
+        def least(prefix: int, alive: int) -> tuple[int, ...] | None:
+            """The least completion of the state (prefix, alive), its
+            generators placed after the prefix, or None."""
+            keep, sure = rows[prefix]
+            if alive & sure or not alive & keep:
+                # settled: every completion preserves a sure set, or
+                # none preserves a set of a dead family; when that is
+                # the kind asked for, the least places the rest in
+                # generator order
+                if bool(alive & sure) != avoid:
+                    return tuple(b + 1 for b in iter_bits(full & ~prefix))
+                return None
             alive &= keep
-            if not alive:
-                return avoid
-            key = alive << mu | nxt
+            key = alive << mu | prefix
+            if key in barren:
+                return None
             if key in counts:
                 left = counts[key]
-                return left > 0 if avoid else left < factorial(
-                    mu - nxt.bit_count())
-            hit = seen.get(key)
-            if hit is None:
-                hit = False
-                free = full & ~nxt
-                while free and not hit:
-                    low = free & -free
-                    free ^= low
-                    hit = sought(nxt | low, alive)
-                seen[key] = hit
-            return hit
-
-        prefix, word = 0, []
-        if alive is None:
-            alive = self.alive
-        try:
-            while prefix != full:
-                free = full & ~prefix
-                while free:
-                    low = free & -free
-                    free ^= low
-                    if sought(prefix | low, alive):
-                        break
-                else:
+                if not (left > 0 if avoid else left < factorial(
+                        mu - prefix.bit_count())):
                     return None
-                # a sure set stays sure and a dead family stays dead, so
-                # once a state is settled every later placement is sought
-                # and the rest come in generator order
-                word.append(low.bit_length())
-                prefix |= low
-                alive &= rows[prefix][0]
-            return tuple(word)
+            free = full & ~prefix
+            while free:
+                low = free & -free
+                free ^= low
+                rest = least(prefix | low, alive)
+                if rest is not None:
+                    return low.bit_length(), *rest
+            barren.add(key)
+            return None
+
+        try:
+            return least(0, self.alive if alive is None else alive)
         finally:
-            # as in count: free the seen memo now, not at a collection
-            del sought
+            # as in count: free the memo now, not at a collection
+            del least

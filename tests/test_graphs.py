@@ -3,10 +3,12 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lyubeznik import (
     BoundExceededError,
     MonomialIdeal,
+    OrderedIdeal,
     ParseError,
     PropositionCheck,
     SimpleGraph,
@@ -16,12 +18,14 @@ from lyubeznik import (
     edge_ideal,
     graph_names,
     is_lyubeznik,
+    is_minimal_resolution,
     is_totally_lyubeznik,
     load_graph,
     load_ideal,
     longest_path_edges,
     parse_graph,
     read_graph,
+    search_scan,
 )
 
 from reference_routes import exhaustive_scan
@@ -234,3 +238,61 @@ def test_check_props_scans_once_per_request(monkeypatch):
         calls.clear()
         check_graph_propositions(graph)
         assert len(calls) == 1, name
+
+
+# -- totally Lyubeznik edge ideals: no path of three edges --------------------
+
+
+def three_edge_path(graph):
+    """The edges (ab, bc, cd) of a path a-b-c-d on four distinct
+    vertices, or None when the graph has no path of three edges."""
+    adjacency = {v: set(graph.neighbors(v)) for v in graph.vertices}
+    for b, c in graph.edges:
+        for a in adjacency[b] - {c}:
+            for d in adjacency[c] - {a, b}:
+                return (a, b), (b, c), (c, d)
+    return None
+
+
+def check_three_edge_paths(graph):
+    """A path a-b-c-d makes the order (ab, cd, bc, the rest ascending)
+    preserve {ab, cd, bc}, an E-minimal cover of bc, so that order is
+    not minimal; a graph with no such path is totally Lyubeznik.
+    Returns whether the graph has the path."""
+    ideal = edge_ideal(graph)
+    path = three_edge_path(graph)
+    if path is None:
+        assert search_scan(ideal).totally_lyubeznik
+        assert longest_path_edges(graph) < 3
+        return False
+    number = {frozenset(edge): i for i, edge in enumerate(graph.edges, 1)}
+    ab, bc, cd = (number[frozenset(edge)] for edge in path)
+    order = (ab, cd, bc) + tuple(i for i in range(1, ideal.mu + 1)
+                                 if i not in (ab, bc, cd))
+    assert not is_minimal_resolution(OrderedIdeal(ideal, order))
+    assert not search_scan(ideal).totally_lyubeznik
+    return True
+
+
+def labelled_graph(n, edges):
+    names = tuple(f"v{v}" for v in range(n))
+    return SimpleGraph(names, tuple((names[a], names[b]) for a, b in edges))
+
+
+def test_totally_lyubeznik_edge_ideals_have_no_three_edge_path():
+    # every labelled graph with an edge on at most 5 vertices
+    found = []
+    for n in range(2, 6):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(1, 1 << len(pairs)):
+            edges = [p for e, p in enumerate(pairs) if mask >> e & 1]
+            found.append(check_three_edge_paths(labelled_graph(n, edges)))
+    assert (len(found), sum(found)) == (1094, 927)
+
+
+@settings(max_examples=300)
+@given(st.integers(6, 7).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.sampled_from(list(combinations(range(n), 2))),
+                         min_size=1, max_size=11, unique=True))))
+def test_totally_lyubeznik_edge_ideals_on_hypothesis_graphs(graph):
+    check_three_edge_paths(labelled_graph(*graph))

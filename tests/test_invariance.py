@@ -17,8 +17,13 @@ aggregate is the same for the ideal with its generators permuted, and
 each witness, renumbered, has the same length and obstruction under
 the permuted ideal.  The words themselves are compared only under the
 identity permutation, since the lexicographically least witness
-depends on the numbering.  The inputs are the sweep corpus, seeded
-ideals at mu 8 to 10 and hypothesis ideals.
+depends on the numbering.  Polarizing, and replacing each variable's
+exponents by their ranks among 0 and that variable's exponents, keep
+divisibility among the lcms generator by generator and keep the
+numbering, so under both every aggregate, both witness words and the
+projective dimension are the same, and under polarization, which keeps
+degrees, so is the graded Betti table.  The inputs are the sweep
+corpus, seeded ideals at mu 8 to 10 and hypothesis ideals.
 """
 
 import contextlib
@@ -33,7 +38,7 @@ from hypothesis import given, settings, strategies as st
 
 from lyubeznik import (Monomial, MonomialIdeal, OrderedIdeal, VariableContext,
                        all_ideals, l_length, obstruction, search_scan,
-                       sweep_ideals)
+                       sweep_ideals, taylor_betti)
 from lyubeznik.cli import main
 
 from test_cli_routes import ideal_file_text
@@ -57,6 +62,16 @@ def polarized(ideal) -> MonomialIdeal:
                             for e, top in zip(m.exponents, tops)
                             for k in range(1, top + 1)]
                            for m in ideal.gens])
+
+
+def ranked(ideal) -> MonomialIdeal:
+    """Each exponent replaced by its rank among 0 and the exponents of
+    its variable."""
+    ranks = [{e: r for r, e in enumerate(sorted({0, *column}))}
+             for column in zip(*(m.exponents for m in ideal.gens))]
+    return rebuilt(ideal.context.names,
+                   [[rank[e] for rank, e in zip(ranks, m.exponents)]
+                    for m in ideal.gens])
 
 
 def permuted(ideal, perm) -> MonomialIdeal:
@@ -121,6 +136,9 @@ def test_covers_are_invariant_on_random_ideals(rows, seed):
 
 SEARCH_FIELDS = ("minimal_count", "lyubeznik", "totally_lyubeznik", "tobsl",
                  "projdim", "min_l")
+# what depends on the generators' numbering as well
+NUMBERED_FIELDS = SEARCH_FIELDS + ("almost_lyubeznik", "nonminimal_witness",
+                                   "min_l_witness", "tobsl_witness")
 
 
 def measures(ideal, word):
@@ -152,6 +170,13 @@ def check_search_invariance(ideal, seed):
                 measures(ideal, word), perm
         if perm == sorted(perm):
             assert (found.min_l_witness, found.tobsl_witness) == witnesses
+    for transform in (polarized, ranked):
+        found = search_scan(transform(ideal))
+        for field in NUMBERED_FIELDS:
+            assert getattr(found, field) == getattr(scan, field), (
+                transform.__name__, field)
+    assert (taylor_betti(polarized(ideal)).graded
+            == taylor_betti(ideal).graded)
 
 
 SWEEP = sweep_ideals()

@@ -197,15 +197,14 @@ def test_graph_census_on_six_vertices():
     assert len(totally) == 14
 
 
-# -- the identity order as min_l's witness ------------------------------------
+# -- the least order of each length -------------------------------------------
 
 
 def walked(ideal, k):
-    """The least order of length at most k, by a walk over every
-    (k + 1)-set: the route ``SearchResult._at_most`` skips when the
-    identity order is already that short."""
+    """The least order of length at most k, by the reference walk over
+    every (k + 1)-set, which shares no code with ``PrefixWalk.first``."""
     sets = [mask_of(c) for c in combinations(ideal.indices(), k + 1)]
-    return PrefixWalk(ideal, sets).first()
+    return InsideWalk(ideal, sets).first()
 
 
 def check_at_most(ideal):
@@ -243,21 +242,24 @@ def complete_bipartite(a, b):
                        tuple((u, w) for u in left for w in right))
 
 
-def test_min_l_of_k44_is_the_identity_without_a_walk(monkeypatch):
-    # min_l = pd = 7 and the identity order has length 7, so no walk
-    # over the C(16, 8) = 12,870 8-sets is built; before the walks built
-    # their rows on first read, that walk's tables took 17-23 s
+def test_min_l_of_k44_walks_the_identity_path(monkeypatch):
+    # min_l = pd = 7 and the identity order has length 7, so the one
+    # walk over the C(16, 8) = 12,870 8-sets goes straight down the
+    # identity path: it builds no more rows than there are generators
     ideal = edge_ideal(complete_bipartite(4, 4))
     assert ideal.mu == 16
     start = time.perf_counter()
     scan = fresh(ideal)
     assert not scan.lyubeznik
-    built = []
+    walks = []
     monkeypatch.setattr(invariants, "PrefixWalk",
-                        lambda *args: built.append(args) or PrefixWalk(*args))
+                        lambda *args: walks.append(PrefixWalk(*args))
+                        or walks[-1])
     assert (scan.min_l, scan.projdim) == (7, 7)
     assert scan.min_l_witness == tuple(range(1, 17))
-    assert built == []
+    assert len(walks) == 1
+    assert walks[0].alive == (1 << 12870) - 1
+    assert len(walks[0].rows) <= 16, len(walks[0].rows)
     assert time.perf_counter() - start < 10
 
 
