@@ -67,7 +67,7 @@ class _OrderAnalysis:
     ascending order, built on its first read: only the complex reads it.
     """
 
-    __slots__ = ("tables", "order", "least", "preserved", "faces",
+    __slots__ = ("divisor_mask", "order", "least", "preserved", "faces",
                  "_facets", "f_vector", "length")
 
     def __init__(self, ordered: OrderedIdeal) -> None:
@@ -91,7 +91,8 @@ class _OrderAnalysis:
         self.f_vector = tuple(
             np.bincount(popcounts(mu)[preserved]).tolist())
         self.length = len(self.f_vector) - 1
-        self.tables = tables
+        # court's table, the only one kept: no old ideal's tables stay
+        self.divisor_mask = tables.divisor_mask
 
     @property
     def facets(self) -> list[int]:
@@ -108,7 +109,7 @@ class _OrderAnalysis:
 
     def court(self, mask: int) -> int:
         """The least court of the mask, 0 when it is not broken."""
-        low = int(self.least[self.tables.divisor_mask[mask]])
+        low = int(self.least[self.divisor_mask[mask]])
         return self.order[low] if low < self.least[mask] else 0
 
 
@@ -244,26 +245,22 @@ class SubsetClass(Enum):
     UNPRESERVED_NONCOVER = "UnpreservedNonCover"
 
 
-def _subset_class(analysis: _OrderAnalysis, mask: int) -> SubsetClass:
-    cover = analysis.tables.covered_mask[mask] != 0
-    if analysis.preserved[mask]:
-        return SubsetClass.PRESERVED_COVER if cover else SubsetClass.PRESERVED_NONCOVER
-    return SubsetClass.UNPRESERVED_COVER if cover else SubsetClass.UNPRESERVED_NONCOVER
-
-
 def classify_subset(subset: Iterable[int], ordered: OrderedIdeal) -> SubsetClass:
     """The unique class of a non-empty subset."""
     mask = mask_of(subset, ordered.ideal.mu)
     if mask == 0:
         raise ValueError("classification applies to non-empty subsets")
-    return _subset_class(order_analysis(ordered), mask)
+    cover = tables_for(ordered.ideal).covered_mask[mask] != 0
+    if order_analysis(ordered).preserved[mask]:
+        return SubsetClass.PRESERVED_COVER if cover else SubsetClass.PRESERVED_NONCOVER
+    return SubsetClass.UNPRESERVED_COVER if cover else SubsetClass.UNPRESERVED_NONCOVER
 
 
 def classification_census(ordered: OrderedIdeal) -> dict[int, dict[SubsetClass, int]]:
     """Counts of each class among the subsets of each size 1..mu."""
     analysis = order_analysis(ordered)
-    mu = analysis.tables.mu
-    covered = analysis.tables.covered_mask != 0
+    mu = ordered.ideal.mu
+    covered = tables_for(ordered.ideal).covered_mask != 0
     keys = (popcounts(mu).astype(np.intp) * 4
             + analysis.preserved * 2 + covered)
     counts = np.bincount(keys, minlength=4 * (mu + 1)).reshape(-1, 2, 2)

@@ -8,9 +8,9 @@ E-minimal when no proper subset of it covers u (minimal as a set).
 The E-minimal covers of every generator are found together, by
 whole-array numpy passes over the subset masks (the lattice passes of
 ``subsets``: an OR over one-smaller subsets; for the clutter, an
-up-closure and another such OR), and kept in one lru-cached table per
-ideal (``cover_table``): the union of the E-minimal covers, each mask
-with the generators it is an E-minimal cover of, and the
+up-closure and another such OR), and kept in one table per ideal, with
+its subset tables (``cover_table``): the union of the E-minimal covers,
+each mask with the generators it is an E-minimal cover of, and the
 inclusion-minimal members of that union.  Those minimal sets form the
 edge set of a clutter (an antichain of subsets); an order on the
 generators orients it.  ``e_minimal_covers_of``, ``cover_clutter`` and
@@ -45,15 +45,14 @@ before anything is allocated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
 from .monomials import MonomialIdeal
 from .orders import OrderedIdeal
-from .subsets import (indices_of, mask_of, one_smaller, popcounts, tables_for,
-                      up_closure)
+from .subsets import (SubsetTables, indices_of, mask_of, one_smaller,
+                      popcounts, tables_for, up_closure)
 
 #: the command line's bound on the generator count; in the package
 #: ``cli`` is its only reader (the benchmark's input generator reads it
@@ -162,8 +161,7 @@ class _CoverTable:
 
     __slots__ = ("clutter", "eminimal", "_minimal_for")
 
-    def __init__(self, ideal: MonomialIdeal) -> None:
-        tables = tables_for(ideal)
+    def __init__(self, tables: SubsetTables) -> None:
         covered = tables.covered_mask
         # covers of u are upward closed, so u stays E-minimal in a mask
         # unless a one-smaller subset still covers it
@@ -186,12 +184,9 @@ class _CoverTable:
         return self.eminimal[self._minimal_for >> (u - 1) & 1 != 0]
 
 
-# one entry: a command reads one ideal, and more entries would hold
-# 2^mu tables for every ideal a process has seen
-@lru_cache(maxsize=1)
 def cover_table(ideal: MonomialIdeal) -> _CoverTable:
-    """The ideal's E-minimal cover table."""
-    return _CoverTable(ideal)
+    """The ideal's E-minimal cover table, kept with its subset tables."""
+    return tables_for(ideal).derived(_CoverTable)
 
 
 def e_minimal_covers_of(u: int, ideal: MonomialIdeal) -> tuple[Cover, ...]:

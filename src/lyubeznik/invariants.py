@@ -38,7 +38,7 @@ from .monomials import MonomialIdeal
 from .oracle import _projective_dimension
 from .orders import OrderedIdeal
 from .prefix import PrefixWalk
-from .subsets import iter_bits, popcounts
+from .subsets import iter_bits, popcounts, tables_for
 
 
 class NotMinimalError(ValueError):
@@ -93,7 +93,7 @@ def _preserved_betti(ordered: OrderedIdeal) -> BettiTable:
     faces = analysis.faces
     counts: dict[tuple[int, tuple[int, ...]], int] = {}
     # the empty face's lcm tuple is the zero tuple, the unit's degree
-    for mask, exps in zip(faces, analysis.tables.lcm_tuples(faces)):
+    for mask, exps in zip(faces, tables_for(ideal).lcm_tuples(faces)):
         key = (mask.bit_count(), exps)
         counts[key] = counts.get(key, 0) + 1
     return BettiTable.from_multigraded(QUOTIENT, ideal.context, counts)
@@ -127,7 +127,7 @@ def equivalence_audit(ordered: OrderedIdeal) -> EquivalenceAudit:
     """
     emin_set = frozenset(cover_table(ordered.ideal).eminimal.tolist())
     analysis = order_analysis(ordered)
-    tables = analysis.tables
+    tables = tables_for(ordered.ideal)
     cover_masks = np.flatnonzero(tables.covered_mask).tolist()
 
     def has_low_subset(cover: int, eminimal: bool) -> bool:

@@ -28,8 +28,9 @@ them, and a level with no neighbouring level needs no rank at all.  A
 strand left with one level (most of them: 74-85% on the benchmark's
 squarefree ideals at mu 10-12) has no differential, and its count of
 critical sets is its homology without entering the rank path.  The
-strands do not depend on the field and are cached per ideal, so the
-tables over each field and the projective dimension share them.
+strands do not depend on the field and are cached per ideal, with its
+subset tables, so the tables over each field and the projective
+dimension share them.
 
 Fields.  The strands' homology is ranked once per ideal, over Z, by the
 fraction-free loop of ``linalg.certified_rank``, and kept with the
@@ -127,8 +128,6 @@ their bound and refuses above it, where ``tables_for`` does.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from .betti import QUOTIENT, BettiTable
@@ -136,8 +135,8 @@ from .complexes import order_analysis
 from .linalg import certified_rank, check_prime, exact_rank, rank_mod_p
 from .monomials import Monomial, MonomialIdeal, monomial_text
 from .orders import OrderedIdeal
-from .subsets import (bit_halves, one_smaller, popcounts, tables_for,
-                      up_closure)
+from .subsets import (SubsetTables, bit_halves, one_smaller, popcounts,
+                      tables_for, up_closure)
 
 class _Texts(dict):
     """Each lattice point's ``monomial_text``, keyed by its exponent
@@ -170,9 +169,8 @@ class _LcmClasses:
 
     __slots__ = ("vertex_sets", "exponents", "class_of", "texts")
 
-    def __init__(self, ideal: MonomialIdeal) -> None:
-        self.texts = _Texts(ideal.context.names)
-        tables = tables_for(ideal)
+    def __init__(self, tables: SubsetTables) -> None:
+        self.texts = _Texts(tables.ideal.context.names)
         divisors = tables.divisor_mask
         # vertex sets are masks themselves, so a table over the masks
         # groups them without a sort; the empty mask's divisor set is
@@ -185,10 +183,8 @@ class _LcmClasses:
         self.class_of = index[divisors]
 
 
-# one entry, as for the subset tables: a command reads one ideal
-@lru_cache(maxsize=1)
 def _lcm_classes(ideal: MonomialIdeal) -> _LcmClasses:
-    return _LcmClasses(ideal)
+    return tables_for(ideal).derived(_LcmClasses)
 
 
 class _Strands:
@@ -211,10 +207,10 @@ class _Strands:
 
     __slots__ = ("critical", "_homology", "_certificates")
 
-    def __init__(self, ideal: MonomialIdeal) -> None:
-        classes = _lcm_classes(ideal)
+    def __init__(self, tables: SubsetTables) -> None:
+        classes = tables.derived(_LcmClasses)
         class_of = classes.class_of
-        mu = ideal.mu
+        mu = tables.mu
         n = len(classes.vertex_sets)
 
         fewest = np.full(n, len(class_of))
@@ -289,12 +285,8 @@ class _Strands:
         return homology
 
 
-# one entry, as for the classes: the strands and their homology over Z
-# do not depend on the field, so the Betti tables over each field and
-# the projective dimension of one ideal share them
-@lru_cache(maxsize=1)
 def _critical_strands(ideal: MonomialIdeal) -> _Strands:
-    return _Strands(ideal)
+    return tables_for(ideal).derived(_Strands)
 
 
 def _boundary_columns(masks: list[int], below: set[int]

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice, permutations
+from operator import index
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -39,11 +40,15 @@ class OrderedIdeal:
     order: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.order, tuple):
-            object.__setattr__(self, "order", tuple(self.order))
-        if sorted(self.order) != list(range(1, self.ideal.mu + 1)):
+        order = tuple(self.order)
+        try:  # Python ints: numpy's are taken, floats refused
+            word = tuple(map(index, order))
+        except TypeError:
+            word = ()
+        if sorted(word) != list(range(1, self.ideal.mu + 1)):
             raise ValueError(
-                f"order {self.order} is not a permutation of 1..{self.ideal.mu}")
+                f"order {order} is not a permutation of 1..{self.ideal.mu}")
+        object.__setattr__(self, "order", word)
 
     @cached_property
     def _rank(self) -> tuple[int, ...]:

@@ -56,8 +56,8 @@ mask array (gather, compare, pack into bytes, one int), whose cost
 grows slowly with the width while the loop's grows by a Python step a
 set: at 1,024 sets the pass takes about 9 microseconds and the loop
 about 90.  Whether a mask has only closed subsets depends on the ideal
-alone: one up-closure of the open masks answers it for all 2^mu, built
-once per ideal and shared by its walks (``_masks``).
+alone: exactly when it is closed and no member is covered in it, read
+off the subset tables once per ideal and kept with them (``_masks``).
 
 Children are tried in generator order, so the first order a descent
 finds is the lexicographically least.  ``count`` counts the orders that
@@ -83,14 +83,13 @@ the prefix.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import factorial
 from typing import Sequence
 
 import numpy as np
 
 from .monomials import MonomialIdeal
-from .subsets import SubsetTables, iter_bits, tables_for, up_closure
+from .subsets import SubsetTables, iter_bits, tables_for
 
 # the family width from which a numpy pass builds a row quicker than a
 # Python loop over the sets: both take about 5.5 microseconds at 64 sets
@@ -98,17 +97,18 @@ from .subsets import SubsetTables, iter_bits, tables_for, up_closure
 _WIDE_FAMILY = 64
 
 
-# one entry, as tables_for keeps one ideal's tables
-@lru_cache(maxsize=1)
 def _masks(tables: SubsetTables) -> tuple[np.ndarray, np.ndarray,
                                           list[int], list[bool]]:
     """(divisor, closed, the two as lists): the ideal's divisor masks,
     and whether each mask has only closed subsets, as the arrays a wide
-    row gathers from and the lists a narrow row indexes."""
-    divisor = tables.divisor_mask
-    prefixes = np.arange(tables.size, dtype=np.int64)
-    # the masks whose subsets are all closed: up-close the open ones
-    closed = ~up_closure(divisor != prefixes)
+    row gathers from and the lists a narrow row indexes.
+
+    R has only closed subsets iff it is closed and no member is covered
+    in it: a covered u leaves R minus u open, and g | lcm(Q), Q inside R,
+    puts g in R, then in Q, or g would be covered in R.
+    """
+    divisor, covered = tables.divisor_mask, tables.covered_mask
+    closed = (divisor == np.arange(tables.size)) & (covered == 0)
     return divisor, closed, divisor.tolist(), closed.tolist()
 
 
@@ -116,9 +116,9 @@ class _Rows(dict):
     """The (keep, sure) pair of each prefix set read so far, built on
     its first read by the route for the family's width."""
 
-    def __init__(self, ideal: MonomialIdeal, sets: Sequence[int]) -> None:
+    def __init__(self, tables: SubsetTables, sets: Sequence[int]) -> None:
         super().__init__()
-        divisor, closed, divisor_list, closed_list = _masks(tables_for(ideal))
+        divisor, closed, divisor_list, closed_list = tables.derived(_masks)
         self.wide = len(sets) >= _WIDE_FAMILY
         if self.wide:
             self.divisor, self.closed = divisor, closed
@@ -180,7 +180,7 @@ class PrefixWalk:
         self.full = (1 << mu) - 1
         # the root state: no generator placed, every family set alive
         self.alive = (1 << len(sets)) - 1
-        self.rows = _Rows(ideal, sets)
+        self.rows = _Rows(tables_for(ideal), sets)
         # orders completing each state without preserving a family set,
         # keyed by alive << mu | P; only the full walk fills it
         self.counts: dict[int, int] = {}

@@ -4,7 +4,10 @@ Subsets of the generators {1..mu} are encoded as mu-bit integers, bit
 (i-1) standing for generator i.  Everything that depends only on the
 ideal (lcms, divisor sets, cover membership) is tabulated once here and
 shared by every total order: per-order work then reduces to rank
-comparisons against these masks.
+comparisons against these masks.  What is derived from the tables
+alone (the cover table, the searches' closed masks, the oracle's lcm
+classes and strands) is kept with them (``SubsetTables.derived``), so
+the one entry of ``tables_for`` decides how long an ideal's state lives.
 
 The tables are built in rank space, by whole-array numpy passes over
 the 2^mu masks, a constant number per generator or variable.  Each
@@ -181,7 +184,7 @@ class SubsetTables:
     """
 
     __slots__ = ("ideal", "mu", "size", "_lcm", "_values", "_lcm_exps",
-                 "divisor_mask", "covered_mask")
+                 "_derived", "divisor_mask", "covered_mask")
 
     def __init__(self, ideal: MonomialIdeal) -> None:
         mu = ideal.mu
@@ -224,6 +227,7 @@ class SubsetTables:
         self._lcm = lcm
         self._values = values
         self._lcm_exps = None
+        self._derived = {}
         self.divisor_mask = div
         self.covered_mask = cov
         # the tables are cached and shared: an in-place write must raise
@@ -236,6 +240,12 @@ class SubsetTables:
         the zero tuple."""
         exps = np.take_along_axis(self._values, self._lcm[:, masks], axis=1)
         return list(zip(*exps.tolist()))
+
+    def derived(self, build):
+        """``build(self)``, built once and kept as long as the tables."""
+        if build not in self._derived:
+            self._derived[build] = build(self)
+        return self._derived[build]
 
     @property
     def lcm_exps(self) -> list:

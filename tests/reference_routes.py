@@ -28,6 +28,10 @@ monomials.
 * ``InsideWalk``: the prefix walk that settles a state only once an
   alive family set lies inside the prefix, the route the ``sure``
   table of ``prefix.PrefixWalk`` replaced;
+* ``closed_by_up_closure``: whether each mask has only closed subsets,
+  by one up-closure of the open masks, the route the closed-mask
+  identity of ``prefix._masks`` (closed, and no member covered)
+  replaced;
 * ``BoundaryMatrix`` and ``boundary_levels``: dense sign matrices
   between consecutive levels of a face family, faces written as index
   tuples, the route the oracle's sparse columns
@@ -323,6 +327,15 @@ class InsideWalk:
         return tuple(word)
 
 
+def closed_by_up_closure(tables):
+    """Whether each mask has only closed subsets (no generator outside
+    a subset divides its lcm), by one up-closure of the open masks over
+    the subset lattice: the route the closed-mask identity of
+    ``prefix._masks`` replaced."""
+    prefixes = np.arange(tables.size, dtype=np.int64)
+    return ~up_closure(tables.divisor_mask != prefixes)
+
+
 @dataclass(frozen=True)
 class BoundaryMatrix:
     """A differential between consecutive face levels.
@@ -461,7 +474,7 @@ def preserved_betti(ordered):
     """Preserved-set counts by size and lcm, read off ``lcm_exps``."""
     ideal = ordered.ideal
     analysis = order_analysis(ordered)
-    lcm_exps = analysis.tables.lcm_exps
+    lcm_exps = tables_for(ideal).lcm_exps
     zero = (0,) * len(ideal.context)
     counts = {}
     for mask in analysis.faces:

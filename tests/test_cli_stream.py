@@ -24,7 +24,6 @@ import pytest
 
 import lyubeznik.cli as cli
 from lyubeznik.cli import _request, build_parser, main
-from lyubeznik.covers import cover_table
 from lyubeznik.subsets import tables_for
 
 MIXED = "vars x y z\ngen x^2*y\ngen y^2*z\ngen x^3\ngen y^3\ngen z^3\n"
@@ -97,7 +96,6 @@ def test_covers_json_streams_at_the_cli_bound(pool):
     del buffer, out
     # a cold request: the ideal's subset and cover tables are built again
     tables_for.cache_clear()
-    cover_table.cache_clear()
     sink = CountingSink()
     tracemalloc.start()
     try:

@@ -50,6 +50,7 @@ from lyubeznik import (
 from lyubeznik import covers
 from lyubeznik.covers import cover_table
 from lyubeznik.oracle import _projective_dimension
+from lyubeznik.subsets import tables_for
 from conftest import triangles_graph
 from reference_routes import (block_ranks, closure_length, exhaustive_scan,
                               facets_stable, unpacked_readout)
@@ -438,9 +439,15 @@ def test_analyze_reads_no_generator_s_covers(monkeypatch):
         with pytest.raises(AssertionError, match="were read"):
             call(1, ideal)
     for name, ideal in sweep_ideals():
-        cover_table.cache_clear()
+        tables_for.cache_clear()
         analyze(identity_order(ideal), search=True)
-        assert cover_table.cache_info().currsize == 1, name
+        # analyze built the ideal's cover table, and a later read is
+        # the same table, kept with the subset tables, on a cache hit
+        assert tables_for.cache_info().currsize == 1, name
+        assert covers._CoverTable in tables_for(ideal)._derived, name
+        hits = tables_for.cache_info().hits
         table = cover_table(ideal)
-        assert cover_table.cache_info().hits >= 1, name
+        assert table is cover_table(ideal), name
+        assert tables_for.cache_info().hits == hits + 2, name
+        assert tables_for.cache_info().misses == 1, name
         assert set(table.eminimal.tolist()) >= set(table.clutter), name

@@ -242,8 +242,8 @@ CERTIFIED_FIELDS = (2, 3, 5, 32003)
 
 
 def clear_oracle_caches():
-    for cached in (tables_for, oracle._lcm_classes, oracle._critical_strands):
-        cached.cache_clear()
+    # the lcm classes and the strands are kept with the subset tables
+    tables_for.cache_clear()
 
 
 def test_rp2_ideal_is_the_non_facet_triangles():

@@ -94,7 +94,7 @@ def test_one_level_strands_never_reach_the_rank_path(monkeypatch):
     reference_homology = oracle._strand_homology
     monkeypatch.setattr(oracle, "_strand_homology", strand_homology)
     for name, ideal in sweep_ideals():
-        oracle._critical_strands.cache_clear()
+        tables_for.cache_clear()
         strands = oracle._critical_strands(ideal)
         levels.clear()
         assert taylor_betti(ideal) == reference.full_strand_betti(ideal)
@@ -183,9 +183,8 @@ def test_the_oracle_and_the_counts_never_build_lcm_exps(monkeypatch):
         raise AssertionError("lcm_exps was read")
 
     monkeypatch.setattr(SubsetTables, "lcm_exps", property(refuse))
-    for cached in (tables_for, order_analysis, oracle._lcm_classes,
-                   oracle._critical_strands):
-        cached.cache_clear()
+    tables_for.cache_clear()
+    order_analysis.cache_clear()
     for ideal, ordered, counts, betti in cases:
         assert taylor_betti(ideal) == betti
         assert all(ok for _, ok in verify_resolution_report(ordered))
@@ -235,9 +234,8 @@ def test_oracle_requests_rank_and_write_each_lattice_point_once(pool,
     requests = (["oracle-betti"], ["oracle-betti", "--field", "p:32003"],
                 ["analyze"], ["verify"])
     for name in names:
-        for cached in (tables_for, order_analysis, oracle._lcm_classes,
-                       oracle._critical_strands):
-            cached.cache_clear()
+        tables_for.cache_clear()
+        order_analysis.cache_clear()
         ranks.clear()
         texts.clear()
         after = []

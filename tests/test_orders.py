@@ -4,8 +4,9 @@ from math import factorial
 import numpy as np
 import pytest
 
-from lyubeznik import (OrderedIdeal, all_orders, identity_order, load_ideal,
-                       orders_for_search, parse_ideal, parse_order)
+from lyubeznik import (OrderedIdeal, all_orders, identity_order,
+                       is_minimal_resolution, load_ideal, orders_for_search,
+                       parse_ideal, parse_order)
 
 
 def test_ordered_ideal_validates_permutation():
@@ -16,6 +17,22 @@ def test_ordered_ideal_validates_permutation():
         OrderedIdeal(ideal, (1, 2, 3, 4, 4))
     with pytest.raises(ValueError):
         OrderedIdeal(ideal, (0, 1, 2, 3, 4))
+
+
+def test_order_entries_become_python_ints():
+    # numpy's ints are taken and stored as Python ints; any other entry
+    # is refused here, not later by an array index
+    ideal = load_ideal("mixed_powers_xyz")
+    for word in ((1.0, 2.0, 3.0, 4.0, 5.0), (1, 2, 3, 4, 5.0),
+                 (1, 2, 3, 4, "5"), (1, 2, 3, 4, None)):
+        with pytest.raises(ValueError, match="not a permutation of 1..5"):
+            OrderedIdeal(ideal, word)
+    ordered = OrderedIdeal(ideal, np.array([3, 1, 2, 5, 4]))
+    assert ordered.order == (3, 1, 2, 5, 4)
+    assert all(type(i) is int for i in ordered.order)
+    assert ordered == OrderedIdeal(ideal, (3, 1, 2, 5, 4))
+    assert is_minimal_resolution(ordered) == is_minimal_resolution(
+        OrderedIdeal(ideal, [np.int8(i) for i in (3, 1, 2, 5, 4)]))
 
 
 def test_rank_and_precedes():

@@ -28,10 +28,10 @@ from lyubeznik import invariants
 from lyubeznik.corpus import ideal_names
 from lyubeznik.covers import cover_table
 from lyubeznik.monomials import divides
-from lyubeznik.prefix import PrefixWalk
+from lyubeznik.prefix import PrefixWalk, _masks
 from lyubeznik.subsets import indices_of, mask_of, tables_for
 
-from reference_routes import InsideWalk, exhaustive_scan
+from reference_routes import InsideWalk, closed_by_up_closure, exhaustive_scan
 from test_scan_kernel import exponent_rows, small_ideal
 
 FIELDS = ("scanned", "tobsl", "tobsl_witness", "min_l", "min_l_witness",
@@ -379,16 +379,15 @@ def closed_up(marked):
 
 def sure_rule_cases(ideal):
     """(rule, every) over each prefix word w of each order and each set
-    S that no placement in w kills: whether every nonempty R inside
-    S minus w's set has ``divisor_mask[R] == R``, and whether every
-    order beginning with w preserves S, found by listing those orders."""
+    S that no placement in w kills: whether S minus w's set has only
+    closed subsets, as the walks' closed table (``prefix._masks``) says,
+    and whether every order beginning with w preserves S, found by
+    listing those orders."""
     mu, size = ideal.mu, 1 << ideal.mu
     orders = np.array(list(permutations(range(1, mu + 1))), np.int64)
     broken = broken_sets(ideal, orders)
     unpreserved = closed_up(broken)
-    divisor = tables_for(ideal).divisor_mask
-    all_closed = np.array([all(divisor[r] == r for r in range(1, size)
-                               if r & ~t == 0) for t in range(size)])
+    all_closed = tables_for(ideal).derived(_masks)[1]
     masks = np.arange(size)
     rule, every = [], []
     for j in range(mu + 1):
@@ -425,6 +424,45 @@ def test_the_sure_rule_by_listing_completions():
 def test_the_sure_rule_on_hypothesis_ideals(rows):
     rule, every = sure_rule_cases(small_ideal(rows, max_mu=6))
     assert np.array_equal(rule, every)
+
+
+# -- the closed masks ------------------------------------------------------------
+
+
+def check_closed(ideal):
+    """The walks' closed table, (divisor == mask) & (covered == 0), is
+    the up-closure route's; returns the count of masks where the
+    covered term decides (closed, with a member covered)."""
+    tables = tables_for(ideal)
+    closed = tables.derived(_masks)[1]
+    assert np.array_equal(closed, closed_by_up_closure(tables))
+    identity = np.arange(tables.size)
+    return int(np.count_nonzero((tables.divisor_mask == identity)
+                                & (tables.covered_mask != 0)))
+
+
+@pytest.mark.parametrize("name", ideal_names())
+def test_closed_masks_match_the_up_closure_on_the_corpus(name):
+    check_closed(load_ideal(name))
+
+
+def test_closed_masks_match_the_up_closure_on_the_pool(pool):
+    # every seed-1 input, the c14 ideals and c16-00 included
+    out, inputs = pool
+    assert {"c14-00.ideal", "c16-00.ideal"} <= set(inputs)
+    decided = 0
+    for name in sorted(inputs):
+        path = out / name
+        decided += check_closed(
+            edge_ideal(read_graph(path)) if name.endswith(".graph")
+            else read_ideal(path))
+    assert decided > 0
+
+
+@settings(max_examples=100)
+@given(st.integers(2, 4).flatmap(exponent_rows))
+def test_closed_masks_match_the_up_closure_on_hypothesis_ideals(rows):
+    check_closed(small_ideal(rows, max_mu=8))
 
 
 # -- past the CLI bound ---------------------------------------------------------

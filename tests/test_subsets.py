@@ -1,3 +1,4 @@
+import gc
 import random
 from itertools import product
 
@@ -5,12 +6,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lyubeznik import BoundExceededError, divides, lcm_of, read_ideal
+from lyubeznik import (BoundExceededError, divides, equivalence_audit,
+                       identity_order, l_length, lcm_of, read_ideal,
+                       search_scan, taylor_betti, verify_resolution_report)
 from lyubeznik.cli import main
+from lyubeznik.complexes import order_analysis
 from lyubeznik.corpus import ideal_names, load_ideal
+from lyubeznik.covers import _CoverTable
 from lyubeznik.monomials import EXPONENT_LIMIT
-from lyubeznik.subsets import (indices_of, iter_bits, mask_of, one_larger,
-                               one_smaller, tables_for, up_closure)
+from lyubeznik.oracle import _LcmClasses, _Strands
+from lyubeznik.subsets import (SubsetTables, indices_of, iter_bits, mask_of,
+                               one_larger, one_smaller, tables_for,
+                               up_closure)
 
 from conftest import exponent_ideal, xyz_ideal
 from test_cli_routes import ideal_file_text
@@ -215,6 +222,42 @@ def test_lcm_monomial_rejects_empty():
 def test_tables_are_cached():
     ideal = xyz_ideal("x*y", "y*z")
     assert tables_for(ideal) is tables_for(ideal)
+
+
+def test_an_ideal_s_state_goes_with_its_tables():
+    # the cover table, the walks' closed masks, the lcm classes and the
+    # strands are kept with the ideal's subset tables, so once the one
+    # tables_for entry moves to another ideal nothing built for the
+    # first one is left, whatever read it
+    kinds = (SubsetTables, _CoverTable, _LcmClasses, _Strands)
+    first, second = load_ideal("mixed_powers_xyz"), xyz_ideal("x*y", "y*z")
+    tables_for.cache_clear()
+    order_analysis.cache_clear()
+    gc.collect()
+    # held, so that their ids stay theirs
+    before = [o for o in gc.get_objects() if isinstance(o, kinds)]
+    seen = {id(o) for o in before}
+
+    def new():
+        return [o for o in gc.get_objects()
+                if isinstance(o, kinds) and id(o) not in seen]
+
+    scan = search_scan(first)
+    assert scan.min_l >= scan.projdim and scan.tobsl >= 0
+    assert scan.totally_lyubeznik == (scan.nonminimal_witness is None)
+    ordered = identity_order(first)
+    taylor_betti(first)
+    assert all(ok for _, ok in verify_resolution_report(ordered))
+    assert equivalence_audit(ordered).consistent
+    # each of the four was built, and the collector sees it
+    assert sorted(type(o).__name__ for o in new()) == sorted(
+        kind.__name__ for kind in kinds)
+    del scan, ordered
+    l_length(identity_order(second))
+    gc.collect()
+    left = new()
+    assert [type(o) for o in left] == [SubsetTables]
+    assert left[0].ideal == second
 
 
 def test_generator_bound():
