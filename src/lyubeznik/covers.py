@@ -5,15 +5,17 @@ lcm(C minus {u}); u is then redundant inside C.  The complete cover of
 any C collects every generator dividing lcm(C).  A cover of u is
 E-minimal when no proper subset of it covers u (minimal as a set).
 
-The E-minimal covers of every generator are found together, by
-whole-array numpy passes over the subset masks (the lattice passes of
-``subsets``: an OR over one-smaller subsets; for the clutter, an
-up-closure and another such OR), and kept in one table per ideal, with
-its subset tables (``cover_table``): the union of the E-minimal covers,
-each mask with the generators it is an E-minimal cover of, and the
-inclusion-minimal members of that union.  Those minimal sets form the
-edge set of a clutter (an antichain of subsets); an order on the
-generators orients it.  ``e_minimal_covers_of``, ``cover_clutter`` and
+The E-minimal covers of every generator are found together, by one
+whole-array numpy pass over the subset masks (the OR over one-smaller
+subsets, a lattice pass of ``subsets``), and kept in one table per
+ideal, with its subset tables (``cover_table``): the union of the
+E-minimal covers, each mask with the generators it is an E-minimal
+cover of, and the inclusion-minimal members of that union.  Those
+minimal sets form the edge set of a clutter (an antichain of subsets);
+an order on the generators orients it.  Covers are upward closed, so
+the clutter is exactly the set of inclusion-minimal covers: the masks
+that cover some member while no one-smaller subset covers any, which
+the same pass gives.  ``e_minimal_covers_of``, ``cover_clutter`` and
 the minimality tests, obstruction and order search of ``invariants``
 all read this one table.  Downstream, an order gives a minimal
 resolution exactly when none of these sets is preserved.
@@ -52,7 +54,7 @@ import numpy as np
 from .monomials import MonomialIdeal
 from .orders import OrderedIdeal
 from .subsets import (SubsetTables, indices_of, mask_of, one_smaller,
-                      popcounts, tables_for, up_closure)
+                      popcounts, tables_for)
 
 #: the command line's bound on the generator count; in the package
 #: ``cli`` is its only reader (the benchmark's input generator reads it
@@ -163,18 +165,19 @@ class _CoverTable:
 
     def __init__(self, tables: SubsetTables) -> None:
         covered = tables.covered_mask
-        # covers of u are upward closed, so u stays E-minimal in a mask
-        # unless a one-smaller subset still covers it
-        left = ~one_smaller(covered)
+        below = one_smaller(covered)
+        # a member covered in m is covered in every superset of m, so
+        # the covering masks form an up-set.  Its minimal members are
+        # E-minimal covers and every E-minimal cover contains one, so
+        # they are the clutter; a member of an up-set is minimal iff none
+        # of its one-smaller subsets is in it
+        self.clutter = tuple(
+            np.flatnonzero((covered != 0) & (below == 0)).tolist())
+        # so u stays E-minimal in a mask unless a one-smaller subset
+        # still covers it (the complement taken in place)
+        left = np.invert(below, out=below)
         left &= covered
         eminimal = np.flatnonzero(left)
-        # an E-minimal cover of one generator may strictly contain one of
-        # another: a mark is in the clutter unless a one-smaller subset
-        # lies in the up-closure of the marks
-        above = np.zeros(tables.size, bool)
-        above[eminimal] = True
-        strict = one_smaller(up_closure(above))
-        self.clutter = tuple(eminimal[~strict[eminimal]].tolist())
         # the generators each E-minimal mask is an E-minimal cover of
         self.eminimal, self._minimal_for = eminimal, left[eminimal]
         eminimal.flags.writeable = False

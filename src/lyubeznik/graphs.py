@@ -83,7 +83,9 @@ def parse_graph(text: str) -> SimpleGraph:
 
 
 def read_graph(path) -> SimpleGraph:
-    with open(path, "r", encoding="utf-8") as handle:
+    """parse_graph on the contents of a file, decoded as UTF-8 with a
+    leading byte-order mark skipped."""
+    with open(path, "r", encoding="utf-8-sig") as handle:
         return parse_graph(handle.read())
 
 

@@ -551,10 +551,11 @@ def parse_ideal(text: str) -> MonomialIdeal:
 
 
 def read_ideal(path) -> MonomialIdeal:
-    """parse_ideal on the contents of a file, decoded as UTF-8.
+    """parse_ideal on the contents of a file, decoded as UTF-8 with a
+    leading byte-order mark skipped.
 
     The bytes are decoded whole, without a text layer: ``splitlines``
     breaks lines at ``\\r``, ``\\n`` and ``\\r\\n`` as universal newlines
     would, and a decoding error is the same ``UnicodeDecodeError``."""
     with open(path, "rb") as handle:
-        return parse_ideal(handle.read().decode("utf-8"))
+        return parse_ideal(handle.read().decode("utf-8-sig"))

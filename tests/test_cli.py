@@ -519,6 +519,26 @@ def test_check_props_reads_graphs_with_many_vertices(capsys, tmp_path):
     assert len(rows) == 6 and not any(row["finding"] for row in rows)
 
 
+def check_byte_order_mark_is_skipped(capsys, tmp_path, text, *argv):
+    outputs = []
+    for name, prefix in (("plain", b""), ("marked", b"\xef\xbb\xbf")):
+        path = tmp_path / name
+        path.write_bytes(prefix + text.encode())
+        for fmt in ("text", "json"):
+            outputs.append(run_cli(capsys, *argv, "--format", fmt, str(path)))
+    assert outputs[0][0] == 0 and outputs[0][2] == ""
+    assert outputs[:2] == outputs[2:]
+
+
+def test_an_ideal_file_may_start_with_a_byte_order_mark(capsys, tmp_path):
+    check_byte_order_mark_is_skipped(capsys, tmp_path, MIXED, "analyze")
+
+
+def test_a_graph_file_may_start_with_a_byte_order_mark(capsys, tmp_path):
+    check_byte_order_mark_is_skipped(capsys, tmp_path, SQUARE_GRAPH,
+                                     "graph", "--check-props")
+
+
 def test_verify_refuses_before_the_chain_check(capsys, tmp_path, monkeypatch):
     calls = []
     monkeypatch.setattr("lyubeznik.cli.verify_chain_complex",

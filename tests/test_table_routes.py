@@ -7,6 +7,9 @@ against literal routes that share neither table.
   ``cover_table`` are also compared, field by field, with the walk over
   the masks they replaced (``reference_routes.CoverWalk``), up to the
   table bound.
+* The clutter's identity: covers are upward closed, so the clutter is
+  the set of inclusion-minimal masks that cover something; both are
+  checked on every mask, with a plain loop for the minimal masks.
 * Minimality: ``is_minimal_resolution`` asks whether a clutter edge is
   preserved; it is compared with the rule it replaced, whether any
   E-minimal cover of the walk's union is, on every order of the sweep
@@ -19,6 +22,7 @@ against literal routes that share neither table.
 
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -29,6 +33,7 @@ from lyubeznik import (OrderedIdeal, Symbol, all_ideals, all_orders,
                        sweep_ideals)
 from lyubeznik.complexes import order_analysis
 from lyubeznik.covers import cover_table
+from lyubeznik.subsets import tables_for
 
 from reference_routes import CoverWalk
 from test_preserved_kernel import seeded_ideal
@@ -67,6 +72,21 @@ def check_cover_table_against_the_walk(ideal):
         assert table.eminimal_of(u).tolist() == list(masks_of_u), u
     # the union the audit reads
     assert table.eminimal.tolist() == list(walk.eminimal)
+
+
+def check_clutter_is_the_minimal_covers(ideal):
+    covered = tables_for(ideal).covered_mask
+    masks = np.arange(len(covered))
+    for b in range(ideal.mu):
+        # adding generator b + 1 to a mask uncovers none of its members
+        assert not np.any(covered & ~covered[masks | 1 << b]), b
+    # so a covering mask is inclusion-minimal among them iff no
+    # one-smaller subset covers anything
+    rows = covered.tolist()
+    minimal = [m for m, row in enumerate(rows)
+               if row and not any(rows[m ^ 1 << b]
+                                  for b in range(ideal.mu) if m >> b & 1)]
+    assert cover_table(ideal).clutter == tuple(minimal)
 
 
 def check_minimality_rules(ideal, orders):
@@ -121,6 +141,27 @@ def test_cover_table_matches_the_walk_up_to_the_table_bound(mu, seed):
     ideal = seeded_ideal(mu, seed)
     assert ideal.mu == mu
     check_cover_table_against_the_walk(ideal)
+
+
+def test_clutter_is_the_minimal_covers_on_the_corpus():
+    seen = False
+    for _, ideal in all_ideals():
+        check_clutter_is_the_minimal_covers(ideal)
+        table = cover_table(ideal)
+        seen |= len(table.clutter) < len(table.eminimal)
+    # some E-minimal cover of one generator contains one of another
+    assert seen
+
+
+@settings(max_examples=60)
+@given(st.integers(2, 5).flatmap(exponent_rows))
+def test_clutter_is_the_minimal_covers_on_random_ideals(rows):
+    check_clutter_is_the_minimal_covers(small_ideal(rows, max_mu=10))
+
+
+@pytest.mark.parametrize("mu", range(12, 17))
+def test_clutter_is_the_minimal_covers_up_to_the_table_bound(mu):
+    check_clutter_is_the_minimal_covers(seeded_ideal(mu, 0))
 
 
 def test_minimality_on_the_clutter_matches_the_union_on_the_sweep():
