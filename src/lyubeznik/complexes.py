@@ -32,14 +32,15 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
 from itertools import combinations
+from math import comb
 from typing import Iterable
 
 import numpy as np
 
 from .monomials import MonomialIdeal, divides, lcm_of
 from .orders import OrderedIdeal
-from .subsets import (indices_of, mask_of, one_larger, popcounts, tables_for,
-                      up_closure)
+from .subsets import (SubsetTables, indices_of, mask_of, popcounts,
+                      tables_for, up_closure)
 
 
 class _OrderAnalysis:
@@ -65,6 +66,12 @@ class _OrderAnalysis:
     the Lyubeznik complex, which the complex, the Betti counts and the
     radical generators read.  ``facets`` lists the maximal ones in
     ascending order, built on its first read: only the complex reads it.
+    It is read off the faces, not the lattice: a face F is a facet
+    when no F | bit outside it is a face.  Faces are closed under
+    subsets, so that holds exactly when the faces among the masks
+    F ^ bit number F's members, counted by one gather over the faces
+    per bit, in O(faces) memory.  The census
+    (``classification_census``) reads the f-vector.
     """
 
     __slots__ = ("divisor_mask", "order", "least", "preserved", "faces",
@@ -97,10 +104,19 @@ class _OrderAnalysis:
     @property
     def facets(self) -> list[int]:
         if self._facets is None:
-            # faces are downward closed: a facet has no face one larger
             preserved = self.preserved
-            self._facets = np.flatnonzero(
-                preserved & ~one_larger(preserved)).tolist()
+            mu = len(preserved).bit_length() - 1
+            faces = np.flatnonzero(preserved)
+            # the bits whose F ^ bit is a face: every member of F, whose
+            # F ^ bit is a subset of F, and each bit outside F whose
+            # F | bit is a face; the faces are toggled in place and back
+            face_bits = np.zeros(len(faces), np.int8)
+            for b in range(mu):
+                bit = 1 << b
+                faces ^= bit
+                face_bits += preserved.take(faces)
+                faces ^= bit
+            self._facets = faces[face_bits == popcounts(mu)[faces]].tolist()
         return self._facets
 
     @property
@@ -256,18 +272,31 @@ def classify_subset(subset: Iterable[int], ordered: OrderedIdeal) -> SubsetClass
     return SubsetClass.UNPRESERVED_COVER if cover else SubsetClass.UNPRESERVED_NONCOVER
 
 
+def _covering_counts(tables: SubsetTables) -> np.ndarray:
+    """The masks that cover some member, counted by size 0..mu."""
+    return np.bincount(popcounts(tables.mu)[tables.covered_mask != 0],
+                       minlength=tables.mu + 1)
+
+
 def classification_census(ordered: OrderedIdeal) -> dict[int, dict[SubsetClass, int]]:
-    """Counts of each class among the subsets of each size 1..mu."""
+    """Counts of each class among the subsets of each size 1..mu.
+
+    Three counts by size decide the four classes: the faces (the
+    f-vector), the faces that are covers, and the covers, which do not
+    depend on the order and are kept with the subset tables."""
     analysis = order_analysis(ordered)
-    mu = ordered.ideal.mu
-    covered = tables_for(ordered.ideal).covered_mask != 0
-    keys = (popcounts(mu).astype(np.intp) * 4
-            + analysis.preserved * 2 + covered)
-    counts = np.bincount(keys, minlength=4 * (mu + 1)).reshape(-1, 2, 2)
-    return {t: {SubsetClass.PRESERVED_COVER: int(counts[t, 1, 1]),
-                SubsetClass.UNPRESERVED_COVER: int(counts[t, 0, 1]),
-                SubsetClass.PRESERVED_NONCOVER: int(counts[t, 1, 0]),
-                SubsetClass.UNPRESERVED_NONCOVER: int(counts[t, 0, 0])}
+    tables = tables_for(ordered.ideal)
+    mu = tables.mu
+    faces = analysis.f_vector + (0,) * (mu - analysis.length)
+    covers = tables.derived(_covering_counts).tolist()
+    both = np.bincount(
+        popcounts(mu)[analysis.preserved & (tables.covered_mask != 0)],
+        minlength=mu + 1).tolist()
+    return {t: {SubsetClass.PRESERVED_COVER: both[t],
+                SubsetClass.UNPRESERVED_COVER: covers[t] - both[t],
+                SubsetClass.PRESERVED_NONCOVER: faces[t] - both[t],
+                SubsetClass.UNPRESERVED_NONCOVER:
+                    comb(mu, t) - faces[t] - covers[t] + both[t]}
             for t in range(1, mu + 1)}
 
 

@@ -24,7 +24,9 @@ The covers listing has one route, ``_listing_rows``: it orders the
 masks that cover anything once, by size then lexicographically, with
 one numpy ``lexsort``, and hands out one generator's entries at a time
 as arrays (the masks, their E-minimal flags from the cover table and
-their covered masks), filtered with one boolean array.  The ``covers``
+their covered masks), filtered with one boolean array; each listed
+mask's E-minimal generators are found once, by one ``searchsorted``
+into the table's ascending E-minimal masks.  The ``covers``
 command reads a generator's entries when its output reaches that
 generator, so it never holds the listing as Python ints; it writes each
 entry from per-mask member texts, and its clutter edges are the
@@ -124,17 +126,24 @@ def _listing_rows(ideal: MonomialIdeal) -> Callable[
     when asked for: the masks that cover u, by size then
     lexicographically, whether each is an E-minimal cover of u, and the
     generators each covers.  The masks that cover anything are ordered
-    once, here."""
+    once, here, and each one's E-minimal generators are looked up once,
+    by one search of the cover table's ascending ``eminimal``."""
     tables = tables_for(ideal)
     masks = _by_size_then_members(np.flatnonzero(tables.covered_mask),
                                   tables.mu)
     covered = tables.covered_mask[masks]
     table = cover_table(ideal)
+    # a mask past the last E-minimal one reads the first and misses it;
+    # with no E-minimal mask, no mask covers anything and none is listed
+    at = np.searchsorted(table.eminimal, masks)
+    at[at == len(table.eminimal)] = 0
+    minimal_for = table._minimal_for[at]
+    minimal_for[table.eminimal[at] != masks] = 0
 
     def rows(u: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        mine = covered & (1 << (u - 1)) != 0
-        own = masks[mine]
-        return own, np.isin(own, table.eminimal_of(u)), covered[mine]
+        bit = 1 << (u - 1)
+        mine = covered & bit != 0
+        return masks[mine], minimal_for[mine] & bit != 0, covered[mine]
     return rows
 
 

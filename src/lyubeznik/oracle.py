@@ -135,7 +135,7 @@ from .complexes import order_analysis
 from .linalg import certified_rank, check_prime, exact_rank, rank_mod_p
 from .monomials import Monomial, MonomialIdeal, monomial_text
 from .orders import OrderedIdeal
-from .subsets import (SubsetTables, bit_halves, one_smaller, popcounts,
+from .subsets import (SubsetTables, bit_pairs, one_smaller, popcounts,
                       tables_for, up_closure)
 
 class _Texts(dict):
@@ -218,8 +218,8 @@ class _Strands:
         for b in range(mu):
             bit = 1 << b
             # the masks that hold the bit, against the same masks without it
-            low, high = bit_halves(class_of, b)
-            count = np.bincount(high[high != low], minlength=n)
+            count = sum(np.bincount(high[high != low], minlength=n)
+                        for low, high in bit_pairs(class_of, b))
             # no mask of a class holds a generator outside its V_a, so that
             # generator's count reads 0; it matches nothing and is never a
             # pivot
@@ -418,22 +418,23 @@ def _cones(preserved: np.ndarray, vertex_sets: np.ndarray,
     faces.
 
     A face F is lone at g when F ^ g is not a face.  One pass per bit
-    marks bit g of ``lone[F]`` for every such F, on both halves of the
-    bit, and one up-closure ORs the marks over the subset lattice; a
-    vertex set V is a cone over g exactly when bit g of ``lone[V]`` is
-    clear, whatever V's apex.  The marks take the smallest unsigned
-    dtype that holds mu bits, and every temporary is a half of a 1-D
-    array over the masks.
+    marks bit g of ``lone[F]`` for every such F, on the masks without
+    the bit and with it, and one up-closure ORs the marks over the
+    subset lattice; a vertex set V is a cone over g exactly when bit g
+    of ``lone[V]`` is clear, whatever V's apex.  The marks take the
+    smallest unsigned dtype that holds mu bits, and every temporary is
+    a view of a 1-D array over the masks (``subsets.bit_pairs``).
     """
     mu = len(preserved).bit_length() - 1
     lone = np.zeros(len(preserved), np.min_scalar_type((1 << mu) - 1))
     for b in range(mu):
         bit = lone.dtype.type(1 << b)
-        without, with_ = bit_halves(preserved, b)
-        lone_without, lone_with = bit_halves(lone, b)
-        np.bitwise_or(lone_without, bit, out=lone_without,
-                      where=without > with_)
-        np.bitwise_or(lone_with, bit, out=lone_with, where=with_ > without)
+        for (without, with_), (lone_without, lone_with) in zip(
+                bit_pairs(preserved, b), bit_pairs(lone, b)):
+            np.bitwise_or(lone_without, bit, out=lone_without,
+                          where=without > with_)
+            np.bitwise_or(lone_with, bit, out=lone_with,
+                          where=with_ > without)
     return (up_closure(lone)[vertex_sets] & apexes) == 0
 
 

@@ -19,11 +19,14 @@ exactly.  The lcm ranks are taken by doubling over the bits, as an int8
 array of shape (variables, 2^mu); the divisor masks are the AND over the
 variables of a small per-rank table, "the generators whose exponent is
 at most this rank", gathered at the lcm ranks, one gather per
-variable; the cover masks take one OR per bit over reshaped views.
-The two mask tables stay the read-only int64 arrays those passes
-build, so the consumers' numpy passes read them as they are; a public
-function that hands back one entry converts it to a Python int.  A
-set's possible courts are its divisor mask less its members.  The
+variable; the cover masks take one OR per bit over the split of the
+masks by that bit (``bit_pairs``).  These mask passes run on the
+smallest unsigned dtype that holds mu bits (at most a quarter of
+int64's bytes), and the two mask tables are widened once into the
+read-only int64 arrays they are kept as, so the consumers' numpy passes
+read them as they are; a public function that hands back one entry
+converts it to a Python int.  A set's possible courts are its divisor
+mask less its members.  The
 lcm ranks are kept with each variable's rank-to-exponent array, and
 become exponent tuples of Python ints, exact up to ``EXPONENT_LIMIT``,
 only for the masks a caller names, by one gather of the ranks
@@ -35,10 +38,15 @@ nothing in the library reads it: the benchmark's generator, tracer and
 output checks and CI's Euler-characteristic step do.  The complex, the
 covers and the order searches read no lcm tuples at all.  The lattice
 passes other modules need are here too, one OR per bit each
-(``up_closure``, ``one_smaller`` and ``one_larger``), and the split
-they make of a mask array into the masks without and with a bit
-(``bit_halves``), which the oracle's matchings read as well: no other
-module reshapes a mask array.
+(``up_closure`` and ``one_smaller``), and the split they make of a
+mask array into the masks without and with a bit (``bit_pairs``),
+which the tables' covered-mask pass and the oracle's matchings and
+cones read as well: no other module reshapes a mask array.  The split
+decides every pass's memory layout.  The masks without bit b come in
+runs of 2^b, so one reshaped pair of views walks rows of 2^b elements;
+at bits 1 and 2 of a long array numpy's cost per row is most of such a
+pass, and the split hands out instead one pair of long strided columns
+per offset in the run.
 
 Tables cost O(2^mu) memory, so construction refuses ideals with more
 than MAX_TABLE_GENERATORS generators, before it allocates anything.
@@ -106,12 +114,33 @@ def popcounts(mu: int) -> np.ndarray:
     return counts
 
 
-def bit_halves(values: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
-    """(low, high): two views of an array over the 2^mu masks, its
-    entries at the masks without bit b and at the same masks with bit b,
-    in the same order and shape; writes through them write ``values``."""
-    halves = values.reshape(-1, 2, 1 << b)
-    return halves[:, 0], halves[:, 1]
+# the layout of a lattice pass: below bit _COLUMN_BITS, on arrays of at
+# least _COLUMN_SIZE masks, a bit's views are 2^b long strided columns,
+# and otherwise one reshaped pair.  Measured as one in-place OR of the
+# high views with the low ones (2-vCPU VM, numpy 2.4; bool, uint16 and
+# int64 alike): at 2^12 masks, bit 1's reshaped pair took 16-20 us and
+# its two columns 4-5 us, bit 2's 10 us against 6-9 us, while bit 3's
+# eight columns took 8-16 us against the pair's 6-9 us; at 2^16 masks,
+# bits 1 and 2 took 224-258 and 125-140 us against 27-53 us.  At 2^11
+# masks bit 2 is a tie, and bit 0's column pair is the reshaped one.
+_COLUMN_BITS = 3
+_COLUMN_SIZE = 1 << 12
+
+
+def bit_pairs(values: np.ndarray, b: int
+              ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(low, high) pairs of views of an array over the 2^mu masks: low
+    holds its entries at masks without bit b, high the entries at the
+    same masks with bit b, in the same order and shape, and the pairs
+    hold every mask once between them; writes through them write
+    ``values``.  On a long array a low bit comes as one pair of strided
+    columns per offset below 2^b, and otherwise as one reshaped pair."""
+    run = 1 << b
+    if b < _COLUMN_BITS and len(values) >= _COLUMN_SIZE:
+        rows = values.reshape(-1, 2 * run)
+        return [(rows[:, j], rows[:, run + j]) for j in range(run)]
+    halves = values.reshape(-1, 2, run)
+    return [(halves[:, 0], halves[:, 1])]
 
 
 def up_closure(marked: np.ndarray) -> np.ndarray:
@@ -121,8 +150,8 @@ def up_closure(marked: np.ndarray) -> np.ndarray:
     (the zeta transform over the subset lattice)."""
     for b in range(len(marked).bit_length() - 1):
         # masks with bit b set take the mark of the mask without it
-        low, high = bit_halves(marked, b)
-        high |= low
+        for low, high in bit_pairs(marked, b):
+            high |= low
     return marked
 
 
@@ -131,18 +160,9 @@ def one_smaller(values: np.ndarray) -> np.ndarray:
     the OR of ``values`` over m's one-smaller subsets, 0 for m = 0."""
     out = np.zeros_like(values)
     for b in range(len(values).bit_length() - 1):
-        high = bit_halves(out, b)[1]
-        high |= bit_halves(values, b)[0]
-    return out
-
-
-def one_larger(values: np.ndarray) -> np.ndarray:
-    """A new array of ``values``' dtype over the 2^mu masks: entry m is
-    the OR of ``values`` over m's one-larger supersets, 0 for the full m."""
-    out = np.zeros_like(values)
-    for b in range(len(values).bit_length() - 1):
-        low = bit_halves(out, b)[0]
-        low |= bit_halves(values, b)[1]
+        for (_, high), (low, _) in zip(bit_pairs(out, b),
+                                       bit_pairs(values, b)):
+            high |= low
     return out
 
 
@@ -206,23 +226,30 @@ class SubsetTables:
             low = 1 << b
             np.maximum(lcm[:, :low], rank[b, :, None], out=lcm[:, low:2 * low])
 
+        # the mask passes run on the smallest unsigned dtype that holds mu
+        # bits, uint16 at most, and the tables are widened once at the end:
+        # at mu 14 and 16 the build takes about a third less time
+        narrow = np.min_scalar_type(self.size - 1)
+
         # below[v, r]: the generators whose exponent of variable v has
         # rank at most r; g divides lcm(m) iff it is in below[v, lcm[v, m]]
         # for every v
-        bits = np.int64(1) << np.arange(mu, dtype=np.int64)
+        bits = np.ones(1, narrow) << np.arange(mu, dtype=narrow)
         below = ((rank[:, :, None] <= np.arange(mu + 1, dtype=np.int8))
-                 * bits[:, None, None]).sum(axis=0)
+                 * bits[:, None, None]).sum(axis=0, dtype=narrow)
         div = below[0].take(lcm[0])
         for v in range(1, nvars):
             div &= below[v].take(lcm[v])
 
         # u is covered in m when divisor_mask[m minus u] holds u; for
         # m = u that is the empty mask, whose divisor mask is 0
-        cov = np.zeros(self.size, np.int64)
+        cov = np.zeros(self.size, narrow)
         for b in range(mu):
             bit = 1 << b
-            high = bit_halves(cov, b)[1]
-            high |= bit_halves(div, b)[0] & bit
+            for (_, high), (low, _) in zip(bit_pairs(cov, b),
+                                           bit_pairs(div, b)):
+                high |= low & bit
+        div, cov = div.astype(np.int64), cov.astype(np.int64)
 
         self._lcm = lcm
         self._values = values

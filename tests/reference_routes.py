@@ -13,6 +13,12 @@ monomials.
   no court and all its one-smaller subsets are preserved);
 * ``closure_length``: the largest set outside the up-closure of the
   broken sets, by a bitwise subset-sum transform;
+* ``facets``: the maximal preserved masks, each face's one-larger
+  masks scanned, the route the gather over the faces
+  (``_OrderAnalysis.facets``) is compared with, and ``census_by_keys``:
+  the four-class census by one key per mask over all 2^mu masks, the
+  route the per-size counts of faces, covering faces and covers
+  (``complexes.classification_census``) replaced;
 * ``facets_stable``: minimality as "every facet of the complex is a
   stable symbol", read off the monomials;
 * ``block_ranks``: the least and court ranks of every mask under each
@@ -55,6 +61,11 @@ monomials.
   cone over its apex, by one marking of the faces without a partner
   and one up-closure per distinct apex, the route the one-pass apex
   bitmasks (``oracle._cones``) replaced;
+* ``covered_by_gathers`` and ``critical_by_gathers``: the covered
+  masks and the strands' critical masks by fancy-indexed gathers at
+  each mask with and without a bit, the routes the passes over the
+  views of ``subsets.bit_pairs`` (the tables' covered-mask pass and
+  ``oracle._Strands``' pivot counts) are compared with;
 * ``preserved_betti``: the preserved-set counts keyed by the lcm tuples
   of ``lcm_exps``, which holds one tuple for every mask, the route the
   gather over the faces only (``SubsetTables.lcm_tuples``) replaced;
@@ -93,16 +104,16 @@ import numpy as np
 from lyubeznik import (is_stable_symbol, monomials, orders_for_search,
                        symbol_of, taylor_betti)
 from lyubeznik.betti import QUOTIENT, BettiTable
-from lyubeznik.complexes import order_analysis
+from lyubeznik.complexes import SubsetClass, order_analysis
 from lyubeznik.covers import cover_table
 from lyubeznik.monomials import (EXPONENT_LIMIT, ExponentLimitError,
                                  MinimizationWarning, Monomial,
                                  MonomialIdeal, ParseError,
                                  VariableContext, divides, radical_ideal,
                                  support)
-from lyubeznik.oracle import (_critical_strands, _rank_function,
+from lyubeznik.oracle import (_LcmClasses, _critical_strands, _rank_function,
                               _strand_homology)
-from lyubeznik.subsets import (indices_of, iter_bits, tables_for,
+from lyubeznik.subsets import (indices_of, iter_bits, popcounts, tables_for,
                               up_closure)
 
 
@@ -152,6 +163,21 @@ def facets(preserved):
     full = len(preserved) - 1
     return [m for m, face in enumerate(preserved) if face and
             not any(preserved[m | (1 << b)] for b in iter_bits(full & ~m))]
+
+
+def census_by_keys(ordered):
+    """The four-class census, by one key per mask (size, preserved,
+    covering) counted over all 2^mu masks."""
+    mu = ordered.ideal.mu
+    covered = tables_for(ordered.ideal).covered_mask != 0
+    keys = (popcounts(mu).astype(np.intp) * 4
+            + order_analysis(ordered).preserved * 2 + covered)
+    counts = np.bincount(keys, minlength=4 * (mu + 1)).reshape(-1, 2, 2)
+    return {t: {SubsetClass.PRESERVED_COVER: int(counts[t, 1, 1]),
+                SubsetClass.UNPRESERVED_COVER: int(counts[t, 0, 1]),
+                SubsetClass.PRESERVED_NONCOVER: int(counts[t, 1, 0]),
+                SubsetClass.UNPRESERVED_NONCOVER: int(counts[t, 0, 0])}
+            for t in range(1, mu + 1)}
 
 
 def facets_stable(ordered, preserved=None):
@@ -468,6 +494,44 @@ def cones_per_apex(preserved, vertex_sets, apexes):
         at = apexes == bit
         cones[at] = ~lone[vertex_sets[at]]
     return cones
+
+
+def covered_by_gathers(tables):
+    """``covered_mask``, one fancy-indexed gather of the divisor masks
+    per bit: u is covered in m when m minus u's divisor mask holds u."""
+    masks = np.arange(tables.size)
+    covered = np.zeros(tables.size, np.int64)
+    for b in range(tables.mu):
+        bit = 1 << b
+        high = masks[masks & bit != 0]
+        covered[high] |= tables.divisor_mask[high ^ bit] & bit
+    return covered
+
+
+def critical_by_gathers(tables):
+    """``oracle._Strands.critical``, with each class's pivot counts and
+    its critical masks found by fancy-indexed gathers of ``class_of``
+    at the masks with a bit and without it."""
+    classes = tables.derived(_LcmClasses)
+    class_of, n = classes.class_of, len(classes.vertex_sets)
+    masks = np.arange(tables.size)
+    best = [(len(class_of), 0)] * n
+    for b in range(tables.mu):
+        bit = 1 << b
+        high = masks[masks & bit != 0]
+        changed = high[class_of[high] != class_of[high ^ bit]]
+        count = np.bincount(class_of[changed], minlength=n).tolist()
+        for c, vertices in enumerate(classes.vertex_sets.tolist()):
+            if vertices & bit:
+                best[c] = min(best[c], (count[c], bit))
+    critical = {}
+    for mask in range(1, tables.size):
+        c = int(class_of[mask])
+        pivot = best[c][1]
+        if mask & pivot and class_of[mask ^ pivot] != c:
+            critical.setdefault(classes.exponents[c], {}).setdefault(
+                mask.bit_count(), []).append(mask)
+    return critical
 
 
 def preserved_betti(ordered):

@@ -54,13 +54,13 @@ from lyubeznik import (all_ideals, analyze, cover_clutter, covers_of,
                        verify_resolution_report)
 from lyubeznik.cli import _request, build_parser, main
 from lyubeznik.corpus import _data_dir
-from lyubeznik.covers import _listing_rows
+from lyubeznik.covers import _listing_rows, cover_table
 from lyubeznik.jsontext import (_Fragment, _betti_fields,
                                 _multidegrees_fragment, _write_json)
 from lyubeznik.monomials import monomial_text
 from lyubeznik.subsets import mask_of, tables_for
 
-from conftest import xyz_ideal
+from conftest import exponent_ideal, xyz_ideal
 
 from reference_routes import CoverWalk
 from reference_routes import cover_listing as python_cover_listing
@@ -574,3 +574,24 @@ def test_listing_rows_match_the_python_sort_and_the_walk_on_random_ideals(
 def test_listing_rows_match_the_python_sort_and_the_walk_at_mu_11_to_13(
         mu, seed):
     check_listing_rows(seeded_ideal(mu, seed))
+
+
+def test_listing_rows_match_the_walk_on_the_pool_at_mu_14_and_16(pool):
+    out, inputs = pool
+    for name in ("c14-00.ideal", "c16-00.ideal"):
+        assert check_listing_rows(read_ideal(out / name))[0], name
+
+
+@pytest.mark.parametrize("rows", [
+    # no set covers a member: the variables, one generator, and
+    # pairwise coprime powers
+    [tuple(int(i == j) for j in range(12)) for i in range(12)],
+    [(2, 1, 0)],
+    [(3, 0, 0), (0, 2, 0), (0, 0, 4)],
+])
+def test_listing_rows_of_ideals_with_no_cover(rows):
+    ideal = exponent_ideal(rows)
+    assert not cover_table(ideal).eminimal.size
+    assert check_listing_rows(ideal) == ((),) * ideal.mu
+    for u in ideal.indices():
+        assert [len(a) for a in _listing_rows(ideal)(u)] == [0, 0, 0]

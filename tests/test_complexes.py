@@ -2,16 +2,22 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lyubeznik import (OrderedIdeal, SubsetClass, Symbol, admissible_symbols,
                        all_orders, classification_census, classify_subset,
                        complete_cover, identity_order, inadmissible_symbols,
                        is_admissible_symbol, is_broken, is_cover_of,
                        is_preserved, is_stable_symbol, load_ideal,
-                       lyubeznik_complex, symbol_of, sweep_ideals)
+                       lyubeznik_complex, parse_order, read_ideal,
+                       symbol_of, sweep_ideals)
+from lyubeznik.complexes import order_analysis
 from lyubeznik.subsets import mask_of
 
-from reference_routes import facets as reference_facets, preserved_table
+from conftest import exponent_ideal
+from reference_routes import census_by_keys, preserved_table
+from reference_routes import facets as reference_facets
+from test_scan_kernel import exponent_rows, small_ideal
 
 
 def symbol_sets(symbols):
@@ -155,6 +161,74 @@ def test_facets_match_the_maximal_face_scan():
             facets = lyubeznik_complex(ordered).facets
             assert {mask_of(f) for f in facets} == \
                 set(reference_facets(preserved_table(ordered))), (ideal, order)
+
+
+# -- facets and census read off the faces, against the lattice routes ---------
+
+def check_faces_routes(ordered):
+    """The facets against the scan of every face's one-larger masks, and
+    the census against one key per mask over the whole lattice."""
+    analysis = order_analysis(ordered)
+    assert analysis.facets == reference_facets(analysis.preserved), \
+        ordered.order
+    census = classification_census(ordered)
+    assert census == census_by_keys(ordered), ordered.order
+    assert [list(row) for row in census.values()] == \
+        [list(SubsetClass)] * ordered.ideal.mu
+    assert all(type(n) is int for row in census.values()
+               for n in row.values())
+    return analysis, census
+
+
+def test_facets_and_census_match_the_lattice_routes_on_the_corpus():
+    for _, ideal in sweep_ideals():
+        word = identity_order(ideal).order
+        for order in (word, word[::-1], word[1:] + word[:1]):
+            check_faces_routes(OrderedIdeal(ideal, order))
+
+
+@settings(max_examples=60)
+@given(st.integers(2, 4).flatmap(exponent_rows), st.randoms())
+def test_facets_and_census_match_the_lattice_routes_on_random_ideals(
+        rows, rng):
+    ideal = small_ideal(rows, max_mu=9)
+    order = list(ideal.indices())
+    rng.shuffle(order)
+    check_faces_routes(OrderedIdeal(ideal, tuple(order)))
+
+
+def test_facets_and_census_match_the_lattice_routes_on_the_pool(pool):
+    out, inputs = pool
+    for name in sorted(inputs):
+        if name.startswith(("c14-", "c16-00")):
+            ideal = read_ideal(out / name)
+            for word in inputs[name]["orders"][:1]:
+                check_faces_routes(parse_order(word, ideal))
+
+
+def test_facets_and_census_of_the_sixteen_variable_simplex():
+    # x1, ..., x16: every subset is a face and none is a cover
+    rows = [tuple(int(i == j) for j in range(16)) for i in range(16)]
+    ordered = identity_order(exponent_ideal(rows))
+    analysis, census = check_faces_routes(ordered)
+    assert analysis.facets == [2 ** 16 - 1]
+    assert analysis.f_vector == tuple(comb(16, t) for t in range(17))
+    for t, row in census.items():
+        assert row[SubsetClass.PRESERVED_NONCOVER] == comb(16, t)
+        assert sum(row.values()) == comb(16, t)
+
+
+def test_facets_and_census_with_few_faces():
+    # (x, y)^15 taken from the middle out: 766 of the 65,536 subsets are
+    # faces, whose complex has two facets and dimension 8
+    ideal = exponent_ideal([(15 - i, i) for i in range(16)])
+    order = (8, 9, 7, 10, 6, 11, 5, 12, 4, 13, 3, 14, 2, 15, 1, 16)
+    analysis, census = check_faces_routes(OrderedIdeal(ideal, order))
+    assert (len(analysis.faces), len(analysis.facets)) == (766, 2)
+    assert analysis.length == 9
+    for t in range(10, 17):
+        assert census[t][SubsetClass.PRESERVED_COVER] == 0
+        assert census[t][SubsetClass.PRESERVED_NONCOVER] == 0
 
 
 def test_f_vector_counts_faces():

@@ -7,19 +7,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lyubeznik import (BoundExceededError, divides, equivalence_audit,
-                       identity_order, l_length, lcm_of, read_ideal,
-                       search_scan, taylor_betti, verify_resolution_report)
+                       identity_order, l_length, lcm_of, parse_order,
+                       read_ideal, search_scan, taylor_betti,
+                       verify_resolution_report)
 from lyubeznik.cli import main
 from lyubeznik.complexes import order_analysis
 from lyubeznik.corpus import ideal_names, load_ideal
-from lyubeznik.covers import _CoverTable
+from lyubeznik.covers import _CoverTable, cover_table
 from lyubeznik.monomials import EXPONENT_LIMIT
-from lyubeznik.oracle import _LcmClasses, _Strands
-from lyubeznik.subsets import (SubsetTables, indices_of, iter_bits, mask_of,
-                               one_larger, one_smaller, tables_for,
+from lyubeznik.oracle import (_LcmClasses, _Strands, _cones,
+                              _critical_strands, _lcm_classes)
+from lyubeznik.subsets import (SubsetTables, bit_pairs, indices_of,
+                               iter_bits, mask_of, one_smaller, tables_for,
                                up_closure)
 
 from conftest import exponent_ideal, xyz_ideal
+from reference_routes import (CoverWalk, cones_per_apex, covered_by_gathers,
+                              critical_by_gathers)
 from test_cli_routes import ideal_file_text
 from test_preserved_kernel import seeded_ideal
 from test_scan_kernel import exponent_rows, small_ideal
@@ -44,34 +48,118 @@ def test_up_closure_marks_the_masks_above_a_marked_one(marks):
                                    if sub & mask == sub), mask
 
 
-def neighbour_or(values, neighbours):
-    """The OR of ``values`` over the given masks, one at a time."""
-    total = values.dtype.type(0)
-    for other in neighbours:
-        total |= values[other]
-    return total
+def neighbour_or(values):
+    """Entry m: the OR of ``values`` over m's one-smaller subsets, by one
+    fancy-indexed gather per bit, which shares no view with the lattice
+    passes."""
+    masks = np.arange(len(values))
+    out = np.zeros_like(values)
+    for b in range(len(values).bit_length() - 1):
+        high = masks[masks >> b & 1 == 1]
+        out[high] |= values[high ^ (1 << b)]
+    return out
 
 
-@pytest.mark.parametrize("dtype", [bool, np.int64])
-@pytest.mark.parametrize("mu", range(9))
-def test_one_smaller_and_one_larger_match_the_neighbours(mu, dtype):
+def closure_by_gathers(marks):
+    """The up-closure, one fancy-indexed gather per bit."""
+    closed = marks.copy()
+    masks = np.arange(len(marks))
+    for b in range(len(marks).bit_length() - 1):
+        high = masks[masks >> b & 1 == 1]
+        closed[high] |= closed[high ^ (1 << b)]
+    return closed
+
+
+def random_values(mu, dtype):
     rng = np.random.default_rng(mu)
-    size = 1 << mu
     if dtype is bool:
-        values = rng.random(size) < 0.3
-    else:
-        values = rng.integers(0, 1 << 62, size, dtype=np.int64)
+        return rng.random(1 << mu) < 0.3
+    return rng.integers(0, np.iinfo(dtype).max, 1 << mu, dtype=dtype,
+                        endpoint=True)
+
+
+# both layouts of the split: the one reshaped pair below 2^12 masks and
+# at bits 3 and up, the strided columns at bits 0-2 from 2^12 masks on
+LAYOUT_MUS = [*range(9), 12, 13, 14]
+
+
+@pytest.mark.parametrize("mu", LAYOUT_MUS)
+def test_bit_pairs_split_the_masks_by_the_bit(mu):
+    values = np.arange(1 << mu)
+    for b in range(mu):
+        pairs = bit_pairs(values, b)
+        columns = b < 3 and mu >= 12
+        assert len(pairs) == (1 << b if columns else 1)
+        lows = np.concatenate([low.ravel() for low, _ in pairs])
+        highs = np.concatenate([high.ravel() for _, high in pairs])
+        # every mask without the bit once, each beside its partner
+        assert np.array_equal(np.sort(lows),
+                              np.flatnonzero(values >> b & 1 == 0))
+        assert np.array_equal(highs, lows | 1 << b)
+        for low, high in pairs:
+            assert low.ndim == (1 if columns else 2)
+            assert np.shares_memory(low, values)
+            assert np.shares_memory(high, values)
+
+
+@pytest.mark.parametrize("dtype", [bool, np.uint16, np.int64])
+@pytest.mark.parametrize("mu", LAYOUT_MUS)
+def test_lattice_passes_match_the_neighbours(mu, dtype):
+    values = random_values(mu, dtype)
     values.flags.writeable = False
-    full = size - 1
-    smaller, larger = one_smaller(values), one_larger(values)
-    for out in (smaller, larger):
-        assert out.dtype == values.dtype and out.shape == (size,)
-    for mask in range(size):
-        assert smaller[mask] == neighbour_or(
-            values, [mask ^ (1 << b) for b in iter_bits(mask)]), mask
-        assert larger[mask] == neighbour_or(
-            values, [mask | (1 << b) for b in iter_bits(full & ~mask)]), \
-            mask
+    smaller = one_smaller(values)
+    assert smaller.dtype == values.dtype and smaller.shape == values.shape
+    assert np.array_equal(smaller, neighbour_or(values))
+    # a few marked masks, so that the closure does not mark them all
+    marks = np.zeros_like(values)
+    at = np.random.default_rng(mu).integers(0, 1 << mu, 4)
+    marks[at] = values[at] | 1
+    closed = up_closure(marks.copy())
+    assert closed.dtype == marks.dtype
+    assert np.array_equal(closed, closure_by_gathers(marks))
+
+
+def test_passes_match_the_gathers_on_the_pool_at_mu_14_and_16(pool):
+    # each lattice pass at 2^14 and 2^16 masks, where its low bits are
+    # strided columns: the covered masks, the clutter, the strands'
+    # critical masks and the cone verdicts, against routes that gather
+    # with fancy indices or walk the masks
+    out, inputs = pool
+    names = [n for n in sorted(inputs) if n.startswith(("c14-", "c16-00"))]
+    assert len(names) == 15
+    for name in names:
+        ideal = read_ideal(out / name)
+        tables = tables_for(ideal)
+        assert np.array_equal(tables.covered_mask,
+                              covered_by_gathers(tables)), name
+        assert cover_table(ideal).clutter == CoverWalk(ideal).clutter, name
+        assert _critical_strands(ideal).critical == \
+            critical_by_gathers(tables), name
+        classes = _lcm_classes(ideal)
+        for word in inputs[name]["orders"][:1]:
+            ordered = parse_order(word, ideal)
+            analysis = order_analysis(ordered)
+            apexes = 1 << (np.array(ordered.order)[
+                analysis.least[classes.vertex_sets]] - 1)
+            assert np.array_equal(
+                _cones(analysis.preserved, classes.vertex_sets, apexes),
+                cones_per_apex(analysis.preserved, classes.vertex_sets,
+                               apexes)), (name, word)
+
+
+@pytest.mark.parametrize("mu", [12, 14])
+def test_cones_match_the_per_apex_route_on_random_families(mu):
+    # an order's faces are cones over every apex; random families are
+    # mostly not, so both verdicts are met
+    rng = np.random.default_rng(mu)
+    family = rng.random(1 << mu) < 0.97
+    vertex_sets = np.unique(rng.integers(1, 1 << mu, 300))
+    apexes = 1 << rng.integers(0, mu, len(vertex_sets))
+    apexes = np.where(vertex_sets & apexes, apexes, vertex_sets & -vertex_sets)
+    verdicts = _cones(family, vertex_sets, apexes)
+    assert np.array_equal(verdicts,
+                          cones_per_apex(family, vertex_sets, apexes))
+    assert 0 < verdicts.sum() < len(verdicts)
 
 
 def brute_tables(ideal, masks=None):
