@@ -7,10 +7,10 @@ the package's own writer, ``jsontext._write_json``, whose bytes are
 identical to ``json.dumps(payload, sort_keys=True, indent=2)``.
 ``covers`` (its clutter and each generator's covers) and ``complex``
 (its faces and facets) hand it their long lists, and ``oracle-betti``,
-``analyze`` and ``verify`` their rows, as fragments of text, so the
-writer walks no cover entry, no clutter edge, no face and no row;
-``covers`` renders each generator's block only when the writer reaches
-it.
+``analyze`` and ``verify`` their rows, as fragments: each renders its
+text when the writer reaches it, for the depth where the writer meets
+it, so the writer walks no cover entry, no clutter edge, no face and no
+row, and no handler names a depth.
 
 Output is written as it is made: the writer sends its text to stdout
 at each fragment, and the text format is written block by block (for
@@ -234,7 +234,7 @@ def _cmd_analyze(args, ideal, ordered):
     report = analyze(ordered, search=search, prime=args.field)
     # the preserved-set rows are written without the lattice's classes
     betti = report.betti and _betti_fields(
-        report.betti, 2, partial(monomial_text, ideal.context.names))
+        report.betti, partial(monomial_text, ideal.context.names))
     payload = {"minimal": report.minimal, "obsL": report.obstruction,
                "l_length": report.l_length, "ps": report.ps,
                "betti": betti,
@@ -298,7 +298,7 @@ def _cmd_oracle_betti(args, ideal, ordered):
     table = taylor_betti(ideal, prime=args.field)
     # every multidegree is a lattice point (or 1), written once per ideal
     mono = _lcm_classes(ideal).texts.__getitem__
-    payload = {**_betti_fields(table, 1, mono),
+    payload = {**_betti_fields(table, mono),
                "projdim": table.projective_dimension}
 
     def text() -> list[list[str]]:

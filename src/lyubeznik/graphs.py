@@ -14,12 +14,14 @@ finding for the caller to inspect, not raised.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .invariants import search_scan
 from .monomials import (BoundExceededError, Monomial, MonomialIdeal,
-                        ParseError, VariableContext, _directive_lines)
+                        ParseError, VariableContext, _NAME_RE,
+                        _directive_lines)
 from .subsets import MAX_TABLE_GENERATORS
 
 
@@ -35,19 +37,9 @@ class SimpleGraph:
             object.__setattr__(self, "vertices", tuple(self.vertices))
         if not isinstance(self.edges, tuple):
             object.__setattr__(self, "edges", tuple(map(tuple, self.edges)))
-        if len(set(self.vertices)) != len(self.vertices):
-            raise ValueError("duplicate vertex names")
-        declared = set(self.vertices)
-        seen = set()
-        for a, b in self.edges:
-            if a == b:
-                raise ValueError(f"loop at vertex {a!r}")
-            if a not in declared or b not in declared:
-                raise ValueError(f"edge ({a!r}, {b!r}) uses an undeclared vertex")
-            key = frozenset((a, b))
-            if key in seen:
-                raise ValueError(f"duplicate edge ({a!r}, {b!r})")
-            seen.add(key)
+        fault = _fault(self.vertices, self.edges)
+        if fault is not None:
+            raise ValueError(fault[2])
 
     @property
     def edge_count(self) -> int:
@@ -58,28 +50,66 @@ class SimpleGraph:
         return tuple(sorted(out))
 
 
+def _fault(vertices, edges) -> tuple[str, int, str] | None:
+    """The first reason why ``vertices`` and ``edges`` are not a simple
+    graph, as ``("vertex", i, message)`` or ``("edge", k, message)``
+    for the i-th vertex or the k-th edge at fault; None when they are."""
+    declared = set()
+    for i, v in enumerate(vertices):
+        if v in declared:
+            return "vertex", i, f"duplicate vertex name {v!r}"
+        declared.add(v)
+    seen = set()
+    for k, (a, b) in enumerate(edges):
+        if a == b:
+            return "edge", k, f"loop at vertex {a!r}"
+        if a not in declared or b not in declared:
+            return "edge", k, f"edge ({a!r}, {b!r}) uses an undeclared vertex"
+        key = frozenset((a, b))
+        if key in seen:
+            return "edge", k, f"duplicate edge ({a!r}, {b!r})"
+        seen.add(key)
+    return None
+
+
 def parse_graph(text: str) -> SimpleGraph:
-    """Parse ``vertex``/``edge`` lines; comments and blank lines skipped."""
+    """Parse ``vertex``/``edge`` lines; comments and blank lines skipped.
+
+    A vertex name must be a variable name (a letter, then letters,
+    digits and ``_``), since the edge ideal names its variables after
+    the vertices.  Every refusal is a ``ParseError`` that names its line
+    and, where there is one, its column: a vertex's own, or the column
+    of the ``edge`` directive at fault."""
     vertices: list[str] = []
     edges: list[tuple[str, str]] = []
-    for lineno, word, column, rest, _ in _directive_lines(
+    # the (line, column) of each vertex name and of each edge directive
+    places = {"vertex": [], "edge": []}
+    for lineno, word, column, rest, offset in _directive_lines(
             text, ("vertex", "edge")):
         names = rest.split()
         if word == "vertex":
             if not names:
                 raise ParseError("vertex line lists no vertices", lineno, column)
+            for name in re.finditer(r"\S+", rest):
+                place = (lineno, offset + name.start() + 1)
+                if not _NAME_RE.match(name.group()):
+                    raise ParseError(f"invalid vertex name {name.group()!r}, "
+                                     "not a variable name", *place)
+                places["vertex"].append(place)
             vertices.extend(names)
         else:
             if len(names) != 2:
                 raise ParseError("edge line needs exactly two endpoints",
                                  lineno, column)
+            places["edge"].append((lineno, column))
             edges.append((names[0], names[1]))
     if not vertices:
         raise ParseError("no vertex line")
     try:
         return SimpleGraph(tuple(vertices), tuple(edges))
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    except ValueError:
+        kind, i, message = _fault(vertices, edges)
+        raise ParseError(message, *places[kind][i]) from None
 
 
 def read_graph(path) -> SimpleGraph:

@@ -5,14 +5,18 @@
 callable ``write`` (the CLI's is ``sys.stdout.write``) as it goes; with
 an indent, ``json.dumps`` runs CPython's pure-Python encoder, which
 took about two thirds of a ``covers`` call on a 12-generator ideal.  A
-``_Fragment`` is the text of one value for the depth it is written at,
-which the writer sends as it is, after the text it has gathered before
-it; so the writer holds no more than the text between two fragments.
-A fragment's parts are rendered ahead, or rendered on demand, each time
-the fragment is written and the same each time: ``covers`` hands the
-writer each generator's list of covers as a fragment rendered when the
-writer reaches it (``_covers_fragments``), one join of per-mask list
-texts made once per ideal, and its clutter as one fragment
+``_Fragment`` holds one callable, ``render(depth)``, which returns the
+text of one value written at the depth ``depth``.  The writer calls it
+with the depth where it meets the fragment and sends the text as it is,
+after the text it has gathered before it; so the writer alone decides
+where each list sits, and it holds no more than the text between two
+fragments.  One helper, ``_layout``, gives the text that opens, separates
+and closes a list or dict at a depth; the writer and every builder read
+it once per container or once per render, never once per row.
+
+``covers`` hands the writer each generator's list of covers as a
+fragment (``_covers_fragments``), one join of per-mask list texts made
+on the first render, once per request, and its clutter as one fragment
 (``_lists_fragment``), built from each edge's members text, which its
 text format reads too; ``complex`` its faces and facets
 (``_lists_fragment``), built from a members text made once per face;
@@ -38,28 +42,28 @@ of that import.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import cache, partial
 from json.encoder import encode_basestring_ascii
 from typing import Callable
 
 
 class _Fragment:
-    """The JSON text of one value for the depth ``depth``, as parts that
-    the writer sends as they are, refusing the fragment at any other
-    depth.  ``parts`` is a list of the parts, rendered ahead, or a
-    zero-argument callable that renders them each time the fragment is
-    written, the same text each time."""
+    """The JSON text of one value, rendered by ``render(depth)`` for the
+    depth at which the writer meets it, the same value at every depth."""
 
-    __slots__ = ("parts", "depth")
+    __slots__ = ("render",)
 
-    def __init__(self, parts: list[str] | Callable[[], list[str]],
-                 depth: int) -> None:
-        self.parts = parts
-        self.depth = depth
+    def __init__(self, render: Callable[[int], str]) -> None:
+        self.render = render
 
-    def __iter__(self):
-        parts = self.parts
-        return iter(parts() if callable(parts) else parts)
+
+def _layout(depth: int, brackets: str = "[]") -> tuple[str, str, str]:
+    """The text that opens a non-empty list (or, with ``"{}"``, dict) at
+    the depth ``depth``, the text between two of its items and the text
+    that closes it."""
+    inner = "\n" + "  " * (depth + 1)
+    return (brackets[0] + inner, "," + inner,
+            "\n" + "  " * depth + brackets[1])
 
 
 def _write_json(payload: dict, write: Callable[[str], object]) -> None:
@@ -68,13 +72,12 @@ def _write_json(payload: dict, write: Callable[[str], object]) -> None:
 
     With an indent, CPython encodes in pure Python.  This writer gathers
     parts in one list, item by item; the long lists of the command
-    line's payloads reach it as fragments.  At each ``_Fragment``
-    it sends what it has gathered, as one string, and then the
-    fragment's parts, and at the end the rest; so it holds no more than
-    the text between two fragments.  Only dicts with str keys, lists,
-    tuples, str, int, bool, None and fragments met at the depth they
-    were rendered for are written; any other type raises ``TypeError``
-    and a fragment at another depth ``ValueError``, so the output can
+    line's payloads reach it as fragments.  At each ``_Fragment`` it
+    sends what it has gathered, as one string, and then the fragment's
+    text for the depth where it meets it, and at the end the rest; so it
+    holds no more than the text between two fragments.  Only dicts with
+    str keys, lists, tuples, str, int, bool, None and fragments are
+    written; any other type raises ``TypeError``, so the output can
     never silently differ from ``json.dumps`` (though what came before
     the error has been sent).
     """
@@ -98,34 +101,28 @@ def _write_json(payload: dict, write: Callable[[str], object]) -> None:
             else:
                 append("{}" if isinstance(value, dict) else "[]")
         elif type(value) is _Fragment:
-            if value.depth != depth:
-                raise ValueError(f"a fragment rendered for depth {value.depth}"
-                                 f" met at depth {depth}")
             if parts:
                 write("".join(parts))
                 parts.clear()
-            for part in value:
-                write(part)
+            write(value.render(depth))
         else:
             raise TypeError(f"cannot write {type(value).__name__} as JSON")
 
     def put_container(value, depth: int) -> None:
-        inner = "\n" + "  " * (depth + 1)
         if isinstance(value, dict):
-            sep = "{" + inner
+            start, sep, end = _layout(depth, "{}")
             for key in sorted(value):
                 # raises TypeError on a key that is not a str
-                append(sep + encode_basestring_ascii(key) + ": ")
+                append(start + encode_basestring_ascii(key) + ": ")
                 put(value[key], depth + 1)
-                sep = "," + inner
-            append("\n" + "  " * depth + "}")
+                start = sep
         else:
-            sep = "[" + inner
+            start, sep, end = _layout(depth)
             for item in value:
-                append(sep)
+                append(start)
                 put(item, depth + 1)
-                sep = "," + inner
-            append("\n" + "  " * depth + "]")
+                start = sep
+        append(end)
 
     try:
         put(payload, 0)
@@ -147,86 +144,85 @@ def _members_texts(mu: int, sep: str) -> list[str]:
     return members
 
 
+def _rows_fragment(rows: Callable[[str, str, str], list[str]]
+                   ) -> _Fragment:
+    """A list of rows as one fragment: ``rows(start, sep, end)`` gives
+    the text of each row, a list one deeper than the fragment, from its
+    layout (``_layout``)."""
+    def render(depth: int) -> str:
+        texts = rows(*_layout(depth + 1))
+        if not texts:
+            return "[]"
+        start, sep, end = _layout(depth)
+        return start + sep.join(texts) + end
+    return _Fragment(render)
+
+
 def _covers_fragments(rows, mu: int) -> list[dict]:
     """The ``"covers"`` value of the covers payload: per generator u,
-    its cover entries as one fragment for depth 3, where the payload
-    holds them, rendered each time it is written from ``rows(u)``
+    its cover entries as one fragment, rendered from ``rows(u)``
     (``covers._listing_rows``: the masks, E-minimal flags and covered
-    masks of u's covers).  Each entry is a dict at depth 4 with int
-    lists at depth 5; the text of every mask's list is made once, and a
-    block is one join of those texts and the constant text between
-    them, so no entry is made as a string of its own."""
-    ind3, ind4, ind5, ind6 = ("\n" + "  " * d for d in range(3, 7))
-    lists = [f"[{ind6}{t}{ind5}]"
-             for t in _members_texts(mu, "," + ind6)]
-    # an entry is {"covered": <list>, "eminimal": <flag>, "members": <list>}
-    first = f'[{ind4}{{{ind5}"covered": '
-    flag = tuple(f',{ind5}"eminimal": {v},{ind5}"members": '
-                 for v in ("false", "true"))
-    between = f'{ind4}}},{ind4}{{{ind5}"covered": '
-    last = f"{ind4}}}{ind3}]"
+    masks of u's covers).  Each entry is a dict one deeper than the
+    fragment, with int lists two deeper; the text of every mask's list
+    is made once per depth, on the first render, and a block is one
+    join of those texts and the constant text between them, so no entry
+    is made as a string of its own."""
+    @cache
+    def texts(depth: int):
+        start, sep, end = _layout(depth)
+        # an entry is {"covered": <list>, "eminimal": <flag>, "members": <list>}
+        open_, next_, close = _layout(depth + 1, "{}")
+        lstart, lsep, lend = _layout(depth + 2)
+        lists = [lstart + t + lend for t in _members_texts(mu, lsep)]
+        flag = tuple(f'{next_}"eminimal": {v}{next_}"members": '
+                     for v in ("false", "true"))
+        return (f'{start}{open_}"covered": ', flag, lists,
+                f'{close}{sep}{open_}"covered": ', close + end)
 
-    def block(u: int) -> list[str]:
+    def block(u: int, depth: int) -> str:
         masks, eminimal, covered = rows(u)
         if not len(masks):
-            return ["[]"]
+            return "[]"
+        first, flag, lists, between, last = texts(depth)
         parts = [between] * (4 * len(masks) + 1)
         parts[0], parts[-1] = first, last
         parts[1::4] = map(lists.__getitem__, covered.tolist())
         parts[2::4] = map(flag.__getitem__, eminimal.tolist())
         parts[3::4] = map(lists.__getitem__, masks.tolist())
-        return ["".join(parts)]
-    return [{"generator": u, "covers": _Fragment(partial(block, u), 3)}
+        return "".join(parts)
+    return [{"generator": u, "covers": _Fragment(partial(block, u))}
             for u in range(1, mu + 1)]
-
-
-def _rows_fragment(rows: list[str], depth: int) -> _Fragment:
-    """A list of rows, each already the text of one list for the depth
-    ``depth + 1``, as one fragment for the depth ``depth``."""
-    if not rows:
-        return _Fragment(["[]"], depth)
-    ind0, ind1 = ("\n" + "  " * d for d in (depth, depth + 1))
-    return _Fragment(["[" + ind1 + ("," + ind1).join(rows) + ind0 + "]"],
-                     depth)
 
 
 def _lists_fragment(masks: list[int], members: dict) -> _Fragment:
     """A list of masks, each written as the list of its members, as one
-    fragment for depth 1, where the payload holds it; ``members[m]`` is
-    the members text of mask m, ``"1,5,6"``."""
-    ind2, ind3 = ("\n" + "  " * d for d in range(2, 4))
-    sep3 = "," + ind3
-    entries = [f"[{ind3}{members[m].replace(',', sep3)}{ind2}]" if m
-               else "[]" for m in masks]
-    return _rows_fragment(entries, 1)
+    fragment; ``members[m]`` is the members text of mask m, ``"1,5,6"``."""
+    return _rows_fragment(lambda start, sep, end: [
+        start + members[m].replace(",", sep) + end if m else "[]"
+        for m in masks])
 
 
-def _betti_fields(table, depth: int,
-                  text: Callable[[tuple[int, ...]], str]) -> dict:
-    """A Betti table's payload fields, held at the depth ``depth``: its
-    subject, its graded rows ``[i, j, count]`` sorted, and its
-    multigraded rows ``[i, "multidegree", count]`` in entry order, the
-    two lists as fragments.  A multidegree's text is the quoted
-    ``text(exponents)``, a ``monomial_text``: variable names are ASCII
-    letters, digits and ``_``, which JSON writes as they are."""
-    ind1, ind2 = ("\n" + "  " * d for d in (depth + 1, depth + 2))
-    sep = "," + ind2
-    graded = [f"[{ind2}{i}{sep}{j}{sep}{c}{ind1}]"
-              for (i, j), c in sorted(table.graded.items())]
-    multigraded = [f'[{ind2}{i}{sep}"{text(exps)}"{sep}{c}{ind1}]'
-                   for i, exps, c in table.entries]
+def _betti_fields(table, text: Callable[[tuple[int, ...]], str]) -> dict:
+    """A Betti table's payload fields: its subject, its graded rows
+    ``[i, j, count]`` sorted, and its multigraded rows
+    ``[i, "multidegree", count]`` in entry order, the two lists as
+    fragments.  A multidegree's text is the quoted ``text(exponents)``,
+    a ``monomial_text``: variable names are ASCII letters, digits and
+    ``_``, which JSON writes as they are."""
     return {"subject": table.subject,
-            "graded": _rows_fragment(graded, depth),
-            "multigraded": _rows_fragment(multigraded, depth)}
+            "graded": _rows_fragment(lambda start, sep, end: [
+                f"{start}{i}{sep}{j}{sep}{c}{end}"
+                for (i, j), c in sorted(table.graded.items())]),
+            "multigraded": _rows_fragment(lambda start, sep, end: [
+                f'{start}{i}{sep}"{text(exps)}"{sep}{c}{end}'
+                for i, exps, c in table.entries])}
 
 
 def _multidegrees_fragment(report, text: Callable[[tuple[int, ...]], str]
                            ) -> _Fragment:
     """``verify``'s multidegrees, rows ``["multidegree", verdict]`` of
     its (monomial, verdict) pairs, each monomial written as
-    ``text(exponents)``, as one fragment for depth 1, where the payload
-    holds them."""
-    ind1, ind2 = "\n    ", "\n      "
-    return _rows_fragment(
-        [f'[{ind2}"{text(m.exponents)}",{ind2}'
-         f'{"true" if ok else "false"}{ind1}]' for m, ok in report], 1)
+    ``text(exponents)``, as one fragment."""
+    return _rows_fragment(lambda start, sep, end: [
+        f'{start}"{text(m.exponents)}"{sep}{"true" if ok else "false"}{end}'
+        for m, ok in report])

@@ -5,14 +5,15 @@ routes they replaced.
   ``json.dumps(..., sort_keys=True, indent=2)`` on every subcommand's
   payload for the corpus, as ``cli._request`` returns it, and on
   hypothesis-generated nested payloads.
-  ``covers`` hands the writer each generator's covers as a fragment of
-  text for one depth, rendered each time it is written (so a payload
-  that is expanded and then written renders it twice), and those
-  payloads are compared
+  ``covers`` hands the writer each generator's covers as a fragment,
+  whose text the writer renders for the depth where it meets it, each
+  time it is written (so a payload that is expanded and then written
+  renders it twice), and those payloads are compared
   with ``json.dumps`` of the payload with every fragment expanded by
   ``json.loads``; fragments shared in one payload, empty cover lists
-  and a seeded 12-generator ``covers`` payload are checked whole, and a
-  fragment met at another depth must raise.  Every other list is
+  and a seeded 12-generator ``covers`` payload are checked whole, and
+  one fragment object of each builder, and of any value, must write
+  ``json.dumps``'s bytes at depths 0 to 3.  Every other list is
   written item by item; lists of flat rows are compared on one fixed
   list per shape (bool next to int, None, tuples, escaped text, mixed
   cells, rows nested in dicts), with each other item first, among or
@@ -55,10 +56,11 @@ from lyubeznik import (all_ideals, analyze, cover_clutter, covers_of,
 from lyubeznik.cli import _request, build_parser, main
 from lyubeznik.corpus import _data_dir
 from lyubeznik.covers import _listing_rows, cover_table
-from lyubeznik.jsontext import (_Fragment, _betti_fields,
-                                _multidegrees_fragment, _write_json)
+from lyubeznik.jsontext import (_Fragment, _betti_fields, _covers_fragments,
+                                _lists_fragment, _multidegrees_fragment,
+                                _write_json)
 from lyubeznik.monomials import monomial_text
-from lyubeznik.subsets import mask_of, tables_for
+from lyubeznik.subsets import indices_of, mask_of, tables_for
 
 from conftest import exponent_ideal, xyz_ideal
 
@@ -84,7 +86,7 @@ def expanded(value):
     """The payload with every fragment replaced by the value its text
     encodes; tuples become lists, which ``json.dumps`` writes alike."""
     if isinstance(value, _Fragment):
-        return json.loads("".join(value))
+        return json.loads(value.render(0))
     if isinstance(value, dict):
         return {key: expanded(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
@@ -184,39 +186,38 @@ def test_writer_matches_json_dumps_on_a_mu_12_covers_payload(tmp_path):
     assert json_text(payload) == reference_text(expanded(payload))
 
 
-def fragment_of(value, depth: int, pieces: int = 3,
-                on_demand: bool = False) -> _Fragment:
-    """``value``'s text at ``depth``, from ``json.dumps``, cut in parts,
-    which the fragment holds or, ``on_demand``, renders when written."""
-    text = reference_text(value).replace("\n", "\n" + "  " * depth)
-    cuts = sorted(random.Random(len(text)).choices(range(len(text) + 1),
-                                                   k=pieces - 1))
-    bounds = [0, *cuts, len(text)]
-    parts = [text[a:b] for a, b in zip(bounds, bounds[1:])]
-    return _Fragment((lambda: list(parts)) if on_demand else parts, depth)
+def fragment_of(value) -> _Fragment:
+    """``value`` as a fragment that renders ``json.dumps``'s text of it
+    for the depth it is given."""
+    text = reference_text(value)
+    return _Fragment(lambda depth: text.replace("\n", "\n" + "  " * depth))
+
+
+def check_at_every_depth(fragment) -> None:
+    """One fragment object must write ``json.dumps``'s bytes of its
+    value alone, at depth 0, and at depths 1, 2 and 3 in one payload."""
+    value = expanded(fragment)
+    assert json_text(fragment) == reference_text(value)
+    payload = {"a": fragment, "b": [fragment, {"c": fragment}]}
+    assert json_text(payload) == reference_text(
+        {"a": value, "b": [value, {"c": value}]})
 
 
 @settings(max_examples=100)
 @given(PAYLOADS, PAYLOADS)
 def test_writer_matches_json_dumps_on_shared_fragments(value, other):
-    # one fragment object three times at depth 2, next to plain values,
-    # and one that renders its parts each time it is written
-    shared = fragment_of(value, 2)
-    rendered = fragment_of(other, 2, on_demand=True)
+    # one fragment object three times at depth 2 and once at depth 3,
+    # another at depths 1 and 2, next to plain values
+    shared, single = fragment_of(value), fragment_of(other)
     payload = {"a": [shared, other, shared], "b": {"c": shared},
-               "d": fragment_of(other, 1), "e": [[fragment_of(value, 3)]],
-               "f": [rendered, value, rendered], "g": {"h": rendered}}
+               "d": single, "e": [[shared]], "f": [single, value, single]}
     assert json_text(payload) == reference_text(expanded(payload))
 
 
-@pytest.mark.parametrize("rendered,met", [(2, 1), (2, 3), (1, 0), (0, 1)])
-def test_writer_refuses_a_fragment_at_another_depth(rendered, met):
-    fragment = fragment_of({"x": [1, 2]}, rendered)
-    payload = fragment
-    for _ in range(met):
-        payload = [payload]
-    with pytest.raises(ValueError, match=f"depth {rendered} met at depth {met}"):
-        json_text(payload)
+@settings(max_examples=100)
+@given(PAYLOADS)
+def test_one_fragment_writes_json_dumps_at_every_depth(value):
+    check_at_every_depth(fragment_of(value))
 
 
 def test_writer_matches_json_dumps_on_empty_cover_lists(tmp_path):
@@ -393,11 +394,11 @@ def check_rows(words, path):
     for key in holder:
         fields = fields[key]
     for key, plain in rows.items():
-        # a fragment for the depth where the payload holds it: the Betti
-        # rows of analyze at depth 2, the others at depth 1
+        # a fragment, which the payload holds at depth 1 (the Betti rows
+        # of analyze at depth 2) and which writes the same rows anywhere
         assert type(fields[key]) is _Fragment
-        assert fields[key].depth == len(holder) + 1
         assert expanded(fields[key]) == plain
+        check_at_every_depth(fields[key])
 
 
 @pytest.mark.parametrize("words", ROW_COMMANDS, ids=" ".join)
@@ -428,17 +429,29 @@ def test_multidegree_rows_write_both_verdicts():
         {"multidegrees": [[str(m), ok] for m, ok in report]})
 
 
-def test_row_fragments_refuse_another_depth():
-    table = taylor_betti(xyz_ideal("x*y", "y*z", "x^2"))
-    fields = _betti_fields(table, 2, partial(monomial_text, ("x", "y", "z", "t")))
-    with pytest.raises(ValueError, match="depth 2 met at depth 1"):
-        json_text(fields)
+def test_builders_write_json_dumps_at_every_depth():
+    # each builder's fragments, one object at depths 0 to 3, and the
+    # Betti fields at the depths where oracle-betti (0) and analyze (1)
+    # hold them
+    names = partial(monomial_text, ("x", "y", "z", "t"))
+    ideal = xyz_ideal("x*y", "y*z", "x^2", "z*t")
+    fields = _betti_fields(taylor_betti(ideal), names)
+    for fragment in (fields["graded"], fields["multigraded"]):
+        check_at_every_depth(fragment)
     assert json_text({"betti": fields}) == reference_text(
         {"betti": expanded(fields)})
-    report = verify_resolution_report(identity_order(xyz_ideal("x", "y")))
-    rows = _multidegrees_fragment(report, partial(monomial_text, ("x", "y", "z", "t")))
-    with pytest.raises(ValueError, match="depth 1 met at depth 2"):
-        json_text({"a": {"b": rows}})
+    assert json_text(fields) == reference_text(expanded(fields))
+    report = verify_resolution_report(identity_order(ideal))
+    check_at_every_depth(_multidegrees_fragment(report, names))
+    members = {m: ",".join(map(str, indices_of(m))) for m in range(16)}
+    for masks in ([0, 1, 6, 13, 15], [5], []):
+        check_at_every_depth(_lists_fragment(masks, members))
+    # generators 1 and 2 have an E-minimal cover and one that is not,
+    # generators 3 and 4 none
+    rows = _listing_rows(ideal)
+    assert [rows(u)[0].size for u in range(1, 5)] == [2, 2, 0, 0]
+    for block in _covers_fragments(rows, ideal.mu):
+        check_at_every_depth(block["covers"])
 
 
 # -- the covers listing -------------------------------------------------------

@@ -45,21 +45,30 @@ def test_parse_skips_comments_and_blanks():
     assert g.edges == (("a", "b"),)
 
 
-@pytest.mark.parametrize("text, fragment", [
-    ("edge a b", "no vertex line"),
-    ("vertex a b\nroute a b", "unknown directive"),
-    ("vertex a b\nedge a", "two endpoints"),
-    ("vertex a b\nedge a b c", "two endpoints"),
-    ("vertex a a\nedge a a", "duplicate vertex"),
-    ("vertex a b\nedge a a", "loop"),
-    ("vertex a b\nedge a b\nedge b a", "duplicate edge"),
-    ("vertex a b\nedge a c", "undeclared"),
-    ("vertex\n", "no vertices"),
-    ("*boom", "unexpected"),
+@pytest.mark.parametrize("text, fragment, line, column", [
+    ("edge a b", "no vertex line", None, None),
+    ("vertex a b\nroute a b", "unknown directive", 2, 1),
+    ("vertex a b\nedge a", "two endpoints", 2, 1),
+    ("vertex a b\nedge a b c", "two endpoints", 2, 1),
+    ("vertex a a\nedge a a", "duplicate vertex name 'a'", 1, 10),
+    ("vertex a b\n\n  vertex c  b", "duplicate vertex name 'b'", 3, 13),
+    ("vertex a b\nedge a a", "loop", 2, 1),
+    ("vertex a b\nedge a b\n edge b a", "duplicate edge", 3, 2),
+    ("vertex a b\nedge a c", "undeclared", 2, 1),
+    ("edge a b\nvertex a\nedge b a", "undeclared", 1, 1),
+    ("vertex\n", "no vertices", 1, 1),
+    ("*boom", "unexpected", 1, 1),
+    # a vertex name is a variable name of the edge ideal
+    ("vertex 1 2 3 4\nedge 1 2\nedge 2 3\nedge 3 4\n",
+     "invalid vertex name '1'", 1, 8),
+    ("vertex a 2b\nedge a 2b", "invalid vertex name '2b'", 1, 10),
+    ("# names\nvertex a\tb-c\nedge a b-c", "invalid vertex name 'b-c'", 2, 10),
+    ("vertex a \u00e9", "invalid vertex name '\u00e9'", 1, 10),
 ])
-def test_parse_errors(text, fragment):
-    with pytest.raises(ParseError, match=fragment):
+def test_parse_errors(text, fragment, line, column):
+    with pytest.raises(ParseError, match=fragment) as info:
         parse_graph(text)
+    assert (info.value.line, info.value.column) == (line, column)
 
 
 def test_parse_error_location():
