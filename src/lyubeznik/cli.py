@@ -19,17 +19,23 @@ its output.  So a Ctrl-C, a closed pipe or running out of memory while
 the output is written leaves part of it on stdout.  Every check that
 can refuse a request is made before the first byte.
 
-The parser is built once per process, on the first ``main`` call, and
-each call parses into a fresh namespace; a subcommand's handler is
-looked up when the call runs it.  A warning raised while a command runs
-(a dropped non-minimal generator, a radical-generator construction on a
-non-minimal order) is printed as one line, ``lyubeznik: warning:
-<message>``, on stderr, and stdout is unchanged.  Exit codes:
+One table, ``cmdline._COMMANDS``, declares the command line, and
+``cmdline.read_argv`` reads each call's argv into a fresh namespace in
+one pass over its words; ``--help`` prints text read off the same
+table.  Nothing is built per process, and no call pays for more than
+its own words.  A usage error is one line on stderr, ``lyubeznik[
+<command>]: error: <message>``, naming the word at fault, and exits 1.
+A subcommand's handler is looked up when the call runs it.  A warning
+raised while a command runs (a dropped non-minimal generator, a
+radical-generator construction on a non-minimal order) is printed as
+one line, ``lyubeznik: warning: <message>``, on stderr, and stdout is
+unchanged.  Exit codes:
 
 ====  ===============================================================
-0     success
-1     bad input (file, order, flag value, usage), or stdout's reader
-      went away
+0     success, or ``-h``/``--help``
+1     bad input (file, order, flag value, usage), stdout's reader
+      went away, or stdout cannot take the output (a full disk:
+      ``lyubeznik: error: cannot write output: <reason>`` on stderr)
 2     a size threshold refused the computation
 3     out of memory: ``lyubeznik: error: out of memory`` on stderr
 130   interrupted (Ctrl-C): ``lyubeznik: interrupted`` on stderr
@@ -57,15 +63,15 @@ verdict off the cone of faces that every order gives (``oracle``).
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 import warnings
-from functools import lru_cache, partial
-from typing import Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 import numpy as np
 
+from .cmdline import _Usage, read_argv
 from .complexes import classification_census, order_analysis
 from .covers import (MAX_ENUMERATION_GENERATORS, _by_size_then_members,
                      _listing_rows, cover_table)
@@ -74,70 +80,12 @@ from .graphs import check_graph_propositions, edge_ideal, read_graph
 from .invariants import analyze, is_minimal_resolution, search_scan
 from .jsontext import (_betti_fields, _covers_fragments, _lists_fragment,
                        _members_texts, _multidegrees_fragment, _write_json)
-from .linalg import check_prime
 from .monomials import (BoundExceededError, ExponentLimitError,
                         MonomialIdeal, ParseError, monomial_text, read_ideal)
 from .oracle import (_lcm_classes, taylor_betti, verify_chain_complex,
                      verify_resolution_report)
 from .orders import identity_order, parse_order
 from .subsets import MAX_TABLE_GENERATORS, indices_of
-
-# the default of --max-exhaustive
-DEFAULT_MAX_EXHAUSTIVE = 8
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse reserves exit code 2; here that means a refused bound,
-    so usage errors are remapped to the generic input-error code."""
-
-    def error(self, message):
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
-    def parse_args(self, args=None, namespace=None):
-        """argparse's ``parse_args``, naming only the unknown options
-        when there are any: an unknown option leaves its value to fill
-        a positional, which moves a later word among the unrecognized
-        (``verify --field q <path>`` would name ``<path>``)."""
-        args, extras = self.parse_known_args(args, namespace)
-        if extras:
-            options = [word for word in extras if word.startswith("-")]
-            self.error("unrecognized arguments: "
-                       + " ".join(options or extras))
-        return args
-
-
-def _positive_int(text: str) -> int:
-    """argparse type for counts that must be at least 1; argparse names
-    the offending flag in the error."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
-def _field(text: str) -> int | None:
-    """argparse type for --field: None for Q, else the prime p of GF(p).
-
-    The prime is checked here, once, so a bad value is refused before
-    any work and whether or not a rank is ever taken."""
-    if text == "q":
-        return None
-    try:
-        if not text.startswith("p:"):
-            raise ValueError
-        prime = int(text[2:])
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"bad field spec {text!r}; expected 'q' or 'p:<prime>'") from None
-    try:
-        check_prime(prime)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return prime
-
 
 def _check_size(mu: int, max_exhaustive: int | None = None) -> None:
     """Refuse more than ``MAX_ENUMERATION_GENERATORS`` generators and,
@@ -389,7 +337,7 @@ def _request(args):
         return handler(args)
     ideal = read_ideal(args.path)
     ordered = None
-    if "order" in args:
+    if hasattr(args, "order"):
         ordered = (identity_order(ideal) if args.order is None
                    else parse_order(args.order, ideal))
     if args.command != "complex":
@@ -410,66 +358,6 @@ def _request(args):
     return payload, lines
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="lyubeznik",
-                     description="Covers, preserved sets, and minimality of "
-                                 "Lyubeznik resolutions of monomial ideals.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_: str, *, order=False, search=False,
-            field=False, graph=False):
-        p = sub.add_parser(name, help=help_)
-        p.add_argument("path", help="graph file" if graph else "ideal file")
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        if order:
-            p.add_argument("--order", metavar="i1,i2,...",
-                           help="generator order override (1-based indices)")
-        if search and not graph:
-            p.add_argument("--search", choices=("exhaustive",),
-                           default=None if name == "analyze" else "exhaustive",
-                           help="order search mode")
-        if search:
-            p.add_argument("--max-exhaustive", type=_positive_int,
-                           default=DEFAULT_MAX_EXHAUSTIVE, metavar="MU",
-                           help="largest generator count searched exhaustively")
-            p.add_argument("--jobs", type=_positive_int, default=1,
-                           help="has no effect: every search runs in one "
-                                "process; kept so that command lines that "
-                                "pass it still parse")
-        if field:
-            p.add_argument("--field", type=_field, default="q",
-                           metavar="q|p:<prime>",
-                           help="coefficient field for homology ranks")
-        return p
-
-    add("covers", "covers and the E-minimal cover clutter", order=True)
-    add("complex", "faces, facets, and the subset census", order=True)
-    add("analyze", "per-order invariant report",
-        order=True, search=True, field=True)
-    add("search", "scan orders for obstruction and length minima",
-        search=True)
-    add("oracle-betti", "Betti numbers from Taylor-strand homology",
-        field=True)
-    add("verify", "check d^2 = 0 and, per multidegree, Lyubeznik's "
-                  "cone of faces", order=True)
-    add("radical-gens", "polynomials generating the ideal up to radical",
-        order=True)
-    graph_p = add("graph", "edge-ideal tools for simple graphs",
-                  search=True, graph=True)
-    graph_p.add_argument("--edge-ideal", action="store_true",
-                         help="emit the edge ideal in ideal-file syntax")
-    graph_p.add_argument("--check-props", action="store_true",
-                         help="evaluate the graph-family statements")
-    return parser
-
-
-# one parser per process: building it (and looking up the translation
-# of every help string) costs more than parsing a request with it
-@lru_cache(maxsize=1)
-def _shared_parser() -> argparse.ArgumentParser:
-    return build_parser()
-
-
 def _show_warning(message, category, filename, lineno, file=None,
                   line=None) -> None:
     """``warnings.showwarning`` for the CLI: one line, no source line."""
@@ -478,11 +366,12 @@ def _show_warning(message, category, filename, lineno, file=None,
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        args = _shared_parser().parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits on usage errors and --help; report the code
-        # instead so callers of main() always get a plain int back
-        return exc.code if isinstance(exc.code, int) else 1
+        args = read_argv(sys.argv[1:] if argv is None else argv)
+    except _Usage as usage:
+        if usage.code:
+            sys.stderr.write(usage.text)
+            return usage.code
+        return _write_out(lambda write: write(usage.text))
     try:
         return _run(args)
     except KeyboardInterrupt:
@@ -494,8 +383,8 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def _run(args) -> int:
-    """Run the parsed request, write its output as it is made, return
-    the exit code."""
+    """Run the request, write its output as it is made, return the exit
+    code."""
     try:
         # entering the block also resets the warnings already shown, so
         # a repeated call in one process warns again
@@ -511,21 +400,37 @@ def _run(args) -> int:
     except (ValueError, KeyError, OSError, ExponentLimitError) as exc:
         print(f"lyubeznik: error: {exc}", file=sys.stderr)
         return 1
-    stdout = sys.stdout
-    try:
-        if args.format == "json":
+    if args.format == "json":
+        def emit(write):
             _write_json({"schema": 1, "command": args.command, **payload},
-                        stdout.write)
-            stdout.write("\n")
-        else:
+                        write)
+            write("\n")
+    else:
+        def emit(write):
             # "\n".join(lines) + "\n", one block at a time: no block is empty
             for block in text():
-                stdout.write("\n".join(block) + "\n")
+                write("\n".join(block) + "\n")
+    return _write_out(emit)
+
+
+def _write_out(emit: Callable[[Callable[[str], object]], None]) -> int:
+    """Call ``emit`` with stdout's ``write``, flush, and return 0; 1 if
+    stdout cannot take the output."""
+    stdout = sys.stdout
+    try:
+        emit(stdout.write)
         stdout.flush()
-    except BrokenPipeError:
-        # the reader went away (``... | head``): send what is still
-        # buffered to devnull, so that the flush at exit cannot raise
-        os.dup2(os.open(os.devnull, os.O_WRONLY), stdout.fileno())
+    except OSError as exc:
+        # a closed pipe (``... | head``) means the reader went away and
+        # is not reported; any other failure (a full disk) is
+        if not isinstance(exc, BrokenPipeError):
+            print("lyubeznik: error: cannot write output: "
+                  f"{exc.strerror or exc}", file=sys.stderr)
+        # send what is still buffered to devnull, so that the flush at
+        # exit cannot raise
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stdout.fileno())
+        os.close(devnull)
         return 1
     return 0
 

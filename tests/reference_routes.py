@@ -91,9 +91,13 @@ monomials.
   ``gen`` line a ``tokenize`` token at a time (``parse_monomial``), and
   the ideal built by the checking constructor, the route that the
   canonical-line split, the ``findall`` walk and the minimal ideal of
-  ``_minimized``'s survivors replaced.
+  ``_minimized``'s survivors replaced;
+* ``argparse_parser``: the command line declared to argparse, one
+  subparser per command, the route the table and the one-pass reader
+  of ``cmdline`` (``_COMMANDS``, ``read_argv``) replaced.
 """
 
+import argparse
 import warnings
 from dataclasses import dataclass
 from itertools import combinations
@@ -104,6 +108,7 @@ import numpy as np
 from lyubeznik import (is_stable_symbol, monomials, orders_for_search,
                        symbol_of, taylor_betti)
 from lyubeznik.betti import QUOTIENT, BettiTable
+from lyubeznik.cmdline import DEFAULT_MAX_EXHAUSTIVE, _field, _positive_int
 from lyubeznik.complexes import SubsetClass, order_analysis
 from lyubeznik.covers import cover_table
 from lyubeznik.monomials import (EXPONENT_LIMIT, ExponentLimitError,
@@ -769,3 +774,89 @@ def parse_ideal(text):
             MinimizationWarning)
     return MonomialIdeal(context, tuple(
         m for m, r in zip(gens, flags) if not r))
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse reserves exit code 2; here that means a refused bound,
+    so usage errors are remapped to the generic input-error code."""
+
+    def error(self, message):
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+    def parse_args(self, args=None, namespace=None):
+        """argparse's ``parse_args``, naming only the unknown options
+        when there are any: an unknown option leaves its value to fill
+        a positional, which moves a later word among the unrecognized
+        (``verify --field q <path>`` would name ``<path>``)."""
+        args, extras = self.parse_known_args(args, namespace)
+        if extras:
+            options = [word for word in extras if word.startswith("-")]
+            self.error("unrecognized arguments: "
+                       + " ".join(options or extras))
+        return args
+
+
+def _argparse_type(convert):
+    """The converter as an argparse type, its ``ValueError`` message
+    reported as argparse reports a type's own message."""
+    def read(text):
+        try:
+            return convert(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return read
+
+
+def argparse_parser() -> argparse.ArgumentParser:
+    """The command line as argparse declared it: ``parse_args`` gives
+    the request's namespace, or ends in ``SystemExit`` with code 0
+    (``--help``) or 1 (a usage error)."""
+    positive_int, field = _argparse_type(_positive_int), _argparse_type(_field)
+    parser = _Parser(prog="lyubeznik",
+                     description="Covers, preserved sets, and minimality of "
+                                 "Lyubeznik resolutions of monomial ideals.")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add(name: str, help_: str, *, order=False, search=False,
+            field_=False, graph=False):
+        p = sub.add_parser(name, help=help_)
+        p.add_argument("path", help="graph file" if graph else "ideal file")
+        p.add_argument("--format", choices=("text", "json"), default="text")
+        if order:
+            p.add_argument("--order", metavar="i1,i2,...",
+                           help="generator order override (1-based indices)")
+        if search and not graph:
+            p.add_argument("--search", choices=("exhaustive",),
+                           default=None if name == "analyze" else "exhaustive",
+                           help="order search mode")
+        if search:
+            p.add_argument("--max-exhaustive", type=positive_int,
+                           default=DEFAULT_MAX_EXHAUSTIVE, metavar="MU",
+                           help="largest generator count searched exhaustively")
+            p.add_argument("--jobs", type=positive_int, default=1,
+                           help="has no effect")
+        if field_:
+            p.add_argument("--field", type=field, default="q",
+                           metavar="q|p:<prime>",
+                           help="coefficient field for homology ranks")
+        return p
+
+    add("covers", "covers and the E-minimal cover clutter", order=True)
+    add("complex", "faces, facets, and the subset census", order=True)
+    add("analyze", "per-order invariant report",
+        order=True, search=True, field_=True)
+    add("search", "scan orders for obstruction and length minima",
+        search=True)
+    add("oracle-betti", "Betti numbers from Taylor-strand homology",
+        field_=True)
+    add("verify", "check d^2 = 0 and, per multidegree, Lyubeznik's "
+                  "cone of faces", order=True)
+    add("radical-gens", "polynomials generating the ideal up to radical",
+        order=True)
+    graph_p = add("graph", "edge-ideal tools for simple graphs",
+                  search=True, graph=True)
+    graph_p.add_argument("--edge-ideal", action="store_true",
+                         help="emit the edge ideal in ideal-file syntax")
+    graph_p.add_argument("--check-props", action="store_true",
+                         help="evaluate the graph-family statements")
+    return parser

@@ -1,8 +1,8 @@
 """Command-line interface: exit codes, output shapes, determinism."""
 
-import argparse
 import gc
 import json
+import os
 import re
 import subprocess
 import sys
@@ -10,7 +10,8 @@ import sys
 import pytest
 
 from lyubeznik import MonomialIdeal, OrderedIdeal, edge_ideal, parse_ideal
-from lyubeznik.cli import build_parser, main
+from lyubeznik.cli import main
+from lyubeznik.cmdline import _FLAGS
 from lyubeznik.monomials import EXPONENT_LIMIT
 from lyubeznik.oracle import _projective_dimension
 from lyubeznik.subsets import tables_for
@@ -423,13 +424,9 @@ def test_search_past_the_bound_does_not_point_at_max_exhaustive(capsys,
 
 
 def parser_flags():
-    """Every option string of every subcommand."""
-    flags = set()
-    for action in build_parser()._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for sub in action.choices.values():
-                flags.update(sub._option_string_actions)
-    return flags
+    """Every option string of every subcommand, read off the table that
+    the command line is read by."""
+    return {flag for flags in _FLAGS.values() for flag in flags}
 
 
 @pytest.mark.parametrize("command", [
@@ -573,10 +570,43 @@ def test_closed_pipe_exits_one_without_a_traceback(tmp_path):
     assert "Traceback" not in err and "Exception ignored" not in err, err
 
 
-# -- one parser per process ---------------------------------------------------
-# main() builds its parser on the first call and reuses it; each call
-# must still parse into a fresh namespace, and a usage error or --help
-# (both end in SystemExit inside argparse) must leave it usable
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs /dev/full, whose every write fails")
+@pytest.mark.parametrize("argv", [("search", "PATH"), ("--help",),
+                                  ("search", "--format", "json", "PATH")])
+def test_a_full_disk_exits_one_without_a_traceback(tmp_path, argv):
+    path = tmp_path / "mixed.ideal"
+    path.write_text(MIXED)
+    argv = [str(path) if word == "PATH" else word for word in argv]
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "lyubeznik.cli", *argv],
+                              stdout=full, stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("lyubeznik: error: cannot write output: ")
+    assert proc.stderr.count("\n") == 1, proc.stderr
+
+
+@pytest.mark.skipif(not (os.path.exists("/dev/full")
+                         and os.path.isdir("/proc/self/fd")),
+                    reason="needs /dev/full and /proc/self/fd")
+def test_an_unwritable_stdout_leaves_no_descriptor_open(capsys, mixed_path,
+                                                        monkeypatch):
+    # each failed call points the stdout it was given at devnull
+    def failed_calls():
+        for _ in range(3):
+            with open("/dev/full", "w") as full:
+                monkeypatch.setattr(sys, "stdout", full)
+                assert main(["search", mixed_path]) == 1
+        monkeypatch.undo()
+        return len(os.listdir("/proc/self/fd"))
+    opened = failed_calls()
+    assert failed_calls() == opened
+    assert capsys.readouterr().err.count("cannot write output") == 6
+
+
+# -- one reader for call after call -------------------------------------------
+# main() reads each call's argv into a fresh namespace; a usage error or
+# --help must leave the next call as a fresh process would see it
 
 def fresh_process(argv):
     """(exit code, stdout, stderr) of the command in a new interpreter."""
@@ -585,12 +615,10 @@ def fresh_process(argv):
     return proc.returncode, proc.stdout, proc.stderr
 
 
-def test_the_shared_parser_serves_call_after_call(capsys, monkeypatch):
+def test_the_shared_parser_serves_call_after_call(capsys):
     import hashlib
     from lyubeznik.corpus import _data_dir
     from test_cli_digests import DIGESTS
-    # the help text wraps at the terminal width; fix it for both sides
-    monkeypatch.setenv("COLUMNS", "80")
     recorded = json.loads(DIGESTS.read_text())
     name = "mixed_powers_xyz"
     path = str(_data_dir() / f"{name}.ideal")
@@ -612,31 +640,15 @@ def test_the_shared_parser_serves_call_after_call(capsys, monkeypatch):
             digest = hashlib.sha256(got[1].encode()).hexdigest()
             assert f"{got[0]} {digest}" == recorded[key], argv
 
-    built = []
-    original = argparse.ArgumentParser.__init__
 
-    def counted(self, *args, **kwargs):
-        built.append(self)
-        original(self, *args, **kwargs)
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
-    assert run_cli(capsys, "covers", "--format", "json", path)[0] == 0
-    assert built == []
-
-
-def test_importing_the_cli_builds_no_parser():
-    probe = ("import argparse\n"
-             "built = []\n"
-             "original = argparse.ArgumentParser.__init__\n"
-             "def counted(self, *args, **kwargs):\n"
-             "    built.append(self)\n"
-             "    original(self, *args, **kwargs)\n"
-             "argparse.ArgumentParser.__init__ = counted\n"
-             "import lyubeznik.cli\n"
-             "print(len(built))\n")
+def test_importing_the_cli_imports_no_argparse():
+    # the command line is read without argparse, and so without gettext
+    probe = ("import sys, lyubeznik.cli\n"
+             "print(sorted({'argparse', 'gettext'} & set(sys.modules)))\n")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "0\n"
+    assert proc.stdout == "[]\n"
 
 
 # -- warnings and interrupts --------------------------------------------------

@@ -53,7 +53,8 @@ from lyubeznik import (all_ideals, analyze, cover_clutter, covers_of,
                        e_minimal_covers_of, identity_order, is_cover_of,
                        parse_order, read_ideal, taylor_betti,
                        verify_resolution_report)
-from lyubeznik.cli import _request, build_parser, main
+from lyubeznik.cli import _request, main
+from lyubeznik.cmdline import read_argv
 from lyubeznik.corpus import _data_dir
 from lyubeznik.covers import _listing_rows, cover_table
 from lyubeznik.jsontext import (_Fragment, _betti_fields, _covers_fragments,
@@ -99,7 +100,7 @@ def expanded(value):
 @pytest.mark.parametrize("key,words,filename", cases(),
                          ids=[key for key, _, _ in cases()])
 def test_writer_matches_json_dumps_on_every_cli_payload(key, words, filename):
-    args = build_parser().parse_args(
+    args = read_argv(
         [words[0], "--format", "json", *words[1:],
          str(_data_dir() / filename)])
     with warnings.catch_warnings():
@@ -176,7 +177,7 @@ def covers_payload(ideal, directory):
     path = os.path.join(directory, "seeded.ideal")
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(ideal_file_text(ideal))
-    args = build_parser().parse_args(["covers", "--format", "json", path])
+    args = read_argv(["covers", "--format", "json", path])
     payload, _ = _request(args)
     return {"schema": 1, "command": args.command, **payload}
 
@@ -378,7 +379,7 @@ def plain_rows(words, ideal):
 
 
 def check_rows(words, path):
-    args = build_parser().parse_args(
+    args = read_argv(
         [words[0], "--format", "json", *words[1:], str(path)])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

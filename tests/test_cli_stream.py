@@ -23,7 +23,8 @@ import tracemalloc
 import pytest
 
 import lyubeznik.cli as cli
-from lyubeznik.cli import _request, build_parser, main
+from lyubeznik.cli import _request, main
+from lyubeznik.cmdline import read_argv
 from lyubeznik.subsets import tables_for
 
 MIXED = "vars x y z\ngen x^2*y\ngen y^2*z\ngen x^3\ngen y^3\ngen z^3\n"
@@ -112,7 +113,7 @@ def test_covers_json_streams_at_the_cli_bound(pool):
 
 def test_covers_text_is_the_lines_joined(pool):
     path = str(pool[0] / "p12-00.ideal")
-    _, text = _request(build_parser().parse_args(["covers", path]))
+    _, text = _request(read_argv(["covers", path]))
     lines = [line for block in text() for line in block]
     buffer = io.StringIO()
     assert run_into(buffer, ["covers", path]) == 0
