@@ -21,7 +21,7 @@ from functools import lru_cache
 from .invariants import search_scan
 from .monomials import (BoundExceededError, Monomial, MonomialIdeal,
                         ParseError, VariableContext, _NAME_RE,
-                        _directive_lines)
+                        _directive_lines, _read_text)
 from .subsets import MAX_TABLE_GENERATORS
 
 
@@ -113,10 +113,8 @@ def parse_graph(text: str) -> SimpleGraph:
 
 
 def read_graph(path) -> SimpleGraph:
-    """parse_graph on the contents of a file, decoded as UTF-8 with a
-    leading byte-order mark skipped."""
-    with open(path, "r", encoding="utf-8-sig") as handle:
-        return parse_graph(handle.read())
+    """parse_graph on the contents of a file (``monomials._read_text``)."""
+    return parse_graph(_read_text(path))
 
 
 # one entry: ``graph --edge-ideal --check-props`` prints the graph's

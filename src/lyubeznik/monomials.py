@@ -550,12 +550,20 @@ def parse_ideal(text: str) -> MonomialIdeal:
     return MonomialIdeal._minimal(context, _minimized(context, rows, lines))
 
 
-def read_ideal(path) -> MonomialIdeal:
-    """parse_ideal on the contents of a file, decoded as UTF-8 with a
-    leading byte-order mark skipped.
+def _read_text(path) -> str:
+    """A file's contents, decoded as UTF-8 with one leading byte-order
+    mark dropped.
 
     The bytes are decoded whole, without a text layer: ``splitlines``
     breaks lines at ``\\r``, ``\\n`` and ``\\r\\n`` as universal newlines
-    would, and a decoding error is the same ``UnicodeDecodeError``."""
+    would.  The mark is dropped by hand, not by the ``utf-8-sig`` codec,
+    whose module a request would import; a decoding error reads the
+    same, the codec named ``'utf-8'`` and positions counted after the
+    mark."""
     with open(path, "rb") as handle:
-        return parse_ideal(handle.read().decode("utf-8-sig"))
+        return handle.read().removeprefix(b"\xef\xbb\xbf").decode("utf-8")
+
+
+def read_ideal(path) -> MonomialIdeal:
+    """parse_ideal on the contents of a file (``_read_text``)."""
+    return parse_ideal(_read_text(path))

@@ -16,7 +16,11 @@ i in V_a.  If lcm(S) = a and i is not in S, then lcm(S + i) = a too, so
 S <-> S + i matches every set of the strand that lacks i.  The matched
 pairs carry the coefficient +-1 and each pair is toggled by one fixed
 element, so the matching is acyclic.  The critical sets are the S that
-hold i with lcm(S - i) != a.  A gradient path from a critical c goes
+hold i with lcm(S - i) != a.  Since lcm(S - i) = lcm(S) exactly when
+m_i divides lcm(S - i), the matching is the cover relation: S is
+critical when it holds i and i is not covered in S (the subset tables'
+``covered_mask``), and the choice of i below counts these uncovered
+members class by class.  A gradient path from a critical c goes
 down to some c - j, j != i, and then up along the matching; but c - j
 still holds i, so it is either critical or matched with the smaller
 c - j - i, and the path ends after one step.  The Morse differential is
@@ -104,9 +108,9 @@ vertex set: every member of V_a divides a, so lcm(V_a) = a and distinct
 multidegrees have distinct vertex sets.  Both the Betti numbers and the
 exactness check read this one grouping of the masks (``_lcm_classes``).
 It names each lattice point by the exponent tuple of its vertex set
-alone, gathered from the subset tables' lcm ranks in one pass
-(``SubsetTables.lcm_tuples``): the oracle never builds the tuples of
-all 2^mu masks (``lcm_exps``).  The classes also keep each lattice
+alone, computed from the generators' exponent rows for these masks
+only (``SubsetTables.lcm_tuples``): the oracle never builds the tuples
+of all 2^mu masks (``lcm_exps``).  The classes also keep each lattice
 point's ``monomial_text`` (``texts``), written on first read and shared
 by every request on the ideal, which ``oracle-betti``'s multigraded
 rows over every field and ``verify``'s rows write.
@@ -194,10 +198,12 @@ class _Strands:
               every lattice point a whose strand keeps a critical mask
 
     For every class a and generator i in V_a, count the masks of the
-    class that hold i and lose the lcm without it; the generator with
-    the fewest (the lowest on a tie) is the class's pivot, and its
-    critical masks are listed in ascending order.  Classes with no
-    critical mask are left out: their strands are acyclic.
+    class that hold i uncovered, and so lose the lcm without it: one
+    ``bincount`` of the classes per bit.  The generator with the fewest
+    (the lowest on a tie) is the class's pivot, and the masks that hold
+    their class's pivot uncovered are its critical masks, listed in
+    ascending order.  Classes with no critical mask are left out: their
+    strands are acyclic.
 
     The homology is ranked once, over Z, on first read (``homology``):
     each strand's rank certificates are kept where they are not all
@@ -211,26 +217,23 @@ class _Strands:
         classes = tables.derived(_LcmClasses)
         class_of = classes.class_of
         mu = tables.mu
-        n = len(classes.vertex_sets)
-
-        fewest = np.full(n, len(class_of))
-        pivot = np.zeros(n, np.int64)
-        for b in range(mu):
-            bit = 1 << b
-            # the masks that hold the bit, against the same masks without it
-            count = sum(np.bincount(high[high != low], minlength=n)
-                        for low, high in bit_pairs(class_of, b))
-            # no mask of a class holds a generator outside its V_a, so that
-            # generator's count reads 0; it matches nothing and is never a
-            # pivot
-            better = (count < fewest) & (classes.vertex_sets & bit != 0)
-            fewest[better] = count[better]
-            pivot[better] = bit
-        # a mask without its class's pivot keeps its class with it, so only
-        # the masks that hold the pivot can change class without it
-        masks = np.arange(1, len(class_of))
+        masks = np.arange(1, tables.size)
         cls = class_of[1:]
-        chosen = masks[class_of[masks ^ pivot[cls]] != cls]
+        # the members whose deletion moves each mask out of its class,
+        # in the smallest unsigned dtype that holds mu bits
+        uncovered = (masks & ~tables.covered_mask[1:]).astype(
+            np.min_scalar_type(tables.size - 1))
+
+        count = np.empty((mu, len(classes.vertex_sets)), np.int64)
+        for b in range(mu):
+            count[b] = np.bincount(cls[uncovered & 1 << b != 0],
+                                   minlength=count.shape[1])
+        # no mask of a class holds a generator outside its V_a: that
+        # generator matches nothing and is never a pivot
+        outside = classes.vertex_sets >> np.arange(mu)[:, None] & 1 == 0
+        count[outside] = tables.size
+        pivot = 1 << count.argmin(axis=0)
+        chosen = masks[uncovered & pivot[cls] != 0]
 
         critical: dict[tuple[int, ...], dict[int, list[int]]] = {}
         for mask, c, t in zip(chosen.tolist(), class_of[chosen].tolist(),

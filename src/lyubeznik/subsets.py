@@ -1,52 +1,49 @@
 """Bitmask tables over the subset lattice of a generator set.
 
 Subsets of the generators {1..mu} are encoded as mu-bit integers, bit
-(i-1) standing for generator i.  Everything that depends only on the
-ideal (lcms, divisor sets, cover membership) is tabulated once here and
-shared by every total order: per-order work then reduces to rank
+(i-1) standing for generator i.  The divisor sets and cover membership
+of every subset depend only on the ideal; they are tabulated once here
+and shared by every total order: per-order work then reduces to rank
 comparisons against these masks.  What is derived from the tables
 alone (the cover table, the searches' closed masks, the oracle's lcm
 classes and strands) is kept with them (``SubsetTables.derived``), so
 the one entry of ``tables_for`` decides how long an ideal's state lives.
 
-The tables are built in rank space, by whole-array numpy passes over
-the 2^mu masks, a constant number per generator or variable.  Each
-variable's exponents are first replaced by their rank, the number of
-smaller exponents of that variable among the generators and 0, counted
-by comparing the generators pairwise; divisibility and lcms only
-compare exponents, and the ranks keep their order, so ranks answer them
-exactly.  The lcm ranks are taken by doubling over the bits, as an int8
-array of shape (variables, 2^mu); the divisor masks are the AND over the
-variables of a small per-rank table, "the generators whose exponent is
-at most this rank", gathered at the lcm ranks, one gather per
-variable; the cover masks take one OR per bit over the split of the
-masks by that bit (``bit_pairs``).  These mask passes run on the
-smallest unsigned dtype that holds mu bits (at most a quarter of
+The tables are built by whole-array numpy passes over the 2^mu masks,
+a constant number per generator or variable, and hold no lcm.  A
+generator g divides lcm(m) exactly when, for every variable, some
+member of m has an exponent at least g's; for each variable, the
+generators whose exponent is at most a member's form nested sets, and
+their OR over m's members is built for all masks by doubling over the
+bits, on a (variables, 2^mu) array.  The divisor masks are its AND
+over the variables; the cover masks take one OR per bit over the split
+of the masks by that bit (``bit_pairs``).  These mask passes run on
+the smallest unsigned dtype that holds mu bits (at most a quarter of
 int64's bytes), and the two mask tables are widened once into the
-read-only int64 arrays they are kept as, so the consumers' numpy passes
-read them as they are; a public function that hands back one entry
-converts it to a Python int.  A set's possible courts are its divisor
-mask less its members.  The
-lcm ranks are kept with each variable's rank-to-exponent array, and
-become exponent tuples of Python ints, exact up to ``EXPONENT_LIMIT``,
-only for the masks a caller names, by one gather of the ranks
-(``lcm_tuples``): the Betti counts from preserved sets (``invariants``)
-gather their faces' tuples and the oracle its lattice points', and hash
-them as dict keys.  ``lcm_exps``, the tuples of all 2^mu masks from the
-same gather, is built on its first read (or ``lcm_monomial``'s), and
-nothing in the library reads it: the benchmark's generator, tracer and
-output checks and CI's Euler-characteristic step do.  The complex, the
-covers and the order searches read no lcm tuples at all.  The lattice
-passes other modules need are here too, one OR per bit each
-(``up_closure`` and ``one_smaller``), and the split they make of a
-mask array into the masks without and with a bit (``bit_pairs``),
-which the tables' covered-mask pass and the oracle's matchings and
-cones read as well: no other module reshapes a mask array.  The split
-decides every pass's memory layout.  The masks without bit b come in
-runs of 2^b, so one reshaped pair of views walks rows of 2^b elements;
-at bits 1 and 2 of a long array numpy's cost per row is most of such a
-pass, and the split hands out instead one pair of long strided columns
-per offset in the run.
+read-only int64 arrays they are kept as, so the consumers' numpy
+passes read them as they are; a public function that hands back one
+entry converts it to a Python int.  A set's possible courts are its
+divisor mask less its members.  The generators' int64 exponent rows
+are kept with the tables, and the lcms become exponent tuples of
+Python ints, exact up to ``EXPONENT_LIMIT``, only for the masks a
+caller names, by one masked maximum of the rows per generator
+(``lcm_tuples``): the Betti counts from preserved sets
+(``invariants``) compute their faces' tuples and the oracle its
+lattice points', and hash them as dict keys.  ``lcm_exps``, the tuples
+of all 2^mu masks from the same call, is built on its first read (or
+``lcm_monomial``'s), and nothing in the library reads it: the
+benchmark's generator, tracer and output checks and CI's
+Euler-characteristic step do.  The complex, the covers and the order
+searches read no lcm tuples at all.  The lattice passes other modules
+need are here too, one OR per bit each (``up_closure`` and
+``one_smaller``), and the split they make of a mask array into the
+masks without and with a bit (``bit_pairs``), which the tables'
+covered-mask pass and the oracle's cones read as well: no other module
+reshapes a mask array.  The split decides every pass's memory layout.
+The masks without bit b come in runs of 2^b, so one reshaped pair of
+views walks rows of 2^b elements; at bits 1 and 2 of a long array
+numpy's cost per row is most of such a pass, and the split hands out
+instead one pair of long strided columns per offset in the run.
 
 Tables cost O(2^mu) memory, so construction refuses ideals with more
 than MAX_TABLE_GENERATORS generators, before it allocates anything.
@@ -166,45 +163,47 @@ def one_smaller(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _exponent_ranks(ideal: MonomialIdeal) -> tuple[np.ndarray, np.ndarray]:
-    """(rank, values): ``rank[g, v]``, an int8 array of shape (mu, n), is
-    the rank of generator g+1's exponent of variable v: the number of
-    smaller exponents of v among the generators and 0, so that equal
-    exponents share a rank and the order is kept.  ``values[v, r]``, an
-    int64 array of shape (n, mu + 1), is the exponent of rank r (0 at a
-    rank no exponent takes).
+def _divisor_masks(rows: np.ndarray, narrow: np.dtype) -> np.ndarray:
+    """The generators dividing the lcm of each mask, as a ``narrow``
+    array over the 2^mu masks, from the (mu, n) exponent rows.
 
-    The ranks come from comparing the (mu + 1)^2 pairs of exponent rows,
-    a zero row first.  Sorting the columns would do the same; at
-    mu <= 16 the pairs are as cheap, and numpy's sort kernels add about
-    0.3 MiB of peak resident memory to a process that sorts nothing
-    else.
+    g divides lcm(m) iff every variable has a member of m whose
+    exponent is at least g's.  ``at_most[i, v]`` holds the generators
+    whose exponent of v is at most generator i+1's; their OR over m's
+    members is taken for all masks by doubling over the bits (the masks
+    with top bit b are those below 2^b joined with generator b+1), and
+    the divisor mask is its AND over the variables.  No generator is 1,
+    so none divides the empty mask's lcm.  The (n, 2^mu) array of ORs
+    is freed on return, before the tables are widened.
     """
-    exps = np.zeros((ideal.mu + 1, len(ideal.context)), np.int64)
-    exps[1:] = [m.exponents for m in ideal.gens]
-    rank = (exps[None, :, :] < exps[:, None, :]).sum(axis=1, dtype=np.int8)
-    values = np.zeros(exps.shape[::-1], np.int64)
-    values[np.arange(exps.shape[1]), rank] = exps
-    return rank[1:], values
+    mu = len(rows)
+    bits = np.ones(1, narrow) << np.arange(mu, dtype=narrow)
+    at_most = ((rows[None, :, :] <= rows[:, None, :])
+               * bits[None, :, None]).sum(axis=1, dtype=narrow)
+    reach = np.zeros((rows.shape[1], 1 << mu), narrow)
+    for b in range(mu):
+        low = 1 << b
+        np.bitwise_or(reach[:, :low], at_most[b, :, None],
+                      out=reach[:, low:2 * low])
+    return np.bitwise_and.reduce(reach, axis=0)
 
 
 class SubsetTables:
     """Order-free per-ideal tables indexed by subset mask.
 
-    lcm_exps[mask]   exponent tuple of lcm of the subset (None for mask 0)
     divisor_mask[m]  generators dividing lcm(m) (the complete cover of m):
                      its members and the possible courts of m
     covered_mask[m]  members u of m with m_u | lcm(m minus u)
 
-    The two mask tables are read-only int64 arrays of shape (2^mu,);
-    ``lcm_exps`` is a list of tuples of Python ints, hashable as keys,
-    built from the int8 lcm ranks on its first read.  ``lcm_tuples``
-    gathers the tuples of the named masks only, from the same ranks,
-    which stay: the library reads the lcms that way.
+    The two mask tables are read-only int64 arrays of shape (2^mu,).
+    The lcms are not tabulated: ``lcm_tuples`` computes those of the
+    masks a caller names from the generators' exponent rows, and
+    ``lcm_exps``, a list of tuples of Python ints for every mask (None
+    for mask 0), is built by it on its first read.
     """
 
-    __slots__ = ("ideal", "mu", "size", "_lcm", "_values", "_lcm_exps",
-                 "_derived", "divisor_mask", "covered_mask")
+    __slots__ = ("ideal", "mu", "size", "_rows", "_lcm_exps", "_derived",
+                 "divisor_mask", "covered_mask")
 
     def __init__(self, ideal: MonomialIdeal) -> None:
         mu = ideal.mu
@@ -215,31 +214,13 @@ class SubsetTables:
         self.ideal = ideal
         self.mu = mu
         self.size = 1 << mu
-        rank, values = _exponent_ranks(ideal)
-        nvars = rank.shape[1]
-
-        # lcm ranks by doubling: the masks with top bit b are those below
-        # 2^b joined with generator b+1, and mask 0 stays rank 0 (the
-        # exponent 0).  Rows are variables.
-        lcm = np.zeros((nvars, self.size), np.int8)
-        for b in range(mu):
-            low = 1 << b
-            np.maximum(lcm[:, :low], rank[b, :, None], out=lcm[:, low:2 * low])
+        rows = np.array([m.exponents for m in ideal.gens], np.int64)
 
         # the mask passes run on the smallest unsigned dtype that holds mu
         # bits, uint16 at most, and the tables are widened once at the end:
         # at mu 14 and 16 the build takes about a third less time
         narrow = np.min_scalar_type(self.size - 1)
-
-        # below[v, r]: the generators whose exponent of variable v has
-        # rank at most r; g divides lcm(m) iff it is in below[v, lcm[v, m]]
-        # for every v
-        bits = np.ones(1, narrow) << np.arange(mu, dtype=narrow)
-        below = ((rank[:, :, None] <= np.arange(mu + 1, dtype=np.int8))
-                 * bits[:, None, None]).sum(axis=0, dtype=narrow)
-        div = below[0].take(lcm[0])
-        for v in range(1, nvars):
-            div &= below[v].take(lcm[v])
+        div = _divisor_masks(rows, narrow)
 
         # u is covered in m when divisor_mask[m minus u] holds u; for
         # m = u that is the empty mask, whose divisor mask is 0
@@ -251,21 +232,24 @@ class SubsetTables:
                 high |= low & bit
         div, cov = div.astype(np.int64), cov.astype(np.int64)
 
-        self._lcm = lcm
-        self._values = values
+        self._rows = rows
         self._lcm_exps = None
         self._derived = {}
         self.divisor_mask = div
         self.covered_mask = cov
         # the tables are cached and shared: an in-place write must raise
-        for table in (lcm, div, cov):
+        for table in (div, cov):
             table.flags.writeable = False
 
     def lcm_tuples(self, masks) -> list[tuple[int, ...]]:
         """The exponent tuples of the lcms of ``masks`` (an int sequence
-        or array), by one gather of the lcm ranks; the empty mask's is
-        the zero tuple."""
-        exps = np.take_along_axis(self._values, self._lcm[:, masks], axis=1)
+        or array), one masked maximum of the exponent rows per
+        generator; the empty mask's is the zero tuple."""
+        masks = np.asarray(masks, np.int64)
+        held = masks >> np.arange(self.mu)[:, None] & 1 != 0
+        exps = np.zeros((self._rows.shape[1], len(masks)), np.int64)
+        for row, member in zip(self._rows, held):
+            np.maximum(exps, row[:, None], out=exps, where=member)
         return list(zip(*exps.tolist()))
 
     def derived(self, build):

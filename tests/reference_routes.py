@@ -63,9 +63,21 @@ monomials.
   bitmasks (``oracle._cones``) replaced;
 * ``covered_by_gathers`` and ``critical_by_gathers``: the covered
   masks and the strands' critical masks by fancy-indexed gathers at
-  each mask with and without a bit, the routes the passes over the
-  views of ``subsets.bit_pairs`` (the tables' covered-mask pass and
-  ``oracle._Strands``' pivot counts) are compared with;
+  each mask with and without a bit, the routes the tables'
+  covered-mask pass over the views of ``subsets.bit_pairs`` and
+  ``oracle._Strands``' matching read off the covered masks are
+  compared with; ``homology_of_critical`` ranks the gathered strands
+  over each field, the route their homology over Z with its
+  certificates (``oracle._Strands.homology``) is compared with;
+* ``RankTables``: the divisor masks, covered masks and lcm tuples of
+  every subset from each variable's exponent ranks (the number of
+  smaller exponents of that variable among the generators and 0): the
+  lcm ranks of all 2^mu masks by doubling over the bits, the divisor
+  masks as the AND over the variables of a per-rank table "the
+  generators whose exponent is at most this rank" gathered at the lcm
+  ranks, and the lcm tuples by one gather of the ranks' exponents, the
+  route the OR-doubling of the "at most" masks and the masked maxima of
+  the exponent rows (``subsets.SubsetTables``) replaced;
 * ``preserved_betti``: the preserved-set counts keyed by the lcm tuples
   of ``lcm_exps``, which holds one tuple for every mask, the route the
   gather over the faces only (``SubsetTables.lcm_tuples``) replaced;
@@ -513,6 +525,43 @@ def covered_by_gathers(tables):
     return covered
 
 
+class RankTables:
+    """``divisor_mask``, ``covered_mask`` (by ``covered_by_gathers``)
+    and ``lcm_tuples`` of an ideal's subsets, read in exponent-rank
+    space."""
+
+    def __init__(self, ideal):
+        self.mu = mu = ideal.mu
+        self.size = 1 << mu
+        exps = np.zeros((mu + 1, len(ideal.context)), np.int64)
+        exps[1:] = [m.exponents for m in ideal.gens]
+        # rank[g, v]: the smaller exponents of v among the generators and
+        # 0 (row 0); values[v, r]: the exponent of rank r
+        rank = (exps[None, :, :] < exps[:, None, :]).sum(axis=1,
+                                                        dtype=np.int8)
+        self._values = np.zeros(exps.shape[::-1], np.int64)
+        self._values[np.arange(exps.shape[1]), rank] = exps
+        rank = rank[1:]
+        self._lcm = np.zeros((exps.shape[1], self.size), np.int8)
+        for b in range(mu):
+            low = 1 << b
+            np.maximum(self._lcm[:, :low], rank[b, :, None],
+                       out=self._lcm[:, low:2 * low])
+        # below[v, r]: the generators whose exponent of v has rank <= r
+        bits = 1 << np.arange(mu, dtype=np.int64)
+        below = ((rank[:, :, None] <= np.arange(mu + 1, dtype=np.int8))
+                 * bits[:, None, None]).sum(axis=0)
+        divisors = below[0].take(self._lcm[0])
+        for v in range(1, exps.shape[1]):
+            divisors &= below[v].take(self._lcm[v])
+        self.divisor_mask = divisors
+        self.covered_mask = covered_by_gathers(self)
+
+    def lcm_tuples(self, masks):
+        exps = np.take_along_axis(self._values, self._lcm[:, masks], axis=1)
+        return list(zip(*exps.tolist()))
+
+
 def critical_by_gathers(tables):
     """``oracle._Strands.critical``, with each class's pivot counts and
     its critical masks found by fancy-indexed gathers of ``class_of``
@@ -537,6 +586,18 @@ def critical_by_gathers(tables):
             critical.setdefault(classes.exponents[c], {}).setdefault(
                 mask.bit_count(), []).append(mask)
     return critical
+
+
+def homology_of_critical(critical, prime=None):
+    """{(level, exponents): homology rank} of the strands ``critical``
+    lists, as ``critical_by_gathers`` does, every multi-level strand
+    ranked over Q or GF(prime)."""
+    rank = _rank_function(prime)
+    homology = {}
+    for exps, by_size in critical.items():
+        for t, h in _strand_homology(by_size, rank).items():
+            homology[(t, exps)] = h
+    return homology
 
 
 def preserved_betti(ordered):

@@ -12,7 +12,7 @@ import pytest
 from lyubeznik import MonomialIdeal, OrderedIdeal, edge_ideal, parse_ideal
 from lyubeznik.cli import main
 from lyubeznik.cmdline import _FLAGS
-from lyubeznik.monomials import EXPONENT_LIMIT
+from lyubeznik.monomials import EXPONENT_LIMIT, _read_text
 from lyubeznik.oracle import _projective_dimension
 from lyubeznik.subsets import tables_for
 
@@ -534,6 +534,53 @@ def test_an_ideal_file_may_start_with_a_byte_order_mark(capsys, tmp_path):
 def test_a_graph_file_may_start_with_a_byte_order_mark(capsys, tmp_path):
     check_byte_order_mark_is_skipped(capsys, tmp_path, SQUARE_GRAPH,
                                      "graph", "--check-props")
+
+
+# one request of each command in both formats, in a fresh interpreter
+FRESH_REQUESTS = """\
+import contextlib, io, sys
+from lyubeznik.cli import main
+ideal, graph = sys.argv[1:]
+before = set(sys.modules)
+for fmt in ("text", "json"):
+    for argv in (["covers", ideal], ["complex", ideal], ["analyze", ideal],
+                 ["search", ideal], ["oracle-betti", ideal],
+                 ["verify", ideal], ["radical-gens", ideal],
+                 ["graph", "--edge-ideal", "--check-props", graph]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([*argv, "--format", fmt]) == 0, argv
+print(sorted(set(sys.modules) - before))
+"""
+
+
+def test_requests_import_no_module(tmp_path):
+    # the readers drop a byte-order mark themselves: the utf-8-sig
+    # codec's module would be imported by the first request
+    ideal, graph = tmp_path / "mixed.ideal", tmp_path / "square.graph"
+    ideal.write_bytes(b"\xef\xbb\xbf" + MIXED.encode())
+    graph.write_bytes(b"\xef\xbb\xbf" + SQUARE_GRAPH.encode())
+    proc = subprocess.run([sys.executable, "-c", FRESH_REQUESTS, str(ideal),
+                           str(graph)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("data", [
+    b"vars x\ngen x\xff\n", b"\xef\xbb\xbfvars x\ngen x\xff\n",
+    b"\xef\xbb\xbf\xc3", b"\xef\xbb", b"\xef\xbb\xbf\xef\xbb\xbfvars x\n",
+    b"\xef\xbb\xbf", b"vars x\ngen x\xef\xbb\xbf\n"])
+def test_files_read_as_the_utf_8_sig_codec_reads_them(capsys, tmp_path, data):
+    path = tmp_path / "file"
+    path.write_bytes(data)
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # the same refusal from both readers, positions after the mark
+        for command in (["analyze"], ["graph", "--check-props"]):
+            assert run_cli(capsys, *command, str(path)) == (
+                1, "", f"lyubeznik: error: {exc}\n"), command
+    else:
+        assert _read_text(path) == text
 
 
 def test_verify_refuses_before_the_chain_check(capsys, tmp_path, monkeypatch):

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lyubeznik import (BoundExceededError, divides, equivalence_audit,
-                       identity_order, l_length, lcm_of, parse_order,
-                       read_ideal, search_scan, taylor_betti,
-                       verify_resolution_report)
+from lyubeznik import (BoundExceededError, Monomial, divides, edge_ideal,
+                       equivalence_audit, identity_order, l_length, lcm_of,
+                       parse_order, read_graph, read_ideal, search_scan,
+                       taylor_betti, verify_resolution_report)
 from lyubeznik.cli import main
 from lyubeznik.complexes import order_analysis
 from lyubeznik.corpus import ideal_names, load_ideal
@@ -22,9 +22,11 @@ from lyubeznik.subsets import (SubsetTables, bit_pairs, indices_of,
                                up_closure)
 
 from conftest import exponent_ideal, xyz_ideal
-from reference_routes import (CoverWalk, cones_per_apex, covered_by_gathers,
-                              critical_by_gathers)
+from reference_routes import (CoverWalk, RankTables, cones_per_apex,
+                              covered_by_gathers, critical_by_gathers,
+                              homology_of_critical)
 from test_cli_routes import ideal_file_text
+from test_oracle import RP2
 from test_preserved_kernel import seeded_ideal
 from test_scan_kernel import exponent_rows, small_ideal
 
@@ -119,11 +121,22 @@ def test_lattice_passes_match_the_neighbours(mu, dtype):
     assert np.array_equal(closed, closure_by_gathers(marks))
 
 
+def pool_ideals(pool):
+    """(file name, ideal) for every input of the pool, a graph file by
+    its edge ideal."""
+    out, inputs = pool
+    for name in sorted(inputs):
+        if name.endswith(".graph"):
+            yield name, edge_ideal(read_graph(out / name))
+        else:
+            yield name, read_ideal(out / name)
+
+
 def test_passes_match_the_gathers_on_the_pool_at_mu_14_and_16(pool):
     # each lattice pass at 2^14 and 2^16 masks, where its low bits are
-    # strided columns: the covered masks, the clutter, the strands'
-    # critical masks and the cone verdicts, against routes that gather
-    # with fancy indices or walk the masks
+    # strided columns: the covered masks, the clutter and the cone
+    # verdicts, against routes that gather with fancy indices or walk
+    # the masks (the strands are checked on the whole pool below)
     out, inputs = pool
     names = [n for n in sorted(inputs) if n.startswith(("c14-", "c16-00"))]
     assert len(names) == 15
@@ -133,8 +146,6 @@ def test_passes_match_the_gathers_on_the_pool_at_mu_14_and_16(pool):
         assert np.array_equal(tables.covered_mask,
                               covered_by_gathers(tables)), name
         assert cover_table(ideal).clutter == CoverWalk(ideal).clutter, name
-        assert _critical_strands(ideal).critical == \
-            critical_by_gathers(tables), name
         classes = _lcm_classes(ideal)
         for word in inputs[name]["orders"][:1]:
             ordered = parse_order(word, ideal)
@@ -145,6 +156,40 @@ def test_passes_match_the_gathers_on_the_pool_at_mu_14_and_16(pool):
                 _cones(analysis.preserved, classes.vertex_sets, apexes),
                 cones_per_apex(analysis.preserved, classes.vertex_sets,
                                apexes)), (name, word)
+
+
+def check_strands(ideal, name=None):
+    """The strands' critical masks, read off the covered masks, and
+    their homology over Q and GF(2), ranked once over Z, against the
+    gathers of ``class_of`` ranked per field."""
+    strands = _critical_strands(ideal)
+    critical = critical_by_gathers(tables_for(ideal))
+    assert strands.critical == critical, name
+    for prime in (None, 2):
+        assert strands.homology(prime) == \
+            homology_of_critical(critical, prime), (name, prime)
+
+
+def test_strands_match_the_gathers_on_the_pool(pool):
+    mus = set()
+    for name, ideal in pool_ideals(pool):
+        check_strands(ideal, name)
+        mus.add(ideal.mu)
+    assert min(mus) == 7 and max(mus) == 16
+
+
+@settings(max_examples=40)
+@given(st.integers(2, 5).flatmap(exponent_rows))
+def test_strands_match_the_gathers_on_random_ideals(rows):
+    check_strands(small_ideal(rows, max_mu=10))
+
+
+def test_strands_match_the_gathers_on_the_rp2_ideal():
+    # the strand at x1*...*x6 has homology over GF(2) only
+    check_strands(RP2)
+    homology = _critical_strands(RP2).homology
+    assert homology(2).items() - homology().items() == {
+        ((3, (1,) * 6), 1), ((4, (1,) * 6), 1)}
 
 
 @pytest.mark.parametrize("mu", [12, 14])
@@ -202,8 +247,24 @@ def check_tables(ideal, masks=None):
         assert int(tables.divisor_mask[mask]) & ~mask == mask_of(outside)
         assert tables.covered_mask[mask] == mask_of(covered)
         assert str(tables.lcm_monomial(mask)) == str(lcm)
-    # the one gather names the empty mask's lcm by the zero tuple
+    # the empty mask's lcm is the zero tuple
     assert tables.lcm_tuples(checked) == lcms
+    check_rank_route(ideal)
+
+
+def check_rank_route(ideal):
+    """The tables of every mask equal those read in exponent-rank
+    space (``reference_routes.RankTables``)."""
+    tables, ranks = tables_for(ideal), RankTables(ideal)
+    assert np.array_equal(tables.divisor_mask, ranks.divisor_mask)
+    assert np.array_equal(tables.covered_mask, ranks.covered_mask)
+    masks = np.arange(tables.size)
+    lcms = ranks.lcm_tuples(masks)
+    assert tables.lcm_tuples(masks) == lcms
+    assert tables.lcm_exps[1:] == lcms[1:]
+    for mask in (1, tables.size >> 1, tables.size - 1):
+        assert tables.lcm_monomial(mask) == Monomial(ideal.context,
+                                                     lcms[mask])
 
 
 INLINE_IDEALS = {
@@ -259,19 +320,68 @@ def test_tables_at_sixteen_generators_match_on_sampled_masks():
     check_tables(ideal, masks)
 
 
-def test_tables_keep_the_lcms_as_int8_ranks_until_read():
+def limit_ideal(mu):
+    """``seeded_ideal(mu, 0)`` with its exponents 2 and 3 moved to
+    EXPONENT_LIMIT - 1 and EXPONENT_LIMIT, which keeps every
+    comparison of exponents."""
+    top = {0: 0, 1: 1, 2: EXPONENT_LIMIT - 1, 3: EXPONENT_LIMIT}
+    return exponent_ideal([[top[e] for e in m.exponents]
+                           for m in seeded_ideal(mu, 0).gens])
+
+
+@pytest.mark.parametrize("mu", range(1, 17))
+def test_tables_match_the_rank_route_at_the_exponent_limit(mu):
+    ideal = limit_ideal(mu)
+    assert ideal.mu == mu
+    if mu >= 4:
+        assert {EXPONENT_LIMIT - 1, EXPONENT_LIMIT} <= {
+            e for m in ideal.gens for e in m.exponents}
+    check_rank_route(ideal)
+
+
+def test_tables_match_the_rank_route_on_the_pool(pool):
+    mus = set()
+    for name, ideal in pool_ideals(pool):
+        check_rank_route(ideal)
+        mus.add(ideal.mu)
+    assert min(mus) == 7 and max(mus) == 16
+
+
+def test_tables_of_the_sixteen_variable_simplex():
+    # x1, ..., x16: a generator divides an lcm only as one of its
+    # members, and no member is covered
+    ideal = exponent_ideal([[int(i == j) for j in range(16)]
+                            for i in range(16)])
+    check_rank_route(ideal)
+    tables = tables_for(ideal)
+    assert np.array_equal(tables.divisor_mask, np.arange(tables.size))
+    assert not tables.covered_mask.any()
+    assert tables.lcm_exps[0b1010] == (0, 1, 0, 1) + (0,) * 12
+
+
+def test_tables_hold_no_subset_array_besides_the_two_masks():
+    # the lcms are computed for the masks a caller names, from the
+    # generators' exponent rows, and kept for all masks only once
+    # lcm_exps is read
     ideal = seeded_ideal(16, 1)
     tables_for.cache_clear()
     tables = tables_for(ideal)
-    assert tables._lcm.dtype == np.int8
-    assert tables._lcm.shape == (len(ideal.context), 2 ** 16)
-    assert tables._lcm_exps is None
-    assert tables.lcm_exps[-1] == ideal.lcm(ideal.indices()).exponents
-    # the tuples are one gather of the ranks, which the oracle and the
-    # preserved-set counts read gather by gather: the ranks stay
-    assert tables._lcm.dtype == np.int8
+
+    def arrays():
+        return {name: getattr(tables, name) for name in SubsetTables.__slots__
+                if isinstance(getattr(tables, name), np.ndarray)}
+    held = arrays()
+    assert {name for name, a in held.items() if a.size >= tables.size} \
+        == {"divisor_mask", "covered_mask"}
+    assert sum(a.size for name, a in held.items()
+               if name not in ("divisor_mask", "covered_mask")) \
+        == ideal.mu * len(ideal.context)
+    assert tables._lcm_exps is None and tables._derived == {}
     masks = [1, 12345, 2 ** 16 - 1]
-    assert tables.lcm_tuples(masks) == [tables.lcm_exps[m] for m in masks]
+    assert tables.lcm_tuples(masks) == [
+        ideal.lcm(indices_of(m)).exponents for m in masks]
+    assert tables._lcm_exps is None
+    assert arrays().keys() == held.keys()
 
 
 def test_complex_never_builds_the_lcm_tuples(tmp_path, capsys):
