@@ -490,7 +490,11 @@ def _directive_lines(text: str, directives: tuple[str, ...]
     yields (line number, directive, its 1-based column, the rest of the
     line, the rest's 0-based offset in the line).
     """
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    # lines end at \n, \r\n and \r only, as universal newlines end them:
+    # str.splitlines would also end them at \v, \f, \x1c-\x1e, \x85,
+    # U+2028 and U+2029, which inside a line read as blanks
+    for lineno, raw in enumerate(
+            text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), 1):
         word = raw.partition(" ")[0]
         if word in directives:
             # the common shape: a directive at column 1, then a space or
@@ -554,12 +558,12 @@ def _read_text(path) -> str:
     """A file's contents, decoded as UTF-8 with one leading byte-order
     mark dropped.
 
-    The bytes are decoded whole, without a text layer: ``splitlines``
-    breaks lines at ``\\r``, ``\\n`` and ``\\r\\n`` as universal newlines
-    would.  The mark is dropped by hand, not by the ``utf-8-sig`` codec,
-    whose module a request would import; a decoding error reads the
-    same, the codec named ``'utf-8'`` and positions counted after the
-    mark."""
+    The bytes are decoded whole, without a text layer: the directive
+    reader breaks lines at ``\\r``, ``\\n`` and ``\\r\\n`` only, as
+    universal newlines would.  The mark is dropped by hand, not by the
+    ``utf-8-sig`` codec, whose module a request would import; a
+    decoding error reads the same, the codec named ``'utf-8'`` and
+    positions counted after the mark."""
     with open(path, "rb") as handle:
         return handle.read().removeprefix(b"\xef\xbb\xbf").decode("utf-8")
 

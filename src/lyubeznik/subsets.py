@@ -32,14 +32,14 @@ caller names, by one masked maximum of the rows per generator
 lattice points', and hash them as dict keys.  ``lcm_exps``, the tuples
 of all 2^mu masks from the same call, is built on its first read (or
 ``lcm_monomial``'s), and nothing in the library reads it: the
-benchmark's generator, tracer and output checks and CI's
-Euler-characteristic step do.  The complex, the covers and the order
-searches read no lcm tuples at all.  The lattice passes other modules
-need are here too, one OR per bit each (``up_closure`` and
-``one_smaller``), and the split they make of a mask array into the
-masks without and with a bit (``bit_pairs``), which the tables'
-covered-mask pass and the oracle's cones read as well: no other module
-reshapes a mask array.  The split decides every pass's memory layout.
+benchmark's generator, tracer and output checks and the
+Euler-characteristic check past the bound (``ci/``) do.  The complex,
+the covers and the order searches read no lcm tuples at all.  The
+lattice passes other modules need are here too, one OR per bit each
+(``up_closure`` and ``one_smaller``), and the split they make of a
+mask array into the masks without and with a bit (``bit_pairs``),
+which the tables' covered-mask pass and the oracle's cones read as
+well: no other module reshapes a mask array.  The split decides every pass's memory layout.
 The masks without bit b come in runs of 2^b, so one reshaped pair of
 views walks rows of 2^b elements; at bits 1 and 2 of a long array
 numpy's cost per row is most of such a pass, and the split hands out

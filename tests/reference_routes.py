@@ -110,6 +110,7 @@ monomials.
 """
 
 import argparse
+import re
 import warnings
 from dataclasses import dataclass
 from itertools import combinations
@@ -730,8 +731,8 @@ def first_division(gens):
 def directive_lines(text, directives):
     """(line number, directive, its column, the rest of the line, the
     rest's offset) per directive line, every line matched by the
-    directive expression."""
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    directive expression; lines end at ``\\n``, ``\\r\\n`` or ``\\r``."""
+    for lineno, raw in enumerate(re.split(r"\r\n|\r|\n", text), 1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue

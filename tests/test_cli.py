@@ -516,24 +516,49 @@ def test_check_props_reads_graphs_with_many_vertices(capsys, tmp_path):
     assert len(rows) == 6 and not any(row["finding"] for row in rows)
 
 
-def check_byte_order_mark_is_skipped(capsys, tmp_path, text, *argv):
+def check_files_read_alike(capsys, tmp_path, contents, *argv):
+    """Each file's bytes give the first's exit code 0, stdout and empty
+    stderr, in both formats."""
     outputs = []
-    for name, prefix in (("plain", b""), ("marked", b"\xef\xbb\xbf")):
-        path = tmp_path / name
-        path.write_bytes(prefix + text.encode())
-        for fmt in ("text", "json"):
-            outputs.append(run_cli(capsys, *argv, "--format", fmt, str(path)))
-    assert outputs[0][0] == 0 and outputs[0][2] == ""
-    assert outputs[:2] == outputs[2:]
+    for k, data in enumerate(contents):
+        path = tmp_path / f"input-{k}"
+        path.write_bytes(data)
+        outputs.append([run_cli(capsys, *argv, "--format", fmt, str(path))
+                        for fmt in ("text", "json")])
+    assert outputs[0][0][0] == 0 and outputs[0][0][2] == ""
+    assert all(output == outputs[0] for output in outputs)
 
 
 def test_an_ideal_file_may_start_with_a_byte_order_mark(capsys, tmp_path):
-    check_byte_order_mark_is_skipped(capsys, tmp_path, MIXED, "analyze")
+    check_files_read_alike(capsys, tmp_path, [
+        MIXED.encode(), b"\xef\xbb\xbf" + MIXED.encode()], "analyze")
 
 
 def test_a_graph_file_may_start_with_a_byte_order_mark(capsys, tmp_path):
-    check_byte_order_mark_is_skipped(capsys, tmp_path, SQUARE_GRAPH,
-                                     "graph", "--check-props")
+    check_files_read_alike(capsys, tmp_path, [
+        SQUARE_GRAPH.encode(), b"\xef\xbb\xbf" + SQUARE_GRAPH.encode()],
+        "graph", "--check-props")
+
+
+# lines end at \n, \r\n and \r only; the other characters at which
+# str.splitlines breaks (\v, \f, \x1c-\x1e, \x85, U+2028, U+2029) read
+# as blanks inside a line, in a comment, a directive or a generator
+ODD_MIXED = ("# x, y\u2028and z\u2029in\x85mixed powers\n"
+             "vars x\x1cy\x1dz\x1e\r\n"
+             "gen x^2\x0c*y\rgen y^2\x0bz\ngen x^3\u2028\ngen y^3\ngen z^3\n")
+ODD_SQUARE = ("# a square\u2028with\x85breaks\n"
+              "vertex a\x1cb c\u2029d\n"
+              "edge a\x0cb\nedge b\x0bc\r\nedge c\x1dd\redge a\x1ed\n")
+
+
+def test_an_ideal_file_breaks_lines_at_newlines_only(capsys, tmp_path):
+    check_files_read_alike(capsys, tmp_path, [
+        MIXED.encode(), ODD_MIXED.encode()], "analyze")
+
+
+def test_a_graph_file_breaks_lines_at_newlines_only(capsys, tmp_path):
+    check_files_read_alike(capsys, tmp_path, [
+        SQUARE_GRAPH.encode(), ODD_SQUARE.encode()], "graph", "--check-props")
 
 
 # one request of each command in both formats, in a fresh interpreter

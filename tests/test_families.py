@@ -11,7 +11,8 @@ pinned here are cited, not checked against the sources offline:
 The least resolution length over all orders (``min_l``) is observed
 here, from the exact search, not taken from a source: it is the
 projective dimension on every family above, except the cycles C_n with
-n = 2 mod 3, where it is one more (C_14 reads (10, 9) in CI as well).
+n = 2 mod 3, where it is one more (C_14 reads (10, 9) in
+``ci/test_past_the_bound.py`` as well).
 
 An ideal whose generators fall into parts in disjoint sets of variables
 is the sum of its parts, and R/I is the tensor product of the parts'

@@ -1,4 +1,4 @@
-"""Every imported name in ``src/`` and ``tests/`` is used.
+"""Every imported name in ``src/``, ``tests/`` and ``ci/`` is used.
 
 Each module is parsed with ``ast``; a name an import binds counts as
 used when the module reads it anywhere (a bare name, or the base of an
@@ -13,7 +13,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted([*ROOT.joinpath("src").rglob("*.py"),
-                  *ROOT.joinpath("tests").rglob("*.py")])
+                  *ROOT.joinpath("tests").rglob("*.py"),
+                  *ROOT.joinpath("ci").rglob("*.py")])
 
 
 def imported_names(tree):

@@ -10,13 +10,16 @@ malformed, both must give the same tokens and columns, and the same
 ideal and warning text (with line numbers), or the same exception
 type, message, line and column: on hand-picked lines, on hypothesis
 texts whose lines end in ``\\n``, ``\\r\\n`` or ``\\r`` and hold tabs,
-``\\x0b``, NBSP, U+2003 and non-ASCII digits, and on every corpus and
-seed-1 pool file.  A canonical line never reaches the tokens, and gives
-what they give.  ``minimize_generators`` and the minimality check of
+NBSP, U+2003, non-ASCII digits and the other characters at which
+``str.splitlines`` breaks (``\\v``, ``\\f``, ``\\x1c``-``\\x1e``,
+``\\x85``, U+2028, U+2029), and on every corpus and seed-1 pool
+file.  A canonical line never reaches the tokens, and gives what they
+give.  ``minimize_generators`` and the minimality check of
 ``MonomialIdeal`` must agree with the pairwise routes, also on
 generators of mixed contexts.
 """
 
+import re
 import warnings
 from unittest import mock
 
@@ -36,7 +39,9 @@ FRAGMENTS = ["x", "y", "z", "w", "xy", "x1", "^", "*", "**", "2", "0", "10",
              "-", "-1", "-3", " ", "\t", "x^2", "y^3", "z^0", "x^10", "#", "!",
              "^^", str(EXPONENT_LIMIT), str(EXPONENT_LIMIT + 1), "x^" +
              str(EXPONENT_LIMIT), "\u00b2", "\u0663", "x^\u00b2", "1\u0663",
-             "\u00a0", "\u2003", "\x0b", "\u00e9"]
+             "\u00a0", "\u2003", "\x0b", "\u00e9",
+             # str.splitlines breaks lines here; the reader reads blanks
+             "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 
 junk_lines = st.lists(st.sampled_from(FRAGMENTS), min_size=1,
                       max_size=7).map(
@@ -76,7 +81,7 @@ def outcome(read, *args):
 
 
 def check_text(text):
-    for line in text.splitlines():
+    for line in re.split(r"\r\n|\r|\n", text):
         assert list(_tokenize(line)) == list(reference_routes.tokenize(line))
     assert outcome(parse_ideal, text) == \
         outcome(reference_routes.parse_ideal, text), text
@@ -101,6 +106,9 @@ def check_text(text):
     "vars x y z\ngen x*", "vars x y z\ngen x *", "vars x y z\ngen x^0",
     "vars x y z\ngen x^0*y", "vars x y z\ngen x^00*y^007",
     "vars x y z\r\ngen x*y\r\ngen\x0by\r\n", "vars x y\rgen x\rgen x",
+    # lines end at \n, \r\n and \r only
+    "vars x y\n# a\u2028b\ngen x", "vars x y\ngen x\x85gen y",
+    "vars x y\ngen x\x0c*y", "vars x\x1cy\x1dz\ngen y\x1e*z\u2029x",
     # exponents at and above the limit, in one factor and summed
     f"vars x y\ngen x^{EXPONENT_LIMIT}", f"vars x y\ngen x^{EXPONENT_LIMIT + 1}",
     f"vars x y\ngen x^{EXPONENT_LIMIT - 1}*x",
