@@ -1,35 +1,31 @@
-"""Graded and multigraded Betti tables.
+"""Graded and multigraded Betti tables of R/I.
 
-A table records counts beta_{i,a} indexed by homological index i and
-multidegree a (a monomial); the singly-graded table aggregates a to its
-total degree and is always derived from the multigraded one, so the two
-views cannot drift apart.  The ``subject`` tag says whether the entries
-describe the ideal I or the quotient R/I; the two are related by the
-index shift beta_{i+1}(R/I) = beta_i(I), which ``as_ideal`` and
-``as_quotient`` implement structurally.
+A table records counts beta_{i,a} of the quotient R/I, indexed by
+homological index i and multidegree a (an exponent tuple), with
+beta_{0,0} = 1 for the unit; the singly-graded table aggregates a to
+its total degree and is always derived from the multigraded one, so the
+two views cannot drift apart.  Every table the package builds is of the
+quotient, so ``subject`` is a class constant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
+from typing import ClassVar, Mapping
 
-from .monomials import Monomial, VariableContext, monomial_text
+from .monomials import VariableContext
 
 QUOTIENT = "quotient"
-IDEAL = "ideal"
 
 
 @dataclass(frozen=True)
 class BettiTable:
-    subject: str
     context: VariableContext
     entries: tuple[tuple[int, tuple[int, ...], int], ...]
+    subject: ClassVar[str] = QUOTIENT
 
     def __post_init__(self) -> None:
-        if self.subject not in (QUOTIENT, IDEAL):
-            raise ValueError(f"subject must be {QUOTIENT!r} or {IDEAL!r}")
         if self._first_unordered() is not None:
             # sorted only when given out of order; a key that still does
             # not ascend then is a duplicate
@@ -37,13 +33,12 @@ class BettiTable:
             duplicate = self._first_unordered()
             if duplicate is not None:
                 raise ValueError(f"duplicate entry for {duplicate}")
-        if self.subject == QUOTIENT:
-            # sorted, the entries at i = 0 come first, the zero tuple
-            # first among them
-            zero = (0,) * len(self.context)
-            if not self.entries or self.entries[0] != (0, zero, 1) or (
-                    len(self.entries) > 1 and self.entries[1][0] == 0):
-                raise ValueError("a quotient table must have exactly beta_{0,0} = 1")
+        # sorted, the entries at i = 0 come first, the zero tuple first
+        # among them
+        zero = (0,) * len(self.context)
+        if not self.entries or self.entries[0] != (0, zero, 1) or (
+                len(self.entries) > 1 and self.entries[1][0] == 0):
+            raise ValueError("a quotient table must have exactly beta_{0,0} = 1")
 
     def _first_unordered(self) -> tuple[int, tuple[int, ...]] | None:
         """Check every entry, and return the first key (i, multidegree)
@@ -63,20 +58,16 @@ class BettiTable:
         return unordered
 
     @classmethod
-    def from_multigraded(cls, subject: str, context: VariableContext,
+    def from_multigraded(cls, context: VariableContext,
                          counts: Mapping[tuple[int, tuple[int, ...]], int]
                          ) -> "BettiTable":
         # the keys are distinct, so this one sort leaves them ascending
         entries = tuple(sorted((i, exps, c) for (i, exps), c in counts.items() if c))
-        return cls(subject, context, entries)
+        return cls(context, entries)
 
     @cached_property
     def multigraded_raw(self) -> dict[tuple[int, tuple[int, ...]], int]:
         return {(i, exps): c for i, exps, c in self.entries}
-
-    @cached_property
-    def multigraded(self) -> dict[tuple[int, Monomial], int]:
-        return {(i, Monomial(self.context, exps)): c for i, exps, c in self.entries}
 
     @cached_property
     def graded(self) -> dict[tuple[int, int], int]:
@@ -87,35 +78,10 @@ class BettiTable:
             out[key] = out.get(key, 0) + c
         return out
 
-    def betti(self, i: int, j: int | None = None) -> int:
-        if j is None:
-            return sum(c for (k, _), c in self.graded.items() if k == i)
-        return self.graded.get((i, j), 0)
-
     @property
     def projective_dimension(self) -> int:
         return max(i for i, _, _ in self.entries)
 
-    def as_ideal(self) -> "BettiTable":
-        """Shift beta_{i+1}(R/I) = beta_i(I): drop the unit and reindex."""
-        if self.subject == IDEAL:
-            return self
-        counts = {(i - 1, exps): c for i, exps, c in self.entries if i >= 1}
-        return BettiTable.from_multigraded(IDEAL, self.context, counts)
-
-    def as_quotient(self) -> "BettiTable":
-        if self.subject == QUOTIENT:
-            return self
-        counts = {(i + 1, exps): c for i, exps, c in self.entries}
-        counts[(0, (0,) * len(self.context))] = 1
-        return BettiTable.from_multigraded(QUOTIENT, self.context, counts)
-
     def graded_rows(self) -> tuple[tuple[int, int, int], ...]:
         """(i, j, count) rows sorted numerically, for display."""
         return tuple(sorted((i, j, c) for (i, j), c in self.graded.items()))
-
-    def multigraded_rows(self) -> tuple[tuple[int, str, int], ...]:
-        """(i, multidegree string, count) rows in entry order."""
-        names = self.context.names
-        return tuple((i, monomial_text(names, exps), c)
-                     for i, exps, c in self.entries)

@@ -28,6 +28,7 @@ is *stable* when deleting any member strictly drops the lcm
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -152,7 +153,10 @@ def is_preserved(subset: Iterable[int], ordered: OrderedIdeal) -> bool:
 
 @dataclass(frozen=True)
 class LyubeznikComplex:
-    """All preserved subsets of the generators, as a simplicial complex."""
+    """All preserved subsets of the generators, as a simplicial complex.
+
+    ``dim`` and ``f_vector`` are read off its own ``faces``, which hold
+    the empty face, so reading them builds no order's tables again."""
 
     order: OrderedIdeal
     faces: frozenset[frozenset[int]]
@@ -161,16 +165,13 @@ class LyubeznikComplex:
     @cached_property
     def dim(self) -> int:
         """max |F| - 1; the empty complex {∅} has dimension -1."""
-        return order_analysis(self.order).dim
+        return max(map(len, self.faces)) - 1
 
     @cached_property
     def f_vector(self) -> tuple[int, ...]:
         """Entry t counts faces with t vertices (entry 0 is the empty face)."""
-        return order_analysis(self.order).f_vector
-
-    def faces_of_size(self, t: int) -> tuple[frozenset[int], ...]:
-        return tuple(sorted((f for f in self.faces if len(f) == t),
-                            key=lambda f: tuple(sorted(f))))
+        sizes = Counter(map(len, self.faces))
+        return tuple(sizes[t] for t in range(self.dim + 2))
 
 
 def lyubeznik_complex(ordered: OrderedIdeal) -> LyubeznikComplex:

@@ -77,9 +77,6 @@ class Cover:
         if not self.covered <= self.members:
             raise ValueError("covered elements must be members")
 
-    def sorted_members(self) -> tuple[int, ...]:
-        return tuple(sorted(self.members))
-
     def __str__(self) -> str:
         return "{" + ",".join(str(i) for i in sorted(self.members)) + "}"
 
@@ -166,8 +163,8 @@ class _CoverTable:
     subsets of preserved sets are preserved.  So ``analyze``,
     ``radical-gens`` and the searches read only the clutter; the
     ``covers`` command and ``e_minimal_covers_of`` read one generator's
-    E-minimal covers at a time as an array (``eminimal_of``), and
-    ``equivalence_audit`` reads ``eminimal``.
+    E-minimal covers at a time as an array (``eminimal_of``), and the
+    listing looks its masks up in ``eminimal``.
     """
 
     __slots__ = ("clutter", "eminimal", "_minimal_for")
@@ -223,10 +220,6 @@ class OrientedClutter:
                     raise ValueError(
                         f"clutter edges must form an antichain: "
                         f"{sorted(e)} is contained in {sorted(f)}")
-
-    def canonical_edges(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(sorted((tuple(sorted(e)) for e in self.edges),
-                            key=lambda t: (len(t), t)))
 
 
 def cover_clutter(ordered: OrderedIdeal) -> OrientedClutter:

@@ -23,7 +23,7 @@ from operator import mul
 
 from .complexes import order_analysis
 from .invariants import is_minimal_resolution
-from .monomials import Monomial, total_degree
+from .monomials import Monomial
 from .orders import OrderedIdeal
 from .subsets import indices_of, mask_of
 
@@ -50,7 +50,7 @@ class FormalPolynomial:
         # ascending total degree; earlier variables first among equals
         canon = tuple(sorted(
             self.terms,
-            key=lambda m: (total_degree(m),
+            key=lambda m: (m.degree,
                            tuple(-e for e in m.exponents))))
         object.__setattr__(self, "terms", canon)
 

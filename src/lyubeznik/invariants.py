@@ -31,14 +31,15 @@ from math import factorial
 
 import numpy as np
 
-from .betti import QUOTIENT, BettiTable
+from .betti import BettiTable
 from .complexes import order_analysis
 from .covers import cover_table
+from .linalg import check_prime
 from .monomials import MonomialIdeal
 from .oracle import _projective_dimension
 from .orders import OrderedIdeal
 from .prefix import PrefixWalk
-from .subsets import iter_bits, popcounts, tables_for
+from .subsets import popcounts, tables_for
 
 
 class NotMinimalError(ValueError):
@@ -96,63 +97,7 @@ def _preserved_betti(ordered: OrderedIdeal) -> BettiTable:
     for mask, exps in zip(faces, tables_for(ideal).lcm_tuples(faces)):
         key = (mask.bit_count(), exps)
         counts[key] = counts.get(key, 0) + 1
-    return BettiTable.from_multigraded(QUOTIENT, ideal.context, counts)
-
-
-@dataclass(frozen=True)
-class EquivalenceAudit:
-    """The five minimality conditions, evaluated independently."""
-
-    minimal: bool
-    covers_unpreserved: bool
-    cover_witness_condition: bool
-    eminimal_covers_unpreserved: bool
-    eminimal_witness_condition: bool
-
-    @property
-    def consistent(self) -> bool:
-        return (self.minimal == self.covers_unpreserved ==
-                self.cover_witness_condition ==
-                self.eminimal_covers_unpreserved ==
-                self.eminimal_witness_condition)
-
-
-def equivalence_audit(ordered: OrderedIdeal) -> EquivalenceAudit:
-    """Evaluate all five equivalent characterizations of minimality.
-
-    The witness conditions are checked literally: for every (E-minimal)
-    cover C there must be a non-empty D inside C whose complete cover
-    reaches below min(D) — for the E-minimal variant, additionally via
-    some v for which D plus v is an E-minimal cover of v.
-    """
-    emin_set = frozenset(cover_table(ordered.ideal).eminimal.tolist())
-    analysis = order_analysis(ordered)
-    tables = tables_for(ordered.ideal)
-    cover_masks = np.flatnonzero(tables.covered_mask).tolist()
-
-    def has_low_subset(cover: int, eminimal: bool) -> bool:
-        sub = cover
-        while sub:
-            # a court of sub is an outside divisor ranked below min(sub)
-            if analysis.court(sub):
-                if not eminimal:
-                    return True
-                out = int(tables.divisor_mask[sub]) & ~sub
-                if any(sub | (1 << v) in emin_set for v in iter_bits(out)):
-                    return True
-            sub = (sub - 1) & cover
-        return False
-
-    return EquivalenceAudit(
-        minimal=is_minimal_resolution(ordered),
-        covers_unpreserved=not any(analysis.preserved[m] for m in cover_masks),
-        cover_witness_condition=all(has_low_subset(m, False)
-                                    for m in cover_masks),
-        eminimal_covers_unpreserved=not any(analysis.preserved[m]
-                                            for m in emin_set),
-        eminimal_witness_condition=all(has_low_subset(m, True)
-                                       for m in emin_set),
-    )
+    return BettiTable.from_multigraded(ideal.context, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +260,8 @@ def search_scan(ideal: MonomialIdeal, *,
     (``prefix``).  ``tobsl`` climbs the clutter's edge sizes the same
     way, up to the largest, where no edge is left alive.
     """
+    if prime is not None:
+        check_prime(prime)
     return SearchResult(ideal, cover_table(ideal).clutter, prime)
 
 
@@ -326,15 +273,13 @@ def min_l_length(ideal: MonomialIdeal) -> tuple[int, OrderedIdeal]:
 
 @dataclass(frozen=True)
 class LyubeznikVerdict:
-    """Outcome of the Lyubeznik-ideal test over all ``scanned`` orders.
+    """Outcome of the Lyubeznik-ideal test over all mu! orders.
 
     Iterating yields ``(verdict, witness)``.
     """
 
     verdict: bool
     witness: OrderedIdeal | None
-    exact: bool
-    scanned: int
 
     def __iter__(self):
         return iter((self.verdict, self.witness))
@@ -345,18 +290,12 @@ def is_lyubeznik(ideal: MonomialIdeal) -> LyubeznikVerdict:
     scan = search_scan(ideal)
     witness = (OrderedIdeal(ideal, scan.tobsl_witness) if scan.lyubeznik
                else None)
-    return LyubeznikVerdict(scan.lyubeznik, witness, scan.exact, scan.scanned)
+    return LyubeznikVerdict(scan.lyubeznik, witness)
 
 
 def is_totally_lyubeznik(ideal: MonomialIdeal) -> bool:
     """Whether every order makes the Lyubeznik resolution minimal."""
     return search_scan(ideal).totally_lyubeznik
-
-
-def is_almost_lyubeznik(ideal: MonomialIdeal, *,
-                        prime: int | None = None) -> bool:
-    """Whether the best resolution length meets the projective dimension."""
-    return search_scan(ideal, prime=prime).almost_lyubeznik
 
 
 # ---------------------------------------------------------------------------
@@ -460,6 +399,8 @@ def analyze(ordered: OrderedIdeal, *, search: bool = False,
     same single search that decides the classification flags, and a
     squarefree ideal's lower bound is that search's ``projdim``.
     """
+    if prime is not None:
+        check_prime(prime)
     ideal = ordered.ideal
     obs = obstruction(ordered)
     minimal = obs == 0

@@ -27,10 +27,10 @@ ASCII digits and must be non-negative, and repeated factors multiply
 
 A canonical ``gen`` line, factors ``name`` or ``name^digits`` joined
 by ``*``, is read by splitting it at its stars and carets; any other
-line is split into tokens by one ``findall`` of a regular expression,
-the single source of parse errors, whose columns are found only for
-the error.  Names are looked up in a dict built once per context, and
-the exponent rows are checked as they are read, so the generators are
+line is split into tokens, with their columns, by one ``finditer``
+pass of a regular expression, the single source of parse errors.
+Names are looked up in a dict built once per context, and the
+exponent rows are checked as they are read, so the generators are
 built unchecked.  The distinct rows of a generating set are tested for
 divisibility with one numpy matrix, which holds every pair, and the
 ideal is built from the survivors without testing them again.
@@ -130,10 +130,6 @@ class VariableContext:
         exps[self.index(name)] = 1
         return Monomial(self, tuple(exps))
 
-    def parse(self, text: str) -> "Monomial":
-        """Parse a single monomial string, e.g. ``"x^2*y"``."""
-        return Monomial._unchecked(self, _read_monomial(text, self, None, 0))
-
 
 @dataclass(frozen=True)
 class Monomial:
@@ -226,15 +222,6 @@ def lcm_of(monomials: Iterable[Monomial]) -> Monomial:
             if e > exps[i]:
                 exps[i] = e
     return Monomial(first.context, tuple(exps))
-
-
-def total_degree(m: Monomial) -> int:
-    return m.degree
-
-
-def support(m: Monomial) -> frozenset[int]:
-    """0-based positions of the variables occurring in m."""
-    return frozenset(i for i, e in enumerate(m.exponents) if e > 0)
 
 
 def _rows_of(gens: list[Monomial]) -> list[tuple[int, ...]]:
@@ -391,20 +378,8 @@ def radical_ideal(ideal: MonomialIdeal) -> MonomialIdeal:
 # ideal file format
 # ---------------------------------------------------------------------------
 
-def _tokenize(text: str) -> Iterator[tuple[str, int]]:
-    """Yield (token, 1-based column) pairs, skipping whitespace."""
-    for match in _TOKEN_RE.finditer(text):
-        yield match.group(), match.start() + 1
-
-
-def _column(text: str, k: int, offset: int) -> int:
-    """The column of token ``k`` of ``text``, which starts at ``offset``
-    in its line; found again only for the error that names it."""
-    return list(_tokenize(text))[k][1] + offset
-
-
 def _read_monomial(text: str, context: VariableContext,
-                   line: int | None, offset: int) -> tuple[int, ...]:
+                   line: int, offset: int) -> tuple[int, ...]:
     """The exponent tuple of one monomial's text, checked: its names
     are the context's and its exponents ASCII digits, non-negative and
     at most ``EXPONENT_LIMIT``.
@@ -432,13 +407,17 @@ def _read_monomial(text: str, context: VariableContext,
 
 
 def _read_tokens(text: str, context: VariableContext,
-                 line: int | None, offset: int) -> tuple[int, ...]:
-    """``_read_monomial`` on any text: the tokens are read by one
-    ``findall`` and walked as strings, and the column of a token is
-    found only for the error that names it."""
-    tokens = _TOKEN_RE.findall(text)
-    if not tokens:
+                 line: int, offset: int) -> tuple[int, ...]:
+    """``_read_monomial`` on any text: the tokens and their columns are
+    read by one ``finditer`` pass, and the tokens walked as strings."""
+    found = list(_TOKEN_RE.finditer(text))
+    if not found:
         raise ParseError("expected a monomial", line, offset + 1)
+    tokens = [match[0] for match in found]
+
+    def column(k: int) -> int:
+        return found[k].start() + offset + 1
+
     positions = context._positions
     exps = [0] * len(positions)
     end = len(tokens)
@@ -450,35 +429,33 @@ def _read_tokens(text: str, context: VariableContext,
             raise ParseError(
                 f"unknown variable {tok!r}" if _NAME_RE.match(tok)
                 else f"expected a variable, got {tok!r}",
-                line, _column(text, k, offset))
+                line, column(k))
         k += 1
         if k < end and tokens[k] == "^":
             k += 1
             if k == end:
                 raise ParseError("expected an exponent after '^'", line,
-                                 _column(text, k - 1, offset))
+                                 column(k - 1))
             etok = tokens[k]
             if not (etok.isascii() and etok.isdigit()):
                 raise ParseError(
                     f"negative exponent {etok}" if etok.startswith("-")
                     else f"expected an exponent, got {etok!r}",
-                    line, _column(text, k, offset))
+                    line, column(k))
             exps[var] += int(etok)
             k += 1
         else:
             exps[var] += 1
         if exps[var] > EXPONENT_LIMIT:
             raise ExponentLimitError(
-                f"exponent of {tok!r} exceeds {EXPONENT_LIMIT}" +
-                (f" (line {line})" if line is not None else ""))
+                f"exponent of {tok!r} exceeds {EXPONENT_LIMIT} (line {line})")
         if k == end:
             return tuple(exps)
         # between factors a '*' is optional
         if tokens[k] == "*":
             k += 1
             if k == end:
-                raise ParseError("dangling '*'", line,
-                                 _column(text, k - 1, offset))
+                raise ParseError("dangling '*'", line, column(k - 1))
 
 
 def _directive_lines(text: str, directives: tuple[str, ...]

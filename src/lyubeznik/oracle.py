@@ -134,7 +134,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .betti import QUOTIENT, BettiTable
+from .betti import BettiTable
 from .complexes import order_analysis
 from .linalg import certified_rank, check_prime, exact_rank, rank_mod_p
 from .monomials import Monomial, MonomialIdeal, monomial_text
@@ -352,7 +352,7 @@ def taylor_betti(ideal: MonomialIdeal, *,
         check_prime(prime)
     counts = {(0, (0,) * len(ideal.context)): 1}
     counts.update(_critical_strands(ideal).homology(prime))
-    return BettiTable.from_multigraded(QUOTIENT, ideal.context, counts)
+    return BettiTable.from_multigraded(ideal.context, counts)
 
 
 def _projective_dimension(ideal: MonomialIdeal, *,

@@ -61,9 +61,6 @@ class OrderedIdeal:
         """0-based rank of generator i; rank 0 is the least generator."""
         return self._rank[i - 1]
 
-    def precedes(self, i: int, j: int) -> bool:
-        return self._rank[i - 1] < self._rank[j - 1]
-
     def sorted_by_rank(self, indices: Iterable[int]) -> tuple[int, ...]:
         return tuple(sorted(indices, key=lambda i: self._rank[i - 1]))
 

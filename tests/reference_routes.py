@@ -81,14 +81,21 @@ monomials.
 * ``preserved_betti``: the preserved-set counts keyed by the lcm tuples
   of ``lcm_exps``, which holds one tuple for every mask, the route the
   gather over the faces only (``SubsetTables.lcm_tuples``) replaced;
-* ``height``: the fewest variables meeting every support, searched over
-  the supports of the re-minimised radical as sets, the route the
-  bitmask search (``invariants.height``) replaced;
+* ``support`` and ``height``: a monomial's variables as a set, and the
+  fewest variables meeting every support, searched over the supports
+  of the re-minimised radical as sets, the route the bitmask search
+  (``invariants.height``) replaced;
+* ``equivalence_audit``: the five equivalent characterisations of
+  minimality, each read on its own (every cover or every E-minimal
+  cover unpreserved, or each with a subset that has a court), which
+  ``is_minimal_resolution``, the one route the library keeps, must
+  agree with;
 * ``monomial_text``: a monomial's text, built as ``Monomial.__str__``
   built it before the tuple formatter (``monomials.monomial_text``);
 * ``cover_listing``: the masks that cover anything, sorted by a Python
   key (size, then member tuple) and filtered per generator, the route
-  the numpy listing (``covers._listing_rows``) replaced;
+  the numpy listing (``covers._listing_rows``) replaced, and
+  ``canonical_edges``: a clutter's frozenset edges sorted the same way;
 * ``CoverWalk``: the E-minimal covers of each generator, their union
   and its inclusion-minimal members, by a walk over every mask and its
   one-smaller subsets, the route the numpy passes of
@@ -102,7 +109,7 @@ monomials.
   line through the directive expression (``directive_lines``), every
   ``gen`` line a ``tokenize`` token at a time (``parse_monomial``), and
   the ideal built by the checking constructor, the route that the
-  canonical-line split, the ``findall`` walk and the minimal ideal of
+  canonical-line split, the ``finditer`` walk and the minimal ideal of
   ``_minimized``'s survivors replaced;
 * ``argparse_parser``: the command line declared to argparse, one
   subparser per command, the route the table and the one-pass reader
@@ -118,17 +125,16 @@ from math import factorial
 
 import numpy as np
 
-from lyubeznik import (is_stable_symbol, monomials, orders_for_search,
-                       symbol_of, taylor_betti)
-from lyubeznik.betti import QUOTIENT, BettiTable
+from lyubeznik import (is_minimal_resolution, is_stable_symbol, monomials,
+                       orders_for_search, symbol_of, taylor_betti)
+from lyubeznik.betti import BettiTable
 from lyubeznik.cmdline import DEFAULT_MAX_EXHAUSTIVE, _field, _positive_int
 from lyubeznik.complexes import SubsetClass, order_analysis
 from lyubeznik.covers import cover_table
 from lyubeznik.monomials import (EXPONENT_LIMIT, ExponentLimitError,
                                  MinimizationWarning, Monomial,
                                  MonomialIdeal, ParseError,
-                                 VariableContext, divides, radical_ideal,
-                                 support)
+                                 VariableContext, divides, radical_ideal)
 from lyubeznik.oracle import (_LcmClasses, _critical_strands, _rank_function,
                               _strand_homology)
 from lyubeznik.subsets import (indices_of, iter_bits, popcounts, tables_for,
@@ -480,7 +486,7 @@ def full_strand_betti(ideal, prime=None):
     for exps, by_size in full_strands(ideal).items():
         for t, h in _strand_homology(by_size, rank).items():
             counts[(t, exps)] = h
-    return BettiTable.from_multigraded(QUOTIENT, ideal.context, counts)
+    return BettiTable.from_multigraded(ideal.context, counts)
 
 
 def per_field_betti(ideal, prime=None):
@@ -491,7 +497,7 @@ def per_field_betti(ideal, prime=None):
     for exps, by_size in _critical_strands(ideal).critical.items():
         for t, h in _strand_homology(by_size, rank).items():
             counts[(t, exps)] = h
-    return BettiTable.from_multigraded(QUOTIENT, ideal.context, counts)
+    return BettiTable.from_multigraded(ideal.context, counts)
 
 
 def table_projective_dimension(ideal, prime=None):
@@ -611,7 +617,68 @@ def preserved_betti(ordered):
     for mask in analysis.faces:
         key = (mask.bit_count(), lcm_exps[mask] if mask else zero)
         counts[key] = counts.get(key, 0) + 1
-    return BettiTable.from_multigraded(QUOTIENT, ideal.context, counts)
+    return BettiTable.from_multigraded(ideal.context, counts)
+
+
+def support(m):
+    """0-based positions of the variables occurring in m."""
+    return frozenset(i for i, e in enumerate(m.exponents) if e > 0)
+
+
+@dataclass(frozen=True)
+class EquivalenceAudit:
+    """The five minimality conditions, evaluated independently."""
+
+    minimal: bool
+    covers_unpreserved: bool
+    cover_witness_condition: bool
+    eminimal_covers_unpreserved: bool
+    eminimal_witness_condition: bool
+
+    @property
+    def consistent(self):
+        return (self.minimal == self.covers_unpreserved ==
+                self.cover_witness_condition ==
+                self.eminimal_covers_unpreserved ==
+                self.eminimal_witness_condition)
+
+
+def equivalence_audit(ordered):
+    """Evaluate all five equivalent characterizations of minimality.
+
+    The witness conditions are checked literally: for every (E-minimal)
+    cover C there must be a non-empty D inside C whose complete cover
+    reaches below min(D) — for the E-minimal variant, additionally via
+    some v for which D plus v is an E-minimal cover of v.
+    """
+    emin_set = frozenset(cover_table(ordered.ideal).eminimal.tolist())
+    analysis = order_analysis(ordered)
+    tables = tables_for(ordered.ideal)
+    cover_masks = np.flatnonzero(tables.covered_mask).tolist()
+
+    def has_low_subset(cover, eminimal):
+        sub = cover
+        while sub:
+            # a court of sub is an outside divisor ranked below min(sub)
+            if analysis.court(sub):
+                if not eminimal:
+                    return True
+                out = int(tables.divisor_mask[sub]) & ~sub
+                if any(sub | (1 << v) in emin_set for v in iter_bits(out)):
+                    return True
+            sub = (sub - 1) & cover
+        return False
+
+    return EquivalenceAudit(
+        minimal=is_minimal_resolution(ordered),
+        covers_unpreserved=not any(analysis.preserved[m] for m in cover_masks),
+        cover_witness_condition=all(has_low_subset(m, False)
+                                    for m in cover_masks),
+        eminimal_covers_unpreserved=not any(analysis.preserved[m]
+                                            for m in emin_set),
+        eminimal_witness_condition=all(has_low_subset(m, True)
+                                       for m in emin_set),
+    )
 
 
 def height(ideal):
@@ -646,6 +713,13 @@ def cover_listing(ideal):
                      key=lambda m: (m.bit_count(), indices_of(m)))
     return tuple(tuple(m for m in ordered if covered[m] >> b & 1)
                  for b in range(tables.mu))
+
+
+def canonical_edges(clutter):
+    """An ``OrientedClutter``'s edges as member tuples, by size then
+    members: the order the ``covers`` command lists them in."""
+    return tuple(sorted((tuple(sorted(e)) for e in clutter.edges),
+                        key=lambda t: (len(t), t)))
 
 
 class CoverWalk:

@@ -49,9 +49,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lyubeznik import (all_ideals, analyze, cover_clutter, covers_of,
-                       e_minimal_covers_of, identity_order, is_cover_of,
-                       parse_order, read_ideal, taylor_betti,
+from lyubeznik import (Monomial, all_ideals, analyze, cover_clutter,
+                       covers_of, e_minimal_covers_of, identity_order,
+                       is_cover_of, parse_order, read_ideal, taylor_betti,
                        verify_resolution_report)
 from lyubeznik.cli import _request, main
 from lyubeznik.cmdline import read_argv
@@ -65,7 +65,7 @@ from lyubeznik.subsets import indices_of, mask_of, tables_for
 
 from conftest import exponent_ideal, xyz_ideal
 
-from reference_routes import CoverWalk
+from reference_routes import CoverWalk, canonical_edges
 from reference_routes import cover_listing as python_cover_listing
 from test_cli_digests import cases
 from test_preserved_kernel import seeded_ideal
@@ -375,7 +375,8 @@ def plain_rows(words, ideal):
     if table is None:
         return None, {}
     return holder, {"graded": [list(r) for r in table.graded_rows()],
-                    "multigraded": [list(r) for r in table.multigraded_rows()]}
+                    "multigraded": [[i, str(Monomial(ideal.context, exps)), c]
+                                    for i, exps, c in table.entries]}
 
 
 def check_rows(words, path):
@@ -487,7 +488,7 @@ def reference_covers_lines(ordered) -> list[str]:
         lines.append(f"covers of generator {u} ({len(covers)}):")
         lines += ["  " + str(c) + ("  E-minimal" if c.members in eminimal
                                    else "") for c in covers]
-    edges = cover_clutter(ordered).canonical_edges()
+    edges = canonical_edges(cover_clutter(ordered))
     lines.append("clutter edges: " + (", ".join(
         "{" + ",".join(map(str, e)) + "}" for e in edges) or "(none)"))
     return lines

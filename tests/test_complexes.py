@@ -116,6 +116,11 @@ def test_preserved_requires_every_subset_unbroken():
 
 # -- the Lyubeznik complex ----------------------------------------------------
 
+def faces_of_size(complex_, t):
+    """The complex's faces with t vertices, as sorted tuples, ascending."""
+    return sorted(tuple(sorted(f)) for f in complex_.faces if len(f) == t)
+
+
 def test_mixed_powers_complex():
     ordered = identity_order(load_ideal("mixed_powers_xyz"))
     complex_ = lyubeznik_complex(ordered)
@@ -123,19 +128,32 @@ def test_mixed_powers_complex():
     assert complex_.f_vector == (1, 5, 7, 3)
     assert frozenset([1, 2]) in complex_.faces
     assert frozenset([3, 4]) not in complex_.faces
-    assert [sorted(f) for f in complex_.faces_of_size(3)] == [
-        [1, 2, 4], [1, 2, 5], [1, 3, 5]]
+    assert faces_of_size(complex_, 3) == [(1, 2, 4), (1, 2, 5), (1, 3, 5)]
 
 
 def test_five_gen_squarefree_complex_faces_match_admissible_lists():
     ordered = identity_order(load_ideal("five_gen_squarefree"))
     complex_ = lyubeznik_complex(ordered)
     assert complex_.f_vector == (1, 5, 8, 4)
-    assert [tuple(sorted(f)) for f in complex_.faces_of_size(2)] == [
+    assert faces_of_size(complex_, 2) == [
         (1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (3, 5), (4, 5)]
-    assert [tuple(sorted(f)) for f in complex_.faces_of_size(3)] == [
+    assert faces_of_size(complex_, 3) == [
         (1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 5)]
-    assert complex_.faces_of_size(4) == ()
+    assert faces_of_size(complex_, 4) == []
+
+
+def test_dim_and_f_vector_build_no_evicted_order_again():
+    # order_analysis keeps one entry, so the second complex evicts the
+    # first order's tables; the first complex's dim and f-vector are
+    # read off its own faces, with no miss
+    ideal = load_ideal("mixed_powers_xyz")
+    orders = [identity_order(ideal), OrderedIdeal(ideal, (5, 4, 3, 2, 1))]
+    complexes = [lyubeznik_complex(ordered) for ordered in orders]
+    misses = order_analysis.cache_info().misses
+    read = [(c.dim, c.f_vector) for c in complexes]
+    assert order_analysis.cache_info().misses == misses
+    assert read == [(order_analysis(o).dim, order_analysis(o).f_vector)
+                    for o in orders]
 
 
 def test_faces_are_downward_closed_and_facets_maximal():

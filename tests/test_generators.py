@@ -107,8 +107,8 @@ def faces_route(ordered):
     out = []
     for s in range(1, lam + 1):
         terms = {ideal.gen(ordered.order[s - 1])}
-        for face in complex_.faces_of_size(lam - s + 1):
-            if min(ordered.rank(i) for i in face) >= s:
+        for face in complex_.faces:
+            if len(face) == lam - s + 1 and min(map(ordered.rank, face)) >= s:
                 terms.add(reduce(mul, (ideal.gen(i) for i in face)))
         out.append(FormalPolynomial(tuple(terms)))
     return tuple(out)

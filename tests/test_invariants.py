@@ -27,10 +27,8 @@ from lyubeznik import (
     betti_from_preserved,
     divides,
     edge_ideal,
-    equivalence_audit,
     height,
     identity_order,
-    is_almost_lyubeznik,
     is_lyubeznik,
     is_minimal_resolution,
     is_totally_lyubeznik,
@@ -52,8 +50,9 @@ from lyubeznik.covers import cover_table
 from lyubeznik.oracle import _projective_dimension
 from lyubeznik.subsets import tables_for
 from conftest import triangles_graph
-from reference_routes import (block_ranks, closure_length, exhaustive_scan,
-                              facets_stable, unpacked_readout)
+from reference_routes import (block_ranks, closure_length, equivalence_audit,
+                              exhaustive_scan, facets_stable,
+                              unpacked_readout)
 from test_preserved_kernel import seeded_ideal
 from test_scan_kernel import exponent_rows, small_ideal
 
@@ -126,7 +125,6 @@ def test_search_answers_past_the_command_line_default(mu):
     assert is_lyubeznik(ideal).verdict == scan.lyubeznik
     assert is_totally_lyubeznik(ideal) == scan.totally_lyubeznik
     assert scan.projdim == taylor_betti(ideal).projective_dimension
-    assert is_almost_lyubeznik(ideal) == scan.almost_lyubeznik
     report = analyze(identity_order(ideal), search=True)
     assert report.lyubeznik == scan.lyubeznik
     assert tuple(report.ara) == tuple(ara_bounds(ideal))
@@ -202,9 +200,9 @@ def test_audit_fields_track_minimality():
 
 def test_lyubeznik_verdicts():
     v = is_lyubeznik(load_ideal("chain_three_squares"))
-    assert (v.verdict, v.witness.order, v.exact) == (True, (3, 1, 2), True)
+    assert (v.verdict, v.witness.order) == (True, (3, 1, 2))
     v = is_lyubeznik(load_ideal("chain_four_squares"))
-    assert (v.verdict, v.witness, v.exact, v.scanned) == (False, None, True, 24)
+    assert (v.verdict, v.witness) == (False, None)
     v = is_lyubeznik(load_ideal("chain_five_mixed"))
     assert (v.verdict, v.witness.order) == (True, (5, 1, 2, 3, 4))
     verdict, witness = is_lyubeznik(load_ideal("triangle_edges"))
@@ -215,9 +213,9 @@ def test_totally_and_almost():
     assert is_totally_lyubeznik(load_ideal("triangle_edges"))
     assert not is_totally_lyubeznik(load_ideal("mixed_powers_xyz"))
     assert is_totally_lyubeznik(KOSZUL2)
-    assert is_almost_lyubeznik(load_ideal("mixed_powers_xyz"))
-    assert is_almost_lyubeznik(load_ideal("five_gen_squarefree"))
-    assert is_almost_lyubeznik(load_ideal("chain_four_squares"))
+    for name in ("mixed_powers_xyz", "five_gen_squarefree",
+                 "chain_four_squares"):
+        assert search_scan(load_ideal(name)).almost_lyubeznik, name
 
 
 def brute_possible_courts(ideal):
@@ -354,12 +352,27 @@ def test_one_call_computes_one_projective_dimension(monkeypatch):
         "analyze": lambda: analyze(identity_order(ideal), search=True,
                                    prime=32003),
         "ara_bounds": lambda: ara_bounds(ideal, prime=32003),
-        "is_almost_lyubeznik": lambda: is_almost_lyubeznik(ideal,
-                                                           prime=32003)}
+        "search_scan": lambda: search_scan(ideal,
+                                           prime=32003).almost_lyubeznik}
     for name, call in calls.items():
         fields.clear()
         call()
         assert fields == [32003], name
+
+
+def test_a_bad_prime_is_refused_before_anything_is_read():
+    # (x^2, xy, y^3) is Lyubeznik and not squarefree, so none of these
+    # reads a projective dimension; the squarefree (xy, yz) always did
+    powers = parse_ideal("vars x y\ngen x^2\ngen x*y\ngen y^3")
+    edges = parse_ideal("vars x y z\ngen x*y\ngen y*z")
+    for ideal in (powers, edges):
+        for call in (lambda: ara_bounds(ideal, prime=4),
+                     lambda: analyze(identity_order(ideal), prime=4),
+                     lambda: analyze(identity_order(ideal), search=True,
+                                     prime=4),
+                     lambda: search_scan(ideal, prime=4).lyubeznik):
+            with pytest.raises(ValueError, match="4 is not a prime"):
+                call()
 
 
 def check_floors_agree(ideal):
@@ -423,7 +436,7 @@ def test_search_verdicts_match_the_former_formulas(name):
     assert scan.totally_lyubeznik == (scan.minimal_count == scan.scanned)
     # is_totally_lyubeznik and the graph checks
     assert scan.totally_lyubeznik == (scan.nonminimal_witness is None)
-    # analyze and is_almost_lyubeznik
+    # analyze
     assert scan.almost_lyubeznik == (scan.min_l == projdim)
 
 

@@ -190,8 +190,10 @@ def test_the_oracle_reaches_the_table_bound():
                            for i in range(13)])
     table = taylor_betti(wide)
     assert table.projective_dimension == 13
-    assert [table.betti(i) for i in range(14)] == [comb(13, i)
-                                                   for i in range(14)]
+    totals = [0] * 14
+    for i, _, c in table.entries:
+        totals[i] += c
+    assert totals == [comb(13, i) for i in range(14)]
     report = verify_resolution_report(identity_order(wide))
     assert len(report) == 2 ** 13 - 1 and all(ok for _, ok in report)
     ideal = seeded_ideal(13, 0)

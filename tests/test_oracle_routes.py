@@ -23,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 from lyubeznik import (OrderedIdeal, all_orders, identity_order,
                        lyubeznik_complex, sweep_ideals, taylor_betti,
                        verify_chain_complex, verify_resolution_report)
-from lyubeznik.betti import QUOTIENT, BettiTable
+from lyubeznik.betti import BettiTable
 from lyubeznik.corpus import all_ideals
 from lyubeznik.oracle import _closed
 
@@ -63,7 +63,7 @@ def dense_taylor_betti(ideal, prime):
     for exps, by_size in strands.items():
         for t, h in dense_homology(by_size, dense_rank(prime)).items():
             counts[(t, exps)] = h
-    return BettiTable.from_multigraded(QUOTIENT, ideal.context, counts)
+    return BettiTable.from_multigraded(ideal.context, counts)
 
 
 def dense_report(ordered):

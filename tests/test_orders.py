@@ -35,13 +35,11 @@ def test_order_entries_become_python_ints():
         OrderedIdeal(ideal, [np.int8(i) for i in (3, 1, 2, 5, 4)]))
 
 
-def test_rank_and_precedes():
+def test_rank_and_sorted_by_rank():
     ideal = load_ideal("mixed_powers_xyz")
     ordered = OrderedIdeal(ideal, (3, 1, 2, 5, 4))
     assert ordered.rank(3) == 0
     assert ordered.rank(4) == 4
-    assert ordered.precedes(3, 1)
-    assert not ordered.precedes(4, 5)
     assert ordered.sorted_by_rank([4, 3, 2]) == (3, 2, 4)
     assert str(ordered) == "(3,1,2,5,4)"
     assert ordered.sorted_by_rank([4, 2, 5])[0] == 2

@@ -22,15 +22,16 @@ from hypothesis import given, settings, strategies as st
 from lyubeznik import (OrderedIdeal, SubsetClass, all_ideals, all_orders,
                        classification_census, classify_subset, complete_cover,
                        cover_clutter, covers_of, e_minimal_covers_of,
-                       equivalence_audit, identity_order, is_broken,
-                       is_cover_of, is_minimal_resolution, is_preserved,
-                       l_length, obstruction, preserved_size)
+                       identity_order, is_broken, is_cover_of,
+                       is_minimal_resolution, is_preserved, l_length,
+                       obstruction, preserved_size)
 from lyubeznik.complexes import order_analysis
 from lyubeznik.subsets import indices_of, tables_for
 
 from conftest import exponent_ideal
-from reference_routes import (closure_length, court_table, facets,
-                              facets_stable, preserved_table)
+from reference_routes import (closure_length, court_table,
+                              equivalence_audit, facets, facets_stable,
+                              preserved_table)
 from test_scan_kernel import exponent_rows, small_ideal
 
 

@@ -1,10 +1,15 @@
-"""The names the package exports and the names the traced benchmark wraps.
+"""The names the package exports, and the names the benchmark and the
+checks past the command line's bound read.
 
-``bench/tracing.py`` replaces the functions listed in its ``TARGETS``
-with timing wrappers and reads the ``cache_info`` of two lru caches, so
-renaming or deleting one of them breaks the traced benchmark without
-failing any other test.  ``TARGETS`` is read from the file, not
-imported, so this test depends on nothing else in ``bench/``.
+``lyubeznik.__all__`` is pinned to an explicit list, so that a name is
+added or removed on purpose.  ``bench/tracing.py`` replaces the
+functions listed in its ``TARGETS`` with timing wrappers and reads the
+``cache_info`` of two lru caches, and ``bench/`` and ``ci/`` import
+library names, some inside functions that only the benchmark runs; so
+renaming or deleting one of them breaks those scripts without failing
+any other test.  ``TARGETS`` and the imports are read from the files
+with ``ast``, not imported, so these tests depend on nothing else in
+``bench/`` or ``ci/``.
 """
 
 import ast
@@ -16,7 +21,31 @@ import pytest
 
 import lyubeznik
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "bench" / "tracing.py"
+
+EXPORTED = [
+    "AraBounds", "BettiTable", "BoundExceededError", "Cover",
+    "FormalPolynomial", "InvariantReport", "LyubeznikComplex",
+    "LyubeznikVerdict", "MinimizationWarning", "Monomial", "MonomialIdeal",
+    "NonMinimalWarning", "NotMinimalError", "OrderedIdeal", "OrientedClutter",
+    "ParseError", "PropositionCheck", "QUOTIENT", "SearchResult",
+    "SimpleGraph", "SubsetClass", "Symbol", "VariableContext",
+    "admissible_symbols", "all_graphs", "all_ideals", "all_orders", "analyze",
+    "ara_bounds", "betti_from_preserved", "check_graph_propositions",
+    "classification_census", "classify_subset", "complete_cover",
+    "cover_clutter", "covers_of", "divides", "e_minimal_covers_of",
+    "edge_ideal", "graph_names", "height", "ideal_names", "identity_order",
+    "inadmissible_symbols", "is_admissible_symbol", "is_broken", "is_cover_of",
+    "is_lyubeznik", "is_minimal_resolution", "is_preserved",
+    "is_stable_symbol", "is_totally_lyubeznik", "l_length", "lcm_of",
+    "load_graph", "load_ideal", "longest_path_edges", "lyubeznik_complex",
+    "min_l_length", "minimize_generators", "obstruction", "orders_for_search",
+    "parse_graph", "parse_ideal", "parse_order", "preserved_size",
+    "radical_generators", "radical_ideal", "read_graph", "read_ideal",
+    "search_scan", "sweep_ideals", "symbol_of", "taylor_betti",
+    "verify_chain_complex", "verify_resolution_report",
+]
 
 
 def tracing_targets():
@@ -40,6 +69,37 @@ def test_traced_targets_resolve(module, function):
 def test_traced_caches_expose_cache_info(module, function):
     function = getattr(importlib.import_module("lyubeznik." + module), function)
     assert function.cache_info().currsize <= 1
+
+
+def script_imports():
+    """(file, module, name) for every import of the package in the
+    benchmark's and the checks' Python files, at any depth; name is None
+    for a plain ``import lyubeznik.x``."""
+    paths = sorted([*ROOT.glob("bench/**/*.py"), *ROOT.glob("ci/*.py")])
+    for path in paths:
+        where = path.relative_to(ROOT).as_posix()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [(node.module, alias.name) for alias in node.names]
+            elif isinstance(node, ast.Import):
+                modules = [(alias.name, None) for alias in node.names]
+            else:
+                continue
+            for module, name in modules:
+                if module.partition(".")[0] == "lyubeznik":
+                    yield where, module, name
+
+
+def test_the_exported_names_are_pinned():
+    assert lyubeznik.__all__ == EXPORTED == sorted(EXPORTED)
+
+
+@pytest.mark.parametrize("path, module, name", sorted(set(script_imports()),
+                                                      key=str))
+def test_script_imports_resolve(path, module, name):
+    imported = importlib.import_module(module)
+    if name is not None and not hasattr(imported, name):
+        importlib.import_module(f"{module}.{name}")
 
 
 def test_exported_names_resolve_once():

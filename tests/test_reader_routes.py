@@ -1,14 +1,15 @@
 """The ideal reader against the routes it replaced.
 
 ``monomials`` reads a canonical ``gen`` line (``x^2*y``) by splitting
-it, any other line from the tokens of one ``findall`` pass, and tests
-divisibility with one numpy matrix over the distinct exponent rows.
-The routes it replaced (``reference_routes``) step through each line
-one character at a time, compare the generators one pair at a time and
-build the ideal by the checking constructor.  On texts valid and
-malformed, both must give the same tokens and columns, and the same
-ideal and warning text (with line numbers), or the same exception
-type, message, line and column: on hand-picked lines, on hypothesis
+it, any other line from its tokens and their columns, taken in one
+``finditer`` pass, and tests divisibility with one numpy matrix over
+the distinct exponent rows.  The routes it replaced
+(``reference_routes``) step through each line one character at a time,
+compare the generators one pair at a time and build the ideal by the
+checking constructor.  On texts valid and malformed, both must give
+the same exponents from each line's tokens, and the same ideal and
+warning text (with line numbers), or the same exception type,
+message, line and column: on hand-picked lines, on hypothesis
 texts whose lines end in ``\\n``, ``\\r\\n`` or ``\\r`` and hold tabs,
 NBSP, U+2003, non-ASCII digits and the other characters at which
 ``str.splitlines`` breaks (``\\v``, ``\\f``, ``\\x1c``-``\\x1e``,
@@ -31,7 +32,7 @@ from lyubeznik import (Monomial, MonomialIdeal, VariableContext,
                        minimize_generators, parse_ideal, read_ideal)
 from lyubeznik.corpus import _data_dir
 from lyubeznik.monomials import (EXPONENT_LIMIT, MinimizationWarning,
-                                 _read_monomial, _tokenize)
+                                 _read_monomial, _read_tokens)
 
 import reference_routes
 
@@ -80,9 +81,19 @@ def outcome(read, *args):
     return ("read", value, [(w.category, str(w.message)) for w in caught])
 
 
+def reference_exponents(*args):
+    return reference_routes.parse_monomial(*args).exponents
+
+
 def check_text(text):
+    # every line after its directive word, canonical or not, through the
+    # token walk: the same exponents, or the same error and column
+    context = VariableContext(("x", "y", "z"))
     for line in re.split(r"\r\n|\r|\n", text):
-        assert list(_tokenize(line)) == list(reference_routes.tokenize(line))
+        rest = line.removeprefix("gen")
+        args = (rest, context, 1, len(line) - len(rest))
+        assert outcome(_read_tokens, *args) == \
+            outcome(reference_exponents, *args), line
     assert outcome(parse_ideal, text) == \
         outcome(reference_routes.parse_ideal, text), text
 

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lyubeznik import (BoundExceededError, Monomial, divides, edge_ideal,
-                       equivalence_audit, identity_order, l_length, lcm_of,
-                       parse_order, read_graph, read_ideal, search_scan,
-                       taylor_betti, verify_resolution_report)
+                       identity_order, l_length, lcm_of, parse_order,
+                       read_graph, read_ideal, search_scan, taylor_betti,
+                       verify_resolution_report)
 from lyubeznik.cli import main
 from lyubeznik.complexes import order_analysis
 from lyubeznik.corpus import ideal_names, load_ideal
@@ -24,7 +24,7 @@ from lyubeznik.subsets import (SubsetTables, bit_pairs, indices_of,
 from conftest import exponent_ideal, xyz_ideal
 from reference_routes import (CoverWalk, RankTables, cones_per_apex,
                               covered_by_gathers, critical_by_gathers,
-                              homology_of_critical)
+                              equivalence_audit, homology_of_critical)
 from test_cli_routes import ideal_file_text
 from test_oracle import RP2
 from test_preserved_kernel import seeded_ideal
