@@ -1,7 +1,7 @@
 """The paper's answers past the CLI's bound of mu <= 12, checked up to
 the subset tables' bound of mu 16.
 
-Run from the repository root; its 41 tests take about 30 s on a 2-vCPU
+Run from the repository root; its 43 tests take about 30 s on a 2-vCPU
 VM, and ``-s`` prints each child's exit code, peak and time::
 
     PYTHONPATH=src python -m pytest ci -q -s
@@ -20,6 +20,7 @@ about 10 MiB to every child's peak.
 """
 
 import gc
+import hashlib
 import json
 import subprocess
 import sys
@@ -35,8 +36,10 @@ from lyubeznik import (OrderedIdeal, SimpleGraph, betti_from_preserved,
                        parse_ideal, parse_order, read_ideal, search_scan,
                        taylor_betti, verify_chain_complex,
                        verify_resolution_report)
+from lyubeznik.cmdline import read_argv
 from lyubeznik.complexes import order_analysis
-from lyubeznik.covers import cover_table
+from lyubeznik.covers import _listing_rows, cover_table
+from lyubeznik.jsontext import _write_json
 from lyubeznik.oracle import _projective_dimension
 from lyubeznik.subsets import indices_of, tables_for
 
@@ -165,6 +168,10 @@ ROOT = Path(__file__).resolve().parents[1]
 ADDRESS_SPACE = 3_072_000_000  # bytes, ``ulimit -v 3000000``
 TIMEOUT_S = 60
 C14 = [f"c14-{k:02}" for k in range(14)]
+
+# the tests' checking routes
+sys.path.insert(0, str(ROOT / "tests"))
+from reference_routes import covers_fragments  # noqa: E402
 
 
 @pytest.fixture(scope="session")
@@ -394,6 +401,53 @@ def test_covers_past_the_cli_bound(pool, tmp_path, name, bounds):
         assert code == 0 and peak <= mib
     if "text" in outs:
         check_covers(path, outs["json"], outs["text"])
+
+
+class DigestSink:
+    """A ``write`` that keeps only a sha256 digest of its text and the
+    text's length."""
+
+    def __init__(self) -> None:
+        self.digest = hashlib.sha256()
+        self.length = 0
+
+    def write(self, text: str) -> None:
+        self.digest.update(text.encode())
+        self.length += len(text)
+
+
+@pytest.mark.parametrize("name", ["c14-00", "c16-00"])
+def test_covers_blocks_stream_past_the_cli_bound(pool, name):
+    # in-process, past the CLI's bound: the covers handler's JSON fields
+    # (each generator's block gathered from object arrays of texts) go
+    # through the JSON writer into a sink that keeps only a digest,
+    # which must equal that of the same fields with every block made by
+    # the parts join the gathers replaced; and the tracemalloc peak of
+    # the cold request (the subset and cover tables built again) must
+    # stay below the output's length
+    path = pool / f"{name}.ideal"
+    ideal = read_ideal(path)
+    args = read_argv(["covers", "--format", "json", str(path)])
+    tables_for.cache_clear()
+    sink = DigestSink()
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        fields, _ = cli._cmd_covers(args, ideal, None)
+        _write_json(fields, sink.write)
+        seconds = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    print(f"{name}: {sink.length:,} characters, {seconds:.2f} s traced,",
+          f"tracemalloc peak {peak / 2 ** 20:.1f} MiB")
+    reference = DigestSink()
+    _write_json({**fields, "covers": covers_fragments(_listing_rows(ideal),
+                                                      ideal.mu)},
+                reference.write)
+    assert sink.length == reference.length > 30_000_000
+    assert sink.digest.hexdigest() == reference.digest.hexdigest()
+    assert peak < sink.length, (peak, sink.length)
 
 
 @pytest.mark.parametrize("name, argv", [

@@ -15,8 +15,10 @@ and closes a list or dict at a depth; the writer and every builder read
 it once per container or once per render, never once per row.
 
 ``covers`` hands the writer each generator's list of covers as a
-fragment (``_covers_fragments``), one join of per-mask list texts made
-on the first render, once per request, and its clutter as one fragment
+fragment (``_covers_fragments``): one join of an object array of parts,
+gathered by numpy fancy indexing with the generator's mask arrays from
+tables of per-mask members texts and flag texts made on the first
+render, once per request; and its clutter as one fragment
 (``_lists_fragment``), built from each edge's members text, which its
 text format reads too; ``complex`` its faces and facets
 (``_lists_fragment``), built from a members text made once per face;
@@ -45,6 +47,8 @@ from __future__ import annotations
 from functools import cache, partial
 from json.encoder import encode_basestring_ascii
 from typing import Callable
+
+import numpy as np
 
 
 class _Fragment:
@@ -140,7 +144,10 @@ def _members_texts(mu: int, sep: str) -> list[str]:
     sep + "6"`` for ``{1,5,6}``, by doubling over the bits."""
     members = [""]
     for b in range(1, mu + 1):
-        members += [f"{t}{sep}{b}" if t else str(b) for t in members]
+        tail = sep + str(b)
+        more = [t + tail for t in members]
+        more[0] = str(b)
+        members += more
     return members
 
 
@@ -163,33 +170,43 @@ def _covers_fragments(rows, mu: int) -> list[dict]:
     its cover entries as one fragment, rendered from ``rows(u)``
     (``covers._listing_rows``: the masks, E-minimal flags and covered
     masks of u's covers).  Each entry is a dict one deeper than the
-    fragment, with int lists two deeper; the text of every mask's list
-    is made once per depth, on the first render, and a block is one
-    join of those texts and the constant text between them, so no entry
-    is made as a string of its own."""
+    fragment, with int lists two deeper.  On the first render at a
+    depth, the members text of every mask and the text after each flag
+    are made once, as numpy object arrays; every covered and members
+    list is non-empty, so the text that opens and closes a list is part
+    of the constant text around it.  A block is one object array of
+    parts, the constant text between entries and, gathered by fancy
+    indexing with u's covered masks, flags and masks, each entry's
+    texts, joined once, so no entry is made as a string of its own and
+    no row is read as Python ints."""
     @cache
     def texts(depth: int):
         start, sep, end = _layout(depth)
         # an entry is {"covered": <list>, "eminimal": <flag>, "members": <list>}
         open_, next_, close = _layout(depth + 1, "{}")
         lstart, lsep, lend = _layout(depth + 2)
-        lists = [lstart + t + lend for t in _members_texts(mu, lsep)]
-        flag = tuple(f'{next_}"eminimal": {v}{next_}"members": '
-                     for v in ("false", "true"))
-        return (f'{start}{open_}"covered": ', flag, lists,
-                f'{close}{sep}{open_}"covered": ', close + end)
+        members = np.array(_members_texts(mu, lsep), dtype=object)
+        flag = np.array([f'{lend}{next_}"eminimal": {v}{next_}"members": '
+                         f'{lstart}' for v in ("false", "true")], dtype=object)
+        return (f'{start}{open_}"covered": {lstart}', flag, members,
+                f'{lend}{close}{sep}{open_}"covered": {lstart}',
+                lend + close + end)
 
     def block(u: int, depth: int) -> str:
         masks, eminimal, covered = rows(u)
         if not len(masks):
             return "[]"
-        first, flag, lists, between, last = texts(depth)
-        parts = [between] * (4 * len(masks) + 1)
-        parts[0], parts[-1] = first, last
-        parts[1::4] = map(lists.__getitem__, covered.tolist())
-        parts[2::4] = map(flag.__getitem__, eminimal.tolist())
-        parts[3::4] = map(lists.__getitem__, masks.tolist())
-        return "".join(parts)
+        first, flag, members, between, last = texts(depth)
+        # np.full would put a new copy of the text in every slot, made
+        # through a fixed-width unicode array; a slice assignment shares
+        # one string
+        parts = np.empty(4 * len(masks) + 1, dtype=object)
+        parts[0], parts[4:-1:4], parts[-1] = first, between, last
+        parts[1::4] = members[covered]
+        # a bool index would select, not gather
+        parts[2::4] = flag[eminimal.view(np.uint8)]
+        parts[3::4] = members[masks]
+        return "".join(parts.tolist())
     return [{"generator": u, "covers": _Fragment(partial(block, u))}
             for u in range(1, mu + 1)]
 

@@ -96,6 +96,12 @@ monomials.
   key (size, then member tuple) and filtered per generator, the route
   the numpy listing (``covers._listing_rows``) replaced, and
   ``canonical_edges``: a clutter's frozenset edges sorted the same way;
+* ``covers_fragments``: each generator's ``covers`` JSON block, one
+  join of a Python list of parts filled by reading the generator's
+  rows as Python ints (three ``tolist`` calls and three
+  ``map(list.__getitem__, ...)`` passes over per-mask list texts), the
+  route the object-array gathers of ``jsontext._covers_fragments``
+  replaced;
 * ``CoverWalk``: the E-minimal covers of each generator, their union
   and its inclusion-minimal members, by a walk over every mask and its
   one-smaller subsets, the route the numpy passes of
@@ -120,6 +126,7 @@ import argparse
 import re
 import warnings
 from dataclasses import dataclass
+from functools import cache, partial
 from itertools import combinations
 from math import factorial
 
@@ -131,6 +138,7 @@ from lyubeznik.betti import BettiTable
 from lyubeznik.cmdline import DEFAULT_MAX_EXHAUSTIVE, _field, _positive_int
 from lyubeznik.complexes import SubsetClass, order_analysis
 from lyubeznik.covers import cover_table
+from lyubeznik.jsontext import _Fragment, _layout
 from lyubeznik.monomials import (EXPONENT_LIMIT, ExponentLimitError,
                                  MinimizationWarning, Monomial,
                                  MonomialIdeal, ParseError,
@@ -720,6 +728,43 @@ def canonical_edges(clutter):
     members: the order the ``covers`` command lists them in."""
     return tuple(sorted((tuple(sorted(e)) for e in clutter.edges),
                         key=lambda t: (len(t), t)))
+
+
+def covers_fragments(rows, mu):
+    """``jsontext._covers_fragments(rows, mu)`` by a list of parts: per
+    generator u, a fragment whose render at a depth joins the constant
+    text between entries with the per-mask list texts and flag texts
+    picked by u's rows (``covers._listing_rows``) read as Python ints;
+    the texts are made once per depth, each list text whole."""
+    @cache
+    def texts(depth):
+        start, sep, end = _layout(depth)
+        # an entry is {"covered": <list>, "eminimal": <flag>, "members": <list>}
+        open_, next_, close = _layout(depth + 1, "{}")
+        lstart, lsep, lend = _layout(depth + 2)
+        # the members text of each mask, by doubling over the bits
+        members = [""]
+        for b in range(1, mu + 1):
+            members += [f"{t}{lsep}{b}" if t else str(b) for t in members]
+        lists = [lstart + t + lend for t in members]
+        flag = tuple(f'{next_}"eminimal": {v}{next_}"members": '
+                     for v in ("false", "true"))
+        return (f'{start}{open_}"covered": ', flag, lists,
+                f'{close}{sep}{open_}"covered": ', close + end)
+
+    def block(u, depth):
+        masks, eminimal, covered = rows(u)
+        if not len(masks):
+            return "[]"
+        first, flag, lists, between, last = texts(depth)
+        parts = [between] * (4 * len(masks) + 1)
+        parts[0], parts[-1] = first, last
+        parts[1::4] = map(lists.__getitem__, covered.tolist())
+        parts[2::4] = map(flag.__getitem__, eminimal.tolist())
+        parts[3::4] = map(lists.__getitem__, masks.tolist())
+        return "".join(parts)
+    return [{"generator": u, "covers": _Fragment(partial(block, u))}
+            for u in range(1, mu + 1)]
 
 
 class CoverWalk:

@@ -32,6 +32,13 @@ routes they replaced.
   (``reference_routes.cover_listing``), the covered masks against the
   subset tables' ``covered_mask``, and the E-minimal flags against the
   walk over the masks (``reference_routes.CoverWalk``).
+* Covers blocks: each generator's ``covers`` JSON block, gathered from
+  object arrays of texts (``jsontext._covers_fragments``), against the
+  parts join it replaced (``reference_routes.covers_fragments``), byte
+  for byte at depths 0 to 3, on the corpus, hypothesis-generated ideals
+  up to mu 10, the seed-1 pool's ideals at mu 10 to 12, and synthetic
+  rows with every pattern of flags, a block with no E-minimal entry
+  among them.
 """
 
 import contextlib
@@ -47,7 +54,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lyubeznik import (Monomial, all_ideals, analyze, cover_clutter,
                        covers_of, e_minimal_covers_of, identity_order,
@@ -67,6 +74,7 @@ from conftest import exponent_ideal, xyz_ideal
 
 from reference_routes import CoverWalk, canonical_edges
 from reference_routes import cover_listing as python_cover_listing
+from reference_routes import covers_fragments as reference_covers_fragments
 from test_cli_digests import cases
 from test_preserved_kernel import seeded_ideal
 from test_scan_kernel import exponent_rows, small_ideal
@@ -610,3 +618,86 @@ def test_listing_rows_of_ideals_with_no_cover(rows):
     assert check_listing_rows(ideal) == ((),) * ideal.mu
     for u in ideal.indices():
         assert [len(a) for a in _listing_rows(ideal)(u)] == [0, 0, 0]
+
+
+# -- the covers blocks against the parts join ---------------------------------
+
+def block_kind(eminimal) -> str:
+    """Which flags a block's entries carry, from its E-minimal flags."""
+    if not eminimal.size:
+        return "no cover"
+    if eminimal.all():
+        return "all E-minimal"
+    return "some E-minimal" if eminimal.any() else "none E-minimal"
+
+
+def check_covers_blocks(rows, mu) -> set[str]:
+    """Every generator's covers block, rendered at depths 0 to 3 from
+    the object-array gathers, against the parts join
+    (``reference_routes.covers_fragments``), byte for byte; the kinds of
+    block checked (``block_kind``)."""
+    gathered = _covers_fragments(rows, mu)
+    joined = reference_covers_fragments(rows, mu)
+    assert len(gathered) == len(joined) == mu
+    for depth in range(4):
+        for mine, theirs in zip(gathered, joined):
+            u = mine["generator"]
+            assert u == theirs["generator"]
+            same = mine["covers"].render(depth) == theirs["covers"].render(
+                depth)
+            assert same, (u, depth)
+    return {block_kind(rows(u)[1]) for u in range(1, mu + 1)}
+
+
+def test_covers_blocks_match_the_parts_join_on_the_corpus():
+    kinds = set()
+    for name, ideal in all_ideals():
+        kinds |= check_covers_blocks(_listing_rows(ideal), ideal.mu)
+    # a generator with a cover has an E-minimal one, so a listing never
+    # has a block with no E-minimal entry (the synthetic rows below do)
+    assert kinds == {"no cover", "all E-minimal", "some E-minimal"}
+
+
+@settings(max_examples=60)
+@given(st.integers(2, 4).flatmap(exponent_rows))
+def test_covers_blocks_match_the_parts_join_on_random_ideals(rows):
+    ideal = small_ideal(rows, max_mu=10)
+    check_covers_blocks(_listing_rows(ideal), ideal.mu)
+
+
+def synthetic_rows(mu):
+    """Per generator, a list of (mask, E-minimal, covered mask) entries,
+    non-empty masks below 2^mu, whatever an ideal would give."""
+    entry = st.tuples(st.integers(1, 2 ** mu - 1), st.booleans(),
+                      st.integers(1, 2 ** mu - 1))
+    return st.lists(st.lists(entry, max_size=12), min_size=mu, max_size=mu)
+
+
+def rows_of(blocks):
+    """``rows(u)`` of ``_listing_rows`` over synthetic entries."""
+    def rows(u):
+        entries = blocks[u - 1]
+        return (np.array([m for m, _, _ in entries], np.int64),
+                np.array([f for _, f, _ in entries], bool),
+                np.array([c for _, _, c in entries], np.int64))
+    return rows
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 10).flatmap(synthetic_rows))
+@example([[(3, False, 3), (1, False, 1)], [], [(7, True, 6), (1, True, 7)]])
+@example([[(1023, True, 1023)] * 5, [(1, False, 1)]] + [[]] * 8)
+def test_covers_blocks_match_the_parts_join_on_every_flag_pattern(blocks):
+    # every pattern of flags, masks and covered masks; the examples hold
+    # blocks with no E-minimal entry, only E-minimal entries and no entry
+    check_covers_blocks(rows_of(blocks), len(blocks))
+
+
+def test_covers_blocks_match_the_parts_join_on_the_pool_at_mu_10_to_12(pool):
+    out, inputs = pool
+    names = [name for name, entry in inputs.items()
+             if name.endswith(".ideal") and 10 <= entry["mu"] <= 12]
+    assert len(names) == 34
+    for name in names:
+        ideal = read_ideal(out / name)
+        check_covers_blocks(_listing_rows(ideal), ideal.mu)
