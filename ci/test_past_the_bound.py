@@ -1,7 +1,7 @@
 """The paper's answers past the CLI's bound of mu <= 12, checked up to
 the subset tables' bound of mu 16.
 
-Run from the repository root; its 43 tests take about 30 s on a 2-vCPU
+Run from the repository root; its 44 tests take about 30 s on a 2-vCPU
 VM, and ``-s`` prints each child's exit code, peak and time::
 
     PYTHONPATH=src python -m pytest ci -q -s
@@ -22,6 +22,7 @@ about 10 MiB to every child's peak.
 import gc
 import hashlib
 import json
+import random
 import subprocess
 import sys
 import time
@@ -29,6 +30,8 @@ import tracemalloc
 from math import comb
 from pathlib import Path
 from tempfile import NamedTemporaryFile
+
+import numpy as np
 
 import lyubeznik.cli as cli
 from lyubeznik import (OrderedIdeal, SimpleGraph, betti_from_preserved,
@@ -40,7 +43,8 @@ from lyubeznik.cmdline import read_argv
 from lyubeznik.complexes import order_analysis
 from lyubeznik.covers import _listing_rows, cover_table
 from lyubeznik.jsontext import _write_json
-from lyubeznik.oracle import _projective_dimension
+from lyubeznik.oracle import (_closed, _cones, _lcm_classes,
+                              _projective_dimension, _verify_rows)
 from lyubeznik.subsets import indices_of, tables_for
 
 
@@ -117,20 +121,54 @@ def oracle_facts(path):
     return found
 
 
-def verify_facts(path):
-    """verify's verdicts under the identity and under the pool
-    manifest's three seeded orders of the file."""
-    ideal = read_ideal(path)
-    path = Path(path)
-    with open(path.with_name("manifest.json"), encoding="utf-8") as handle:
-        words = json.load(handle)["inputs"][path.name]["orders"]
+def verify_facts(name):
+    """verify's verdicts under four orders: for a pool file the
+    identity and the manifest's three seeded orders, for a graph's edge
+    ideal the identity, its reverse and two seeded shuffles.  Under
+    each, both certificates (d^2 = 0 and every multidegree's cone) are
+    compared with the passes over all 2^mu masks of
+    ``tests/reference_routes.py``, on the order's faces and on the
+    faces less the one-smaller subset of the last face, which is not
+    closed."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+    from reference_routes import closed_by_one_smaller, cones_by_lattice
+    if name in GRAPHS:
+        ideal = graph_ideal(name)
+        words = [list(reversed(ideal.indices()))]
+        for seed in (1, 2):
+            words.append(list(ideal.indices()))
+            random.Random(seed).shuffle(words[-1])
+        orders = [OrderedIdeal(ideal, tuple(w)) for w in words]
+    else:
+        ideal = read_ideal(name)
+        path = Path(name)
+        with open(path.with_name("manifest.json"), encoding="utf-8") as handle:
+            words = json.load(handle)["inputs"][path.name]["orders"]
+        orders = [parse_order(w, ideal) for w in words]
+    classes = _lcm_classes(ideal)
     found = []
-    for ordered in [identity_order(ideal)] + [parse_order(w, ideal)
-                                              for w in words]:
+    for ordered in [identity_order(ideal)] + orders:
         report = verify_resolution_report(ordered)
+        analysis = order_analysis(ordered)
+        faces = analysis.preserved
+        apexes = 1 << (np.array(ordered.order)[
+            analysis.least[classes.vertex_sets]] - 1)
+        lattice = cones_by_lattice(faces, classes.vertex_sets, apexes)
+        broken = faces.copy()
+        top = int(np.flatnonzero(faces)[-1])
+        broken[top & (top - 1)] = False
+        agree = (dict(_verify_rows(ordered)) == dict(zip(
+            classes.exponents, lattice.tolist()))
+            and verify_chain_complex(ordered) == closed_by_one_smaller(faces)
+            and _closed(broken) == closed_by_one_smaller(broken)
+            and np.array_equal(
+                _cones(broken, classes.vertex_sets, apexes),
+                cones_by_lattice(broken, classes.vertex_sets, apexes)))
         found.append({"order": str(ordered), "multidegrees": len(report),
+                      "faces": len(analysis.faces),
                       "not exact": sum(not ok for _, ok in report),
-                      "chain": verify_chain_complex(ordered)})
+                      "chain": verify_chain_complex(ordered),
+                      "lattice routes agree": agree})
     return found
 
 
@@ -468,19 +506,28 @@ def test_oracle_json_at_the_cli_bound(pool, tmp_path, name, argv):
     cli_json(tmp_path, *argv, ideal_file(pool, tmp_path, name))
 
 
-@pytest.mark.parametrize("name", ["c14-00", "c16-00"])
+@pytest.mark.parametrize("name", ["c14-00", "c16-00", "C16"])
 def test_verify_at_the_table_bound(pool, tmp_path, name):
     # the CLI refuses verify above mu 12, so the library's checks are
-    # run at the subset tables' bound: the oracle reads the order's
-    # preserved table, and every multidegree's cone verdict and the
-    # d^2 = 0 certificate (the faces' closure under subsets) must hold,
-    # under the identity and under the three seeded --order words the
-    # pool's manifest lists, since the apex of each multidegree's cone
-    # depends on the order
-    found, _ = child_facts(tmp_path, verify_facts, pool / f"{name}.ideal")
+    # run at the subset tables' bound: the oracle reads both
+    # certificates off the lone bits of the order's faces, and every
+    # multidegree's cone verdict and the d^2 = 0 certificate (the
+    # faces' closure under subsets) must hold, under four orders (on the
+    # pool files the identity and the three seeded --order words the
+    # pool's manifest lists), since the apex of each multidegree's cone
+    # depends on the order; both must equal the passes over all 2^mu
+    # masks that the lone bits replaced, on the faces and on a family
+    # that is not closed.  The C16 edge ideal has dense faces: 16,384
+    # to 49,152 of its 65,536 masks under these orders, where c16-00's
+    # orders have 306 to 508
+    arg = name if name in GRAPHS else pool / f"{name}.ideal"
+    found, _ = child_facts(tmp_path, verify_facts, arg)
     assert len(found) == 4
     for order in found:
         assert order["not exact"] == 0 and order["chain"] is True
+        assert order["lattice routes agree"] is True
+    if name == "C16":
+        assert min(order["faces"] for order in found) >= 2 ** 14
 
 
 @pytest.mark.parametrize("name", ["c16-00", "simplex16"])

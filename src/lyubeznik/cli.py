@@ -82,8 +82,8 @@ from .jsontext import (_betti_fields, _covers_fragments, _lists_fragment,
                        _members_texts, _multidegrees_fragment, _write_json)
 from .monomials import (BoundExceededError, ExponentLimitError,
                         MonomialIdeal, ParseError, monomial_text, read_ideal)
-from .oracle import (_lcm_classes, taylor_betti, verify_chain_complex,
-                     verify_resolution_report)
+from .oracle import (_lcm_classes, _verify_rows, taylor_betti,
+                     verify_chain_complex)
 from .orders import identity_order, parse_order
 from .subsets import MAX_TABLE_GENERATORS, indices_of
 
@@ -126,15 +126,20 @@ def _cmd_covers(args, ideal, ordered):
         payload["covers"] = _covers_fragments(rows, ideal.mu)
 
     def text():
-        # each mask's line is made once; a block tags its E-minimal lines
-        lines = ["  {" + t + "}" for t in _members_texts(ideal.mu, ",")]
+        # a block is one join of the text before each cover's members
+        # and, gathered with u's masks and flags, each one's members
+        # text and the text after it, as the JSON blocks are built
+        members = np.array(_members_texts(ideal.mu, ","), dtype=object)
+        after = np.array(["}", "}  E-minimal"], dtype=object)
         for u in range(1, ideal.mu + 1):
             masks, eminimal, _ = rows(u)
-            block = [f"covers of generator {u} ({len(masks)}):",
-                     *map(lines.__getitem__, masks.tolist())]
-            for i in np.flatnonzero(eminimal).tolist():
-                block[i + 1] += "  E-minimal"
-            yield block
+            parts = np.empty(3 * len(masks) + 1, dtype=object)
+            parts[0] = f"covers of generator {u} ({len(masks)}):"
+            parts[1::3] = "\n  {"
+            parts[2::3] = members[masks]
+            # a bool index would select, not gather
+            parts[3::3] = after[eminimal.view(np.uint8)]
+            yield ["".join(parts.tolist())]
         yield ["clutter edges: " +
                (", ".join("{" + edges[m] + "}" for m in clutter) or "(none)")]
     return payload, text
@@ -259,18 +264,19 @@ def _cmd_oracle_betti(args, ideal, ordered):
 
 
 def _cmd_verify(args, ideal, ordered):
-    report = verify_resolution_report(ordered)
+    rows = _verify_rows(ordered)
     chain_ok = verify_chain_complex(ordered)
-    resolves = chain_ok and all(ok for _, ok in report)
+    resolves = chain_ok and all(ok for _, ok in rows)
+    # every multidegree is a lattice point, written once per ideal
+    mono = _lcm_classes(ideal).texts.__getitem__
     payload = {"chain_complex": chain_ok,
-               "multidegrees": _multidegrees_fragment(
-                   report, _lcm_classes(ideal).texts.__getitem__),
+               "multidegrees": _multidegrees_fragment(rows, mono),
                "resolves": resolves}
 
     def text() -> list[list[str]]:
         lines = [f"differential composes to zero: {_verdict_text(chain_ok)}"]
-        bad = [str(m) for m, ok in report if not ok]
-        lines.append(f"multidegrees checked: {len(report)}, failing: {len(bad)}")
+        bad = [mono(exps) for exps, ok in rows if not ok]
+        lines.append(f"multidegrees checked: {len(rows)}, failing: {len(bad)}")
         if bad:
             lines.append("homology persists at: " + ", ".join(bad))
         lines.append(f"resolves the quotient: {'yes' if resolves else 'no'}")

@@ -40,8 +40,8 @@ import numpy as np
 
 from .monomials import MonomialIdeal, divides, lcm_of
 from .orders import OrderedIdeal
-from .subsets import (SubsetTables, indices_of, mask_of, popcounts,
-                      tables_for, up_closure)
+from .subsets import (SubsetTables, indices_of, lone_bits, mask_of,
+                      popcounts, tables_for, up_closure)
 
 
 class _OrderAnalysis:
@@ -71,12 +71,16 @@ class _OrderAnalysis:
     when no F | bit outside it is a face.  Faces are closed under
     subsets, so that holds exactly when the faces among the masks
     F ^ bit number F's members, counted by one gather over the faces
-    per bit, in O(faces) memory.  The census
+    per bit, in O(faces) memory.  ``lone`` holds the lone bits of each
+    face in ascending order (the generators g for which F ^ g is not a
+    face), in the smallest unsigned dtype that holds mu bits
+    (``subsets.lone_bits``), built on its first read: the oracle reads
+    both of its resolution certificates off it.  The census
     (``classification_census``) reads the f-vector.
     """
 
     __slots__ = ("divisor_mask", "order", "least", "preserved", "faces",
-                 "_facets", "f_vector", "length")
+                 "_facets", "_lone", "f_vector", "length")
 
     def __init__(self, ordered: OrderedIdeal) -> None:
         tables = tables_for(ordered.ideal)
@@ -95,7 +99,7 @@ class _OrderAnalysis:
         self.least = least
         self.preserved = preserved
         self.faces = np.flatnonzero(preserved).tolist()
-        self._facets = None
+        self._facets = self._lone = None
         self.f_vector = tuple(
             np.bincount(popcounts(mu)[preserved]).tolist())
         self.length = len(self.f_vector) - 1
@@ -119,6 +123,13 @@ class _OrderAnalysis:
                 faces ^= bit
             self._facets = faces[face_bits == popcounts(mu)[faces]].tolist()
         return self._facets
+
+    @property
+    def lone(self) -> np.ndarray:
+        if self._lone is None:
+            self._lone = lone_bits(self.preserved)
+            self._lone.flags.writeable = False
+        return self._lone
 
     @property
     def dim(self) -> int:

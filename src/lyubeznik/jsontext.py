@@ -235,11 +235,11 @@ def _betti_fields(table, text: Callable[[tuple[int, ...]], str]) -> dict:
                 for i, exps, c in table.entries])}
 
 
-def _multidegrees_fragment(report, text: Callable[[tuple[int, ...]], str]
+def _multidegrees_fragment(rows, text: Callable[[tuple[int, ...]], str]
                            ) -> _Fragment:
     """``verify``'s multidegrees, rows ``["multidegree", verdict]`` of
-    its (monomial, verdict) pairs, each monomial written as
+    its (exponent tuple, verdict) rows, each multidegree written as
     ``text(exponents)``, as one fragment."""
     return _rows_fragment(lambda start, sep, end: [
-        f'{start}"{text(m.exponents)}"{sep}{"true" if ok else "false"}{end}'
-        for m, ok in report])
+        f'{start}"{text(exps)}"{sep}{"true" if ok else "false"}{end}'
+        for exps, ok in rows])

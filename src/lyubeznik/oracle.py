@@ -44,8 +44,10 @@ leading coefficients of its pivots that are not +-1.  Its ranks, and
 so its homology, are the same over GF(p) for every prime p that
 divides none of them (the ``linalg`` docstring says why), so a table
 over GF(p) re-ranks with ``rank_mod_p`` only the strands whose
-certificate p divides.  On the benchmark's squarefree ideals at
-mu <= 14 every certificate is empty, and no strand is ranked twice.
+certificate p divides; where p divides none, it is the table over Q
+itself.  Each table is built once per ideal (``_Strands.table``).  On
+the benchmark's squarefree ideals at mu <= 14 every certificate is
+empty, and no strand is ranked twice.
 The certificate cannot be skipped: the Stanley-Reisner ideal of the
 six-vertex real projective plane has beta_{3,6} = beta_{4,6} = 1 over
 GF(2) only, since by Hochster's formula its strand at x1*...*x6
@@ -65,22 +67,29 @@ out of t has the rank dim_t less that sum.  The counts decide this
 alone when that rank is 0 or exceeds dim_{t-1}; only the other strands
 are ranked, and the walk stops at the first level with homology.
 
-The resolution check reads two certificates off the order's preserved
-masks, the bool array ``order_analysis(ordered).preserved``, and takes
-no rank and no field.  Both are Lyubeznik's own arguments, and neither
-depends on how the generators are numbered.
+The resolution check reads two certificates off the order's faces and
+takes no rank and no field.  Both are Lyubeznik's own arguments, and
+neither depends on how the generators are numbered.  A face F is lone
+at g when F ^ g is not a face.  The order's analysis keeps, for each
+face, the bitmask of the generators it is lone at
+(``order_analysis(ordered).lone``, built by ``subsets.lone_bits`` with
+one gather over the faces per block of them), and both certificates
+are read off that one table, so their cost follows the faces, not the
+2^mu masks: 444 of 65,536 masks on the benchmark pool's c16-00, 256 of
+1,024 on o10-00.
 
 d^2 = 0 (``verify_chain_complex``) is read from closure under subsets.
 If every one-smaller subset of a face is a face, every deletion in a
 face's Taylor boundary lands in the family, so the faces span a
 subcomplex of the Taylor resolution and inherit its d^2 = 0.  An
 order's faces are closed by definition (a set is preserved when none of
-its subsets is broken), so the check is one ``subsets.one_smaller``
-pass: no face may have a one-smaller subset outside the family.  A
+its subsets is broken), so the check asks that no face be lone at one
+of its own members: one AND of the faces with their lone bits.  A
 family that is not closed reads false even where its restricted
 differential squares to zero, as on {}, {1,2}, whose two levels are not
 adjacent: the certificate is the stronger statement.  No order makes
 such a family, so that verdict would mean a wrong preserved table.
+The verdict is a by-product of the table the cones read.
 
 Exactness (``verify_resolution_report``) works per multidegree.  A
 complex of free modules indexed by faces is exact in degree a iff the
@@ -96,12 +105,13 @@ F ∪ {g} is preserved.  The cone is therefore the verdict.  A family
 that is not such a cone reads false: no order makes one, so that
 verdict would mean a wrong preserved table.
 
-All the cones are read in one pass over the lattice (``_cones``), not
-one closure per apex.  A face F is lone at g when F ^ g is not a face;
-one pass per bit records, per face, the bitmask of the generators it
-is lone at, and one up-closure ORs these bitmasks over the subset
-lattice.  V_a is a cone over g exactly when bit g is clear at V_a: 2 mu
-passes in all, in place of mu passes per distinct apex.
+All the cones are read at once, not one closure per apex: the faces'
+lone bits are scattered into one array over the masks, in the smallest
+unsigned dtype that holds mu bits, and one up-closure ORs them over the
+subset lattice (``_cone_verdicts``).  V_a is a cone over g exactly when
+bit g is clear at V_a.  ``_closed`` and ``_cones`` read the same two
+certificates off any bool table of masks, closed or not, through the
+same lone bits.
 
 A nonempty subset S lies in the class of lcm(S), which is named by its
 vertex set: every member of V_a divides a, so lcm(V_a) = a and distinct
@@ -113,10 +123,12 @@ only (``SubsetTables.lcm_tuples``): the oracle never builds the tuples
 of all 2^mu masks (``lcm_exps``).  The classes also keep each lattice
 point's ``monomial_text`` (``texts``), written on first read and shared
 by every request on the ideal, which ``oracle-betti``'s multigraded
-rows over every field and ``verify``'s rows write.
-``verify_resolution_report`` sorts the lattice points by (degree,
-exponents) itself: ``verify`` runs once per ideal, so nothing would
-read a kept order twice.
+rows over every field and ``verify``'s rows write.  ``verify`` writes
+the rows of ``_verify_rows``, (exponent tuple, verdict) pairs, and
+``verify_resolution_report`` makes a ``Monomial`` of each tuple for
+library callers.  ``_verify_rows`` sorts the lattice points by
+(degree, exponents) itself: ``verify`` runs once per ideal, so nothing
+would read a kept order twice.
 
 Every differential the homology computations rank is handed to
 ``linalg`` as sparse columns: each face, a bitmask, becomes a map
@@ -139,8 +151,8 @@ from .complexes import order_analysis
 from .linalg import certified_rank, check_prime, exact_rank, rank_mod_p
 from .monomials import Monomial, MonomialIdeal, monomial_text
 from .orders import OrderedIdeal
-from .subsets import (SubsetTables, bit_pairs, one_smaller, popcounts,
-                      tables_for, up_closure)
+from .subsets import (SubsetTables, lone_bits, popcounts, tables_for,
+                      up_closure)
 
 class _Texts(dict):
     """Each lattice point's ``monomial_text``, keyed by its exponent
@@ -209,9 +221,15 @@ class _Strands:
     each strand's rank certificates are kept where they are not all
     +-1, and a prime field re-ranks only the strands whose certificate
     the prime divides.  ``ranked`` says whether it has been read.
+
+    The Betti table over each field is built once (``table``), and a
+    prime whose homology is the one over Q (no certificate names it)
+    reads the table over Q: the sort and the checks of a table are made
+    once per homology dict.
     """
 
-    __slots__ = ("critical", "_homology", "_certificates")
+    __slots__ = ("critical", "_context", "_homology", "_certificates",
+                 "_tables")
 
     def __init__(self, tables: SubsetTables) -> None:
         classes = tables.derived(_LcmClasses)
@@ -241,8 +259,10 @@ class _Strands:
             critical.setdefault(classes.exponents[c], {}).setdefault(
                 t, []).append(mask)
         self.critical = critical
+        self._context = tables.ideal.context
         self._homology = None
         self._certificates: dict[tuple[int, ...], frozenset[int]] = {}
+        self._tables: dict[int | None, BettiTable] = {}
 
     @property
     def ranked(self) -> bool:
@@ -286,6 +306,21 @@ class _Strands:
             for t, h in _strand_homology(by_size, rank).items():
                 homology[(t, exps)] = h
         return homology
+
+    def table(self, prime: int | None = None) -> BettiTable:
+        """The Betti table of R/I over Q, or over GF(prime), built on its
+        first read from ``homology(prime)``; callers only read it."""
+        table = self._tables.get(prime)
+        if table is None:
+            homology = self.homology(prime)
+            if homology is self._homology:
+                table = self._tables.get(None)
+            if table is None:
+                counts = {(0, (0,) * len(self._context)): 1}
+                counts.update(homology)
+                table = BettiTable.from_multigraded(self._context, counts)
+            self._tables[prime] = table
+        return table
 
 
 def _critical_strands(ideal: MonomialIdeal) -> _Strands:
@@ -346,13 +381,13 @@ def taylor_betti(ideal: MonomialIdeal, *,
 
     Characteristic zero by default (exact integer elimination); pass a
     prime to compute over GF(p) instead.  Both read the strands'
-    homology over Z, ranked once per ideal.
+    homology over Z, ranked once per ideal, and each field's table is
+    built once per ideal, shared by every prime that does not change
+    the homology.
     """
     if prime is not None:
         check_prime(prime)
-    counts = {(0, (0,) * len(ideal.context)): 1}
-    counts.update(_critical_strands(ideal).homology(prime))
-    return BettiTable.from_multigraded(ideal.context, counts)
+    return _critical_strands(ideal).table(prime)
 
 
 def _projective_dimension(ideal: MonomialIdeal, *,
@@ -397,11 +432,39 @@ def _projective_dimension(ideal: MonomialIdeal, *,
     return 0
 
 
+def _chain_verdict(preserved: np.ndarray, lone: np.ndarray) -> bool:
+    """Whether no face (``preserved``'s marks, whose lone bits are
+    ``lone``) is lone at one of its own members: every one-smaller
+    subset of a face is a face."""
+    return not np.any(lone & np.flatnonzero(preserved))
+
+
+def _cone_verdicts(preserved: np.ndarray, lone: np.ndarray,
+                   vertex_sets: np.ndarray, apexes: np.ndarray
+                   ) -> np.ndarray:
+    """Whether the faces inside each vertex set form a cone over its
+    apex bit: the lone bits are scattered into one array over the masks
+    and up-closed, and a vertex set V is a cone over g exactly when bit
+    g of the closure at V is clear."""
+    closure = np.zeros(len(preserved), lone.dtype)
+    closure[preserved] = lone
+    return (up_closure(closure)[vertex_sets] & apexes) == 0
+
+
 def _closed(preserved: np.ndarray) -> bool:
     """Whether the masks marked in ``preserved``, a bool array over the
     2^mu masks, are closed under taking subsets: no marked mask has an
     unmarked one-smaller subset."""
-    return not np.any(preserved & one_smaller(~preserved))
+    return _chain_verdict(preserved, lone_bits(preserved))
+
+
+def _cones(preserved: np.ndarray, vertex_sets: np.ndarray,
+           apexes: np.ndarray) -> np.ndarray:
+    """Whether the faces (``preserved``'s marks) inside each vertex set
+    form a cone over its apex bit: every such face F has F ^ g among the
+    faces."""
+    return _cone_verdicts(preserved, lone_bits(preserved), vertex_sets,
+                          apexes)
 
 
 def verify_chain_complex(ordered: OrderedIdeal) -> bool:
@@ -411,34 +474,24 @@ def verify_chain_complex(ordered: OrderedIdeal) -> bool:
     resolution and inherit its d^2 = 0; an order's faces always are, so
     a false verdict marks a wrong preserved table.
     """
-    return _closed(order_analysis(ordered).preserved)
+    analysis = order_analysis(ordered)
+    return _chain_verdict(analysis.preserved, analysis.lone)
 
 
-def _cones(preserved: np.ndarray, vertex_sets: np.ndarray,
-           apexes: np.ndarray) -> np.ndarray:
-    """Whether the faces (``preserved``'s marks) inside each vertex set
-    form a cone over its apex bit: every such face F has F ^ g among the
-    faces.
-
-    A face F is lone at g when F ^ g is not a face.  One pass per bit
-    marks bit g of ``lone[F]`` for every such F, on the masks without
-    the bit and with it, and one up-closure ORs the marks over the
-    subset lattice; a vertex set V is a cone over g exactly when bit g
-    of ``lone[V]`` is clear, whatever V's apex.  The marks take the
-    smallest unsigned dtype that holds mu bits, and every temporary is
-    a view of a 1-D array over the masks (``subsets.bit_pairs``).
-    """
-    mu = len(preserved).bit_length() - 1
-    lone = np.zeros(len(preserved), np.min_scalar_type((1 << mu) - 1))
-    for b in range(mu):
-        bit = lone.dtype.type(1 << b)
-        for (without, with_), (lone_without, lone_with) in zip(
-                bit_pairs(preserved, b), bit_pairs(lone, b)):
-            np.bitwise_or(lone_without, bit, out=lone_without,
-                          where=without > with_)
-            np.bitwise_or(lone_with, bit, out=lone_with,
-                          where=with_ > without)
-    return (up_closure(lone)[vertex_sets] & apexes) == 0
+def _verify_rows(ordered: OrderedIdeal
+                 ) -> list[tuple[tuple[int, ...], bool]]:
+    """(exponents of a, verdict) per lattice point a, sorted by
+    (degree, exponents): ``verify_resolution_report``'s rows with the
+    exponent tuples as they are, which the command line writes."""
+    classes = _lcm_classes(ordered.ideal)
+    analysis = order_analysis(ordered)
+    # each vertex set's apex: its member ranked first, by its least rank
+    word = np.array(ordered.order)
+    apexes = 1 << (word[analysis.least[classes.vertex_sets]] - 1)
+    verdicts = _cone_verdicts(analysis.preserved, analysis.lone,
+                              classes.vertex_sets, apexes).tolist()
+    return sorted(zip(classes.exponents, verdicts),
+                  key=lambda row: (sum(row[0]), row[0]))
 
 
 def verify_resolution_report(ordered: OrderedIdeal
@@ -449,16 +502,7 @@ def verify_resolution_report(ordered: OrderedIdeal
     its member ranked first, which makes them acyclic; every order's
     faces do, so a false verdict marks a wrong preserved table.
     """
-    classes = _lcm_classes(ordered.ideal)
-    analysis = order_analysis(ordered)
-    # each vertex set's apex: its member ranked first, by its least rank
-    word = np.array(ordered.order)
-    apexes = 1 << (word[analysis.least[classes.vertex_sets]] - 1)
-    verdicts = _cones(analysis.preserved, classes.vertex_sets,
-                      apexes).tolist()
     # the lcms' exponents were checked when the ideal was read
-    context, exponents = ordered.ideal.context, classes.exponents
-    ranked = sorted(range(len(exponents)),
-                    key=lambda k: (sum(exponents[k]), exponents[k]))
-    return tuple((Monomial._unchecked(context, exponents[k]), verdicts[k])
-                 for k in ranked)
+    context = ordered.ideal.context
+    return tuple((Monomial._unchecked(context, exps), ok)
+                 for exps, ok in _verify_rows(ordered))

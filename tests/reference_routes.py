@@ -46,6 +46,13 @@ monomials.
   ``dense_chain_complex`` and ``dense_composes_to_zero`` check d^2 = 0
   with these matrices, the route the closure certificate
   (``oracle._closed``) is compared with;
+* ``closed_by_one_smaller`` and ``cones_by_lattice``: the two
+  resolution certificates by passes over all 2^mu masks, closure as
+  one ``subsets.one_smaller`` pass of the unmarked masks, and the lone
+  bits of every mask by two masked ORs per bit over the views of
+  ``subsets.bit_pairs`` before one up-closure, the routes the lone
+  bits gathered over the faces alone (``subsets.lone_bits``, read by
+  ``oracle._closed``, ``oracle._cones`` and ``verify``) replaced;
 * ``full_strands`` and ``full_strand_betti``: every nonempty mask
   grouped by lcm and then by size, and the Betti numbers from the
   homology of these whole Taylor strands, the route the Morse-reduced
@@ -60,7 +67,7 @@ monomials.
 * ``cones_per_apex``: whether the faces inside each vertex set form a
   cone over its apex, by one marking of the faces without a partner
   and one up-closure per distinct apex, the route the one-pass apex
-  bitmasks (``oracle._cones``) replaced;
+  bitmasks of ``cones_by_lattice`` replaced;
 * ``covered_by_gathers`` and ``critical_by_gathers``: the covered
   masks and the strands' critical masks by fancy-indexed gathers at
   each mask with and without a bit, the routes the tables'
@@ -145,8 +152,8 @@ from lyubeznik.monomials import (EXPONENT_LIMIT, ExponentLimitError,
                                  VariableContext, divides, radical_ideal)
 from lyubeznik.oracle import (_LcmClasses, _critical_strands, _rank_function,
                               _strand_homology)
-from lyubeznik.subsets import (indices_of, iter_bits, popcounts, tables_for,
-                              up_closure)
+from lyubeznik.subsets import (bit_pairs, indices_of, iter_bits,
+                              one_smaller, popcounts, tables_for, up_closure)
 
 
 def court_table(ordered):
@@ -511,6 +518,31 @@ def per_field_betti(ideal, prime=None):
 def table_projective_dimension(ideal, prime=None):
     """pd(R/I), the top index of the whole multigraded Betti table."""
     return taylor_betti(ideal, prime=prime).projective_dimension
+
+
+def closed_by_one_smaller(preserved):
+    """Whether no marked mask has an unmarked one-smaller subset, by one
+    OR per bit of the unmarked masks over the lattice."""
+    return not np.any(preserved & one_smaller(~preserved))
+
+
+def cones_by_lattice(preserved, vertex_sets, apexes):
+    """Whether the faces inside each vertex set form a cone over its
+    apex bit.  One pass per bit marks bit g of ``lone[F]`` for every
+    face F whose F ^ g is not a face, on the masks without the bit and
+    with it, and one up-closure ORs the marks over the subset lattice;
+    V is a cone over g exactly when bit g of ``lone[V]`` is clear."""
+    mu = len(preserved).bit_length() - 1
+    lone = np.zeros(len(preserved), np.min_scalar_type((1 << mu) - 1))
+    for b in range(mu):
+        bit = lone.dtype.type(1 << b)
+        for (without, with_), (lone_without, lone_with) in zip(
+                bit_pairs(preserved, b), bit_pairs(lone, b)):
+            np.bitwise_or(lone_without, bit, out=lone_without,
+                          where=without > with_)
+            np.bitwise_or(lone_with, bit, out=lone_with,
+                          where=with_ > without)
+    return (up_closure(lone)[vertex_sets] & apexes) == 0
 
 
 def cones_per_apex(preserved, vertex_sets, apexes):

@@ -68,6 +68,7 @@ from lyubeznik.jsontext import (_Fragment, _betti_fields, _covers_fragments,
                                 _lists_fragment, _multidegrees_fragment,
                                 _write_json)
 from lyubeznik.monomials import monomial_text
+from lyubeznik.oracle import _verify_rows
 from lyubeznik.subsets import indices_of, mask_of, tables_for
 
 from conftest import exponent_ideal, xyz_ideal
@@ -433,8 +434,9 @@ def test_multidegree_rows_write_both_verdicts():
     ideal = xyz_ideal("x*y", "y*z^2", "t")
     report = [(m, k % 2 == 0) for k, m in enumerate(ideal.gens)]
     report.append((ideal.context.one(), False))
+    rows = [(m.exponents, ok) for m, ok in report]
     payload = {"multidegrees": _multidegrees_fragment(
-        report, partial(monomial_text, ideal.context.names))}
+        rows, partial(monomial_text, ideal.context.names))}
     assert json_text(payload) == reference_text(
         {"multidegrees": [[str(m), ok] for m, ok in report]})
 
@@ -451,8 +453,10 @@ def test_builders_write_json_dumps_at_every_depth():
     assert json_text({"betti": fields}) == reference_text(
         {"betti": expanded(fields)})
     assert json_text(fields) == reference_text(expanded(fields))
-    report = verify_resolution_report(identity_order(ideal))
-    check_at_every_depth(_multidegrees_fragment(report, names))
+    rows = _verify_rows(identity_order(ideal))
+    assert rows == [(m.exponents, ok) for m, ok in
+                    verify_resolution_report(identity_order(ideal))]
+    check_at_every_depth(_multidegrees_fragment(rows, names))
     members = {m: ",".join(map(str, indices_of(m))) for m in range(16)}
     for masks in ([0, 1, 6, 13, 15], [5], []):
         check_at_every_depth(_lists_fragment(masks, members))

@@ -295,11 +295,27 @@ def check_fields(ideal):
     clear_oracle_caches()
     exact = taylor_betti(ideal)
     assert exact == per_field_betti(ideal)
+    homology = oracle._critical_strands(ideal).homology
     for prime in CERTIFIED_FIELDS:
         table = taylor_betti(ideal, prime=prime)
         assert table == per_field_betti(ideal, prime), prime
+        # one table per homology dict: a prime that no certificate names
+        # reads the table over Q, and a second call builds none
+        assert (table is exact) == (homology(prime) is homology()), prime
+        assert taylor_betti(ideal, prime=prime) is table, prime
         assert _projective_dimension(ideal, prime=prime) == \
             table.projective_dimension, prime
+
+
+def test_only_a_named_prime_builds_a_table_of_its_own():
+    clear_oracle_caches()
+    exact = taylor_betti(RP2)
+    assert taylor_betti(RP2, prime=3) is taylor_betti(RP2, prime=32003) \
+        is exact
+    assert taylor_betti(RP2, prime=2) is not exact
+    assert taylor_betti(RP2, prime=2) is taylor_betti(RP2, prime=2)
+    assert taylor_betti(RP2, prime=2).projective_dimension == \
+        RP2_PROJDIM[2] != exact.projective_dimension
 
 
 def test_cached_fields_match_the_per_field_route_on_the_corpus():

@@ -13,11 +13,18 @@ certificate: the faces inside it form a cone over the set's
 first-ranked member.  On every order's faces the certificate holds; the
 hand-built families that are not such cones read false, whatever their
 homology; and on random simplicial complexes a cone must be acyclic by
-the dense route.  The verdicts come from one marking pass per bit and
-one up-closure (``oracle._cones``); they must equal those of one
-up-closure per apex (``reference_routes.cones_per_apex``) on every
-corpus ideal under its orders, on the seed-1 pool up to mu 14, and on
-random face families, closed or not, at every vertex set and apex.
+the dense route.  The verdicts come from the lone bits of the faces, scattered
+into one array and up-closed (``oracle._cones``); they must equal those
+of one up-closure per apex (``reference_routes.cones_per_apex``) on
+every corpus ideal under its orders, on the seed-1 pool up to mu 14,
+and on random face families, closed or not, at every vertex set and
+apex.  Both certificates, the cones and d^2 = 0 (closure under
+subsets), must also equal the passes over all 2^mu masks that the lone
+bits replaced (``reference_routes.closed_by_one_smaller`` and
+``cones_by_lattice``): through the order's kept table as ``verify``
+reads them, and by the bool-table helpers on the order's faces and on
+families that are not closed, on the corpus, on the whole seed-1 pool
+under its manifest orders, and on hypothesis families.
 """
 
 import random
@@ -28,14 +35,17 @@ from hypothesis import given, settings, strategies as st
 
 from lyubeznik import (all_ideals, all_orders, identity_order, parse_order,
                        read_ideal, sweep_ideals, taylor_betti,
-                       verify_resolution_report)
+                       verify_chain_complex, verify_resolution_report)
 from lyubeznik.complexes import order_analysis
-from lyubeznik.oracle import _cones, _critical_strands, _lcm_classes
+from lyubeznik.oracle import (_closed, _cones, _critical_strands,
+                              _lcm_classes, _verify_rows)
 from lyubeznik.orders import OrderedIdeal
 from lyubeznik.subsets import tables_for
 
 from conftest import exponent_ideal
-from reference_routes import cones_per_apex, full_strand_betti, full_strands
+from reference_routes import (closed_by_one_smaller, cones_by_lattice,
+                              cones_per_apex, full_strand_betti,
+                              full_strands)
 from test_linalg import fraction_rank
 from test_oracle_routes import FIELDS, dense_homology
 from test_preserved_kernel import seeded_ideal
@@ -276,3 +286,90 @@ def test_one_pass_cones_match_the_per_apex_route_on_random_families(case):
     # and both read the definition, face by face
     assert cones.tolist() == [all(m ^ g in family for m in family
                                   if m & v == m) for v, g in pairs]
+
+
+# -- the lone bits of the faces against the lattice passes --------------------
+
+
+def check_lattice_routes(ordered, rng):
+    """Both certificates read off the lone bits of the faces equal the
+    passes over all 2^mu masks (``reference_routes.closed_by_one_smaller``
+    and ``cones_by_lattice``): through the order's kept table, as
+    ``verify`` reads them, and by the bool-table helpers on the order's
+    faces and on a family that is not closed, with one set put in and
+    then one face's one-smaller subset taken out.  Returns how many
+    cone verdicts the second family reads false."""
+    classes = _lcm_classes(ordered.ideal)
+    analysis = order_analysis(ordered)
+    vertex_sets = classes.vertex_sets
+    apexes = 1 << (np.array(ordered.order)[
+        analysis.least[vertex_sets]] - 1)
+    faces = analysis.preserved
+    assert verify_chain_complex(ordered) is True
+    assert closed_by_one_smaller(faces)
+    lattice = cones_by_lattice(faces, vertex_sets, apexes)
+    assert lattice.all()
+    assert dict(_verify_rows(ordered)) == dict(
+        zip(classes.exponents, lattice.tolist()))
+    broken = faces.copy()
+    broken[rng.randrange(len(faces))] = True
+    top = rng.choice(np.flatnonzero(faces).tolist())
+    broken[top & (top - 1)] = False
+    for family in (faces, broken):
+        assert _closed(family) == closed_by_one_smaller(family)
+        cones = _cones(family, vertex_sets, apexes)
+        assert (cones == cones_by_lattice(family, vertex_sets,
+                                          apexes)).all()
+    assert not _closed(broken)
+    return int((~cones).sum())
+
+
+def test_certificates_match_the_lattice_passes_on_the_corpus():
+    rng = random.Random(47)
+    sweep = {name for name, _ in sweep_ideals()}
+    false = 0
+    for name, ideal in all_ideals():
+        if name in sweep:
+            orders = list(all_orders(ideal))
+        else:
+            words = [list(ideal.indices()) for _ in range(4)]
+            for w in words[1:]:
+                rng.shuffle(w)
+            orders = [OrderedIdeal(ideal, tuple(w)) for w in words]
+        false += sum(check_lattice_routes(o, rng) for o in orders)
+    assert false
+
+
+def test_certificates_match_the_lattice_passes_on_the_pool(pool):
+    # every ideal file of the seed-1 pool, mu 7-16, under the identity
+    # and the manifest's --order words
+    out, inputs = pool
+    rng = random.Random(4701)
+    names = sorted(n for n in inputs if n.endswith(".ideal"))
+    assert len(names) > 100
+    mus = set()
+    for name in names:
+        ideal = read_ideal(out / name)
+        mus.add(ideal.mu)
+        orders = [identity_order(ideal)] + [
+            parse_order(w, ideal) for w in inputs[name]["orders"]]
+        for ordered in orders:
+            check_lattice_routes(ordered, rng)
+    assert max(mus) == 16
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 7).flatmap(lambda n: st.tuples(
+    st.just(n), st.sets(st.integers(0, (1 << n) - 1), max_size=60))))
+def test_certificates_match_the_lattice_passes_on_random_families(case):
+    # any family, closed under subsets or not, at every nonempty vertex
+    # set with each of its members as the apex
+    n, family = case
+    pairs = [(v, 1 << b) for v in range(1, 1 << n)
+             for b in range(n) if v >> b & 1]
+    vertex_sets = np.array([v for v, _ in pairs], np.int64)
+    apexes = np.array([g for _, g in pairs], np.int64)
+    faces = marked(sorted(family), n)
+    assert _closed(faces) == closed_by_one_smaller(faces)
+    assert (_cones(faces, vertex_sets, apexes) ==
+            cones_by_lattice(faces, vertex_sets, apexes)).all()

@@ -18,8 +18,8 @@ from lyubeznik.monomials import EXPONENT_LIMIT
 from lyubeznik.oracle import (_LcmClasses, _Strands, _cones,
                               _critical_strands, _lcm_classes)
 from lyubeznik.subsets import (SubsetTables, bit_pairs, indices_of,
-                               iter_bits, mask_of, one_smaller, tables_for,
-                               up_closure)
+                               iter_bits, lone_bits, mask_of, one_smaller,
+                               tables_for, up_closure)
 
 from conftest import exponent_ideal, xyz_ideal
 from reference_routes import (CoverWalk, RankTables, cones_per_apex,
@@ -119,6 +119,24 @@ def test_lattice_passes_match_the_neighbours(mu, dtype):
     closed = up_closure(marks.copy())
     assert closed.dtype == marks.dtype
     assert np.array_equal(closed, closure_by_gathers(marks))
+
+
+@pytest.mark.parametrize("mu", [0, 1, 5, 8, 9, 13])
+def test_lone_bits_read_the_unmarked_toggles(mu):
+    # at mu 13 about 4,100 and 8,200 marks cross the gathers' block of
+    # 4,096; mu 8 and 9 cross the narrow dtype from uint8 to uint16
+    rng = np.random.default_rng(mu)
+    narrow = np.min_scalar_type((1 << mu) - 1)
+    for density in (0.0, 0.5, 1.0, 4100 / 8192):
+        marked = rng.random(1 << mu) < density
+        lone = lone_bits(marked)
+        assert lone.dtype == narrow
+        masks = np.flatnonzero(marked)
+        assert lone.shape == masks.shape
+        for b in range(mu):
+            assert np.array_equal(lone >> b & 1 == 1,
+                                  ~marked[masks ^ 1 << b])
+        assert not np.any(lone >> mu)
 
 
 def pool_ideals(pool):
