@@ -9,11 +9,12 @@ import sys
 
 import pytest
 
-from lyubeznik import MonomialIdeal, OrderedIdeal, edge_ideal, parse_ideal
+from lyubeznik import (MonomialIdeal, OrderedIdeal, edge_ideal, parse_ideal,
+                       verify_resolution_report)
 from lyubeznik.cli import main
 from lyubeznik.cmdline import _FLAGS
 from lyubeznik.monomials import EXPONENT_LIMIT, _read_text
-from lyubeznik.oracle import _projective_dimension
+from lyubeznik.oracle import _projective_dimension, _verify_rows
 from lyubeznik.subsets import tables_for
 
 from conftest import triangles_graph
@@ -616,6 +617,28 @@ def test_verify_refuses_before_the_chain_check(capsys, tmp_path, monkeypatch):
     assert code == 2 and out == ""
     assert err.startswith("lyubeznik: refused:")
     assert calls == []
+
+
+def test_verify_text_names_the_failing_multidegrees(capsys, tmp_path,
+                                                    monkeypatch):
+    # every order's faces are cones, so a failing row needs a wrong
+    # table: the rows are replaced, and each failing multidegree must be
+    # written as its monomial
+    path = tmp_path / "ideal.txt"
+    path.write_text("vars x y z\ngen x*y\ngen y*z^2\ngen x^3\n")
+
+    def flipped(ordered):
+        return [(exps, k % 2 == 1) for k, (exps, _) in
+                enumerate(_verify_rows(ordered))]
+    monkeypatch.setattr("lyubeznik.cli._verify_rows", flipped)
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 0 and err == ""
+    ideal = parse_ideal(path.read_text())
+    failing = [str(m) for k, (m, _) in enumerate(verify_resolution_report(
+        OrderedIdeal(ideal, (1, 2, 3)))) if k % 2 == 0]
+    assert f"failing: {len(failing)}\n" in out
+    assert f"homology persists at: {', '.join(failing)}\n" in out
+    assert out.endswith("resolves the quotient: no\n")
 
 
 def test_console_script_smoke(tmp_path):
