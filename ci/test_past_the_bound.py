@@ -1,7 +1,7 @@
 """The paper's answers past the CLI's bound of mu <= 12, checked up to
 the subset tables' bound of mu 16.
 
-Run from the repository root; its 44 tests take about 30 s on a 2-vCPU
+Run from the repository root; its 45 tests take about 30 s on a 2-vCPU
 VM, and ``-s`` prints each child's exit code, peak and time::
 
     PYTHONPATH=src python -m pytest ci -q -s
@@ -43,9 +43,9 @@ from lyubeznik.cmdline import read_argv
 from lyubeznik.complexes import order_analysis
 from lyubeznik.covers import _listing_rows, cover_table
 from lyubeznik.jsontext import _write_json
-from lyubeznik.oracle import (_closed, _cones, _lcm_classes,
+from lyubeznik.oracle import (_chain_verdict, _cone_verdicts, _lcm_classes,
                               _projective_dimension, _verify_rows)
-from lyubeznik.subsets import indices_of, tables_for
+from lyubeznik.subsets import indices_of, lone_bits, tables_for
 
 
 def cycle(n):
@@ -157,12 +157,13 @@ def verify_facts(name):
         broken = faces.copy()
         top = int(np.flatnonzero(faces)[-1])
         broken[top & (top - 1)] = False
+        lone = lone_bits(broken)
         agree = (dict(_verify_rows(ordered)) == dict(zip(
             classes.exponents, lattice.tolist()))
             and verify_chain_complex(ordered) == closed_by_one_smaller(faces)
-            and _closed(broken) == closed_by_one_smaller(broken)
+            and _chain_verdict(broken, lone) == closed_by_one_smaller(broken)
             and np.array_equal(
-                _cones(broken, classes.vertex_sets, apexes),
+                _cone_verdicts(broken, lone, classes.vertex_sets, apexes),
                 cones_by_lattice(broken, classes.vertex_sets, apexes)))
         found.append({"order": str(ordered), "multidegrees": len(report),
                       "faces": len(analysis.faces),
@@ -210,6 +211,7 @@ C14 = [f"c14-{k:02}" for k in range(14)]
 # the tests' checking routes
 sys.path.insert(0, str(ROOT / "tests"))
 from reference_routes import covers_fragments  # noqa: E402
+from reference_routes import facets as reference_facets  # noqa: E402
 
 
 @pytest.fixture(scope="session")
@@ -533,9 +535,9 @@ def test_verify_at_the_table_bound(pool, tmp_path, name):
 @pytest.mark.parametrize("name", ["c16-00", "simplex16"])
 def test_complex_at_the_table_bound(pool, tmp_path, name):
     # complex is the one command that reaches the subset tables' bound;
-    # it reads the facets off the faces, one gather per bit, and the
-    # census from per-size counts of the faces, of the covering faces
-    # and of the covers, so neither allocates more than the faces do.
+    # it reads the facets off the faces' lone bits, and the census from
+    # per-size counts of the faces, of the covering faces and of the
+    # covers, so neither allocates more than the faces do.
     # On c16-00 and on the 16-variable simplex (all 65,536 subsets are
     # faces, one is a facet), complex --format json must exit 0 with a
     # peak resident set within 256 MiB; its bytes must be json.dumps's
@@ -552,6 +554,26 @@ def test_complex_at_the_table_bound(pool, tmp_path, name):
     if name == "simplex16":
         assert out["facets"] == [list(range(1, 17))]
         assert out["f_vector"] == [comb(16, t) for t in range(17)]
+
+
+def test_facets_of_a_dense_complex_at_the_table_bound():
+    # a face F is a facet when it is lone at every bit outside it; on
+    # the C16 edge ideal, a dense complex that is not the simplex
+    # (49,152 faces under the identity and its reverse, 12 blocks of
+    # the lone bits' gathers; 16,384 and 20,736 under two seeded
+    # shuffles), the facets must equal the scan of each face's
+    # one-larger masks
+    ideal = graph_ideal("C16")
+    words = [list(ideal.indices()), list(reversed(ideal.indices()))]
+    for seed in (1, 2):
+        words.append(list(ideal.indices()))
+        random.Random(seed).shuffle(words[-1])
+    sizes = []
+    for word in words:
+        analysis = order_analysis(OrderedIdeal(ideal, tuple(word)))
+        assert analysis.facets == reference_facets(analysis.preserved), word
+        sizes.append(len(analysis.faces))
+    assert max(sizes) == 49_152 and min(sizes) >= 2 ** 14
 
 
 def test_per_ideal_state_is_released_at_the_table_bound(pool, tmp_path):

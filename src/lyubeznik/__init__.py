@@ -26,8 +26,8 @@ from .monomials import (BoundExceededError, MinimizationWarning, Monomial,
                         radical_ideal, read_ideal)
 from .oracle import (taylor_betti, verify_chain_complex,
                      verify_resolution_report)
-from .orders import (OrderedIdeal, all_orders, identity_order,
-                     orders_for_search, parse_order)
+from .orders import (OrderedIdeal, identity_order, orders_for_search,
+                     parse_order)
 
 __version__ = "0.1.0"
 
@@ -38,8 +38,8 @@ __all__ = [
     "NonMinimalWarning", "NotMinimalError", "OrderedIdeal", "OrientedClutter",
     "ParseError", "PropositionCheck", "QUOTIENT", "SearchResult",
     "SimpleGraph", "SubsetClass", "Symbol", "VariableContext",
-    "admissible_symbols", "all_graphs", "all_ideals", "all_orders", "analyze",
-    "ara_bounds", "betti_from_preserved", "check_graph_propositions",
+    "admissible_symbols", "all_graphs", "all_ideals", "analyze", "ara_bounds",
+    "betti_from_preserved", "check_graph_propositions",
     "classification_census", "classify_subset", "complete_cover",
     "cover_clutter", "covers_of", "divides", "e_minimal_covers_of",
     "edge_ideal", "graph_names", "height", "ideal_names", "identity_order",

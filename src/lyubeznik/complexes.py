@@ -65,22 +65,20 @@ class _OrderAnalysis:
     size of the largest one, is its last index, and ``dim`` is one less.
     ``faces`` lists the preserved masks in ascending order: the faces of
     the Lyubeznik complex, which the complex, the Betti counts and the
-    radical generators read.  ``facets`` lists the maximal ones in
-    ascending order, built on its first read: only the complex reads it.
-    It is read off the faces, not the lattice: a face F is a facet
-    when no F | bit outside it is a face.  Faces are closed under
-    subsets, so that holds exactly when the faces among the masks
-    F ^ bit number F's members, counted by one gather over the faces
-    per bit, in O(faces) memory.  ``lone`` holds the lone bits of each
-    face in ascending order (the generators g for which F ^ g is not a
+    radical generators read.  ``lone`` holds the lone bits of each face
+    in ascending order (the generators g for which F ^ g is not a
     face), in the smallest unsigned dtype that holds mu bits
-    (``subsets.lone_bits``), built on its first read: the oracle reads
-    both of its resolution certificates off it.  The census
+    (``subsets.lone_bits``), built on its first read.  ``facets`` lists
+    the maximal faces in ascending order, read off it: faces are closed
+    under subsets, so no face is lone at a member, and F is a facet
+    exactly when it is lone at every bit outside it, ``lone[F] | F ==
+    2^mu - 1``.  The complex reads the facets, and the oracle both of
+    its resolution certificates, off this one table.  The census
     (``classification_census``) reads the f-vector.
     """
 
     __slots__ = ("divisor_mask", "order", "least", "preserved", "faces",
-                 "_facets", "_lone", "f_vector", "length")
+                 "_lone", "f_vector", "length")
 
     def __init__(self, ordered: OrderedIdeal) -> None:
         tables = tables_for(ordered.ideal)
@@ -99,7 +97,7 @@ class _OrderAnalysis:
         self.least = least
         self.preserved = preserved
         self.faces = np.flatnonzero(preserved).tolist()
-        self._facets = self._lone = None
+        self._lone = None
         self.f_vector = tuple(
             np.bincount(popcounts(mu)[preserved]).tolist())
         self.length = len(self.f_vector) - 1
@@ -108,21 +106,8 @@ class _OrderAnalysis:
 
     @property
     def facets(self) -> list[int]:
-        if self._facets is None:
-            preserved = self.preserved
-            mu = len(preserved).bit_length() - 1
-            faces = np.flatnonzero(preserved)
-            # the bits whose F ^ bit is a face: every member of F, whose
-            # F ^ bit is a subset of F, and each bit outside F whose
-            # F | bit is a face; the faces are toggled in place and back
-            face_bits = np.zeros(len(faces), np.int8)
-            for b in range(mu):
-                bit = 1 << b
-                faces ^= bit
-                face_bits += preserved.take(faces)
-                faces ^= bit
-            self._facets = faces[face_bits == popcounts(mu)[faces]].tolist()
-        return self._facets
+        faces = np.flatnonzero(self.preserved)
+        return faces[(self.lone | faces) == len(self.preserved) - 1].tolist()
 
     @property
     def lone(self) -> np.ndarray:

@@ -60,12 +60,13 @@ the top level with homology in any strand, and no Betti table is
 built for it (``_projective_dimension``).  Once a table has ranked the
 strands, it is read off their homology over the field, by the rule
 above; before that, the levels are walked from the top down, so that a
-search, which builds no table, ranks no more than it needs.  While every strand is exact above level t, the rank of
-the differential into level t is the alternating sum of the dimensions
-above it, so the homology at t vanishes exactly when the differential
-out of t has the rank dim_t less that sum.  The counts decide this
-alone when that rank is 0 or exceeds dim_{t-1}; only the other strands
-are ranked, and the walk stops at the first level with homology.
+search, which builds no table, ranks no more than it needs.  While
+every strand is exact above level t, the rank of the differential into
+level t is the alternating sum of the dimensions above it, so the
+homology at t vanishes exactly when the differential out of t has the
+rank dim_t less that sum.  The counts decide this alone when that rank
+is 0 or exceeds dim_{t-1}; only the other strands are ranked, and the
+walk stops at the first level with homology.
 
 The resolution check reads two certificates off the order's faces and
 takes no rank and no field.  Both are Lyubeznik's own arguments, and
@@ -109,9 +110,7 @@ All the cones are read at once, not one closure per apex: the faces'
 lone bits are scattered into one array over the masks, in the smallest
 unsigned dtype that holds mu bits, and one up-closure ORs them over the
 subset lattice (``_cone_verdicts``).  V_a is a cone over g exactly when
-bit g is clear at V_a.  ``_closed`` and ``_cones`` read the same two
-certificates off any bool table of masks, closed or not, through the
-same lone bits.
+bit g is clear at V_a.
 
 A nonempty subset S lies in the class of lcm(S), which is named by its
 vertex set: every member of V_a divides a, so lcm(V_a) = a and distinct
@@ -151,8 +150,7 @@ from .complexes import order_analysis
 from .linalg import certified_rank, check_prime, exact_rank, rank_mod_p
 from .monomials import Monomial, MonomialIdeal, monomial_text
 from .orders import OrderedIdeal
-from .subsets import (SubsetTables, lone_bits, popcounts, tables_for,
-                      up_closure)
+from .subsets import SubsetTables, popcounts, tables_for, up_closure
 
 class _Texts(dict):
     """Each lattice point's ``monomial_text``, keyed by its exponent
@@ -449,22 +447,6 @@ def _cone_verdicts(preserved: np.ndarray, lone: np.ndarray,
     closure = np.zeros(len(preserved), lone.dtype)
     closure[preserved] = lone
     return (up_closure(closure)[vertex_sets] & apexes) == 0
-
-
-def _closed(preserved: np.ndarray) -> bool:
-    """Whether the masks marked in ``preserved``, a bool array over the
-    2^mu masks, are closed under taking subsets: no marked mask has an
-    unmarked one-smaller subset."""
-    return _chain_verdict(preserved, lone_bits(preserved))
-
-
-def _cones(preserved: np.ndarray, vertex_sets: np.ndarray,
-           apexes: np.ndarray) -> np.ndarray:
-    """Whether the faces (``preserved``'s marks) inside each vertex set
-    form a cone over its apex bit: every such face F has F ^ g among the
-    faces."""
-    return _cone_verdicts(preserved, lone_bits(preserved), vertex_sets,
-                          apexes)
 
 
 def verify_chain_complex(ordered: OrderedIdeal) -> bool:

@@ -9,10 +9,9 @@ witness orders are reproducible.  The exhaustive search of
 ``invariants`` answers for all mu! orders without listing them
 (``prefix``).
 
-``all_orders`` and ``orders_for_search`` both read
-``itertools.permutations``: the first yields one ``OrderedIdeal`` per
-word, the second int8 blocks of ``BLOCK`` words for the tests' checking
-scan of all orders.  Both are lazy and refuse no mu.
+``orders_for_search`` reads ``itertools.permutations`` in int8 blocks
+of ``BLOCK`` words, for the tests' checking scan of all orders.  It is
+lazy and refuses no mu.
 """
 
 from __future__ import annotations
@@ -70,11 +69,6 @@ class OrderedIdeal:
 
 def identity_order(ideal: MonomialIdeal) -> OrderedIdeal:
     return OrderedIdeal(ideal, tuple(range(1, ideal.mu + 1)))
-
-
-def all_orders(ideal: MonomialIdeal) -> Iterator[OrderedIdeal]:
-    """All mu! orders, lexicographic on the permutation word."""
-    return (OrderedIdeal(ideal, word) for word in permutations(ideal.indices()))
 
 
 def parse_order(text: str, ideal: MonomialIdeal) -> OrderedIdeal:

@@ -46,8 +46,10 @@ numpy's cost per row is most of such a pass, and the split hands out
 instead one pair of long strided columns per offset in the run.
 ``lone_bits`` reads, for the marked masks of a bool array only, the
 bits at which each one's toggle is unmarked, by gathers over those
-masks: the oracle reads both of its resolution certificates off an
-order's faces this way.
+masks.  Its one reader is the order's analysis
+(``complexes._OrderAnalysis.lone``), which hands an order's faces to
+it; the complex reads its facets, and the oracle both of its
+resolution certificates, off the table it keeps.
 
 Tables cost O(2^mu) memory, so construction refuses ideals with more
 than MAX_TABLE_GENERATORS generators, before it allocates anything.

@@ -14,13 +14,17 @@ monomials.
 * ``closure_length``: the largest set outside the up-closure of the
   broken sets, by a bitwise subset-sum transform;
 * ``facets``: the maximal preserved masks, each face's one-larger
-  masks scanned, the route the gather over the faces
+  masks scanned, the route the rule read off the faces' lone bits
   (``_OrderAnalysis.facets``) is compared with, and ``census_by_keys``:
   the four-class census by one key per mask over all 2^mu masks, the
   route the per-size counts of faces, covering faces and covers
   (``complexes.classification_census``) replaced;
 * ``facets_stable``: minimality as "every facet of the complex is a
   stable symbol", read off the monomials;
+* ``all_orders``: the mu! orders as ``OrderedIdeal``s, lexicographic
+  on the permutation word, one per word of ``itertools.permutations``:
+  the tests' loops over every order read it, where the library's
+  searches list no order;
 * ``block_ranks``: the least and court ranks of every mask under each
   order of a block, by whole-array passes over the (mask, order) plane;
 * ``unpacked_readout``: a block of orders' obstruction, length and
@@ -45,14 +49,14 @@ monomials.
   the Lyubeznik complex's faces in increasing rank, and
   ``dense_chain_complex`` and ``dense_composes_to_zero`` check d^2 = 0
   with these matrices, the route the closure certificate
-  (``oracle._closed``) is compared with;
+  (``oracle._chain_verdict``) is compared with;
 * ``closed_by_one_smaller`` and ``cones_by_lattice``: the two
   resolution certificates by passes over all 2^mu masks, closure as
   one ``subsets.one_smaller`` pass of the unmarked masks, and the lone
   bits of every mask by two masked ORs per bit over the views of
   ``subsets.bit_pairs`` before one up-closure, the routes the lone
   bits gathered over the faces alone (``subsets.lone_bits``, read by
-  ``oracle._closed``, ``oracle._cones`` and ``verify``) replaced;
+  ``oracle._chain_verdict`` and ``oracle._cone_verdicts``) replaced;
 * ``full_strands`` and ``full_strand_betti``: every nonempty mask
   grouped by lcm and then by size, and the Betti numbers from the
   homology of these whole Taylor strands, the route the Morse-reduced
@@ -134,13 +138,13 @@ import re
 import warnings
 from dataclasses import dataclass
 from functools import cache, partial
-from itertools import combinations
+from itertools import combinations, permutations
 from math import factorial
 
 import numpy as np
 
-from lyubeznik import (is_minimal_resolution, is_stable_symbol, monomials,
-                       orders_for_search, symbol_of, taylor_betti)
+from lyubeznik import (OrderedIdeal, is_minimal_resolution, is_stable_symbol,
+                       monomials, orders_for_search, symbol_of, taylor_betti)
 from lyubeznik.betti import BettiTable
 from lyubeznik.cmdline import DEFAULT_MAX_EXHAUSTIVE, _field, _positive_int
 from lyubeznik.complexes import SubsetClass, order_analysis
@@ -225,6 +229,12 @@ def facets_stable(ordered, preserved=None):
     preserved = preserved_table(ordered) if preserved is None else preserved
     return all(is_stable_symbol(symbol_of(indices_of(f), ordered), ordered.ideal)
                for f in facets(preserved))
+
+
+def all_orders(ideal):
+    """All mu! orders, lexicographic on the permutation word."""
+    return (OrderedIdeal(ideal, word)
+            for word in permutations(ideal.indices()))
 
 
 def block_ranks(ideal, words):

@@ -11,7 +11,6 @@ from itertools import combinations
 from lyubeznik import (
     SubsetClass,
     admissible_symbols,
-    all_orders,
     ara_bounds,
     betti_from_preserved,
     check_graph_propositions,
@@ -43,7 +42,7 @@ from lyubeznik import (
 )
 from lyubeznik.subsets import mask_of, tables_for
 
-from reference_routes import closure_length, equivalence_audit
+from reference_routes import all_orders, closure_length, equivalence_audit
 
 
 def criterion(number, description, limit=None):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lyubeznik import (OrderedIdeal, SubsetClass, Symbol, admissible_symbols,
-                       all_orders, classification_census, classify_subset,
+                       classification_census, classify_subset,
                        complete_cover, identity_order, inadmissible_symbols,
                        is_admissible_symbol, is_broken, is_cover_of,
                        is_preserved, is_stable_symbol, load_ideal,
@@ -15,7 +15,7 @@ from lyubeznik.complexes import order_analysis
 from lyubeznik.subsets import mask_of
 
 from conftest import exponent_ideal
-from reference_routes import census_by_keys, preserved_table
+from reference_routes import all_orders, census_by_keys, preserved_table
 from reference_routes import facets as reference_facets
 from test_scan_kernel import exponent_rows, small_ideal
 

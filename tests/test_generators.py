@@ -15,7 +15,6 @@ from lyubeznik import (
     OrderedIdeal,
     VariableContext,
     all_ideals,
-    all_orders,
     identity_order,
     is_minimal_resolution,
     l_length,
@@ -25,6 +24,7 @@ from lyubeznik import (
     radical_generators,
 )
 
+from reference_routes import all_orders
 from test_scan_kernel import exponent_rows, small_ideal
 
 XY = VariableContext(("x", "y"))

@@ -21,7 +21,6 @@ from lyubeznik import (
     AraBounds,
     NotMinimalError,
     OrderedIdeal,
-    all_orders,
     analyze,
     ara_bounds,
     betti_from_preserved,
@@ -50,9 +49,9 @@ from lyubeznik.covers import cover_table
 from lyubeznik.oracle import _projective_dimension
 from lyubeznik.subsets import tables_for
 from conftest import triangles_graph
-from reference_routes import (block_ranks, closure_length, equivalence_audit,
-                              exhaustive_scan, facets_stable,
-                              unpacked_readout)
+from reference_routes import (all_orders, block_ranks, closure_length,
+                              equivalence_audit, exhaustive_scan,
+                              facets_stable, unpacked_readout)
 from test_preserved_kernel import seeded_ideal
 from test_scan_kernel import exponent_rows, small_ideal
 

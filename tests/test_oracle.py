@@ -28,7 +28,6 @@ import lyubeznik.oracle as oracle
 from lyubeznik import (
     OrderedIdeal,
     all_ideals,
-    all_orders,
     identity_order,
     load_ideal,
     parse_ideal,
@@ -38,12 +37,12 @@ from lyubeznik import (
     verify_resolution_report,
 )
 from lyubeznik.linalg import rank_mod_p
-from lyubeznik.oracle import (_boundary_columns, _closed,
+from lyubeznik.oracle import (_boundary_columns, _chain_verdict,
                               _projective_dimension)
-from lyubeznik.subsets import tables_for
+from lyubeznik.subsets import lone_bits, tables_for
 
 from conftest import exponent_ideal
-from reference_routes import (BoundaryMatrix, boundary_matrices,
+from reference_routes import (BoundaryMatrix, all_orders, boundary_matrices,
                               dense_composes_to_zero, per_field_betti)
 from test_covers import refuses_before_allocating, unit_rows
 from test_linalg import check_certificate
@@ -161,7 +160,8 @@ def masks(*faces):
 ])
 def test_the_closure_certificate_on_hand_built_families(family, certificate,
                                                          dense):
-    assert _closed(family_table(family, 3)) is certificate
+    table = family_table(family, 3)
+    assert _chain_verdict(table, lone_bits(table)) is certificate
     assert dense_composes_to_zero(mask_faces(family)) is dense
 
 

@@ -13,16 +13,17 @@ certificate: the faces inside it form a cone over the set's
 first-ranked member.  On every order's faces the certificate holds; the
 hand-built families that are not such cones read false, whatever their
 homology; and on random simplicial complexes a cone must be acyclic by
-the dense route.  The verdicts come from the lone bits of the faces, scattered
-into one array and up-closed (``oracle._cones``); they must equal those
-of one up-closure per apex (``reference_routes.cones_per_apex``) on
+the dense route.  The verdicts come from the lone bits of the faces
+(``subsets.lone_bits``), scattered into one array and up-closed
+(``oracle._cone_verdicts``); they must equal those of one up-closure
+per apex (``reference_routes.cones_per_apex``) on
 every corpus ideal under its orders, on the seed-1 pool up to mu 14,
 and on random face families, closed or not, at every vertex set and
 apex.  Both certificates, the cones and d^2 = 0 (closure under
 subsets), must also equal the passes over all 2^mu masks that the lone
 bits replaced (``reference_routes.closed_by_one_smaller`` and
 ``cones_by_lattice``): through the order's kept table as ``verify``
-reads them, and by the bool-table helpers on the order's faces and on
+reads them, and through ``lone_bits`` on the order's faces and on
 families that are not closed, on the corpus, on the whole seed-1 pool
 under its manifest orders, and on hypothesis families.
 """
@@ -33,19 +34,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lyubeznik import (all_ideals, all_orders, identity_order, parse_order,
-                       read_ideal, sweep_ideals, taylor_betti,
-                       verify_chain_complex, verify_resolution_report)
+from lyubeznik import (all_ideals, identity_order, parse_order, read_ideal,
+                       sweep_ideals, taylor_betti, verify_chain_complex,
+                       verify_resolution_report)
 from lyubeznik.complexes import order_analysis
-from lyubeznik.oracle import (_closed, _cones, _critical_strands,
-                              _lcm_classes, _verify_rows)
+from lyubeznik.oracle import (_chain_verdict, _cone_verdicts,
+                              _critical_strands, _lcm_classes, _verify_rows)
 from lyubeznik.orders import OrderedIdeal
-from lyubeznik.subsets import tables_for
+from lyubeznik.subsets import lone_bits, tables_for
 
 from conftest import exponent_ideal
-from reference_routes import (closed_by_one_smaller, cones_by_lattice,
-                              cones_per_apex, full_strand_betti,
-                              full_strands)
+from reference_routes import (all_orders, closed_by_one_smaller,
+                              cones_by_lattice, cones_per_apex,
+                              full_strand_betti, full_strands)
 from test_linalg import fraction_rank
 from test_oracle_routes import FIELDS, dense_homology
 from test_preserved_kernel import seeded_ideal
@@ -170,15 +171,18 @@ def test_hand_built_non_cones_read_false(family, vset, apex, acyclic):
     # the certificate is sufficient, not necessary: the contractible path
     # reads false as well, and no order's faces are such a family
     vertex_sets, apexes = np.array([vset]), np.array([apex])
-    assert not _cones(marked(family, 3), vertex_sets, apexes)[0]
+    faces = marked(family, 3)
+    assert not _cone_verdicts(faces, lone_bits(faces), vertex_sets,
+                              apexes)[0]
     assert dense_acyclic(family, vset) == acyclic
 
 
 def test_a_cone_reads_true():
     # the path 1-2-3 is a cone over its middle vertex
     path = masks((), (1,), (2,), (3,), (1, 2), (2, 3))
-    assert _cones(marked(path, 3), np.array([0b111]),
-                  np.array([0b010])).tolist() == [True]
+    faces = marked(path, 3)
+    assert _cone_verdicts(faces, lone_bits(faces), np.array([0b111]),
+                          np.array([0b010])).tolist() == [True]
 
 
 @st.composite
@@ -204,7 +208,8 @@ def complexes_with_vertex_sets(draw):
 def test_a_cone_is_acyclic_on_random_complexes(case):
     n, family, vset, apex = case
     vertex_sets, apexes = np.array([vset]), np.array([apex])
-    cone = _cones(marked(family, n), vertex_sets, apexes)[0]
+    faces = marked(family, n)
+    cone = _cone_verdicts(faces, lone_bits(faces), vertex_sets, apexes)[0]
     # the up-closure route against the definition, face by face
     inside = [m for m in family if m & vset == m]
     assert cone == all(m ^ apex in family for m in inside)
@@ -234,7 +239,8 @@ def check_cones_routes(ordered, rng):
     no_apex[rng.choice(apexes.tolist())] = False
     verdicts = []
     for family in (faces, swapped, no_apex):
-        cones = _cones(family, vertex_sets, apexes)
+        cones = _cone_verdicts(family, lone_bits(family), vertex_sets,
+                               apexes)
         assert (cones == cones_per_apex(family, vertex_sets, apexes)).all()
         verdicts.append(cones)
     assert verdicts[0].all()
@@ -281,7 +287,7 @@ def test_one_pass_cones_match_the_per_apex_route_on_random_families(case):
     vertex_sets = np.array([v for v, _ in pairs])
     apexes = np.array([g for _, g in pairs])
     faces = marked(sorted(family), n)
-    cones = _cones(faces, vertex_sets, apexes)
+    cones = _cone_verdicts(faces, lone_bits(faces), vertex_sets, apexes)
     assert (cones == cones_per_apex(faces, vertex_sets, apexes)).all()
     # and both read the definition, face by face
     assert cones.tolist() == [all(m ^ g in family for m in family
@@ -295,7 +301,7 @@ def check_lattice_routes(ordered, rng):
     """Both certificates read off the lone bits of the faces equal the
     passes over all 2^mu masks (``reference_routes.closed_by_one_smaller``
     and ``cones_by_lattice``): through the order's kept table, as
-    ``verify`` reads them, and by the bool-table helpers on the order's
+    ``verify`` reads them, and through ``lone_bits`` on the order's
     faces and on a family that is not closed, with one set put in and
     then one face's one-smaller subset taken out.  Returns how many
     cone verdicts the second family reads false."""
@@ -316,11 +322,12 @@ def check_lattice_routes(ordered, rng):
     top = rng.choice(np.flatnonzero(faces).tolist())
     broken[top & (top - 1)] = False
     for family in (faces, broken):
-        assert _closed(family) == closed_by_one_smaller(family)
-        cones = _cones(family, vertex_sets, apexes)
+        lone = lone_bits(family)
+        assert _chain_verdict(family, lone) == closed_by_one_smaller(family)
+        cones = _cone_verdicts(family, lone, vertex_sets, apexes)
         assert (cones == cones_by_lattice(family, vertex_sets,
                                           apexes)).all()
-    assert not _closed(broken)
+    assert not _chain_verdict(broken, lone_bits(broken))
     return int((~cones).sum())
 
 
@@ -370,6 +377,7 @@ def test_certificates_match_the_lattice_passes_on_random_families(case):
     vertex_sets = np.array([v for v, _ in pairs], np.int64)
     apexes = np.array([g for _, g in pairs], np.int64)
     faces = marked(sorted(family), n)
-    assert _closed(faces) == closed_by_one_smaller(faces)
-    assert (_cones(faces, vertex_sets, apexes) ==
+    lone = lone_bits(faces)
+    assert _chain_verdict(faces, lone) == closed_by_one_smaller(faces)
+    assert (_cone_verdicts(faces, lone, vertex_sets, apexes) ==
             cones_by_lattice(faces, vertex_sets, apexes)).all()

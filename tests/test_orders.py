@@ -4,9 +4,11 @@ from math import factorial
 import numpy as np
 import pytest
 
-from lyubeznik import (OrderedIdeal, all_orders, identity_order,
-                       is_minimal_resolution, load_ideal, orders_for_search,
-                       parse_ideal, parse_order)
+from lyubeznik import (OrderedIdeal, identity_order, is_minimal_resolution,
+                       load_ideal, orders_for_search, parse_ideal,
+                       parse_order)
+
+from reference_routes import all_orders
 
 
 def test_ordered_ideal_validates_permutation():

@@ -19,7 +19,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lyubeznik import (OrderedIdeal, SubsetClass, all_ideals, all_orders,
+from lyubeznik import (OrderedIdeal, SubsetClass, all_ideals,
                        classification_census, classify_subset, complete_cover,
                        cover_clutter, covers_of, e_minimal_covers_of,
                        identity_order, is_broken, is_cover_of,
@@ -29,7 +29,7 @@ from lyubeznik.complexes import order_analysis
 from lyubeznik.subsets import indices_of, tables_for
 
 from conftest import exponent_ideal
-from reference_routes import (closure_length, court_table,
+from reference_routes import (all_orders, closure_length, court_table,
                               equivalence_audit, facets, facets_stable,
                               preserved_table)
 from test_scan_kernel import exponent_rows, small_ideal

@@ -31,8 +31,8 @@ EXPORTED = [
     "NonMinimalWarning", "NotMinimalError", "OrderedIdeal", "OrientedClutter",
     "ParseError", "PropositionCheck", "QUOTIENT", "SearchResult",
     "SimpleGraph", "SubsetClass", "Symbol", "VariableContext",
-    "admissible_symbols", "all_graphs", "all_ideals", "all_orders", "analyze",
-    "ara_bounds", "betti_from_preserved", "check_graph_propositions",
+    "admissible_symbols", "all_graphs", "all_ideals", "analyze", "ara_bounds",
+    "betti_from_preserved", "check_graph_propositions",
     "classification_census", "classify_subset", "complete_cover",
     "cover_clutter", "covers_of", "divides", "e_minimal_covers_of",
     "edge_ideal", "graph_names", "height", "ideal_names", "identity_order",
@@ -115,7 +115,7 @@ def test_no_library_function_takes_a_bound():
     functions = [getattr(lyubeznik, name) for name in lyubeznik.__all__]
     functions = [f for f in functions if inspect.isfunction(f)]
     assert {lyubeznik.search_scan, lyubeznik.longest_path_edges,
-            lyubeznik.all_orders} <= set(functions)
+            lyubeznik.orders_for_search} <= set(functions)
     taking = [(f.__name__, p) for f in functions
               for p in inspect.signature(f).parameters
               if p in ("max_exhaustive", "max_generators", "max_vertices")]

@@ -15,13 +15,14 @@ from itertools import product
 
 from hypothesis import given, settings, strategies as st
 
-from lyubeznik import (MinimizationWarning, MonomialIdeal, all_orders,
-                       load_ideal, search_scan)
+from lyubeznik import (MinimizationWarning, MonomialIdeal, load_ideal,
+                       search_scan)
 from lyubeznik.covers import cover_table
 
 from conftest import exponent_ideal
-from reference_routes import (closure_length, court_table, exhaustive_scan,
-                              facets_stable, preserved_table)
+from reference_routes import (all_orders, closure_length, court_table,
+                              exhaustive_scan, facets_stable,
+                              preserved_table)
 
 SCAN_NAMES = ["chain_three_squares", "square_edges", "chain_five_mixed",
               "mixed_powers_xyz", "five_gen_squarefree"]

@@ -15,7 +15,7 @@ from lyubeznik.complexes import order_analysis
 from lyubeznik.corpus import ideal_names, load_ideal
 from lyubeznik.covers import _CoverTable, cover_table
 from lyubeznik.monomials import EXPONENT_LIMIT
-from lyubeznik.oracle import (_LcmClasses, _Strands, _cones,
+from lyubeznik.oracle import (_LcmClasses, _Strands, _cone_verdicts,
                               _critical_strands, _lcm_classes)
 from lyubeznik.subsets import (SubsetTables, bit_pairs, indices_of,
                                iter_bits, lone_bits, mask_of, one_smaller,
@@ -170,9 +170,11 @@ def test_passes_match_the_gathers_on_the_pool_at_mu_14_and_16(pool):
             analysis = order_analysis(ordered)
             apexes = 1 << (np.array(ordered.order)[
                 analysis.least[classes.vertex_sets]] - 1)
+            faces = analysis.preserved
             assert np.array_equal(
-                _cones(analysis.preserved, classes.vertex_sets, apexes),
-                cones_per_apex(analysis.preserved, classes.vertex_sets,
+                _cone_verdicts(faces, lone_bits(faces), classes.vertex_sets,
+                               apexes),
+                cones_per_apex(faces, classes.vertex_sets,
                                apexes)), (name, word)
 
 
@@ -219,7 +221,8 @@ def test_cones_match_the_per_apex_route_on_random_families(mu):
     vertex_sets = np.unique(rng.integers(1, 1 << mu, 300))
     apexes = 1 << rng.integers(0, mu, len(vertex_sets))
     apexes = np.where(vertex_sets & apexes, apexes, vertex_sets & -vertex_sets)
-    verdicts = _cones(family, vertex_sets, apexes)
+    verdicts = _cone_verdicts(family, lone_bits(family), vertex_sets,
+                              apexes)
     assert np.array_equal(verdicts,
                           cones_per_apex(family, vertex_sets, apexes))
     assert 0 < verdicts.sum() < len(verdicts)

@@ -26,8 +26,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lyubeznik import (OrderedIdeal, Symbol, all_ideals, all_orders,
-                       cover_clutter, e_minimal_covers_of, identity_order,
+from lyubeznik import (OrderedIdeal, Symbol, all_ideals, cover_clutter,
+                       e_minimal_covers_of, identity_order,
                        is_admissible_symbol, is_cover_of,
                        is_minimal_resolution, l_length, preserved_size,
                        sweep_ideals)
@@ -35,7 +35,7 @@ from lyubeznik.complexes import order_analysis
 from lyubeznik.covers import cover_table
 from lyubeznik.subsets import tables_for
 
-from reference_routes import CoverWalk
+from reference_routes import CoverWalk, all_orders
 from test_preserved_kernel import seeded_ideal
 from test_scan_kernel import exponent_rows, small_ideal
 
