@@ -1,7 +1,7 @@
 """The paper's answers past the CLI's bound of mu <= 12, checked up to
 the subset tables' bound of mu 16.
 
-Run from the repository root; its 45 tests take about 30 s on a 2-vCPU
+Run from the repository root; its 46 tests take about 30 s on a 2-vCPU
 VM, and ``-s`` prints each child's exit code, peak and time::
 
     PYTHONPATH=src python -m pytest ci -q -s
@@ -34,8 +34,9 @@ from tempfile import NamedTemporaryFile
 import numpy as np
 
 import lyubeznik.cli as cli
-from lyubeznik import (OrderedIdeal, SimpleGraph, betti_from_preserved,
-                       edge_ideal, identity_order, is_lyubeznik, l_length,
+from lyubeznik import (OrderedIdeal, SimpleGraph, analyze,
+                       betti_from_preserved, edge_ideal, identity_order,
+                       is_lyubeznik, l_length,
                        parse_ideal, parse_order, read_ideal, search_scan,
                        taylor_betti, verify_chain_complex,
                        verify_resolution_report)
@@ -43,8 +44,9 @@ from lyubeznik.cmdline import read_argv
 from lyubeznik.complexes import order_analysis
 from lyubeznik.covers import _listing_rows, cover_table
 from lyubeznik.jsontext import _write_json
-from lyubeznik.oracle import (_chain_verdict, _cone_verdicts, _lcm_classes,
-                              _projective_dimension, _verify_rows)
+from lyubeznik.oracle import (_Strands, _chain_verdict, _cone_verdicts,
+                              _lcm_classes, _projective_dimension,
+                              _verify_rows)
 from lyubeznik.subsets import indices_of, lone_bits, tables_for
 
 
@@ -158,7 +160,7 @@ def verify_facts(name):
         top = int(np.flatnonzero(faces)[-1])
         broken[top & (top - 1)] = False
         lone = lone_bits(broken)
-        agree = (dict(_verify_rows(ordered)) == dict(zip(
+        agree = (dict(_verify_rows(ordered)[0]) == dict(zip(
             classes.exponents, lattice.tolist()))
             and verify_chain_complex(ordered) == closed_by_one_smaller(faces)
             and _chain_verdict(broken, lone) == closed_by_one_smaller(broken)
@@ -170,6 +172,27 @@ def verify_facts(name):
                       "not exact": sum(not ok for _, ok in report),
                       "chain": verify_chain_complex(ordered),
                       "lattice routes agree": agree})
+    return found
+
+
+def projdim_facts(name):
+    """A graph's edge ideal's pd read off its least minimal order, by the
+    search and by ``analyze`` on that order, whether the oracle's
+    strands were built by then, and the peak resident set in MiB; then
+    the oracle's pd over Q and GF(2), and the peak after it."""
+    import resource
+    ideal = graph_ideal(name)
+    scan = search_scan(ideal)
+    report = analyze(OrderedIdeal(ideal, scan.tobsl_witness))
+    found = {"lyubeznik": scan.lyubeznik, "minimal": report.minimal,
+             "projdim": scan.projdim, "ara lower": report.ara.lower,
+             "strands": _Strands in tables_for(ideal)._derived,
+             "peak MiB": resource.getrusage(
+                 resource.RUSAGE_SELF).ru_maxrss / 1024}
+    found["oracle"] = [_projective_dimension(ideal, prime=prime)
+                       for prime in (None, 2)]
+    found["peak MiB after the oracle"] = resource.getrusage(
+        resource.RUSAGE_SELF).ru_maxrss / 1024
     return found
 
 
@@ -574,6 +597,23 @@ def test_facets_of_a_dense_complex_at_the_table_bound():
         assert analysis.facets == reference_facets(analysis.preserved), word
         sizes.append(len(analysis.faces))
     assert max(sizes) == 49_152 and min(sizes) >= 2 ** 14
+
+
+def test_projdim_of_a_minimal_order_at_the_table_bound(tmp_path):
+    # a minimal resolution's length is pd(R/I) over every field, so
+    # where a minimal order is in hand no homology is ranked: on the
+    # star K_{1,16}, whose orders are all minimal, the search's projdim
+    # and analyze's ara lower bound must be 16 with the oracle's
+    # strands never built, and must equal the oracle's pd over Q and
+    # GF(2), computed after.  The child's peak before the oracle must
+    # stay within 80 MiB: it read 71 MiB, most of it analyze's
+    # preserved-set Betti counts over all 65,536 faces, and 122 MiB
+    # after the oracle, which took about 0.2 s
+    found, _ = child_facts(tmp_path, projdim_facts, "K1_16")
+    assert found["lyubeznik"] and found["minimal"]
+    assert found["projdim"] == found["ara lower"] == 16
+    assert found["strands"] is False and found["peak MiB"] <= 80
+    assert found["oracle"] == [16, 16]
 
 
 def test_per_ideal_state_is_released_at_the_table_bound(pool, tmp_path):

@@ -45,7 +45,12 @@ One function, ``_request``, fixes the order of checks for every ideal
 command: it reads the ideal, parses ``--order``, makes every refusal
 but the subset tables' in ``_check_size``, and only then calls the
 handler with ``(args, ideal, ordered)``, so that a bad file or order is
-exit code 1 even past a bound.  It puts the ``ideal`` and ``order``
+exit code 1 even past a bound.  The ideal is read there alone, by
+``monomials.read_ideal``: the file is read on every request, and its
+text is parsed only when it differs from the text the process parsed
+last, so the requests on one file share one ideal object, and with it
+the per-ideal tables, while a dropped generator is warned about on
+every request.  It puts the ``ideal`` and ``order``
 fields and lines in front of the handler's own.  Every command but
 ``complex`` refuses more than ``covers.MAX_ENUMERATION_GENERATORS``
 generators (edges, for ``graph --check-props``); no option lifts it.
@@ -264,9 +269,9 @@ def _cmd_oracle_betti(args, ideal, ordered):
 
 
 def _cmd_verify(args, ideal, ordered):
-    rows = _verify_rows(ordered)
+    rows, verdicts = _verify_rows(ordered)
     chain_ok = verify_chain_complex(ordered)
-    resolves = chain_ok and all(ok for _, ok in rows)
+    resolves = chain_ok and bool(verdicts.all())
     # every multidegree is a lattice point, written once per ideal
     mono = _lcm_classes(ideal).texts.__getitem__
     payload = {"chain_complex": chain_ok,

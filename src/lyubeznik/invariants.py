@@ -17,10 +17,18 @@ so that a caller pays only for what it reads.  A search is built with
 its field, ``search_scan(ideal, prime=...)``, and holds the projective
 dimension of R/I over it as ``projdim``: the floor of its least length
 and what ``almost_lyubeznik`` compares with, so that a call that reads
-one search computes one projective dimension.  It is the oracle's walk
-down the Morse-reduced strands (``oracle._projective_dimension``),
-which builds no Betti table.  Its checking route in the tests scans
-every order, a block of orders at a time.
+one search computes one projective dimension.  Its checking route in
+the tests scans every order, a block of orders at a time.
+
+Where a minimal order is in hand, the projective dimension is read off
+it and the homology oracle is not called: a minimal free resolution
+has length pd(R/I), and the Lyubeznik resolution is defined over Z
+with monomial coefficients, so an order whose resolution is minimal
+gives it over every field.  So a Lyubeznik ideal's ``projdim`` is the
+length of its least minimal order, and ``analyze`` takes a minimal
+order's length as the ara lower bound of a squarefree ideal.
+Elsewhere pd is the oracle's walk down the Morse-reduced strands
+(``oracle._projective_dimension``), which builds no Betti table.
 """
 
 from __future__ import annotations
@@ -144,10 +152,13 @@ class SearchResult:
       field, so the floor may be the projective dimension over any: it
       is ``projdim``, taken over the field the search was built with;
     * ``projdim`` is the projective dimension of R/I over GF(prime), or
-      Q when the prime is None, from the homology oracle's strands
-      walked from the top level down (``oracle._projective_dimension``),
-      which ranks only what the counts leave open and builds no Betti
-      table.  ``almost_lyubeznik`` compares ``min_l`` with it.
+      Q when the prime is None.  A Lyubeznik ideal's is the length of
+      its least minimal order, ``min_l``, over every field.  Otherwise
+      it comes from the homology oracle's strands walked from the top
+      level down (``oracle._projective_dimension``), which ranks only
+      what the counts leave open and builds no Betti table.
+      ``almost_lyubeznik`` compares ``min_l`` with it, so it holds on
+      every Lyubeznik ideal without a call to the oracle.
     """
 
     exact = True
@@ -194,6 +205,9 @@ class SearchResult:
 
     @cached_property
     def projdim(self) -> int:
+        if self._minimal is not None:
+            # a minimal resolution's length, over every field
+            return self.min_l
         return _projective_dimension(self.ideal, prime=self._field)
 
     @property
@@ -394,7 +408,9 @@ def analyze(ordered: OrderedIdeal, *, search: bool = False,
 
     Without the search, the arithmetical-rank upper bound falls back to
     this order's resolution length (still valid, possibly loose), and
-    the classification flags stay ``None``.  With it, the bounds equal
+    the classification flags stay ``None``; a squarefree ideal's lower
+    bound is the projective dimension, which a minimal order's length
+    gives without the oracle.  With it, the bounds equal
     ``ara_bounds``: the upper bound is the least length, read off the
     same single search that decides the classification flags, and a
     squarefree ideal's lower bound is that search's ``projdim``.
@@ -418,8 +434,9 @@ def analyze(ordered: OrderedIdeal, *, search: bool = False,
         best, projdim = scan.min_l, scan.projdim
     else:
         best = length
-        projdim = (_projective_dimension(ideal, prime=prime) if squarefree
-                   else None)
+        # a minimal resolution's length is pd(R/I) over every field
+        projdim = (None if not squarefree else length if minimal
+                   else _projective_dimension(ideal, prime=prime))
     lower = projdim if squarefree else ht
     return InvariantReport(order=ordered.order, minimal=minimal,
                            obstruction=obs, l_length=length, ps=length,

@@ -33,7 +33,10 @@ Names are looked up in a dict built once per context, and the
 exponent rows are checked as they are read, so the generators are
 built unchecked.  The distinct rows of a generating set are tested for
 divisibility with one numpy matrix, which holds every pair, and the
-ideal is built from the survivors without testing them again.
+ideal is built from the survivors without testing them again.  The
+last text parsed is kept with its ideal and its warning text, so a
+text parsed again (each request on one file) reads neither; the
+warning is made again on every call.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from __future__ import annotations
 import re
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, compress
 from typing import Iterable, Iterator, Sequence
 
@@ -267,24 +271,25 @@ def minimize_generators(gens: Sequence[Monomial]) -> tuple[Monomial, ...]:
 
 
 def _minimized(context: VariableContext, rows: list[tuple[int, ...]],
-               lines: list[int] | None = None) -> tuple[Monomial, ...]:
-    """The monomials of the rows that ``minimize_generators`` keeps,
-    warning with each dropped row named by position: its text, and its
-    line when ``lines`` are given.  The rows were checked before (read
-    by the parser, or a ``Monomial``'s), so the survivors are built
-    unchecked."""
+               lines: list[int] | None = None
+               ) -> tuple[tuple[Monomial, ...], str | None]:
+    """The monomials of the rows that ``minimize_generators`` keeps, and
+    the ``MinimizationWarning`` text naming each dropped row by
+    position (its text, and its line when ``lines`` are given), None
+    when none is dropped; the caller warns.  The rows were checked
+    before (read by the parser, or a ``Monomial``'s), so the survivors
+    are built unchecked."""
     redundant = _redundant(rows)
+    message = None
     if any(redundant):
         names = context.names
         dropped = [monomial_text(names, rows[k])
                    + (f" (line {lines[k]})" if lines else "")
                    for k, r in enumerate(redundant) if r]
-        warnings.warn(
-            f"generating set was not minimal; dropped {len(dropped)} "
-            f"redundant generator(s): {', '.join(dropped)}",
-            MinimizationWarning, stacklevel=3)
+        message = (f"generating set was not minimal; dropped {len(dropped)} "
+                   f"redundant generator(s): {', '.join(dropped)}")
     return tuple(Monomial._unchecked(context, row)
-                 for row, r in zip(rows, redundant) if not r)
+                 for row, r in zip(rows, redundant) if not r), message
 
 
 @dataclass(frozen=True)
@@ -326,7 +331,9 @@ class MonomialIdeal:
         if not gens:
             raise ValueError("a monomial ideal needs at least one generator")
         context = gens[0].context
-        kept = _minimized(context, _rows_of(gens))
+        kept, dropped = _minimized(context, _rows_of(gens))
+        if dropped:
+            warnings.warn(dropped, MinimizationWarning, stacklevel=2)
         # the unit divides every generator, so it survives only alone
         if kept[0].is_one():
             raise ValueError("the unit monomial cannot be a minimal generator")
@@ -500,7 +507,23 @@ def parse_ideal(text: str) -> MonomialIdeal:
     generator listing order is kept: it defines the generator indices and
     the default total order.  A non-minimal generating set is minimized
     with a ``MinimizationWarning`` rather than rejected.
+
+    The last text read is kept with its ideal, one entry, as
+    ``tables_for`` keeps one ideal's tables: the same text again gives
+    the same (immutable) ideal without reading it, and so the caches
+    keyed by the ideal find it by identity.  The warning is made on
+    every call, a repeated text's too, and a text that does not parse
+    is read, and raises, on every call.
     """
+    ideal, dropped = _parsed(text)
+    if dropped:
+        warnings.warn(dropped, MinimizationWarning, stacklevel=2)
+    return ideal
+
+
+@lru_cache(maxsize=1)
+def _parsed(text: str) -> tuple[MonomialIdeal, str | None]:
+    """``parse_ideal``'s ideal and its ``_minimized`` warning text."""
     context: VariableContext | None = None
     rows: list[tuple[int, ...]] = []
     lines: list[int] = []
@@ -528,7 +551,8 @@ def parse_ideal(text: str) -> MonomialIdeal:
         raise ParseError("missing vars line")
     if not rows:
         raise ParseError("no generators")
-    return MonomialIdeal._minimal(context, _minimized(context, rows, lines))
+    gens, dropped = _minimized(context, rows, lines)
+    return MonomialIdeal._minimal(context, gens), dropped
 
 
 def _read_text(path) -> str:
@@ -546,5 +570,8 @@ def _read_text(path) -> str:
 
 
 def read_ideal(path) -> MonomialIdeal:
-    """parse_ideal on the contents of a file (``_read_text``)."""
+    """``parse_ideal`` on the contents of a file (``_read_text``): the
+    file is read on every call, and its text parsed unless it is the
+    last text parsed; the warning of a non-minimal file is made on
+    every call."""
     return parse_ideal(_read_text(path))

@@ -55,12 +55,14 @@ carries the reduced homology of RP^2 (Miller & Sturmfels 2005,
 Cor. 5.12), and its certificate there names 2.
 
 The projective dimension, which a search holds as ``projdim`` (the
-floor of its least length) and ``analyze`` reads for its ara bound, is
-the top level with homology in any strand, and no Betti table is
-built for it (``_projective_dimension``).  Once a table has ranked the
-strands, it is read off their homology over the field, by the rule
-above; before that, the levels are walked from the top down, so that a
-search, which builds no table, ranks no more than it needs.  While
+floor of its least length) and ``analyze`` reads for its ara bound
+where no minimal order is in hand (``invariants`` reads it off a
+minimal order's length), is the top level with homology in any
+strand, and no Betti table is built for it (``_projective_dimension``).
+Once a table has ranked the strands, it is read off their homology over
+the field, by the rule above; before that, the levels are walked from
+the top down, so that a search, which builds no table, ranks no more
+than it needs.  While
 every strand is exact above level t, the rank of the differential into
 level t is the alternating sum of the dimensions above it, so the
 homology at t vanishes exactly when the differential out of t has the
@@ -118,16 +120,20 @@ multidegrees have distinct vertex sets.  Both the Betti numbers and the
 exactness check read this one grouping of the masks (``_lcm_classes``).
 It names each lattice point by the exponent tuple of its vertex set
 alone, computed from the generators' exponent rows for these masks
-only (``SubsetTables.lcm_tuples``): the oracle never builds the tuples
-of all 2^mu masks (``lcm_exps``).  The classes also keep each lattice
-point's ``monomial_text`` (``texts``), written on first read and shared
-by every request on the ideal, which ``oracle-betti``'s multigraded
-rows over every field and ``verify``'s rows write.  ``verify`` writes
-the rows of ``_verify_rows``, (exponent tuple, verdict) pairs, and
+only (``SubsetTables.lcm_matrix``): the oracle never builds the tuples
+of all 2^mu masks (``lcm_exps``).  The classes keep that exponent
+matrix and its columns as tuples, and each lattice point's
+``monomial_text`` (``texts``), written on first read and shared by
+every request on the ideal, which ``oracle-betti``'s multigraded rows
+over every field and ``verify``'s rows write.  ``verify`` writes the
+rows of ``_verify_rows``, (exponent tuple, verdict) pairs, and
 ``verify_resolution_report`` makes a ``Monomial`` of each tuple for
-library callers.  ``_verify_rows`` sorts the lattice points by
-(degree, exponents) itself: ``verify`` runs once per ideal, so nothing
-would read a kept order twice.
+library callers.  ``_verify_rows`` orders the lattice points by
+(degree, exponents) with one ``np.lexsort`` of the kept matrix
+(``_by_degree``), so no Python sort compares tuples.  The order is
+made per call, not with the classes: every search reads the classes
+through the strands for its projective dimension, and would pay for
+an order that only ``verify`` reads.
 
 Every differential the homology computations rank is handed to
 ``linalg`` as sparse columns: each face, a bitmask, becomes a map
@@ -172,7 +178,10 @@ class _LcmClasses:
 
     vertex_sets  int64 array: the distinct vertex sets V_a, ascending,
                  one per lattice point a
-    exponents    the exponent tuple of each class's a = lcm(V_a)
+    matrix       read-only int64 array, one column per class and one
+                 row per variable: the exponents of each class's
+                 a = lcm(V_a) (``SubsetTables.lcm_matrix``)
+    exponents    the columns of ``matrix``, as tuples of Python ints
     class_of     int64 array over the masks 0 .. 2^mu - 1: the index of
                  each nonempty mask's class, -1 for the empty mask
 
@@ -181,7 +190,7 @@ class _LcmClasses:
                  first read
     """
 
-    __slots__ = ("vertex_sets", "exponents", "class_of", "texts")
+    __slots__ = ("vertex_sets", "matrix", "exponents", "class_of", "texts")
 
     def __init__(self, tables: SubsetTables) -> None:
         self.texts = _Texts(tables.ideal.context.names)
@@ -193,7 +202,9 @@ class _LcmClasses:
         index[divisors[1:]] = 0
         self.vertex_sets = np.flatnonzero(index == 0)
         index[self.vertex_sets] = np.arange(len(self.vertex_sets))
-        self.exponents = tables.lcm_tuples(self.vertex_sets)
+        self.matrix = tables.lcm_matrix(self.vertex_sets)
+        self.matrix.flags.writeable = False
+        self.exponents = list(zip(*self.matrix.tolist()))
         self.class_of = index[divisors]
 
 
@@ -460,20 +471,37 @@ def verify_chain_complex(ordered: OrderedIdeal) -> bool:
     return _chain_verdict(analysis.preserved, analysis.lone)
 
 
+def _by_degree(matrix: np.ndarray) -> np.ndarray:
+    """The order of the columns of an exponent matrix (one row per
+    variable) by (total degree, exponents), by one ``np.lexsort``.
+
+    Each exponent is at most 2^63 - 1, so a degree may not fit in
+    int64: it is taken as two exact keys, the sums of the exponents'
+    bits from 31 up and below 31, with the low sum's carry moved up."""
+    high = (matrix >> 31).sum(axis=0)
+    low = (matrix & (1 << 31) - 1).sum(axis=0)
+    high += low >> 31
+    low &= (1 << 31) - 1
+    # lexsort's last key is its first
+    return np.lexsort((*matrix[::-1], low, high))
+
+
 def _verify_rows(ordered: OrderedIdeal
-                 ) -> list[tuple[tuple[int, ...], bool]]:
+                 ) -> tuple[list[tuple[tuple[int, ...], bool]], np.ndarray]:
     """(exponents of a, verdict) per lattice point a, sorted by
     (degree, exponents): ``verify_resolution_report``'s rows with the
-    exponent tuples as they are, which the command line writes."""
+    exponent tuples as they are, which the command line writes; and the
+    verdicts in that order, a bool array."""
     classes = _lcm_classes(ordered.ideal)
     analysis = order_analysis(ordered)
     # each vertex set's apex: its member ranked first, by its least rank
     word = np.array(ordered.order)
     apexes = 1 << (word[analysis.least[classes.vertex_sets]] - 1)
+    order = _by_degree(classes.matrix)
     verdicts = _cone_verdicts(analysis.preserved, analysis.lone,
-                              classes.vertex_sets, apexes).tolist()
-    return sorted(zip(classes.exponents, verdicts),
-                  key=lambda row: (sum(row[0]), row[0]))
+                              classes.vertex_sets, apexes)[order]
+    return (list(zip(map(classes.exponents.__getitem__, order.tolist()),
+                     verdicts.tolist())), verdicts)
 
 
 def verify_resolution_report(ordered: OrderedIdeal
@@ -487,4 +515,4 @@ def verify_resolution_report(ordered: OrderedIdeal
     # the lcms' exponents were checked when the ideal was read
     context = ordered.ideal.context
     return tuple((Monomial._unchecked(context, exps), ok)
-                 for exps, ok in _verify_rows(ordered))
+                 for exps, ok in _verify_rows(ordered)[0])

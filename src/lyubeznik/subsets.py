@@ -27,14 +27,16 @@ divisor mask less its members.  The generators' int64 exponent rows
 are kept with the tables, and the lcms become exponent tuples of
 Python ints, exact up to ``EXPONENT_LIMIT``, only for the masks a
 caller names, by one masked maximum of the rows per generator
-(``lcm_tuples``): the Betti counts from preserved sets
-(``invariants``) compute their faces' tuples and the oracle its
-lattice points', and hash them as dict keys.  ``lcm_exps``, the tuples
-of all 2^mu masks from the same call, is built on its first read (or
-``lcm_monomial``'s), and nothing in the library reads it: the
-benchmark's generator, tracer and output checks and the
-Euler-characteristic check past the bound (``ci/``) do.  The complex,
-the covers and the order searches read no lcm tuples at all.  The
+(``lcm_tuples``, the columns of ``lcm_matrix``): the Betti counts
+from preserved sets (``invariants``) compute their faces' tuples and
+the oracle its lattice points', and hash them as dict keys; the oracle
+keeps its lattice points' matrix as well, by which ``verify`` orders
+its rows.  ``lcm_exps``, the tuples of all 2^mu masks from the same
+call, is built on its first read (or ``lcm_monomial``'s), and nothing
+in the library reads it: the benchmark's generator, tracer and output
+checks and the Euler-characteristic check past the bound (``ci/``)
+do.  The complex, the covers and the order searches read no lcm tuples
+at all.  The
 lattice passes other modules need are here too, one OR per bit each
 (``up_closure`` and ``one_smaller``), and the split they make of a
 mask array into the masks without and with a bit (``bit_pairs``),
@@ -280,16 +282,22 @@ class SubsetTables:
         for table in (div, cov):
             table.flags.writeable = False
 
-    def lcm_tuples(self, masks) -> list[tuple[int, ...]]:
-        """The exponent tuples of the lcms of ``masks`` (an int sequence
-        or array), one masked maximum of the exponent rows per
-        generator; the empty mask's is the zero tuple."""
+    def lcm_matrix(self, masks) -> np.ndarray:
+        """The exponents of the lcms of ``masks`` (an int sequence or
+        array), an int64 array with one column per mask and one row per
+        variable: one masked maximum of the exponent rows per
+        generator.  The empty mask's column is zero."""
         masks = np.asarray(masks, np.int64)
         held = masks >> np.arange(self.mu)[:, None] & 1 != 0
         exps = np.zeros((self._rows.shape[1], len(masks)), np.int64)
         for row, member in zip(self._rows, held):
             np.maximum(exps, row[:, None], out=exps, where=member)
-        return list(zip(*exps.tolist()))
+        return exps
+
+    def lcm_tuples(self, masks) -> list[tuple[int, ...]]:
+        """The columns of ``lcm_matrix(masks)``, as tuples of Python
+        ints."""
+        return list(zip(*self.lcm_matrix(masks).tolist()))
 
     def derived(self, build):
         """``build(self)``, built once and kept as long as the tables."""

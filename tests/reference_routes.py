@@ -68,6 +68,11 @@ monomials.
   with every multi-level strand ranked by the field's own kernel, the
   route the homology ranked once over Z with its certificates
   (``oracle._Strands.homology``) replaced;
+* ``verify_rows_by_sort``: ``verify``'s (exponent tuple, verdict)
+  rows, the cone verdicts zipped with the lattice points' tuples and
+  sorted by a Python key, (degree, exponents), the route the one
+  ``np.lexsort`` of the classes' exponent matrix
+  (``oracle._by_degree``) replaced;
 * ``cones_per_apex``: whether the faces inside each vertex set form a
   cone over its apex, by one marking of the faces without a partner
   and one up-closure per distinct apex, the route the one-pass apex
@@ -144,7 +149,8 @@ from math import factorial
 import numpy as np
 
 from lyubeznik import (OrderedIdeal, is_minimal_resolution, is_stable_symbol,
-                       monomials, orders_for_search, symbol_of, taylor_betti)
+                       monomials, oracle, orders_for_search, symbol_of,
+                       taylor_betti)
 from lyubeznik.betti import BettiTable
 from lyubeznik.cmdline import DEFAULT_MAX_EXHAUSTIVE, _field, _positive_int
 from lyubeznik.complexes import SubsetClass, order_analysis
@@ -553,6 +559,21 @@ def cones_by_lattice(preserved, vertex_sets, apexes):
             np.bitwise_or(lone_with, bit, out=lone_with,
                           where=with_ > without)
     return (up_closure(lone)[vertex_sets] & apexes) == 0
+
+
+def verify_rows_by_sort(ordered):
+    """(exponents of a, verdict) per lattice point a, sorted by
+    (degree, exponents) with Python's ``sorted``.  The verdicts are
+    ``oracle._cone_verdicts``', looked up on the module when called, so
+    that a test that replaces them replaces them here too."""
+    classes = oracle._lcm_classes(ordered.ideal)
+    analysis = order_analysis(ordered)
+    word = np.array(ordered.order)
+    apexes = 1 << (word[analysis.least[classes.vertex_sets]] - 1)
+    verdicts = oracle._cone_verdicts(analysis.preserved, analysis.lone,
+                                     classes.vertex_sets, apexes).tolist()
+    return sorted(zip(classes.exponents, verdicts),
+                  key=lambda row: (sum(row[0]), row[0]))
 
 
 def cones_per_apex(preserved, vertex_sets, apexes):

@@ -7,13 +7,15 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from lyubeznik import (MonomialIdeal, OrderedIdeal, edge_ideal, parse_ideal,
                        verify_resolution_report)
 from lyubeznik.cli import main
 from lyubeznik.cmdline import _FLAGS
-from lyubeznik.monomials import EXPONENT_LIMIT, _read_text
+from lyubeznik.monomials import (EXPONENT_LIMIT, MinimizationWarning,
+                                 _read_text, read_ideal)
 from lyubeznik.oracle import _projective_dimension, _verify_rows
 from lyubeznik.subsets import tables_for
 
@@ -628,8 +630,9 @@ def test_verify_text_names_the_failing_multidegrees(capsys, tmp_path,
     path.write_text("vars x y z\ngen x*y\ngen y*z^2\ngen x^3\n")
 
     def flipped(ordered):
-        return [(exps, k % 2 == 1) for k, (exps, _) in
-                enumerate(_verify_rows(ordered))]
+        rows = [(exps, k % 2 == 1) for k, (exps, _) in
+                enumerate(_verify_rows(ordered)[0])]
+        return rows, np.array([ok for _, ok in rows])
     monkeypatch.setattr("lyubeznik.cli._verify_rows", flipped)
     code, out, err = run_cli(capsys, "verify", str(path))
     assert code == 0 and err == ""
@@ -777,6 +780,27 @@ def test_a_dropped_generator_warns_in_one_line(capsys, tmp_path):
         assert json.loads(out)["ideal"]["generators"] == ["x", "y^2"]
     assert fresh_process(["analyze", "--format", "json", str(path)]) == (
         0, out, expected)
+
+
+def test_every_request_on_a_kept_text_warns(capsys, tmp_path):
+    # the file's text is parsed once and kept: each of the oracle
+    # workload's four requests on it still warns, after a library read
+    # of the same file too, and an edited file is read again
+    path = tmp_path / "redundant.ideal"
+    path.write_text("vars x y\ngen x\ngen x*y\ngen y^2\n")
+    expected = ("lyubeznik: warning: generating set was not minimal; dropped "
+                "1 redundant generator(s): x*y (line 3)\n")
+    with pytest.warns(MinimizationWarning):
+        ideal = read_ideal(path)
+    for argv in (["oracle-betti"], ["oracle-betti", "--field", "p:3"],
+                 ["verify"], ["analyze"]):
+        code, out, err = run_cli(capsys, *argv, str(path))
+        assert code == 0 and err == expected, argv
+    with pytest.warns(MinimizationWarning):
+        assert read_ideal(path) is ideal
+    path.write_text("vars x y\ngen x\ngen y^2\n")
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 0 and err == ""
 
 
 def test_ctrl_c_in_a_handler_exits_130_without_a_traceback(capsys, mixed_path,

@@ -453,7 +453,7 @@ def test_builders_write_json_dumps_at_every_depth():
     assert json_text({"betti": fields}) == reference_text(
         {"betti": expanded(fields)})
     assert json_text(fields) == reference_text(expanded(fields))
-    rows = _verify_rows(identity_order(ideal))
+    rows, _ = _verify_rows(identity_order(ideal))
     assert rows == [(m.exponents, ok) for m, ok in
                     verify_resolution_report(identity_order(ideal))]
     check_at_every_depth(_multidegrees_fragment(rows, names))

@@ -1,12 +1,19 @@
 """The oracle's callers against the routes they replaced.
 
-A search's ``projdim`` reads pd(R/I) off the Morse-reduced strands,
-from the top level down (``oracle._projective_dimension``), without a
-Betti table.  It must equal the top index of the whole table
+A search's ``projdim``, on an ideal that is not Lyubeznik, reads
+pd(R/I) off the Morse-reduced strands, from the top level down
+(``oracle._projective_dimension``), without a Betti table.  It must
+equal the top index of the whole table
 (``reference_routes.table_projective_dimension``) over Q, GF(2) and
 GF(32003) on every corpus ideal, on the benchmark's seed-1 pool up to
 mu 14 and on hypothesis ideals.  ``taylor_betti`` reads a one-level
-strand's count as its homology, and no rank is taken for it.
+strand's count as its homology, and no rank is taken for it.  Where a
+minimal order is in hand, pd(R/I) is read off its length: a Lyubeznik
+ideal's ``projdim``, and ``analyze``'s ara lower bound on a minimal
+order, with and without the search, must equal
+``_projective_dimension`` over Q and GF(2) with the oracle out of
+reach, on the corpus, the seed-1 pool up to mu 12 and hypothesis
+ideals, squarefree or not.
 
 ``height`` searches the generators' support bitmasks by branch and
 bound; the checking route searches the supports of the re-minimised
@@ -23,6 +30,7 @@ once.
 
 import io
 import warnings
+from unittest import mock
 from collections import Counter
 from contextlib import redirect_stdout
 
@@ -30,11 +38,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lyubeznik.cli as cli
+import lyubeznik.invariants as invariants
 import lyubeznik.oracle as oracle
 from lyubeznik import (Monomial, OrderedIdeal, VariableContext, all_ideals,
-                       analyze, identity_order, is_lyubeznik, read_ideal,
-                       sweep_ideals, taylor_betti, verify_chain_complex,
-                       verify_resolution_report)
+                       analyze, identity_order, is_lyubeznik,
+                       is_minimal_resolution, parse_order, read_ideal,
+                       search_scan, sweep_ideals, taylor_betti,
+                       verify_chain_complex, verify_resolution_report)
 from lyubeznik.complexes import order_analysis
 from lyubeznik.graphs import edge_ideal, read_graph
 from lyubeznik.invariants import _preserved_betti, height
@@ -108,6 +118,78 @@ def test_one_level_strands_never_reach_the_rank_path(monkeypatch):
     monkeypatch.setattr(oracle, "certified_rank", refuse)
     koszul = xyz_ideal("x", "y", "z")
     assert taylor_betti(koszul).projective_dimension == 3
+
+
+def refuse_the_oracle(ideal, *, prime=None):
+    raise AssertionError("the oracle was called where a minimal order is "
+                         "in hand")
+
+
+def check_projdim_off_minimal_orders(ideal, orders=()):
+    """Where a minimal order is in hand, pd(R/I) is its length, read
+    with the oracle out of reach, and equals the oracle's over Q and
+    GF(2): a Lyubeznik ideal's ``SearchResult.projdim`` (which makes it
+    almost Lyubeznik) and ``analyze``'s ara lower bound, with the
+    search and, on a squarefree ideal, without it, on the minimal
+    orders among ``orders`` and the search's least minimal order.
+    Returns how many orders were minimal."""
+    expected = {prime: _projective_dimension(ideal, prime=prime)
+                for prime in (None, 2)}
+    minimal = 0
+    with mock.patch.object(invariants, "_projective_dimension",
+                           refuse_the_oracle):
+        for prime, projdim in expected.items():
+            scan = search_scan(ideal, prime=prime)
+            if not scan.lyubeznik:
+                continue
+            assert scan.projdim == projdim and scan.almost_lyubeznik
+            witness = OrderedIdeal(ideal, scan.tobsl_witness)
+            for ordered in [*orders, witness]:
+                if not is_minimal_resolution(ordered):
+                    continue
+                minimal += 1
+                report = analyze(ordered, search=True, prime=prime)
+                assert report.almost_lyubeznik
+                if ideal.is_squarefree():
+                    assert report.ara.lower == projdim
+                    assert analyze(ordered, prime=prime).ara.lower == projdim
+    return minimal
+
+
+def test_projdim_is_read_off_minimal_orders_on_the_corpus():
+    minimal = 0
+    for name, ideal in all_ideals():
+        ordered = identity_order(ideal)
+        minimal += check_projdim_off_minimal_orders(
+            ideal, [ordered, OrderedIdeal(ideal, ordered.order[::-1])])
+    assert minimal > 20
+
+
+def test_projdim_is_read_off_minimal_orders_on_the_pool(pool):
+    # every seed-1 ideal file up to mu 12, under the identity and the
+    # manifest's --order words
+    out, inputs = pool
+    names = sorted(n for n, e in inputs.items()
+                   if n.endswith(".ideal") and e["mu"] <= 12)
+    minimal = 0
+    for name in names:
+        ideal = read_ideal(out / name)
+        minimal += check_projdim_off_minimal_orders(ideal, [
+            identity_order(ideal),
+            *(parse_order(w, ideal) for w in inputs[name]["orders"])])
+    assert minimal > 10
+
+
+squarefree_rows = st.integers(3, 7).flatmap(lambda n: st.lists(
+    st.tuples(*[st.integers(0, 1)] * n).filter(any), min_size=2,
+    max_size=9, unique=True))
+
+
+@settings(max_examples=60)
+@given(squarefree_rows | st.integers(2, 4).flatmap(exponent_rows))
+def test_projdim_is_read_off_minimal_orders_on_random_ideals(rows):
+    ideal = small_ideal(rows, max_mu=8)
+    check_projdim_off_minimal_orders(ideal, [identity_order(ideal)])
 
 
 def check_height(ideal):

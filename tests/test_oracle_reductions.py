@@ -26,6 +26,15 @@ bits replaced (``reference_routes.closed_by_one_smaller`` and
 reads them, and through ``lone_bits`` on the order's faces and on
 families that are not closed, on the corpus, on the whole seed-1 pool
 under its manifest orders, and on hypothesis families.
+
+``verify``'s rows are ordered by (degree, exponents) with one
+``np.lexsort`` of the lattice points' exponent matrix
+(``oracle._by_degree``, the degree taken as two exact int64 keys);
+rows and verdicts must equal Python's sort of the tuples
+(``reference_routes.verify_rows_by_sort``) on the corpus (also with
+verdicts that differ from row to row), on the seed-1 pool under its
+manifest orders, and on hypothesis ideals, some with exponents whose
+sums overflow int64.
 """
 
 import random
@@ -34,11 +43,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lyubeznik.oracle as oracle
 from lyubeznik import (all_ideals, identity_order, parse_order, read_ideal,
                        sweep_ideals, taylor_betti, verify_chain_complex,
                        verify_resolution_report)
 from lyubeznik.complexes import order_analysis
-from lyubeznik.oracle import (_chain_verdict, _cone_verdicts,
+from lyubeznik.monomials import EXPONENT_LIMIT
+from lyubeznik.oracle import (_by_degree, _chain_verdict, _cone_verdicts,
                               _critical_strands, _lcm_classes, _verify_rows)
 from lyubeznik.orders import OrderedIdeal
 from lyubeznik.subsets import lone_bits, tables_for
@@ -46,10 +57,12 @@ from lyubeznik.subsets import lone_bits, tables_for
 from conftest import exponent_ideal
 from reference_routes import (all_orders, closed_by_one_smaller,
                               cones_by_lattice, cones_per_apex,
-                              full_strand_betti, full_strands)
+                              full_strand_betti, full_strands,
+                              verify_rows_by_sort)
 from test_linalg import fraction_rank
 from test_oracle_routes import FIELDS, dense_homology
 from test_preserved_kernel import seeded_ideal
+from test_scan_kernel import exponent_rows, small_ideal
 
 
 def seeded_squarefree(mu, seed, nvars=10):
@@ -315,7 +328,7 @@ def check_lattice_routes(ordered, rng):
     assert closed_by_one_smaller(faces)
     lattice = cones_by_lattice(faces, vertex_sets, apexes)
     assert lattice.all()
-    assert dict(_verify_rows(ordered)) == dict(
+    assert dict(_verify_rows(ordered)[0]) == dict(
         zip(classes.exponents, lattice.tolist()))
     broken = faces.copy()
     broken[rng.randrange(len(faces))] = True
@@ -363,6 +376,83 @@ def test_certificates_match_the_lattice_passes_on_the_pool(pool):
         for ordered in orders:
             check_lattice_routes(ordered, rng)
     assert max(mus) == 16
+
+
+def check_row_order(ordered):
+    """``verify``'s rows, ordered by one lexsort, equal the sorted
+    route's, and its verdict array holds the rows' verdicts."""
+    rows, verdicts = _verify_rows(ordered)
+    assert rows == verify_rows_by_sort(ordered)
+    assert verdicts.dtype == bool
+    assert verdicts.tolist() == [ok for _, ok in rows]
+
+
+def patterned_verdicts(preserved, lone, vertex_sets, apexes):
+    """Cone verdicts that vary from one lattice point to the next."""
+    return vertex_sets % 3 != 1
+
+
+def test_verify_rows_match_the_sorted_route_on_the_corpus(monkeypatch):
+    # under the identity, its reverse and the least minimal order; every
+    # order's verdicts are true, so they are then replaced by a pattern
+    # over the vertex sets, which must travel with the rows
+    cases = []
+    for name, ideal in all_ideals():
+        ordered = identity_order(ideal)
+        cases += [ordered, OrderedIdeal(ideal, ordered.order[::-1])]
+    for ordered in cases:
+        check_row_order(ordered)
+    monkeypatch.setattr(oracle, "_cone_verdicts", patterned_verdicts)
+    mixed = 0
+    for ordered in cases:
+        check_row_order(ordered)
+        mixed += len(set(_verify_rows(ordered)[1].tolist())) == 2
+    assert mixed > len(cases) // 2
+
+
+def test_verify_rows_match_the_sorted_route_on_the_pool(pool):
+    # every ideal file of the seed-1 pool, mu 7-16, under the identity
+    # and the manifest's --order words
+    out, inputs = pool
+    names = sorted(n for n in inputs if n.endswith(".ideal"))
+    assert len(names) > 100
+    for name in names:
+        ideal = read_ideal(out / name)
+        for ordered in [identity_order(ideal)] + [
+                parse_order(w, ideal) for w in inputs[name]["orders"]]:
+            check_row_order(ordered)
+
+
+@settings(max_examples=60)
+@given(st.integers(2, 5).flatmap(exponent_rows), st.randoms())
+def test_verify_rows_match_the_sorted_route_on_random_ideals(rows, rng):
+    ideal = small_ideal(rows, max_mu=8)
+    word = list(ideal.indices())
+    rng.shuffle(word)
+    check_row_order(OrderedIdeal(ideal, tuple(word)))
+
+
+# exponents whose sums overflow int64: the degree is two exact keys
+LARGE = [0, 1, 2, 2**31 - 1, 2**31, 2**32 + 1, 2**62, EXPONENT_LIMIT - 1,
+         EXPONENT_LIMIT]
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.tuples(*[st.sampled_from(LARGE)] * n), min_size=1, max_size=20)))
+def test_degree_order_matches_the_python_sort_past_int64(columns):
+    matrix = np.array(columns, np.int64).T
+    order = _by_degree(matrix).tolist()
+    assert [columns[k] for k in order] == sorted(
+        columns, key=lambda c: (sum(c), c))
+
+
+@settings(max_examples=40)
+@given(st.integers(2, 4).flatmap(lambda n: st.lists(
+    st.tuples(*[st.sampled_from(LARGE)] * n).filter(any), min_size=2,
+    max_size=8, unique=True)))
+def test_verify_rows_match_the_sorted_route_on_large_exponents(rows):
+    check_row_order(identity_order(small_ideal(rows, max_mu=8)))
 
 
 @settings(max_examples=300)

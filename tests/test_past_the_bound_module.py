@@ -20,4 +20,4 @@ def test_the_checks_past_the_bound_collect():
         env={**os.environ, "PYTEST_DISABLE_PLUGIN_AUTOLOAD": "1"})
     assert run.returncode == 0, run.stdout + run.stderr
     ids = [line for line in run.stdout.splitlines() if "::" in line]
-    assert len(ids) == 45, run.stdout
+    assert len(ids) == 46, run.stdout

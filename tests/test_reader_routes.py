@@ -18,6 +18,14 @@ file.  A canonical line never reaches the tokens, and gives what they
 give.  ``minimize_generators`` and the minimality check of
 ``MonomialIdeal`` must agree with the pairwise routes, also on
 generators of mixed contexts.
+
+``parse_ideal`` keeps the last text it parsed with its ideal.  Every
+text above is parsed again, and an equal copy of it too: the kept
+ideal itself must come back with the same warnings, or the same error.
+An edited file is read again, a non-minimal text warns on every call
+(at the caller), a bad text raises alike on every call and leaves the
+kept ideal in place, and ``from_generators`` builds a new ideal and
+warns on every call.
 """
 
 import re
@@ -94,8 +102,15 @@ def check_text(text):
         args = (rest, context, 1, len(line) - len(rest))
         assert outcome(_read_tokens, *args) == \
             outcome(reference_exponents, *args), line
-    assert outcome(parse_ideal, text) == \
-        outcome(reference_routes.parse_ideal, text), text
+    first = outcome(parse_ideal, text)
+    assert first == outcome(reference_routes.parse_ideal, text), text
+    # the text again, and an equal copy of it: the kept ideal itself,
+    # with the same warnings, or the same error
+    for again in (text, (text + ".")[:-1]):
+        repeated = outcome(parse_ideal, again)
+        assert repeated == first, text
+        if first[0] == "read":
+            assert repeated[1] is first[1]
 
 
 @pytest.mark.parametrize("text", [
@@ -163,6 +178,61 @@ def test_reader_matches_the_stepwise_reader_on_the_pool(pool):
         text = (out / name).read_text(encoding="utf-8")
         check_text(text)
         assert read_ideal(out / name) == parse_ideal(text)
+
+
+def test_an_edited_file_is_read_again(tmp_path):
+    path = tmp_path / "edited.ideal"
+    path.write_text("vars x y\ngen x\ngen y\n")
+    first = read_ideal(path)
+    assert read_ideal(path) is first
+    path.write_text("vars x y\ngen x^2\ngen y\n")
+    edited = read_ideal(path)
+    assert [m.exponents for m in edited.gens] == [(2, 0), (0, 1)]
+    assert read_ideal(path) is edited
+    # the first text again is read again: one text is kept
+    path.write_text("vars x y\ngen x\ngen y\n")
+    assert read_ideal(path) == first
+
+
+def test_a_non_minimal_text_warns_on_every_call():
+    text = "vars x y\ngen x\ngen x*y\ngen y^2\n"
+    expected = [(MinimizationWarning,
+                 "generating set was not minimal; dropped 1 redundant "
+                 "generator(s): x*y (line 3)")]
+    first = outcome(parse_ideal, text)
+    assert first[2] == expected
+    for _ in range(3):
+        again = outcome(parse_ideal, text)
+        assert again[1] is first[1] and again[2] == expected
+    # the warning is reported at the caller of parse_ideal, every time
+    for _ in range(2):
+        with pytest.warns(MinimizationWarning) as caught:
+            parse_ideal(text)
+        assert [w.filename for w in caught] == [__file__]
+
+
+def test_a_bad_text_raises_alike_on_every_call_and_keeps_the_last_ideal():
+    good = "vars x y\ngen x*y\n"
+    kept = parse_ideal(good)
+    for bad in ("vars x y\ngen x\ngen x^-1", "vars x y\ngen q",
+                "vars x y\n", "gen x", f"vars x\ngen x^{EXPONENT_LIMIT + 1}"):
+        first = outcome(parse_ideal, bad)
+        assert first[0] == "raised"
+        assert outcome(parse_ideal, bad) == first
+        assert parse_ideal(good) is kept
+
+
+def test_from_generators_builds_and_warns_on_every_call():
+    gens = [Monomial(XYZ, (1, 0, 0)), Monomial(XYZ, (1, 1, 0))]
+    text = "vars x y z\ngen x\n"
+    kept = parse_ideal(text)
+    first = outcome(MonomialIdeal.from_generators, gens)
+    again = outcome(MonomialIdeal.from_generators, gens)
+    assert first == again and first[1] is not again[1]
+    assert len(first[2]) == 1
+    # the parsed ideal of the same generators is equal, and still the
+    # one kept for its text
+    assert first[1] == kept and parse_ideal(text) is kept
 
 
 NAMES = ("x", "y", "z", "ab", "a", "b", "x1", "x10")
