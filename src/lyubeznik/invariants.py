@@ -119,16 +119,16 @@ class SearchResult:
     the two verdicts, ``analyze`` no positive total obstruction.
 
     The search answers for every order without listing them: it is
-    ``exact``, never ``stopped_early``, and ``scanned`` is mu!.
-    Witnesses are permutation words, each the lexicographically least
-    order achieving its value.
+    never ``stopped_early``, and ``scanned`` is mu!.  Witnesses are
+    permutation words, each the lexicographically least order achieving
+    its value.
 
-    * the clutter walk's count is ``minimal_count``; its least avoiding
-      order is the zero-obstruction witness, and its least preserving
-      order ``nonminimal_witness`` (None when every order is minimal).
-      Both witnesses descend along the count's memo, which is quicker
-      than searching without it, so the clutter walk is counted as soon
-      as it is built;
+    * the clutter walk's count is ``minimal_count``, and it settles both
+      verdicts: ``lyubeznik`` when it is positive, ``totally_lyubeznik``
+      when it is mu!.  The walk's least order, the zero-obstruction
+      witness, descends along the count's memo, which is quicker than
+      searching without it, so the clutter walk is counted as soon as
+      it is built;
     * a positive ``tobsl`` is the least edge size k at which some order
       preserves no clutter edge larger than k, tried k ascending, each k
       by the clutter walk started from the root of the edges above k
@@ -161,7 +161,6 @@ class SearchResult:
       every Lyubeznik ideal without a call to the oracle.
     """
 
-    exact = True
     stopped_early = False
 
     def __init__(self, ideal: MonomialIdeal, clutter: tuple[int, ...],
@@ -192,16 +191,12 @@ class SearchResult:
     @property
     def lyubeznik(self) -> bool:
         """Some order gives a minimal resolution."""
-        return self._minimal is not None
-
-    @cached_property
-    def nonminimal_witness(self) -> tuple[int, ...] | None:
-        return self._edges.first(avoid=False)
+        return self.minimal_count > 0
 
     @property
     def totally_lyubeznik(self) -> bool:
         """Every order gives a minimal resolution."""
-        return self.nonminimal_witness is None
+        return self.minimal_count == factorial(self.ideal.mu)
 
     @cached_property
     def projdim(self) -> int:

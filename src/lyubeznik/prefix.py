@@ -43,9 +43,7 @@ each a Python int with one bit per family set, drive every step:
   S minus P.
 
 A walk reads the rows of few of the 2^mu prefix sets, since most
-states settle early: a whole search of the benchmark's mu 16 ideal
-reads about 8,400 of the 65,536, and its mu 14 ones some dozens to a
-few thousand of the 16,384.  So a prefix set's pair is built the first
+states settle early.  So a prefix set's pair is built the first
 time a walk reads it and kept for every later read (``_Rows``).  A
 pair is built one of two ways, for neither is quick at every width.  A
 narrow family loops in Python over its sets, indexing lists of the
@@ -61,16 +59,16 @@ off the subset tables once per ideal and kept with them (``_masks``).
 
 Children are tried in generator order, so the first order a descent
 finds is the lexicographically least.  ``count`` counts the orders that
-preserve no family set; ``first(avoid=True)`` finds the least such
-order and ``first(avoid=False)`` the least order that preserves one.
+preserve no family set, and ``first`` finds the least such order.
 ``first`` is one depth-first recursion that returns a state's least
-completion: a settled state's places the rest in generator order, and
-an unsettled state's is that of its first child that has one.  So a
-state with a completion is entered once, on the path to the answer,
-and the memo keeps only the states that have none (the count's memo,
-when the count has run, names more of them without a descent).  When
-the identity order is of the kind asked for, the walk goes straight
-down its path and reads one row per prefix until a state settles.
+completion: a state with a sure set has none, one with no set alive
+places the rest in generator order, and any other state's is that of
+its first child that has one.  So a state with a completion is entered
+once, on the path to the answer, and a state found to have none is
+kept in the count's memo as 0, where the count, when it has run, names
+more of them without a descent.  When the identity order preserves no
+family set, the walk goes straight down its path and reads one row per
+prefix until a state settles.
 ``first`` may start from a subfamily root, the state (no prefix, the
 family sets named by ``alive``), so one walk over a family answers for
 each of its subfamilies on the same rows.
@@ -158,7 +156,7 @@ def _packed(marks: np.ndarray) -> int:
 
 
 class PrefixWalk:
-    """Orders that preserve (or avoid) the sets of one family.
+    """Orders that preserve none of the sets of one family.
 
     ``sets`` are generator masks; a walk over an empty family finds
     every order avoiding it.  Building a walk builds no row: ``rows``
@@ -182,7 +180,8 @@ class PrefixWalk:
         self.alive = (1 << len(sets)) - 1
         self.rows = _Rows(tables_for(ideal), sets)
         # orders completing each state without preserving a family set,
-        # keyed by alive << mu | P; only the full walk fills it
+        # keyed by alive << mu | P: the count fills it, and first adds
+        # each state it finds to have none as 0
         self.counts: dict[int, int] = {}
 
     def count(self) -> int:
@@ -216,38 +215,28 @@ class PrefixWalk:
             # at some later garbage collection
             del walk
 
-    def first(self, avoid: bool = True,
-              alive: int | None = None) -> tuple[int, ...] | None:
+    def first(self, alive: int | None = None) -> tuple[int, ...] | None:
         """The lexicographically least order that preserves no family
-        set (``avoid``) or some family set (not ``avoid``), as a
-        permutation word; None when there is none.  ``alive``, bits of
-        ``sets``, walks that subfamily in place of the whole family."""
+        set, as a permutation word; None when there is none.  ``alive``,
+        bits of ``sets``, walks that subfamily in place of the whole
+        family."""
         full, mu, counts, rows = self.full, self.mu, self.counts, self.rows
-        # the unsettled states with no completion of the kind asked
-        # for; one with a completion is entered once, on the answer's path
-        barren: set[int] = set()
 
         def least(prefix: int, alive: int) -> tuple[int, ...] | None:
             """The least completion of the state (prefix, alive), its
             generators placed after the prefix, or None."""
             keep, sure = rows[prefix]
-            if alive & sure or not alive & keep:
-                # settled: every completion preserves a sure set, or
-                # none preserves a set of a dead family; when that is
-                # the kind asked for, the least places the rest in
-                # generator order
-                if bool(alive & sure) != avoid:
-                    return tuple(b + 1 for b in iter_bits(full & ~prefix))
+            if alive & sure:
+                # settled: every completion preserves a sure set
                 return None
             alive &= keep
+            if not alive:
+                # settled: no completion preserves a set of a dead
+                # family, and the least places the rest in generator order
+                return tuple(b + 1 for b in iter_bits(full & ~prefix))
             key = alive << mu | prefix
-            if key in barren:
+            if counts.get(key) == 0:
                 return None
-            if key in counts:
-                left = counts[key]
-                if not (left > 0 if avoid else left < factorial(
-                        mu - prefix.bit_count())):
-                    return None
             free = full & ~prefix
             while free:
                 low = free & -free
@@ -255,11 +244,11 @@ class PrefixWalk:
                 rest = least(prefix | low, alive)
                 if rest is not None:
                     return low.bit_length(), *rest
-            barren.add(key)
+            counts[key] = 0
             return None
 
         try:
             return least(0, self.alive if alive is None else alive)
         finally:
-            # as in count: free the memo now, not at a collection
+            # as in count: free the recursion now, not at a collection
             del least

@@ -144,7 +144,6 @@ import warnings
 from dataclasses import dataclass
 from functools import cache, partial
 from itertools import combinations, permutations
-from math import factorial
 
 import numpy as np
 
@@ -289,7 +288,6 @@ class Scan:
     min_l: int
     min_l_witness: tuple
     minimal_count: int
-    nonminimal_witness: tuple | None
 
     @property
     def lyubeznik(self):
@@ -297,7 +295,7 @@ class Scan:
 
     @property
     def totally_lyubeznik(self):
-        return self.nonminimal_witness is None
+        return self.minimal_count == self.scanned
 
     def almost_lyubeznik(self, projdim):
         return self.min_l == projdim
@@ -310,7 +308,7 @@ def exhaustive_scan(ideal):
     blocks, _ = orders_for_search(ideal)
     # no obstruction or length exceeds mu: mu + 1 is above every value
     tobsl = min_l = ideal.mu + 1
-    tobsl_witness = min_l_witness = nonminimal_witness = None
+    tobsl_witness = min_l_witness = None
     scanned = minimal_count = 0
     for words in blocks:
         obs, lengths, minimal = unpacked_readout(ideal,
@@ -320,12 +318,10 @@ def exhaustive_scan(ideal):
             tobsl, tobsl_witness = int(obs[j]), tuple(words[j].tolist())
         if lengths[k] < min_l:
             min_l, min_l_witness = int(lengths[k]), tuple(words[k].tolist())
-        if nonminimal_witness is None and not minimal.all():
-            nonminimal_witness = tuple(words[int(np.argmin(minimal))].tolist())
         scanned += len(words)
         minimal_count += int(minimal.sum())
     return Scan(scanned, tobsl, tobsl_witness, min_l, min_l_witness,
-                minimal_count, nonminimal_witness)
+                minimal_count)
 
 
 def packed_rows(marks):
@@ -372,24 +368,21 @@ class InsideWalk:
 
         return walk(0, self.alive)
 
-    def first(self, avoid=True):
-        """The least order preserving no family set (``avoid``) or some
-        family set (not ``avoid``), or None."""
+    def first(self):
+        """The least order preserving no family set, or None."""
         full, mu, counts = self.full, self.mu, self.counts
         keep, inside = self.keep, self.inside
         seen = {}
 
         def sought(nxt, alive):
             if alive & inside[nxt]:
-                return not avoid
+                return False
             if nxt == full:
-                return avoid
+                return True
             alive &= keep[nxt]
             key = alive << mu | nxt
             if key in counts:
-                left = counts[key]
-                return left > 0 if avoid else left < factorial(
-                    mu - nxt.bit_count())
+                return counts[key] > 0
             if key not in seen:
                 seen[key] = any(sought(nxt | 1 << b, alive)
                                 for b in iter_bits(full & ~nxt))

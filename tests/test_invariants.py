@@ -79,20 +79,19 @@ def test_scanner_matches_per_order_functions():
 
 def test_search_aggregates():
     expected = {
-        "mixed_powers_xyz": (0, 3, 8, 120, (1, 3, 4, 2, 5)),
-        "five_gen_squarefree": (3, 3, 0, 120, (1, 2, 3, 4, 5)),
-        "square_edges": (3, 3, 0, 24, (1, 2, 3, 4)),
-        "chain_three_squares": (0, 2, 2, 6, (1, 2, 3)),
-        "chain_four_squares": (3, 3, 0, 24, (1, 2, 3, 4)),
-        "chain_five_mixed": (0, 3, 24, 120, (1, 2, 3, 4, 5)),
-        "triangle_edges": (0, 2, 6, 6, None),
+        "mixed_powers_xyz": (0, 3, 8, 120),
+        "five_gen_squarefree": (3, 3, 0, 120),
+        "square_edges": (3, 3, 0, 24),
+        "chain_three_squares": (0, 2, 2, 6),
+        "chain_four_squares": (3, 3, 0, 24),
+        "chain_five_mixed": (0, 3, 24, 120),
+        "triangle_edges": (0, 2, 6, 6),
     }
-    for name, (tobsl, min_l, count, scanned, nonmin) in expected.items():
+    for name, (tobsl, min_l, count, scanned) in expected.items():
         scan = search_scan(load_ideal(name))
-        assert scan.exact and not scan.stopped_early
+        assert not scan.stopped_early
         assert (scan.tobsl, scan.min_l, scan.minimal_count,
-                scan.scanned, scan.nonminimal_witness) == (
-                    tobsl, min_l, count, scanned, nonmin), name
+                scan.scanned) == (tobsl, min_l, count, scanned), name
 
 
 def test_witnesses_are_lex_least():
@@ -110,13 +109,12 @@ def test_search_answers_past_the_command_line_default(mu):
     # --max-exhaustive of 8, every searching function answers as it is
     ideal = seeded_ideal(mu, 0)
     scan = search_scan(ideal)
-    assert scan.exact and scan.scanned == factorial(mu)
+    assert scan.scanned == factorial(mu)
     assert not scan.stopped_early
     if mu == 9:
         reference = exhaustive_scan(ideal)
         for field in ("tobsl", "tobsl_witness", "min_l", "min_l_witness",
-                      "minimal_count", "nonminimal_witness", "lyubeznik",
-                      "totally_lyubeznik"):
+                      "minimal_count", "lyubeznik", "totally_lyubeznik"):
             assert getattr(scan, field) == getattr(reference, field), field
     assert obstruction(OrderedIdeal(ideal, scan.tobsl_witness)) == scan.tobsl
     best, at = min_l_length(ideal)
@@ -138,7 +136,7 @@ def test_search_reaches_the_table_bound_when_asked(triangles, edges):
     scan = search_scan(ideal)
     assert scan.minimal_count == factorial(mu) == scan.scanned
     assert scan.lyubeznik and scan.totally_lyubeznik
-    assert scan.tobsl == 0 and scan.nonminimal_witness is None
+    assert scan.tobsl == 0
     # every order is minimal, so every order has the least length
     assert scan.min_l == l_length(identity_order(ideal))
     report = analyze(identity_order(ideal), search=True)
@@ -426,7 +424,7 @@ def test_analyze_builds_the_complex_once(monkeypatch, capsys):
 def test_search_verdicts_match_the_former_formulas(name):
     ideal = load_ideal(name)
     scan = search_scan(ideal)
-    assert scan.exact and not scan.stopped_early
+    assert not scan.stopped_early
     projdim = taylor_betti(ideal).projective_dimension
     assert scan.projdim == projdim
     # the search command, is_lyubeznik and analyze
@@ -434,7 +432,7 @@ def test_search_verdicts_match_the_former_formulas(name):
     # analyze, from the count of minimal orders
     assert scan.totally_lyubeznik == (scan.minimal_count == scan.scanned)
     # is_totally_lyubeznik and the graph checks
-    assert scan.totally_lyubeznik == (scan.nonminimal_witness is None)
+    assert scan.totally_lyubeznik == exhaustive_scan(ideal).totally_lyubeznik
     # analyze
     assert scan.almost_lyubeznik == (scan.min_l == projdim)
 

@@ -35,18 +35,28 @@ from reference_routes import InsideWalk, closed_by_up_closure, exhaustive_scan
 from test_scan_kernel import exponent_rows, small_ideal
 
 FIELDS = ("scanned", "tobsl", "tobsl_witness", "min_l", "min_l_witness",
-          "minimal_count", "nonminimal_witness", "lyubeznik",
-          "totally_lyubeznik")
+          "minimal_count", "lyubeznik", "totally_lyubeznik")
 
 
 def fresh(ideal):
     return search_scan(ideal)
 
 
+def descended(*args, **kwargs):
+    raise AssertionError("a verdict descended a prefix walk")
+
+
 def check(ideal, projdim=None):
     """The prefix search agrees with the block scan on every field, read
-    all together or each one first."""
+    all together or each one first.  Both verdicts also answer with
+    ``PrefixWalk.first`` made to raise: they are read off the count of
+    minimal orders."""
     reference = exhaustive_scan(ideal)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(PrefixWalk, "first", descended)
+        search = fresh(ideal)
+        assert (search.lyubeznik, search.totally_lyubeznik) == (
+            reference.lyubeznik, reference.totally_lyubeznik)
     search = fresh(ideal)
     for field in FIELDS:
         assert getattr(search, field) == getattr(reference, field), field
@@ -74,8 +84,10 @@ def test_corpus_ideals(name):
 
 @pytest.mark.parametrize("name,graph", all_graphs(),
                          ids=[name for name, _ in all_graphs()])
-def test_corpus_graphs_and_their_propositions(name, graph):
+def test_corpus_graphs_and_their_propositions(name, graph, monkeypatch):
     scan = check(edge_ideal(graph))
+    # the checks read both verdicts off the count and descend no walk
+    monkeypatch.setattr(PrefixWalk, "first", descended)
     rows = check_graph_propositions(graph)
     conclusions = ([scan.totally_lyubeznik] * 3 + [scan.lyubeznik] * 2
                    + [not scan.lyubeznik])
@@ -108,18 +120,17 @@ def test_hypothesis_ideals(rows):
 def test_edge_cases():
     # one generator: one order, minimal, of length 1
     scan = check(load_ideal("principal_power"))
-    assert (scan.minimal_count, scan.min_l, scan.nonminimal_witness) == (
-        1, 1, None)
+    assert (scan.minimal_count, scan.min_l) == (1, 1)
+    assert scan.totally_lyubeznik
     # an empty clutter: every order is minimal
     scan = check(parse_ideal("vars x y z\ngen x\ngen y\ngen z"))
     assert scan.minimal_count == 6 and scan.totally_lyubeznik
     # totally Lyubeznik with a non-empty clutter
     scan = check(load_ideal("triangle_edges"))
     assert scan.minimal_count == 6 and scan.totally_lyubeznik
-    # no order is minimal: the non-minimal witness is the identity
+    # no order is minimal
     scan = check(load_ideal("square_edges"))
-    assert scan.minimal_count == 0
-    assert scan.nonminimal_witness == (1, 2, 3, 4)
+    assert scan.minimal_count == 0 and not scan.lyubeznik
 
 
 def test_analyze_reads_the_same_verdicts():
@@ -152,7 +163,7 @@ def test_four_disjoint_triangles_are_totally_lyubeznik():
     assert ideal.mu == 12
     search = fresh(ideal)
     assert search.minimal_count == factorial(12)
-    assert search.totally_lyubeznik and search.nonminimal_witness is None
+    assert search.totally_lyubeznik
     assert search.tobsl == 0 and search.tobsl_witness == tuple(range(1, 13))
 
 
@@ -284,22 +295,22 @@ def families(ideal, rng):
 
 def check_walks(ideal, seed=0):
     """``PrefixWalk`` agrees with ``InsideWalk`` on every family: the
-    count, and both least orders read on a fresh walk and after the
-    count has filled the memo; and so does the clutter's walk started
-    from the root of each clutter subfamily, before and after its own
-    count.  Returns the row routes the walks took (``rows.wide``)."""
+    count, and the least order read on a fresh walk and after the count
+    has filled the memo; and so does the clutter's walk started from
+    the root of each clutter subfamily, before and after its own count.
+    Returns the row routes the walks took (``rows.wide``)."""
     rng = random.Random(seed)
     routes = set()
     for sets in families(ideal, rng):
         reference = InsideWalk(ideal, sets)
         count = reference.count()
-        expected = (reference.first(), reference.first(avoid=False))
+        expected = reference.first()
         walk = PrefixWalk(ideal, sets)
-        assert (walk.first(), walk.first(avoid=False)) == expected, sets
+        assert walk.first() == expected, sets
         assert walk.count() == count, sets
         walk = PrefixWalk(ideal, sets)
         assert walk.count() == count, sets
-        assert (walk.first(), walk.first(avoid=False)) == expected, sets
+        assert walk.first() == expected, sets
         if walk.rows:
             routes.add(walk.rows.wide)
     clutter = list(cover_table(ideal).clutter)
@@ -309,16 +320,14 @@ def check_walks(ideal, seed=0):
     expected = []
     for members in roots:
         reference = InsideWalk(ideal, [clutter[i] for i in members])
-        expected.append((reference.first(), reference.first(avoid=False)))
+        expected.append(reference.first())
     walk = PrefixWalk(ideal, clutter)
     for counted in (False, True):
         if counted:
             walk.count()
-        for members, pair in zip(roots, expected):
+        for members, word in zip(roots, expected):
             alive = sum(1 << i for i in members)
-            assert (walk.first(alive=alive),
-                    walk.first(avoid=False, alive=alive)) == pair, (
-                        members, counted)
+            assert walk.first(alive=alive) == word, (members, counted)
     return routes
 
 

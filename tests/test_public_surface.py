@@ -1,8 +1,9 @@
 """The names the package exports, and the names the benchmark and the
 checks past the command line's bound read.
 
-``lyubeznik.__all__`` is pinned to an explicit list, so that a name is
-added or removed on purpose.  ``bench/tracing.py`` replaces the
+``lyubeznik.__all__`` is pinned to an explicit list, and so are the
+public fields of a search (``SearchResult``), so that a name is added
+or removed on purpose.  ``bench/tracing.py`` replaces the
 functions listed in its ``TARGETS`` with timing wrappers and reads the
 ``cache_info`` of two lru caches, and ``bench/`` and ``ci/`` import
 library names, some inside functions that only the benchmark runs; so
@@ -45,6 +46,17 @@ EXPORTED = [
     "radical_generators", "radical_ideal", "read_graph", "read_ideal",
     "search_scan", "sweep_ideals", "symbol_of", "taylor_betti",
     "verify_chain_complex", "verify_resolution_report",
+]
+
+
+# the public attributes of a search: the ideal it was built on, and the
+# fields that the search command, analyze, the graph checks, the
+# benchmark's tracer (scanned, stopped_early) or the checks past the
+# bound (ci/) read
+SEARCH_FIELDS = [
+    "almost_lyubeznik", "ideal", "lyubeznik", "min_l", "min_l_witness",
+    "minimal_count", "projdim", "scanned", "stopped_early", "tobsl",
+    "tobsl_witness", "totally_lyubeznik",
 ]
 
 
@@ -100,6 +112,13 @@ def test_script_imports_resolve(path, module, name):
     imported = importlib.import_module(module)
     if name is not None and not hasattr(imported, name):
         importlib.import_module(f"{module}.{name}")
+
+
+def test_the_search_fields_are_pinned():
+    # a field is added or removed on purpose, with its reader
+    search = lyubeznik.search_scan(lyubeznik.load_ideal("square_edges"))
+    assert [name for name in dir(search)
+            if not name.startswith("_")] == SEARCH_FIELDS
 
 
 def test_exported_names_resolve_once():

@@ -45,7 +45,7 @@ def brute_aggregates(values, words):
     """The scan's aggregates, by a first-strictly-better loop in
     lexicographic order."""
     tobsl = min_l = None
-    tobsl_witness = min_l_witness = nonminimal_witness = None
+    tobsl_witness = min_l_witness = None
     minimal_count = 0
     for word in words:
         obs, length, minimal = values[word]
@@ -55,22 +55,20 @@ def brute_aggregates(values, words):
             min_l, min_l_witness = length, word
         if minimal:
             minimal_count += 1
-        elif nonminimal_witness is None:
-            nonminimal_witness = word
     return (len(words), tobsl, tobsl_witness, min_l, min_l_witness,
-            minimal_count, nonminimal_witness)
+            minimal_count)
 
 
 def scan_aggregates(scan):
     return (scan.scanned, scan.tobsl, scan.tobsl_witness, scan.min_l,
-            scan.min_l_witness, scan.minimal_count, scan.nonminimal_witness)
+            scan.min_l_witness, scan.minimal_count)
 
 
 def check_both_routes(ideal):
     values = per_order_values(ideal)
     expected = brute_aggregates(values, list(values))
     scan = search_scan(ideal)
-    assert scan.exact and not scan.stopped_early
+    assert not scan.stopped_early
     assert scan_aggregates(scan) == expected, "prefix search"
     assert scan_aggregates(exhaustive_scan(ideal)) == expected, "block scan"
 

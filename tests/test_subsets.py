@@ -24,7 +24,8 @@ from lyubeznik.subsets import (SubsetTables, bit_pairs, indices_of,
 from conftest import exponent_ideal, xyz_ideal
 from reference_routes import (CoverWalk, RankTables, cones_per_apex,
                               covered_by_gathers, critical_by_gathers,
-                              equivalence_audit, homology_of_critical)
+                              equivalence_audit, exhaustive_scan,
+                              homology_of_critical)
 from test_cli_routes import ideal_file_text
 from test_oracle import RP2
 from test_preserved_kernel import seeded_ideal
@@ -463,7 +464,7 @@ def test_an_ideal_s_state_goes_with_its_tables():
 
     scan = search_scan(first)
     assert scan.min_l >= scan.projdim and scan.tobsl >= 0
-    assert scan.totally_lyubeznik == (scan.nonminimal_witness is None)
+    assert scan.totally_lyubeznik == exhaustive_scan(first).totally_lyubeznik
     ordered = identity_order(first)
     taylor_betti(first)
     assert all(ok for _, ok in verify_resolution_report(ordered))
