@@ -1,7 +1,9 @@
 """The paper's answers past the CLI's bound of mu <= 12, checked up to
 the subset tables' bound of mu 16.
 
-Run from the repository root; its 46 tests take about 30 s on a 2-vCPU
+It also runs the sweeps of ``tests/`` that take seconds on the whole
+seed-1 pool, or at mu 12 to 16, and keeps a sample of each in tier-1.
+Run from the repository root; its 51 tests take about 40 s on a 2-vCPU
 VM, and ``-s`` prints each child's exit code, peak and time::
 
     PYTHONPATH=src python -m pytest ci -q -s
@@ -231,10 +233,15 @@ ADDRESS_SPACE = 3_072_000_000  # bytes, ``ulimit -v 3000000``
 TIMEOUT_S = 60
 C14 = [f"c14-{k:02}" for k in range(14)]
 
-# the tests' checking routes
+# the tests' checking routes, and the checks of the tier-1 sweeps run
+# here on the whole pool
 sys.path.insert(0, str(ROOT / "tests"))
 from reference_routes import covers_fragments  # noqa: E402
 from reference_routes import facets as reference_facets  # noqa: E402
+from reference_routes import full_strand_betti  # noqa: E402
+from test_cli_routes import check_seeded_covers  # noqa: E402
+from conftest import pool_ideal  # noqa: E402
+from test_prefix_search import check_at_most, check_walks  # noqa: E402
 
 
 @pytest.fixture(scope="session")
@@ -670,3 +677,57 @@ def test_lyubeznik_verdicts_at_mu_15_and_16(name):
     verdict, witness = is_lyubeznik(ideal)
     assert verdict
     assert betti_from_preserved(witness) == taylor_betti(ideal)
+
+
+# -- the tier-1 sweeps, on every pool file -----------------------------------
+
+
+def manifest_names(pool, max_mu):
+    """The pool's files up to max_mu, by name, from its manifest."""
+    with open(pool / "manifest.json", encoding="utf-8") as handle:
+        inputs = json.load(handle)["inputs"]
+    names = sorted(n for n, e in inputs.items() if e["mu"] <= max_mu)
+    assert len(names) > 100
+    return names
+
+
+def test_walks_match_the_inside_walk_on_the_pool(pool):
+    # tests/test_prefix_search.py's walks check on every pool file up to
+    # mu 10 (tier-1 runs every 32nd): PrefixWalk's count and least order
+    # against InsideWalk on the searches' families and random ones
+    routes = set()
+    for seed, name in enumerate(manifest_names(pool, 10)):
+        routes |= check_walks(pool_ideal(pool / name), seed)
+    # rows were built on both sides of _WIDE_FAMILY: by the Python loop
+    # and by the numpy pass (the (k + 1)-sets reach 126-252 at mu 9-10)
+    assert routes == {False, True}
+
+
+def test_at_most_matches_the_walk_on_the_pool(pool):
+    # the least order of each length from the projective dimension up,
+    # against InsideWalk, on every pool file up to mu 12 (tier-1 runs
+    # every 32nd)
+    for name in manifest_names(pool, 12):
+        check_at_most(pool_ideal(pool / name))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_covers_output_matches_the_cover_objects_at_mu_12(tmp_path, seed):
+    # tests/test_cli_routes.py's covers check at mu 12 (tier-1 runs it at
+    # mu 11): both formats against the Cover objects and the literal
+    # listing, under a seeded shuffle
+    check_seeded_covers(12, seed, tmp_path)
+
+
+def test_betti_tables_match_the_whole_strands_at_mu_14_and_16(pool):
+    # taylor_betti over Q and GF(2) against its checking route, the whole
+    # Taylor strands, on the pool files tier-1 leaves out: c14-00 to
+    # c14-13, ref-01 (mu 14) and c16-00
+    names = sorted(set(manifest_names(pool, 16))
+                   - set(manifest_names(pool, 13)))
+    assert len(names) == 16
+    for name in names:
+        ideal = read_ideal(pool / name)
+        for prime in (None, 2):
+            assert taylor_betti(ideal, prime=prime) == \
+                full_strand_betti(ideal, prime), (name, prime)

@@ -3,9 +3,10 @@
 Per-order quantities (is the Lyubeznik resolution minimal, its length,
 the obstruction) are read off the order's preserved-set table,
 ``order_analysis(ordered)``, and the ideal's cover table in ``covers``:
-the resolution is minimal iff no E-minimal cover is preserved.  The
-checking routes (facet stability, the Python preserved-set DP, the
-subset-sum closure) live in the tests.
+the resolution is minimal iff no E-minimal cover is preserved.  Their
+checking routes live in the tests: facet stability for minimality, and
+the Python preserved-set DP and the subset-sum closure for the tables
+and the length.
 
 An order search, ``search_scan``, yields the total obstruction, the
 minimal length, the number of minimal orders and the Lyubeznik /
@@ -18,7 +19,8 @@ its field, ``search_scan(ideal, prime=...)``, and holds the projective
 dimension of R/I over it as ``projdim``: the floor of its least length
 and what ``almost_lyubeznik`` compares with, so that a call that reads
 one search computes one projective dimension.  Its checking route in
-the tests scans every order, a block of orders at a time.
+the tests reads each value off the least k at which a plainer prefix
+walk, one without the sure table, finds an order.
 
 Where a minimal order is in hand, the projective dimension is read off
 it and the homology oracle is not called: a minimal free resolution
@@ -165,18 +167,18 @@ class SearchResult:
 
     def __init__(self, ideal: MonomialIdeal, clutter: tuple[int, ...],
                  prime: int | None) -> None:
-        self.ideal = ideal
+        self._ideal = ideal
         self._clutter = clutter
         self._field = prime
         self._short: dict[int, tuple[int, ...] | None] = {}
 
     @cached_property
     def scanned(self) -> int:
-        return factorial(self.ideal.mu)
+        return factorial(self._ideal.mu)
 
     @cached_property
     def _edges(self) -> PrefixWalk:
-        walk = PrefixWalk(self.ideal, self._clutter)
+        walk = PrefixWalk(self._ideal, self._clutter)
         walk.count()
         return walk
 
@@ -196,14 +198,14 @@ class SearchResult:
     @property
     def totally_lyubeznik(self) -> bool:
         """Every order gives a minimal resolution."""
-        return self.minimal_count == factorial(self.ideal.mu)
+        return self.minimal_count == factorial(self._ideal.mu)
 
     @cached_property
     def projdim(self) -> int:
         if self._minimal is not None:
             # a minimal resolution's length, over every field
             return self.min_l
-        return _projective_dimension(self.ideal, prime=self._field)
+        return _projective_dimension(self._ideal, prime=self._field)
 
     @property
     def almost_lyubeznik(self) -> bool:
@@ -235,14 +237,14 @@ class SearchResult:
         """The least order of length at most k: one preserving no
         (k + 1)-set, found by a walk over every (k + 1)-set."""
         if k not in self._short:
-            sets = np.flatnonzero(popcounts(self.ideal.mu) == k + 1)
-            self._short[k] = PrefixWalk(self.ideal, sets.tolist()).first()
+            sets = np.flatnonzero(popcounts(self._ideal.mu) == k + 1)
+            self._short[k] = PrefixWalk(self._ideal, sets.tolist()).first()
         return self._short[k]
 
     @cached_property
     def min_l(self) -> int:
         if self._minimal is not None:
-            return l_length(OrderedIdeal(self.ideal, self._minimal))
+            return l_length(OrderedIdeal(self._ideal, self._minimal))
         k = self.projdim
         while self._at_most(k) is None:
             k += 1

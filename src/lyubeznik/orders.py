@@ -10,8 +10,10 @@ witness orders are reproducible.  The exhaustive search of
 (``prefix``).
 
 ``orders_for_search`` reads ``itertools.permutations`` in int8 blocks
-of ``BLOCK`` words, for the tests' checking scan of all orders.  It is
-lazy and refuses no mu.
+of ``BLOCK`` words.  No command calls it and no checking route lists
+orders with it: besides its own tests, its one remaining reader is the
+benchmark's tracer, which wraps it by name.  It is lazy and refuses no
+mu.
 """
 
 from __future__ import annotations

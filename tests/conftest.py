@@ -3,13 +3,15 @@
 import json
 import subprocess
 import sys
-from itertools import combinations
+import warnings
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, settings
+from hypothesis import HealthCheck, settings, strategies as st
 
-from lyubeznik import MonomialIdeal, VariableContext, parse_ideal
+from lyubeznik import (MinimizationWarning, MonomialIdeal, VariableContext,
+                       edge_ideal, parse_ideal, read_graph, read_ideal)
 
 settings.register_profile(
     "suite", deadline=None,
@@ -31,6 +33,12 @@ def pool(tmp_path_factory):
         return out, json.load(handle)["inputs"]
 
 
+def pool_ideal(path: Path) -> MonomialIdeal:
+    """A pool file's ideal, a graph file's by its edge ideal."""
+    return (edge_ideal(read_graph(path)) if path.suffix == ".graph"
+            else read_ideal(path))
+
+
 def ideal(text: str) -> MonomialIdeal:
     """Parse an inline ideal description (same grammar as the files)."""
     return parse_ideal(text)
@@ -49,6 +57,25 @@ def exponent_ideal(rows) -> MonomialIdeal:
     from lyubeznik import Monomial
     return MonomialIdeal.from_generators(
         [Monomial(context, tuple(row)) for row in rows])
+
+
+def exponent_rows(nvars):
+    """A hypothesis strategy: 6 to 16 distinct nonzero exponent rows in
+    nvars variables, each exponent at most 3."""
+    # middle degrees first: hypothesis favours early elements, and
+    # monomials of equal degree never divide one another
+    rows = sorted((row for row in product(range(4), repeat=nvars) if any(row)),
+                  key=lambda row: abs(2 * sum(row) - 3 * nvars))
+    return st.lists(st.sampled_from(rows), min_size=min(6, len(rows)),
+                    max_size=16, unique=True)
+
+
+def small_ideal(rows, max_mu=6):
+    """The ideal of the rows, cut to its first max_mu minimal generators."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", MinimizationWarning)
+        ideal = exponent_ideal(rows)
+    return MonomialIdeal(ideal.context, ideal.gens[:max_mu])
 
 
 def triangles_graph(triangles: int, edges: int) -> str:

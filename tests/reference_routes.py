@@ -1,141 +1,92 @@
-"""Plain-Python checking routes for the per-order tables.
+"""The checking routes: one per identity of the library.
 
-The library computes an order's broken and preserved sets by 1-D numpy
-passes over the subset masks (``complexes.order_analysis``).  These
-are the routes it replaced, kept as the references that differential
-tests compare it with.  They share no code with it, only the ideal's
-subset tables (``divisor_mask``, with the members removed: the outside
-divisors), which ``tests/test_subsets.py`` checks against the
-monomials.
+Each production route in ``src`` has one checking route here, which
+shares as little code with it as the inputs' sizes allow, and one test
+module that compares the two.  Per identity: the production route,
+then its checking route, then the test.
 
-* ``court_table`` and ``preserved_table``: least ranks by a loop over
-  the masks, then the preserved-set DP (a set is preserved iff it has
-  no court and all its one-smaller subsets are preserved);
-* ``closure_length``: the largest set outside the up-closure of the
-  broken sets, by a bitwise subset-sum transform;
-* ``facets``: the maximal preserved masks, each face's one-larger
-  masks scanned, the route the rule read off the faces' lone bits
-  (``_OrderAnalysis.facets``) is compared with, and ``census_by_keys``:
-  the four-class census by one key per mask over all 2^mu masks, the
-  route the per-size counts of faces, covering faces and covers
-  (``complexes.classification_census``) replaced;
-* ``facets_stable``: minimality as "every facet of the complex is a
-  stable symbol", read off the monomials;
-* ``all_orders``: the mu! orders as ``OrderedIdeal``s, lexicographic
-  on the permutation word, one per word of ``itertools.permutations``:
-  the tests' loops over every order read it, where the library's
-  searches list no order;
-* ``block_ranks``: the least and court ranks of every mask under each
-  order of a block, by whole-array passes over the (mask, order) plane;
-* ``unpacked_readout``: a block of orders' obstruction, length and
-  minimality from those ranks, up-closed and read as one bool per
-  (mask, order);
-* ``exhaustive_scan``: the aggregates of all mu! orders, by
-  ``block_ranks`` and ``unpacked_readout`` on every block of
-  ``orders_for_search`` and a first-strictly-better merge in
-  lexicographic order, the route the prefix-set search
-  (``search_scan``) replaced;
-* ``InsideWalk``: the prefix walk that settles a state only once an
-  alive family set lies inside the prefix, the route the ``sure``
-  table of ``prefix.PrefixWalk`` replaced;
-* ``closed_by_up_closure``: whether each mask has only closed subsets,
-  by one up-closure of the open masks, the route the closed-mask
-  identity of ``prefix._masks`` (closed, and no member covered)
-  replaced;
-* ``BoundaryMatrix`` and ``boundary_levels``: dense sign matrices
-  between consecutive levels of a face family, faces written as index
-  tuples, the route the oracle's sparse columns
-  (``oracle._boundary_columns``) replaced; ``boundary_matrices`` writes
-  the Lyubeznik complex's faces in increasing rank, and
-  ``dense_chain_complex`` and ``dense_composes_to_zero`` check d^2 = 0
-  with these matrices, the route the closure certificate
-  (``oracle._chain_verdict``) is compared with;
-* ``closed_by_one_smaller`` and ``cones_by_lattice``: the two
-  resolution certificates by passes over all 2^mu masks, closure as
-  one ``subsets.one_smaller`` pass of the unmarked masks, and the lone
-  bits of every mask by two masked ORs per bit over the views of
-  ``subsets.bit_pairs`` before one up-closure, the routes the lone
-  bits gathered over the faces alone (``subsets.lone_bits``, read by
-  ``oracle._chain_verdict`` and ``oracle._cone_verdicts``) replaced;
-* ``full_strands`` and ``full_strand_betti``: every nonempty mask
-  grouped by lcm and then by size, and the Betti numbers from the
-  homology of these whole Taylor strands, the route the Morse-reduced
-  strands (``oracle._critical_strands``) replaced;
-* ``table_projective_dimension``: pd(R/I) read off the whole Betti
-  table of ``taylor_betti``, the route the top-down walk
-  (``oracle._projective_dimension``) replaced;
-* ``per_field_betti``: the Betti numbers from the Morse-reduced strands
-  with every multi-level strand ranked by the field's own kernel, the
-  route the homology ranked once over Z with its certificates
-  (``oracle._Strands.homology``) replaced;
-* ``verify_rows_by_sort``: ``verify``'s (exponent tuple, verdict)
-  rows, the cone verdicts zipped with the lattice points' tuples and
-  sorted by a Python key, (degree, exponents), the route the one
-  ``np.lexsort`` of the classes' exponent matrix
-  (``oracle._by_degree``) replaced;
-* ``cones_per_apex``: whether the faces inside each vertex set form a
-  cone over its apex, by one marking of the faces without a partner
-  and one up-closure per distinct apex, the route the one-pass apex
-  bitmasks of ``cones_by_lattice`` replaced;
-* ``covered_by_gathers`` and ``critical_by_gathers``: the covered
-  masks and the strands' critical masks by fancy-indexed gathers at
-  each mask with and without a bit, the routes the tables'
-  covered-mask pass over the views of ``subsets.bit_pairs`` and
-  ``oracle._Strands``' matching read off the covered masks are
-  compared with; ``homology_of_critical`` ranks the gathered strands
-  over each field, the route their homology over Z with its
-  certificates (``oracle._Strands.homology``) is compared with;
-* ``RankTables``: the divisor masks, covered masks and lcm tuples of
-  every subset from each variable's exponent ranks (the number of
-  smaller exponents of that variable among the generators and 0): the
-  lcm ranks of all 2^mu masks by doubling over the bits, the divisor
-  masks as the AND over the variables of a per-rank table "the
-  generators whose exponent is at most this rank" gathered at the lcm
-  ranks, and the lcm tuples by one gather of the ranks' exponents, the
-  route the OR-doubling of the "at most" masks and the masked maxima of
-  the exponent rows (``subsets.SubsetTables``) replaced;
-* ``preserved_betti``: the preserved-set counts keyed by the lcm tuples
-  of ``lcm_exps``, which holds one tuple for every mask, the route the
-  gather over the faces only (``SubsetTables.lcm_tuples``) replaced;
-* ``support`` and ``height``: a monomial's variables as a set, and the
-  fewest variables meeting every support, searched over the supports
-  of the re-minimised radical as sets, the route the bitmask search
-  (``invariants.height``) replaced;
-* ``equivalence_audit``: the five equivalent characterisations of
-  minimality, each read on its own (every cover or every E-minimal
-  cover unpreserved, or each with a subset that has a court), which
-  ``is_minimal_resolution``, the one route the library keeps, must
-  agree with;
-* ``monomial_text``: a monomial's text, built as ``Monomial.__str__``
-  built it before the tuple formatter (``monomials.monomial_text``);
-* ``cover_listing``: the masks that cover anything, sorted by a Python
-  key (size, then member tuple) and filtered per generator, the route
-  the numpy listing (``covers._listing_rows``) replaced, and
-  ``canonical_edges``: a clutter's frozenset edges sorted the same way;
-* ``covers_fragments``: each generator's ``covers`` JSON block, one
-  join of a Python list of parts filled by reading the generator's
-  rows as Python ints (three ``tolist`` calls and three
-  ``map(list.__getitem__, ...)`` passes over per-mask list texts), the
-  route the object-array gathers of ``jsontext._covers_fragments``
-  replaced;
-* ``CoverWalk``: the E-minimal covers of each generator, their union
-  and its inclusion-minimal members, by a walk over every mask and its
-  one-smaller subsets, the route the numpy passes of
-  ``covers._CoverTable`` replaced;
-* ``tokenize``, ``redundant``, ``minimize_generators`` and
-  ``first_division``: the tokenizer that steps through a line one
-  character at a time, and the divisibility tests one pair of
-  generators at a time, comparing their contexts for every pair, the
-  routes that the one ``finditer`` pass and the divisibility matrix of
-  ``monomials`` replaced; ``parse_ideal`` reads a file with them: every
-  line through the directive expression (``directive_lines``), every
-  ``gen`` line a ``tokenize`` token at a time (``parse_monomial``), and
-  the ideal built by the checking constructor, the route that the
-  canonical-line split, the ``finditer`` walk and the minimal ideal of
-  ``_minimized``'s survivors replaced;
-* ``argparse_parser``: the command line declared to argparse, one
-  subparser per command, the route the table and the one-pass reader
-  of ``cmdline`` (``_COMMANDS``, ``read_argv``) replaced.
+* ``order_analysis``'s courts, preserved sets, faces and length:
+  ``court_table`` (least ranks by a loop over the masks),
+  ``preserved_table`` (a set is preserved iff it has no court and all
+  its one-smaller subsets are), and ``closure_length`` (the largest set
+  outside the up-closure of the broken sets);
+  ``tests/test_preserved_kernel.py``.
+* ``_OrderAnalysis.facets``, read off the faces' lone bits: ``facets``,
+  each face's one-larger masks scanned; ``tests/test_preserved_kernel.py``
+  and ``tests/test_complexes.py``, and at the table bound
+  ``ci/test_past_the_bound.py``.
+* ``complexes.classification_census``, per-size counts of faces,
+  covering faces and covers: ``census_by_keys``, one key per mask
+  counted over all 2^mu masks; ``tests/test_complexes.py``.
+* ``is_minimal_resolution``, no clutter edge preserved:
+  ``facets_stable``, every facet of the complex a stable symbol, read
+  off the monomials; ``tests/test_preserved_kernel.py``.
+* ``prefix.PrefixWalk``'s count and least order, and
+  ``SearchResult._at_most``: ``InsideWalk``, the walk that settles a
+  state only once an alive family set lies inside the prefix, without
+  the ``sure`` table; ``tests/test_prefix_search.py``, and over the
+  seed-1 pool ``ci/test_past_the_bound.py``.
+* ``search_scan``'s aggregates and witnesses: ``inside_scan``, each
+  value the least k from 0 up at which an ``InsideWalk`` finds an
+  order, into a ``Scan``; ``tests/test_prefix_search.py``.
+* ``prefix._masks``' closed table (closed, and no member covered):
+  ``closed_by_up_closure``, one up-closure of the open masks;
+  ``tests/test_prefix_search.py``.
+* ``oracle._chain_verdict`` (d^2 = 0) and ``oracle._cone_verdicts``,
+  read off the lone bits of the faces (``subsets.lone_bits``):
+  ``closed_by_one_smaller``, one ``subsets.one_smaller`` pass of the
+  unmarked masks, and ``cones_by_lattice``, the lone bits of every
+  mask by two masked ORs per bit over the views of
+  ``subsets.bit_pairs`` before one up-closure;
+  ``tests/test_oracle_reductions.py``, and at the table bound
+  ``ci/test_past_the_bound.py``.
+* ``taylor_betti`` over Q and GF(p), the Morse-reduced strands ranked
+  once over Z with rank certificates: ``full_strands`` and
+  ``full_strand_betti``, every nonempty mask grouped by lcm and then by
+  size, each whole Taylor strand ranked over the field itself;
+  ``tests/test_oracle_reductions.py`` and ``tests/test_oracle.py``, and
+  at mu 14 and 16 ``ci/test_past_the_bound.py``.
+* ``oracle._projective_dimension``, the walk down the strands:
+  ``table_projective_dimension``, the top index of ``taylor_betti``'s
+  whole table; ``tests/test_oracle_callers.py``.
+* ``oracle._verify_rows``, ordered by one ``np.lexsort``:
+  ``verify_rows_by_sort``, the rows sorted by a Python key;
+  ``tests/test_oracle_reductions.py``.
+* ``subsets.SubsetTables``' divisor masks, covered masks and lcm
+  tuples: ``RankTables``, the same read in exponent-rank space, its
+  covered masks by ``covered_by_gathers``; ``tests/test_subsets.py``.
+* ``invariants._preserved_betti``, a gather over the faces only:
+  ``preserved_betti``, keyed by the lcm tuples of ``lcm_exps``;
+  ``tests/test_oracle_callers.py``.
+* ``invariants.height``, a bitmask search: ``height`` (with
+  ``support``), the supports of the re-minimised radical searched as
+  sets by increasing size; ``tests/test_oracle_callers.py``.
+* ``monomials.monomial_text``: ``monomial_text``, as
+  ``Monomial.__str__`` built it before; ``tests/test_oracle_callers.py``.
+* ``covers._listing_rows``: ``cover_listing``, the covering masks
+  sorted by a Python key and filtered per generator, and
+  ``canonical_edges``, a clutter's edges sorted the same way;
+  ``tests/test_cli_routes.py`` and ``tests/test_covers.py``.
+* ``jsontext._covers_fragments``: ``covers_fragments``, one join of a
+  Python list of parts; ``tests/test_cli_routes.py``, and past the CLI
+  bound ``ci/test_past_the_bound.py``.
+* ``covers._CoverTable``: ``CoverWalk``, a walk over every mask and its
+  one-smaller subsets; ``tests/test_table_routes.py``.
+* ``monomials``' reader, its ``finditer`` pass and divisibility matrix:
+  ``tokenize``, ``directive_lines``, ``parse_monomial`` and
+  ``parse_ideal``, a line and a token at a time, and ``redundant``,
+  ``minimize_generators`` and ``first_division``, one pair of
+  generators at a time; ``tests/test_reader_routes.py``.
+* ``cmdline.read_argv``: ``argparse_parser``, the command line declared
+  to argparse; ``tests/test_cli_argv.py``.
+
+Two more names are not checking routes.  ``all_orders`` lists the mu!
+orders, lexicographic on the permutation word, for the tests' loops
+over every order: the library's searches list none.
+``equivalence_audit`` reads the paper's five equivalent
+characterisations of minimality one by one, and
+``tests/test_acceptance.py`` checks that they agree with
+``is_minimal_resolution``.
 """
 
 import argparse
@@ -144,12 +95,12 @@ import warnings
 from dataclasses import dataclass
 from functools import cache, partial
 from itertools import combinations, permutations
+from math import factorial
 
 import numpy as np
 
 from lyubeznik import (OrderedIdeal, is_minimal_resolution, is_stable_symbol,
-                       monomials, oracle, orders_for_search, symbol_of,
-                       taylor_betti)
+                       monomials, oracle, symbol_of, taylor_betti)
 from lyubeznik.betti import BettiTable
 from lyubeznik.cmdline import DEFAULT_MAX_EXHAUSTIVE, _field, _positive_int
 from lyubeznik.complexes import SubsetClass, order_analysis
@@ -159,9 +110,8 @@ from lyubeznik.monomials import (EXPONENT_LIMIT, ExponentLimitError,
                                  MinimizationWarning, Monomial,
                                  MonomialIdeal, ParseError,
                                  VariableContext, divides, radical_ideal)
-from lyubeznik.oracle import (_LcmClasses, _critical_strands, _rank_function,
-                              _strand_homology)
-from lyubeznik.subsets import (bit_pairs, indices_of, iter_bits,
+from lyubeznik.oracle import _rank_function, _strand_homology
+from lyubeznik.subsets import (bit_pairs, indices_of, iter_bits, mask_of,
                               one_smaller, popcounts, tables_for, up_closure)
 
 
@@ -242,88 +192,6 @@ def all_orders(ideal):
             for word in permutations(ideal.indices()))
 
 
-def block_ranks(ideal, words):
-    """(least, court_rank), int8 arrays of shape (2^mu, count), for a
-    block of permutation words of shape (count, mu): the least rank in
-    each mask under each order (mu for the empty mask), and that of the
-    mask's outside divisors."""
-    mu, count = ideal.mu, len(words)
-    rank = np.empty((mu, count), np.int8)
-    rank[words.T - 1, np.arange(count)] = np.arange(mu, dtype=np.int8)[:, None]
-    least = np.empty((1 << mu, count), np.int8)
-    least[0] = mu
-    for b in range(mu):
-        np.minimum(least[:1 << b], rank[b], out=least[1 << b:2 << b])
-    outside = tables_for(ideal).divisor_mask & ~np.arange(1 << mu)
-    return least, least[outside]
-
-
-def unpacked_readout(ideal, least, court_rank):
-    """(obstruction, length, minimal) arrays of a block of orders, from
-    ``block_ranks``."""
-    size, count = least.shape
-    unpreserved = court_rank < least
-    for b in range(ideal.mu):
-        halves = unpreserved.reshape(-1, 2, 1 << b, count)
-        halves[:, 1] |= halves[:, 0]
-    popcount = np.array([m.bit_count() for m in range(size)], np.int8)[:, None]
-    lengths = (popcount * ~unpreserved).max(axis=0)
-    by_size = {}
-    for m in cover_table(ideal).clutter:
-        by_size.setdefault(m.bit_count(), []).append(m)
-    obs = np.zeros(count, np.int8)
-    for k, edges in sorted(by_size.items()):
-        obs[~unpreserved[edges].all(axis=0)] = k
-    return obs, lengths, obs == 0
-
-
-@dataclass(frozen=True)
-class Scan:
-    """The aggregates of a scan of every order, and the verdicts they
-    settle; the fields are those of ``SearchResult``."""
-
-    scanned: int
-    tobsl: int
-    tobsl_witness: tuple
-    min_l: int
-    min_l_witness: tuple
-    minimal_count: int
-
-    @property
-    def lyubeznik(self):
-        return self.tobsl == 0
-
-    @property
-    def totally_lyubeznik(self):
-        return self.minimal_count == self.scanned
-
-    def almost_lyubeznik(self, projdim):
-        return self.min_l == projdim
-
-
-def exhaustive_scan(ideal):
-    """The ``Scan`` of all mu! orders, block by block in lexicographic
-    order; a witness changes only when a block holds a strictly lower
-    value, so each is the least order that reaches its value."""
-    blocks, _ = orders_for_search(ideal)
-    # no obstruction or length exceeds mu: mu + 1 is above every value
-    tobsl = min_l = ideal.mu + 1
-    tobsl_witness = min_l_witness = None
-    scanned = minimal_count = 0
-    for words in blocks:
-        obs, lengths, minimal = unpacked_readout(ideal,
-                                                 *block_ranks(ideal, words))
-        j, k = int(np.argmin(obs)), int(np.argmin(lengths))
-        if obs[j] < tobsl:
-            tobsl, tobsl_witness = int(obs[j]), tuple(words[j].tolist())
-        if lengths[k] < min_l:
-            min_l, min_l_witness = int(lengths[k]), tuple(words[k].tolist())
-        scanned += len(words)
-        minimal_count += int(minimal.sum())
-    return Scan(scanned, tobsl, tobsl_witness, min_l, min_l_witness,
-                minimal_count)
-
-
 def packed_rows(marks):
     """Each column of a bool array of shape (family sets, prefixes) as
     one int, bit i for row i."""
@@ -401,6 +269,52 @@ class InsideWalk:
         return tuple(word)
 
 
+@dataclass(frozen=True)
+class Scan:
+    """The aggregates of every order, and the verdicts they settle; the
+    fields are those of ``SearchResult``."""
+
+    scanned: int
+    tobsl: int
+    tobsl_witness: tuple
+    min_l: int
+    min_l_witness: tuple
+    minimal_count: int
+
+    @property
+    def lyubeznik(self):
+        return self.tobsl == 0
+
+    @property
+    def totally_lyubeznik(self):
+        return self.minimal_count == self.scanned
+
+    def almost_lyubeznik(self, projdim):
+        return self.min_l == projdim
+
+
+def inside_scan(ideal):
+    """The ``Scan`` of all mu! orders, each value the least k from 0 up
+    at which an ``InsideWalk`` finds an order and each witness the order
+    it finds: an order's obstruction is at most k when it preserves no
+    clutter edge larger than k, and its length is at most k when it
+    preserves no (k + 1)-set.  The minimal orders preserve no edge."""
+    clutter = cover_table(ideal).clutter
+
+    def least(families):
+        for k, sets in enumerate(families):
+            word = InsideWalk(ideal, sets).first()
+            if word is not None:
+                return k, word
+
+    tobsl = least([m for m in clutter if m.bit_count() > k]
+                  for k in range(ideal.mu + 1))
+    min_l = least([mask_of(c) for c in combinations(ideal.indices(), k + 1)]
+                  for k in range(ideal.mu + 1))
+    return Scan(factorial(ideal.mu), *tobsl, *min_l,
+                InsideWalk(ideal, clutter).count())
+
+
 def closed_by_up_closure(tables):
     """Whether each mask has only closed subsets (no generator outside
     a subset divides its lcm), by one up-closure of the open masks over
@@ -408,89 +322,6 @@ def closed_by_up_closure(tables):
     ``prefix._masks`` replaced."""
     prefixes = np.arange(tables.size, dtype=np.int64)
     return ~up_closure(tables.divisor_mask != prefixes)
-
-
-@dataclass(frozen=True)
-class BoundaryMatrix:
-    """A differential between consecutive face levels.
-
-    Entries are the integer signs; the full scalar on (row, col) is
-    entry * lcm(col)/lcm(row), and the monomial factors cancel along
-    two-step compositions.
-    """
-
-    rows: tuple
-    cols: tuple
-    entries: tuple
-
-    def compose_is_zero(self, next_matrix):
-        """True iff self @ next_matrix vanishes identically."""
-        if self.cols != next_matrix.rows:
-            raise ValueError("boundary matrices do not chain")
-        for col in zip(*next_matrix.entries):
-            for row in self.entries:
-                if sum(a * b for a, b in zip(row, col)):
-                    return False
-        return True
-
-
-def boundary_levels(faces_by_size):
-    """Sign matrices between consecutive levels of a face family, by size.
-
-    ``faces_by_size[t]`` lists faces as index tuples; level t maps to
-    level t-1, and deleting the j-th member of a face (1-based) has sign
-    (-1)^(j+1).  Deletions landing outside the family contribute no
-    entry.  Returns {t: matrix} for every t >= 1 with a level t-1.
-    """
-    out = {}
-    for t, cols in faces_by_size.items():
-        if t == 0 or t - 1 not in faces_by_size:
-            continue
-        rows = faces_by_size[t - 1]
-        row_index = {f: k for k, f in enumerate(rows)}
-        entries = [[0] * len(cols) for _ in rows]
-        for c, face in enumerate(cols):
-            for j, dropped in enumerate(face, start=1):
-                smaller = tuple(i for i in face if i != dropped)
-                r = row_index.get(smaller)
-                if r is not None:
-                    entries[r][c] = 1 if j % 2 else -1
-        out[t] = BoundaryMatrix(tuple(rows), tuple(cols),
-                                tuple(tuple(r) for r in entries))
-    return out
-
-
-def dense_composes_to_zero(faces_by_size):
-    """d_{t-1} . d_t = 0 for every t at which both matrices exist."""
-    mats = boundary_levels(faces_by_size)
-    return all(mats[t - 1].compose_is_zero(mats[t])
-               for t in mats if t - 1 in mats)
-
-
-def rank_faces(ordered, preserved=None):
-    """The faces of the Lyubeznik complex by size, from the Python DP's
-    preserved sets, written in increasing rank and listed by their rank
-    tuples."""
-    preserved = preserved_table(ordered) if preserved is None else preserved
-    by_size = {}
-    for mask, face in enumerate(preserved):
-        if face:
-            by_size.setdefault(mask.bit_count(), []).append(
-                ordered.sorted_by_rank(indices_of(mask)))
-    for faces in by_size.values():
-        faces.sort(key=lambda f: tuple(ordered.rank(i) for i in f))
-    return by_size
-
-
-def boundary_matrices(ordered):
-    """Dense differentials of the Lyubeznik complex, one per face size."""
-    mats = boundary_levels(rank_faces(ordered))
-    return [mats[t] for t in sorted(mats)]
-
-
-def dense_chain_complex(ordered, preserved=None):
-    """d^2 = 0 across the Lyubeznik complex, by dense sign matrices."""
-    return dense_composes_to_zero(rank_faces(ordered, preserved))
 
 
 def full_strands(ideal):
@@ -508,17 +339,6 @@ def full_strand_betti(ideal, prime=None):
     rank = _rank_function(prime)
     counts = {(0, (0,) * len(ideal.context)): 1}
     for exps, by_size in full_strands(ideal).items():
-        for t, h in _strand_homology(by_size, rank).items():
-            counts[(t, exps)] = h
-    return BettiTable.from_multigraded(ideal.context, counts)
-
-
-def per_field_betti(ideal, prime=None):
-    """Multigraded Betti numbers of R/I over Q or GF(prime), every
-    multi-level Morse-reduced strand ranked over that field."""
-    rank = _rank_function(prime)
-    counts = {(0, (0,) * len(ideal.context)): 1}
-    for exps, by_size in _critical_strands(ideal).critical.items():
         for t, h in _strand_homology(by_size, rank).items():
             counts[(t, exps)] = h
     return BettiTable.from_multigraded(ideal.context, counts)
@@ -569,21 +389,6 @@ def verify_rows_by_sort(ordered):
                   key=lambda row: (sum(row[0]), row[0]))
 
 
-def cones_per_apex(preserved, vertex_sets, apexes):
-    """Whether the faces (``preserved``'s marks) inside each vertex set
-    form a cone over its apex bit.  Per distinct apex g, the faces F
-    with F ^ g not a face are marked and up-closed over the subset
-    lattice; a vertex set is a cone exactly when no mark lies inside
-    it."""
-    masks = np.arange(len(preserved))
-    cones = np.empty(len(vertex_sets), bool)
-    for bit in set(apexes.tolist()):
-        lone = up_closure(preserved & ~preserved[masks ^ bit])
-        at = apexes == bit
-        cones[at] = ~lone[vertex_sets[at]]
-    return cones
-
-
 def covered_by_gathers(tables):
     """``covered_mask``, one fancy-indexed gather of the divisor masks
     per bit: u is covered in m when m minus u's divisor mask holds u."""
@@ -631,44 +436,6 @@ class RankTables:
     def lcm_tuples(self, masks):
         exps = np.take_along_axis(self._values, self._lcm[:, masks], axis=1)
         return list(zip(*exps.tolist()))
-
-
-def critical_by_gathers(tables):
-    """``oracle._Strands.critical``, with each class's pivot counts and
-    its critical masks found by fancy-indexed gathers of ``class_of``
-    at the masks with a bit and without it."""
-    classes = tables.derived(_LcmClasses)
-    class_of, n = classes.class_of, len(classes.vertex_sets)
-    masks = np.arange(tables.size)
-    best = [(len(class_of), 0)] * n
-    for b in range(tables.mu):
-        bit = 1 << b
-        high = masks[masks & bit != 0]
-        changed = high[class_of[high] != class_of[high ^ bit]]
-        count = np.bincount(class_of[changed], minlength=n).tolist()
-        for c, vertices in enumerate(classes.vertex_sets.tolist()):
-            if vertices & bit:
-                best[c] = min(best[c], (count[c], bit))
-    critical = {}
-    for mask in range(1, tables.size):
-        c = int(class_of[mask])
-        pivot = best[c][1]
-        if mask & pivot and class_of[mask ^ pivot] != c:
-            critical.setdefault(classes.exponents[c], {}).setdefault(
-                mask.bit_count(), []).append(mask)
-    return critical
-
-
-def homology_of_critical(critical, prime=None):
-    """{(level, exponents): homology rank} of the strands ``critical``
-    lists, as ``critical_by_gathers`` does, every multi-level strand
-    ranked over Q or GF(prime)."""
-    rank = _rank_function(prime)
-    homology = {}
-    for exps, by_size in critical.items():
-        for t, h in _strand_homology(by_size, rank).items():
-            homology[(t, exps)] = h
-    return homology
 
 
 def preserved_betti(ordered):

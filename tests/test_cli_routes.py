@@ -71,14 +71,13 @@ from lyubeznik.monomials import monomial_text
 from lyubeznik.oracle import _verify_rows
 from lyubeznik.subsets import indices_of, mask_of, tables_for
 
-from conftest import exponent_ideal, xyz_ideal
+from conftest import exponent_ideal, exponent_rows, small_ideal, xyz_ideal
 
 from reference_routes import CoverWalk, canonical_edges
 from reference_routes import cover_listing as python_cover_listing
 from reference_routes import covers_fragments as reference_covers_fragments
 from test_cli_digests import cases
 from test_preserved_kernel import seeded_ideal
-from test_scan_kernel import exponent_rows, small_ideal
 
 
 def reference_text(payload) -> str:
@@ -550,15 +549,19 @@ def test_covers_payload_matches_the_cover_objects_on_random_ideals(rows):
         check_covers(ideal, path)
 
 
-@pytest.mark.parametrize("mu,seed", [(11, 0), (12, 0), (12, 1)])
-def test_covers_output_matches_the_cover_objects_at_mu_11_and_12(
-        mu, seed, tmp_path):
+def check_seeded_covers(mu, seed, tmp_path):
+    """``check_covers`` on ``seeded_ideal(mu, seed)`` under a shuffle."""
     ideal = seeded_ideal(mu, seed)
     path = tmp_path / "seeded.ideal"
     path.write_text(ideal_file_text(ideal), encoding="utf-8")
     order = list(ideal.indices())
     random.Random(seed).shuffle(order)
     check_covers(ideal, path, ",".join(map(str, order)))
+
+
+def test_covers_output_matches_the_cover_objects_at_mu_11(tmp_path):
+    # at mu 12 in ``ci/test_past_the_bound.py``
+    check_seeded_covers(11, 0, tmp_path)
 
 
 # -- the listing against the Python sort and the walk -------------------------

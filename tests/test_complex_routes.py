@@ -29,7 +29,7 @@ from lyubeznik import (OrderedIdeal, all_ideals, classification_census,
 from lyubeznik.cli import main
 
 from test_cli_routes import ideal_file_text
-from test_scan_kernel import exponent_rows, small_ideal
+from conftest import exponent_rows, small_ideal
 
 POOL_STRATA = ("p10", "p11", "p12", "c14", "c16")
 

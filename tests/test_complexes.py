@@ -1,3 +1,12 @@
+"""The Lyubeznik complex, its symbols, faces, facets and census.
+
+The facets, read off the faces' lone bits (``_OrderAnalysis.facets``),
+are checked against their one checking route, a scan of every face's
+one-larger masks (``reference_routes.facets``), and the census
+(``complexes.classification_census``) against its, one key per mask
+over all 2^mu masks (``reference_routes.census_by_keys``).
+"""
+
 from itertools import combinations
 from math import comb
 
@@ -14,10 +23,9 @@ from lyubeznik import (OrderedIdeal, SubsetClass, Symbol, admissible_symbols,
 from lyubeznik.complexes import order_analysis
 from lyubeznik.subsets import mask_of
 
-from conftest import exponent_ideal
+from conftest import exponent_ideal, exponent_rows, small_ideal
 from reference_routes import all_orders, census_by_keys, preserved_table
 from reference_routes import facets as reference_facets
-from test_scan_kernel import exponent_rows, small_ideal
 
 
 def symbol_sets(symbols):

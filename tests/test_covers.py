@@ -1,3 +1,12 @@
+"""Covers, complete covers, E-minimal covers and the clutter.
+
+The listing of the covering masks (``covers._listing_rows``) is checked
+against its one checking route, the masks sorted by a Python key and
+filtered per generator (``reference_routes.cover_listing``, the
+clutter's edges by ``canonical_edges``); ``tests/test_cli_routes.py``
+compares them on more inputs.
+"""
+
 import tracemalloc
 from itertools import combinations
 

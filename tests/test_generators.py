@@ -25,7 +25,7 @@ from lyubeznik import (
 )
 
 from reference_routes import all_orders
-from test_scan_kernel import exponent_rows, small_ideal
+from conftest import exponent_rows, small_ideal
 
 XY = VariableContext(("x", "y"))
 

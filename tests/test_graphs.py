@@ -28,7 +28,7 @@ from lyubeznik import (
     search_scan,
 )
 
-from reference_routes import exhaustive_scan
+from reference_routes import inside_scan
 
 PATH3 = parse_graph("vertex a b c\nedge a b\nedge b c")
 
@@ -215,9 +215,9 @@ def two_scan_propositions(graph):
 
 
 def scanned_propositions(graph):
-    """The propositions with both verdicts from one block scan of every
-    order."""
-    scan = exhaustive_scan(edge_ideal(graph))
+    """The propositions with both verdicts from the checking route of
+    the search (``reference_routes.inside_scan``)."""
+    scan = inside_scan(edge_ideal(graph))
     rows = check_graph_propositions(graph)
     conclusions = ([scan.totally_lyubeznik] * 3 + [scan.lyubeznik] * 2
                    + [not scan.lyubeznik])

@@ -27,7 +27,7 @@ from hypothesis import given, settings, strategies as st
 from lyubeznik import MonomialIdeal, SimpleGraph, edge_ideal, search_scan
 from lyubeznik.subsets import indices_of, tables_for
 
-from test_scan_kernel import exponent_rows, small_ideal
+from conftest import exponent_rows, small_ideal
 
 
 def restriction(ideal, mask):

@@ -43,7 +43,7 @@ from lyubeznik.cli import main
 
 from test_cli_routes import ideal_file_text
 from test_preserved_kernel import seeded_ideal
-from test_scan_kernel import exponent_rows, small_ideal
+from conftest import exponent_rows, small_ideal
 
 
 def rebuilt(names, rows) -> MonomialIdeal:

@@ -1,19 +1,18 @@
-"""Per-order invariants, the checking scan's readout, and order searches.
+"""Per-order invariants, order searches and their verdicts.
 
-The checking scan (``reference_routes.exhaustive_scan``) reads
-obstruction, length, and minimality for whole blocks of orders off
-``reference_routes.block_ranks``.  Here its arrays are checked, order
-by order, against the per-order functions, which read
-``complexes.order_analysis`` one order at a time;
-``tests/test_scan_kernel.py`` and ``tests/test_preserved_kernel.py``
-compare both with the plain-Python reference routes.
+The per-order tables are compared with their checking routes in
+``tests/test_preserved_kernel.py``, and the search's aggregates with
+theirs (``reference_routes.inside_scan``) in
+``tests/test_prefix_search.py``.  Here the searches are pinned on the
+corpus, read past the command line's default bound (at mu 9 against
+``inside_scan`` too) and up to the table bound, and the verdicts
+checked against the callers' former formulas.
 """
 
 import dataclasses
 from itertools import combinations, permutations, product
 from math import factorial
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -39,7 +38,6 @@ from lyubeznik import (
     obstruction,
     parse_graph,
     parse_ideal,
-    preserved_size,
     search_scan,
     sweep_ideals,
     taylor_betti,
@@ -48,33 +46,15 @@ from lyubeznik import covers
 from lyubeznik.covers import cover_table
 from lyubeznik.oracle import _projective_dimension
 from lyubeznik.subsets import tables_for
-from conftest import triangles_graph
-from reference_routes import (all_orders, block_ranks, closure_length,
-                              equivalence_audit, exhaustive_scan,
-                              facets_stable, unpacked_readout)
+from conftest import exponent_rows, small_ideal, triangles_graph
+from reference_routes import (all_orders, closure_length, equivalence_audit,
+                              facets_stable, inside_scan)
 from test_preserved_kernel import seeded_ideal
-from test_scan_kernel import exponent_rows, small_ideal
 
 KOSZUL2 = parse_ideal("vars x y\ngen x\ngen y")
 
 SCAN_NAMES = ["chain_three_squares", "square_edges", "chain_five_mixed",
               "mixed_powers_xyz", "five_gen_squarefree"]
-
-
-def test_scanner_matches_per_order_functions():
-    # The one test that licenses trusting the batch engine anywhere else:
-    # every order of every small ideal, all three outputs.
-    for name in SCAN_NAMES:
-        ideal = load_ideal(name)
-        words = [o.order for o in all_orders(ideal)]
-        obs, length, minimal = unpacked_readout(
-            ideal, *block_ranks(ideal, np.array(words, np.int8)))
-        for k, word in enumerate(words):
-            ordered = OrderedIdeal(ideal, word)
-            assert obs[k] == obstruction(ordered), (name, word)
-            assert length[k] == l_length(ordered), (name, word)
-            assert length[k] == preserved_size(ordered), (name, word)
-            assert bool(minimal[k]) == is_minimal_resolution(ordered), (name, word)
 
 
 def test_search_aggregates():
@@ -112,7 +92,7 @@ def test_search_answers_past_the_command_line_default(mu):
     assert scan.scanned == factorial(mu)
     assert not scan.stopped_early
     if mu == 9:
-        reference = exhaustive_scan(ideal)
+        reference = inside_scan(ideal)
         for field in ("tobsl", "tobsl_witness", "min_l", "min_l_witness",
                       "minimal_count", "lyubeznik", "totally_lyubeznik"):
             assert getattr(scan, field) == getattr(reference, field), field
@@ -432,7 +412,7 @@ def test_search_verdicts_match_the_former_formulas(name):
     # analyze, from the count of minimal orders
     assert scan.totally_lyubeznik == (scan.minimal_count == scan.scanned)
     # is_totally_lyubeznik and the graph checks
-    assert scan.totally_lyubeznik == exhaustive_scan(ideal).totally_lyubeznik
+    assert scan.totally_lyubeznik == inside_scan(ideal).totally_lyubeznik
     # analyze
     assert scan.almost_lyubeznik == (scan.min_l == projdim)
 

@@ -13,9 +13,12 @@ its strand at x1*...*x6 carries the reduced homology of RP^2, which
 vanishes over Q and GF(3) and is one-dimensional in degrees 1 and 2
 over GF(2), so beta_{3,6} = beta_{4,6} = 1 over GF(2) only.  Its rows
 are pinned over each field, in either call order and from cleared
-caches, and the cached route is compared with the per-field route
-(``reference_routes.per_field_betti``) for p = 2, 3, 5 and 32003 on the
-corpus, the seed-1 pool up to mu 12 and hypothesis ideals.
+caches.  The cached route is compared over Q and for p = 2, 3, 5 and
+32003 with ``taylor_betti``'s one checking route, the whole Taylor
+strands each ranked over the field itself
+(``reference_routes.full_strand_betti``): on the corpus, RP^2 and its
+relabellings, every input of the seed-1 pool up to mu 13 (the rest of
+the pool in ``ci/test_past_the_bound.py``) and hypothesis ideals.
 """
 
 from itertools import combinations
@@ -31,7 +34,6 @@ from lyubeznik import (
     identity_order,
     load_ideal,
     parse_ideal,
-    read_ideal,
     taylor_betti,
     verify_chain_complex,
     verify_resolution_report,
@@ -41,15 +43,13 @@ from lyubeznik.oracle import (_boundary_columns, _chain_verdict,
                               _projective_dimension)
 from lyubeznik.subsets import lone_bits, tables_for
 
-from conftest import exponent_ideal
-from reference_routes import (BoundaryMatrix, all_orders, boundary_matrices,
-                              dense_composes_to_zero, per_field_betti)
+from conftest import exponent_ideal, exponent_rows, pool_ideal, small_ideal
+from reference_routes import (all_orders, closed_by_one_smaller,
+                              full_strand_betti)
 from test_covers import refuses_before_allocating, unit_rows
 from test_linalg import check_certificate
-from test_oracle_reductions import betti_euler, taylor_euler
-from test_oracle_routes import family_table, mask_faces
+from test_oracle_reductions import betti_euler, marked, taylor_euler
 from test_preserved_kernel import seeded_ideal
-from test_scan_kernel import exponent_rows, small_ideal
 
 KOSZUL2 = parse_ideal("vars x y\ngen x\ngen y")
 KOSZUL3 = parse_ideal("vars x y z\ngen x\ngen y\ngen z")
@@ -91,78 +91,35 @@ def test_mixed_powers_table():
                             (2, 6): 2, (3, 6): 1, (3, 7): 2}
 
 
-def test_koszul_boundary_matrices():
-    mats = boundary_matrices(identity_order(KOSZUL2))
-    assert [len(m.cols[0]) for m in mats] == [1, 2]
-    d1, d2 = mats
-    assert d1.rows == ((),) and d1.cols == ((1,), (2,))
-    assert d1.entries == ((1, 1),)
-    assert d2.rows == ((1,), (2,)) and d2.cols == ((1, 2),)
-    # Deleting the first member of (1,2) leaves (2,) with sign +1;
-    # deleting the second leaves (1,) with sign -1.
-    assert d2.entries == ((-1,), (1,))
-    assert d1.compose_is_zero(d2)
-    # the sparse columns carry the same signs, faces as masks
+def test_koszul_boundary_columns():
+    # deleting the j-th lowest bit of a face has sign (-1)^(j+1)
     assert _boundary_columns([0b01, 0b10], {0}) == [{0: 1}, {0: 1}]
     assert _boundary_columns([0b11], {0b01, 0b10}) == [{0b10: 1, 0b01: -1}]
-
-
-def test_boundary_matrices_respect_order_ranks():
-    # Under the order (2,1) the face {1,2} is written (2,1), so the
-    # deletion signs swap relative to the identity order.
-    square = load_ideal("square_edges")
-    for word in [(1, 2, 3, 4), (4, 3, 2, 1), (2, 4, 1, 3)]:
-        mats = boundary_matrices(OrderedIdeal(square, word))
-        for a, b in zip(mats, mats[1:]):
-            assert a.compose_is_zero(b)
-
-
-def test_compose_requires_chaining_shapes():
-    a = BoundaryMatrix(((),), ((1,), (2,)), ((1, 1),))
-    with pytest.raises(ValueError, match="chain"):
-        a.compose_is_zero(a)
-
-
-def test_compose_detects_a_nonzero_product():
-    # same shapes as the Koszul d1, d2, but with d2's signs equal: the
-    # product is 1*1 + 1*1 = 2 in its only entry
-    d1 = BoundaryMatrix(((),), ((1,), (2,)), ((1, 1),))
-    d2 = BoundaryMatrix(((1,), (2,)), ((1, 2),), ((1,), (1,)))
-    assert not d1.compose_is_zero(d2)
-    # a cancelling pair in one column, a lone nonzero in the other
-    e1 = BoundaryMatrix(((), (9,)), ((1,), (2,), (3,)),
-                        ((1, 1, 0), (0, 0, 1)))
-    e2 = BoundaryMatrix(((1,), (2,), (3,)), ((1, 2), (1, 3)),
-                        ((-1, 0), (1, 0), (0, 1)))
-    assert not e1.compose_is_zero(e2)
-    e3 = BoundaryMatrix(e2.rows, e2.cols, ((-1, 0), (1, 0), (0, 0)))
-    assert e1.compose_is_zero(e3)
 
 
 def masks(*faces):
     return [sum(1 << (i - 1) for i in face) for face in faces]
 
 
-@pytest.mark.parametrize("family,certificate,dense", [
-    # {1,2} without {2}: d{1,2} = -{1} and d{1} = {}, so d.d = -{}
-    (masks((), (1,), (1, 2)), False, False),
+@pytest.mark.parametrize("family,closed", [
+    # {1,2} without {2}
+    (masks((), (1,), (1, 2)), False),
     # a cancelling column, {1,2}, and a lone nonzero one, {1,3}, whose
     # {3} is missing; adding {3} closes the family
-    (masks((), (1,), (2,), (1, 2), (1, 3)), False, False),
-    (masks((), (1,), (2,), (3,), (1, 2), (1, 3)), True, True),
+    (masks((), (1,), (2,), (1, 2), (1, 3)), False),
+    (masks((), (1,), (2,), (3,), (1, 2), (1, 3)), True),
     # a missing middle level: {1,2,3} keeps only {1,2} of its deletions
-    (masks((), (1,), (2,), (3,), (1, 2), (1, 2, 3)), False, False),
-    (masks((), (1,), (2,), (1, 2)), True, True),
-    # no two consecutive levels: the dense d.d vanishes, but the family
-    # is not closed, and the certificate is the stronger statement
-    (masks((), (1, 2)), False, True),
-    ([], True, True),
+    (masks((), (1,), (2,), (3,), (1, 2), (1, 2, 3)), False),
+    (masks((), (1,), (2,), (1, 2)), True),
+    # no two consecutive levels: d.d vanishes, but the family is not
+    # closed, and the certificate is the stronger statement
+    (masks((), (1, 2)), False),
+    ([], True),
 ])
-def test_the_closure_certificate_on_hand_built_families(family, certificate,
-                                                         dense):
-    table = family_table(family, 3)
-    assert _chain_verdict(table, lone_bits(table)) is certificate
-    assert dense_composes_to_zero(mask_faces(family)) is dense
+def test_the_closure_certificate_on_hand_built_families(family, closed):
+    table = marked(family, 3)
+    assert _chain_verdict(table, lone_bits(table)) is closed
+    assert closed_by_one_smaller(table) == closed
 
 
 def test_chain_complex_for_every_order_of_small_ideals():
@@ -294,11 +251,11 @@ def test_rp2_projective_dimension_depends_on_the_field():
 def check_fields(ideal):
     clear_oracle_caches()
     exact = taylor_betti(ideal)
-    assert exact == per_field_betti(ideal)
+    assert exact == full_strand_betti(ideal)
     homology = oracle._critical_strands(ideal).homology
     for prime in CERTIFIED_FIELDS:
         table = taylor_betti(ideal, prime=prime)
-        assert table == per_field_betti(ideal, prime), prime
+        assert table == full_strand_betti(ideal, prime), prime
         # one table per homology dict: a prime that no certificate names
         # reads the table over Q, and a second call builds none
         assert (table is exact) == (homology(prime) is homology()), prime
@@ -318,24 +275,24 @@ def test_only_a_named_prime_builds_a_table_of_its_own():
         RP2_PROJDIM[2] != exact.projective_dimension
 
 
-def test_cached_fields_match_the_per_field_route_on_the_corpus():
+def test_cached_fields_match_the_whole_strands_on_the_corpus():
     for name, ideal in all_ideals():
         check_fields(ideal)
     check_fields(RP2)
 
 
-def test_cached_fields_match_the_per_field_route_on_the_pool(pool):
+def test_cached_fields_match_the_whole_strands_on_the_pool(pool):
+    # every ideal and graph file of the seed-1 pool up to mu 13
     out, inputs = pool
-    names = [n for n, e in inputs.items()
-             if n.endswith(".ideal") and e["mu"] <= 12]
+    names = [n for n, e in inputs.items() if e["mu"] <= 13]
     assert len(names) > 100
     for name in sorted(names):
-        check_fields(read_ideal(out / name))
+        check_fields(pool_ideal(out / name))
 
 
 @settings(max_examples=40)
 @given(st.integers(2, 5).flatmap(exponent_rows))
-def test_cached_fields_match_the_per_field_route_on_random_ideals(rows):
+def test_cached_fields_match_the_whole_strands_on_random_ideals(rows):
     check_fields(small_ideal(rows, max_mu=10))
 
 
@@ -343,7 +300,7 @@ def test_cached_fields_match_the_per_field_route_on_random_ideals(rows):
 @given(st.permutations(range(6)),
        st.lists(st.sets(st.integers(0, 7), min_size=1, max_size=3),
                 max_size=2))
-def test_cached_fields_match_the_per_field_route_around_rp2(relabel, extra):
+def test_cached_fields_match_the_whole_strands_around_rp2(relabel, extra):
     # RP^2's cubics with relabelled vertices, in eight variables, with up
     # to two more squarefree generators: the torsion may stay or go
     rows = [tuple(int(any(relabel[v] == k for v, e in
@@ -355,7 +312,11 @@ def test_cached_fields_match_the_per_field_route_around_rp2(relabel, extra):
 
 def test_rp2_strand_names_two():
     # the top strand of RP^2's Stanley-Reisner ideal, Morse-reduced: its
-    # ranks drop over GF(2), and its certificate names 2 (and only 2)
+    # ranks drop over GF(2), and its certificate names 2 (and only 2),
+    # so that its homology differs over GF(2) alone
+    homology = oracle._critical_strands(RP2).homology
+    assert homology(2).items() - homology().items() == {
+        ((3, (1,) * 6), 1), ((4, (1,) * 6), 1)}
     by_size = oracle._critical_strands(RP2).critical[(1,) * 6]
     named, dropped = set(), False
     for t, masks in by_size.items():

@@ -22,7 +22,9 @@ hypothesis ideals.  The
 Betti rows are written by ``monomials.monomial_text`` from exponent
 tuples; the checking route is ``Monomial.__str__`` as it was.  And
 with ``lcm_exps`` made to raise, the oracle and the preserved-set
-counts still answer: they gather the lcm tuples they read.  On the
+counts (``invariants._preserved_betti``) still answer: they gather the
+lcm tuples they read, and the counts equal their checking route's,
+keyed by ``lcm_exps`` (``reference_routes.preserved_betti``).  On the
 seed-1 o10-o12 ideals the benchmark's four oracle requests take every
 rank in the table over Q, and write each lattice point's text at most
 once.
@@ -46,17 +48,16 @@ from lyubeznik import (Monomial, OrderedIdeal, VariableContext, all_ideals,
                        search_scan, sweep_ideals, taylor_betti,
                        verify_chain_complex, verify_resolution_report)
 from lyubeznik.complexes import order_analysis
-from lyubeznik.graphs import edge_ideal, read_graph
 from lyubeznik.invariants import _preserved_betti, height
 from lyubeznik.monomials import (EXPONENT_LIMIT, MinimizationWarning,
                                  monomial_text)
 from lyubeznik.oracle import _projective_dimension
 from lyubeznik.subsets import SubsetTables, tables_for
 
-from conftest import exponent_ideal, xyz_ideal
+from conftest import (exponent_ideal, exponent_rows, pool_ideal, small_ideal,
+                      xyz_ideal)
 import reference_routes as reference
-from test_oracle_routes import FIELDS
-from test_scan_kernel import exponent_rows, small_ideal
+from test_oracle_reductions import FIELDS
 
 
 def check_projective_dimension(ideal):
@@ -205,10 +206,7 @@ def test_height_matches_the_radical_route_on_the_pool(pool):
     # every seed-1 ideal file and graph's edge ideal
     out, inputs = pool
     for name in sorted(inputs):
-        if name.endswith(".graph"):
-            check_height(edge_ideal(read_graph(out / name)))
-        else:
-            check_height(read_ideal(out / name))
+        check_height(pool_ideal(out / name))
 
 
 def test_height_with_powers_and_unused_variables():

@@ -1,40 +1,42 @@
-"""The oracle's reductions against the unreduced routes.
+"""The oracle's reductions against their checking routes.
 
-``taylor_betti`` ranks only the critical sets of an acyclic matching on
-each Taylor strand; ``reference_routes.full_strand_betti`` ranks whole
-strands.  Both must give the same Betti table over Q, GF(2) and
-GF(32003), on seeded squarefree ideals at mu 10-12 and on seeded
-six-variable ideals at mu 14, above the oracle's default bound.  Each
-critical family lies inside its strand and keeps the strand's Euler
-characteristic.
-
-``verify_resolution_report`` reads a vertex set's verdict off one
-certificate: the faces inside it form a cone over the set's
-first-ranked member.  On every order's faces the certificate holds; the
-hand-built families that are not such cones read false, whatever their
-homology; and on random simplicial complexes a cone must be acyclic by
-the dense route.  The verdicts come from the lone bits of the faces
-(``subsets.lone_bits``), scattered into one array and up-closed
-(``oracle._cone_verdicts``); they must equal those of one up-closure
-per apex (``reference_routes.cones_per_apex``) on
-every corpus ideal under its orders, on the seed-1 pool up to mu 14,
-and on random face families, closed or not, at every vertex set and
-apex.  Both certificates, the cones and d^2 = 0 (closure under
-subsets), must also equal the passes over all 2^mu masks that the lone
-bits replaced (``reference_routes.closed_by_one_smaller`` and
-``cones_by_lattice``): through the order's kept table as ``verify``
-reads them, and through ``lone_bits`` on the order's faces and on
-families that are not closed, on the corpus, on the whole seed-1 pool
-under its manifest orders, and on hypothesis families.
-
-``verify``'s rows are ordered by (degree, exponents) with one
-``np.lexsort`` of the lattice points' exponent matrix
-(``oracle._by_degree``, the degree taken as two exact int64 keys);
-rows and verdicts must equal Python's sort of the tuples
-(``reference_routes.verify_rows_by_sort``) on the corpus (also with
-verdicts that differ from row to row), on the seed-1 pool under its
-manifest orders, and on hypothesis ideals, some with exponents whose
-sums overflow int64.
+* ``taylor_betti`` ranks only the critical sets of an acyclic matching
+  on each Taylor strand; its one checking route,
+  ``reference_routes.full_strand_betti``, ranks whole strands.  Both
+  must give the same Betti table over Q, GF(2) and GF(32003), on seeded
+  squarefree ideals at mu 10-12, on seeded six-variable ideals at mu 14,
+  above the oracle's default bound, and on hypothesis ideals
+  (``tests/test_oracle.py`` compares them on the corpus, RP^2, the pool
+  and more hypothesis ideals).
+  Each critical family lies inside its strand and keeps the strand's
+  Euler characteristic.
+* ``verify_resolution_report`` reads a vertex set's verdict off one
+  certificate: the faces inside it form a cone over the set's
+  first-ranked member.  On every order's faces the certificate holds;
+  the hand-built families that are not such cones read false, whatever
+  their homology; and on random simplicial complexes a cone must be
+  acyclic, its homology ranked over Q.
+* Both certificates, the cones (``oracle._cone_verdicts``) and d^2 = 0
+  (``oracle._chain_verdict``, closure under subsets), are read off the
+  lone bits of the faces (``subsets.lone_bits``).  Their one checking
+  route each is a pass over all 2^mu masks
+  (``reference_routes.cones_by_lattice`` and
+  ``closed_by_one_smaller``).  They must agree through the order's kept
+  table as ``verify`` reads them, and through ``lone_bits`` on the
+  order's faces and on families that are not an order's (a set put in,
+  a face or a one-smaller subset taken out, a face {g} taken out): on
+  every order of the sweep corpus, on the whole seed-1 pool under its
+  manifest orders, on hypothesis ideals, on hypothesis families (any
+  family, and down-closed ones less an inner face), and on random
+  families at mu 12 and 14.
+* ``verify``'s rows are ordered by (degree, exponents) with one
+  ``np.lexsort`` of the lattice points' exponent matrix
+  (``oracle._by_degree``, the degree taken as two exact int64 keys);
+  rows and verdicts must equal Python's sort of the tuples
+  (``reference_routes.verify_rows_by_sort``) on the corpus (also with
+  verdicts that differ from row to row), on the seed-1 pool under its
+  manifest orders, and on hypothesis ideals, some with exponents whose
+  sums overflow int64.
 """
 
 import random
@@ -50,19 +52,18 @@ from lyubeznik import (all_ideals, identity_order, parse_order, read_ideal,
 from lyubeznik.complexes import order_analysis
 from lyubeznik.monomials import EXPONENT_LIMIT
 from lyubeznik.oracle import (_by_degree, _chain_verdict, _cone_verdicts,
-                              _critical_strands, _lcm_classes, _verify_rows)
+                              _critical_strands, _lcm_classes, _rank_function,
+                              _strand_homology, _verify_rows)
 from lyubeznik.orders import OrderedIdeal
 from lyubeznik.subsets import lone_bits, tables_for
 
-from conftest import exponent_ideal
+from conftest import exponent_ideal, exponent_rows, small_ideal
 from reference_routes import (all_orders, closed_by_one_smaller,
-                              cones_by_lattice, cones_per_apex,
-                              full_strand_betti, full_strands,
-                              verify_rows_by_sort)
-from test_linalg import fraction_rank
-from test_oracle_routes import FIELDS, dense_homology
+                              cones_by_lattice, full_strand_betti,
+                              full_strands, verify_rows_by_sort)
 from test_preserved_kernel import seeded_ideal
-from test_scan_kernel import exponent_rows, small_ideal
+
+FIELDS = (None, 2, 32003)
 
 
 def seeded_squarefree(mu, seed, nvars=10):
@@ -114,6 +115,16 @@ def test_reduced_strands_match_full_strands_above_the_bound(seed):
     check_critical_families(ideal)
 
 
+@settings(max_examples=30)
+@given(st.integers(2, 4).flatmap(exponent_rows))
+def test_reduced_strands_match_full_strands_on_random_ideals(rows):
+    ideal = small_ideal(rows, max_mu=7)
+    for prime in FIELDS:
+        assert taylor_betti(ideal, prime=prime) == \
+            full_strand_betti(ideal, prime), prime
+    check_critical_families(ideal)
+
+
 def taylor_euler(ideal):
     """{a: sum over lcm S = a of (-1)^|S|}, nonzero entries only."""
     tables = tables_for(ideal)
@@ -159,13 +170,13 @@ def marked(face_masks, n):
     return faces
 
 
-def dense_acyclic(face_masks, vset):
+def is_acyclic(face_masks, vset):
+    """Whether the faces inside vset have no reduced homology over Q."""
     by_size = {}
     for m in sorted(face_masks):
         if m & vset == m:
-            face = tuple(b + 1 for b in range(vset.bit_length()) if m >> b & 1)
-            by_size.setdefault(len(face), []).append(face)
-    return not dense_homology(by_size, fraction_rank)
+            by_size.setdefault(m.bit_count(), []).append(m)
+    return not _strand_homology(by_size, _rank_function(None))
 
 
 HAND_BUILT = [
@@ -187,7 +198,7 @@ def test_hand_built_non_cones_read_false(family, vset, apex, acyclic):
     faces = marked(family, 3)
     assert not _cone_verdicts(faces, lone_bits(faces), vertex_sets,
                               apexes)[0]
-    assert dense_acyclic(family, vset) == acyclic
+    assert is_acyclic(family, vset) == acyclic
 
 
 def test_a_cone_reads_true():
@@ -227,84 +238,7 @@ def test_a_cone_is_acyclic_on_random_complexes(case):
     inside = [m for m in family if m & vset == m]
     assert cone == all(m ^ apex in family for m in inside)
     if cone:
-        assert dense_acyclic(family, vset)
-
-
-# -- one marking pass against one up-closure per apex -------------------------
-
-
-def check_cones_routes(ordered, rng):
-    """The one-pass verdicts equal the per-apex route's on the order's
-    faces, all true, and on two families that are not an order's: one
-    face taken out and one set put in, and a face {g} taken out, which
-    leaves the empty face without its partner {g}, so that every vertex
-    set with apex g reads false.  Returns how many verdicts read false."""
-    classes = _lcm_classes(ordered.ideal)
-    analysis = order_analysis(ordered)
-    word = np.array(ordered.order)
-    apexes = 1 << (word[analysis.least[classes.vertex_sets]] - 1)
-    vertex_sets = classes.vertex_sets
-    faces = analysis.preserved
-    swapped = faces.copy()
-    swapped[rng.choice(np.flatnonzero(faces).tolist())] = False
-    swapped[rng.randrange(len(faces))] = True
-    no_apex = faces.copy()
-    no_apex[rng.choice(apexes.tolist())] = False
-    verdicts = []
-    for family in (faces, swapped, no_apex):
-        cones = _cone_verdicts(family, lone_bits(family), vertex_sets,
-                               apexes)
-        assert (cones == cones_per_apex(family, vertex_sets, apexes)).all()
-        verdicts.append(cones)
-    assert verdicts[0].all()
-    return int((~verdicts[1]).sum() + (~verdicts[2]).sum())
-
-
-def test_one_pass_cones_match_the_per_apex_route_on_the_corpus():
-    rng = random.Random(27)
-    sweep = {name for name, _ in sweep_ideals()}
-    for name, ideal in all_ideals():
-        if name in sweep:
-            orders = list(all_orders(ideal))
-        else:
-            words = [list(ideal.indices()) for _ in range(4)]
-            for w in words[1:]:
-                rng.shuffle(w)
-            orders = [OrderedIdeal(ideal, tuple(w)) for w in words]
-        false = sum(check_cones_routes(ordered, rng) for ordered in orders)
-        assert false, name
-
-
-def test_one_pass_cones_match_the_per_apex_route_on_the_pool(pool):
-    out, inputs = pool
-    rng = random.Random(2714)
-    names = [n for n, e in inputs.items()
-             if n.endswith(".ideal") and e["mu"] <= 14]
-    assert len(names) > 100
-    for name in sorted(names):
-        ideal = read_ideal(out / name)
-        orders = [identity_order(ideal)] + [
-            parse_order(w, ideal) for w in inputs[name]["orders"]]
-        assert sum(check_cones_routes(o, rng) for o in orders), name
-
-
-@settings(max_examples=300)
-@given(st.integers(1, 7).flatmap(lambda n: st.tuples(
-    st.just(n), st.sets(st.integers(0, (1 << n) - 1), max_size=40))))
-def test_one_pass_cones_match_the_per_apex_route_on_random_families(case):
-    # any family, closed under subsets or not, at every nonempty vertex
-    # set with each of its members as the apex
-    n, family = case
-    pairs = [(v, 1 << b) for v in range(1, 1 << n)
-             for b in range(n) if v >> b & 1]
-    vertex_sets = np.array([v for v, _ in pairs])
-    apexes = np.array([g for _, g in pairs])
-    faces = marked(sorted(family), n)
-    cones = _cone_verdicts(faces, lone_bits(faces), vertex_sets, apexes)
-    assert (cones == cones_per_apex(faces, vertex_sets, apexes)).all()
-    # and both read the definition, face by face
-    assert cones.tolist() == [all(m ^ g in family for m in family
-                                  if m & v == m) for v, g in pairs]
+        assert is_acyclic(family, vset)
 
 
 # -- the lone bits of the faces against the lattice passes --------------------
@@ -315,9 +249,12 @@ def check_lattice_routes(ordered, rng):
     passes over all 2^mu masks (``reference_routes.closed_by_one_smaller``
     and ``cones_by_lattice``): through the order's kept table, as
     ``verify`` reads them, and through ``lone_bits`` on the order's
-    faces and on a family that is not closed, with one set put in and
-    then one face's one-smaller subset taken out.  Returns how many
-    cone verdicts the second family reads false."""
+    faces, where both hold, and on three families that are not an
+    order's: one set put in and then one face's one-smaller subset taken
+    out, which is not closed; one face taken out and one set put in; and
+    a face {g} taken out, which leaves the empty face without its partner
+    {g}, so that every vertex set with apex g reads false.  Returns how
+    many cone verdicts those three read false."""
     classes = _lcm_classes(ordered.ideal)
     analysis = order_analysis(ordered)
     vertex_sets = classes.vertex_sets
@@ -334,20 +271,28 @@ def check_lattice_routes(ordered, rng):
     broken[rng.randrange(len(faces))] = True
     top = rng.choice(np.flatnonzero(faces).tolist())
     broken[top & (top - 1)] = False
-    for family in (faces, broken):
+    assert not _chain_verdict(broken, lone_bits(broken))
+    swapped = faces.copy()
+    swapped[rng.choice(np.flatnonzero(faces).tolist())] = False
+    swapped[rng.randrange(len(faces))] = True
+    no_apex = faces.copy()
+    no_apex[rng.choice(apexes.tolist())] = False
+    false = 0
+    for family in (faces, broken, swapped, no_apex):
         lone = lone_bits(family)
         assert _chain_verdict(family, lone) == closed_by_one_smaller(family)
         cones = _cone_verdicts(family, lone, vertex_sets, apexes)
         assert (cones == cones_by_lattice(family, vertex_sets,
                                           apexes)).all()
-    assert not _chain_verdict(broken, lone_bits(broken))
-    return int((~cones).sum())
+        false += int((~cones).sum())
+    return false
 
 
 def test_certificates_match_the_lattice_passes_on_the_corpus():
+    # every order of the sweep ideals, and the identity, three shuffles
+    # and the reverse of the others
     rng = random.Random(47)
     sweep = {name for name, _ in sweep_ideals()}
-    false = 0
     for name, ideal in all_ideals():
         if name in sweep:
             orders = list(all_orders(ideal))
@@ -355,9 +300,9 @@ def test_certificates_match_the_lattice_passes_on_the_corpus():
             words = [list(ideal.indices()) for _ in range(4)]
             for w in words[1:]:
                 rng.shuffle(w)
+            words.append(words[0][::-1])
             orders = [OrderedIdeal(ideal, tuple(w)) for w in words]
-        false += sum(check_lattice_routes(o, rng) for o in orders)
-    assert false
+        assert sum(check_lattice_routes(o, rng) for o in orders), name
 
 
 def test_certificates_match_the_lattice_passes_on_the_pool(pool):
@@ -373,9 +318,25 @@ def test_certificates_match_the_lattice_passes_on_the_pool(pool):
         mus.add(ideal.mu)
         orders = [identity_order(ideal)] + [
             parse_order(w, ideal) for w in inputs[name]["orders"]]
-        for ordered in orders:
-            check_lattice_routes(ordered, rng)
+        assert sum(check_lattice_routes(o, rng) for o in orders), name
     assert max(mus) == 16
+
+
+@settings(max_examples=30)
+@given(st.integers(2, 4).flatmap(exponent_rows), st.randoms())
+def test_certificates_match_the_lattice_passes_on_random_ideals(rows, rng):
+    # the identity, its reverse and a shuffle, or every order at mu <= 4:
+    # the cone's apex depends on the order
+    ideal = small_ideal(rows, max_mu=7)
+    word = list(ideal.indices())
+    rng.shuffle(word)
+    orders = [identity_order(ideal),
+              OrderedIdeal(ideal, tuple(reversed(ideal.indices()))),
+              OrderedIdeal(ideal, tuple(word))]
+    if ideal.mu <= 4:
+        orders = list(all_orders(ideal))
+    for ordered in orders:
+        check_lattice_routes(ordered, rng)
 
 
 def check_row_order(ordered):
@@ -469,5 +430,61 @@ def test_certificates_match_the_lattice_passes_on_random_families(case):
     faces = marked(sorted(family), n)
     lone = lone_bits(faces)
     assert _chain_verdict(faces, lone) == closed_by_one_smaller(faces)
-    assert (_cone_verdicts(faces, lone, vertex_sets, apexes) ==
-            cones_by_lattice(faces, vertex_sets, apexes)).all()
+    cones = _cone_verdicts(faces, lone, vertex_sets, apexes)
+    assert (cones == cones_by_lattice(faces, vertex_sets, apexes)).all()
+    # and both read the definition, face by face
+    assert cones.tolist() == [all(m ^ g in family for m in family
+                                  if m & v == m) for v, g in pairs]
+
+
+def down_closure(masks):
+    family = set()
+    for mask in masks:
+        sub = mask
+        while True:
+            family.add(sub)
+            if not sub:
+                break
+            sub = (sub - 1) & mask
+    return family
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 6).flatmap(lambda mu: st.tuples(
+    st.just(mu), st.sets(st.integers(0, (1 << mu) - 1), max_size=24))),
+    st.randoms())
+def test_certificates_match_the_lattice_passes_on_closed_families(case, rng):
+    # the family as drawn, closed or not; its down-closure, which is
+    # closed; and that less a face below another face, which is not
+    mu, tops = case
+    faces = marked(sorted(tops), mu)
+    closed = all(m ^ 1 << b in tops for m in tops for b in range(mu)
+                 if m >> b & 1)
+    assert _chain_verdict(faces, lone_bits(faces)) == closed
+    assert closed_by_one_smaller(faces) == closed
+    family = down_closure(tops)
+    faces = marked(sorted(family), mu)
+    assert _chain_verdict(faces, lone_bits(faces))
+    assert closed_by_one_smaller(faces)
+    inner = sorted(m for m in family
+                   if any(m != f and m & f == m for f in family))
+    if inner:
+        faces[rng.choice(inner)] = False
+        assert not _chain_verdict(faces, lone_bits(faces))
+        assert not closed_by_one_smaller(faces)
+
+
+@pytest.mark.parametrize("mu", [12, 14])
+def test_cones_match_the_lattice_passes_on_random_families(mu):
+    # an order's faces are cones over every apex; random families are
+    # mostly not, so both verdicts are met
+    rng = np.random.default_rng(mu)
+    family = rng.random(1 << mu) < 0.97
+    vertex_sets = np.unique(rng.integers(1, 1 << mu, 300))
+    apexes = 1 << rng.integers(0, mu, len(vertex_sets))
+    apexes = np.where(vertex_sets & apexes, apexes, vertex_sets & -vertex_sets)
+    verdicts = _cone_verdicts(family, lone_bits(family), vertex_sets,
+                              apexes)
+    assert np.array_equal(verdicts,
+                          cones_by_lattice(family, vertex_sets, apexes))
+    assert 0 < verdicts.sum() < len(verdicts)

@@ -1,7 +1,7 @@
-"""The checks past the CLI's bound (``ci/test_past_the_bound.py``) take
-about 25 s and run outside tier-1, so tier-1 collects them: a renamed
-library name the module imports, or a broken parametrization, fails
-here as well."""
+"""The checks past the CLI's bound and the sweeps over the whole pool
+(``ci/test_past_the_bound.py``) take about 40 s and run outside tier-1,
+so tier-1 collects them: a renamed library name or test helper the
+module imports, or a broken parametrization, fails here as well."""
 
 import os
 import subprocess
@@ -20,4 +20,4 @@ def test_the_checks_past_the_bound_collect():
         env={**os.environ, "PYTEST_DISABLE_PLUGIN_AUTOLOAD": "1"})
     assert run.returncode == 0, run.stdout + run.stderr
     ids = [line for line in run.stdout.splitlines() if "::" in line]
-    assert len(ids) == 46, run.stdout
+    assert len(ids) == 51, run.stdout

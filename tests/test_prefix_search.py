@@ -1,13 +1,28 @@
 """Differential test of the prefix-set search behind exhaustive searches.
 
 ``search_scan`` and every searching consumer answer by walks over
-prefix sets (``lyubeznik.prefix``).  Here their aggregates, witnesses
-and verdicts are compared, field by field, with the block scan of all
-mu! orders (``reference_routes.exhaustive_scan``) on the corpus, its
-graphs, seeded mu 8 ideals and hypothesis ideals.  Each aggregate
-is also read first on a fresh search, so the depth-first searches are
-checked without the count's memo as well as with it.  Past the scan's
-reach, the tests pin what the search finds on graphs up to mu 12.
+prefix sets (``lyubeznik.prefix.PrefixWalk``).  The walks' one checking
+route is ``reference_routes.InsideWalk``, which settles a state only
+once an alive family set lies inside the prefix.  The search's
+aggregates, witnesses and verdicts have one checking route built on it,
+``reference_routes.inside_scan``: each value is the least k from 0 up
+at which a walk over the clutter edges above k, or over every
+(k + 1)-set, finds an order, and its witness is the order found.
+
+* ``search_scan`` against ``inside_scan``, field by field, on the
+  corpus, its graphs, seeded mu 8 ideals and hypothesis ideals.
+  Each aggregate is also read first on a fresh search, so the
+  depth-first searches are checked without the count's memo as well as
+  with it.
+* ``PrefixWalk``'s count and least order, and ``SearchResult._at_most``
+  at every length from the projective dimension up, against
+  ``InsideWalk``, on the corpus, hypothesis ideals and a sample of the
+  seed-1 pool; ``ci/test_past_the_bound.py`` runs the whole pool.
+* The walks' closed table (``prefix._masks``) against one up-closure
+  of the open masks (``reference_routes.closed_by_up_closure``), and
+  the sure rule against listing every completion of each prefix.
+* Past the reach of a listing of all orders, the tests pin what the
+  search finds on graphs and pool ideals up to mu 16.
 """
 
 import random
@@ -23,7 +38,7 @@ from lyubeznik import (OrderedIdeal, PropositionCheck, SimpleGraph,
                        all_graphs, analyze, check_graph_propositions,
                        edge_ideal, identity_order, is_totally_lyubeznik,
                        l_length, load_ideal, longest_path_edges, parse_ideal,
-                       read_graph, read_ideal, search_scan, taylor_betti)
+                       read_ideal, search_scan, taylor_betti)
 from lyubeznik import invariants
 from lyubeznik.corpus import ideal_names
 from lyubeznik.covers import cover_table
@@ -31,8 +46,8 @@ from lyubeznik.monomials import divides
 from lyubeznik.prefix import PrefixWalk, _masks
 from lyubeznik.subsets import indices_of, mask_of, tables_for
 
-from reference_routes import InsideWalk, closed_by_up_closure, exhaustive_scan
-from test_scan_kernel import exponent_rows, small_ideal
+from reference_routes import InsideWalk, closed_by_up_closure, inside_scan
+from conftest import exponent_rows, pool_ideal, small_ideal
 
 FIELDS = ("scanned", "tobsl", "tobsl_witness", "min_l", "min_l_witness",
           "minimal_count", "lyubeznik", "totally_lyubeznik")
@@ -47,11 +62,11 @@ def descended(*args, **kwargs):
 
 
 def check(ideal, projdim=None):
-    """The prefix search agrees with the block scan on every field, read
+    """The prefix search agrees with ``inside_scan`` on every field, read
     all together or each one first.  Both verdicts also answer with
     ``PrefixWalk.first`` made to raise: they are read off the count of
     minimal orders."""
-    reference = exhaustive_scan(ideal)
+    reference = inside_scan(ideal)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(PrefixWalk, "first", descended)
         search = fresh(ideal)
@@ -137,7 +152,7 @@ def test_analyze_reads_the_same_verdicts():
     for name in ("mixed_powers_xyz", "five_gen_squarefree", "square_edges",
                  "chain_four_squares"):
         ideal = load_ideal(name)
-        scan = exhaustive_scan(ideal)
+        scan = inside_scan(ideal)
         projdim = taylor_betti(ideal).projective_dimension
         report = analyze(identity_order(ideal), search=True)
         assert (report.lyubeznik, report.totally_lyubeznik,
@@ -147,7 +162,7 @@ def test_analyze_reads_the_same_verdicts():
         assert report.ara.upper == min(scan.min_l, ideal.mu), name
 
 
-# -- beyond the scan's reach --------------------------------------------------
+# -- beyond a listing's reach -------------------------------------------------
 
 
 def disjoint_triangles(count):
@@ -229,15 +244,18 @@ def test_at_most_matches_the_walk_on_the_corpus(name):
     check_at_most(load_ideal(name))
 
 
-def test_at_most_matches_the_walk_on_the_pool(pool):
-    out, inputs = pool
-    names = [n for n, e in inputs.items() if e["mu"] <= 12]
+def pool_sample(inputs, max_mu):
+    """Every 32nd pool file up to max_mu, by name: a tier-1 sample of
+    the sweeps ``ci/test_past_the_bound.py`` runs on every file."""
+    names = sorted(n for n, e in inputs.items() if e["mu"] <= max_mu)
     assert len(names) > 100
-    for name in sorted(names):
-        path = out / name
-        ideal = (edge_ideal(read_graph(path)) if name.endswith(".graph")
-                 else read_ideal(path))
-        check_at_most(ideal)
+    return names[::32]
+
+
+def test_at_most_matches_the_walk_on_a_pool_sample(pool):
+    out, inputs = pool
+    for name in pool_sample(inputs, 12):
+        check_at_most(pool_ideal(out / name))
 
 
 @settings(max_examples=60)
@@ -336,16 +354,11 @@ def test_walks_match_the_inside_walk_on_the_corpus(name):
     check_walks(load_ideal(name))
 
 
-def test_walks_match_the_inside_walk_on_the_pool(pool):
+def test_walks_match_the_inside_walk_on_a_pool_sample(pool):
     out, inputs = pool
-    names = sorted(n for n, e in inputs.items() if e["mu"] <= 10)
-    assert len(names) > 100
     routes = set()
-    for seed, name in enumerate(names):
-        path = out / name
-        routes |= check_walks(
-            edge_ideal(read_graph(path)) if name.endswith(".graph")
-            else read_ideal(path), seed)
+    for seed, name in enumerate(pool_sample(inputs, 10)):
+        routes |= check_walks(pool_ideal(out / name), seed)
     # rows were built on both sides of _WIDE_FAMILY: by the Python loop
     # and by the numpy pass (the (k + 1)-sets reach 126-252 at mu 9-10)
     assert routes == {False, True}
@@ -461,10 +474,7 @@ def test_closed_masks_match_the_up_closure_on_the_pool(pool):
     assert {"c14-00.ideal", "c16-00.ideal"} <= set(inputs)
     decided = 0
     for name in sorted(inputs):
-        path = out / name
-        decided += check_closed(
-            edge_ideal(read_graph(path)) if name.endswith(".graph")
-            else read_ideal(path))
+        decided += check_closed(pool_ideal(out / name))
     assert decided > 0
 
 

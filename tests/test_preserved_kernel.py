@@ -6,11 +6,16 @@ ranks, and its preserved array must equal, entry for entry, those of
 the Python DP in ``reference_routes``, and its face list must be the
 DP's preserved masks in ascending order, and its facet list the
 maximal ones.  The resolution length must equal the subset-sum
-closure's, and ``is_minimal_resolution`` (no
-E-minimal cover is preserved) must agree with facet stability.  The
-inputs are the corpus (every order when mu <= 5, three otherwise),
-hypothesis ideals, and seeded six-variable ideals at mu 14 and 16,
-the largest the subset tables allow.
+closure's.  The inputs are the corpus (every order when mu <= 5, three
+otherwise), hypothesis ideals, and seeded six-variable ideals at mu 14
+and 16, the largest the subset tables allow.
+
+``is_minimal_resolution`` (no clutter edge is preserved) has one
+checking route, facet stability read off the monomials
+(``reference_routes.facets_stable``): they must agree on the same
+inputs, on every order of the sweep corpus and on every order of
+hypothesis ideals up to mu 5.  There the obstruction must be the
+largest clutter edge that the Python DP preserves.
 """
 
 import dataclasses
@@ -24,15 +29,15 @@ from lyubeznik import (OrderedIdeal, SubsetClass, all_ideals,
                        cover_clutter, covers_of, e_minimal_covers_of,
                        identity_order, is_broken, is_cover_of,
                        is_minimal_resolution, is_preserved, l_length,
-                       obstruction, preserved_size)
+                       obstruction, preserved_size, sweep_ideals)
 from lyubeznik.complexes import order_analysis
+from lyubeznik.covers import cover_table
 from lyubeznik.subsets import indices_of, tables_for
 
-from conftest import exponent_ideal
+from conftest import exponent_ideal, exponent_rows, small_ideal
 from reference_routes import (all_orders, closure_length, court_table,
                               equivalence_audit, facets, facets_stable,
                               preserved_table)
-from test_scan_kernel import exponent_rows, small_ideal
 
 
 def some_orders(ideal, seed=0):
@@ -61,7 +66,13 @@ def check_tables(ordered):
 
 
 def check_minimality(ordered, preserved):
+    """Minimality against facet stability, and the obstruction against
+    the largest clutter edge the DP preserves."""
     assert is_minimal_resolution(ordered) == facets_stable(ordered, preserved), \
+        ordered.order
+    clutter = cover_table(ordered.ideal).clutter
+    assert obstruction(ordered) == max(
+        (m.bit_count() for m in clutter if preserved[m]), default=0), \
         ordered.order
 
 
@@ -89,6 +100,24 @@ def test_kernel_matches_the_python_dp_on_the_corpus():
 def test_kernel_matches_the_python_dp_on_random_ideals(rows, seed):
     for ordered in some_orders(small_ideal(rows), seed):
         check_minimality(ordered, check_tables(ordered))
+
+
+def test_minimality_matches_facet_stability_on_every_sweep_order():
+    seen = set()
+    for _, ideal in sweep_ideals():
+        for ordered in all_orders(ideal):
+            check_minimality(ordered, preserved_table(ordered))
+            seen.add(is_minimal_resolution(ordered))
+    # both verdicts occurred
+    assert seen == {True, False}
+
+
+@settings(max_examples=60)
+@given(st.integers(2, 5).flatmap(exponent_rows))
+def test_minimality_matches_facet_stability_on_random_ideals(rows):
+    ideal = small_ideal(rows, max_mu=5)
+    for ordered in all_orders(ideal):
+        check_minimality(ordered, preserved_table(ordered))
 
 
 @pytest.mark.parametrize("mu", [14, 16])

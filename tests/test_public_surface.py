@@ -49,12 +49,11 @@ EXPORTED = [
 ]
 
 
-# the public attributes of a search: the ideal it was built on, and the
-# fields that the search command, analyze, the graph checks, the
-# benchmark's tracer (scanned, stopped_early) or the checks past the
-# bound (ci/) read
+# the public attributes of a search: the fields that the search
+# command, analyze, the graph checks, the benchmark's tracer (scanned,
+# stopped_early) or the checks past the bound (ci/) read
 SEARCH_FIELDS = [
-    "almost_lyubeznik", "ideal", "lyubeznik", "min_l", "min_l_witness",
+    "almost_lyubeznik", "lyubeznik", "min_l", "min_l_witness",
     "minimal_count", "projdim", "scanned", "stopped_early", "tobsl",
     "tobsl_witness", "totally_lyubeznik",
 ]

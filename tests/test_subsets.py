@@ -1,3 +1,18 @@
+"""The subset tables and the lattice passes over the 2^mu masks.
+
+``subsets.SubsetTables`` holds each subset's divisor mask, covered
+mask and lcm tuple.  Its one checking route reads them in exponent-rank
+space (``reference_routes.RankTables``, its covered masks by
+``covered_by_gathers``), and every mask must agree: on inline ideals
+(ties, an absent variable, exponents at ``EXPONENT_LIMIT``), the
+corpus, hypothesis ideals, seeded ideals at mu 14 and 16, ideals at the
+exponent limit at mu 1-16, the 16-variable simplex and every input of
+the seed-1 pool.  The lattice passes (``bit_pairs``, ``one_smaller``,
+``up_closure``, ``lone_bits``) are checked against fancy-indexed
+gathers and the definitions, and the tables' layout, caching and
+bound are pinned.
+"""
+
 import gc
 import random
 from itertools import product
@@ -6,30 +21,25 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lyubeznik import (BoundExceededError, Monomial, divides, edge_ideal,
-                       identity_order, l_length, lcm_of, parse_order,
-                       read_graph, read_ideal, search_scan, taylor_betti,
+from lyubeznik import (BoundExceededError, Monomial, identity_order,
+                       l_length, read_ideal, search_scan, taylor_betti,
                        verify_resolution_report)
 from lyubeznik.cli import main
 from lyubeznik.complexes import order_analysis
 from lyubeznik.corpus import ideal_names, load_ideal
 from lyubeznik.covers import _CoverTable, cover_table
 from lyubeznik.monomials import EXPONENT_LIMIT
-from lyubeznik.oracle import (_LcmClasses, _Strands, _cone_verdicts,
-                              _critical_strands, _lcm_classes)
+from lyubeznik.oracle import _LcmClasses, _Strands
 from lyubeznik.subsets import (SubsetTables, bit_pairs, indices_of,
                                iter_bits, lone_bits, mask_of, one_smaller,
                                tables_for, up_closure)
 
-from conftest import exponent_ideal, xyz_ideal
-from reference_routes import (CoverWalk, RankTables, cones_per_apex,
-                              covered_by_gathers, critical_by_gathers,
-                              equivalence_audit, exhaustive_scan,
-                              homology_of_critical)
+from conftest import (exponent_ideal, exponent_rows, pool_ideal, small_ideal,
+                      xyz_ideal)
+from reference_routes import (CoverWalk, RankTables, equivalence_audit,
+                              inside_scan)
 from test_cli_routes import ideal_file_text
-from test_oracle import RP2
 from test_preserved_kernel import seeded_ideal
-from test_scan_kernel import exponent_rows, small_ideal
 
 
 def test_mask_helpers_round_trip():
@@ -145,108 +155,25 @@ def pool_ideals(pool):
     its edge ideal."""
     out, inputs = pool
     for name in sorted(inputs):
-        if name.endswith(".graph"):
-            yield name, edge_ideal(read_graph(out / name))
-        else:
-            yield name, read_ideal(out / name)
+        yield name, pool_ideal(out / name)
 
 
-def test_passes_match_the_gathers_on_the_pool_at_mu_14_and_16(pool):
-    # each lattice pass at 2^14 and 2^16 masks, where its low bits are
-    # strided columns: the covered masks, the clutter and the cone
-    # verdicts, against routes that gather with fancy indices or walk
-    # the masks (the strands are checked on the whole pool below)
+def test_clutter_matches_the_walk_on_the_pool_at_mu_14_and_16(pool):
+    # the cover table's lattice passes at 2^14 and 2^16 masks, where
+    # their low bits are strided columns, against the walk over the
+    # masks
     out, inputs = pool
     names = [n for n in sorted(inputs) if n.startswith(("c14-", "c16-00"))]
     assert len(names) == 15
     for name in names:
         ideal = read_ideal(out / name)
-        tables = tables_for(ideal)
-        assert np.array_equal(tables.covered_mask,
-                              covered_by_gathers(tables)), name
         assert cover_table(ideal).clutter == CoverWalk(ideal).clutter, name
-        classes = _lcm_classes(ideal)
-        for word in inputs[name]["orders"][:1]:
-            ordered = parse_order(word, ideal)
-            analysis = order_analysis(ordered)
-            apexes = 1 << (np.array(ordered.order)[
-                analysis.least[classes.vertex_sets]] - 1)
-            faces = analysis.preserved
-            assert np.array_equal(
-                _cone_verdicts(faces, lone_bits(faces), classes.vertex_sets,
-                               apexes),
-                cones_per_apex(faces, classes.vertex_sets,
-                               apexes)), (name, word)
 
 
-def check_strands(ideal, name=None):
-    """The strands' critical masks, read off the covered masks, and
-    their homology over Q and GF(2), ranked once over Z, against the
-    gathers of ``class_of`` ranked per field."""
-    strands = _critical_strands(ideal)
-    critical = critical_by_gathers(tables_for(ideal))
-    assert strands.critical == critical, name
-    for prime in (None, 2):
-        assert strands.homology(prime) == \
-            homology_of_critical(critical, prime), (name, prime)
-
-
-def test_strands_match_the_gathers_on_the_pool(pool):
-    mus = set()
-    for name, ideal in pool_ideals(pool):
-        check_strands(ideal, name)
-        mus.add(ideal.mu)
-    assert min(mus) == 7 and max(mus) == 16
-
-
-@settings(max_examples=40)
-@given(st.integers(2, 5).flatmap(exponent_rows))
-def test_strands_match_the_gathers_on_random_ideals(rows):
-    check_strands(small_ideal(rows, max_mu=10))
-
-
-def test_strands_match_the_gathers_on_the_rp2_ideal():
-    # the strand at x1*...*x6 has homology over GF(2) only
-    check_strands(RP2)
-    homology = _critical_strands(RP2).homology
-    assert homology(2).items() - homology().items() == {
-        ((3, (1,) * 6), 1), ((4, (1,) * 6), 1)}
-
-
-@pytest.mark.parametrize("mu", [12, 14])
-def test_cones_match_the_per_apex_route_on_random_families(mu):
-    # an order's faces are cones over every apex; random families are
-    # mostly not, so both verdicts are met
-    rng = np.random.default_rng(mu)
-    family = rng.random(1 << mu) < 0.97
-    vertex_sets = np.unique(rng.integers(1, 1 << mu, 300))
-    apexes = 1 << rng.integers(0, mu, len(vertex_sets))
-    apexes = np.where(vertex_sets & apexes, apexes, vertex_sets & -vertex_sets)
-    verdicts = _cone_verdicts(family, lone_bits(family), vertex_sets,
-                              apexes)
-    assert np.array_equal(verdicts,
-                          cones_per_apex(family, vertex_sets, apexes))
-    assert 0 < verdicts.sum() < len(verdicts)
-
-
-def brute_tables(ideal, masks=None):
-    """Recompute table entries from the definitions, one subset at a time."""
-    for mask in masks or range(1, 2 ** ideal.mu):
-        members = indices_of(mask)
-        lcm = ideal.lcm(members)
-        divisors = [u for u in ideal.indices() if divides(ideal.gen(u), lcm)]
-        outside = [u for u in divisors if u not in members]
-        covered = [u for u in members
-                   if len(members) > 1
-                   and divides(ideal.gen(u),
-                               lcm_of([ideal.gen(v) for v in members
-                                       if v != u]))]
-        yield mask, lcm, divisors, outside, covered
-
-
-def check_tables(ideal, masks=None):
-    """The tables equal ``brute_tables``: the masks as int64 arrays over
-    the 2^mu subsets, the lcms as tuples of Python ints."""
+def check_tables(ideal):
+    """The tables' layout: the masks as int64 arrays over the 2^mu
+    subsets, the lcms as tuples of Python ints, the empty mask's lcm the
+    zero tuple; and their entries, those of the rank route."""
     tables = tables_for(ideal)
     assert tables.size == 2 ** ideal.mu
     assert tables.lcm_exps[0] is None
@@ -259,18 +186,7 @@ def check_tables(ideal, masks=None):
         assert table.shape == (tables.size,)
     assert all(type(e) is tuple and all(type(a) is int for a in e)
                for e in tables.lcm_exps[1:])
-    checked, lcms = [0], [(0,) * len(ideal.context)]
-    for mask, lcm, divisors, outside, covered in brute_tables(ideal, masks):
-        checked.append(mask)
-        lcms.append(lcm.exponents)
-        assert tables.lcm_exps[mask] == lcm.exponents
-        assert tables.divisor_mask[mask] == mask_of(divisors)
-        # the members and the outside divisors, the possible courts
-        assert int(tables.divisor_mask[mask]) & ~mask == mask_of(outside)
-        assert tables.covered_mask[mask] == mask_of(covered)
-        assert str(tables.lcm_monomial(mask)) == str(lcm)
-    # the empty mask's lcm is the zero tuple
-    assert tables.lcm_tuples(checked) == lcms
+    assert tables.lcm_tuples([0]) == [(0,) * len(ideal.context)]
     check_rank_route(ideal)
 
 
@@ -316,30 +232,26 @@ INLINE_IDEALS = {
 
 
 @pytest.mark.parametrize("name", [*INLINE_IDEALS, *ideal_names()])
-def test_tables_match_definitions(name):
+def test_tables_match_the_rank_route(name):
     check_tables(INLINE_IDEALS.get(name) or load_ideal(name))
 
 
 @settings(max_examples=40)
 @given(st.integers(2, 4).flatmap(exponent_rows))
-def test_tables_match_definitions_on_random_ideals(rows):
+def test_tables_match_the_rank_route_on_random_ideals(rows):
     check_tables(small_ideal(rows, max_mu=7))
 
 
-def test_tables_at_fourteen_generators_match_on_sampled_masks():
+def test_tables_at_fourteen_generators_match_the_rank_route():
     rng = random.Random(14)
     degree_four = [e for e in product(range(5), repeat=4) if sum(e) == 4]
-    ideal = exponent_ideal(rng.sample(degree_four, 14))
-    masks = sorted(rng.sample(range(1, 2 ** 14), 2000)) + [2 ** 14 - 1]
-    check_tables(ideal, masks)
+    check_tables(exponent_ideal(rng.sample(degree_four, 14)))
 
 
-def test_tables_at_sixteen_generators_match_on_sampled_masks():
+def test_tables_at_sixteen_generators_match_the_rank_route():
     ideal = seeded_ideal(16, 0)
     assert ideal.mu == 16
-    rng = random.Random(16)
-    masks = sorted(rng.sample(range(1, 2 ** 16), 1500)) + [2 ** 16 - 1]
-    check_tables(ideal, masks)
+    check_tables(ideal)
 
 
 def limit_ideal(mu):
@@ -417,11 +329,9 @@ def test_complex_never_builds_the_lcm_tuples(tmp_path, capsys):
     tables = tables_for(read_ideal(path))
     assert tables_for.cache_info().misses == misses
     assert tables._lcm_exps is None
-    # a later read builds them on these tables, equal to the definitions
+    # a later read builds them on these tables, equal to the rank route's
     assert tables_for(ideal) is tables
-    rng = random.Random(14)
-    masks = sorted(rng.sample(range(1, 2 ** 14), 500)) + [2 ** 14 - 1]
-    check_tables(ideal, masks)
+    check_tables(ideal)
     assert tables._lcm_exps is not None
 
 
@@ -464,7 +374,7 @@ def test_an_ideal_s_state_goes_with_its_tables():
 
     scan = search_scan(first)
     assert scan.min_l >= scan.projdim and scan.tobsl >= 0
-    assert scan.totally_lyubeznik == exhaustive_scan(first).totally_lyubeznik
+    assert scan.totally_lyubeznik == inside_scan(first).totally_lyubeznik
     ordered = identity_order(first)
     taylor_betti(first)
     assert all(ok for _, ok in verify_resolution_report(ordered))

@@ -1,19 +1,15 @@
-"""The per-ideal cover table and the per-order court table, checked
-against literal routes that share neither table.
+"""The per-ideal cover table and the per-order lengths, checked against
+literal routes that share neither table.
 
 * Covers: the E-minimal covers of each generator and the clutter edges
   from ``covers`` are compared with a definition built here from
   ``is_cover_of`` over every subset.  The numpy passes of
-  ``cover_table`` are also compared, field by field, with the walk over
-  the masks they replaced (``reference_routes.CoverWalk``), up to the
-  table bound.
+  ``cover_table`` are also compared, field by field, with their one
+  checking route, the walk over the masks
+  (``reference_routes.CoverWalk``), up to the table bound.
 * The clutter's identity: covers are upward closed, so the clutter is
   the set of inclusion-minimal masks that cover something; both are
   checked on every mask, with a plain loop for the minimal masks.
-* Minimality: ``is_minimal_resolution`` asks whether a clutter edge is
-  preserved; it is compared with the rule it replaced, whether any
-  E-minimal cover of the walk's union is, on every order of the sweep
-  corpus and of hypothesis ideals.
 * Lengths: ``preserved_size`` and ``l_length`` both read the order's
   preserved-set table; they are compared with the largest admissible
   symbol, which ``is_admissible_symbol`` decides on the monomials
@@ -28,16 +24,14 @@ from hypothesis import given, settings, strategies as st
 
 from lyubeznik import (OrderedIdeal, Symbol, all_ideals, cover_clutter,
                        e_minimal_covers_of, identity_order,
-                       is_admissible_symbol, is_cover_of,
-                       is_minimal_resolution, l_length, preserved_size,
-                       sweep_ideals)
-from lyubeznik.complexes import order_analysis
+                       is_admissible_symbol, is_cover_of, l_length,
+                       preserved_size)
 from lyubeznik.covers import cover_table
 from lyubeznik.subsets import tables_for
 
-from reference_routes import CoverWalk, all_orders
+from conftest import exponent_rows, small_ideal
+from reference_routes import CoverWalk
 from test_preserved_kernel import seeded_ideal
-from test_scan_kernel import exponent_rows, small_ideal
 
 
 def literal_covers(ideal):
@@ -87,16 +81,6 @@ def check_clutter_is_the_minimal_covers(ideal):
                if row and not any(rows[m ^ 1 << b]
                                   for b in range(ideal.mu) if m >> b & 1)]
     assert cover_table(ideal).clutter == tuple(minimal)
-
-
-def check_minimality_rules(ideal, orders):
-    """``is_minimal_resolution`` reads the clutter; the rule it replaced
-    read the whole union of the E-minimal covers."""
-    union = CoverWalk(ideal).eminimal
-    for ordered in orders:
-        preserved = order_analysis(ordered).preserved
-        assert is_minimal_resolution(ordered) == \
-            (not any(preserved[m] for m in union)), ordered.order
 
 
 def largest_admissible_symbol(ordered):
@@ -162,23 +146,6 @@ def test_clutter_is_the_minimal_covers_on_random_ideals(rows):
 @pytest.mark.parametrize("mu", range(12, 17))
 def test_clutter_is_the_minimal_covers_up_to_the_table_bound(mu):
     check_clutter_is_the_minimal_covers(seeded_ideal(mu, 0))
-
-
-def test_minimality_on_the_clutter_matches_the_union_on_the_sweep():
-    seen = set()
-    for _, ideal in sweep_ideals():
-        orders = list(all_orders(ideal))
-        check_minimality_rules(ideal, orders)
-        seen |= {is_minimal_resolution(o) for o in orders}
-    # both verdicts occurred
-    assert seen == {True, False}
-
-
-@settings(max_examples=60)
-@given(st.integers(2, 5).flatmap(exponent_rows))
-def test_minimality_on_the_clutter_matches_the_union_on_random_ideals(rows):
-    ideal = small_ideal(rows, max_mu=5)
-    check_minimality_rules(ideal, all_orders(ideal))
 
 
 def test_lengths_match_the_largest_admissible_symbol_on_the_corpus():
