@@ -18,12 +18,17 @@ caches.  The cached route is compared over Q and for p = 2, 3, 5 and
 strands each ranked over the field itself
 (``reference_routes.full_strand_betti``): on the corpus, RP^2 and its
 relabellings, every input of the seed-1 pool up to mu 13 (the rest of
-the pool in ``ci/test_past_the_bound.py``) and hypothesis ideals.
+the pool in ``ci/test_past_the_bound.py``) and hypothesis ideals,
+each corpus ideal as a test of its own.  Both routes rank the sparse
+columns of ``oracle._boundary_columns``, so their signs are checked
+against d.d = 0 instead: on the Koszul complex, on every order of the
+sweep ideals and on the whole Taylor strands of the corpus and RP^2.
 """
 
 from itertools import combinations
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -34,10 +39,13 @@ from lyubeznik import (
     identity_order,
     load_ideal,
     parse_ideal,
+    sweep_ideals,
     taylor_betti,
     verify_chain_complex,
     verify_resolution_report,
 )
+from lyubeznik.complexes import order_analysis
+from lyubeznik.corpus import ideal_names
 from lyubeznik.linalg import rank_mod_p
 from lyubeznik.oracle import (_boundary_columns, _chain_verdict,
                               _projective_dimension)
@@ -45,7 +53,7 @@ from lyubeznik.subsets import lone_bits, tables_for
 
 from conftest import exponent_ideal, exponent_rows, pool_ideal, small_ideal
 from reference_routes import (all_orders, closed_by_one_smaller,
-                              full_strand_betti)
+                              full_strand_betti, full_strands)
 from test_covers import refuses_before_allocating, unit_rows
 from test_linalg import check_certificate
 from test_oracle_reductions import betti_euler, marked, taylor_euler
@@ -95,6 +103,69 @@ def test_koszul_boundary_columns():
     # deleting the j-th lowest bit of a face has sign (-1)^(j+1)
     assert _boundary_columns([0b01, 0b10], {0}) == [{0: 1}, {0: 1}]
     assert _boundary_columns([0b11], {0b01, 0b10}) == [{0b10: 1, 0b01: -1}]
+
+
+def unsigned_columns(masks, below):
+    return [dict.fromkeys(column, 1)
+            for column in _boundary_columns(masks, below)]
+
+
+def composed_levels(masks_by_size, columns=_boundary_columns):
+    """How many pairs of consecutive differentials the faces have, or
+    None if one of their products is not zero."""
+    pairs = 0
+    for t, masks in masks_by_size.items():
+        if t - 1 not in masks_by_size or t - 2 not in masks_by_size:
+            continue
+        lower = dict(zip(masks_by_size[t - 1], columns(
+            masks_by_size[t - 1], set(masks_by_size[t - 2]))))
+        for column in columns(masks, set(masks_by_size[t - 1])):
+            product = {}
+            for face, sign in column.items():
+                for smaller, other in lower[face].items():
+                    product[smaller] = product.get(smaller, 0) + sign * other
+            if any(product.values()):
+                return None
+        pairs += 1
+    return pairs
+
+
+def by_size(face_masks):
+    levels = {}
+    for mask in face_masks:
+        levels.setdefault(mask.bit_count(), []).append(mask)
+    return levels
+
+
+def test_boundary_columns_compose_to_zero_on_the_koszul_complex():
+    # both routes rank these columns, so their signs are checked here,
+    # against d.d = 0, and not against each other; with every sign +1
+    # the product is 2 in each entry
+    simplex = by_size(range(1 << 4))
+    assert composed_levels(simplex) == 3
+    assert composed_levels(simplex, unsigned_columns) is None
+
+
+def test_boundary_columns_compose_to_zero_on_every_sweep_order():
+    # an order's faces are closed under subsets, so d.d = 0 on them
+    for name, ideal in sweep_ideals():
+        for ordered in all_orders(ideal):
+            faces = np.flatnonzero(order_analysis(ordered).preserved)
+            assert composed_levels(by_size(faces.tolist())) is not None, \
+                (name, ordered.order)
+
+
+def test_boundary_columns_compose_to_zero_on_the_whole_strands():
+    # a Taylor strand is the quotient of the faces whose lcm divides a
+    # by those whose lcm is smaller, so d.d = 0 on it as well
+    pairs = 0
+    for name, ideal in [*all_ideals(), ("rp2", RP2)]:
+        if ideal.mu <= 10:
+            for exps, strand in full_strands(ideal).items():
+                composed = composed_levels(strand)
+                assert composed is not None, (name, exps)
+                pairs += composed
+    assert pairs > 40
 
 
 def masks(*faces):
@@ -275,9 +346,12 @@ def test_only_a_named_prime_builds_a_table_of_its_own():
         RP2_PROJDIM[2] != exact.projective_dimension
 
 
-def test_cached_fields_match_the_whole_strands_on_the_corpus():
-    for name, ideal in all_ideals():
-        check_fields(ideal)
+@pytest.mark.parametrize("name", ideal_names())
+def test_cached_fields_match_the_whole_strands_on_the_corpus(name):
+    check_fields(load_ideal(name))
+
+
+def test_cached_fields_match_the_whole_strands_on_rp2():
     check_fields(RP2)
 
 
