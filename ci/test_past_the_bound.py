@@ -1,9 +1,10 @@
 """The paper's answers past the CLI's bound of mu <= 12, checked up to
 the subset tables' bound of mu 16.
 
-It also runs the sweeps of ``tests/`` that take seconds on the whole
-seed-1 pool, or at mu 12 to 16, and keeps a sample of each in tier-1.
-Run from the repository root; its 51 tests take about 40 s on a 2-vCPU
+It also runs the sweeps of ``tests/`` that take seconds (on the whole
+seed-1 pool, on every order of the corpus sweep, on 800 random argv, or
+at mu 12 to 16) and keeps a sample of each in tier-1.
+Run from the repository root; its 54 tests take about a minute on a 2-vCPU
 VM, and ``-s`` prints each child's exit code, peak and time::
 
     PYTHONPATH=src python -m pytest ci -q -s
@@ -40,7 +41,7 @@ from lyubeznik import (OrderedIdeal, SimpleGraph, analyze,
                        betti_from_preserved, edge_ideal, identity_order,
                        is_lyubeznik, l_length,
                        parse_ideal, parse_order, read_ideal, search_scan,
-                       taylor_betti, verify_chain_complex,
+                       sweep_ideals, taylor_betti, verify_chain_complex,
                        verify_resolution_report)
 from lyubeznik.cmdline import read_argv
 from lyubeznik.complexes import order_analysis
@@ -221,12 +222,21 @@ def covers_past_the_bound(path, form):
     sys.exit(cli.main(["covers", "--format", form, path]))
 
 
+def radical_gens_past_the_bound(path, word):
+    """``radical-gens --format json --order <word>`` with the CLI's
+    bound raised to 16 in this process; exits with its code."""
+    cli.MAX_ENUMERATION_GENERATORS = 16
+    sys.exit(cli.main(["radical-gens", "--format", "json", "--order", word,
+                       path]))
+
+
 if __name__ == "__main__":
     print(json.dumps(globals()[sys.argv[1]](*sys.argv[2:])))
     sys.exit()
 
 
 import pytest  # noqa: E402 -- a child exits above and never loads it
+from hypothesis import given, settings  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
 ADDRESS_SPACE = 3_072_000_000  # bytes, ``ulimit -v 3000000``
@@ -236,11 +246,14 @@ C14 = [f"c14-{k:02}" for k in range(14)]
 # the tests' checking routes, and the checks of the tier-1 sweeps run
 # here on the whole pool
 sys.path.insert(0, str(ROOT / "tests"))
-from reference_routes import covers_fragments  # noqa: E402
+from reference_routes import all_orders, covers_fragments  # noqa: E402
 from reference_routes import facets as reference_facets  # noqa: E402
 from reference_routes import full_strand_betti  # noqa: E402
+from test_acceptance import check_theorem_identities  # noqa: E402
+from test_cli_argv import argvs, check_reading  # noqa: E402
 from test_cli_routes import check_seeded_covers  # noqa: E402
 from conftest import pool_ideal  # noqa: E402
+from test_generators import check_order, faces_route  # noqa: E402
 from test_prefix_search import check_at_most, check_walks  # noqa: E402
 
 
@@ -586,6 +599,32 @@ def test_complex_at_the_table_bound(pool, tmp_path, name):
         assert out["f_vector"] == [comb(16, t) for t in range(17)]
 
 
+def test_radical_generators_at_the_table_bound(pool, tmp_path):
+    # radical-gens reads the order's faces and the order alone: on
+    # c14-00 to c14-13 and c16-00, under each of the three --order words
+    # the pool's manifest lists, the polynomials and their texts must
+    # equal the faces route's (the frozenset complex, and products of
+    # checked monomials); with the CLI's bound raised to 16 in-process,
+    # radical-gens --format json on c16-00 must exit 0 within the
+    # 256 MiB peak that complex keeps at the table bound, and print the
+    # faces route's polynomials
+    with open(pool / "manifest.json", encoding="utf-8") as handle:
+        inputs = json.load(handle)["inputs"]
+    for name in [*C14, "c16-00"]:
+        ideal = read_ideal(pool / f"{name}.ideal")
+        words = inputs[f"{name}.ideal"]["orders"]
+        assert len(words) == 3
+        for word in words:
+            check_order(parse_order(word, ideal))
+    path = pool / "c16-00.ideal"
+    word = inputs[path.name]["orders"][0]
+    code, out, peak = fresh(tmp_path, __file__,
+                            radical_gens_past_the_bound.__name__, path, word)
+    assert code == 0 and peak <= 256
+    expected = faces_route(parse_order(word, read_ideal(path)))
+    assert dumped(out)["generators"] == list(map(str, expected))
+
+
 def test_facets_of_a_dense_complex_at_the_table_bound():
     # a face F is a facet when it is lone at every bit outside it; on
     # the C16 edge ideal, a dense complex that is not the simplex
@@ -731,3 +770,18 @@ def test_betti_tables_match_the_whole_strands_at_mu_14_and_16(pool):
         for prime in (None, 2):
             assert taylor_betti(ideal, prime=prime) == \
                 full_strand_betti(ideal, prime), (name, prime)
+
+
+def test_theorem_identities_on_every_order_of_the_sweep():
+    # tests/test_acceptance.py's criterion 7 on every order of every
+    # sweep ideal (tier-1 runs a seeded sample of 24 orders above mu 4)
+    for name, ideal in sweep_ideals():
+        check_theorem_identities(name, ideal, all_orders(ideal))
+
+
+@settings(max_examples=800)
+@given(argvs())
+def test_the_reader_reads_argv_as_argparse_does_on_800_examples(argv):
+    # tests/test_cli_argv.py's reader check against argparse on 800
+    # random argv (tier-1 runs a seeded sample of 100)
+    check_reading(argv)

@@ -313,6 +313,20 @@ def test_exponent_past_the_limit_is_exit_one(capsys, tmp_path, gen):
                    f"{EXPONENT_LIMIT} (line 2)\n")
 
 
+def test_a_radical_generator_past_the_limit_is_exit_one(capsys, tmp_path):
+    # every generator is read within the limit, but under 1,4,2,3 the
+    # term x^(2^63)*z*w of g_2 is past it
+    big = 2 ** 62
+    path = tmp_path / "big.ideal"
+    path.write_text(f"vars x y z w\ngen x^{big}*y\ngen x^{big}*z\n"
+                    f"gen x^{big}*w\ngen y*z*w\n")
+    code, out, err = run_cli(capsys, "radical-gens", "--order", "1,4,2,3",
+                             str(path))
+    assert (code, out) == (1, "")
+    assert err == ("lyubeznik: error: exponent 9223372036854775808 exceeds "
+                   f"{EXPONENT_LIMIT}\n")
+
+
 def test_bad_order_is_exit_one(capsys, mixed_path):
     code, _, err = run_cli(capsys, "analyze", "--order", "1,2", mixed_path)
     assert code == 1 and "lyubeznik:" in err

@@ -21,8 +21,11 @@ from lyubeznik import (
     load_ideal,
     lyubeznik_complex,
     parse_ideal,
+    parse_order,
     radical_generators,
+    read_ideal,
 )
+from lyubeznik.monomials import ExponentLimitError
 
 from reference_routes import all_orders
 from conftest import exponent_rows, small_ideal
@@ -114,28 +117,87 @@ def faces_route(ordered):
     return tuple(out)
 
 
-def check_against_faces(ideal):
+def check_order(ordered):
+    """The construction equals the faces route's, polynomial by
+    polynomial and in every polynomial's text."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonMinimalWarning)
+        gens = radical_generators(ordered)
+    expected = faces_route(ordered)
+    assert gens == expected, ordered.order
+    assert list(map(str, gens)) == list(map(str, expected)), ordered.order
+
+
+def check_against_faces(ideal, *words):
+    """The identity order, its reverse and its rotation, and the words."""
     identity = identity_order(ideal).order
-    for word in (identity, identity[::-1], identity[1:] + identity[:1]):
-        ordered = OrderedIdeal(ideal, word)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", NonMinimalWarning)
-            assert radical_generators(ordered) == faces_route(ordered), word
+    for word in (identity, identity[::-1], identity[1:] + identity[:1],
+                 *words):
+        check_order(OrderedIdeal(ideal, tuple(word)))
 
 
 def test_generators_match_the_faces_route_on_the_corpus():
     for _, ideal in all_ideals():
         check_against_faces(ideal)
     for ordered in all_orders(load_ideal("chain_five_mixed")):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", NonMinimalWarning)
-            assert radical_generators(ordered) == faces_route(ordered)
+        check_order(ordered)
+
+
+def test_generators_match_the_faces_route_on_the_pool(pool):
+    # the benchmark's radical-gens inputs, p10 to p12 (mu 10-12), under
+    # each of their three seeded --order words
+    out, inputs = pool
+    names = sorted(n for n, e in inputs.items()
+                   if e["stratum"] in ("p10", "p11", "p12"))
+    assert len(names) == 24
+    for name in names:
+        ideal = read_ideal(out / name)
+        assert len(inputs[name]["orders"]) == 3
+        for word in inputs[name]["orders"]:
+            check_order(parse_order(word, ideal))
 
 
 @settings(max_examples=40)
-@given(st.integers(2, 4).flatmap(exponent_rows))
-def test_generators_match_the_faces_route_on_random_ideals(rows):
-    check_against_faces(small_ideal(rows))
+@given(st.integers(2, 4).flatmap(exponent_rows), st.randoms())
+def test_generators_match_the_faces_route_on_random_ideals(rows, rng):
+    ideal = small_ideal(rows)
+    word = list(ideal.indices())
+    rng.shuffle(word)
+    check_against_faces(ideal, word)
+
+
+BIG = 2 ** 62
+
+
+def big_ideal(*gens):
+    return parse_ideal("vars x y z w v\n"
+                       + "".join(f"gen {g}\n" for g in gens))
+
+
+def test_a_term_past_the_exponent_limit_is_refused():
+    # under 1,4,2,3 the face {2, 3} is a term of g_2, and its product
+    # x^(2^63)*z*w has an exponent past the limit
+    ideal = big_ideal(f"x^{BIG}*y", f"x^{BIG}*z", f"x^{BIG}*w", "y*z*w")
+    with pytest.raises(ExponentLimitError) as caught:
+        radical_generators(parse_order("1,4,2,3", ideal))
+    assert str(caught.value) == (
+        "exponent 9223372036854775808 exceeds 9223372036854775807")
+
+
+def test_the_limit_error_names_the_first_running_product_past_it():
+    # under 4,5,1,2,3 the face {1, 2, 3} is a term of g_2; multiplied
+    # left to right its first two generators already pass the limit,
+    # at x^(2^63), which is named, not the whole product's x^(3 * 2^62)
+    ideal = big_ideal(f"x^{BIG}*y", f"x^{BIG}*z", f"x^{BIG}*w", "y*v", "z*v")
+    ordered = parse_order("4,5,1,2,3", ideal)
+    assert l_length(ordered) == 4
+    assert frozenset({1, 2, 3}) in lyubeznik_complex(ordered).faces
+    with pytest.raises(ExponentLimitError) as caught, \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonMinimalWarning)
+        radical_generators(ordered)
+    assert str(caught.value) == (
+        "exponent 9223372036854775808 exceeds 9223372036854775807")
 
 
 def test_radical_gens_checks_once_and_builds_the_complex_once(monkeypatch,
