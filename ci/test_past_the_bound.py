@@ -4,7 +4,7 @@ the subset tables' bound of mu 16.
 It also runs the sweeps of ``tests/`` that take seconds (on the whole
 seed-1 pool, on every order of the corpus sweep, on 800 random argv, or
 at mu 12 to 16) and keeps a sample of each in tier-1.
-Run from the repository root; its 54 tests take about a minute on a 2-vCPU
+Run from the repository root; its 55 tests take about a minute on a 2-vCPU
 VM, and ``-s`` prints each child's exit code, peak and time::
 
     PYTHONPATH=src python -m pytest ci -q -s
@@ -39,10 +39,10 @@ import numpy as np
 import lyubeznik.cli as cli
 from lyubeznik import (OrderedIdeal, SimpleGraph, analyze,
                        betti_from_preserved, edge_ideal, identity_order,
-                       is_lyubeznik, l_length,
-                       parse_ideal, parse_order, read_ideal, search_scan,
-                       sweep_ideals, taylor_betti, verify_chain_complex,
-                       verify_resolution_report)
+                       is_lyubeznik, is_minimal_resolution, l_length,
+                       obstruction, parse_ideal, parse_order, read_ideal,
+                       search_scan, sweep_ideals, taylor_betti,
+                       verify_chain_complex, verify_resolution_report)
 from lyubeznik.cmdline import read_argv
 from lyubeznik.complexes import order_analysis
 from lyubeznik.covers import _listing_rows, cover_table
@@ -623,6 +623,34 @@ def test_radical_generators_at_the_table_bound(pool, tmp_path):
     assert code == 0 and peak <= 256
     expected = faces_route(parse_order(word, read_ideal(path)))
     assert dumped(out)["generators"] == list(map(str, expected))
+
+
+def test_obstruction_at_the_table_bound(pool):
+    # minimality and the obstruction read the order's covering faces;
+    # on c14-00 to c14-13 and c16-00, under each of the manifest's three
+    # --order words and their reverses, they must equal the clutter's
+    # route: the largest edge of the cover table's clutter that the
+    # order preserves, 0 exactly when the order is minimal (none of
+    # these 90 orders is; their obstructions read 3 to 5)
+    with open(pool / "manifest.json", encoding="utf-8") as handle:
+        inputs = json.load(handle)["inputs"]
+    seen = set()
+    for name in [*C14, "c16-00"]:
+        ideal = read_ideal(pool / f"{name}.ideal")
+        clutter = cover_table(ideal).clutter
+        words = [parse_order(w, ideal).order
+                 for w in inputs[f"{name}.ideal"]["orders"]]
+        assert len(words) == 3
+        for word in words + [w[::-1] for w in words]:
+            ordered = OrderedIdeal(ideal, word)
+            preserved = order_analysis(ordered).preserved
+            largest = max((m.bit_count() for m in clutter if preserved[m]),
+                          default=0)
+            assert obstruction(ordered) == largest, (name, word)
+            assert is_minimal_resolution(ordered) == (largest == 0), \
+                (name, word)
+            seen.add(largest)
+    assert len(seen) > 1
 
 
 def test_facets_of_a_dense_complex_at_the_table_bound():

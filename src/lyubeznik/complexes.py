@@ -73,12 +73,21 @@ class _OrderAnalysis:
     under subsets, so no face is lone at a member, and F is a facet
     exactly when it is lone at every bit outside it, ``lone[F] | F ==
     2^mu - 1``.  The complex reads the facets, and the oracle both of
-    its resolution certificates, off this one table.  The census
-    (``classification_census``) reads the f-vector.
+    its resolution certificates, off this one table.  ``covering``
+    lists the faces that cover some member (``covered_mask[F] != 0``),
+    ascending, as a read-only int64 array, gathered over the faces
+    alone.  A face that covers contains an inclusion-minimal cover, a
+    clutter edge, and that edge is a face too, because faces are closed
+    under subsets; so the order is minimal exactly when no face covers
+    (``invariants.is_minimal_resolution``), and the preserved clutter
+    edges are the covering faces none of whose one-smaller subsets
+    covers (``invariants.obstruction``).  The census
+    (``classification_census``) reads the f-vector and the covering
+    faces' sizes.
     """
 
     __slots__ = ("divisor_mask", "order", "least", "preserved", "faces",
-                 "_lone", "f_vector", "length")
+                 "covering", "_lone", "f_vector", "length")
 
     def __init__(self, ordered: OrderedIdeal) -> None:
         tables = tables_for(ordered.ideal)
@@ -93,10 +102,14 @@ class _OrderAnalysis:
         preserved = ~up_closure(least[tables.divisor_mask] < least)
         # the tables are cached and shared: an in-place write must raise
         least.flags.writeable = preserved.flags.writeable = False
+        faces = np.flatnonzero(preserved)
+        covering = faces[tables.covered_mask[faces] != 0]
+        covering.flags.writeable = False
         self.order = ordered.order
         self.least = least
         self.preserved = preserved
-        self.faces = np.flatnonzero(preserved).tolist()
+        self.faces = faces.tolist()
+        self.covering = covering
         self._lone = None
         self.f_vector = tuple(
             np.bincount(popcounts(mu)[preserved]).tolist())
@@ -279,16 +292,16 @@ def classification_census(ordered: OrderedIdeal) -> dict[int, dict[SubsetClass, 
     """Counts of each class among the subsets of each size 1..mu.
 
     Three counts by size decide the four classes: the faces (the
-    f-vector), the faces that are covers, and the covers, which do not
-    depend on the order and are kept with the subset tables."""
+    f-vector), the faces that are covers (the order's ``covering``
+    faces, counted by size), and the covers, which do not depend on the
+    order and are kept with the subset tables."""
     analysis = order_analysis(ordered)
     tables = tables_for(ordered.ideal)
     mu = tables.mu
     faces = analysis.f_vector + (0,) * (mu - analysis.length)
     covers = tables.derived(_covering_counts).tolist()
-    both = np.bincount(
-        popcounts(mu)[analysis.preserved & (tables.covered_mask != 0)],
-        minlength=mu + 1).tolist()
+    both = np.bincount(popcounts(mu)[analysis.covering],
+                       minlength=mu + 1).tolist()
     return {t: {SubsetClass.PRESERVED_COVER: both[t],
                 SubsetClass.UNPRESERVED_COVER: covers[t] - both[t],
                 SubsetClass.PRESERVED_NONCOVER: faces[t] - both[t],

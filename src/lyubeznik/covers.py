@@ -15,10 +15,13 @@ minimal sets form the edge set of a clutter (an antichain of subsets);
 an order on the generators orients it.  Covers are upward closed, so
 the clutter is exactly the set of inclusion-minimal covers: the masks
 that cover some member while no one-smaller subset covers any, which
-the same pass gives.  ``e_minimal_covers_of``, ``cover_clutter`` and
-the minimality tests, obstruction and order search of ``invariants``
-all read this one table.  Downstream, an order gives a minimal
-resolution exactly when none of these sets is preserved.
+the same pass gives.  ``e_minimal_covers_of``, ``cover_clutter``, the
+``covers`` command and the order search of ``invariants`` read this
+one table.  Downstream, an order gives a minimal resolution exactly
+when none of these sets is preserved; ``invariants`` reads that verdict
+and the obstruction off the order's covering faces instead
+(``complexes._OrderAnalysis.covering``), so one order's analysis
+builds no cover table.
 
 The covers listing has one route, ``_listing_rows``: it orders the
 masks that cover anything once, by size then lexicographically, with
@@ -157,14 +160,17 @@ class _CoverTable:
 
     ``eminimal`` holds the masks that are an E-minimal cover of some
     generator, ascending, as a read-only int64 array, and ``clutter`` its
-    inclusion-minimal members, ascending, as Python ints.  Minimality
-    and obstruction sizes are read on the clutter: whether some
-    E-minimal cover is preserved is the same question on it, because
-    subsets of preserved sets are preserved.  So ``analyze``,
-    ``radical-gens`` and the searches read only the clutter; the
-    ``covers`` command and ``e_minimal_covers_of`` read one generator's
-    E-minimal covers at a time as an array (``eminimal_of``), and the
-    listing looks its masks up in ``eminimal``.
+    inclusion-minimal members, ascending, as Python ints.  The order
+    searches (``invariants.search_scan``) read only the clutter: whether
+    some E-minimal cover is preserved is the same question on it,
+    because subsets of preserved sets are preserved.  The ``covers``
+    command and ``e_minimal_covers_of`` read one generator's E-minimal
+    covers at a time as an array (``eminimal_of``), and the listing
+    looks its masks up in ``eminimal``.  One order's minimality and
+    obstruction read its covering faces
+    (``complexes._OrderAnalysis.covering``), so ``analyze`` without a
+    search, ``radical-gens``, ``complex`` and ``verify`` never build
+    this table.
     """
 
     __slots__ = ("clutter", "eminimal", "_minimal_for")

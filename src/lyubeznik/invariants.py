@@ -1,12 +1,18 @@
 """Minimality tests, Betti tables from preserved sets, and order searches.
 
 Per-order quantities (is the Lyubeznik resolution minimal, its length,
-the obstruction) are read off the order's preserved-set table,
-``order_analysis(ordered)``, and the ideal's cover table in ``covers``:
-the resolution is minimal iff no E-minimal cover is preserved.  Their
-checking routes live in the tests: facet stability for minimality, and
-the Python preserved-set DP and the subset-sum closure for the tables
-and the length.
+the obstruction) are read off the order's analysis,
+``order_analysis(ordered)``: the resolution is minimal iff no
+E-minimal cover is preserved, that is, iff none of the order's faces
+covers a member, and the obstruction is the largest covering face
+none of whose one-smaller subsets covers, the largest preserved
+clutter edge.  Both read the analysis' covering faces
+(``_OrderAnalysis.covering``), not the ideal's cover table in
+``covers``; of this module only the order search reads that table's
+clutter.  Their checking routes live in the tests: facet stability for
+minimality, the clutter edges the Python preserved-set DP keeps for the
+obstruction, and the Python preserved-set DP and the subset-sum
+closure for the tables and the length.
 
 An order search, ``search_scan``, yields the total obstruction, the
 minimal length, the number of minimal orders and the Lyubeznik /
@@ -62,15 +68,33 @@ class NotMinimalError(ValueError):
 
 def is_minimal_resolution(ordered: OrderedIdeal) -> bool:
     """Whether the Lyubeznik resolution of this order is minimal: no
-    E-minimal cover is preserved, that is, no edge of the clutter."""
-    return obstruction(ordered) == 0
+    E-minimal cover is preserved, that is, no face covers a member."""
+    return len(order_analysis(ordered).covering) == 0
 
 
 def obstruction(ordered: OrderedIdeal) -> int:
-    """Largest preserved element of the E-minimal cover clutter, else 0."""
-    clutter = cover_table(ordered.ideal).clutter
-    preserved = order_analysis(ordered).preserved
-    return max((m.bit_count() for m in clutter if preserved[m]), default=0)
+    """Largest preserved element of the E-minimal cover clutter, else 0.
+
+    The covering masks form an up-set whose minimal members are the
+    clutter's edges, and a face's one-smaller subsets are faces; so the
+    preserved edges are the covering faces none of whose one-smaller
+    subsets covers."""
+    covering = order_analysis(ordered).covering.tolist()
+    found = set(covering)
+    best = 0
+    for face in covering:
+        size = face.bit_count()
+        if size <= best:
+            continue
+        rest = face
+        while rest:
+            low = rest & -rest
+            if face ^ low in found:
+                break
+            rest ^= low
+        else:
+            best = size
+    return best
 
 
 def l_length(ordered: OrderedIdeal) -> int:

@@ -350,6 +350,22 @@ class MonomialIdeal:
         object.__setattr__(ideal, "gens", gens)
         return ideal
 
+    def __hash__(self) -> int:
+        # the dataclass's hash, hash((context, gens)), kept once computed:
+        # the one-entry caches keyed by an ideal hash it on every lookup
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            value = hash((self.context, self.gens))
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    def __getstate__(self) -> dict:
+        # string hashes differ between processes: a copy hashes again
+        state = self.__dict__.copy()
+        state.pop("_hash", None)
+        return state
+
     @property
     def mu(self) -> int:
         """Number of minimal generators."""

@@ -51,6 +51,22 @@ class OrderedIdeal:
                 f"order {order} is not a permutation of 1..{self.ideal.mu}")
         object.__setattr__(self, "order", word)
 
+    def __hash__(self) -> int:
+        # the dataclass's hash, hash((ideal, order)), kept once computed:
+        # the one-entry caches keyed by an order hash it on every lookup
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            value = hash((self.ideal, self.order))
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    def __getstate__(self) -> dict:
+        # string hashes differ between processes: a copy hashes again
+        state = self.__dict__.copy()
+        state.pop("_hash", None)
+        return state
+
     @cached_property
     def _rank(self) -> tuple[int, ...]:
         ranks = [0] * len(self.order)

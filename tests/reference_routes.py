@@ -18,9 +18,16 @@ then its checking route, then the test.
 * ``complexes.classification_census``, per-size counts of faces,
   covering faces and covers: ``census_by_keys``, one key per mask
   counted over all 2^mu masks; ``tests/test_complexes.py``.
-* ``is_minimal_resolution``, no clutter edge preserved:
+* ``is_minimal_resolution``, read off the order's covering faces (no
+  face covers a member, ``_OrderAnalysis.covering``):
   ``facets_stable``, every facet of the complex a stable symbol, read
-  off the monomials; ``tests/test_preserved_kernel.py``.
+  off the monomials; ``tests/test_preserved_kernel.py``, and at the
+  table bound ``ci/test_past_the_bound.py``.
+* ``obstruction``, read off the order's covering faces (the largest
+  covering face none of whose one-smaller subsets covers): the largest
+  edge of the cover table's clutter that ``preserved_table`` keeps;
+  ``tests/test_preserved_kernel.py``, and at the table bound
+  ``ci/test_past_the_bound.py``.
 * ``prefix.PrefixWalk``'s count and least order, and
   ``SearchResult._at_most``: ``InsideWalk``, the walk that settles a
   state only once an alive family set lies inside the prefix, without

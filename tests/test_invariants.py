@@ -417,9 +417,29 @@ def test_search_verdicts_match_the_former_formulas(name):
     assert scan.almost_lyubeznik == (scan.min_l == projdim)
 
 
+@pytest.mark.parametrize("name", ["mixed_powers_xyz", "five_gen_squarefree"])
+def test_only_covers_and_the_searches_build_the_cover_table(name):
+    # one order's minimality and obstruction read its covering faces:
+    # on a fresh ideal, minimal under the identity or not, analyze
+    # without a search, radical-gens, complex and verify build no cover
+    # table, and covers and a search each build it
+    from lyubeznik.cli import main
+    from lyubeznik.corpus import _data_dir
+    path = str(_data_dir() / f"{name}.ideal")
+    ideal = load_ideal(name)
+    for build in ("covers", "search"):
+        tables_for.cache_clear()
+        for command in ("analyze", "radical-gens", "complex", "verify"):
+            assert main([command, path]) == 0, command
+            assert covers._CoverTable not in tables_for(ideal)._derived, \
+                command
+        assert main([build, path]) == 0, build
+        assert covers._CoverTable in tables_for(ideal)._derived, build
+
+
 def test_analyze_reads_no_generator_s_covers(monkeypatch):
-    # the minimality and obstruction read the clutter alone, never the
-    # covers listing or one generator's E-minimal covers
+    # the search reads the clutter alone, never the covers listing or
+    # one generator's E-minimal covers
     def refuse(*args):
         raise AssertionError("a generator's covers were read")
     monkeypatch.setattr(covers, "_listing_rows", refuse)

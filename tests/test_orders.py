@@ -1,3 +1,7 @@
+import os
+import pickle
+import subprocess
+import sys
 from itertools import chain, islice, permutations
 from math import factorial
 
@@ -35,6 +39,41 @@ def test_order_entries_become_python_ints():
     assert ordered == OrderedIdeal(ideal, (3, 1, 2, 5, 4))
     assert is_minimal_resolution(ordered) == is_minimal_resolution(
         OrderedIdeal(ideal, [np.int8(i) for i in (3, 1, 2, 5, 4)]))
+
+
+def test_ideals_and_orders_keep_the_dataclass_hash():
+    # the hash is kept once computed, with the value of the frozen
+    # dataclass's own: a tuple of the fields
+    ideal = load_ideal("mixed_powers_xyz")
+    ordered = OrderedIdeal(ideal, (2, 1, 3, 5, 4))
+    for _ in range(2):
+        assert hash(ideal) == hash((ideal.context, ideal.gens))
+        assert hash(ordered) == hash((ideal, ordered.order))
+    twin = parse_order("2,1,3,5,4", load_ideal("mixed_powers_xyz"))
+    assert twin == ordered and hash(twin) == hash(ordered)
+
+
+def test_a_kept_hash_is_not_pickled():
+    # string hashes differ between processes, so an unpickled ideal or
+    # order hashes itself again: under another hash seed a child must
+    # read the hash of the fields it hashes itself
+    ordered = OrderedIdeal(load_ideal("mixed_powers_xyz"), (2, 1, 3, 5, 4))
+    hash(ordered)
+    data = pickle.dumps(ordered)
+    copy = pickle.loads(data)
+    assert "_hash" not in vars(copy) and "_hash" not in vars(copy.ideal)
+    assert copy == ordered and hash(copy) == hash(ordered)
+    seed = "1" if os.environ.get("PYTHONHASHSEED") == "0" else "0"
+    child = ("import pickle, sys\n"
+             "ordered = pickle.loads(sys.stdin.buffer.read())\n"
+             "ideal = ordered.ideal\n"
+             "print(hash(ideal) == hash((ideal.context, ideal.gens)),\n"
+             "      hash(ordered) == hash((ideal, ordered.order)))\n")
+    run = subprocess.run([sys.executable, "-c", child], input=data,
+                         capture_output=True,
+                         env={**os.environ, "PYTHONHASHSEED": seed})
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == [b"True", b"True"]
 
 
 def test_rank_and_sorted_by_rank():

@@ -10,12 +10,14 @@ closure's.  The inputs are the corpus (every order when mu <= 5, three
 otherwise), hypothesis ideals, and seeded six-variable ideals at mu 14
 and 16, the largest the subset tables allow.
 
-``is_minimal_resolution`` (no clutter edge is preserved) has one
-checking route, facet stability read off the monomials
-(``reference_routes.facets_stable``): they must agree on the same
-inputs, on every order of the sweep corpus and on every order of
-hypothesis ideals up to mu 5.  There the obstruction must be the
-largest clutter edge that the Python DP preserves.
+``is_minimal_resolution`` (no face covers a member) has one checking
+route, facet stability read off the monomials
+(``reference_routes.facets_stable``), and ``obstruction`` (the largest
+covering face none of whose one-smaller subsets covers) one, the
+largest clutter edge that the Python DP preserves.  They must agree
+on the same inputs, on every order of the sweep corpus, on every order
+of hypothesis ideals up to mu 5, and on the seed-1 pool's p10-p12
+files under each of their three ``--order`` words.
 """
 
 import dataclasses
@@ -29,7 +31,8 @@ from lyubeznik import (OrderedIdeal, SubsetClass, all_ideals,
                        cover_clutter, covers_of, e_minimal_covers_of,
                        identity_order, is_broken, is_cover_of,
                        is_minimal_resolution, is_preserved, l_length,
-                       obstruction, preserved_size, sweep_ideals)
+                       obstruction, parse_order, preserved_size,
+                       read_ideal, sweep_ideals)
 from lyubeznik.complexes import order_analysis
 from lyubeznik.covers import cover_table
 from lyubeznik.subsets import indices_of, tables_for
@@ -128,7 +131,26 @@ def test_kernel_matches_the_python_dp_at_the_table_bound(mu):
     rng = random.Random(mu)
     for _ in range(2):
         rng.shuffle(word)
-        check_tables(OrderedIdeal(ideal, tuple(word)))
+        ordered = OrderedIdeal(ideal, tuple(word))
+        check_minimality(ordered, check_tables(ordered))
+
+
+def test_minimality_matches_facet_stability_on_the_pool(pool):
+    # the benchmark's per-order inputs p10 to p12 (mu 10-12), under each
+    # of their three seeded --order words
+    out, inputs = pool
+    names = sorted(n for n, e in inputs.items()
+                   if e["stratum"] in ("p10", "p11", "p12"))
+    assert len(names) == 24
+    seen = set()
+    for name in names:
+        ideal = read_ideal(out / name)
+        assert len(inputs[name]["orders"]) == 3
+        for word in inputs[name]["orders"]:
+            ordered = parse_order(word, ideal)
+            check_minimality(ordered, preserved_table(ordered))
+            seen.add(is_minimal_resolution(ordered))
+    assert seen == {True, False}
 
 
 def test_per_order_answers_are_plain_python_types():
